@@ -14,7 +14,7 @@ use smartwatch_detect::slowloris::SlowlorisDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_detect::Alert;
 use smartwatch_host::{ArtefactRegistry, AuthHeuristic, AuthOutcome, ConnEvent, ConnTable};
-use smartwatch_net::{Dur, FlowKey, Packet, Ts};
+use smartwatch_net::{Dur, FlowKey, KeyedMix, Packet, Ts};
 use smartwatch_snic::FlowRecord;
 use std::collections::HashSet;
 
@@ -84,7 +84,8 @@ pub struct DetectorSuite {
     conns: ConnTable,
     heuristic: AuthHeuristic,
     /// Auth sessions already classified (no further host escalation).
-    classified: HashSet<FlowKey>,
+    /// Wire-fed like the connection tables, so keyed the same way.
+    classified: HashSet<FlowKey, KeyedMix>,
     /// Data-path operation counters (Table 2 accounting).
     pub ops: SuiteOps,
 }
@@ -104,7 +105,7 @@ impl DetectorSuite {
             krb: None,
             conns: ConnTable::new(),
             heuristic: AuthHeuristic::default(),
-            classified: HashSet::new(),
+            classified: HashSet::default(),
             ops: SuiteOps::default(),
         }
     }

@@ -41,6 +41,25 @@ pub mod worm;
 use smartwatch_net::{AttackKind, FlowKey, Ts};
 use std::net::Ipv4Addr;
 
+/// Count of state entries a detector examined — the handle the
+/// constant-work-per-packet tests assert on. Only test builds count;
+/// elsewhere `bump` compiles to nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Visited(#[cfg(test)] std::cell::Cell<usize>);
+
+impl Visited {
+    #[inline]
+    pub(crate) fn bump(&self) {
+        #[cfg(test)]
+        self.0.set(self.0.get() + 1);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn get(&self) -> usize {
+        self.0.get()
+    }
+}
+
 /// What an alert points at.
 #[derive(Clone, PartialEq, Eq, Debug, Hash)]
 pub enum Subject {

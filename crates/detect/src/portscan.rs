@@ -12,7 +12,7 @@
 
 use crate::stats::{Trw, TrwVerdict};
 use crate::{Alert, Subject};
-use smartwatch_host::{ConnEvent, ConnTable};
+use smartwatch_host::{ConnEvent, ConnTable, Swept};
 use smartwatch_net::{AttackKind, Dur, Packet, Ts};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -100,30 +100,32 @@ impl ScanPipeline {
         }
     }
 
+    /// One pass over the connection table at `now`: S0 attempts idle for
+    /// the attempt timeout are failed TRW outcomes *and* incomplete flows;
+    /// other connections that never carried data and sat idle for
+    /// `dataless_timeout` are incomplete flows only. Alerts are stamped
+    /// `stamp`.
+    fn sweep(&mut self, now: Ts, dataless_timeout: Dur, stamp: Ts, alerts: &mut Vec<Alert>) {
+        let (detector, incomplete) = (&mut self.detector, &mut self.incomplete);
+        self.conns
+            .sweep(now, self.attempt_timeout, dataless_timeout, |why, rec| {
+                if why == Swept::AttemptTimeout {
+                    let (src, dst, port) = originator_view(rec);
+                    alerts.extend(detector.observe(src, dst, port, false, stamp));
+                }
+                alerts.extend(incomplete.observe_incomplete(rec, stamp));
+            });
+    }
+
     /// Feed one packet; returns any new alert.
     pub fn on_packet(&mut self, pkt: &Packet) -> Vec<Alert> {
         let mut alerts = Vec::new();
         // Periodic timeout sweep (every 500 ms of virtual time).
+        // Established-but-dataless connections are incomplete too
+        // (half-open probes answered by SYN/ACK), on a 4× longer fuse.
         if pkt.ts.since(self.last_sweep) >= Dur::from_millis(500) {
             self.last_sweep = pkt.ts;
-            for rec in self
-                .conns
-                .sweep_attempt_timeouts(pkt.ts, self.attempt_timeout)
-            {
-                let (src, dst, port) = originator_view(&rec);
-                if let Some(a) = self.detector.observe(src, dst, port, false, pkt.ts) {
-                    alerts.push(a);
-                }
-                alerts.extend(self.incomplete.observe_incomplete(&rec, pkt.ts));
-            }
-            // Established-but-dataless connections are incomplete too
-            // (half-open probes answered by SYN/ACK).
-            for rec in self
-                .conns
-                .sweep_dataless(pkt.ts, self.attempt_timeout.mul(4))
-            {
-                alerts.extend(self.incomplete.observe_incomplete(&rec, pkt.ts));
-            }
+            self.sweep(pkt.ts, self.attempt_timeout.mul(4), pkt.ts, &mut alerts);
         }
         let key = pkt.key;
         match self.conns.process(pkt) {
@@ -151,20 +153,12 @@ impl ScanPipeline {
     /// Final sweep at end of trace.
     pub fn finish(&mut self, now: Ts) -> Vec<Alert> {
         let mut alerts = Vec::new();
-        let horizon = now + self.attempt_timeout;
-        for rec in self
-            .conns
-            .sweep_attempt_timeouts(horizon, self.attempt_timeout)
-        {
-            let (src, dst, port) = originator_view(&rec);
-            if let Some(a) = self.detector.observe(src, dst, port, false, now) {
-                alerts.push(a);
-            }
-            alerts.extend(self.incomplete.observe_incomplete(&rec, now));
-        }
-        for rec in self.conns.sweep_dataless(horizon, self.attempt_timeout) {
-            alerts.extend(self.incomplete.observe_incomplete(&rec, now));
-        }
+        self.sweep(
+            now + self.attempt_timeout,
+            self.attempt_timeout,
+            now,
+            &mut alerts,
+        );
         alerts
     }
 }
@@ -227,6 +221,7 @@ impl IncompleteFlowDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartwatch_host::ConnRecord;
     use smartwatch_net::{FlowKey, PacketBuilder, TcpFlags};
 
     fn scanner() -> Ipv4Addr {
@@ -249,6 +244,169 @@ mod tests {
         } else {
             vec![syn]
         }
+    }
+
+    /// The pipeline as first written: two sweeps back to back, each
+    /// collecting its keys and then removing them — S0 attempt timeouts
+    /// (TRW failure + incomplete flow), then dataless connections among
+    /// the rest (incomplete flow only). The oracle for the fused sweep.
+    struct TwoPassPipeline {
+        conns: ConnTable,
+        detector: PortscanDetector,
+        incomplete: IncompleteFlowDetector,
+        last_sweep: Ts,
+    }
+
+    const T: Dur = Dur::from_secs(2);
+
+    impl TwoPassPipeline {
+        fn take(&mut self, expired: impl Fn(&ConnRecord) -> bool) -> Vec<ConnRecord> {
+            let keys: Vec<FlowKey> = self
+                .conns
+                .iter()
+                .filter(|r| expired(r))
+                .map(|r| r.key)
+                .collect();
+            keys.iter().filter_map(|k| self.conns.remove(k)).collect()
+        }
+
+        fn sweeps(&mut self, now: Ts, dataless_timeout: Dur, stamp: Ts) -> Vec<Alert> {
+            let mut alerts = Vec::new();
+            let s0 = smartwatch_host::ConnState::S0;
+            for rec in self.take(|r| r.state == s0 && now.since(r.last) >= T) {
+                let (src, dst, port) = originator_view(&rec);
+                alerts.extend(self.detector.observe(src, dst, port, false, stamp));
+                alerts.extend(self.incomplete.observe_incomplete(&rec, stamp));
+            }
+            for rec in self.take(|r| r.total_bytes() == 0 && now.since(r.last) >= dataless_timeout)
+            {
+                alerts.extend(self.incomplete.observe_incomplete(&rec, stamp));
+            }
+            alerts
+        }
+
+        fn on_packet(&mut self, pkt: &Packet) -> Vec<Alert> {
+            let mut alerts = Vec::new();
+            if pkt.ts.since(self.last_sweep) >= Dur::from_millis(500) {
+                self.last_sweep = pkt.ts;
+                alerts = self.sweeps(pkt.ts, T.mul(4), pkt.ts);
+            }
+            match self.conns.process(pkt) {
+                Some(ConnEvent::Established) => {
+                    let (src, dst, port) = originator_view(self.conns.get(&pkt.key).unwrap());
+                    alerts.extend(self.detector.observe(src, dst, port, true, pkt.ts));
+                }
+                Some(ConnEvent::Rejected) => {
+                    let rec = self.conns.remove(&pkt.key).unwrap();
+                    let (src, dst, port) = originator_view(&rec);
+                    alerts.extend(self.detector.observe(src, dst, port, false, pkt.ts));
+                }
+                _ => {}
+            }
+            alerts
+        }
+    }
+
+    /// Everything the observations leave behind, in a comparable form:
+    /// per-source TRW walk and fan-out, per-source incomplete count.
+    fn detector_state(
+        d: &PortscanDetector,
+        inc: &IncompleteFlowDetector,
+    ) -> (Vec<String>, Vec<(Ipv4Addr, u32)>) {
+        let mut walks: Vec<String> = d
+            .walks
+            .iter()
+            .map(|(src, w)| format!("{src} {w:?} fanout {}", d.probed[src].len()))
+            .collect();
+        walks.sort();
+        let mut counts: Vec<(Ipv4Addr, u32)> = inc.counts.iter().map(|(s, c)| (*s, *c)).collect();
+        counts.sort();
+        (walks, counts)
+    }
+
+    #[test]
+    fn fused_sweep_makes_the_two_pass_observations() {
+        let mut rng = 0x5CA7_u64;
+        let mut next = move |m: u64| {
+            rng = smartwatch_net::hash::splitmix64(rng);
+            rng % m
+        };
+        // 40 sources × distinct (dst, port) per connection over 30 s:
+        // lone SYNs, refusals, half-opens that never carry data, and
+        // sessions that do.
+        let mut pkts = Vec::new();
+        for i in 0..6_000u32 {
+            let key = FlowKey::tcp(
+                Ipv4Addr::new(198, 18, 0, next(40) as u8),
+                20_000 + (i % 40_000) as u16,
+                Ipv4Addr::from(0xAC10_0000 + i),
+                (1 + i % 1_000) as u16,
+            );
+            let at = Ts::from_micros(next(30_000_000));
+            let pkt = |k: FlowKey, d_us: u64, flags, payload| {
+                PacketBuilder::new(k, at + Dur::from_micros(d_us))
+                    .flags(flags)
+                    .payload(payload)
+                    .build()
+            };
+            pkts.push(pkt(key, 0, TcpFlags::SYN, 0));
+            match next(4) {
+                0 => {}
+                1 => pkts.push(pkt(key.reversed(), 300, TcpFlags::RST_ACK, 0)),
+                kind => {
+                    pkts.push(pkt(key.reversed(), 300, TcpFlags::SYN_ACK, 0));
+                    if kind == 3 {
+                        pkts.push(pkt(key, 600, TcpFlags::PSH | TcpFlags::ACK, 200));
+                    }
+                }
+            }
+        }
+        pkts.sort_by_key(|p| p.ts);
+
+        let mut fused = ScanPipeline::new();
+        let mut oracle = TwoPassPipeline {
+            conns: ConnTable::new(),
+            detector: PortscanDetector::new(),
+            incomplete: IncompleteFlowDetector::new(8),
+            last_sweep: Ts::ZERO,
+        };
+        let by_text = |mut v: Vec<Alert>| {
+            v.sort_by_key(|a| format!("{a:?}"));
+            v
+        };
+        let (mut scans, mut incompletes) = (0, 0);
+        for (i, p) in pkts.iter().enumerate() {
+            let swept = p.ts.since(fused.last_sweep) >= Dur::from_millis(500);
+            let got = by_text(fused.on_packet(p));
+            assert_eq!(got, by_text(oracle.on_packet(p)), "packet {i}");
+            for a in &got {
+                match a.kind {
+                    AttackKind::StealthyPortScan => scans += 1,
+                    AttackKind::TcpIncompleteFlows => incompletes += 1,
+                    _ => {}
+                }
+            }
+            if swept {
+                assert_eq!(fused.conns.len(), oracle.conns.len(), "packet {i}");
+                assert_eq!(
+                    detector_state(&fused.detector, &fused.incomplete),
+                    detector_state(&oracle.detector, &oracle.incomplete),
+                    "packet {i}"
+                );
+            }
+        }
+        assert!(scans >= 5 && incompletes >= 10, "{scans} / {incompletes}");
+        // End of trace: both timeouts are T.
+        let end = pkts.last().unwrap().ts;
+        assert_eq!(
+            by_text(fused.finish(end)),
+            by_text(oracle.sweeps(end + T, T, end))
+        );
+        assert_eq!(fused.conns.len(), oracle.conns.len());
+        assert_eq!(
+            detector_state(&fused.detector, &fused.incomplete),
+            detector_state(&oracle.detector, &oracle.incomplete)
+        );
     }
 
     #[test]

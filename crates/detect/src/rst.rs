@@ -7,15 +7,27 @@
 //! alert. If the timer expires quietly, release the RST to its
 //! destination.
 //!
-//! The Bloom-filter fast path reproduces the paper's measurement: before
-//! paying for a wheel scan (needed to detect *duplicate* RSTs for the
-//! same flow), a membership check answers "no previous RST buffered" in
-//! O(k) hashes — 69.7% of RSTs take this path in their trace.
+//! The Bloom-filter fast path reproduces the paper's measurement: a
+//! membership check answers "no previous RST buffered" in O(k) hashes —
+//! 69.7% of RSTs take this path in their trace — before paying for the
+//! exact duplicate lookup (in the paper a wheel scan; see below).
+//!
+//! **At most one RST is buffered per canonical flow.** The Bloom filter
+//! has no false negatives and nothing is ever removed from it, so while a
+//! flow has an RST buffered every further RST of that flow takes the slow
+//! path, is found to be a duplicate and is *not* buffered. The detector
+//! therefore keeps, beside the wheel, an exact index canonical flow →
+//! (wheel deadline, direction) of the buffered RSTs. One lookup in it
+//! answers both per-packet questions — "is an RST of this flow buffered?"
+//! (duplicate check) and "did this data packet's sender have one
+//! buffered?" (the race) — and the deadline names the one wheel slot a
+//! forged RST is removed from, so no packet walks the wheel.
 
-use crate::{Alert, Subject};
+use crate::{Alert, Subject, Visited};
 use smartwatch_host::TimingWheel;
-use smartwatch_net::{AttackKind, Dur, FlowKey, Packet, Ts};
+use smartwatch_net::{AttackKind, Dur, FlowKey, KeyedMix, Packet, Ts};
 use smartwatch_sketch::BloomFilter;
+use std::collections::HashMap;
 
 /// A buffered suspect RST.
 #[derive(Clone, Copy, Debug)]
@@ -36,7 +48,8 @@ pub struct BufferedRst {
 pub enum RstEvent {
     /// RST buffered pending verification (took the Bloom fast path).
     BufferedFast,
-    /// RST buffered after a wheel scan (Bloom hit ⇒ possible duplicate).
+    /// RST buffered after the exact duplicate lookup (Bloom hit ⇒
+    /// possible duplicate).
     BufferedSlow,
     /// Second RST for a flow that already has one buffered — immediately
     /// suspicious (duplicate-RST signature).
@@ -52,25 +65,32 @@ pub struct ForgedRstDetector {
     /// Buffering horizon T (paper: 2 s).
     pub horizon: Dur,
     wheel: TimingWheel<BufferedRst>,
+    /// Exactly the wheel's contents: canonical flow → (the deadline its
+    /// RST is filed under, whether it travelled canonical-forward).
+    index: HashMap<FlowKey, (Ts, bool), KeyedMix>,
     bloom: BloomFilter,
     hasher: smartwatch_net::FlowHasher,
-    /// RSTs that took the fast path (no scan needed).
+    /// RSTs that took the fast path (Bloom miss: no lookup needed).
     pub fast_path: u64,
-    /// RSTs that required a wheel scan.
+    /// RSTs that required the exact duplicate lookup.
     pub slow_path: u64,
+    visited: Visited,
 }
 
 impl ForgedRstDetector {
-    /// Detector with horizon T. The wheel tick is T/256.
+    /// Detector with horizon T. The wheel has 512 slots of T/128, so a
+    /// buffered RST sits 128 ticks ahead on a 4 T wheel.
     pub fn new(horizon: Dur) -> ForgedRstDetector {
         let tick = Dur::from_nanos((horizon.as_nanos() / 128).max(1_000));
         ForgedRstDetector {
             horizon,
             wheel: TimingWheel::new(512, tick),
+            index: HashMap::default(),
             bloom: BloomFilter::for_items(100_000, 0.01, 0xF0F0),
             hasher: smartwatch_net::FlowHasher::new(0xF0F0),
             fast_path: 0,
             slow_path: 0,
+            visited: Visited::default(),
         }
     }
 
@@ -88,16 +108,21 @@ impl ForgedRstDetector {
         self.wheel.len()
     }
 
+    /// Expire RSTs due by `now`: each leaves the index and is released.
+    fn release_due(&mut self, now: Ts) -> Vec<RstEvent> {
+        let mut events = Vec::new();
+        for (_, r) in self.wheel.advance(now) {
+            self.index.remove(&r.flow);
+            events.push(RstEvent::Released(r.flow));
+        }
+        events
+    }
+
     /// Process one packet at its timestamp. Expired RSTs are released as
     /// `Released` events; the packet itself may buffer, duplicate-flag, or
     /// race-detect.
     pub fn on_packet(&mut self, pkt: &Packet) -> Vec<RstEvent> {
-        let mut events: Vec<RstEvent> = self
-            .wheel
-            .advance(pkt.ts)
-            .into_iter()
-            .map(|(_, r)| RstEvent::Released(r.flow))
-            .collect();
+        let mut events = self.release_due(pkt.ts);
 
         if !pkt.is_tcp() {
             return events;
@@ -108,10 +133,10 @@ impl ForgedRstDetector {
         if pkt.flags.rst() {
             let fid = self.flow_id(&flow);
             if self.bloom.contains(fid) {
-                // Possible duplicate: scan the wheel (slow path).
+                // Possible duplicate: ask the exact index (slow path).
                 self.slow_path += 1;
-                let dup = !self.wheel.scan(|r| r.flow == flow).is_empty();
-                if dup {
+                self.visited.bump();
+                if self.index.contains_key(&flow) {
                     events.push(RstEvent::DuplicateRst(Alert::new(
                         AttackKind::ForgedTcpRst,
                         Subject::Flow(flow),
@@ -126,7 +151,7 @@ impl ForgedRstDetector {
                 events.push(RstEvent::BufferedFast);
             }
             self.bloom.insert(fid);
-            self.wheel.schedule(
+            let deadline = self.wheel.schedule(
                 pkt.ts + self.horizon,
                 BufferedRst {
                     flow,
@@ -135,15 +160,23 @@ impl ForgedRstDetector {
                     arrived: pkt.ts,
                 },
             );
+            self.index.insert(flow, (deadline, forward));
             return events;
         }
 
         // Data packet: does it race a buffered RST from the same sender?
         if pkt.payload_len > 0 {
-            if let Some(rst) = self
-                .wheel
-                .remove_first(|r| r.flow == flow && r.forward == forward)
-            {
+            self.visited.bump();
+            if let Some(&(deadline, _)) = self.index.get(&flow).filter(|(_, f)| *f == forward) {
+                let visited = &self.visited;
+                let rst = self
+                    .wheel
+                    .remove_at(deadline, |r| {
+                        visited.bump();
+                        r.flow == flow
+                    })
+                    .expect("indexed RST is in the wheel");
+                self.index.remove(&flow);
                 events.push(RstEvent::ForgedDetected(Alert::new(
                     AttackKind::ForgedTcpRst,
                     Subject::Flow(flow),
@@ -162,11 +195,7 @@ impl ForgedRstDetector {
 
     /// Flush: release everything still buffered (end of trace).
     pub fn finish(&mut self, now: Ts) -> Vec<RstEvent> {
-        self.wheel
-            .advance(now + self.horizon + Dur::from_secs(1))
-            .into_iter()
-            .map(|(_, r)| RstEvent::Released(r.flow))
-            .collect()
+        self.release_due(now + self.horizon + Dur::from_secs(1))
     }
 }
 
@@ -198,6 +227,238 @@ mod tests {
             .seq(seq)
             .payload(500)
             .build()
+    }
+
+    /// The detector as first written, minus the wheel: every duplicate
+    /// check and every race check walks all buffered RSTs. Expiry order
+    /// is the wheel's (deadline, then arrival). The oracle for the index.
+    struct ScanningDetector {
+        horizon: Dur,
+        now: Ts,
+        buffered: Vec<(Ts, BufferedRst)>,
+        bloom: BloomFilter,
+        hasher: smartwatch_net::FlowHasher,
+    }
+
+    impl ScanningDetector {
+        fn new() -> ScanningDetector {
+            ScanningDetector {
+                horizon: Dur::from_secs(2),
+                now: Ts::ZERO,
+                buffered: Vec::new(),
+                bloom: BloomFilter::for_items(100_000, 0.01, 0xF0F0),
+                hasher: smartwatch_net::FlowHasher::new(0xF0F0),
+            }
+        }
+
+        fn release_due(&mut self, now: Ts) -> Vec<RstEvent> {
+            if now < self.now {
+                return Vec::new();
+            }
+            self.now = now;
+            let (mut due, keep): (Vec<_>, Vec<_>) =
+                self.buffered.drain(..).partition(|(d, _)| *d <= now);
+            self.buffered = keep;
+            due.sort_by_key(|(d, _)| *d);
+            due.iter()
+                .map(|(_, r)| RstEvent::Released(r.flow))
+                .collect()
+        }
+
+        fn on_packet(&mut self, pkt: &Packet) -> Vec<RstEvent> {
+            let mut events = self.release_due(pkt.ts);
+            if !pkt.is_tcp() {
+                return events;
+            }
+            let (flow, dir) = pkt.key.canonical();
+            let forward = dir == smartwatch_net::key::Direction::Forward;
+            if pkt.flags.rst() {
+                let fid = self.hasher.hash_symmetric(&flow).0;
+                if self.bloom.contains(fid) {
+                    if self.buffered.iter().any(|(_, r)| r.flow == flow) {
+                        events.push(RstEvent::DuplicateRst(Alert::new(
+                            AttackKind::ForgedTcpRst,
+                            Subject::Flow(flow),
+                            pkt.ts,
+                            "duplicate RST while one is buffered",
+                        )));
+                        return events;
+                    }
+                    events.push(RstEvent::BufferedSlow);
+                } else {
+                    events.push(RstEvent::BufferedFast);
+                }
+                self.bloom.insert(fid);
+                let rst = BufferedRst {
+                    flow,
+                    forward,
+                    seq: pkt.seq,
+                    arrived: pkt.ts,
+                };
+                self.buffered
+                    .push(((pkt.ts + self.horizon).max(self.now), rst));
+            } else if pkt.payload_len > 0 {
+                let hit = self
+                    .buffered
+                    .iter()
+                    .position(|(_, r)| r.flow == flow && r.forward == forward);
+                if let Some(pos) = hit {
+                    let (_, rst) = self.buffered.remove(pos);
+                    events.push(RstEvent::ForgedDetected(Alert::new(
+                        AttackKind::ForgedTcpRst,
+                        Subject::Flow(flow),
+                        pkt.ts,
+                        format!(
+                            "data seq {} raced RST seq {} after {}",
+                            pkt.seq,
+                            rst.seq,
+                            pkt.ts.since(rst.arrived)
+                        ),
+                    )));
+                }
+            }
+            events
+        }
+
+        fn finish(&mut self, now: Ts) -> Vec<RstEvent> {
+            self.release_due(now + self.horizon + Dur::from_secs(1))
+        }
+    }
+
+    impl ForgedRstDetector {
+        /// The index holds exactly the wheel's contents.
+        fn assert_index_is_the_wheel(&self) {
+            assert_eq!(self.index.len(), self.wheel.len());
+            for (deadline, r) in self.wheel.iter() {
+                assert_eq!(self.index.get(&r.flow), Some(&(deadline, r.forward)));
+            }
+        }
+    }
+
+    /// Seeded packet mix over `flows` flows, `gap` apart: new and repeated
+    /// RSTs from either side, data from either side, UDP, and the odd
+    /// packet stamped in the past.
+    fn rst_stream(seed: u64, flows: u32, n: usize, start: Ts, gap: Dur) -> Vec<Packet> {
+        let mut rng = seed;
+        let mut next = move |m: u64| {
+            rng = smartwatch_net::hash::splitmix64(rng);
+            rng % m
+        };
+        let mut ts = start;
+        (0..n)
+            .map(|i| {
+                ts += gap;
+                let f = flow(next(u64::from(flows)) as u32);
+                let f = if next(2) == 0 { f } else { f.reversed() };
+                let at = if next(50) == 0 {
+                    Ts::from_nanos(ts.as_nanos().saturating_sub(next(3_000_000_000)))
+                } else {
+                    ts
+                };
+                match next(10) {
+                    0..=4 => rst(f, at, i as u32),
+                    5..=8 => data(f, at, i as u32),
+                    _ => smartwatch_net::packet::udp(f.src_ip, 9, f.dst_ip, 53, at, 80),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn index_agrees_with_a_full_scan_on_every_packet() {
+        for seed in 1..=4 {
+            let mut d = ForgedRstDetector::paper_default();
+            let mut oracle = ScanningDetector::new();
+            // 300 flows at 4 ms: ~500 packets per horizon, so RSTs are
+            // buffered, duplicated, raced, expired and re-buffered.
+            let pkts = rst_stream(seed, 300, 4_000, Ts::ZERO, Dur::from_millis(4));
+            let mut seen = [0usize; 5];
+            for (i, p) in pkts.iter().enumerate() {
+                let ev = d.on_packet(p);
+                assert_eq!(ev, oracle.on_packet(p), "seed {seed} packet {i}");
+                d.assert_index_is_the_wheel();
+                for e in &ev {
+                    seen[match e {
+                        RstEvent::BufferedFast => 0,
+                        RstEvent::BufferedSlow => 1,
+                        RstEvent::DuplicateRst(_) => 2,
+                        RstEvent::ForgedDetected(_) => 3,
+                        RstEvent::Released(_) => 4,
+                    }] += 1;
+                }
+            }
+            assert!(seen.iter().all(|&n| n >= 20), "seed {seed}: {seen:?}");
+            let last = pkts.last().unwrap().ts;
+            assert_eq!(d.finish(last), oracle.finish(last));
+            d.assert_index_is_the_wheel();
+            assert_eq!(d.buffered(), 0);
+        }
+    }
+
+    #[test]
+    fn index_holds_with_ten_thousand_rsts_buffered() {
+        let mut d = ForgedRstDetector::paper_default();
+        let mut oracle = ScanningDetector::new();
+        // Fill: 12 000 distinct flows in 0.6 s, all still buffered.
+        let mut ts = Ts::ZERO;
+        for i in 0..12_000u32 {
+            ts += Dur::from_micros(50);
+            let p = rst(flow(i), ts, i);
+            assert_eq!(d.on_packet(&p), oracle.on_packet(&p));
+        }
+        assert_eq!(d.buffered(), 12_000);
+        d.assert_index_is_the_wheel();
+        // Churn across the horizon: races, duplicates, expiry of the fill,
+        // re-buffering.
+        let pkts = rst_stream(9, 14_000, 6_000, ts, Dur::from_micros(500));
+        let mut peak = 0;
+        for (i, p) in pkts.iter().enumerate() {
+            assert_eq!(d.on_packet(p), oracle.on_packet(p), "packet {i}");
+            assert_eq!(d.index.len(), d.wheel.len());
+            if i % 64 == 0 {
+                d.assert_index_is_the_wheel();
+            }
+            peak = peak.max(d.buffered());
+        }
+        assert!(peak >= 12_000 && d.buffered() < 6_000, "peak {peak}");
+        d.assert_index_is_the_wheel();
+        let last = pkts.last().unwrap().ts;
+        assert_eq!(d.finish(last), oracle.finish(last));
+        d.assert_index_is_the_wheel();
+    }
+
+    #[test]
+    fn a_packet_examines_a_bounded_number_of_buffered_rsts() {
+        let mut d = ForgedRstDetector::paper_default();
+        let mut ts = Ts::ZERO;
+        for i in 0..10_000u32 {
+            ts += Dur::from_micros(50);
+            d.on_packet(&rst(flow(i), ts, i));
+        }
+        assert_eq!(d.buffered(), 10_000);
+        let cost = |d: &mut ForgedRstDetector, p: Packet| {
+            let before = d.visited.get();
+            let ev = d.on_packet(&p);
+            (d.visited.get() - before, ev)
+        };
+        ts += Dur::from_micros(50);
+
+        let (n, ev) = cost(&mut d, rst(flow(5_000), ts, 1));
+        assert!(matches!(ev.as_slice(), [RstEvent::DuplicateRst(_)]));
+        assert!(n <= 1, "duplicate RST examined {n} entries");
+
+        let (n, ev) = cost(&mut d, data(flow(20_000), ts, 1));
+        assert!(ev.is_empty());
+        assert!(n <= 1, "unrelated data examined {n} entries");
+
+        let (n, ev) = cost(&mut d, data(flow(5_000).reversed(), ts, 1));
+        assert!(ev.is_empty(), "other side's data is no race");
+        assert!(n <= 1, "other side's data examined {n} entries");
+
+        let (n, ev) = cost(&mut d, data(flow(5_000), ts, 1));
+        assert!(matches!(ev.as_slice(), [RstEvent::ForgedDetected(_)]));
+        assert!(n <= 3, "racing data examined {n} entries");
+        assert_eq!(d.buffered(), 9_999);
     }
 
     #[test]

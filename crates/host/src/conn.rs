@@ -6,7 +6,7 @@
 //! Zeek's `conn_state` vocabulary, which the paper's detectors are written
 //! against.
 
-use smartwatch_net::{Dur, FlowKey, Packet, Ts};
+use smartwatch_net::{Dur, FlowKey, KeyedMix, Packet, Ts};
 use std::collections::HashMap;
 
 /// Connection states, after Zeek's `conn_state`.
@@ -91,10 +91,24 @@ impl ConnRecord {
     }
 }
 
+/// Why [`ConnTable::sweep`] removed a connection.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Swept {
+    /// An S0 attempt that went unanswered for the attempt timeout: a
+    /// failed connection attempt (the third port-scan outcome).
+    AttemptTimeout,
+    /// A connection in any other situation that carried no payload in
+    /// either direction and sat idle for the dataless timeout.
+    Dataless,
+}
+
 /// The connection table: feeds packets, emits classification events.
+///
+/// Keys come off the wire, so the table hashes them with a per-instance
+/// randomly keyed [`KeyedMix`] (a clone shares its original's key).
 #[derive(Clone, Debug, Default)]
 pub struct ConnTable {
-    conns: HashMap<FlowKey, ConnRecord>,
+    conns: HashMap<FlowKey, ConnRecord, KeyedMix>,
 }
 
 impl ConnTable {
@@ -203,37 +217,35 @@ impl ConnTable {
         event
     }
 
-    /// Time out S0 connections idle longer than `timeout` at `now`:
-    /// no-response connection attempts (the third port-scan outcome).
-    /// Returns the timed-out records and removes them.
-    pub fn sweep_attempt_timeouts(&mut self, now: Ts, timeout: Dur) -> Vec<ConnRecord> {
-        let expired: Vec<FlowKey> = self
-            .conns
-            .values()
-            .filter(|r| r.state == ConnState::S0 && now.since(r.last) >= timeout)
-            .map(|r| r.key)
-            .collect();
-        expired
-            .iter()
-            .filter_map(|k| self.conns.remove(k))
-            .collect()
-    }
-
-    /// Sweep connections (any state) that carried **no payload** in either
-    /// direction and have been idle at least `timeout` — the "TCP
-    /// incomplete flows" population: opened (or half-opened) but never
-    /// used. Returns and removes them.
-    pub fn sweep_dataless(&mut self, now: Ts, timeout: Dur) -> Vec<ConnRecord> {
-        let expired: Vec<FlowKey> = self
-            .conns
-            .values()
-            .filter(|r| r.total_bytes() == 0 && now.since(r.last) >= timeout)
-            .map(|r| r.key)
-            .collect();
-        expired
-            .iter()
-            .filter_map(|k| self.conns.remove(k))
-            .collect()
+    /// One pass over the table at time `now`, removing and reporting
+    ///
+    /// * S0 connections idle for at least `attempt_timeout` — no-response
+    ///   connection attempts ([`Swept::AttemptTimeout`]);
+    /// * of the rest, connections (any state) that carried **no payload**
+    ///   in either direction and have been idle for at least
+    ///   `dataless_timeout` — the "TCP incomplete flows" population:
+    ///   opened (or half-opened) but never used ([`Swept::Dataless`]).
+    ///
+    /// `on_swept` sees each removed record once, in table order.
+    pub fn sweep(
+        &mut self,
+        now: Ts,
+        attempt_timeout: Dur,
+        dataless_timeout: Dur,
+        mut on_swept: impl FnMut(Swept, &ConnRecord),
+    ) {
+        self.conns.retain(|_, r| {
+            let idle = now.since(r.last);
+            let why = if r.state == ConnState::S0 && idle >= attempt_timeout {
+                Swept::AttemptTimeout
+            } else if r.total_bytes() == 0 && idle >= dataless_timeout {
+                Swept::Dataless
+            } else {
+                return true;
+            };
+            on_swept(why, r);
+            false
+        });
     }
 }
 
@@ -335,10 +347,101 @@ mod tests {
             80,
         );
         t.process(&p(k2, 3_000_000, TcpFlags::SYN, 0));
-        let timed_out = t.sweep_attempt_timeouts(Ts::from_secs(4), Dur::from_secs(2));
-        assert_eq!(timed_out.len(), 1);
-        assert_eq!(timed_out[0].key, key().canonical().0);
+        let mut timed_out = Vec::new();
+        t.sweep(
+            Ts::from_secs(4),
+            Dur::from_secs(2),
+            Dur::from_secs(8),
+            |why, r| timed_out.push((why, r.key)),
+        );
+        assert_eq!(timed_out, [(Swept::AttemptTimeout, key().canonical().0)]);
         assert_eq!(t.len(), 1);
+    }
+
+    impl ConnTable {
+        /// The two sweeps the table was first written with, run back to
+        /// back: S0 timeouts, then dataless connections among the rest.
+        /// The oracle for the fused [`ConnTable::sweep`].
+        fn sweep_two_pass(
+            &mut self,
+            now: Ts,
+            attempt_timeout: Dur,
+            dataless_timeout: Dur,
+        ) -> Vec<(Swept, ConnRecord)> {
+            let mut out = Vec::new();
+            let mut pass = |why: Swept, expired: &dyn Fn(&ConnRecord) -> bool| {
+                let keys: Vec<FlowKey> = self
+                    .conns
+                    .values()
+                    .filter(|r| expired(r))
+                    .map(|r| r.key)
+                    .collect();
+                out.extend(
+                    keys.iter()
+                        .filter_map(|k| self.conns.remove(k))
+                        .map(|r| (why, r)),
+                );
+            };
+            pass(Swept::AttemptTimeout, &|r| {
+                r.state == ConnState::S0 && now.since(r.last) >= attempt_timeout
+            });
+            pass(Swept::Dataless, &|r| {
+                r.total_bytes() == 0 && now.since(r.last) >= dataless_timeout
+            });
+            out
+        }
+    }
+
+    #[test]
+    fn fused_sweep_matches_the_two_pass_sweeps() {
+        let mut rng = 0xC0FFEE_u64;
+        let mut next = move |m: u64| {
+            rng = smartwatch_net::hash::splitmix64(rng);
+            rng % m
+        };
+        // Timeout pairs in both orders: the callers use (T, 4T) and (T, T),
+        // and the fused pass must not depend on which is longer.
+        for (attempt_ms, dataless_ms) in [(2_000, 8_000), (2_000, 2_000), (3_000, 1_000)] {
+            let mut t = ConnTable::new();
+            for i in 0..3_000u32 {
+                let k = FlowKey::tcp(
+                    Ipv4Addr::from(0x0A00_0000 + i),
+                    40_000,
+                    Ipv4Addr::new(10, 9, 0, 2),
+                    80,
+                );
+                let at = next(10_000_000);
+                // Lone SYN / half-open / established, with or without data.
+                t.process(&p(k, at, TcpFlags::SYN, 0));
+                if next(3) > 0 {
+                    t.process(&p(k.reversed(), at + 10, TcpFlags::SYN_ACK, 0));
+                    if next(2) == 0 {
+                        t.process(&p(k, at + 20, TcpFlags::PSH | TcpFlags::ACK, 100));
+                    }
+                }
+            }
+            let mut oracle = t.clone();
+            let sort = |v: &mut Vec<(Swept, FlowKey)>| v.sort_by_key(|(w, k)| (*w as u8, *k));
+            for now_ms in [9_000, 11_000, 13_000, 30_000] {
+                let (now, a, d) = (
+                    Ts::from_millis(now_ms),
+                    Dur::from_millis(attempt_ms),
+                    Dur::from_millis(dataless_ms),
+                );
+                let mut fused = Vec::new();
+                t.sweep(now, a, d, |why, r| fused.push((why, r.key)));
+                let mut two_pass: Vec<(Swept, FlowKey)> = oracle
+                    .sweep_two_pass(now, a, d)
+                    .iter()
+                    .map(|(w, r)| (*w, r.key))
+                    .collect();
+                sort(&mut fused);
+                sort(&mut two_pass);
+                assert_eq!(fused, two_pass);
+                assert_eq!(t.len(), oracle.len());
+            }
+            assert!(t.len() < 3_000, "the sweeps removed something");
+        }
     }
 
     #[test]

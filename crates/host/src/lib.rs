@@ -25,7 +25,7 @@ pub mod wheel;
 pub mod zeek;
 
 pub use aggregate::SnapshotAggregator;
-pub use conn::{ConnEvent, ConnRecord, ConnState, ConnTable};
+pub use conn::{ConnEvent, ConnRecord, ConnState, ConnTable, Swept};
 pub use cost::HostCostModel;
 pub use flowlog::FlowLogStore;
 pub use nf::{HostNf, HostRuntime, NfWorker, Verdict};

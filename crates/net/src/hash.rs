@@ -18,8 +18,9 @@
 //! the Netronome uses — but it passes avalanche sanity tests (see below).
 
 use crate::key::{FlowKey, RawTuple};
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// A 64-bit flow hash digest with the splitting accessors used by the
 /// FlowCache (Algorithm 1).
@@ -358,6 +359,112 @@ pub type BuildDigestHasher = BuildHasherDefault<DigestHasher>;
 /// A `HashSet` of 64-bit digests with identity hashing — the membership
 /// structure used by the runtime shards' black/whitelists.
 pub type DigestSet = HashSet<u64, BuildDigestHasher>;
+
+/// A fast `BuildHasher` for tables whose keys arrive off the wire
+/// (connection tables, buffered-RST indices), **randomly keyed per
+/// instance**.
+///
+/// SipHash, the `HashMap` default, costs more than the rest of a
+/// connection-table update on 13-byte 5-tuples. This hasher folds each
+/// written word into the state with one 64×64→128-bit multiply (high half
+/// XOR low half, so no input bit region is lost the way a plain wrapping
+/// multiply loses the top bits). Both the initial state and the
+/// multiplier are secret: every [`KeyedMix::new`] draws them from a fresh
+/// [`RandomState`], so an attacker cannot precompute 5-tuples that
+/// collide in a given table — the HashDoS posture of the SipHash tables
+/// it replaces — and two tables never share a bucket layout.
+#[derive(Clone, Debug)]
+pub struct KeyedMix {
+    state: u64,
+    mul: u64,
+}
+
+impl KeyedMix {
+    /// A hasher family with a fresh random key.
+    pub fn new() -> KeyedMix {
+        let rs = RandomState::new();
+        KeyedMix {
+            state: rs.hash_one(0u64),
+            // Odd, so the multiplier is never zero.
+            mul: rs.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl Default for KeyedMix {
+    fn default() -> Self {
+        KeyedMix::new()
+    }
+}
+
+impl BuildHasher for KeyedMix {
+    type Hasher = KeyedMixHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> KeyedMixHasher {
+        KeyedMixHasher {
+            state: self.state,
+            mul: self.mul,
+        }
+    }
+}
+
+/// The [`Hasher`] of [`KeyedMix`].
+#[derive(Clone, Copy, Debug)]
+pub struct KeyedMixHasher {
+    state: u64,
+    mul: u64,
+}
+
+impl Hasher for KeyedMixHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rem = chunks.remainder();
+        if !rem.is_empty() {
+            // The tail's length rides in the top byte (rem.len() < 8), so
+            // trailing zero bytes are not absorbed silently.
+            let mut buf = [0u8; 8];
+            buf[..rem.len()].copy_from_slice(rem);
+            buf[7] = rem.len() as u8;
+            self.write_u64(u64::from_le_bytes(buf));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        let p = u128::from(self.state ^ v) * u128::from(self.mul);
+        self.state = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
 
 /// A TTL'd, capacity-bounded digest set for long-lived black/whitelists.
 ///
@@ -775,6 +882,61 @@ mod tests {
         }
         assert!(!set.contains(&h.hash_u64(5000).0));
         assert_eq!(set.len(), 1000);
+    }
+
+    #[test]
+    fn keyed_mix_is_keyed_per_instance() {
+        let k = key(0x0a00_0001, 1000, 0x0a00_0002, 22);
+        let digests: HashSet<u64> = (0..32).map(|_| KeyedMix::new().hash_one(k)).collect();
+        assert_eq!(digests.len(), 32, "every instance draws its own key");
+        // A clone is the same function: cloned tables keep their layout.
+        let a = KeyedMix::new();
+        assert_eq!(a.hash_one(k), a.clone().hash_one(k));
+    }
+
+    #[test]
+    fn keyed_mix_spreads_structured_keys_over_both_ends_of_the_digest() {
+        // hashbrown indexes buckets with the low bits and tags control
+        // bytes with the top seven; sequential addresses and ports — what
+        // a scan looks like — must fill both evenly.
+        let h = KeyedMix::new();
+        let (mut low, mut top) = ([0u32; 256], [0u32; 128]);
+        for i in 0..64_000u32 {
+            let d = h.hash_one(key(
+                0x0a00_0000 + i / 250,
+                1024 + (i % 250) as u16,
+                0xc0a8_0001,
+                443,
+            ));
+            low[(d & 0xff) as usize] += 1;
+            top[(d >> 57) as usize] += 1;
+        }
+        assert!(low.iter().all(|&c| c > 125 && c < 500), "low byte: {low:?}");
+        assert!(
+            top.iter().all(|&c| c > 250 && c < 1000),
+            "top bits: {top:?}"
+        );
+    }
+
+    #[test]
+    fn keyed_mix_distinguishes_byte_strings_by_length_and_tail() {
+        let h = KeyedMix::new();
+        let data = [0u8; 40];
+        let digests: HashSet<u64> = (0..=40).map(|l| h.hash_one(&data[..l])).collect();
+        assert_eq!(digests.len(), 41, "zero runs of every length differ");
+    }
+
+    #[test]
+    fn keyed_mix_map_behaves_like_a_map() {
+        let mut m: std::collections::HashMap<FlowKey, u32, KeyedMix> = Default::default();
+        for i in 0..5_000u32 {
+            assert!(m.insert(key(i, 1, !i, 2), i).is_none());
+        }
+        for i in 0..5_000u32 {
+            assert_eq!(m.get(&key(i, 1, !i, 2)), Some(&i));
+            assert_eq!(m.get(&key(i, 2, !i, 2)), None);
+        }
+        assert_eq!(m.len(), 5_000);
     }
 
     #[test]

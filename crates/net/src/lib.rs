@@ -47,7 +47,7 @@ pub mod wire;
 pub use frame::{FrameMeta, FrameStore};
 pub use hash::{
     shard_for, shard_for_digest, AgingDigestSet, BuildDigestHasher, DigestSet, FlowHasher,
-    HashDigest,
+    HashDigest, KeyedMix,
 };
 pub use key::{fold_ip, FlowKey, Proto, RawTuple};
 pub use label::{AttackKind, Label};

@@ -53,10 +53,13 @@ mod tests {
         }
         let before = rss_bytes();
         // Touch 16 MiB so the pages are actually resident.
-        let mut big = vec![0u8; 16 << 20];
+        // `black_box` keeps the release optimiser from eliding the
+        // allocation and the page-touch loop.
+        let mut big = std::hint::black_box(vec![0u8; 16 << 20]);
         for i in (0..big.len()).step_by(4096) {
             big[i] = i as u8;
         }
+        std::hint::black_box(&big);
         let after = rss_bytes();
         assert!(
             after >= before + (8 << 20),
