@@ -6,7 +6,7 @@
 use smartwatch_bench::exp_control::{control_config, ControlRunSpec};
 use smartwatch_bench::exp_engine::{engine_run_full, EngineRunSpec, EngineWorkload};
 use smartwatch_bench::{serve, workloads, ExpCtx};
-use smartwatch_runtime::{Engine, EngineConfig, MergePolicy, Pace};
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, MergePolicy, Pace};
 use smartwatch_snic::Mode;
 use smartwatch_telemetry::FlightKind;
 use smartwatch_trace::background::Preset;
@@ -148,40 +148,86 @@ fn traced_run_covers_every_engine_thread() {
 
 /// Tentpole: after a run, `/stats.json` (the same document the live
 /// endpoint serves) agrees with the final [`EngineReport`] on every
-/// conservation number, and all three routes answer over HTTP.
+/// conservation number — totals, every per-shard field and every
+/// per-queue field, in both datapaths — and all three routes answer
+/// over HTTP.
 #[test]
 fn live_stats_match_the_final_report() {
-    let ctx = ExpCtx::new(1);
-    let spec = EngineRunSpec {
-        packets: 20_000,
-        ..EngineRunSpec::default()
-    };
-    let (_, report, engine) = engine_run_full(&ctx, &spec);
+    let run = |datapath: DatapathMode| {
+        let ctx = ExpCtx::new(1);
+        let spec = EngineRunSpec {
+            packets: 20_000,
+            datapath,
+            ..EngineRunSpec::default()
+        };
+        let (_, report, engine) = engine_run_full(&ctx, &spec);
+        let stats: serde_json::Value =
+            serde_json::from_str(&engine.stats_json()).expect("stats.json is valid JSON");
+        let rows = |k: &str| -> Vec<serde_json::Value> {
+            stats
+                .get(k)
+                .and_then(|v| v.as_array())
+                .unwrap_or_else(|| panic!("stats.json missing {k}"))
+                .clone()
+        };
+        let num = |row: &serde_json::Value, k: &str| {
+            row.get(k)
+                .and_then(|v| v.as_u64())
+                .unwrap_or_else(|| panic!("{datapath:?}: stats row missing {k}: {row:?}"))
+        };
+        assert_eq!(num(&stats, "offered"), report.offered);
+        assert_eq!(num(&stats, "processed"), report.processed());
+        assert_eq!(num(&stats, "ingest_dropped"), report.ingest_dropped());
+        assert_eq!(num(&stats, "shed"), report.shed());
+        assert_eq!(num(&stats, "steer_dropped"), report.steer_dropped());
+        assert_eq!(num(&stats, "host_processed"), report.host_processed);
+        assert_eq!(
+            stats.get("conserved").and_then(|v| v.as_bool()),
+            Some(report.conserved())
+        );
 
-    let stats: serde_json::Value =
-        serde_json::from_str(&engine.stats_json()).expect("stats.json is valid JSON");
-    let field = |k: &str| {
-        stats
-            .get(k)
-            .unwrap_or_else(|| panic!("stats.json missing {k}"))
+        let shards = rows("shards");
+        assert_eq!(shards.len(), spec.shards, "one stats object per shard");
+        for (i, (row, s)) in shards.iter().zip(&report.shards).enumerate() {
+            let want = [
+                ("shard", i as u64),
+                ("ingested", s.ingested),
+                ("ingest_dropped", s.ingest_dropped),
+                ("shed", s.shed),
+                ("steer_dropped", s.steer_dropped),
+                ("processed", s.processed),
+                ("verdict_dropped", s.verdict_dropped),
+                ("fast_path", s.fast_path),
+                ("escalated", s.escalated),
+                ("escalation_dropped", s.escalation_dropped),
+                ("ctrl_applied", s.ctrl_applied),
+                ("alerts", s.alerts),
+            ];
+            for (k, v) in want {
+                assert_eq!(num(row, k), v, "{datapath:?} shard {i} field {k}");
+            }
+        }
+        // One ingest unit per dispatcher (pipeline) or fused core (RTC).
+        let queues = rows("queues");
+        assert_eq!(queues.len(), report.queues.len());
+        assert_eq!(queues.len(), engine.config().ingest_units());
+        for (q, (row, s)) in queues.iter().zip(&report.queues).enumerate() {
+            let want = [
+                ("queue", q as u64),
+                ("offered", s.offered),
+                ("ingested", s.ingested),
+                ("ingest_dropped", s.ingest_dropped),
+                ("shed", s.shed),
+                ("steer_dropped", s.steer_dropped),
+            ];
+            for (k, v) in want {
+                assert_eq!(num(row, k), v, "{datapath:?} queue {q} field {k}");
+            }
+        }
+        (report, engine)
     };
-    assert_eq!(field("offered").as_u64(), Some(report.offered));
-    assert_eq!(field("processed").as_u64(), Some(report.processed()));
-    assert_eq!(
-        field("ingest_dropped").as_u64(),
-        Some(report.ingest_dropped())
-    );
-    assert_eq!(field("shed").as_u64(), Some(report.shed()));
-    assert_eq!(
-        field("steer_dropped").as_u64(),
-        Some(report.steer_dropped())
-    );
-    assert_eq!(field("conserved").as_bool(), Some(report.conserved()));
-    assert_eq!(
-        field("shards").as_array().map(Vec::len),
-        Some(spec.shards),
-        "one stats object per shard"
-    );
+    run(DatapathMode::Rtc);
+    let (report, engine) = run(DatapathMode::Pipeline);
 
     // The same numbers over the wire.
     let server = serve::serve("127.0.0.1:0", &engine).expect("bind ephemeral port");

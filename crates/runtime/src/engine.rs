@@ -14,7 +14,7 @@
 //! splitmix64 remix — the software model of multi-queue NIC RSS), so
 //! each dispatcher owns complete flows and intra-flow order survives.
 //! Every (queue, shard) pair gets its own single-producer ring; shards
-//! merge their R lanes under a [`MergePolicy`].
+//! merge their R lanes under a [`MergePolicy`](crate::MergePolicy).
 //!
 //! Unlike everything else in the workspace, this engine runs on the
 //! *wall clock*: `run()` spawns real OS threads, measures elapsed time
@@ -23,2969 +23,21 @@
 //! conservation invariant (offered = processed + ingest_drop + shed +
 //! steer_drop, per shard, per queue, and in total) holds for every
 //! shard count, queue count, and pacing mode.
+//!
+//! Module map: `config` (what to run: [`EngineConfig`], [`Pace`],
+//! [`FrameSource`]), `lifecycle` (the [`Engine`], its garage of parked
+//! pools, and the one open → topology → close segment every `run*`
+//! call goes through), `ingest` (the one feed × sink loop both
+//! topologies' ingest threads run) and `report` ([`EngineReport`], the
+//! conservation law, the `/stats.json` renderers).
 
-use crate::batch::{Backoff, Batch, BufferPool, DigestedPacket};
-use crate::control::{ControlLog, LogReader};
-use crate::escalate::{HostObs, HostPool, TriageNf};
-use crate::frame::{FramePool, FrameSlot};
-use crate::obs::{ThreadTrace, TraceSpec};
-use crate::service::{AdminCmd, AdminQueue};
-use crate::shard::{
-    ControlHooks, Escalation, LaneRx, MergePolicy, ShardCounters, ShardEndState, ShardMsg,
-    ShardObs, ShardStats, ShardWorker, StageHists, PROBE_HIST_SLOTS,
+mod config;
+mod ingest;
+mod lifecycle;
+mod report;
+
+pub use config::{DatapathMode, EngineConfig, FrameSource, Pace};
+pub use lifecycle::Engine;
+pub use report::{
+    decision_value, hist_value, EngineReport, FlowCacheSummary, QueueStats, StageSnapshot,
 };
-use crate::spsc::{spsc, Producer};
-use serde::{Number, Value};
-use smartwatch_control::{
-    ControlConfig, ControlReport, Controller, DecisionRecord, EpochInput, ModeCell, ShardSample,
-    SnapshotCell, SnapshotReader, SteeringSnapshot,
-};
-use smartwatch_net::hash::{queue_for_digest, shard_for_digest, splitmix64};
-use smartwatch_net::{FlowHasher, FrameStore, FrameView, Packet, RawTuple};
-use smartwatch_snic::{FlowCache, FlowCacheConfig, Mode};
-use smartwatch_telemetry::{
-    mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, HistSnapshot, Registry, Tracer,
-    WallAnchor,
-};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// How the engine maps the pipeline onto threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DatapathMode {
-    /// The R×N mesh: R RX-queue dispatcher threads digest and steer,
-    /// N shard threads process, bounded SPSC lanes in between. The
-    /// default, and the only mode where `rx_queues > 1` is meaningful.
-    Pipeline,
-    /// Run-to-completion: C = `shards` fused `sw-core-{i}` threads,
-    /// each owning one shard partition *and* its ingest. The pre-split
-    /// assigns packets by [`shard_for_digest`] directly (no salted
-    /// queue remix), so every flow's packets arrive at the core that
-    /// owns its FlowCache rows, and the fast path — ingest → digest →
-    /// FlowCache → detectors → verdict — runs in place with zero
-    /// inter-thread queue crossings. Host escalation and control-plane
-    /// sampling keep their existing channels. Decisions, counters and
-    /// the deterministic summary are identical to [`Pipeline`] for the
-    /// same seed (`DatapathMode::Pipeline` with `rx_queues = 1`);
-    /// only the thread topology — and therefore the wall clock —
-    /// changes.
-    ///
-    /// [`Pipeline`]: DatapathMode::Pipeline
-    /// [`shard_for_digest`]: smartwatch_net::hash::shard_for_digest
-    Rtc,
-}
-
-/// Engine configuration.
-#[derive(Clone, Debug)]
-pub struct EngineConfig {
-    /// Worker shards (threads). Each owns a FlowCache partition and a
-    /// full detector suite.
-    pub shards: usize,
-    /// Thread topology: the R×N dispatcher/shard mesh
-    /// ([`DatapathMode::Pipeline`], the default) or fused
-    /// run-to-completion cores ([`DatapathMode::Rtc`]). In RTC mode
-    /// `rx_queues` is ignored — the ingest unit count *is* the shard
-    /// count.
-    pub datapath: DatapathMode,
-    /// Pin engine worker threads to CPUs (thread index = core index):
-    /// RTC cores, and pipeline shard threads, call
-    /// `sched_setaffinity` at startup. Opt-in and best-effort — a
-    /// rejected mask (cpuset container, non-Linux build) leaves the
-    /// thread unpinned and the run proceeds. Decisions and counters
-    /// are identical either way; only scheduler placement changes.
-    pub pin_cores: bool,
-    /// RX-queue dispatcher threads (the multi-queue NIC model). Each
-    /// owns a digest-split sub-stream of the offered trace, its own
-    /// buffer pool and steering-snapshot reader, and one SPSC lane per
-    /// shard (an R×N mesh). `1` reproduces the classic single-dispatcher
-    /// hot path.
-    pub rx_queues: usize,
-    /// How shards interleave their R ingest lanes. [`MergePolicy::Fair`]
-    /// (the default) round-robins whole batches for throughput;
-    /// [`MergePolicy::Ordered`] k-way-merges by arrival sequence so the
-    /// deterministic summary is byte-identical for any `rx_queues`.
-    pub merge: MergePolicy,
-    /// Packets per dispatch batch.
-    pub batch: usize,
-    /// Per-shard ingest queue capacity, in batches.
-    pub queue_batches: usize,
-    /// Rows per shard FlowCache partition (`2^row_bits`).
-    pub cache_row_bits: u32,
-    /// Host escalation workers. `0` runs triage inline on each shard —
-    /// fully deterministic, used by the determinism tests.
-    pub host_workers: usize,
-    /// Host escalation ring capacity, packets (shared by the pool).
-    pub host_queue: usize,
-    /// Escalated packets per source before triage blacklists its flows.
-    pub triage_threshold: u64,
-    /// Enforce blacklist verdicts on the shards (prevention). Disable to
-    /// measure pure monitoring throughput.
-    pub enforce_verdicts: bool,
-    /// FlowCache hash seed (per-shard caches share it; partitioning
-    /// comes from RSS, not from distinct hash functions).
-    pub hash_seed: u64,
-    /// FlowCache lookup burst width: shards prefetch this many rows
-    /// ahead before probing (the memory-level-parallel batched path).
-    /// `0` or `1` selects the per-packet reference path. Packet
-    /// *decisions* are identical at every width — prefetching is
-    /// architecturally inert — so this knob trades nothing but cache
-    /// warmth and is safe to change under the determinism tests.
-    pub cache_burst: usize,
-    /// Attach the adaptive control plane: an epoch thread that runs
-    /// Algorithm 4 mode switching per shard, promotes heavy hitters,
-    /// publishes steering snapshots and decides load shedding. `None`
-    /// runs the engine open-loop (the pre-control behaviour, and the
-    /// deterministic-test configuration).
-    pub control: Option<ControlConfig>,
-    /// Wall-clock trace sampling period: emit chrome-trace spans for
-    /// 1 in `trace_sample` batches per thread (`0` disables tracing
-    /// entirely — the hot path carries no `Instant` reads for it).
-    /// Takes effect only when a [`Tracer`] is attached via
-    /// [`Engine::attach_tracer`]. The sampling counters start at zero,
-    /// so every thread's *first* batch is always traced and every live
-    /// thread owns at least one span at any period.
-    pub trace_sample: u64,
-    /// Serve mode: carry each shard's FlowCache across back-to-back
-    /// `run*` calls on the same engine instead of starting every
-    /// segment cold. Flow affinity is preserved (the RSS mapping is a
-    /// pure function of digest and shard count, both fixed per engine),
-    /// so shard `i` always gets shard `i`'s cache back. Batch buffer
-    /// pools and frame pools are *always* reused across runs — that is
-    /// the zero-steady-state-allocation claim the soak harness pins —
-    /// this flag only controls the flow *state*.
-    pub carry_flow_state: bool,
-}
-
-impl EngineConfig {
-    /// Defaults for `shards` workers: one RX queue (fair-merged),
-    /// 64-packet batches, 64-batch queues, 2^12-row partitions, one
-    /// host worker.
-    pub fn new(shards: usize) -> EngineConfig {
-        EngineConfig {
-            shards,
-            datapath: DatapathMode::Pipeline,
-            pin_cores: false,
-            rx_queues: 1,
-            merge: MergePolicy::Fair,
-            batch: 64,
-            queue_batches: 64,
-            cache_row_bits: 12,
-            host_workers: 1,
-            host_queue: 4096,
-            triage_threshold: 64,
-            enforce_verdicts: true,
-            hash_seed: 0x51CC,
-            cache_burst: smartwatch_snic::BURST,
-            control: None,
-            trace_sample: 0,
-            carry_flow_state: false,
-        }
-    }
-
-    /// Attach a control plane (its hash seed is forced to the engine's
-    /// so verdict/steering digests line up with dispatch digests).
-    pub fn with_control(mut self, mut ctrl: ControlConfig) -> EngineConfig {
-        ctrl.hash_seed = self.hash_seed;
-        self.control = Some(ctrl);
-        self
-    }
-
-    /// The byte-deterministic replay recipe with `rx_queues` dispatchers:
-    /// one shard, inline triage (`host_workers = 0`, no thread-timing
-    /// races on the verdict log) and the ordered lane merge (shard
-    /// processing order independent of dispatcher scheduling). Two
-    /// same-seed runs — at *any* queue count — produce byte-identical
-    /// [`EngineReport::deterministic_summary`] output.
-    pub fn deterministic(rx_queues: usize) -> EngineConfig {
-        let mut cfg = EngineConfig::new(1);
-        cfg.rx_queues = rx_queues;
-        cfg.merge = MergePolicy::Ordered;
-        cfg.host_workers = 0;
-        cfg
-    }
-
-    /// Ingest units the engine actually runs: the dispatcher count in
-    /// pipeline mode, the fused core (= shard) count in RTC mode. This
-    /// is how many `runtime.queue.*{queue=Q}` label sets the run
-    /// populates and how many entries [`EngineReport::queues`] carries.
-    pub fn ingest_units(&self) -> usize {
-        match self.datapath {
-            DatapathMode::Pipeline => self.rx_queues,
-            DatapathMode::Rtc => self.shards,
-        }
-    }
-}
-
-/// How the replay driver offers packets to the engine.
-#[derive(Clone, Copy, Debug)]
-pub enum Pace {
-    /// As fast as the shards accept: a full queue exerts backpressure on
-    /// the dispatcher (no drops). Measures pipeline capacity.
-    Flatout,
-    /// Open-loop at a target offered rate in Mpps: a full queue at
-    /// arrival time is a counted drop, like a NIC RX ring overrun.
-    RateMpps(f64),
-    /// Open-loop at `base_mpps` with one rectangular overload spike at
-    /// `peak_mpps` while the replay position is inside
-    /// `[spike_start, spike_end)` (fractions of the packet sequence).
-    /// This is the control plane's repro workload: the spike drives
-    /// Algorithm 4 into Lite and (if sustained) engages shedding; the
-    /// return to base rate must recover General.
-    Spike {
-        /// Offered rate outside the spike, Mpps.
-        base_mpps: f64,
-        /// Offered rate inside the spike, Mpps.
-        peak_mpps: f64,
-        /// Spike start as a fraction of the sequence, `0.0..=1.0`.
-        spike_start: f64,
-        /// Spike end as a fraction of the sequence, `0.0..=1.0`.
-        spike_end: f64,
-    },
-}
-
-/// What the engine replays: a slice of pre-built model packets (the
-/// synthetic path) or a packed arena of validated wire frames parsed in
-/// place at dispatch (the zero-copy wire path).
-#[derive(Clone, Copy)]
-pub enum FrameSource<'a> {
-    /// Generator output replayed as owned [`Packet`] values.
-    Packets(&'a [Packet]),
-    /// Compiled or captured wire frames ([`FrameStore`]): dispatchers
-    /// load raw bytes into a [`FramePool`], parse headers in place with
-    /// [`FrameView`] and digest straight from the header bytes.
-    Wire(&'a FrameStore),
-}
-
-impl FrameSource<'_> {
-    /// Packets this source offers.
-    pub fn len(&self) -> usize {
-        match self {
-            FrameSource::Packets(p) => p.len(),
-            FrameSource::Wire(s) => s.len(),
-        }
-    }
-
-    /// True when the source offers nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Reusable run-scoped resources parked between `run*` calls so a
-/// long-running service allocates nothing per segment: per-queue batch
-/// buffer pools and (wire mode) frame pools always; per-shard
-/// FlowCaches when [`EngineConfig::carry_flow_state`] is set. The mesh
-/// shape is fixed per engine, so whatever is parked always fits.
-#[derive(Default)]
-struct Garage {
-    pools: Vec<BufferPool>,
-    frames: Vec<FramePool>,
-    caches: Vec<FlowCache>,
-}
-
-/// The sharded wall-clock engine.
-pub struct Engine {
-    cfg: EngineConfig,
-    registry: Registry,
-    /// Chrome-trace sink for sampled wall-clock spans; set by
-    /// [`Engine::attach_tracer`], inert without one.
-    tracer: Option<Tracer>,
-    /// Always-on black box: bounded lock-free per-thread event rings.
-    flight: FlightRecorder,
-    /// Controller decision audit mirrored out of the control thread so
-    /// live readers (`/stats.json`) can see it mid-run.
-    decisions: Arc<Mutex<VecDeque<DecisionRecord>>>,
-    /// Graceful-drain request: dispatchers observe it at checkpoints,
-    /// stop offering and quiesce the mesh (see [`Engine::request_drain`]).
-    drain: Arc<AtomicBool>,
-    /// Admin command mailbox, drained by the controller each epoch.
-    admin: Arc<AdminQueue>,
-    /// Admin commands the controller has applied (lifetime of the
-    /// engine, across runs).
-    admin_applied: Counter,
-    /// Live pacing override: `f64::to_bits` of the inter-arrival gap in
-    /// ns, `0` = none. Paced dispatchers re-read it at checkpoints.
-    pace_override: Arc<AtomicU64>,
-    /// Resident-set gauge (`runtime.mem.rss_bytes`), sampled per epoch
-    /// by the controller thread and at run boundaries.
-    mem_rss: Gauge,
-    /// Parked run-scoped resources (see [`Garage`]).
-    garage: Mutex<Garage>,
-}
-
-impl Engine {
-    /// Engine with a private metric registry.
-    pub fn new(cfg: EngineConfig) -> Engine {
-        Engine::with_registry(cfg, &Registry::new())
-    }
-
-    /// Engine publishing into an existing registry (`runtime.*` metrics).
-    pub fn with_registry(cfg: EngineConfig, registry: &Registry) -> Engine {
-        assert!(cfg.shards >= 1, "engine needs at least one shard");
-        assert!(cfg.rx_queues >= 1, "engine needs at least one RX queue");
-        assert!(cfg.batch >= 1, "batch size must be at least 1");
-        assert!(cfg.queue_batches >= 1, "queue must hold at least 1 batch");
-        Engine {
-            cfg,
-            registry: registry.clone(),
-            tracer: None,
-            flight: FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY),
-            decisions: Arc::new(Mutex::new(VecDeque::new())),
-            drain: Arc::new(AtomicBool::new(false)),
-            admin: Arc::new(AdminQueue::new(1024)),
-            admin_applied: registry.counter("runtime.admin.applied", &[]),
-            pace_override: Arc::new(AtomicU64::new(0)),
-            mem_rss: registry.gauge("runtime.mem.rss_bytes", &[]),
-            garage: Mutex::new(Garage::default()),
-        }
-    }
-
-    /// The configuration this engine runs with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
-    /// Ask the current run to drain gracefully: dispatchers observe the
-    /// flag at their 256-packet checkpoints, stop offering, flush their
-    /// staged batches and send the normal `Stop` markers, so the mesh
-    /// quiesces exactly as at end-of-trace and the segment report stays
-    /// conserved (`offered` reflects what was actually offered before
-    /// the drain). The flag stays raised until [`Engine::clear_drain`] —
-    /// a signal landing *between* segments still stops the next one.
-    pub fn request_drain(&self) {
-        self.drain.store(true, Ordering::Release);
-    }
-
-    /// Whether a drain has been requested and not yet cleared.
-    pub fn drain_requested(&self) -> bool {
-        self.drain.load(Ordering::Acquire)
-    }
-
-    /// Re-arm after a drained segment; the serve driver calls this at
-    /// the top of each segment it decides to run.
-    pub fn clear_drain(&self) {
-        self.drain.store(false, Ordering::Release);
-    }
-
-    /// Queue an admin command for the controller to apply at the next
-    /// epoch boundary (the engine must run with a control plane for
-    /// commands to take effect). Returns `false` when the bounded
-    /// mailbox is full — the caller should surface back-pressure to the
-    /// operator rather than silently dropping the edit.
-    pub fn admin(&self, cmd: AdminCmd) -> bool {
-        self.admin.push(cmd)
-    }
-
-    /// Admin commands waiting in the mailbox (not yet applied).
-    pub fn admin_queued(&self) -> usize {
-        self.admin.len()
-    }
-
-    /// Admin commands the controller has applied so far.
-    pub fn admin_applied(&self) -> u64 {
-        self.admin_applied.get()
-    }
-
-    /// Override the offered rate of *paced* runs live: dispatchers
-    /// re-read this at every 256-packet checkpoint and re-anchor their
-    /// arrival schedule, so the change takes effect mid-segment without
-    /// a restart. `None` returns pacing to the run's [`Pace`] plan.
-    /// Flat-out runs (no arrival schedule) ignore the override.
-    pub fn set_rate_override(&self, mpps: Option<f64>) {
-        let bits = match mpps {
-            Some(r) if r > 0.0 && r.is_finite() => (1000.0 / r).to_bits(),
-            _ => 0,
-        };
-        self.pace_override.store(bits, Ordering::Release);
-    }
-
-    /// The live rate override, if any, in Mpps.
-    pub fn rate_override(&self) -> Option<f64> {
-        let bits = self.pace_override.load(Ordering::Acquire);
-        (bits != 0).then(|| 1000.0 / f64::from_bits(bits))
-    }
-
-    /// The metric registry the engine publishes into.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Attach a chrome-trace sink. Spans are emitted only when
-    /// [`EngineConfig::trace_sample`] is non-zero; each engine thread
-    /// opens its own track (`sw-rxq-{q}`, `sw-shard-{i}`,
-    /// `sw-host-{w}`, `sw-control`) named after the OS thread.
-    pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = Some(tracer.clone());
-    }
-
-    /// The engine's flight recorder (drop/mode-switch black box).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
-    /// The controller's per-epoch decision audit so far (bounded to the
-    /// control config's `decision_capacity`; empty without a control
-    /// plane). Safe to call mid-run — this is what `/stats.json` serves.
-    pub fn decisions(&self) -> Vec<DecisionRecord> {
-        self.decisions
-            .lock()
-            .expect("decision audit poisoned")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// The live `/stats.json` document: [`EngineReport`]-shaped counters
-    /// read straight from the registry atomics, so it is safe to call
-    /// from any thread at any time. Mid-run, values are at most one
-    /// checkpoint (dispatchers) or one batch (shards) stale; after
-    /// `run()` returns, the conservation counters match the final
-    /// report exactly.
-    pub fn stats_json(&self) -> String {
-        let cfg = &self.cfg;
-        let u = |v: u64| Value::Number(Number::U(v));
-
-        let mut shards = Vec::with_capacity(cfg.shards);
-        let (mut ingested, mut processed, mut ingest_dropped, mut shed, mut steer_dropped) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        let mut shards_balanced = true;
-        for i in 0..cfg.shards {
-            let l = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", &l)];
-            let get = |name: &str| self.registry.counter(name, labels).get();
-            let s_ing = get("runtime.shard.ingested");
-            let s_proc = get("runtime.shard.processed");
-            let s_drop = get("runtime.shard.ingest_dropped");
-            let s_shed = get("runtime.shard.shed");
-            let s_steer = get("runtime.shard.steer_dropped");
-            ingested += s_ing;
-            processed += s_proc;
-            ingest_dropped += s_drop;
-            shed += s_shed;
-            steer_dropped += s_steer;
-            shards_balanced &= s_ing == s_proc;
-            shards.push(Value::Object(vec![
-                ("shard".into(), u(i as u64)),
-                ("ingested".into(), u(s_ing)),
-                ("ingest_dropped".into(), u(s_drop)),
-                ("shed".into(), u(s_shed)),
-                ("steer_dropped".into(), u(s_steer)),
-                ("processed".into(), u(s_proc)),
-                (
-                    "verdict_dropped".into(),
-                    u(get("runtime.shard.verdict_dropped")),
-                ),
-                ("fast_path".into(), u(get("runtime.shard.fast_path"))),
-                ("escalated".into(), u(get("runtime.shard.escalated"))),
-                (
-                    "escalation_dropped".into(),
-                    u(get("runtime.shard.escalation_dropped")),
-                ),
-                ("ctrl_applied".into(), u(get("runtime.shard.ctrl_applied"))),
-                ("alerts".into(), u(get("runtime.shard.alerts"))),
-            ]));
-        }
-
-        // Per-ingest-unit counters: one label set per dispatcher in
-        // pipeline mode, one per fused core in RTC mode.
-        let units = cfg.ingest_units();
-        let mut queues = Vec::with_capacity(units);
-        let (mut q_offered, mut q_ingested) = (0u64, 0u64);
-        let mut queues_balanced = true;
-        for q in 0..units {
-            let l = q.to_string();
-            let labels: &[(&str, &str)] = &[("queue", &l)];
-            let get = |name: &str| self.registry.counter(name, labels).get();
-            let off = get("runtime.queue.offered");
-            let ing = get("runtime.queue.ingested");
-            let drop = get("runtime.queue.ingest_dropped");
-            let qshed = get("runtime.queue.shed");
-            let qsteer = get("runtime.queue.steer_dropped");
-            q_offered += off;
-            q_ingested += ing;
-            queues_balanced &= off == ing + drop + qshed + qsteer;
-            queues.push(Value::Object(vec![
-                ("queue".into(), u(q as u64)),
-                ("offered".into(), u(off)),
-                ("ingested".into(), u(ing)),
-                ("ingest_dropped".into(), u(drop)),
-                ("shed".into(), u(qshed)),
-                ("steer_dropped".into(), u(qsteer)),
-            ]));
-        }
-
-        // The same two-axis conservation law as EngineReport::conserved,
-        // over the live counter values.
-        let conserved = ingested + ingest_dropped + shed + steer_dropped == q_offered
-            && shards_balanced
-            && queues_balanced
-            && q_ingested == ingested;
-
-        let hist = |name: &str| hist_value(&self.registry.histogram(name, &[]).snapshot());
-        let doc = Value::Object(vec![
-            ("offered".into(), u(q_offered)),
-            ("processed".into(), u(processed)),
-            ("ingest_dropped".into(), u(ingest_dropped)),
-            ("shed".into(), u(shed)),
-            ("steer_dropped".into(), u(steer_dropped)),
-            (
-                "host_processed".into(),
-                u(self.registry.counter("runtime.host.processed", &[]).get()),
-            ),
-            ("conserved".into(), Value::Bool(conserved)),
-            ("shards".into(), Value::Array(shards)),
-            ("queues".into(), Value::Array(queues)),
-            (
-                "stage".into(),
-                Value::Object(vec![
-                    ("queue_ns".into(), hist("runtime.stage.queue_ns")),
-                    ("cache_ns".into(), hist("runtime.stage.cache_ns")),
-                    ("detect_ns".into(), hist("runtime.stage.detect_ns")),
-                    ("escalate_ns".into(), hist("runtime.stage.escalate_ns")),
-                    ("batch_pkts".into(), hist("runtime.stage.batch_pkts")),
-                ]),
-            ),
-            (
-                "decisions".into(),
-                Value::Array(self.decisions().iter().map(decision_value).collect()),
-            ),
-            (
-                "flight".into(),
-                Value::Object(vec![
-                    ("recorded".into(), u(self.flight.total_recorded())),
-                    ("dropped".into(), u(self.flight.total_dropped())),
-                ]),
-            ),
-            (
-                "mem".into(),
-                Value::Object(vec![("rss_bytes".into(), u(self.mem_rss.get() as u64))]),
-            ),
-            (
-                "pool".into(),
-                Value::Object(vec![
-                    (
-                        "allocated".into(),
-                        u(self.registry.counter("runtime.pool.allocated", &[]).get()),
-                    ),
-                    (
-                        "recycled".into(),
-                        u(self.registry.counter("runtime.pool.recycled", &[]).get()),
-                    ),
-                    (
-                        "frame_allocated".into(),
-                        u(self
-                            .registry
-                            .counter("runtime.frame_pool.allocated", &[])
-                            .get()),
-                    ),
-                    (
-                        "frame_recycled".into(),
-                        u(self
-                            .registry
-                            .counter("runtime.frame_pool.recycled", &[])
-                            .get()),
-                    ),
-                ]),
-            ),
-            (
-                "service".into(),
-                Value::Object(vec![
-                    ("draining".into(), Value::Bool(self.drain_requested())),
-                    ("admin_queued".into(), u(self.admin.len() as u64)),
-                    ("admin_applied".into(), u(self.admin_applied.get())),
-                    (
-                        "rate_override_mpps".into(),
-                        match self.rate_override() {
-                            Some(r) => Value::Number(Number::F(r)),
-                            None => Value::Null,
-                        },
-                    ),
-                ]),
-            ),
-        ]);
-        serde::json::write(&doc, false)
-    }
-
-    /// Replay `packets` through the full pipeline and block until every
-    /// queue is drained and every thread joined.
-    pub fn run(&self, packets: &[Packet], pace: Pace) -> EngineReport {
-        self.run_source(FrameSource::Packets(packets), pace)
-    }
-
-    /// Replay a packed wire-frame store through the full pipeline — the
-    /// zero-copy wire path. Each dispatcher owns a [`FramePool`] (the
-    /// software RX ring): it loads 8-frame bursts into pooled slots,
-    /// parses the Ethernet/IPv4/transport headers in place with
-    /// [`FrameView`], digests straight from the header bytes
-    /// ([`FlowHasher::digest_batch8`]) and recycles the slots —
-    /// allocation-free in steady state. With the ordered merge the
-    /// resulting [`EngineReport::deterministic_summary`] is
-    /// byte-identical to the synthetic run of the same packets.
-    pub fn run_frames(&self, store: &FrameStore, pace: Pace) -> EngineReport {
-        self.run_source(FrameSource::Wire(store), pace)
-    }
-
-    /// Replay any [`FrameSource`] and block until every queue is
-    /// drained and every thread joined. [`Engine::run`] and
-    /// [`Engine::run_frames`] are thin wrappers over this.
-    pub fn run_source(&self, source: FrameSource<'_>, pace: Pace) -> EngineReport {
-        if self.cfg.datapath == DatapathMode::Rtc {
-            return self.run_rtc(source, pace);
-        }
-        let cfg = &self.cfg;
-        let n = cfg.shards;
-        let r = cfg.rx_queues;
-        assert!(
-            source.len() <= u32::MAX as usize,
-            "sequence indices are u32 at split time"
-        );
-        let log = Arc::new(ControlLog::new());
-        let stage = StageHists::registered(&self.registry);
-        let host_processed = self.registry.counter("runtime.host.processed", &[]);
-
-        // One wall-clock origin for the whole run: every thread maps
-        // its `Instant`s through this anchor, so all trace tracks share
-        // an axis. Tracing is live only with a tracer attached AND a
-        // non-zero sampling period — otherwise the spec stays `None`
-        // and the hot paths skip even the `Instant` reads.
-        let anchor = WallAnchor::new();
-        let spec: Option<TraceSpec> =
-            self.tracer
-                .as_ref()
-                .filter(|_| cfg.trace_sample > 0)
-                .map(|t| TraceSpec {
-                    tracer: t.clone(),
-                    anchor,
-                    every: cfg.trace_sample,
-                });
-        self.decisions
-            .lock()
-            .expect("decision audit poisoned")
-            .clear();
-
-        // Host pool (None = inline triage on each shard).
-        let pool = (cfg.host_workers > 0).then(|| {
-            let threshold = cfg.triage_threshold;
-            HostPool::spawn(
-                cfg.host_workers,
-                cfg.host_queue,
-                Arc::clone(&log),
-                host_processed.clone(),
-                HostObs::new(stage.escalate_ns.clone(), spec.clone()),
-                move |_| Box::new(TriageNf::new(threshold)),
-            )
-        });
-
-        // The one hasher of the hot path: each dispatcher digests every
-        // packet of its sub-stream exactly once with it; shards and
-        // their FlowCaches (all seeded identically) reuse the digest
-        // instead of re-hashing.
-        let hasher = FlowHasher::new(cfg.hash_seed);
-
-        // Per-shard counters exist before both the control plane (which
-        // samples them) and the shard threads (which write them).
-        let counters: Vec<ShardCounters> = (0..n)
-            .map(|i| ShardCounters::registered(&self.registry, i))
-            .collect();
-        // Per-queue dispatcher counters (`runtime.queue.*{queue=q}`).
-        let qcounters: Vec<QueueCounters> = (0..r)
-            .map(|q| QueueCounters::registered(&self.registry, q))
-            .collect();
-
-        // Registry counters are cumulative for the life of the registry
-        // (that is what `/metrics` and `/stats.json` serve), but the
-        // report this call returns is *per run*: capture the baseline
-        // before any thread writes, subtract at report time. A single
-        // fresh-engine run subtracts zeros — byte-identical behaviour —
-        // while back-to-back serve segments each get their own books.
-        let shard_base: Vec<ShardStats> = counters
-            .iter()
-            .map(|c| c.snapshot(ShardEndState::default()))
-            .collect();
-        let queue_base: Vec<QueueStats> = qcounters.iter().map(QueueCounters::snapshot).collect();
-        let host_base = host_processed.get();
-        self.mem_rss.set(mem::rss_bytes() as f64);
-
-        // Un-park whatever the previous run left in the garage: buffer
-        // pools and frame pools are always reused (the soak harness pins
-        // `runtime.pool.allocated` flat across segments); FlowCaches
-        // only under `carry_flow_state`. The mesh shape is fixed per
-        // engine, so parked resources always fit.
-        let Garage {
-            pools: parked_pools,
-            frames: parked_frames,
-            caches: parked_caches,
-        } = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
-        // FIFO un-parking preserves queue affinity (pop order matches
-        // park order, like the caches below): each queue gets its *own*
-        // warmed pool back. The salted RSS split is uneven, so a LIFO
-        // swap would hand the heaviest queue the lightest pool and pay
-        // a one-time re-allocation every time the assignment flips.
-        let mut parked_pools: VecDeque<BufferPool> = parked_pools.into();
-        let mut parked_frames: VecDeque<FramePool> = parked_frames.into();
-        let mut parked_caches: VecDeque<FlowCache> = if cfg.carry_flow_state {
-            parked_caches.into()
-        } else {
-            VecDeque::new()
-        };
-
-        // ── Control plane (optional) ────────────────────────────────
-        let (mut shard_hooks, mut queue_steer, controller) =
-            self.spawn_control(r, &spec, &log, &counters, &host_processed);
-
-        // ── The R×N lane mesh ───────────────────────────────────────
-        // One single-producer ring per (queue, shard) pair, so the SPSC
-        // discipline survives multi-queue ingest. Buffer pools are
-        // per-queue (a pool's receiver is single-consumer); each lane
-        // carries a recycler into the pool of the queue that owns it, so
-        // drained buffers go home to the dispatcher that allocated them.
-        // Pool capacity covers every buffer a queue can have alive at
-        // once (N full lanes + in-shard + staging): steady state
-        // allocates nothing.
-        let mut pools: Vec<BufferPool> = Vec::with_capacity(r);
-        let mut producer_rows: Vec<Vec<Producer<ShardMsg>>> =
-            (0..r).map(|_| Vec::with_capacity(n)).collect();
-        let mut lane_rows: Vec<Vec<LaneRx>> = (0..n).map(|_| Vec::with_capacity(r)).collect();
-        for row in producer_rows.iter_mut() {
-            // Recycle-channel capacity must cover the worst-case
-            // in-flight set — n full lanes plus each shard's batch in
-            // hand, the dispatcher's staged buffers and the one just
-            // acquired — with headroom, so the *entire* working set
-            // survives an end-of-run return and reparks with the pool.
-            // A cap at/below the in-flight peak trims buffers at every
-            // segment boundary and service mode re-allocates them each
-            // restart (the soak harness pins this at zero).
-            let pool = parked_pools.pop_front().unwrap_or_else(|| {
-                BufferPool::new(n * (cfg.queue_batches + 4), cfg.batch, &self.registry)
-            });
-            for lanes in lane_rows.iter_mut() {
-                let (tx, rx) = spsc::<ShardMsg>(cfg.queue_batches);
-                row.push(tx);
-                lanes.push(LaneRx {
-                    rx,
-                    recycle: pool.recycler(),
-                });
-            }
-            pools.push(pool);
-        }
-
-        // Shards: one thread each, consuming R lanes. The shared finish
-        // line makes the end-of-stream log apply deterministic (see
-        // `ShardWorker::finish`).
-        let finish_line = Arc::new(std::sync::Barrier::new(n));
-        let mut handles = Vec::with_capacity(n);
-        for (i, lanes) in lane_rows.into_iter().enumerate() {
-            // Shard `i` gets shard `i`'s cache back (pop order matches
-            // park order): RSS placement is a pure function of digest
-            // and shard count, so carried flow state stays affine.
-            let cache = match parked_caches.pop_front() {
-                Some(cache) => cache,
-                None => {
-                    let mut cache_cfg = FlowCacheConfig::general(cfg.cache_row_bits);
-                    cache_cfg.hash_seed = cfg.hash_seed;
-                    let mut cache = FlowCache::new(cache_cfg);
-                    cache.attach_telemetry(&self.registry);
-                    cache
-                }
-            };
-            let escalation = match &pool {
-                Some(p) => Escalation::Pool(p.sender()),
-                None => Escalation::Inline(TriageNf::new(cfg.triage_threshold)),
-            };
-            let worker = ShardWorker::new(
-                cache,
-                escalation,
-                Arc::clone(&log),
-                counters[i].clone(),
-                stage.clone(),
-                host_processed.clone(),
-                cfg.enforce_verdicts,
-                hasher,
-                cfg.merge,
-                cfg.batch,
-                cfg.cache_burst,
-                shard_hooks[i].take(),
-                ShardObs {
-                    flight: self.flight.ring(format!("sw-shard-{i}")),
-                    trace: spec.as_ref().map(|s| s.thread(format!("sw-shard-{i}"))),
-                },
-                Arc::clone(&finish_line),
-            );
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("sw-shard-{i}"))
-                    .spawn(move || worker.run(lanes))
-                    .expect("spawn shard thread"),
-            );
-        }
-
-        // ── RSS split ───────────────────────────────────────────────
-        // Assign each packet to a queue by salted digest remix — the
-        // software stand-in for the NIC distributing flows across RX
-        // queues, done outside the timed region (hardware RSS is free).
-        // The timed hot path still digests every packet itself, so the
-        // per-packet work is identical at every R and the Mpps scaling
-        // comparison stays honest.
-        let plan = PacePlan::resolve(pace, source.len());
-        let streams = split_streams(source, r, cfg.hash_seed, &hasher);
-
-        // ── Dispatch: R threads, each replaying its sub-stream ──────
-        let start = Instant::now();
-        let dends: Vec<DispatchEnd> = std::thread::scope(|scope| {
-            let mut dhandles = Vec::with_capacity(r);
-            for ((q, stream), (row, pool)) in streams
-                .into_iter()
-                .enumerate()
-                .zip(producer_rows.into_iter().zip(pools))
-            {
-                // Wire mode: each dispatcher owns a frame pool (the
-                // software RX ring) sized to the largest frame in the
-                // store; it warms up on the first burst and then
-                // recycles its 8 slots for the rest of the run. Parked
-                // pools are reused when their slots still fit the
-                // store's largest frame.
-                let frames = match source {
-                    FrameSource::Wire(store) => Some(
-                        parked_frames
-                            .pop_front()
-                            .filter(|fp| fp.frame_cap() >= store.max_frame_len())
-                            .unwrap_or_else(|| {
-                                FramePool::new(store.max_frame_len(), &self.registry)
-                            }),
-                    ),
-                    FrameSource::Packets(_) => None,
-                };
-                let dispatcher = RxDispatcher {
-                    batch: cfg.batch,
-                    enforce_verdicts: cfg.enforce_verdicts,
-                    hasher,
-                    pool,
-                    frames,
-                    producers: row,
-                    counters: &counters,
-                    queue: &qcounters[q],
-                    steer: queue_steer[q].take(),
-                    plan,
-                    pace_override: self.pace_override.as_ref(),
-                    pace: PaceState::default(),
-                    drain: self.drain.as_ref(),
-                    start,
-                    flight: self.flight.ring(format!("sw-rxq-{q}")),
-                    trace: spec.as_ref().map(|s| s.thread(format!("sw-rxq-{q}"))),
-                };
-                dhandles.push(
-                    std::thread::Builder::new()
-                        .name(format!("sw-rxq-{q}"))
-                        .spawn_scoped(scope, move || dispatcher.run(source, stream))
-                        .expect("spawn dispatcher thread"),
-                );
-            }
-            dhandles
-                .into_iter()
-                .map(|h| h.join().expect("dispatcher thread panicked"))
-                .collect()
-        });
-
-        // ── Drain & join ────────────────────────────────────────────
-        let mut ends: Vec<ShardEndState> = Vec::with_capacity(n);
-        let mut caches: Vec<FlowCache> = Vec::with_capacity(n);
-        for h in handles {
-            let (end, cache) = h.join().expect("shard thread panicked");
-            ends.push(end);
-            caches.push(cache);
-        }
-        let elapsed = start.elapsed();
-        // Verdict-log occupancy at mesh quiesce, before the controller's
-        // final epoch drains its tail — the soak harness trends this.
-        let log_buffered = log.buffered() as u64;
-        // Shut the host pool down *after* the shards: its channel drains
-        // and remaining verdicts land in the log (reported, unapplied).
-        if let Some(p) = pool {
-            p.shutdown();
-        }
-        // Stop the controller last: it runs one final epoch (capturing
-        // the post-drain counter tails and any late verdicts) and
-        // returns its report.
-        let control = controller.map(|(handle, stop)| {
-            stop.store(true, Ordering::Release);
-            handle.thread().unpark();
-            handle.join().expect("controller thread panicked")
-        });
-
-        // Re-park the run-scoped resources for the next segment, and
-        // settle the segment's books.
-        let interrupted = dends.iter().any(|d| d.interrupted);
-        {
-            let mut garage = self.garage.lock().expect("garage poisoned");
-            for d in dends {
-                garage.pools.push(d.pool);
-                if let Some(fp) = d.frames {
-                    garage.frames.push(fp);
-                }
-            }
-            // Frame pools a packet-mode segment did not need stay parked
-            // for the next wire segment.
-            garage.frames.extend(parked_frames);
-            garage.pools.extend(parked_pools);
-            if cfg.carry_flow_state {
-                garage.caches = caches;
-            }
-        }
-        self.mem_rss.set(mem::rss_bytes() as f64);
-
-        let flowcache = FlowCacheSummary::aggregate(cfg.cache_burst, &ends);
-        let shards: Vec<ShardStats> = counters
-            .iter()
-            .zip(&ends)
-            .zip(&shard_base)
-            .map(|((c, e), base)| shard_stats_delta(c.snapshot(*e), base))
-            .collect();
-        let queues: Vec<QueueStats> = qcounters
-            .iter()
-            .zip(&queue_base)
-            .map(|(q, base)| queue_stats_delta(q.snapshot(), base))
-            .collect();
-        // A drained segment offered exactly what its dispatchers got to
-        // before the flag: the per-queue tallies. An uninterrupted run
-        // keeps the stronger form — the whole source, independently
-        // cross-checked against the queue axis by `conserved()`.
-        let offered = if interrupted {
-            queues.iter().map(|q| q.offered).sum()
-        } else {
-            source.len() as u64
-        };
-        let report = EngineReport {
-            offered,
-            elapsed,
-            shards,
-            queues,
-            host_processed: host_processed.get() - host_base,
-            verdicts_published: log.len() as u64,
-            interrupted,
-            log_buffered,
-            control,
-            stage: StageSnapshot {
-                queue_ns: stage.queue_ns.snapshot(),
-                cache_ns: stage.cache_ns.snapshot(),
-                detect_ns: stage.detect_ns.snapshot(),
-                escalate_ns: stage.escalate_ns.snapshot(),
-                batch_pkts: stage.batch_pkts.snapshot(),
-            },
-            flowcache,
-        };
-        // Close out the black box: a conservation failure records its
-        // delta (the smoking gun a post-mortem dump starts from), and
-        // every run ends with a RunEnd marker.
-        let eng_ring = self.flight.ring("sw-engine");
-        if !report.conserved() {
-            let accounted = report
-                .shards
-                .iter()
-                .map(|s| s.ingested + s.ingest_dropped + s.shed + s.steer_dropped)
-                .sum::<u64>();
-            eng_ring.record(
-                FlightKind::ConservationDelta,
-                report.offered.abs_diff(accounted),
-                report.offered,
-            );
-        }
-        eng_ring.record(
-            FlightKind::RunEnd,
-            u64::from(report.conserved()),
-            report.offered,
-        );
-        report
-    }
-
-    /// Wire up the optional control plane for one run: per-shard mode
-    /// cells and hooks, one independent RCU steering reader per ingest
-    /// unit (dispatcher or fused core — refreshes stay per-unit so a
-    /// lagging unit never staleness-couples the others), and the
-    /// controller thread. Shared by both datapaths.
-    #[allow(clippy::type_complexity)]
-    fn spawn_control(
-        &self,
-        ingest_units: usize,
-        spec: &Option<TraceSpec>,
-        log: &Arc<ControlLog>,
-        counters: &[ShardCounters],
-        host_processed: &Counter,
-    ) -> (
-        Vec<Option<ControlHooks>>,
-        Vec<Option<SnapshotReader<SteeringSnapshot>>>,
-        Option<(std::thread::JoinHandle<ControlReport>, Arc<AtomicBool>)>,
-    ) {
-        let n = counters.len();
-        let mut shard_hooks: Vec<Option<ControlHooks>> = (0..n).map(|_| None).collect();
-        let mut queue_steer: Vec<Option<SnapshotReader<SteeringSnapshot>>> =
-            (0..ingest_units).map(|_| None).collect();
-        let mut controller = None;
-        if let Some(mut ctrl_cfg) = self.cfg.control.clone() {
-            ctrl_cfg.hash_seed = self.cfg.hash_seed;
-            let mode_cells: Vec<Arc<ModeCell>> =
-                (0..n).map(|_| Arc::new(ModeCell::default())).collect();
-            let snap_cell = Arc::new(SnapshotCell::new(SteeringSnapshot::empty()));
-            let (heavy_tx, heavy_rx) = std::sync::mpsc::sync_channel::<(u64, u64)>(8192);
-            for (i, slot) in shard_hooks.iter_mut().enumerate() {
-                *slot = Some(ControlHooks {
-                    mode: Arc::clone(&mode_cells[i]),
-                    steer: snap_cell.reader(),
-                    heavy_tx: heavy_tx.clone(),
-                });
-            }
-            drop(heavy_tx);
-            for slot in queue_steer.iter_mut() {
-                *slot = Some(snap_cell.reader());
-            }
-            let epoch = Duration::from_millis(ctrl_cfg.epoch_ms.max(1));
-            let obs = CtrlObs {
-                flight: self.flight.ring("sw-control"),
-                trace: spec.as_ref().map(|s| s.thread("sw-control")),
-                audit: Arc::clone(&self.decisions),
-                audit_cap: ctrl_cfg.decision_capacity.max(1),
-                admin: Arc::clone(&self.admin),
-                admin_applied: self.admin_applied.clone(),
-                mem_rss: self.mem_rss.clone(),
-            };
-            let ctrl = Controller::with_registry(ctrl_cfg, &self.registry);
-            let reader = log.reader();
-            let stop = Arc::new(AtomicBool::new(false));
-            let thread_args = (
-                Arc::clone(log),
-                counters.to_vec(),
-                host_processed.clone(),
-                Arc::clone(&stop),
-            );
-            let handle = std::thread::Builder::new()
-                .name("sw-control".into())
-                .spawn(move || {
-                    let (log, counters, host_processed, stop) = thread_args;
-                    controller_loop(
-                        ctrl,
-                        log,
-                        reader,
-                        heavy_rx,
-                        counters,
-                        host_processed,
-                        mode_cells,
-                        snap_cell,
-                        stop,
-                        epoch,
-                        obs,
-                    )
-                })
-                .expect("spawn controller thread");
-            controller = Some((handle, stop));
-        }
-        (shard_hooks, queue_steer, controller)
-    }
-
-    /// The run-to-completion datapath: C = `shards` fused `sw-core-{i}`
-    /// threads, each owning one shard partition *and* its ingest. The
-    /// pre-split assigns packets by
-    /// [`shard_for_digest`](smartwatch_net::hash::shard_for_digest)
-    /// directly — no salted queue remix — so a core's sub-stream is
-    /// exactly the stream its FlowCache partition would have received
-    /// through the mesh, and the fused loop (ingest → digest →
-    /// FlowCache → detectors → verdict) runs it in place with zero
-    /// inter-thread queue crossings on the fast path. Host escalation
-    /// and control-plane sampling keep their existing channels; drain,
-    /// garage and serve semantics carry over unchanged. Each core keeps
-    /// per-core ingest books under the same `queue=` labels the
-    /// dispatchers use (in RTC the ingest unit *is* the core), so the
-    /// two-axis conservation identity holds exactly as in pipeline
-    /// mode — and for the same seed the deterministic summary is
-    /// byte-identical to a single-queue pipeline run.
-    fn run_rtc(&self, source: FrameSource<'_>, pace: Pace) -> EngineReport {
-        let cfg = &self.cfg;
-        let n = cfg.shards;
-        assert!(
-            source.len() <= u32::MAX as usize,
-            "sequence indices are u32 at split time"
-        );
-        let log = Arc::new(ControlLog::new());
-        let stage = StageHists::registered(&self.registry);
-        let host_processed = self.registry.counter("runtime.host.processed", &[]);
-        let anchor = WallAnchor::new();
-        let spec: Option<TraceSpec> =
-            self.tracer
-                .as_ref()
-                .filter(|_| cfg.trace_sample > 0)
-                .map(|t| TraceSpec {
-                    tracer: t.clone(),
-                    anchor,
-                    every: cfg.trace_sample,
-                });
-        self.decisions
-            .lock()
-            .expect("decision audit poisoned")
-            .clear();
-
-        let pool = (cfg.host_workers > 0).then(|| {
-            let threshold = cfg.triage_threshold;
-            HostPool::spawn(
-                cfg.host_workers,
-                cfg.host_queue,
-                Arc::clone(&log),
-                host_processed.clone(),
-                HostObs::new(stage.escalate_ns.clone(), spec.clone()),
-                move |_| Box::new(TriageNf::new(threshold)),
-            )
-        });
-        let hasher = FlowHasher::new(cfg.hash_seed);
-        let counters: Vec<ShardCounters> = (0..n)
-            .map(|i| ShardCounters::registered(&self.registry, i))
-            .collect();
-        let qcounters: Vec<QueueCounters> = (0..n)
-            .map(|q| QueueCounters::registered(&self.registry, q))
-            .collect();
-        let shard_base: Vec<ShardStats> = counters
-            .iter()
-            .map(|c| c.snapshot(ShardEndState::default()))
-            .collect();
-        let queue_base: Vec<QueueStats> = qcounters.iter().map(QueueCounters::snapshot).collect();
-        let host_base = host_processed.get();
-        self.mem_rss.set(mem::rss_bytes() as f64);
-        // Best-effort pin bookkeeping (`--pin-cores`): counts kernel-
-        // accepted masks, so an operator can see when a cpuset container
-        // silently refused the pinning they asked for.
-        let core_pinned = self.registry.counter("runtime.core.pinned", &[]);
-
-        let Garage {
-            pools: parked_pools,
-            frames: parked_frames,
-            caches: parked_caches,
-        } = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
-        let mut parked_pools: VecDeque<BufferPool> = parked_pools.into();
-        let mut parked_frames: VecDeque<FramePool> = parked_frames.into();
-        let mut parked_caches: VecDeque<FlowCache> = if cfg.carry_flow_state {
-            parked_caches.into()
-        } else {
-            VecDeque::new()
-        };
-
-        // Control plane: same wiring as the mesh, with one steering
-        // reader per fused core instead of per dispatcher.
-        let (mut shard_hooks, mut queue_steer, controller) =
-            self.spawn_control(n, &spec, &log, &counters, &host_processed);
-
-        // ── RTC pre-split ───────────────────────────────────────────
-        // Straight `shard_for_digest`: the packets a core ingests are
-        // exactly the packets whose FlowCache rows it owns. Untimed,
-        // like the RSS split — hardware flow steering is free.
-        let plan = PacePlan::resolve(pace, source.len());
-        let streams = split_rtc(source, n, &hasher);
-
-        // ── Fused cores: spawn, run to completion, join ─────────────
-        let start = Instant::now();
-        let finish_line = Arc::new(std::sync::Barrier::new(n));
-        let rends: Vec<RtcEnd> = std::thread::scope(|scope| {
-            // Construct every core — registering every log reader —
-            // *before* spawning any thread: a fused core starts
-            // publishing triage verdicts the moment it runs, and a
-            // reader registered after the log has compacted past the
-            // early publications would silently miss that prefix.
-            // (The mesh gets this ordering for free: dispatchers spawn
-            // after every shard worker is built.)
-            let mut cores = Vec::with_capacity(n);
-            for (i, stream) in streams.into_iter().enumerate() {
-                let cache = match parked_caches.pop_front() {
-                    Some(cache) => cache,
-                    None => {
-                        let mut cache_cfg = FlowCacheConfig::general(cfg.cache_row_bits);
-                        cache_cfg.hash_seed = cfg.hash_seed;
-                        let mut cache = FlowCache::new(cache_cfg);
-                        cache.attach_telemetry(&self.registry);
-                        cache
-                    }
-                };
-                let escalation = match &pool {
-                    Some(p) => Escalation::Pool(p.sender()),
-                    None => Escalation::Inline(TriageNf::new(cfg.triage_threshold)),
-                };
-                // One staging buffer, processed in place at batch
-                // boundaries: the pool stays tiny because nothing is
-                // ever in flight on a lane.
-                let bufs = parked_pools
-                    .pop_front()
-                    .unwrap_or_else(|| BufferPool::new(4, cfg.batch, &self.registry));
-                let frames = match source {
-                    FrameSource::Wire(store) => Some(
-                        parked_frames
-                            .pop_front()
-                            .filter(|fp| fp.frame_cap() >= store.max_frame_len())
-                            .unwrap_or_else(|| {
-                                FramePool::new(store.max_frame_len(), &self.registry)
-                            }),
-                    ),
-                    FrameSource::Packets(_) => None,
-                };
-                let worker = ShardWorker::new(
-                    cache,
-                    escalation,
-                    Arc::clone(&log),
-                    counters[i].clone(),
-                    stage.clone(),
-                    host_processed.clone(),
-                    cfg.enforce_verdicts,
-                    hasher,
-                    cfg.merge,
-                    cfg.batch,
-                    cfg.cache_burst,
-                    shard_hooks[i].take(),
-                    ShardObs {
-                        flight: self.flight.ring(format!("sw-core-{i}")),
-                        // The core's sampled block spans cover
-                        // processing; the worker emits none of its own.
-                        trace: None,
-                    },
-                    Arc::clone(&finish_line),
-                );
-                let core = RtcCore {
-                    batch: cfg.batch,
-                    enforce_verdicts: cfg.enforce_verdicts,
-                    hasher,
-                    pool: bufs,
-                    frames,
-                    queue: &qcounters[i],
-                    steer: queue_steer[i].take(),
-                    plan,
-                    pace_override: self.pace_override.as_ref(),
-                    pace: PaceState::default(),
-                    drain: self.drain.as_ref(),
-                    start,
-                    flight: self.flight.ring(format!("sw-core-{i}")),
-                    trace: spec.as_ref().map(|s| s.thread(format!("sw-core-{i}"))),
-                    backoff: Backoff::new(),
-                    worker,
-                };
-                cores.push((core, stream));
-            }
-            let mut handles = Vec::with_capacity(n);
-            for (i, (core, stream)) in cores.into_iter().enumerate() {
-                let pin = cfg.pin_cores;
-                let pinned = core_pinned.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("sw-core-{i}"))
-                        .spawn_scoped(scope, move || {
-                            if pin && smartwatch_snic::pin_current_thread(i) {
-                                pinned.inc();
-                            }
-                            core.run(source, stream)
-                        })
-                        .expect("spawn rtc core thread"),
-                );
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rtc core thread panicked"))
-                .collect()
-        });
-        let elapsed = start.elapsed();
-        let log_buffered = log.buffered() as u64;
-        if let Some(p) = pool {
-            p.shutdown();
-        }
-        let control = controller.map(|(handle, stop)| {
-            stop.store(true, Ordering::Release);
-            handle.thread().unpark();
-            handle.join().expect("controller thread panicked")
-        });
-
-        // Re-park and settle, exactly as the mesh does.
-        let mut ends: Vec<ShardEndState> = Vec::with_capacity(n);
-        let mut caches: Vec<FlowCache> = Vec::with_capacity(n);
-        let mut interrupted = false;
-        {
-            let mut garage = self.garage.lock().expect("garage poisoned");
-            for e in rends {
-                interrupted |= e.interrupted;
-                ends.push(e.end);
-                caches.push(e.cache);
-                garage.pools.push(e.pool);
-                if let Some(fp) = e.frames {
-                    garage.frames.push(fp);
-                }
-            }
-            garage.frames.extend(parked_frames);
-            garage.pools.extend(parked_pools);
-            if cfg.carry_flow_state {
-                garage.caches = caches;
-            }
-        }
-        self.mem_rss.set(mem::rss_bytes() as f64);
-
-        let flowcache = FlowCacheSummary::aggregate(cfg.cache_burst, &ends);
-        let shards: Vec<ShardStats> = counters
-            .iter()
-            .zip(&ends)
-            .zip(&shard_base)
-            .map(|((c, e), base)| shard_stats_delta(c.snapshot(*e), base))
-            .collect();
-        let queues: Vec<QueueStats> = qcounters
-            .iter()
-            .zip(&queue_base)
-            .map(|(q, base)| queue_stats_delta(q.snapshot(), base))
-            .collect();
-        let offered = if interrupted {
-            queues.iter().map(|q| q.offered).sum()
-        } else {
-            source.len() as u64
-        };
-        let report = EngineReport {
-            offered,
-            elapsed,
-            shards,
-            queues,
-            host_processed: host_processed.get() - host_base,
-            verdicts_published: log.len() as u64,
-            interrupted,
-            log_buffered,
-            control,
-            stage: StageSnapshot {
-                queue_ns: stage.queue_ns.snapshot(),
-                cache_ns: stage.cache_ns.snapshot(),
-                detect_ns: stage.detect_ns.snapshot(),
-                escalate_ns: stage.escalate_ns.snapshot(),
-                batch_pkts: stage.batch_pkts.snapshot(),
-            },
-            flowcache,
-        };
-        let eng_ring = self.flight.ring("sw-engine");
-        if !report.conserved() {
-            let accounted = report
-                .shards
-                .iter()
-                .map(|s| s.ingested + s.ingest_dropped + s.shed + s.steer_dropped)
-                .sum::<u64>();
-            eng_ring.record(
-                FlightKind::ConservationDelta,
-                report.offered.abs_diff(accounted),
-                report.offered,
-            );
-        }
-        eng_ring.record(
-            FlightKind::RunEnd,
-            u64::from(report.conserved()),
-            report.offered,
-        );
-        report
-    }
-}
-
-/// Open-loop pacing wait: park for the bulk of a long gap (an idle
-/// dispatcher must not burn the core at low offered rates), then
-/// yield-spin the final stretch for timing accuracy.
-fn pace_until(start: Instant, due: Duration) {
-    loop {
-        let elapsed = start.elapsed();
-        if elapsed >= due {
-            return;
-        }
-        let remaining = due - elapsed;
-        if remaining > Duration::from_micros(500) {
-            std::thread::park_timeout(remaining - Duration::from_micros(200));
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Per-run view of the cumulative per-shard registry counters: the
-/// counter-backed fields subtract the run's baseline; the end-state
-/// fields (steering-table sizes, cache residency) are absolute snapshots
-/// and pass through.
-fn shard_stats_delta(now: ShardStats, base: &ShardStats) -> ShardStats {
-    ShardStats {
-        ingested: now.ingested - base.ingested,
-        ingest_dropped: now.ingest_dropped - base.ingest_dropped,
-        shed: now.shed - base.shed,
-        steer_dropped: now.steer_dropped - base.steer_dropped,
-        processed: now.processed - base.processed,
-        verdict_dropped: now.verdict_dropped - base.verdict_dropped,
-        fast_path: now.fast_path - base.fast_path,
-        escalated: now.escalated - base.escalated,
-        escalation_dropped: now.escalation_dropped - base.escalation_dropped,
-        ctrl_applied: now.ctrl_applied - base.ctrl_applied,
-        alerts: now.alerts - base.alerts,
-        idle_parks: now.idle_parks - base.idle_parks,
-        blacklisted: now.blacklisted,
-        whitelisted: now.whitelisted,
-        cache_resident: now.cache_resident,
-    }
-}
-
-/// Per-run view of the cumulative per-queue registry counters.
-fn queue_stats_delta(now: QueueStats, base: &QueueStats) -> QueueStats {
-    QueueStats {
-        offered: now.offered - base.offered,
-        ingested: now.ingested - base.ingested,
-        ingest_dropped: now.ingest_dropped - base.ingest_dropped,
-        shed: now.shed - base.shed,
-        steer_dropped: now.steer_dropped - base.steer_dropped,
-    }
-}
-
-/// A [`Pace`] resolved against the trace length into a closed-form
-/// arrival schedule over *global* packet indices. Every dispatcher
-/// computes its packets' due times from their global sequence numbers,
-/// so R queues replay the same wall-clock arrival process the single
-/// dispatcher would — the spike hits every queue in the same window.
-#[derive(Clone, Copy, Debug)]
-enum PacePlan {
-    Flatout,
-    Rate {
-        gap_ns: f64,
-    },
-    Spike {
-        base_gap_ns: f64,
-        peak_gap_ns: f64,
-        lo: usize,
-        hi: usize,
-    },
-}
-
-impl PacePlan {
-    fn resolve(pace: Pace, total: usize) -> PacePlan {
-        match pace {
-            Pace::Flatout => PacePlan::Flatout,
-            Pace::RateMpps(r) => {
-                assert!(r > 0.0, "offered rate must be positive");
-                PacePlan::Rate { gap_ns: 1000.0 / r }
-            }
-            Pace::Spike {
-                base_mpps,
-                peak_mpps,
-                spike_start,
-                spike_end,
-            } => {
-                assert!(base_mpps > 0.0 && peak_mpps > 0.0, "rates must be positive");
-                assert!(
-                    spike_start <= spike_end,
-                    "spike must not end before it starts"
-                );
-                let total = total as f64;
-                PacePlan::Spike {
-                    base_gap_ns: 1000.0 / base_mpps,
-                    peak_gap_ns: 1000.0 / peak_mpps,
-                    lo: (spike_start.clamp(0.0, 1.0) * total) as usize,
-                    hi: (spike_end.clamp(0.0, 1.0) * total) as usize,
-                }
-            }
-        }
-    }
-
-    fn paced(&self) -> bool {
-        !matches!(self, PacePlan::Flatout)
-    }
-
-    /// Arrival deadline of global packet `i`: the sum of inter-arrival
-    /// gaps of packets `0..=i` (gap `peak` inside `[lo, hi)`, `base`
-    /// outside), in closed form so per-queue replay needs no shared
-    /// accumulator.
-    fn due_ns(&self, i: usize) -> f64 {
-        match *self {
-            PacePlan::Flatout => 0.0,
-            PacePlan::Rate { gap_ns } => (i as f64 + 1.0) * gap_ns,
-            PacePlan::Spike {
-                base_gap_ns,
-                peak_gap_ns,
-                lo,
-                hi,
-            } => {
-                let arrived = i + 1;
-                let in_spike = arrived.clamp(lo, hi) - lo;
-                let at_base = arrived - in_spike;
-                at_base as f64 * base_gap_ns + in_spike as f64 * peak_gap_ns
-            }
-        }
-    }
-}
-
-/// One RX queue's share of the offered trace.
-enum QueueStream {
-    /// `rx_queues = 1`: the whole slice, no split pre-pass.
-    All,
-    /// Global indices of this queue's packets, ascending — so each
-    /// queue's sub-stream preserves arrival order (and flow affinity
-    /// comes from the digest-based assignment).
-    Picked(Vec<u32>),
-}
-
-/// Split the trace across `r` queues by salted flow-digest remix
-/// ([`queue_for_digest`]); the salt derives from the engine seed via
-/// [`splitmix64`], so the per-queue sub-streams are a pure function of
-/// (trace, seed, r) — reproducible across runs. Wire sources digest
-/// from the raw header bytes ([`FlowHasher::digest_raw`], bit-identical
-/// to the key-based digest), so the same flow lands on the same queue
-/// regardless of which representation the engine replays.
-fn split_streams(
-    source: FrameSource<'_>,
-    r: usize,
-    seed: u64,
-    hasher: &FlowHasher,
-) -> Vec<QueueStream> {
-    if r == 1 {
-        return vec![QueueStream::All];
-    }
-    let salt = splitmix64(seed);
-    let len = source.len();
-    let mut picked: Vec<Vec<u32>> = (0..r).map(|_| Vec::with_capacity(len / r + 1)).collect();
-    for i in 0..len {
-        let digest = match source {
-            FrameSource::Packets(packets) => hasher.hash_symmetric(&packets[i].key),
-            FrameSource::Wire(store) => hasher.digest_raw(store.view(i).raw_tuple()).1,
-        };
-        picked[queue_for_digest(digest, salt, r)].push(i as u32);
-    }
-    picked.into_iter().map(QueueStream::Picked).collect()
-}
-
-/// The RTC pre-split: assign each packet to the fused core that owns
-/// its shard partition — [`shard_for_digest`] over the flow digest
-/// directly, with no salted queue remix in between. Each core's
-/// sub-stream preserves global arrival order, so it is *exactly* the
-/// stream its FlowCache partition would have received through the
-/// dispatcher mesh. Untimed, like the RSS split (hardware flow
-/// steering is free); the timed fused loop still digests every packet
-/// itself, so per-packet work matches the pipeline's dispatcher and
-/// the Mpps comparison stays honest.
-fn split_rtc(source: FrameSource<'_>, n: usize, hasher: &FlowHasher) -> Vec<QueueStream> {
-    if n == 1 {
-        return vec![QueueStream::All];
-    }
-    let len = source.len();
-    let mut picked: Vec<Vec<u32>> = (0..n).map(|_| Vec::with_capacity(len / n + 1)).collect();
-    for i in 0..len {
-        let digest = match source {
-            FrameSource::Packets(packets) => hasher.hash_symmetric(&packets[i].key),
-            FrameSource::Wire(store) => hasher.digest_raw(store.view(i).raw_tuple()).1,
-        };
-        picked[shard_for_digest(digest, n)].push(i as u32);
-    }
-    picked.into_iter().map(QueueStream::Picked).collect()
-}
-
-/// What a fused core hands back when its stream ends: the shard end
-/// state and FlowCache (for the report and serve-mode carry), its
-/// reusable pools (re-parked in the [`Garage`]), and whether it
-/// stopped on a drain request.
-struct RtcEnd {
-    end: ShardEndState,
-    cache: FlowCache,
-    pool: BufferPool,
-    frames: Option<FramePool>,
-    interrupted: bool,
-}
-
-/// One fused run-to-completion core: a dispatcher-style ingest front
-/// end and a [`ShardWorker`] back end in a single thread, with no lane
-/// between them. The ingest side mirrors [`RxDispatcher`] — 256-packet
-/// checkpoints (drain observation, live pace-override re-anchoring,
-/// steering refresh, black-box coalescing, counter folds), steering
-/// enforcement at ingest, [`PacePlan`] arrival scheduling — and stages
-/// packets into one pooled buffer. At every `batch`-packet boundary
-/// (exactly where the mesh dispatcher would have flushed a lane batch)
-/// the core ticks the worker's control clock and processes the staged
-/// batch in place, so per-shard decision streams are identical to the
-/// pipeline's. Paced waits use the shard [`Backoff`] ladder — spin →
-/// yield → park, counted as `idle_parks` — so an idle core at low
-/// offered rates never busy-spins a CPU.
-struct RtcCore<'a> {
-    batch: usize,
-    enforce_verdicts: bool,
-    hasher: FlowHasher,
-    /// Staging-buffer pool; one buffer lives for the whole run (there
-    /// are no lanes to keep buffers in flight on).
-    pool: BufferPool,
-    /// Wire mode only: this core's frame pool (the software RX ring).
-    frames: Option<FramePool>,
-    /// This core's ingest books, under the same `queue=` labels the
-    /// dispatchers use: in RTC the ingest unit *is* the core.
-    queue: &'a QueueCounters,
-    steer: Option<SnapshotReader<SteeringSnapshot>>,
-    plan: PacePlan,
-    pace_override: &'a AtomicU64,
-    pace: PaceState,
-    drain: &'a AtomicBool,
-    start: Instant,
-    flight: FlightRing,
-    trace: Option<ThreadTrace>,
-    /// Idle ladder for paced arrival gaps (parks count as
-    /// `idle_parks`, same as a starved pipeline shard).
-    backoff: Backoff,
-    /// The fused processing back end; owns the FlowCache partition,
-    /// detector suite, verdict sets and per-shard counters.
-    worker: ShardWorker,
-}
-
-impl RtcCore<'_> {
-    fn run(self, source: FrameSource<'_>, stream: QueueStream) -> RtcEnd {
-        match source {
-            FrameSource::Packets(packets) => match stream {
-                QueueStream::All => self.run_packets(packets, 0..packets.len()),
-                QueueStream::Picked(idx) => {
-                    self.run_packets(packets, idx.into_iter().map(|i| i as usize))
-                }
-            },
-            FrameSource::Wire(store) => match stream {
-                QueueStream::All => self.run_frames(store, 0..store.len()),
-                QueueStream::Picked(idx) => {
-                    self.run_frames(store, idx.into_iter().map(|i| i as usize))
-                }
-            },
-        }
-    }
-
-    /// Synthetic path: digest and process the core's sub-stream in
-    /// arrival order, batch by batch, entirely on this thread.
-    fn run_packets(mut self, packets: &[Packet], stream: impl Iterator<Item = usize>) -> RtcEnd {
-        let paced = self.plan.paced();
-        let mut buf: Vec<DigestedPacket> = self.pool.acquire();
-        let mut local = QueueLocal::default();
-        let mut block = BlockState {
-            t0: self.start,
-            sampled: false,
-            idx: 0,
-        };
-        let mut interrupted = false;
-        for (k, i) in stream.enumerate() {
-            let pkt = &packets[i];
-            if k.is_multiple_of(256) && self.checkpoint(k, i, paced, &mut local, &mut block) {
-                interrupted = true;
-                break;
-            }
-            local.offered += 1;
-            let (canon, digest) = self.hasher.digest_symmetric(&pkt.key);
-            let dp = DigestedPacket {
-                pkt: *pkt,
-                canon,
-                digest,
-                seq: i as u64,
-            };
-            self.ingest(dp, &mut buf, &mut local);
-        }
-        self.finish(buf, local, block, interrupted)
-    }
-
-    /// Zero-copy wire path: the same [`BURST`]-wide load → parse in
-    /// place → `digest_batch8` front end as the mesh dispatcher, fused
-    /// straight into this core's processing loop.
-    fn run_frames(mut self, store: &FrameStore, stream: impl Iterator<Item = usize>) -> RtcEnd {
-        let paced = self.plan.paced();
-        let mut frames = self
-            .frames
-            .take()
-            .expect("wire ingest requires a frame pool");
-        let mut buf: Vec<DigestedPacket> = self.pool.acquire();
-        let mut local = QueueLocal::default();
-        let mut block = BlockState {
-            t0: self.start,
-            sampled: false,
-            idx: 0,
-        };
-        let mut interrupted = false;
-        let mut stream = stream;
-        let mut k = 0usize;
-        loop {
-            let mut idx = [0usize; BURST];
-            let mut m = 0;
-            while m < BURST {
-                match stream.next() {
-                    Some(i) => {
-                        idx[m] = i;
-                        m += 1;
-                    }
-                    None => break,
-                }
-            }
-            if m == 0 {
-                break;
-            }
-            // BURST divides 256, so checkpoints land on burst starts.
-            if k.is_multiple_of(256) && self.checkpoint(k, idx[0], paced, &mut local, &mut block) {
-                interrupted = true;
-                break;
-            }
-            let mut slots: [Option<FrameSlot>; BURST] = Default::default();
-            for (slot, &i) in slots.iter_mut().zip(&idx[..m]) {
-                *slot = Some(frames.load(store.frame(i)));
-            }
-            let mut burst: [Option<DigestedPacket>; BURST] = Default::default();
-            {
-                let mut tuples = [RawTuple::default(); BURST];
-                let mut views: [Option<FrameView<'_>>; BURST] = Default::default();
-                for j in 0..m {
-                    let slot = slots[j].as_ref().expect("slot loaded");
-                    let v = FrameView::parse(frames.frame(slot))
-                        .expect("frame validated at store construction");
-                    tuples[j] = v.raw_tuple();
-                    views[j] = Some(v);
-                }
-                if m == BURST {
-                    let digested = self.hasher.digest_batch8(&tuples);
-                    for j in 0..BURST {
-                        let v = views[j].expect("view parsed");
-                        let (canon, digest) = digested[j];
-                        burst[j] = Some(DigestedPacket {
-                            pkt: store.meta(idx[j]).packet(&v),
-                            canon,
-                            digest,
-                            seq: idx[j] as u64,
-                        });
-                    }
-                } else {
-                    for j in 0..m {
-                        let v = views[j].expect("view parsed");
-                        let (canon, digest) = self.hasher.digest_raw(tuples[j]);
-                        burst[j] = Some(DigestedPacket {
-                            pkt: store.meta(idx[j]).packet(&v),
-                            canon,
-                            digest,
-                            seq: idx[j] as u64,
-                        });
-                    }
-                }
-            }
-            for slot in slots.iter_mut() {
-                if let Some(s) = slot.take() {
-                    frames.release(s);
-                }
-            }
-            for dp in burst.iter_mut().take(m) {
-                local.offered += 1;
-                self.ingest(dp.take().expect("digested"), &mut buf, &mut local);
-            }
-            k += m;
-        }
-        self.frames = Some(frames);
-        self.finish(buf, local, block, interrupted)
-    }
-
-    /// The fused core's 256-packet checkpoint: drain observation, pace
-    /// re-anchoring and the arrival wait, steering refresh, black-box
-    /// coalescing and the live counter fold — the dispatcher checkpoint
-    /// verbatim, except the paced wait runs on the shard [`Backoff`]
-    /// ladder (spin → yield → park, parks counted as `idle_parks`)
-    /// because the fused core is also the shard: at zero offered load
-    /// it must not busy-spin the CPU its own processing runs on.
-    fn checkpoint(
-        &mut self,
-        k: usize,
-        global_i: usize,
-        paced: bool,
-        local: &mut QueueLocal,
-        block: &mut BlockState,
-    ) -> bool {
-        if self.drain.load(Ordering::Acquire) {
-            return true;
-        }
-        if paced {
-            let bits = self.pace_override.load(Ordering::Acquire);
-            if bits != self.pace.bits {
-                let due = self.due_ns(global_i);
-                self.pace = PaceState {
-                    bits,
-                    anchor_due: due,
-                    anchor_i: global_i,
-                };
-            }
-            let due = Duration::from_nanos(self.due_ns(global_i) as u64);
-            while self.start.elapsed() < due {
-                if self.backoff.idle() {
-                    self.worker.counters.idle_parks.inc();
-                }
-            }
-            self.backoff.reset();
-        }
-        if let Some(sr) = self.steer.as_mut() {
-            sr.refresh();
-        }
-        if k > 0 {
-            block.idx = (k / 256) as u64;
-            if local.shed > 0 {
-                self.flight
-                    .record(FlightKind::ShedDrop, local.shed, block.idx);
-            }
-            if local.steer_dropped > 0 {
-                self.flight
-                    .record(FlightKind::SteerDrop, local.steer_dropped, block.idx);
-            }
-            self.queue.fold(local);
-        }
-        if let Some(tt) = self.trace.as_mut() {
-            if k > 0 && block.sampled {
-                tt.span_since(block.t0, "rtc block", "core");
-            }
-            block.sampled = tt.tick();
-            if block.sampled {
-                block.t0 = Instant::now();
-            }
-        }
-        false
-    }
-
-    /// Arrival deadline of global packet `i` under the effective
-    /// schedule (plan, or the live override from its anchor).
-    fn due_ns(&self, i: usize) -> f64 {
-        if self.pace.bits == 0 {
-            self.plan.due_ns(i)
-        } else {
-            self.pace.anchor_due + (i - self.pace.anchor_i) as f64 * f64::from_bits(self.pace.bits)
-        }
-    }
-
-    /// Ingest one digested packet: steering enforcement exactly as the
-    /// dispatcher's `offer` (blacklist drop, shed filter — accounted
-    /// per shard and per core), then stage; a full staging buffer is
-    /// processed in place. The pre-split guarantees every packet here
-    /// belongs to this core's partition, so there is no shard index to
-    /// compute and nothing to route.
-    fn ingest(
-        &mut self,
-        dp: DigestedPacket,
-        buf: &mut Vec<DigestedPacket>,
-        local: &mut QueueLocal,
-    ) {
-        if let Some(sr) = &self.steer {
-            let snap = sr.current();
-            if self.enforce_verdicts && snap.blacklist.contains(&dp.digest.0) {
-                self.worker.counters.steer_dropped.inc();
-                local.steer_dropped += 1;
-                return;
-            }
-            if snap.shed && !snap.whitelist.contains(&dp.digest.0) {
-                self.worker.counters.shed.inc();
-                local.shed += 1;
-                return;
-            }
-        }
-        buf.push(dp);
-        if buf.len() == self.batch {
-            self.process_staged(buf, local);
-        }
-    }
-
-    /// Process the staged batch in place: account ingest (a fused core
-    /// never drops at ingest — with no lane to overrun, a paced core
-    /// self-backpressures instead, so `ingest_dropped` stays 0), tick
-    /// the worker's control clock at exactly the boundary the mesh
-    /// would have flushed a lane batch, run the pipeline, fold the
-    /// counters. There is no queue crossing — `runtime.stage.queue_ns`
-    /// records nothing in RTC mode, which is the point.
-    fn process_staged(&mut self, buf: &mut Vec<DigestedPacket>, local: &mut QueueLocal) {
-        let len = buf.len() as u64;
-        self.worker.counters.ingested.add(len);
-        local.ingested += len;
-        self.worker.stage.batch_pkts.record(len);
-        self.worker.control_tick();
-        self.worker.process_batch(buf);
-        self.worker.flush_local();
-        buf.clear();
-    }
-
-    /// End of stream (or drain): process the partial tail batch, close
-    /// the sampled span, settle the books exactly, hand the pools back
-    /// for re-parking and run the worker's stop tail (final verdicts,
-    /// detector sweep, end-state freeze).
-    fn finish(
-        mut self,
-        mut buf: Vec<DigestedPacket>,
-        mut local: QueueLocal,
-        block: BlockState,
-        interrupted: bool,
-    ) -> RtcEnd {
-        if !buf.is_empty() {
-            self.process_staged(&mut buf, &mut local);
-        }
-        if block.sampled {
-            if let Some(tt) = &self.trace {
-                tt.span_since(block.t0, "rtc block", "core");
-            }
-        }
-        if local.shed > 0 {
-            self.flight
-                .record(FlightKind::ShedDrop, local.shed, block.idx + 1);
-        }
-        if local.steer_dropped > 0 {
-            self.flight
-                .record(FlightKind::SteerDrop, local.steer_dropped, block.idx + 1);
-        }
-        self.queue.fold(&mut local);
-        self.pool.give_back(buf);
-        let (end, cache) = self.worker.finish();
-        RtcEnd {
-            end,
-            cache,
-            pool: self.pool,
-            frames: self.frames,
-            interrupted,
-        }
-    }
-}
-
-/// Plain-integer per-queue tallies, folded into the shared
-/// [`QueueCounters`] atomics at every 256-packet checkpoint (so live
-/// readers — `/stats.json`, `/metrics` — see queue counters at most a
-/// checkpoint stale) and once more at end of stream.
-#[derive(Default)]
-struct QueueLocal {
-    offered: u64,
-    ingested: u64,
-    ingest_dropped: u64,
-    shed: u64,
-    steer_dropped: u64,
-}
-
-/// What a dispatcher thread hands back at end of stream: its reusable
-/// pools (re-parked in the [`Garage`] for the next segment) and whether
-/// it stopped on a drain request rather than end-of-trace.
-struct DispatchEnd {
-    pool: BufferPool,
-    frames: Option<FramePool>,
-    interrupted: bool,
-}
-
-/// Live pacing-override state, re-read at every 256-packet checkpoint.
-/// When the override bits change, the arrival schedule re-anchors at
-/// the current packet's due time so the new gap applies *forward* —
-/// no retroactive burst, no stall. Releasing the override (bits = 0)
-/// returns to the plan's absolute schedule.
-#[derive(Default)]
-struct PaceState {
-    /// `f64::to_bits` of the overriding inter-arrival gap (ns); `0`
-    /// mirrors "no override".
-    bits: u64,
-    /// Due time (ns) of the packet the override anchored at.
-    anchor_due: f64,
-    /// Global index of the anchor packet.
-    anchor_i: usize,
-}
-
-/// One RX-queue dispatcher: owns its producers row of the mesh, its
-/// buffer pool, its steering reader, and replays its sub-stream at the
-/// globally-scheduled arrival times.
-struct RxDispatcher<'a> {
-    batch: usize,
-    enforce_verdicts: bool,
-    hasher: FlowHasher,
-    /// Owned, not shared: a pool's receiver is single-consumer, so each
-    /// dispatcher allocates from (and paced drops return to) its own.
-    pool: BufferPool,
-    /// Wire mode only: this dispatcher's frame pool (the software RX
-    /// ring) — raw frames are loaded into its fixed-capacity slots,
-    /// parsed in place and released per burst. `None` on the synthetic
-    /// packet path.
-    frames: Option<FramePool>,
-    producers: Vec<Producer<ShardMsg>>,
-    counters: &'a [ShardCounters],
-    queue: &'a QueueCounters,
-    steer: Option<SnapshotReader<SteeringSnapshot>>,
-    plan: PacePlan,
-    /// Engine-shared live rate override (see [`Engine::set_rate_override`]).
-    pace_override: &'a AtomicU64,
-    /// This dispatcher's current override anchoring.
-    pace: PaceState,
-    /// Engine-shared graceful-drain flag, observed at checkpoints.
-    drain: &'a AtomicBool,
-    start: Instant,
-    /// This queue's flight-recorder ring (always on; drop events only).
-    flight: FlightRing,
-    /// Sampled dispatch-block trace track (`None` when tracing is off).
-    trace: Option<ThreadTrace>,
-}
-
-/// Per-dispatch-block trace/flight state: blocks are the 256-packet
-/// checkpoint windows; one sampling decision per block covers the whole
-/// window's span.
-struct BlockState {
-    t0: Instant,
-    sampled: bool,
-    idx: u64,
-}
-
-/// Frames per wire-path burst. Must match the width of
-/// [`FlowHasher::digest_batch8`] and divide the 256-packet checkpoint
-/// window so checkpoints always land on burst boundaries.
-const BURST: usize = 8;
-
-impl RxDispatcher<'_> {
-    fn run(self, source: FrameSource<'_>, stream: QueueStream) -> DispatchEnd {
-        match source {
-            FrameSource::Packets(packets) => match stream {
-                QueueStream::All => self.dispatch(packets, 0..packets.len()),
-                QueueStream::Picked(idx) => {
-                    self.dispatch(packets, idx.into_iter().map(|i| i as usize))
-                }
-            },
-            FrameSource::Wire(store) => match stream {
-                QueueStream::All => self.dispatch_frames(store, 0..store.len()),
-                QueueStream::Picked(idx) => {
-                    self.dispatch_frames(store, idx.into_iter().map(|i| i as usize))
-                }
-            },
-        }
-    }
-
-    fn dispatch(mut self, packets: &[Packet], stream: impl Iterator<Item = usize>) -> DispatchEnd {
-        let n = self.producers.len();
-        let paced = self.plan.paced();
-        let mut bufs: Vec<Vec<DigestedPacket>> = (0..n).map(|_| self.pool.acquire()).collect();
-        let mut local = QueueLocal::default();
-        let mut block = BlockState {
-            t0: self.start,
-            sampled: false,
-            idx: 0,
-        };
-        let mut interrupted = false;
-        for (k, i) in stream.enumerate() {
-            let pkt = &packets[i];
-            if k.is_multiple_of(256) && self.checkpoint(k, i, paced, &mut local, &mut block) {
-                interrupted = true;
-                break;
-            }
-            local.offered += 1;
-            let (canon, digest) = self.hasher.digest_symmetric(&pkt.key);
-            let dp = DigestedPacket {
-                pkt: *pkt,
-                canon,
-                digest,
-                seq: i as u64,
-            };
-            self.offer(dp, paced, &mut bufs, &mut local);
-        }
-        self.finish(bufs, paced, local, block, interrupted)
-    }
-
-    /// The zero-copy wire path: replay packed frames in [`BURST`]-sized
-    /// bursts. Each burst loads raw bytes into this dispatcher's
-    /// [`FramePool`] slots (the DMA step of the RX-ring model), parses
-    /// the headers in place with [`FrameView`], digests all eight flows
-    /// straight from the header bytes ([`FlowHasher::digest_batch8`] —
-    /// bit-identical to the key-based digest, so shard/queue placement
-    /// and FlowCache rows match the synthetic path exactly), rebuilds
-    /// the model [`Packet`]s from view + sideband, and releases the
-    /// slots. Steady state touches no allocator: the pool's 8 slots
-    /// recycle for the whole run.
-    fn dispatch_frames(
-        mut self,
-        store: &FrameStore,
-        stream: impl Iterator<Item = usize>,
-    ) -> DispatchEnd {
-        let n = self.producers.len();
-        let paced = self.plan.paced();
-        let mut frames = self
-            .frames
-            .take()
-            .expect("wire dispatch requires a frame pool");
-        let mut bufs: Vec<Vec<DigestedPacket>> = (0..n).map(|_| self.pool.acquire()).collect();
-        let mut local = QueueLocal::default();
-        let mut block = BlockState {
-            t0: self.start,
-            sampled: false,
-            idx: 0,
-        };
-        let mut interrupted = false;
-        let mut stream = stream;
-        let mut k = 0usize;
-        loop {
-            // Gather the burst's global indices (full except the tail).
-            let mut idx = [0usize; BURST];
-            let mut m = 0;
-            while m < BURST {
-                match stream.next() {
-                    Some(i) => {
-                        idx[m] = i;
-                        m += 1;
-                    }
-                    None => break,
-                }
-            }
-            if m == 0 {
-                break;
-            }
-            // BURST divides 256, so checkpoints land on burst starts.
-            if k.is_multiple_of(256) && self.checkpoint(k, idx[0], paced, &mut local, &mut block) {
-                interrupted = true;
-                break;
-            }
-            // RX: copy the frames into pooled slots.
-            let mut slots: [Option<FrameSlot>; BURST] = Default::default();
-            for (slot, &i) in slots.iter_mut().zip(&idx[..m]) {
-                *slot = Some(frames.load(store.frame(i)));
-            }
-            // Parse in place, digest from the header bytes, rebuild the
-            // model packets. The views borrow the pool, so this scope
-            // ends before the slots go back on the free list.
-            let mut burst: [Option<DigestedPacket>; BURST] = Default::default();
-            {
-                let mut tuples = [RawTuple::default(); BURST];
-                let mut views: [Option<FrameView<'_>>; BURST] = Default::default();
-                for j in 0..m {
-                    let slot = slots[j].as_ref().expect("slot loaded");
-                    let v = FrameView::parse(frames.frame(slot))
-                        .expect("frame validated at store construction");
-                    tuples[j] = v.raw_tuple();
-                    views[j] = Some(v);
-                }
-                if m == BURST {
-                    let digested = self.hasher.digest_batch8(&tuples);
-                    for j in 0..BURST {
-                        let v = views[j].expect("view parsed");
-                        let (canon, digest) = digested[j];
-                        burst[j] = Some(DigestedPacket {
-                            pkt: store.meta(idx[j]).packet(&v),
-                            canon,
-                            digest,
-                            seq: idx[j] as u64,
-                        });
-                    }
-                } else {
-                    for j in 0..m {
-                        let v = views[j].expect("view parsed");
-                        let (canon, digest) = self.hasher.digest_raw(tuples[j]);
-                        burst[j] = Some(DigestedPacket {
-                            pkt: store.meta(idx[j]).packet(&v),
-                            canon,
-                            digest,
-                            seq: idx[j] as u64,
-                        });
-                    }
-                }
-            }
-            for slot in slots.iter_mut() {
-                if let Some(s) = slot.take() {
-                    frames.release(s);
-                }
-            }
-            for dp in burst.iter_mut().take(m) {
-                local.offered += 1;
-                self.offer(dp.take().expect("digested"), paced, &mut bufs, &mut local);
-            }
-            k += m;
-        }
-        self.frames = Some(frames);
-        self.finish(bufs, paced, local, block, interrupted)
-    }
-
-    /// The 256-packet checkpoint shared by both dispatch paths: observe
-    /// a pending drain request (returns `true`: stop offering, quiesce),
-    /// re-read the live pace override, pace to the block's first global
-    /// arrival time, refresh the steering snapshot, coalesce the
-    /// finished block's black-box deltas (`local` resets each
-    /// checkpoint, so its values are exactly the per-block deltas), fold
-    /// the live counters, and make the block's trace-sampling decision.
-    fn checkpoint(
-        &mut self,
-        k: usize,
-        global_i: usize,
-        paced: bool,
-        local: &mut QueueLocal,
-        block: &mut BlockState,
-    ) -> bool {
-        // Check *before* pacing: a drain request must not wait out a
-        // long inter-arrival sleep at low offered rates.
-        if self.drain.load(Ordering::Acquire) {
-            return true;
-        }
-        if paced {
-            let bits = self.pace_override.load(Ordering::Acquire);
-            if bits != self.pace.bits {
-                // Re-anchor at this packet's due time under the *old*
-                // schedule, so the new gap applies strictly forward.
-                let due = self.due_ns(global_i);
-                self.pace = PaceState {
-                    bits,
-                    anchor_due: due,
-                    anchor_i: global_i,
-                };
-            }
-            pace_until(
-                self.start,
-                Duration::from_nanos(self.due_ns(global_i) as u64),
-            );
-        }
-        // One atomic load; re-clones the snapshot Arc only when the
-        // controller published since the last check.
-        if let Some(sr) = self.steer.as_mut() {
-            sr.refresh();
-        }
-        if k > 0 {
-            block.idx = (k / 256) as u64;
-            if local.shed > 0 {
-                self.flight
-                    .record(FlightKind::ShedDrop, local.shed, block.idx);
-            }
-            if local.steer_dropped > 0 {
-                self.flight
-                    .record(FlightKind::SteerDrop, local.steer_dropped, block.idx);
-            }
-            self.queue.fold(local);
-        }
-        if let Some(tt) = self.trace.as_mut() {
-            if k > 0 && block.sampled {
-                tt.span_since(block.t0, "dispatch", "rxq");
-            }
-            block.sampled = tt.tick();
-            if block.sampled {
-                block.t0 = Instant::now();
-            }
-        }
-        false
-    }
-
-    /// Arrival deadline of global packet `i` under the effective
-    /// schedule: the run's [`PacePlan`] by default, or the live
-    /// override's gap from its anchor when one is set.
-    fn due_ns(&self, i: usize) -> f64 {
-        if self.pace.bits == 0 {
-            self.plan.due_ns(i)
-        } else {
-            self.pace.anchor_due + (i - self.pace.anchor_i) as f64 * f64::from_bits(self.pace.bits)
-        }
-    }
-
-    /// Offer one digested packet: steering enforcement at dispatch
-    /// (blacklisted flows drop here — prevention at the earliest point —
-    /// and under load shedding only whitelisted flows pass; both are
-    /// accounted per shard *and* per queue, so conservation includes
-    /// them on both axes), then stage into the shard's batch buffer.
-    fn offer(
-        &self,
-        dp: DigestedPacket,
-        paced: bool,
-        bufs: &mut [Vec<DigestedPacket>],
-        local: &mut QueueLocal,
-    ) {
-        let s = shard_for_digest(dp.digest, bufs.len());
-        if let Some(sr) = &self.steer {
-            let snap = sr.current();
-            if self.enforce_verdicts && snap.blacklist.contains(&dp.digest.0) {
-                self.counters[s].steer_dropped.inc();
-                local.steer_dropped += 1;
-                return;
-            }
-            if snap.shed && !snap.whitelist.contains(&dp.digest.0) {
-                self.counters[s].shed.inc();
-                local.shed += 1;
-                return;
-            }
-        }
-        bufs[s].push(dp);
-        if bufs[s].len() == self.batch {
-            let batch = std::mem::replace(&mut bufs[s], self.pool.acquire());
-            self.flush(s, batch, paced, local);
-        }
-    }
-
-    /// End-of-stream tail shared by both dispatch paths — and by the
-    /// graceful-drain path, which is the point: a drained dispatcher
-    /// quiesces *exactly* like end-of-trace. Close the sampled trace
-    /// span, flush every staged batch, send `Stop` down every lane
-    /// (never dropped — blocks until a slot frees), record the final
-    /// black-box deltas, fold the counters exactly, and hand the pools
-    /// back for re-parking.
-    fn finish(
-        self,
-        mut bufs: Vec<Vec<DigestedPacket>>,
-        paced: bool,
-        mut local: QueueLocal,
-        block: BlockState,
-        interrupted: bool,
-    ) -> DispatchEnd {
-        if block.sampled {
-            if let Some(tt) = &self.trace {
-                tt.span_since(block.t0, "dispatch", "rxq");
-            }
-        }
-        for (s, buf) in bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let batch = std::mem::take(buf);
-                self.flush(s, batch, paced, &mut local);
-            }
-            self.producers[s].push_blocking(ShardMsg::Stop);
-        }
-        if local.shed > 0 {
-            self.flight
-                .record(FlightKind::ShedDrop, local.shed, block.idx + 1);
-        }
-        if local.steer_dropped > 0 {
-            self.flight
-                .record(FlightKind::SteerDrop, local.steer_dropped, block.idx + 1);
-        }
-        self.queue.fold(&mut local);
-        DispatchEnd {
-            pool: self.pool,
-            frames: self.frames,
-            interrupted,
-        }
-    }
-
-    fn flush(&self, s: usize, batch: Vec<DigestedPacket>, paced: bool, local: &mut QueueLocal) {
-        let len = batch.len() as u64;
-        let tx = &self.producers[s];
-        let msg = ShardMsg::Batch(Batch {
-            pkts: batch,
-            sent: Instant::now(),
-        });
-        if paced {
-            match tx.try_push(msg) {
-                Ok(()) => {
-                    self.counters[s].ingested.add(len);
-                    local.ingested += len;
-                }
-                // Open loop: a full ring at arrival time is a loss, and
-                // it is *accounted* — never silent. The buffer itself
-                // goes straight back to the pool.
-                Err(ShardMsg::Batch(b)) => {
-                    self.counters[s].ingest_dropped.add(len);
-                    local.ingest_dropped += len;
-                    self.flight.record(FlightKind::IngestDrop, s as u64, len);
-                    self.pool.give_back(b.pkts);
-                }
-                Err(ShardMsg::Stop) => unreachable!("flush only pushes batches"),
-            }
-        } else {
-            tx.push_blocking(msg);
-            self.counters[s].ingested.add(len);
-            local.ingested += len;
-        }
-        // With R queues the gauge tracks this lane's depth (last writer
-        // wins across queues; the peak gauge is a max, so it stays a
-        // true high-water mark of any single lane).
-        let depth = tx.len() as f64;
-        self.counters[s].queue_depth.set(depth);
-        self.counters[s].queue_depth_peak.set_max(depth);
-    }
-}
-
-/// Observability wiring for the controller thread: its flight ring,
-/// its optional trace track, and the shared decision-audit mirror that
-/// live readers (`Engine::decisions`, `/stats.json`) poll mid-run.
-struct CtrlObs {
-    flight: FlightRing,
-    trace: Option<ThreadTrace>,
-    audit: Arc<Mutex<VecDeque<DecisionRecord>>>,
-    audit_cap: usize,
-    /// The engine's admin mailbox, drained once per epoch.
-    admin: Arc<AdminQueue>,
-    /// `runtime.admin.applied` — commands the controller acted on.
-    admin_applied: Counter,
-    /// `runtime.mem.rss_bytes` — sampled once per epoch so the soak
-    /// harness gets a live residency trend without touching the engine.
-    mem_rss: Gauge,
-}
-
-/// Stable numeric encoding of a FlowCache mode for flight-event args.
-fn mode_code(m: Mode) -> u64 {
-    match m {
-        Mode::General => 0,
-        Mode::Lite => 1,
-    }
-}
-
-/// The controller thread body: one epoch per `epoch` period (or on
-/// shutdown). Each epoch samples cumulative shard counters, drains the
-/// verdict log and the heavy-hitter channel, feeds the pure
-/// [`Controller`] state machine, applies its per-shard mode decisions
-/// to the [`ModeCell`]s and publishes any new steering snapshot.
-/// When `stop` is observed it runs one final epoch (counter tails +
-/// late verdicts) and returns the report.
-#[allow(clippy::too_many_arguments)]
-fn controller_loop(
-    mut ctrl: Controller,
-    log: Arc<ControlLog>,
-    reader: LogReader,
-    heavy_rx: Receiver<(u64, u64)>,
-    counters: Vec<ShardCounters>,
-    host_processed: Counter,
-    mode_cells: Vec<Arc<ModeCell>>,
-    snap_cell: Arc<SnapshotCell<SteeringSnapshot>>,
-    stop: Arc<AtomicBool>,
-    epoch: Duration,
-    mut obs: CtrlObs,
-) -> ControlReport {
-    let mut last = Instant::now();
-    let mut prev_modes: Vec<Mode> = vec![Mode::General; counters.len()];
-    let mut prev_shed = false;
-    // Standing per-shard mode overrides (`AdminCmd::ForceMode`): a
-    // controller-loop-local overlay applied *after* Algorithm 4 each
-    // epoch, so releasing one hands the shard straight back to the
-    // algorithm's current decision.
-    let mut force_modes: Vec<Option<Mode>> = vec![None; counters.len()];
-    loop {
-        let done = stop.load(Ordering::Acquire);
-        if !done {
-            std::thread::park_timeout(epoch);
-        }
-        let now = Instant::now();
-        let elapsed_secs = now.duration_since(last).as_secs_f64();
-        last = now;
-        obs.mem_rss.set(mem::rss_bytes() as f64);
-
-        // Apply queued admin edits before the epoch decision: they
-        // mutate the controller's private tables (marking it dirty), so
-        // this epoch's snapshot publication carries them — the hot loop
-        // only ever sees them through the RCU path.
-        for cmd in obs.admin.drain() {
-            let applied = match cmd {
-                AdminCmd::BlacklistAdd(d) => {
-                    ctrl.admin_blacklist_insert(d);
-                    true
-                }
-                AdminCmd::BlacklistRemove(d) => {
-                    ctrl.admin_blacklist_remove(d);
-                    true
-                }
-                AdminCmd::WhitelistAdd(d) => {
-                    ctrl.admin_whitelist_insert(d);
-                    true
-                }
-                AdminCmd::WhitelistRemove(d) => {
-                    ctrl.admin_whitelist_remove(d);
-                    true
-                }
-                AdminCmd::ForceShed(f) => {
-                    ctrl.admin_force_shed(f);
-                    true
-                }
-                AdminCmd::ForceMode { shard, mode } => {
-                    if let Some(slot) = force_modes.get_mut(shard) {
-                        *slot = mode;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if applied {
-                obs.admin_applied.inc();
-                obs.flight
-                    .record(FlightKind::AdminEdit, cmd.code(), cmd.arg());
-            }
-        }
-
-        // Escalation backlog: packets escalated but neither dropped at
-        // the ring nor processed by the host yet. The pool is shared,
-        // so every shard's sample carries the aggregate.
-        let mut escalated = 0u64;
-        let mut esc_dropped = 0u64;
-        for c in &counters {
-            escalated += c.escalated.get();
-            esc_dropped += c.escalation_dropped.get();
-        }
-        let backlog = escalated
-            .saturating_sub(esc_dropped)
-            .saturating_sub(host_processed.get());
-
-        let shards: Vec<ShardSample> = counters
-            .iter()
-            .map(|c| ShardSample {
-                offered: c.ingested.get()
-                    + c.ingest_dropped.get()
-                    + c.shed.get()
-                    + c.steer_dropped.get(),
-                processed: c.processed.get(),
-                shed: c.shed.get(),
-                escalation_backlog: backlog,
-            })
-            .collect();
-        let verdicts = log.poll(&reader);
-        let mut heavy = Vec::new();
-        while let Ok(h) = heavy_rx.try_recv() {
-            heavy.push(h);
-            if heavy.len() >= 16_384 {
-                break;
-            }
-        }
-
-        let decision = ctrl.epoch(&EpochInput {
-            elapsed_secs,
-            shards,
-            verdicts,
-            heavy,
-        });
-        // The effective modes are Algorithm 4's decision with any
-        // standing admin overrides layered on top.
-        let mut modes = decision.modes.clone();
-        for (m, f) in modes.iter_mut().zip(&force_modes) {
-            if let Some(forced) = f {
-                *m = *forced;
-            }
-        }
-        for (cell, &m) in mode_cells.iter().zip(&modes) {
-            cell.set(m);
-        }
-        // Black-box the epoch's notable transitions before publishing:
-        // per-shard mode flips, shed edges, promotions and evictions.
-        let record = &decision.record;
-        for (i, (&m, &p)) in modes.iter().zip(&prev_modes).enumerate() {
-            if m != p {
-                obs.flight
-                    .record(FlightKind::ModeSwitch, i as u64, mode_code(m));
-            }
-        }
-        prev_modes.clone_from(&modes);
-        if record.shed != prev_shed {
-            let kind = if record.shed {
-                FlightKind::ShedOn
-            } else {
-                FlightKind::ShedOff
-            };
-            obs.flight.record(kind, record.epoch, record.max_backlog);
-            prev_shed = record.shed;
-        }
-        if record.promotions > 0 {
-            obs.flight
-                .record(FlightKind::Promotion, record.promotions, record.epoch);
-        }
-        if record.whitelist_evictions > 0 {
-            obs.flight.record(
-                FlightKind::WhitelistEvict,
-                record.whitelist_evictions,
-                record.epoch,
-            );
-        }
-        // Mirror the decision into the shared audit so live readers see
-        // it without waiting for the final ControlReport.
-        {
-            let mut audit = obs.audit.lock().expect("decision audit poisoned");
-            if audit.len() == obs.audit_cap {
-                audit.pop_front();
-            }
-            audit.push_back(record.clone());
-        }
-        if let Some(snap) = decision.snapshot {
-            snap_cell.publish(snap);
-        }
-        if let Some(tt) = obs.trace.as_mut() {
-            if tt.tick() {
-                tt.span_since(now, "epoch apply", "control");
-            }
-        }
-        if done {
-            log.release(reader);
-            return ctrl.report();
-        }
-    }
-}
-
-/// Render a [`HistSnapshot`] as a JSON object — shared by
-/// [`Engine::stats_json`] and the bench JSON artifacts.
-pub fn hist_value(h: &HistSnapshot) -> Value {
-    Value::Object(vec![
-        ("count".into(), Value::Number(Number::U(h.count))),
-        ("sum".into(), Value::Number(Number::U(h.sum))),
-        ("min".into(), Value::Number(Number::U(h.min))),
-        ("max".into(), Value::Number(Number::U(h.max))),
-        ("mean".into(), Value::Number(Number::F(h.mean))),
-        ("p50".into(), Value::Number(Number::U(h.p50))),
-        ("p90".into(), Value::Number(Number::U(h.p90))),
-        ("p99".into(), Value::Number(Number::U(h.p99))),
-        ("p999".into(), Value::Number(Number::U(h.p999))),
-    ])
-}
-
-/// Render a controller [`DecisionRecord`] as a JSON object — shared by
-/// [`Engine::stats_json`] and the bench control timeline.
-pub fn decision_value(d: &DecisionRecord) -> Value {
-    Value::Object(vec![
-        ("epoch".into(), Value::Number(Number::U(d.epoch))),
-        (
-            "offered_mpps".into(),
-            Value::Number(Number::F(d.offered_mpps)),
-        ),
-        (
-            "smoothed_mpps".into(),
-            Value::Array(
-                d.smoothed_mpps
-                    .iter()
-                    .map(|&f| Value::Number(Number::F(f)))
-                    .collect(),
-            ),
-        ),
-        (
-            "max_backlog".into(),
-            Value::Number(Number::U(d.max_backlog)),
-        ),
-        (
-            "modes".into(),
-            Value::Array(
-                d.modes
-                    .iter()
-                    .map(|m| Value::String(m.label().into()))
-                    .collect(),
-            ),
-        ),
-        ("shed".into(), Value::Bool(d.shed)),
-        ("promotions".into(), Value::Number(Number::U(d.promotions))),
-        (
-            "whitelist_evictions".into(),
-            Value::Number(Number::U(d.whitelist_evictions)),
-        ),
-        (
-            "whitelist_len".into(),
-            Value::Number(Number::U(d.whitelist_len as u64)),
-        ),
-        (
-            "blacklist_len".into(),
-            Value::Number(Number::U(d.blacklist_len as u64)),
-        ),
-        (
-            "snapshot_published".into(),
-            Value::Bool(d.snapshot_published),
-        ),
-    ])
-}
-
-/// Per-RX-queue dispatcher counters, registered as
-/// `runtime.queue.*{queue=Q}`.
-#[derive(Clone)]
-pub(crate) struct QueueCounters {
-    /// Packets of the offered trace assigned to this queue.
-    pub offered: Counter,
-    /// Packets this queue enqueued onto its shard lanes.
-    pub ingested: Counter,
-    /// Packets dropped at this queue's lanes (full ring, paced mode).
-    pub ingest_dropped: Counter,
-    /// Packets this queue shed under controller load shedding.
-    pub shed: Counter,
-    /// Packets this queue dropped on the steering blacklist.
-    pub steer_dropped: Counter,
-}
-
-impl QueueCounters {
-    fn registered(reg: &Registry, queue: usize) -> QueueCounters {
-        let q = queue.to_string();
-        let l: &[(&str, &str)] = &[("queue", &q)];
-        QueueCounters {
-            offered: reg.counter("runtime.queue.offered", l),
-            ingested: reg.counter("runtime.queue.ingested", l),
-            ingest_dropped: reg.counter("runtime.queue.ingest_dropped", l),
-            shed: reg.counter("runtime.queue.shed", l),
-            steer_dropped: reg.counter("runtime.queue.steer_dropped", l),
-        }
-    }
-
-    fn snapshot(&self) -> QueueStats {
-        QueueStats {
-            offered: self.offered.get(),
-            ingested: self.ingested.get(),
-            ingest_dropped: self.ingest_dropped.get(),
-            shed: self.shed.get(),
-            steer_dropped: self.steer_dropped.get(),
-        }
-    }
-
-    /// Fold a dispatcher's plain-integer tallies into the shared
-    /// atomics and reset them — called at checkpoints (live visibility)
-    /// and at end of stream (exactness).
-    fn fold(&self, local: &mut QueueLocal) {
-        if local.offered > 0 {
-            self.offered.add(local.offered);
-        }
-        if local.ingested > 0 {
-            self.ingested.add(local.ingested);
-        }
-        if local.ingest_dropped > 0 {
-            self.ingest_dropped.add(local.ingest_dropped);
-        }
-        if local.shed > 0 {
-            self.shed.add(local.shed);
-        }
-        if local.steer_dropped > 0 {
-            self.steer_dropped.add(local.steer_dropped);
-        }
-        *local = QueueLocal::default();
-    }
-}
-
-/// Frozen per-RX-queue dispatcher statistics (the report view). The
-/// queue-local conservation law is
-/// `offered = ingested + ingest_dropped + shed + steer_dropped`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QueueStats {
-    /// Packets of the offered trace assigned to this queue by RSS.
-    pub offered: u64,
-    /// Packets enqueued onto this queue's shard lanes.
-    pub ingested: u64,
-    /// Packets dropped at full lanes (paced mode).
-    pub ingest_dropped: u64,
-    /// Packets shed under controller load shedding.
-    pub shed: u64,
-    /// Packets dropped on the steering blacklist.
-    pub steer_dropped: u64,
-}
-
-/// Aggregate per-stage wall-clock distributions.
-#[derive(Clone, Copy, Debug)]
-pub struct StageSnapshot {
-    /// Batch wait between dispatcher enqueue and shard dequeue, ns.
-    pub queue_ns: HistSnapshot,
-    /// FlowCache stage per sampled packet, ns.
-    pub cache_ns: HistSnapshot,
-    /// Detector-suite stage per sampled packet, ns.
-    pub detect_ns: HistSnapshot,
-    /// Host-escalation round trip (shard hand-off → verdict published),
-    /// ns. Inline triage records its synchronous call here.
-    pub escalate_ns: HistSnapshot,
-    /// Delivered batch sizes, packets.
-    pub batch_pkts: HistSnapshot,
-}
-
-/// Aggregate FlowCache behaviour across every shard partition: the
-/// hit mix, the tag-filtered probe-length distribution, and how much
-/// memory-level parallelism the batched lookup path actually achieved.
-/// Every field is an exact counter summed over shards (no wall-clock
-/// values), but the totals depend on how RSS split the trace, so this
-/// section stays out of [`EngineReport::deterministic_summary`].
-#[derive(Clone, Debug, Default)]
-pub struct FlowCacheSummary {
-    /// Configured lookup burst width (`EngineConfig::cache_burst`;
-    /// `<= 1` means the per-packet reference path ran).
-    pub burst: usize,
-    /// Primary-buffer hits.
-    pub p_hits: u64,
-    /// Eviction-buffer hits.
-    pub e_hits: u64,
-    /// Misses (new-flow insertions).
-    pub misses: u64,
-    /// Fully-pinned-row escalations.
-    pub to_host: u64,
-    /// Records pushed to eviction rings by packet-path accesses.
-    pub ring_pushes: u64,
-    /// Probe-length histogram: slot `i` counts accesses that probed
-    /// exactly `i` buckets (last slot absorbs longer probes).
-    pub probe_hist: [u64; PROBE_HIST_SLOTS],
-    /// Prefetch bursts issued by the batched path.
-    pub bursts: u64,
-    /// Packets covered by those bursts.
-    pub burst_pkts: u64,
-}
-
-impl FlowCacheSummary {
-    fn aggregate(burst: usize, ends: &[ShardEndState]) -> FlowCacheSummary {
-        let mut out = FlowCacheSummary {
-            burst,
-            ..FlowCacheSummary::default()
-        };
-        for e in ends {
-            out.p_hits += e.cache_mix.p_hits;
-            out.e_hits += e.cache_mix.e_hits;
-            out.misses += e.cache_mix.misses;
-            out.to_host += e.cache_mix.to_host;
-            out.ring_pushes += e.cache_mix.ring_pushes;
-            for (acc, v) in out.probe_hist.iter_mut().zip(e.probe_hist) {
-                *acc += v;
-            }
-            out.bursts += e.bursts;
-            out.burst_pkts += e.burst_pkts;
-        }
-        out
-    }
-
-    /// Total packet-path cache accesses.
-    pub fn accesses(&self) -> u64 {
-        self.p_hits + self.e_hits + self.misses + self.to_host
-    }
-
-    /// Hit rate over cache-processed packets (to-host escalations
-    /// excluded, matching `CacheStats::hit_rate`).
-    pub fn hit_rate(&self) -> f64 {
-        let p = self.p_hits + self.e_hits + self.misses;
-        if p == 0 {
-            0.0
-        } else {
-            (self.p_hits + self.e_hits) as f64 / p as f64
-        }
-    }
-
-    /// Mean probe length per access, in buckets.
-    pub fn mean_probe_len(&self) -> f64 {
-        let (mut n, mut sum) = (0u64, 0u64);
-        for (len, &count) in self.probe_hist.iter().enumerate() {
-            n += count;
-            sum += count * len as u64;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64
-        }
-    }
-
-    /// Mean packets per prefetch burst — how deep the memory-level
-    /// parallel pipeline actually ran (`<= burst`; short tails and
-    /// sub-burst groups drag it down).
-    pub fn mean_burst_depth(&self) -> f64 {
-        if self.bursts == 0 {
-            0.0
-        } else {
-            self.burst_pkts as f64 / self.bursts as f64
-        }
-    }
-}
-
-/// Everything `Engine::run` measured.
-#[derive(Clone, Debug)]
-pub struct EngineReport {
-    /// Packets offered to the dispatcher.
-    pub offered: u64,
-    /// Wall-clock time from first dispatch to last shard joined (the
-    /// drain included).
-    pub elapsed: Duration,
-    /// Per-shard statistics.
-    pub shards: Vec<ShardStats>,
-    /// Per-RX-queue dispatcher statistics, in queue order (canonical:
-    /// queue 0 first — merge order never depends on thread timing).
-    pub queues: Vec<QueueStats>,
-    /// Escalated packets processed by the host tier (pool or inline).
-    pub host_processed: u64,
-    /// Verdicts published to the control log.
-    pub verdicts_published: u64,
-    /// True when the run stopped on a graceful-drain request instead of
-    /// end-of-trace. `offered` then reflects what the dispatchers
-    /// actually offered before stopping, so conservation still holds.
-    pub interrupted: bool,
-    /// Verdict-log entries still resident (slowest reader's lag) at
-    /// mesh quiesce, before the controller's final drain — the soak
-    /// harness trends this for leak detection.
-    pub log_buffered: u64,
-    /// Control-plane report (present when the engine ran with a
-    /// controller attached).
-    pub control: Option<ControlReport>,
-    /// Per-stage latency/size distributions.
-    pub stage: StageSnapshot,
-    /// Aggregate FlowCache behaviour (hit mix, probe lengths, batch
-    /// pipeline depth) summed across shard partitions.
-    pub flowcache: FlowCacheSummary,
-}
-
-impl EngineReport {
-    /// Packets fully processed across all shards.
-    pub fn processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.processed).sum()
-    }
-
-    /// Packets dropped at ingest across all shards.
-    pub fn ingest_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.ingest_dropped).sum()
-    }
-
-    /// Packets shed at dispatch under controller load shedding.
-    pub fn shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed).sum()
-    }
-
-    /// Packets dropped at dispatch by the steering blacklist.
-    pub fn steer_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.steer_dropped).sum()
-    }
-
-    /// Packets escalated to the host tier.
-    pub fn escalated(&self) -> u64 {
-        self.shards.iter().map(|s| s.escalated).sum()
-    }
-
-    /// Escalations dropped at the host ring.
-    pub fn escalation_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.escalation_dropped).sum()
-    }
-
-    /// Idle-loop parks across all shards (wall-clock dependent; excluded
-    /// from [`EngineReport::deterministic_summary`]).
-    pub fn idle_parks(&self) -> u64 {
-        self.shards.iter().map(|s| s.idle_parks).sum()
-    }
-
-    /// Wall-clock throughput in million packets per second, over
-    /// *processed* packets (drops excluded).
-    pub fn mpps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.processed() as f64 / secs / 1e6
-        }
-    }
-
-    /// Ingest drop fraction of offered packets.
-    pub fn drop_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.ingest_dropped() as f64 / self.offered as f64
-        }
-    }
-
-    /// RX dispatcher queues the run used.
-    pub fn rx_queues(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The conservation invariant: every offered packet is either
-    /// processed by exactly one shard or dropped with accounting
-    /// (ingest overrun, load shed, or steering blacklist) — and the
-    /// books balance on *both* axes of the mesh: per shard
-    /// (`ingested = processed`) and per RX queue
-    /// (`offered = ingested + ingest_dropped + shed + steer_dropped`),
-    /// with the two sides agreeing on the totals.
-    pub fn conserved(&self) -> bool {
-        let shard_ingested: u64 = self.shards.iter().map(|s| s.ingested).sum();
-        let shards_ok = shard_ingested + self.ingest_dropped() + self.shed() + self.steer_dropped()
-            == self.offered
-            && self.shards.iter().all(|s| s.ingested == s.processed);
-        let queue_offered: u64 = self.queues.iter().map(|q| q.offered).sum();
-        let queue_ingested: u64 = self.queues.iter().map(|q| q.ingested).sum();
-        let queues_ok = self
-            .queues
-            .iter()
-            .all(|q| q.offered == q.ingested + q.ingest_dropped + q.shed + q.steer_dropped)
-            && queue_offered == self.offered
-            && queue_ingested == shard_ingested;
-        shards_ok && queues_ok
-    }
-
-    /// A byte-stable rendering of every *deterministic* quantity (exact
-    /// counters; no wall-clock values). With one shard, inline triage
-    /// (`host_workers = 0`) and the ordered lane merge, two same-seed
-    /// runs produce identical strings *at any `rx_queues`* — the
-    /// determinism tests diff exactly this. Per-shard lines merge the R
-    /// queues' contributions canonically (each counter is the order-free
-    /// sum over queues); per-queue breakdowns deliberately stay out of
-    /// this rendering — they live in [`EngineReport::queues`] — because
-    /// printing them would make the byte output depend on R.
-    pub fn deterministic_summary(&self) -> String {
-        let mut out = format!("offered={}\n", self.offered);
-        for (i, s) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "shard{i}: ingested={} dropped={} shed={} steer_dropped={} processed={} \
-                 verdict_dropped={} fast_path={} escalated={} escalation_dropped={} \
-                 ctrl_applied={} alerts={} blacklisted={} whitelisted={} cache_resident={}\n",
-                s.ingested,
-                s.ingest_dropped,
-                s.shed,
-                s.steer_dropped,
-                s.processed,
-                s.verdict_dropped,
-                s.fast_path,
-                s.escalated,
-                s.escalation_dropped,
-                s.ctrl_applied,
-                s.alerts,
-                s.blacklisted,
-                s.whitelisted,
-                s.cache_resident,
-            ));
-        }
-        out.push_str(&format!(
-            "host_processed={} verdicts={}\n",
-            self.host_processed, self.verdicts_published
-        ));
-        out
-    }
-}

@@ -1,0 +1,234 @@
+//! What an engine is told to run: the thread topology and its knobs
+//! ([`EngineConfig`]), the offered-rate plan ([`Pace`]) and the packet
+//! representation it replays ([`FrameSource`]).
+
+use crate::shard::MergePolicy;
+use smartwatch_control::ControlConfig;
+use smartwatch_net::{FrameStore, Packet};
+
+/// How the engine maps the pipeline onto threads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DatapathMode {
+    /// The R×N mesh: R RX-queue dispatcher threads digest and steer,
+    /// N shard threads process, bounded SPSC lanes in between. The
+    /// default, and the only mode where `rx_queues > 1` is meaningful.
+    Pipeline,
+    /// Run-to-completion: C = `shards` fused `sw-core-{i}` threads,
+    /// each owning one shard partition *and* its ingest. The pre-split
+    /// assigns packets by [`shard_for_digest`] directly (no salted
+    /// queue remix), so every flow's packets arrive at the core that
+    /// owns its FlowCache rows, and the fast path — ingest → digest →
+    /// FlowCache → detectors → verdict — runs in place with zero
+    /// inter-thread queue crossings. Host escalation and control-plane
+    /// sampling keep their existing channels. Decisions, counters and
+    /// the deterministic summary are identical to [`Pipeline`] for the
+    /// same seed (`DatapathMode::Pipeline` with `rx_queues = 1`);
+    /// only the thread topology — and therefore the wall clock —
+    /// changes.
+    ///
+    /// [`Pipeline`]: DatapathMode::Pipeline
+    /// [`shard_for_digest`]: smartwatch_net::hash::shard_for_digest
+    Rtc,
+}
+
+/// Engine configuration.
+#[derive(Clone, Debug)]
+pub struct EngineConfig {
+    /// Worker shards (threads). Each owns a FlowCache partition and a
+    /// full detector suite.
+    pub shards: usize,
+    /// Thread topology: the R×N dispatcher/shard mesh
+    /// ([`DatapathMode::Pipeline`], the default) or fused
+    /// run-to-completion cores ([`DatapathMode::Rtc`]). In RTC mode
+    /// `rx_queues` is ignored — the ingest unit count *is* the shard
+    /// count.
+    pub datapath: DatapathMode,
+    /// Pin the fused RTC cores to CPUs (core index = CPU index): each
+    /// `sw-core-{i}` thread calls `sched_setaffinity` at startup. RTC
+    /// cores only — the pipeline mesh never pins. Opt-in and
+    /// best-effort — a rejected mask (cpuset container, non-Linux
+    /// build) leaves the thread unpinned and the run proceeds.
+    /// Decisions and counters are identical either way; only scheduler
+    /// placement changes.
+    pub pin_cores: bool,
+    /// RX-queue dispatcher threads (the multi-queue NIC model). Each
+    /// owns a digest-split sub-stream of the offered trace, its own
+    /// buffer pool and steering-snapshot reader, and one SPSC lane per
+    /// shard (an R×N mesh). `1` reproduces the classic single-dispatcher
+    /// hot path.
+    pub rx_queues: usize,
+    /// How shards interleave their R ingest lanes. [`MergePolicy::Fair`]
+    /// (the default) round-robins whole batches for throughput;
+    /// [`MergePolicy::Ordered`] k-way-merges by arrival sequence so the
+    /// deterministic summary is byte-identical for any `rx_queues`.
+    pub merge: MergePolicy,
+    /// Packets per dispatch batch.
+    pub batch: usize,
+    /// Per-shard ingest queue capacity, in batches.
+    pub queue_batches: usize,
+    /// Rows per shard FlowCache partition (`2^row_bits`).
+    pub cache_row_bits: u32,
+    /// Host escalation workers. `0` runs triage inline on each shard —
+    /// fully deterministic, used by the determinism tests.
+    pub host_workers: usize,
+    /// Host escalation ring capacity, packets (shared by the pool).
+    pub host_queue: usize,
+    /// Escalated packets per source before triage blacklists its flows.
+    pub triage_threshold: u64,
+    /// Enforce blacklist verdicts on the shards (prevention). Disable to
+    /// measure pure monitoring throughput.
+    pub enforce_verdicts: bool,
+    /// FlowCache hash seed (per-shard caches share it; partitioning
+    /// comes from RSS, not from distinct hash functions).
+    pub hash_seed: u64,
+    /// FlowCache lookup burst width: shards prefetch this many rows
+    /// ahead before probing (the memory-level-parallel batched path).
+    /// `0` or `1` selects the per-packet reference path. Packet
+    /// *decisions* are identical at every width — prefetching is
+    /// architecturally inert — so this knob trades nothing but cache
+    /// warmth and is safe to change under the determinism tests.
+    pub cache_burst: usize,
+    /// Attach the adaptive control plane: an epoch thread that runs
+    /// Algorithm 4 mode switching per shard, promotes heavy hitters,
+    /// publishes steering snapshots and decides load shedding. `None`
+    /// runs the engine open-loop (the pre-control behaviour, and the
+    /// deterministic-test configuration).
+    pub control: Option<ControlConfig>,
+    /// Wall-clock trace sampling period: emit chrome-trace spans for
+    /// 1 in `trace_sample` batches per thread (`0` disables tracing
+    /// entirely — the hot path carries no `Instant` reads for it).
+    /// Takes effect only when a [`Tracer`](smartwatch_telemetry::Tracer)
+    /// is attached via
+    /// [`Engine::attach_tracer`](crate::Engine::attach_tracer). The
+    /// sampling counters start at zero, so every thread's *first* batch
+    /// is always traced and every live thread owns at least one span at
+    /// any period.
+    pub trace_sample: u64,
+    /// Serve mode: carry each shard's FlowCache across back-to-back
+    /// `run*` calls on the same engine instead of starting every
+    /// segment cold. Flow affinity is preserved (the RSS mapping is a
+    /// pure function of digest and shard count, both fixed per engine),
+    /// so shard `i` always gets shard `i`'s cache back. Batch buffer
+    /// pools and frame pools are *always* reused across runs — that is
+    /// the zero-steady-state-allocation claim the soak harness pins —
+    /// this flag only controls the flow *state*.
+    pub carry_flow_state: bool,
+}
+
+impl EngineConfig {
+    /// Defaults for `shards` workers: one RX queue (fair-merged),
+    /// 64-packet batches, 64-batch queues, 2^12-row partitions, one
+    /// host worker.
+    pub fn new(shards: usize) -> EngineConfig {
+        EngineConfig {
+            shards,
+            datapath: DatapathMode::Pipeline,
+            pin_cores: false,
+            rx_queues: 1,
+            merge: MergePolicy::Fair,
+            batch: 64,
+            queue_batches: 64,
+            cache_row_bits: 12,
+            host_workers: 1,
+            host_queue: 4096,
+            triage_threshold: 64,
+            enforce_verdicts: true,
+            hash_seed: 0x51CC,
+            cache_burst: smartwatch_snic::BURST,
+            control: None,
+            trace_sample: 0,
+            carry_flow_state: false,
+        }
+    }
+
+    /// Attach a control plane (its hash seed is forced to the engine's
+    /// so verdict/steering digests line up with dispatch digests).
+    pub fn with_control(mut self, mut ctrl: ControlConfig) -> EngineConfig {
+        ctrl.hash_seed = self.hash_seed;
+        self.control = Some(ctrl);
+        self
+    }
+
+    /// The byte-deterministic replay recipe with `rx_queues` dispatchers:
+    /// one shard, inline triage (`host_workers = 0`, no thread-timing
+    /// races on the verdict log) and the ordered lane merge (shard
+    /// processing order independent of dispatcher scheduling). Two
+    /// same-seed runs — at *any* queue count — produce byte-identical
+    /// [`deterministic_summary`](crate::EngineReport::deterministic_summary)
+    /// output.
+    pub fn deterministic(rx_queues: usize) -> EngineConfig {
+        let mut cfg = EngineConfig::new(1);
+        cfg.rx_queues = rx_queues;
+        cfg.merge = MergePolicy::Ordered;
+        cfg.host_workers = 0;
+        cfg
+    }
+
+    /// Ingest units the engine actually runs: the dispatcher count in
+    /// pipeline mode, the fused core (= shard) count in RTC mode. This
+    /// is how many `runtime.queue.*{queue=Q}` label sets the run
+    /// populates and how many entries
+    /// [`EngineReport::queues`](crate::EngineReport::queues) carries.
+    pub fn ingest_units(&self) -> usize {
+        match self.datapath {
+            DatapathMode::Pipeline => self.rx_queues,
+            DatapathMode::Rtc => self.shards,
+        }
+    }
+}
+
+/// How the replay driver offers packets to the engine.
+#[derive(Clone, Copy, Debug)]
+pub enum Pace {
+    /// As fast as the shards accept: a full queue exerts backpressure on
+    /// the dispatcher (no drops). Measures pipeline capacity.
+    Flatout,
+    /// Open-loop at a target offered rate in Mpps: a full queue at
+    /// arrival time is a counted drop, like a NIC RX ring overrun.
+    RateMpps(f64),
+    /// Open-loop at `base_mpps` with one rectangular overload spike at
+    /// `peak_mpps` while the replay position is inside
+    /// `[spike_start, spike_end)` (fractions of the packet sequence).
+    /// This is the control plane's repro workload: the spike drives
+    /// Algorithm 4 into Lite and (if sustained) engages shedding; the
+    /// return to base rate must recover General.
+    Spike {
+        /// Offered rate outside the spike, Mpps.
+        base_mpps: f64,
+        /// Offered rate inside the spike, Mpps.
+        peak_mpps: f64,
+        /// Spike start as a fraction of the sequence, `0.0..=1.0`.
+        spike_start: f64,
+        /// Spike end as a fraction of the sequence, `0.0..=1.0`.
+        spike_end: f64,
+    },
+}
+
+/// What the engine replays: a slice of pre-built model packets (the
+/// synthetic path) or a packed arena of validated wire frames parsed in
+/// place at dispatch (the zero-copy wire path).
+#[derive(Clone, Copy)]
+pub enum FrameSource<'a> {
+    /// Generator output replayed as owned [`Packet`] values.
+    Packets(&'a [Packet]),
+    /// Compiled or captured wire frames ([`FrameStore`]): ingest units
+    /// load raw bytes into a [`FramePool`](crate::FramePool), parse
+    /// headers in place with [`FrameView`](smartwatch_net::FrameView)
+    /// and digest straight from the header bytes.
+    Wire(&'a FrameStore),
+}
+
+impl FrameSource<'_> {
+    /// Packets this source offers.
+    pub fn len(&self) -> usize {
+        match self {
+            FrameSource::Packets(p) => p.len(),
+            FrameSource::Wire(s) => s.len(),
+        }
+    }
+
+    /// True when the source offers nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}

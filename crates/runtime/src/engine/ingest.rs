@@ -1,0 +1,725 @@
+//! Ingest = feed × sink: the one loop every ingest thread runs.
+//!
+//! A [`Feed`] yields a unit's share of the offered trace as digested
+//! packets in arrival order — [`PacketFeed`] digests model packets,
+//! [`WireFeed`] receives wire frames in 8-wide bursts (load → parse in
+//! place → digest from the header bytes → release). A [`Sink`] takes
+//! what survives steering — [`LaneSink`] stages per shard and flushes
+//! onto the SPSC mesh (the pipeline's `sw-rxq-{q}` dispatcher),
+//! [`ShardSink`] stages one batch and runs it in place on the shard
+//! worker it owns (the fused `sw-core-{i}` of the run-to-completion
+//! datapath). [`Ingest::run`] is everything in between, once: the
+//! 256-packet checkpoint (drain, pacing, steering refresh, black-box
+//! coalescing, counter fold, span sampling), the steering filter and
+//! the end-of-stream tail. The two topologies differ only in the
+//! [`Sink`] hooks: whose shard counters a steering drop lands on, how a
+//! paced unit waits, what its block span is called, and what it hands
+//! back.
+
+use super::config::{FrameSource, Pace};
+use super::report::{QueueCounters, QueueStats};
+use crate::batch::{Backoff, Batch, BufferPool, DigestedPacket};
+use crate::frame::{FramePool, FrameSlot};
+use crate::obs::ThreadTrace;
+use crate::shard::{ShardCounters, ShardEndState, ShardMsg, ShardWorker};
+use crate::spsc::Producer;
+use smartwatch_control::{SnapshotReader, SteeringSnapshot};
+use smartwatch_net::hash::shard_for_digest;
+use smartwatch_net::{FlowHasher, FrameStore, FrameView, HashDigest, Packet, RawTuple};
+use smartwatch_snic::FlowCache;
+use smartwatch_telemetry::{FlightKind, FlightRing};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// Packets between checkpoints.
+const CHECKPOINT: usize = 256;
+
+/// Frames per wire-path burst. Must match the width of
+/// [`FlowHasher::digest_batch8`] and divide [`CHECKPOINT`] so
+/// checkpoints always land on burst boundaries.
+const BURST: usize = 8;
+
+/// A paced unit's arrival schedule: the run's [`Pace`] resolved against
+/// the trace length into closed form over *global* packet indices —
+/// every ingest unit computes its packets' due times from their global
+/// sequence numbers, so R queues replay the same wall-clock arrival
+/// process the single dispatcher would and a spike hits every queue in
+/// the same window — plus the live override (see
+/// `Engine::set_rate_override`) from the packet it was first observed at.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Pacer {
+    /// Inter-arrival gap (ns) outside and inside the spike window
+    /// `[lo, hi)`; a constant rate is a spike of no packets.
+    base_gap_ns: f64,
+    peak_gap_ns: f64,
+    lo: usize,
+    hi: usize,
+    /// `f64::to_bits` of the overriding gap (ns); `0` = no override.
+    bits: u64,
+    /// Due time (ns) and global index of the packet the override
+    /// anchored at.
+    anchor_due: f64,
+    anchor_i: usize,
+}
+
+impl Pacer {
+    /// `None` for flat-out: no arrival schedule, nothing to wait for,
+    /// and the live override is ignored.
+    pub(crate) fn resolve(pace: Pace, total: usize) -> Option<Pacer> {
+        let (base_mpps, peak_mpps, spike_start, spike_end) = match pace {
+            Pace::Flatout => return None,
+            Pace::RateMpps(r) => (r, r, 0.0, 0.0),
+            Pace::Spike {
+                base_mpps,
+                peak_mpps,
+                spike_start,
+                spike_end,
+            } => (base_mpps, peak_mpps, spike_start, spike_end),
+        };
+        assert!(
+            base_mpps > 0.0 && peak_mpps > 0.0,
+            "offered rates must be positive"
+        );
+        assert!(
+            spike_start <= spike_end,
+            "spike must not end before it starts"
+        );
+        let total = total as f64;
+        Some(Pacer {
+            base_gap_ns: 1000.0 / base_mpps,
+            peak_gap_ns: 1000.0 / peak_mpps,
+            lo: (spike_start.clamp(0.0, 1.0) * total) as usize,
+            hi: (spike_end.clamp(0.0, 1.0) * total) as usize,
+            bits: 0,
+            anchor_due: 0.0,
+            anchor_i: 0,
+        })
+    }
+
+    /// Arrival deadline of global packet `i`. Under the plan: the sum of
+    /// inter-arrival gaps of packets `0..=i`, in closed form so
+    /// per-queue replay needs no shared accumulator. Under an override:
+    /// its gap, forward from the anchor.
+    fn due_ns(&self, i: usize) -> f64 {
+        if self.bits != 0 {
+            return self.anchor_due + (i - self.anchor_i) as f64 * f64::from_bits(self.bits);
+        }
+        let arrived = i + 1;
+        let in_spike = arrived.clamp(self.lo, self.hi) - self.lo;
+        (arrived - in_spike) as f64 * self.base_gap_ns + in_spike as f64 * self.peak_gap_ns
+    }
+
+    /// Pick up a changed override at packet `i`: re-anchor at its due
+    /// time under the *old* schedule, so the new gap applies strictly
+    /// forward — no retroactive burst, no stall. Releasing the override
+    /// (`bits = 0`) returns to the plan's absolute schedule.
+    fn observe(&mut self, bits: u64, i: usize) {
+        if bits != self.bits {
+            self.anchor_due = self.due_ns(i);
+            self.anchor_i = i;
+            self.bits = bits;
+        }
+    }
+}
+
+/// One ingest unit's share of the offered trace, as ascending global
+/// indices — so each sub-stream preserves arrival order (and flow
+/// affinity comes from the digest-based assignment).
+pub(crate) enum QueueStream {
+    /// A single unit replays the whole source: no split pre-pass.
+    All(usize),
+    Picked(Vec<u32>),
+}
+
+impl QueueStream {
+    /// Global index of this stream's `k`-th packet.
+    fn get(&self, k: usize) -> Option<usize> {
+        match self {
+            QueueStream::All(len) => (k < *len).then_some(k),
+            QueueStream::Picked(idx) => idx.get(k).map(|&i| i as usize),
+        }
+    }
+}
+
+/// Split the trace across `units` ingest units by flow digest — the
+/// software stand-in for NIC RSS / hardware flow steering, done outside
+/// the timed region (the timed loop still digests every packet itself,
+/// so per-packet work is identical at every unit count and in both
+/// datapaths). `assign` is the topology's placement: the salted
+/// [`queue_for_digest`](smartwatch_net::hash::queue_for_digest) remix
+/// for mesh dispatchers, straight [`shard_for_digest`] for fused cores
+/// (a core ingests exactly the packets whose FlowCache rows it owns).
+/// Wire sources digest from the raw header bytes
+/// ([`FlowHasher::digest_raw`], bit-identical to the key-based digest),
+/// so a flow lands on the same unit in either representation.
+pub(crate) fn split_streams(
+    source: FrameSource<'_>,
+    units: usize,
+    hasher: &FlowHasher,
+    assign: impl Fn(HashDigest) -> usize,
+) -> Vec<QueueStream> {
+    let len = source.len();
+    if units == 1 {
+        return vec![QueueStream::All(len)];
+    }
+    let mut picked: Vec<Vec<u32>> = (0..units)
+        .map(|_| Vec::with_capacity(len / units + 1))
+        .collect();
+    for i in 0..len {
+        let digest = match source {
+            FrameSource::Packets(packets) => hasher.hash_symmetric(&packets[i].key),
+            FrameSource::Wire(store) => hasher.digest_raw(store.view(i).raw_tuple()).1,
+        };
+        picked[assign(digest)].push(i as u32);
+    }
+    picked.into_iter().map(QueueStream::Picked).collect()
+}
+
+/// A unit's sub-stream as digested packets in arrival order.
+pub(crate) trait Feed {
+    /// Global index of the packet the next [`Feed::next`] yields, `None`
+    /// at end of stream. Asked at checkpoints only, *before* the packet
+    /// is touched: pacing and drain decide on it first.
+    fn head(&self) -> Option<usize>;
+    fn next(&mut self) -> Option<DigestedPacket>;
+    /// The frame pool to re-park, if the feed owns one.
+    fn into_frames(self) -> Option<FramePool>;
+}
+
+/// The synthetic path: model packets, digested one by one.
+struct PacketFeed<'a> {
+    packets: &'a [Packet],
+    stream: QueueStream,
+    pos: usize,
+    hasher: FlowHasher,
+}
+
+impl Feed for PacketFeed<'_> {
+    fn head(&self) -> Option<usize> {
+        self.stream.get(self.pos)
+    }
+
+    // Always inlined: out of line, every packet comes back through
+    // memory and is copied once more into the staging buffer.
+    #[inline(always)]
+    fn next(&mut self) -> Option<DigestedPacket> {
+        let i = self.stream.get(self.pos)?;
+        self.pos += 1;
+        let pkt = &self.packets[i];
+        let (canon, digest) = self.hasher.digest_symmetric(&pkt.key);
+        Some(DigestedPacket {
+            pkt: *pkt,
+            canon,
+            digest,
+            seq: i as u64,
+        })
+    }
+
+    fn into_frames(self) -> Option<FramePool> {
+        None
+    }
+}
+
+/// The zero-copy wire path: packed frames received in [`BURST`]-sized
+/// bursts into this unit's [`FramePool`] (the software RX ring).
+struct WireFeed<'a> {
+    store: &'a FrameStore,
+    stream: QueueStream,
+    pos: usize,
+    hasher: FlowHasher,
+    frames: FramePool,
+    /// The received burst and how much of it has been handed out.
+    burst: [Option<DigestedPacket>; BURST],
+    at: usize,
+    len: usize,
+}
+
+impl WireFeed<'_> {
+    /// Receive the next burst (full except at the stream's tail). Load
+    /// raw bytes into pooled slots (the DMA step of the RX-ring model),
+    /// parse the headers in place, digest all eight flows straight from
+    /// the header bytes ([`FlowHasher::digest_batch8`] — bit-identical
+    /// to the key-based digest, so placement and FlowCache rows match
+    /// the synthetic path exactly), rebuild the model [`Packet`]s from
+    /// view + sideband, and release the slots. Steady state touches no
+    /// allocator: the pool's 8 slots recycle for the whole run.
+    fn receive(&mut self) -> bool {
+        let mut idx = [0usize; BURST];
+        let mut m = 0;
+        while m < BURST {
+            let Some(i) = self.stream.get(self.pos + m) else {
+                break;
+            };
+            idx[m] = i;
+            m += 1;
+        }
+        self.pos += m;
+        let mut slots: [Option<FrameSlot>; BURST] = Default::default();
+        for (slot, &i) in slots.iter_mut().zip(&idx[..m]) {
+            *slot = Some(self.frames.load(self.store.frame(i)));
+        }
+        // The views borrow the pool, so this scope ends before the
+        // slots go back on the free list.
+        {
+            let mut tuples = [RawTuple::default(); BURST];
+            let mut views: [Option<FrameView<'_>>; BURST] = Default::default();
+            for j in 0..m {
+                let slot = slots[j].as_ref().expect("slot loaded");
+                let v = FrameView::parse(self.frames.frame(slot))
+                    .expect("frame validated at store construction");
+                tuples[j] = v.raw_tuple();
+                views[j] = Some(v);
+            }
+            let wide = (m == BURST).then(|| self.hasher.digest_batch8(&tuples));
+            for j in 0..m {
+                let v = views[j].expect("view parsed");
+                let (canon, digest) = match &wide {
+                    Some(digested) => digested[j],
+                    None => self.hasher.digest_raw(tuples[j]),
+                };
+                self.burst[j] = Some(DigestedPacket {
+                    pkt: self.store.meta(idx[j]).packet(&v),
+                    canon,
+                    digest,
+                    seq: idx[j] as u64,
+                });
+            }
+        }
+        for slot in slots.iter_mut() {
+            if let Some(s) = slot.take() {
+                self.frames.release(s);
+            }
+        }
+        self.at = 0;
+        self.len = m;
+        m > 0
+    }
+}
+
+impl Feed for WireFeed<'_> {
+    fn head(&self) -> Option<usize> {
+        debug_assert_eq!(self.at, self.len, "checkpoints land on burst starts");
+        self.stream.get(self.pos)
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<DigestedPacket> {
+        if self.at == self.len && !self.receive() {
+            return None;
+        }
+        self.at += 1;
+        self.burst[self.at - 1]
+    }
+
+    fn into_frames(self) -> Option<FramePool> {
+        Some(self.frames)
+    }
+}
+
+/// Where steered packets go, and the handful of places the two thread
+/// topologies genuinely differ.
+pub(crate) trait Sink {
+    /// What the unit hands back besides its pools.
+    type Out;
+    /// Name and category of the sampled checkpoint-block span.
+    const SPAN: (&'static str, &'static str);
+    /// The shard books a steering drop of `digest` lands on.
+    fn shard_counters(&self, digest: HashDigest) -> &ShardCounters;
+    /// Wait out a paced arrival gap, until `due` after `start`. The
+    /// open-loop default parks for the bulk of a long gap (an idle
+    /// dispatcher must not burn the core at low offered rates), then
+    /// yield-spins the final stretch for timing accuracy.
+    fn wait_until(&mut self, start: Instant, due: Duration) {
+        while let Some(remaining) = due.checked_sub(start.elapsed()) {
+            if remaining > Duration::from_micros(500) {
+                std::thread::park_timeout(remaining - Duration::from_micros(200));
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+    /// Stage one packet; a full batch moves on.
+    fn push(&mut self, dp: DigestedPacket, local: &mut QueueStats);
+    /// End of stream (or drain): move every staged packet on.
+    fn flush(&mut self, local: &mut QueueStats);
+    /// Quiesce downstream and hand the buffer pool back.
+    fn close(self) -> (BufferPool, Self::Out);
+}
+
+/// The pipeline dispatcher's sink: one staging buffer per shard, full
+/// batches flushed onto this queue's row of the SPSC mesh.
+pub(crate) struct LaneSink<'a> {
+    /// Owned, not shared: a pool's receiver is single-consumer, so each
+    /// dispatcher allocates from (and paced drops return to) its own.
+    pool: BufferPool,
+    producers: Vec<Producer<ShardMsg>>,
+    bufs: Vec<Vec<DigestedPacket>>,
+    counters: &'a [ShardCounters],
+    batch: usize,
+    paced: bool,
+    flight: FlightRing,
+}
+
+impl<'a> LaneSink<'a> {
+    pub(crate) fn new(
+        pool: BufferPool,
+        producers: Vec<Producer<ShardMsg>>,
+        counters: &'a [ShardCounters],
+        batch: usize,
+        paced: bool,
+        flight: FlightRing,
+    ) -> LaneSink<'a> {
+        LaneSink {
+            bufs: producers.iter().map(|_| pool.acquire()).collect(),
+            pool,
+            producers,
+            counters,
+            batch,
+            paced,
+            flight,
+        }
+    }
+
+    fn send(&self, s: usize, batch: Vec<DigestedPacket>, local: &mut QueueStats) {
+        let len = batch.len() as u64;
+        let tx = &self.producers[s];
+        let msg = ShardMsg::Batch(Batch {
+            pkts: batch,
+            sent: Instant::now(),
+        });
+        let pushed = if self.paced {
+            tx.try_push(msg)
+        } else {
+            tx.push_blocking(msg);
+            Ok(())
+        };
+        match pushed {
+            Ok(()) => {
+                self.counters[s].ingested.add(len);
+                local.ingested += len;
+            }
+            // Open loop: a full ring at arrival time is a loss, and it
+            // is *accounted* — never silent. The buffer itself goes
+            // straight back to the pool.
+            Err(ShardMsg::Batch(b)) => {
+                self.counters[s].ingest_dropped.add(len);
+                local.ingest_dropped += len;
+                self.flight.record(FlightKind::IngestDrop, s as u64, len);
+                self.pool.give_back(b.pkts);
+            }
+            Err(ShardMsg::Stop) => unreachable!("send only pushes batches"),
+        }
+        // With R queues the gauge tracks this lane's depth (last writer
+        // wins across queues; the peak gauge is a max, so it stays a
+        // true high-water mark of any single lane).
+        let depth = tx.len() as f64;
+        self.counters[s].queue_depth.set(depth);
+        self.counters[s].queue_depth_peak.set_max(depth);
+    }
+}
+
+impl Sink for LaneSink<'_> {
+    type Out = ();
+    const SPAN: (&'static str, &'static str) = ("dispatch", "rxq");
+
+    fn shard_counters(&self, digest: HashDigest) -> &ShardCounters {
+        &self.counters[shard_for_digest(digest, self.counters.len())]
+    }
+
+    #[inline]
+    fn push(&mut self, dp: DigestedPacket, local: &mut QueueStats) {
+        let s = shard_for_digest(dp.digest, self.bufs.len());
+        self.bufs[s].push(dp);
+        if self.bufs[s].len() == self.batch {
+            let batch = std::mem::replace(&mut self.bufs[s], self.pool.acquire());
+            self.send(s, batch, local);
+        }
+    }
+
+    fn flush(&mut self, local: &mut QueueStats) {
+        for s in 0..self.bufs.len() {
+            if !self.bufs[s].is_empty() {
+                let batch = std::mem::take(&mut self.bufs[s]);
+                self.send(s, batch, local);
+            }
+        }
+    }
+
+    /// `Stop` down every lane (never dropped — blocks until a slot
+    /// frees), so a drained dispatcher quiesces the mesh *exactly* like
+    /// end-of-trace.
+    fn close(self) -> (BufferPool, ()) {
+        for tx in &self.producers {
+            tx.push_blocking(ShardMsg::Stop);
+        }
+        (self.pool, ())
+    }
+}
+
+/// The fused core's sink: one staging buffer, run in place on the owned
+/// [`ShardWorker`] at every `batch`-packet boundary — exactly where the
+/// mesh dispatcher would have flushed a lane batch, so per-shard
+/// decision streams are identical to the pipeline's. The pre-split
+/// guarantees every packet belongs to this core's partition: nothing to
+/// route, no lane to overrun (`ingest_dropped` stays 0 — a paced core
+/// self-backpressures instead) and no queue crossing
+/// (`runtime.stage.queue_ns` records nothing, which is the point).
+pub(crate) struct ShardSink {
+    /// One buffer lives for the whole run; the pool stays tiny because
+    /// nothing is ever in flight on a lane.
+    pool: BufferPool,
+    buf: Vec<DigestedPacket>,
+    batch: usize,
+    backoff: Backoff,
+    worker: ShardWorker,
+}
+
+impl ShardSink {
+    pub(crate) fn new(pool: BufferPool, batch: usize, worker: ShardWorker) -> ShardSink {
+        ShardSink {
+            buf: pool.acquire(),
+            pool,
+            batch,
+            backoff: Backoff::new(),
+            worker,
+        }
+    }
+}
+
+impl Sink for ShardSink {
+    type Out = (ShardEndState, FlowCache);
+    const SPAN: (&'static str, &'static str) = ("rtc block", "core");
+
+    fn shard_counters(&self, _digest: HashDigest) -> &ShardCounters {
+        &self.worker.counters
+    }
+
+    /// The shard [`Backoff`] ladder (spin → yield → park, parks counted
+    /// as `idle_parks`): the core is also the shard, so at low offered
+    /// rates it must not busy-spin the CPU its own processing runs on.
+    fn wait_until(&mut self, start: Instant, due: Duration) {
+        while start.elapsed() < due {
+            if self.backoff.idle() {
+                self.worker.counters.idle_parks.inc();
+            }
+        }
+        self.backoff.reset();
+    }
+
+    #[inline]
+    fn push(&mut self, dp: DigestedPacket, local: &mut QueueStats) {
+        self.buf.push(dp);
+        if self.buf.len() == self.batch {
+            self.flush(local);
+        }
+    }
+
+    fn flush(&mut self, local: &mut QueueStats) {
+        if self.buf.is_empty() {
+            return;
+        }
+        let len = self.buf.len() as u64;
+        self.worker.counters.ingested.add(len);
+        local.ingested += len;
+        self.worker.setup.stage.batch_pkts.record(len);
+        self.worker.control_tick();
+        self.worker.process_batch(&self.buf);
+        self.worker.flush_local();
+        self.buf.clear();
+    }
+
+    /// The worker's stop tail: final verdicts, detector sweep,
+    /// end-state freeze.
+    fn close(self) -> (BufferPool, Self::Out) {
+        self.pool.give_back(self.buf);
+        (self.pool, self.worker.finish())
+    }
+}
+
+/// What an ingest thread hands back at end of stream: its reusable
+/// pools (re-parked for the next segment), whether it stopped on a
+/// drain request rather than end-of-trace, and the sink's own result.
+pub(crate) struct IngestEnd<T> {
+    pub pool: BufferPool,
+    pub frames: Option<FramePool>,
+    pub interrupted: bool,
+    pub out: T,
+}
+
+/// One ingest unit: replays its sub-stream at the globally-scheduled
+/// arrival times, enforces steering, and feeds its [`Sink`].
+pub(crate) struct Ingest<'a, S: Sink> {
+    pub enforce_verdicts: bool,
+    /// This unit's ingest books (`runtime.queue.*{queue=…}`; in RTC the
+    /// ingest unit *is* the core).
+    pub queue: &'a QueueCounters,
+    pub steer: Option<SnapshotReader<SteeringSnapshot>>,
+    pub pacer: Option<Pacer>,
+    /// Engine-shared live rate override and graceful-drain flag, both
+    /// observed at checkpoints.
+    pub pace_override: &'a AtomicU64,
+    pub drain: &'a AtomicBool,
+    pub start: Instant,
+    /// This thread's flight-recorder ring (always on; drop events only).
+    pub flight: FlightRing,
+    /// Sampled checkpoint-block trace track (`None` when tracing is off).
+    pub trace: Option<ThreadTrace>,
+    pub sink: S,
+}
+
+/// Per-checkpoint-block trace/flight state: one sampling decision per
+/// 256-packet window covers the whole window's span (`t0` is its start
+/// when sampled).
+#[derive(Default)]
+struct BlockState {
+    t0: Option<Instant>,
+    idx: u64,
+}
+
+impl<S: Sink> Ingest<'_, S> {
+    /// Replay `stream` out of `source` to the end (or a drain request).
+    pub(crate) fn run(
+        self,
+        source: FrameSource<'_>,
+        stream: QueueStream,
+        hasher: FlowHasher,
+        frames: Option<FramePool>,
+    ) -> IngestEnd<S::Out> {
+        match source {
+            FrameSource::Packets(packets) => self.pump(PacketFeed {
+                packets,
+                stream,
+                pos: 0,
+                hasher,
+            }),
+            FrameSource::Wire(store) => self.pump(WireFeed {
+                store,
+                stream,
+                pos: 0,
+                hasher,
+                frames: frames.expect("wire ingest requires a frame pool"),
+                burst: [None; BURST],
+                at: 0,
+                len: 0,
+            }),
+        }
+    }
+
+    fn pump<F: Feed>(mut self, mut feed: F) -> IngestEnd<S::Out> {
+        let mut local = QueueStats::default();
+        let mut block = BlockState::default();
+        let mut k = 0usize;
+        let mut interrupted = false;
+        'stream: while let Some(head) = feed.head() {
+            if self.checkpoint(k, head, &mut local, &mut block) {
+                interrupted = true;
+                break;
+            }
+            for _ in 0..CHECKPOINT {
+                let Some(dp) = feed.next() else {
+                    break 'stream;
+                };
+                k += 1;
+                local.offered += 1;
+                if !self.steered_out(&dp, &mut local) {
+                    self.sink.push(dp, &mut local);
+                }
+            }
+        }
+        // The tail — shared with the graceful-drain path, which is the
+        // point: a drained unit quiesces *exactly* like end-of-trace.
+        self.sink.flush(&mut local);
+        self.end_span(&mut block);
+        self.settle(&mut local, block.idx + 1);
+        let (pool, out) = self.sink.close();
+        IngestEnd {
+            pool,
+            frames: feed.into_frames(),
+            interrupted,
+            out,
+        }
+    }
+
+    /// The 256-packet checkpoint: observe a pending drain request
+    /// (returns `true`: stop offering, quiesce), pick up the live pace
+    /// override and pace to the block's first global arrival time,
+    /// refresh the steering snapshot, settle the finished block's books
+    /// and make the new block's trace-sampling decision.
+    fn checkpoint(
+        &mut self,
+        k: usize,
+        head: usize,
+        local: &mut QueueStats,
+        block: &mut BlockState,
+    ) -> bool {
+        // Check *before* pacing: a drain request must not wait out a
+        // long inter-arrival sleep at low offered rates.
+        if self.drain.load(Ordering::Acquire) {
+            return true;
+        }
+        if let Some(pacer) = self.pacer.as_mut() {
+            pacer.observe(self.pace_override.load(Ordering::Acquire), head);
+            let due = Duration::from_nanos(pacer.due_ns(head) as u64);
+            self.sink.wait_until(self.start, due);
+        }
+        // One atomic load; re-clones the snapshot Arc only when the
+        // controller published since the last check.
+        if let Some(sr) = self.steer.as_mut() {
+            sr.refresh();
+        }
+        if k > 0 {
+            block.idx = (k / CHECKPOINT) as u64;
+            self.settle(local, block.idx);
+        }
+        self.end_span(block);
+        if let Some(tt) = self.trace.as_mut() {
+            block.t0 = tt.tick().then(Instant::now);
+        }
+        false
+    }
+
+    /// Emit the finished block's span, if it was sampled.
+    fn end_span(&self, block: &mut BlockState) {
+        if let (Some(t0), Some(tt)) = (block.t0.take(), &self.trace) {
+            tt.span_since(t0, S::SPAN.0, S::SPAN.1);
+        }
+    }
+
+    /// Close a block's books: coalesce its steering drops into the
+    /// black box (`local` resets at every fold, so its values are
+    /// exactly the per-block deltas) and fold the live counters.
+    fn settle(&self, local: &mut QueueStats, block_idx: u64) {
+        if local.shed > 0 {
+            self.flight
+                .record(FlightKind::ShedDrop, local.shed, block_idx);
+        }
+        if local.steer_dropped > 0 {
+            self.flight
+                .record(FlightKind::SteerDrop, local.steer_dropped, block_idx);
+        }
+        self.queue.fold(local);
+    }
+
+    /// Steering enforcement at ingest: blacklisted flows drop here —
+    /// prevention at the earliest point — and under load shedding only
+    /// whitelisted flows pass. Both are accounted per shard *and* per
+    /// queue, so conservation includes them on both axes.
+    #[inline]
+    fn steered_out(&self, dp: &DigestedPacket, local: &mut QueueStats) -> bool {
+        let Some(sr) = &self.steer else {
+            return false;
+        };
+        let snap = sr.current();
+        if self.enforce_verdicts && snap.blacklist.contains(&dp.digest.0) {
+            self.sink.shard_counters(dp.digest).steer_dropped.inc();
+            local.steer_dropped += 1;
+            true
+        } else if snap.shed && !snap.whitelist.contains(&dp.digest.0) {
+            self.sink.shard_counters(dp.digest).shed.inc();
+            local.shed += 1;
+            true
+        } else {
+            false
+        }
+    }
+}

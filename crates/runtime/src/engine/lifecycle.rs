@@ -1,0 +1,1028 @@
+//! The [`Engine`] and its one segment lifecycle: every `run*` call
+//! opens a segment (verdict log, host pool, counters and their
+//! baselines, un-parked pools and caches, control plane, shard
+//! workers), runs the topology-specific middle — R dispatcher threads
+//! feeding N shard threads over the lane mesh, or N fused cores — and
+//! closes it (pool shutdown, controller stop, re-park, report,
+//! flight-recorder close-out).
+
+use super::config::{DatapathMode, EngineConfig, FrameSource, Pace};
+use super::ingest::{split_streams, Ingest, IngestEnd, LaneSink, Pacer, ShardSink, Sink};
+use super::report::{
+    books_value, decision_value, queue_stats_delta, shard_stats_delta, stage_value, uint,
+    EngineReport, FlowCacheSummary, QueueCounters, QueueStats,
+};
+use crate::batch::BufferPool;
+use crate::control::{ControlLog, LogReader};
+use crate::escalate::{HostObs, HostPool, TriageNf};
+use crate::frame::FramePool;
+use crate::obs::{ThreadTrace, TraceSpec};
+use crate::service::{AdminCmd, AdminQueue};
+use crate::shard::{
+    ControlHooks, Escalation, LaneRx, ShardCounters, ShardEndState, ShardMsg, ShardObs, ShardSetup,
+    ShardStats, ShardWorker, StageHists,
+};
+use crate::spsc::spsc;
+use serde::{Number, Value};
+use smartwatch_control::{
+    ControlReport, Controller, DecisionRecord, EpochInput, ModeCell, ShardSample, SnapshotCell,
+    SnapshotReader, SteeringSnapshot,
+};
+use smartwatch_net::hash::{queue_for_digest, shard_for_digest, splitmix64};
+use smartwatch_net::{FlowHasher, FrameStore, HashDigest, Packet};
+use smartwatch_snic::{FlowCache, FlowCacheConfig, Mode};
+use smartwatch_telemetry::{
+    mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, Registry, Tracer, WallAnchor,
+};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Reusable run-scoped resources parked between `run*` calls so a
+/// long-running service allocates nothing per segment: per-queue batch
+/// buffer pools and (wire mode) frame pools always; per-shard
+/// FlowCaches when [`EngineConfig::carry_flow_state`] is set. The mesh
+/// shape is fixed per engine, so whatever is parked always fits.
+/// Un-parking is FIFO (pop order matches park order): each queue gets
+/// its *own* warmed pool back — the salted RSS split is uneven, so a
+/// LIFO swap would hand the heaviest queue the lightest pool and pay a
+/// one-time re-allocation every time the assignment flips — and shard
+/// `i` gets shard `i`'s cache back (RSS placement is a pure function of
+/// digest and shard count, so carried flow state stays affine).
+#[derive(Default)]
+struct Garage {
+    pools: VecDeque<BufferPool>,
+    frames: VecDeque<FramePool>,
+    caches: VecDeque<FlowCache>,
+}
+
+/// The sharded wall-clock engine.
+pub struct Engine {
+    cfg: EngineConfig,
+    registry: Registry,
+    /// Chrome-trace sink for sampled wall-clock spans; set by
+    /// [`Engine::attach_tracer`], inert without one.
+    tracer: Option<Tracer>,
+    /// Always-on black box: bounded lock-free per-thread event rings.
+    flight: FlightRecorder,
+    /// Controller decision audit mirrored out of the control thread so
+    /// live readers (`/stats.json`) can see it mid-run.
+    decisions: Arc<Mutex<VecDeque<DecisionRecord>>>,
+    /// Graceful-drain request: dispatchers observe it at checkpoints,
+    /// stop offering and quiesce the mesh (see [`Engine::request_drain`]).
+    drain: Arc<AtomicBool>,
+    /// Admin command mailbox, drained by the controller each epoch.
+    admin: Arc<AdminQueue>,
+    /// Admin commands the controller has applied (lifetime of the
+    /// engine, across runs).
+    admin_applied: Counter,
+    /// Live pacing override: `f64::to_bits` of the inter-arrival gap in
+    /// ns, `0` = none. Paced dispatchers re-read it at checkpoints.
+    pace_override: Arc<AtomicU64>,
+    /// Resident-set gauge (`runtime.mem.rss_bytes`), sampled per epoch
+    /// by the controller thread and at run boundaries.
+    mem_rss: Gauge,
+    /// Parked run-scoped resources (see [`Garage`]).
+    garage: Mutex<Garage>,
+}
+
+impl Engine {
+    /// Engine with a private metric registry.
+    pub fn new(cfg: EngineConfig) -> Engine {
+        Engine::with_registry(cfg, &Registry::new())
+    }
+
+    /// Engine publishing into an existing registry (`runtime.*` metrics).
+    pub fn with_registry(cfg: EngineConfig, registry: &Registry) -> Engine {
+        assert!(cfg.shards >= 1, "engine needs at least one shard");
+        assert!(cfg.rx_queues >= 1, "engine needs at least one RX queue");
+        assert!(cfg.batch >= 1, "batch size must be at least 1");
+        assert!(cfg.queue_batches >= 1, "queue must hold at least 1 batch");
+        Engine {
+            cfg,
+            registry: registry.clone(),
+            tracer: None,
+            flight: FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY),
+            decisions: Arc::new(Mutex::new(VecDeque::new())),
+            drain: Arc::new(AtomicBool::new(false)),
+            admin: Arc::new(AdminQueue::new(1024)),
+            admin_applied: registry.counter("runtime.admin.applied", &[]),
+            pace_override: Arc::new(AtomicU64::new(0)),
+            mem_rss: registry.gauge("runtime.mem.rss_bytes", &[]),
+            garage: Mutex::new(Garage::default()),
+        }
+    }
+
+    /// The configuration this engine runs with.
+    pub fn config(&self) -> &EngineConfig {
+        &self.cfg
+    }
+
+    /// Ask the current run to drain gracefully: dispatchers observe the
+    /// flag at their 256-packet checkpoints, stop offering, flush their
+    /// staged batches and send the normal `Stop` markers, so the mesh
+    /// quiesces exactly as at end-of-trace and the segment report stays
+    /// conserved (`offered` reflects what was actually offered before
+    /// the drain). The flag stays raised until [`Engine::clear_drain`] —
+    /// a signal landing *between* segments still stops the next one.
+    pub fn request_drain(&self) {
+        self.drain.store(true, Ordering::Release);
+    }
+
+    /// Whether a drain has been requested and not yet cleared.
+    pub fn drain_requested(&self) -> bool {
+        self.drain.load(Ordering::Acquire)
+    }
+
+    /// Re-arm after a drained segment; the serve driver calls this at
+    /// the top of each segment it decides to run.
+    pub fn clear_drain(&self) {
+        self.drain.store(false, Ordering::Release);
+    }
+
+    /// Queue an admin command for the controller to apply at the next
+    /// epoch boundary (the engine must run with a control plane for
+    /// commands to take effect). Returns `false` when the bounded
+    /// mailbox is full — the caller should surface back-pressure to the
+    /// operator rather than silently dropping the edit.
+    pub fn admin(&self, cmd: AdminCmd) -> bool {
+        self.admin.push(cmd)
+    }
+
+    /// Admin commands waiting in the mailbox (not yet applied).
+    pub fn admin_queued(&self) -> usize {
+        self.admin.len()
+    }
+
+    /// Admin commands the controller has applied so far.
+    pub fn admin_applied(&self) -> u64 {
+        self.admin_applied.get()
+    }
+
+    /// Override the offered rate of *paced* runs live: dispatchers
+    /// re-read this at every 256-packet checkpoint and re-anchor their
+    /// arrival schedule, so the change takes effect mid-segment without
+    /// a restart. `None` returns pacing to the run's [`Pace`] plan.
+    /// Flat-out runs (no arrival schedule) ignore the override.
+    pub fn set_rate_override(&self, mpps: Option<f64>) {
+        let bits = match mpps {
+            Some(r) if r > 0.0 && r.is_finite() => (1000.0 / r).to_bits(),
+            _ => 0,
+        };
+        self.pace_override.store(bits, Ordering::Release);
+    }
+
+    /// The live rate override, if any, in Mpps.
+    pub fn rate_override(&self) -> Option<f64> {
+        let bits = self.pace_override.load(Ordering::Acquire);
+        (bits != 0).then(|| 1000.0 / f64::from_bits(bits))
+    }
+
+    /// The metric registry the engine publishes into.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Attach a chrome-trace sink. Spans are emitted only when
+    /// [`EngineConfig::trace_sample`] is non-zero; each engine thread
+    /// opens its own track (`sw-rxq-{q}`, `sw-shard-{i}`,
+    /// `sw-host-{w}`, `sw-control`) named after the OS thread.
+    pub fn attach_tracer(&mut self, tracer: &Tracer) {
+        self.tracer = Some(tracer.clone());
+    }
+
+    /// The engine's flight recorder (drop/mode-switch black box).
+    pub fn flight(&self) -> &FlightRecorder {
+        &self.flight
+    }
+
+    /// The controller's per-epoch decision audit so far (bounded to the
+    /// control config's `decision_capacity`; empty without a control
+    /// plane). Safe to call mid-run — this is what `/stats.json` serves.
+    pub fn decisions(&self) -> Vec<DecisionRecord> {
+        self.decisions
+            .lock()
+            .expect("decision audit poisoned")
+            .iter()
+            .cloned()
+            .collect()
+    }
+
+    /// The live `/stats.json` document: [`EngineReport`]-shaped counters
+    /// read straight from the registry atomics, so it is safe to call
+    /// from any thread at any time. Mid-run, values are at most one
+    /// checkpoint (dispatchers) or one batch (shards) stale; after
+    /// `run()` returns, the conservation counters match the final
+    /// report exactly.
+    pub fn stats_json(&self) -> String {
+        let cfg = &self.cfg;
+        let reg = &self.registry;
+        let shards: Vec<ShardStats> = (0..cfg.shards)
+            .map(|i| ShardCounters::registered(reg, i).snapshot(ShardEndState::default()))
+            .collect();
+        // One label set per dispatcher in pipeline mode, one per fused
+        // core in RTC mode.
+        let queues: Vec<QueueStats> = (0..cfg.ingest_units())
+            .map(|q| QueueCounters::registered(reg, q).snapshot())
+            .collect();
+        let counter = |name: &str| uint(reg.counter(name, &[]).get());
+        let mut doc = books_value(
+            &shards,
+            &queues,
+            reg.counter("runtime.host.processed", &[]).get(),
+        );
+        doc.extend([
+            (
+                "stage".into(),
+                stage_value(&StageHists::registered(reg).snapshot()),
+            ),
+            (
+                "decisions".into(),
+                Value::Array(self.decisions().iter().map(decision_value).collect()),
+            ),
+            (
+                "flight".into(),
+                Value::Object(vec![
+                    ("recorded".into(), uint(self.flight.total_recorded())),
+                    ("dropped".into(), uint(self.flight.total_dropped())),
+                ]),
+            ),
+            (
+                "mem".into(),
+                Value::Object(vec![("rss_bytes".into(), uint(self.mem_rss.get() as u64))]),
+            ),
+            (
+                "pool".into(),
+                Value::Object(vec![
+                    ("allocated".into(), counter("runtime.pool.allocated")),
+                    ("recycled".into(), counter("runtime.pool.recycled")),
+                    (
+                        "frame_allocated".into(),
+                        counter("runtime.frame_pool.allocated"),
+                    ),
+                    (
+                        "frame_recycled".into(),
+                        counter("runtime.frame_pool.recycled"),
+                    ),
+                ]),
+            ),
+            (
+                "service".into(),
+                Value::Object(vec![
+                    ("draining".into(), Value::Bool(self.drain_requested())),
+                    ("admin_queued".into(), uint(self.admin.len() as u64)),
+                    ("admin_applied".into(), uint(self.admin_applied.get())),
+                    (
+                        "rate_override_mpps".into(),
+                        match self.rate_override() {
+                            Some(r) => Value::Number(Number::F(r)),
+                            None => Value::Null,
+                        },
+                    ),
+                ]),
+            ),
+        ]);
+        serde::json::write(&Value::Object(doc), false)
+    }
+
+    /// Replay `packets` through the full pipeline and block until every
+    /// queue is drained and every thread joined.
+    pub fn run(&self, packets: &[Packet], pace: Pace) -> EngineReport {
+        self.run_source(FrameSource::Packets(packets), pace)
+    }
+
+    /// Replay a packed wire-frame store through the full pipeline — the
+    /// zero-copy wire path. Each dispatcher owns a [`FramePool`] (the
+    /// software RX ring): it loads 8-frame bursts into pooled slots,
+    /// parses the Ethernet/IPv4/transport headers in place with
+    /// [`FrameView`](smartwatch_net::FrameView), digests straight from
+    /// the header bytes ([`FlowHasher::digest_batch8`]) and recycles the
+    /// slots —
+    /// allocation-free in steady state. With the ordered merge the
+    /// resulting [`EngineReport::deterministic_summary`] is
+    /// byte-identical to the synthetic run of the same packets.
+    pub fn run_frames(&self, store: &FrameStore, pace: Pace) -> EngineReport {
+        self.run_source(FrameSource::Wire(store), pace)
+    }
+
+    /// Replay any [`FrameSource`] and block until every queue is
+    /// drained and every thread joined. [`Engine::run`] and
+    /// [`Engine::run_frames`] are thin wrappers over this.
+    pub fn run_source(&self, source: FrameSource<'_>, pace: Pace) -> EngineReport {
+        let cfg = &self.cfg;
+        let (n, r) = (cfg.shards, cfg.rx_queues);
+        assert!(
+            source.len() <= u32::MAX as usize,
+            "sequence indices are u32 at split time"
+        );
+
+        // ── Open ────────────────────────────────────────────────────
+        // What every worker shares; the one hasher of the hot path (each
+        // ingest unit digests every packet of its sub-stream exactly
+        // once with it; shards and their identically-seeded FlowCaches
+        // reuse the digest instead of re-hashing) and the finish line
+        // that makes the end-of-stream log apply deterministic (see
+        // `ShardWorker::finish`).
+        let setup = ShardSetup {
+            log: Arc::new(ControlLog::new()),
+            stage: StageHists::registered(&self.registry),
+            host_processed: self.registry.counter("runtime.host.processed", &[]),
+            enforce_verdicts: cfg.enforce_verdicts,
+            hasher: FlowHasher::new(cfg.hash_seed),
+            merge: cfg.merge,
+            group: cfg.batch,
+            burst: cfg.cache_burst,
+            finish_line: Arc::new(Barrier::new(n)),
+        };
+        // One wall-clock origin for the whole run: every thread maps
+        // its `Instant`s through this anchor, so all trace tracks share
+        // an axis. Tracing is live only with a tracer attached AND a
+        // non-zero sampling period — otherwise the spec stays `None`
+        // and the hot paths skip even the `Instant` reads.
+        let spec: Option<TraceSpec> =
+            self.tracer
+                .as_ref()
+                .filter(|_| cfg.trace_sample > 0)
+                .map(|t| TraceSpec {
+                    tracer: t.clone(),
+                    anchor: WallAnchor::new(),
+                    every: cfg.trace_sample,
+                });
+        self.decisions
+            .lock()
+            .expect("decision audit poisoned")
+            .clear();
+
+        // Host pool (None = inline triage on each shard).
+        let pool = (cfg.host_workers > 0).then(|| {
+            let threshold = cfg.triage_threshold;
+            HostPool::spawn(
+                cfg.host_workers,
+                cfg.host_queue,
+                Arc::clone(&setup.log),
+                setup.host_processed.clone(),
+                HostObs::new(setup.stage.escalate_ns.clone(), spec.clone()),
+                move |_| Box::new(TriageNf::new(threshold)),
+            )
+        });
+
+        // Per-shard counters exist before both the control plane (which
+        // samples them) and the workers (which write them); per-unit
+        // ingest books are `runtime.queue.*{queue=q}` in both datapaths.
+        let counters: Vec<ShardCounters> = (0..n)
+            .map(|i| ShardCounters::registered(&self.registry, i))
+            .collect();
+        let qcounters: Vec<QueueCounters> = (0..cfg.ingest_units())
+            .map(|q| QueueCounters::registered(&self.registry, q))
+            .collect();
+
+        // Registry counters are cumulative for the life of the registry
+        // (that is what `/metrics` and `/stats.json` serve), but the
+        // report this call returns is *per run*: capture the baseline
+        // before any thread writes, subtract at report time. A single
+        // fresh-engine run subtracts zeros — byte-identical behaviour —
+        // while back-to-back serve segments each get their own books.
+        let shard_base: Vec<ShardStats> = counters
+            .iter()
+            .map(|c| c.snapshot(ShardEndState::default()))
+            .collect();
+        let queue_base: Vec<QueueStats> = qcounters.iter().map(QueueCounters::snapshot).collect();
+        let host_base = setup.host_processed.get();
+        self.mem_rss.set(mem::rss_bytes() as f64);
+
+        // Un-park whatever the previous run left in the garage: buffer
+        // pools and frame pools are always reused (the soak harness pins
+        // `runtime.pool.allocated` flat across segments); FlowCaches
+        // only under `carry_flow_state`.
+        let mut parked = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
+        if !cfg.carry_flow_state {
+            parked.caches.clear();
+        }
+        let mut repark = Garage::default();
+
+        let mut plane = self.spawn_control(&spec, &setup, &counters);
+        let mut worker = |i: usize, flight: FlightRing, trace: Option<ThreadTrace>| {
+            let cache = parked.caches.pop_front().unwrap_or_else(|| {
+                let mut cache_cfg = FlowCacheConfig::general(cfg.cache_row_bits);
+                cache_cfg.hash_seed = cfg.hash_seed;
+                let mut cache = FlowCache::new(cache_cfg);
+                cache.attach_telemetry(&self.registry);
+                cache
+            });
+            let escalation = match &pool {
+                Some(p) => Escalation::Pool(p.sender()),
+                None => Escalation::Inline(TriageNf::new(cfg.triage_threshold)),
+            };
+            let (counters, hooks) = (counters[i].clone(), plane.shard_hooks[i].take());
+            let obs = ShardObs { flight, trace };
+            ShardWorker::new(&setup, cache, escalation, counters, hooks, obs)
+        };
+        let pacer = Pacer::resolve(pace, source.len());
+        let units = Units {
+            source,
+            pacer,
+            hasher: setup.hasher,
+            spec: &spec,
+            queues: &qcounters,
+            steer: std::mem::take(&mut plane.queue_steer),
+            parked_frames: &mut parked.frames,
+            repark: &mut repark,
+        };
+
+        // ── The topology ────────────────────────────────────────────
+        let mut ends: Vec<ShardEndState> = Vec::with_capacity(n);
+        let mut caches: VecDeque<FlowCache> = VecDeque::with_capacity(n);
+        let mut shard_done = |(end, cache): (ShardEndState, FlowCache)| {
+            ends.push(end);
+            caches.push_back(cache);
+        };
+        let (start, interrupted) = match cfg.datapath {
+            DatapathMode::Pipeline => {
+                // The R×N lane mesh: one single-producer ring per
+                // (queue, shard) pair, so the SPSC discipline survives
+                // multi-queue ingest. Buffer pools are per-queue (a
+                // pool's receiver is single-consumer); each lane carries
+                // a recycler into the pool of the queue that owns it, so
+                // drained buffers go home to the dispatcher that
+                // allocated them.
+                let mut lane_rows: Vec<Vec<LaneRx>> =
+                    (0..n).map(|_| Vec::with_capacity(r)).collect();
+                let mut rows = Vec::with_capacity(r);
+                for _ in 0..r {
+                    // Recycle-channel capacity must cover the worst-case
+                    // in-flight set — n full lanes plus each shard's
+                    // batch in hand, the dispatcher's staged buffers and
+                    // the one just acquired — with headroom, so the
+                    // *entire* working set survives an end-of-run return
+                    // and reparks with the pool. A cap at/below the
+                    // in-flight peak trims buffers at every segment
+                    // boundary and service mode re-allocates them each
+                    // restart (the soak harness pins this at zero).
+                    let pool = parked.pools.pop_front().unwrap_or_else(|| {
+                        BufferPool::new(n * (cfg.queue_batches + 4), cfg.batch, &self.registry)
+                    });
+                    let mut row = Vec::with_capacity(n);
+                    for lanes in lane_rows.iter_mut() {
+                        let (tx, rx) = spsc::<ShardMsg>(cfg.queue_batches);
+                        row.push(tx);
+                        lanes.push(LaneRx {
+                            rx,
+                            recycle: pool.recycler(),
+                        });
+                    }
+                    rows.push((pool, row));
+                }
+                // Shards: one thread each, consuming R lanes.
+                let mut shards = Vec::with_capacity(n);
+                for (i, lanes) in lane_rows.into_iter().enumerate() {
+                    let name = format!("sw-shard-{i}");
+                    let flight = self.flight.ring(name.as_str());
+                    let trace = spec.as_ref().map(|s| s.thread(name.as_str()));
+                    let worker = worker(i, flight, trace);
+                    shards.push(
+                        std::thread::Builder::new()
+                            .name(name)
+                            .spawn(move || worker.run(lanes))
+                            .expect("spawn shard thread"),
+                    );
+                }
+                // The salted queue remix: flow-affine and statistically
+                // independent of the shard mapping.
+                let salt = splitmix64(cfg.hash_seed);
+                let mut rows = rows.into_iter();
+                let clock = self.run_units(
+                    units,
+                    "sw-rxq",
+                    None,
+                    |digest| queue_for_digest(digest, salt, r),
+                    |_, flight| {
+                        let (pool, row) = rows.next().expect("one mesh row per queue");
+                        LaneSink::new(pool, row, &counters, cfg.batch, pacer.is_some(), flight)
+                    },
+                    |()| {},
+                );
+                for h in shards {
+                    shard_done(h.join().expect("shard thread panicked"));
+                }
+                clock
+            }
+            DatapathMode::Rtc => {
+                // Best-effort pin bookkeeping (`--pin-cores`): counts
+                // kernel-accepted masks, so an operator can see when a
+                // cpuset container silently refused the pinning they
+                // asked for.
+                let pinned = self.registry.counter("runtime.core.pinned", &[]);
+                self.run_units(
+                    units,
+                    "sw-core",
+                    cfg.pin_cores.then_some(&pinned),
+                    |digest| shard_for_digest(digest, n),
+                    |i, flight| {
+                        let pool = parked
+                            .pools
+                            .pop_front()
+                            .unwrap_or_else(|| BufferPool::new(4, cfg.batch, &self.registry));
+                        // The core's sampled block spans cover
+                        // processing; the worker emits none of its own.
+                        ShardSink::new(pool, cfg.batch, worker(i, flight, None))
+                    },
+                    shard_done,
+                )
+            }
+        };
+        let elapsed = start.elapsed();
+
+        // ── Close ───────────────────────────────────────────────────
+        // Verdict-log occupancy at quiesce, before the controller's
+        // final epoch drains its tail — the soak harness trends this.
+        let log_buffered = setup.log.buffered() as u64;
+        // Shut the host pool down *after* the shards: its channel drains
+        // and remaining verdicts land in the log (reported, unapplied).
+        if let Some(p) = pool {
+            p.shutdown();
+        }
+        // Stop the controller last: it runs one final epoch (capturing
+        // the post-drain counter tails and any late verdicts) and
+        // returns its report.
+        let control = plane.controller.map(|(handle, stop)| {
+            stop.store(true, Ordering::Release);
+            handle.thread().unpark();
+            handle.join().expect("controller thread panicked")
+        });
+
+        // Re-park the run-scoped resources for the next segment (pools
+        // a packet-mode segment did not need stay parked behind the
+        // returned ones), and settle the segment's books.
+        repark.frames.extend(parked.frames);
+        repark.pools.extend(parked.pools);
+        if cfg.carry_flow_state {
+            repark.caches = caches;
+        }
+        *self.garage.lock().expect("garage poisoned") = repark;
+        self.mem_rss.set(mem::rss_bytes() as f64);
+
+        let shards: Vec<ShardStats> = counters
+            .iter()
+            .zip(&ends)
+            .zip(&shard_base)
+            .map(|((c, e), base)| shard_stats_delta(c.snapshot(*e), base))
+            .collect();
+        let queues: Vec<QueueStats> = qcounters
+            .iter()
+            .zip(&queue_base)
+            .map(|(q, base)| queue_stats_delta(q.snapshot(), base))
+            .collect();
+        let report = EngineReport {
+            // A drained segment offered exactly what its ingest units
+            // got to before the flag: the per-queue tallies. An
+            // uninterrupted run keeps the stronger form — the whole
+            // source, independently cross-checked against the queue
+            // axis by `conserved()`.
+            offered: if interrupted {
+                queues.iter().map(|q| q.offered).sum()
+            } else {
+                source.len() as u64
+            },
+            elapsed,
+            shards,
+            queues,
+            host_processed: setup.host_processed.get() - host_base,
+            verdicts_published: setup.log.len() as u64,
+            interrupted,
+            log_buffered,
+            control,
+            stage: setup.stage.snapshot(),
+            flowcache: FlowCacheSummary::aggregate(cfg.cache_burst, &ends),
+        };
+        // Close out the black box: a conservation failure records its
+        // delta (the smoking gun a post-mortem dump starts from), and
+        // every run ends with a RunEnd marker.
+        let eng_ring = self.flight.ring("sw-engine");
+        if !report.conserved() {
+            let accounted = report
+                .shards
+                .iter()
+                .map(|s| s.ingested + s.ingest_dropped + s.shed + s.steer_dropped)
+                .sum::<u64>();
+            eng_ring.record(
+                FlightKind::ConservationDelta,
+                report.offered.abs_diff(accounted),
+                report.offered,
+            );
+        }
+        eng_ring.record(
+            FlightKind::RunEnd,
+            u64::from(report.conserved()),
+            report.offered,
+        );
+        report
+    }
+
+    /// The ingest stage of either topology: split `source` across the
+    /// units by `assign`, start the segment clock, build one [`Ingest`]
+    /// per unit around the sink `sink` makes for it, run each on its
+    /// own `{name}-{i}` thread (pinned to CPU `i` when `pinned` is
+    /// given) and join them all. Returns the clock origin and whether
+    /// any unit stopped on a drain request; what each sink handed back
+    /// goes to `done`, the units' pools to `repark`.
+    fn run_units<S: Sink + Send>(
+        &self,
+        mut u: Units<'_>,
+        name: &str,
+        pinned: Option<&Counter>,
+        assign: impl Fn(HashDigest) -> usize,
+        mut sink: impl FnMut(usize, FlightRing) -> S,
+        mut done: impl FnMut(S::Out),
+    ) -> (Instant, bool)
+    where
+        S::Out: Send,
+    {
+        let (source, hasher) = (u.source, u.hasher);
+        // Outside the timed region: hardware RSS / flow steering is
+        // free.
+        let streams = split_streams(source, u.queues.len(), &hasher, assign);
+        let start = Instant::now();
+        let ends: Vec<IngestEnd<S::Out>> = std::thread::scope(|scope| {
+            // Build every unit — so register every fused worker's log
+            // reader — *before* spawning any thread: a fused core starts
+            // publishing triage verdicts the moment it runs, and a
+            // reader registered after the log has compacted past the
+            // early publications would silently miss that prefix.
+            let mut built = Vec::with_capacity(streams.len());
+            for (i, stream) in streams.into_iter().enumerate() {
+                // Wire mode: each unit owns a frame pool (the software
+                // RX ring) sized to the largest frame in the store; it
+                // warms up on the first burst and then recycles its 8
+                // slots for the rest of the run. Parked pools are reused
+                // when their slots still fit the store's largest frame.
+                let frames = match source {
+                    FrameSource::Wire(store) => Some(
+                        u.parked_frames
+                            .pop_front()
+                            .filter(|fp| fp.frame_cap() >= store.max_frame_len())
+                            .unwrap_or_else(|| {
+                                FramePool::new(store.max_frame_len(), &self.registry)
+                            }),
+                    ),
+                    FrameSource::Packets(_) => None,
+                };
+                let thread = format!("{name}-{i}");
+                let flight = self.flight.ring(thread.as_str());
+                let ingest = Ingest {
+                    enforce_verdicts: self.cfg.enforce_verdicts,
+                    queue: &u.queues[i],
+                    steer: u.steer[i].take(),
+                    pacer: u.pacer,
+                    pace_override: self.pace_override.as_ref(),
+                    drain: self.drain.as_ref(),
+                    start,
+                    trace: u.spec.as_ref().map(|s| s.thread(thread.as_str())),
+                    sink: sink(i, flight.clone()),
+                    flight,
+                };
+                built.push((thread, ingest, stream, frames));
+            }
+            let handles: Vec<_> = built
+                .into_iter()
+                .enumerate()
+                .map(|(i, (thread, ingest, stream, frames))| {
+                    std::thread::Builder::new()
+                        .name(thread)
+                        .spawn_scoped(scope, move || {
+                            if let Some(pinned) = pinned {
+                                if smartwatch_snic::pin_current_thread(i) {
+                                    pinned.inc();
+                                }
+                            }
+                            ingest.run(source, stream, hasher, frames)
+                        })
+                        .expect("spawn ingest thread")
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("ingest thread panicked"))
+                .collect()
+        });
+        let mut interrupted = false;
+        for e in ends {
+            interrupted |= e.interrupted;
+            u.repark.pools.push_back(e.pool);
+            u.repark.frames.extend(e.frames);
+            done(e.out);
+        }
+        (start, interrupted)
+    }
+
+    /// Wire up the optional control plane for one segment: per-shard
+    /// mode cells and hooks, one independent RCU steering reader per
+    /// ingest unit (dispatcher or fused core — refreshes stay per-unit
+    /// so a lagging unit never staleness-couples the others), and the
+    /// controller thread.
+    fn spawn_control(
+        &self,
+        spec: &Option<TraceSpec>,
+        setup: &ShardSetup,
+        counters: &[ShardCounters],
+    ) -> ControlPlane {
+        let n = counters.len();
+        let mut plane = ControlPlane {
+            shard_hooks: (0..n).map(|_| None).collect(),
+            queue_steer: (0..self.cfg.ingest_units()).map(|_| None).collect(),
+            controller: None,
+        };
+        let Some(mut ctrl_cfg) = self.cfg.control.clone() else {
+            return plane;
+        };
+        ctrl_cfg.hash_seed = self.cfg.hash_seed;
+        let mode_cells: Vec<Arc<ModeCell>> =
+            (0..n).map(|_| Arc::new(ModeCell::default())).collect();
+        let snap_cell = Arc::new(SnapshotCell::new(SteeringSnapshot::empty()));
+        let (heavy_tx, heavy_rx) = std::sync::mpsc::sync_channel::<(u64, u64)>(8192);
+        for (slot, mode) in plane.shard_hooks.iter_mut().zip(&mode_cells) {
+            *slot = Some(ControlHooks {
+                mode: Arc::clone(mode),
+                steer: snap_cell.reader(),
+                heavy_tx: heavy_tx.clone(),
+            });
+        }
+        drop(heavy_tx);
+        for slot in plane.queue_steer.iter_mut() {
+            *slot = Some(snap_cell.reader());
+        }
+        let epoch = Duration::from_millis(ctrl_cfg.epoch_ms.max(1));
+        let obs = CtrlObs {
+            flight: self.flight.ring("sw-control"),
+            trace: spec.as_ref().map(|s| s.thread("sw-control")),
+            audit: Arc::clone(&self.decisions),
+            audit_cap: ctrl_cfg.decision_capacity.max(1),
+            admin: Arc::clone(&self.admin),
+            admin_applied: self.admin_applied.clone(),
+            mem_rss: self.mem_rss.clone(),
+        };
+        let ctrl = Controller::with_registry(ctrl_cfg, &self.registry);
+        let reader = setup.log.reader();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (log, counters, host_processed) = (
+            Arc::clone(&setup.log),
+            counters.to_vec(),
+            setup.host_processed.clone(),
+        );
+        let stopped = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name("sw-control".into())
+            .spawn(move || {
+                controller_loop(
+                    ctrl,
+                    log,
+                    reader,
+                    heavy_rx,
+                    counters,
+                    host_processed,
+                    mode_cells,
+                    snap_cell,
+                    stopped,
+                    epoch,
+                    obs,
+                )
+            })
+            .expect("spawn controller thread");
+        plane.controller = Some((handle, stop));
+        plane
+    }
+}
+
+/// One segment's control-plane wiring (all `None` without a controller).
+struct ControlPlane {
+    shard_hooks: Vec<Option<ControlHooks>>,
+    queue_steer: Vec<Option<SnapshotReader<SteeringSnapshot>>>,
+    /// The controller thread and its stop flag.
+    controller: Option<(JoinHandle<ControlReport>, Arc<AtomicBool>)>,
+}
+
+/// What the ingest units of one open segment share.
+struct Units<'a> {
+    source: FrameSource<'a>,
+    pacer: Option<Pacer>,
+    hasher: FlowHasher,
+    spec: &'a Option<TraceSpec>,
+    /// One set of ingest books — and so one unit — per entry.
+    queues: &'a [QueueCounters],
+    steer: Vec<Option<SnapshotReader<SteeringSnapshot>>>,
+    parked_frames: &'a mut VecDeque<FramePool>,
+    repark: &'a mut Garage,
+}
+
+/// Observability wiring for the controller thread: its flight ring,
+/// its optional trace track, and the shared decision-audit mirror that
+/// live readers (`Engine::decisions`, `/stats.json`) poll mid-run.
+struct CtrlObs {
+    flight: FlightRing,
+    trace: Option<ThreadTrace>,
+    audit: Arc<Mutex<VecDeque<DecisionRecord>>>,
+    audit_cap: usize,
+    /// The engine's admin mailbox, drained once per epoch.
+    admin: Arc<AdminQueue>,
+    /// `runtime.admin.applied` — commands the controller acted on.
+    admin_applied: Counter,
+    /// `runtime.mem.rss_bytes` — sampled once per epoch so the soak
+    /// harness gets a live residency trend without touching the engine.
+    mem_rss: Gauge,
+}
+
+/// Stable numeric encoding of a FlowCache mode for flight-event args.
+fn mode_code(m: Mode) -> u64 {
+    match m {
+        Mode::General => 0,
+        Mode::Lite => 1,
+    }
+}
+
+/// The controller thread body: one epoch per `epoch` period (or on
+/// shutdown). Each epoch samples cumulative shard counters, drains the
+/// verdict log and the heavy-hitter channel, feeds the pure
+/// [`Controller`] state machine, applies its per-shard mode decisions
+/// to the [`ModeCell`]s and publishes any new steering snapshot.
+/// When `stop` is observed it runs one final epoch (counter tails +
+/// late verdicts) and returns the report.
+#[allow(clippy::too_many_arguments)]
+fn controller_loop(
+    mut ctrl: Controller,
+    log: Arc<ControlLog>,
+    reader: LogReader,
+    heavy_rx: Receiver<(u64, u64)>,
+    counters: Vec<ShardCounters>,
+    host_processed: Counter,
+    mode_cells: Vec<Arc<ModeCell>>,
+    snap_cell: Arc<SnapshotCell<SteeringSnapshot>>,
+    stop: Arc<AtomicBool>,
+    epoch: Duration,
+    mut obs: CtrlObs,
+) -> ControlReport {
+    let mut last = Instant::now();
+    let mut prev_modes: Vec<Mode> = vec![Mode::General; counters.len()];
+    let mut prev_shed = false;
+    // Standing per-shard mode overrides (`AdminCmd::ForceMode`): a
+    // controller-loop-local overlay applied *after* Algorithm 4 each
+    // epoch, so releasing one hands the shard straight back to the
+    // algorithm's current decision.
+    let mut force_modes: Vec<Option<Mode>> = vec![None; counters.len()];
+    loop {
+        let done = stop.load(Ordering::Acquire);
+        if !done {
+            std::thread::park_timeout(epoch);
+        }
+        let now = Instant::now();
+        let elapsed_secs = now.duration_since(last).as_secs_f64();
+        last = now;
+        obs.mem_rss.set(mem::rss_bytes() as f64);
+
+        // Apply queued admin edits before the epoch decision: they
+        // mutate the controller's private tables (marking it dirty), so
+        // this epoch's snapshot publication carries them — the hot loop
+        // only ever sees them through the RCU path.
+        for cmd in obs.admin.drain() {
+            let applied = match cmd {
+                AdminCmd::BlacklistAdd(d) => {
+                    ctrl.admin_blacklist_insert(d);
+                    true
+                }
+                AdminCmd::BlacklistRemove(d) => {
+                    ctrl.admin_blacklist_remove(d);
+                    true
+                }
+                AdminCmd::WhitelistAdd(d) => {
+                    ctrl.admin_whitelist_insert(d);
+                    true
+                }
+                AdminCmd::WhitelistRemove(d) => {
+                    ctrl.admin_whitelist_remove(d);
+                    true
+                }
+                AdminCmd::ForceShed(f) => {
+                    ctrl.admin_force_shed(f);
+                    true
+                }
+                AdminCmd::ForceMode { shard, mode } => {
+                    if let Some(slot) = force_modes.get_mut(shard) {
+                        *slot = mode;
+                        true
+                    } else {
+                        false
+                    }
+                }
+            };
+            if applied {
+                obs.admin_applied.inc();
+                obs.flight
+                    .record(FlightKind::AdminEdit, cmd.code(), cmd.arg());
+            }
+        }
+
+        // Escalation backlog: packets escalated but neither dropped at
+        // the ring nor processed by the host yet. The pool is shared,
+        // so every shard's sample carries the aggregate.
+        let mut escalated = 0u64;
+        let mut esc_dropped = 0u64;
+        for c in &counters {
+            escalated += c.escalated.get();
+            esc_dropped += c.escalation_dropped.get();
+        }
+        let backlog = escalated
+            .saturating_sub(esc_dropped)
+            .saturating_sub(host_processed.get());
+
+        let shards: Vec<ShardSample> = counters
+            .iter()
+            .map(|c| ShardSample {
+                offered: c.ingested.get()
+                    + c.ingest_dropped.get()
+                    + c.shed.get()
+                    + c.steer_dropped.get(),
+                processed: c.processed.get(),
+                shed: c.shed.get(),
+                escalation_backlog: backlog,
+            })
+            .collect();
+        let verdicts = log.poll(&reader);
+        let mut heavy = Vec::new();
+        while let Ok(h) = heavy_rx.try_recv() {
+            heavy.push(h);
+            if heavy.len() >= 16_384 {
+                break;
+            }
+        }
+
+        let decision = ctrl.epoch(&EpochInput {
+            elapsed_secs,
+            shards,
+            verdicts,
+            heavy,
+        });
+        // The effective modes are Algorithm 4's decision with any
+        // standing admin overrides layered on top.
+        let mut modes = decision.modes.clone();
+        for (m, f) in modes.iter_mut().zip(&force_modes) {
+            if let Some(forced) = f {
+                *m = *forced;
+            }
+        }
+        for (cell, &m) in mode_cells.iter().zip(&modes) {
+            cell.set(m);
+        }
+        // Black-box the epoch's notable transitions before publishing:
+        // per-shard mode flips, shed edges, promotions and evictions.
+        let record = &decision.record;
+        for (i, (&m, &p)) in modes.iter().zip(&prev_modes).enumerate() {
+            if m != p {
+                obs.flight
+                    .record(FlightKind::ModeSwitch, i as u64, mode_code(m));
+            }
+        }
+        prev_modes.clone_from(&modes);
+        if record.shed != prev_shed {
+            let kind = if record.shed {
+                FlightKind::ShedOn
+            } else {
+                FlightKind::ShedOff
+            };
+            obs.flight.record(kind, record.epoch, record.max_backlog);
+            prev_shed = record.shed;
+        }
+        if record.promotions > 0 {
+            obs.flight
+                .record(FlightKind::Promotion, record.promotions, record.epoch);
+        }
+        if record.whitelist_evictions > 0 {
+            obs.flight.record(
+                FlightKind::WhitelistEvict,
+                record.whitelist_evictions,
+                record.epoch,
+            );
+        }
+        // Mirror the decision into the shared audit so live readers see
+        // it without waiting for the final ControlReport.
+        {
+            let mut audit = obs.audit.lock().expect("decision audit poisoned");
+            if audit.len() == obs.audit_cap {
+                audit.pop_front();
+            }
+            audit.push_back(record.clone());
+        }
+        if let Some(snap) = decision.snapshot {
+            snap_cell.publish(snap);
+        }
+        if let Some(tt) = obs.trace.as_mut() {
+            if tt.tick() {
+                tt.span_since(now, "epoch apply", "control");
+            }
+        }
+        if done {
+            log.release(reader);
+            return ctrl.report();
+        }
+    }
+}

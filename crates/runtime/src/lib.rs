@@ -34,8 +34,12 @@
 //!   topology, [`DatapathMode::Rtc`], fuses dispatcher and shard into
 //!   C run-to-completion `sw-core-{i}` threads (pre-split by
 //!   `shard_for_digest`, zero queue crossings on the fast path,
-//!   optional [`EngineConfig::pin_cores`] CPU affinity) with decisions
-//!   and counters identical to the mesh for the same seed.
+//!   optional [`EngineConfig::pin_cores`] CPU affinity — RTC cores
+//!   only, the mesh never pins) with decisions and counters identical
+//!   to the mesh for the same seed. Both topologies run the same
+//!   ingest loop (one feed × sink stage) under the same segment
+//!   lifecycle; the module splits into `config`, `lifecycle`, `ingest`
+//!   and `report`.
 //!
 //! Every RSS dispatcher uses the *symmetric* shard mapping
 //! [`smartwatch_net::hash::shard_for_digest`] over the dispatch-time

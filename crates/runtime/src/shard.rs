@@ -363,39 +363,50 @@ struct LocalBatchStats {
     escalate_ns: Vec<u64>,
 }
 
-/// The per-thread shard state.
-pub(crate) struct ShardWorker {
-    pub cache: FlowCache,
-    pub suite: DetectorSuite,
-    pub escalation: Escalation,
+/// What every shard worker of one segment shares, built once by the
+/// engine lifecycle.
+#[derive(Clone)]
+pub(crate) struct ShardSetup {
     pub log: Arc<ControlLog>,
-    pub counters: ShardCounters,
     pub stage: StageHists,
     /// Escalations handled inline count into the same pool counter.
     pub host_processed: Counter,
     pub enforce_verdicts: bool,
     /// Same seed as the dispatchers and the cache — verdict keys (the
     /// only un-digested keys a shard sees) digest through this.
-    hasher: FlowHasher,
+    pub hasher: FlowHasher,
     /// How the R ingest lanes interleave into one processing stream.
-    merge: MergePolicy,
+    pub merge: MergePolicy,
     /// Packets per control-tick group under the ordered merge (the
     /// engine's batch size, so tick boundaries match the single-queue
-    /// dispatcher's batch boundaries exactly).
-    group: usize,
+    /// dispatcher's batch boundaries exactly). At least 1.
+    pub group: usize,
     /// FlowCache software-pipeline depth: rows for up to this many
     /// packets are prefetched ahead of their probes. `<= 1` disables the
     /// prefetch stage (the per-packet reference path); either way the
     /// per-packet decision sequence is identical because the prefetch is
     /// architecturally inert.
-    burst: usize,
-    /// Probe-length histogram (plain integers — no atomics on this path).
-    probe_hist: [u64; PROBE_HIST_SLOTS],
-    /// FlowCache outcome tallies for this partition.
-    cache_mix: CacheMix,
-    /// Prefetch bursts issued / packets they covered.
-    bursts: u64,
-    burst_pkts: u64,
+    pub burst: usize,
+    /// End-of-stream finish line shared by all shard workers of a run.
+    /// With inline triage every verdict publisher *is* a shard, so
+    /// waiting here before polling the final log tail guarantees each
+    /// shard applies the complete log — `ctrl_applied` and the verdict
+    /// sets become deterministic regardless of which worker (pipeline
+    /// shard or fused RTC core) reaches end-of-stream first.
+    pub finish_line: Arc<Barrier>,
+}
+
+/// The per-thread shard state.
+pub(crate) struct ShardWorker {
+    pub setup: ShardSetup,
+    pub cache: FlowCache,
+    pub suite: DetectorSuite,
+    pub escalation: Escalation,
+    pub counters: ShardCounters,
+    /// The end state in the making: the FlowCache tallies (access mix,
+    /// probe lengths, prefetch bursts) accumulate here in plain
+    /// integers — no atomics on this path; `finish` freezes the rest.
+    end: ShardEndState,
     /// Digest-keyed (identity-hashed) verdict sets: membership is one
     /// u64 probe instead of a SipHash over the 13-byte 5-tuple. TTL'd
     /// and capacity-bounded so a long-running shard never accumulates
@@ -411,13 +422,6 @@ pub(crate) struct ShardWorker {
     obs: ShardObs,
     local: LocalBatchStats,
     reader: LogReader,
-    /// End-of-stream finish line shared by all shard workers of a run.
-    /// With inline triage every verdict publisher *is* a shard, so
-    /// waiting here before polling the final log tail guarantees each
-    /// shard applies the complete log — `ctrl_applied` and the verdict
-    /// sets become deterministic regardless of which worker (pipeline
-    /// shard or fused RTC core) reaches end-of-stream first.
-    finish_line: Arc<Barrier>,
     /// Batches consumed — the monotone clock the aging sets tick on.
     batches: u64,
     seen: u64,
@@ -425,49 +429,28 @@ pub(crate) struct ShardWorker {
 }
 
 impl ShardWorker {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
+        setup: &ShardSetup,
         cache: FlowCache,
         escalation: Escalation,
-        log: Arc<ControlLog>,
         counters: ShardCounters,
-        stage: StageHists,
-        host_processed: Counter,
-        enforce_verdicts: bool,
-        hasher: FlowHasher,
-        merge: MergePolicy,
-        group: usize,
-        burst: usize,
         hooks: Option<ControlHooks>,
         obs: ShardObs,
-        finish_line: Arc<Barrier>,
     ) -> ShardWorker {
-        let reader = log.reader();
         ShardWorker {
+            reader: setup.log.reader(),
+            setup: setup.clone(),
             cache,
             suite: DetectorSuite::new(),
             escalation,
-            log,
             counters,
-            stage,
-            host_processed,
-            enforce_verdicts,
-            hasher,
-            merge,
-            group: group.max(1),
-            burst,
-            probe_hist: [0; PROBE_HIST_SLOTS],
-            cache_mix: CacheMix::default(),
-            bursts: 0,
-            burst_pkts: 0,
+            end: ShardEndState::default(),
             blacklist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             whitelist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             hooks,
             heavy_counts: HashMap::default(),
             obs,
             local: LocalBatchStats::default(),
-            reader,
-            finish_line,
             batches: 0,
             seen: 0,
             last_ts: smartwatch_net::Ts::ZERO,
@@ -479,7 +462,7 @@ impl ShardWorker {
     /// plus the FlowCache itself, so the engine can carry flow state
     /// across serve-mode segment restarts.
     pub(crate) fn run(self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowCache) {
-        match self.merge {
+        match self.setup.merge {
             MergePolicy::Fair => self.run_fair(lanes),
             MergePolicy::Ordered => self.run_ordered(lanes),
         }
@@ -506,24 +489,11 @@ impl ShardWorker {
                 match lanes[j].rx.try_pop() {
                     Some(ShardMsg::Batch(batch)) => {
                         progressed = true;
-                        let wait_ns = batch.sent.elapsed().as_nanos() as u64;
-                        self.stage.queue_ns.record(wait_ns);
-                        self.stage.batch_pkts.record(batch.pkts.len() as u64);
                         // One sampling decision covers the batch's lane
                         // wait and its processing span.
-                        let sampled = self.obs.trace.as_mut().is_some_and(ThreadTrace::tick);
-                        if sampled {
-                            if let Some(tt) = &self.obs.trace {
-                                tt.span_at(batch.sent, wait_ns, "lane wait", "lane");
-                            }
-                        }
+                        let sampled = self.admit(&batch);
                         self.control_tick();
-                        let t0 = sampled.then(Instant::now);
-                        self.process_batch(&batch.pkts);
-                        if let (Some(t0), Some(tt)) = (t0, &self.obs.trace) {
-                            tt.span_since(t0, "shard process", "shard");
-                        }
-                        self.flush_local();
+                        self.process_group(&batch.pkts, sampled);
                         lanes[j].recycle.give_back(batch.pkts);
                     }
                     Some(ShardMsg::Stop) => {
@@ -573,7 +543,7 @@ impl ShardWorker {
         // to the boundary changes nothing observable: merging only copies
         // packets, and control ticks / flushes already sit at group
         // boundaries.
-        let mut group_buf: Vec<DigestedPacket> = Vec::with_capacity(self.group);
+        let mut group_buf: Vec<DigestedPacket> = Vec::with_capacity(self.setup.group);
         // Whether the current merged group is trace-sampled; groups are
         // the ordered merge's batch-granularity unit.
         let mut group_sampled = false;
@@ -585,29 +555,10 @@ impl ShardWorker {
                 if l.cur.is_some() {
                     continue;
                 }
-                if let Some(buf) = l.pending.pop_front() {
-                    l.cur = Some((buf, 0));
-                } else if l.open {
-                    match l.lane.rx.try_pop() {
-                        Some(ShardMsg::Batch(batch)) => {
-                            progressed = true;
-                            let wait_ns = batch.sent.elapsed().as_nanos() as u64;
-                            self.stage.queue_ns.record(wait_ns);
-                            self.stage.batch_pkts.record(batch.pkts.len() as u64);
-                            if self.obs.trace.as_mut().is_some_and(ThreadTrace::tick) {
-                                if let Some(tt) = &self.obs.trace {
-                                    tt.span_at(batch.sent, wait_ns, "lane wait", "lane");
-                                }
-                            }
-                            l.cur = Some((batch.pkts, 0));
-                        }
-                        Some(ShardMsg::Stop) => {
-                            progressed = true;
-                            l.open = false;
-                        }
-                        None => {}
-                    }
+                if l.pending.is_empty() && l.open {
+                    progressed |= self.pull(l);
                 }
+                l.cur = l.pending.pop_front().map(|buf| (buf, 0));
             }
             if lanes.iter().any(|l| l.open && l.cur.is_none()) {
                 // A live lane has nothing to offer: its next packet may
@@ -618,26 +569,8 @@ impl ShardWorker {
                     if !l.open || l.cur.is_none() {
                         continue;
                     }
-                    while let Some(msg) = l.lane.rx.try_pop() {
-                        match msg {
-                            ShardMsg::Batch(batch) => {
-                                progressed = true;
-                                let wait_ns = batch.sent.elapsed().as_nanos() as u64;
-                                self.stage.queue_ns.record(wait_ns);
-                                self.stage.batch_pkts.record(batch.pkts.len() as u64);
-                                if self.obs.trace.as_mut().is_some_and(ThreadTrace::tick) {
-                                    if let Some(tt) = &self.obs.trace {
-                                        tt.span_at(batch.sent, wait_ns, "lane wait", "lane");
-                                    }
-                                }
-                                l.pending.push_back(batch.pkts);
-                            }
-                            ShardMsg::Stop => {
-                                progressed = true;
-                                l.open = false;
-                                break;
-                            }
-                        }
+                    while l.open && self.pull(l) {
+                        progressed = true;
                     }
                 }
                 if progressed {
@@ -669,7 +602,7 @@ impl ShardWorker {
             let exhausted = *cursor == buf.len();
             group_buf.push(dp);
             in_group += 1;
-            if in_group == self.group {
+            if in_group == self.setup.group {
                 self.process_group(&group_buf, group_sampled);
                 group_buf.clear();
                 in_group = 0;
@@ -685,8 +618,42 @@ impl ShardWorker {
         self.finish()
     }
 
-    /// Process one merged group: the ordered-path analogue of a Fair
-    /// batch (timed span, batched cache path, counter flush).
+    /// Admit one batch off a lane: record its queue wait and size and
+    /// advance the trace sampler; a sampled batch emits its "lane wait"
+    /// span. Returns the sampling decision.
+    fn admit(&mut self, batch: &Batch) -> bool {
+        let wait_ns = batch.sent.elapsed().as_nanos() as u64;
+        self.setup.stage.queue_ns.record(wait_ns);
+        self.setup.stage.batch_pkts.record(batch.pkts.len() as u64);
+        let sampled = self.obs.trace.as_mut().is_some_and(ThreadTrace::tick);
+        if sampled {
+            if let Some(tt) = &self.obs.trace {
+                tt.span_at(batch.sent, wait_ns, "lane wait", "lane");
+            }
+        }
+        sampled
+    }
+
+    /// Pop one message off an ordered lane's ring: a batch is admitted
+    /// onto the lane's pending list, a Stop closes the lane. `false`
+    /// when the ring was empty.
+    fn pull(&mut self, l: &mut OrderedLane) -> bool {
+        match l.lane.rx.try_pop() {
+            Some(ShardMsg::Batch(batch)) => {
+                self.admit(&batch);
+                l.pending.push_back(batch.pkts);
+                true
+            }
+            Some(ShardMsg::Stop) => {
+                l.open = false;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Process one delivered batch (Fair) or merged group (Ordered):
+    /// timed span when sampled, batched cache path, counter flush.
     fn process_group(&mut self, pkts: &[DigestedPacket], sampled: bool) {
         let t0 = sampled.then(Instant::now);
         self.process_batch(pkts);
@@ -706,23 +673,17 @@ impl ShardWorker {
         // polling the final tail: inline-triage publishers are all
         // quiesced past this line, so the tail is the *complete* log
         // and the apply below is deterministic.
-        self.finish_line.wait();
+        self.setup.finish_line.wait();
         self.apply_control();
         self.flush_heavy();
         let final_alerts = self.suite.finish(self.last_ts);
         self.counters.alerts.add(final_alerts.len() as u64);
         // Stop pinning the verdict log's buffer.
-        self.log.release(self.reader);
-        let end = ShardEndState {
-            blacklisted: self.blacklist.len() as u64,
-            whitelisted: self.whitelist.len() as u64,
-            cache_resident: self.cache.occupied() as u64,
-            cache_mix: self.cache_mix,
-            probe_hist: self.probe_hist,
-            bursts: self.bursts,
-            burst_pkts: self.burst_pkts,
-        };
-        (end, self.cache)
+        self.setup.log.release(self.reader);
+        self.end.blacklisted = self.blacklist.len() as u64;
+        self.end.whitelisted = self.whitelist.len() as u64;
+        self.end.cache_resident = self.cache.occupied() as u64;
+        (self.end, self.cache)
     }
 
     /// Per-batch control-plane housekeeping: advance the batch clock,
@@ -771,7 +732,7 @@ impl ShardWorker {
     }
 
     fn apply_control(&mut self) {
-        let tail = self.log.poll(&self.reader);
+        let tail = self.setup.log.poll(&self.reader);
         if tail.is_empty() {
             return;
         }
@@ -780,7 +741,7 @@ impl ShardWorker {
         for v in tail {
             match v {
                 Verdict::Blacklist(k) => {
-                    let (canon, digest) = self.hasher.digest_symmetric(&k);
+                    let (canon, digest) = self.setup.hasher.digest_symmetric(&k);
                     // The host is done with this flow — release the pin
                     // so the record becomes evictable again.
                     self.cache.unpin(&canon);
@@ -788,7 +749,7 @@ impl ShardWorker {
                     self.whitelist.remove(&digest.0);
                 }
                 Verdict::Whitelist(k) => {
-                    let (canon, digest) = self.hasher.digest_symmetric(&k);
+                    let (canon, digest) = self.setup.hasher.digest_symmetric(&k);
                     self.cache.unpin(&canon);
                     self.whitelist.insert(digest.0, now);
                 }
@@ -830,11 +791,11 @@ impl ShardWorker {
             self.counters.alerts.add(l.alerts);
         }
         if l.host_inline > 0 {
-            self.host_processed.add(l.host_inline);
+            self.setup.host_processed.add(l.host_inline);
         }
-        self.stage.cache_ns.record_all(&l.cache_ns);
-        self.stage.detect_ns.record_all(&l.detect_ns);
-        self.stage.escalate_ns.record_all(&l.escalate_ns);
+        self.setup.stage.cache_ns.record_all(&l.cache_ns);
+        self.setup.stage.detect_ns.record_all(&l.detect_ns);
+        self.setup.stage.escalate_ns.record_all(&l.escalate_ns);
         l.processed = 0;
         l.verdict_dropped = 0;
         l.fast_path = 0;
@@ -857,15 +818,15 @@ impl ShardWorker {
     /// run-to-completion cores, which feed it the same batch-sized
     /// groups the lane path would have delivered.
     pub(crate) fn process_batch(&mut self, pkts: &[DigestedPacket]) {
-        if self.burst <= 1 {
+        if self.setup.burst <= 1 {
             for dp in pkts {
                 self.process_packet(dp);
             }
             return;
         }
-        for chunk in pkts.chunks(self.burst) {
-            self.bursts += 1;
-            self.burst_pkts += chunk.len() as u64;
+        for chunk in pkts.chunks(self.setup.burst) {
+            self.end.bursts += 1;
+            self.end.burst_pkts += chunk.len() as u64;
             for dp in chunk {
                 self.cache.prefetch_row(dp.digest);
             }
@@ -878,7 +839,7 @@ impl ShardWorker {
     fn process_packet(&mut self, dp: &DigestedPacket) {
         let pkt = &dp.pkt;
         self.last_ts = self.last_ts.max(pkt.ts);
-        if self.enforce_verdicts && self.blacklist.contains(&dp.digest.0) {
+        if self.setup.enforce_verdicts && self.blacklist.contains(&dp.digest.0) {
             self.local.verdict_dropped += 1;
             self.local.processed += 1;
             self.seen += 1;
@@ -901,8 +862,8 @@ impl ShardWorker {
         } else {
             self.cache.process_digested(pkt, &dp.canon, dp.digest)
         };
-        self.probe_hist[(access.probes as usize).min(PROBE_HIST_SLOTS - 1)] += 1;
-        self.cache_mix.tally(&access);
+        self.end.probe_hist[(access.probes as usize).min(PROBE_HIST_SLOTS - 1)] += 1;
+        self.end.cache_mix.tally(&access);
 
         // Whitelisted flows skip the detector suite — the wall-clock
         // analogue of the switch no longer steering them. Either the
@@ -933,7 +894,7 @@ impl ShardWorker {
         self.local.alerts += outcome.alerts.len() as u64;
         for flow in &outcome.whitelist {
             self.cache.unpin(flow);
-            let (_, digest) = self.hasher.digest_symmetric(flow);
+            let (_, digest) = self.setup.hasher.digest_symmetric(flow);
             self.whitelist.insert(digest.0, self.batches);
         }
 
@@ -962,7 +923,7 @@ impl ShardWorker {
                     // triage + verdict publication, timed end to end.
                     let t0 = Instant::now();
                     for v in nf.on_packet(pkt) {
-                        self.log.publish(v);
+                        self.setup.log.publish(v);
                     }
                     self.local.escalate_ns.push(t0.elapsed().as_nanos() as u64);
                 }
@@ -992,24 +953,27 @@ mod tests {
         let mut cache_cfg = FlowCacheConfig::general(6);
         cache_cfg.hash_seed = 0x51CC;
         let flight = smartwatch_telemetry::FlightRecorder::new(64);
+        let setup = ShardSetup {
+            log: Arc::new(ControlLog::new()),
+            stage: StageHists::registered(&reg),
+            host_processed: Counter::detached(),
+            enforce_verdicts: true,
+            hasher,
+            merge: MergePolicy::Fair,
+            group: 64,
+            burst: 8,
+            finish_line: Arc::new(Barrier::new(1)),
+        };
         let mut worker = ShardWorker::new(
+            &setup,
             FlowCache::new(cache_cfg),
             Escalation::Pool(tx),
-            Arc::new(ControlLog::new()),
             ShardCounters::registered(&reg, 0),
-            StageHists::registered(&reg),
-            Counter::detached(),
-            true,
-            hasher,
-            MergePolicy::Fair,
-            64,
-            8,
             None,
             ShardObs {
                 flight: flight.ring("sw-shard-0"),
                 trace: None,
             },
-            Arc::new(Barrier::new(1)),
         );
 
         // Distinct SSH flows: auth-port TCP traffic escalates until the
