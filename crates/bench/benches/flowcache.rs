@@ -102,6 +102,69 @@ fn bench_batch_vs_scalar(c: &mut Criterion) {
     g.finish();
 }
 
+/// A table with every bucket of every row occupied: 46 scattered flows
+/// per row on average, so no row is left with a free bucket.
+fn full_table(row_bits: u32) -> FlowCache {
+    let mut fc = FlowCache::new(FlowCacheConfig::general(row_bits));
+    let fill = workloads::scattered_flows(46 << row_bits, 0xF111);
+    let mut out = Vec::with_capacity(fill.len());
+    fc.process_batch(&fill, &mut out);
+    assert_eq!(fc.occupied(), 12 << row_bits, "every row full");
+    fc
+}
+
+/// The victim path in isolation: new flows over a table whose rows are
+/// all full, so every access picks a P victim, evicts E's victim to a
+/// ring, demotes and inserts — the per-packet cost of `scattered_cold`
+/// once its table has filled, and the path `pick_victim` sits on.
+fn bench_miss_full_row(c: &mut Criterion) {
+    let full = full_table(16);
+    let pkts = workloads::scattered_flows(200_000, 0x5EED_CAFE);
+    let mut g = c.benchmark_group("flowcache_miss_full_row");
+    g.throughput(Throughput::Elements(pkts.len() as u64));
+    g.bench_function("batch_general_rb16", |b| {
+        let mut out = Vec::with_capacity(pkts.len());
+        b.iter_batched(
+            || full.clone(),
+            |mut fc| {
+                fc.process_batch(&pkts, &mut out);
+                assert!(out.iter().all(|a| a.ring_pushes == 1));
+                out.clear();
+                fc
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    g.finish();
+}
+
+/// What a segment boundary costs: building (and dropping) a cache, as
+/// every segment did, against resetting a resident one in place — a full
+/// table (the worst case: every row is touched) and a nearly empty one
+/// (only the tag lines are read). The reset rows time `reset()` alone:
+/// the cache lives outside the sample, as it does in the engine.
+fn bench_reset_vs_new(c: &mut Criterion) {
+    let cfg = FlowCacheConfig::general(16);
+    let full = full_table(16);
+    let mut sparse = FlowCache::new(cfg.clone());
+    for p in &workloads::scattered_flows(2_000, 7) {
+        sparse.process(p);
+    }
+    let mut g = c.benchmark_group("flowcache_reset_vs_new");
+    g.bench_function("new_rb16", |b| b.iter(|| FlowCache::new(cfg.clone())));
+    for (name, used) in [("reset_full_rb16", &full), ("reset_sparse_rb16", &sparse)] {
+        g.bench_function(name, |b| {
+            let resident = std::cell::RefCell::new(used.clone());
+            b.iter_batched(
+                || resident.borrow_mut().clone_from(used),
+                |()| resident.borrow_mut().reset(),
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    g.finish();
+}
+
 fn bench_cuckoo_ablation(c: &mut Criterion) {
     let pkts = workloads::caida_64b(Preset::Caida2018, 1, 7).into_packets();
     let mut g = c.benchmark_group("cuckoo_ablation");
@@ -159,6 +222,7 @@ fn bench_concurrent_cache(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_flowcache, bench_batch_vs_scalar, bench_cuckoo_ablation, bench_concurrent_cache
+    targets = bench_flowcache, bench_batch_vs_scalar, bench_miss_full_row, bench_reset_vs_new,
+        bench_cuckoo_ablation, bench_concurrent_cache
 }
 criterion_main!(benches);

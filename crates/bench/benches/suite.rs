@@ -7,6 +7,11 @@
 //! the printed Melem/s) is per packet *of the input*, not per packet the
 //! detector cares about — rows of one input add up to roughly its `suite`
 //! row. Inputs are the three the benchmark's workloads are built from.
+//!
+//! Fresh state is what an engine's *first* segment runs on. Every later
+//! one runs on state that was reset in place, its tables already sized:
+//! the `conntable_refilled` and `suite_refilled` rows measure that
+//! against the cold `conntable` and `suite` rows.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smartwatch_bench::workloads;
@@ -16,7 +21,7 @@ use smartwatch_detect::portscan::ScanPipeline;
 use smartwatch_detect::rst::ForgedRstDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_host::ConnTable;
-use smartwatch_net::Packet;
+use smartwatch_net::{Packet, Ts};
 use smartwatch_trace::background::Preset;
 use std::hint::black_box;
 
@@ -25,12 +30,12 @@ fn row<S>(
     g: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
     pkts: &[Packet],
-    state: fn() -> S,
+    mut state: impl FnMut() -> S,
     step: fn(&mut S, &Packet),
 ) {
     g.bench_function(name, |b| {
         b.iter_batched(
-            state,
+            &mut state,
             |mut s| {
                 for p in pkts {
                     step(&mut s, black_box(p));
@@ -51,6 +56,22 @@ fn bench_input(c: &mut Criterion, input: &str, pkts: &[Packet]) {
     row(&mut g, "conntable", pkts, ConnTable::new, |s, p| {
         black_box(s.process(p));
     });
+    row(
+        &mut g,
+        "conntable_refilled",
+        pkts,
+        || {
+            let mut table = ConnTable::new();
+            for p in pkts {
+                table.process(p);
+            }
+            table.reset();
+            table
+        },
+        |s, p| {
+            black_box(s.process(p));
+        },
+    );
     row(
         &mut g,
         "rst",
@@ -77,6 +98,23 @@ fn bench_input(c: &mut Criterion, input: &str, pkts: &[Packet]) {
     row(&mut g, "suite", pkts, DetectorSuite::new, |s, p| {
         black_box(s.on_packet(p));
     });
+    row(
+        &mut g,
+        "suite_refilled",
+        pkts,
+        || {
+            let mut suite = DetectorSuite::new();
+            for p in pkts {
+                suite.on_packet(p);
+            }
+            suite.finish(pkts.last().map_or(Ts::ZERO, |p| p.ts));
+            suite.reset();
+            suite
+        },
+        |s, p| {
+            black_box(s.on_packet(p));
+        },
+    );
     g.finish();
 }
 

@@ -459,6 +459,10 @@ pub struct SegmentRecord {
     pub conserved: bool,
     /// `runtime.mem.rss_bytes` sampled at segment end.
     pub rss_bytes: u64,
+    /// Per-flow state parked in the garage at segment end, summed over
+    /// shards (`runtime.flowstate.resident_bytes`) — flat after the
+    /// second segment when the state is being reset in place.
+    pub flowstate_bytes: u64,
     /// Cumulative `runtime.pool.allocated` at segment end — flat after
     /// segment 0 when the garage is reusing batch pools.
     pub pool_allocated: u64,
@@ -523,6 +527,32 @@ impl ServeOutcome {
         }
     }
 
+    /// The parked flow state once settled: the second segment's sample
+    /// (the first segment builds the tables, its reset gives back what
+    /// they over-provisioned; `0` with fewer than two segments).
+    fn flowstate_settled_bytes(&self) -> u64 {
+        self.segments.get(1).map_or(0, |s| s.flowstate_bytes)
+    }
+
+    /// Growth of the parked flow state after the second segment: the
+    /// largest later sample minus the settled size (0 with fewer than
+    /// three segments). From the second segment on a steady workload
+    /// refills the memory it already holds.
+    pub fn flowstate_growth_bytes(&self) -> u64 {
+        let later = self.segments.iter().skip(2).map(|s| s.flowstate_bytes);
+        later
+            .max()
+            .unwrap_or(0)
+            .saturating_sub(self.flowstate_settled_bytes())
+    }
+
+    /// Flow-state growth tolerated after segment 2, as a fraction of the
+    /// settled size: tables whose fill depends on thread timing (ring
+    /// occupancy under live mode switches, flows a verdict cut short)
+    /// re-size by a few KiB from one segment to the next; state that is
+    /// rebuilt or regrown every segment moves by whole tables.
+    const FLOWSTATE_SLACK_DIV: u64 = 64;
+
     /// Tolerated final-segment pool allocations. The recycle channels
     /// deliberately *drop* buffers on overflow (footprint stays bounded
     /// by the channel capacity), so scheduler noise can still trim and
@@ -547,6 +577,14 @@ impl ServeOutcome {
         if frames > Self::POOL_SLACK {
             out.push(format!(
                 "frame pools allocated {frames} time(s) in the final segment (garage not reused)"
+            ));
+        }
+        let flow = self.flowstate_growth_bytes();
+        let settled = self.flowstate_settled_bytes();
+        if flow > settled / Self::FLOWSTATE_SLACK_DIV {
+            out.push(format!(
+                "parked flow state grew {flow} bytes after segment 2, from {settled} \
+                 (reset not reusing it)"
             ));
         }
         let rss = self.rss_growth_bytes();
@@ -657,6 +695,7 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
             interrupted: report.interrupted,
             conserved: report.conserved(),
             rss_bytes: rss.get() as u64,
+            flowstate_bytes: engine.flowstate_resident_bytes(),
             pool_allocated: pool_allocated.get(),
             frame_pool_allocated: frame_allocated.get(),
             log_buffered: report.log_buffered,
@@ -696,6 +735,8 @@ struct ServeBenchJson {
     rss_first_bytes: u64,
     rss_last_bytes: u64,
     rss_growth_bytes: i64,
+    flowstate_bytes: u64,
+    flowstate_growth_bytes: u64,
     config_reloads: u64,
     config_errors: u64,
     timeline: Vec<SegmentRecord>,
@@ -720,6 +761,8 @@ pub fn serve_bench_json(spec: &ServeSpec, out: &ServeOutcome) -> String {
         rss_first_bytes: out.segments.first().map(|s| s.rss_bytes).unwrap_or(0),
         rss_last_bytes: out.segments.last().map(|s| s.rss_bytes).unwrap_or(0),
         rss_growth_bytes: out.rss_growth_bytes(),
+        flowstate_bytes: out.segments.last().map(|s| s.flowstate_bytes).unwrap_or(0),
+        flowstate_growth_bytes: out.flowstate_growth_bytes(),
         config_reloads: out.config_reloads,
         config_errors: out.config_errors,
         timeline: out.segments.clone(),
@@ -768,12 +811,15 @@ fn render(spec: &ServeSpec, out: &ServeOutcome) -> Table {
     ));
     t.note(format!(
         "endurance: pool growth {} total / {} in the final segment \
-         (frame pools {} / {}), RSS {:+} bytes first→last segment",
+         (frame pools {} / {}), RSS {:+} bytes first→last segment, \
+         parked flow state {:.1} MiB ({:+} bytes after segment 2)",
         out.pool_growth(),
         out.steady_pool_growth(),
         out.frame_pool_growth(),
         out.steady_frame_pool_growth(),
         out.rss_growth_bytes(),
+        out.segments.last().map_or(0, |s| s.flowstate_bytes) as f64 / (1 << 20) as f64,
+        out.flowstate_growth_bytes(),
     ));
     t.note(format!(
         "conservation: {} (two-axis, every segment)",
@@ -829,6 +875,53 @@ mod tests {
         assert_eq!(v["conserved"].as_bool(), Some(true));
         assert!(v["pool_growth"].as_u64().is_some());
         assert_eq!(v["timeline"].as_array().map(|a| a.len()), Some(3));
+        // The flow state is parked from the first segment on and does
+        // not move once the tables have been through their first reset.
+        assert!(out.segments.iter().all(|s| s.flowstate_bytes > 0));
+        assert!(v["flowstate_growth_bytes"].as_u64().is_some());
+    }
+
+    #[test]
+    fn flow_state_growing_after_segment_two_is_a_violation() {
+        let timeline = |bytes: &[u64]| ServeOutcome {
+            segments: bytes
+                .iter()
+                .enumerate()
+                .map(|(segment, &flowstate_bytes)| SegmentRecord {
+                    segment,
+                    offered: 1,
+                    processed: 1,
+                    dropped: 0,
+                    mpps: 1.0,
+                    elapsed_ms: 1,
+                    interrupted: false,
+                    conserved: true,
+                    rss_bytes: 0,
+                    flowstate_bytes,
+                    pool_allocated: 0,
+                    frame_pool_allocated: 0,
+                    log_buffered: 0,
+                    admin_applied: 0,
+                    config_seq: 0,
+                })
+                .collect(),
+            config_reloads: 0,
+            config_errors: 0,
+        };
+        // Building (segment 1) and the first reset's shrink (segment 2)
+        // may move it; so may nothing at all.
+        for clean in [
+            &[90, 100, 100, 100][..],
+            &[120, 100, 100],
+            &[100, 100],
+            &[7],
+        ] {
+            assert!(timeline(clean).violations(0).is_empty(), "{clean:?}");
+        }
+        let leaking = timeline(&[100, 100, 100, 164]);
+        assert_eq!(leaking.flowstate_growth_bytes(), 64);
+        let said = leaking.violations(0);
+        assert!(said.len() == 1 && said[0].contains("64 bytes"), "{said:?}");
     }
 
     #[test]

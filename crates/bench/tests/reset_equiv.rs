@@ -1,0 +1,282 @@
+//! Differential "reset ≡ fresh": a detector that processed one whole
+//! trace (end-of-trace sweep included), was `reset()` and then fed a
+//! second trace must answer it exactly as a detector that never saw the
+//! first — per detector, and for the whole [`DetectorSuite`]. This is
+//! the contract the engine's resident flow state rests on: from the
+//! second segment on, shards only ever run on reset state.
+//!
+//! Alerts are compared per packet as a sorted multiset: within one call
+//! a sweep reports in table order, which differs between any two table
+//! instances (each draws its own hasher key). For the same reason the
+//! scan alert's `fanout N` suffix is left out: when a source re-probes
+//! one port, the distinct-probe count *at the moment the walk crosses
+//! its threshold* depends on the order the sweep visits that source's
+//! timed-out attempts in — between two fresh detectors as well.
+
+use smartwatch_bench::workloads::{attack_mix, attack_mix_full};
+use smartwatch_core::DetectorSuite;
+use smartwatch_detect::auth::{BruteforceDetector, CertExpiryMonitor, KerberosMonitor};
+use smartwatch_detect::dnsamp::DnsAmpDetector;
+use smartwatch_detect::portscan::ScanPipeline;
+use smartwatch_detect::rst::ForgedRstDetector;
+use smartwatch_detect::slowloris::SlowlorisDetector;
+use smartwatch_detect::worm::EarlyBirdDetector;
+use smartwatch_host::{ArtefactRegistry, AuthOutcome};
+use smartwatch_net::{Dur, Packet, Ts};
+use smartwatch_snic::{FlowCache, FlowCacheConfig, FlowRecord};
+use smartwatch_trace::attacks::auth::ArtefactInfo;
+use smartwatch_trace::Trace;
+use std::fmt::Debug;
+use std::net::Ipv4Addr;
+
+/// Everything one call reported, order-free.
+fn said<T: Debug>(out: impl IntoIterator<Item = T>) -> Vec<String> {
+    let mut v: Vec<String> = out
+        .into_iter()
+        .map(|a| {
+            let text = format!("{a:?}");
+            let end = text.find(", fanout").unwrap_or(text.len());
+            text[..end].to_string()
+        })
+        .collect();
+    v.sort();
+    v
+}
+
+fn registry(artefacts: &[ArtefactInfo]) -> ArtefactRegistry {
+    ArtefactRegistry::from_pairs(artefacts.iter().map(|a| (a.digest, a.expires_at)))
+}
+
+fn end_of(trace: &Trace) -> Ts {
+    trace.packets().last().expect("non-empty trace").ts
+}
+
+/// Run `reused` through the whole of `first`, reset it, and hold it
+/// against `fresh` over `second` call by call. `step` feeds one packet,
+/// `finish` is the end-of-trace sweep; both return what was reported
+/// plus any counters worth comparing. The first life must have said
+/// something, or the reset had nothing to forget.
+fn check<D>(
+    name: &str,
+    (mut reused, mut fresh): (D, D),
+    (first, second): (&Trace, &Trace),
+    step: impl Fn(&mut D, &Packet) -> Vec<String>,
+    finish: impl Fn(&mut D, Ts) -> Vec<String>,
+    reset: impl Fn(&mut D),
+) {
+    let mut spoke = 0;
+    for p in first.iter() {
+        spoke += step(&mut reused, p).len();
+    }
+    spoke += finish(&mut reused, end_of(first)).len();
+    assert!(spoke > 0, "{name}: the first trace never exercised it");
+    reset(&mut reused);
+    let mut spoke = 0;
+    for (i, p) in second.iter().enumerate() {
+        let want = step(&mut fresh, p);
+        spoke += want.len();
+        assert_eq!(step(&mut reused, p), want, "{name}: packet {i}");
+    }
+    let want = finish(&mut fresh, end_of(second));
+    spoke += want.len();
+    assert_eq!(finish(&mut reused, end_of(second)), want, "{name}: finish");
+    assert!(spoke > 0, "{name}: the second trace never exercised it");
+}
+
+/// The second lives every detector is held to: a trace it has never
+/// seen (a second seed), and the first trace over again — the same
+/// flows, sources and digests, which is what stale membership (an
+/// `alerted` set, the Bloom filter, a `seen` digest) would answer
+/// differently.
+#[test]
+fn every_packet_fed_detector_resets_to_fresh() {
+    let first = attack_mix(1, 1);
+    for second in [&attack_mix(1, 2), &first] {
+        packet_fed_detectors_reset_to_fresh((&first, second));
+    }
+}
+
+fn packet_fed_detectors_reset_to_fresh(traces: (&Trace, &Trace)) {
+    check(
+        "scan",
+        (ScanPipeline::new(), ScanPipeline::new()),
+        traces,
+        |d, p| said(d.on_packet(p)),
+        |d, now| {
+            let mut out = said(d.finish(now));
+            out.push(format!("conns {}", d.conns.len()));
+            out.push(format!("scanners {:?}", d.detector.scanners()));
+            out
+        },
+        ScanPipeline::reset,
+    );
+    check(
+        "rst",
+        (
+            ForgedRstDetector::paper_default(),
+            ForgedRstDetector::paper_default(),
+        ),
+        traces,
+        |d, p| {
+            // The suite's own gate; `Released` order follows the wheel.
+            if p.is_tcp() && (p.flags.rst() || p.payload_len > 0) {
+                d.on_packet(p).iter().map(|e| format!("{e:?}")).collect()
+            } else {
+                Vec::new()
+            }
+        },
+        |d, now| {
+            let mut out: Vec<String> = d.finish(now).iter().map(|e| format!("{e:?}")).collect();
+            out.push(format!(
+                "fast {} slow {} buffered {}",
+                d.fast_path,
+                d.slow_path,
+                d.buffered()
+            ));
+            out
+        },
+        ForgedRstDetector::reset,
+    );
+    check(
+        "dns",
+        (DnsAmpDetector::new(), DnsAmpDetector::new()),
+        traces,
+        |d, p| said(d.on_packet(p)),
+        |_, _| Vec::new(),
+        DnsAmpDetector::reset,
+    );
+    check(
+        "worm",
+        (
+            EarlyBirdDetector::paper_default(),
+            EarlyBirdDetector::paper_default(),
+        ),
+        traces,
+        |d, p| said(d.on_packet(p)),
+        |d, _| vec![format!("{:?}", d.signatures())],
+        EarlyBirdDetector::reset,
+    );
+}
+
+#[test]
+fn the_outcome_and_digest_fed_detectors_reset_to_fresh() {
+    // Bruteforce: the same sources fail again in the second life; a
+    // reset detector must count them from zero and alert again.
+    let src = |i: u8| Ipv4Addr::new(198, 18, 0, i);
+    let campaign = |d: &mut BruteforceDetector, rounds: u64| {
+        let mut out = Vec::new();
+        for t in 0..rounds {
+            for i in 0..5 {
+                out.extend(d.observe(src(i), Ts::from_secs(t), AuthOutcome::Failure));
+            }
+        }
+        said(out)
+    };
+    let (mut reused, mut fresh) = (BruteforceDetector::ssh(), BruteforceDetector::ssh());
+    assert_eq!(campaign(&mut reused, 4).len(), 5);
+    assert!(
+        campaign(&mut reused, 4).is_empty(),
+        "alerts once per source"
+    );
+    reused.reset();
+    assert_eq!(campaign(&mut reused, 3), campaign(&mut fresh, 3));
+    assert_eq!(reused.flagged(), fresh.flagged());
+
+    // Certificates / tickets: every digest is new again after a reset.
+    let (_, certs, tickets) = attack_mix_full(1, 1);
+    let horizon = Dur::from_secs(30 * 86_400);
+    let now = Ts::from_millis(600);
+    let observe =
+        |m: &mut CertExpiryMonitor| said(certs.iter().flat_map(|c| m.observe(c.digest, now)));
+    let mut reused = CertExpiryMonitor::new(registry(&certs), horizon);
+    let first = observe(&mut reused);
+    assert!(!first.is_empty() && observe(&mut reused).is_empty());
+    reused.reset();
+    assert_eq!(observe(&mut reused), first);
+    let lifetime = Dur::from_secs(36_000);
+    let issued = Ts::from_millis(700);
+    let observe =
+        |m: &mut KerberosMonitor| said(tickets.iter().flat_map(|t| m.observe(t.digest, issued)));
+    let mut reused = KerberosMonitor::new(registry(&tickets), lifetime);
+    let first = observe(&mut reused);
+    assert!(!first.is_empty() && observe(&mut reused).is_empty());
+    reused.reset();
+    assert_eq!(observe(&mut reused), first);
+}
+
+/// The flow records a trace leaves in (and evicts from) a FlowCache.
+fn exported(trace: &Trace) -> Vec<FlowRecord> {
+    let mut cache = FlowCache::new(FlowCacheConfig::general(10));
+    for p in trace.iter() {
+        cache.process(p);
+    }
+    let mut records = cache.rings().drain();
+    records.extend(cache.drain_all());
+    records
+}
+
+#[test]
+fn the_whole_suite_resets_to_fresh() {
+    let (first, certs, tickets) = attack_mix_full(1, 1);
+    for second in [&attack_mix_full(1, 2).0, &first] {
+        suite_resets_to_fresh(&first, second, &certs, &tickets);
+    }
+}
+
+fn suite_resets_to_fresh(
+    first: &Trace,
+    second: &Trace,
+    certs: &[ArtefactInfo],
+    tickets: &[ArtefactInfo],
+) {
+    let suite = || {
+        DetectorSuite::new()
+            .with_cert_registry(registry(certs), Dur::from_secs(30 * 86_400))
+            .with_krb_registry(registry(tickets), Dur::from_secs(36_000))
+    };
+    let (first_records, second_records) = (exported(first), exported(second));
+    // The lives are told apart by address: the second may be the first
+    // trace again, with the same end time.
+    let first_life = std::cell::Cell::new(true);
+    check(
+        "suite",
+        (suite(), suite()),
+        (first, second),
+        |s, p| {
+            let o = s.on_packet(p);
+            let mut out = said(o.alerts);
+            // Tier and whitelist decisions are part of the answer.
+            if o.host == smartwatch_core::HostNeed::Host {
+                out.push("host".into());
+            }
+            out.extend(said(o.whitelist));
+            out
+        },
+        |s, now| {
+            // Slowloris runs at the interval boundary, over records.
+            let records = if first_life.get() {
+                &first_records
+            } else {
+                &second_records
+            };
+            let mut out = said(s.end_interval(records, now));
+            out.extend(said(s.finish(now)));
+            out.push(format!("{:?}", s.ops));
+            out.push(format!("{:?}", (s.rst.fast_path, s.rst.slow_path)));
+            out
+        },
+        |s| {
+            first_life.set(false);
+            s.reset()
+        },
+    );
+
+    // The standalone Slowloris detector, fed the same way.
+    let mut reused = SlowlorisDetector::new();
+    let now = end_of(first);
+    let alerts = said(reused.analyze(&first_records, now));
+    assert!(!alerts.is_empty(), "the mix carries a Slowloris campaign");
+    assert!(reused.analyze(&first_records, now).is_empty());
+    reused.reset();
+    assert_eq!(said(reused.analyze(&first_records, now)), alerts);
+}

@@ -14,7 +14,7 @@ use smartwatch_detect::slowloris::SlowlorisDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_detect::Alert;
 use smartwatch_host::{ArtefactRegistry, AuthHeuristic, AuthOutcome, ConnEvent, ConnTable};
-use smartwatch_net::{Dur, FlowKey, KeyedMix, Packet, Ts};
+use smartwatch_net::{Dur, FlowKey, KeyedMix, Packet, Resident, Ts};
 use smartwatch_snic::FlowRecord;
 use std::collections::HashSet;
 
@@ -108,6 +108,49 @@ impl DetectorSuite {
             classified: HashSet::default(),
             ops: SuiteOps::default(),
         }
+    }
+
+    /// Back to the state the constructor chain built — [`DetectorSuite::new`]
+    /// plus whatever registries were attached — in place: every table
+    /// of every detector emptied under the [`Resident`] contract
+    /// (allocation and hasher key kept, flood leftovers shrunk), every
+    /// clock and tally zeroed, thresholds and registries untouched. A
+    /// reset suite answers any packet stream exactly as a fresh one.
+    pub fn reset(&mut self) {
+        self.scan.reset();
+        self.rst.reset();
+        self.dns.reset();
+        self.worm.reset();
+        self.ssh.reset();
+        self.ftp.reset();
+        self.slowloris.reset();
+        if let Some(c) = self.cert.as_mut() {
+            c.reset();
+        }
+        if let Some(k) = self.krb.as_mut() {
+            k.reset();
+        }
+        self.conns.reset();
+        self.classified.reset();
+        self.ops = SuiteOps::default();
+    }
+
+    /// Heap bytes the suite's detector tables hold.
+    pub fn resident_bytes(&self) -> usize {
+        self.scan.resident_bytes()
+            + self.rst.resident_bytes()
+            + self.dns.resident_bytes()
+            + self.worm.resident_bytes()
+            + self.ssh.resident_bytes()
+            + self.ftp.resident_bytes()
+            + self.slowloris.resident_bytes()
+            + self
+                .cert
+                .as_ref()
+                .map_or(0, CertExpiryMonitor::resident_bytes)
+            + self.krb.as_ref().map_or(0, KerberosMonitor::resident_bytes)
+            + self.conns.resident_bytes()
+            + self.classified.resident_bytes()
     }
 
     /// Attach the TLS certificate registry (enables the expiry monitor).

@@ -10,7 +10,7 @@
 
 use crate::{Alert, Subject};
 use smartwatch_host::AuthOutcome;
-use smartwatch_net::{AttackKind, Dur, Ts};
+use smartwatch_net::{AttackKind, Dur, KeyedMix, Resident, Ts};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -23,8 +23,9 @@ pub struct BruteforceDetector {
     pub threshold: u32,
     /// Sliding window length.
     pub window: Dur,
-    failures: HashMap<Ipv4Addr, VecDeque<Ts>>,
-    alerted: HashSet<Ipv4Addr>,
+    /// Sources come off the wire: keyed like the connection tables.
+    failures: HashMap<Ipv4Addr, VecDeque<Ts>, KeyedMix>,
+    alerted: HashSet<Ipv4Addr, KeyedMix>,
 }
 
 impl BruteforceDetector {
@@ -34,9 +35,25 @@ impl BruteforceDetector {
             kind: AttackKind::SshBruteforce,
             threshold: 3,
             window: Dur::from_secs(30 * 60),
-            failures: HashMap::new(),
-            alerted: HashSet::new(),
+            failures: HashMap::default(),
+            alerted: HashSet::default(),
         }
+    }
+
+    /// Back to the state [`BruteforceDetector::ssh`]/[`ftp`] built, in
+    /// place, keeping kind, threshold and window (see [`Resident`]; the
+    /// per-source failure queues go with their sources).
+    ///
+    /// [`ftp`]: BruteforceDetector::ftp
+    pub fn reset(&mut self) {
+        self.failures.reset();
+        self.alerted.reset();
+    }
+
+    /// Heap bytes the detector's tables hold.
+    pub fn resident_bytes(&self) -> usize {
+        let queues: usize = self.failures.values().map(Resident::resident_bytes).sum();
+        self.failures.resident_bytes() + self.alerted.resident_bytes() + queues
     }
 
     /// FTP variant.
@@ -89,7 +106,8 @@ pub struct CertExpiryMonitor {
     /// Alert horizon (Zeek default: 30 days).
     pub horizon: Dur,
     registry: smartwatch_host::ArtefactRegistry,
-    seen: HashSet<u64>,
+    /// Digests come off the wire: keyed like the connection tables.
+    seen: HashSet<u64, KeyedMix>,
 }
 
 impl CertExpiryMonitor {
@@ -98,8 +116,19 @@ impl CertExpiryMonitor {
         CertExpiryMonitor {
             horizon,
             registry,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
         }
+    }
+
+    /// Forget the digests seen, in place, keeping registry and horizon
+    /// (see [`Resident`]).
+    pub fn reset(&mut self) {
+        self.seen.reset();
+    }
+
+    /// Heap bytes the seen-set holds.
+    pub fn resident_bytes(&self) -> usize {
+        self.seen.resident_bytes()
     }
 
     /// Observe a certificate digest presented at `now`.
@@ -126,7 +155,8 @@ pub struct KerberosMonitor {
     /// Maximum legitimate ticket lifetime (default 10 h).
     pub max_lifetime: Dur,
     registry: smartwatch_host::ArtefactRegistry,
-    seen: HashSet<u64>,
+    /// Digests come off the wire: keyed like the connection tables.
+    seen: HashSet<u64, KeyedMix>,
 }
 
 impl KerberosMonitor {
@@ -135,8 +165,19 @@ impl KerberosMonitor {
         KerberosMonitor {
             max_lifetime,
             registry,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
         }
+    }
+
+    /// Forget the digests seen, in place, keeping registry and lifetime
+    /// bound (see [`Resident`]).
+    pub fn reset(&mut self) {
+        self.seen.reset();
+    }
+
+    /// Heap bytes the seen-set holds.
+    pub fn resident_bytes(&self) -> usize {
+        self.seen.resident_bytes()
     }
 
     /// Observe a ticket digest issued at `issued`.

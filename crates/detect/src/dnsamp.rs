@@ -7,7 +7,7 @@
 //! victim address once enough amplified sessions accumulate.
 
 use crate::{Alert, Subject, Visited};
-use smartwatch_net::{AttackKind, KeyedMix, Packet};
+use smartwatch_net::{AttackKind, KeyedMix, Packet, Resident};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -70,6 +70,18 @@ impl DnsAmpDetector {
             clients: HashMap::default(),
             visited: Visited::default(),
         }
+    }
+
+    /// Back to the state [`DnsAmpDetector::new`] built, in place,
+    /// keeping the thresholds (see [`Resident`]).
+    pub fn reset(&mut self) {
+        self.pairs.reset();
+        self.clients.reset();
+    }
+
+    /// Heap bytes the detector's tables hold.
+    pub fn resident_bytes(&self) -> usize {
+        self.pairs.resident_bytes() + self.clients.resident_bytes()
     }
 
     /// Feed one packet (only UDP/53 packets are considered).

@@ -13,23 +13,49 @@
 use crate::stats::{Trw, TrwVerdict};
 use crate::{Alert, Subject};
 use smartwatch_host::{ConnEvent, ConnTable, Swept};
-use smartwatch_net::{AttackKind, Dur, Packet, Ts};
+use smartwatch_net::{AttackKind, Dur, KeyedMix, Packet, Resident, Ts};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
+/// What the detector keeps per remote source.
+#[derive(Clone, Debug, Default)]
+struct Remote {
+    walk: Trw,
+    /// Distinct `(destination, port)` pairs probed (context for alerts).
+    fanout: usize,
+}
+
 /// Per-remote TRW port-scan detector.
+///
+/// Every key comes off the wire, so the tables hash with per-instance
+/// randomly keyed [`KeyedMix`] like the connection table feeding them.
 #[derive(Clone, Debug, Default)]
 pub struct PortscanDetector {
-    walks: HashMap<Ipv4Addr, Trw>,
-    alerted: HashSet<Ipv4Addr>,
-    /// Distinct destinations probed per source (context for alerts).
-    probed: HashMap<Ipv4Addr, HashSet<(Ipv4Addr, u16)>>,
+    remotes: HashMap<Ipv4Addr, Remote, KeyedMix>,
+    alerted: HashSet<Ipv4Addr, KeyedMix>,
+    /// Every distinct `(source, destination, port)` probe seen — one
+    /// flat set, so the per-source fan-out is a count in [`Remote`]
+    /// rather than a heap set per source.
+    probed: HashSet<(Ipv4Addr, Ipv4Addr, u16), KeyedMix>,
 }
 
 impl PortscanDetector {
     /// Fresh detector with classic TRW parameters.
     pub fn new() -> PortscanDetector {
         PortscanDetector::default()
+    }
+
+    /// Back to the state [`PortscanDetector::new`] built, in place (see
+    /// [`Resident`]).
+    pub fn reset(&mut self) {
+        self.remotes.reset();
+        self.alerted.reset();
+        self.probed.reset();
+    }
+
+    /// Heap bytes the detector's tables hold.
+    pub fn resident_bytes(&self) -> usize {
+        self.remotes.resident_bytes() + self.alerted.resident_bytes() + self.probed.resident_bytes()
     }
 
     /// Feed one resolved connection-attempt outcome (`success` = the
@@ -42,17 +68,19 @@ impl PortscanDetector {
         success: bool,
         ts: Ts,
     ) -> Option<Alert> {
-        self.probed.entry(src).or_default().insert((dst, port));
-        let walk = self.walks.entry(src).or_default();
-        if walk.observe(success) == TrwVerdict::Scanner && self.alerted.insert(src) {
-            let fanout = self.probed[&src].len();
+        let remote = self.remotes.entry(src).or_default();
+        if self.probed.insert((src, dst, port)) {
+            remote.fanout += 1;
+        }
+        if remote.walk.observe(success) == TrwVerdict::Scanner && self.alerted.insert(src) {
             return Some(Alert::new(
                 AttackKind::StealthyPortScan,
                 Subject::Source(src),
                 ts,
                 format!(
-                    "TRW flagged scanner after {} outcomes, fanout {fanout}",
-                    walk.observations()
+                    "TRW flagged scanner after {} outcomes, fanout {}",
+                    remote.walk.observations(),
+                    remote.fanout
                 ),
             ));
         }
@@ -117,6 +145,22 @@ impl ScanPipeline {
             });
     }
 
+    /// Back to the state [`ScanPipeline::new`] built, in place, keeping
+    /// the configured timeout and threshold (see [`Resident`]).
+    pub fn reset(&mut self) {
+        self.conns.reset();
+        self.detector.reset();
+        self.incomplete.reset();
+        self.last_sweep = Ts::ZERO;
+    }
+
+    /// Heap bytes the pipeline's tables hold.
+    pub fn resident_bytes(&self) -> usize {
+        self.conns.resident_bytes()
+            + self.detector.resident_bytes()
+            + self.incomplete.resident_bytes()
+    }
+
     /// Feed one packet; returns any new alert.
     pub fn on_packet(&mut self, pkt: &Packet) -> Vec<Alert> {
         let mut alerts = Vec::new();
@@ -178,8 +222,8 @@ fn originator_view(rec: &smartwatch_host::ConnRecord) -> (Ipv4Addr, Ipv4Addr, u1
 pub struct IncompleteFlowDetector {
     /// Incomplete connections per source that trigger an alert.
     pub threshold: u32,
-    counts: HashMap<Ipv4Addr, u32>,
-    alerted: HashSet<Ipv4Addr>,
+    counts: HashMap<Ipv4Addr, u32, KeyedMix>,
+    alerted: HashSet<Ipv4Addr, KeyedMix>,
 }
 
 impl IncompleteFlowDetector {
@@ -187,9 +231,21 @@ impl IncompleteFlowDetector {
     pub fn new(threshold: u32) -> IncompleteFlowDetector {
         IncompleteFlowDetector {
             threshold,
-            counts: HashMap::new(),
-            alerted: HashSet::new(),
+            counts: HashMap::default(),
+            alerted: HashSet::default(),
         }
+    }
+
+    /// Back to the state [`IncompleteFlowDetector::new`] built, in
+    /// place, keeping the threshold (see [`Resident`]).
+    pub fn reset(&mut self) {
+        self.counts.reset();
+        self.alerted.reset();
+    }
+
+    /// Heap bytes the detector's tables hold.
+    pub fn resident_bytes(&self) -> usize {
+        self.counts.resident_bytes() + self.alerted.resident_bytes()
     }
 
     /// Report a connection that ended (timed out / was swept) with no
@@ -314,9 +370,9 @@ mod tests {
         inc: &IncompleteFlowDetector,
     ) -> (Vec<String>, Vec<(Ipv4Addr, u32)>) {
         let mut walks: Vec<String> = d
-            .walks
+            .remotes
             .iter()
-            .map(|(src, w)| format!("{src} {w:?} fanout {}", d.probed[src].len()))
+            .map(|(src, r)| format!("{src} {:?} fanout {}", r.walk, r.fanout))
             .collect();
         walks.sort();
         let mut counts: Vec<(Ipv4Addr, u32)> = inc.counts.iter().map(|(s, c)| (*s, *c)).collect();
@@ -456,6 +512,27 @@ mod tests {
             }
         }
         assert_eq!(alerts.len(), 1);
+    }
+
+    #[test]
+    fn fanout_counts_distinct_probes_per_source() {
+        // Two sources hammer the same three (dst, port) pairs, each pair
+        // repeatedly: the flat probe set must still count per source,
+        // and count a repeated pair once.
+        let mut d = PortscanDetector::new();
+        let other = Ipv4Addr::new(198, 18, 0, 2);
+        let mut alerts = Vec::new();
+        for i in 0..12u8 {
+            let dst = Ipv4Addr::new(172, 16, 0, i % 3);
+            for src in [scanner(), other] {
+                alerts.extend(d.observe(src, dst, 22, false, Ts::from_secs(u64::from(i))));
+            }
+        }
+        assert_eq!(alerts.len(), 2, "one alert per source");
+        for a in &alerts {
+            assert!(a.detail.ends_with("fanout 3"), "{}", a.detail);
+        }
+        assert_eq!(d.probed.len(), 6);
     }
 
     #[test]

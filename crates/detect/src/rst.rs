@@ -25,7 +25,7 @@
 
 use crate::{Alert, Subject, Visited};
 use smartwatch_host::TimingWheel;
-use smartwatch_net::{AttackKind, Dur, FlowKey, KeyedMix, Packet, Ts};
+use smartwatch_net::{AttackKind, Dur, FlowKey, KeyedMix, Packet, Resident, Ts};
 use smartwatch_sketch::BloomFilter;
 use std::collections::HashMap;
 
@@ -97,6 +97,25 @@ impl ForgedRstDetector {
     /// Paper configuration: T = 2 s.
     pub fn paper_default() -> ForgedRstDetector {
         ForgedRstDetector::new(Dur::from_secs(2))
+    }
+
+    /// Back to the state [`ForgedRstDetector::new`] built, in place,
+    /// keeping the horizon. Wheel, index and Bloom filter are cleared
+    /// *together*: the index must hold exactly the wheel's contents, and
+    /// the one-RST-per-flow invariant rests on the filter never
+    /// forgetting a flow whose RST is still buffered — clearing it is
+    /// sound only at the moment nothing is.
+    pub fn reset(&mut self) {
+        self.index.reset_to(self.wheel.high_water());
+        self.wheel.reset();
+        self.bloom.clear();
+        self.fast_path = 0;
+        self.slow_path = 0;
+    }
+
+    /// Heap bytes the detector holds: wheel slots, index, filter bits.
+    pub fn resident_bytes(&self) -> usize {
+        self.wheel.resident_bytes() + self.index.resident_bytes() + self.bloom.memory_bytes()
     }
 
     fn flow_id(&self, flow: &FlowKey) -> u64 {

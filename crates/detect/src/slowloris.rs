@@ -11,7 +11,7 @@
 //!   server identifies the attack, the victim, and the attacker set.
 
 use crate::{Alert, Subject};
-use smartwatch_net::{AttackKind, Dur, Ts};
+use smartwatch_net::{AttackKind, Dur, Resident, Ts};
 use smartwatch_snic::FlowRecord;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -61,6 +61,17 @@ impl SlowlorisDetector {
             conn_threshold: 50,
             alerted: HashSet::new(),
         }
+    }
+
+    /// Forget the victims already reported, in place, keeping the
+    /// thresholds (see [`Resident`]).
+    pub fn reset(&mut self) {
+        self.alerted.reset();
+    }
+
+    /// Heap bytes the reported-victim set holds.
+    pub fn resident_bytes(&self) -> usize {
+        self.alerted.resident_bytes()
     }
 
     /// Analyze one interval's flow records at time `now`. Emits at most

@@ -9,7 +9,7 @@
 //! for the signature check.
 
 use crate::{Alert, Subject};
-use smartwatch_net::{AttackKind, Packet};
+use smartwatch_net::{AttackKind, KeyedMix, Packet, Resident};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -17,8 +17,8 @@ use std::net::Ipv4Addr;
 #[derive(Clone, Debug, Default)]
 struct Sighting {
     count: u64,
-    sources: HashSet<Ipv4Addr>,
-    destinations: HashSet<Ipv4Addr>,
+    sources: HashSet<Ipv4Addr, KeyedMix>,
+    destinations: HashSet<Ipv4Addr, KeyedMix>,
 }
 
 /// EarlyBird-style worm detector.
@@ -30,8 +30,10 @@ pub struct EarlyBirdDetector {
     pub src_dispersion: usize,
     /// Distinct destinations required.
     pub dst_dispersion: usize,
-    sightings: HashMap<u64, Sighting>,
-    alerted: HashSet<u64>,
+    /// Digests and addresses come off the wire: keyed like the
+    /// connection tables.
+    sightings: HashMap<u64, Sighting, KeyedMix>,
+    alerted: HashSet<u64, KeyedMix>,
 }
 
 impl EarlyBirdDetector {
@@ -42,9 +44,27 @@ impl EarlyBirdDetector {
             prevalence,
             src_dispersion,
             dst_dispersion,
-            sightings: HashMap::new(),
-            alerted: HashSet::new(),
+            sightings: HashMap::default(),
+            alerted: HashSet::default(),
         }
+    }
+
+    /// Back to the state [`EarlyBirdDetector::new`] built, in place,
+    /// keeping the thresholds (see [`Resident`]; the per-signature
+    /// address sets go with their signatures).
+    pub fn reset(&mut self) {
+        self.sightings.reset();
+        self.alerted.reset();
+    }
+
+    /// Heap bytes the detector's tables hold.
+    pub fn resident_bytes(&self) -> usize {
+        let per_signature: usize = self
+            .sightings
+            .values()
+            .map(|s| s.sources.resident_bytes() + s.destinations.resident_bytes())
+            .sum();
+        self.sightings.resident_bytes() + self.alerted.resident_bytes() + per_signature
     }
 
     /// Defaults suited to the generated outbreaks.

@@ -6,7 +6,7 @@
 //! Zeek's `conn_state` vocabulary, which the paper's detectors are written
 //! against.
 
-use smartwatch_net::{Dur, FlowKey, KeyedMix, Packet, Ts};
+use smartwatch_net::{Dur, FlowKey, KeyedMix, Packet, Resident, Ts};
 use std::collections::HashMap;
 
 /// Connection states, after Zeek's `conn_state`.
@@ -109,12 +109,30 @@ pub enum Swept {
 #[derive(Clone, Debug, Default)]
 pub struct ConnTable {
     conns: HashMap<FlowKey, ConnRecord, KeyedMix>,
+    /// Most connections tracked since the last [`ConnTable::reset`], as
+    /// of the last removal (the count only falls there).
+    high_water: usize,
 }
 
 impl ConnTable {
     /// Empty table.
     pub fn new() -> ConnTable {
         ConnTable::default()
+    }
+
+    /// Back to the state [`ConnTable::new`] built, in place: no
+    /// connections, same hasher key; the map keeps its allocation under
+    /// the [`Resident`] shrink rule, sized by the segment's peak rather
+    /// than by whatever the last sweep left.
+    pub fn reset(&mut self) {
+        let high_water = self.high_water.max(self.conns.len());
+        self.conns.reset_to(high_water);
+        self.high_water = 0;
+    }
+
+    /// Heap bytes the table holds.
+    pub fn resident_bytes(&self) -> usize {
+        self.conns.resident_bytes()
     }
 
     /// Active connection count.
@@ -139,6 +157,7 @@ impl ConnTable {
 
     /// Remove a connection (after its analyzer is done with it).
     pub fn remove(&mut self, key: &FlowKey) -> Option<ConnRecord> {
+        self.high_water = self.high_water.max(self.conns.len());
         self.conns.remove(&key.canonical().0)
     }
 
@@ -234,6 +253,7 @@ impl ConnTable {
         dataless_timeout: Dur,
         mut on_swept: impl FnMut(Swept, &ConnRecord),
     ) {
+        self.high_water = self.high_water.max(self.conns.len());
         self.conns.retain(|_, r| {
             let idle = now.since(r.last);
             let why = if r.state == ConnState::S0 && idle >= attempt_timeout {
@@ -253,6 +273,7 @@ impl ConnTable {
 mod tests {
     use super::*;
     use smartwatch_net::{PacketBuilder, TcpFlags};
+    use std::hash::BuildHasher;
     use std::net::Ipv4Addr;
 
     fn key() -> FlowKey {
@@ -442,6 +463,38 @@ mod tests {
             }
             assert!(t.len() < 3_000, "the sweeps removed something");
         }
+    }
+
+    #[test]
+    fn reset_keeps_the_peak_sized_table_and_its_key() {
+        let mut t = ConnTable::new();
+        let syn = |i: u32| {
+            let k = FlowKey::tcp(Ipv4Addr::from(0x0A00_0000 + i), 9, Ipv4Addr::from(1), 80);
+            p(k, u64::from(i), TcpFlags::SYN, 0)
+        };
+        for i in 0..5_000 {
+            t.process(&syn(i));
+        }
+        let (cap, hashed) = (t.conns.capacity(), t.conns.hasher().hash_one(key()));
+        // The end-of-trace sweep all but empties the table before the
+        // reset sees it: the peak, not the leftover, decides what is kept.
+        t.process(&p(key(), 59_000_000, TcpFlags::SYN, 0));
+        t.sweep(
+            Ts::from_secs(60),
+            Dur::from_secs(2),
+            Dur::from_secs(2),
+            |_, _| {},
+        );
+        assert_eq!(t.len(), 1);
+        t.reset();
+        assert_eq!(t.conns.capacity(), cap);
+        assert_eq!(t.conns.hasher().hash_one(key()), hashed);
+        // A segment that tracks a handful gives the flood's memory back.
+        for i in 0..10 {
+            t.process(&syn(i));
+        }
+        t.reset();
+        assert!(t.conns.capacity() <= 40 && t.is_empty());
     }
 
     #[test]

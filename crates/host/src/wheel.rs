@@ -14,7 +14,8 @@
 //! for a later revolution. Deadlines mostly arrive in time order, which
 //! makes the sorted insert a `push_back`.
 
-use smartwatch_net::{Dur, Ts};
+use smartwatch_net::resident::SLACK;
+use smartwatch_net::{Dur, Resident, Ts};
 use smartwatch_telemetry::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 
@@ -65,6 +66,9 @@ pub struct TimingWheel<T> {
     /// `now` has been expired).
     now: Ts,
     len: usize,
+    /// Most items scheduled at once since the last
+    /// [`TimingWheel::reset`].
+    high_water: usize,
     telemetry: Option<WheelTelemetry>,
     visited: Visited,
 }
@@ -77,6 +81,7 @@ impl<T: Clone> Clone for TimingWheel<T> {
             tick: self.tick,
             now: self.now,
             len: self.len,
+            high_water: self.high_water,
             telemetry: None,
             visited: Visited::default(),
         }
@@ -93,6 +98,7 @@ impl<T> TimingWheel<T> {
             tick,
             now: Ts::ZERO,
             len: 0,
+            high_water: 0,
             telemetry: None,
             visited: Visited::default(),
         }
@@ -112,6 +118,34 @@ impl<T> TimingWheel<T> {
         self.telemetry = Some(t);
     }
 
+    /// Back to the state [`TimingWheel::new`] built, in place: nothing
+    /// scheduled, the clock at zero. The slots keep their buffers
+    /// unless together they hold more than the [`Resident`] bound
+    /// allows for the segment's peak item count, in which case each
+    /// shrinks to its share of twice that peak.
+    pub fn reset(&mut self) {
+        let capacity: usize = self.slots.iter().map(VecDeque::capacity).sum();
+        let over = capacity > SLACK * self.high_water;
+        let share = (SLACK / 2 * self.high_water).div_ceil(self.slots.len());
+        for q in &mut self.slots {
+            q.clear();
+            if over {
+                q.shrink_to(share);
+            }
+        }
+        self.now = Ts::ZERO;
+        self.len = 0;
+        self.high_water = 0;
+        if let Some(t) = &self.telemetry {
+            t.occupancy.set(0.0);
+        }
+    }
+
+    /// Heap bytes the slots hold.
+    pub fn resident_bytes(&self) -> usize {
+        self.slots.iter().map(Resident::resident_bytes).sum()
+    }
+
     /// Scheduling horizon.
     pub fn horizon(&self) -> Dur {
         Dur::from_nanos(self.tick.as_nanos() * self.slots.len() as u64)
@@ -125,6 +159,13 @@ impl<T> TimingWheel<T> {
     /// True if nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Most items scheduled at once since the last
+    /// [`TimingWheel::reset`] — what a structure kept in step with the
+    /// wheel sizes itself by.
+    pub fn high_water(&self) -> usize {
+        self.high_water
     }
 
     /// Current wheel time.
@@ -162,6 +203,7 @@ impl<T> TimingWheel<T> {
         };
         q.insert(at, Entry { deadline, item });
         self.len += 1;
+        self.high_water = self.high_water.max(self.len);
         if let Some(t) = &self.telemetry {
             t.scheduled.inc();
             t.note(self.len);
@@ -245,6 +287,30 @@ mod tests {
 
     fn wheel() -> TimingWheel<u32> {
         TimingWheel::new(256, Dur::from_millis(50)) // 12.8 s horizon
+    }
+
+    #[test]
+    fn reset_is_a_fresh_wheel_on_the_same_buffers() {
+        let mut w = wheel();
+        for i in 0..4_000u32 {
+            w.schedule(Ts::from_millis(u64::from(i % 1_000)), i);
+        }
+        let bytes = w.resident_bytes();
+        // Everything expired before the reset: the peak sizes the wheel.
+        assert_eq!(w.advance(Ts::from_secs(10)).len(), 4_000);
+        w.reset();
+        assert_eq!((w.len(), w.now()), (0, Ts::ZERO));
+        assert_eq!(
+            w.resident_bytes(),
+            bytes,
+            "a steady segment keeps its slots"
+        );
+        // Time starts over: an early deadline is in the future again.
+        w.schedule(Ts::from_millis(5), 7);
+        assert_eq!(w.advance(Ts::from_millis(5)), vec![(Ts::from_millis(5), 7)]);
+        // One item was this segment's peak: the flood's slots go.
+        w.reset();
+        assert!(w.resident_bytes() < bytes / 100, "{}", w.resident_bytes());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! the Netronome uses — but it passes avalanche sanity tests (see below).
 
 use crate::key::{FlowKey, RawTuple};
+use crate::resident::Resident;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -489,6 +490,9 @@ pub struct AgingDigestSet {
     ttl: u64,
     expired: u64,
     evicted: u64,
+    /// Most entries held since the last [`AgingDigestSet::reset`], as of
+    /// the last removal (the length only falls there).
+    high_water: usize,
 }
 
 impl AgingDigestSet {
@@ -502,7 +506,19 @@ impl AgingDigestSet {
             ttl,
             expired: 0,
             evicted: 0,
+            high_water: 0,
         }
+    }
+
+    /// Back to the state [`AgingDigestSet::new`] built, in place: no
+    /// members, zeroed tallies, same bounds; the map keeps its
+    /// allocation under the [`Resident`] shrink rule.
+    pub fn reset(&mut self) {
+        let high_water = self.high_water.max(self.map.len());
+        self.map.reset_to(high_water);
+        self.expired = 0;
+        self.evicted = 0;
+        self.high_water = 0;
     }
 
     /// Insert (or refresh) `digest` at epoch `now`. Returns `true` if the
@@ -544,6 +560,7 @@ impl AgingDigestSet {
     /// Remove a digest outright (e.g. a whitelist entry superseded by a
     /// blacklist verdict). Returns `true` if it was resident.
     pub fn remove(&mut self, digest: &u64) -> bool {
+        self.high_water = self.high_water.max(self.map.len());
         self.map.remove(digest).is_some()
     }
 
@@ -553,6 +570,7 @@ impl AgingDigestSet {
     pub fn sweep(&mut self, now: u64) -> u64 {
         let ttl = self.ttl;
         let before = self.map.len();
+        self.high_water = self.high_water.max(before);
         self.map
             .retain(|_, stamp| now.saturating_sub(*stamp) <= ttl);
         let removed = (before - self.map.len()) as u64;

@@ -30,6 +30,9 @@
 //! - [`hash`] — the hash family used by the FlowCache and sketches,
 //!   including the digest-splitting helpers that Algorithm 1 of the paper
 //!   relies on (low bits select the row, high bits the Lite-mode offset).
+//! - [`resident`] — the reset contract of engine-lifetime flow tables:
+//!   empty in place, keep the allocation and the hasher key, shrink only
+//!   what a flood left over-provisioned.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +43,7 @@ pub mod key;
 pub mod label;
 pub mod packet;
 pub mod pcap;
+pub mod resident;
 pub mod tcp;
 pub mod time;
 pub mod wire;
@@ -52,6 +56,7 @@ pub use hash::{
 pub use key::{fold_ip, FlowKey, Proto, RawTuple};
 pub use label::{AttackKind, Label};
 pub use packet::{Packet, PacketBuilder};
+pub use resident::Resident;
 pub use tcp::TcpFlags;
 pub use time::{Dur, Ts};
 pub use wire::FrameView;

@@ -26,8 +26,8 @@
 //!
 //! Module map: `config` (what to run: [`EngineConfig`], [`Pace`],
 //! [`FrameSource`]), `lifecycle` (the [`Engine`], its garage of parked
-//! pools, and the one open → topology → close segment every `run*`
-//! call goes through), `ingest` (the one feed × sink loop both
+//! pools and per-shard flow state, and the one open → topology → close
+//! segment every `run*` call goes through), `ingest` (the one feed × sink loop both
 //! topologies' ingest threads run) and `report` ([`EngineReport`], the
 //! conservation law, the `/stats.json` renderers).
 

@@ -104,14 +104,18 @@ pub struct EngineConfig {
     /// is always traced and every live thread owns at least one span at
     /// any period.
     pub trace_sample: u64,
-    /// Serve mode: carry each shard's FlowCache across back-to-back
-    /// `run*` calls on the same engine instead of starting every
-    /// segment cold. Flow affinity is preserved (the RSS mapping is a
-    /// pure function of digest and shard count, both fixed per engine),
-    /// so shard `i` always gets shard `i`'s cache back. Batch buffer
-    /// pools and frame pools are *always* reused across runs — that is
-    /// the zero-steady-state-allocation claim the soak harness pins —
-    /// this flag only controls the flow *state*.
+    /// Serve mode: carry each shard's FlowCache *contents* across
+    /// back-to-back `run*` calls on the same engine instead of starting
+    /// every segment cold. Flow affinity is preserved (the RSS mapping
+    /// is a pure function of digest and shard count, both fixed per
+    /// engine), so shard `i` always gets shard `i`'s cache back. The
+    /// *memory* of the flow state — cache, detector tables, verdict
+    /// sets — is reused across runs either way, like the batch and
+    /// frame pools (the zero-steady-state-allocation claim the soak
+    /// harness pins): unset, a segment gets its shard's state back
+    /// reset in place, observably fresh; set, the reset skips the
+    /// cache, so its records, pins and operating mode survive. The
+    /// detector suite starts over in both cases.
     pub carry_flow_state: bool,
 }
 

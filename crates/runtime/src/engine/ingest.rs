@@ -21,12 +21,11 @@ use super::report::{QueueCounters, QueueStats};
 use crate::batch::{Backoff, Batch, BufferPool, DigestedPacket};
 use crate::frame::{FramePool, FrameSlot};
 use crate::obs::ThreadTrace;
-use crate::shard::{ShardCounters, ShardEndState, ShardMsg, ShardWorker};
+use crate::shard::{FlowState, ShardCounters, ShardEndState, ShardMsg, ShardWorker};
 use crate::spsc::Producer;
 use smartwatch_control::{SnapshotReader, SteeringSnapshot};
 use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{FlowHasher, FrameStore, FrameView, HashDigest, Packet, RawTuple};
-use smartwatch_snic::FlowCache;
 use smartwatch_telemetry::{FlightKind, FlightRing};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -487,7 +486,7 @@ impl ShardSink {
 }
 
 impl Sink for ShardSink {
-    type Out = (ShardEndState, FlowCache);
+    type Out = (ShardEndState, FlowState);
     const SPAN: (&'static str, &'static str) = ("rtc block", "core");
 
     fn shard_counters(&self, _digest: HashDigest) -> &ShardCounters {

@@ -19,8 +19,8 @@ use crate::frame::FramePool;
 use crate::obs::{ThreadTrace, TraceSpec};
 use crate::service::{AdminCmd, AdminQueue};
 use crate::shard::{
-    ControlHooks, Escalation, LaneRx, ShardCounters, ShardEndState, ShardMsg, ShardObs, ShardSetup,
-    ShardStats, ShardWorker, StageHists,
+    ControlHooks, Escalation, FlowState, LaneRx, ShardCounters, ShardEndState, ShardMsg, ShardObs,
+    ShardSetup, ShardStats, ShardWorker, StageHists,
 };
 use crate::spsc::spsc;
 use serde::{Number, Value};
@@ -30,7 +30,7 @@ use smartwatch_control::{
 };
 use smartwatch_net::hash::{queue_for_digest, shard_for_digest, splitmix64};
 use smartwatch_net::{FlowHasher, FrameStore, HashDigest, Packet};
-use smartwatch_snic::{FlowCache, FlowCacheConfig, Mode};
+use smartwatch_snic::Mode;
 use smartwatch_telemetry::{
     mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, Registry, Tracer, WallAnchor,
 };
@@ -43,20 +43,24 @@ use std::time::{Duration, Instant};
 
 /// Reusable run-scoped resources parked between `run*` calls so a
 /// long-running service allocates nothing per segment: per-queue batch
-/// buffer pools and (wire mode) frame pools always; per-shard
-/// FlowCaches when [`EngineConfig::carry_flow_state`] is set. The mesh
-/// shape is fixed per engine, so whatever is parked always fits.
-/// Un-parking is FIFO (pop order matches park order): each queue gets
-/// its *own* warmed pool back — the salted RSS split is uneven, so a
-/// LIFO swap would hand the heaviest queue the lightest pool and pay a
-/// one-time re-allocation every time the assignment flips — and shard
-/// `i` gets shard `i`'s cache back (RSS placement is a pure function of
-/// digest and shard count, so carried flow state stays affine).
+/// buffer pools, (wire mode) frame pools, and one [`FlowState`] per
+/// shard — FlowCache, detector suite, verdict sets, triage tables —
+/// always. Nothing here exists before the first segment builds it, and
+/// the mesh shape is fixed per engine, so whatever is parked always
+/// fits. Un-parking is FIFO (pop order matches park order): each queue
+/// gets its *own* warmed pool back — the salted RSS split is uneven, so
+/// a LIFO swap would hand the heaviest queue the lightest pool and pay
+/// a one-time re-allocation every time the assignment flips — and shard
+/// `i` gets shard `i`'s flow state back, made fresh by
+/// [`FlowState::reset`] (tables sized for shard `i`'s share of the
+/// traffic; with [`EngineConfig::carry_flow_state`] the cache inside is
+/// left warm, and RSS placement being a pure function of digest and
+/// shard count keeps it affine).
 #[derive(Default)]
 struct Garage {
     pools: VecDeque<BufferPool>,
     frames: VecDeque<FramePool>,
-    caches: VecDeque<FlowCache>,
+    flows: VecDeque<FlowState>,
 }
 
 /// The sharded wall-clock engine.
@@ -211,6 +215,21 @@ impl Engine {
             .collect()
     }
 
+    /// Heap bytes of per-flow state parked in the garage (FlowCaches
+    /// and detector tables), summed over the shards'
+    /// `runtime.flowstate.resident_bytes{shard=i}` gauges — as of the
+    /// end of the last segment, `0` before the first.
+    pub fn flowstate_resident_bytes(&self) -> u64 {
+        (0..self.cfg.shards)
+            .map(|i| {
+                let shard = i.to_string();
+                self.registry
+                    .gauge("runtime.flowstate.resident_bytes", &[("shard", &shard)])
+                    .get() as u64
+            })
+            .sum()
+    }
+
     /// The live `/stats.json` document: [`EngineReport`]-shaped counters
     /// read straight from the registry atomics, so it is safe to call
     /// from any thread at any time. Mid-run, values are at most one
@@ -253,6 +272,16 @@ impl Engine {
             (
                 "mem".into(),
                 Value::Object(vec![("rss_bytes".into(), uint(self.mem_rss.get() as u64))]),
+            ),
+            (
+                "flowstate".into(),
+                Value::Object(vec![
+                    ("resets".into(), counter("runtime.flowstate.resets")),
+                    (
+                        "resident_bytes".into(),
+                        uint(self.flowstate_resident_bytes()),
+                    ),
+                ]),
             ),
             (
                 "pool".into(),
@@ -394,31 +423,31 @@ impl Engine {
         self.mem_rss.set(mem::rss_bytes() as f64);
 
         // Un-park whatever the previous run left in the garage: buffer
-        // pools and frame pools are always reused (the soak harness pins
-        // `runtime.pool.allocated` flat across segments); FlowCaches
-        // only under `carry_flow_state`.
+        // pools, frame pools (the soak harness pins
+        // `runtime.pool.allocated` flat across segments) and every
+        // shard's flow state, reset in place — built only on the
+        // engine's first segment.
         let mut parked = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
-        if !cfg.carry_flow_state {
-            parked.caches.clear();
-        }
         let mut repark = Garage::default();
+        let flow_resets = self.registry.counter("runtime.flowstate.resets", &[]);
 
         let mut plane = self.spawn_control(&spec, &setup, &counters);
         let mut worker = |i: usize, flight: FlightRing, trace: Option<ThreadTrace>| {
-            let cache = parked.caches.pop_front().unwrap_or_else(|| {
-                let mut cache_cfg = FlowCacheConfig::general(cfg.cache_row_bits);
-                cache_cfg.hash_seed = cfg.hash_seed;
-                let mut cache = FlowCache::new(cache_cfg);
-                cache.attach_telemetry(&self.registry);
-                cache
-            });
+            let flow = match parked.flows.pop_front() {
+                Some(mut flow) => {
+                    flow.reset(cfg.carry_flow_state);
+                    flow_resets.inc();
+                    flow
+                }
+                None => FlowState::new(cfg, &self.registry),
+            };
             let escalation = match &pool {
                 Some(p) => Escalation::Pool(p.sender()),
-                None => Escalation::Inline(TriageNf::new(cfg.triage_threshold)),
+                None => Escalation::Inline,
             };
             let (counters, hooks) = (counters[i].clone(), plane.shard_hooks[i].take());
             let obs = ShardObs { flight, trace };
-            ShardWorker::new(&setup, cache, escalation, counters, hooks, obs)
+            ShardWorker::new(&setup, flow, escalation, counters, hooks, obs)
         };
         let pacer = Pacer::resolve(pace, source.len());
         let units = Units {
@@ -434,10 +463,15 @@ impl Engine {
 
         // ── The topology ────────────────────────────────────────────
         let mut ends: Vec<ShardEndState> = Vec::with_capacity(n);
-        let mut caches: VecDeque<FlowCache> = VecDeque::with_capacity(n);
-        let mut shard_done = |(end, cache): (ShardEndState, FlowCache)| {
+        let mut flows: VecDeque<FlowState> = VecDeque::with_capacity(n);
+        let mut shard_done = |(end, flow): (ShardEndState, FlowState)| {
+            // What stays parked for shard `i`, for `/metrics`.
+            let shard = ends.len().to_string();
+            self.registry
+                .gauge("runtime.flowstate.resident_bytes", &[("shard", &shard)])
+                .set(flow.resident_bytes() as f64);
             ends.push(end);
-            caches.push_back(cache);
+            flows.push_back(flow);
         };
         let (start, interrupted) = match cfg.datapath {
             DatapathMode::Pipeline => {
@@ -558,9 +592,7 @@ impl Engine {
         // returned ones), and settle the segment's books.
         repark.frames.extend(parked.frames);
         repark.pools.extend(parked.pools);
-        if cfg.carry_flow_state {
-            repark.caches = caches;
-        }
+        repark.flows = flows;
         *self.garage.lock().expect("garage poisoned") = repark;
         self.mem_rss.set(mem::rss_bytes() as f64);
 

@@ -12,7 +12,7 @@
 use crate::control::ControlLog;
 use crate::obs::TraceSpec;
 use smartwatch_host::{HostNf, Verdict};
-use smartwatch_net::{FlowKey, Packet};
+use smartwatch_net::{FlowKey, Packet, Resident};
 use smartwatch_telemetry::{Counter, Histogram};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -43,6 +43,13 @@ impl TriageNf {
             seen: HashMap::new(),
             issued: HashSet::new(),
         }
+    }
+
+    /// Back to the state [`TriageNf::new`] built, in place, keeping the
+    /// threshold (see [`Resident`]).
+    pub fn reset(&mut self) {
+        self.seen.reset();
+        self.issued.reset();
     }
 }
 

@@ -26,7 +26,10 @@
 //!   [`TriageNf`] escalation triage.
 //! * [`shard`] — the per-thread worker: one FlowCache partition, one
 //!   detector suite, no cross-shard synchronisation on the packet path.
-//!   Ingest arrives over R lanes merged under a [`MergePolicy`].
+//!   Ingest arrives over R lanes merged under a [`MergePolicy`]. The
+//!   worker lives for one segment; its per-flow memory (`FlowState`:
+//!   cache, suite, verdict sets, triage tables) lives as long as the
+//!   engine.
 //! * [`engine`] — the [`Engine`]: R RX-queue dispatchers
 //!   ([`EngineConfig::rx_queues`], the multi-queue NIC model) feeding
 //!   the shards over an R×N mesh of SPSC lanes, pacing ([`Pace`]),
@@ -57,9 +60,14 @@
 //! In service mode the engine stays resident across segments:
 //! [`service`] carries the bounded admin mailbox ([`AdminCmd`]) drained
 //! by the controller at epoch boundaries, [`Engine::request_drain`]
-//! quiesces a running segment gracefully, and batch/frame pools (plus,
-//! under [`EngineConfig::carry_flow_state`], the per-shard FlowCaches)
-//! are parked between runs so steady state allocates nothing.
+//! quiesces a running segment gracefully, and batch pools, frame pools
+//! and every shard's flow state are parked between runs, so steady
+//! state allocates nothing: the first segment builds each shard's
+//! FlowCache and detector tables, every later one gets them back
+//! through an exact in-place reset
+//! (`runtime.flowstate.{resets, resident_bytes}`); under
+//! [`EngineConfig::carry_flow_state`] the cache is handed back warm
+//! instead.
 //!
 //! With [`EngineConfig::with_control`] the engine additionally runs the
 //! [`smartwatch_control`] adaptive control plane: a controller thread

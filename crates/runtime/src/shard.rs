@@ -24,13 +24,14 @@
 
 use crate::batch::{Backoff, Batch, DigestedPacket, RecycleSender};
 use crate::control::{ControlLog, LogReader};
+use crate::engine::EngineConfig;
 use crate::escalate::{Escalated, TriageNf};
 use crate::obs::ThreadTrace;
 use smartwatch_control::{ModeCell, SnapshotReader, SteeringSnapshot};
 use smartwatch_core::{DetectorSuite, HostNeed};
 use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::{AgingDigestSet, BuildDigestHasher, FlowHasher};
-use smartwatch_snic::{FlowCache, Outcome};
+use smartwatch_snic::{FlowCache, FlowCacheConfig, Outcome};
 use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Histogram, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::SyncSender;
@@ -109,8 +110,9 @@ pub(crate) enum Escalation {
     /// Bounded channel into the shared host worker pool. Payloads carry
     /// the hand-off instant so the host side can time the round trip.
     Pool(SyncSender<Escalated>),
-    /// Synchronous per-shard triage (deterministic mode, `host_workers = 0`).
-    Inline(TriageNf),
+    /// Synchronous per-shard triage on the shard's own [`TriageNf`]
+    /// (deterministic mode, `host_workers = 0`).
+    Inline,
 }
 
 /// Per-shard observability wiring: the thread's flight-recorder ring
@@ -363,6 +365,88 @@ struct LocalBatchStats {
     escalate_ns: Vec<u64>,
 }
 
+impl LocalBatchStats {
+    /// Zero the tallies and empty the sample buffers, keeping them.
+    fn clear(&mut self) {
+        self.processed = 0;
+        self.verdict_dropped = 0;
+        self.fast_path = 0;
+        self.escalated = 0;
+        self.escalation_dropped = 0;
+        self.alerts = 0;
+        self.host_inline = 0;
+        self.cache_ns.clear();
+        self.detect_ns.clear();
+        self.escalate_ns.clear();
+    }
+}
+
+/// One shard's per-flow memory: an engine-lifetime resource. Built
+/// once, on the first segment that needs it; parked in the engine's
+/// garage between segments; handed back to the same shard through
+/// [`FlowState::reset`], which makes it observably fresh without giving
+/// up its allocations (the [`Resident`](smartwatch_net::Resident)
+/// contract) — so from the second segment on a shard neither builds nor
+/// regrows any per-flow table.
+pub(crate) struct FlowState {
+    pub cache: FlowCache,
+    pub suite: DetectorSuite,
+    /// Digest-keyed (identity-hashed) verdict sets: membership is one
+    /// u64 probe instead of a SipHash over the 13-byte 5-tuple. TTL'd
+    /// and capacity-bounded so a long-running shard never accumulates
+    /// every verdict it has ever seen.
+    blacklist: AgingDigestSet,
+    whitelist: AgingDigestSet,
+    /// Sampled per-digest packet counts since the last heavy flush
+    /// (bounded by the flush period, so it needs no shrink rule).
+    heavy_counts: HashMap<u64, u64, BuildDigestHasher>,
+    local: LocalBatchStats,
+    /// The shard's inline host NF ([`Escalation::Inline`]).
+    triage: TriageNf,
+}
+
+impl FlowState {
+    /// Fresh state for one shard of an engine configured as `cfg`.
+    pub(crate) fn new(cfg: &EngineConfig, registry: &Registry) -> FlowState {
+        let mut cache_cfg = FlowCacheConfig::general(cfg.cache_row_bits);
+        cache_cfg.hash_seed = cfg.hash_seed;
+        let mut cache = FlowCache::new(cache_cfg);
+        cache.attach_telemetry(registry);
+        FlowState {
+            cache,
+            suite: DetectorSuite::new(),
+            blacklist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
+            whitelist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
+            heavy_counts: HashMap::default(),
+            local: LocalBatchStats::default(),
+            triage: TriageNf::new(cfg.triage_threshold),
+        }
+    }
+
+    /// Make parked state fresh for the next segment, in place.
+    /// `carry_cache` leaves the FlowCache as the last segment left it
+    /// ([`EngineConfig::carry_flow_state`]);
+    /// everything else always starts over.
+    pub(crate) fn reset(&mut self, carry_cache: bool) {
+        if !carry_cache {
+            self.cache.reset();
+        }
+        self.suite.reset();
+        self.blacklist.reset();
+        self.whitelist.reset();
+        self.heavy_counts.clear();
+        self.local.clear();
+        self.triage.reset();
+    }
+
+    /// Heap bytes held by the FlowCache and the detector tables — the
+    /// part sized by the traffic (the verdict sets are capacity-bounded
+    /// and the triage tables hold one entry per escalated source).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.cache.resident_bytes() + self.suite.resident_bytes()
+    }
+}
+
 /// What every shard worker of one segment shares, built once by the
 /// engine lifecycle.
 #[derive(Clone)]
@@ -399,28 +483,20 @@ pub(crate) struct ShardSetup {
 /// The per-thread shard state.
 pub(crate) struct ShardWorker {
     pub setup: ShardSetup,
-    pub cache: FlowCache,
-    pub suite: DetectorSuite,
+    /// The shard's per-flow memory, on loan from the engine's garage
+    /// for this segment; `finish` hands it back.
+    pub flow: FlowState,
     pub escalation: Escalation,
     pub counters: ShardCounters,
     /// The end state in the making: the FlowCache tallies (access mix,
     /// probe lengths, prefetch bursts) accumulate here in plain
     /// integers — no atomics on this path; `finish` freezes the rest.
     end: ShardEndState,
-    /// Digest-keyed (identity-hashed) verdict sets: membership is one
-    /// u64 probe instead of a SipHash over the 13-byte 5-tuple. TTL'd
-    /// and capacity-bounded so a long-running shard never accumulates
-    /// every verdict it has ever seen.
-    blacklist: AgingDigestSet,
-    whitelist: AgingDigestSet,
     /// Attached control plane (mode cell, steering reader, heavy-hitter
     /// channel); `None` when the engine runs without a controller.
     hooks: Option<ControlHooks>,
-    /// Sampled per-digest packet counts since the last heavy flush.
-    heavy_counts: HashMap<u64, u64, BuildDigestHasher>,
     /// Flight ring + optional sampled trace track for this thread.
     obs: ShardObs,
-    local: LocalBatchStats,
     reader: LogReader,
     /// Batches consumed — the monotone clock the aging sets tick on.
     batches: u64,
@@ -431,7 +507,7 @@ pub(crate) struct ShardWorker {
 impl ShardWorker {
     pub(crate) fn new(
         setup: &ShardSetup,
-        cache: FlowCache,
+        flow: FlowState,
         escalation: Escalation,
         counters: ShardCounters,
         hooks: Option<ControlHooks>,
@@ -440,17 +516,12 @@ impl ShardWorker {
         ShardWorker {
             reader: setup.log.reader(),
             setup: setup.clone(),
-            cache,
-            suite: DetectorSuite::new(),
+            flow,
             escalation,
             counters,
             end: ShardEndState::default(),
-            blacklist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
-            whitelist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             hooks,
-            heavy_counts: HashMap::default(),
             obs,
-            local: LocalBatchStats::default(),
             batches: 0,
             seen: 0,
             last_ts: smartwatch_net::Ts::ZERO,
@@ -459,9 +530,9 @@ impl ShardWorker {
 
     /// Consume batches from the R ingest lanes until every lane's Stop
     /// marker arrives, then final-sweep and exit. Returns the end state
-    /// plus the FlowCache itself, so the engine can carry flow state
-    /// across serve-mode segment restarts.
-    pub(crate) fn run(self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowCache) {
+    /// plus the shard's [`FlowState`], which the engine parks for the
+    /// next segment.
+    pub(crate) fn run(self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowState) {
         match self.setup.merge {
             MergePolicy::Fair => self.run_fair(lanes),
             MergePolicy::Ordered => self.run_ordered(lanes),
@@ -473,7 +544,7 @@ impl ShardWorker {
     /// lane per sweep. The idle backoff escalates only when a full sweep
     /// found *every* lane empty — a shard with any lane delivering never
     /// parks.
-    fn run_fair(mut self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowCache) {
+    fn run_fair(mut self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowState) {
         let r = lanes.len();
         let mut open = vec![true; r];
         let mut live = r;
@@ -525,7 +596,7 @@ impl ShardWorker {
     /// other lanes are drained into local pending lists meanwhile so
     /// their producers never block behind the stall (which could
     /// otherwise deadlock the mesh).
-    fn run_ordered(mut self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowCache) {
+    fn run_ordered(mut self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowState) {
         let mut lanes: Vec<OrderedLane> = lanes
             .into_iter()
             .map(|lane| OrderedLane {
@@ -668,7 +739,7 @@ impl ShardWorker {
     /// reader, and freeze the end state. `pub(crate)` because the
     /// run-to-completion cores drive the worker directly (no lanes) and
     /// close it out themselves at end of stream.
-    pub(crate) fn finish(mut self) -> (ShardEndState, FlowCache) {
+    pub(crate) fn finish(mut self) -> (ShardEndState, FlowState) {
         // Wait for every sibling worker to reach end-of-stream before
         // polling the final tail: inline-triage publishers are all
         // quiesced past this line, so the tail is the *complete* log
@@ -676,14 +747,14 @@ impl ShardWorker {
         self.setup.finish_line.wait();
         self.apply_control();
         self.flush_heavy();
-        let final_alerts = self.suite.finish(self.last_ts);
+        let final_alerts = self.flow.suite.finish(self.last_ts);
         self.counters.alerts.add(final_alerts.len() as u64);
         // Stop pinning the verdict log's buffer.
         self.setup.log.release(self.reader);
-        self.end.blacklisted = self.blacklist.len() as u64;
-        self.end.whitelisted = self.whitelist.len() as u64;
-        self.end.cache_resident = self.cache.occupied() as u64;
-        (self.end, self.cache)
+        self.end.blacklisted = self.flow.blacklist.len() as u64;
+        self.end.whitelisted = self.flow.whitelist.len() as u64;
+        self.end.cache_resident = self.flow.cache.occupied() as u64;
+        (self.end, self.flow)
     }
 
     /// Per-batch control-plane housekeeping: advance the batch clock,
@@ -699,15 +770,15 @@ impl ShardWorker {
             // The controller's Algorithm 4 decision, applied to the live
             // cache at this batch boundary (safe: lazy Alg. 3 cleanup).
             let decided = h.mode.get();
-            if decided != self.cache.mode() {
-                self.cache.set_mode(decided);
+            if decided != self.flow.cache.mode() {
+                self.flow.cache.set_mode(decided);
             }
             h.steer.refresh();
         }
         if self.batches.is_multiple_of(SWEEP_EVERY_BATCHES) {
             let now = self.batches;
-            self.blacklist.sweep(now);
-            self.whitelist.sweep(now);
+            self.flow.blacklist.sweep(now);
+            self.flow.whitelist.sweep(now);
         }
         if self.hooks.is_some() && self.batches.is_multiple_of(HEAVY_FLUSH_BATCHES) {
             self.flush_heavy();
@@ -718,17 +789,17 @@ impl ShardWorker {
     /// design: a full channel just means this flush's estimates are
     /// stale — a real heavy hitter re-qualifies on the next one.
     fn flush_heavy(&mut self) {
-        if self.heavy_counts.is_empty() {
+        if self.flow.heavy_counts.is_empty() {
             return;
         }
         if let Some(h) = &self.hooks {
-            for (&digest, &count) in self.heavy_counts.iter() {
+            for (&digest, &count) in self.flow.heavy_counts.iter() {
                 if count >= HEAVY_MIN_SAMPLES {
                     let _ = h.heavy_tx.try_send((digest, count * SAMPLE_SCALE));
                 }
             }
         }
-        self.heavy_counts.clear();
+        self.flow.heavy_counts.clear();
     }
 
     fn apply_control(&mut self) {
@@ -744,14 +815,14 @@ impl ShardWorker {
                     let (canon, digest) = self.setup.hasher.digest_symmetric(&k);
                     // The host is done with this flow — release the pin
                     // so the record becomes evictable again.
-                    self.cache.unpin(&canon);
-                    self.blacklist.insert(digest.0, now);
-                    self.whitelist.remove(&digest.0);
+                    self.flow.cache.unpin(&canon);
+                    self.flow.blacklist.insert(digest.0, now);
+                    self.flow.whitelist.remove(&digest.0);
                 }
                 Verdict::Whitelist(k) => {
                     let (canon, digest) = self.setup.hasher.digest_symmetric(&k);
-                    self.cache.unpin(&canon);
-                    self.whitelist.insert(digest.0, now);
+                    self.flow.cache.unpin(&canon);
+                    self.flow.whitelist.insert(digest.0, now);
                 }
                 Verdict::Alert(_) => self.counters.alerts.inc(),
                 Verdict::Drop => {}
@@ -764,7 +835,7 @@ impl ShardWorker {
     /// `pub(crate)` for the run-to-completion cores, which flush once
     /// per fused batch like the lane path does.
     pub(crate) fn flush_local(&mut self) {
-        let l = &mut self.local;
+        let l = &mut self.flow.local;
         if l.processed > 0 {
             self.counters.processed.add(l.processed);
         }
@@ -796,16 +867,7 @@ impl ShardWorker {
         self.setup.stage.cache_ns.record_all(&l.cache_ns);
         self.setup.stage.detect_ns.record_all(&l.detect_ns);
         self.setup.stage.escalate_ns.record_all(&l.escalate_ns);
-        l.processed = 0;
-        l.verdict_dropped = 0;
-        l.fast_path = 0;
-        l.escalated = 0;
-        l.escalation_dropped = 0;
-        l.alerts = 0;
-        l.host_inline = 0;
-        l.cache_ns.clear();
-        l.detect_ns.clear();
-        l.escalate_ns.clear();
+        l.clear();
     }
 
     /// The batched FlowCache pipeline: for each burst-sized chunk, stage
@@ -828,7 +890,7 @@ impl ShardWorker {
             self.end.bursts += 1;
             self.end.burst_pkts += chunk.len() as u64;
             for dp in chunk {
-                self.cache.prefetch_row(dp.digest);
+                self.flow.cache.prefetch_row(dp.digest);
             }
             for dp in chunk {
                 self.process_packet(dp);
@@ -839,9 +901,9 @@ impl ShardWorker {
     fn process_packet(&mut self, dp: &DigestedPacket) {
         let pkt = &dp.pkt;
         self.last_ts = self.last_ts.max(pkt.ts);
-        if self.setup.enforce_verdicts && self.blacklist.contains(&dp.digest.0) {
-            self.local.verdict_dropped += 1;
-            self.local.processed += 1;
+        if self.setup.enforce_verdicts && self.flow.blacklist.contains(&dp.digest.0) {
+            self.flow.local.verdict_dropped += 1;
+            self.flow.local.processed += 1;
             self.seen += 1;
             return;
         }
@@ -850,17 +912,20 @@ impl ShardWorker {
         if sample && self.hooks.is_some() {
             // Sampled heavy-hitter estimate; flushed controller-ward
             // every HEAVY_FLUSH_BATCHES batches.
-            *self.heavy_counts.entry(dp.digest.0).or_insert(0) += 1;
+            *self.flow.heavy_counts.entry(dp.digest.0).or_insert(0) += 1;
         }
 
         // Stage 1: FlowCache update (digest reused — no re-hash).
         let access = if sample {
             let t0 = Instant::now();
-            let a = self.cache.process_digested(pkt, &dp.canon, dp.digest);
-            self.local.cache_ns.push(t0.elapsed().as_nanos() as u64);
+            let a = self.flow.cache.process_digested(pkt, &dp.canon, dp.digest);
+            self.flow
+                .local
+                .cache_ns
+                .push(t0.elapsed().as_nanos() as u64);
             a
         } else {
-            self.cache.process_digested(pkt, &dp.canon, dp.digest)
+            self.flow.cache.process_digested(pkt, &dp.canon, dp.digest)
         };
         self.end.probe_hist[(access.probes as usize).min(PROBE_HIST_SLOTS - 1)] += 1;
         self.end.cache_mix.tally(&access);
@@ -870,39 +935,42 @@ impl ShardWorker {
         // shard's own verdict overlay or the controller's published
         // steering table qualifies; the snapshot read is a plain
         // deref into the batch-cached Arc.
-        if self.whitelist.contains(&dp.digest.0)
+        if self.flow.whitelist.contains(&dp.digest.0)
             || self
                 .hooks
                 .as_ref()
                 .is_some_and(|h| h.steer.current().whitelist.contains(&dp.digest.0))
         {
-            self.local.fast_path += 1;
-            self.local.processed += 1;
+            self.flow.local.fast_path += 1;
+            self.flow.local.processed += 1;
             return;
         }
 
         // Stage 2: detector suite.
         let outcome = if sample {
             let t0 = Instant::now();
-            let o = self.suite.on_packet(pkt);
-            self.local.detect_ns.push(t0.elapsed().as_nanos() as u64);
+            let o = self.flow.suite.on_packet(pkt);
+            self.flow
+                .local
+                .detect_ns
+                .push(t0.elapsed().as_nanos() as u64);
             o
         } else {
-            self.suite.on_packet(pkt)
+            self.flow.suite.on_packet(pkt)
         };
 
-        self.local.alerts += outcome.alerts.len() as u64;
+        self.flow.local.alerts += outcome.alerts.len() as u64;
         for flow in &outcome.whitelist {
-            self.cache.unpin(flow);
+            self.flow.cache.unpin(flow);
             let (_, digest) = self.setup.hasher.digest_symmetric(flow);
-            self.whitelist.insert(digest.0, self.batches);
+            self.flow.whitelist.insert(digest.0, self.batches);
         }
 
         // Stage 3: host escalation for suspects.
         if outcome.host == HostNeed::Host {
-            self.local.escalated += 1;
+            self.flow.local.escalated += 1;
             // Pin the flow while the host works on it (§3.2).
-            self.cache.pin(&dp.canon);
+            self.flow.cache.pin(&dp.canon);
             match &mut self.escalation {
                 Escalation::Pool(tx) => {
                     let esc = Escalated {
@@ -910,33 +978,35 @@ impl ShardWorker {
                         sent: Instant::now(),
                     };
                     if tx.try_send(esc).is_err() {
-                        self.local.escalation_dropped += 1;
+                        self.flow.local.escalation_dropped += 1;
                         // The host will never see this packet, so no
                         // verdict will ever unpin the flow — release
                         // it now instead of pinning it forever.
-                        self.cache.unpin(&dp.canon);
+                        self.flow.cache.unpin(&dp.canon);
                     }
                 }
-                Escalation::Inline(nf) => {
-                    self.local.host_inline += 1;
+                Escalation::Inline => {
+                    self.flow.local.host_inline += 1;
                     // The synchronous analogue of the pool round trip:
                     // triage + verdict publication, timed end to end.
                     let t0 = Instant::now();
-                    for v in nf.on_packet(pkt) {
+                    for v in self.flow.triage.on_packet(pkt) {
                         self.setup.log.publish(v);
                     }
-                    self.local.escalate_ns.push(t0.elapsed().as_nanos() as u64);
+                    self.flow
+                        .local
+                        .escalate_ns
+                        .push(t0.elapsed().as_nanos() as u64);
                 }
             }
         }
-        self.local.processed += 1;
+        self.flow.local.processed += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartwatch_snic::FlowCacheConfig;
     use smartwatch_telemetry::Registry;
     use std::net::Ipv4Addr;
 
@@ -950,8 +1020,8 @@ mod tests {
         let reg = Registry::new();
         let hasher = FlowHasher::new(0x51CC);
         let (tx, _rx_keepalive) = std::sync::mpsc::sync_channel::<Escalated>(1);
-        let mut cache_cfg = FlowCacheConfig::general(6);
-        cache_cfg.hash_seed = 0x51CC;
+        let mut cache_cfg = EngineConfig::new(1);
+        cache_cfg.cache_row_bits = 6;
         let flight = smartwatch_telemetry::FlightRecorder::new(64);
         let setup = ShardSetup {
             log: Arc::new(ControlLog::new()),
@@ -966,7 +1036,7 @@ mod tests {
         };
         let mut worker = ShardWorker::new(
             &setup,
-            FlowCache::new(cache_cfg),
+            FlowState::new(&cache_cfg, &reg),
             Escalation::Pool(tx),
             ShardCounters::registered(&reg, 0),
             None,
@@ -1006,14 +1076,14 @@ mod tests {
 
         // Every dropped escalation released its pin: the only pins still
         // held are for escalations actually in flight to the host.
-        let stats = worker.cache.stats();
+        let stats = worker.flow.cache.stats();
         let in_flight = escalated - dropped;
         assert_eq!(
             stats.pins - stats.unpins,
             in_flight,
             "dropped escalations must not leave flows pinned"
         );
-        let pinned_resident = worker.cache.iter().filter(|r| r.pinned).count() as u64;
+        let pinned_resident = worker.flow.cache.iter().filter(|r| r.pinned).count() as u64;
         assert_eq!(pinned_resident, in_flight, "cache holds only live pins");
 
         // The flight recorder black-boxed the loss: one coalesced

@@ -439,8 +439,10 @@ impl ConcRing {
     /// Push one evicted record (any PME thread). Returns false when full.
     pub fn push(&self, digest: u64, count: u64) -> bool {
         loop {
-            let tail = self.tail.load(Ordering::Acquire);
+            // `head` first, as in `len`: read after a stale `tail` it
+            // could have moved past it and the ring would look full.
             let head = self.head.load(Ordering::Acquire);
+            let tail = self.tail.load(Ordering::Acquire);
             if tail.wrapping_sub(head) >= self.slots.len() as u64 {
                 self.overflow.fetch_add(1, Ordering::AcqRel);
                 return false;
@@ -486,9 +488,15 @@ impl ConcRing {
         Some((digest, count))
     }
 
-    /// Records currently buffered.
+    /// Records currently buffered — a snapshot: with producers and the
+    /// consumer running, the two indices cannot be read at one instant.
+    /// `head` is read first: it only ever trails `tail`, so the later
+    /// `tail` read is never behind it and the difference cannot
+    /// underflow (the other order let a concurrent `pop` move `head`
+    /// past a stale `tail`); `saturating_sub` keeps the bound explicit.
     pub fn len(&self) -> usize {
-        (self.tail.load(Ordering::Acquire) - self.head.load(Ordering::Acquire)) as usize
+        let head = self.head.load(Ordering::Acquire);
+        self.tail.load(Ordering::Acquire).saturating_sub(head) as usize
     }
 
     /// True if no records are buffered.
@@ -531,14 +539,12 @@ mod ring_tests {
         assert!(ring.push(99, 1), "space freed by the consumer");
     }
 
-    #[test]
-    fn mpsc_conservation_under_contention() {
-        // 8 producer "PMEs" push eviction counts while one host thread
-        // drains; every pushed count must be consumed exactly once.
+    /// `producers` "PME" threads push eviction counts (backing off on
+    /// `len()` while the ring is nearly full) while one host thread
+    /// drains; every pushed count must be consumed exactly once.
+    fn contend(producers: u64, per_producer: u64) {
         let ring = Arc::new(ConcRing::new(256));
         let done = Arc::new(AtomicBool::new(false));
-        let producers = 8u64;
-        let per_producer = 20_000u64;
 
         let consumer = {
             let ring = Arc::clone(&ring);
@@ -576,9 +582,12 @@ mod ring_tests {
                 })
             })
             .collect();
-        let pushed_total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        let pushed: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        // Release the consumer before judging the producers, so a
+        // producer panic fails the test instead of hanging it.
         done.store(true, Ordering::Release);
         let seen = consumer.join().unwrap();
+        let pushed_total: u64 = pushed.into_iter().map(|p| p.unwrap()).sum();
         let consumed_total: u64 = seen.values().sum();
         assert_eq!(consumed_total, pushed_total, "records lost or duplicated");
         assert_eq!(
@@ -586,5 +595,24 @@ mod ring_tests {
             producers,
             "every producer's records arrived"
         );
+    }
+
+    #[test]
+    fn mpsc_conservation_under_contention() {
+        contend(8, 20_000);
+    }
+
+    /// `len()` used to read `tail` before `head`: a `pop` in between
+    /// moved `head` past the stale `tail` and the subtraction
+    /// underflowed — a panic under debug overflow checks (about one run
+    /// in three of the test above), a length near `usize::MAX` without
+    /// them, which parks the producer's back-off loop on a ring that is
+    /// not full. Many short contended runs make that window certain to
+    /// be hit.
+    #[test]
+    fn len_never_underflows_while_the_consumer_pops() {
+        for _ in 0..200 {
+            contend(4, 2_000);
+        }
     }
 }

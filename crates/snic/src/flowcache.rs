@@ -46,7 +46,7 @@ use crate::policy::CachePolicy;
 use crate::prefetch::prefetch_read;
 use crate::record::FlowRecord;
 use crate::ring::RingSet;
-use smartwatch_net::{FlowHasher, FlowKey, HashDigest, Packet};
+use smartwatch_net::{FlowHasher, FlowKey, HashDigest, Packet, Resident};
 use smartwatch_telemetry::{Counter, Registry};
 use std::ops::Range;
 
@@ -364,6 +364,9 @@ pub struct FlowCache {
     /// tag. Maintained by every record move (insert / swap / demote /
     /// evict / cleanup / drain).
     tags: Vec<RowTags>,
+    /// Occupied buckets — the number of non-zero tags, kept live so
+    /// [`FlowCache::occupied`] never scans the table.
+    resident: usize,
     dirty: Vec<bool>,
     mode: Mode,
     hasher: FlowHasher,
@@ -380,12 +383,42 @@ impl FlowCache {
             hasher: FlowHasher::new(cfg.hash_seed),
             slots: vec![None; rows * cfg.buckets_per_row],
             tags: vec![RowTags::EMPTY; rows],
+            resident: 0,
             dirty: vec![false; rows],
             mode: Mode::General,
             rings: RingSet::new(cfg.rings, cfg.ring_capacity),
             stats: CacheCounters::detached(),
             cfg,
         }
+    }
+
+    /// Back to the state [`FlowCache::new`] built, in place: every
+    /// bucket empty, every row clean, General mode, rings empty — the
+    /// same configuration, hash seed and (cumulative) telemetry cells,
+    /// and no allocation. Only rows that hold a record are touched
+    /// (tag 0 ⇔ empty, so the tag line names them); the rings keep
+    /// their buffers under the [`Resident`] shrink rule.
+    pub fn reset(&mut self) {
+        let b = self.cfg.buckets_per_row;
+        for (row, t) in self.tags.iter_mut().enumerate() {
+            if t.tags != RowTags::EMPTY.tags {
+                self.slots[row * b..(row + 1) * b].fill(None);
+                *t = RowTags::EMPTY;
+            }
+        }
+        self.resident = 0;
+        self.dirty.fill(false);
+        self.mode = Mode::General;
+        self.rings.reset();
+    }
+
+    /// Heap bytes the cache holds: bucket array, tag lines, dirty bits
+    /// and ring buffers.
+    pub fn resident_bytes(&self) -> usize {
+        self.slots.resident_bytes()
+            + self.tags.resident_bytes()
+            + self.dirty.resident_bytes()
+            + self.rings.resident_bytes()
     }
 
     /// Current operating mode.
@@ -421,7 +454,7 @@ impl FlowCache {
 
     /// Number of occupied buckets.
     pub fn occupied(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.resident
     }
 
     /// Evictions buffered in the rings, waiting for the host.
@@ -648,6 +681,7 @@ impl FlowCache {
         if let Some(b) = p.clone().find(|&b| self.tag_at(row, b) == 0) {
             *self.slot_mut(row, b) = Some(new_rec);
             self.set_tag(row, b, tag);
+            self.resident += 1;
             self.stats.misses.inc();
             return Access {
                 outcome: Outcome::Miss,
@@ -673,13 +707,7 @@ impl FlowCache {
 
         if e.is_empty() {
             // Flat configuration: evict the P victim straight to a ring.
-            let victim = self
-                .slot_mut(row, p_victim)
-                .take()
-                .expect("victim occupied");
-            self.set_tag(row, p_victim, 0);
-            self.rings.push(row, victim);
-            self.stats.evictions.inc();
+            self.evict(row, p_victim);
             ring_pushes += 1;
             writes += 1;
         } else {
@@ -688,10 +716,7 @@ impl FlowCache {
                 Some(b) => Some(b),
                 None => match self.pick_victim(row, e.clone(), false) {
                     Some(b) => {
-                        let victim = self.slot_mut(row, b).take().expect("victim occupied");
-                        self.set_tag(row, b, 0);
-                        self.rings.push(row, victim);
-                        self.stats.evictions.inc();
+                        self.evict(row, b);
                         ring_pushes += 1;
                         writes += 1;
                         Some(b)
@@ -711,13 +736,7 @@ impl FlowCache {
                 }
                 None => {
                     // E fully pinned: evict P victim directly.
-                    let victim = self
-                        .slot_mut(row, p_victim)
-                        .take()
-                        .expect("victim occupied");
-                    self.set_tag(row, p_victim, 0);
-                    self.rings.push(row, victim);
-                    self.stats.evictions.inc();
+                    self.evict(row, p_victim);
                     ring_pushes += 1;
                     writes += 1;
                 }
@@ -726,6 +745,7 @@ impl FlowCache {
 
         *self.slot_mut(row, p_victim) = Some(new_rec);
         self.set_tag(row, p_victim, tag);
+        self.resident += 1;
         writes += 1;
         self.stats.misses.inc();
         Access {
@@ -740,18 +760,31 @@ impl FlowCache {
     /// Pick the policy victim within `range` of `row`, skipping pinned
     /// entries. `_for_swap` documents the E-hit swap-target use; victim
     /// semantics are identical. Returns `None` if no unpinned occupant
-    /// exists in the range.
+    /// exists in the range. Selects in place: this runs on every miss
+    /// into a full row, so it may not allocate.
     fn pick_victim(&self, row: usize, range: Range<usize>, _for_swap: bool) -> Option<usize> {
         let policy = if range.start < self.cfg.primary || self.mode == Mode::Lite {
             self.cfg.policy.primary
         } else {
             self.cfg.policy.eviction
         };
-        let indexed: Vec<(usize, &FlowRecord)> = range
-            .filter_map(|b| self.slot(row, b).as_ref().map(|r| (b, r)))
-            .collect();
-        let refs: Vec<&FlowRecord> = indexed.iter().map(|(_, r)| *r).collect();
-        policy.victim(&refs).map(|i| indexed[i].0)
+        let base = row * self.cfg.buckets_per_row;
+        let start = range.start;
+        policy.victim(
+            self.slots[base + start..base + range.end]
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.as_ref().map(|r| (start + i, r))),
+        )
+    }
+
+    /// Evict the occupant of `bucket` to its ring.
+    fn evict(&mut self, row: usize, bucket: usize) {
+        let victim = self.slot_mut(row, bucket).take().expect("victim occupied");
+        self.set_tag(row, bucket, 0);
+        self.resident -= 1;
+        self.rings.push(row, victim);
+        self.stats.evictions.inc();
     }
 
     /// Algorithm 3: reorder a dirty row into Lite-mode layout. Each record
@@ -767,6 +800,7 @@ impl FlowCache {
             .filter_map(|bucket| self.slot_mut(row, bucket).take())
             .collect();
         self.tags[row] = RowTags::EMPTY;
+        let before = residents.len();
         // Most recent first, so overflow drops the stalest (GetOldest).
         residents.sort_by_key(|r| std::cmp::Reverse(r.last_ts));
         for rec in residents {
@@ -807,6 +841,8 @@ impl FlowCache {
                 }
             }
         }
+        let after = self.tags[row].tags.iter().filter(|&&t| t != 0).count();
+        self.resident = self.resident - before + after;
         self.dirty[row] = false;
         self.stats.rows_cleaned.inc();
     }
@@ -940,6 +976,7 @@ impl FlowCache {
         for t in self.tags.iter_mut() {
             *t = RowTags::EMPTY;
         }
+        self.resident = 0;
     }
 
     /// Iterate over resident records.
@@ -951,6 +988,11 @@ impl FlowCache {
     /// is empty, else the occupant's own digest tag. Test support.
     #[cfg(test)]
     fn assert_tag_invariant(&self) {
+        assert_eq!(
+            self.resident,
+            self.slots.iter().flatten().count(),
+            "live occupancy counter drifted"
+        );
         for row in 0..self.cfg.rows() {
             for b in 0..self.cfg.buckets_per_row {
                 match self.slot(row, b) {
@@ -1547,6 +1589,92 @@ mod tests {
         fc.drain_all();
         fc.assert_tag_invariant();
         assert_eq!(fc.occupied(), 0);
+    }
+
+    /// The resident-state contract: a cache that lived a full life —
+    /// churn, pins, a General→Lite flip with rows still dirty, rings
+    /// holding evictions — and was then `reset()` is observably a fresh
+    /// cache: same `Access` sequence, same statistics (as deltas: the
+    /// telemetry cells are cumulative), same ring contents, same
+    /// slot-order residency, through mode flips and pin churn of its own.
+    #[test]
+    fn reset_cache_is_observably_fresh() {
+        let counts = |s: CacheStats| {
+            [
+                s.p_hits,
+                s.e_hits,
+                s.misses,
+                s.to_host,
+                s.evictions,
+                s.rows_cleaned,
+                s.cleanup_evictions,
+                s.pins,
+                s.unpins,
+                s.mode_switches,
+            ]
+        };
+        for seed in [3u64, 0xFEED, 0x51CC_2027] {
+            let cfg = FlowCacheConfig::general(4);
+            let mut reused = FlowCache::new(cfg.clone());
+            // First life. The ring capacity is cut so some overflow too.
+            reused.rings = RingSet::new(8, 16);
+            for (i, p) in seeded_stream(seed, 4_000, 300).iter().enumerate() {
+                reused.process(p);
+                if i % 97 == 0 {
+                    reused.pin(&p.key);
+                }
+                if i == 3_990 {
+                    reused.set_mode(Mode::Lite);
+                }
+            }
+            assert_eq!(reused.mode(), Mode::Lite);
+            assert!(reused.dirty.iter().any(|&d| d), "rows still dirty");
+            assert!(reused.iter().any(|r| r.pinned), "records still pinned");
+            assert!(!reused.rings.is_empty() && reused.ring_overflow() > 0);
+            let before = counts(reused.stats());
+
+            reused.reset();
+            reused.assert_tag_invariant();
+            assert_eq!(reused.occupied(), 0);
+            assert_eq!(reused.mode(), Mode::General);
+            assert!(reused.dirty.iter().all(|&d| !d));
+            assert!(reused.rings.is_empty());
+            assert_eq!((reused.ring_overflow(), reused.rings.pushed), (0, 0));
+            reused.rings = RingSet::new(8, cfg.ring_capacity);
+
+            // Second life, beside a cache that never had a first.
+            let mut fresh = FlowCache::new(cfg);
+            for (i, p) in seeded_stream(!seed, 4_000, 300).iter().enumerate() {
+                assert_eq!(reused.process(p), fresh.process(p), "packet {i}");
+                if i % 89 == 0 {
+                    assert_eq!(reused.pin(&p.key), fresh.pin(&p.key));
+                }
+                if i % 1_300 == 1_299 {
+                    let next = if fresh.mode() == Mode::General {
+                        Mode::Lite
+                    } else {
+                        Mode::General
+                    };
+                    reused.set_mode(next);
+                    fresh.set_mode(next);
+                }
+            }
+            let after = counts(reused.stats());
+            let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+            assert_eq!(delta, counts(fresh.stats()), "stats deltas");
+            assert_eq!(reused.occupied(), fresh.occupied());
+            assert_eq!(
+                reused.rings().drain(),
+                fresh.rings().drain(),
+                "ring contents"
+            );
+            reused.assert_tag_invariant();
+            assert_eq!(
+                reused.drain_all(),
+                fresh.drain_all(),
+                "slot-order residency"
+            );
+        }
     }
 
     /// The `_into` export variants: identical streams to the allocating

@@ -21,19 +21,20 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// Index of the victim among `records` (non-pinned entries only).
-    /// Returns `None` if every entry is pinned or the slice is empty.
-    pub fn victim(self, records: &[&FlowRecord]) -> Option<usize> {
-        let candidates = records.iter().enumerate().filter(|(_, r)| !r.pinned);
+    /// Bucket of the victim among the `(bucket, record)` occupants of
+    /// one buffer (non-pinned entries only; the first of equals goes).
+    /// Returns `None` if every occupant is pinned or there is none.
+    pub fn victim<'a>(
+        self,
+        occupants: impl Iterator<Item = (usize, &'a FlowRecord)>,
+    ) -> Option<usize> {
+        let candidates = occupants.filter(|(_, r)| !r.pinned);
         match self {
-            Policy::Lru => candidates.min_by_key(|(_, r)| r.last_ts).map(|(i, _)| i),
-            Policy::Lpc => candidates
-                .min_by_key(|(_, r)| (r.packets, r.last_ts))
-                .map(|(i, _)| i),
-            Policy::Fifo => candidates
-                .min_by_key(|(_, r)| r.inserted_ts)
-                .map(|(i, _)| i),
+            Policy::Lru => candidates.min_by_key(|(_, r)| r.last_ts),
+            Policy::Lpc => candidates.min_by_key(|(_, r)| (r.packets, r.last_ts)),
+            Policy::Fifo => candidates.min_by_key(|(_, r)| r.inserted_ts),
         }
+        .map(|(bucket, _)| bucket)
     }
 }
 
@@ -110,13 +111,17 @@ mod tests {
         r
     }
 
+    /// The records as the occupants of buckets 0, 1, 2…
+    fn victim(p: Policy, records: &[FlowRecord]) -> Option<usize> {
+        p.victim(records.iter().enumerate())
+    }
+
     #[test]
     fn lru_picks_stalest() {
         let a = rec(1, 100, 10, 1);
         let b = rec(2, 1, 5, 2);
         let c = rec(3, 50, 20, 3);
-        let refs = vec![&a, &b, &c];
-        assert_eq!(Policy::Lru.victim(&refs), Some(1));
+        assert_eq!(victim(Policy::Lru, &[a, b, c]), Some(1));
     }
 
     #[test]
@@ -124,17 +129,15 @@ mod tests {
         let a = rec(1, 100, 10, 1);
         let b = rec(2, 1, 50, 2);
         let c = rec(3, 50, 20, 3);
-        let refs = vec![&a, &b, &c];
-        assert_eq!(Policy::Lpc.victim(&refs), Some(1));
+        assert_eq!(victim(Policy::Lpc, &[a, b, c]), Some(1));
     }
 
     #[test]
     fn lpc_ties_break_on_recency() {
         let a = rec(1, 5, 30, 1);
         let b = rec(2, 5, 10, 2);
-        let refs = vec![&a, &b];
         assert_eq!(
-            Policy::Lpc.victim(&refs),
+            victim(Policy::Lpc, &[a, b]),
             Some(1),
             "older of equal counts goes"
         );
@@ -144,8 +147,7 @@ mod tests {
     fn fifo_picks_earliest_inserted() {
         let a = rec(1, 1, 100, 9);
         let b = rec(2, 100, 1, 3);
-        let refs = vec![&a, &b];
-        assert_eq!(Policy::Fifo.victim(&refs), Some(1));
+        assert_eq!(victim(Policy::Fifo, &[a, b]), Some(1));
     }
 
     #[test]
@@ -153,9 +155,8 @@ mod tests {
         let mut a = rec(1, 1, 1, 1); // would be every policy's victim
         a.pinned = true;
         let b = rec(2, 100, 100, 100);
-        let refs = vec![&a, &b];
         for p in [Policy::Lru, Policy::Lpc, Policy::Fifo] {
-            assert_eq!(p.victim(&refs), Some(1));
+            assert_eq!(victim(p, &[a, b]), Some(1));
         }
     }
 
@@ -163,8 +164,16 @@ mod tests {
     fn all_pinned_yields_none() {
         let mut a = rec(1, 1, 1, 1);
         a.pinned = true;
-        let refs = vec![&a];
-        assert_eq!(Policy::Lru.victim(&refs), None);
-        assert_eq!(Policy::Lru.victim(&[]), None);
+        assert_eq!(victim(Policy::Lru, &[a]), None);
+        assert_eq!(victim(Policy::Lru, &[]), None);
+    }
+
+    #[test]
+    fn the_victim_is_named_by_bucket_and_ties_go_to_the_first() {
+        // Occupants of buckets 4 and 9 (a sparse buffer), equally stale.
+        let (a, b) = (rec(1, 1, 5, 5), rec(2, 1, 5, 5));
+        for p in [Policy::Lru, Policy::Lpc, Policy::Fifo] {
+            assert_eq!(p.victim([(4, &a), (9, &b)].into_iter()), Some(4));
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! so the distribution is reproducible.
 
 use crate::record::FlowRecord;
+use smartwatch_net::Resident;
 use smartwatch_telemetry::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 
@@ -24,6 +25,9 @@ struct RingTelemetry {
 #[derive(Debug)]
 pub struct RingSet {
     rings: Vec<VecDeque<FlowRecord>>,
+    /// Per ring, the most records it held since the last
+    /// [`RingSet::reset`], as of the last drain (rings only shrink there).
+    high_water: Vec<usize>,
     capacity: usize,
     /// Evictions that found their ring full and had to go straight to the
     /// host (an overload signal the reconfigurable cache reacts to).
@@ -40,6 +44,7 @@ impl Clone for RingSet {
     fn clone(&self) -> RingSet {
         RingSet {
             rings: self.rings.clone(),
+            high_water: self.high_water.clone(),
             capacity: self.capacity,
             overflow_to_host: self.overflow_to_host,
             pushed: self.pushed,
@@ -54,6 +59,7 @@ impl RingSet {
         assert!(n_rings > 0 && capacity > 0);
         RingSet {
             rings: vec![VecDeque::with_capacity(capacity.min(1024)); n_rings],
+            high_water: vec![0; n_rings],
             capacity,
             overflow_to_host: 0,
             pushed: 0,
@@ -84,6 +90,30 @@ impl RingSet {
             let occ = self.len() as f64;
             t.occupancy.set(occ);
             t.occupancy_peak.set_max(occ);
+        }
+    }
+
+    /// Back to the state [`RingSet::new`] built, in place: rings empty,
+    /// plain tallies zeroed (registry cells are cumulative and stay),
+    /// ring buffers kept under the [`Resident`] shrink rule.
+    pub fn reset(&mut self) {
+        self.note_high_water();
+        for (ring, high) in self.rings.iter_mut().zip(&mut self.high_water) {
+            ring.reset_to(std::mem::take(high));
+        }
+        self.overflow_to_host = 0;
+        self.pushed = 0;
+        self.note_occupancy();
+    }
+
+    /// Heap bytes the ring buffers hold.
+    pub fn resident_bytes(&self) -> usize {
+        self.rings.iter().map(Resident::resident_bytes).sum()
+    }
+
+    fn note_high_water(&mut self) {
+        for (ring, high) in self.rings.iter().zip(&mut self.high_water) {
+            *high = (*high).max(ring.len());
         }
     }
 
@@ -132,6 +162,7 @@ impl RingSet {
 
     /// Drain everything (the host snapshot thread's read).
     pub fn drain(&mut self) -> Vec<FlowRecord> {
+        self.note_high_water();
         let mut out = Vec::with_capacity(self.len());
         for ring in &mut self.rings {
             out.extend(ring.drain(..));
@@ -143,6 +174,7 @@ impl RingSet {
     /// Drain at most `max` records round-robin across rings (models a
     /// host thread with a bounded per-wakeup budget).
     pub fn drain_up_to(&mut self, max: usize) -> Vec<FlowRecord> {
+        self.note_high_water();
         let mut out = Vec::new();
         'outer: loop {
             let mut any = false;
@@ -212,6 +244,26 @@ mod tests {
         for ring in &rs.rings {
             assert_eq!(ring.len(), 1);
         }
+    }
+
+    #[test]
+    fn reset_empties_in_place_and_sizes_by_the_peak() {
+        let mut rs = RingSet::new(2, 100_000);
+        for i in 0..40_000 {
+            rs.push(i, rec(i as u32));
+        }
+        let caps: Vec<usize> = rs.rings.iter().map(VecDeque::capacity).collect();
+        // Drained before the reset: the peak, not the length, sizes it.
+        rs.drain();
+        rs.reset();
+        assert!(rs.is_empty());
+        assert_eq!((rs.pushed, rs.overflow_to_host), (0, 0));
+        let kept: Vec<usize> = rs.rings.iter().map(VecDeque::capacity).collect();
+        assert_eq!(kept, caps, "a steady segment keeps its buffers");
+        // A quiet segment after the flood gives the memory back.
+        rs.push(0, rec(0));
+        rs.reset();
+        assert!(rs.resident_bytes() < 64 * std::mem::size_of::<FlowRecord>());
     }
 
     #[test]
