@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smartwatch_bench::workloads;
-use smartwatch_net::FlowHasher;
+use smartwatch_net::{FlowHasher, Packet};
 use smartwatch_snic::concurrent::ConcurrentCache;
 use smartwatch_snic::cuckoo::CuckooTable;
-use smartwatch_snic::{CachePolicy, FlowCache, FlowCacheConfig, Mode};
+use smartwatch_snic::{Access, CachePolicy, FlowCache, FlowCacheConfig, Mode, BURST};
 use smartwatch_trace::background::Preset;
 use std::sync::Arc;
 
@@ -48,8 +48,25 @@ fn bench_flowcache(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two-stage batched path as the engine's shards run it: per
+/// [`BURST`]-packet chunk, digest and `prefetch_row` every packet, then
+/// `process_digested` each in order. Appends one [`Access`] per packet.
+fn process_bursts(fc: &mut FlowCache, pkts: &[Packet], out: &mut Vec<Access>) {
+    let hasher = FlowHasher::new(fc.config().hash_seed);
+    let mut burst = [hasher.digest_symmetric(&pkts[0].key); BURST];
+    for chunk in pkts.chunks(BURST) {
+        for (d, p) in burst.iter_mut().zip(chunk) {
+            *d = hasher.digest_symmetric(&p.key);
+            fc.prefetch_row(d.1);
+        }
+        for ((canon, digest), p) in burst.iter().zip(chunk) {
+            out.push(fc.process_digested(p, canon, *digest));
+        }
+    }
+}
+
 /// Scalar per-packet probes vs the two-stage batched path
-/// (`process_batch`: digest+prefetch a burst, then probe it), across
+/// ([`process_bursts`]: digest+prefetch a burst, then probe it), across
 /// table sizes. At `row_bits = 12` the whole table is cache-resident
 /// and the paths should tie; at `row_bits = 16` the General table is
 /// ~63 MB — far past L3 — and the prefetch overlap is the difference
@@ -89,7 +106,7 @@ fn bench_batch_vs_scalar(c: &mut Criterion) {
                 b.iter_batched(
                     fresh,
                     |mut fc| {
-                        fc.process_batch(&pkts, &mut out);
+                        process_bursts(&mut fc, &pkts, &mut out);
                         std::hint::black_box(out.len());
                         out.clear();
                         fc
@@ -108,7 +125,7 @@ fn full_table(row_bits: u32) -> FlowCache {
     let mut fc = FlowCache::new(FlowCacheConfig::general(row_bits));
     let fill = workloads::scattered_flows(46 << row_bits, 0xF111);
     let mut out = Vec::with_capacity(fill.len());
-    fc.process_batch(&fill, &mut out);
+    process_bursts(&mut fc, &fill, &mut out);
     assert_eq!(fc.occupied(), 12 << row_bits, "every row full");
     fc
 }
@@ -127,7 +144,7 @@ fn bench_miss_full_row(c: &mut Criterion) {
         b.iter_batched(
             || full.clone(),
             |mut fc| {
-                fc.process_batch(&pkts, &mut out);
+                process_bursts(&mut fc, &pkts, &mut out);
                 assert!(out.iter().all(|a| a.ring_pushes == 1));
                 out.clear();
                 fc

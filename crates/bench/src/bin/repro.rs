@@ -385,8 +385,8 @@ fn main() {
         if let Some(path) = flight_out.take() {
             write_flight(&engine, &path, "flight recorder");
         }
-        // The endurance gate: conservation every segment, pools flat
-        // after warm-up, RSS growth inside the slack budget. `soak`
+        // The endurance gate: conservation every segment, lane buffers
+        // within the mesh's count, RSS growth inside the slack budget. `soak`
         // fails the process on a violation; `serve` reports it (and
         // both leave the flight-recorder evidence behind).
         let violations = outcome.violations(rss_slack_mb << 20);

@@ -463,8 +463,9 @@ pub struct SegmentRecord {
     /// shards (`runtime.flowstate.resident_bytes`) — flat after the
     /// second segment when the state is being reset in place.
     pub flowstate_bytes: u64,
-    /// Cumulative `runtime.pool.allocated` at segment end — flat after
-    /// segment 0 when the garage is reusing batch pools.
+    /// Cumulative `runtime.pool.allocated` at segment end — lane
+    /// buffers, which stop at [`ServeOutcome::pool_bound`] once every
+    /// lane has been round its ring.
     pub pool_allocated: u64,
     /// Cumulative `runtime.frame_pool.allocated` at segment end.
     pub frame_pool_allocated: u64,
@@ -481,6 +482,9 @@ pub struct SegmentRecord {
 pub struct ServeOutcome {
     /// Per-segment timeline, in order.
     pub segments: Vec<SegmentRecord>,
+    /// The lane mesh's structural buffer count
+    /// ([`EngineConfig::lane_buffers`]).
+    pub pool_bound: u64,
     /// Successful config hot-reloads.
     pub config_reloads: u64,
     /// Rejected config reload attempts.
@@ -493,8 +497,8 @@ impl ServeOutcome {
         self.segments.iter().all(|s| s.conserved)
     }
 
-    /// Batch-pool allocations after the warm-up segment (0 when the
-    /// garage reissues every pool).
+    /// Lane-buffer allocations after the first segment (0 when it took
+    /// every lane round its ring and the garage reissues the lanes).
     pub fn pool_growth(&self) -> u64 {
         growth(self.segments.iter().map(|s| s.pool_allocated))
     }
@@ -504,11 +508,9 @@ impl ServeOutcome {
         growth(self.segments.iter().map(|s| s.frame_pool_allocated))
     }
 
-    /// Batch-pool allocations during the *final* segment — the
-    /// steady-state signal the soak gate pins. Warm-up can span more
-    /// than one segment (a paced pipeline grows its buffer working set
-    /// until the recycle channel never runs dry), but once warm the
-    /// last segment must allocate nothing.
+    /// Lane-buffer allocations during the *final* segment: exactly 0
+    /// once every lane has been round its ring, which a lane does
+    /// within its first `queue_batches + 2` batches.
     pub fn steady_pool_growth(&self) -> u64 {
         last_delta(self.segments.iter().map(|s| s.pool_allocated))
     }
@@ -553,13 +555,6 @@ impl ServeOutcome {
     /// rebuilt or regrown every segment moves by whole tables.
     const FLOWSTATE_SLACK_DIV: u64 = 64;
 
-    /// Tolerated final-segment pool allocations. The recycle channels
-    /// deliberately *drop* buffers on overflow (footprint stays bounded
-    /// by the channel capacity), so scheduler noise can still trim and
-    /// refill the odd buffer — churn, not a leak. A broken garage
-    /// re-allocates a whole warm-up per restart, far above this.
-    const POOL_SLACK: u64 = 8;
-
     /// The soak gate: human-readable violations, empty when the run is
     /// endurance-clean. `rss_slack_bytes` absorbs allocator noise.
     pub fn violations(&self, rss_slack_bytes: u64) -> Vec<String> {
@@ -567,14 +562,19 @@ impl ServeOutcome {
         for s in self.segments.iter().filter(|s| !s.conserved) {
             out.push(format!("segment {}: conservation VIOLATED", s.segment));
         }
-        let pools = self.steady_pool_growth();
-        if pools > Self::POOL_SLACK {
+        // No lane ever needs a buffer past its first lap, so any
+        // allocation beyond the mesh's count is growth after it — a
+        // garage that rebuilt its lanes, or a buffer lost on the way.
+        let pools = self.segments.last().map_or(0, |s| s.pool_allocated);
+        if pools > self.pool_bound {
             out.push(format!(
-                "batch pools allocated {pools} time(s) in the final segment (garage not reused)"
+                "lanes allocated {pools} batch buffers, {} more than the mesh holds \
+                 (garage not reused)",
+                pools - self.pool_bound
             ));
         }
         let frames = self.steady_frame_pool_growth();
-        if frames > Self::POOL_SLACK {
+        if frames > 0 {
             out.push(format!(
                 "frame pools allocated {frames} time(s) in the final segment (garage not reused)"
             ));
@@ -707,6 +707,7 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
 
     let outcome = ServeOutcome {
         segments,
+        pool_bound: engine.config().lane_buffers() as u64,
         config_reloads: watcher.as_ref().map(|w| w.reloads()).unwrap_or(0),
         config_errors: watcher.as_ref().map(|w| w.errors()).unwrap_or(0),
     };
@@ -728,6 +729,7 @@ struct ServeBenchJson {
     rate_mpps: Option<f64>,
     carry_flow_state: bool,
     conserved: bool,
+    pool_bound: u64,
     pool_growth: u64,
     frame_pool_growth: u64,
     steady_pool_growth: u64,
@@ -754,6 +756,7 @@ pub fn serve_bench_json(spec: &ServeSpec, out: &ServeOutcome) -> String {
         rate_mpps: spec.rate_mpps,
         carry_flow_state: spec.carry_flow_state,
         conserved: out.all_conserved(),
+        pool_bound: out.pool_bound,
         pool_growth: out.pool_growth(),
         frame_pool_growth: out.frame_pool_growth(),
         steady_pool_growth: out.steady_pool_growth(),
@@ -857,14 +860,12 @@ mod tests {
         let (t, out, _) = serve_run_full(&ctx, &quick_spec());
         assert_eq!(out.segments.len(), 3);
         assert!(out.all_conserved());
-        // The garage reuses pools across segments: once warm, the
-        // final segment allocates (at most transient-churn) nothing.
-        // A broken garage re-allocates a whole warm-up per restart.
-        assert!(
-            out.steady_pool_growth() <= 8,
-            "garage must reuse batch pools (final-segment growth {})",
-            out.steady_pool_growth()
-        );
+        // The garage reuses the lanes across segments: two 20k-packet
+        // segments take both lanes round their rings, so the mesh holds
+        // all its buffers before the final segment, which allocates
+        // exactly nothing. A broken garage re-allocates them per restart.
+        assert_eq!(out.segments[1].pool_allocated, out.pool_bound);
+        assert_eq!(out.steady_pool_growth(), 0, "garage must reuse the lanes");
         assert!(t.notes.iter().any(|n| n.contains("conservation: OK")));
         // Violations with a generous RSS slack: endurance-clean.
         assert!(out.violations(64 << 20).is_empty());
@@ -905,6 +906,7 @@ mod tests {
                     config_seq: 0,
                 })
                 .collect(),
+            pool_bound: 0,
             config_reloads: 0,
             config_errors: 0,
         };

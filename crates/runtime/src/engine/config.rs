@@ -53,8 +53,8 @@ pub struct EngineConfig {
     pub pin_cores: bool,
     /// RX-queue dispatcher threads (the multi-queue NIC model). Each
     /// owns a digest-split sub-stream of the offered trace, its own
-    /// buffer pool and steering-snapshot reader, and one SPSC lane per
-    /// shard (an R×N mesh). `1` reproduces the classic single-dispatcher
+    /// steering-snapshot reader, and one SPSC lane per shard (an R×N
+    /// mesh). `1` reproduces the classic single-dispatcher
     /// hot path.
     pub rx_queues: usize,
     /// How shards interleave their R ingest lanes. [`MergePolicy::Fair`]
@@ -71,8 +71,6 @@ pub struct EngineConfig {
     /// Host escalation workers. `0` runs triage inline on each shard —
     /// fully deterministic, used by the determinism tests.
     pub host_workers: usize,
-    /// Host escalation ring capacity, packets (shared by the pool).
-    pub host_queue: usize,
     /// Escalated packets per source before triage blacklists its flows.
     pub triage_threshold: u64,
     /// Enforce blacklist verdicts on the shards (prevention). Disable to
@@ -110,7 +108,7 @@ pub struct EngineConfig {
     /// is a pure function of digest and shard count, both fixed per
     /// engine), so shard `i` always gets shard `i`'s cache back. The
     /// *memory* of the flow state — cache, detector tables, verdict
-    /// sets — is reused across runs either way, like the batch and
+    /// sets — is reused across runs either way, like the lanes and
     /// frame pools (the zero-steady-state-allocation claim the soak
     /// harness pins): unset, a segment gets its shard's state back
     /// reset in place, observably fresh; set, the reset skips the
@@ -134,7 +132,6 @@ impl EngineConfig {
             queue_batches: 64,
             cache_row_bits: 12,
             host_workers: 1,
-            host_queue: 4096,
             triage_threshold: 64,
             enforce_verdicts: true,
             hash_seed: 0x51CC,
@@ -177,6 +174,19 @@ impl EngineConfig {
         match self.datapath {
             DatapathMode::Pipeline => self.rx_queues,
             DatapathMode::Rtc => self.shards,
+        }
+    }
+
+    /// Batch buffers the lane mesh holds once every lane has been round
+    /// its ring: `queue_batches` in a lane's slots, one staged at its
+    /// dispatcher, one in its shard's hands. `runtime.pool.allocated`
+    /// reaches this and stops, under every thread schedule; a lane gets
+    /// there within its first `queue_batches + 2` batches. RTC has no
+    /// lanes.
+    pub fn lane_buffers(&self) -> usize {
+        match self.datapath {
+            DatapathMode::Pipeline => self.rx_queues * self.shards * (self.queue_batches + 2),
+            DatapathMode::Rtc => 0,
         }
     }
 }

@@ -15,18 +15,23 @@
 //! [`Sink`] hooks: whose shard counters a steering drop lands on, how a
 //! paced unit waits, what its block span is called, and what it hands
 //! back.
+//!
+//! The lane mesh needs no buffer pool beside it: a [`LaneTx`] publishes
+//! its full staging buffer into a ring slot and stages into whatever the
+//! shard left in that slot (see [`crate::spsc`]), so a lane's buffers
+//! are allocated on its first lap and circulate from then on.
 
 use super::config::{FrameSource, Pace};
 use super::report::{QueueCounters, QueueStats};
-use crate::batch::{Backoff, Batch, BufferPool, DigestedPacket};
+use crate::batch::{Backoff, Batch, DigestedPacket};
 use crate::frame::{FramePool, FrameSlot};
 use crate::obs::ThreadTrace;
-use crate::shard::{FlowState, ShardCounters, ShardEndState, ShardMsg, ShardWorker};
-use crate::spsc::Producer;
+use crate::shard::{FlowState, LaneRx, ShardCounters, ShardEndState, ShardWorker};
+use crate::spsc::{spsc, Producer};
 use smartwatch_control::{SnapshotReader, SteeringSnapshot};
 use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{FlowHasher, FrameStore, FrameView, HashDigest, Packet, RawTuple};
-use smartwatch_telemetry::{FlightKind, FlightRing};
+use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Registry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -318,7 +323,7 @@ impl Feed for WireFeed<'_> {
 /// Where steered packets go, and the handful of places the two thread
 /// topologies genuinely differ.
 pub(crate) trait Sink {
-    /// What the unit hands back besides its pools.
+    /// What the unit hands back at end of stream.
     type Out;
     /// Name and category of the sampled checkpoint-block span.
     const SPAN: (&'static str, &'static str);
@@ -341,84 +346,122 @@ pub(crate) trait Sink {
     fn push(&mut self, dp: DigestedPacket, local: &mut QueueStats);
     /// End of stream (or drain): move every staged packet on.
     fn flush(&mut self, local: &mut QueueStats);
-    /// Quiesce downstream and hand the buffer pool back.
-    fn close(self) -> (BufferPool, Self::Out);
+    /// Quiesce downstream.
+    fn close(self) -> Self::Out;
 }
 
-/// The pipeline dispatcher's sink: one staging buffer per shard, full
-/// batches flushed onto this queue's row of the SPSC mesh.
-pub(crate) struct LaneSink<'a> {
-    /// Owned, not shared: a pool's receiver is single-consumer, so each
-    /// dispatcher allocates from (and paced drops return to) its own.
-    pool: BufferPool,
-    producers: Vec<Producer<ShardMsg>>,
-    bufs: Vec<Vec<DigestedPacket>>,
-    counters: &'a [ShardCounters],
-    batch: usize,
-    paced: bool,
-    flight: FlightRing,
+/// The dispatcher's end of one lane: the producer half of its SPSC
+/// ring and the buffer being staged for it. Parked with the engine
+/// between segments, like the [`LaneRx`] at the other end.
+pub(crate) struct LaneTx {
+    tx: Producer<Batch>,
+    buf: Vec<DigestedPacket>,
 }
 
-impl<'a> LaneSink<'a> {
-    pub(crate) fn new(
-        pool: BufferPool,
-        producers: Vec<Producer<ShardMsg>>,
-        counters: &'a [ShardCounters],
-        batch: usize,
-        paced: bool,
-        flight: FlightRing,
-    ) -> LaneSink<'a> {
-        LaneSink {
-            bufs: producers.iter().map(|_| pool.acquire()).collect(),
-            pool,
-            producers,
-            counters,
-            batch,
-            paced,
-            flight,
+/// The `runtime.pool.*` books of the lane mesh: lane buffers allocated
+/// (a lane's first staging buffer, then one per slot found empty on its
+/// ring's first lap) and returned through a slot.
+#[derive(Clone)]
+pub(crate) struct LaneBooks {
+    allocated: Counter,
+    recycled: Counter,
+}
+
+impl LaneBooks {
+    pub(crate) fn registered(registry: &Registry) -> LaneBooks {
+        LaneBooks {
+            allocated: registry.counter("runtime.pool.allocated", &[]),
+            recycled: registry.counter("runtime.pool.recycled", &[]),
         }
     }
 
-    fn send(&self, s: usize, batch: Vec<DigestedPacket>, local: &mut QueueStats) {
-        let len = batch.len() as u64;
-        let tx = &self.producers[s];
-        let msg = ShardMsg::Batch(Batch {
-            pkts: batch,
+    fn fresh(&self, batch: usize) -> Vec<DigestedPacket> {
+        self.allocated.inc();
+        Vec::with_capacity(batch)
+    }
+
+    /// One lane of `capacity` batches of `batch` packets, its first
+    /// staging buffer allocated.
+    pub(crate) fn lane(&self, capacity: usize, batch: usize) -> (LaneTx, LaneRx) {
+        let (tx, rx) = spsc(capacity);
+        let buf = self.fresh(batch);
+        (LaneTx { tx, buf }, LaneRx::new(rx))
+    }
+}
+
+/// The pipeline dispatcher's sink: this queue's row of the lane mesh,
+/// one staging buffer per shard, full batches exchanged into the lane
+/// for the buffer the shard left there.
+pub(crate) struct LaneSink<'a> {
+    pub lanes: Vec<LaneTx>,
+    pub books: LaneBooks,
+    pub counters: &'a [ShardCounters],
+    pub batch: usize,
+    pub paced: bool,
+    pub flight: FlightRing,
+}
+
+impl LaneSink<'_> {
+    /// Publish lane `s`'s staging buffer as a batch (or, empty, as the
+    /// `Stop` marker, which is never dropped — it blocks until a slot
+    /// frees) and stage into what the slot held: the buffer the shard
+    /// left there, or a fresh one on the ring's first lap. `false` when
+    /// a paced batch found the ring full: the lane keeps the buffer it
+    /// already holds, emptied.
+    fn exchange(&mut self, s: usize, stop: bool) -> bool {
+        let lane = &mut self.lanes[s];
+        let msg = Batch {
+            pkts: std::mem::take(&mut lane.buf),
             sent: Instant::now(),
-        });
-        let pushed = if self.paced {
-            tx.try_push(msg)
+            stop,
+        };
+        let pushed = if self.paced && !stop {
+            lane.tx.try_exchange(msg)
         } else {
-            tx.push_blocking(msg);
-            Ok(())
+            Ok(lane.tx.exchange_blocking(msg))
         };
         match pushed {
-            Ok(()) => {
-                self.counters[s].ingested.add(len);
-                local.ingested += len;
+            Ok(Some(spare)) => {
+                self.books.recycled.inc();
+                lane.buf = spare.pkts;
+                true
             }
+            Ok(None) => {
+                lane.buf = self.books.fresh(self.batch);
+                true
+            }
+            Err(msg) => {
+                lane.buf = msg.pkts;
+                lane.buf.clear();
+                false
+            }
+        }
+    }
+
+    fn send(&mut self, s: usize, local: &mut QueueStats) {
+        let len = self.lanes[s].buf.len() as u64;
+        if self.exchange(s, false) {
+            self.counters[s].ingested.add(len);
+            local.ingested += len;
+        } else {
             // Open loop: a full ring at arrival time is a loss, and it
-            // is *accounted* — never silent. The buffer itself goes
-            // straight back to the pool.
-            Err(ShardMsg::Batch(b)) => {
-                self.counters[s].ingest_dropped.add(len);
-                local.ingest_dropped += len;
-                self.flight.record(FlightKind::IngestDrop, s as u64, len);
-                self.pool.give_back(b.pkts);
-            }
-            Err(ShardMsg::Stop) => unreachable!("send only pushes batches"),
+            // is *accounted* — never silent.
+            self.counters[s].ingest_dropped.add(len);
+            local.ingest_dropped += len;
+            self.flight.record(FlightKind::IngestDrop, s as u64, len);
         }
         // With R queues the gauge tracks this lane's depth (last writer
         // wins across queues; the peak gauge is a max, so it stays a
         // true high-water mark of any single lane).
-        let depth = tx.len() as f64;
+        let depth = self.lanes[s].tx.len() as f64;
         self.counters[s].queue_depth.set(depth);
         self.counters[s].queue_depth_peak.set_max(depth);
     }
 }
 
 impl Sink for LaneSink<'_> {
-    type Out = ();
+    /// The row, to be parked for the next segment.
+    type Out = Vec<LaneTx>;
     const SPAN: (&'static str, &'static str) = ("dispatch", "rxq");
 
     fn shard_counters(&self, digest: HashDigest) -> &ShardCounters {
@@ -427,31 +470,29 @@ impl Sink for LaneSink<'_> {
 
     #[inline]
     fn push(&mut self, dp: DigestedPacket, local: &mut QueueStats) {
-        let s = shard_for_digest(dp.digest, self.bufs.len());
-        self.bufs[s].push(dp);
-        if self.bufs[s].len() == self.batch {
-            let batch = std::mem::replace(&mut self.bufs[s], self.pool.acquire());
-            self.send(s, batch, local);
+        let s = shard_for_digest(dp.digest, self.lanes.len());
+        let buf = &mut self.lanes[s].buf;
+        buf.push(dp);
+        if buf.len() == self.batch {
+            self.send(s, local);
         }
     }
 
     fn flush(&mut self, local: &mut QueueStats) {
-        for s in 0..self.bufs.len() {
-            if !self.bufs[s].is_empty() {
-                let batch = std::mem::take(&mut self.bufs[s]);
-                self.send(s, batch, local);
+        for s in 0..self.lanes.len() {
+            if !self.lanes[s].buf.is_empty() {
+                self.send(s, local);
             }
         }
     }
 
-    /// `Stop` down every lane (never dropped — blocks until a slot
-    /// frees), so a drained dispatcher quiesces the mesh *exactly* like
-    /// end-of-trace.
-    fn close(self) -> (BufferPool, ()) {
-        for tx in &self.producers {
-            tx.push_blocking(ShardMsg::Stop);
+    /// `Stop` down every lane, so a drained dispatcher quiesces the
+    /// mesh *exactly* like end-of-trace.
+    fn close(mut self) -> Vec<LaneTx> {
+        for s in 0..self.lanes.len() {
+            self.exchange(s, true);
         }
-        (self.pool, ())
+        self.lanes
     }
 }
 
@@ -464,9 +505,8 @@ impl Sink for LaneSink<'_> {
 /// self-backpressures instead) and no queue crossing
 /// (`runtime.stage.queue_ns` records nothing, which is the point).
 pub(crate) struct ShardSink {
-    /// One buffer lives for the whole run; the pool stays tiny because
-    /// nothing is ever in flight on a lane.
-    pool: BufferPool,
+    /// One buffer for the whole run — nothing is ever in flight on a
+    /// lane — on loan from the worker's [`FlowState`], which parks it.
     buf: Vec<DigestedPacket>,
     batch: usize,
     backoff: Backoff,
@@ -474,10 +514,11 @@ pub(crate) struct ShardSink {
 }
 
 impl ShardSink {
-    pub(crate) fn new(pool: BufferPool, batch: usize, worker: ShardWorker) -> ShardSink {
+    pub(crate) fn new(batch: usize, mut worker: ShardWorker) -> ShardSink {
+        let mut buf = std::mem::take(&mut worker.flow.stage);
+        buf.reserve(batch);
         ShardSink {
-            buf: pool.acquire(),
-            pool,
+            buf,
             batch,
             backoff: Backoff::new(),
             worker,
@@ -529,17 +570,16 @@ impl Sink for ShardSink {
 
     /// The worker's stop tail: final verdicts, detector sweep,
     /// end-state freeze.
-    fn close(self) -> (BufferPool, Self::Out) {
-        self.pool.give_back(self.buf);
-        (self.pool, self.worker.finish())
+    fn close(mut self) -> Self::Out {
+        self.worker.flow.stage = self.buf;
+        self.worker.finish()
     }
 }
 
-/// What an ingest thread hands back at end of stream: its reusable
-/// pools (re-parked for the next segment), whether it stopped on a
-/// drain request rather than end-of-trace, and the sink's own result.
+/// What an ingest thread hands back at end of stream: its frame pool
+/// (re-parked for the next segment), whether it stopped on a drain
+/// request rather than end-of-trace, and the sink's own result.
 pub(crate) struct IngestEnd<T> {
-    pub pool: BufferPool,
     pub frames: Option<FramePool>,
     pub interrupted: bool,
     pub out: T,
@@ -630,12 +670,10 @@ impl<S: Sink> Ingest<'_, S> {
         self.sink.flush(&mut local);
         self.end_span(&mut block);
         self.settle(&mut local, block.idx + 1);
-        let (pool, out) = self.sink.close();
         IngestEnd {
-            pool,
             frames: feed.into_frames(),
             interrupted,
-            out,
+            out: self.sink.close(),
         }
     }
 

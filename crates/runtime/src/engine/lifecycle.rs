@@ -1,28 +1,28 @@
 //! The [`Engine`] and its one segment lifecycle: every `run*` call
 //! opens a segment (verdict log, host pool, counters and their
-//! baselines, un-parked pools and caches, control plane, shard
-//! workers), runs the topology-specific middle — R dispatcher threads
-//! feeding N shard threads over the lane mesh, or N fused cores — and
-//! closes it (pool shutdown, controller stop, re-park, report,
+//! baselines, un-parked lanes, frame pools and flow state, control
+//! plane, shard workers), runs the topology-specific middle — R
+//! dispatcher threads feeding N shard threads over the lane mesh, or N
+//! fused cores — and closes it (host-pool shutdown, controller stop, re-park, report,
 //! flight-recorder close-out).
 
 use super::config::{DatapathMode, EngineConfig, FrameSource, Pace};
-use super::ingest::{split_streams, Ingest, IngestEnd, LaneSink, Pacer, ShardSink, Sink};
+use super::ingest::{
+    split_streams, Ingest, IngestEnd, LaneBooks, LaneSink, LaneTx, Pacer, ShardSink, Sink,
+};
 use super::report::{
     books_value, decision_value, queue_stats_delta, shard_stats_delta, stage_value, uint,
     EngineReport, FlowCacheSummary, QueueCounters, QueueStats,
 };
-use crate::batch::BufferPool;
 use crate::control::{ControlLog, LogReader};
 use crate::escalate::{HostObs, HostPool, TriageNf};
 use crate::frame::FramePool;
 use crate::obs::{ThreadTrace, TraceSpec};
 use crate::service::{AdminCmd, AdminQueue};
 use crate::shard::{
-    ControlHooks, Escalation, FlowState, LaneRx, ShardCounters, ShardEndState, ShardMsg, ShardObs,
+    ControlHooks, Escalation, FlowState, LaneRx, ShardCounters, ShardEndState, ShardObs,
     ShardSetup, ShardStats, ShardWorker, StageHists,
 };
-use crate::spsc::spsc;
 use serde::{Number, Value};
 use smartwatch_control::{
     ControlReport, Controller, DecisionRecord, EpochInput, ModeCell, ShardSample, SnapshotCell,
@@ -41,26 +41,29 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Reusable run-scoped resources parked between `run*` calls so a
-/// long-running service allocates nothing per segment: per-queue batch
-/// buffer pools, (wire mode) frame pools, and one [`FlowState`] per
-/// shard — FlowCache, detector suite, verdict sets, triage tables —
-/// always. Nothing here exists before the first segment builds it, and
-/// the mesh shape is fixed per engine, so whatever is parked always
-/// fits. Un-parking is FIFO (pop order matches park order): each queue
-/// gets its *own* warmed pool back — the salted RSS split is uneven, so
-/// a LIFO swap would hand the heaviest queue the lightest pool and pay
-/// a one-time re-allocation every time the assignment flips — and shard
-/// `i` gets shard `i`'s flow state back, made fresh by
-/// [`FlowState::reset`] (tables sized for shard `i`'s share of the
-/// traffic; with [`EngineConfig::carry_flow_state`] the cache inside is
-/// left warm, and RSS placement being a pure function of digest and
-/// shard count keeps it affine).
+/// Engine-lifetime resources parked between `run*` calls so a
+/// long-running service allocates nothing per segment. Nothing here
+/// exists before the first segment that needs it builds it, and the
+/// mesh shape is fixed per engine, so whatever is parked always fits.
+/// Each resource is addressed by the index of the thread that uses it,
+/// so every thread gets its *own* back by construction: dispatcher `q`
+/// its lanes, with the buffers they hold, and its frame pool; shard `i`
+/// its lanes and its flow state, made fresh by [`FlowState::reset`]
+/// (tables sized for shard `i`'s share of the traffic; with
+/// [`EngineConfig::carry_flow_state`] the cache inside is left warm,
+/// and RSS placement being a pure function of digest and shard count
+/// keeps it affine).
 #[derive(Default)]
 struct Garage {
-    pools: VecDeque<BufferPool>,
-    frames: VecDeque<FramePool>,
-    flows: VecDeque<FlowState>,
+    /// The lane mesh by producer: `rows[q][i]` is dispatcher `q`'s end
+    /// of lane (q, i). Empty until the first pipeline segment.
+    rows: Vec<Vec<LaneTx>>,
+    /// The same lanes by consumer: `cols[i][q]` is shard `i`'s end.
+    cols: Vec<Vec<LaneRx>>,
+    /// `frames[q]`: ingest unit `q`'s frame pool (wire segments).
+    frames: Vec<Option<FramePool>>,
+    /// `flows[i]`: shard `i`'s flow state.
+    flows: Vec<Option<FlowState>>,
 }
 
 /// The sharded wall-clock engine.
@@ -390,7 +393,7 @@ impl Engine {
             let threshold = cfg.triage_threshold;
             HostPool::spawn(
                 cfg.host_workers,
-                cfg.host_queue,
+                HostPool::QUEUE,
                 Arc::clone(&setup.log),
                 setup.host_processed.clone(),
                 HostObs::new(setup.stage.escalate_ns.clone(), spec.clone()),
@@ -422,18 +425,17 @@ impl Engine {
         let host_base = setup.host_processed.get();
         self.mem_rss.set(mem::rss_bytes() as f64);
 
-        // Un-park whatever the previous run left in the garage: buffer
-        // pools, frame pools (the soak harness pins
-        // `runtime.pool.allocated` flat across segments) and every
-        // shard's flow state, reset in place — built only on the
-        // engine's first segment.
-        let mut parked = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
-        let mut repark = Garage::default();
+        // Un-park whatever the previous run left in the garage — lanes,
+        // frame pools and every shard's flow state, reset in place —
+        // each built only by the first segment that needs it.
+        let mut garage = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
+        garage.flows.resize_with(n, || None);
+        garage.frames.resize_with(cfg.ingest_units(), || None);
         let flow_resets = self.registry.counter("runtime.flowstate.resets", &[]);
 
         let mut plane = self.spawn_control(&spec, &setup, &counters);
         let mut worker = |i: usize, flight: FlightRing, trace: Option<ThreadTrace>| {
-            let flow = match parked.flows.pop_front() {
+            let flow = match garage.flows[i].take() {
                 Some(mut flow) => {
                     flow.reset(cfg.carry_flow_state);
                     flow_resets.inc();
@@ -457,13 +459,12 @@ impl Engine {
             spec: &spec,
             queues: &qcounters,
             steer: std::mem::take(&mut plane.queue_steer),
-            parked_frames: &mut parked.frames,
-            repark: &mut repark,
+            frames: &mut garage.frames,
         };
 
         // ── The topology ────────────────────────────────────────────
         let mut ends: Vec<ShardEndState> = Vec::with_capacity(n);
-        let mut flows: VecDeque<FlowState> = VecDeque::with_capacity(n);
+        let mut flows: Vec<Option<FlowState>> = Vec::with_capacity(n);
         let mut shard_done = |(end, flow): (ShardEndState, FlowState)| {
             // What stays parked for shard `i`, for `/metrics`.
             let shard = ends.len().to_string();
@@ -471,47 +472,31 @@ impl Engine {
                 .gauge("runtime.flowstate.resident_bytes", &[("shard", &shard)])
                 .set(flow.resident_bytes() as f64);
             ends.push(end);
-            flows.push_back(flow);
+            flows.push(Some(flow));
         };
         let (start, interrupted) = match cfg.datapath {
             DatapathMode::Pipeline => {
                 // The R×N lane mesh: one single-producer ring per
                 // (queue, shard) pair, so the SPSC discipline survives
-                // multi-queue ingest. Buffer pools are per-queue (a
-                // pool's receiver is single-consumer); each lane carries
-                // a recycler into the pool of the queue that owns it, so
-                // drained buffers go home to the dispatcher that
-                // allocated them.
-                let mut lane_rows: Vec<Vec<LaneRx>> =
-                    (0..n).map(|_| Vec::with_capacity(r)).collect();
-                let mut rows = Vec::with_capacity(r);
-                for _ in 0..r {
-                    // Recycle-channel capacity must cover the worst-case
-                    // in-flight set — n full lanes plus each shard's
-                    // batch in hand, the dispatcher's staged buffers and
-                    // the one just acquired — with headroom, so the
-                    // *entire* working set survives an end-of-run return
-                    // and reparks with the pool. A cap at/below the
-                    // in-flight peak trims buffers at every segment
-                    // boundary and service mode re-allocates them each
-                    // restart (the soak harness pins this at zero).
-                    let pool = parked.pools.pop_front().unwrap_or_else(|| {
-                        BufferPool::new(n * (cfg.queue_batches + 4), cfg.batch, &self.registry)
-                    });
-                    let mut row = Vec::with_capacity(n);
-                    for lanes in lane_rows.iter_mut() {
-                        let (tx, rx) = spsc::<ShardMsg>(cfg.queue_batches);
-                        row.push(tx);
-                        lanes.push(LaneRx {
-                            rx,
-                            recycle: pool.recycler(),
-                        });
+                // multi-queue ingest. Built once; a lane's buffers live
+                // in its ring and at its two ends, so parking the mesh
+                // parks them.
+                let books = LaneBooks::registered(&self.registry);
+                if garage.rows.is_empty() {
+                    garage.cols = (0..n).map(|_| Vec::with_capacity(r)).collect();
+                    for _ in 0..r {
+                        let mut row = Vec::with_capacity(n);
+                        for col in garage.cols.iter_mut() {
+                            let (tx, rx) = books.lane(cfg.queue_batches, cfg.batch);
+                            row.push(tx);
+                            col.push(rx);
+                        }
+                        garage.rows.push(row);
                     }
-                    rows.push((pool, row));
                 }
                 // Shards: one thread each, consuming R lanes.
                 let mut shards = Vec::with_capacity(n);
-                for (i, lanes) in lane_rows.into_iter().enumerate() {
+                for (i, mut lanes) in std::mem::take(&mut garage.cols).into_iter().enumerate() {
                     let name = format!("sw-shard-{i}");
                     let flight = self.flight.ring(name.as_str());
                     let trace = spec.as_ref().map(|s| s.thread(name.as_str()));
@@ -519,27 +504,33 @@ impl Engine {
                     shards.push(
                         std::thread::Builder::new()
                             .name(name)
-                            .spawn(move || worker.run(lanes))
+                            .spawn(move || (worker.run(&mut lanes), lanes))
                             .expect("spawn shard thread"),
                     );
                 }
                 // The salted queue remix: flow-affine and statistically
                 // independent of the shard mapping.
                 let salt = splitmix64(cfg.hash_seed);
-                let mut rows = rows.into_iter();
+                let mut rows = std::mem::take(&mut garage.rows).into_iter();
                 let clock = self.run_units(
                     units,
                     "sw-rxq",
                     None,
                     |digest| queue_for_digest(digest, salt, r),
-                    |_, flight| {
-                        let (pool, row) = rows.next().expect("one mesh row per queue");
-                        LaneSink::new(pool, row, &counters, cfg.batch, pacer.is_some(), flight)
+                    |_, flight| LaneSink {
+                        lanes: rows.next().expect("one mesh row per queue"),
+                        books: books.clone(),
+                        counters: &counters,
+                        batch: cfg.batch,
+                        paced: pacer.is_some(),
+                        flight,
                     },
-                    |()| {},
+                    |row| garage.rows.push(row),
                 );
                 for h in shards {
-                    shard_done(h.join().expect("shard thread panicked"));
+                    let (done, lanes) = h.join().expect("shard thread panicked");
+                    shard_done(done);
+                    garage.cols.push(lanes);
                 }
                 clock
             }
@@ -554,15 +545,9 @@ impl Engine {
                     "sw-core",
                     cfg.pin_cores.then_some(&pinned),
                     |digest| shard_for_digest(digest, n),
-                    |i, flight| {
-                        let pool = parked
-                            .pools
-                            .pop_front()
-                            .unwrap_or_else(|| BufferPool::new(4, cfg.batch, &self.registry));
-                        // The core's sampled block spans cover
-                        // processing; the worker emits none of its own.
-                        ShardSink::new(pool, cfg.batch, worker(i, flight, None))
-                    },
+                    // The core's sampled block spans cover processing;
+                    // the worker emits none of its own.
+                    |i, flight| ShardSink::new(cfg.batch, worker(i, flight, None)),
                     shard_done,
                 )
             }
@@ -587,13 +572,9 @@ impl Engine {
             handle.join().expect("controller thread panicked")
         });
 
-        // Re-park the run-scoped resources for the next segment (pools
-        // a packet-mode segment did not need stay parked behind the
-        // returned ones), and settle the segment's books.
-        repark.frames.extend(parked.frames);
-        repark.pools.extend(parked.pools);
-        repark.flows = flows;
-        *self.garage.lock().expect("garage poisoned") = repark;
+        // Re-park for the next segment, and settle this one's books.
+        garage.flows = flows;
+        *self.garage.lock().expect("garage poisoned") = garage;
         self.mem_rss.set(mem::rss_bytes() as f64);
 
         let shards: Vec<ShardStats> = counters
@@ -659,7 +640,7 @@ impl Engine {
     /// own `{name}-{i}` thread (pinned to CPU `i` when `pinned` is
     /// given) and join them all. Returns the clock origin and whether
     /// any unit stopped on a drain request; what each sink handed back
-    /// goes to `done`, the units' pools to `repark`.
+    /// goes to `done`, the units' frame pools back to their slots.
     fn run_units<S: Sink + Send>(
         &self,
         mut u: Units<'_>,
@@ -688,12 +669,13 @@ impl Engine {
                 // Wire mode: each unit owns a frame pool (the software
                 // RX ring) sized to the largest frame in the store; it
                 // warms up on the first burst and then recycles its 8
-                // slots for the rest of the run. Parked pools are reused
-                // when their slots still fit the store's largest frame.
+                // slots for the rest of the run. A parked pool is reused
+                // when its slots still fit the store's largest frame
+                // (and stays parked through a packet-mode segment).
                 let frames = match source {
                     FrameSource::Wire(store) => Some(
-                        u.parked_frames
-                            .pop_front()
+                        u.frames[i]
+                            .take()
                             .filter(|fp| fp.frame_cap() >= store.max_frame_len())
                             .unwrap_or_else(|| {
                                 FramePool::new(store.max_frame_len(), &self.registry)
@@ -740,10 +722,11 @@ impl Engine {
                 .collect()
         });
         let mut interrupted = false;
-        for e in ends {
+        for (i, e) in ends.into_iter().enumerate() {
             interrupted |= e.interrupted;
-            u.repark.pools.push_back(e.pool);
-            u.repark.frames.extend(e.frames);
+            if e.frames.is_some() {
+                u.frames[i] = e.frames;
+            }
             done(e.out);
         }
         (start, interrupted)
@@ -844,8 +827,8 @@ struct Units<'a> {
     /// One set of ingest books — and so one unit — per entry.
     queues: &'a [QueueCounters],
     steer: Vec<Option<SnapshotReader<SteeringSnapshot>>>,
-    parked_frames: &'a mut VecDeque<FramePool>,
-    repark: &'a mut Garage,
+    /// `frames[i]`: unit `i`'s parked frame pool, if any.
+    frames: &'a mut [Option<FramePool>],
 }
 
 /// Observability wiring for the controller thread: its flight ring,

@@ -111,6 +111,10 @@ pub struct HostPool {
 }
 
 impl HostPool {
+    /// Escalation ring capacity the engine spawns its pool with, in
+    /// packets (shared by the pool's workers).
+    pub const QUEUE: usize = 4096;
+
     /// Spawn `workers` threads, each owning its own NF built by
     /// `make_nf(worker_idx)`. `queue` bounds in-flight escalations across
     /// the whole pool (the SR-IOV RX ring stand-in). Verdicts go straight

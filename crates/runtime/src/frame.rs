@@ -9,8 +9,8 @@
 //! [`smartwatch_net::FrameView`], digests, and releases. Slots recycle
 //! through a free list, so after the first burst warms the pool up the
 //! steady state allocates nothing per frame — the same zero-growth
-//! discipline as the batch [`crate::batch::BufferPool`], pinned by the
-//! same style of telemetry test (`runtime.frame_pool.allocated` /
+//! discipline as the lanes' batch buffers ([`crate::spsc`]), pinned by
+//! the same style of telemetry test (`runtime.frame_pool.allocated` /
 //! `runtime.frame_pool.recycled`).
 
 use smartwatch_telemetry::{Counter, Registry};

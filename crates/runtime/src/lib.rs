@@ -9,8 +9,8 @@
 //! Layout:
 //!
 //! * `batch` — the hot-path currency: pre-digested packets (canonical
-//!   key + symmetric hash computed once at dispatch), pooled batch
-//!   buffers recycled shard→dispatcher, and the bounded idle backoff.
+//!   key + symmetric hash computed once at dispatch), the one-buffer
+//!   lane message, and the bounded idle backoff.
 //! * [`frame`] — fixed-capacity frame buffers ([`FramePool`]) for the
 //!   zero-copy wire ingest path: dispatchers load raw frames into pooled
 //!   slots (the software RX-ring), parse them in place with
@@ -18,6 +18,9 @@
 //!   allocation-free in steady state.
 //! * [`spsc`] — bounded single-producer/single-consumer batch queues
 //!   with explicit backpressure or accounted drops (never silent loss).
+//!   Both halves move values through a slot by exchange, so the ring is
+//!   also the batch buffers' return path: a lane holds
+//!   `queue_batches + 2` of them and needs no pool beside it.
 //! * [`control`] — the epoch-stamped verdict log fanning host decisions
 //!   back to every shard at batch boundaries. Bounded: the applied
 //!   prefix compacts away once every registered reader is past it.
@@ -60,8 +63,9 @@
 //! In service mode the engine stays resident across segments:
 //! [`service`] carries the bounded admin mailbox ([`AdminCmd`]) drained
 //! by the controller at epoch boundaries, [`Engine::request_drain`]
-//! quiesces a running segment gracefully, and batch pools, frame pools
-//! and every shard's flow state are parked between runs, so steady
+//! quiesces a running segment gracefully, and the lane mesh (with the
+//! batch buffers in it), frame pools and every shard's flow state are
+//! parked between runs, each under its thread's index, so steady
 //! state allocates nothing: the first segment builds each shard's
 //! FlowCache and detector tables, every later one gets them back
 //! through an exact in-place reset

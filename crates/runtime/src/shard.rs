@@ -19,10 +19,11 @@
 //! symmetric hash, see [`crate::batch`]), black/whitelist membership is
 //! an identity-hashed digest probe, the FlowCache reuses the digest for
 //! its row lookup, telemetry counters accumulate in plain integers and
-//! flush to the shared atomics once per batch, and drained batch buffers
-//! return to the dispatcher's pool instead of being freed.
+//! flush to the shared atomics once per batch, and a drained batch buffer
+//! goes back to the dispatcher through the lane's own ring (the spare a
+//! [`LaneRx`] leaves in the next slot it pops) instead of being freed.
 
-use crate::batch::{Backoff, Batch, DigestedPacket, RecycleSender};
+use crate::batch::{Backoff, Batch, DigestedPacket};
 use crate::control::{ControlLog, LogReader};
 use crate::engine::EngineConfig;
 use crate::escalate::{Escalated, TriageNf};
@@ -37,14 +38,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
-
-/// Message from the dispatcher to a shard.
-pub(crate) enum ShardMsg {
-    /// A pre-digested batch plus its enqueue instant (queue-wait timing).
-    Batch(Batch),
-    /// Graceful shutdown: drain, final-sweep, exit.
-    Stop,
-}
 
 /// How a shard merges its R ingest lanes (one bounded SPSC ring per RX
 /// dispatcher) into a single processing stream.
@@ -66,27 +59,72 @@ pub enum MergePolicy {
     /// are drained into a local pending list meanwhile so their
     /// producers never deadlock behind the stall. That local buffering
     /// is unbounded by design — this is the deterministic-replay
-    /// discipline, not the perf one.
+    /// discipline, not the perf one — and a lane drained into it is
+    /// popped without a spare, so with `rx_queues > 1` its producer
+    /// allocates past the `queue_batches + 2` buffers of a fair lane.
     Ordered,
 }
 
 /// One ingest lane as seen from the shard: the consumer half of a
-/// dispatcher's SPSC ring plus the return path into *that* dispatcher's
-/// buffer pool (pools are per-queue because a pool's receiver is
-/// single-consumer).
+/// dispatcher's SPSC ring, the buffer the shard drained last — left in
+/// the slot of the next pop, so it returns to that dispatcher on the
+/// ring's next lap — and whether this segment's `Stop` is still to come.
+/// Parked with the engine between segments, spare included.
 pub(crate) struct LaneRx {
-    pub rx: crate::spsc::Consumer<ShardMsg>,
-    pub recycle: RecycleSender,
+    rx: crate::spsc::Consumer<Batch>,
+    spare: Option<Batch>,
+    open: bool,
+}
+
+/// What one poll of an open lane produced.
+enum Polled {
+    /// An admitted batch, and whether the trace sampler picked it.
+    Batch(Batch, bool),
+    /// The lane's `Stop` marker: it is closed now.
+    Stop,
+}
+
+impl LaneRx {
+    pub(crate) fn new(rx: crate::spsc::Consumer<Batch>) -> LaneRx {
+        LaneRx {
+            rx,
+            spare: None,
+            open: true,
+        }
+    }
+
+    /// Take the lane's oldest message, leaving the spare in its slot:
+    /// a batch is admitted by `worker`, the `Stop` marker closes the
+    /// lane and its (empty) buffer becomes the spare the lane parks
+    /// with. `None` when the lane is closed or its ring empty.
+    fn poll(&mut self, worker: &mut ShardWorker) -> Option<Polled> {
+        if !self.open {
+            return None;
+        }
+        let batch = self.rx.try_exchange(&mut self.spare)?;
+        if batch.stop {
+            self.open = false;
+            self.retire(batch);
+            return Some(Polled::Stop);
+        }
+        let sampled = worker.admit(&batch);
+        Some(Polled::Batch(batch, sampled))
+    }
+
+    /// Keep a drained batch's buffer as the lane's spare.
+    fn retire(&mut self, mut batch: Batch) {
+        batch.pkts.clear();
+        self.spare = Some(batch);
+    }
 }
 
 /// Per-lane state for the ordered merge: the batch currently being
-/// consumed (with a cursor), batches drained early while waiting on a
-/// different lane, and whether the lane's Stop marker has been seen.
-struct OrderedLane {
-    lane: LaneRx,
-    cur: Option<(Vec<DigestedPacket>, usize)>,
-    pending: VecDeque<Vec<DigestedPacket>>,
-    open: bool,
+/// consumed (with a cursor) and batches drained early while waiting on
+/// a different lane.
+struct OrderedLane<'a> {
+    lane: &'a mut LaneRx,
+    cur: Option<(Batch, usize)>,
+    pending: VecDeque<Batch>,
 }
 
 /// The shard side of an attached control plane: the live mode cell the
@@ -401,6 +439,10 @@ pub(crate) struct FlowState {
     /// (bounded by the flush period, so it needs no shrink rule).
     heavy_counts: HashMap<u64, u64, BuildDigestHasher>,
     local: LocalBatchStats,
+    /// A fused core's staging buffer (unallocated on a pipeline shard):
+    /// like `local`, here only so it is parked with the shard and a
+    /// segment does not allocate it again.
+    pub stage: Vec<DigestedPacket>,
     /// The shard's inline host NF ([`Escalation::Inline`]).
     triage: TriageNf,
 }
@@ -419,6 +461,7 @@ impl FlowState {
             whitelist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             heavy_counts: HashMap::default(),
             local: LocalBatchStats::default(),
+            stage: Vec::new(),
             triage: TriageNf::new(cfg.triage_threshold),
         }
     }
@@ -532,11 +575,15 @@ impl ShardWorker {
     /// marker arrives, then final-sweep and exit. Returns the end state
     /// plus the shard's [`FlowState`], which the engine parks for the
     /// next segment.
-    pub(crate) fn run(self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowState) {
+    pub(crate) fn run(mut self, lanes: &mut [LaneRx]) -> (ShardEndState, FlowState) {
+        for lane in lanes.iter_mut() {
+            lane.open = true;
+        }
         match self.setup.merge {
             MergePolicy::Fair => self.run_fair(lanes),
             MergePolicy::Ordered => self.run_ordered(lanes),
         }
+        self.finish()
     }
 
     /// Fair merge: sweep the open lanes round-robin (rotating the start
@@ -544,34 +591,24 @@ impl ShardWorker {
     /// lane per sweep. The idle backoff escalates only when a full sweep
     /// found *every* lane empty — a shard with any lane delivering never
     /// parks.
-    fn run_fair(mut self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowState) {
+    fn run_fair(&mut self, lanes: &mut [LaneRx]) {
         let r = lanes.len();
-        let mut open = vec![true; r];
-        let mut live = r;
         let mut next = 0usize;
         let mut backoff = Backoff::new();
-        while live > 0 {
+        while lanes.iter().any(|l| l.open) {
             let mut progressed = false;
             for k in 0..r {
-                let j = (next + k) % r;
-                if !open[j] {
-                    continue;
-                }
-                match lanes[j].rx.try_pop() {
-                    Some(ShardMsg::Batch(batch)) => {
+                let lane = &mut lanes[(next + k) % r];
+                match lane.poll(self) {
+                    // One sampling decision covers the batch's lane
+                    // wait and its processing span.
+                    Some(Polled::Batch(batch, sampled)) => {
                         progressed = true;
-                        // One sampling decision covers the batch's lane
-                        // wait and its processing span.
-                        let sampled = self.admit(&batch);
                         self.control_tick();
                         self.process_group(&batch.pkts, sampled);
-                        lanes[j].recycle.give_back(batch.pkts);
+                        lane.retire(batch);
                     }
-                    Some(ShardMsg::Stop) => {
-                        progressed = true;
-                        open[j] = false;
-                        live -= 1;
-                    }
+                    Some(Polled::Stop) => progressed = true,
                     None => {}
                 }
             }
@@ -585,7 +622,6 @@ impl ShardWorker {
                 self.counters.idle_parks.inc();
             }
         }
-        self.finish()
     }
 
     /// Ordered merge: always process the lowest-sequence packet available
@@ -596,14 +632,13 @@ impl ShardWorker {
     /// other lanes are drained into local pending lists meanwhile so
     /// their producers never block behind the stall (which could
     /// otherwise deadlock the mesh).
-    fn run_ordered(mut self, lanes: Vec<LaneRx>) -> (ShardEndState, FlowState) {
-        let mut lanes: Vec<OrderedLane> = lanes
-            .into_iter()
+    fn run_ordered(&mut self, lanes: &mut [LaneRx]) {
+        let mut lanes: Vec<OrderedLane<'_>> = lanes
+            .iter_mut()
             .map(|lane| OrderedLane {
                 lane,
                 cur: None,
                 pending: VecDeque::new(),
-                open: true,
             })
             .collect();
         let mut backoff = Backoff::new();
@@ -626,21 +661,21 @@ impl ShardWorker {
                 if l.cur.is_some() {
                     continue;
                 }
-                if l.pending.is_empty() && l.open {
+                if l.pending.is_empty() {
                     progressed |= self.pull(l);
                 }
-                l.cur = l.pending.pop_front().map(|buf| (buf, 0));
+                l.cur = l.pending.pop_front().map(|batch| (batch, 0));
             }
-            if lanes.iter().any(|l| l.open && l.cur.is_none()) {
+            if lanes.iter().any(|l| l.lane.open && l.cur.is_none()) {
                 // A live lane has nothing to offer: its next packet may
                 // sort before everything in hand, so the merge waits —
                 // but keeps the other producers moving by draining their
                 // rings locally.
                 for l in lanes.iter_mut() {
-                    if !l.open || l.cur.is_none() {
+                    if l.cur.is_none() {
                         continue;
                     }
-                    while l.open && self.pull(l) {
+                    while self.pull(l) {
                         progressed = true;
                     }
                 }
@@ -656,7 +691,7 @@ impl ShardWorker {
             let Some(j) = lanes
                 .iter()
                 .enumerate()
-                .filter_map(|(j, l)| l.cur.as_ref().map(|(buf, c)| (j, buf[*c].seq)))
+                .filter_map(|(j, l)| l.cur.as_ref().map(|(b, c)| (j, b.pkts[*c].seq)))
                 .min_by_key(|&(_, seq)| seq)
                 .map(|(j, _)| j)
             else {
@@ -667,10 +702,10 @@ impl ShardWorker {
                 self.control_tick();
                 group_sampled = self.obs.trace.as_mut().is_some_and(ThreadTrace::tick);
             }
-            let (buf, cursor) = lanes[j].cur.as_mut().expect("selected lane has a head");
-            let dp = buf[*cursor];
+            let (batch, cursor) = lanes[j].cur.as_mut().expect("selected lane has a head");
+            let dp = batch.pkts[*cursor];
             *cursor += 1;
-            let exhausted = *cursor == buf.len();
+            let exhausted = *cursor == batch.pkts.len();
             group_buf.push(dp);
             in_group += 1;
             if in_group == self.setup.group {
@@ -679,14 +714,27 @@ impl ShardWorker {
                 in_group = 0;
             }
             if exhausted {
-                let (buf, _) = lanes[j].cur.take().expect("head still present");
-                lanes[j].lane.recycle.give_back(buf);
+                let (batch, _) = lanes[j].cur.take().expect("head still present");
+                lanes[j].lane.retire(batch);
             }
         }
         if in_group > 0 {
             self.process_group(&group_buf, group_sampled);
         }
-        self.finish()
+    }
+
+    /// Poll an ordered lane's ring once: a batch goes onto the lane's
+    /// pending list. `false` when nothing was popped (ring empty or lane
+    /// closed).
+    fn pull(&mut self, l: &mut OrderedLane<'_>) -> bool {
+        match l.lane.poll(self) {
+            Some(Polled::Batch(batch, _)) => {
+                l.pending.push_back(batch);
+                true
+            }
+            Some(Polled::Stop) => true,
+            None => false,
+        }
     }
 
     /// Admit one batch off a lane: record its queue wait and size and
@@ -703,24 +751,6 @@ impl ShardWorker {
             }
         }
         sampled
-    }
-
-    /// Pop one message off an ordered lane's ring: a batch is admitted
-    /// onto the lane's pending list, a Stop closes the lane. `false`
-    /// when the ring was empty.
-    fn pull(&mut self, l: &mut OrderedLane) -> bool {
-        match l.lane.rx.try_pop() {
-            Some(ShardMsg::Batch(batch)) => {
-                self.admit(&batch);
-                l.pending.push_back(batch.pkts);
-                true
-            }
-            Some(ShardMsg::Stop) => {
-                l.open = false;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Process one delivered batch (Fair) or merged group (Ordered):

@@ -13,6 +13,15 @@
 //! tail is published, consumer after — so every lock acquisition is
 //! uncontended. With batch-sized messages the per-message lock cost is
 //! amortised over the whole batch.
+//!
+//! The slots are also the return path. Both halves move a value through
+//! a slot by *exchange*: the consumer takes the oldest message and may
+//! leave a spare behind in its place, and the producer's next lap over
+//! that slot gets the spare back as it publishes. A lane whose messages
+//! carry a buffer therefore circulates a fixed set of buffers —
+//! `capacity` in the slots, one with each half — with no second queue
+//! beside the ring; [`Producer::try_push`] and [`Consumer::try_pop`] are
+//! the same exchanges with nothing left and nothing kept.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,9 +69,12 @@ pub fn spsc<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
 }
 
 impl<T> Producer<T> {
-    /// Push one value, or hand it back when the ring is full. The caller
-    /// owns the full-queue policy: retry (backpressure) or count a drop.
-    pub fn try_push(&self, v: T) -> Result<(), T> {
+    /// Publish `v` in the next free slot and take what the consumer left
+    /// there (`None` until the consumer has left something in that slot
+    /// — at the latest, its second lap), or hand `v` back when the ring
+    /// is full. The caller owns the full-queue policy: retry
+    /// (backpressure) or count a drop.
+    pub fn try_exchange(&self, v: T) -> Result<Option<T>, T> {
         let ring = &self.ring;
         let tail = ring.tail.load(Ordering::Relaxed);
         let head = ring.head.load(Ordering::Acquire);
@@ -70,24 +82,32 @@ impl<T> Producer<T> {
             return Err(v);
         }
         let idx = (tail % ring.slots.len() as u64) as usize;
-        *ring.slots[idx].lock().expect("spsc slot poisoned") = Some(v);
+        let left = ring.slots[idx]
+            .lock()
+            .expect("spsc slot poisoned")
+            .replace(v);
         ring.tail.store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
+        Ok(left)
     }
 
-    /// Push with backpressure: back off until a slot frees up. Used for
-    /// messages that must not be dropped (the shutdown marker, and
+    /// [`Producer::try_exchange`], dropping whatever the slot held.
+    pub fn try_push(&self, v: T) -> Result<(), T> {
+        self.try_exchange(v).map(drop)
+    }
+
+    /// Exchange with backpressure: back off until a slot frees up. Used
+    /// for messages that must not be dropped (the shutdown marker, and
     /// every batch in flat-out replay mode).
     ///
     /// The wait escalates spin → yield → short park (bounded): on a
     /// loaded (or single-core) machine the consumer needs this CPU to
     /// make room, and a parked producer donates a full scheduler
     /// quantum instead of thrashing through `yield_now`.
-    pub fn push_blocking(&self, mut v: T) {
+    pub fn exchange_blocking(&self, mut v: T) -> Option<T> {
         let mut backoff = crate::batch::Backoff::new();
         loop {
-            match self.try_push(v) {
-                Ok(()) => return,
+            match self.try_exchange(v) {
+                Ok(left) => return left,
                 Err(back) => {
                     v = back;
                     backoff.idle();
@@ -108,8 +128,10 @@ impl<T> Producer<T> {
 }
 
 impl<T> Consumer<T> {
-    /// Pop the oldest message, if any.
-    pub fn try_pop(&self) -> Option<T> {
+    /// Take the oldest message, if any, leaving `spare` (taken, when a
+    /// message was there to take) in its slot for the producer's next
+    /// lap. An empty ring leaves `spare` where it is.
+    pub fn try_exchange(&self, spare: &mut Option<T>) -> Option<T> {
         let ring = &self.ring;
         let head = ring.head.load(Ordering::Relaxed);
         let tail = ring.tail.load(Ordering::Acquire);
@@ -117,10 +139,17 @@ impl<T> Consumer<T> {
             return None;
         }
         let idx = (head % ring.slots.len() as u64) as usize;
-        let v = ring.slots[idx].lock().expect("spsc slot poisoned").take();
+        let mut slot = ring.slots[idx].lock().expect("spsc slot poisoned");
+        let v = std::mem::replace(&mut *slot, spare.take());
+        drop(slot);
         ring.head.store(head.wrapping_add(1), Ordering::Release);
         debug_assert!(v.is_some(), "published slot must hold a value");
         v
+    }
+
+    /// [`Consumer::try_exchange`], leaving the slot empty.
+    pub fn try_pop(&self) -> Option<T> {
+        self.try_exchange(&mut None)
     }
 
     /// Messages currently buffered.
@@ -169,7 +198,7 @@ mod tests {
         let n = 100_000u64;
         let producer = std::thread::spawn(move || {
             for i in 0..n {
-                tx.push_blocking(i);
+                tx.exchange_blocking(i);
             }
         });
         let mut expect = 0u64;

@@ -2,133 +2,261 @@
 //!
 //! The engine's mesh keeps each [`smartwatch_runtime::spsc`] ring
 //! strictly single-producer/single-consumer: producer = one RX-queue
-//! dispatcher, consumer = one shard fair-merging its R lanes, plus a
-//! recycle return path back to the producing queue's pool. `loom` is
-//! not available in this workspace, so this test does the next best
-//! thing: it *exhaustively enumerates interleavings* of the actors'
-//! productive steps with a DFS, replaying every schedule from scratch
-//! on real rings (capacity 1, the most adversarial legal size).
+//! dispatcher, consumer = one shard fair-merging its R lanes. The ring
+//! is also the buffers' return path: the dispatcher *exchanges* its full
+//! staging buffer for whatever the slot held, the shard exchanges the
+//! buffer it drained last for the slot's message. `loom` is not
+//! available in this workspace, so this test does the next best thing:
+//! it *exhaustively enumerates interleavings* of the actors' productive
+//! steps with a DFS, replaying every schedule from scratch on real rings
+//! of capacity 1 and 2 (the most adversarial legal sizes), over two
+//! back-to-back segments on the same rings — the engine parks its lanes
+//! between segments, buffers included.
 //!
-//! Checked on every complete schedule:
+//! Checked at every node of every schedule:
 //!
-//! * exactly-once delivery — each batch pushed by each producer is
-//!   consumed exactly once;
-//! * per-lane FIFO — a lane's batches arrive in push order, and its
-//!   `Stop` marker arrives after all of its batches (drain-on-shutdown:
-//!   the consumer never abandons queued work when a producer stops);
-//! * recycler return path — every consumed batch buffer is returned to
-//!   the pool of the queue that sent it;
+//! * buffer conservation — every buffer a lane ever allocated is in
+//!   exactly one of {producer staging, a ring slot, consumer hand,
+//!   consumer spare}; none is duplicated, none is lost;
+//! * the structural bound — a lane has allocated exactly
+//!   `min(pushes, capacity + 1) + 1` buffers, so at most `capacity + 2`,
+//!   whatever the schedule; a buffer that comes back through a slot is
+//!   always a drained one, never an undelivered message.
+//!
+//! And on every complete schedule:
+//!
+//! * exactly-once delivery and per-lane FIFO — each batch pushed is
+//!   consumed exactly once, in push order, and the lane's `Stop` arrives
+//!   after all of them (the consumer never abandons queued work); a
+//!   paced batch that met a full ring is the one accounted exception:
+//!   the producer keeps its buffer and the batch is counted as dropped;
+//! * a second segment on lanes that went round their ring in the first
+//!   allocates nothing;
 //! * no deadlock — from any reachable state, some actor can step until
 //!   all are done.
 //!
 //! Steps are *productive by construction*: a producer only steps when
-//! its ring has room, the consumer only steps when an open lane has a
-//! message. That keeps the schedule space finite (blocked actors busy
-//! waiting would otherwise spin forever) while still covering every
-//! ordering of the operations that change shared state.
+//! its ring has room (or its next batch is paced, and is dropped), the
+//! consumer only steps when an open lane has a message. That keeps the
+//! schedule space finite (blocked actors busy waiting would otherwise
+//! spin forever) while still covering every ordering of the operations
+//! that change shared state.
 
 use smartwatch_runtime::spsc::{spsc, Consumer, Producer};
+use std::collections::BTreeSet;
 
-/// Lane message, mirroring the engine's `ShardMsg`: a batch payload
-/// (here just tagged ints standing in for `Vec<DigestedPacket>`
-/// buffers) or the end-of-stream marker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Msg {
-    Batch(Vec<u32>),
-    Stop,
+/// A batch buffer with an identity, standing in for the engine's
+/// `Vec<DigestedPacket>`.
+#[derive(Debug)]
+struct Buf {
+    id: u32,
+    data: Vec<u32>,
+}
+
+/// Lane message, mirroring the engine's `Batch`: one buffer per
+/// message, and the end-of-stream marker is a flag on an empty one.
+#[derive(Debug)]
+struct Msg {
+    buf: Buf,
+    stop: bool,
+}
+
+/// One scripted batch: its payload, and whether the producer offers it
+/// open-loop (a full ring drops it) or with backpressure (it waits).
+type Item = (Vec<u32>, bool);
+/// Per segment, per lane, the batches its producer sends before `Stop`.
+type Scripts = Vec<Vec<Vec<Item>>>;
+
+/// One lane of a replayed mesh column, both ends and the model's books.
+struct Lane {
+    tx: Producer<Msg>,
+    rx: Consumer<Msg>,
+    /// Producer end: the buffer being staged (always drained).
+    staging: Buf,
+    /// Consumer end: the buffer drained last, left in the next slot.
+    spare: Option<Msg>,
+    /// Fair-merge state: is this segment's `Stop` still to come?
+    open: bool,
+    /// Ids of the buffers the model has put into slots and not taken
+    /// out again — the ring must agree, buffer by buffer.
+    in_slots: BTreeSet<u32>,
+    /// Buffers allocated / successful exchanges over the lane's life.
+    made: u32,
+    pushes: u32,
+    /// Both, as of the start of the current segment.
+    made_at_open: u32,
+    pushes_at_open: u32,
+    /// This segment: batches not yet offered (front = next), whether
+    /// `Stop` went out, payloads delivered and dropped, in order.
+    script: Vec<Item>,
+    stopped: bool,
+    delivered: Vec<Vec<u32>>,
+    dropped: Vec<Vec<u32>>,
 }
 
 /// One replayed mesh instance: R producers × 1 consumer (a single
 /// shard column of the mesh — rings are per (queue, shard) pair, so
 /// one column exercises the full lane discipline).
-struct Model {
-    producers: Vec<Producer<Msg>>,
-    lanes: Vec<Consumer<Msg>>,
-    /// Per producer: scripted batches not yet pushed (front = next).
-    scripts: Vec<Vec<Vec<u32>>>,
-    /// Per producer: has the trailing `Stop` been pushed?
-    stopped: Vec<bool>,
-    /// Consumer fair-merge state: lane still open?
-    open: Vec<bool>,
+struct Model<'a> {
+    capacity: usize,
+    scripts: &'a Scripts,
+    segment: usize,
+    lanes: Vec<Lane>,
     /// Consumer fair-merge state: next lane to poll (rotates).
     next_lane: usize,
-    /// Per lane: payloads delivered, in arrival order.
-    delivered: Vec<Vec<Vec<u32>>>,
-    /// Per lane: buffers handed back to that queue's recycle pool.
-    recycled: Vec<usize>,
 }
 
-impl Model {
-    fn new(scripts: &[Vec<Vec<u32>>], capacity: usize) -> Model {
-        let r = scripts.len();
-        let (producers, lanes): (Vec<_>, Vec<_>) = (0..r).map(|_| spsc::<Msg>(capacity)).unzip();
+impl<'a> Model<'a> {
+    fn new(scripts: &'a Scripts, capacity: usize) -> Model<'a> {
+        let lanes = scripts[0]
+            .iter()
+            .map(|script| {
+                let (tx, rx) = spsc::<Msg>(capacity);
+                Lane {
+                    tx,
+                    rx,
+                    staging: Buf {
+                        id: 0,
+                        data: Vec::new(),
+                    },
+                    spare: None,
+                    open: true,
+                    in_slots: BTreeSet::new(),
+                    made: 1,
+                    pushes: 0,
+                    made_at_open: 1,
+                    pushes_at_open: 0,
+                    script: script.clone(),
+                    stopped: false,
+                    delivered: Vec::new(),
+                    dropped: Vec::new(),
+                }
+            })
+            .collect();
         Model {
-            producers,
+            capacity,
+            scripts,
+            segment: 0,
             lanes,
-            scripts: scripts.to_vec(),
-            stopped: vec![false; r],
-            open: vec![true; r],
             next_lane: 0,
-            delivered: vec![Vec::new(); r],
-            recycled: vec![0; r],
         }
     }
 
     fn r(&self) -> usize {
-        self.producers.len()
+        self.lanes.len()
     }
 
-    /// Can producer `p` make a productive step right now? (Script not
-    /// exhausted, and its ring is below capacity — `len()` is exact
-    /// here because replay is single-threaded.)
+    /// Can producer `p` make a productive step right now? Something is
+    /// left to send, and its ring is below capacity (`len()` is exact
+    /// here because replay is single-threaded) — or the ring is full
+    /// and the next batch is paced, which the step then drops.
     fn producer_ready(&self, p: usize) -> bool {
-        (!self.scripts[p].is_empty() || !self.stopped[p])
-            && self.producers[p].len() < MODEL_CAPACITY
+        let lane = &self.lanes[p];
+        match lane.script.first() {
+            Some((_, paced)) => *paced || lane.tx.len() < self.capacity,
+            None => !lane.stopped && lane.tx.len() < self.capacity,
+        }
     }
 
     /// Can the consumer make a productive step (some open lane has a
     /// message waiting)?
     fn consumer_ready(&self) -> bool {
-        (0..self.r()).any(|l| self.open[l] && !self.lanes[l].is_empty())
+        self.lanes.iter().any(|l| l.open && !l.rx.is_empty())
     }
 
-    /// Producer `p` pushes its next scripted message. Caller checked
-    /// readiness, so `try_push` must succeed — a failure here would be
-    /// an SPSC capacity-accounting bug.
+    /// Producer `p` offers its next scripted message the way
+    /// `LaneSink::exchange` does: publish the staging buffer, stage
+    /// into what the slot held — or, on a full ring, keep the buffer
+    /// and count the batch as dropped.
     fn step_producer(&mut self, p: usize) {
-        let msg =
-            if let Some(batch) = (!self.scripts[p].is_empty()).then(|| self.scripts[p].remove(0)) {
-                Msg::Batch(batch)
-            } else {
-                self.stopped[p] = true;
-                Msg::Stop
-            };
-        self.producers[p]
-            .try_push(msg)
-            .expect("ring below capacity must accept a push");
+        let capacity = self.capacity;
+        let lane = &mut self.lanes[p];
+        let stop = lane.script.is_empty();
+        let paced = if stop {
+            lane.stopped = true;
+            false
+        } else {
+            let (payload, paced) = lane.script.remove(0);
+            lane.staging.data = payload;
+            paced
+        };
+        let full = lane.tx.len() == capacity;
+        let (id, placeholder) = (
+            lane.staging.id,
+            Buf {
+                id: u32::MAX,
+                data: Vec::new(),
+            },
+        );
+        let msg = Msg {
+            buf: std::mem::replace(&mut lane.staging, placeholder),
+            stop,
+        };
+        match lane.tx.try_exchange(msg) {
+            Ok(left) => {
+                assert!(!full, "a full ring must refuse the exchange");
+                lane.pushes += 1;
+                assert!(lane.in_slots.insert(id), "buffer {id} published twice");
+                lane.staging = match left {
+                    Some(spare) => {
+                        assert!(
+                            spare.buf.data.is_empty() && lane.in_slots.remove(&spare.buf.id),
+                            "lane {p}: slot gave back {spare:?}, not a drained buffer it held"
+                        );
+                        spare.buf
+                    }
+                    None => {
+                        lane.made += 1;
+                        Buf {
+                            id: lane.made - 1,
+                            data: Vec::new(),
+                        }
+                    }
+                };
+            }
+            Err(mut back) => {
+                assert!(
+                    full && paced,
+                    "only a paced batch on a full ring is refused"
+                );
+                lane.dropped.push(std::mem::take(&mut back.buf.data));
+                lane.staging = back.buf;
+            }
+        }
     }
 
     /// Consumer performs one fair-merge sweep step: starting from the
-    /// rotating cursor, pop the first available message — exactly what
-    /// `ShardWorker::run_fair` does per lane visit.
+    /// rotating cursor, exchange the spare for the first available
+    /// message, deliver it, and keep its buffer as the new spare —
+    /// exactly what `ShardWorker::run_fair` does per lane visit. The
+    /// books are checked mid-step too, with the batch in hand.
     fn step_consumer(&mut self) {
         let r = self.r();
         for off in 0..r {
             let l = (self.next_lane + off) % r;
-            if !self.open[l] {
+            let lane = &mut self.lanes[l];
+            if !lane.open {
                 continue;
             }
-            if let Some(msg) = self.lanes[l].try_pop() {
-                match msg {
-                    Msg::Batch(payload) => {
-                        self.delivered[l].push(payload);
-                        // Drained buffer goes back to the owning
-                        // queue's pool (the engine's RecycleSender
-                        // always targets the lane's queue).
-                        self.recycled[l] += 1;
-                    }
-                    Msg::Stop => self.open[l] = false,
+            let left = lane.spare.as_ref().map(|m| m.buf.id);
+            if let Some(mut hand) = lane.rx.try_exchange(&mut lane.spare) {
+                assert!(lane.spare.is_none(), "the spare stays in the slot");
+                assert!(
+                    lane.in_slots.remove(&hand.buf.id),
+                    "popped an unknown buffer"
+                );
+                if let Some(id) = left {
+                    assert!(lane.in_slots.insert(id), "spare {id} was already in a slot");
                 }
+                self.check(l, Some(hand.buf.id));
+                let lane = &mut self.lanes[l];
+                if hand.stop {
+                    assert!(hand.buf.data.is_empty(), "Stop carries an empty buffer");
+                    lane.open = false;
+                } else {
+                    lane.delivered.push(std::mem::take(&mut hand.buf.data));
+                }
+                lane.spare = Some(hand);
                 self.next_lane = (l + 1) % r;
                 return;
             }
@@ -136,27 +264,107 @@ impl Model {
         unreachable!("consumer stepped without a ready lane");
     }
 
-    fn all_done(&self) -> bool {
-        self.scripts.iter().all(Vec::is_empty)
-            && self.stopped.iter().all(|&s| s)
-            && self.open.iter().all(|&o| !o)
+    /// The books of lane `l`: every buffer it ever allocated is in
+    /// exactly one place, and their number is the closed form of the
+    /// lane's successful exchanges — no schedule can move it.
+    fn check(&self, l: usize, hand: Option<u32>) {
+        let lane = &self.lanes[l];
+        let mut census: Vec<u32> = lane.in_slots.iter().copied().collect();
+        census.push(lane.staging.id);
+        census.extend(lane.spare.as_ref().map(|m| m.buf.id));
+        census.extend(hand);
+        census.sort_unstable();
+        let all: Vec<u32> = (0..lane.made).collect();
+        assert_eq!(
+            census, all,
+            "lane {l}: buffers (staging ∪ slots ∪ spare ∪ hand) vs allocated"
+        );
+        let lap = self.capacity as u32 + 1;
+        assert_eq!(
+            lane.made,
+            lane.pushes.min(lap) + 1,
+            "lane {l}: allocations must be min(pushes, capacity + 1) + 1"
+        );
+        assert!(lane.tx.len() <= self.capacity);
+    }
+
+    fn segment_done(&self) -> bool {
+        self.lanes
+            .iter()
+            .all(|l| l.script.is_empty() && l.stopped && !l.open)
+    }
+
+    /// Segment boundary: every thread has been joined; the engine parks
+    /// the lanes as they are and the next segment reopens them.
+    fn next_segment(&mut self) {
+        self.verify_segment();
+        self.segment += 1;
+        for (lane, script) in self.lanes.iter_mut().zip(&self.scripts[self.segment]) {
+            lane.script = script.clone();
+            lane.stopped = false;
+            lane.open = true;
+            lane.made_at_open = lane.made;
+            lane.pushes_at_open = lane.pushes;
+            lane.delivered.clear();
+            lane.dropped.clear();
+        }
+    }
+
+    /// What a finished segment must satisfy.
+    fn verify_segment(&self) {
+        let lap = self.capacity as u32 + 1;
+        for (l, lane) in self.lanes.iter().enumerate() {
+            // Exactly-once + per-lane FIFO: the consumer saw this lane's
+            // batches in push order, each either delivered or — paced,
+            // on a full ring — dropped and accounted. Stop arrived last
+            // (the lane closed only after the final delivery), so
+            // shutdown drained rather than discarded.
+            let (mut got, mut lost) = (lane.delivered.iter(), lane.dropped.iter());
+            for (payload, paced) in &self.scripts[self.segment][l] {
+                let next = if *paced && lost.as_slice().first() == Some(payload) {
+                    lost.next()
+                } else {
+                    got.next()
+                };
+                assert_eq!(
+                    next,
+                    Some(payload),
+                    "lane {l}: delivery diverged from script"
+                );
+            }
+            assert!(got.next().is_none() && lost.next().is_none());
+            assert!(!lane.open, "lane {l}: Stop must close the lane");
+            assert!(
+                lane.rx.is_empty(),
+                "lane {l}: nothing may remain queued after shutdown"
+            );
+            // Parked: one staging buffer, one spare, the rest in slots.
+            assert!(lane.spare.is_some() && lane.staging.data.is_empty());
+            if lane.pushes_at_open >= lap {
+                assert_eq!(
+                    lane.made, lane.made_at_open,
+                    "lane {l}: a segment on a lapped ring allocates nothing"
+                );
+            }
+        }
     }
 }
 
-/// Ring capacity for every modelled lane. 1 is the most adversarial
-/// legal size: every push/pop pair interleaves through a full↔empty
-/// transition, the regime where head/tail accounting bugs live.
-const MODEL_CAPACITY: usize = 1;
-
 /// Replay `schedule` (a sequence of actor ids; `r()` = consumer) from
 /// scratch and return the resulting model.
-fn replay(scripts: &[Vec<Vec<u32>>], schedule: &[usize]) -> Model {
-    let mut m = Model::new(scripts, MODEL_CAPACITY);
+fn replay<'a>(scripts: &'a Scripts, capacity: usize, schedule: &[usize]) -> Model<'a> {
+    let mut m = Model::new(scripts, capacity);
     for &actor in schedule {
         if actor == m.r() {
             m.step_consumer();
         } else {
             m.step_producer(actor);
+        }
+        for l in 0..m.r() {
+            m.check(l, None);
+        }
+        if m.segment_done() && m.segment + 1 < scripts.len() {
+            m.next_segment();
         }
     }
     m
@@ -164,15 +372,15 @@ fn replay(scripts: &[Vec<Vec<u32>>], schedule: &[usize]) -> Model {
 
 /// DFS over all interleavings of productive steps. Returns the number
 /// of complete schedules explored.
-fn explore(scripts: &[Vec<Vec<u32>>]) -> usize {
+fn explore(scripts: &Scripts, capacity: usize) -> usize {
     let mut schedule = Vec::new();
     let mut complete = 0usize;
-    dfs(scripts, &mut schedule, &mut complete);
+    dfs(scripts, capacity, &mut schedule, &mut complete);
     complete
 }
 
-fn dfs(scripts: &[Vec<Vec<u32>>], schedule: &mut Vec<usize>, complete: &mut usize) {
-    let m = replay(scripts, schedule);
+fn dfs(scripts: &Scripts, capacity: usize, schedule: &mut Vec<usize>, complete: &mut usize) {
+    let m = replay(scripts, capacity, schedule);
     let mut candidates = Vec::new();
     for p in 0..m.r() {
         if m.producer_ready(p) {
@@ -184,72 +392,80 @@ fn dfs(scripts: &[Vec<Vec<u32>>], schedule: &mut Vec<usize>, complete: &mut usiz
     }
     if candidates.is_empty() {
         assert!(
-            m.all_done(),
-            "stall: no actor can step but work remains (schedule {schedule:?}, \
-             open={:?}, scripts left={:?})",
-            m.open,
-            m.scripts
+            m.segment_done() && m.segment + 1 == scripts.len(),
+            "stall: no actor can step but work remains (schedule {schedule:?})"
         );
-        verify_final(scripts, &m, schedule);
+        m.verify_segment();
         *complete += 1;
         return;
     }
     for actor in candidates {
         schedule.push(actor);
-        dfs(scripts, schedule, complete);
+        dfs(scripts, capacity, schedule, complete);
         schedule.pop();
     }
 }
 
-/// The invariants every complete schedule must satisfy.
-fn verify_final(scripts: &[Vec<Vec<u32>>], m: &Model, schedule: &[usize]) {
-    for (l, script) in scripts.iter().enumerate() {
-        // Exactly-once + per-lane FIFO: the consumer saw this lane's
-        // batches, all of them, in push order. Stop arrived last (the
-        // lane closed only after the final delivery), so shutdown
-        // drained rather than discarded.
-        assert_eq!(
-            m.delivered[l], *script,
-            "lane {l}: delivery diverged from script under schedule {schedule:?}"
-        );
-        assert_eq!(
-            m.recycled[l],
-            script.len(),
-            "lane {l}: every consumed buffer must return to its queue's pool"
-        );
-        assert!(!m.open[l], "lane {l}: Stop must close the lane");
+/// Flat-out batches (backpressure, never dropped).
+fn flatout(payloads: &[&[u32]]) -> Vec<Item> {
+    payloads.iter().map(|p| (p.to_vec(), false)).collect()
+}
+
+#[test]
+fn two_producer_mesh_column_is_exhaustively_correct() {
+    // Two RX queues feeding one shard, enough batches each (plus Stop)
+    // to take every lane once round its ring, then a second, shorter
+    // segment on the parked lanes: every interleaving of exchanges and
+    // the rotating fair-merge cursor is explored, at both capacities.
+    for (capacity, batches) in [(1, 2), (2, 2)] {
+        let first = [
+            flatout(&[&[10, 11], &[12], &[13]]),
+            flatout(&[&[20], &[21, 22], &[23]]),
+        ];
+        let scripts = vec![
+            first.iter().map(|s| s[..batches].to_vec()).collect(),
+            vec![flatout(&[&[14]]), flatout(&[&[24]])],
+        ];
+        let complete = explore(&scripts, capacity);
+        // A lower bound on the count guards against a silent pruning
+        // bug faking coverage.
         assert!(
-            m.lanes[l].is_empty(),
-            "lane {l}: nothing may remain queued after shutdown"
+            complete > 500,
+            "capacity {capacity}: expected a non-trivial schedule space, explored {complete}"
         );
     }
 }
 
 #[test]
-fn two_producer_mesh_column_is_exhaustively_correct() {
-    // Two RX queues feeding one shard, two batches each plus Stop, over
-    // capacity-1 rings: every interleaving of pushes, pops and the
-    // rotating fair-merge cursor is explored.
+fn paced_producer_keeps_its_buffer_on_a_full_ring() {
+    // The full-ring edge: a paced batch may meet a full ring in some
+    // interleavings and not in others. Either way it is delivered or
+    // counted, its buffer stays with the producer, and the lane's
+    // allocations follow its *successful* exchanges only.
+    let paced = |payloads: &[&[u32]]| -> Vec<Item> {
+        payloads.iter().map(|p| (p.to_vec(), true)).collect()
+    };
     let scripts = vec![
-        vec![vec![10, 11], vec![12], vec![13]],
-        vec![vec![20], vec![21, 22], vec![23]],
+        vec![paced(&[&[1], &[2], &[3]]), flatout(&[&[7]])],
+        vec![paced(&[&[4], &[5]]), flatout(&[])],
     ];
-    let complete = explore(&scripts);
-    // 8 pushes + 8 pops interleave many ways; a lower bound on the
-    // count guards against a silent pruning bug faking coverage.
-    assert!(
-        complete > 500,
-        "expected a non-trivial schedule space, explored {complete}"
-    );
+    for capacity in [1, 2] {
+        let complete = explore(&scripts, capacity);
+        assert!(
+            complete > 500,
+            "capacity {capacity}: expected a non-trivial schedule space, explored {complete}"
+        );
+    }
 }
 
 #[test]
 fn three_producer_mesh_column_drains_on_shutdown() {
     // Three queues with asymmetric scripts — one queue stops having
     // sent nothing, the adversarial shutdown case: the consumer must
-    // still drain the busy lanes and terminate.
-    let scripts = vec![vec![vec![1], vec![2]], vec![], vec![vec![3]]];
-    let complete = explore(&scripts);
+    // still drain the busy lanes and terminate, and the idle lane's
+    // lone Stop still brings a buffer for the shard to park.
+    let scripts = vec![vec![flatout(&[&[1], &[2]]), flatout(&[]), flatout(&[&[3]])]];
+    let complete = explore(&scripts, 1);
     assert!(
         complete > 100,
         "expected a non-trivial schedule space, explored {complete}"
@@ -259,8 +475,12 @@ fn three_producer_mesh_column_drains_on_shutdown() {
 #[test]
 fn single_lane_degenerates_to_plain_spsc() {
     // R=1 is the pre-mesh engine: the model must reduce to an ordinary
-    // SPSC stream with nothing reordered.
-    let scripts = vec![vec![vec![1], vec![2], vec![3], vec![4]]];
-    let complete = explore(&scripts);
-    assert!(complete > 0);
+    // SPSC stream with nothing reordered, over two segments.
+    let scripts = vec![
+        vec![flatout(&[&[1], &[2], &[3], &[4]])],
+        vec![flatout(&[&[5], &[6]])],
+    ];
+    for capacity in [1, 2] {
+        assert!(explore(&scripts, capacity) > 0);
+    }
 }

@@ -1,8 +1,8 @@
 //! Service-mode invariants: a resident engine run back-to-back must
 //! behave like a fresh one on every axis that matters — per-segment
-//! conservation, flat pool-allocation counters across the restart
-//! boundary (the zero-steady-state-allocation claim the soak harness
-//! pins), graceful drain that quiesces exactly like end-of-trace,
+//! conservation, pool-allocation counters that stop exactly at their
+//! structural bound across the restart boundary (the
+//! zero-steady-state-allocation claim the soak harness pins), graceful drain that quiesces exactly like end-of-trace,
 //! carried FlowCaches that actually warm the next segment, and admin
 //! steering edits that land at epoch boundaries and drop at dispatch.
 
@@ -16,27 +16,25 @@ fn workload(flows: usize, seed: u64) -> Vec<Packet> {
     preset_trace(Preset::Caida2018, flows, Dur::from_millis(500), seed).into_packets()
 }
 
-/// Buffer-pool recycle channels shed on `try_send` overflow by design
-/// (bounded footprint beats a blocking hot path), so a heavily loaded
-/// scheduler can trim a buffer mid-segment and re-allocate it later.
-/// The invariant is *bounded churn at steady state*, not bit-exact
-/// zero — the same slack `repro soak` gates on.
-const POOL_SLACK: u64 = 8;
-
-/// Shallow lanes: flat-out dispatch saturates every lane (it
-/// backpressures rather than drops), so the first segment's working
-/// set hits the structural cap and later segments cannot out-demand
-/// it under scheduler noise — the flatness assertion stays exact
-/// however the test host schedules threads.
-const SHALLOW_LANES: usize = 4;
+/// Packets per segment of the pool tests: enough that every lane of a
+/// 2 × 2 mesh goes round its 64-slot ring inside the first segment, so
+/// `runtime.pool.allocated` sits exactly on
+/// [`EngineConfig::lane_buffers`] after it — the lanes' structural
+/// count, the same under every thread schedule — and nothing may be
+/// allocated afterwards.
+const LAP_PACKETS: usize = 60_000;
 
 #[test]
 fn back_to_back_segments_conserve_with_flat_pool_counters() {
-    let packets = workload(300, 29);
+    let packets: Vec<Packet> = workload(300, 29)
+        .into_iter()
+        .cycle()
+        .take(LAP_PACKETS)
+        .collect();
     let registry = Registry::new();
     let mut cfg = EngineConfig::new(2);
     cfg.host_workers = 1;
-    cfg.queue_batches = SHALLOW_LANES;
+    let bound = cfg.lane_buffers() as u64;
     let engine = Engine::with_registry(cfg, &registry);
     let allocated = registry.counter("runtime.pool.allocated", &[]);
 
@@ -44,8 +42,11 @@ fn back_to_back_segments_conserve_with_flat_pool_counters() {
     assert!(first.conserved(), "segment 1 violates conservation");
     assert_eq!(first.offered, packets.len() as u64);
     assert_eq!(first.processed(), first.offered);
-    let after_first = allocated.get();
-    assert!(after_first > 0, "segment 1 must warm the pool");
+    assert_eq!(
+        allocated.get(),
+        bound,
+        "segment 1 takes every lane round its ring: queue_batches + 2 buffers each"
+    );
 
     let second = engine.run(&packets, Pace::Flatout);
     assert!(second.conserved(), "segment 2 violates conservation");
@@ -55,45 +56,38 @@ fn back_to_back_segments_conserve_with_flat_pool_counters() {
         "a resident engine reports per-run numbers, not cumulative ones"
     );
     assert_eq!(second.processed(), second.offered);
-    assert!(
-        allocated.get() - after_first <= POOL_SLACK,
-        "segment 2 re-allocated {} buffers — the garage must hand the \
-         warmed pool back across the restart boundary",
-        allocated.get() - after_first
+    assert_eq!(
+        allocated.get(),
+        bound,
+        "segment 2 allocated lane buffers — the garage must hand the lanes, \
+         and the buffers in them, back across the restart boundary"
     );
 }
 
 #[test]
 fn wire_segments_keep_the_frame_pool_flat_across_restart() {
     let trace = preset_trace(Preset::Caida2018, 200, Dur::from_millis(500), 31);
-    let store = compile_cycled(&trace, trace.len() * 2);
+    let store = compile_cycled(&trace, LAP_PACKETS);
     let registry = Registry::new();
     let mut cfg = EngineConfig::new(2);
     cfg.rx_queues = 2;
-    cfg.queue_batches = SHALLOW_LANES;
+    let bound = cfg.lane_buffers() as u64;
     let engine = Engine::with_registry(cfg, &registry);
     let frames = registry.counter("runtime.frame_pool.allocated", &[]);
     let bufs = registry.counter("runtime.pool.allocated", &[]);
 
     let first = engine.run_frames(&store, Pace::Flatout);
     assert!(first.conserved(), "wire segment 1 violates conservation");
-    assert_eq!(first.offered, (trace.len() * 2) as u64);
-    let (frames_1, bufs_1) = (frames.get(), bufs.get());
+    assert_eq!(first.offered, LAP_PACKETS as u64);
+    let frames_1 = frames.get();
     assert!(frames_1 > 0, "the wire path must materialise frame slots");
+    assert_eq!(bufs.get(), bound, "every lane once round its ring");
 
     let second = engine.run_frames(&store, Pace::Flatout);
     assert!(second.conserved(), "wire segment 2 violates conservation");
     assert_eq!(second.offered, first.offered);
-    assert!(
-        frames.get() - frames_1 <= POOL_SLACK,
-        "frame pool grew {} slots across the restart",
-        frames.get() - frames_1
-    );
-    assert!(
-        bufs.get() - bufs_1 <= POOL_SLACK,
-        "batch pool grew {} buffers across the restart",
-        bufs.get() - bufs_1
-    );
+    assert_eq!(frames.get(), frames_1, "frame pool grew across the restart");
+    assert_eq!(bufs.get(), bound, "lane buffers grew across the restart");
 }
 
 #[test]

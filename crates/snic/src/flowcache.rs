@@ -36,9 +36,9 @@
 //! A probe scans the tag line first and performs the full 13-byte key
 //! compare only on tag match, so a whole 12-bucket row resolves from one
 //! 64-byte line in the common case — and that line is exactly what
-//! [`FlowCache::prefetch_row`] pulls in ahead of a batched burst
-//! ([`FlowCache::process_batch`]), overlapping up to 8 independent DRAM
-//! misses instead of serialising them. The tag array is redundant
+//! [`FlowCache::prefetch_row`] pulls in ahead of a burst of
+//! [`FlowCache::process_digested`] probes, overlapping up to 8
+//! independent DRAM misses instead of serialising them. The tag array is redundant
 //! metadata: `tags[row][b] != 0` iff the bucket is occupied, and the tag
 //! always equals the resident record's own digest tag.
 
@@ -55,8 +55,9 @@ use std::ops::Range;
 /// configuration in the workspace is far below this).
 pub const MAX_BUCKETS: usize = 64;
 
-/// Lookups per software-pipeline stage in [`FlowCache::process_batch`]:
-/// the prefetch distance. Matches the dispatcher's 8-frame digest bursts
+/// Lookups per software-pipeline stage — callers issue this many
+/// [`FlowCache::prefetch_row`]s, then probe them in order: the prefetch
+/// distance. Matches the dispatcher's 8-frame digest bursts
 /// and is comfortably within the miss-level parallelism of the memory
 /// subsystems this runs on.
 pub const BURST: usize = 8;
@@ -550,33 +551,6 @@ impl FlowCache {
     pub fn process(&mut self, pkt: &Packet) -> Access {
         let (canon, digest) = self.hasher.digest_symmetric(&pkt.key);
         self.process_digested(pkt, &canon, digest)
-    }
-
-    /// Batched [`FlowCache::process`]: a two-stage software pipeline over
-    /// [`BURST`]-packet chunks. Stage A digests the chunk and issues a
-    /// [`FlowCache::prefetch_row`] per packet; stage B runs the exact
-    /// per-packet [`FlowCache::process_digested`] sequence with the rows
-    /// already in flight. Because the prefetch stage has no architectural
-    /// effect, the `Access` sequence, statistics, eviction-ring contents
-    /// and residency are identical to calling [`FlowCache::process`] on
-    /// each packet in order — pinned by the equivalence tests below.
-    ///
-    /// Appends one [`Access`] per packet to `out` (not cleared: callers
-    /// stream batches into a reused buffer).
-    pub fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<Access>) {
-        out.reserve(pkts.len());
-        let mut dig: [Option<(FlowKey, HashDigest)>; BURST] = [None; BURST];
-        for chunk in pkts.chunks(BURST) {
-            for (d, p) in dig.iter_mut().zip(chunk) {
-                let (canon, digest) = self.hasher.digest_symmetric(&p.key);
-                self.prefetch_row(digest);
-                *d = Some((canon, digest));
-            }
-            for (d, p) in dig.iter_mut().zip(chunk) {
-                let (canon, digest) = d.take().expect("stage A filled this lane");
-                out.push(self.process_digested(p, &canon, digest));
-            }
-        }
     }
 
     /// [`FlowCache::process`] for a packet whose canonical key and hash
@@ -1458,14 +1432,37 @@ mod tests {
             .collect()
     }
 
-    /// The tentpole's correctness pin: `process_batch` must be
-    /// observably identical to the sequential per-packet path — same
-    /// `Access` sequence, same stats, same ring contents, same residency
-    /// — across General/Lite, mode switches between batches, pinning
-    /// churn, and every batch size 1..=16 (covering sub-, exact- and
-    /// multi-BURST chunking).
+    /// The two-stage software pipeline the engine's shards run over
+    /// [`BURST`]-packet chunks: stage A digests the chunk and issues a
+    /// [`FlowCache::prefetch_row`] per packet, stage B runs the
+    /// per-packet [`FlowCache::process_digested`] sequence with the rows
+    /// already in flight.
+    fn process_bursts(fc: &mut FlowCache, pkts: &[Packet]) -> Vec<Access> {
+        let hasher = smartwatch_net::FlowHasher::new(fc.config().hash_seed);
+        let mut out = Vec::with_capacity(pkts.len());
+        for chunk in pkts.chunks(BURST) {
+            let digested: Vec<_> = chunk
+                .iter()
+                .map(|p| hasher.digest_symmetric(&p.key))
+                .collect();
+            for (_, digest) in &digested {
+                fc.prefetch_row(*digest);
+            }
+            for (p, (canon, digest)) in chunk.iter().zip(&digested) {
+                out.push(fc.process_digested(p, canon, *digest));
+            }
+        }
+        out
+    }
+
+    /// The prefetch stage has no architectural effect: the burst
+    /// pipeline must be observably identical to the sequential
+    /// per-packet path — same `Access` sequence, same stats, same ring
+    /// contents, same residency — across General/Lite, mode switches
+    /// between batches, pinning churn, and every batch size 1..=16
+    /// (covering sub-, exact- and multi-BURST chunking).
     #[test]
-    fn process_batch_matches_sequential_ground_truth() {
+    fn burst_pipeline_matches_sequential_ground_truth() {
         for seed in [1u64, 0xBEEF, 0x51CC_2026] {
             let cfg = FlowCacheConfig::general(4);
             let hasher = smartwatch_net::FlowHasher::new(cfg.hash_seed);
@@ -1474,7 +1471,6 @@ mod tests {
             let stream = seeded_stream(seed, 3_000, 200);
             let mut cursor = 0usize;
             let mut round = 0u64;
-            let mut out = Vec::new();
             while cursor < stream.len() {
                 round += 1;
                 // Mode switches and pin/unpin churn between batches,
@@ -1502,8 +1498,7 @@ mod tests {
                 let size = (round as usize % 16) + 1;
                 let batch = &stream[cursor..(cursor + size).min(stream.len())];
                 cursor += batch.len();
-                out.clear();
-                bat.process_batch(batch, &mut out);
+                let out = process_bursts(&mut bat, batch);
                 assert_eq!(out.len(), batch.len(), "one Access per packet");
                 for (p, got) in batch.iter().zip(&out) {
                     let (canon, digest) = hasher.digest_symmetric(&p.key);
@@ -1527,10 +1522,10 @@ mod tests {
         }
     }
 
-    /// Pinned-row insert failures inside a batch: ToHost outcomes must
-    /// flow through `process_batch` exactly as they do per-packet.
+    /// Pinned-row insert failures inside a burst: ToHost outcomes must
+    /// flow through the pipeline exactly as they do per-packet.
     #[test]
-    fn process_batch_propagates_to_host_on_pinned_rows() {
+    fn burst_pipeline_propagates_to_host_on_pinned_rows() {
         let cfg = FlowCacheConfig::split(1, 1, 1, CachePolicy::LRU_LPC);
         let mut seq = FlowCache::new(cfg.clone());
         let mut bat = FlowCache::new(cfg.clone());
@@ -1542,8 +1537,7 @@ mod tests {
             assert!(fc.pin(&key(2)));
         }
         let batch: Vec<Packet> = (3..30u32).map(|i| pkt(i, u64::from(i))).collect();
-        let mut out = Vec::new();
-        bat.process_batch(&batch, &mut out);
+        let out = process_bursts(&mut bat, &batch);
         let mut to_host = 0;
         for (p, got) in batch.iter().zip(&out) {
             let (canon, digest) = hasher.digest_symmetric(&p.key);
