@@ -3,14 +3,13 @@
 //! The host exposes distinct SR-IOV ports, one per supported function
 //! (Zeek-style IDS scripts, the timing wheel, big-memory NFs); the sNIC
 //! steers escalated packets to the right port. This module provides the
-//! dispatch fabric: a [`HostNf`] trait, a synchronous [`HostRuntime`]
-//! used by the deterministic experiments, and a threaded runtime built on
-//! bounded std channels for the concurrency-facing tests.
+//! dispatch fabric: a [`HostNf`] trait and a synchronous
+//! [`HostRuntime`] used by the deterministic experiments. (The threaded
+//! side — NFs on worker threads behind a bounded ring — is
+//! `smartwatch_runtime::HostPool`.)
 
 use smartwatch_net::Packet;
 use std::collections::HashMap;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::thread::JoinHandle;
 
 /// A verdict an NF can hand back to the platform.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,84 +91,6 @@ impl HostRuntime {
     }
 }
 
-/// A threaded NF worker: packets in via a bounded channel, verdicts out.
-/// Models the DPDK poll-mode worker pinned to a host core.
-pub struct NfWorker {
-    tx: Option<SyncSender<Packet>>,
-    verdicts: Receiver<Verdict>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl NfWorker {
-    /// Spawn a worker around an NF. `queue` bounds the in-flight packets
-    /// (models the SR-IOV RX ring).
-    pub fn spawn(mut nf: Box<dyn HostNf>, queue: usize) -> NfWorker {
-        let (tx, rx) = sync_channel::<Packet>(queue);
-        let (vtx, vrx) = sync_channel::<Verdict>(queue.max(64));
-        let handle = std::thread::spawn(move || {
-            while let Ok(pkt) = rx.recv() {
-                for v in nf.on_packet(&pkt) {
-                    // Verdict backpressure: block rather than drop.
-                    if vtx.send(v).is_err() {
-                        return;
-                    }
-                }
-            }
-        });
-        NfWorker {
-            tx: Some(tx),
-            verdicts: vrx,
-            handle: Some(handle),
-        }
-    }
-
-    /// Enqueue a packet; returns false if the ring is full (packet drop).
-    pub fn try_send(&self, pkt: Packet) -> bool {
-        self.tx.as_ref().is_some_and(|tx| tx.try_send(pkt).is_ok())
-    }
-
-    /// Drain available verdicts without blocking.
-    pub fn poll_verdicts(&self) -> Vec<Verdict> {
-        self.verdicts.try_iter().collect()
-    }
-
-    /// Stop the worker and collect every remaining verdict.
-    ///
-    /// Closing the packet channel lets the thread exit, but the thread
-    /// may be parked on a *full* verdict channel — a bare `join` would
-    /// deadlock (worker waiting for us to drain, us waiting for the
-    /// worker to exit). So we keep draining verdicts until the thread
-    /// actually finishes, then sweep whatever is left.
-    pub fn shutdown(mut self) -> Vec<Verdict> {
-        self.tx.take(); // closes the channel, letting the thread exit
-        let mut out = Vec::new();
-        if let Some(h) = self.handle.take() {
-            while !h.is_finished() {
-                out.extend(self.verdicts.try_iter());
-                std::thread::yield_now();
-            }
-            let _ = h.join();
-        }
-        out.extend(self.verdicts.try_iter());
-        out
-    }
-}
-
-impl Drop for NfWorker {
-    fn drop(&mut self) {
-        self.tx.take();
-        if let Some(h) = self.handle.take() {
-            // Same drain-while-joining dance as `shutdown`: the worker
-            // may be blocked on a full verdict channel.
-            while !h.is_finished() {
-                self.verdicts.try_iter().for_each(drop);
-                std::thread::yield_now();
-            }
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,85 +161,5 @@ mod tests {
         let mut rt = HostRuntime::new();
         assert!(rt.dispatch(9, &pkt()).is_empty());
         assert_eq!(rt.unrouted, 1);
-    }
-
-    #[test]
-    fn threaded_worker_processes_all() {
-        let worker = NfWorker::spawn(
-            Box::new(CountingNf {
-                name: "w".into(),
-                seen: 0,
-                alert_every: 1,
-            }),
-            1024,
-        );
-        for _ in 0..500 {
-            assert!(worker.try_send(pkt()));
-        }
-        let verdicts = worker.shutdown();
-        assert_eq!(verdicts.len(), 500);
-    }
-
-    // An NF that overflows the bounded verdict channel (capacity 64 here)
-    // on its *first* packet, parking the worker thread in `vtx.send`.
-    struct Chatty;
-    impl HostNf for Chatty {
-        fn on_packet(&mut self, _pkt: &Packet) -> Vec<Verdict> {
-            (0..100).map(|i| Verdict::Alert(format!("v{i}"))).collect()
-        }
-        fn name(&self) -> &str {
-            "chatty"
-        }
-    }
-
-    #[test]
-    fn shutdown_survives_full_verdict_channel() {
-        // Regression: with the worker parked on a full verdict channel,
-        // shutdown used to bare-join the thread and deadlock (the worker
-        // waiting for a drain, shutdown waiting for the worker). It must
-        // drain while joining and return *every* verdict.
-        let worker = NfWorker::spawn(Box::new(Chatty), 2);
-        for _ in 0..3 {
-            while !worker.try_send(pkt()) {
-                std::thread::yield_now();
-            }
-        }
-        let verdicts = worker.shutdown();
-        assert_eq!(verdicts.len(), 300, "no verdict lost");
-    }
-
-    #[test]
-    fn drop_survives_full_verdict_channel() {
-        let worker = NfWorker::spawn(Box::new(Chatty), 2);
-        for _ in 0..3 {
-            while !worker.try_send(pkt()) {
-                std::thread::yield_now();
-            }
-        }
-        drop(worker); // must not deadlock
-    }
-
-    #[test]
-    fn full_ring_rejects() {
-        // An NF that never finishes its first packet: ring fills up.
-        struct Slow;
-        impl HostNf for Slow {
-            fn on_packet(&mut self, _pkt: &Packet) -> Vec<Verdict> {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                Vec::new()
-            }
-            fn name(&self) -> &str {
-                "slow"
-            }
-        }
-        let worker = NfWorker::spawn(Box::new(Slow), 2);
-        let mut rejected = false;
-        for _ in 0..64 {
-            if !worker.try_send(pkt()) {
-                rejected = true;
-                break;
-            }
-        }
-        assert!(rejected, "bounded ring should reject when full");
     }
 }

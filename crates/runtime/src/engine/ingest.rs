@@ -22,8 +22,8 @@
 //! are allocated on its first lap and circulate from then on.
 
 use super::config::{FrameSource, Pace};
-use super::report::{QueueCounters, QueueStats};
 use crate::batch::{Backoff, Batch, DigestedPacket};
+use crate::books::{end_at_ingest, Count, Disposition, Ledger};
 use crate::frame::{FramePool, FrameSlot};
 use crate::obs::ThreadTrace;
 use crate::shard::{FlowState, LaneRx, ShardCounters, ShardEndState, ShardWorker};
@@ -31,7 +31,7 @@ use crate::spsc::{spsc, Producer};
 use smartwatch_control::{SnapshotReader, SteeringSnapshot};
 use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{FlowHasher, FrameStore, FrameView, HashDigest, Packet, RawTuple};
-use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Registry};
+use smartwatch_telemetry::{Counter, FlightRing, Registry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -328,7 +328,7 @@ pub(crate) trait Sink {
     /// Name and category of the sampled checkpoint-block span.
     const SPAN: (&'static str, &'static str);
     /// The shard books a steering drop of `digest` lands on.
-    fn shard_counters(&self, digest: HashDigest) -> &ShardCounters;
+    fn shard_books(&self, digest: HashDigest) -> &Ledger<Counter>;
     /// Wait out a paced arrival gap, until `due` after `start`. The
     /// open-loop default parks for the bulk of a long gap (an idle
     /// dispatcher must not burn the core at low offered rates), then
@@ -343,9 +343,9 @@ pub(crate) trait Sink {
         }
     }
     /// Stage one packet; a full batch moves on.
-    fn push(&mut self, dp: DigestedPacket, local: &mut QueueStats);
+    fn push(&mut self, dp: DigestedPacket, local: &mut Ledger);
     /// End of stream (or drain): move every staged packet on.
-    fn flush(&mut self, local: &mut QueueStats);
+    fn flush(&mut self, local: &mut Ledger);
     /// Quiesce downstream.
     fn close(self) -> Self::Out;
 }
@@ -438,17 +438,17 @@ impl LaneSink<'_> {
         }
     }
 
-    fn send(&mut self, s: usize, local: &mut QueueStats) {
+    fn send(&mut self, s: usize, local: &mut Ledger) {
         let len = self.lanes[s].buf.len() as u64;
         if self.exchange(s, false) {
-            self.counters[s].ingested.add(len);
-            local.ingested += len;
+            self.counters[s].counts[Count::Ingested].add(len);
+            local[Count::Ingested] += len;
         } else {
             // Open loop: a full ring at arrival time is a loss, and it
             // is *accounted* — never silent.
-            self.counters[s].ingest_dropped.add(len);
-            local.ingest_dropped += len;
-            self.flight.record(FlightKind::IngestDrop, s as u64, len);
+            let fate = Disposition::IngestDrop;
+            end_at_ingest(fate, len, &self.counters[s].counts, local);
+            fate.note(&self.flight, s as u64, len);
         }
         // With R queues the gauge tracks this lane's depth (last writer
         // wins across queues; the peak gauge is a max, so it stays a
@@ -464,12 +464,12 @@ impl Sink for LaneSink<'_> {
     type Out = Vec<LaneTx>;
     const SPAN: (&'static str, &'static str) = ("dispatch", "rxq");
 
-    fn shard_counters(&self, digest: HashDigest) -> &ShardCounters {
-        &self.counters[shard_for_digest(digest, self.counters.len())]
+    fn shard_books(&self, digest: HashDigest) -> &Ledger<Counter> {
+        &self.counters[shard_for_digest(digest, self.counters.len())].counts
     }
 
     #[inline]
-    fn push(&mut self, dp: DigestedPacket, local: &mut QueueStats) {
+    fn push(&mut self, dp: DigestedPacket, local: &mut Ledger) {
         let s = shard_for_digest(dp.digest, self.lanes.len());
         let buf = &mut self.lanes[s].buf;
         buf.push(dp);
@@ -478,7 +478,7 @@ impl Sink for LaneSink<'_> {
         }
     }
 
-    fn flush(&mut self, local: &mut QueueStats) {
+    fn flush(&mut self, local: &mut Ledger) {
         for s in 0..self.lanes.len() {
             if !self.lanes[s].buf.is_empty() {
                 self.send(s, local);
@@ -530,8 +530,8 @@ impl Sink for ShardSink {
     type Out = (ShardEndState, FlowState);
     const SPAN: (&'static str, &'static str) = ("rtc block", "core");
 
-    fn shard_counters(&self, _digest: HashDigest) -> &ShardCounters {
-        &self.worker.counters
+    fn shard_books(&self, _digest: HashDigest) -> &Ledger<Counter> {
+        &self.worker.counters.counts
     }
 
     /// The shard [`Backoff`] ladder (spin → yield → park, parks counted
@@ -540,27 +540,27 @@ impl Sink for ShardSink {
     fn wait_until(&mut self, start: Instant, due: Duration) {
         while start.elapsed() < due {
             if self.backoff.idle() {
-                self.worker.counters.idle_parks.inc();
+                self.worker.counters.counts[Count::IdleParks].inc();
             }
         }
         self.backoff.reset();
     }
 
     #[inline]
-    fn push(&mut self, dp: DigestedPacket, local: &mut QueueStats) {
+    fn push(&mut self, dp: DigestedPacket, local: &mut Ledger) {
         self.buf.push(dp);
         if self.buf.len() == self.batch {
             self.flush(local);
         }
     }
 
-    fn flush(&mut self, local: &mut QueueStats) {
+    fn flush(&mut self, local: &mut Ledger) {
         if self.buf.is_empty() {
             return;
         }
         let len = self.buf.len() as u64;
-        self.worker.counters.ingested.add(len);
-        local.ingested += len;
+        self.worker.counters.counts[Count::Ingested].add(len);
+        local[Count::Ingested] += len;
         self.worker.setup.stage.batch_pkts.record(len);
         self.worker.control_tick();
         self.worker.process_batch(&self.buf);
@@ -591,7 +591,7 @@ pub(crate) struct Ingest<'a, S: Sink> {
     pub enforce_verdicts: bool,
     /// This unit's ingest books (`runtime.queue.*{queue=…}`; in RTC the
     /// ingest unit *is* the core).
-    pub queue: &'a QueueCounters,
+    pub queue: &'a Ledger<Counter>,
     pub steer: Option<SnapshotReader<SteeringSnapshot>>,
     pub pacer: Option<Pacer>,
     /// Engine-shared live rate override and graceful-drain flag, both
@@ -645,7 +645,7 @@ impl<S: Sink> Ingest<'_, S> {
     }
 
     fn pump<F: Feed>(mut self, mut feed: F) -> IngestEnd<S::Out> {
-        let mut local = QueueStats::default();
+        let mut local = Ledger::default();
         let mut block = BlockState::default();
         let mut k = 0usize;
         let mut interrupted = false;
@@ -659,7 +659,7 @@ impl<S: Sink> Ingest<'_, S> {
                     break 'stream;
                 };
                 k += 1;
-                local.offered += 1;
+                local[Count::Offered] += 1;
                 if !self.steered_out(&dp, &mut local) {
                     self.sink.push(dp, &mut local);
                 }
@@ -686,7 +686,7 @@ impl<S: Sink> Ingest<'_, S> {
         &mut self,
         k: usize,
         head: usize,
-        local: &mut QueueStats,
+        local: &mut Ledger,
         block: &mut BlockState,
     ) -> bool {
         // Check *before* pacing: a drain request must not wait out a
@@ -724,15 +724,16 @@ impl<S: Sink> Ingest<'_, S> {
 
     /// Close a block's books: coalesce its steering drops into the
     /// black box (`local` resets at every fold, so its values are
-    /// exactly the per-block deltas) and fold the live counters.
-    fn settle(&self, local: &mut QueueStats, block_idx: u64) {
-        if local.shed > 0 {
-            self.flight
-                .record(FlightKind::ShedDrop, local.shed, block_idx);
-        }
-        if local.steer_dropped > 0 {
-            self.flight
-                .record(FlightKind::SteerDrop, local.steer_dropped, block_idx);
+    /// exactly the per-block deltas; ingest drops were black-boxed lane
+    /// by lane as they happened) and fold the tally into the live
+    /// counters — at every 256-packet checkpoint, so live readers
+    /// (`/stats.json`, `/metrics`) see queue counters at most a
+    /// checkpoint stale, and once more at end of stream (exactness).
+    fn settle(&self, local: &mut Ledger, block_idx: u64) {
+        for fate in [Disposition::Shed, Disposition::SteerDrop] {
+            if local.fate(fate) > 0 {
+                fate.note(&self.flight, local.fate(fate), block_idx);
+            }
         }
         self.queue.fold(local);
     }
@@ -742,21 +743,19 @@ impl<S: Sink> Ingest<'_, S> {
     /// whitelisted flows pass. Both are accounted per shard *and* per
     /// queue, so conservation includes them on both axes.
     #[inline]
-    fn steered_out(&self, dp: &DigestedPacket, local: &mut QueueStats) -> bool {
+    fn steered_out(&self, dp: &DigestedPacket, local: &mut Ledger) -> bool {
         let Some(sr) = &self.steer else {
             return false;
         };
         let snap = sr.current();
-        if self.enforce_verdicts && snap.blacklist.contains(&dp.digest.0) {
-            self.sink.shard_counters(dp.digest).steer_dropped.inc();
-            local.steer_dropped += 1;
-            true
+        let fate = if self.enforce_verdicts && snap.blacklist.contains(&dp.digest.0) {
+            Disposition::SteerDrop
         } else if snap.shed && !snap.whitelist.contains(&dp.digest.0) {
-            self.sink.shard_counters(dp.digest).shed.inc();
-            local.shed += 1;
-            true
+            Disposition::Shed
         } else {
-            false
-        }
+            return false;
+        };
+        end_at_ingest(fate, 1, self.sink.shard_books(dp.digest), local);
+        true
     }
 }

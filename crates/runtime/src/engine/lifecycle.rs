@@ -11,9 +11,10 @@ use super::ingest::{
     split_streams, Ingest, IngestEnd, LaneBooks, LaneSink, LaneTx, Pacer, ShardSink, Sink,
 };
 use super::report::{
-    books_value, decision_value, queue_stats_delta, shard_stats_delta, stage_value, uint,
-    EngineReport, FlowCacheSummary, QueueCounters, QueueStats,
+    books_value, decision_value, stage_value, total, uint, unaccounted, EngineReport,
+    FlowCacheSummary,
 };
+use crate::books::{Axis, Count, Ledger};
 use crate::control::{ControlLog, LogReader};
 use crate::escalate::{HostObs, HostPool, TriageNf};
 use crate::frame::FramePool;
@@ -243,12 +244,15 @@ impl Engine {
         let cfg = &self.cfg;
         let reg = &self.registry;
         let shards: Vec<ShardStats> = (0..cfg.shards)
-            .map(|i| ShardCounters::registered(reg, i).snapshot(ShardEndState::default()))
+            .map(|i| ShardStats {
+                counts: Ledger::registered(reg, Axis::Shard, i).snapshot(),
+                ..ShardStats::default()
+            })
             .collect();
         // One label set per dispatcher in pipeline mode, one per fused
         // core in RTC mode.
-        let queues: Vec<QueueStats> = (0..cfg.ingest_units())
-            .map(|q| QueueCounters::registered(reg, q).snapshot())
+        let queues: Vec<Ledger> = (0..cfg.ingest_units())
+            .map(|q| Ledger::registered(reg, Axis::Queue, q).snapshot())
             .collect();
         let counter = |name: &str| uint(reg.counter(name, &[]).get());
         let mut doc = books_value(
@@ -407,8 +411,8 @@ impl Engine {
         let counters: Vec<ShardCounters> = (0..n)
             .map(|i| ShardCounters::registered(&self.registry, i))
             .collect();
-        let qcounters: Vec<QueueCounters> = (0..cfg.ingest_units())
-            .map(|q| QueueCounters::registered(&self.registry, q))
+        let qcounters: Vec<Ledger<Counter>> = (0..cfg.ingest_units())
+            .map(|q| Ledger::registered(&self.registry, Axis::Queue, q))
             .collect();
 
         // Registry counters are cumulative for the life of the registry
@@ -417,11 +421,8 @@ impl Engine {
         // before any thread writes, subtract at report time. A single
         // fresh-engine run subtracts zeros — byte-identical behaviour —
         // while back-to-back serve segments each get their own books.
-        let shard_base: Vec<ShardStats> = counters
-            .iter()
-            .map(|c| c.snapshot(ShardEndState::default()))
-            .collect();
-        let queue_base: Vec<QueueStats> = qcounters.iter().map(QueueCounters::snapshot).collect();
+        let shard_base: Vec<Ledger> = counters.iter().map(|c| c.counts.snapshot()).collect();
+        let queue_base: Vec<Ledger> = qcounters.iter().map(Ledger::snapshot).collect();
         let host_base = setup.host_processed.get();
         self.mem_rss.set(mem::rss_bytes() as f64);
 
@@ -581,12 +582,19 @@ impl Engine {
             .iter()
             .zip(&ends)
             .zip(&shard_base)
-            .map(|((c, e), base)| shard_stats_delta(c.snapshot(*e), base))
+            // The books subtract the run's baseline; the end-state
+            // sizes are absolute.
+            .map(|((c, e), &base)| ShardStats {
+                counts: c.counts.snapshot() - base,
+                blacklisted: e.blacklisted,
+                whitelisted: e.whitelisted,
+                cache_resident: e.cache_resident,
+            })
             .collect();
-        let queues: Vec<QueueStats> = qcounters
+        let queues: Vec<Ledger> = qcounters
             .iter()
             .zip(&queue_base)
-            .map(|(q, base)| queue_stats_delta(q.snapshot(), base))
+            .map(|(q, &base)| q.snapshot() - base)
             .collect();
         let report = EngineReport {
             // A drained segment offered exactly what its ingest units
@@ -595,7 +603,7 @@ impl Engine {
             // source, independently cross-checked against the queue
             // axis by `conserved()`.
             offered: if interrupted {
-                queues.iter().map(|q| q.offered).sum()
+                queues.iter().map(|q| q[Count::Offered]).sum()
             } else {
                 source.len() as u64
             },
@@ -615,14 +623,9 @@ impl Engine {
         // every run ends with a RunEnd marker.
         let eng_ring = self.flight.ring("sw-engine");
         if !report.conserved() {
-            let accounted = report
-                .shards
-                .iter()
-                .map(|s| s.ingested + s.ingest_dropped + s.shed + s.steer_dropped)
-                .sum::<u64>();
             eng_ring.record(
                 FlightKind::ConservationDelta,
-                report.offered.abs_diff(accounted),
+                unaccounted(report.offered, &report.shards),
                 report.offered,
             );
         }
@@ -825,7 +828,7 @@ struct Units<'a> {
     hasher: FlowHasher,
     spec: &'a Option<TraceSpec>,
     /// One set of ingest books — and so one unit — per entry.
-    queues: &'a [QueueCounters],
+    queues: &'a [Ledger<Counter>],
     steer: Vec<Option<SnapshotReader<SteeringSnapshot>>>,
     /// `frames[i]`: unit `i`'s parked frame pool, if any.
     frames: &'a mut [Option<FramePool>],
@@ -940,25 +943,17 @@ fn controller_loop(
         // Escalation backlog: packets escalated but neither dropped at
         // the ring nor processed by the host yet. The pool is shared,
         // so every shard's sample carries the aggregate.
-        let mut escalated = 0u64;
-        let mut esc_dropped = 0u64;
-        for c in &counters {
-            escalated += c.escalated.get();
-            esc_dropped += c.escalation_dropped.get();
-        }
-        let backlog = escalated
-            .saturating_sub(esc_dropped)
+        let books: Vec<Ledger> = counters.iter().map(|c| c.counts.snapshot()).collect();
+        let backlog = total(books.iter(), Count::Escalated)
+            .saturating_sub(total(books.iter(), Count::EscalationDropped))
             .saturating_sub(host_processed.get());
 
-        let shards: Vec<ShardSample> = counters
+        let shards: Vec<ShardSample> = books
             .iter()
-            .map(|c| ShardSample {
-                offered: c.ingested.get()
-                    + c.ingest_dropped.get()
-                    + c.shed.get()
-                    + c.steer_dropped.get(),
-                processed: c.processed.get(),
-                shed: c.shed.get(),
+            .map(|b| ShardSample {
+                offered: b.arrived(),
+                processed: b[Count::Processed],
+                shed: b[Count::Shed],
                 escalation_backlog: backlog,
             })
             .collect();

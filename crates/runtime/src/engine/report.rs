@@ -1,12 +1,13 @@
-//! What a run measured: the per-queue ingest books ([`QueueStats`] and
-//! the live counters behind them), the stage and FlowCache summaries,
-//! the merged [`EngineReport`], the two-axis conservation law, and the
-//! JSON renderings `/stats.json` and the bench artefacts share.
+//! What a run measured: the stage and FlowCache summaries, the merged
+//! [`EngineReport`] over the two axes of the books ([`crate::books`]),
+//! the conservation law, and the JSON renderings `/stats.json` and the
+//! bench artefacts share.
 
+use crate::books::{Axis, Count, Ledger};
 use crate::shard::{ShardEndState, ShardStats, StageHists, PROBE_HIST_SLOTS};
 use serde::{Number, Value};
 use smartwatch_control::{ControlReport, DecisionRecord};
-use smartwatch_telemetry::{Counter, HistSnapshot, Registry};
+use smartwatch_telemetry::HistSnapshot;
 use std::time::Duration;
 
 /// Render a [`HistSnapshot`] as a JSON object — shared by
@@ -51,77 +52,6 @@ pub fn decision_value(d: &DecisionRecord) -> Value {
             Value::Bool(d.snapshot_published),
         ),
     ])
-}
-
-/// Per-RX-queue dispatcher counters, registered as
-/// `runtime.queue.*{queue=Q}`.
-#[derive(Clone)]
-pub(crate) struct QueueCounters {
-    /// Packets of the offered trace assigned to this queue.
-    pub offered: Counter,
-    /// Packets this queue enqueued onto its shard lanes.
-    pub ingested: Counter,
-    /// Packets dropped at this queue's lanes (full ring, paced mode).
-    pub ingest_dropped: Counter,
-    /// Packets this queue shed under controller load shedding.
-    pub shed: Counter,
-    /// Packets this queue dropped on the steering blacklist.
-    pub steer_dropped: Counter,
-}
-
-impl QueueCounters {
-    pub(crate) fn registered(reg: &Registry, queue: usize) -> QueueCounters {
-        let q = queue.to_string();
-        let l: &[(&str, &str)] = &[("queue", &q)];
-        QueueCounters {
-            offered: reg.counter("runtime.queue.offered", l),
-            ingested: reg.counter("runtime.queue.ingested", l),
-            ingest_dropped: reg.counter("runtime.queue.ingest_dropped", l),
-            shed: reg.counter("runtime.queue.shed", l),
-            steer_dropped: reg.counter("runtime.queue.steer_dropped", l),
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> QueueStats {
-        QueueStats {
-            offered: self.offered.get(),
-            ingested: self.ingested.get(),
-            ingest_dropped: self.ingest_dropped.get(),
-            shed: self.shed.get(),
-            steer_dropped: self.steer_dropped.get(),
-        }
-    }
-
-    /// Fold an ingest unit's plain-integer tallies into the shared
-    /// atomics and reset them — at every 256-packet checkpoint (so live
-    /// readers — `/stats.json`, `/metrics` — see queue counters at most
-    /// a checkpoint stale) and once more at end of stream (exactness).
-    pub(crate) fn fold(&self, local: &mut QueueStats) {
-        self.offered.add(local.offered);
-        self.ingested.add(local.ingested);
-        self.ingest_dropped.add(local.ingest_dropped);
-        self.shed.add(local.shed);
-        self.steer_dropped.add(local.steer_dropped);
-        *local = QueueStats::default();
-    }
-}
-
-/// Per-RX-queue dispatcher statistics: the report view, and the
-/// plain-integer tallies an ingest unit keeps between folds. The
-/// queue-local conservation law is
-/// `offered = ingested + ingest_dropped + shed + steer_dropped`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QueueStats {
-    /// Packets of the offered trace assigned to this queue by RSS.
-    pub offered: u64,
-    /// Packets enqueued onto this queue's shard lanes.
-    pub ingested: u64,
-    /// Packets dropped at full lanes (paced mode).
-    pub ingest_dropped: u64,
-    /// Packets shed under controller load shedding.
-    pub shed: u64,
-    /// Packets dropped on the steering blacklist.
-    pub steer_dropped: u64,
 }
 
 /// Aggregate per-stage wall-clock distributions.
@@ -256,9 +186,10 @@ pub struct EngineReport {
     pub elapsed: Duration,
     /// Per-shard statistics.
     pub shards: Vec<ShardStats>,
-    /// Per-RX-queue dispatcher statistics, in queue order (canonical:
-    /// queue 0 first — merge order never depends on thread timing).
-    pub queues: Vec<QueueStats>,
+    /// Per-ingest-unit books (an RX-queue dispatcher, or a fused core),
+    /// in unit order (canonical: queue 0 first — merge order never
+    /// depends on thread timing).
+    pub queues: Vec<Ledger>,
     /// Escalated packets processed by the host tier (pool or inline).
     pub host_processed: u64,
     /// Verdicts published to the control log.
@@ -282,40 +213,45 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
+    /// One count summed over the shards.
+    pub fn total(&self, c: Count) -> u64 {
+        total(shard_books(&self.shards), c)
+    }
+
     /// Packets fully processed across all shards.
     pub fn processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.processed).sum()
+        self.total(Count::Processed)
     }
 
     /// Packets dropped at ingest across all shards.
     pub fn ingest_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.ingest_dropped).sum()
+        self.total(Count::IngestDropped)
     }
 
     /// Packets shed at dispatch under controller load shedding.
     pub fn shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed).sum()
+        self.total(Count::Shed)
     }
 
     /// Packets dropped at dispatch by the steering blacklist.
     pub fn steer_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.steer_dropped).sum()
+        self.total(Count::SteerDropped)
     }
 
     /// Packets escalated to the host tier.
     pub fn escalated(&self) -> u64 {
-        self.shards.iter().map(|s| s.escalated).sum()
+        self.total(Count::Escalated)
     }
 
     /// Escalations dropped at the host ring.
     pub fn escalation_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.escalation_dropped).sum()
+        self.total(Count::EscalationDropped)
     }
 
     /// Idle-loop parks across all shards (wall-clock dependent; excluded
     /// from [`EngineReport::deterministic_summary`]).
     pub fn idle_parks(&self) -> u64 {
-        self.shards.iter().map(|s| s.idle_parks).sum()
+        self.total(Count::IdleParks)
     }
 
     /// Wall-clock throughput in million packets per second, over
@@ -343,13 +279,7 @@ impl EngineReport {
         self.queues.len()
     }
 
-    /// The conservation invariant: every offered packet is either
-    /// processed by exactly one shard or dropped with accounting
-    /// (ingest overrun, load shed, or steering blacklist) — and the
-    /// books balance on *both* axes of the mesh: per shard
-    /// (`ingested = processed`) and per RX queue
-    /// (`offered = ingested + ingest_dropped + shed + steer_dropped`),
-    /// with the two sides agreeing on the totals.
+    /// The conservation invariant (see [`conserved`]).
     pub fn conserved(&self) -> bool {
         conserved(self.offered, &self.shards, &self.queues)
     }
@@ -366,24 +296,19 @@ impl EngineReport {
     pub fn deterministic_summary(&self) -> String {
         let mut out = format!("offered={}\n", self.offered);
         for (i, s) in self.shards.iter().enumerate() {
+            out.push_str(&format!("shard{i}:"));
+            for c in Axis::Shard.row() {
+                // The goldens predate the ingest drop's full name.
+                let label = if c == Count::IngestDropped {
+                    "dropped"
+                } else {
+                    c.name()
+                };
+                out.push_str(&format!(" {label}={}", s.counts[c]));
+            }
             out.push_str(&format!(
-                "shard{i}: ingested={} dropped={} shed={} steer_dropped={} processed={} \
-                 verdict_dropped={} fast_path={} escalated={} escalation_dropped={} \
-                 ctrl_applied={} alerts={} blacklisted={} whitelisted={} cache_resident={}\n",
-                s.ingested,
-                s.ingest_dropped,
-                s.shed,
-                s.steer_dropped,
-                s.processed,
-                s.verdict_dropped,
-                s.fast_path,
-                s.escalated,
-                s.escalation_dropped,
-                s.ctrl_applied,
-                s.alerts,
-                s.blacklisted,
-                s.whitelisted,
-                s.cache_resident,
+                " blacklisted={} whitelisted={} cache_resident={}\n",
+                s.blacklisted, s.whitelisted, s.cache_resident,
             ));
         }
         out.push_str(&format!(
@@ -394,64 +319,36 @@ impl EngineReport {
     }
 }
 
+/// The shard axis of the books.
+fn shard_books(shards: &[ShardStats]) -> impl Iterator<Item = &Ledger> {
+    shards.iter().map(|s| &s.counts)
+}
+
+/// One count summed over one axis.
+pub(crate) fn total<'a>(books: impl Iterator<Item = &'a Ledger>, c: Count) -> u64 {
+    books.map(|b| b[c]).sum()
+}
+
+/// Offered packets no [`Disposition`](crate::Disposition) accounts for
+/// (or that more than one does): the distance between `offered` and
+/// Σ dispositions — what a violated law is off by.
+pub(crate) fn unaccounted(offered: u64, shards: &[ShardStats]) -> u64 {
+    offered.abs_diff(shard_books(shards).map(Ledger::accounted).sum())
+}
+
 /// The conservation law over one set of books — shared by
 /// [`EngineReport::conserved`] (a finished run's deltas) and the live
-/// `/stats.json` (the cumulative counters): every offered packet is
-/// ingested by exactly one shard or dropped with accounting, per shard
-/// `ingested = processed`, per queue
-/// `offered = ingested + ingest_dropped + shed + steer_dropped`, and
-/// the two axes agree on the totals.
-pub(crate) fn conserved(offered: u64, shards: &[ShardStats], queues: &[QueueStats]) -> bool {
-    let shard_ingested: u64 = shards.iter().map(|s| s.ingested).sum();
-    let shard_lost: u64 = shards
-        .iter()
-        .map(|s| s.ingest_dropped + s.shed + s.steer_dropped)
-        .sum();
-    let shards_ok =
-        shard_ingested + shard_lost == offered && shards.iter().all(|s| s.ingested == s.processed);
-    let queue_offered: u64 = queues.iter().map(|q| q.offered).sum();
-    let queue_ingested: u64 = queues.iter().map(|q| q.ingested).sum();
-    let queues_ok = queues
-        .iter()
-        .all(|q| q.offered == q.ingested + q.ingest_dropped + q.shed + q.steer_dropped)
-        && queue_offered == offered
-        && queue_ingested == shard_ingested;
-    shards_ok && queues_ok
-}
-
-/// Per-run view of the cumulative per-shard registry counters: the
-/// counter-backed fields subtract the run's baseline; the end-state
-/// fields (steering-table sizes, cache residency) are absolute snapshots
-/// and pass through.
-pub(crate) fn shard_stats_delta(now: ShardStats, base: &ShardStats) -> ShardStats {
-    ShardStats {
-        ingested: now.ingested - base.ingested,
-        ingest_dropped: now.ingest_dropped - base.ingest_dropped,
-        shed: now.shed - base.shed,
-        steer_dropped: now.steer_dropped - base.steer_dropped,
-        processed: now.processed - base.processed,
-        verdict_dropped: now.verdict_dropped - base.verdict_dropped,
-        fast_path: now.fast_path - base.fast_path,
-        escalated: now.escalated - base.escalated,
-        escalation_dropped: now.escalation_dropped - base.escalation_dropped,
-        ctrl_applied: now.ctrl_applied - base.ctrl_applied,
-        alerts: now.alerts - base.alerts,
-        idle_parks: now.idle_parks - base.idle_parks,
-        blacklisted: now.blacklisted,
-        whitelisted: now.whitelisted,
-        cache_resident: now.cache_resident,
-    }
-}
-
-/// Per-run view of the cumulative per-queue registry counters.
-pub(crate) fn queue_stats_delta(now: QueueStats, base: &QueueStats) -> QueueStats {
-    QueueStats {
-        offered: now.offered - base.offered,
-        ingested: now.ingested - base.ingested,
-        ingest_dropped: now.ingest_dropped - base.ingest_dropped,
-        shed: now.shed - base.shed,
-        steer_dropped: now.steer_dropped - base.steer_dropped,
-    }
+/// `/stats.json` (the cumulative counters). Σ dispositions = offered:
+/// every offered packet met exactly one fate. And the books balance on
+/// *both* axes of the mesh: what an ingest unit was offered ended there
+/// or was handed on, what a shard ingested ended on it, and the two
+/// axes agree on the totals.
+pub(crate) fn conserved(offered: u64, shards: &[ShardStats], queues: &[Ledger]) -> bool {
+    unaccounted(offered, shards) == 0
+        && shard_books(shards).all(|s| s[Count::Ingested] == s[Count::Processed])
+        && queues.iter().all(|q| q[Count::Offered] == q.arrived())
+        && total(queues.iter(), Count::Offered) == offered
+        && total(queues.iter(), Count::Ingested) == total(shard_books(shards), Count::Ingested)
 }
 
 /// An unsigned JSON number.
@@ -460,63 +357,42 @@ pub(crate) fn uint(v: u64) -> Value {
 }
 
 /// The counter half of `/stats.json` — totals, the conservation
-/// verdict, one object per shard and per ingest unit — rendered from
-/// the same [`ShardStats`] / [`QueueStats`] an [`EngineReport`] is built
-/// from. `offered` is the per-queue sum: a live document has no trace
-/// length to cross-check against.
+/// verdict, one row per shard and per ingest unit — rendered from the
+/// same books an [`EngineReport`] is built from. `offered` is the
+/// per-queue sum: a live document has no trace length to cross-check
+/// against.
 pub(crate) fn books_value(
     shards: &[ShardStats],
-    queues: &[QueueStats],
+    queues: &[Ledger],
     host_processed: u64,
 ) -> Vec<(String, Value)> {
-    let offered: u64 = queues.iter().map(|q| q.offered).sum();
-    let total = |f: fn(&ShardStats) -> u64| uint(shards.iter().map(f).sum());
-    let shard_value = |(i, s): (usize, &ShardStats)| {
-        Value::Object(vec![
-            ("shard".into(), uint(i as u64)),
-            ("ingested".into(), uint(s.ingested)),
-            ("ingest_dropped".into(), uint(s.ingest_dropped)),
-            ("shed".into(), uint(s.shed)),
-            ("steer_dropped".into(), uint(s.steer_dropped)),
-            ("processed".into(), uint(s.processed)),
-            ("verdict_dropped".into(), uint(s.verdict_dropped)),
-            ("fast_path".into(), uint(s.fast_path)),
-            ("escalated".into(), uint(s.escalated)),
-            ("escalation_dropped".into(), uint(s.escalation_dropped)),
-            ("ctrl_applied".into(), uint(s.ctrl_applied)),
-            ("alerts".into(), uint(s.alerts)),
-        ])
-    };
-    let queue_value = |(q, s): (usize, &QueueStats)| {
-        Value::Object(vec![
-            ("queue".into(), uint(q as u64)),
-            ("offered".into(), uint(s.offered)),
-            ("ingested".into(), uint(s.ingested)),
-            ("ingest_dropped".into(), uint(s.ingest_dropped)),
-            ("shed".into(), uint(s.shed)),
-            ("steer_dropped".into(), uint(s.steer_dropped)),
-        ])
-    };
+    let offered = total(queues.iter(), Count::Offered);
+    let shard_total = |c: Count| (c.name().to_string(), uint(total(shard_books(shards), c)));
     vec![
-        ("offered".into(), uint(offered)),
-        ("processed".into(), total(|s| s.processed)),
-        ("ingest_dropped".into(), total(|s| s.ingest_dropped)),
-        ("shed".into(), total(|s| s.shed)),
-        ("steer_dropped".into(), total(|s| s.steer_dropped)),
+        (Count::Offered.name().into(), uint(offered)),
+        shard_total(Count::Processed),
+        shard_total(Count::IngestDropped),
+        shard_total(Count::Shed),
+        shard_total(Count::SteerDropped),
         ("host_processed".into(), uint(host_processed)),
         (
             "conserved".into(),
             Value::Bool(conserved(offered, shards, queues)),
         ),
-        (
-            "shards".into(),
-            Value::Array(shards.iter().enumerate().map(shard_value).collect()),
-        ),
-        (
-            "queues".into(),
-            Value::Array(queues.iter().enumerate().map(queue_value).collect()),
-        ),
+        ("shards".into(), rows(Axis::Shard, shard_books(shards))),
+        ("queues".into(), rows(Axis::Queue, queues.iter())),
     ]
+}
+
+/// One axis of the books as a `/stats.json` array: a row is its index
+/// under the axis's label, then the counts of [`Axis::row`].
+fn rows<'a>(axis: Axis, books: impl Iterator<Item = &'a Ledger>) -> Value {
+    let row = |(i, b): (usize, &Ledger)| {
+        let index = (axis.label().to_string(), uint(i as u64));
+        let counts = axis.row().map(|c| (c.name().to_string(), uint(b[c])));
+        Value::Object(std::iter::once(index).chain(counts).collect())
+    };
+    Value::Array(books.enumerate().map(row).collect())
 }
 
 /// Render a [`StageSnapshot`] as the `stage` object of `/stats.json`.

@@ -1,6 +1,6 @@
-//! The host-side escalation tier: a worker pool generalising
-//! [`smartwatch_host::NfWorker`] from one thread to N, fed by a bounded
-//! MPSC channel that every shard shares.
+//! The host-side escalation tier: a pool of N worker threads, each
+//! running a [`smartwatch_host::HostNf`], fed by a bounded MPSC channel
+//! that every shard shares.
 //!
 //! The paper bounds host escalation at ≤ 16% of packets (§3.4); the
 //! engine enforces the same shape with a bounded channel — when host

@@ -24,8 +24,12 @@
 //! * [`control`] — the epoch-stamped verdict log fanning host decisions
 //!   back to every shard at batch boundaries. Bounded: the applied
 //!   prefix compacts away once every registered reader is past it.
-//! * [`escalate`] — the host-side worker pool (a multi-threaded
-//!   generalisation of [`smartwatch_host::NfWorker`]) plus the default
+//! * [`books`] — where every offered packet's trip ended: the
+//!   [`Disposition`] enum, the [`Count`] name table and the one
+//!   [`Ledger`] type that is the hot-loop tally, the registry counters,
+//!   the report, a `/stats.json` row and a summary line.
+//! * [`escalate`] — the host-side worker pool ([`HostPool`]: N threads
+//!   each running a [`smartwatch_host::HostNf`]) plus the default
 //!   [`TriageNf`] escalation triage.
 //! * [`shard`] — the per-thread worker: one FlowCache partition, one
 //!   detector suite, no cross-shard synchronisation on the packet path.
@@ -56,9 +60,10 @@
 //! shard mapping.
 //!
 //! Telemetry flows through [`smartwatch_telemetry`]: per-shard counters
-//! (`runtime.shard.*{shard=N}`), per-queue dispatcher counters
-//! (`runtime.queue.*{queue=Q}`), queue-depth gauges, and aggregate
-//! per-stage latency histograms (`runtime.stage.*`).
+//! (`runtime.shard.*{shard=N}`) and per-queue dispatcher counters
+//! (`runtime.queue.*{queue=Q}`), one per [`Count`] the axis keeps,
+//! queue-depth gauges, and aggregate per-stage latency histograms
+//! (`runtime.stage.*`).
 //!
 //! In service mode the engine stays resident across segments:
 //! [`service`] carries the bounded admin mailbox ([`AdminCmd`]) drained
@@ -84,6 +89,7 @@
 #![warn(missing_docs)]
 
 pub(crate) mod batch;
+pub mod books;
 pub mod control;
 pub mod engine;
 pub mod escalate;
@@ -93,10 +99,11 @@ pub mod service;
 pub mod shard;
 pub mod spsc;
 
+pub use books::{Axis, Count, Disposition, Ledger};
 pub use control::{ControlLog, LogReader};
 pub use engine::{
     decision_value, hist_value, DatapathMode, Engine, EngineConfig, EngineReport, FlowCacheSummary,
-    FrameSource, Pace, QueueStats, StageSnapshot,
+    FrameSource, Pace, StageSnapshot,
 };
 pub use escalate::{HostObs, HostPool, TriageNf};
 pub use frame::{FramePool, FrameSlot};

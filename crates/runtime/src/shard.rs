@@ -24,6 +24,7 @@
 //! [`LaneRx`] leaves in the next slot it pops) instead of being freed.
 
 use crate::batch::{Backoff, Batch, DigestedPacket};
+use crate::books::{Axis, Count, Disposition, Ledger};
 use crate::control::{ControlLog, LogReader};
 use crate::engine::EngineConfig;
 use crate::escalate::{Escalated, TriageNf};
@@ -161,34 +162,12 @@ pub(crate) struct ShardObs {
     pub trace: Option<ThreadTrace>,
 }
 
-/// Per-shard counters, registered as `runtime.shard.*{shard=N}`.
+/// Per-shard live books: the `runtime.shard.*{shard=N}` counters plus
+/// the ingest queue-depth gauges.
 #[derive(Clone)]
 pub struct ShardCounters {
-    /// Packets enqueued to this shard (dispatcher side).
-    pub ingested: Counter,
-    /// Packets dropped at ingest because the shard queue was full.
-    pub ingest_dropped: Counter,
-    /// Packets shed at dispatch (load shedding: not whitelisted while
-    /// the controller had shedding engaged).
-    pub shed: Counter,
-    /// Packets dropped at dispatch by the published steering blacklist.
-    pub steer_dropped: Counter,
-    /// Packets fully processed by the shard pipeline.
-    pub processed: Counter,
-    /// Packets dropped by an applied blacklist verdict (prevention).
-    pub verdict_dropped: Counter,
-    /// Packets short-circuited by a whitelist verdict (cache update only).
-    pub fast_path: Counter,
-    /// Packets escalated toward the host tier.
-    pub escalated: Counter,
-    /// Escalations dropped because the host pool ring was full.
-    pub escalation_dropped: Counter,
-    /// Control-log verdicts applied by this shard.
-    pub ctrl_applied: Counter,
-    /// Detector alerts raised on this shard.
-    pub alerts: Counter,
-    /// Idle-loop park transitions (the backoff's deepest stage).
-    pub idle_parks: Counter,
+    /// The shard axis of the books.
+    pub counts: Ledger<Counter>,
     /// Current ingest queue depth, in batches (dispatcher side).
     pub queue_depth: Gauge,
     /// High-water mark of the ingest queue depth, in batches.
@@ -200,73 +179,21 @@ impl ShardCounters {
         let s = shard.to_string();
         let l: &[(&str, &str)] = &[("shard", &s)];
         ShardCounters {
-            ingested: reg.counter("runtime.shard.ingested", l),
-            ingest_dropped: reg.counter("runtime.shard.ingest_dropped", l),
-            shed: reg.counter("runtime.shard.shed", l),
-            steer_dropped: reg.counter("runtime.shard.steer_dropped", l),
-            processed: reg.counter("runtime.shard.processed", l),
-            verdict_dropped: reg.counter("runtime.shard.verdict_dropped", l),
-            fast_path: reg.counter("runtime.shard.fast_path", l),
-            escalated: reg.counter("runtime.shard.escalated", l),
-            escalation_dropped: reg.counter("runtime.shard.escalation_dropped", l),
-            ctrl_applied: reg.counter("runtime.shard.ctrl_applied", l),
-            alerts: reg.counter("runtime.shard.alerts", l),
-            idle_parks: reg.counter("runtime.shard.idle_parks", l),
+            counts: Ledger::registered(reg, Axis::Shard, shard),
             queue_depth: reg.gauge("runtime.shard.queue_depth", l),
             queue_depth_peak: reg.gauge("runtime.shard.queue_depth_peak", l),
         }
     }
-
-    /// Freeze the counters into a plain-value snapshot.
-    pub(crate) fn snapshot(&self, summary: ShardEndState) -> ShardStats {
-        ShardStats {
-            ingested: self.ingested.get(),
-            ingest_dropped: self.ingest_dropped.get(),
-            shed: self.shed.get(),
-            steer_dropped: self.steer_dropped.get(),
-            processed: self.processed.get(),
-            verdict_dropped: self.verdict_dropped.get(),
-            fast_path: self.fast_path.get(),
-            escalated: self.escalated.get(),
-            escalation_dropped: self.escalation_dropped.get(),
-            ctrl_applied: self.ctrl_applied.get(),
-            alerts: self.alerts.get(),
-            idle_parks: self.idle_parks.get(),
-            blacklisted: summary.blacklisted,
-            whitelisted: summary.whitelisted,
-            cache_resident: summary.cache_resident,
-        }
-    }
 }
 
-/// Frozen per-shard statistics (the report view).
+/// Frozen per-shard statistics (the report view): the shard's books
+/// plus three end-state sizes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
-    /// Packets enqueued to this shard.
-    pub ingested: u64,
-    /// Packets dropped at ingest (full queue, paced mode).
-    pub ingest_dropped: u64,
-    /// Packets shed at dispatch under controller load shedding.
-    pub shed: u64,
-    /// Packets dropped at dispatch by the steering blacklist.
-    pub steer_dropped: u64,
-    /// Packets fully processed.
-    pub processed: u64,
-    /// Packets dropped by blacklist verdicts.
-    pub verdict_dropped: u64,
-    /// Packets taking the whitelist fast path.
-    pub fast_path: u64,
-    /// Packets escalated to the host tier.
-    pub escalated: u64,
-    /// Escalations lost to a full host ring (accounted, never silent).
-    pub escalation_dropped: u64,
-    /// Control verdicts applied.
-    pub ctrl_applied: u64,
-    /// Alerts raised.
-    pub alerts: u64,
-    /// Idle-loop parks (wall-clock dependent — excluded from the
-    /// deterministic summary).
-    pub idle_parks: u64,
+    /// The shard's books, read by [`Count`](crate::Count).
+    /// `idle_parks` is wall-clock dependent and stays out of the
+    /// deterministic summary.
+    pub counts: Ledger,
     /// Blacklist entries held at shutdown.
     pub blacklisted: u64,
     /// Whitelist entries held at shutdown.
@@ -386,12 +313,8 @@ const HEAVY_MIN_SAMPLES: u64 = 4;
 /// [`Histogram::record_all`].
 #[derive(Default)]
 struct LocalBatchStats {
-    processed: u64,
-    verdict_dropped: u64,
-    fast_path: u64,
-    escalated: u64,
-    escalation_dropped: u64,
-    alerts: u64,
+    /// The batch's page of the shard's books.
+    tally: Ledger,
     /// Escalations triaged inline (counted into the pool's counter).
     host_inline: u64,
     /// Sampled FlowCache stage latencies, ns.
@@ -406,12 +329,7 @@ struct LocalBatchStats {
 impl LocalBatchStats {
     /// Zero the tallies and empty the sample buffers, keeping them.
     fn clear(&mut self) {
-        self.processed = 0;
-        self.verdict_dropped = 0;
-        self.fast_path = 0;
-        self.escalated = 0;
-        self.escalation_dropped = 0;
-        self.alerts = 0;
+        self.tally = Ledger::default();
         self.host_inline = 0;
         self.cache_ns.clear();
         self.detect_ns.clear();
@@ -619,7 +537,7 @@ impl ShardWorker {
                 // Bounded exponential backoff: spin → yield → short
                 // park, so idle shards (paced low-rate runs) stop
                 // burning a full core while staying quick to wake.
-                self.counters.idle_parks.inc();
+                self.counters.counts[Count::IdleParks].inc();
             }
         }
     }
@@ -682,7 +600,7 @@ impl ShardWorker {
                 if progressed {
                     backoff.reset();
                 } else if backoff.idle() {
-                    self.counters.idle_parks.inc();
+                    self.counters.counts[Count::IdleParks].inc();
                 }
                 continue;
             }
@@ -778,7 +696,7 @@ impl ShardWorker {
         self.apply_control();
         self.flush_heavy();
         let final_alerts = self.flow.suite.finish(self.last_ts);
-        self.counters.alerts.add(final_alerts.len() as u64);
+        self.counters.counts[Count::Alerts].add(final_alerts.len() as u64);
         // Stop pinning the verdict log's buffer.
         self.setup.log.release(self.reader);
         self.end.blacklisted = self.flow.blacklist.len() as u64;
@@ -837,7 +755,7 @@ impl ShardWorker {
         if tail.is_empty() {
             return;
         }
-        self.counters.ctrl_applied.add(tail.len() as u64);
+        self.counters.counts[Count::CtrlApplied].add(tail.len() as u64);
         let now = self.batches;
         for v in tail {
             match v {
@@ -854,7 +772,7 @@ impl ShardWorker {
                     self.flow.cache.unpin(&canon);
                     self.flow.whitelist.insert(digest.0, now);
                 }
-                Verdict::Alert(_) => self.counters.alerts.inc(),
+                Verdict::Alert(_) => self.counters.counts[Count::Alerts].inc(),
                 Verdict::Drop => {}
             }
         }
@@ -866,31 +784,21 @@ impl ShardWorker {
     /// per fused batch like the lane path does.
     pub(crate) fn flush_local(&mut self) {
         let l = &mut self.flow.local;
-        if l.processed > 0 {
-            self.counters.processed.add(l.processed);
+        // Coalesced per batch: one black-box event per batch that lost
+        // packets to a verdict, one per batch that lost escalations,
+        // each stamped with the batch clock.
+        let verdict_dropped = l.tally.fate(Disposition::VerdictDrop);
+        if verdict_dropped > 0 {
+            Disposition::VerdictDrop.note(&self.obs.flight, verdict_dropped, self.batches);
         }
-        if l.verdict_dropped > 0 {
-            self.counters.verdict_dropped.add(l.verdict_dropped);
-        }
-        if l.fast_path > 0 {
-            self.counters.fast_path.add(l.fast_path);
-        }
-        if l.escalated > 0 {
-            self.counters.escalated.add(l.escalated);
-        }
-        if l.escalation_dropped > 0 {
-            self.counters.escalation_dropped.add(l.escalation_dropped);
-            // Coalesced per batch: one black-box event per batch that
-            // lost escalations, stamped with the batch clock.
+        if l.tally[Count::EscalationDropped] > 0 {
             self.obs.flight.record(
                 FlightKind::EscalationDrop,
-                l.escalation_dropped,
+                l.tally[Count::EscalationDropped],
                 self.batches,
             );
         }
-        if l.alerts > 0 {
-            self.counters.alerts.add(l.alerts);
-        }
+        self.counters.counts.fold(&mut l.tally);
         if l.host_inline > 0 {
             self.setup.host_processed.add(l.host_inline);
         }
@@ -932,8 +840,7 @@ impl ShardWorker {
         let pkt = &dp.pkt;
         self.last_ts = self.last_ts.max(pkt.ts);
         if self.setup.enforce_verdicts && self.flow.blacklist.contains(&dp.digest.0) {
-            self.flow.local.verdict_dropped += 1;
-            self.flow.local.processed += 1;
+            self.flow.local.tally.record(Disposition::VerdictDrop, 1);
             self.seen += 1;
             return;
         }
@@ -971,8 +878,7 @@ impl ShardWorker {
                 .as_ref()
                 .is_some_and(|h| h.steer.current().whitelist.contains(&dp.digest.0))
         {
-            self.flow.local.fast_path += 1;
-            self.flow.local.processed += 1;
+            self.flow.local.tally.record(Disposition::FastPath, 1);
             return;
         }
 
@@ -989,7 +895,7 @@ impl ShardWorker {
             self.flow.suite.on_packet(pkt)
         };
 
-        self.flow.local.alerts += outcome.alerts.len() as u64;
+        self.flow.local.tally[Count::Alerts] += outcome.alerts.len() as u64;
         for flow in &outcome.whitelist {
             self.flow.cache.unpin(flow);
             let (_, digest) = self.setup.hasher.digest_symmetric(flow);
@@ -998,7 +904,7 @@ impl ShardWorker {
 
         // Stage 3: host escalation for suspects.
         if outcome.host == HostNeed::Host {
-            self.flow.local.escalated += 1;
+            self.flow.local.tally[Count::Escalated] += 1;
             // Pin the flow while the host works on it (§3.2).
             self.flow.cache.pin(&dp.canon);
             match &mut self.escalation {
@@ -1008,7 +914,7 @@ impl ShardWorker {
                         sent: Instant::now(),
                     };
                     if tx.try_send(esc).is_err() {
-                        self.flow.local.escalation_dropped += 1;
+                        self.flow.local.tally[Count::EscalationDropped] += 1;
                         // The host will never see this packet, so no
                         // verdict will ever unpin the flow — release
                         // it now instead of pinning it forever.
@@ -1030,77 +936,93 @@ impl ShardWorker {
                 }
             }
         }
-        self.flow.local.processed += 1;
+        self.flow.local.tally.record(Disposition::Inspected, 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartwatch_telemetry::Registry;
+    use smartwatch_net::{FlowKey, PacketBuilder, Ts};
+    use smartwatch_telemetry::{FlightRecorder, Registry};
     use std::net::Ipv4Addr;
 
-    /// A worker wired to a 1-slot escalation channel that nobody drains:
-    /// every `try_send` past the first fails, which is exactly the
-    /// pinned-flow-leak scenario.
-    #[test]
-    fn dropped_escalation_unpins_the_flow() {
-        use smartwatch_net::{FlowKey, PacketBuilder, Ts};
+    fn hasher() -> FlowHasher {
+        FlowHasher::new(0x51CC)
+    }
 
+    /// A lone enforcing worker on ring `sw-shard-0` of `flight`.
+    fn worker(escalation: Escalation, flight: &FlightRecorder) -> ShardWorker {
         let reg = Registry::new();
-        let hasher = FlowHasher::new(0x51CC);
-        let (tx, _rx_keepalive) = std::sync::mpsc::sync_channel::<Escalated>(1);
         let mut cache_cfg = EngineConfig::new(1);
         cache_cfg.cache_row_bits = 6;
-        let flight = smartwatch_telemetry::FlightRecorder::new(64);
         let setup = ShardSetup {
             log: Arc::new(ControlLog::new()),
             stage: StageHists::registered(&reg),
             host_processed: Counter::detached(),
             enforce_verdicts: true,
-            hasher,
+            hasher: hasher(),
             merge: MergePolicy::Fair,
             group: 64,
             burst: 8,
             finish_line: Arc::new(Barrier::new(1)),
         };
-        let mut worker = ShardWorker::new(
+        ShardWorker::new(
             &setup,
             FlowState::new(&cache_cfg, &reg),
-            Escalation::Pool(tx),
+            escalation,
             ShardCounters::registered(&reg, 0),
             None,
             ShardObs {
                 flight: flight.ring("sw-shard-0"),
                 trace: None,
             },
+        )
+    }
+
+    /// SSH from one source, client port `40_000 + i`.
+    fn ssh(i: u16) -> DigestedPacket {
+        let key = FlowKey::tcp(
+            Ipv4Addr::new(203, 0, 113, 7),
+            40_000 + i,
+            Ipv4Addr::new(10, 0, 0, 1),
+            22,
         );
+        let pkt = PacketBuilder::new(key, Ts::from_nanos(u64::from(i))).build();
+        let (canon, digest) = hasher().digest_symmetric(&key);
+        DigestedPacket {
+            pkt,
+            canon,
+            digest,
+            seq: u64::from(i),
+        }
+    }
+
+    /// The shard ring's events of one kind.
+    fn events(flight: &FlightRecorder, kind: FlightKind) -> Vec<smartwatch_telemetry::FlightEvent> {
+        let rings = flight.snapshot();
+        let (name, evs) = &rings[0];
+        assert_eq!(name, "sw-shard-0");
+        evs.iter().filter(|e| e.kind == kind).copied().collect()
+    }
+
+    /// A worker wired to a 1-slot escalation channel that nobody drains:
+    /// every `try_send` past the first fails, which is exactly the
+    /// pinned-flow-leak scenario.
+    #[test]
+    fn dropped_escalation_unpins_the_flow() {
+        let (tx, _rx_keepalive) = std::sync::mpsc::sync_channel::<Escalated>(1);
+        let flight = FlightRecorder::new(64);
+        let mut worker = worker(Escalation::Pool(tx), &flight);
 
         // Distinct SSH flows: auth-port TCP traffic escalates until the
         // session is classified, so each first packet goes hostward.
-        let batch: Vec<DigestedPacket> = (0..64u16)
-            .map(|i| {
-                let key = FlowKey::tcp(
-                    Ipv4Addr::new(203, 0, 113, 7),
-                    40_000 + i,
-                    Ipv4Addr::new(10, 0, 0, 1),
-                    22,
-                );
-                let pkt = PacketBuilder::new(key, Ts::from_nanos(u64::from(i))).build();
-                let (canon, digest) = hasher.digest_symmetric(&key);
-                DigestedPacket {
-                    pkt,
-                    canon,
-                    digest,
-                    seq: u64::from(i),
-                }
-            })
-            .collect();
+        let batch: Vec<DigestedPacket> = (0..64).map(ssh).collect();
         worker.process_batch(&batch);
         worker.flush_local();
 
-        let escalated = worker.counters.escalated.get();
-        let dropped = worker.counters.escalation_dropped.get();
+        let escalated = worker.counters.counts[Count::Escalated].get();
+        let dropped = worker.counters.counts[Count::EscalationDropped].get();
         assert!(escalated >= 2, "auth sweep must escalate repeatedly");
         assert!(dropped > 0, "1-slot undrained channel must drop");
 
@@ -1118,14 +1040,32 @@ mod tests {
 
         // The flight recorder black-boxed the loss: one coalesced
         // EscalationDrop event carrying the batch's full drop count.
-        let events = flight.snapshot();
-        let (name, evs) = &events[0];
-        assert_eq!(name, "sw-shard-0");
-        let drops: Vec<_> = evs
-            .iter()
-            .filter(|e| e.kind == FlightKind::EscalationDrop)
-            .collect();
+        let drops = events(&flight, FlightKind::EscalationDrop);
         assert_eq!(drops.len(), 1, "drops coalesce to one event per flush");
         assert_eq!(drops[0].a, dropped, "event carries the drop count");
+    }
+
+    /// A batch of a blacklisted flow: every packet is a verdict drop,
+    /// and the loss is black-boxed like the escalation drops above —
+    /// one coalesced event per flush, stamped with the batch clock.
+    #[test]
+    fn verdict_drops_are_black_boxed_once_per_batch() {
+        let flight = FlightRecorder::new(64);
+        let mut worker = worker(Escalation::Inline, &flight);
+        let batch = vec![ssh(0); 64];
+        worker
+            .setup
+            .log
+            .publish(Verdict::Blacklist(batch[0].pkt.key));
+        worker.control_tick();
+        worker.process_batch(&batch);
+        worker.flush_local();
+
+        let books = worker.counters.counts.snapshot();
+        assert_eq!(books.fate(Disposition::VerdictDrop), 64);
+        assert_eq!(books[Count::Processed], 64, "a verdict drop is processed");
+        let drops = events(&flight, FlightKind::VerdictDrop);
+        assert_eq!(drops.len(), 1, "drops coalesce to one event per flush");
+        assert_eq!((drops[0].a, drops[0].b), (64, 1), "(count, batch)");
     }
 }

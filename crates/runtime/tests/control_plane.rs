@@ -9,7 +9,7 @@
 //! recovery threshold.
 
 use smartwatch_net::{Dur, Packet};
-use smartwatch_runtime::{ControlConfig, Engine, EngineConfig, Pace};
+use smartwatch_runtime::{ControlConfig, Count, Engine, EngineConfig, Pace};
 use smartwatch_snic::Mode;
 use smartwatch_trace::background::{preset_trace, Preset};
 
@@ -138,8 +138,8 @@ fn controlled_spike_is_safe_at_every_queue_count() {
         );
         // Steering + shedding drops are enforced per dispatcher; their
         // per-queue tallies must sum to the report aggregates.
-        let q_shed: u64 = report.queues.iter().map(|q| q.shed).sum();
-        let q_steer: u64 = report.queues.iter().map(|q| q.steer_dropped).sum();
+        let q_shed: u64 = report.queues.iter().map(|q| q[Count::Shed]).sum();
+        let q_steer: u64 = report.queues.iter().map(|q| q[Count::SteerDropped]).sum();
         assert_eq!(q_shed, report.shed());
         assert_eq!(q_steer, report.steer_dropped());
     }

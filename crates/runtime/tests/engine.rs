@@ -3,7 +3,7 @@
 //! inline mode — including byte-identical summaries across `rx_queues`.
 
 use smartwatch_net::Dur;
-use smartwatch_runtime::{Engine, EngineConfig, MergePolicy, Pace};
+use smartwatch_runtime::{Count, Engine, EngineConfig, MergePolicy, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
 
 fn workload(flows: usize, seed: u64) -> Vec<smartwatch_net::Packet> {
@@ -116,11 +116,11 @@ fn conservation_flatout_across_queue_counts() {
             assert_eq!(report.rx_queues(), rx);
             assert_eq!(report.offered, packets.len() as u64);
             assert_eq!(report.processed(), report.offered);
-            let per_queue_offered: u64 = report.queues.iter().map(|q| q.offered).sum();
+            let per_queue_offered: u64 = report.queues.iter().map(|q| q[Count::Offered]).sum();
             assert_eq!(per_queue_offered, report.offered);
             if rx > 1 {
                 assert!(
-                    report.queues.iter().all(|q| q.offered > 0),
+                    report.queues.iter().all(|q| q[Count::Offered] > 0),
                     "the salted RSS split must feed every queue"
                 );
             }
@@ -142,7 +142,7 @@ fn conservation_holds_under_forced_drops_multi_queue() {
         report.deterministic_summary()
     );
     assert!(report.ingest_dropped() > 0, "sized to overrun");
-    let per_queue_drops: u64 = report.queues.iter().map(|q| q.ingest_dropped).sum();
+    let per_queue_drops: u64 = report.queues.iter().map(|q| q[Count::IngestDropped]).sum();
     assert_eq!(per_queue_drops, report.ingest_dropped());
 }
 
@@ -224,7 +224,7 @@ fn flowcache_report_accounts_every_access() {
     cfg.triage_threshold = 8;
     let report = Engine::new(cfg).run(&packets, Pace::Flatout);
     let fc = &report.flowcache;
-    let verdict_dropped: u64 = report.shards.iter().map(|s| s.verdict_dropped).sum();
+    let verdict_dropped = report.total(Count::VerdictDropped);
     assert_eq!(
         fc.accesses(),
         report.processed() - verdict_dropped,
@@ -269,7 +269,7 @@ fn escalation_round_trip_blacklists_hostile_sources() {
         report.verdicts_published > 0,
         "triage must publish blacklist verdicts"
     );
-    let dropped: u64 = report.shards.iter().map(|s| s.verdict_dropped).sum();
+    let dropped = report.total(Count::VerdictDropped);
     assert!(
         dropped > 0,
         "enforced blacklist must drop follow-up packets:\n{}",

@@ -17,7 +17,7 @@
 use smartwatch_core::{DetectorSuite, HostNeed};
 use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::{Dur, FlowKey, Packet, PacketBuilder, Ts};
-use smartwatch_runtime::{Engine, EngineConfig, EngineReport, MergePolicy, Pace, TriageNf};
+use smartwatch_runtime::{Count, Engine, EngineConfig, EngineReport, MergePolicy, Pace, TriageNf};
 use smartwatch_snic::{FlowCache, FlowCacheConfig};
 use smartwatch_telemetry::Registry;
 use smartwatch_trace::background::{preset_trace, Preset};
@@ -176,12 +176,12 @@ fn observed(report: &EngineReport) -> GroundTruth {
     assert_eq!(report.shards.len(), 1);
     let s = &report.shards[0];
     GroundTruth {
-        processed: s.processed,
-        verdict_dropped: s.verdict_dropped,
-        fast_path: s.fast_path,
-        escalated: s.escalated,
-        ctrl_applied: s.ctrl_applied,
-        alerts: s.alerts,
+        processed: s.counts[Count::Processed],
+        verdict_dropped: s.counts[Count::VerdictDropped],
+        fast_path: s.counts[Count::FastPath],
+        escalated: s.counts[Count::Escalated],
+        ctrl_applied: s.counts[Count::CtrlApplied],
+        alerts: s.counts[Count::Alerts],
         host_processed: report.host_processed,
         verdicts_published: report.verdicts_published,
         blacklisted: s.blacklisted,

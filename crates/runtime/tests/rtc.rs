@@ -10,7 +10,7 @@
 //! ingest (no lane to overrun: the core self-backpressures).
 
 use smartwatch_net::{pcap, Dur, FlowKey, FrameStore, PacketBuilder, Ts};
-use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, Pace};
+use smartwatch_runtime::{Count, DatapathMode, Engine, EngineConfig, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
 use smartwatch_trace::compile::{compile, compile_v6};
 use smartwatch_trace::Trace;
@@ -176,7 +176,7 @@ fn rtc_matches_pipeline_under_hostile_traffic_and_verdicts() {
             "the sweep must actually drive triage verdicts"
         );
         assert!(
-            rtc.shards.iter().map(|s| s.verdict_dropped).sum::<u64>() > 0,
+            rtc.total(Count::VerdictDropped) > 0,
             "blacklist verdicts must drop packets in RTC mode too"
         );
     }

@@ -7,7 +7,7 @@
 //! steering edits that land at epoch boundaries and drop at dispatch.
 
 use smartwatch_net::{Dur, FlowHasher, FlowKey, Packet, PacketBuilder};
-use smartwatch_runtime::{AdminCmd, ControlConfig, Engine, EngineConfig, Pace};
+use smartwatch_runtime::{AdminCmd, ControlConfig, Count, Engine, EngineConfig, Pace};
 use smartwatch_telemetry::Registry;
 use smartwatch_trace::background::{preset_trace, Preset};
 use smartwatch_trace::compile::compile_cycled;
@@ -228,7 +228,7 @@ fn admin_blacklist_lands_at_an_epoch_boundary_and_drops_at_dispatch() {
         report.steer_dropped() > 0,
         "the blacklisted flow must drop at dispatch, not at the shard"
     );
-    let q_steer: u64 = report.queues.iter().map(|q| q.steer_dropped).sum();
+    let q_steer: u64 = report.queues.iter().map(|q| q[Count::SteerDropped]).sum();
     assert_eq!(
         q_steer,
         report.steer_dropped(),

@@ -56,6 +56,8 @@ pub enum FlightKind {
     AdminEdit = 12,
     /// A config hot-reload was validated and published (or rejected).
     ConfigReload = 13,
+    /// An applied blacklist verdict dropped packets on a shard.
+    VerdictDrop = 14,
 }
 
 impl FlightKind {
@@ -75,6 +77,7 @@ impl FlightKind {
             FlightKind::RunEnd => "run_end",
             FlightKind::AdminEdit => "admin_edit",
             FlightKind::ConfigReload => "config_reload",
+            FlightKind::VerdictDrop => "verdict_drop",
         }
     }
 
@@ -94,6 +97,7 @@ impl FlightKind {
             FlightKind::RunEnd => ("conserved", "offered"),
             FlightKind::AdminEdit => ("cmd", "arg"),
             FlightKind::ConfigReload => ("ok", "seq"),
+            FlightKind::VerdictDrop => ("count", "batch"),
         }
     }
 
@@ -112,6 +116,7 @@ impl FlightKind {
             11 => FlightKind::RunEnd,
             12 => FlightKind::AdminEdit,
             13 => FlightKind::ConfigReload,
+            14 => FlightKind::VerdictDrop,
             _ => return None,
         })
     }

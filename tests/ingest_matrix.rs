@@ -12,7 +12,7 @@
 
 use smartwatch::net::{Dur, FrameStore, Packet};
 use smartwatch::runtime::{
-    ControlConfig, DatapathMode, Engine, EngineConfig, EngineReport, FrameSource, Pace,
+    ControlConfig, Count, DatapathMode, Engine, EngineConfig, EngineReport, FrameSource, Pace,
 };
 use smartwatch::trace::background::{preset_trace, Preset};
 
@@ -49,7 +49,7 @@ fn assert_balanced(label: &str, report: &EngineReport) {
         "{label}: books do not balance:\n{}",
         report.deterministic_summary()
     );
-    let by_queue: u64 = report.queues.iter().map(|q| q.offered).sum();
+    let by_queue: u64 = report.queues.iter().map(|q| q[Count::Offered]).sum();
     assert_eq!(report.offered, by_queue, "{label}: offered vs queue axis");
 }
 
