@@ -7,7 +7,7 @@ use smartwatch_host::HostCostModel;
 use smartwatch_net::Packet;
 use smartwatch_snic::des::{simulate, simulate_instrumented, DesConfig};
 use smartwatch_snic::hw::ALL_PROFILES;
-use smartwatch_snic::{CachePolicy, FlowCache, FlowCacheConfig, Mode};
+use smartwatch_snic::{CachePolicy, CachePublisher, FlowCache, FlowCacheConfig, Mode};
 use smartwatch_trace::background::Preset;
 
 fn stress_trace(scale: usize) -> Vec<Packet> {
@@ -23,7 +23,6 @@ const CONTENDED_ROW_BITS: u32 = 6;
 pub fn fig4(ctx: &ExpCtx) -> Table {
     let pkts = stress_trace(ctx.scale);
     let mut fc = FlowCache::new(FlowCacheConfig::general(CONTENDED_ROW_BITS));
-    fc.attach_telemetry(&ctx.registry);
     // Measured below the saturation point so queueing does not swamp the
     // hit/miss service-time structure.
     let shard = ctx.tracer.shard("fig4");
@@ -34,6 +33,7 @@ pub fn fig4(ctx: &ExpCtx) -> Table {
         Some(&ctx.registry),
         Some(&shard),
     );
+    CachePublisher::new(&ctx.registry, &fc.config().policy).publish(&fc);
     let mut t = Table::new(
         "fig4b",
         "FlowCache packet latency distribution (43 Mpps, 64 B)",
@@ -104,7 +104,6 @@ pub fn fig5(ctx: &ExpCtx) -> Table {
     for (name, cfg) in configs {
         let policy = cfg.policy.label();
         let mut fc = FlowCache::new(cfg);
-        fc.attach_telemetry(&ctx.registry);
         let rep = simulate_instrumented(
             &mut fc,
             &pkts,
@@ -112,6 +111,7 @@ pub fn fig5(ctx: &ExpCtx) -> Table {
             Some(&ctx.registry),
             Some(&shard),
         );
+        CachePublisher::new(&ctx.registry, &fc.config().policy).publish(&fc);
         let s = fc.stats();
         // Escalation: the fraction of processed packets this policy
         // punted to the host (per-policy gauge plus the run-wide one the

@@ -26,7 +26,9 @@ use smartwatch_host::{FlowLogStore, HostCostModel, SnapshotAggregator};
 use smartwatch_net::{Dur, Packet, Ts};
 use smartwatch_p4sim::{Decision, P4Switch, RefineMode, RefineOutcome, Refiner, SwitchQuery};
 use smartwatch_snic::hw::service_time;
-use smartwatch_snic::{CycleCosts, FlowCache, FlowCacheConfig, HwProfile, NETRONOME_AGILIO_LX};
+use smartwatch_snic::{
+    CachePublisher, CycleCosts, FlowCache, FlowCacheConfig, HwProfile, NETRONOME_AGILIO_LX,
+};
 use smartwatch_telemetry::{Counter, Gauge, Histogram, Registry, TraceShard, Tracer};
 
 /// Platform configuration.
@@ -163,6 +165,9 @@ impl TierCounters {
 /// Platform-level derived metrics and control-loop instruments.
 #[derive(Debug)]
 struct PlatformTelemetry {
+    /// The FlowCache's books → `snic.cache.*` / `snic.ring.*`, published
+    /// with the derived gauges at each interval end.
+    cache: CachePublisher,
     whitelist_installs: Counter,
     blacklist_installs: Counter,
     intervals: Counter,
@@ -333,7 +338,6 @@ impl SmartWatch {
     /// ledger and control-loop instruments (`core.*`). Current values
     /// carry over, so attaching mid-run loses nothing.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.cache.attach_telemetry(registry);
         self.switch.attach_telemetry(registry);
         for r in &mut self.refiners {
             r.attach_telemetry(registry);
@@ -343,6 +347,7 @@ impl SmartWatch {
         self.flowlog.attach_telemetry(registry);
         self.metrics = TierCounters::registered(registry, &self.metrics);
         self.telemetry = Some(PlatformTelemetry {
+            cache: CachePublisher::new(registry, &self.cache.config().policy),
             whitelist_installs: registry.counter("core.whitelist_installs", &[]),
             blacklist_installs: registry.counter("core.blacklist_installs", &[]),
             intervals: registry.counter("core.intervals", &[]),
@@ -350,7 +355,7 @@ impl SmartWatch {
             steered_share: registry.gauge("core.steered_share", &[]),
             snapshot_cpu_ns: registry.histogram("host.aggregate.snapshot_cpu_ns", &[]),
         });
-        self.refresh_derived_gauges();
+        self.refresh_telemetry();
     }
 
     /// Emit control-loop events (interval boundaries, refinement
@@ -360,8 +365,13 @@ impl SmartWatch {
         self.trace = Some(tracer.shard("control-loop"));
     }
 
-    fn refresh_derived_gauges(&mut self) {
-        if let Some(t) = &self.telemetry {
+    /// Bring the registry's view of what the platform only counts
+    /// locally up to date — the cache's books and the two ratio gauges —
+    /// at the boundaries a virtual-time run has: attach, interval end,
+    /// finish.
+    fn refresh_telemetry(&mut self) {
+        if let Some(t) = &mut self.telemetry {
+            t.cache.publish(&self.cache);
             let m = self.metrics.snapshot();
             t.escalation_rate.set(m.host_fraction());
             let share = if m.total == 0 {
@@ -607,7 +617,7 @@ impl SmartWatch {
         if let Some(t) = &self.telemetry {
             t.intervals.inc();
         }
-        self.refresh_derived_gauges();
+        self.refresh_telemetry();
     }
 
     fn replace_refiner_query(&mut self, q: SwitchQuery) {
@@ -643,7 +653,7 @@ impl SmartWatch {
         self.export_scratch = residue;
         let records = self.aggregator.flush();
         self.flowlog.store(self.interval_idx, records);
-        self.refresh_derived_gauges();
+        self.refresh_telemetry();
         RunReport {
             alerts: self.alerts,
             metrics: self.metrics.snapshot(),

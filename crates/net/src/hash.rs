@@ -202,41 +202,6 @@ impl FlowHasher {
         std::array::from_fn(|i| (canon[i].key(), HashDigest(h[i])))
     }
 
-    /// Digest an arbitrary run of raw tuples into `out` (cleared first):
-    /// full 8-wide blocks go through [`FlowHasher::digest_batch8`], the
-    /// tail through [`FlowHasher::digest_raw`]. Output order matches
-    /// input order.
-    pub fn digest_batch(&self, tuples: &[RawTuple], out: &mut Vec<(FlowKey, HashDigest)>) {
-        out.clear();
-        out.reserve(tuples.len());
-        let mut chunks = tuples.chunks_exact(8);
-        for c in &mut chunks {
-            let block: &[RawTuple; 8] = c.try_into().expect("8-tuple chunk");
-            out.extend_from_slice(&self.digest_batch8(block));
-        }
-        for t in chunks.remainder() {
-            out.push(self.digest_raw(*t));
-        }
-    }
-
-    /// Hash an arbitrary byte string (used for worm payload digests and
-    /// sketch keys that are not 5-tuples).
-    pub fn hash_bytes(&self, bytes: &[u8]) -> HashDigest {
-        let mut h = self.seed ^ (bytes.len() as u64).wrapping_mul(K0);
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let v = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            h = mix(h ^ v.wrapping_mul(K1));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            h = mix(h ^ u64::from_le_bytes(buf).wrapping_mul(K2));
-        }
-        HashDigest(mix(h))
-    }
-
     /// Hash a u64 key (used for prefix-aggregated switch queries).
     pub fn hash_u64(&self, v: u64) -> HashDigest {
         HashDigest(mix(self.seed ^ v.wrapping_mul(K0)))
@@ -265,30 +230,20 @@ fn canon_raw(t: &RawTuple) -> (u32, u16, u32, u16) {
     }
 }
 
-/// Map a flow to one of `n_shards` RSS shards, symmetrically.
-///
-/// This is the software analogue of symmetric RSS (a Toeplitz hash with a
-/// symmetric key, as NICs configure for connection-affine steering): both
-/// directions of a session map to the *same* shard, so per-shard flow
-/// state never needs cross-shard synchronisation. Internally it reduces
-/// the seed-0 [`FlowHasher::hash_symmetric`] digest with the same
-/// multiply-shift trick as [`HashDigest::bucket`], which is unbiased for
-/// non-power-of-two shard counts.
-///
-/// `n_shards` must be ≥ 1; with one shard every flow maps to shard 0.
-pub fn shard_for(key: &FlowKey, n_shards: usize) -> usize {
-    debug_assert!(n_shards >= 1, "need at least one shard");
-    shard_for_digest(FlowHasher::default().hash_symmetric(key), n_shards)
-}
-
 /// Map an already-computed *symmetric* digest to one of `n_shards` RSS
 /// shards. The digest must come from [`FlowHasher::hash_symmetric`] /
 /// [`FlowHasher::digest_symmetric`] (i.e. be direction-free), otherwise
 /// the two directions of a flow may land on different shards.
 ///
-/// This is the amortized form of [`shard_for`]: the dispatcher digests a
-/// packet once and reuses the digest for sharding, membership tests and
-/// the FlowCache row lookup.
+/// This is the software analogue of symmetric RSS (a Toeplitz hash with a
+/// symmetric key, as NICs configure for connection-affine steering): both
+/// directions of a session map to the *same* shard, so per-shard flow
+/// state never needs cross-shard synchronisation. The dispatcher digests
+/// a packet once and reuses the digest for sharding, membership tests and
+/// the FlowCache row lookup; the reduction is the multiply-shift of
+/// [`HashDigest::bucket`], unbiased for non-power-of-two shard counts.
+///
+/// `n_shards` must be ≥ 1; with one shard every flow maps to shard 0.
 #[inline]
 pub fn shard_for_digest(digest: HashDigest, n_shards: usize) -> usize {
     debug_assert!(n_shards >= 1, "need at least one shard");
@@ -545,18 +500,6 @@ impl AgingDigestSet {
         self.map.contains_key(digest)
     }
 
-    /// Refresh the stamp of a resident digest — an actively matching
-    /// entry should not age out while it is still doing work. Returns
-    /// `true` if the digest was resident.
-    pub fn touch(&mut self, digest: &u64, now: u64) -> bool {
-        if let Some(stamp) = self.map.get_mut(digest) {
-            *stamp = now;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Remove a digest outright (e.g. a whitelist entry superseded by a
     /// blacklist verdict). Returns `true` if it was resident.
     pub fn remove(&mut self, digest: &u64) -> bool {
@@ -702,43 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_for_is_symmetric() {
-        for n in [1usize, 2, 3, 4, 7, 16] {
-            for i in 0..1000u32 {
-                let k = key(0x0a00_0001 + i, 1000 + (i as u16), 0x0a00_ffff - i, 22);
-                let s = shard_for(&k, n);
-                assert!(s < n, "shard index in range");
-                assert_eq!(
-                    s,
-                    shard_for(&k.reversed(), n),
-                    "both directions of a flow must land on the same shard"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_for_single_shard_is_zero() {
-        let k = key(0x0a00_0001, 1000, 0x0a00_0002, 22);
-        assert_eq!(shard_for(&k, 1), 0);
-    }
-
-    #[test]
-    fn shard_for_spreads_flows() {
-        let n = 4;
-        let mut hits = vec![0u32; n];
-        for i in 0..10_000u32 {
-            let k = key(0x0a00_0001 + i, 1000 + (i as u16 % 5000), 0x0a00_0002, 443);
-            hits[shard_for(&k, n)] += 1;
-        }
-        // Expect ~2500 per shard; fail on gross imbalance.
-        assert!(
-            hits.iter().all(|&c| c > 1800 && c < 3200),
-            "poor shard spread: {hits:?}"
-        );
-    }
-
-    #[test]
     fn digest_symmetric_matches_two_step_derivation() {
         let h = FlowHasher::new(0x51CC);
         for i in 0..500u32 {
@@ -795,25 +701,6 @@ mod tests {
             let folded = t.key();
             assert_eq!(h.digest_raw(t), h.digest_symmetric(&folded));
             assert_eq!(h.digest_raw(rev), h.digest_raw(t), "symmetric over v6");
-        }
-    }
-
-    #[test]
-    fn digest_batch_matches_scalar_for_all_lengths() {
-        let h = FlowHasher::new(0xFEED);
-        let tuples: Vec<RawTuple> = (0..37u32)
-            .map(|i| {
-                let k = key(0x0a00_0001 + i, 1000 + (i as u16), 0x0a00_ffff - i, 22);
-                let k = if i % 2 == 0 { k } else { k.reversed() };
-                RawTuple::from_key(&k)
-            })
-            .collect();
-        let mut out = Vec::new();
-        // 0 (empty), a sub-block tail, one exact block, blocks + tail.
-        for len in [0usize, 5, 8, 16, 37] {
-            h.digest_batch(&tuples[..len], &mut out);
-            let scalar: Vec<_> = tuples[..len].iter().map(|t| h.digest_raw(*t)).collect();
-            assert_eq!(out, scalar, "batch/scalar divergence at len={len}");
         }
     }
 
@@ -963,9 +850,9 @@ mod tests {
         for d in 0..100u64 {
             assert!(set.insert(d, 0));
         }
-        // Keep half alive by touching them at epoch 8.
+        // Keep half alive by re-inserting them at epoch 8.
         for d in 0..50u64 {
-            assert!(set.touch(&d, 8));
+            assert!(!set.insert(d, 8), "a resident digest is refreshed");
         }
         assert_eq!(set.sweep(11), 50, "untouched half expires past TTL");
         assert_eq!(set.len(), 50);
@@ -989,7 +876,7 @@ mod tests {
         }
         assert_eq!(set.len(), 4);
         // Refresh the oldest so the *second*-oldest becomes the victim.
-        set.touch(&100, 10);
+        set.insert(100, 10);
         set.insert(999, 11);
         assert_eq!(set.len(), 4, "capacity bound holds");
         assert_eq!(set.evicted(), 1);
@@ -1006,15 +893,5 @@ mod tests {
         assert_eq!(set.len(), 1);
         assert_eq!(set.sweep(9), 0, "refreshed entry is inside TTL");
         assert!(set.contains(&42));
-    }
-
-    #[test]
-    fn byte_hash_handles_all_lengths() {
-        let h = FlowHasher::new(1);
-        let data: Vec<u8> = (0..=40u8).collect();
-        let mut seen = HashSet::new();
-        for l in 0..=40 {
-            assert!(seen.insert(h.hash_bytes(&data[..l]).0));
-        }
     }
 }

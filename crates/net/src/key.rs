@@ -175,7 +175,7 @@ impl FlowKey {
 ///
 /// This is the form the zero-copy ingest path extracts straight from frame
 /// bytes ([`crate::wire::FrameView::raw_tuple`]) and feeds to
-/// [`crate::FlowHasher::digest_raw`] / `digest_batch` without materialising
+/// [`crate::FlowHasher::digest_raw`] / `digest_batch8` without materialising
 /// a [`FlowKey`] first.
 ///
 /// Addresses are 128-bit so the same tuple covers IPv4 and IPv6 frames:

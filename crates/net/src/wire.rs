@@ -441,7 +441,7 @@ impl<'a> FrameView<'a> {
     }
 
     /// The directed 5-tuple as wire integers — the input to
-    /// [`crate::FlowHasher::digest_raw`] / `digest_batch`.
+    /// [`crate::FlowHasher::digest_raw`] / `digest_batch8`.
     #[inline]
     pub fn raw_tuple(&self) -> RawTuple {
         self.tuple

@@ -586,6 +586,7 @@ impl Engine {
             // sizes are absolute.
             .map(|((c, e), &base)| ShardStats {
                 counts: c.counts.snapshot() - base,
+                cache: e.cache,
                 blacklisted: e.blacklisted,
                 whitelisted: e.whitelisted,
                 cache_resident: e.cache_resident,

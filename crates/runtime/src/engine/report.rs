@@ -102,7 +102,9 @@ pub struct FlowCacheSummary {
     pub misses: u64,
     /// Fully-pinned-row escalations.
     pub to_host: u64,
-    /// Records pushed to eviction rings by packet-path accesses.
+    /// Records pushed to eviction rings by packet-path accesses
+    /// (`evictions − cleanup_evictions`: a Lite-transition row cleanup
+    /// pushes too, but no access asked for it).
     pub ring_pushes: u64,
     /// Probe-length histogram: slot `i` counts accesses that probed
     /// exactly `i` buckets (last slot absorbs longer probes).
@@ -120,11 +122,11 @@ impl FlowCacheSummary {
             ..FlowCacheSummary::default()
         };
         for e in ends {
-            out.p_hits += e.cache_mix.p_hits;
-            out.e_hits += e.cache_mix.e_hits;
-            out.misses += e.cache_mix.misses;
-            out.to_host += e.cache_mix.to_host;
-            out.ring_pushes += e.cache_mix.ring_pushes;
+            out.p_hits += e.cache.p_hits;
+            out.e_hits += e.cache.e_hits;
+            out.misses += e.cache.misses;
+            out.to_host += e.cache.to_host;
+            out.ring_pushes += e.cache.evictions - e.cache.cleanup_evictions;
             for (acc, v) in out.probe_hist.iter_mut().zip(e.probe_hist) {
                 *acc += v;
             }

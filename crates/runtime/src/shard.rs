@@ -2,7 +2,7 @@
 //! a full per-shard detector suite.
 //!
 //! The RSS dispatchers guarantee that both directions of a flow land on
-//! the same shard (symmetric [`smartwatch_net::hash::shard_for`]), so a
+//! the same shard (symmetric [`smartwatch_net::hash::shard_for_digest`]), so a
 //! shard's FlowCache and detectors see a complete, self-contained slice
 //! of the traffic and never need cross-shard synchronisation on the
 //! packet path. With `rx_queues = R` the shard ingests from R bounded
@@ -10,18 +10,26 @@
 //! [`MergePolicy`]: round-robin over whole batches (`Fair`, the
 //! throughput discipline) or a per-packet k-way merge by global sequence
 //! number (`Ordered`, which reconstructs the exact single-queue
-//! processing order for deterministic replay). The only shared state is
-//! the escalation channel (bounded MPSC to the host pool) and the
-//! epoch-stamped control log, polled at batch boundaries.
+//! processing order for deterministic replay). The only shared state
+//! the packet path writes is the escalation channel (bounded MPSC to the
+//! host pool) and the epoch-stamped control log (inline-triage verdicts;
+//! polled at batch boundaries). Everything a packet counts — the shard's
+//! [`Ledger`] page, the sampled stage timings, and the FlowCache's own
+//! books, which live in the cache as plain integers — stays on this
+//! thread until the batch boundary, where [`ShardWorker::flush_local`]
+//! folds it into the registry: `runtime.shard.*{shard}`, the stage
+//! histograms, and through the [`CachePublisher`] `snic.cache.*` /
+//! `snic.ring.*` (cells every shard adds to — a handful of adds per
+//! batch, none for a tally that did not move). Live readers of all of
+//! them are at most one batch stale.
 //!
-//! The packet path is built to do no per-packet expensive work beyond
-//! the pipeline itself: packets arrive pre-digested (canonical key +
-//! symmetric hash, see [`crate::batch`]), black/whitelist membership is
-//! an identity-hashed digest probe, the FlowCache reuses the digest for
-//! its row lookup, telemetry counters accumulate in plain integers and
-//! flush to the shared atomics once per batch, and a drained batch buffer
-//! goes back to the dispatcher through the lane's own ring (the spare a
-//! [`LaneRx`] leaves in the next slot it pops) instead of being freed.
+//! Beyond that the packet path is built to do no per-packet expensive
+//! work: packets arrive pre-digested (canonical key + symmetric hash,
+//! see [`crate::batch`]), black/whitelist membership is an
+//! identity-hashed digest probe, the FlowCache reuses the digest for
+//! its row lookup, and a drained batch buffer goes back to the
+//! dispatcher through the lane's own ring (the spare a [`LaneRx`]
+//! leaves in the next slot it pops) instead of being freed.
 
 use crate::batch::{Backoff, Batch, DigestedPacket};
 use crate::books::{Axis, Count, Disposition, Ledger};
@@ -33,7 +41,7 @@ use smartwatch_control::{ModeCell, SnapshotReader, SteeringSnapshot};
 use smartwatch_core::{DetectorSuite, HostNeed};
 use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::{AgingDigestSet, BuildDigestHasher, FlowHasher};
-use smartwatch_snic::{FlowCache, FlowCacheConfig, Outcome};
+use smartwatch_snic::{CachePublisher, CacheStats, FlowCache, FlowCacheConfig};
 use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Histogram, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::SyncSender;
@@ -186,14 +194,17 @@ impl ShardCounters {
     }
 }
 
-/// Frozen per-shard statistics (the report view): the shard's books
-/// plus three end-state sizes.
+/// Frozen per-shard statistics (the report view): the shard's books,
+/// its FlowCache's, and three end-state sizes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
     /// The shard's books, read by [`Count`](crate::Count).
     /// `idle_parks` is wall-clock dependent and stays out of the
     /// deterministic summary.
     pub counts: Ledger,
+    /// What this shard's own FlowCache partition counted during the
+    /// segment (a live `/stats.json` row leaves it zero).
+    pub cache: CacheStats,
     /// Blacklist entries held at shutdown.
     pub blacklisted: u64,
     /// Whitelist entries held at shutdown.
@@ -235,46 +246,18 @@ impl StageHists {
 /// General-mode rows probe at most 12 buckets, so 16 slots lose nothing.
 pub(crate) const PROBE_HIST_SLOTS: usize = 16;
 
-/// This shard's FlowCache access mix, tallied from [`Outcome`]s in plain
-/// integers on the shard thread. The cache's own `snic.cache.*` counters
-/// are shared registry atomics (every shard partition attaches to the
-/// same cells), so the per-shard view has to be counted here — and being
-/// plain integers, it is exactly deterministic for deterministic inputs.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct CacheMix {
-    /// Primary-buffer hits.
-    pub p_hits: u64,
-    /// Eviction-buffer hits.
-    pub e_hits: u64,
-    /// Misses (new-flow insertions).
-    pub misses: u64,
-    /// Fully-pinned-row escalations.
-    pub to_host: u64,
-    /// Records this shard's accesses pushed to eviction rings.
-    pub ring_pushes: u64,
-}
-
-impl CacheMix {
-    fn tally(&mut self, access: &smartwatch_snic::Access) {
-        match access.outcome {
-            Outcome::PHit => self.p_hits += 1,
-            Outcome::EHit => self.e_hits += 1,
-            Outcome::Miss => self.misses += 1,
-            Outcome::ToHost => self.to_host += 1,
-        }
-        self.ring_pushes += u64::from(access.ring_pushes);
-    }
-}
-
 /// What a shard reports back when it exits.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ShardEndState {
     pub blacklisted: u64,
     pub whitelisted: u64,
     pub cache_resident: u64,
-    /// FlowCache access mix, counted on this shard thread.
-    pub cache_mix: CacheMix,
-    /// Per-access probe lengths, accumulated in plain integers on the
+    /// The segment's share of the cache's books: its `stats()` at
+    /// `finish` minus the read taken when the worker was built — this
+    /// shard's cache only, this segment only, carried cache or not.
+    pub cache: CacheStats,
+    /// Per-access probe lengths — with the bursts below, what the cache
+    /// does not count itself — accumulated in plain integers on the
     /// shard thread (deterministic for deterministic inputs).
     pub probe_hist: [u64; PROBE_HIST_SLOTS],
     /// Prefetch bursts issued by the batched cache path.
@@ -346,6 +329,9 @@ impl LocalBatchStats {
 /// regrows any per-flow table.
 pub(crate) struct FlowState {
     pub cache: FlowCache,
+    /// Carries the cache's books to `snic.cache.*` / `snic.ring.*`;
+    /// parked with the cache, whose cumulative tallies it tracks.
+    cache_books: CachePublisher,
     pub suite: DetectorSuite,
     /// Digest-keyed (identity-hashed) verdict sets: membership is one
     /// u64 probe instead of a SipHash over the 13-byte 5-tuple. TTL'd
@@ -370,10 +356,9 @@ impl FlowState {
     pub(crate) fn new(cfg: &EngineConfig, registry: &Registry) -> FlowState {
         let mut cache_cfg = FlowCacheConfig::general(cfg.cache_row_bits);
         cache_cfg.hash_seed = cfg.hash_seed;
-        let mut cache = FlowCache::new(cache_cfg);
-        cache.attach_telemetry(registry);
         FlowState {
-            cache,
+            cache_books: CachePublisher::new(registry, &cache_cfg.policy),
+            cache: FlowCache::new(cache_cfg),
             suite: DetectorSuite::new(),
             blacklist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             whitelist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
@@ -449,10 +434,12 @@ pub(crate) struct ShardWorker {
     pub flow: FlowState,
     pub escalation: Escalation,
     pub counters: ShardCounters,
-    /// The end state in the making: the FlowCache tallies (access mix,
-    /// probe lengths, prefetch bursts) accumulate here in plain
-    /// integers — no atomics on this path; `finish` freezes the rest.
+    /// The end state in the making: probe lengths and prefetch bursts
+    /// accumulate here in plain integers — no atomics on this path;
+    /// `finish` freezes the rest.
     end: ShardEndState,
+    /// The cache's books as this segment found them.
+    cache_base: CacheStats,
     /// Attached control plane (mode cell, steering reader, heavy-hitter
     /// channel); `None` when the engine runs without a controller.
     hooks: Option<ControlHooks>,
@@ -477,6 +464,7 @@ impl ShardWorker {
         ShardWorker {
             reader: setup.log.reader(),
             setup: setup.clone(),
+            cache_base: flow.cache.stats(),
             flow,
             escalation,
             counters,
@@ -702,6 +690,10 @@ impl ShardWorker {
         self.end.blacklisted = self.flow.blacklist.len() as u64;
         self.end.whitelisted = self.flow.whitelist.len() as u64;
         self.end.cache_resident = self.flow.cache.occupied() as u64;
+        // The tail above may have unpinned: publish once more, then the
+        // segment's share is one subtraction.
+        self.flow.cache_books.publish(&self.flow.cache);
+        self.end.cache = self.flow.cache.stats() - self.cache_base;
         (self.end, self.flow)
     }
 
@@ -778,11 +770,13 @@ impl ShardWorker {
         }
     }
 
-    /// Fold the batch's plain-integer tallies into the shared atomics —
-    /// the only place the hot path touches contended cache lines.
+    /// Fold the batch's plain-integer tallies — the shard's and its
+    /// cache's — into the shared atomics: the only place the hot path
+    /// touches contended cache lines.
     /// `pub(crate)` for the run-to-completion cores, which flush once
     /// per fused batch like the lane path does.
     pub(crate) fn flush_local(&mut self) {
+        self.flow.cache_books.publish(&self.flow.cache);
         let l = &mut self.flow.local;
         // Coalesced per batch: one black-box event per batch that lost
         // packets to a verdict, one per batch that lost escalations,
@@ -865,7 +859,6 @@ impl ShardWorker {
             self.flow.cache.process_digested(pkt, &dp.canon, dp.digest)
         };
         self.end.probe_hist[(access.probes as usize).min(PROBE_HIST_SLOTS - 1)] += 1;
-        self.end.cache_mix.tally(&access);
 
         // Whitelisted flows skip the detector suite — the wall-clock
         // analogue of the switch no longer steering them. Either the

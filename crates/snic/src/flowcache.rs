@@ -41,14 +41,30 @@
 //! independent DRAM misses instead of serialising them. The tag array is redundant
 //! metadata: `tags[row][b] != 0` iff the bucket is occupied, and the tag
 //! always equals the resident record's own digest tag.
+//!
+//! ## Books: who counts, who publishes
+//!
+//! The cache counts each event once, where it happens, in the plain
+//! integers of its own [`CacheStats`] — the packet path writes nothing
+//! that another thread writes. It holds no metric handle: the cache's
+//! *owner* (an engine shard, the platform simulator, an experiment)
+//! holds a [`crate::CachePublisher`] and publishes at a boundary it
+//! already has — once per batch, at an interval end — which adds what
+//! was counted since its last publish to `snic.cache.*` / `snic.ring.*`.
+//! One rule makes that sound: the books are **cumulative for the
+//! cache's life**. [`FlowCache::reset`] empties the table but rewinds
+//! no tally, so published cells never go backwards and any span's
+//! share — a segment's, a test's second life — is `later - earlier`
+//! ([`CacheStats`] has `Sub`). With nothing shared inside, `Clone` is
+//! derived: a cloned cache (a throughput-search probe) carries a copy
+//! of the books and cannot reach the cells its original is published to.
 
 use crate::policy::CachePolicy;
 use crate::prefetch::prefetch_read;
 use crate::record::FlowRecord;
 use crate::ring::RingSet;
 use smartwatch_net::{FlowHasher, FlowKey, HashDigest, Packet, Resident};
-use smartwatch_telemetry::{Counter, Registry};
-use std::ops::Range;
+use std::ops::{Range, Sub};
 
 /// Hard ceiling on `buckets_per_row`, sized so one row's tag header is
 /// exactly one 64-byte cache line (the paper uses 12 buckets; every
@@ -218,9 +234,10 @@ pub struct Access {
     pub cleaned_row: bool,
 }
 
-/// Aggregate FlowCache statistics — a point-in-time *view* over the
-/// cache's live telemetry counters (see [`CacheCounters`]).
-#[derive(Clone, Copy, Debug, Default)]
+/// The cache's books: one plain tally per event, bumped in place by the
+/// thread that owns the cache and cumulative for the cache's life (see
+/// the module doc). A span's share is a difference: `later - earlier`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Primary-buffer hits.
     pub p_hits: u64,
@@ -261,97 +278,23 @@ impl CacheStats {
     }
 }
 
-/// The cache's live counters. Every handle may be shared with a
-/// [`Registry`] (see [`FlowCache::attach_telemetry`]), in which case the
-/// registry's exporters observe the cache in real time; otherwise the
-/// handles are private cells. [`CacheStats`] is the frozen view.
-#[derive(Debug)]
-pub struct CacheCounters {
-    p_hits: Counter,
-    e_hits: Counter,
-    misses: Counter,
-    to_host: Counter,
-    evictions: Counter,
-    rows_cleaned: Counter,
-    cleanup_evictions: Counter,
-    pins: Counter,
-    unpins: Counter,
-    mode_switches: Counter,
-}
+impl Sub for CacheStats {
+    type Output = CacheStats;
 
-impl CacheCounters {
-    fn detached() -> CacheCounters {
-        CacheCounters {
-            p_hits: Counter::detached(),
-            e_hits: Counter::detached(),
-            misses: Counter::detached(),
-            to_host: Counter::detached(),
-            evictions: Counter::detached(),
-            rows_cleaned: Counter::detached(),
-            cleanup_evictions: Counter::detached(),
-            pins: Counter::detached(),
-            unpins: Counter::detached(),
-            mode_switches: Counter::detached(),
-        }
-    }
-
-    /// Register under `snic.cache.*` labeled with the eviction policy,
-    /// seeding each registered cell with the current value.
-    fn registered(reg: &Registry, policy: &str, current: CacheStats) -> CacheCounters {
-        let labels = [("policy", policy)];
-        let c = |name: &str, seed: u64| {
-            let counter = reg.counter(name, &labels);
-            counter.add(seed);
-            counter
-        };
-        CacheCounters {
-            p_hits: c("snic.cache.p_hits", current.p_hits),
-            e_hits: c("snic.cache.e_hits", current.e_hits),
-            misses: c("snic.cache.misses", current.misses),
-            to_host: c("snic.cache.to_host", current.to_host),
-            evictions: c("snic.cache.evictions", current.evictions),
-            rows_cleaned: c("snic.cache.rows_cleaned", current.rows_cleaned),
-            cleanup_evictions: c("snic.cache.cleanup_evictions", current.cleanup_evictions),
-            pins: c("snic.cache.pins", current.pins),
-            unpins: c("snic.cache.unpins", current.unpins),
-            mode_switches: c("snic.cache.mode_switches", current.mode_switches),
-        }
-    }
-
-    fn snapshot(&self) -> CacheStats {
+    /// What was counted between two reads of one cache's books.
+    fn sub(self, earlier: CacheStats) -> CacheStats {
         CacheStats {
-            p_hits: self.p_hits.get(),
-            e_hits: self.e_hits.get(),
-            misses: self.misses.get(),
-            to_host: self.to_host.get(),
-            evictions: self.evictions.get(),
-            rows_cleaned: self.rows_cleaned.get(),
-            cleanup_evictions: self.cleanup_evictions.get(),
-            pins: self.pins.get(),
-            unpins: self.unpins.get(),
-            mode_switches: self.mode_switches.get(),
+            p_hits: self.p_hits - earlier.p_hits,
+            e_hits: self.e_hits - earlier.e_hits,
+            misses: self.misses - earlier.misses,
+            to_host: self.to_host - earlier.to_host,
+            evictions: self.evictions - earlier.evictions,
+            rows_cleaned: self.rows_cleaned - earlier.rows_cleaned,
+            cleanup_evictions: self.cleanup_evictions - earlier.cleanup_evictions,
+            pins: self.pins - earlier.pins,
+            unpins: self.unpins - earlier.unpins,
+            mode_switches: self.mode_switches - earlier.mode_switches,
         }
-    }
-}
-
-impl Clone for CacheCounters {
-    /// A clone gets *detached* cells seeded with the current values: a
-    /// cloned cache (e.g. a throughput-search probe) must not keep
-    /// feeding the original's registry.
-    fn clone(&self) -> CacheCounters {
-        let fresh = CacheCounters::detached();
-        let cur = self.snapshot();
-        fresh.p_hits.add(cur.p_hits);
-        fresh.e_hits.add(cur.e_hits);
-        fresh.misses.add(cur.misses);
-        fresh.to_host.add(cur.to_host);
-        fresh.evictions.add(cur.evictions);
-        fresh.rows_cleaned.add(cur.rows_cleaned);
-        fresh.cleanup_evictions.add(cur.cleanup_evictions);
-        fresh.pins.add(cur.pins);
-        fresh.unpins.add(cur.unpins);
-        fresh.mode_switches.add(cur.mode_switches);
-        fresh
     }
 }
 
@@ -372,7 +315,7 @@ pub struct FlowCache {
     mode: Mode,
     hasher: FlowHasher,
     rings: RingSet,
-    stats: CacheCounters,
+    stats: CacheStats,
 }
 
 impl FlowCache {
@@ -388,17 +331,18 @@ impl FlowCache {
             dirty: vec![false; rows],
             mode: Mode::General,
             rings: RingSet::new(cfg.rings, cfg.ring_capacity),
-            stats: CacheCounters::detached(),
+            stats: CacheStats::default(),
             cfg,
         }
     }
 
     /// Back to the state [`FlowCache::new`] built, in place: every
     /// bucket empty, every row clean, General mode, rings empty — the
-    /// same configuration, hash seed and (cumulative) telemetry cells,
-    /// and no allocation. Only rows that hold a record are touched
-    /// (tag 0 ⇔ empty, so the tag line names them); the rings keep
-    /// their buffers under the [`Resident`] shrink rule.
+    /// same configuration and hash seed, the books carried on (they are
+    /// cumulative for the cache's life), and no allocation. Only rows
+    /// that hold a record are touched (tag 0 ⇔ empty, so the tag line
+    /// names them); the rings keep their buffers under the [`Resident`]
+    /// shrink rule.
     pub fn reset(&mut self) {
         let b = self.cfg.buckets_per_row;
         for (row, t) in self.tags.iter_mut().enumerate() {
@@ -432,19 +376,10 @@ impl FlowCache {
         &self.cfg
     }
 
-    /// Statistics so far (a frozen view of the live counters).
+    /// This cache's books so far: every event it has counted since it
+    /// was built, resets included.
     pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
-    }
-
-    /// Re-home the cache's counters into `registry` under
-    /// `snic.cache.*{policy=...}`, carrying current values over. The
-    /// registry's exporters then observe this cache live. Ring-buffer
-    /// telemetry (`snic.ring.*`) attaches alongside.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let policy = self.cfg.policy.label();
-        self.stats = CacheCounters::registered(registry, &policy, self.stats.snapshot());
-        self.rings.attach_telemetry(registry);
+        self.stats
     }
 
     /// Memory footprint of the bucket array in bytes (64 B records, as the
@@ -461,6 +396,11 @@ impl FlowCache {
     /// Evictions buffered in the rings, waiting for the host.
     pub fn rings(&mut self) -> &mut RingSet {
         &mut self.rings
+    }
+
+    /// The rings' own books, for the publisher.
+    pub(crate) fn ring_books(&self) -> &RingSet {
+        &self.rings
     }
 
     /// Ring overflow count (evictions that bypassed rings to the host).
@@ -600,7 +540,7 @@ impl FlowCache {
                         .as_mut()
                         .expect("checked above")
                         .update(pkt.ts, pkt.wire_len);
-                    self.stats.p_hits.inc();
+                    self.stats.p_hits += 1;
                     return Access {
                         outcome: Outcome::PHit,
                         probes,
@@ -627,14 +567,14 @@ impl FlowCache {
                     // Swap with P's policy victim so the hot flow returns
                     // to the Primary buffer.
                     let mut writes = 1;
-                    if let Some(victim_b) = self.pick_victim(row, p.clone(), true) {
+                    if let Some(victim_b) = self.pick_victim(row, p.clone()) {
                         let pb = row * self.cfg.buckets_per_row + victim_b;
                         let eb = row * self.cfg.buckets_per_row + b;
                         self.slots.swap(pb, eb);
                         self.tags[row].tags.swap(victim_b, b);
                         writes += 2;
                     }
-                    self.stats.e_hits.inc();
+                    self.stats.e_hits += 1;
                     return Access {
                         outcome: Outcome::EHit,
                         probes,
@@ -656,7 +596,7 @@ impl FlowCache {
             *self.slot_mut(row, b) = Some(new_rec);
             self.set_tag(row, b, tag);
             self.resident += 1;
-            self.stats.misses.inc();
+            self.stats.misses += 1;
             return Access {
                 outcome: Outcome::Miss,
                 probes,
@@ -667,9 +607,9 @@ impl FlowCache {
         }
 
         // P full: find a P victim to demote (or evict if no E).
-        let Some(p_victim) = self.pick_victim(row, p.clone(), false) else {
+        let Some(p_victim) = self.pick_victim(row, p.clone()) else {
             // Everything pinned: escalate to host.
-            self.stats.to_host.inc();
+            self.stats.to_host += 1;
             return Access {
                 outcome: Outcome::ToHost,
                 probes,
@@ -688,7 +628,7 @@ impl FlowCache {
             // Find room in E: empty slot, else evict E's policy victim.
             let e_slot = match e.clone().find(|&b| self.tag_at(row, b) == 0) {
                 Some(b) => Some(b),
-                None => match self.pick_victim(row, e.clone(), false) {
+                None => match self.pick_victim(row, e.clone()) {
                     Some(b) => {
                         self.evict(row, b);
                         ring_pushes += 1;
@@ -721,7 +661,7 @@ impl FlowCache {
         self.set_tag(row, p_victim, tag);
         self.resident += 1;
         writes += 1;
-        self.stats.misses.inc();
+        self.stats.misses += 1;
         Access {
             outcome: Outcome::Miss,
             probes,
@@ -732,11 +672,11 @@ impl FlowCache {
     }
 
     /// Pick the policy victim within `range` of `row`, skipping pinned
-    /// entries. `_for_swap` documents the E-hit swap-target use; victim
-    /// semantics are identical. Returns `None` if no unpinned occupant
-    /// exists in the range. Selects in place: this runs on every miss
-    /// into a full row, so it may not allocate.
-    fn pick_victim(&self, row: usize, range: Range<usize>, _for_swap: bool) -> Option<usize> {
+    /// entries — an eviction victim or, on an E hit, the swap target:
+    /// the semantics are identical. Returns `None` if no unpinned
+    /// occupant exists in the range. Selects in place: this runs on
+    /// every miss into a full row, so it may not allocate.
+    fn pick_victim(&self, row: usize, range: Range<usize>) -> Option<usize> {
         let policy = if range.start < self.cfg.primary || self.mode == Mode::Lite {
             self.cfg.policy.primary
         } else {
@@ -758,7 +698,7 @@ impl FlowCache {
         self.set_tag(row, bucket, 0);
         self.resident -= 1;
         self.rings.push(row, victim);
-        self.stats.evictions.inc();
+        self.stats.evictions += 1;
     }
 
     /// Algorithm 3: reorder a dirty row into Lite-mode layout. Each record
@@ -802,15 +742,15 @@ impl FlowCache {
                             let old = self.slot_mut(row, bucket).replace(rec);
                             self.set_tag(row, bucket, digest.tag());
                             if let Some(old) = old {
-                                self.stats.cleanup_evictions.inc();
+                                self.stats.cleanup_evictions += 1;
                                 self.rings.push(row, old);
-                                self.stats.evictions.inc();
+                                self.stats.evictions += 1;
                             }
                         }
                     } else {
-                        self.stats.cleanup_evictions.inc();
+                        self.stats.cleanup_evictions += 1;
                         self.rings.push(row, rec);
-                        self.stats.evictions.inc();
+                        self.stats.evictions += 1;
                     }
                 }
             }
@@ -818,7 +758,7 @@ impl FlowCache {
         let after = self.tags[row].tags.iter().filter(|&&t| t != 0).count();
         self.resident = self.resident - before + after;
         self.dirty[row] = false;
-        self.stats.rows_cleaned.inc();
+        self.stats.rows_cleaned += 1;
     }
 
     /// Switch operating mode (Algorithm 4's effect). General→Lite marks
@@ -839,7 +779,7 @@ impl FlowCache {
             self.dirty.fill(false);
         }
         self.mode = mode;
-        self.stats.mode_switches.inc();
+        self.stats.mode_switches += 1;
     }
 
     /// Look up a flow without touching statistics or policy metadata.
@@ -879,7 +819,7 @@ impl FlowCache {
     pub fn pin(&mut self, key: &FlowKey) -> bool {
         if let Some(r) = self.get_mut(key) {
             r.pinned = true;
-            self.stats.pins.inc();
+            self.stats.pins += 1;
             true
         } else {
             false
@@ -890,7 +830,7 @@ impl FlowCache {
     pub fn unpin(&mut self, key: &FlowKey) -> bool {
         if let Some(r) = self.get_mut(key) {
             r.pinned = false;
-            self.stats.unpins.inc();
+            self.stats.unpins += 1;
             true
         } else {
             false
@@ -1589,24 +1529,10 @@ mod tests {
     /// churn, pins, a General→Lite flip with rows still dirty, rings
     /// holding evictions — and was then `reset()` is observably a fresh
     /// cache: same `Access` sequence, same statistics (as deltas: the
-    /// telemetry cells are cumulative), same ring contents, same
-    /// slot-order residency, through mode flips and pin churn of its own.
+    /// books are cumulative), same ring contents, same slot-order
+    /// residency, through mode flips and pin churn of its own.
     #[test]
     fn reset_cache_is_observably_fresh() {
-        let counts = |s: CacheStats| {
-            [
-                s.p_hits,
-                s.e_hits,
-                s.misses,
-                s.to_host,
-                s.evictions,
-                s.rows_cleaned,
-                s.cleanup_evictions,
-                s.pins,
-                s.unpins,
-                s.mode_switches,
-            ]
-        };
         for seed in [3u64, 0xFEED, 0x51CC_2027] {
             let cfg = FlowCacheConfig::general(4);
             let mut reused = FlowCache::new(cfg.clone());
@@ -1625,7 +1551,8 @@ mod tests {
             assert!(reused.dirty.iter().any(|&d| d), "rows still dirty");
             assert!(reused.iter().any(|r| r.pinned), "records still pinned");
             assert!(!reused.rings.is_empty() && reused.ring_overflow() > 0);
-            let before = counts(reused.stats());
+            let before = reused.stats();
+            let ring_before = (reused.ring_overflow(), reused.rings.pushed);
 
             reused.reset();
             reused.assert_tag_invariant();
@@ -1633,7 +1560,8 @@ mod tests {
             assert_eq!(reused.mode(), Mode::General);
             assert!(reused.dirty.iter().all(|&d| !d));
             assert!(reused.rings.is_empty());
-            assert_eq!((reused.ring_overflow(), reused.rings.pushed), (0, 0));
+            // One rule: the tallies are cumulative, a reset rewinds none.
+            assert_eq!((reused.ring_overflow(), reused.rings.pushed), ring_before);
             reused.rings = RingSet::new(8, cfg.ring_capacity);
 
             // Second life, beside a cache that never had a first.
@@ -1653,9 +1581,7 @@ mod tests {
                     fresh.set_mode(next);
                 }
             }
-            let after = counts(reused.stats());
-            let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-            assert_eq!(delta, counts(fresh.stats()), "stats deltas");
+            assert_eq!(reused.stats() - before, fresh.stats(), "stats deltas");
             assert_eq!(reused.occupied(), fresh.occupied());
             assert_eq!(
                 reused.rings().drain(),

@@ -7,6 +7,7 @@
 //! |---|---|
 //! | FlowCache: P/E buffers, policies, pinning, rings (§3.2) | [`flowcache`], [`policy`], [`ring`] |
 //! | Reconfigurable General/Lite modes, Algorithms 1 & 3 (§3.3) | [`flowcache`] |
+//! | The cache's books → `snic.cache.*` / `snic.ring.*`, owner-published | [`publish`] |
 //! | CME switch-over, Algorithm 4 (§9.4) | [`cme`] |
 //! | Lockless PME update protocol, Algorithm 2 (§9.1–9.2) | [`concurrent`] |
 //! | sNIC hardware profiles & cycle model (Table 3, §4.1) | [`hw`] |
@@ -35,6 +36,7 @@ pub mod flowcache;
 pub mod hw;
 pub mod policy;
 pub mod prefetch;
+pub mod publish;
 pub mod record;
 pub mod ring;
 
@@ -44,5 +46,6 @@ pub use des::{simulate, simulate_instrumented, DesConfig, DesReport, LatencyDist
 pub use flowcache::{Access, CacheStats, FlowCache, FlowCacheConfig, Mode, Outcome, BURST};
 pub use hw::{CycleCosts, HwProfile, BLUEFIELD, LIQUIDIO_TX2, NETRONOME_AGILIO_LX};
 pub use policy::{CachePolicy, Policy};
+pub use publish::CachePublisher;
 pub use record::FlowRecord;
 pub use ring::RingSet;

@@ -5,24 +5,26 @@
 //! thread. Eight rings exist to spread contention across the 80 PMEs; in
 //! the deterministic simulator the ring index is derived from the row hash
 //! so the distribution is reproducible.
+//!
+//! ## Who counts, who publishes
+//!
+//! A ring set counts its own events in plain integers — `pushed`,
+//! `overflow_to_host`, a running `len` and its `peak` — and holds no
+//! metric handle: whoever owns the cache publishes them, with the
+//! cache's own tallies, through a [`crate::CachePublisher`] at a
+//! boundary of its choosing. The tallies are **cumulative for the
+//! object's life**: [`RingSet::reset`] empties the rings but does not
+//! rewind `pushed`, `overflow_to_host` or `peak`, so a publisher's
+//! cells never go backwards and a segment's share is the difference of
+//! two reads. Nothing here is shared, which is why `Clone` is derived:
+//! a clone is a second, independent set of books.
 
 use crate::record::FlowRecord;
 use smartwatch_net::Resident;
-use smartwatch_telemetry::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 
-/// Registry handles mirroring the ring set's public counters (present
-/// only after [`RingSet::attach_telemetry`]).
-#[derive(Debug)]
-struct RingTelemetry {
-    pushed: Counter,
-    overflow: Counter,
-    occupancy: Gauge,
-    occupancy_peak: Gauge,
-}
-
 /// A set of fixed-capacity eviction rings.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RingSet {
     rings: Vec<VecDeque<FlowRecord>>,
     /// Per ring, the most records it held since the last
@@ -34,76 +36,42 @@ pub struct RingSet {
     pub overflow_to_host: u64,
     /// Total records ever pushed.
     pub pushed: u64,
-    telemetry: Option<RingTelemetry>,
-}
-
-impl Clone for RingSet {
-    /// Clones keep the buffered records and counts but are detached from
-    /// any registry: throughput probes clone whole caches, and their ring
-    /// activity must not leak into the original's metrics.
-    fn clone(&self) -> RingSet {
-        RingSet {
-            rings: self.rings.clone(),
-            high_water: self.high_water.clone(),
-            capacity: self.capacity,
-            overflow_to_host: self.overflow_to_host,
-            pushed: self.pushed,
-            telemetry: None,
-        }
-    }
+    /// Records buffered across all rings, kept live so neither
+    /// [`RingSet::len`] nor a publisher re-sums the rings.
+    len: usize,
+    /// The most `len` has ever been.
+    peak: usize,
 }
 
 impl RingSet {
-    /// `n_rings` rings of `capacity` records each (paper: 8 × 65 536).
+    /// `n_rings` rings of at most `capacity` records each (paper:
+    /// 8 × 65 536). The rings start unallocated, all alike: how much a
+    /// ring needs is a property of the traffic, and the [`Resident`]
+    /// rule in [`RingSet::reset`] is what sizes it — a guess made here
+    /// would be shrunk away by the first reset of a quiet segment and
+    /// outgrown within the first of a busy one, so it would only make
+    /// the first segment's rings unlike every later segment's.
     pub fn new(n_rings: usize, capacity: usize) -> RingSet {
         assert!(n_rings > 0 && capacity > 0);
         RingSet {
-            rings: vec![VecDeque::with_capacity(capacity.min(1024)); n_rings],
+            rings: vec![VecDeque::new(); n_rings],
             high_water: vec![0; n_rings],
             capacity,
             overflow_to_host: 0,
             pushed: 0,
-            telemetry: None,
+            len: 0,
+            peak: 0,
         }
     }
 
-    /// Mirror this ring set's activity into `registry` as
-    /// `snic.ring.{pushed,overflow_to_host,occupancy,occupancy_peak}`,
-    /// carrying current values over.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let t = RingTelemetry {
-            pushed: registry.counter("snic.ring.pushed", &[]),
-            overflow: registry.counter("snic.ring.overflow_to_host", &[]),
-            occupancy: registry.gauge("snic.ring.occupancy", &[]),
-            occupancy_peak: registry.gauge("snic.ring.occupancy_peak", &[]),
-        };
-        t.pushed.add(self.pushed);
-        t.overflow.add(self.overflow_to_host);
-        let occ = self.len() as f64;
-        t.occupancy.set(occ);
-        t.occupancy_peak.set_max(occ);
-        self.telemetry = Some(t);
-    }
-
-    fn note_occupancy(&self) {
-        if let Some(t) = &self.telemetry {
-            let occ = self.len() as f64;
-            t.occupancy.set(occ);
-            t.occupancy_peak.set_max(occ);
-        }
-    }
-
-    /// Back to the state [`RingSet::new`] built, in place: rings empty,
-    /// plain tallies zeroed (registry cells are cumulative and stay),
-    /// ring buffers kept under the [`Resident`] shrink rule.
+    /// Empty the rings in place, buffers kept under the [`Resident`]
+    /// shrink rule. The tallies are cumulative and stay.
     pub fn reset(&mut self) {
         self.note_high_water();
         for (ring, high) in self.rings.iter_mut().zip(&mut self.high_water) {
             ring.reset_to(std::mem::take(high));
         }
-        self.overflow_to_host = 0;
-        self.pushed = 0;
-        self.note_occupancy();
+        self.len = 0;
     }
 
     /// Heap bytes the ring buffers hold.
@@ -117,81 +85,45 @@ impl RingSet {
         }
     }
 
-    /// Paper configuration: 8 rings × 64 Ki entries.
-    pub fn paper_default() -> RingSet {
-        RingSet::new(8, 64 * 1024)
-    }
-
-    /// Number of rings.
-    pub fn n_rings(&self) -> usize {
-        self.rings.len()
-    }
-
     /// Push an evicted record; `row` selects the ring. Returns `false` if
     /// the ring was full (record counted as overflow-to-host).
     pub fn push(&mut self, row: usize, rec: FlowRecord) -> bool {
         self.pushed += 1;
         let n = self.rings.len();
         let ring = &mut self.rings[row % n];
-        let accepted = if ring.len() >= self.capacity {
+        if ring.len() >= self.capacity {
             self.overflow_to_host += 1;
-            false
-        } else {
-            ring.push_back(rec);
-            true
-        };
-        if let Some(t) = &self.telemetry {
-            t.pushed.inc();
-            if !accepted {
-                t.overflow.inc();
-            }
+            return false;
         }
-        self.note_occupancy();
-        accepted
+        ring.push_back(rec);
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+        true
     }
 
     /// Records currently buffered across all rings.
     pub fn len(&self) -> usize {
-        self.rings.iter().map(|r| r.len()).sum()
+        self.len
+    }
+
+    /// The most records ever buffered at once.
+    pub fn peak(&self) -> usize {
+        self.peak
     }
 
     /// True if no records are buffered.
     pub fn is_empty(&self) -> bool {
-        self.rings.iter().all(|r| r.is_empty())
+        self.len == 0
     }
 
     /// Drain everything (the host snapshot thread's read).
     pub fn drain(&mut self) -> Vec<FlowRecord> {
         self.note_high_water();
-        let mut out = Vec::with_capacity(self.len());
+        let mut out = Vec::with_capacity(self.len);
         for ring in &mut self.rings {
             out.extend(ring.drain(..));
         }
-        self.note_occupancy();
-        out
-    }
-
-    /// Drain at most `max` records round-robin across rings (models a
-    /// host thread with a bounded per-wakeup budget).
-    pub fn drain_up_to(&mut self, max: usize) -> Vec<FlowRecord> {
-        self.note_high_water();
-        let mut out = Vec::new();
-        'outer: loop {
-            let mut any = false;
-            for ring in &mut self.rings {
-                if let Some(r) = ring.pop_front() {
-                    out.push(r);
-                    any = true;
-                    if out.len() >= max {
-                        break 'outer;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        self.note_occupancy();
+        self.len = 0;
         out
     }
 }
@@ -246,6 +178,34 @@ mod tests {
         }
     }
 
+    /// `vec![VecDeque::with_capacity(n); k]` pre-sizes only the last
+    /// ring (a cloned empty deque has capacity 0): every ring must be
+    /// built — and grow, and be reset — like every other.
+    #[test]
+    fn the_rings_are_built_alike() {
+        let caps =
+            |rs: &RingSet| -> Vec<usize> { rs.rings.iter().map(VecDeque::capacity).collect() };
+        let mut rs = RingSet::new(8, 65_536);
+        assert_eq!(
+            rs.resident_bytes(),
+            0,
+            "sized by the traffic, not by a guess"
+        );
+        assert_eq!(caps(&rs), [0; 8]);
+        for i in 0..8 * 300 {
+            rs.push(i, rec(i as u32));
+        }
+        let grown = caps(&rs);
+        assert!(
+            grown.iter().all(|&c| c == grown[0] && c >= 300),
+            "{grown:?}"
+        );
+        rs.drain();
+        rs.reset();
+        assert_eq!(caps(&rs), grown, "a steady segment keeps all eight");
+        assert_eq!((rs.len(), rs.peak()), (0, 2_400), "the peak is cumulative");
+    }
+
     #[test]
     fn reset_empties_in_place_and_sizes_by_the_peak() {
         let mut rs = RingSet::new(2, 100_000);
@@ -257,25 +217,13 @@ mod tests {
         rs.drain();
         rs.reset();
         assert!(rs.is_empty());
-        assert_eq!((rs.pushed, rs.overflow_to_host), (0, 0));
+        // One rule: the tallies are cumulative, a reset rewinds none.
+        assert_eq!((rs.pushed, rs.overflow_to_host), (40_000, 0));
         let kept: Vec<usize> = rs.rings.iter().map(VecDeque::capacity).collect();
         assert_eq!(kept, caps, "a steady segment keeps its buffers");
         // A quiet segment after the flood gives the memory back.
         rs.push(0, rec(0));
         rs.reset();
         assert!(rs.resident_bytes() < 64 * std::mem::size_of::<FlowRecord>());
-    }
-
-    #[test]
-    fn bounded_drain_respects_budget() {
-        let mut rs = RingSet::new(2, 100);
-        for i in 0..20 {
-            rs.push(i, rec(i as u32));
-        }
-        let batch = rs.drain_up_to(7);
-        assert_eq!(batch.len(), 7);
-        assert_eq!(rs.len(), 13);
-        let rest = rs.drain_up_to(1000);
-        assert_eq!(rest.len(), 13);
     }
 }
