@@ -14,33 +14,42 @@
 //! scaling table can be read straight off the run log.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use smartwatch_bench::exp_engine::{engine_workload, EngineRunSpec, EngineWorkload};
-use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, Pace};
+use smartwatch_bench::run_shape::{datapath_label, ReplayData, RunShape};
+use smartwatch_runtime::{DatapathMode, Engine, EngineReport, Pace};
 
-fn stress_packets() -> Vec<smartwatch_net::Packet> {
-    let spec = EngineRunSpec {
+/// One grid cell as a run shape: the same flags → engine mapping the
+/// `repro` drivers use, on 100k packets of the 64-byte stress workload.
+fn cell(rx_queues: usize, shards: usize, datapath: DatapathMode) -> RunShape {
+    RunShape {
+        rx_queues,
+        shards,
+        datapath,
         packets: 100_000,
-        workload: EngineWorkload::Stress,
-        ..EngineRunSpec::default()
-    };
-    engine_workload(&spec, 1)
+        ..RunShape::default()
+    }
+}
+
+/// A fresh engine (and registry) per run: counters must not accumulate
+/// across iterations.
+fn run_cell(shape: &RunShape, pkts: &ReplayData) -> EngineReport {
+    let report = pkts.run(&Engine::new(shape.engine_config()), Pace::Flatout);
+    assert!(report.conserved());
+    report
 }
 
 fn bench_engine_mesh(c: &mut Criterion) {
-    let pkts = stress_packets();
+    let pkts = cell(1, 1, DatapathMode::Pipeline).replay(1);
     let mut g = c.benchmark_group("engine_mesh_64b");
-    g.throughput(Throughput::Elements(pkts.len() as u64));
+    g.throughput(Throughput::Elements(pkts.source().len() as u64));
     g.sample_size(10);
     for rxq in [1usize, 2, 4] {
         for shards in [1usize, 2, 4] {
+            let shape = cell(rxq, shards, DatapathMode::Pipeline);
             // One out-of-band measured run per cell: Criterion's timing
             // includes engine setup/teardown, so the engine's own Mpps
             // (timed dispatch→drain only) is the number the DESIGN
             // scaling table quotes.
-            let mut cfg = EngineConfig::new(shards);
-            cfg.rx_queues = rxq;
-            let probe = Engine::new(cfg).run(&pkts, Pace::Flatout);
-            assert!(probe.conserved());
+            let probe = run_cell(&shape, &pkts);
             println!(
                 "engine_mesh_64b/rxq{rxq}_shards{shards}: {:.3} Mpps \
                  ({} pkts, {:?})",
@@ -48,17 +57,8 @@ fn bench_engine_mesh(c: &mut Criterion) {
                 probe.processed(),
                 probe.elapsed
             );
-
             g.bench_function(format!("rxq{rxq}_shards{shards}"), |b| {
-                b.iter(|| {
-                    // Fresh engine (and registry) per run: counters must
-                    // not accumulate across iterations.
-                    let mut cfg = EngineConfig::new(shards);
-                    cfg.rx_queues = rxq;
-                    let report = Engine::new(cfg).run(&pkts, Pace::Flatout);
-                    assert!(report.conserved());
-                    report.processed()
-                });
+                b.iter(|| run_cell(&shape, &pkts).processed());
             });
         }
     }
@@ -70,20 +70,15 @@ fn bench_engine_mesh(c: &mut Criterion) {
 /// uses C fused cores (C threads) — the comparison the DESIGN datapath
 /// table quotes, deliberately biased *against* RTC on thread count.
 fn bench_engine_datapath(c: &mut Criterion) {
-    let pkts = stress_packets();
+    let pkts = cell(1, 1, DatapathMode::Pipeline).replay(1);
     let mut g = c.benchmark_group("engine_datapath_64b");
-    g.throughput(Throughput::Elements(pkts.len() as u64));
+    g.throughput(Throughput::Elements(pkts.source().len() as u64));
     g.sample_size(10);
     for mode in [DatapathMode::Pipeline, DatapathMode::Rtc] {
         for cores in [1usize, 2, 4] {
-            let label = match mode {
-                DatapathMode::Pipeline => "pipeline",
-                DatapathMode::Rtc => "rtc",
-            };
-            let mut cfg = EngineConfig::new(cores);
-            cfg.datapath = mode;
-            let probe = Engine::new(cfg).run(&pkts, Pace::Flatout);
-            assert!(probe.conserved());
+            let label = datapath_label(mode);
+            let shape = cell(1, cores, mode);
+            let probe = run_cell(&shape, &pkts);
             println!(
                 "engine_datapath_64b/{label}_cores{cores}: {:.3} Mpps \
                  ({} pkts, {:?})",
@@ -91,15 +86,8 @@ fn bench_engine_datapath(c: &mut Criterion) {
                 probe.processed(),
                 probe.elapsed
             );
-
             g.bench_function(format!("{label}_cores{cores}"), |b| {
-                b.iter(|| {
-                    let mut cfg = EngineConfig::new(cores);
-                    cfg.datapath = mode;
-                    let report = Engine::new(cfg).run(&pkts, Pace::Flatout);
-                    assert!(report.conserved());
-                    report.processed()
-                });
+                b.iter(|| run_cell(&shape, &pkts).processed());
             });
         }
     }

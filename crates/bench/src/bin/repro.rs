@@ -20,13 +20,93 @@
 use smartwatch_bench::exp_control::{
     bench_json as control_bench_json, control_run_full, ControlRunSpec,
 };
-use smartwatch_bench::exp_engine::{
-    bench_json, engine_run_full, EngineRunSpec, EngineSource, EngineWorkload,
-};
+use smartwatch_bench::exp_engine::{bench_json, engine_run_full, EngineRunSpec};
 use smartwatch_bench::exp_serve::{serve_bench_json, serve_run_full, ServeSpec};
+use smartwatch_bench::output::Table;
+use smartwatch_bench::run_shape::{EngineSource, EngineWorkload, RunShape};
 use smartwatch_bench::{all_experiments, signal, ExpCtx};
 use smartwatch_runtime::{DatapathMode, Engine, EngineReport};
-use std::sync::Arc;
+
+/// Who reads a flag, as a bit set. `serve` and `soak` are one driver
+/// with two exit policies; `FIGS` is every virtual-time experiment
+/// (and `all` / `list`).
+const FIGS: u8 = 1;
+const ENGINE: u8 = 2;
+const CONTROL: u8 = 4;
+const SERVE: u8 = 8;
+/// The wall-clock drivers: every flag of the shared `RunShape`.
+const RUNTIME: u8 = ENGINE | CONTROL | SERVE;
+const ALL: u8 = FIGS | RUNTIME;
+const READERS: [(u8, &str); 4] = [
+    (FIGS, "experiments"),
+    (ENGINE, "engine"),
+    (CONTROL, "control"),
+    (SERVE, "serve|soak"),
+];
+
+/// One row of the flags × drivers table: name, metavar of the value it
+/// takes (empty for a switch), readers.
+type Flag = (&'static str, &'static str, u8);
+
+/// The flags × drivers table. `main` refuses a flag none of the selected
+/// drivers reads, and the synopsis of `usage()` is rendered from it.
+const FLAGS: &[Flag] = &[
+    ("--scale", "N", ALL),
+    ("--json", "", ALL),
+    ("--metrics-json", "<path>", ALL),
+    ("--trace-out", "<path>", ALL),
+    ("--shards", "N", RUNTIME),
+    ("--rx-queues", "R", RUNTIME),
+    ("--datapath", "pipeline|rtc", RUNTIME),
+    ("--pin-cores", "", RUNTIME),
+    ("--packets", "N", RUNTIME),
+    ("--batch", "N", RUNTIME),
+    ("--host-workers", "N", RUNTIME),
+    ("--cache-burst", "N", RUNTIME),
+    ("--trace-sample", "N", RUNTIME),
+    ("--workload", "stress|stress64|mix", RUNTIME),
+    ("--source", "synthetic|compiled|pcap:<path>", RUNTIME),
+    ("--listen", "ADDR", RUNTIME),
+    ("--serve-hold-ms", "N", RUNTIME),
+    ("--bench-json", "<path>", RUNTIME),
+    ("--flight-dump", "<path>", RUNTIME),
+    ("--summary-out", "<path>", ENGINE),
+    ("--rate", "MPPS", ENGINE | SERVE),
+    ("--epoch-ms", "N", CONTROL | SERVE),
+    ("--base", "MPPS", CONTROL),
+    ("--peak", "MPPS", CONTROL),
+    ("--spike-start", "F", CONTROL),
+    ("--spike-end", "F", CONTROL),
+    ("--flat-out", "", SERVE),
+    ("--segments", "N", SERVE),
+    ("--segment-ms", "N", SERVE),
+    ("--carry-flow-state", "", SERVE),
+    ("--serve-config", "<path>", SERVE),
+    ("--rss-slack-mb", "N", SERVE),
+];
+
+/// The readers of `mask`, by name: `engine/serve|soak`.
+fn readers_label(mask: u8) -> String {
+    if mask == ALL {
+        return "all".to_string();
+    }
+    let names: Vec<&str> = READERS
+        .iter()
+        .filter(|(bit, _)| mask & bit != 0)
+        .map(|(_, name)| *name)
+        .collect();
+    names.join("/")
+}
+
+/// Who reads the flags of a `repro <name>` selection.
+fn reader_of(name: &str) -> u8 {
+    match name {
+        "engine" => ENGINE,
+        "control" => CONTROL,
+        "serve" | "soak" => SERVE,
+        _ => FIGS,
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,217 +118,97 @@ fn main() {
     let mut summary_out: Option<String> = None;
     let mut flight_out: Option<String> = None;
     let mut selected: Vec<String> = Vec::new();
+    let mut given: Vec<&Flag> = Vec::new();
+    // Ctrl-C / SIGTERM drains a run gracefully: the mesh quiesces
+    // through the end-of-trace path and the summary still conserves.
+    let mut shape = RunShape {
+        watch_signals: true,
+        ..RunShape::default()
+    };
+    // Read by several drivers that each keep their own default.
+    let mut packets: Option<usize> = None;
+    let mut rate: Option<f64> = None;
+    let mut flat_out = false;
+    let mut epoch_ms: Option<u64> = None;
     let mut engine_spec = EngineRunSpec::default();
     let mut control_spec = ControlRunSpec::default();
     let mut serve_spec = ServeSpec::default();
     let mut rss_slack_mb: u64 = 64;
-    let mut rx_queues_given = false;
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--shards" => {
-                engine_spec.shards = parse_num(it.next(), "--shards");
-                control_spec.shards = engine_spec.shards;
-                serve_spec.shards = engine_spec.shards;
+        let Some(flag) = FLAGS.iter().find(|(name, ..)| name == a) else {
+            if a == "-h" || a == "--help" {
+                print!("{}", usage());
+                return;
             }
-            "--rx-queues" => {
-                engine_spec.rx_queues = parse_num(it.next(), "--rx-queues");
-                control_spec.rx_queues = engine_spec.rx_queues;
-                serve_spec.rx_queues = engine_spec.rx_queues;
-                rx_queues_given = true;
-            }
+            selected.push(a.clone());
+            continue;
+        };
+        given.push(flag);
+        // A flag with a metavar takes the next token, whatever it is.
+        let (name, metavar, _) = *flag;
+        let v = if metavar.is_empty() {
+            ""
+        } else {
+            it.next()
+                .unwrap_or_else(|| die(&format!("{a} needs a value: {metavar}")))
+        };
+        match name {
+            "--shards" => shape.shards = positive(v, a),
+            "--rx-queues" => shape.rx_queues = positive(v, a),
             "--datapath" => {
-                engine_spec.datapath = match it.next().map(String::as_str) {
-                    Some("pipeline") => DatapathMode::Pipeline,
-                    Some("rtc") => DatapathMode::Rtc,
+                shape.datapath = match v {
+                    "pipeline" => DatapathMode::Pipeline,
+                    "rtc" => DatapathMode::Rtc,
                     _ => die("--datapath must be `pipeline` or `rtc`"),
                 };
             }
-            "--pin-cores" => {
-                engine_spec.pin_cores = true;
-            }
-            "--packets" => {
-                engine_spec.packets = parse_num(it.next(), "--packets");
-                control_spec.packets = engine_spec.packets;
-                serve_spec.packets = engine_spec.packets;
-            }
-            "--batch" => {
-                engine_spec.batch = parse_num(it.next(), "--batch");
-                control_spec.batch = engine_spec.batch;
-                serve_spec.batch = engine_spec.batch;
-            }
-            "--base" => {
-                control_spec.base_mpps = parse_mpps(it.next(), "--base");
-            }
-            "--peak" => {
-                control_spec.peak_mpps = parse_mpps(it.next(), "--peak");
-            }
-            "--spike-start" => {
-                control_spec.spike_start = parse_frac(it.next(), "--spike-start");
-            }
-            "--spike-end" => {
-                control_spec.spike_end = parse_frac(it.next(), "--spike-end");
-            }
-            "--epoch-ms" => {
-                control_spec.epoch_ms = parse_num(it.next(), "--epoch-ms") as u64;
-                serve_spec.epoch_ms = control_spec.epoch_ms;
-            }
-            "--segments" => {
-                serve_spec.segments = parse_num(it.next(), "--segments");
-            }
-            "--segment-ms" => {
-                serve_spec.segment_ms = parse_u64(it.next(), "--segment-ms");
-            }
-            "--serve-config" => {
-                serve_spec.config_path = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--serve-config needs a path")),
-                );
-            }
-            "--carry-flow-state" => {
-                serve_spec.carry_flow_state = true;
-            }
-            "--flat-out" => {
-                serve_spec.rate_mpps = None;
-            }
-            "--rss-slack-mb" => {
-                rss_slack_mb = parse_u64(it.next(), "--rss-slack-mb");
-            }
-            "--host-workers" => {
-                engine_spec.host_workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--host-workers needs an integer ≥ 0"));
-                serve_spec.host_workers = engine_spec.host_workers;
-            }
-            "--cache-burst" => {
-                engine_spec.cache_burst = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--cache-burst needs an integer ≥ 0"));
-            }
-            "--rate" => {
-                let r: f64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--rate needs a Mpps value"));
-                if r <= 0.0 {
-                    die("--rate must be positive");
-                }
-                engine_spec.rate_mpps = Some(r);
-                serve_spec.rate_mpps = Some(r);
-            }
+            "--pin-cores" => shape.pin_cores = true,
+            "--packets" => packets = Some(positive(v, a)),
+            "--batch" => shape.batch = positive(v, a),
+            "--host-workers" => shape.host_workers = natural(v, a),
+            "--cache-burst" => shape.cache_burst = natural(v, a),
+            "--trace-sample" => shape.trace_sample = natural(v, a),
             "--workload" => {
-                engine_spec.workload = match it.next().map(String::as_str) {
+                shape.workload = match v {
                     // `stress64` is the spelled-out alias: the stress
                     // workload is already 64-byte truncated.
-                    Some("stress") | Some("stress64") => EngineWorkload::Stress,
-                    Some("mix") => EngineWorkload::Mix,
+                    "stress" | "stress64" => EngineWorkload::Stress,
+                    "mix" => EngineWorkload::Mix,
                     _ => die("--workload must be `stress`, `stress64` or `mix`"),
                 };
-                serve_spec.workload = engine_spec.workload;
             }
-            "--source" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--source needs synthetic, compiled or pcap:<path>"));
-                let src = EngineSource::parse(v).unwrap_or_else(|e| die(&e));
-                if let EngineSource::Pcap(path) = &src {
-                    if let Err(e) = std::fs::metadata(path) {
-                        die(&format!("--source pcap: cannot read {path}: {e}"));
-                    }
-                }
-                engine_spec.source = src.clone();
-                control_spec.source = src.clone();
-                serve_spec.source = src;
+            "--source" => shape.source = EngineSource::parse(v).unwrap_or_else(|e| die(&e)),
+            "--listen" => shape.listen = Some(v.to_string()),
+            "--serve-hold-ms" => shape.serve_hold_ms = natural(v, a),
+            "--rate" => {
+                rate = Some(mpps(v, a));
+                flat_out = false;
             }
-            "--bench-json" => {
-                bench_out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--bench-json needs a path")),
-                );
-            }
-            "--summary-out" => {
-                summary_out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--summary-out needs a path")),
-                );
-            }
-            "--flight-dump" => {
-                flight_out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--flight-dump needs a path")),
-                );
-            }
-            "--trace-sample" => {
-                let n = parse_u64(it.next(), "--trace-sample");
-                engine_spec.trace_sample = n;
-                control_spec.trace_sample = n;
-            }
-            "--listen" => {
-                let addr = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| die("--listen needs an address like 127.0.0.1:9184"));
-                engine_spec.listen = Some(addr.clone());
-                control_spec.listen = Some(addr.clone());
-                serve_spec.listen = Some(addr);
-            }
-            "--serve-hold-ms" => {
-                let ms = parse_u64(it.next(), "--serve-hold-ms");
-                engine_spec.serve_hold_ms = ms;
-                control_spec.serve_hold_ms = ms;
-            }
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a positive integer"));
-                if scale == 0 {
-                    die("--scale must be ≥ 1");
-                }
-            }
+            "--flat-out" => flat_out = true,
+            "--epoch-ms" => epoch_ms = Some(positive(v, a) as u64),
+            "--base" => control_spec.base_mpps = mpps(v, a),
+            "--peak" => control_spec.peak_mpps = mpps(v, a),
+            "--spike-start" => control_spec.spike_start = fraction(v, a),
+            "--spike-end" => control_spec.spike_end = fraction(v, a),
+            "--segments" => serve_spec.segments = positive(v, a),
+            "--segment-ms" => serve_spec.segment_ms = natural(v, a),
+            "--serve-config" => serve_spec.config_path = Some(v.to_string()),
+            "--carry-flow-state" => serve_spec.carry_flow_state = true,
+            "--rss-slack-mb" => rss_slack_mb = natural(v, a),
+            "--bench-json" => bench_out = Some(v.to_string()),
+            "--summary-out" => summary_out = Some(v.to_string()),
+            "--flight-dump" => flight_out = Some(v.to_string()),
+            "--scale" => scale = positive(v, a),
             "--json" => json = true,
-            "--metrics-json" => {
-                metrics_json = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                );
-            }
-            "--trace-out" => {
-                trace_out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--trace-out needs a path")),
-                );
-            }
-            "-h" | "--help" => {
-                usage();
-                return;
-            }
-            other => selected.push(other.to_string()),
+            "--metrics-json" => metrics_json = Some(v.to_string()),
+            "--trace-out" => trace_out = Some(v.to_string()),
+            other => unreachable!("flag table row {other} has no parser"),
         }
     }
     if selected.is_empty() {
-        usage();
+        print!("{}", usage());
         return;
-    }
-    // Contradictory topology flags fail fast, before any work: the RTC
-    // datapath has no RX dispatcher tier, so a `--rx-queues` the user
-    // explicitly asked for cannot be honoured (core count = --shards).
-    if engine_spec.datapath == DatapathMode::Rtc && rx_queues_given {
-        die(
-            "--rx-queues does not apply to `--datapath rtc`: fused run-to-completion \
-             cores own their own ingest, so the core count is --shards",
-        );
-    }
-    if engine_spec.pin_cores && engine_spec.datapath != DatapathMode::Rtc {
-        die("--pin-cores requires `--datapath rtc` (the mesh is not pinned)");
     }
 
     let experiments = all_experiments();
@@ -267,6 +227,16 @@ fn main() {
             die(&format!("unknown experiment {name:?}; try `repro list`"));
         }
     }
+    // A flag does what it says in every selected driver or is refused:
+    // one that none of them reads would be dropped without a word.
+    let readers = selected.iter().fold(0, |mask, s| mask | reader_of(s));
+    if let Some((name, _, takers)) = given.iter().find(|(.., takers)| takers & readers == 0) {
+        die(&format!(
+            "{name} is not read by `{}`; it applies to: {}",
+            selected.join(" "),
+            readers_label(*takers)
+        ));
+    }
     if selected.iter().any(|s| s == "list") {
         println!("available experiments:");
         for (id, _) in &experiments {
@@ -277,128 +247,120 @@ fn main() {
     let run_all = selected.iter().any(|s| s == "all");
     let ctx = ExpCtx::new(scale);
     let mut ran = 0;
-    let wants_engine = selected.iter().any(|s| s == "engine");
-    let wants_control = selected.iter().any(|s| s == "control");
-    let wants_serve = selected.iter().any(|s| s == "serve");
-    let wants_soak = selected.iter().any(|s| s == "soak");
-    let runtime_drivers = [wants_engine, wants_control, wants_serve, wants_soak]
+    let wants = |name: &str| selected.iter().any(|s| s == name);
+    let runtime_drivers = ["engine", "control", "serve", "soak"]
         .iter()
-        .filter(|w| **w)
+        .filter(|d| wants(d))
         .count();
     if (bench_out.is_some() || flight_out.is_some()) && runtime_drivers > 1 {
         die("--bench-json/--flight-dump apply to one of `engine`/`control`/`serve`/`soak` per invocation");
     }
-    if wants_serve && wants_soak {
+    if wants("serve") && wants("soak") {
         die("`serve` and `soak` are one service run each; pick one per invocation");
     }
-    if engine_spec.listen.is_some() && runtime_drivers == 0 {
-        die("--listen only applies to the `engine`, `control`, `serve` and `soak` experiments");
-    }
     if runtime_drivers > 0 {
-        // Ctrl-C / SIGTERM drains the run gracefully: the mesh quiesces
-        // through the end-of-trace path and the summary still conserves.
+        shape.validate().unwrap_or_else(|e| die(&e));
         signal::install();
-        engine_spec.watch_signals = true;
-        control_spec.watch_signals = true;
-        serve_spec.heed_interrupt = true;
     }
-    if wants_engine {
+    // Every driver gets the one parsed shape; `--packets`, `--rate` and
+    // `--epoch-ms` are handed to each driver that reads them, which
+    // otherwise keeps its own default.
+    let shaped = |own: &RunShape| RunShape {
+        packets: packets.unwrap_or(own.packets),
+        ..shape.clone()
+    };
+    engine_spec.shape = shaped(&engine_spec.shape);
+    engine_spec.rate_mpps = rate;
+    control_spec.shape = shaped(&control_spec.shape);
+    control_spec.epoch_ms = epoch_ms.unwrap_or(control_spec.epoch_ms);
+    serve_spec.shape = shaped(&serve_spec.shape);
+    serve_spec.epoch_ms = epoch_ms.unwrap_or(serve_spec.epoch_ms);
+    serve_spec.rate_mpps = if flat_out {
+        None
+    } else {
+        rate.or(serve_spec.rate_mpps)
+    };
+    // The one post-run path of the wall-clock drivers: print the table,
+    // write the requested artifacts and apply the black-box rule — an
+    // anomalous run (one stderr line per reason) dumps its flight
+    // recorder unconditionally, so the evidence survives even when
+    // nobody asked for it.
+    let post_run = |name: &str,
+                    table: &Table,
+                    engine: &Engine,
+                    bench: &dyn Fn() -> String,
+                    anomalies: &[String]| {
+        print_table(table, json);
+        if let Some(path) = &bench_out {
+            write_file(path, &bench());
+            eprintln!("repro: {name} bench report written to {path}");
+        }
+        if let Some(path) = &flight_out {
+            write_file(path, &engine.flight().to_json());
+            eprintln!("repro: flight recorder written to {path}");
+        }
+        for line in anomalies {
+            eprintln!("repro: {line}");
+        }
+        if !anomalies.is_empty() {
+            write_file("FLIGHT_anomaly.json", &engine.flight().to_json());
+            eprintln!("repro: anomaly flight dump written to FLIGHT_anomaly.json");
+        }
+    };
+
+    if wants("engine") {
         let (table, report, engine) = engine_run_full(&ctx, &engine_spec);
-        if json {
-            println!("{}", table.to_json());
-        } else {
-            println!("{}", table.render());
-        }
-        if let Some(path) = bench_out.take() {
-            if let Err(e) = std::fs::write(&path, bench_json(&engine_spec, &report)) {
-                die(&format!("writing {path}: {e}"));
-            }
-            eprintln!("repro: engine bench report written to {path}");
-        }
-        if let Some(path) = summary_out.take() {
-            if let Err(e) = std::fs::write(&path, report.deterministic_summary()) {
-                die(&format!("writing {path}: {e}"));
-            }
-            eprintln!("repro: deterministic summary written to {path}");
-        }
-        if let Some(path) = flight_out.take() {
-            write_flight(&engine, &path, "flight recorder");
-        }
-        // Black-box rule: an anomalous run dumps its flight recorder
-        // unconditionally, so the evidence survives even when nobody
-        // asked for it. Flat-out runs apply backpressure instead of
-        // dropping, so any drop there is as anomalous as a
-        // conservation failure.
+        // Flat-out runs apply backpressure instead of dropping, so any
+        // drop there is as anomalous as a conservation failure.
         let unexpected_drops = engine_spec.rate_mpps.is_none()
             && report.ingest_dropped() + report.shed() + report.steer_dropped() > 0;
+        let mut anomalies = Vec::new();
         if !report.conserved() || unexpected_drops {
-            eprintln!(
-                "repro: anomalous engine run (conserved={}, ingest_dropped={}, shed={}, \
+            anomalies.push(format!(
+                "anomalous engine run (conserved={}, ingest_dropped={}, shed={}, \
                  steer_dropped={})",
                 report.conserved(),
                 report.ingest_dropped(),
                 report.shed(),
                 report.steer_dropped(),
-            );
-            write_flight(&engine, "FLIGHT_anomaly.json", "anomaly flight dump");
+            ));
         }
-        selected.retain(|s| s != "engine");
+        let bench = || bench_json(&engine_spec, &report);
+        post_run("engine", &table, &engine, &bench, &anomalies);
+        if let Some(path) = &summary_out {
+            write_file(path, &report.deterministic_summary());
+            eprintln!("repro: deterministic summary written to {path}");
+        }
         ran += 1;
     }
-    if wants_control {
+    if wants("control") {
         let (table, outcome, engine) = control_run_full(&ctx, &control_spec);
-        if json {
-            println!("{}", table.to_json());
-        } else {
-            println!("{}", table.render());
-        }
-        if let Some(path) = bench_out.take() {
-            if let Err(e) = std::fs::write(&path, control_bench_json(&control_spec, &outcome)) {
-                die(&format!("writing {path}: {e}"));
-            }
-            eprintln!("repro: control bench report written to {path}");
-        }
-        if let Some(path) = flight_out.take() {
-            write_flight(&engine, &path, "flight recorder");
-        }
+        let mut anomalies = Vec::new();
         if !outcome.controlled.conserved() || !outcome.baseline.conserved() {
-            report_conservation("controlled", &outcome.controlled);
-            report_conservation("baseline", &outcome.baseline);
-            write_flight(&engine, "FLIGHT_anomaly.json", "anomaly flight dump");
+            anomalies.push(conservation_line("controlled", &outcome.controlled));
+            anomalies.push(conservation_line("baseline", &outcome.baseline));
         }
-        selected.retain(|s| s != "control");
+        let bench = || control_bench_json(&control_spec, &outcome);
+        post_run("control", &table, &engine, &bench, &anomalies);
         ran += 1;
     }
-    if wants_serve || wants_soak {
+    if wants("serve") || wants("soak") {
         let (table, outcome, engine) = serve_run_full(&ctx, &serve_spec);
-        if json {
-            println!("{}", table.to_json());
-        } else {
-            println!("{}", table.render());
-        }
-        if let Some(path) = bench_out.take() {
-            if let Err(e) = std::fs::write(&path, serve_bench_json(&serve_spec, &outcome)) {
-                die(&format!("writing {path}: {e}"));
-            }
-            eprintln!("repro: serve bench report written to {path}");
-        }
-        if let Some(path) = flight_out.take() {
-            write_flight(&engine, &path, "flight recorder");
-        }
         // The endurance gate: conservation every segment, lane buffers
         // within the mesh's count, RSS growth inside the slack budget. `soak`
         // fails the process on a violation; `serve` reports it (and
         // both leave the flight-recorder evidence behind).
-        let violations = outcome.violations(rss_slack_mb << 20);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("repro: soak violation: {v}");
-            }
-            write_flight(&engine, "FLIGHT_anomaly.json", "anomaly flight dump");
-            if wants_soak {
+        let violations: Vec<String> = outcome
+            .violations(rss_slack_mb << 20)
+            .iter()
+            .map(|v| format!("soak violation: {v}"))
+            .collect();
+        let bench = || serve_bench_json(&serve_spec, &outcome);
+        post_run("serve", &table, &engine, &bench, &violations);
+        if wants("soak") {
+            if !violations.is_empty() {
                 std::process::exit(1);
             }
-        } else if wants_soak {
             eprintln!(
                 "repro: soak clean — {} segment(s) conserved, final-segment pool growth {}/{}, \
                  RSS {:+} bytes",
@@ -408,34 +370,11 @@ fn main() {
                 outcome.rss_growth_bytes(),
             );
         }
-        selected.retain(|s| s != "serve" && s != "soak");
         ran += 1;
-    }
-    if let Some(path) = bench_out {
-        die(&format!(
-            "--bench-json {path} only applies to the `engine`, `control`, `serve` and `soak` \
-             experiments"
-        ));
-    }
-    if let Some(path) = flight_out {
-        die(&format!(
-            "--flight-dump {path} only applies to the `engine`, `control`, `serve` and `soak` \
-             experiments"
-        ));
-    }
-    if let Some(path) = summary_out {
-        die(&format!(
-            "--summary-out {path} only applies to the `engine` experiment"
-        ));
     }
     for (id, f) in &experiments {
         if run_all || selected.iter().any(|s| s == id) {
-            let table = f(&ctx);
-            if json {
-                println!("{}", table.to_json());
-            } else {
-                println!("{}", table.render());
-            }
+            print_table(&f(&ctx), json);
             ran += 1;
         }
     }
@@ -445,15 +384,11 @@ fn main() {
         ));
     }
     if let Some(path) = metrics_json {
-        if let Err(e) = std::fs::write(&path, ctx.registry.snapshot().to_json()) {
-            die(&format!("writing {path}: {e}"));
-        }
+        write_file(&path, &ctx.registry.snapshot().to_json());
         eprintln!("repro: metrics written to {path}");
     }
     if let Some(path) = trace_out {
-        if let Err(e) = std::fs::write(&path, ctx.tracer.to_chrome_json()) {
-            die(&format!("writing {path}: {e}"));
-        }
+        write_file(&path, &ctx.tracer.to_chrome_json());
         eprintln!(
             "repro: trace written to {path} (open in chrome://tracing or Perfetto; \
              {} spans dropped at full rings)",
@@ -467,19 +402,24 @@ fn main() {
     }
 }
 
-/// Dump the engine's flight recorder to `path` (`--flight-dump` and the
-/// anomaly auto-dump share this).
-fn write_flight(engine: &Arc<Engine>, path: &str, what: &str) {
-    if let Err(e) = std::fs::write(path, engine.flight().to_json()) {
+fn print_table(table: &Table, json: bool) {
+    if json {
+        println!("{}", table.to_json());
+    } else {
+        println!("{}", table.render());
+    }
+}
+
+fn write_file(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
         die(&format!("writing {path}: {e}"));
     }
-    eprintln!("repro: {what} written to {path}");
 }
 
 /// One line of conservation evidence for an anomalous run.
-fn report_conservation(name: &str, r: &EngineReport) {
-    eprintln!(
-        "repro: {name} run conserved={} (offered={}, processed={}, ingest_dropped={}, \
+fn conservation_line(name: &str, r: &EngineReport) -> String {
+    format!(
+        "{name} run conserved={} (offered={}, processed={}, ingest_dropped={}, \
          shed={}, steer_dropped={})",
         r.conserved(),
         r.offered,
@@ -487,139 +427,212 @@ fn report_conservation(name: &str, r: &EngineReport) {
         r.ingest_dropped(),
         r.shed(),
         r.steer_dropped(),
-    );
+    )
 }
 
-fn usage() {
-    println!(
-        "repro — regenerate the SmartWatch paper's tables and figures\n\n\
-         usage: repro <experiment…|all|list> [--scale N] [--json]\n\
-                      [--metrics-json <path>] [--trace-out <path>]\n\
-                repro engine [--shards N] [--rx-queues R] [--packets N]\n\
-                      [--datapath pipeline|rtc] [--pin-cores]\n\
-                      [--batch N] [--host-workers N] [--rate MPPS]\n\
-                      [--cache-burst N]\n\
-                      [--workload stress|stress64|mix]\n\
-                      [--source synthetic|compiled|pcap:<path>]\n\
-                      [--bench-json <path>] [--summary-out <path>]\n\
-                      [--trace-sample N] [--listen ADDR]\n\
-                      [--serve-hold-ms N] [--flight-dump <path>]\n\
-                repro control [--shards N] [--rx-queues R] [--packets N]\n\
-                      [--batch N] [--base MPPS] [--peak MPPS]\n\
-                      [--spike-start F] [--spike-end F] [--epoch-ms N]\n\
-                      [--source synthetic|compiled|pcap:<path>]\n\
-                      [--bench-json <path>] [--trace-sample N]\n\
-                      [--listen ADDR] [--serve-hold-ms N]\n\
-                      [--flight-dump <path>]\n\
-                repro serve|soak [--shards N] [--rx-queues R]\n\
-                      [--packets N] [--batch N] [--rate MPPS|--flat-out]\n\
-                      [--segments N] [--segment-ms N] [--epoch-ms N]\n\
-                      [--carry-flow-state] [--serve-config <path>]\n\
-                      [--listen ADDR] [--bench-json <path>]\n\
-                      [--flight-dump <path>] [--rss-slack-mb N]\n\n\
-         --json          print tables as JSON instead of aligned text\n\
-         --metrics-json  dump every counter/gauge/histogram the selected\n\
-                         experiments registered (deterministic for a seed)\n\
-         --trace-out     dump the event trace in chrome-trace format\n\
-                         (load in chrome://tracing or ui.perfetto.dev);\n\
-                         with `engine`/`control` and --trace-sample it\n\
-                         also carries the wall-clock thread spans\n\
-         --source        (engine/control) what the dispatchers ingest:\n\
-                         `synthetic` (default) replays pre-built Packet\n\
-                         structs; `compiled` serialises the workload once\n\
-                         into packed wire frames and parses + digests the\n\
-                         header bytes in place (the zero-copy data plane);\n\
-                         `pcap:<path>` replays a capture file through the\n\
-                         same wire path, cycled to --packets\n\
-         --bench-json    (engine/control) write the headline wall-clock\n\
-                         numbers as JSON (control adds the mode timeline\n\
-                         and the per-epoch controller decision audit;\n\
-                         engine adds the flowcache hit-mix/probe section)\n\
-         --summary-out   (engine) write the byte-stable deterministic\n\
-                         summary (exact counters, no wall-clock values)\n\
-                         — what CI diffs against its committed golden\n\
-         --cache-burst   (engine) FlowCache lookup burst width: shards\n\
-                         prefetch N rows ahead before probing (default 8;\n\
-                         0/1 = per-packet reference path, same decisions)\n\
-         --datapath      (engine) thread topology: `pipeline` (default)\n\
-                         runs R dispatchers feeding N shards over SPSC\n\
-                         lanes; `rtc` fuses dispatcher and shard into N\n\
-                         run-to-completion cores (zero queue crossings,\n\
-                         identical decisions; --rx-queues is rejected)\n\
-         --pin-cores     (engine, rtc only) pin core i to CPU i via\n\
-                         sched_setaffinity — best-effort, Linux only\n\
-         --trace-sample  (engine/control) sample 1-in-N batches per\n\
-                         engine thread into --trace-out (0 = off; the\n\
-                         first batch per thread is always sampled)\n\
-         --listen        (engine/control) serve /metrics, /stats.json\n\
-                         and /flight.json live during the run\n\
-                         (e.g. 127.0.0.1:9184; port 0 = ephemeral)\n\
-         --serve-hold-ms (engine/control) keep --listen endpoints up\n\
-                         this long after the run ends\n\
-         --flight-dump   (engine/control) write the flight recorder\n\
-                         (per-thread black-box event rings) as JSON;\n\
-                         anomalous runs auto-dump FLIGHT_anomaly.json\n\n\
-         `repro engine` runs the sharded wall-clock runtime (OS threads,\n\
-         measured Mpps — machine-dependent, unlike every other experiment).\n\
-         Default: 2 shards, 1 RX queue, 200k packets, flat-out, 64B\n\
-         stress workload. `--rx-queues R` fans ingest out over R\n\
-         dispatcher threads (the multi-queue NIC model); `--datapath\n\
-         rtc` replaces the mesh with N fused run-to-completion cores.\n\n\
-         `repro control` replays one overload spike twice — with the\n\
-         adaptive control plane (Alg. 4 mode switching, steering\n\
-         snapshots, load shedding) and without — and reports both.\n\
-         `repro control-sim` is its deterministic virtual-time sibling.\n\n\
-         `repro serve` keeps one engine resident and replays the\n\
-         workload in --segments drain/restart segments; --listen mounts\n\
-         the POST /admin/* control socket next to the read-only\n\
-         endpoints, --serve-config hot-reloads a watched JSON config at\n\
-         epoch boundaries, and --segment-ms drains any over-long\n\
-         segment gracefully. `repro soak` is the endurance gate: the\n\
-         same loop, but conservation / flat pool-allocation / bounded\n\
-         RSS (--rss-slack-mb, default 64) violations fail the process\n\
-         and auto-dump FLIGHT_anomaly.json. SIGINT/SIGTERM drain any\n\
-         runtime driver gracefully — the summary still conserves.\n\n\
-         Experiments map 1:1 to the paper's evaluation (see DESIGN.md §3\n\
-         and EXPERIMENTS.md for the paper-vs-measured record)."
-    );
-}
-
-fn parse_num(v: Option<&String>, flag: &str) -> usize {
-    let n: usize = v
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| die(&format!("{flag} needs a positive integer")));
-    if n == 0 {
-        die(&format!("{flag} must be ≥ 1"));
+/// The flags read by exactly `readers`, as one wrapped synopsis line:
+/// `  engine/serve|soak: [--rate MPPS]`.
+fn synopsis(readers: u8) -> String {
+    const INDENT: &str = "\n        ";
+    let mut out = format!("  {}:", readers_label(readers));
+    let mut col = out.len();
+    for (name, arg, _) in FLAGS.iter().filter(|(.., mask)| *mask == readers) {
+        let sep = if arg.is_empty() { "" } else { " " };
+        let token = format!(" [{name}{sep}{arg}]");
+        if col + token.len() > 76 {
+            out.push_str(INDENT);
+            col = INDENT.len() - 1;
+        }
+        col += token.len();
+        out.push_str(&token);
     }
-    n
+    out + "\n"
 }
 
-fn parse_u64(v: Option<&String>, flag: &str) -> u64 {
-    v.and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| die(&format!("{flag} needs a non-negative integer")))
-}
+/// The help text. The synopsis is rendered from [`FLAGS`] (one line per
+/// set of readers; the table keeps equal sets adjacent); the `(readers)`
+/// tag of each flag paragraph below is checked against the table by
+/// `usage_agrees_with_the_flag_table`.
+fn usage() -> String {
+    let mut out = "repro — regenerate the SmartWatch paper's tables and figures
 
-fn parse_mpps(v: Option<&String>, flag: &str) -> f64 {
-    let r: f64 = v
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| die(&format!("{flag} needs a Mpps value")));
-    if r <= 0.0 {
-        die(&format!("{flag} must be positive"));
+usage: repro <experiment…|all|list|engine|control|serve|soak>… [flags]
+
+flags, under the selections that read them — a flag none of the selected
+drivers reads is refused (`experiments` = everything `repro list` shows):
+"
+    .to_string();
+    let mut readers: Vec<u8> = FLAGS.iter().map(|(.., mask)| *mask).collect();
+    readers.dedup();
+    for mask in readers {
+        out += &synopsis(mask);
     }
-    r
+    out + "
+  --json          (all) print tables as JSON instead of aligned text
+  --metrics-json  (all) dump every counter/gauge/histogram the selected
+                  experiments registered (deterministic for a seed)
+  --trace-out     (all) dump the event trace in chrome-trace format
+                  (load in chrome://tracing or ui.perfetto.dev);
+                  with a wall-clock driver and --trace-sample it
+                  also carries the wall-clock thread spans
+  --source        (engine/control/serve|soak) what is ingested:
+                  `synthetic` (default) replays pre-built Packet
+                  structs; `compiled` serialises the workload once
+                  into packed wire frames and parses + digests the
+                  header bytes in place (the zero-copy data plane);
+                  `pcap:<path>` replays a capture file through the
+                  same wire path, cycled to --packets
+  --bench-json    (engine/control/serve|soak) write the headline
+                  wall-clock numbers as JSON (control adds the mode
+                  timeline and the per-epoch controller decision audit;
+                  engine adds the flowcache hit-mix/probe section;
+                  serve|soak write the per-segment timeline)
+  --summary-out   (engine) write the byte-stable deterministic
+                  summary (exact counters, no wall-clock values)
+                  — what CI diffs against its committed golden
+  --cache-burst   (engine/control/serve|soak) FlowCache lookup burst
+                  width: shards prefetch N rows ahead before probing
+                  (default 8; 0/1 = per-packet reference path, same
+                  decisions)
+  --datapath      (engine/control/serve|soak) thread topology:
+                  `pipeline` (default) runs R dispatchers feeding N
+                  shards over SPSC lanes; `rtc` fuses dispatcher and
+                  shard into N run-to-completion cores (zero queue
+                  crossings, identical decisions; --rx-queues is
+                  rejected)
+  --pin-cores     (engine/control/serve|soak) rtc only: pin core i to
+                  CPU i via sched_setaffinity — best-effort, Linux only
+  --trace-sample  (engine/control/serve|soak) sample 1-in-N batches per
+                  engine thread into --trace-out (0 = off; the first
+                  batch per thread is always sampled)
+  --listen        (engine/control/serve|soak) serve /metrics,
+                  /stats.json and /flight.json live during the run
+                  (e.g. 127.0.0.1:9184; port 0 = ephemeral); serve|soak
+                  add the POST /admin/* control surface
+  --serve-hold-ms (engine/control/serve|soak) keep --listen endpoints
+                  up this long after the run ends
+  --flight-dump   (engine/control/serve|soak) write the flight recorder
+                  (per-thread black-box event rings) as JSON;
+                  anomalous runs auto-dump FLIGHT_anomaly.json
+  --rate          (engine/serve|soak) open-loop offered rate in Mpps
+                  (engine: flat-out unless given; serve|soak: 1.0
+                  unless given, --flat-out for none)
+  --epoch-ms      (control/serve|soak) controller epoch length
+
+`repro engine` runs the sharded wall-clock runtime (OS threads,
+measured Mpps — machine-dependent, unlike every other experiment).
+Default: 2 shards, 1 RX queue, 200k packets, flat-out, 64B
+stress workload. `--rx-queues R` fans ingest out over R
+dispatcher threads (the multi-queue NIC model); `--datapath
+rtc` replaces the mesh with N fused run-to-completion cores.
+control, serve and soak build their engine, replay input, --listen
+socket and signal handling from the same flags.
+
+`repro control` replays one overload spike twice — with the
+adaptive control plane (Alg. 4 mode switching, steering
+snapshots, load shedding) and without — and reports both
+(400k packets unless --packets says otherwise).
+`repro control-sim` is its deterministic virtual-time sibling.
+
+`repro serve` keeps one engine resident and replays the
+workload in --segments drain/restart segments; --listen mounts
+the POST /admin/* control socket next to the read-only
+endpoints, --serve-config hot-reloads a watched JSON config at
+epoch boundaries, and --segment-ms drains any over-long
+segment gracefully. `repro soak` is the endurance gate: the
+same loop, but conservation / flat pool-allocation / bounded
+RSS (--rss-slack-mb, default 64) violations fail the process
+and auto-dump FLIGHT_anomaly.json. SIGINT/SIGTERM drain any
+runtime driver gracefully — the summary still conserves.
+
+Experiments map 1:1 to the paper's evaluation (see DESIGN.md §3
+and EXPERIMENTS.md for the paper-vs-measured record).
+"
 }
 
-fn parse_frac(v: Option<&String>, flag: &str) -> f64 {
-    let f: f64 = v
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| die(&format!("{flag} needs a fraction in [0, 1]")));
-    if !(0.0..=1.0).contains(&f) {
-        die(&format!("{flag} must be within [0, 1]"));
+/// The value of `flag`, which must parse and pass `ok`, or exit 2
+/// saying what the flag needs.
+fn parse<T: std::str::FromStr>(v: &str, flag: &str, what: &str, ok: impl Fn(&T) -> bool) -> T {
+    match v.parse() {
+        Ok(x) if ok(&x) => x,
+        _ => die(&format!("{flag} needs {what}, got {v:?}")),
     }
-    f
+}
+
+fn positive(v: &str, flag: &str) -> usize {
+    parse(v, flag, "an integer ≥ 1", |n| *n >= 1)
+}
+
+fn natural<T: std::str::FromStr>(v: &str, flag: &str) -> T {
+    parse(v, flag, "an integer ≥ 0", |_| true)
+}
+
+fn mpps(v: &str, flag: &str) -> f64 {
+    parse(v, flag, "a positive Mpps value", |r| *r > 0.0)
+}
+
+fn fraction(v: &str, flag: &str) -> f64 {
+    parse(v, flag, "a fraction in [0, 1]", |f| (0.0..=1.0).contains(f))
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `usage()` lists every flag of the table under exactly its
+    /// readers, and each flag paragraph's `(readers)` tag is the
+    /// table's.
+    #[test]
+    fn usage_agrees_with_the_flag_table() {
+        let text = usage();
+        let sections: Vec<&str> = text.split("\n\n").collect();
+        let (synopsis, paragraphs) = (sections[2], sections[3]);
+
+        // "  <readers>: [--flag ARG] …", continuation lines indented.
+        let mut listed: Vec<(String, String)> = Vec::new();
+        let mut readers = String::new();
+        for line in synopsis.lines().filter(|l| l.starts_with("  ")) {
+            if !line.starts_with("   ") {
+                readers = line.trim_start().split(':').next().unwrap().to_string();
+            }
+            for token in line.split('[').skip(1) {
+                let name = token.split([' ', ']']).next().unwrap();
+                listed.push((name.to_string(), readers.clone()));
+            }
+        }
+        let table: Vec<(String, String)> = FLAGS
+            .iter()
+            .map(|(name, _, mask)| (name.to_string(), readers_label(*mask)))
+            .collect();
+        assert_eq!(listed, table, "synopsis vs flag table");
+
+        let mut tagged = 0;
+        for line in paragraphs.lines() {
+            let Some(rest) = line.strip_prefix("  --") else {
+                continue;
+            };
+            let name = format!("--{}", rest.split(' ').next().unwrap());
+            let tag = rest
+                .split_once('(')
+                .and_then(|(_, r)| r.split_once(')'))
+                .map(|(tag, _)| tag)
+                .unwrap_or_else(|| panic!("{name} paragraph carries no (readers) tag"));
+            let row = FLAGS
+                .iter()
+                .find(|f| f.0 == name)
+                .unwrap_or_else(|| panic!("usage() documents {name}, the table has no such flag"));
+            assert_eq!(
+                tag,
+                readers_label(row.2),
+                "{name} paragraph names its readers"
+            );
+            tagged += 1;
+        }
+        assert!(tagged >= 10, "the flag paragraphs were found: {tagged}");
+    }
 }

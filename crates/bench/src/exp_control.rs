@@ -13,27 +13,23 @@
 //! virtual time ([`smartwatch_control::simulate`]), whose counters-only
 //! summary is byte-stable for a seed.
 
-use crate::exp_engine::{replay_data, EngineSource};
 use crate::output::Table;
-use crate::{workloads, ExpCtx};
+use crate::run_shape::{datapath_label, RunShape};
+use crate::ExpCtx;
 use serde::Serialize;
 use smartwatch_control::{simulate, ControlConfig, DecisionRecord, LoadProfile};
-use smartwatch_runtime::{ControlReport, Engine, EngineConfig, EngineReport, Pace};
-use smartwatch_trace::background::Preset;
-use smartwatch_trace::Trace;
+use smartwatch_runtime::{ControlReport, Engine, EngineReport, Pace};
 use std::sync::Arc;
 
-/// One `repro control` invocation, fully specified.
+/// One `repro control` invocation, fully specified: the shared
+/// [`RunShape`] (both the controlled run and the baseline are built
+/// from it and replay the same input) plus the spike and the
+/// controller epoch.
 #[derive(Clone, Debug)]
 pub struct ControlRunSpec {
-    /// Worker shards (threads).
-    pub shards: usize,
-    /// RX dispatcher queues (threads) — the multi-queue NIC model.
-    pub rx_queues: usize,
-    /// Packets to replay (the workload is cycled to this length).
-    pub packets: usize,
-    /// Packets per dispatch batch.
-    pub batch: usize,
+    /// Engine, replay input and watchers (the watchers follow the
+    /// controlled run).
+    pub shape: RunShape,
     /// Offered rate outside the spike, Mpps (aggregate).
     pub base_mpps: f64,
     /// Offered rate inside the spike, Mpps (aggregate).
@@ -44,40 +40,21 @@ pub struct ControlRunSpec {
     pub spike_end: f64,
     /// Controller epoch length in milliseconds.
     pub epoch_ms: u64,
-    /// Replay source: synthetic packets, compiled wire frames or a
-    /// pcap file (`--source`). Both the controlled run and the
-    /// baseline replay the same source.
-    pub source: EngineSource,
-    /// Wall-clock trace sampling for the controlled run: 1-in-N batches
-    /// per engine thread (0 = off).
-    pub trace_sample: u64,
-    /// Bind this address and serve the live observability endpoints for
-    /// the duration of the controlled run.
-    pub listen: Option<String>,
-    /// Keep `--listen` endpoints up this long after the controlled run.
-    pub serve_hold_ms: u64,
-    /// Translate SIGINT/SIGTERM into a graceful drain of the controlled
-    /// run (the `repro` driver sets this).
-    pub watch_signals: bool,
 }
 
 impl Default for ControlRunSpec {
     fn default() -> ControlRunSpec {
         ControlRunSpec {
-            shards: 2,
-            rx_queues: 1,
-            packets: 400_000,
-            batch: 64,
+            // Long enough for the spike to span many controller epochs.
+            shape: RunShape {
+                packets: 400_000,
+                ..RunShape::default()
+            },
             base_mpps: 0.2,
             peak_mpps: 2.0,
             spike_start: 0.2,
             spike_end: 0.8,
             epoch_ms: 2,
-            source: EngineSource::Synthetic,
-            trace_sample: 0,
-            listen: None,
-            serve_hold_ms: 0,
-            watch_signals: false,
         }
     }
 }
@@ -91,7 +68,7 @@ pub fn control_config(spec: &ControlRunSpec) -> ControlConfig {
         spec.base_mpps < spec.peak_mpps,
         "spike must exceed the base rate"
     );
-    let shards = spec.shards as f64;
+    let shards = spec.shape.shards as f64;
     let mut c = ControlConfig::default();
     c.epoch_ms = spec.epoch_ms;
     // Per-shard Algorithm 4 thresholds: Lite above half the per-shard
@@ -120,10 +97,6 @@ fn spike_pace(spec: &ControlRunSpec) -> Pace {
     }
 }
 
-fn control_base_trace(scale: usize) -> Trace {
-    workloads::caida_64b(Preset::Caida2018, scale, 0xC7)
-}
-
 /// Both runs of the experiment, for machine-readable output.
 pub struct ControlOutcome {
     /// The run with the controller attached (carries `control`).
@@ -132,51 +105,26 @@ pub struct ControlOutcome {
     pub baseline: EngineReport,
 }
 
-/// Run the control experiment once and render the report.
-pub fn control_run(ctx: &ExpCtx, spec: &ControlRunSpec) -> Table {
-    control_run_report(ctx, spec).0
-}
-
-/// [`control_run`], also handing back both raw reports for
-/// machine-readable output ([`bench_json`], CI artifacts).
-pub fn control_run_report(ctx: &ExpCtx, spec: &ControlRunSpec) -> (Table, ControlOutcome) {
-    let (table, outcome, _) = control_run_full(ctx, spec);
-    (table, outcome)
-}
-
-/// [`control_run_report`], also handing back the controlled [`Engine`]
-/// so callers can dump its flight recorder (mode switches, shed edges)
-/// after the run.
+/// Run the control experiment once and render the report; both raw
+/// reports feed machine-readable output ([`bench_json`], CI artifacts)
+/// and the controlled [`Engine`] is handed back so callers can dump its
+/// flight recorder (mode switches, shed edges) after the run.
 pub fn control_run_full(
     ctx: &ExpCtx,
     spec: &ControlRunSpec,
 ) -> (Table, ControlOutcome, Arc<Engine>) {
-    let replay = replay_data(&spec.source, || control_base_trace(ctx.scale), spec.packets);
+    let replay = spec.shape.replay(ctx.scale);
     let pace = spike_pace(spec);
+    let control = control_config(spec);
+    let run = spec
+        .shape
+        .open(ctx, |cfg| cfg.with_control(control), crate::serve::serve);
+    let controlled = replay.run(&run.engine, pace);
+    let engine = run.close();
 
-    let mut cfg = EngineConfig::new(spec.shards);
-    cfg.rx_queues = spec.rx_queues;
-    cfg.batch = spec.batch;
-    cfg.trace_sample = spec.trace_sample;
-    let mut engine = Engine::with_registry(cfg.with_control(control_config(spec)), &ctx.registry);
-    engine.attach_tracer(&ctx.tracer);
-    let engine = Arc::new(engine);
-    let _signals = spec
-        .watch_signals
-        .then(|| crate::signal::drain_watch(&engine));
-    let controlled = crate::exp_engine::serve_during(
-        &engine,
-        spec.listen.as_deref(),
-        spec.serve_hold_ms,
-        || replay.run(&engine, pace),
-    );
-
-    // Baseline: same spike, no controller, private registry so the two
-    // runs' counters don't mix in `--metrics-json`.
-    let mut base_cfg = EngineConfig::new(spec.shards);
-    base_cfg.rx_queues = spec.rx_queues;
-    base_cfg.batch = spec.batch;
-    let baseline = replay.run(&Engine::new(base_cfg), pace);
+    // Baseline: same engine, same spike, no controller, private
+    // registry so the two runs' counters don't mix in `--metrics-json`.
+    let baseline = replay.run(&Engine::new(spec.shape.engine_config()), pace);
 
     let outcome = ControlOutcome {
         controlled,
@@ -328,6 +276,7 @@ struct ControlBenchJson {
     bench: String,
     shards: usize,
     rx_queues: usize,
+    datapath: String,
     packets: usize,
     batch: usize,
     source: String,
@@ -354,11 +303,12 @@ pub fn bench_json(spec: &ControlRunSpec, o: &ControlOutcome) -> String {
         .expect("controlled run carries a ControlReport");
     let v = ControlBenchJson {
         bench: "control".to_string(),
-        shards: spec.shards,
-        rx_queues: spec.rx_queues,
-        packets: spec.packets,
-        batch: spec.batch,
-        source: spec.source.label().to_string(),
+        shards: spec.shape.shards,
+        rx_queues: spec.shape.rx_queues,
+        datapath: datapath_label(spec.shape.datapath).to_string(),
+        packets: spec.shape.packets,
+        batch: spec.shape.batch,
+        source: spec.shape.source.label().to_string(),
         base_mpps: spec.base_mpps,
         peak_mpps: spec.peak_mpps,
         spike_start: spec.spike_start,
@@ -412,15 +362,16 @@ fn render(spec: &ControlRunSpec, o: &ControlOutcome) -> Table {
     t.row(run_row("baseline", &o.baseline));
     t.note(format!(
         "spike: {} → {} Mpps over [{:.0}%, {:.0}%) of {} pkts ({} source); \
-         controller epoch {} ms; {} RX queue(s)",
+         controller epoch {} ms; {} datapath, {} RX queue(s)",
         spec.base_mpps,
         spec.peak_mpps,
         spec.spike_start * 100.0,
         spec.spike_end * 100.0,
-        spec.packets,
-        spec.source.label(),
+        spec.shape.packets,
+        spec.shape.source.label(),
         spec.epoch_ms,
-        spec.rx_queues,
+        datapath_label(spec.shape.datapath),
+        spec.shape.rx_queues,
     ));
     t.note(format!(
         "controller: {} epochs, {} mode switches, {} shed epochs ({} pkts shed), \
@@ -526,7 +477,10 @@ mod tests {
 
     fn small_spec() -> ControlRunSpec {
         ControlRunSpec {
-            packets: 100_000,
+            shape: RunShape {
+                packets: 100_000,
+                ..RunShape::default()
+            },
             ..ControlRunSpec::default()
         }
     }
@@ -534,7 +488,7 @@ mod tests {
     #[test]
     fn control_experiment_conserves_and_flips_lite() {
         let ctx = ExpCtx::new(1);
-        let (t, o) = control_run_report(&ctx, &small_spec());
+        let (t, o, _) = control_run_full(&ctx, &small_spec());
         assert_eq!(t.rows.len(), 2);
         assert!(t
             .notes
@@ -555,7 +509,7 @@ mod tests {
     fn bench_json_carries_timeline_and_both_runs() {
         let ctx = ExpCtx::new(1);
         let spec = small_spec();
-        let (_, o) = control_run_report(&ctx, &spec);
+        let (_, o, _) = control_run_full(&ctx, &spec);
         let json = bench_json(&spec, &o);
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let field = |k: &str| v.get(k).unwrap_or_else(|| panic!("missing field {k}"));
@@ -586,6 +540,46 @@ mod tests {
         // control-plane smoke — not in a unit test.
         let ratio = field("handled_ratio").as_f64().expect("ratio");
         assert!(ratio.is_finite() && ratio > 0.0, "handled_ratio {ratio}");
+    }
+
+    /// The artifact's top-level keys and their order are a contract
+    /// with whatever diffs `BENCH_control.json` across commits;
+    /// `datapath` says which topology both runs measured.
+    #[test]
+    fn bench_json_keys_and_their_order_are_pinned() {
+        let ctx = ExpCtx::new(1);
+        let spec = ControlRunSpec {
+            shape: RunShape {
+                packets: 20_000,
+                ..RunShape::default()
+            },
+            ..ControlRunSpec::default()
+        };
+        let (_, o, _) = control_run_full(&ctx, &spec);
+        let json = bench_json(&spec, &o);
+        let keys = crate::output::top_level_keys(&json);
+        assert_eq!(
+            keys,
+            [
+                "bench",
+                "shards",
+                "rx_queues",
+                "datapath",
+                "packets",
+                "batch",
+                "source",
+                "base_mpps",
+                "peak_mpps",
+                "spike_start",
+                "spike_end",
+                "epoch_ms",
+                "controlled",
+                "control",
+                "baseline",
+                "handled_ratio",
+            ]
+        );
+        assert!(json.contains(r#""datapath": "pipeline""#));
     }
 
     #[test]

@@ -35,38 +35,27 @@
 //! `BENCH_serve.json` (see EXPERIMENTS.md for the schema).
 
 use crate::exp_control::{control_config, ControlRunSpec};
-use crate::exp_engine::{replay_data, EngineSource, EngineWorkload};
+use crate::guard::PollGuard;
 use crate::output::Table;
-use crate::{workloads, ExpCtx};
+use crate::run_shape::{datapath_label, rate_pace, RunShape};
+use crate::ExpCtx;
 use serde::Serialize;
-use smartwatch_runtime::{AdminCmd, Engine, EngineConfig, Pace};
+use smartwatch_runtime::{AdminCmd, Engine};
 use smartwatch_telemetry::{FlightKind, FlightRing};
-use smartwatch_trace::background::Preset;
-use smartwatch_trace::Trace;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One `repro serve` / `repro soak` invocation, fully specified.
+/// One `repro serve` / `repro soak` invocation, fully specified: the
+/// shared [`RunShape`] (its `packets` is per segment, its `--listen`
+/// socket carries the admin surface) plus the segment loop.
 #[derive(Clone, Debug)]
 pub struct ServeSpec {
-    /// Worker shards (threads).
-    pub shards: usize,
-    /// RX dispatcher queues (threads).
-    pub rx_queues: usize,
-    /// Packets per segment (the workload is cycled to this length).
-    pub packets: usize,
-    /// Packets per dispatch batch.
-    pub batch: usize,
-    /// Host escalation workers.
-    pub host_workers: usize,
+    /// Engine, per-segment replay input and watchers.
+    pub shape: RunShape,
     /// Offered rate in Mpps; `None` replays each segment flat-out.
     /// Paced segments honour live `/admin/pace` overrides.
     pub rate_mpps: Option<f64>,
-    /// Replay workload.
-    pub workload: EngineWorkload,
-    /// Replay source (synthetic / compiled / pcap).
-    pub source: EngineSource,
     /// Segments to run (drain/restart cycles = segments − 1).
     pub segments: usize,
     /// Wall-clock budget per segment in ms; when a segment is still
@@ -79,35 +68,22 @@ pub struct ServeSpec {
     /// Controller epoch length in ms (admin commands and config
     /// reloads publish at epoch boundaries).
     pub epoch_ms: u64,
-    /// Bind this address and serve the observability routes *plus* the
-    /// POST admin surface for the lifetime of the service.
-    pub listen: Option<String>,
     /// Watch this JSON config file for hot-reloads.
     pub config_path: Option<String>,
-    /// Honour the process-wide SIGINT/SIGTERM flag between segments
-    /// (the `repro` drivers set this; tests leave it off so parallel
-    /// signal tests cannot interfere).
-    pub heed_interrupt: bool,
 }
 
 impl Default for ServeSpec {
     fn default() -> ServeSpec {
         ServeSpec {
-            shards: 2,
-            rx_queues: 1,
-            packets: 200_000,
-            batch: 64,
-            host_workers: 1,
+            shape: RunShape::default(),
+            // A service is paced: the steady rate is what its control
+            // thresholds are derived from.
             rate_mpps: Some(1.0),
-            workload: EngineWorkload::Stress,
-            source: EngineSource::Synthetic,
             segments: 3,
             segment_ms: 0,
             carry_flow_state: false,
             epoch_ms: 2,
-            listen: None,
             config_path: None,
-            heed_interrupt: false,
         }
     }
 }
@@ -119,20 +95,12 @@ impl Default for ServeSpec {
 fn serve_control_config(spec: &ServeSpec) -> smartwatch_runtime::ControlConfig {
     let rate = spec.rate_mpps.unwrap_or(2.0).max(0.05);
     control_config(&ControlRunSpec {
-        shards: spec.shards,
-        rx_queues: spec.rx_queues,
+        shape: spec.shape.clone(),
         epoch_ms: spec.epoch_ms,
         base_mpps: rate,
         peak_mpps: 4.0 * rate,
         ..ControlRunSpec::default()
     })
-}
-
-fn serve_base_trace(spec: &ServeSpec, scale: usize) -> Trace {
-    match spec.workload {
-        EngineWorkload::Stress => workloads::caida_64b(Preset::Caida2018, scale, 0xE1),
-        EngineWorkload::Mix => workloads::attack_mix(scale, 0xE2),
-    }
 }
 
 /// The hot-reloadable service config — the validated shape of
@@ -270,17 +238,16 @@ fn apply_config(engine: &Engine, prev: &ServeConfig, next: &ServeConfig) -> bool
 /// thread, re-validates on change and publishes the diff. Dropping the
 /// watcher stops the thread.
 struct ConfigWatcher {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
     shared: Arc<ConfigShared>,
+    _poll: PollGuard,
 }
 
 #[derive(Default)]
 struct ConfigShared {
     /// Successful reloads (the `seq` in `config_reload` flight events).
-    reloads: std::sync::atomic::AtomicU64,
+    reloads: AtomicU64,
     /// Rejected reload attempts (file kept changing or failed to parse).
-    errors: std::sync::atomic::AtomicU64,
+    errors: AtomicU64,
 }
 
 impl ConfigWatcher {
@@ -288,81 +255,22 @@ impl ConfigWatcher {
     /// is active for the first segment), then watch it for changes.
     fn start(path: String, engine: Arc<Engine>, ring: FlightRing) -> ConfigWatcher {
         let shared = Arc::new(ConfigShared::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut applied = ServeConfig::default();
-        let mut last_mtime = None;
-        Self::reload(
-            &path,
-            &engine,
-            &ring,
-            &shared,
-            &mut applied,
-            &mut last_mtime,
-            true,
-        );
-        let thread_stop = Arc::clone(&stop);
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("sw-config".into())
-            .spawn(move || {
-                while !thread_stop.load(Ordering::Acquire) {
-                    Self::reload(
-                        &path,
-                        &engine,
-                        &ring,
-                        &thread_shared,
-                        &mut applied,
-                        &mut last_mtime,
-                        false,
-                    );
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            })
-            .expect("spawn config watcher");
-        ConfigWatcher {
-            stop,
-            handle: Some(handle),
-            shared,
-        }
-    }
-
-    /// One poll round: skip unless the mtime moved (or `force`), then
-    /// parse-validate-diff-apply and record the attempt in flight.
-    #[allow(clippy::too_many_arguments)]
-    fn reload(
-        path: &str,
-        engine: &Engine,
-        ring: &FlightRing,
-        shared: &ConfigShared,
-        applied: &mut ServeConfig,
-        last_mtime: &mut Option<std::time::SystemTime>,
-        force: bool,
-    ) {
-        let mtime = match std::fs::metadata(path).and_then(|m| m.modified()) {
-            Ok(t) => t,
-            Err(_) => return, // absent file: nothing to apply yet
+        let mut poller = ConfigPoller {
+            path,
+            engine,
+            ring,
+            shared: Arc::clone(&shared),
+            applied: ServeConfig::default(),
+            last_mtime: None,
         };
-        if !force && *last_mtime == Some(mtime) {
-            return;
-        }
-        *last_mtime = Some(mtime);
-        let outcome = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| ServeConfig::parse(&text));
-        match outcome {
-            Ok(next) if next == *applied => {} // touch without change
-            Ok(next) => {
-                apply_config(engine, applied, &next);
-                *applied = next;
-                let seq = shared.reloads.fetch_add(1, Ordering::Relaxed) + 1;
-                ring.record(FlightKind::ConfigReload, 1, seq);
-            }
-            Err(e) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                let seq = shared.reloads.load(Ordering::Relaxed);
-                ring.record(FlightKind::ConfigReload, 0, seq);
-                eprintln!("repro: serve-config {path} rejected: {e} (keeping previous config)");
-            }
+        poller.poll(true);
+        let poll = PollGuard::spawn("sw-config", Duration::from_millis(100), move || {
+            poller.poll(false);
+            true
+        });
+        ConfigWatcher {
+            shared,
+            _poll: poll,
         }
     }
 
@@ -375,11 +283,47 @@ impl ConfigWatcher {
     }
 }
 
-impl Drop for ConfigWatcher {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            h.join().ok();
+/// The watcher thread's state: the config applied now and the mtime
+/// it was read at.
+struct ConfigPoller {
+    path: String,
+    engine: Arc<Engine>,
+    ring: FlightRing,
+    shared: Arc<ConfigShared>,
+    applied: ServeConfig,
+    last_mtime: Option<std::time::SystemTime>,
+}
+
+impl ConfigPoller {
+    /// One poll round: skip unless the mtime moved (or `force`), then
+    /// parse-validate-diff-apply and record the attempt in flight.
+    fn poll(&mut self, force: bool) {
+        let path = &self.path;
+        let mtime = match std::fs::metadata(path).and_then(|m| m.modified()) {
+            Ok(t) => t,
+            Err(_) => return, // absent file: nothing to apply yet
+        };
+        if !force && self.last_mtime == Some(mtime) {
+            return;
+        }
+        self.last_mtime = Some(mtime);
+        let outcome = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| ServeConfig::parse(&text));
+        match outcome {
+            Ok(next) if next == self.applied => {} // touch without change
+            Ok(next) => {
+                apply_config(&self.engine, &self.applied, &next);
+                self.applied = next;
+                let seq = self.shared.reloads.fetch_add(1, Ordering::Relaxed) + 1;
+                self.ring.record(FlightKind::ConfigReload, 1, seq);
+            }
+            Err(e) => {
+                self.shared.errors.fetch_add(1, Ordering::Relaxed);
+                let seq = self.shared.reloads.load(Ordering::Relaxed);
+                self.ring.record(FlightKind::ConfigReload, 0, seq);
+                eprintln!("repro: serve-config {path} rejected: {e} (keeping previous config)");
+            }
         }
     }
 }
@@ -388,52 +332,31 @@ impl Drop for ConfigWatcher {
 /// creation unless the guard is dropped first (segment finished on its
 /// own).
 struct SegmentTimer {
-    cancel: Arc<AtomicBool>,
     fired: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    _poll: PollGuard,
 }
 
 impl SegmentTimer {
     fn arm(engine: &Arc<Engine>, ms: u64) -> SegmentTimer {
-        let cancel = Arc::new(AtomicBool::new(false));
         let fired = Arc::new(AtomicBool::new(false));
-        let thread_cancel = Arc::clone(&cancel);
         let thread_fired = Arc::clone(&fired);
         let engine = Arc::clone(engine);
-        let handle = std::thread::Builder::new()
-            .name("sw-segment".into())
-            .spawn(move || {
-                let deadline = Instant::now() + Duration::from_millis(ms);
-                while Instant::now() < deadline {
-                    if thread_cancel.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+        let deadline = Instant::now() + Duration::from_millis(ms);
+        let poll = PollGuard::spawn("sw-segment", Duration::from_millis(5), move || {
+            let early = Instant::now() < deadline;
+            if !early {
                 thread_fired.store(true, Ordering::Release);
                 engine.request_drain();
-            })
-            .expect("spawn segment timer");
-        SegmentTimer {
-            cancel,
-            fired,
-            handle: Some(handle),
-        }
+            }
+            early
+        });
+        SegmentTimer { fired, _poll: poll }
     }
 
     /// True when the deadline elapsed and this timer requested the
     /// drain (as opposed to an operator or signal).
     fn fired(&self) -> bool {
         self.fired.load(Ordering::Acquire)
-    }
-}
-
-impl Drop for SegmentTimer {
-    fn drop(&mut self) {
-        self.cancel.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            h.join().ok();
-        }
     }
 }
 
@@ -616,48 +539,29 @@ fn last_delta(samples: impl Iterator<Item = u64>) -> u64 {
     }
 }
 
-/// Run service mode and render the per-segment report.
-pub fn serve_run(ctx: &ExpCtx, spec: &ServeSpec) -> Table {
-    serve_run_full(ctx, spec).0
-}
-
-/// [`serve_run`], also handing back the raw [`ServeOutcome`] and the
-/// resident [`Engine`] (flight dumps, soak gating).
+/// Run service mode and render the per-segment report; the raw
+/// [`ServeOutcome`] and the resident [`Engine`] are handed back for
+/// flight dumps and soak gating.
 pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, Arc<Engine>) {
     assert!(spec.segments > 0, "service mode needs at least one segment");
-    let replay = replay_data(
-        &spec.source,
-        || serve_base_trace(spec, ctx.scale),
-        spec.packets,
+    let replay = spec.shape.replay(ctx.scale);
+    let control = serve_control_config(spec);
+    // SIGINT/SIGTERM mid-segment: the shape's signal watch drains the
+    // running segment; the loop-top check below then stops the service.
+    let run = spec.shape.open(
+        ctx,
+        |mut cfg| {
+            cfg.carry_flow_state = spec.carry_flow_state;
+            cfg.with_control(control)
+        },
+        crate::serve::serve_admin,
     );
-
-    let mut cfg = EngineConfig::new(spec.shards);
-    cfg.rx_queues = spec.rx_queues;
-    cfg.batch = spec.batch;
-    cfg.host_workers = spec.host_workers;
-    cfg.carry_flow_state = spec.carry_flow_state;
-    let mut engine =
-        Engine::with_registry(cfg.with_control(serve_control_config(spec)), &ctx.registry);
-    engine.attach_tracer(&ctx.tracer);
-    let engine = Arc::new(engine);
-
-    // SIGINT/SIGTERM mid-segment: the watcher drains the running
-    // segment; the loop-top check below then stops the service.
-    let _signals = spec
-        .heed_interrupt
-        .then(|| crate::signal::drain_watch(&engine));
-    let server = spec.listen.as_deref().map(|addr| {
-        crate::serve::serve_admin(addr, &engine)
-            .unwrap_or_else(|e| panic!("repro: binding --listen {addr}: {e}"))
-    });
+    let engine = &run.engine;
     let watcher = spec.config_path.clone().map(|path| {
-        ConfigWatcher::start(path, Arc::clone(&engine), engine.flight().ring("sw-serve"))
+        ConfigWatcher::start(path, Arc::clone(engine), engine.flight().ring("sw-serve"))
     });
 
-    let pace = match spec.rate_mpps {
-        Some(r) => Pace::RateMpps(r),
-        None => Pace::Flatout,
-    };
+    let pace = rate_pace(spec.rate_mpps);
     let registry = engine.registry().clone();
     let pool_allocated = registry.counter("runtime.pool.allocated", &[]);
     let frame_allocated = registry.counter("runtime.frame_pool.allocated", &[]);
@@ -666,7 +570,7 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
     let mut segments = Vec::with_capacity(spec.segments);
     engine.clear_drain();
     for segment in 0..spec.segments {
-        if spec.heed_interrupt && crate::signal::interrupted() {
+        if spec.shape.watch_signals && crate::signal::interrupted() {
             break;
         }
         // A drain latched between segments (POST /admin/drain racing
@@ -675,8 +579,8 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
         if engine.drain_requested() {
             break;
         }
-        let timer = (spec.segment_ms > 0).then(|| SegmentTimer::arm(&engine, spec.segment_ms));
-        let report = replay.run(&engine, pace);
+        let timer = (spec.segment_ms > 0).then(|| SegmentTimer::arm(engine, spec.segment_ms));
+        let report = replay.run(engine, pace);
         // A deadline drain only ends the segment: consume the latch and
         // keep serving. An operator/signal drain ends the service (the
         // latch stays set and the loop-top check breaks).
@@ -712,10 +616,7 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
         config_errors: watcher.as_ref().map(|w| w.errors()).unwrap_or(0),
     };
     drop(watcher);
-    if let Some(server) = server {
-        server.shutdown();
-    }
-    (render(spec, &outcome), outcome, engine)
+    (render(spec, &outcome), outcome, run.close())
 }
 
 /// The `BENCH_serve.json` schema (field order = emission order).
@@ -724,6 +625,7 @@ struct ServeBenchJson {
     bench: String,
     shards: usize,
     rx_queues: usize,
+    datapath: String,
     segments: usize,
     segment_packets: usize,
     rate_mpps: Option<f64>,
@@ -749,10 +651,11 @@ struct ServeBenchJson {
 pub fn serve_bench_json(spec: &ServeSpec, out: &ServeOutcome) -> String {
     let v = ServeBenchJson {
         bench: "serve".to_string(),
-        shards: spec.shards,
-        rx_queues: spec.rx_queues,
+        shards: spec.shape.shards,
+        rx_queues: spec.shape.rx_queues,
+        datapath: datapath_label(spec.shape.datapath).to_string(),
         segments: out.segments.len(),
-        segment_packets: spec.packets,
+        segment_packets: spec.shape.packets,
         rate_mpps: spec.rate_mpps,
         carry_flow_state: spec.carry_flow_state,
         conserved: out.all_conserved(),
@@ -807,9 +710,10 @@ fn render(spec: &ServeSpec, out: &ServeOutcome) -> Table {
         ]);
     }
     t.note(format!(
-        "segments: {} requested, {} run; carry_flow_state={}",
+        "segments: {} requested, {} run; {} datapath; carry_flow_state={}",
         spec.segments,
         out.segments.len(),
+        datapath_label(spec.shape.datapath),
         spec.carry_flow_state,
     ));
     t.note(format!(
@@ -847,7 +751,10 @@ mod tests {
 
     fn quick_spec() -> ServeSpec {
         ServeSpec {
-            packets: 20_000,
+            shape: RunShape {
+                packets: 20_000,
+                ..RunShape::default()
+            },
             rate_mpps: None,
             segments: 3,
             ..ServeSpec::default()
@@ -880,6 +787,49 @@ mod tests {
         // not move once the tables have been through their first reset.
         assert!(out.segments.iter().all(|s| s.flowstate_bytes > 0));
         assert!(v["flowstate_growth_bytes"].as_u64().is_some());
+    }
+
+    /// The artifact's top-level keys and their order are a contract
+    /// with the CI soak gates and whatever diffs `BENCH_serve.json`
+    /// across commits; `datapath` says which topology was soaked.
+    #[test]
+    fn bench_json_keys_and_their_order_are_pinned() {
+        let ctx = ExpCtx::new(1);
+        let spec = ServeSpec {
+            segments: 1,
+            ..quick_spec()
+        };
+        let (_, out, _) = serve_run_full(&ctx, &spec);
+        let json = serve_bench_json(&spec, &out);
+        let keys = crate::output::top_level_keys(&json);
+        assert_eq!(
+            keys,
+            [
+                "bench",
+                "shards",
+                "rx_queues",
+                "datapath",
+                "segments",
+                "segment_packets",
+                "rate_mpps",
+                "carry_flow_state",
+                "conserved",
+                "pool_bound",
+                "pool_growth",
+                "frame_pool_growth",
+                "steady_pool_growth",
+                "steady_frame_pool_growth",
+                "rss_first_bytes",
+                "rss_last_bytes",
+                "rss_growth_bytes",
+                "flowstate_bytes",
+                "flowstate_growth_bytes",
+                "config_reloads",
+                "config_errors",
+                "timeline",
+            ]
+        );
+        assert!(json.contains(r#""datapath": "pipeline""#));
     }
 
     #[test]
@@ -933,11 +883,14 @@ mod tests {
         let path = dir.join("sw_serve_config_test.json");
         std::fs::write(&path, r#"{"blacklist": [12345], "force_shed": false}"#).unwrap();
         let spec = ServeSpec {
-            packets: 60_000,
+            shape: RunShape {
+                packets: 60_000,
+                listen: Some("127.0.0.1:0".to_string()),
+                ..RunShape::default()
+            },
             rate_mpps: Some(0.5),
             segments: 2,
             config_path: Some(path.to_string_lossy().into_owned()),
-            listen: Some("127.0.0.1:0".to_string()),
             ..ServeSpec::default()
         };
         let (_, out, engine) = serve_run_full(&ctx, &spec);
@@ -972,7 +925,10 @@ mod tests {
         let path = dir.join("sw_serve_bad_config_test.json");
         std::fs::write(&path, r#"{"rate_mpps": "fast"}"#).unwrap();
         let spec = ServeSpec {
-            packets: 20_000,
+            shape: RunShape {
+                packets: 20_000,
+                ..RunShape::default()
+            },
             rate_mpps: None,
             segments: 1,
             config_path: Some(path.to_string_lossy().into_owned()),
@@ -990,7 +946,10 @@ mod tests {
     fn segment_deadline_drains_gracefully_and_still_conserves() {
         let ctx = ExpCtx::new(1);
         let spec = ServeSpec {
-            packets: 4_000_000, // far more than 50 ms of paced replay
+            shape: RunShape {
+                packets: 4_000_000, // far more than 50 ms of paced replay
+                ..RunShape::default()
+            },
             rate_mpps: Some(0.5),
             segments: 2,
             segment_ms: 50,

@@ -93,6 +93,15 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
+/// The top-level keys of a JSON object, in emission order — what the
+/// `BENCH_*.json` contract tests pin.
+#[cfg(test)]
+pub(crate) fn top_level_keys(json: &str) -> Vec<String> {
+    let doc: serde_json::Value = serde_json::from_str(json).expect("valid JSON");
+    let pairs = doc.as_object().expect("a JSON object");
+    pairs.iter().map(|(key, _)| key.clone()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

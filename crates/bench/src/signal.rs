@@ -15,6 +15,7 @@
 //! restored after the first delivery), so a wedged run can still be
 //! killed with a second Ctrl-C.
 
+use crate::guard::PollGuard;
 use smartwatch_runtime::Engine;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -78,41 +79,15 @@ pub fn trigger() {
 /// run: the first observation calls `engine.request_drain()`, so the
 /// running segment quiesces gracefully and its report stays conserved.
 /// Dropping the guard stops the watcher.
-pub fn drain_watch(engine: &Arc<Engine>) -> DrainWatch {
-    let stop = Arc::new(AtomicBool::new(false));
+pub fn drain_watch(engine: &Arc<Engine>) -> PollGuard {
     let engine = Arc::clone(engine);
-    let thread_stop = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("sw-signal".into())
-        .spawn(move || {
-            while !thread_stop.load(Ordering::Acquire) {
-                if interrupted() {
-                    engine.request_drain();
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        })
-        .expect("spawn signal watcher");
-    DrainWatch {
-        stop,
-        handle: Some(handle),
-    }
-}
-
-/// Guard for [`drain_watch`]; stops and joins the watcher on drop.
-pub struct DrainWatch {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for DrainWatch {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            h.join().ok();
+    PollGuard::spawn("sw-signal", Duration::from_millis(25), move || {
+        let hit = interrupted();
+        if hit {
+            engine.request_drain();
         }
-    }
+        !hit
+    })
 }
 
 #[cfg(test)]

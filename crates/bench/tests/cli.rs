@@ -4,13 +4,28 @@
 
 use std::process::Command;
 
-fn run(bin: &str, args: &[&str]) -> (String, String, bool) {
+/// Run `bin`, handing back stdout, stderr and the exit code.
+fn exec(bin: &str, args: &[&str]) -> (String, String, Option<i32>) {
     let out = Command::new(bin).args(args).output().expect("binary runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
+        out.status.code(),
     )
+}
+
+fn run(bin: &str, args: &[&str]) -> (String, String, bool) {
+    let (stdout, stderr, code) = exec(bin, args);
+    (stdout, stderr, code == Some(0))
+}
+
+fn run_code(args: &[&str]) -> (String, String, Option<i32>) {
+    exec(env!("CARGO_BIN_EXE_repro"), args)
+}
+
+/// A per-process scratch path for an artifact a test asks `repro` for.
+fn temp_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("repro-cli-{}-{name}", std::process::id()))
 }
 
 #[test]
@@ -42,23 +57,156 @@ fn repro_rejects_unknown_flag_even_next_to_a_valid_experiment() {
 fn repro_rejects_rx_queues_with_rtc_datapath() {
     // The fused datapath has no dispatcher tier: an explicit
     // `--rx-queues` cannot be honoured and must fail fast (exit 2)
-    // with a named explanation, not run with the flag silently ignored.
-    let (_, stderr, ok) = run(
-        env!("CARGO_BIN_EXE_repro"),
-        &["engine", "--datapath", "rtc", "--rx-queues", "2"],
-    );
-    assert!(!ok);
-    assert!(
-        stderr.contains("--rx-queues does not apply to `--datapath rtc`"),
-        "want the named contradiction, got: {stderr}"
-    );
+    // with a named explanation, not run with the flag silently ignored
+    // — in every driver that builds an engine.
+    for driver in ["engine", "control", "soak"] {
+        let (_, stderr, code) = run_code(&[driver, "--datapath", "rtc", "--rx-queues", "2"]);
+        assert_eq!(code, Some(2), "{driver}");
+        assert!(
+            stderr.contains("--rx-queues does not apply to `--datapath rtc`"),
+            "{driver}: want the named contradiction, got: {stderr}"
+        );
+    }
 }
 
 #[test]
 fn repro_rejects_pin_cores_without_rtc() {
-    let (_, stderr, ok) = run(env!("CARGO_BIN_EXE_repro"), &["engine", "--pin-cores"]);
-    assert!(!ok);
-    assert!(stderr.contains("--pin-cores requires `--datapath rtc`"));
+    for driver in ["engine", "control", "soak"] {
+        let (_, stderr, code) = run_code(&[driver, "--pin-cores"]);
+        assert_eq!(code, Some(2), "{driver}");
+        assert!(
+            stderr.contains("--pin-cores requires `--datapath rtc`"),
+            "{driver}: {stderr}"
+        );
+    }
+}
+
+/// A flag none of the selected drivers reads exits 2, naming the flag
+/// and who does read it.
+fn assert_refused(args: &[&str], flag: &str, readers: &str) {
+    let (_, stderr, code) = run_code(args);
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("{flag} is not read by"))
+            && stderr.contains(&format!("it applies to: {readers}")),
+        "{args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn repro_engine_refuses_a_serve_flag() {
+    assert_refused(&["engine", "--segments", "3"], "--segments", "serve|soak");
+}
+
+#[test]
+fn repro_control_refuses_a_rate() {
+    assert_refused(&["control", "--rate", "1.0"], "--rate", "engine/serve|soak");
+}
+
+#[test]
+fn repro_soak_refuses_the_engine_summary() {
+    assert_refused(&["soak", "--summary-out", "x"], "--summary-out", "engine");
+}
+
+#[test]
+fn repro_paper_experiments_refuse_shape_flags() {
+    assert_refused(
+        &["fig3", "--shards", "2"],
+        "--shards",
+        "engine/control/serve|soak",
+    );
+}
+
+/// Every row of the flag table (read back from `--help`) has a parser:
+/// given a value of its metavar's kind next to `list`, each is parsed
+/// and then — unless every selection reads it — refused by name; never
+/// unknown, never a panic.
+#[test]
+fn repro_parses_every_flag_of_its_table() {
+    let (help, _, ok) = run(env!("CARGO_BIN_EXE_repro"), &["--help"]);
+    assert!(ok);
+    let synopsis = help.split("\n\n").nth(2).expect("synopsis section");
+    let mut flags = 0;
+    for group in synopsis.split("\n  ").filter(|g| g.contains('[')) {
+        let for_all = group.trim_start().starts_with("all:");
+        for token in group.split('[').skip(1) {
+            let token = token.split(']').next().unwrap();
+            let (flag, metavar) = token.split_once(' ').unwrap_or((token, ""));
+            let value = match metavar {
+                "" => None,
+                "N" | "R" => Some("1"),
+                "MPPS" | "F" => Some("0.5"),
+                choice => choice.split('|').next(),
+            };
+            let mut args = vec!["list", flag];
+            args.extend(value);
+            let (_, stderr, code) = run_code(&args);
+            if for_all {
+                assert_eq!(code, Some(0), "{args:?}: {stderr}");
+            } else {
+                assert_eq!(code, Some(2), "{args:?}: {stderr}");
+                assert!(
+                    stderr.contains(&format!("{flag} is not read by `list`")),
+                    "{args:?}: {stderr}"
+                );
+            }
+            flags += 1;
+        }
+    }
+    assert!(flags >= 30, "the synopsis was found: {flags} flags");
+}
+
+#[test]
+fn repro_soak_with_rtc_soaks_fused_cores() {
+    // `soak --datapath rtc` used to drop the flag and soak the pipeline
+    // (`pool_bound` = lanes × (64 + 2)); a fused core has no lane.
+    let out = temp_path("soak-rtc.json");
+    let (_, stderr, code) = run_code(&[
+        "soak",
+        "--datapath",
+        "rtc",
+        "--segments",
+        "2",
+        "--packets",
+        "20000",
+        "--flat-out",
+        "--bench-json",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("soak clean"), "{stderr}");
+    let v: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).expect("valid JSON");
+    std::fs::remove_file(&out).ok();
+    assert_eq!(v["datapath"].as_str(), Some("rtc"));
+    assert_eq!(v["pool_bound"].as_u64(), Some(0));
+    assert_eq!(v["conserved"].as_bool(), Some(true));
+    assert_eq!(v["timeline"].as_array().map(|t| t.len()), Some(2));
+}
+
+#[test]
+fn repro_control_with_rtc_says_so_in_its_artifact() {
+    let out = temp_path("control-rtc.json");
+    let (_, stderr, code) = run_code(&[
+        "control",
+        "--datapath",
+        "rtc",
+        "--host-workers",
+        "0",
+        "--packets",
+        "40000",
+        "--bench-json",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let v: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).expect("valid JSON");
+    std::fs::remove_file(&out).ok();
+    assert_eq!(v["datapath"].as_str(), Some("rtc"));
+    for run in ["controlled", "baseline"] {
+        assert_eq!(v[run]["conserved"].as_bool(), Some(true), "{run}");
+        assert_eq!(v[run]["offered"].as_u64(), Some(40_000), "{run}");
+    }
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! black box.
 
 use smartwatch_bench::exp_control::{control_config, ControlRunSpec};
-use smartwatch_bench::exp_engine::{engine_run_full, EngineRunSpec, EngineWorkload};
+use smartwatch_bench::exp_engine::{engine_run_full, EngineRunSpec};
+use smartwatch_bench::run_shape::{EngineWorkload, RunShape};
 use smartwatch_bench::{serve, workloads, ExpCtx};
 use smartwatch_runtime::{Axis, DatapathMode, Engine, EngineConfig, MergePolicy, Pace};
 use smartwatch_snic::Mode;
@@ -49,8 +50,11 @@ fn queue_section(ctx: &ExpCtx) -> String {
 fn per_queue_prometheus_families_are_complete_and_deterministic() {
     for rx_queues in [1usize, 2, 4] {
         let spec = EngineRunSpec {
-            packets: 20_000,
-            rx_queues,
+            shape: RunShape {
+                packets: 20_000,
+                rx_queues,
+                ..RunShape::default()
+            },
             ..EngineRunSpec::default()
         };
         let run = || {
@@ -94,10 +98,13 @@ fn per_queue_prometheus_families_are_complete_and_deterministic() {
 fn traced_run_covers_every_engine_thread() {
     let ctx = ExpCtx::new(1);
     let spec = EngineRunSpec {
-        packets: 20_000,
-        rx_queues: 2,
-        workload: EngineWorkload::Mix, // exercises host escalation
-        trace_sample: 1,
+        shape: RunShape {
+            packets: 20_000,
+            rx_queues: 2,
+            workload: EngineWorkload::Mix, // exercises host escalation
+            trace_sample: 1,
+            ..RunShape::default()
+        },
         ..EngineRunSpec::default()
     };
     let (_, report, _) = engine_run_full(&ctx, &spec);
@@ -156,8 +163,11 @@ fn live_stats_match_the_final_report() {
     let run = |datapath: DatapathMode| {
         let ctx = ExpCtx::new(1);
         let spec = EngineRunSpec {
-            packets: 20_000,
-            datapath,
+            shape: RunShape {
+                packets: 20_000,
+                datapath,
+                ..RunShape::default()
+            },
             ..EngineRunSpec::default()
         };
         let (_, report, engine) = engine_run_full(&ctx, &spec);
@@ -187,7 +197,11 @@ fn live_stats_match_the_final_report() {
         );
 
         let shards = rows("shards");
-        assert_eq!(shards.len(), spec.shards, "one stats object per shard");
+        assert_eq!(
+            shards.len(),
+            spec.shape.shards,
+            "one stats object per shard"
+        );
         for (i, (row, s)) in shards.iter().zip(&report.shards).enumerate() {
             assert_eq!(num(row, "shard"), i as u64);
             for c in Axis::Shard.row() {
@@ -237,12 +251,20 @@ fn live_stats_match_the_final_report() {
 #[test]
 fn ordered_flight_recorder_mirrors_the_control_timeline() {
     let spec = ControlRunSpec {
-        packets: 100_000,
+        shape: RunShape {
+            packets: 100_000,
+            ..RunShape::default()
+        },
         ..ControlRunSpec::default()
     };
     let base = workloads::caida_64b(Preset::Caida2018, 1, 0xC7).into_packets();
-    let packets: Vec<_> = base.iter().cycle().take(spec.packets).copied().collect();
-    let mut cfg = EngineConfig::new(spec.shards);
+    let packets: Vec<_> = base
+        .iter()
+        .cycle()
+        .take(spec.shape.packets)
+        .copied()
+        .collect();
+    let mut cfg = EngineConfig::new(spec.shape.shards);
     cfg.merge = MergePolicy::Ordered;
     let engine = Engine::new(cfg.with_control(control_config(&spec)));
     let report = engine.run(
