@@ -539,7 +539,11 @@ workload in --segments drain/restart segments; --listen mounts
 the POST /admin/* control socket next to the read-only
 endpoints, --serve-config hot-reloads a watched JSON config at
 epoch boundaries, and --segment-ms drains any over-long
-segment gracefully. `repro soak` is the endurance gate: the
+segment gracefully. The controller is resident: a pin
+(/admin/mode, /admin/shed, a config file's force_shed) stands
+across segments until released; a steering-table edit
+(/admin/steer, a config file's blacklist/whitelist) lasts for
+the segment that applied it. `repro soak` is the endurance gate: the
 same loop, but conservation / flat pool-allocation / bounded
 RSS (--rss-slack-mb, default 64) violations fail the process
 and auto-dump FLIGHT_anomaly.json. SIGINT/SIGTERM drain any

@@ -17,7 +17,7 @@ use crate::output::Table;
 use crate::run_shape::{datapath_label, RunShape};
 use crate::ExpCtx;
 use serde::Serialize;
-use smartwatch_control::{simulate, ControlConfig, DecisionRecord, LoadProfile};
+use smartwatch_control::{simulate, ControlConfig, LoadProfile};
 use smartwatch_runtime::{ControlReport, Engine, EngineReport, Pace};
 use std::sync::Arc;
 
@@ -176,100 +176,6 @@ impl RunJson {
     }
 }
 
-/// One timeline entry: the epoch it happened in plus the rendered event.
-#[derive(Debug, Serialize)]
-struct TimelineJson {
-    epoch: u64,
-    event: String,
-}
-
-/// One per-epoch controller decision in the bench artifact: the inputs
-/// the controller saw and every output it decided (mirrors
-/// [`DecisionRecord`]).
-#[derive(Debug, Serialize)]
-struct DecisionJson {
-    epoch: u64,
-    offered_mpps: f64,
-    smoothed_mpps: Vec<f64>,
-    max_backlog: u64,
-    modes: Vec<String>,
-    shed: bool,
-    promotions: u64,
-    whitelist_evictions: u64,
-    whitelist_len: u64,
-    blacklist_len: u64,
-    snapshot_published: bool,
-}
-
-impl DecisionJson {
-    fn from(d: &DecisionRecord) -> DecisionJson {
-        DecisionJson {
-            epoch: d.epoch,
-            offered_mpps: d.offered_mpps,
-            smoothed_mpps: d.smoothed_mpps.clone(),
-            max_backlog: d.max_backlog,
-            modes: d.modes.iter().map(|m| m.label().to_string()).collect(),
-            shed: d.shed,
-            promotions: d.promotions,
-            whitelist_evictions: d.whitelist_evictions,
-            whitelist_len: d.whitelist_len as u64,
-            blacklist_len: d.blacklist_len as u64,
-            snapshot_published: d.snapshot_published,
-        }
-    }
-}
-
-/// The controller's side of the artifact (mirrors [`ControlReport`]).
-#[derive(Debug, Serialize)]
-struct CtrlJson {
-    epochs: u64,
-    mode_switches: u64,
-    whitelist_promotions: u64,
-    whitelist_expired: u64,
-    blacklist_expired: u64,
-    shed_epochs: u64,
-    shed_packets: u64,
-    snapshot_publishes: u64,
-    shed_active: bool,
-    final_modes: Vec<String>,
-    timeline: Vec<TimelineJson>,
-    timeline_dropped: u64,
-    decisions: Vec<DecisionJson>,
-    decisions_dropped: u64,
-}
-
-impl CtrlJson {
-    fn from(c: &ControlReport) -> CtrlJson {
-        CtrlJson {
-            epochs: c.epochs,
-            mode_switches: c.mode_switches,
-            whitelist_promotions: c.whitelist_promotions,
-            whitelist_expired: c.whitelist_expired,
-            blacklist_expired: c.blacklist_expired,
-            shed_epochs: c.shed_epochs,
-            shed_packets: c.shed_packets,
-            snapshot_publishes: c.snapshot_publishes,
-            shed_active: c.shed_active,
-            final_modes: c
-                .final_modes
-                .iter()
-                .map(|m| m.label().to_string())
-                .collect(),
-            timeline: c
-                .timeline
-                .iter()
-                .map(|e| TimelineJson {
-                    epoch: e.epoch(),
-                    event: e.render(),
-                })
-                .collect(),
-            timeline_dropped: c.timeline_dropped,
-            decisions: c.decisions.iter().map(DecisionJson::from).collect(),
-            decisions_dropped: c.decisions_dropped,
-        }
-    }
-}
-
 /// The `BENCH_control.json` schema (field order = emission order).
 #[derive(Debug, Serialize)]
 struct ControlBenchJson {
@@ -286,7 +192,7 @@ struct ControlBenchJson {
     spike_end: f64,
     epoch_ms: u64,
     controlled: RunJson,
-    control: CtrlJson,
+    control: ControlReport,
     baseline: RunJson,
     handled_ratio: f64,
 }
@@ -315,7 +221,7 @@ pub fn bench_json(spec: &ControlRunSpec, o: &ControlOutcome) -> String {
         spike_end: spec.spike_end,
         epoch_ms: spec.epoch_ms,
         controlled: RunJson::from(&o.controlled),
-        control: CtrlJson::from(ctrl),
+        control: ctrl.clone(),
         baseline: RunJson::from(&o.baseline),
         handled_ratio: handled_mpps(&o.controlled)
             / handled_mpps(&o.baseline).max(f64::MIN_POSITIVE),
@@ -580,6 +486,60 @@ mod tests {
             ]
         );
         assert!(json.contains(r#""datapath": "pipeline""#));
+    }
+
+    /// The nested objects are the control crate's own `Serialize`; their
+    /// keys and order are the same contract, in `BENCH_control.json`
+    /// and in `/stats.json`, whose `decisions[]` are the same records.
+    #[test]
+    fn nested_control_keys_and_their_order_are_pinned() {
+        let ctx = ExpCtx::new(1);
+        let spec = small_spec();
+        let (_, o, engine) = control_run_full(&ctx, &spec);
+        let doc: serde_json::Value = serde_json::from_str(&bench_json(&spec, &o)).expect("JSON");
+        let keys = |v: &serde_json::Value| crate::output::top_level_keys(&v.to_string());
+        let control = &doc["control"];
+        assert_eq!(
+            keys(control),
+            [
+                "epochs",
+                "mode_switches",
+                "whitelist_promotions",
+                "whitelist_expired",
+                "blacklist_expired",
+                "shed_epochs",
+                "shed_packets",
+                "snapshot_publishes",
+                "shed_active",
+                "final_modes",
+                "timeline",
+                "timeline_dropped",
+                "decisions",
+                "decisions_dropped",
+            ]
+        );
+        assert_eq!(keys(&control["timeline"][0]), ["epoch", "event"]);
+        let decision = [
+            "epoch",
+            "offered_mpps",
+            "smoothed_mpps",
+            "max_backlog",
+            "modes",
+            "shed",
+            "promotions",
+            "whitelist_evictions",
+            "whitelist_len",
+            "blacklist_len",
+            "snapshot_published",
+        ];
+        assert_eq!(keys(&control["decisions"][0]), decision);
+        let stats: serde_json::Value =
+            serde_json::from_str(&engine.stats_json()).expect("stats.json parses");
+        assert_eq!(keys(&stats["decisions"][0]), decision);
+        // A mode is its label, an event its rendering.
+        assert_eq!(control["final_modes"][0], "general");
+        let event = control["timeline"][0]["event"].as_str().expect("string");
+        assert!(event.starts_with('e') && event.contains(' '), "{event}");
     }
 
     #[test]

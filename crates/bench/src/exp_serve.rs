@@ -219,6 +219,24 @@ fn digest_list(value: &serde_json::Value, field: &str) -> Result<Vec<u64>, Strin
         .collect()
 }
 
+/// Largest `--serve-config` file read: a watched path is outside
+/// input, and the whole document is held in memory to be parsed.
+const MAX_CONFIG_BYTES: u64 = 1 << 20;
+
+/// The watched file's text, refused past [`MAX_CONFIG_BYTES`] without
+/// reading further.
+fn read_config(path: &str) -> Result<String, String> {
+    use std::io::Read;
+    let mut text = String::new();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(MAX_CONFIG_BYTES + 1).read_to_string(&mut text))
+        .map_err(|e| e.to_string())?;
+    if text.len() as u64 > MAX_CONFIG_BYTES {
+        return Err(format!("larger than {MAX_CONFIG_BYTES} bytes"));
+    }
+    Ok(text)
+}
+
 /// Apply a validated config transition to the engine: queue the
 /// steering/shed diff through the admin mailbox (published at the next
 /// epoch boundary) and flip the pace atomic. Returns false when the
@@ -307,9 +325,7 @@ impl ConfigPoller {
             return;
         }
         self.last_mtime = Some(mtime);
-        let outcome = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| ServeConfig::parse(&text));
+        let outcome = read_config(path).and_then(|text| ServeConfig::parse(&text));
         match outcome {
             Ok(next) if next == self.applied => {} // touch without change
             Ok(next) => {
@@ -940,6 +956,74 @@ mod tests {
         assert_eq!(out.config_reloads, 0);
         assert_eq!(out.config_errors, 1);
         assert!(engine.rate_override().is_none());
+    }
+
+    /// A watched file that is half-written, oversized, wrong-typed, not
+    /// UTF-8 or absurdly nested is counted and refused: the config
+    /// applied before it stays the applied one, and the pin it set in
+    /// the resident controller still decides the next segment.
+    #[test]
+    fn a_bad_config_file_leaves_the_previous_config_and_pins_in_force() {
+        use smartwatch_runtime::Pace;
+        use smartwatch_trace::background::Preset;
+        let spec = ServeSpec::default();
+        let cfg = spec.shape.engine_config();
+        let engine = Arc::new(Engine::new(cfg.with_control(serve_control_config(&spec))));
+        let file = std::env::temp_dir().join("sw_serve_hostile_config_test.json");
+        let shared = Arc::new(ConfigShared::default());
+        let mut poller = ConfigPoller {
+            path: file.to_string_lossy().into_owned(),
+            engine: Arc::clone(&engine),
+            ring: engine.flight().ring("sw-serve"),
+            shared: Arc::clone(&shared),
+            applied: ServeConfig::default(),
+            last_mtime: None,
+        };
+        let packets = crate::workloads::caida_64b(Preset::Caida2018, 1, 0xC7).into_packets();
+        let packets: Vec<_> = packets.iter().cycle().take(20_000).copied().collect();
+        let shed_pinned = |label: &str| {
+            let report = engine.run(&packets, Pace::RateMpps(0.5));
+            let ctrl = report.control.as_ref().expect("controller ran");
+            assert!(report.conserved(), "{label}");
+            let last = ctrl.decisions.last().expect("an epoch ran");
+            assert!(last.shed && ctrl.shed_active, "{label}: the pin decides");
+            (report.shed(), report.offered)
+        };
+
+        std::fs::write(&file, r#"{"force_shed": true, "rate_mpps": 0.4}"#).unwrap();
+        poller.poll(true);
+        let good = poller.applied.clone();
+        assert_eq!(good.force_shed, Some(true));
+        shed_pinned("good config");
+
+        let oversized = format!(r#"{{"blacklist": [{}1]}}"#, "1, ".repeat(400_000));
+        let deep = format!(r#"{{"blacklist": {}"#, "[".repeat(10_000));
+        let hostile: [(&str, &[u8]); 6] = [
+            ("half-written", br#"{"force_shed": false, "rate_m"#),
+            ("oversized", oversized.as_bytes()),
+            ("wrong-typed pin", br#"{"force_shed": "no"}"#),
+            ("wrong-typed list", br#"{"blacklist": {"7": true}}"#),
+            ("not UTF-8", b"{\"force_shed\": \xff\xfe}"),
+            ("10 000 deep", deep.as_bytes()),
+        ];
+        for (i, (name, bytes)) in hostile.iter().enumerate() {
+            std::fs::write(&file, bytes).unwrap();
+            poller.poll(true);
+            assert_eq!(
+                shared.errors.load(Ordering::Relaxed),
+                i as u64 + 1,
+                "{name}"
+            );
+            assert_eq!(poller.applied, good, "{name}: previous config kept");
+            assert_eq!(engine.admin_queued(), 0, "{name}: nothing queued");
+            assert!(engine.rate_override().is_some(), "{name}: pace kept");
+        }
+        std::fs::remove_file(&file).ok();
+        assert_eq!(shared.reloads.load(Ordering::Relaxed), 1);
+
+        // The next segment opens under the pin the good config set.
+        let (shed, offered) = shed_pinned("after six bad files");
+        assert_eq!(shed, offered);
     }
 
     #[test]

@@ -218,9 +218,9 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
-    fn request(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
+    fn request(addr: std::net::SocketAddr, raw: &(impl AsRef<[u8]> + ?Sized)) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(raw.as_bytes()).unwrap();
+        stream.write_all(raw.as_ref()).unwrap();
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         let status: u16 = out
@@ -323,6 +323,81 @@ mod tests {
 
         // Nothing leaked into the queue from the rejected requests.
         assert_eq!(engine.admin_queued(), 4);
+        server.shutdown();
+    }
+    /// Nothing a client can send to the admin socket may panic it, hang
+    /// its one thread, or move the engine: each hostile shape ends in a
+    /// named 4xx on every route, nothing is queued, and the pins the
+    /// operator set before still decide the next segment.
+    #[test]
+    fn hostile_clients_get_a_named_4xx_and_change_nothing() {
+        use smartwatch_runtime::{ControlConfig, Pace};
+        use smartwatch_trace::background::Preset;
+
+        let control = ControlConfig {
+            epoch_ms: 2,
+            eta_lite_mpps: 1_000.0,
+            eta_general_mpps: 100.0,
+            shed_on_mpps: 1_000.0,
+            shed_off_mpps: 100.0,
+            ..ControlConfig::default()
+        };
+        let engine = Arc::new(Engine::new(EngineConfig::new(2).with_control(control)));
+        let server = serve_admin("127.0.0.1:0", &engine).unwrap();
+        let addr = server.local_addr();
+        let packets = crate::workloads::caida_64b(Preset::Caida2018, 1, 0xC7).into_packets();
+        let packets: Vec<_> = packets.iter().cycle().take(20_000).copied().collect();
+        let pinned = |label: &str| {
+            let report = engine.run(&packets, Pace::RateMpps(0.3));
+            let ctrl = report.control.as_ref().expect("controller ran");
+            let last = ctrl.decisions.last().expect("an epoch ran");
+            assert!(last.shed && ctrl.shed_active, "{label}: shed pin");
+            assert_eq!(last.modes[0], Mode::Lite, "{label}: mode pin");
+            (report.shed(), report.offered)
+        };
+
+        assert_eq!(post(addr, "/admin/shed", r#"{"force":true}"#).0, 202);
+        let lite = r#"{"shard":0,"mode":"lite"}"#;
+        assert_eq!(post(addr, "/admin/mode", lite).0, 202);
+        pinned("before");
+        assert_eq!(engine.admin_applied(), 2);
+
+        let raw = |bytes: &[u8]| request(addr, bytes).0;
+        let with_body = |path: &str, body: &[u8], extra: &[u8]| -> u16 {
+            let head = format!(
+                "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            );
+            raw(&[head.as_bytes(), body, extra].concat())
+        };
+        let deep = "[".repeat(10_000);
+        for path in ["/admin/steer", "/admin/mode", "/admin/shed", "/admin/pace"] {
+            // Slow-loris: the head promises a body that never completes.
+            let slow = format!("POST {path} HTTP/1.1\r\nContent-Length: 64\r\n\r\n{{\"force\":");
+            assert_eq!(raw(slow.as_bytes()), 408, "{path}: slow-loris");
+            // A refused request with garbage pipelined behind it: the
+            // first is answered, the rest is never read as a request.
+            let garbage = b"\x00\xffPOST /admin/drain HTTP/1.1\r\n\r\n";
+            assert_eq!(with_body(path, b"{}", garbage), 422, "{path}: pipelined");
+            // Garbage where the method should be.
+            let first = format!("\x01\x02 {path} HTTP/1.1\r\n\r\n");
+            assert_eq!(raw(first.as_bytes()), 405, "{path}: garbage first");
+            let non_utf8 = b"{\"force\":\xff\xfe,\"digest\":\xc3\x28}";
+            assert_eq!(with_body(path, non_utf8, b""), 400, "{path}: non-UTF-8");
+            assert_eq!(with_body(path, deep.as_bytes(), b""), 400, "{path}: deep");
+        }
+        // The bodiless command: only a whole request may drain.
+        assert_eq!(raw(b"POST /admin/drain HTTP/1.1\r\nHost: x\r\n"), 408);
+        assert!(!engine.drain_requested());
+        assert_eq!(engine.admin_queued(), 0, "nothing leaked into the mailbox");
+        assert!(engine.rate_override().is_none());
+
+        // The resident controller's next decisions: both pins hold, from
+        // the segment's first packet.
+        let (shed, offered) = pinned("after");
+        assert_eq!(shed, offered);
+        assert_eq!(engine.admin_applied(), 2);
+        assert_eq!(get(addr, "/stats.json").0, 200, "the listener still serves");
         server.shutdown();
     }
 }

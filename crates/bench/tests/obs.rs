@@ -8,7 +8,6 @@ use smartwatch_bench::exp_engine::{engine_run_full, EngineRunSpec};
 use smartwatch_bench::run_shape::{EngineWorkload, RunShape};
 use smartwatch_bench::{serve, workloads, ExpCtx};
 use smartwatch_runtime::{Axis, DatapathMode, Engine, EngineConfig, MergePolicy, Pace};
-use smartwatch_snic::Mode;
 use smartwatch_telemetry::FlightKind;
 use smartwatch_trace::background::Preset;
 use std::io::{Read, Write};
@@ -280,16 +279,12 @@ fn ordered_flight_recorder_mirrors_the_control_timeline() {
     let ctrl = report.control.as_ref().expect("controller ran");
     assert!(ctrl.mode_switches >= 2, "spike must flip modes both ways");
 
-    let mode_code = |m: Mode| match m {
-        Mode::General => 0u64,
-        Mode::Lite => 1,
-    };
     let mut want_switches: Vec<(u64, u64)> = Vec::new();
     let mut want_shed: Vec<(bool, u64)> = Vec::new();
     for e in &ctrl.timeline {
         match e {
             smartwatch_runtime::ControlEvent::ModeSwitch { shard, mode, .. } => {
-                want_switches.push((*shard as u64, mode_code(*mode)));
+                want_switches.push((*shard as u64, u64::from(mode.code())));
             }
             smartwatch_runtime::ControlEvent::ShedOn { epoch } => want_shed.push((true, *epoch)),
             smartwatch_runtime::ControlEvent::ShedOff { epoch } => want_shed.push((false, *epoch)),

@@ -28,8 +28,20 @@
 //!    rate or escalation backlog) turns load shedding on — every shard
 //!    is forced to Lite and the dispatcher passes whitelisted flows
 //!    only — and sustained calm turns it back off.
+//!
+//! The operator's standing overrides ([`Controller::admin`]) live here
+//! too, beside the state they override, so every decision, gauge, event
+//! and report says what the data path runs. Precedence per shard:
+//! operator's mode pin > shedding (Lite) > Algorithm 4; the shed pin
+//! replaces the hysteresis while it stands.
+//!
+//! A controller outlives the traffic it steers: between two segments of
+//! one engine [`Controller::new_segment`] empties what was learned from
+//! the last segment's flows and keeps everything else.
 
+use crate::admin::AdminCmd;
 use crate::snapshot::SteeringSnapshot;
+use serde::Serialize;
 use smartwatch_host::Verdict;
 use smartwatch_net::{AgingDigestSet, BuildDigestHasher, DigestSet, FlowHasher};
 use smartwatch_snic::{Mode, SwitchOver};
@@ -144,13 +156,17 @@ pub struct EpochInput {
 pub struct EpochDecision {
     /// Epoch number (1-based; increments per [`Controller::epoch`]).
     pub epoch: u64,
-    /// Algorithm 4 decision per shard (forced to Lite while shedding).
+    /// The mode each shard runs: the operator's pin, else Lite while
+    /// shedding, else Algorithm 4's decision.
     pub modes: Vec<Mode>,
     /// Whether load shedding is active after this epoch.
     pub shed: bool,
     /// Freshly built steering snapshot, present only when the steering
     /// state (tables or shed flag) changed this epoch.
     pub snapshot: Option<Arc<SteeringSnapshot>>,
+    /// The transitions of this epoch, in timeline order — the same
+    /// events [`ControlReport::timeline`] retains.
+    pub events: Vec<ControlEvent>,
     /// Full audit record of the inputs and outputs of this epoch (also
     /// retained in the controller's bounded decision ring).
     pub record: DecisionRecord,
@@ -160,7 +176,7 @@ pub struct EpochDecision {
 /// Bounded copies live in the controller ([`ControlReport::decisions`])
 /// and, via the runtime, in `/stats.json` and `BENCH_control.json` —
 /// the answer to "why did the control plane do *that*?".
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct DecisionRecord {
     /// Epoch number (1-based).
     pub epoch: u64,
@@ -233,8 +249,21 @@ impl ControlEvent {
     }
 }
 
-/// End-of-run accounting for the control plane.
-#[derive(Clone, Debug, Default)]
+/// An event serialises as the epoch it happened in plus its rendering.
+impl Serialize for ControlEvent {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("epoch".into(), self.epoch().to_value()),
+            ("event".into(), self.render().to_value()),
+        ])
+    }
+}
+
+/// The control plane's accounting since the controller was built — for
+/// a controller resident in an engine, over every segment so far. Field
+/// order is the key order of the `control` object in
+/// `BENCH_control.json`.
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct ControlReport {
     /// Epochs executed.
     pub epochs: u64,
@@ -252,10 +281,10 @@ pub struct ControlReport {
     pub shed_packets: u64,
     /// Steering snapshots published.
     pub snapshot_publishes: u64,
-    /// Final decided mode per shard.
-    pub final_modes: Vec<Mode>,
     /// Whether shedding was active at the end.
     pub shed_active: bool,
+    /// Final decided mode per shard.
+    pub final_modes: Vec<Mode>,
     /// Bounded event timeline (oldest events dropped past the bound).
     pub timeline: Vec<ControlEvent>,
     /// Events dropped from the timeline because of the bound.
@@ -333,6 +362,9 @@ impl Counters {
 struct ShardState {
     switcher: SwitchOver,
     decided: Mode,
+    /// Admin override: `Some(m)` pins the shard to `m` whatever
+    /// Algorithm 4 and the shed state say, until released.
+    forced: Option<Mode>,
     prev_offered: u64,
     prev_shed: u64,
     smoothed_gauge: Option<Gauge>,
@@ -362,6 +394,8 @@ pub struct Controller {
     dirty: bool,
     timeline: VecDeque<ControlEvent>,
     timeline_dropped: u64,
+    /// This epoch's events, handed out with its [`EpochDecision`].
+    fresh: Vec<ControlEvent>,
     decisions: VecDeque<DecisionRecord>,
     decisions_dropped: u64,
 }
@@ -413,9 +447,18 @@ impl Controller {
             dirty: false,
             timeline: VecDeque::new(),
             timeline_dropped: 0,
+            fresh: Vec::new(),
             decisions: VecDeque::new(),
             decisions_dropped: 0,
         }
+    }
+
+    /// Size the per-shard state now instead of at the first epoch, so
+    /// an [`AdminCmd::ForceMode`] applied before any epoch has a shard
+    /// to land on.
+    pub fn for_shards(mut self, shards: usize) -> Controller {
+        self.ensure_shards(shards);
+        self
     }
 
     /// The configuration this controller runs with.
@@ -424,6 +467,7 @@ impl Controller {
     }
 
     fn push_event(&mut self, ev: ControlEvent) {
+        self.fresh.push(ev.clone());
         if self.timeline.len() == self.cfg.timeline_capacity {
             self.timeline.pop_front();
             self.timeline_dropped += 1;
@@ -450,6 +494,7 @@ impl Controller {
                     self.cfg.eta_general_mpps * 1e6,
                 ),
                 decided: Mode::General,
+                forced: None,
                 prev_offered: 0,
                 prev_shed: 0,
                 smoothed_gauge,
@@ -650,26 +695,24 @@ impl Controller {
         }
 
         // Decide per-shard modes; shedding forces Lite everywhere (the
-        // whole point is to survive, not to model individual shards).
+        // whole point is to survive, not to model individual shards)
+        // except where the operator pinned a shard.
         let epoch = self.epoch;
         let shed = self.shed;
         let mut modes = Vec::with_capacity(self.shards.len());
         let mut switches = Vec::new();
         for (shard, state) in self.shards.iter_mut().enumerate() {
-            let decided = if shed {
+            let decided = state.forced.unwrap_or(if shed {
                 Mode::Lite
             } else {
                 state.switcher.mode()
-            };
+            });
             if decided != state.decided {
                 state.decided = decided;
                 switches.push((shard, decided));
             }
             if let Some(g) = &state.mode_gauge {
-                g.set(match decided {
-                    Mode::General => 0.0,
-                    Mode::Lite => 1.0,
-                });
+                g.set(f64::from(decided.code()));
             }
             modes.push(decided);
         }
@@ -713,8 +756,25 @@ impl Controller {
             modes,
             shed,
             snapshot,
+            events: std::mem::take(&mut self.fresh),
             record,
         }
+    }
+
+    /// Open a new segment on a controller that has run one: forget what
+    /// was learned from the last segment's flows — both steering tables
+    /// and the heavy-hitter streaks, exactly what a shard's
+    /// `FlowState::reset` forgets on its side — and return the snapshot
+    /// to publish before any packet is offered. Everything that
+    /// describes the engine rather than the traffic stays: the epoch
+    /// counter, each shard's EWMA and counter baselines (so the first
+    /// epoch of the segment measures that epoch, not the engine's
+    /// lifetime), the shed state and the operator's pins.
+    pub fn new_segment(&mut self) -> Arc<SteeringSnapshot> {
+        self.whitelist.reset();
+        self.blacklist.reset();
+        self.streaks.clear();
+        self.build_snapshot()
     }
 
     /// Current whitelist size (tests/diagnostics).
@@ -769,7 +829,27 @@ impl Controller {
         self.force_shed = force;
     }
 
-    /// End-of-run report. Non-destructive; callable repeatedly.
+    /// Apply one operator command; its effect shows in the next epoch's
+    /// decision. Table edits are entries like any learned one (TTL'd,
+    /// gone at [`Controller::new_segment`]); the two pins stand until
+    /// released. Returns `false` for a command that names no shard of
+    /// this controller.
+    pub fn admin(&mut self, cmd: AdminCmd) -> bool {
+        match cmd {
+            AdminCmd::BlacklistAdd(d) => _ = self.admin_blacklist_insert(d),
+            AdminCmd::BlacklistRemove(d) => _ = self.admin_blacklist_remove(d),
+            AdminCmd::WhitelistAdd(d) => _ = self.admin_whitelist_insert(d),
+            AdminCmd::WhitelistRemove(d) => _ = self.admin_whitelist_remove(d),
+            AdminCmd::ForceShed(force) => self.admin_force_shed(force),
+            AdminCmd::ForceMode { shard, mode } => match self.shards.get_mut(shard) {
+                Some(state) => state.forced = mode,
+                None => return false,
+            },
+        }
+        true
+    }
+
+    /// The report so far. Non-destructive; callable repeatedly.
     pub fn report(&self) -> ControlReport {
         ControlReport {
             epochs: self.epoch,
@@ -780,8 +860,8 @@ impl Controller {
             shed_epochs: self.shed_epochs,
             shed_packets: self.counters.shed_packets.get(),
             snapshot_publishes: self.counters.snapshot_publishes.get(),
-            final_modes: self.shards.iter().map(|s| s.decided).collect(),
             shed_active: self.shed,
+            final_modes: self.shards.iter().map(|s| s.decided).collect(),
             timeline: self.timeline.iter().cloned().collect(),
             timeline_dropped: self.timeline_dropped,
             decisions: self.decisions.iter().cloned().collect(),
@@ -1125,5 +1205,85 @@ mod tests {
             shed_again |= c.epoch(&input(50.0, 2, 0.005, &mut cum)).shed;
         }
         assert!(shed_again, "hysteresis resumes after release");
+    }
+
+    #[test]
+    fn operator_mode_pin_outranks_shed_and_algorithm_4() {
+        let mut c = Controller::new(ControlConfig::default()).for_shards(2);
+        let mut cum = Vec::new();
+        // Sized when built: the pin lands before any epoch has run, and
+        // a shard this controller does not have is refused.
+        let pin = |mode| AdminCmd::ForceMode { shard: 0, mode };
+        assert!(c.admin(pin(Some(Mode::General))));
+        assert!(!c.admin(AdminCmd::ForceMode {
+            shard: 2,
+            mode: Some(Mode::Lite),
+        }));
+        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
+        let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
+        assert!(d.shed);
+        assert_eq!(d.modes, [Mode::General, Mode::Lite], "pin > shed");
+        assert_eq!(d.record.modes, d.modes, "the audit says what runs");
+        // The epoch's events are the timeline's.
+        assert_eq!(c.report().timeline, d.events);
+        assert_eq!(
+            d.events,
+            [
+                ControlEvent::ShedOn { epoch: 1 },
+                ControlEvent::ModeSwitch {
+                    epoch: 1,
+                    shard: 1,
+                    mode: Mode::Lite
+                }
+            ]
+        );
+
+        // Pinned Lite under calm, unshed load: pin > Algorithm 4.
+        assert!(c.admin(AdminCmd::ForceShed(Some(false))));
+        assert!(c.admin(pin(Some(Mode::Lite))));
+        let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
+        assert_eq!(d.modes, [Mode::Lite, Mode::General]);
+        assert_eq!(d.events.len(), 3, "shed-off and one switch per shard");
+        // Released: straight back to Algorithm 4's standing decision.
+        assert!(c.admin(pin(None)));
+        let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
+        assert_eq!(d.modes, [Mode::General, Mode::General]);
+        let r = c.report();
+        assert_eq!(r.mode_switches, 4);
+        assert_eq!(r.final_modes, d.modes);
+    }
+
+    #[test]
+    fn new_segment_forgets_the_traffic_and_keeps_the_engine() {
+        let cfg = ControlConfig {
+            promote_pkts_per_epoch: 100,
+            promote_epochs: 2,
+            ..ControlConfig::default()
+        };
+        let mut c = Controller::new(cfg);
+        let mut cum = Vec::new();
+        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
+        assert!(c.admin(AdminCmd::BlacklistAdd(0xBAD)));
+        let mut inp = input(1.0, 2, 0.005, &mut cum);
+        inp.verdicts = vec![Verdict::Whitelist(key(7))];
+        inp.heavy = vec![(0xAB, 500)];
+        c.epoch(&inp);
+        assert_eq!((c.whitelist_len(), c.blacklist_len()), (1, 1));
+
+        let snap = c.new_segment();
+        assert!(snap.whitelist.is_empty() && snap.blacklist.is_empty());
+        assert!(snap.shed, "the pin is in the snapshot a segment opens on");
+        assert_eq!(snap.version, 2, "publications run on");
+
+        // The streak did not survive (one more qualifying epoch would
+        // have promoted 0xAB); the baselines did: the same cumulative
+        // counters read as one epoch of 1 Mpps, not as a lifetime.
+        let mut inp = input(1.0, 2, 0.005, &mut cum);
+        inp.heavy = vec![(0xAB, 500)];
+        let d = c.epoch(&inp);
+        assert_eq!(d.epoch, 2, "epochs run on");
+        assert_eq!(c.whitelist_len(), 0);
+        assert!((d.record.offered_mpps - 1.0).abs() < 1e-9);
+        assert!(d.shed, "the shed pin stands");
     }
 }

@@ -12,7 +12,10 @@
 //!   [`EpochDecision`] (per-shard [`Mode`], the shed flag, and — when
 //!   the steering tables changed — a freshly built snapshot). The
 //!   controller is pure state: no threads, no clocks, so the same input
-//!   stream always yields byte-identical decisions (see [`sim`]).
+//!   stream always yields byte-identical decisions (see [`sim`]). It is
+//!   also the one owner of the operator's overrides ([`AdminCmd`],
+//!   applied by [`Controller::admin`]) and is built to outlive a burst
+//!   of traffic ([`Controller::new_segment`]).
 //! * [`SteeringSnapshot`] — the immutable steering table (whitelist +
 //!   blacklist digests + shed flag), published RCU-style through a
 //!   [`SnapshotCell`]. Readers hold a [`SnapshotReader`] that caches an
@@ -41,10 +44,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admin;
 pub mod controller;
 pub mod sim;
 pub mod snapshot;
 
+pub use admin::AdminCmd;
 pub use controller::{
     ControlConfig, ControlEvent, ControlReport, Controller, DecisionRecord, EpochDecision,
     EpochInput, ShardSample,

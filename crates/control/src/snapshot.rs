@@ -134,19 +134,12 @@ pub struct ModeCell(AtomicU8);
 impl ModeCell {
     /// Cell starting in `mode`.
     pub fn new(mode: Mode) -> ModeCell {
-        ModeCell(AtomicU8::new(Self::encode(mode)))
-    }
-
-    fn encode(mode: Mode) -> u8 {
-        match mode {
-            Mode::General => 0,
-            Mode::Lite => 1,
-        }
+        ModeCell(AtomicU8::new(mode.code()))
     }
 
     /// Publish a mode decision (controller side).
     pub fn set(&self, mode: Mode) {
-        self.0.store(Self::encode(mode), Ordering::Release);
+        self.0.store(mode.code(), Ordering::Release);
     }
 
     /// Read the current decision (shard side, once per batch).

@@ -38,4 +38,4 @@ mod report;
 
 pub use config::{DatapathMode, EngineConfig, FrameSource, Pace};
 pub use lifecycle::Engine;
-pub use report::{decision_value, hist_value, EngineReport, FlowCacheSummary, StageSnapshot};
+pub use report::{hist_value, EngineReport, FlowCacheSummary, StageSnapshot};

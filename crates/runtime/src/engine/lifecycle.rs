@@ -1,6 +1,6 @@
 //! The [`Engine`] and its one segment lifecycle: every `run*` call
 //! opens a segment (verdict log, host pool, counters and their
-//! baselines, un-parked lanes, frame pools and flow state, control
+//! baselines, un-parked lanes, frame pools, flow state and control
 //! plane, shard workers), runs the topology-specific middle — R
 //! dispatcher threads feeding N shard threads over the lane mesh, or N
 //! fused cores — and closes it (host-pool shutdown, controller stop, re-park, report,
@@ -11,27 +11,25 @@ use super::ingest::{
     split_streams, Ingest, IngestEnd, LaneBooks, LaneSink, LaneTx, Pacer, ShardSink, Sink,
 };
 use super::report::{
-    books_value, decision_value, stage_value, total, uint, unaccounted, EngineReport,
-    FlowCacheSummary,
+    books_value, stage_value, total, uint, unaccounted, EngineReport, FlowCacheSummary,
 };
 use crate::books::{Axis, Count, Ledger};
 use crate::control::{ControlLog, LogReader};
 use crate::escalate::{HostObs, HostPool, TriageNf};
 use crate::frame::FramePool;
 use crate::obs::{ThreadTrace, TraceSpec};
-use crate::service::{AdminCmd, AdminQueue};
+use crate::service::AdminQueue;
 use crate::shard::{
     ControlHooks, Escalation, FlowState, LaneRx, ShardCounters, ShardEndState, ShardObs,
     ShardSetup, ShardStats, ShardWorker, StageHists,
 };
-use serde::{Number, Value};
+use serde::{Number, Serialize, Value};
 use smartwatch_control::{
-    ControlReport, Controller, DecisionRecord, EpochInput, ModeCell, ShardSample, SnapshotCell,
-    SnapshotReader, SteeringSnapshot,
+    AdminCmd, ControlEvent, Controller, DecisionRecord, EpochInput, ModeCell, ShardSample,
+    SnapshotCell, SnapshotReader, SteeringSnapshot,
 };
 use smartwatch_net::hash::{queue_for_digest, shard_for_digest, splitmix64};
 use smartwatch_net::{FlowHasher, FrameStore, HashDigest, Packet};
-use smartwatch_snic::Mode;
 use smartwatch_telemetry::{
     mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, Registry, Tracer, WallAnchor,
 };
@@ -53,7 +51,7 @@ use std::time::{Duration, Instant};
 /// (tables sized for shard `i`'s share of the traffic; with
 /// [`EngineConfig::carry_flow_state`] the cache inside is left warm,
 /// and RSS placement being a pure function of digest and shard count
-/// keeps it affine).
+/// keeps it affine); the controller thread its [`ControlResident`].
 #[derive(Default)]
 struct Garage {
     /// The lane mesh by producer: `rows[q][i]` is dispatcher `q`'s end
@@ -65,6 +63,24 @@ struct Garage {
     frames: Vec<Option<FramePool>>,
     /// `flows[i]`: shard `i`'s flow state.
     flows: Vec<Option<FlowState>>,
+    /// The control plane, once a segment has run with one.
+    control: Option<ControlResident>,
+}
+
+/// The control plane between segments: the one [`Controller`] of the
+/// engine's life — epoch counter, per-shard EWMA and counter baselines,
+/// shed state, the operator's pins and the audit, all of which describe
+/// the engine rather than one segment's traffic — and the cells it
+/// publishes through, which keep saying what the shards and ingest
+/// units were last told. What the controller learned from a segment's
+/// flows is emptied when the next one opens
+/// ([`Controller::new_segment`]), as [`FlowState::reset`] does on the
+/// shard side.
+struct ControlResident {
+    ctrl: Controller,
+    /// `modes[i]`: the mode shard `i` runs.
+    modes: Vec<Arc<ModeCell>>,
+    steer: Arc<SnapshotCell<SteeringSnapshot>>,
 }
 
 /// The sharded wall-clock engine.
@@ -76,8 +92,9 @@ pub struct Engine {
     tracer: Option<Tracer>,
     /// Always-on black box: bounded lock-free per-thread event rings.
     flight: FlightRecorder,
-    /// Controller decision audit mirrored out of the control thread so
-    /// live readers (`/stats.json`) can see it mid-run.
+    /// The resident controller's decision audit, mirrored out of the
+    /// control thread so live readers (`/stats.json`) can see it while
+    /// the thread owns the controller.
     decisions: Arc<Mutex<VecDeque<DecisionRecord>>>,
     /// Graceful-drain request: dispatchers observe it at checkpoints,
     /// stop offering and quiesce the mesh (see [`Engine::request_drain`]).
@@ -207,9 +224,10 @@ impl Engine {
         &self.flight
     }
 
-    /// The controller's per-epoch decision audit so far (bounded to the
-    /// control config's `decision_capacity`; empty without a control
-    /// plane). Safe to call mid-run — this is what `/stats.json` serves.
+    /// The controller's per-epoch decision audit: the newest
+    /// `decision_capacity` epochs of the engine's life, whichever
+    /// segments they fell in (empty without a control plane). Safe to
+    /// call mid-run — this is what `/stats.json` serves.
     pub fn decisions(&self) -> Vec<DecisionRecord> {
         self.decisions
             .lock()
@@ -265,10 +283,7 @@ impl Engine {
                 "stage".into(),
                 stage_value(&StageHists::registered(reg).snapshot()),
             ),
-            (
-                "decisions".into(),
-                Value::Array(self.decisions().iter().map(decision_value).collect()),
-            ),
+            ("decisions".into(), self.decisions().to_value()),
             (
                 "flight".into(),
                 Value::Object(vec![
@@ -387,11 +402,6 @@ impl Engine {
                     anchor: WallAnchor::new(),
                     every: cfg.trace_sample,
                 });
-        self.decisions
-            .lock()
-            .expect("decision audit poisoned")
-            .clear();
-
         // Host pool (None = inline triage on each shard).
         let pool = (cfg.host_workers > 0).then(|| {
             let threshold = cfg.triage_threshold;
@@ -434,7 +444,7 @@ impl Engine {
         garage.frames.resize_with(cfg.ingest_units(), || None);
         let flow_resets = self.registry.counter("runtime.flowstate.resets", &[]);
 
-        let mut plane = self.spawn_control(&spec, &setup, &counters);
+        let mut plane = self.spawn_control(&spec, &setup, &counters, garage.control.take());
         let mut worker = |i: usize, flight: FlightRing, trace: Option<ThreadTrace>| {
             let flow = match garage.flows[i].take() {
                 Some(mut flow) => {
@@ -565,13 +575,14 @@ impl Engine {
             p.shutdown();
         }
         // Stop the controller last: it runs one final epoch (capturing
-        // the post-drain counter tails and any late verdicts) and
-        // returns its report.
-        let control = plane.controller.map(|(handle, stop)| {
+        // the post-drain counter tails and any late verdicts) and comes
+        // home to be parked.
+        garage.control = plane.controller.map(|(handle, stop)| {
             stop.store(true, Ordering::Release);
             handle.thread().unpark();
             handle.join().expect("controller thread panicked")
         });
+        let control = garage.control.as_ref().map(|home| home.ctrl.report());
 
         // Re-park for the next segment, and settle this one's books.
         garage.flows = flows;
@@ -737,15 +748,17 @@ impl Engine {
     }
 
     /// Wire up the optional control plane for one segment: per-shard
-    /// mode cells and hooks, one independent RCU steering reader per
-    /// ingest unit (dispatcher or fused core — refreshes stay per-unit
-    /// so a lagging unit never staleness-couples the others), and the
-    /// controller thread.
+    /// hooks, one independent RCU steering reader per ingest unit
+    /// (dispatcher or fused core — refreshes stay per-unit so a lagging
+    /// unit never staleness-couples the others), and the controller
+    /// thread around the resident controller — `parked` from the last
+    /// segment, or built here by the first.
     fn spawn_control(
         &self,
         spec: &Option<TraceSpec>,
         setup: &ShardSetup,
         counters: &[ShardCounters],
+        parked: Option<ControlResident>,
     ) -> ControlPlane {
         let n = counters.len();
         let mut plane = ControlPlane {
@@ -753,61 +766,58 @@ impl Engine {
             queue_steer: (0..self.cfg.ingest_units()).map(|_| None).collect(),
             controller: None,
         };
-        let Some(mut ctrl_cfg) = self.cfg.control.clone() else {
+        let Some(ctrl_cfg) = &self.cfg.control else {
             return plane;
         };
-        ctrl_cfg.hash_seed = self.cfg.hash_seed;
-        let mode_cells: Vec<Arc<ModeCell>> =
-            (0..n).map(|_| Arc::new(ModeCell::default())).collect();
-        let snap_cell = Arc::new(SnapshotCell::new(SteeringSnapshot::empty()));
+        let home = match parked {
+            // Published before any reader below exists, so the segment
+            // opens under it: a standing shed pin holds from the first
+            // packet, not from the first epoch.
+            Some(mut home) => {
+                home.steer.publish(home.ctrl.new_segment());
+                home
+            }
+            None => {
+                let mut ctrl_cfg = ctrl_cfg.clone();
+                ctrl_cfg.hash_seed = self.cfg.hash_seed;
+                ControlResident {
+                    ctrl: Controller::with_registry(ctrl_cfg, &self.registry).for_shards(n),
+                    modes: (0..n).map(|_| Arc::new(ModeCell::default())).collect(),
+                    steer: Arc::new(SnapshotCell::new(SteeringSnapshot::empty())),
+                }
+            }
+        };
         let (heavy_tx, heavy_rx) = std::sync::mpsc::sync_channel::<(u64, u64)>(8192);
-        for (slot, mode) in plane.shard_hooks.iter_mut().zip(&mode_cells) {
+        for (slot, mode) in plane.shard_hooks.iter_mut().zip(&home.modes) {
             *slot = Some(ControlHooks {
                 mode: Arc::clone(mode),
-                steer: snap_cell.reader(),
+                steer: home.steer.reader(),
                 heavy_tx: heavy_tx.clone(),
             });
         }
         drop(heavy_tx);
         for slot in plane.queue_steer.iter_mut() {
-            *slot = Some(snap_cell.reader());
+            *slot = Some(home.steer.reader());
         }
-        let epoch = Duration::from_millis(ctrl_cfg.epoch_ms.max(1));
-        let obs = CtrlObs {
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = ControlThread {
+            home,
+            reader: setup.log.reader(),
+            log: Arc::clone(&setup.log),
+            heavy_rx,
+            counters: counters.to_vec(),
+            host_processed: setup.host_processed.clone(),
+            stop: Arc::clone(&stop),
             flight: self.flight.ring("sw-control"),
             trace: spec.as_ref().map(|s| s.thread("sw-control")),
             audit: Arc::clone(&self.decisions),
-            audit_cap: ctrl_cfg.decision_capacity.max(1),
             admin: Arc::clone(&self.admin),
             admin_applied: self.admin_applied.clone(),
             mem_rss: self.mem_rss.clone(),
         };
-        let ctrl = Controller::with_registry(ctrl_cfg, &self.registry);
-        let reader = setup.log.reader();
-        let stop = Arc::new(AtomicBool::new(false));
-        let (log, counters, host_processed) = (
-            Arc::clone(&setup.log),
-            counters.to_vec(),
-            setup.host_processed.clone(),
-        );
-        let stopped = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("sw-control".into())
-            .spawn(move || {
-                controller_loop(
-                    ctrl,
-                    log,
-                    reader,
-                    heavy_rx,
-                    counters,
-                    host_processed,
-                    mode_cells,
-                    snap_cell,
-                    stopped,
-                    epoch,
-                    obs,
-                )
-            })
+            .spawn(move || thread.run())
             .expect("spawn controller thread");
         plane.controller = Some((handle, stop));
         plane
@@ -818,8 +828,9 @@ impl Engine {
 struct ControlPlane {
     shard_hooks: Vec<Option<ControlHooks>>,
     queue_steer: Vec<Option<SnapshotReader<SteeringSnapshot>>>,
-    /// The controller thread and its stop flag.
-    controller: Option<(JoinHandle<ControlReport>, Arc<AtomicBool>)>,
+    /// The controller thread — it hands the resident control plane
+    /// back when joined — and its stop flag.
+    controller: Option<(JoinHandle<ControlResident>, Arc<AtomicBool>)>,
 }
 
 /// What the ingest units of one open segment share.
@@ -835,14 +846,22 @@ struct Units<'a> {
     frames: &'a mut [Option<FramePool>],
 }
 
-/// Observability wiring for the controller thread: its flight ring,
-/// its optional trace track, and the shared decision-audit mirror that
-/// live readers (`Engine::decisions`, `/stats.json`) poll mid-run.
-struct CtrlObs {
+/// The controller thread of one segment: the resident control plane it
+/// drives, what it samples (shard counters, the verdict log, the
+/// heavy-hitter channel), and its observability wiring.
+struct ControlThread {
+    home: ControlResident,
+    log: Arc<ControlLog>,
+    reader: LogReader,
+    heavy_rx: Receiver<(u64, u64)>,
+    counters: Vec<ShardCounters>,
+    host_processed: Counter,
+    stop: Arc<AtomicBool>,
     flight: FlightRing,
     trace: Option<ThreadTrace>,
+    /// The shared decision-audit mirror that live readers
+    /// (`Engine::decisions`, `/stats.json`) poll mid-run.
     audit: Arc<Mutex<VecDeque<DecisionRecord>>>,
-    audit_cap: usize,
     /// The engine's admin mailbox, drained once per epoch.
     admin: Arc<AdminQueue>,
     /// `runtime.admin.applied` — commands the controller acted on.
@@ -852,188 +871,133 @@ struct CtrlObs {
     mem_rss: Gauge,
 }
 
-/// Stable numeric encoding of a FlowCache mode for flight-event args.
-fn mode_code(m: Mode) -> u64 {
-    match m {
-        Mode::General => 0,
-        Mode::Lite => 1,
-    }
-}
+impl ControlThread {
+    /// The thread body: one epoch per `epoch_ms` (or on shutdown).
+    /// Each epoch applies queued admin edits, samples cumulative shard
+    /// counters, drains the verdict log and the heavy-hitter channel,
+    /// feeds the pure [`Controller`] state machine, applies its
+    /// per-shard modes to the [`ModeCell`]s, black-boxes its events and
+    /// publishes any new steering snapshot. When `stop` is observed it
+    /// runs one final epoch (counter tails + late verdicts) and hands
+    /// the control plane back for parking.
+    fn run(mut self) -> ControlResident {
+        let cfg = self.home.ctrl.config();
+        let epoch = Duration::from_millis(cfg.epoch_ms.max(1));
+        let audit_cap = cfg.decision_capacity.max(1);
+        let mut last = Instant::now();
+        loop {
+            let done = self.stop.load(Ordering::Acquire);
+            if !done {
+                std::thread::park_timeout(epoch);
+            }
+            let now = Instant::now();
+            // Only a stop wakes the thread early, and the counter tail
+            // it then sees is whole checkpoints (256 packets) over
+            // whatever sliver of a period had passed — a rate of noise
+            // that a resident controller would carry, through its EWMA,
+            // into the next segment. The stream is over: what arrived
+            // is what a full period would have seen.
+            let elapsed_secs = now.duration_since(last).max(epoch).as_secs_f64();
+            last = now;
+            self.mem_rss.set(mem::rss_bytes() as f64);
 
-/// The controller thread body: one epoch per `epoch` period (or on
-/// shutdown). Each epoch samples cumulative shard counters, drains the
-/// verdict log and the heavy-hitter channel, feeds the pure
-/// [`Controller`] state machine, applies its per-shard mode decisions
-/// to the [`ModeCell`]s and publishes any new steering snapshot.
-/// When `stop` is observed it runs one final epoch (counter tails +
-/// late verdicts) and returns the report.
-#[allow(clippy::too_many_arguments)]
-fn controller_loop(
-    mut ctrl: Controller,
-    log: Arc<ControlLog>,
-    reader: LogReader,
-    heavy_rx: Receiver<(u64, u64)>,
-    counters: Vec<ShardCounters>,
-    host_processed: Counter,
-    mode_cells: Vec<Arc<ModeCell>>,
-    snap_cell: Arc<SnapshotCell<SteeringSnapshot>>,
-    stop: Arc<AtomicBool>,
-    epoch: Duration,
-    mut obs: CtrlObs,
-) -> ControlReport {
-    let mut last = Instant::now();
-    let mut prev_modes: Vec<Mode> = vec![Mode::General; counters.len()];
-    let mut prev_shed = false;
-    // Standing per-shard mode overrides (`AdminCmd::ForceMode`): a
-    // controller-loop-local overlay applied *after* Algorithm 4 each
-    // epoch, so releasing one hands the shard straight back to the
-    // algorithm's current decision.
-    let mut force_modes: Vec<Option<Mode>> = vec![None; counters.len()];
-    loop {
-        let done = stop.load(Ordering::Acquire);
-        if !done {
-            std::thread::park_timeout(epoch);
-        }
-        let now = Instant::now();
-        let elapsed_secs = now.duration_since(last).as_secs_f64();
-        last = now;
-        obs.mem_rss.set(mem::rss_bytes() as f64);
+            // Apply queued admin edits before the epoch decision: they
+            // mutate the controller's private state (marking it dirty),
+            // so this epoch's decision and snapshot carry them — the hot
+            // loop only ever sees them through the RCU path.
+            for cmd in self.admin.drain() {
+                if self.home.ctrl.admin(cmd) {
+                    self.admin_applied.inc();
+                    self.flight
+                        .record(FlightKind::AdminEdit, cmd.code(), cmd.arg());
+                }
+            }
 
-        // Apply queued admin edits before the epoch decision: they
-        // mutate the controller's private tables (marking it dirty), so
-        // this epoch's snapshot publication carries them — the hot loop
-        // only ever sees them through the RCU path.
-        for cmd in obs.admin.drain() {
-            let applied = match cmd {
-                AdminCmd::BlacklistAdd(d) => {
-                    ctrl.admin_blacklist_insert(d);
-                    true
+            // Escalation backlog: packets escalated but neither dropped
+            // at the ring nor processed by the host yet. The pool is
+            // shared, so every shard's sample carries the aggregate.
+            let books: Vec<Ledger> = self.counters.iter().map(|c| c.counts.snapshot()).collect();
+            let backlog = total(books.iter(), Count::Escalated)
+                .saturating_sub(total(books.iter(), Count::EscalationDropped))
+                .saturating_sub(self.host_processed.get());
+
+            let shards: Vec<ShardSample> = books
+                .iter()
+                .map(|b| ShardSample {
+                    offered: b.arrived(),
+                    processed: b[Count::Processed],
+                    shed: b[Count::Shed],
+                    escalation_backlog: backlog,
+                })
+                .collect();
+            let verdicts = self.log.poll(&self.reader);
+            let mut heavy = Vec::new();
+            while let Ok(h) = self.heavy_rx.try_recv() {
+                heavy.push(h);
+                if heavy.len() >= 16_384 {
+                    break;
                 }
-                AdminCmd::BlacklistRemove(d) => {
-                    ctrl.admin_blacklist_remove(d);
-                    true
-                }
-                AdminCmd::WhitelistAdd(d) => {
-                    ctrl.admin_whitelist_insert(d);
-                    true
-                }
-                AdminCmd::WhitelistRemove(d) => {
-                    ctrl.admin_whitelist_remove(d);
-                    true
-                }
-                AdminCmd::ForceShed(f) => {
-                    ctrl.admin_force_shed(f);
-                    true
-                }
-                AdminCmd::ForceMode { shard, mode } => {
-                    if let Some(slot) = force_modes.get_mut(shard) {
-                        *slot = mode;
-                        true
-                    } else {
-                        false
+            }
+
+            let decision = self.home.ctrl.epoch(&EpochInput {
+                elapsed_secs,
+                shards,
+                verdicts,
+                heavy,
+            });
+            for (cell, &m) in self.home.modes.iter().zip(&decision.modes) {
+                cell.set(m);
+            }
+            // Black-box the epoch's notable transitions before
+            // publishing: the controller's own events, then promotions
+            // and evictions from the record's counts.
+            let record = &decision.record;
+            for event in &decision.events {
+                let (kind, a, b) = match *event {
+                    ControlEvent::ModeSwitch { shard, mode, .. } => {
+                        (FlightKind::ModeSwitch, shard as u64, u64::from(mode.code()))
                     }
+                    ControlEvent::ShedOn { epoch } => {
+                        (FlightKind::ShedOn, epoch, record.max_backlog)
+                    }
+                    ControlEvent::ShedOff { epoch } => {
+                        (FlightKind::ShedOff, epoch, record.max_backlog)
+                    }
+                };
+                self.flight.record(kind, a, b);
+            }
+            if record.promotions > 0 {
+                self.flight
+                    .record(FlightKind::Promotion, record.promotions, record.epoch);
+            }
+            if record.whitelist_evictions > 0 {
+                self.flight.record(
+                    FlightKind::WhitelistEvict,
+                    record.whitelist_evictions,
+                    record.epoch,
+                );
+            }
+            // Mirror the decision into the shared audit so live readers
+            // see it without waiting for the segment's report.
+            {
+                let mut audit = self.audit.lock().expect("decision audit poisoned");
+                if audit.len() == audit_cap {
+                    audit.pop_front();
                 }
-            };
-            if applied {
-                obs.admin_applied.inc();
-                obs.flight
-                    .record(FlightKind::AdminEdit, cmd.code(), cmd.arg());
+                audit.push_back(record.clone());
             }
-        }
-
-        // Escalation backlog: packets escalated but neither dropped at
-        // the ring nor processed by the host yet. The pool is shared,
-        // so every shard's sample carries the aggregate.
-        let books: Vec<Ledger> = counters.iter().map(|c| c.counts.snapshot()).collect();
-        let backlog = total(books.iter(), Count::Escalated)
-            .saturating_sub(total(books.iter(), Count::EscalationDropped))
-            .saturating_sub(host_processed.get());
-
-        let shards: Vec<ShardSample> = books
-            .iter()
-            .map(|b| ShardSample {
-                offered: b.arrived(),
-                processed: b[Count::Processed],
-                shed: b[Count::Shed],
-                escalation_backlog: backlog,
-            })
-            .collect();
-        let verdicts = log.poll(&reader);
-        let mut heavy = Vec::new();
-        while let Ok(h) = heavy_rx.try_recv() {
-            heavy.push(h);
-            if heavy.len() >= 16_384 {
-                break;
+            if let Some(snap) = decision.snapshot {
+                self.home.steer.publish(snap);
             }
-        }
-
-        let decision = ctrl.epoch(&EpochInput {
-            elapsed_secs,
-            shards,
-            verdicts,
-            heavy,
-        });
-        // The effective modes are Algorithm 4's decision with any
-        // standing admin overrides layered on top.
-        let mut modes = decision.modes.clone();
-        for (m, f) in modes.iter_mut().zip(&force_modes) {
-            if let Some(forced) = f {
-                *m = *forced;
+            if let Some(tt) = self.trace.as_mut() {
+                if tt.tick() {
+                    tt.span_since(now, "epoch apply", "control");
+                }
             }
-        }
-        for (cell, &m) in mode_cells.iter().zip(&modes) {
-            cell.set(m);
-        }
-        // Black-box the epoch's notable transitions before publishing:
-        // per-shard mode flips, shed edges, promotions and evictions.
-        let record = &decision.record;
-        for (i, (&m, &p)) in modes.iter().zip(&prev_modes).enumerate() {
-            if m != p {
-                obs.flight
-                    .record(FlightKind::ModeSwitch, i as u64, mode_code(m));
+            if done {
+                self.log.release(self.reader);
+                return self.home;
             }
-        }
-        prev_modes.clone_from(&modes);
-        if record.shed != prev_shed {
-            let kind = if record.shed {
-                FlightKind::ShedOn
-            } else {
-                FlightKind::ShedOff
-            };
-            obs.flight.record(kind, record.epoch, record.max_backlog);
-            prev_shed = record.shed;
-        }
-        if record.promotions > 0 {
-            obs.flight
-                .record(FlightKind::Promotion, record.promotions, record.epoch);
-        }
-        if record.whitelist_evictions > 0 {
-            obs.flight.record(
-                FlightKind::WhitelistEvict,
-                record.whitelist_evictions,
-                record.epoch,
-            );
-        }
-        // Mirror the decision into the shared audit so live readers see
-        // it without waiting for the final ControlReport.
-        {
-            let mut audit = obs.audit.lock().expect("decision audit poisoned");
-            if audit.len() == obs.audit_cap {
-                audit.pop_front();
-            }
-            audit.push_back(record.clone());
-        }
-        if let Some(snap) = decision.snapshot {
-            snap_cell.publish(snap);
-        }
-        if let Some(tt) = obs.trace.as_mut() {
-            if tt.tick() {
-                tt.span_since(now, "epoch apply", "control");
-            }
-        }
-        if done {
-            log.release(reader);
-            return ctrl.report();
         }
     }
 }

@@ -6,7 +6,7 @@
 use crate::books::{Axis, Count, Ledger};
 use crate::shard::{ShardEndState, ShardStats, StageHists, PROBE_HIST_SLOTS};
 use serde::{Number, Value};
-use smartwatch_control::{ControlReport, DecisionRecord};
+use smartwatch_control::ControlReport;
 use smartwatch_telemetry::HistSnapshot;
 use std::time::Duration;
 
@@ -24,33 +24,6 @@ pub fn hist_value(h: &HistSnapshot) -> Value {
         ("p90".into(), uint(h.p90)),
         ("p99".into(), uint(h.p99)),
         ("p999".into(), uint(h.p999)),
-    ])
-}
-
-/// Render a controller [`DecisionRecord`] as a JSON object — shared by
-/// [`Engine::stats_json`](crate::Engine::stats_json) and the bench
-/// control timeline.
-pub fn decision_value(d: &DecisionRecord) -> Value {
-    let smoothed = d.smoothed_mpps.iter().map(|&f| Value::Number(Number::F(f)));
-    let modes = d.modes.iter().map(|m| Value::String(m.label().into()));
-    Value::Object(vec![
-        ("epoch".into(), uint(d.epoch)),
-        (
-            "offered_mpps".into(),
-            Value::Number(Number::F(d.offered_mpps)),
-        ),
-        ("smoothed_mpps".into(), Value::Array(smoothed.collect())),
-        ("max_backlog".into(), uint(d.max_backlog)),
-        ("modes".into(), Value::Array(modes.collect())),
-        ("shed".into(), Value::Bool(d.shed)),
-        ("promotions".into(), uint(d.promotions)),
-        ("whitelist_evictions".into(), uint(d.whitelist_evictions)),
-        ("whitelist_len".into(), uint(d.whitelist_len as u64)),
-        ("blacklist_len".into(), uint(d.blacklist_len as u64)),
-        (
-            "snapshot_published".into(),
-            Value::Bool(d.snapshot_published),
-        ),
     ])
 }
 
@@ -205,7 +178,11 @@ pub struct EngineReport {
     /// harness trends this for leak detection.
     pub log_buffered: u64,
     /// Control-plane report (present when the engine ran with a
-    /// controller attached).
+    /// controller attached). The controller is resident, so unlike the
+    /// books above this is its *lifetime* view as of this segment's
+    /// end: every count runs since the engine's first segment, the
+    /// timeline and decision audit are the newest entries whichever
+    /// segment they fell in.
     pub control: Option<ControlReport>,
     /// Per-stage latency/size distributions.
     pub stage: StageSnapshot,

@@ -76,7 +76,10 @@
 //! through an exact in-place reset
 //! (`runtime.flowstate.{resets, resident_bytes}`); under
 //! [`EngineConfig::carry_flow_state`] the cache is handed back warm
-//! instead.
+//! instead. The controller is parked the same way — one for the life
+//! of the engine, with its epoch counter, rate baselines and the
+//! operator's pins — so [`EngineReport::control`] is a lifetime view
+//! and a pin holds from the first packet of every later segment.
 //!
 //! With [`EngineConfig::with_control`] the engine additionally runs the
 //! [`smartwatch_control`] adaptive control plane: a controller thread
@@ -102,11 +105,12 @@ pub mod spsc;
 pub use books::{Axis, Count, Disposition, Ledger};
 pub use control::{ControlLog, LogReader};
 pub use engine::{
-    decision_value, hist_value, DatapathMode, Engine, EngineConfig, EngineReport, FlowCacheSummary,
-    FrameSource, Pace, StageSnapshot,
+    hist_value, DatapathMode, Engine, EngineConfig, EngineReport, FlowCacheSummary, FrameSource,
+    Pace, StageSnapshot,
 };
 pub use escalate::{HostObs, HostPool, TriageNf};
 pub use frame::{FramePool, FrameSlot};
-pub use service::AdminCmd;
 pub use shard::{MergePolicy, ShardCounters, ShardStats};
-pub use smartwatch_control::{ControlConfig, ControlEvent, ControlReport, DecisionRecord};
+pub use smartwatch_control::{
+    AdminCmd, ControlConfig, ControlEvent, ControlReport, DecisionRecord,
+};

@@ -3,14 +3,23 @@
 //! service.
 //!
 //! The admin surface (HTTP POST endpoints, config hot-reload, signal
-//! handlers) never touches engine state directly. Commands are queued
-//! through [`Engine::admin`](crate::Engine::admin) into a bounded
+//! handlers) never touches engine state directly. Commands
+//! ([`AdminCmd`], defined beside the controller that applies them) are
+//! queued through [`Engine::admin`](crate::Engine::admin) into a bounded
 //! mailbox and drained by the **controller thread** once per epoch, so
 //! every edit rides the existing lock-free publication machinery: the
 //! controller mutates its private tables, marks itself dirty, and the
 //! next epoch publishes a fresh [`SteeringSnapshot`] through the
 //! `SnapshotCell` RCU path / [`ModeCell`] atomics. The packet hot loop
 //! keeps taking zero locks.
+//!
+//! The controller is resident — one for the life of the engine, parked
+//! between segments like the flow state — so the two pins
+//! (`ForceShed`, `ForceMode`) stand until the operator releases them,
+//! across any number of segment boundaries, and a segment opens with
+//! them already in force. Table edits (`Blacklist*`, `Whitelist*`) are
+//! entries like any learned one: TTL'd, and gone when the next segment
+//! opens with empty tables.
 //!
 //! Graceful drain works the same way from the other side: callers
 //! raise a flag ([`Engine::request_drain`](crate::Engine::request_drain));
@@ -22,67 +31,9 @@
 //! [`SteeringSnapshot`]: smartwatch_control::SteeringSnapshot
 //! [`ModeCell`]: smartwatch_control::ModeCell
 
-use smartwatch_snic::Mode;
+use smartwatch_control::AdminCmd;
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// One operator command, applied by the controller at the next epoch
-/// boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdminCmd {
-    /// Blacklist a flow digest (drops at dispatch; revokes any standing
-    /// whitelist entry).
-    BlacklistAdd(u64),
-    /// Remove a digest from the steering blacklist.
-    BlacklistRemove(u64),
-    /// Whitelist a flow digest (survives load shedding; revokes any
-    /// standing blacklist entry — the operator is authoritative).
-    WhitelistAdd(u64),
-    /// Remove a digest from the whitelist.
-    WhitelistRemove(u64),
-    /// `Some(v)`: pin load shedding to `v`, pausing the hysteresis.
-    /// `None`: hand shedding back to the controller.
-    ForceShed(Option<bool>),
-    /// `Some(mode)`: pin one shard's FlowCache mode, overriding
-    /// Algorithm 4 for that shard. `None`: release the override.
-    ForceMode {
-        /// Shard index the override applies to.
-        shard: usize,
-        /// Pinned mode, or `None` to release.
-        mode: Option<Mode>,
-    },
-}
-
-impl AdminCmd {
-    /// Stable numeric code for flight-recorder events
-    /// (`admin_edit.cmd`).
-    pub fn code(&self) -> u64 {
-        match self {
-            AdminCmd::BlacklistAdd(_) => 1,
-            AdminCmd::BlacklistRemove(_) => 2,
-            AdminCmd::WhitelistAdd(_) => 3,
-            AdminCmd::WhitelistRemove(_) => 4,
-            AdminCmd::ForceShed(_) => 5,
-            AdminCmd::ForceMode { .. } => 6,
-        }
-    }
-
-    /// Payload word for flight-recorder events (`admin_edit.arg`): the
-    /// digest, the forced-shed encoding (0 = release, 1 = off, 2 = on),
-    /// or the target shard.
-    pub fn arg(&self) -> u64 {
-        match *self {
-            AdminCmd::BlacklistAdd(d)
-            | AdminCmd::BlacklistRemove(d)
-            | AdminCmd::WhitelistAdd(d)
-            | AdminCmd::WhitelistRemove(d) => d,
-            AdminCmd::ForceShed(None) => 0,
-            AdminCmd::ForceShed(Some(false)) => 1,
-            AdminCmd::ForceShed(Some(true)) => 2,
-            AdminCmd::ForceMode { shard, .. } => shard as u64,
-        }
-    }
-}
 
 /// Bounded multi-producer mailbox between the admin surface and the
 /// controller thread. Pushes beyond the bound are refused (the caller
@@ -144,29 +95,5 @@ mod tests {
             q.push(AdminCmd::ForceShed(Some(true))),
             "drained queue accepts again"
         );
-    }
-
-    #[test]
-    fn flight_codes_are_stable_and_distinct() {
-        let cmds = [
-            AdminCmd::BlacklistAdd(7),
-            AdminCmd::BlacklistRemove(7),
-            AdminCmd::WhitelistAdd(7),
-            AdminCmd::WhitelistRemove(7),
-            AdminCmd::ForceShed(Some(true)),
-            AdminCmd::ForceMode {
-                shard: 3,
-                mode: Some(Mode::Lite),
-            },
-        ];
-        let codes: Vec<u64> = cmds.iter().map(AdminCmd::code).collect();
-        let mut unique = codes.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), cmds.len());
-        assert_eq!(AdminCmd::BlacklistAdd(7).arg(), 7);
-        assert_eq!(AdminCmd::ForceShed(None).arg(), 0);
-        assert_eq!(AdminCmd::ForceShed(Some(false)).arg(), 1);
-        assert_eq!(AdminCmd::ForceShed(Some(true)).arg(), 2);
     }
 }

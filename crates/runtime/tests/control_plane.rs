@@ -9,8 +9,11 @@
 //! recovery threshold.
 
 use smartwatch_net::{Dur, Packet};
-use smartwatch_runtime::{ControlConfig, Count, Engine, EngineConfig, Pace};
+use smartwatch_runtime::{
+    AdminCmd, ControlConfig, ControlEvent, ControlReport, Count, Engine, EngineConfig, Pace,
+};
 use smartwatch_snic::Mode;
+use smartwatch_telemetry::FlightKind;
 use smartwatch_trace::background::{preset_trace, Preset};
 
 fn workload(total: usize) -> Vec<Packet> {
@@ -174,4 +177,161 @@ fn engine_without_control_reports_none_and_zero_shed() {
     assert_eq!(report.shed(), 0);
     assert_eq!(report.steer_dropped(), 0);
     assert!(report.conserved());
+}
+
+/// A controller that only relays the operator: 2 ms epochs, every
+/// threshold parked far above any drive here, so nothing sheds or
+/// switches mode unless a row below pins it.
+fn inert_control() -> ControlConfig {
+    ControlConfig {
+        epoch_ms: 2,
+        eta_lite_mpps: 1_000.0,
+        eta_general_mpps: 100.0,
+        shed_on_mpps: 1_000.0,
+        shed_off_mpps: 100.0,
+        ..ControlConfig::default()
+    }
+}
+
+/// `admin_edit` events in the engine's black box so far.
+fn admin_edits(engine: &Engine) -> usize {
+    let rings = engine.flight().snapshot();
+    rings
+        .iter()
+        .flat_map(|(_, events)| events)
+        .filter(|e| e.kind == FlightKind::AdminEdit)
+        .count()
+}
+
+/// The shed pin is queued once and stands: segment 0 sheds from the
+/// epoch that applies it, every later segment opens under it and sheds
+/// all it is offered.
+fn shed_pin_outlives_the_segment() {
+    let engine = Engine::new(EngineConfig::new(2).with_control(inert_control()));
+    let packets = workload(30_000);
+    assert!(engine.admin(AdminCmd::ForceShed(Some(true))));
+    for segment in 0..3 {
+        let report = engine.run(&packets, Pace::RateMpps(0.3));
+        assert!(report.conserved(), "segment {segment}: {:?}", report.shards);
+        if segment == 0 {
+            assert!(report.shed() > 0, "the pin must shed once applied");
+        } else {
+            assert_eq!(
+                (report.shed(), report.processed()),
+                (report.offered, 0),
+                "segment {segment} must open already shedding"
+            );
+        }
+        let ctrl = report.control.expect("controller ran");
+        assert!(ctrl.shed_active, "segment {segment}: pin still stands");
+    }
+    assert_eq!(admin_edits(&engine), 1, "queued once, applied once");
+}
+
+/// The mode pin lives beside the state it overrides: the report, the
+/// audit, the gauge and the shard all say the pinned mode, in the
+/// segment that applied it (queued before the first run, so from its
+/// first epoch) and in the next, until the operator releases it.
+fn mode_pin_is_what_every_view_reports() {
+    let engine = Engine::new(EngineConfig::new(2).with_control(inert_control()));
+    let packets = workload(30_000);
+    let gauge = engine.registry().gauge("control.mode", &[("shard", "0")]);
+    let timeline = |c: &ControlReport| -> Vec<String> {
+        // `e12 shard0->lite` without the wall-clock-dependent epoch.
+        let tail = |e: &ControlEvent| e.render().split(' ').nth(1).map(String::from);
+        c.timeline.iter().filter_map(tail).collect()
+    };
+
+    assert!(engine.admin(AdminCmd::ForceMode {
+        shard: 0,
+        mode: Some(Mode::Lite),
+    }));
+    let first = engine.run(&packets, Pace::RateMpps(0.3));
+    let ctrl = first.control.as_ref().expect("controller ran");
+    assert_eq!(engine.admin_applied(), 1, "an edit queued before run lands");
+    assert_eq!(ctrl.final_modes, [Mode::Lite, Mode::General]);
+    assert_eq!(ctrl.mode_switches, 1);
+    assert_eq!(timeline(ctrl), ["shard0->lite"]);
+    assert!(!ctrl.decisions.is_empty());
+    for d in &ctrl.decisions {
+        assert_eq!(d.modes, [Mode::Lite, Mode::General], "epoch {}", d.epoch);
+    }
+    assert_eq!(gauge.get(), 1.0);
+    assert_eq!(first.shards[0].cache.mode_switches, 1);
+
+    // Nothing is queued for the second segment: shard 0's reset cache
+    // goes Lite at its first batch boundary, before it holds a record a
+    // cleanup could evict.
+    let second = engine.run(&packets, Pace::RateMpps(0.3));
+    let ctrl = second.control.as_ref().expect("controller ran");
+    assert!(second.conserved());
+    assert_eq!(admin_edits(&engine), 1, "no new admin_edit");
+    assert_eq!(ctrl.final_modes, [Mode::Lite, Mode::General]);
+    assert_eq!((ctrl.mode_switches, timeline(ctrl).len()), (1, 1));
+    let cache = second.shards[0].cache;
+    assert_eq!((cache.mode_switches, cache.cleanup_evictions), (1, 0));
+    assert_eq!(second.shards[1].cache.mode_switches, 0);
+
+    assert!(engine.admin(AdminCmd::ForceMode {
+        shard: 0,
+        mode: None,
+    }));
+    let third = engine.run(&packets, Pace::RateMpps(0.3));
+    let ctrl = third.control.as_ref().expect("controller ran");
+    assert_eq!(timeline(ctrl), ["shard0->lite", "shard0->general"]);
+    assert_eq!(ctrl.final_modes, [Mode::General, Mode::General]);
+    assert_eq!(gauge.get(), 0.0);
+}
+
+/// The controller keeps its counter baselines across segments, so the
+/// first epoch of a segment measures that epoch — not the registry's
+/// engine-lifetime counters over 5 ms — and its report is one lifetime.
+fn no_phantom_first_epoch() {
+    let engine = Engine::new(EngineConfig::new(2).with_control(ControlConfig::default()));
+    let packets = workload(100_000);
+    let mut epochs = 0;
+    for segment in 0..4 {
+        let report = engine.run(&packets, Pace::RateMpps(0.25));
+        let ctrl = report.control.expect("controller ran");
+        // Four segments of ~80 epochs fit the 512-record audit, so this
+        // covers every segment's first epoch.
+        for d in &ctrl.decisions {
+            assert!(
+                d.offered_mpps < 1.0,
+                "segment {segment}: epoch {} saw {} Mpps of a 0.25 Mpps drive",
+                d.epoch,
+                d.offered_mpps
+            );
+        }
+        assert!(ctrl.epochs > epochs, "segment {segment}: epochs run on");
+        assert_eq!(
+            ctrl.epochs,
+            engine.registry().counter("control.epochs", &[]).get(),
+            "segment {segment}: one controller, built once"
+        );
+        epochs = ctrl.epochs;
+    }
+}
+
+/// What a controller rebuilt per segment got wrong, one row each. All
+/// rows run; the failure names every row that fell.
+#[test]
+fn the_controller_is_resident() {
+    let rows: [(&str, fn()); 3] = [
+        (
+            "shed pin outlives the segment",
+            shed_pin_outlives_the_segment,
+        ),
+        (
+            "mode pin is what every view reports",
+            mode_pin_is_what_every_view_reports,
+        ),
+        ("no phantom first epoch", no_phantom_first_epoch),
+    ];
+    let failed: Vec<&str> = rows
+        .iter()
+        .filter(|(_, row)| std::panic::catch_unwind(row).is_err())
+        .map(|&(name, _)| name)
+        .collect();
+    assert!(failed.is_empty(), "rows failed: {failed:?}");
 }

@@ -111,6 +111,22 @@ impl Mode {
             Mode::Lite => "lite",
         }
     }
+
+    /// Stable numeric encoding (General = 0, Lite = 1): what the
+    /// `control.mode` gauge, the mode cells and flight-event args carry.
+    pub fn code(self) -> u8 {
+        match self {
+            Mode::General => 0,
+            Mode::Lite => 1,
+        }
+    }
+}
+
+/// A mode serialises as its [`Mode::label`].
+impl serde::Serialize for Mode {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::String(self.label().into())
+    }
 }
 
 /// FlowCache geometry and policy configuration.

@@ -15,6 +15,11 @@
 //! * request head (request line + headers) capped at
 //!   [`MAX_HEAD_BYTES`] — anything longer is `431`;
 //! * bodies capped at [`MAX_BODY_BYTES`] — `413` beyond that;
+//! * the whole request must arrive within [`REQUEST_DEADLINE`] of the
+//!   connection being accepted, however slowly its bytes drip — `408`
+//!   after that, so no client can hold the one server thread;
+//! * a connection closed before its head ends or its body reaches
+//!   `Content-Length` is `400`: a handler never sees half a request;
 //! * malformed request lines are `400`;
 //! * a known path hit with an unsupported method is `405` with an
 //!   `Allow:` header listing what the route accepts.
@@ -22,18 +27,21 @@
 //! Shutdown is cooperative: [`HttpServer::shutdown`] raises a flag and
 //! pokes the listener with a loopback connection so `accept` returns.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum bytes of request line + headers accepted before `431`.
 pub const MAX_HEAD_BYTES: usize = 8192;
 
 /// Maximum request-body bytes accepted before `413`.
 pub const MAX_BODY_BYTES: usize = 65536;
+
+/// Time a client has to deliver its whole request (head and body).
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
 /// What a route handler returns.
 pub struct HttpResponse {
@@ -71,6 +79,7 @@ impl HttpResponse {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             409 => "Conflict",
             413 => "Payload Too Large",
             422 => "Unprocessable Entity",
@@ -201,28 +210,69 @@ fn accept_loop(listener: TcpListener, routes: Vec<Route>, shared: Arc<ServerShar
     }
 }
 
-/// Read until the end of the request head. Returns the raw bytes read
-/// so far (head + any body prefix) and the head length, or `None` when
-/// the head exceeds [`MAX_HEAD_BYTES`].
-fn read_head(stream: &mut TcpStream) -> Option<(Vec<u8>, usize)> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        if let Some(pos) = find_head_end(&buf) {
-            // The cap applies to the head itself, terminator or not.
-            return (pos <= MAX_HEAD_BYTES).then_some((buf, pos));
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return None;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
+/// Why a request came up short of what it announced.
+enum Short {
+    /// The peer closed (or the connection failed) mid-request.
+    Closed,
+    /// [`REQUEST_DEADLINE`] passed first.
+    TimedOut,
+}
+
+impl Short {
+    fn response(self) -> HttpResponse {
+        match self {
+            Short::Closed => HttpResponse::text(400, "connection closed mid-request\n"),
+            Short::TimedOut => HttpResponse::text(
+                408,
+                format!(
+                    "request not received within {} s\n",
+                    REQUEST_DEADLINE.as_secs()
+                ),
+            ),
         }
     }
-    let pos = find_head_end(&buf).filter(|&p| p <= MAX_HEAD_BYTES)?;
-    Some((buf, pos))
+}
+
+/// Read into `buf` until `done(buf)` or the deadline, whichever comes
+/// first. Every read waits at most for what is left of the deadline, so
+/// a client dripping a byte at a time cannot extend it.
+fn read_until(
+    stream: &mut TcpStream,
+    deadline: Instant,
+    buf: &mut Vec<u8>,
+    done: impl Fn(&[u8]) -> bool,
+) -> Result<(), Short> {
+    let mut chunk = [0u8; 512];
+    while !done(buf) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return Err(Short::TimedOut);
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(Short::Closed),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(Short::TimedOut)
+            }
+            Err(_) => return Err(Short::Closed),
+        }
+    }
+    Ok(())
+}
+
+/// Read until the end of the request head. Returns the raw bytes read
+/// so far (head + any body prefix) and the head length, or the response
+/// that refuses the request: `431` when the head exceeds
+/// [`MAX_HEAD_BYTES`], `400`/`408` when it never ends.
+fn read_head(stream: &mut TcpStream, deadline: Instant) -> Result<(Vec<u8>, usize), HttpResponse> {
+    let mut buf = Vec::with_capacity(512);
+    let ended = |b: &[u8]| find_head_end(b).is_some() || b.len() > MAX_HEAD_BYTES;
+    read_until(stream, deadline, &mut buf, ended).map_err(Short::response)?;
+    // The cap applies to the head itself, terminator or not.
+    match find_head_end(&buf) {
+        Some(pos) if pos <= MAX_HEAD_BYTES => Ok((buf, pos)),
+        _ => Err(HttpResponse::text(431, "request head exceeds 8 KiB\n")),
+    }
 }
 
 /// Byte offset just past the `\r\n\r\n` head terminator, if present.
@@ -240,12 +290,12 @@ fn content_length(head: &str) -> usize {
 }
 
 fn handle_connection(mut stream: TcpStream, routes: &[Route]) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
 
-    let response = match read_head(&mut stream) {
-        None => HttpResponse::text(431, "request head exceeds 8 KiB\n"),
-        Some((buf, head_len)) => respond(&mut stream, buf, head_len, routes),
+    let response = match read_head(&mut stream, deadline) {
+        Err(refusal) => refusal,
+        Ok((buf, head_len)) => respond(&mut stream, deadline, buf, head_len, routes),
     };
 
     let head = format!(
@@ -262,6 +312,7 @@ fn handle_connection(mut stream: TcpStream, routes: &[Route]) -> std::io::Result
 
 fn respond(
     stream: &mut TcpStream,
+    deadline: Instant,
     buf: Vec<u8>,
     head_len: usize,
     routes: &[Route],
@@ -282,13 +333,8 @@ fn respond(
     }
     // The head read may already hold a body prefix; pull the rest.
     let mut body = buf[head_len..].to_vec();
-    let mut chunk = [0u8; 512];
-    while body.len() < want {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
+    if let Err(short) = read_until(stream, deadline, &mut body, |b| b.len() >= want) {
+        return short.response();
     }
     body.truncate(want);
 
@@ -329,6 +375,11 @@ mod tests {
     fn raw(addr: SocketAddr, request: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(request.as_bytes()).unwrap();
+        response(stream)
+    }
+
+    /// Read the connection to its end: status and body.
+    fn response(mut stream: TcpStream) -> (u16, String) {
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         let status: u16 = out
@@ -445,6 +496,47 @@ mod tests {
         assert_eq!(status, 400);
         let (status, _) = raw(addr, "GET not-a-path HTTP/1.1\r\n\r\n");
         assert_eq!(status, 400, "path must start with /");
+        server.shutdown();
+    }
+    /// One server thread, one connection at a time: a client must not
+    /// be able to keep it, whether by dripping bytes (each drip used to
+    /// re-arm a per-read timeout) or by announcing more than it sends.
+    #[test]
+    fn slow_and_short_requests_are_refused_by_name() {
+        let server = HttpServer::serve("127.0.0.1:0", demo_routes()).unwrap();
+        let addr = server.local_addr();
+        let status_of = |stream: TcpStream| response(stream).0;
+
+        // A head that never ends, one byte every 100 ms.
+        let t0 = Instant::now();
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut drip = stream.try_clone().unwrap();
+        let dripper = thread::spawn(move || {
+            let _ = drip.write_all(b"POST /echo HTTP/1.1\r\nX-Pad: ");
+            while drip.write_all(b"x").is_ok() && t0.elapsed() < 3 * REQUEST_DEADLINE {
+                thread::sleep(Duration::from_millis(100));
+            }
+        });
+        assert_eq!(status_of(stream), 408);
+        assert!(t0.elapsed() < 2 * REQUEST_DEADLINE, "{:?}", t0.elapsed());
+        dripper.join().unwrap();
+
+        // A body that stops short of its Content-Length: the handler
+        // must not see the half that arrived, even if it parses.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"POST /echo HTTP/1.1\r\nContent-Length: 20\r\n\r\nhalf")
+            .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(status_of(stream), 400);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"POST /echo HTTP/1.1\r\nContent-Length: 20\r\n\r\nhalf")
+            .unwrap();
+        assert_eq!(status_of(stream), 408, "open but silent: timed out");
+
+        // The listener survived all three.
+        assert_eq!(get(addr, "/metrics").0, 200);
         server.shutdown();
     }
 }

@@ -60,6 +60,7 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -73,9 +74,16 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     Ok(T::from_value(&v)?)
 }
 
+/// Deepest nesting of arrays and objects accepted (serde_json's own
+/// limit): the parser — and dropping the `Value` it builds — recurses
+/// once per level, and input from a socket or a watched file must not
+/// be able to choose the stack depth.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -131,8 +139,8 @@ impl<'a> Parser<'a> {
                 Ok(Value::Bool(false))
             }
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(Error::new(format!(
                 "unexpected character `{}` at offset {}",
@@ -140,6 +148,19 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error::new("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -327,6 +348,16 @@ mod tests {
         let s = to_string(&data).unwrap();
         let back: Vec<(u64, Vec<String>)> = from_str(&s).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        let deep = from_str::<Value>(&nest(MAX_DEPTH + 1));
+        assert!(deep.unwrap_err().to_string().contains("nesting deeper"));
+        // Unclosed, mixed, and far past any stack: an error, not a crash.
+        assert!(from_str::<Value>(&"[{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
