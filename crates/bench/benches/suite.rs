@@ -11,7 +11,14 @@
 //! Fresh state is what an engine's *first* segment runs on. Every later
 //! one runs on state that was reset in place, its tables already sized:
 //! the `conntable_refilled` and `suite_refilled` rows measure that
-//! against the cold `conntable` and `suite` rows.
+//! against the cold `conntable` and `suite` rows. `conntable_refilled`
+//! resets a *full* table; the engine resets one its end-of-trace sweep
+//! has just emptied, which is the state `conntable_swept_refilled`
+//! starts from (fill → sweep → `reset` → timed refill) and the state
+//! `suite_refilled` has always started from (it runs `finish` before
+//! `reset`). `suite_digested` drives that swept-and-reset suite the way
+//! a shard does: packets digested ahead of the clock (ingest's job),
+//! then `on_packet_digested`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smartwatch_bench::workloads;
@@ -21,7 +28,7 @@ use smartwatch_detect::portscan::ScanPipeline;
 use smartwatch_detect::rst::ForgedRstDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_host::ConnTable;
-use smartwatch_net::{Packet, Ts};
+use smartwatch_net::{Dur, FlowDigest, FlowHasher, Packet, Ts};
 use smartwatch_trace::background::Preset;
 use std::hint::black_box;
 
@@ -72,6 +79,26 @@ fn bench_input(c: &mut Criterion, input: &str, pkts: &[Packet]) {
             black_box(s.process(p));
         },
     );
+    let end = pkts.last().map_or(Ts::ZERO, |p| p.ts);
+    row(
+        &mut g,
+        "conntable_swept_refilled",
+        pkts,
+        || {
+            let mut table = ConnTable::new();
+            for p in pkts {
+                table.process(p);
+            }
+            // What `ScanPipeline::finish` does to its table.
+            let t = Dur::from_secs(2);
+            table.sweep(end + t, t, t, |_, _| {});
+            table.reset();
+            table
+        },
+        |s, p| {
+            black_box(s.process(p));
+        },
+    );
     row(
         &mut g,
         "rst",
@@ -98,23 +125,43 @@ fn bench_input(c: &mut Criterion, input: &str, pkts: &[Packet]) {
     row(&mut g, "suite", pkts, DetectorSuite::new, |s, p| {
         black_box(s.on_packet(p));
     });
+    // Filled, swept by `finish`, reset: what a shard's second segment
+    // starts on.
+    let swept = |hasher: FlowHasher| {
+        let mut suite = DetectorSuite::with_hasher(hasher);
+        for p in pkts {
+            suite.on_packet(p);
+        }
+        suite.finish(end);
+        suite.reset();
+        suite
+    };
     row(
         &mut g,
         "suite_refilled",
         pkts,
-        || {
-            let mut suite = DetectorSuite::new();
-            for p in pkts {
-                suite.on_packet(p);
-            }
-            suite.finish(pkts.last().map_or(Ts::ZERO, |p| p.ts));
-            suite.reset();
-            suite
-        },
+        || swept(FlowHasher::default()),
         |s, p| {
             black_box(s.on_packet(p));
         },
     );
+    let hasher = FlowHasher::new(0x51CC);
+    let digested: Vec<(Packet, FlowDigest)> = pkts
+        .iter()
+        .map(|p| (*p, hasher.flow_digest(&p.key)))
+        .collect();
+    g.bench_function("suite_digested", |b| {
+        b.iter_batched(
+            || swept(hasher),
+            |mut s| {
+                for (p, flow) in &digested {
+                    black_box(s.on_packet_digested(black_box(p), flow));
+                }
+                s
+            },
+            BatchSize::LargeInput,
+        );
+    });
     g.finish();
 }
 

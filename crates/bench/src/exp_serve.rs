@@ -205,6 +205,20 @@ impl ServeConfig {
         }
         cmds
     }
+
+    /// Note that one command of a [`ServeConfig::diff`] reached the
+    /// engine: this record now says what that command made true.
+    fn record(&mut self, cmd: AdminCmd) {
+        match cmd {
+            AdminCmd::BlacklistAdd(d) => self.blacklist.push(d),
+            AdminCmd::BlacklistRemove(d) => self.blacklist.retain(|held| *held != d),
+            AdminCmd::WhitelistAdd(d) => self.whitelist.push(d),
+            AdminCmd::WhitelistRemove(d) => self.whitelist.retain(|held| *held != d),
+            AdminCmd::ForceShed(pin) => self.force_shed = pin,
+            // Not a config-file field; `diff` never emits it.
+            AdminCmd::ForceMode { .. } => {}
+        }
+    }
 }
 
 fn digest_list(value: &serde_json::Value, field: &str) -> Result<Vec<u64>, String> {
@@ -237,19 +251,24 @@ fn read_config(path: &str) -> Result<String, String> {
     Ok(text)
 }
 
-/// Apply a validated config transition to the engine: queue the
-/// steering/shed diff through the admin mailbox (published at the next
-/// epoch boundary) and flip the pace atomic. Returns false when the
-/// mailbox rejected part of the diff (retried on the next reload).
-fn apply_config(engine: &Engine, prev: &ServeConfig, next: &ServeConfig) -> bool {
-    let mut ok = true;
-    for cmd in prev.diff(next) {
-        ok &= engine.admin(cmd);
+/// Move a running engine from the config `applied` records to `next`:
+/// queue the steering/shed diff through the admin mailbox (published at
+/// the next epoch boundary), one command at a time, then flip the pace
+/// atomic. `applied` is advanced by exactly what landed, so when the
+/// mailbox refuses a command (`false`), diffing `applied` against
+/// `next` again yields exactly the commands still owed.
+fn apply_config(engine: &Engine, applied: &mut ServeConfig, next: &ServeConfig) -> bool {
+    for cmd in applied.diff(next) {
+        if !engine.admin(cmd) {
+            return false;
+        }
+        applied.record(cmd);
     }
-    if prev.rate_mpps != next.rate_mpps {
+    if applied.rate_mpps != next.rate_mpps {
         engine.set_rate_override(next.rate_mpps);
     }
-    ok
+    *applied = next.clone();
+    true
 }
 
 /// The config hot-reload watcher: polls the file's mtime from a helper
@@ -264,7 +283,8 @@ struct ConfigWatcher {
 struct ConfigShared {
     /// Successful reloads (the `seq` in `config_reload` flight events).
     reloads: AtomicU64,
-    /// Rejected reload attempts (file kept changing or failed to parse).
+    /// Rejected reload attempts (file failed to parse or validate, or the
+    /// admin mailbox refused part of its diff — counted once per reload).
     errors: AtomicU64,
 }
 
@@ -280,6 +300,7 @@ impl ConfigWatcher {
             shared: Arc::clone(&shared),
             applied: ServeConfig::default(),
             last_mtime: None,
+            owed: None,
         };
         poller.poll(true);
         let poll = PollGuard::spawn("sw-config", Duration::from_millis(100), move || {
@@ -301,8 +322,9 @@ impl ConfigWatcher {
     }
 }
 
-/// The watcher thread's state: the config applied now and the mtime
-/// it was read at.
+/// The watcher thread's state: what of the watched file has reached
+/// the engine, the mtime it was last read at, and the last valid read
+/// while part of its diff is still owed to a full admin mailbox.
 struct ConfigPoller {
     path: String,
     engine: Arc<Engine>,
@@ -310,37 +332,54 @@ struct ConfigPoller {
     shared: Arc<ConfigShared>,
     applied: ServeConfig,
     last_mtime: Option<std::time::SystemTime>,
+    owed: Option<ServeConfig>,
 }
 
 impl ConfigPoller {
-    /// One poll round: skip unless the mtime moved (or `force`), then
-    /// parse-validate-diff-apply and record the attempt in flight.
+    /// One poll round: skip unless the mtime moved, part of the last
+    /// reload is still owed, or `force`; then parse-validate-diff-apply
+    /// and record the attempt in flight. A reload the admin mailbox
+    /// refused part of counts as one error and is retried on every
+    /// tick, from what `applied` says landed, until the whole diff is
+    /// in — from the read that was refused, not from the file, so a
+    /// file that has gone bad since does not strand half a diff.
     fn poll(&mut self, force: bool) {
         let path = &self.path;
         let mtime = match std::fs::metadata(path).and_then(|m| m.modified()) {
             Ok(t) => t,
             Err(_) => return, // absent file: nothing to apply yet
         };
-        if !force && self.last_mtime == Some(mtime) {
-            return;
-        }
+        let changed = force || self.last_mtime != Some(mtime);
         self.last_mtime = Some(mtime);
-        let outcome = read_config(path).and_then(|text| ServeConfig::parse(&text));
-        match outcome {
-            Ok(next) if next == self.applied => {} // touch without change
+        let read = match (&self.owed, changed) {
+            (None, false) => return,
+            (Some(next), false) => Ok(next.clone()),
+            (_, true) => read_config(path).and_then(|text| ServeConfig::parse(&text)),
+        };
+        let why = match read {
+            Ok(next) if next == self.applied => {
+                self.owed = None;
+                return; // touch without change
+            }
             Ok(next) => {
-                apply_config(&self.engine, &self.applied, &next);
-                self.applied = next;
-                let seq = self.shared.reloads.fetch_add(1, Ordering::Relaxed) + 1;
-                self.ring.record(FlightKind::ConfigReload, 1, seq);
+                if apply_config(&self.engine, &mut self.applied, &next) {
+                    self.owed = None;
+                    let seq = self.shared.reloads.fetch_add(1, Ordering::Relaxed) + 1;
+                    self.ring.record(FlightKind::ConfigReload, 1, seq);
+                    return;
+                }
+                if self.owed.replace(next).is_some() {
+                    return; // said once per refused reload, not per retry
+                }
+                "the admin mailbox is full (retrying every tick)".to_string()
             }
-            Err(e) => {
-                self.shared.errors.fetch_add(1, Ordering::Relaxed);
-                let seq = self.shared.reloads.load(Ordering::Relaxed);
-                self.ring.record(FlightKind::ConfigReload, 0, seq);
-                eprintln!("repro: serve-config {path} rejected: {e} (keeping previous config)");
-            }
-        }
+            // What was owed of the last valid read stays owed.
+            Err(e) => format!("{e} (keeping previous config)"),
+        };
+        self.shared.errors.fetch_add(1, Ordering::Relaxed);
+        let seq = self.shared.reloads.load(Ordering::Relaxed);
+        self.ring.record(FlightKind::ConfigReload, 0, seq);
+        eprintln!("repro: serve-config {path} rejected: {why}");
     }
 }
 
@@ -978,6 +1017,7 @@ mod tests {
             shared: Arc::clone(&shared),
             applied: ServeConfig::default(),
             last_mtime: None,
+            owed: None,
         };
         let packets = crate::workloads::caida_64b(Preset::Caida2018, 1, 0xC7).into_packets();
         let packets: Vec<_> = packets.iter().cycle().take(20_000).copied().collect();
@@ -1024,6 +1064,108 @@ mod tests {
         // The next segment opens under the pin the good config set.
         let (shed, offered) = shed_pinned("after six bad files");
         assert_eq!(shed, offered);
+    }
+
+    /// A reload that meets a full admin mailbox is an error, marks
+    /// nothing applied that did not land, and is retried on the next
+    /// tick — not on the next edit of the file — until the whole diff
+    /// is in, once.
+    #[test]
+    fn a_reload_the_mailbox_refused_is_retried_every_tick_until_it_lands() {
+        use smartwatch_runtime::Pace;
+        use smartwatch_trace::background::Preset;
+        let spec = ServeSpec::default();
+        let cfg = spec.shape.engine_config();
+        let engine = Arc::new(Engine::new(cfg.with_control(serve_control_config(&spec))));
+        let file = std::env::temp_dir().join("sw_serve_full_mailbox_test.json");
+        let shared = Arc::new(ConfigShared::default());
+        let mut poller = ConfigPoller {
+            path: file.to_string_lossy().into_owned(),
+            engine: Arc::clone(&engine),
+            ring: engine.flight().ring("sw-serve"),
+            shared: Arc::clone(&shared),
+            applied: ServeConfig::default(),
+            last_mtime: None,
+            owed: None,
+        };
+        let counts = |shared: &ConfigShared| {
+            (
+                shared.reloads.load(Ordering::Relaxed),
+                shared.errors.load(Ordering::Relaxed),
+            )
+        };
+
+        // An idle engine drains nothing: fill the mailbox to the brim.
+        let mut filler = 0;
+        while engine.admin(AdminCmd::WhitelistAdd(1_000_000 + filler)) {
+            filler += 1;
+        }
+        let brim = engine.admin_queued();
+        std::fs::write(
+            &file,
+            r#"{"force_shed": true, "blacklist": [7, 8], "rate_mpps": 0.4}"#,
+        )
+        .unwrap();
+        poller.poll(true);
+        assert_eq!(counts(&shared), (0, 1), "refused: an error, not a reload");
+        assert_eq!(poller.applied, ServeConfig::default(), "nothing landed");
+        assert!(
+            engine.rate_override().is_none(),
+            "the pace waits for the diff"
+        );
+        assert_eq!(engine.admin_queued(), brim);
+        // Still full: the retries are silent.
+        poller.poll(false);
+        poller.poll(false);
+        assert_eq!(counts(&shared), (0, 1));
+        // The file goes bad while the diff is owed: refused and counted,
+        // and the last valid read is still what the retries apply.
+        std::fs::write(&file, r#"{"force_shed": tr"#).unwrap();
+        poller.poll(true);
+        assert_eq!(counts(&shared), (0, 2));
+        assert_eq!(poller.applied, ServeConfig::default());
+
+        // A segment under the controller drains the mailbox.
+        let packets = crate::workloads::caida_64b(Preset::Caida2018, 1, 0xC7).into_packets();
+        let packets: Vec<_> = packets.iter().cycle().take(20_000).copied().collect();
+        assert!(engine.run(&packets, Pace::RateMpps(0.5)).conserved());
+        assert_eq!(engine.admin_queued(), 0);
+
+        // Same file, same mtime: the next tick applies the whole diff.
+        poller.poll(false);
+        assert_eq!(counts(&shared), (1, 2));
+        assert_eq!(engine.admin_queued(), 3, "two digests and the shed pin");
+        assert!(engine.rate_override().is_some());
+        let want = ServeConfig {
+            rate_mpps: Some(0.4),
+            force_shed: Some(true),
+            blacklist: vec![7, 8],
+            whitelist: vec![],
+        };
+        assert_eq!(poller.applied, want);
+        // … once.
+        poller.poll(false);
+        assert_eq!((counts(&shared), engine.admin_queued()), ((1, 2), 3));
+
+        // A mailbox with room for part of a diff: what landed is
+        // recorded, and only the rest is owed.
+        while engine.admin(AdminCmd::WhitelistAdd(2_000_000 + filler)) {
+            filler += 1;
+        }
+        assert!(engine.run(&packets, Pace::RateMpps(0.5)).conserved());
+        while engine.admin_queued() < brim - 1 {
+            assert!(engine.admin(AdminCmd::WhitelistAdd(3_000_000 + filler)));
+            filler += 1;
+        }
+        let next = ServeConfig {
+            blacklist: vec![7, 8, 9, 10],
+            ..want.clone()
+        };
+        let mut applied = want.clone();
+        assert!(!apply_config(&engine, &mut applied, &next));
+        assert_eq!(applied.blacklist, [7, 8, 9], "one command fitted");
+        assert_eq!(applied.diff(&next), [AdminCmd::BlacklistAdd(10)]);
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! its threshold* depends on the order the sweep visits that source's
 //! timed-out attempts in — between two fresh detectors as well.
 
-use smartwatch_bench::workloads::{attack_mix, attack_mix_full};
+use smartwatch_bench::workloads::{attack_mix, attack_mix_full, caida_64b};
 use smartwatch_core::DetectorSuite;
 use smartwatch_detect::auth::{BruteforceDetector, CertExpiryMonitor, KerberosMonitor};
 use smartwatch_detect::dnsamp::DnsAmpDetector;
@@ -22,9 +22,10 @@ use smartwatch_detect::rst::ForgedRstDetector;
 use smartwatch_detect::slowloris::SlowlorisDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_host::{ArtefactRegistry, AuthOutcome};
-use smartwatch_net::{Dur, Packet, Ts};
+use smartwatch_net::{Dur, FlowDigest, FlowHasher, Packet, Ts};
 use smartwatch_snic::{FlowCache, FlowCacheConfig, FlowRecord};
 use smartwatch_trace::attacks::auth::ArtefactInfo;
+use smartwatch_trace::background::Preset;
 use smartwatch_trace::Trace;
 use std::fmt::Debug;
 use std::net::Ipv4Addr;
@@ -279,4 +280,160 @@ fn suite_resets_to_fresh(
     assert!(reused.analyze(&first_records, now).is_empty());
     reused.reset();
     assert_eq!(said(reused.analyze(&first_records, now)), alerts);
+}
+
+/// Differential "digested ≡ keyed": a detector fed `(packet, flow
+/// digest)` pairs the way the engine's shards feed it must answer every
+/// packet exactly as its twin fed bare packets — which canonicalises
+/// and hashes each key itself, under whatever seed it was built with.
+/// `digested` steps with the carried [`FlowDigest`], `keyed` without.
+fn check_digested<D>(
+    name: &str,
+    (mut digested, mut keyed): (D, D),
+    trace: &Trace,
+    hasher: &FlowHasher,
+    step_digested: impl Fn(&mut D, &Packet, &FlowDigest) -> Vec<String>,
+    step_keyed: impl Fn(&mut D, &Packet) -> Vec<String>,
+    finish: impl Fn(&mut D, Ts) -> Vec<String>,
+) -> D {
+    let mut spoke = 0;
+    for (i, p) in trace.iter().enumerate() {
+        let want = step_keyed(&mut keyed, p);
+        spoke += want.len();
+        let flow = hasher.flow_digest(&p.key);
+        assert_eq!(
+            step_digested(&mut digested, p, &flow),
+            want,
+            "{name}: packet {i}"
+        );
+    }
+    let want = finish(&mut keyed, end_of(trace));
+    spoke += want.len();
+    assert_eq!(finish(&mut digested, end_of(trace)), want, "{name}: finish");
+    assert!(spoke > 0, "{name}: the trace never exercised it");
+    digested
+}
+
+/// The engine's default ingest seed: the carried digests are made
+/// under it, the keyed twins keep the seed their constructor picks.
+const INGEST_SEED: u64 = 0x51CC;
+
+/// The hasher a digested twin is built with. Under debug assertions it
+/// has to be the ingest hasher — every digested entry asserts the
+/// carried digest against its own. With them off it is deliberately
+/// another one: a digested entry that hashed a key itself anywhere
+/// would look in a slot the carried digests never filled, and the twins
+/// would part. That they do not is the one-hash claim: nothing behind
+/// `on_packet_digested` consults a hasher.
+fn twin_hasher() -> FlowHasher {
+    let seed = if cfg!(debug_assertions) { 0 } else { 0xD1FF };
+    FlowHasher::new(INGEST_SEED ^ seed)
+}
+
+#[test]
+fn every_flow_keyed_detector_answers_a_carried_digest_as_it_answers_a_key() {
+    let caida = caida_64b(Preset::Caida2018, 1, 1);
+    for trace in [&attack_mix(1, 1), &caida] {
+        detectors_answer_digests_as_keys(trace);
+    }
+}
+
+fn detectors_answer_digests_as_keys(trace: &Trace) {
+    let hasher = FlowHasher::new(INGEST_SEED);
+    let scan = check_digested(
+        "scan",
+        (
+            ScanPipeline::with_hasher(twin_hasher()),
+            ScanPipeline::new(),
+        ),
+        trace,
+        &hasher,
+        |d, p, flow| said(d.on_packet_digested(p, flow)),
+        |d, p| said(d.on_packet(p)),
+        |d, now| {
+            let mut out = said(d.finish(now));
+            out.push(format!("conns {}", d.conns.len()));
+            out.push(format!("scanners {:?}", d.detector.scanners()));
+            out
+        },
+    );
+    assert!(scan.conns.table().stats().lookups > 0);
+
+    let horizon = ForgedRstDetector::PAPER_HORIZON;
+    // The suite's own gate; `Released` order follows the wheel.
+    let gate = |p: &Packet| p.is_tcp() && (p.flags.rst() || p.payload_len > 0);
+    let events = |evs: Vec<_>| evs.iter().map(|e| format!("{e:?}")).collect::<Vec<_>>();
+    check_digested(
+        "rst",
+        (
+            ForgedRstDetector::with_hasher(horizon, twin_hasher()),
+            ForgedRstDetector::paper_default(),
+        ),
+        trace,
+        &hasher,
+        |d, p, flow| {
+            if gate(p) {
+                events(d.on_packet_digested(p, flow))
+            } else {
+                Vec::new()
+            }
+        },
+        |d, p| {
+            if gate(p) {
+                events(d.on_packet(p))
+            } else {
+                Vec::new()
+            }
+        },
+        |d, now| {
+            let mut out = events(d.finish(now));
+            out.push(format!("buffered {}", d.buffered()));
+            out
+        },
+    );
+}
+
+/// The whole suite, and the one-hash claim with it: over the attack mix
+/// and the CAIDA stand-in, the digested entry point decides every packet
+/// as the keyed one does — alerts, tier, whitelist, closing sweep, op
+/// counts — although (debug assertions off) the suite was built for
+/// another seed than the digests it is handed ([`twin_hasher`]).
+#[test]
+fn the_suite_answers_a_carried_digest_as_it_answers_a_key_and_hashes_nothing() {
+    let (mix, certs, tickets) = attack_mix_full(1, 1);
+    let caida = caida_64b(Preset::Caida2018, 1, 1);
+    let hasher = FlowHasher::new(INGEST_SEED);
+    for trace in [&mix, &caida] {
+        let build = |suite: DetectorSuite| {
+            suite
+                .with_cert_registry(registry(&certs), Dur::from_secs(30 * 86_400))
+                .with_krb_registry(registry(&tickets), Dur::from_secs(36_000))
+        };
+        let answer = |o: smartwatch_core::SuiteOutcome| {
+            let mut out = said(o.alerts);
+            if o.host == smartwatch_core::HostNeed::Host {
+                out.push("host".into());
+            }
+            out.extend(said(o.whitelist));
+            out
+        };
+        let suite = check_digested(
+            "suite",
+            (
+                build(DetectorSuite::with_hasher(twin_hasher())),
+                build(DetectorSuite::new()),
+            ),
+            trace,
+            &hasher,
+            |s, p, flow| answer(s.on_packet_digested(p, flow)),
+            |s, p| answer(s.on_packet(p)),
+            |s, now| {
+                let mut out = said(s.finish(now));
+                out.push(format!("{:?}", s.ops));
+                out
+            },
+        );
+        let books = suite.table_stats();
+        assert!(books.lookups > 0 && suite.table_slots() > 0, "{books:?}");
+    }
 }

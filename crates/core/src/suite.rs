@@ -14,9 +14,8 @@ use smartwatch_detect::slowloris::SlowlorisDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_detect::Alert;
 use smartwatch_host::{ArtefactRegistry, AuthHeuristic, AuthOutcome, ConnEvent, ConnTable};
-use smartwatch_net::{Dur, FlowKey, KeyedMix, Packet, Resident, Ts};
-use smartwatch_snic::FlowRecord;
-use std::collections::HashSet;
+use smartwatch_net::{Dur, FlowDigest, FlowHasher, FlowKey, Packet, Ts};
+use smartwatch_snic::{FlowRecord, FlowTable, TableStats};
 
 /// Where a packet finished processing (for tier accounting).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,18 +83,28 @@ pub struct DetectorSuite {
     conns: ConnTable,
     heuristic: AuthHeuristic,
     /// Auth sessions already classified (no further host escalation).
-    /// Wire-fed like the connection tables, so keyed the same way.
-    classified: HashSet<FlowKey, KeyedMix>,
+    classified: FlowTable<FlowKey>,
+    /// Digests bare packets for [`DetectorSuite::on_packet`]; every
+    /// flow-keyed table of the suite is indexed by its digests.
+    hasher: FlowHasher,
     /// Data-path operation counters (Table 2 accounting).
     pub ops: SuiteOps,
 }
 
 impl DetectorSuite {
-    /// Suite with default thresholds and no TLS/Kerberos registries.
+    /// Suite with default thresholds and no TLS/Kerberos registries,
+    /// digesting bare packets under the default hash seed.
     pub fn new() -> DetectorSuite {
+        DetectorSuite::with_hasher(FlowHasher::default())
+    }
+
+    /// [`DetectorSuite::new`] for packets digested by `hasher`: the one
+    /// every digest handed to [`DetectorSuite::on_packet_digested`]
+    /// must come from (the engine passes its ingest hasher).
+    pub fn with_hasher(hasher: FlowHasher) -> DetectorSuite {
         DetectorSuite {
-            scan: ScanPipeline::new(),
-            rst: ForgedRstDetector::paper_default(),
+            scan: ScanPipeline::with_hasher(hasher),
+            rst: ForgedRstDetector::with_hasher(ForgedRstDetector::PAPER_HORIZON, hasher),
             dns: DnsAmpDetector::new(),
             worm: EarlyBirdDetector::paper_default(),
             ssh: BruteforceDetector::ssh(),
@@ -103,16 +112,18 @@ impl DetectorSuite {
             slowloris: SlowlorisDetector::new(),
             cert: None,
             krb: None,
-            conns: ConnTable::new(),
+            conns: ConnTable::with_hasher(hasher),
             heuristic: AuthHeuristic::default(),
-            classified: HashSet::default(),
+            classified: FlowTable::new(),
+            hasher,
             ops: SuiteOps::default(),
         }
     }
 
     /// Back to the state the constructor chain built — [`DetectorSuite::new`]
     /// plus whatever registries were attached — in place: every table
-    /// of every detector emptied under the [`Resident`] contract
+    /// of every detector emptied under the
+    /// [`Resident`](smartwatch_net::Resident) contract
     /// (allocation and hasher key kept, flood leftovers shrunk), every
     /// clock and tally zeroed, thresholds and registries untouched. A
     /// reset suite answers any packet stream exactly as a fresh one.
@@ -169,24 +180,55 @@ impl DetectorSuite {
         port == 22 || port == 21
     }
 
+    /// The books of the suite's flow-keyed tables — both connection
+    /// tables, the buffered-RST index, the classified set — summed.
+    pub fn table_stats(&self) -> TableStats {
+        self.scan.conns.table().stats()
+            + self.rst.table().stats()
+            + self.conns.table().stats()
+            + self.classified.stats()
+    }
+
+    /// Slots those tables have allocated, summed.
+    pub fn table_slots(&self) -> usize {
+        self.scan.conns.table().slots()
+            + self.rst.table().slots()
+            + self.conns.table().slots()
+            + self.classified.slots()
+    }
+
     /// Feed one packet through every online detector.
     pub fn on_packet(&mut self, pkt: &Packet) -> SuiteOutcome {
+        let flow = self.hasher.flow_digest(&pkt.key);
+        self.on_packet_digested(pkt, &flow)
+    }
+
+    /// [`DetectorSuite::on_packet`] for a packet whose flow identity was
+    /// computed at ingest: `flow` must be the [`FlowDigest`] of
+    /// `pkt.key` under the suite's hasher (debug-asserted). Nothing on
+    /// this path canonicalises or hashes a 5-tuple again.
+    pub fn on_packet_digested(&mut self, pkt: &Packet, flow: &FlowDigest) -> SuiteOutcome {
+        debug_assert_eq!(
+            *flow,
+            self.hasher.flow_digest(&pkt.key),
+            "flow digest from another key or a differently-seeded hasher"
+        );
         let mut alerts = Vec::new();
         let mut whitelist = Vec::new();
         let mut host = HostNeed::SnicOnly;
         self.ops.total += 1;
 
         // Port scan (conn tracking + TRW). The pipeline owns its own
-        // ConnTable; cheap because it's keyed the same way.
+        // ConnTable, probed with the same carried digest as ours.
         if pkt.is_tcp() {
             self.ops.scan += 1;
         }
-        alerts.extend(self.scan.on_packet(pkt));
+        alerts.extend(self.scan.on_packet_digested(pkt, flow));
 
         // Forged RST: RST packets visit the host timing wheel.
         if pkt.is_tcp() && (pkt.flags.rst() || pkt.payload_len > 0) {
             self.ops.rst += 1;
-            for ev in self.rst.on_packet(pkt) {
+            for ev in self.rst.on_packet_digested(pkt, flow) {
                 match ev {
                     RstEvent::ForgedDetected(a) | RstEvent::DuplicateRst(a) => alerts.push(a),
                     RstEvent::BufferedFast | RstEvent::BufferedSlow => host = HostNeed::Host,
@@ -230,27 +272,31 @@ impl DetectorSuite {
             Self::is_auth_port(pkt.key.dst_port) || Self::is_auth_port(pkt.key.src_port);
         if auth_port && pkt.is_tcp() {
             self.ops.auth += 1;
-            let canon = pkt.key.canonical().0;
-            let already = self.classified.contains(&canon);
+            let canon = flow.canon;
+            let already = self.classified.contains(&canon, flow.digest);
             if !already {
                 host = HostNeed::Host;
             }
-            let event = self.conns.process(pkt);
+            let event = self.conns.process_digested(pkt, flow);
             // Classify on termination, or once the session has clearly
             // succeeded (long/heavy), whichever comes first.
             let outcome = match event {
-                Some(ConnEvent::Finished) | Some(ConnEvent::Reset(_)) => {
-                    self.conns.get(&canon).map(|r| self.heuristic.classify(r))
-                }
-                _ => self.conns.get(&canon).and_then(|r| {
+                Some(ConnEvent::Finished) | Some(ConnEvent::Reset(_)) => self
+                    .conns
+                    .get_digested(flow)
+                    .map(|r| self.heuristic.classify(r)),
+                _ => self.conns.get_digested(flow).and_then(|r| {
                     let o = self.heuristic.classify(r);
                     (o == AuthOutcome::Success).then_some(o)
                 }),
             };
             if let Some(outcome) = outcome {
                 if !already && outcome != AuthOutcome::Unknown {
-                    self.classified.insert(canon);
-                    let rec = self.conns.get(&canon).expect("classified conn exists");
+                    self.classified.insert(flow.digest, canon);
+                    let rec = self
+                        .conns
+                        .get_digested(flow)
+                        .expect("classified conn exists");
                     let src = if rec.orig_is_forward {
                         rec.key.src_ip
                     } else {
@@ -272,7 +318,7 @@ impl DetectorSuite {
                         &mut self.ssh
                     };
                     alerts.extend(det.observe(src, pkt.ts, outcome));
-                    self.conns.remove(&canon);
+                    self.conns.remove_digested(flow);
                 }
             }
         }

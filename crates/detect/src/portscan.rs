@@ -13,7 +13,7 @@
 use crate::stats::{Trw, TrwVerdict};
 use crate::{Alert, Subject};
 use smartwatch_host::{ConnEvent, ConnTable, Swept};
-use smartwatch_net::{AttackKind, Dur, KeyedMix, Packet, Resident, Ts};
+use smartwatch_net::{AttackKind, Dur, FlowDigest, FlowHasher, KeyedMix, Packet, Resident, Ts};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -117,10 +117,17 @@ impl Default for ScanPipeline {
 }
 
 impl ScanPipeline {
-    /// Pipeline with the standard 2-second attempt timeout.
+    /// Pipeline with the standard 2-second attempt timeout, digesting
+    /// bare keys under the default hash seed.
     pub fn new() -> ScanPipeline {
+        ScanPipeline::with_hasher(FlowHasher::default())
+    }
+
+    /// [`ScanPipeline::new`] for flows digested by `hasher` — the one
+    /// every carried digest must come from.
+    pub fn with_hasher(hasher: FlowHasher) -> ScanPipeline {
         ScanPipeline {
-            conns: ConnTable::new(),
+            conns: ConnTable::with_hasher(hasher),
             detector: PortscanDetector::new(),
             incomplete: IncompleteFlowDetector::new(8),
             attempt_timeout: Dur::from_secs(2),
@@ -163,6 +170,13 @@ impl ScanPipeline {
 
     /// Feed one packet; returns any new alert.
     pub fn on_packet(&mut self, pkt: &Packet) -> Vec<Alert> {
+        let flow = self.conns.digest(&pkt.key);
+        self.on_packet_digested(pkt, &flow)
+    }
+
+    /// [`ScanPipeline::on_packet`] for a packet whose flow identity was
+    /// computed at ingest (see [`ConnTable::process_digested`]).
+    pub fn on_packet_digested(&mut self, pkt: &Packet, flow: &FlowDigest) -> Vec<Alert> {
         let mut alerts = Vec::new();
         // Periodic timeout sweep (every 500 ms of virtual time).
         // Established-but-dataless connections are incomplete too
@@ -171,10 +185,9 @@ impl ScanPipeline {
             self.last_sweep = pkt.ts;
             self.sweep(pkt.ts, self.attempt_timeout.mul(4), pkt.ts, &mut alerts);
         }
-        let key = pkt.key;
-        match self.conns.process(pkt) {
+        match self.conns.process_digested(pkt, flow) {
             Some(ConnEvent::Established) => {
-                if let Some(rec) = self.conns.get(&key) {
+                if let Some(rec) = self.conns.get_digested(flow) {
                     let (src, dst, port) = originator_view(rec);
                     if let Some(a) = self.detector.observe(src, dst, port, true, pkt.ts) {
                         alerts.push(a);
@@ -182,7 +195,7 @@ impl ScanPipeline {
                 }
             }
             Some(ConnEvent::Rejected) => {
-                if let Some(rec) = self.conns.remove(&key) {
+                if let Some(rec) = self.conns.remove_digested(flow) {
                     let (src, dst, port) = originator_view(&rec);
                     if let Some(a) = self.detector.observe(src, dst, port, false, pkt.ts) {
                         alerts.push(a);

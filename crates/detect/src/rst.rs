@@ -25,9 +25,9 @@
 
 use crate::{Alert, Subject, Visited};
 use smartwatch_host::TimingWheel;
-use smartwatch_net::{AttackKind, Dur, FlowKey, KeyedMix, Packet, Resident, Ts};
+use smartwatch_net::{AttackKind, Dur, FlowDigest, FlowHasher, FlowKey, HashDigest, Packet, Ts};
 use smartwatch_sketch::BloomFilter;
-use std::collections::HashMap;
+use smartwatch_snic::{FlowTable, Keyed};
 
 /// A buffered suspect RST.
 #[derive(Clone, Copy, Debug)]
@@ -60,16 +60,36 @@ pub enum RstEvent {
     Released(FlowKey),
 }
 
+/// Where the wheel holds a flow's buffered RST.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Indexed {
+    flow: FlowKey,
+    /// The deadline the RST is filed under.
+    deadline: Ts,
+    /// Whether it travelled canonical-forward.
+    forward: bool,
+}
+
+impl Keyed for Indexed {
+    fn flow(&self) -> &FlowKey {
+        &self.flow
+    }
+}
+
 /// The forged-RST detector.
 pub struct ForgedRstDetector {
     /// Buffering horizon T (paper: 2 s).
     pub horizon: Dur,
-    wheel: TimingWheel<BufferedRst>,
-    /// Exactly the wheel's contents: canonical flow → (the deadline its
-    /// RST is filed under, whether it travelled canonical-forward).
-    index: HashMap<FlowKey, (Ts, bool), KeyedMix>,
+    /// Each buffered RST beside its flow's digest, so expiry finds the
+    /// index slot without hashing the key again.
+    wheel: TimingWheel<(HashDigest, BufferedRst)>,
+    /// Exactly the wheel's contents, by canonical flow, probed with the
+    /// digest the packet carries. The same digest is the flow's Bloom
+    /// filter id.
+    index: FlowTable<Indexed>,
     bloom: BloomFilter,
-    hasher: smartwatch_net::FlowHasher,
+    /// Digests bare keys for [`ForgedRstDetector::on_packet`].
+    hasher: FlowHasher,
     /// RSTs that took the fast path (Bloom miss: no lookup needed).
     pub fast_path: u64,
     /// RSTs that required the exact duplicate lookup.
@@ -79,24 +99,34 @@ pub struct ForgedRstDetector {
 
 impl ForgedRstDetector {
     /// Detector with horizon T. The wheel has 512 slots of T/128, so a
-    /// buffered RST sits 128 ticks ahead on a 4 T wheel.
+    /// buffered RST sits 128 ticks ahead on a 4 T wheel. Bare keys are
+    /// digested under the detector's own seed.
     pub fn new(horizon: Dur) -> ForgedRstDetector {
+        ForgedRstDetector::with_hasher(horizon, FlowHasher::new(0xF0F0))
+    }
+
+    /// [`ForgedRstDetector::new`] for flows digested by `hasher` — the
+    /// one every carried digest must come from.
+    pub fn with_hasher(horizon: Dur, hasher: FlowHasher) -> ForgedRstDetector {
         let tick = Dur::from_nanos((horizon.as_nanos() / 128).max(1_000));
         ForgedRstDetector {
             horizon,
             wheel: TimingWheel::new(512, tick),
-            index: HashMap::default(),
+            index: FlowTable::new(),
             bloom: BloomFilter::for_items(100_000, 0.01, 0xF0F0),
-            hasher: smartwatch_net::FlowHasher::new(0xF0F0),
+            hasher,
             fast_path: 0,
             slow_path: 0,
             visited: Visited::default(),
         }
     }
 
+    /// The paper's buffering horizon: T = 2 s.
+    pub const PAPER_HORIZON: Dur = Dur::from_secs(2);
+
     /// Paper configuration: T = 2 s.
     pub fn paper_default() -> ForgedRstDetector {
-        ForgedRstDetector::new(Dur::from_secs(2))
+        ForgedRstDetector::new(Self::PAPER_HORIZON)
     }
 
     /// Back to the state [`ForgedRstDetector::new`] built, in place,
@@ -106,7 +136,7 @@ impl ForgedRstDetector {
     /// forgetting a flow whose RST is still buffered — clearing it is
     /// sound only at the moment nothing is.
     pub fn reset(&mut self) {
-        self.index.reset_to(self.wheel.high_water());
+        self.index.reset();
         self.wheel.reset();
         self.bloom.clear();
         self.fast_path = 0;
@@ -118,8 +148,9 @@ impl ForgedRstDetector {
         self.wheel.resident_bytes() + self.index.resident_bytes() + self.bloom.memory_bytes()
     }
 
-    fn flow_id(&self, flow: &FlowKey) -> u64 {
-        self.hasher.hash_symmetric(flow).0
+    /// The buffered-RST index: its books and size.
+    pub fn table(&self) -> &FlowTable<impl Keyed + Copy> {
+        &self.index
     }
 
     /// Buffered RST count.
@@ -130,8 +161,8 @@ impl ForgedRstDetector {
     /// Expire RSTs due by `now`: each leaves the index and is released.
     fn release_due(&mut self, now: Ts) -> Vec<RstEvent> {
         let mut events = Vec::new();
-        for (_, r) in self.wheel.advance(now) {
-            self.index.remove(&r.flow);
+        for (_, (digest, r)) in self.wheel.advance(now) {
+            self.index.remove(&r.flow, digest);
             events.push(RstEvent::Released(r.flow));
         }
         events
@@ -141,24 +172,39 @@ impl ForgedRstDetector {
     /// `Released` events; the packet itself may buffer, duplicate-flag, or
     /// race-detect.
     pub fn on_packet(&mut self, pkt: &Packet) -> Vec<RstEvent> {
+        let flow = self.hasher.flow_digest(&pkt.key);
+        self.on_packet_digested(pkt, &flow)
+    }
+
+    /// [`ForgedRstDetector::on_packet`] for a packet whose flow identity
+    /// was computed at ingest: `flow` must be the [`FlowDigest`] of
+    /// `pkt.key` under this detector's hasher (debug-asserted).
+    pub fn on_packet_digested(&mut self, pkt: &Packet, flow: &FlowDigest) -> Vec<RstEvent> {
+        debug_assert_eq!(
+            *flow,
+            self.hasher.flow_digest(&pkt.key),
+            "flow digest from another key or a differently-seeded hasher"
+        );
         let mut events = self.release_due(pkt.ts);
 
         if !pkt.is_tcp() {
             return events;
         }
-        let (flow, dir) = pkt.key.canonical();
-        let forward = dir == smartwatch_net::key::Direction::Forward;
+        let FlowDigest {
+            canon,
+            forward,
+            digest,
+        } = *flow;
 
         if pkt.flags.rst() {
-            let fid = self.flow_id(&flow);
-            if self.bloom.contains(fid) {
+            if self.bloom.contains(digest.0) {
                 // Possible duplicate: ask the exact index (slow path).
                 self.slow_path += 1;
                 self.visited.bump();
-                if self.index.contains_key(&flow) {
+                if self.index.contains(&canon, digest) {
                     events.push(RstEvent::DuplicateRst(Alert::new(
                         AttackKind::ForgedTcpRst,
-                        Subject::Flow(flow),
+                        Subject::Flow(canon),
                         pkt.ts,
                         "duplicate RST while one is buffered",
                     )));
@@ -169,36 +215,50 @@ impl ForgedRstDetector {
                 self.fast_path += 1;
                 events.push(RstEvent::BufferedFast);
             }
-            self.bloom.insert(fid);
+            self.bloom.insert(digest.0);
             let deadline = self.wheel.schedule(
                 pkt.ts + self.horizon,
-                BufferedRst {
-                    flow,
+                (
+                    digest,
+                    BufferedRst {
+                        flow: canon,
+                        forward,
+                        seq: pkt.seq,
+                        arrived: pkt.ts,
+                    },
+                ),
+            );
+            self.index.insert(
+                digest,
+                Indexed {
+                    flow: canon,
+                    deadline,
                     forward,
-                    seq: pkt.seq,
-                    arrived: pkt.ts,
                 },
             );
-            self.index.insert(flow, (deadline, forward));
             return events;
         }
 
         // Data packet: does it race a buffered RST from the same sender?
         if pkt.payload_len > 0 {
             self.visited.bump();
-            if let Some(&(deadline, _)) = self.index.get(&flow).filter(|(_, f)| *f == forward) {
+            let raced = self
+                .index
+                .get(&canon, digest)
+                .filter(|i| i.forward == forward);
+            if let Some(&Indexed { deadline, .. }) = raced {
                 let visited = &self.visited;
-                let rst = self
+                let (_, rst) = self
                     .wheel
-                    .remove_at(deadline, |r| {
+                    .remove_at(deadline, |(_, r)| {
                         visited.bump();
-                        r.flow == flow
+                        r.flow == canon
                     })
                     .expect("indexed RST is in the wheel");
-                self.index.remove(&flow);
+                self.index.remove(&canon, digest);
                 events.push(RstEvent::ForgedDetected(Alert::new(
                     AttackKind::ForgedTcpRst,
-                    Subject::Flow(flow),
+                    Subject::Flow(canon),
                     pkt.ts,
                     format!(
                         "data seq {} raced RST seq {} after {}",
@@ -348,8 +408,13 @@ mod tests {
         /// The index holds exactly the wheel's contents.
         fn assert_index_is_the_wheel(&self) {
             assert_eq!(self.index.len(), self.wheel.len());
-            for (deadline, r) in self.wheel.iter() {
-                assert_eq!(self.index.get(&r.flow), Some(&(deadline, r.forward)));
+            for (deadline, (digest, r)) in self.wheel.iter() {
+                let want = Indexed {
+                    flow: r.flow,
+                    deadline,
+                    forward: r.forward,
+                };
+                assert_eq!(self.index.get(&r.flow, *digest), Some(&want));
             }
         }
     }
@@ -444,6 +509,37 @@ mod tests {
         let last = pkts.last().unwrap().ts;
         assert_eq!(d.finish(last), oracle.finish(last));
         d.assert_index_is_the_wheel();
+    }
+
+    /// The index half of `a_swept_table_resets_to_fresh`: `finish`
+    /// empties the index one removal at a time; after `reset` it must
+    /// probe like a table that was never emptied that way. Every later
+    /// life costs exactly what the second did, and none costs more than
+    /// the first, which grew the table by doubling.
+    #[test]
+    fn an_index_emptied_by_finish_resets_to_fresh() {
+        let mut d = ForgedRstDetector::paper_default();
+        let life = |d: &mut ForgedRstDetector| {
+            let before = d.table().stats();
+            let mut ts = Ts::ZERO;
+            for i in 0..50_000u32 {
+                ts += Dur::from_micros(10);
+                d.on_packet(&rst(flow(i), ts, i));
+            }
+            assert_eq!(d.buffered(), 50_000);
+            let filled = d.table().stats() - before;
+            let bytes = d.resident_bytes();
+            assert_eq!(d.finish(ts).len(), 50_000);
+            assert_eq!(d.table().len(), 0);
+            d.reset();
+            (filled, bytes)
+        };
+        let (first, bytes) = life(&mut d);
+        let second = life(&mut d);
+        assert_eq!(second.0.lookups, first.lookups);
+        assert!(second.0.probes <= first.probes, "{second:?} vs {first:?}");
+        assert_eq!(second.1, bytes);
+        assert_eq!(life(&mut d), second, "every later life repeats it");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! Zeek's `conn_state` vocabulary, which the paper's detectors are written
 //! against.
 
-use smartwatch_net::{Dur, FlowKey, KeyedMix, Packet, Resident, Ts};
-use std::collections::HashMap;
+use smartwatch_net::{Dur, FlowDigest, FlowHasher, FlowKey, Packet, Ts};
+use smartwatch_snic::{FlowTable, Keyed};
 
 /// Connection states, after Zeek's `conn_state`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -102,37 +102,66 @@ pub enum Swept {
     Dataless,
 }
 
+impl Keyed for ConnRecord {
+    fn flow(&self) -> &FlowKey {
+        &self.key
+    }
+}
+
 /// The connection table: feeds packets, emits classification events.
 ///
-/// Keys come off the wire, so the table hashes them with a per-instance
-/// randomly keyed [`KeyedMix`] (a clone shares its original's key).
-#[derive(Clone, Debug, Default)]
+/// A [`FlowTable`] of [`ConnRecord`]s, indexed by the flow digest the
+/// packet carries: [`ConnTable::process_digested`] and its siblings
+/// canonicalise and hash nothing. The key-only entry points digest with
+/// the table's own [`FlowHasher`] first, as `FlowCache::process` does
+/// over `process_digested`. Keys come off the wire; the table's slot
+/// function is secretly keyed per instance (a clone shares its
+/// original's key).
+#[derive(Clone, Debug)]
 pub struct ConnTable {
-    conns: HashMap<FlowKey, ConnRecord, KeyedMix>,
-    /// Most connections tracked since the last [`ConnTable::reset`], as
-    /// of the last removal (the count only falls there).
-    high_water: usize,
+    conns: FlowTable<ConnRecord>,
+    /// Digests bare keys for the key-only entry points.
+    hasher: FlowHasher,
+}
+
+impl Default for ConnTable {
+    fn default() -> Self {
+        ConnTable::new()
+    }
 }
 
 impl ConnTable {
-    /// Empty table.
+    /// Empty table, digesting bare keys under the default hash seed.
     pub fn new() -> ConnTable {
-        ConnTable::default()
+        ConnTable::with_hasher(FlowHasher::default())
+    }
+
+    /// Empty table for flows digested by `hasher` — the one every
+    /// carried digest must come from.
+    pub fn with_hasher(hasher: FlowHasher) -> ConnTable {
+        ConnTable {
+            conns: FlowTable::new(),
+            hasher,
+        }
     }
 
     /// Back to the state [`ConnTable::new`] built, in place: no
-    /// connections, same hasher key; the map keeps its allocation under
-    /// the [`Resident`] shrink rule, sized by the segment's peak rather
-    /// than by whatever the last sweep left.
+    /// connections, same hasher and slot key; the table keeps its
+    /// allocation under the [`Resident`](smartwatch_net::Resident)
+    /// shrink rule, sized by the segment's peak rather than by whatever
+    /// the last sweep left.
     pub fn reset(&mut self) {
-        let high_water = self.high_water.max(self.conns.len());
-        self.conns.reset_to(high_water);
-        self.high_water = 0;
+        self.conns.reset();
     }
 
     /// Heap bytes the table holds.
     pub fn resident_bytes(&self) -> usize {
         self.conns.resident_bytes()
+    }
+
+    /// The underlying table's books and size.
+    pub fn table(&self) -> &FlowTable<ConnRecord> {
+        &self.conns
     }
 
     /// Active connection count.
@@ -145,48 +174,77 @@ impl ConnTable {
         self.conns.is_empty()
     }
 
+    /// Canonicalise and hash a bare key under the table's hasher.
+    pub fn digest(&self, key: &FlowKey) -> FlowDigest {
+        self.hasher.flow_digest(key)
+    }
+
     /// Look up a connection.
     pub fn get(&self, key: &FlowKey) -> Option<&ConnRecord> {
-        self.conns.get(&key.canonical().0)
+        self.get_digested(&self.digest(key))
+    }
+
+    /// [`ConnTable::get`] for a flow whose digest was carried.
+    pub fn get_digested(&self, flow: &FlowDigest) -> Option<&ConnRecord> {
+        self.conns.get(&flow.canon, flow.digest)
     }
 
     /// Iterate over tracked connections.
     pub fn iter(&self) -> impl Iterator<Item = &ConnRecord> {
-        self.conns.values()
+        self.conns.iter()
     }
 
     /// Remove a connection (after its analyzer is done with it).
     pub fn remove(&mut self, key: &FlowKey) -> Option<ConnRecord> {
-        self.high_water = self.high_water.max(self.conns.len());
-        self.conns.remove(&key.canonical().0)
+        let flow = self.digest(key);
+        self.remove_digested(&flow)
+    }
+
+    /// [`ConnTable::remove`] for a flow whose digest was carried.
+    pub fn remove_digested(&mut self, flow: &FlowDigest) -> Option<ConnRecord> {
+        self.conns.remove(&flow.canon, flow.digest)
     }
 
     /// Process one TCP packet; returns an event if the connection's
     /// classification changed.
     pub fn process(&mut self, pkt: &Packet) -> Option<ConnEvent> {
+        let flow = self.digest(&pkt.key);
+        self.process_digested(pkt, &flow)
+    }
+
+    /// [`ConnTable::process`] for a packet whose flow identity was
+    /// computed at ingest: `flow` must be the [`FlowDigest`] of
+    /// `pkt.key` under this table's hasher (debug-asserted).
+    pub fn process_digested(&mut self, pkt: &Packet, flow: &FlowDigest) -> Option<ConnEvent> {
+        debug_assert_eq!(
+            *flow,
+            self.digest(&pkt.key),
+            "flow digest from another key or a differently-seeded hasher"
+        );
         if !pkt.is_tcp() {
             return None;
         }
-        let (canon, dir) = pkt.key.canonical();
-        let from_forward = dir == smartwatch_net::key::Direction::Forward;
+        let from_forward = flow.forward;
 
-        let rec = self.conns.entry(canon).or_insert_with(|| ConnRecord {
-            key: canon,
-            state: if pkt.flags.is_syn_only() {
-                ConnState::S0
-            } else {
-                ConnState::Oth
-            },
-            orig_is_forward: from_forward,
-            orig_pkts: 0,
-            resp_pkts: 0,
-            orig_bytes: 0,
-            resp_bytes: 0,
-            start: pkt.ts,
-            last: pkt.ts,
-            fin_orig: false,
-            fin_resp: false,
-        });
+        let rec = self
+            .conns
+            .get_or_insert_with(&flow.canon, flow.digest, || ConnRecord {
+                key: flow.canon,
+                state: if pkt.flags.is_syn_only() {
+                    ConnState::S0
+                } else {
+                    ConnState::Oth
+                },
+                orig_is_forward: from_forward,
+                orig_pkts: 0,
+                resp_pkts: 0,
+                orig_bytes: 0,
+                resp_bytes: 0,
+                start: pkt.ts,
+                last: pkt.ts,
+                fin_orig: false,
+                fin_resp: false,
+            });
 
         let from_orig = from_forward == rec.orig_is_forward;
         if from_orig {
@@ -253,8 +311,7 @@ impl ConnTable {
         dataless_timeout: Dur,
         mut on_swept: impl FnMut(Swept, &ConnRecord),
     ) {
-        self.high_water = self.high_water.max(self.conns.len());
-        self.conns.retain(|_, r| {
+        self.conns.sweep(|r| {
             let idle = now.since(r.last);
             let why = if r.state == ConnState::S0 && idle >= attempt_timeout {
                 Swept::AttemptTimeout
@@ -273,7 +330,6 @@ impl ConnTable {
 mod tests {
     use super::*;
     use smartwatch_net::{PacketBuilder, TcpFlags};
-    use std::hash::BuildHasher;
     use std::net::Ipv4Addr;
 
     fn key() -> FlowKey {
@@ -393,15 +449,11 @@ mod tests {
             let mut pass = |why: Swept, expired: &dyn Fn(&ConnRecord) -> bool| {
                 let keys: Vec<FlowKey> = self
                     .conns
-                    .values()
+                    .iter()
                     .filter(|r| expired(r))
                     .map(|r| r.key)
                     .collect();
-                out.extend(
-                    keys.iter()
-                        .filter_map(|k| self.conns.remove(k))
-                        .map(|r| (why, r)),
-                );
+                out.extend(keys.iter().filter_map(|k| self.remove(k)).map(|r| (why, r)));
             };
             pass(Swept::AttemptTimeout, &|r| {
                 r.state == ConnState::S0 && now.since(r.last) >= attempt_timeout
@@ -465,17 +517,21 @@ mod tests {
         }
     }
 
+    fn syn(i: u32) -> Packet {
+        let k = FlowKey::tcp(Ipv4Addr::from(0x0A00_0000 + i), 9, Ipv4Addr::from(1), 80);
+        p(k, u64::from(i), TcpFlags::SYN, 0)
+    }
+
     #[test]
     fn reset_keeps_the_peak_sized_table_and_its_key() {
         let mut t = ConnTable::new();
-        let syn = |i: u32| {
-            let k = FlowKey::tcp(Ipv4Addr::from(0x0A00_0000 + i), 9, Ipv4Addr::from(1), 80);
-            p(k, u64::from(i), TcpFlags::SYN, 0)
-        };
         for i in 0..5_000 {
             t.process(&syn(i));
         }
-        let (cap, hashed) = (t.conns.capacity(), t.conns.hasher().hash_one(key()));
+        let slots = t.conns.slots();
+        // A twin with the same slot key, reset while still full.
+        let mut twin = t.clone();
+        twin.reset();
         // The end-of-trace sweep all but empties the table before the
         // reset sees it: the peak, not the leftover, decides what is kept.
         t.process(&p(key(), 59_000_000, TcpFlags::SYN, 0));
@@ -487,14 +543,68 @@ mod tests {
         );
         assert_eq!(t.len(), 1);
         t.reset();
-        assert_eq!(t.conns.capacity(), cap);
-        assert_eq!(t.conns.hasher().hash_one(key()), hashed);
+        assert_eq!(t.conns.slots(), slots);
+        // Neither reset redrew the key: the same flows land in the same
+        // table order in both.
+        for i in 0..5_000 {
+            t.process(&syn(i));
+            twin.process(&syn(i));
+        }
+        assert!(t.iter().map(|r| r.key).eq(twin.iter().map(|r| r.key)));
+        t.reset();
         // A segment that tracks a handful gives the flood's memory back.
         for i in 0..10 {
             t.process(&syn(i));
         }
         t.reset();
-        assert!(t.conns.capacity() <= 40 && t.is_empty());
+        assert!(t.conns.slots() <= 64 && t.is_empty());
+    }
+
+    /// The tombstone carry-over, gone: a table the end-of-trace sweep
+    /// emptied and `reset()` then cleared is a fresh table of its size.
+    /// Its second life costs exactly what the same fill costs a table
+    /// that was reset without ever being swept, and a third life costs
+    /// the same again; only the first life, which grew the table by
+    /// doubling, probed more.
+    #[test]
+    fn a_swept_table_resets_to_fresh() {
+        let fill = |t: &mut ConnTable| {
+            let before = t.table().stats();
+            for i in 0..50_000 {
+                t.process(&syn(i));
+            }
+            assert_eq!(t.len(), 50_000);
+            t.table().stats() - before
+        };
+        let mut swept = ConnTable::new();
+        let first = fill(&mut swept);
+        let bytes = swept.resident_bytes();
+        let mut unswept = swept.clone();
+
+        swept.sweep(
+            Ts::from_secs(60),
+            Dur::from_secs(2),
+            Dur::from_secs(2),
+            |_, _| {},
+        );
+        assert!(swept.is_empty());
+        swept.reset();
+        unswept.reset();
+        let (second, control) = (fill(&mut swept), fill(&mut unswept));
+        assert_eq!(second, control, "swept-then-reset ≡ reset");
+        assert_eq!(second.lookups, first.lookups);
+        assert!(second.probes <= first.probes, "{second:?} vs {first:?}");
+        assert_eq!(swept.resident_bytes(), bytes);
+
+        swept.sweep(
+            Ts::from_secs(60),
+            Dur::from_secs(2),
+            Dur::from_secs(2),
+            |_, _| {},
+        );
+        swept.reset();
+        assert_eq!(fill(&mut swept), second, "every later life repeats it");
+        assert_eq!(swept.resident_bytes(), bytes);
     }
 
     #[test]

@@ -161,13 +161,6 @@ impl<T> TimingWheel<T> {
         self.len == 0
     }
 
-    /// Most items scheduled at once since the last
-    /// [`TimingWheel::reset`] — what a structure kept in step with the
-    /// wheel sizes itself by.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
     /// Current wheel time.
     pub fn now(&self) -> Ts {
         self.now

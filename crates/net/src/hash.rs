@@ -65,6 +65,36 @@ impl HashDigest {
     }
 }
 
+/// A packet's flow identity as ingest computed it: the canonical key,
+/// which way the packet travelled relative to it, and the symmetric
+/// digest of the canonical key. Everything flow-keyed downstream — RSS
+/// sharding, the verdict sets, the FlowCache row, the detector tables —
+/// takes this instead of canonicalising and hashing the 5-tuple again.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FlowDigest {
+    /// `key.canonical().0`.
+    pub canon: FlowKey,
+    /// The packet travelled in the canonical key's direction.
+    pub forward: bool,
+    /// [`FlowHasher::hash_directed`] of `canon`.
+    pub digest: HashDigest,
+}
+
+impl FlowDigest {
+    /// The identity of a packet with directed key `key` whose canonical
+    /// key and digest were carried from ingest. A directed key equals
+    /// its canonical form exactly when it travels forward, so the
+    /// direction costs one key compare.
+    #[inline]
+    pub fn carried(key: &FlowKey, canon: FlowKey, digest: HashDigest) -> FlowDigest {
+        FlowDigest {
+            canon,
+            forward: *key == canon,
+            digest,
+        }
+    }
+}
+
 /// Seedable 64-bit hasher over flow keys and raw bytes.
 ///
 /// Distinct seeds give (empirically) independent functions, which is what
@@ -131,6 +161,18 @@ impl FlowHasher {
     pub fn digest_symmetric(&self, key: &FlowKey) -> (FlowKey, HashDigest) {
         let (canon, _) = key.canonical();
         (canon, self.hash_directed(&canon))
+    }
+
+    /// [`FlowHasher::digest_symmetric`] keeping the direction: the whole
+    /// [`FlowDigest`] of a packet keyed `key`.
+    #[inline]
+    pub fn flow_digest(&self, key: &FlowKey) -> FlowDigest {
+        let (canon, dir) = key.canonical();
+        FlowDigest {
+            canon,
+            forward: dir == crate::key::Direction::Forward,
+            digest: self.hash_directed(&canon),
+        }
     }
 
     /// Digest a [`RawTuple`] extracted straight from frame bytes, without
@@ -344,6 +386,12 @@ impl KeyedMix {
             // Odd, so the multiplier is never zero.
             mul: rs.hash_one(1u64) | 1,
         }
+    }
+
+    /// The family under a known key, for tests that need a known
+    /// layout: state 0 and multiplier 1 hash a single `u64` to itself.
+    pub fn with_key(state: u64, mul: u64) -> KeyedMix {
+        KeyedMix { state, mul }
     }
 }
 
@@ -653,6 +701,23 @@ mod tests {
             assert_eq!(canon, k.canonical().0);
             assert_eq!(digest, h.hash_symmetric(&k));
             assert_eq!(h.digest_symmetric(&k.reversed()), (canon, digest));
+        }
+    }
+
+    #[test]
+    fn a_carried_flow_digest_is_the_computed_one() {
+        let h = FlowHasher::new(0x51CC);
+        // Both directions, and a flow between one endpoint and itself
+        // (canonical either way round: forward).
+        let land = key(0x0a00_0001, 80, 0x0a00_0001, 80);
+        for i in 0..500u32 {
+            let k = key(0x0a00_0001 + i, 1000 + (i as u16), 0x0a00_ffff - i, 22);
+            for dir in [k, k.reversed(), land] {
+                let (canon, digest) = h.digest_symmetric(&dir);
+                let flow = h.flow_digest(&dir);
+                assert_eq!(flow, FlowDigest::carried(&dir, canon, digest));
+                assert_eq!(flow.forward, dir.is_canonical());
+            }
         }
     }
 

@@ -50,8 +50,8 @@ pub mod wire;
 
 pub use frame::{FrameMeta, FrameStore};
 pub use hash::{
-    shard_for_digest, AgingDigestSet, BuildDigestHasher, DigestSet, FlowHasher, HashDigest,
-    KeyedMix,
+    shard_for_digest, AgingDigestSet, BuildDigestHasher, DigestSet, FlowDigest, FlowHasher,
+    HashDigest, KeyedMix,
 };
 pub use key::{fold_ip, FlowKey, Proto, RawTuple};
 pub use label::{AttackKind, Label};

@@ -12,10 +12,11 @@
 //! workload (whose tables grew by doubling to at most ~2.3× their
 //! length) never shrinks and never reallocates.
 //!
-//! One std detail worth knowing: `HashMap::clear` does nothing on a map
-//! that is already empty, so a map emptied by *removals* keeps the
-//! tombstones those left behind. Later inserts reuse them and the map's
-//! in-place rehash purges them; neither allocates.
+//! The std maps that remain (per-source detector tables, digest sets)
+//! keep one wrinkle: `HashMap::clear` does nothing on a map already
+//! emptied by removals, so its tombstones survive the reset until later
+//! inserts reuse them; the flow-keyed tables (`snic::FlowTable`) delete
+//! by backward shift and have none.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hash};

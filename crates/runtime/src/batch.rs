@@ -5,7 +5,8 @@
 //! ([`smartwatch_net::FlowHasher::digest_symmetric`]) and records the
 //! result next to the packet as a [`DigestedPacket`]. Everything
 //! downstream — RSS sharding, black/whitelist membership, the FlowCache
-//! row lookup — reuses that digest instead of re-deriving it.
+//! row lookup, the detector suite's flow tables — reuses that digest
+//! instead of re-deriving it.
 //!
 //! Batches travel as [`Batch`] messages, one `Vec<DigestedPacket>`
 //! buffer each, and the lane is the pool: a buffer goes out in a slot

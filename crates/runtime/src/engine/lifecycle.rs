@@ -242,14 +242,16 @@ impl Engine {
     /// `runtime.flowstate.resident_bytes{shard=i}` gauges — as of the
     /// end of the last segment, `0` before the first.
     pub fn flowstate_resident_bytes(&self) -> u64 {
-        (0..self.cfg.shards)
-            .map(|i| {
-                let shard = i.to_string();
-                self.registry
-                    .gauge("runtime.flowstate.resident_bytes", &[("shard", &shard)])
-                    .get() as u64
-            })
-            .sum()
+        self.flowstate_gauges("runtime.flowstate.resident_bytes")
+            .sum::<f64>() as u64
+    }
+
+    /// One `runtime.flowstate.*{shard=i}` gauge, read for every shard.
+    fn flowstate_gauges<'a>(&'a self, name: &'a str) -> impl Iterator<Item = f64> + 'a {
+        (0..self.cfg.shards).map(move |i| {
+            let shard = i.to_string();
+            self.registry.gauge(name, &[("shard", &shard)]).get()
+        })
     }
 
     /// The live `/stats.json` document: [`EngineReport`]-shaped counters
@@ -302,6 +304,23 @@ impl Engine {
                     (
                         "resident_bytes".into(),
                         uint(self.flowstate_resident_bytes()),
+                    ),
+                    // The detector tables as of the last segment: slots
+                    // held over all shards, and the mean probe length of
+                    // the shard that probed longest.
+                    (
+                        "table_slots".into(),
+                        uint(
+                            self.flowstate_gauges("runtime.flowstate.table_slots")
+                                .sum::<f64>() as u64,
+                        ),
+                    ),
+                    (
+                        "table_probe_mean".into(),
+                        Value::Number(Number::F(
+                            self.flowstate_gauges("runtime.flowstate.table_probe_mean")
+                                .fold(0.0, f64::max),
+                        )),
                     ),
                 ]),
             ),
@@ -452,7 +471,7 @@ impl Engine {
                     flow_resets.inc();
                     flow
                 }
-                None => FlowState::new(cfg, &self.registry),
+                None => FlowState::new(cfg, &self.registry, i),
             };
             let escalation = match &pool {
                 Some(p) => Escalation::Pool(p.sender()),
@@ -477,11 +496,6 @@ impl Engine {
         let mut ends: Vec<ShardEndState> = Vec::with_capacity(n);
         let mut flows: Vec<Option<FlowState>> = Vec::with_capacity(n);
         let mut shard_done = |(end, flow): (ShardEndState, FlowState)| {
-            // What stays parked for shard `i`, for `/metrics`.
-            let shard = ends.len().to_string();
-            self.registry
-                .gauge("runtime.flowstate.resident_bytes", &[("shard", &shard)])
-                .set(flow.resident_bytes() as f64);
             ends.push(end);
             flows.push(Some(flow));
         };

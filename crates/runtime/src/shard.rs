@@ -26,10 +26,11 @@
 //! Beyond that the packet path is built to do no per-packet expensive
 //! work: packets arrive pre-digested (canonical key + symmetric hash,
 //! see [`crate::batch`]), black/whitelist membership is an
-//! identity-hashed digest probe, the FlowCache reuses the digest for
-//! its row lookup, and a drained batch buffer goes back to the
-//! dispatcher through the lane's own ring (the spare a [`LaneRx`]
-//! leaves in the next slot it pops) instead of being freed.
+//! identity-hashed digest probe, the FlowCache and the detector suite's
+//! flow tables reuse the digest for their lookups, and a drained batch
+//! buffer goes back to the dispatcher through the lane's own ring (the
+//! spare a [`LaneRx`] leaves in the next slot it pops) instead of being
+//! freed.
 
 use crate::batch::{Backoff, Batch, DigestedPacket};
 use crate::books::{Axis, Count, Disposition, Ledger};
@@ -40,8 +41,8 @@ use crate::obs::ThreadTrace;
 use smartwatch_control::{ModeCell, SnapshotReader, SteeringSnapshot};
 use smartwatch_core::{DetectorSuite, HostNeed};
 use smartwatch_host::{HostNf, Verdict};
-use smartwatch_net::{AgingDigestSet, BuildDigestHasher, FlowHasher};
-use smartwatch_snic::{CachePublisher, CacheStats, FlowCache, FlowCacheConfig};
+use smartwatch_net::{AgingDigestSet, BuildDigestHasher, FlowDigest, FlowHasher};
+use smartwatch_snic::{CachePublisher, CacheStats, FlowCache, FlowCacheConfig, TableStats};
 use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Histogram, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::SyncSender;
@@ -349,17 +350,38 @@ pub(crate) struct FlowState {
     pub stage: Vec<DigestedPacket>,
     /// The shard's inline host NF ([`Escalation::Inline`]).
     triage: TriageNf,
+    /// `runtime.flowstate.*{shard}`: what is parked, set once per
+    /// segment by [`FlowState::publish`].
+    parked: ParkedGauges,
+}
+
+/// The per-shard gauges a parked [`FlowState`] is described by.
+struct ParkedGauges {
+    /// Heap bytes of the FlowCache and the detector tables.
+    resident_bytes: Gauge,
+    /// Slots the detectors' flow tables hold.
+    table_slots: Gauge,
+    /// Slots those tables examined per lookup in the segment just ended
+    /// (1.0 = every probe ended at its home slot).
+    table_probe_mean: Gauge,
 }
 
 impl FlowState {
-    /// Fresh state for one shard of an engine configured as `cfg`.
-    pub(crate) fn new(cfg: &EngineConfig, registry: &Registry) -> FlowState {
+    /// Fresh state for shard `shard` of an engine configured as `cfg`.
+    pub(crate) fn new(cfg: &EngineConfig, registry: &Registry, shard: usize) -> FlowState {
         let mut cache_cfg = FlowCacheConfig::general(cfg.cache_row_bits);
         cache_cfg.hash_seed = cfg.hash_seed;
+        let shard = shard.to_string();
+        let gauge = |name| registry.gauge(name, &[("shard", &shard)]);
         FlowState {
+            parked: ParkedGauges {
+                resident_bytes: gauge("runtime.flowstate.resident_bytes"),
+                table_slots: gauge("runtime.flowstate.table_slots"),
+                table_probe_mean: gauge("runtime.flowstate.table_probe_mean"),
+            },
             cache_books: CachePublisher::new(registry, &cache_cfg.policy),
             cache: FlowCache::new(cache_cfg),
-            suite: DetectorSuite::new(),
+            suite: DetectorSuite::with_hasher(FlowHasher::new(cfg.hash_seed)),
             blacklist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             whitelist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             heavy_counts: HashMap::default(),
@@ -390,6 +412,16 @@ impl FlowState {
     /// and the triage tables hold one entry per escalated source).
     pub(crate) fn resident_bytes(&self) -> usize {
         self.cache.resident_bytes() + self.suite.resident_bytes()
+    }
+
+    /// Describe the state as it is about to be parked; `tables` is the
+    /// segment's share of the detector tables' books.
+    fn publish(&self, tables: TableStats) {
+        let g = &self.parked;
+        g.resident_bytes.set(self.resident_bytes() as f64);
+        g.table_slots.set(self.suite.table_slots() as f64);
+        g.table_probe_mean
+            .set(tables.probes as f64 / tables.lookups.max(1) as f64);
     }
 }
 
@@ -438,8 +470,10 @@ pub(crate) struct ShardWorker {
     /// accumulate here in plain integers — no atomics on this path;
     /// `finish` freezes the rest.
     end: ShardEndState,
-    /// The cache's books as this segment found them.
+    /// The cache's and the detector tables' books as this segment found
+    /// them.
     cache_base: CacheStats,
+    table_base: TableStats,
     /// Attached control plane (mode cell, steering reader, heavy-hitter
     /// channel); `None` when the engine runs without a controller.
     hooks: Option<ControlHooks>,
@@ -465,6 +499,7 @@ impl ShardWorker {
             reader: setup.log.reader(),
             setup: setup.clone(),
             cache_base: flow.cache.stats(),
+            table_base: flow.suite.table_stats(),
             flow,
             escalation,
             counters,
@@ -694,6 +729,8 @@ impl ShardWorker {
         // segment's share is one subtraction.
         self.flow.cache_books.publish(&self.flow.cache);
         self.end.cache = self.flow.cache.stats() - self.cache_base;
+        self.flow
+            .publish(self.flow.suite.table_stats() - self.table_base);
         (self.end, self.flow)
     }
 
@@ -875,17 +912,18 @@ impl ShardWorker {
             return;
         }
 
-        // Stage 2: detector suite.
+        // Stage 2: detector suite (digest reused — no re-hash).
+        let flow = FlowDigest::carried(&pkt.key, dp.canon, dp.digest);
         let outcome = if sample {
             let t0 = Instant::now();
-            let o = self.flow.suite.on_packet(pkt);
+            let o = self.flow.suite.on_packet_digested(pkt, &flow);
             self.flow
                 .local
                 .detect_ns
                 .push(t0.elapsed().as_nanos() as u64);
             o
         } else {
-            self.flow.suite.on_packet(pkt)
+            self.flow.suite.on_packet_digested(pkt, &flow)
         };
 
         self.flow.local.tally[Count::Alerts] += outcome.alerts.len() as u64;
@@ -962,7 +1000,7 @@ mod tests {
         };
         ShardWorker::new(
             &setup,
-            FlowState::new(&cache_cfg, &reg),
+            FlowState::new(&cache_cfg, &reg, 0),
             escalation,
             ShardCounters::registered(&reg, 0),
             None,

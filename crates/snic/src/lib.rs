@@ -8,6 +8,7 @@
 //! | FlowCache: P/E buffers, policies, pinning, rings (§3.2) | [`flowcache`], [`policy`], [`ring`] |
 //! | Reconfigurable General/Lite modes, Algorithms 1 & 3 (§3.3) | [`flowcache`] |
 //! | The cache's books → `snic.cache.*` / `snic.ring.*`, owner-published | [`publish`] |
+//! | One flow hash per packet, every per-flow structure indexed by it (Alg. 1, §3.2) | [`flowtable`] |
 //! | CME switch-over, Algorithm 4 (§9.4) | [`cme`] |
 //! | Lockless PME update protocol, Algorithm 2 (§9.1–9.2) | [`concurrent`] |
 //! | sNIC hardware profiles & cycle model (Table 3, §4.1) | [`hw`] |
@@ -33,6 +34,7 @@ pub mod concurrent;
 pub mod cuckoo;
 pub mod des;
 pub mod flowcache;
+pub mod flowtable;
 pub mod hw;
 pub mod policy;
 pub mod prefetch;
@@ -44,6 +46,7 @@ pub use affinity::pin_current_thread;
 pub use cme::SwitchOver;
 pub use des::{simulate, simulate_instrumented, DesConfig, DesReport, LatencyDist};
 pub use flowcache::{Access, CacheStats, FlowCache, FlowCacheConfig, Mode, Outcome, BURST};
+pub use flowtable::{FlowTable, Keyed, TableStats};
 pub use hw::{CycleCosts, HwProfile, BLUEFIELD, LIQUIDIO_TX2, NETRONOME_AGILIO_LX};
 pub use policy::{CachePolicy, Policy};
 pub use publish::CachePublisher;
