@@ -56,7 +56,6 @@ const FLAGS: &[Flag] = &[
     ("--metrics-json", "<path>", ALL),
     ("--trace-out", "<path>", ALL),
     ("--shards", "N", RUNTIME),
-    ("--rx-queues", "R", RUNTIME),
     ("--datapath", "pipeline|rtc", RUNTIME),
     ("--pin-cores", "", RUNTIME),
     ("--packets", "N", RUNTIME),
@@ -119,7 +118,7 @@ fn main() {
     let mut flight_out: Option<String> = None;
     let mut selected: Vec<String> = Vec::new();
     let mut given: Vec<&Flag> = Vec::new();
-    // Ctrl-C / SIGTERM drains a run gracefully: the mesh quiesces
+    // Ctrl-C / SIGTERM drains a run gracefully: the engine quiesces
     // through the end-of-trace path and the summary still conserves.
     let mut shape = RunShape {
         watch_signals: true,
@@ -155,7 +154,6 @@ fn main() {
         };
         match name {
             "--shards" => shape.shards = positive(v, a),
-            "--rx-queues" => shape.rx_queues = positive(v, a),
             "--datapath" => {
                 shape.datapath = match v {
                     "pipeline" => DatapathMode::Pipeline,
@@ -495,16 +493,16 @@ drivers reads is refused (`experiments` = everything `repro list` shows):
                   (default 8; 0/1 = per-packet reference path, same
                   decisions)
   --datapath      (engine/control/serve|soak) thread topology:
-                  `pipeline` (default) runs R dispatchers feeding N
+                  `pipeline` (default) runs one dispatcher feeding N
                   shards over SPSC lanes; `rtc` fuses dispatcher and
-                  shard into N run-to-completion cores (zero queue
-                  crossings, identical decisions; --rx-queues is
-                  rejected)
+                  shard into N run-to-completion cores, each with its
+                  own ingest (zero queue crossings, identical
+                  decisions)
   --pin-cores     (engine/control/serve|soak) rtc only: pin core i to
                   CPU i via sched_setaffinity — best-effort, Linux only
   --trace-sample  (engine/control/serve|soak) with --trace-out, time 1
                   unit of work in N per engine thread (an ingest block
-                  and the batches it makes, an ordered group, an epoch)
+                  and the batches it makes, an epoch)
                   and write those readings as spans (0 = no spans; the
                   stage histograms sample 1 in 16 without a tracer)
   --listen        (engine/control/serve|soak) serve /metrics,
@@ -523,10 +521,10 @@ drivers reads is refused (`experiments` = everything `repro list` shows):
 
 `repro engine` runs the sharded wall-clock runtime (OS threads,
 measured Mpps — machine-dependent, unlike every other experiment).
-Default: 2 shards, 1 RX queue, 200k packets, flat-out, 64B
-stress workload. `--rx-queues R` fans ingest out over R
-dispatcher threads (the multi-queue NIC model); `--datapath
-rtc` replaces the mesh with N fused run-to-completion cores.
+Default: 2 shards, 200k packets, flat-out, 64B stress
+workload. `--datapath rtc` replaces the dispatcher and its
+lanes with N fused run-to-completion cores, each ingesting its
+own flows (the multi-queue NIC model).
 control, serve and soak build their engine, replay input, --listen
 socket and signal handling from the same flags.
 

@@ -181,7 +181,6 @@ impl RunJson {
 struct ControlBenchJson {
     bench: String,
     shards: usize,
-    rx_queues: usize,
     datapath: String,
     packets: usize,
     batch: usize,
@@ -210,7 +209,6 @@ pub fn bench_json(spec: &ControlRunSpec, o: &ControlOutcome) -> String {
     let v = ControlBenchJson {
         bench: "control".to_string(),
         shards: spec.shape.shards,
-        rx_queues: spec.shape.rx_queues,
         datapath: datapath_label(spec.shape.datapath).to_string(),
         packets: spec.shape.packets,
         batch: spec.shape.batch,
@@ -268,7 +266,7 @@ fn render(spec: &ControlRunSpec, o: &ControlOutcome) -> Table {
     t.row(run_row("baseline", &o.baseline));
     t.note(format!(
         "spike: {} → {} Mpps over [{:.0}%, {:.0}%) of {} pkts ({} source); \
-         controller epoch {} ms; {} datapath, {} RX queue(s)",
+         controller epoch {} ms; {} datapath",
         spec.base_mpps,
         spec.peak_mpps,
         spec.spike_start * 100.0,
@@ -277,7 +275,6 @@ fn render(spec: &ControlRunSpec, o: &ControlOutcome) -> Table {
         spec.shape.source.label(),
         spec.epoch_ms,
         datapath_label(spec.shape.datapath),
-        spec.shape.rx_queues,
     ));
     t.note(format!(
         "controller: {} epochs, {} mode switches, {} shed epochs ({} pkts shed), \
@@ -469,7 +466,6 @@ mod tests {
             [
                 "bench",
                 "shards",
-                "rx_queues",
                 "datapath",
                 "packets",
                 "batch",

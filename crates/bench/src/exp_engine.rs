@@ -119,7 +119,6 @@ impl FlowCacheJson {
 struct EngineBenchJson {
     bench: String,
     shards: usize,
-    rx_queues: usize,
     datapath: String,
     pin_cores: bool,
     batch: usize,
@@ -153,7 +152,6 @@ pub fn bench_json(spec: &EngineRunSpec, r: &EngineReport) -> String {
     let v = EngineBenchJson {
         bench: "engine".to_string(),
         shards: shape.shards,
-        rx_queues: shape.rx_queues,
         datapath: datapath_label(shape.datapath).to_string(),
         pin_cores: shape.pin_cores,
         batch: shape.batch,
@@ -188,7 +186,6 @@ fn render(spec: &EngineRunSpec, pace: Pace, r: &EngineReport) -> Table {
         "wall-clock sharded runtime (full pipeline on OS threads)",
         &[
             "shards",
-            "rxq",
             "datapath",
             "workload",
             "source",
@@ -214,7 +211,6 @@ fn render(spec: &EngineRunSpec, pace: Pace, r: &EngineReport) -> Table {
     };
     t.row(vec![
         shape.shards.to_string(),
-        shape.rx_queues.to_string(),
         datapath_label(shape.datapath).to_string(),
         format!("{:?}", shape.workload).to_lowercase(),
         shape.source.label().to_string(),
@@ -327,7 +323,6 @@ mod tests {
         let field = |k: &str| v.get(k).unwrap_or_else(|| panic!("missing field {k}"));
         assert_eq!(field("bench").as_str(), Some("engine"));
         assert_eq!(field("shards").as_u64(), Some(2));
-        assert_eq!(field("rx_queues").as_u64(), Some(1));
         assert_eq!(field("offered").as_u64(), Some(20_000));
         assert_eq!(field("conserved").as_bool(), Some(true));
         assert!(field("mpps").as_f64().expect("mpps is a number") > 0.0);
@@ -377,7 +372,6 @@ mod tests {
             [
                 "bench",
                 "shards",
-                "rx_queues",
                 "datapath",
                 "pin_cores",
                 "batch",
@@ -434,22 +428,22 @@ mod tests {
     }
 
     #[test]
-    fn multi_queue_run_conserves_and_reports_queue_count() {
+    fn multi_core_run_conserves_with_one_ingest_unit_per_core() {
         let ctx = ExpCtx::new(1);
         let spec = EngineRunSpec {
             shape: RunShape {
                 packets: 20_000,
-                rx_queues: 2,
+                shards: 2,
+                datapath: DatapathMode::Rtc,
                 ..RunShape::default()
             },
             ..EngineRunSpec::default()
         };
         let (t, report, _) = engine_run_full(&ctx, &spec);
         assert!(t.notes.iter().any(|n| n.contains("conservation: OK")));
-        assert_eq!(report.rx_queues(), 2);
+        assert_eq!(report.queues.len(), 2);
         let json = bench_json(&spec, &report);
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(v["rx_queues"].as_u64(), Some(2));
         assert_eq!(v["conserved"].as_bool(), Some(true));
     }
 
@@ -487,7 +481,7 @@ mod tests {
         let spec = EngineRunSpec {
             shape: RunShape {
                 packets: 20_000,
-                rx_queues: 2,
+                shards: 2,
                 source: EngineSource::Compiled,
                 ..RunShape::default()
             },

@@ -679,7 +679,6 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
 struct ServeBenchJson {
     bench: String,
     shards: usize,
-    rx_queues: usize,
     datapath: String,
     segments: usize,
     segment_packets: usize,
@@ -707,7 +706,6 @@ pub fn serve_bench_json(spec: &ServeSpec, out: &ServeOutcome) -> String {
     let v = ServeBenchJson {
         bench: "serve".to_string(),
         shards: spec.shape.shards,
-        rx_queues: spec.shape.rx_queues,
         datapath: datapath_label(spec.shape.datapath).to_string(),
         segments: out.segments.len(),
         segment_packets: spec.shape.packets,
@@ -862,7 +860,6 @@ mod tests {
             [
                 "bench",
                 "shards",
-                "rx_queues",
                 "datapath",
                 "segments",
                 "segment_packets",

@@ -124,12 +124,8 @@ pub type Listener = fn(&str, &Arc<Engine>) -> std::io::Result<HttpServer>;
 pub struct RunShape {
     /// Worker shards (threads).
     pub shards: usize,
-    /// RX dispatcher queues (threads) — the multi-queue NIC model.
-    /// Ignored under [`DatapathMode::Rtc`], where every fused core owns
-    /// its ingest ([`RunShape::validate`] rejects the combination).
-    pub rx_queues: usize,
-    /// Thread topology: the dispatcher→lane→shard mesh (`pipeline`,
-    /// the default) or fused run-to-completion cores (`rtc`).
+    /// Thread topology: one dispatcher feeding the shards over lanes
+    /// (`pipeline`, the default) or fused run-to-completion cores (`rtc`).
     pub datapath: DatapathMode,
     /// Pin each fused RTC core to CPU *i* (`--pin-cores`; best-effort,
     /// Linux `sched_setaffinity`, no-op elsewhere).
@@ -172,7 +168,6 @@ impl Default for RunShape {
     fn default() -> RunShape {
         RunShape {
             shards: 2,
-            rx_queues: 1,
             datapath: DatapathMode::Pipeline,
             pin_cores: false,
             batch: 64,
@@ -194,17 +189,10 @@ impl RunShape {
     /// prints before exiting 2.
     pub fn validate(&self) -> Result<(), String> {
         let rtc = self.datapath == DatapathMode::Rtc;
-        // The RTC datapath has no RX dispatcher tier, so a dispatcher
-        // count cannot be honoured (core count = --shards).
-        if rtc && self.rx_queues != 1 {
-            return Err(
-                "--rx-queues does not apply to `--datapath rtc`: fused run-to-completion \
-                 cores own their own ingest, so the core count is --shards"
-                    .into(),
-            );
-        }
         if self.pin_cores && !rtc {
-            return Err("--pin-cores requires `--datapath rtc` (the mesh is not pinned)".into());
+            return Err(
+                "--pin-cores requires `--datapath rtc` (the pipeline is not pinned)".into(),
+            );
         }
         if let EngineSource::Pcap(path) = &self.source {
             if let Err(e) = std::fs::metadata(path) {
@@ -220,7 +208,6 @@ impl RunShape {
     pub fn engine_config(&self) -> EngineConfig {
         let RunShape {
             shards,
-            rx_queues,
             datapath,
             pin_cores,
             batch,
@@ -237,7 +224,6 @@ impl RunShape {
             watch_signals: _,
         } = self;
         let mut cfg = EngineConfig::new(*shards);
-        cfg.rx_queues = *rx_queues;
         cfg.datapath = *datapath;
         cfg.pin_cores = *pin_cores;
         cfg.batch = *batch;

@@ -54,17 +54,15 @@ fn repro_rejects_unknown_flag_even_next_to_a_valid_experiment() {
 }
 
 #[test]
-fn repro_rejects_rx_queues_with_rtc_datapath() {
-    // The fused datapath has no dispatcher tier: an explicit
-    // `--rx-queues` cannot be honoured and must fail fast (exit 2)
-    // with a named explanation, not run with the flag silently ignored
-    // — in every driver that builds an engine.
+fn repro_refuses_a_dispatcher_count_as_an_unknown_flag() {
+    // The pipeline has one dispatcher and RTC one ingest per core: no
+    // driver takes a dispatcher count, so the flag is refused by name.
     for driver in ["engine", "control", "soak"] {
-        let (_, stderr, code) = run_code(&[driver, "--datapath", "rtc", "--rx-queues", "2"]);
+        let (_, stderr, code) = run_code(&[driver, "--rx-queues", "2"]);
         assert_eq!(code, Some(2), "{driver}");
         assert!(
-            stderr.contains("--rx-queues does not apply to `--datapath rtc`"),
-            "{driver}: want the named contradiction, got: {stderr}"
+            stderr.contains("unknown flag \"--rx-queues\""),
+            "{driver}: want the flag named, got: {stderr}"
         );
     }
 }

@@ -7,7 +7,7 @@ use smartwatch_bench::exp_control::{control_config, ControlRunSpec};
 use smartwatch_bench::exp_engine::{engine_run_full, EngineRunSpec};
 use smartwatch_bench::run_shape::{EngineWorkload, RunShape};
 use smartwatch_bench::{serve, workloads, ExpCtx};
-use smartwatch_runtime::{Axis, DatapathMode, Engine, EngineConfig, MergePolicy, Pace};
+use smartwatch_runtime::{Axis, DatapathMode, Engine, EngineConfig, Pace};
 use smartwatch_telemetry::FlightKind;
 use smartwatch_trace::background::Preset;
 use std::io::{Read, Write};
@@ -44,14 +44,15 @@ fn queue_section(ctx: &ExpCtx) -> String {
 
 /// S4: the per-queue counter families are complete (every family ×
 /// every queue label) and byte-deterministic across same-spec runs,
-/// for 1, 2 and 4 RX queues.
+/// for 1, 2 and 4 ingest units — fused cores, one queue label each.
 #[test]
 fn per_queue_prometheus_families_are_complete_and_deterministic() {
-    for rx_queues in [1usize, 2, 4] {
+    for cores in [1usize, 2, 4] {
         let spec = EngineRunSpec {
             shape: RunShape {
                 packets: 20_000,
-                rx_queues,
+                shards: cores,
+                datapath: DatapathMode::Rtc,
                 ..RunShape::default()
             },
             ..EngineRunSpec::default()
@@ -66,7 +67,7 @@ fn per_queue_prometheus_families_are_complete_and_deterministic() {
         let b = run();
         assert_eq!(
             a, b,
-            "runtime.queue.* families must be byte-deterministic for rx_queues={rx_queues}"
+            "runtime.queue.* families must be byte-deterministic for cores={cores}"
         );
         for family in [
             "runtime_queue_offered",
@@ -77,13 +78,13 @@ fn per_queue_prometheus_families_are_complete_and_deterministic() {
         ] {
             assert!(
                 a.contains(&format!("# TYPE {family} counter")),
-                "missing TYPE line for {family} at rx_queues={rx_queues}"
+                "missing TYPE line for {family} at cores={cores}"
             );
-            for q in 0..rx_queues {
+            for q in 0..cores {
                 let series = format!("{family}{{queue=\"{q}\"}}");
                 assert!(
                     a.contains(&series),
-                    "missing series {series} at rx_queues={rx_queues}:\n{a}"
+                    "missing series {series} at cores={cores}:\n{a}"
                 );
             }
         }
@@ -91,15 +92,14 @@ fn per_queue_prometheus_families_are_complete_and_deterministic() {
 }
 
 /// Tentpole: a traced run produces a parseable chrome-trace document
-/// with at least one complete span on every dispatcher, shard, and
-/// host-worker track.
+/// with at least one complete span on the dispatcher's, every shard's
+/// and the host worker's track.
 #[test]
 fn traced_run_covers_every_engine_thread() {
     let ctx = ExpCtx::new(1);
     let spec = EngineRunSpec {
         shape: RunShape {
             packets: 20_000,
-            rx_queues: 2,
             workload: EngineWorkload::Mix, // exercises host escalation
             trace_sample: 1,
             ..RunShape::default()
@@ -133,13 +133,7 @@ fn traced_run_covers_every_engine_thread() {
             span_tids.push(tid);
         }
     }
-    for thread in [
-        "sw-rxq-0",
-        "sw-rxq-1",
-        "sw-shard-0",
-        "sw-shard-1",
-        "sw-host-0",
-    ] {
+    for thread in ["sw-rxq-0", "sw-shard-0", "sw-shard-1", "sw-host-0"] {
         let tid = tracks
             .iter()
             .find(|(_, n)| n == thread)
@@ -208,7 +202,8 @@ fn live_stats_match_the_final_report() {
                 assert_eq!(num(row, k), s.counts[c], "{datapath:?} shard {i} field {k}");
             }
         }
-        // One ingest unit per dispatcher (pipeline) or fused core (RTC).
+        // One ingest unit: the dispatcher (pipeline) or each fused
+        // core (RTC).
         let queues = rows("queues");
         assert_eq!(queues.len(), report.queues.len());
         assert_eq!(queues.len(), engine.config().ingest_units());
@@ -244,11 +239,10 @@ fn live_stats_match_the_final_report() {
     server.shutdown();
 }
 
-/// Tentpole: under [`MergePolicy::Ordered`] the flight recorder's
-/// control-thread ring reproduces the controller's mode-switch and
+/// Tentpole: the flight recorder's control-thread ring reproduces the controller's mode-switch and
 /// shed sequence exactly as the [`ControlReport`] timeline records it.
 #[test]
-fn ordered_flight_recorder_mirrors_the_control_timeline() {
+fn flight_recorder_mirrors_the_control_timeline() {
     let spec = ControlRunSpec {
         shape: RunShape {
             packets: 100_000,
@@ -263,8 +257,7 @@ fn ordered_flight_recorder_mirrors_the_control_timeline() {
         .take(spec.shape.packets)
         .copied()
         .collect();
-    let mut cfg = EngineConfig::new(spec.shape.shards);
-    cfg.merge = MergePolicy::Ordered;
+    let cfg = EngineConfig::new(spec.shape.shards);
     let engine = Engine::new(cfg.with_control(control_config(&spec)));
     let report = engine.run(
         &packets,

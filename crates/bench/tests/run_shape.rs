@@ -11,12 +11,11 @@ use smartwatch_bench::run_shape::{EngineSource, EngineWorkload, RunShape};
 use smartwatch_bench::ExpCtx;
 use smartwatch_runtime::{DatapathMode, EngineConfig};
 
-/// Two shapes cover every field: `--rx-queues` and `rtc` + `--pin-cores`
-/// exclude each other ([`RunShape::validate`]).
+/// Two shapes cover every field: `--pin-cores` requires `rtc`
+/// ([`RunShape::validate`]).
 fn shapes_off_default() -> [RunShape; 2] {
-    let mesh = RunShape {
+    let pipeline = RunShape {
         shards: 3,
-        rx_queues: 2,
         datapath: DatapathMode::Pipeline,
         pin_cores: false,
         batch: 32,
@@ -31,12 +30,11 @@ fn shapes_off_default() -> [RunShape; 2] {
         watch_signals: true,
     };
     let fused = RunShape {
-        rx_queues: 1,
         datapath: DatapathMode::Rtc,
         pin_cores: true,
-        ..mesh.clone()
+        ..pipeline.clone()
     };
-    [mesh, fused]
+    [pipeline, fused]
 }
 
 /// Every field of the config but the controller, as text (the type has
@@ -66,7 +64,6 @@ fn every_shape_field_reaches_every_drivers_engine() {
         assert_ne!(want.host_workers, stock.host_workers);
         assert_ne!(want.cache_burst, stock.cache_burst);
         assert_ne!(want.trace_sample, stock.trace_sample);
-        assert!(want.rx_queues != stock.rx_queues || want.datapath != stock.datapath);
         assert_eq!(want.pin_cores, shape.pin_cores);
 
         // engine: the shape's config and nothing else.
@@ -129,19 +126,13 @@ fn every_shape_field_reaches_every_drivers_engine() {
 
 #[test]
 fn contradictory_shapes_are_rejected_whoever_built_them() {
-    let rtc_with_queues = RunShape {
-        datapath: DatapathMode::Rtc,
-        rx_queues: 2,
-        ..RunShape::default()
-    };
-    let said = rtc_with_queues.validate().expect_err("no dispatcher tier");
-    assert!(said.contains("--rx-queues does not apply to `--datapath rtc`"));
-
-    let pinned_mesh = RunShape {
+    let pinned_pipeline = RunShape {
         pin_cores: true,
         ..RunShape::default()
     };
-    let said = pinned_mesh.validate().expect_err("the mesh is not pinned");
+    let said = pinned_pipeline
+        .validate()
+        .expect_err("the pipeline is not pinned");
     assert!(said.contains("--pin-cores requires `--datapath rtc`"));
 
     let missing = RunShape {

@@ -182,8 +182,8 @@ impl FlowHasher {
     /// equivalent key: the tuple is canonicalised by the same
     /// `(ip, port)` lexicographic comparison [`FlowKey::canonical`] uses,
     /// then hashed with the same three-round mixer. The wire ingest path
-    /// ([`crate::wire::FrameView`]) relies on this equivalence for
-    /// Ordered-merge determinism between synthetic and compiled replays.
+    /// ([`crate::wire::FrameView`]) relies on this equivalence: a
+    /// compiled replay makes the same decisions as the synthetic one.
     #[inline]
     pub fn digest_raw(&self, t: RawTuple) -> (FlowKey, HashDigest) {
         let (aip, ap, bip, bp) = canon_raw(&t);
@@ -303,23 +303,6 @@ pub fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Map an already-computed *symmetric* digest to one of `n_queues` NIC RX
-/// queues — the software model of multi-queue RSS delivery.
-///
-/// The remix through [`splitmix64`] (salted, so different engines can
-/// draw different queue layouts from the same digests) makes the queue
-/// choice statistically independent of [`shard_for_digest`], which reads
-/// the digest's raw high bits: without the remix, queue and shard
-/// assignments would be correlated and an R×N mesh would leave lanes
-/// systematically idle. Both directions of a flow land on the same queue
-/// (the digest is symmetric), so per-queue sub-streams keep intra-flow
-/// packet order.
-#[inline]
-pub fn queue_for_digest(digest: HashDigest, salt: u64, n_queues: usize) -> usize {
-    debug_assert!(n_queues >= 1, "need at least one RX queue");
-    HashDigest(splitmix64(digest.0 ^ salt)).bucket(n_queues)
 }
 
 /// A no-op `Hasher` for keys that already *are* 64-bit hash digests.
@@ -791,52 +774,6 @@ mod tests {
             let dist = (base ^ flipped).count_ones();
             assert!(dist >= 16, "bit {bit} avalanche too weak: {dist}");
         }
-    }
-
-    #[test]
-    fn queue_for_digest_symmetric_in_range_and_spread() {
-        let h = FlowHasher::new(0x51CC);
-        let salt = splitmix64(0x51CC);
-        for r in [1usize, 2, 3, 4, 8] {
-            let mut hits = vec![0u32; r];
-            for i in 0..8_000u32 {
-                let k = key(0x0a00_0001 + i, 1000 + (i as u16), 0x0a00_ffff - i, 22);
-                let q = queue_for_digest(h.hash_symmetric(&k), salt, r);
-                assert!(q < r, "queue index in range");
-                assert_eq!(
-                    q,
-                    queue_for_digest(h.hash_symmetric(&k.reversed()), salt, r),
-                    "both directions of a flow must land on the same queue"
-                );
-                hits[q] += 1;
-            }
-            let expect = 8_000 / r as u32;
-            assert!(
-                hits.iter().all(|&c| c > expect / 2 && c < expect * 2),
-                "poor queue spread for r={r}: {hits:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn queue_and_shard_assignments_are_independent() {
-        // Joint (queue, shard) distribution over a 4×4 mesh: if the
-        // remix failed to decorrelate the two bucket reductions, whole
-        // cells would be empty and lanes would sit idle.
-        let h = FlowHasher::new(0x51CC);
-        let salt = splitmix64(0x51CC);
-        let (r, n) = (4usize, 4usize);
-        let mut cells = vec![0u32; r * n];
-        for i in 0..16_000u32 {
-            let k = key(0x0a00_0001 + i, 1000 + (i as u16), 0x0a00_ffff - i, 22);
-            let d = h.hash_symmetric(&k);
-            cells[queue_for_digest(d, salt, r) * n + shard_for_digest(d, n)] += 1;
-        }
-        // Expect ~1000 per cell; gross imbalance means correlation.
-        assert!(
-            cells.iter().all(|&c| c > 500 && c < 2000),
-            "queue/shard correlation: {cells:?}"
-        );
     }
 
     #[test]

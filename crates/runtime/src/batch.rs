@@ -38,12 +38,6 @@ pub struct DigestedPacket {
     pub canon: smartwatch_net::FlowKey,
     /// Symmetric digest of `canon` under the engine's hash seed.
     pub digest: HashDigest,
-    /// Global arrival index of the packet in the offered sequence.
-    /// Within any one RX queue's sub-stream this is strictly increasing,
-    /// which is what lets a shard's ordered merge reconstruct the exact
-    /// single-queue processing order from R lanes (see
-    /// [`crate::MergePolicy::Ordered`]).
-    pub seq: u64,
 }
 
 /// One lane message: a buffer of pre-digested packets plus, when the
@@ -120,6 +114,14 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The descriptor is copied by value through staging, lane and
+    /// shard, so every byte it carries is paid per packet per copy. It
+    /// grows only by editing this number.
+    #[test]
+    fn the_descriptor_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<DigestedPacket>(), 80);
+    }
 
     #[test]
     fn backoff_escalates_spin_yield_park_and_resets() {

@@ -2,29 +2,28 @@
 //! ([`EngineConfig`]), the offered-rate plan ([`Pace`]) and the packet
 //! representation it replays ([`FrameSource`]).
 
-use crate::shard::MergePolicy;
 use smartwatch_control::ControlConfig;
 use smartwatch_net::{FrameStore, Packet};
 
 /// How the engine maps the pipeline onto threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DatapathMode {
-    /// The R×N mesh: R RX-queue dispatcher threads digest and steer,
-    /// N shard threads process, bounded SPSC lanes in between. The
-    /// default, and the only mode where `rx_queues > 1` is meaningful.
+    /// One `sw-rxq-0` dispatcher thread digests and steers, N shard
+    /// threads process, one bounded SPSC lane per shard in between.
+    /// The default.
     Pipeline,
     /// Run-to-completion: C = `shards` fused `sw-core-{i}` threads,
     /// each owning one shard partition *and* its ingest. The pre-split
-    /// assigns packets by [`shard_for_digest`] directly (no salted
-    /// queue remix), so every flow's packets arrive at the core that
+    /// assigns packets by [`shard_for_digest`], so every flow's
+    /// packets arrive at the core that
     /// owns its FlowCache rows, and the fast path — ingest → digest →
     /// FlowCache → detectors → verdict — runs in place with zero
     /// inter-thread queue crossings. Host escalation and control-plane
     /// sampling keep their existing channels. Decisions, counters and
     /// the deterministic summary are identical to [`Pipeline`] for the
-    /// same seed (`DatapathMode::Pipeline` with `rx_queues = 1`);
-    /// only the thread topology — and therefore the wall clock —
-    /// changes.
+    /// same seed; only the thread topology — and therefore the wall
+    /// clock — changes. This is the engine's one multi-ingest
+    /// topology: C cores, C ingest units.
     ///
     /// [`Pipeline`]: DatapathMode::Pipeline
     /// [`shard_for_digest`]: smartwatch_net::hash::shard_for_digest
@@ -37,31 +36,19 @@ pub struct EngineConfig {
     /// Worker shards (threads). Each owns a FlowCache partition and a
     /// full detector suite.
     pub shards: usize,
-    /// Thread topology: the R×N dispatcher/shard mesh
+    /// Thread topology: one dispatcher feeding the shards
     /// ([`DatapathMode::Pipeline`], the default) or fused
-    /// run-to-completion cores ([`DatapathMode::Rtc`]). In RTC mode
-    /// `rx_queues` is ignored — the ingest unit count *is* the shard
-    /// count.
+    /// run-to-completion cores ([`DatapathMode::Rtc`]), where the
+    /// ingest unit count *is* the shard count.
     pub datapath: DatapathMode,
     /// Pin the fused RTC cores to CPUs (core index = CPU index): each
     /// `sw-core-{i}` thread calls `sched_setaffinity` at startup. RTC
-    /// cores only — the pipeline mesh never pins. Opt-in and
+    /// cores only — the pipeline never pins. Opt-in and
     /// best-effort — a rejected mask (cpuset container, non-Linux
     /// build) leaves the thread unpinned and the run proceeds.
     /// Decisions and counters are identical either way; only scheduler
     /// placement changes.
     pub pin_cores: bool,
-    /// RX-queue dispatcher threads (the multi-queue NIC model). Each
-    /// owns a digest-split sub-stream of the offered trace, its own
-    /// steering-snapshot reader, and one SPSC lane per shard (an R×N
-    /// mesh). `1` reproduces the classic single-dispatcher
-    /// hot path.
-    pub rx_queues: usize,
-    /// How shards interleave their R ingest lanes. [`MergePolicy::Fair`]
-    /// (the default) round-robins whole batches for throughput;
-    /// [`MergePolicy::Ordered`] k-way-merges by arrival sequence so the
-    /// deterministic summary is byte-identical for any `rx_queues`.
-    pub merge: MergePolicy,
     /// Packets per dispatch batch.
     pub batch: usize,
     /// Per-shard ingest queue capacity, in batches.
@@ -96,16 +83,15 @@ pub struct EngineConfig {
     /// [`Tracer`](smartwatch_telemetry::Tracer) is attached (via
     /// [`Engine::attach_tracer`](crate::Engine::attach_tracer)): each
     /// thread times 1 unit of work in `trace_sample` — an ingest unit's
-    /// 256-packet block with the batches and escalations it makes, an
-    /// ordered-merge group, a controller epoch — and those readings are
+    /// 256-packet block with the batches and escalations it makes, a
+    /// controller epoch — and those readings are
     /// both its chrome-trace spans and the `runtime.stage.*` samples.
     /// Without a tracer, or at `0` (no spans), the period is 16. Every
     /// counter starts at the engine's segment index (a new phase each
     /// segment), so in an engine's first segment the threads that tick
-    /// one of their own — ingest units, ordered-merge shards, the
-    /// controller — trace their first unit and own a span at any
-    /// period; fair shards and host workers trace the sampled work that
-    /// reaches them.
+    /// one of their own — ingest units and the controller — trace
+    /// their first unit and own a span at any period; pipeline shards
+    /// and host workers trace the sampled work that reaches them.
     pub trace_sample: u64,
     /// Serve mode: carry each shard's FlowCache *contents* across
     /// back-to-back `run*` calls on the same engine instead of starting
@@ -123,16 +109,13 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Defaults for `shards` workers: one RX queue (fair-merged),
-    /// 64-packet batches, 64-batch queues, 2^12-row partitions, one
-    /// host worker.
+    /// Defaults for `shards` workers: the pipeline, 64-packet batches,
+    /// 64-batch queues, 2^12-row partitions, one host worker.
     pub fn new(shards: usize) -> EngineConfig {
         EngineConfig {
             shards,
             datapath: DatapathMode::Pipeline,
             pin_cores: false,
-            rx_queues: 1,
-            merge: MergePolicy::Fair,
             batch: 64,
             queue_batches: 64,
             cache_row_bits: 12,
@@ -155,34 +138,30 @@ impl EngineConfig {
         self
     }
 
-    /// The byte-deterministic replay recipe with `rx_queues` dispatchers:
-    /// one shard, inline triage (`host_workers = 0`, no thread-timing
-    /// races on the verdict log) and the ordered lane merge (shard
-    /// processing order independent of dispatcher scheduling). Two
-    /// same-seed runs — at *any* queue count — produce byte-identical
+    /// The byte-deterministic replay recipe: one shard and inline
+    /// triage (`host_workers = 0`, no thread-timing races on the verdict
+    /// log). Two same-seed runs produce byte-identical
     /// [`deterministic_summary`](crate::EngineReport::deterministic_summary)
     /// output.
-    pub fn deterministic(rx_queues: usize) -> EngineConfig {
+    pub fn deterministic() -> EngineConfig {
         let mut cfg = EngineConfig::new(1);
-        cfg.rx_queues = rx_queues;
-        cfg.merge = MergePolicy::Ordered;
         cfg.host_workers = 0;
         cfg
     }
 
-    /// Ingest units the engine actually runs: the dispatcher count in
+    /// Ingest units the engine actually runs: the one dispatcher in
     /// pipeline mode, the fused core (= shard) count in RTC mode. This
     /// is how many `runtime.queue.*{queue=Q}` label sets the run
     /// populates and how many entries
     /// [`EngineReport::queues`](crate::EngineReport::queues) carries.
     pub fn ingest_units(&self) -> usize {
         match self.datapath {
-            DatapathMode::Pipeline => self.rx_queues,
+            DatapathMode::Pipeline => 1,
             DatapathMode::Rtc => self.shards,
         }
     }
 
-    /// Batch buffers the lane mesh holds once every lane has been round
+    /// Batch buffers the lanes hold once every lane has been round
     /// its ring: `queue_batches` in a lane's slots, one staged at its
     /// dispatcher, one in its shard's hands. `runtime.pool.allocated`
     /// reaches this and stops, under every thread schedule; a lane gets
@@ -190,7 +169,7 @@ impl EngineConfig {
     /// lanes.
     pub fn lane_buffers(&self) -> usize {
         match self.datapath {
-            DatapathMode::Pipeline => self.rx_queues * self.shards * (self.queue_batches + 2),
+            DatapathMode::Pipeline => self.shards * (self.queue_batches + 2),
             DatapathMode::Rtc => 0,
         }
     }

@@ -5,7 +5,7 @@
 //! [`WireFeed`] receives wire frames in 8-wide bursts (load → parse in
 //! place → digest from the header bytes → release). A [`Sink`] takes
 //! what survives steering — [`LaneSink`] stages per shard and flushes
-//! onto the SPSC mesh (the pipeline's `sw-rxq-{q}` dispatcher),
+//! onto the shards' SPSC lanes (the pipeline's `sw-rxq-0` dispatcher),
 //! [`ShardSink`] stages one batch and runs it in place on the shard
 //! worker it owns (the fused `sw-core-{i}` of the run-to-completion
 //! datapath). [`Ingest::run`] is everything in between, once: the
@@ -16,7 +16,7 @@
 //! lands on, how a paced unit waits, what its block span is called,
 //! where the thread's clock lives and what it hands back.
 //!
-//! The lane mesh needs no buffer pool beside it: a [`LaneTx`] publishes
+//! The lanes need no buffer pool beside them: a [`LaneTx`] publishes
 //! its full staging buffer into a ring slot and stages into whatever the
 //! shard left in that slot (see [`crate::spsc`]), so a lane's buffers
 //! are allocated on its first lap and circulate from then on.
@@ -46,8 +46,8 @@ const BURST: usize = 8;
 /// A paced unit's arrival schedule: the run's [`Pace`] resolved against
 /// the trace length into closed form over *global* packet indices —
 /// every ingest unit computes its packets' due times from their global
-/// sequence numbers, so R queues replay the same wall-clock arrival
-/// process the single dispatcher would and a spike hits every queue in
+/// sequence numbers, so C fused cores replay the same wall-clock arrival
+/// process the single dispatcher would and a spike hits every core in
 /// the same window — plus the live override (see
 /// `Engine::set_rate_override`) from the packet it was first observed at.
 /// Due times count from the unit's own first checkpoint, not from when
@@ -156,10 +156,10 @@ impl QueueStream {
 /// software stand-in for NIC RSS / hardware flow steering, done outside
 /// the timed region (the timed loop still digests every packet itself,
 /// so per-packet work is identical at every unit count and in both
-/// datapaths). `assign` is the topology's placement: the salted
-/// [`queue_for_digest`](smartwatch_net::hash::queue_for_digest) remix
-/// for mesh dispatchers, straight [`shard_for_digest`] for fused cores
-/// (a core ingests exactly the packets whose FlowCache rows it owns).
+/// datapaths). `assign` is the topology's placement:
+/// [`shard_for_digest`] for fused cores (a core ingests exactly the
+/// packets whose FlowCache rows it owns); the one dispatcher takes the
+/// whole trace and never calls it.
 /// Wire sources digest from the raw header bytes
 /// ([`FlowHasher::digest_raw`], bit-identical to the key-based digest),
 /// so a flow lands on the same unit in either representation.
@@ -222,7 +222,6 @@ impl Feed for PacketFeed<'_> {
             pkt: *pkt,
             canon,
             digest,
-            seq: i as u64,
         })
     }
 
@@ -292,7 +291,6 @@ impl WireFeed<'_> {
                     pkt: self.store.meta(idx[j]).packet(&v),
                     canon,
                     digest,
-                    seq: idx[j] as u64,
                 });
             }
         }
@@ -368,9 +366,9 @@ pub(crate) struct LaneTx {
     buf: Vec<DigestedPacket>,
 }
 
-/// The `runtime.pool.*` books of the lane mesh: lane buffers allocated
-/// (a lane's first staging buffer, then one per slot found empty on its
-/// ring's first lap) and returned through a slot.
+/// The `runtime.pool.*` books of the pipeline's lanes: lane buffers
+/// allocated (a lane's first staging buffer, then one per slot found
+/// empty on its ring's first lap) and returned through a slot.
 #[derive(Clone)]
 pub(crate) struct LaneBooks {
     allocated: Counter,
@@ -399,8 +397,8 @@ impl LaneBooks {
     }
 }
 
-/// The pipeline dispatcher's sink: this queue's row of the lane mesh,
-/// one staging buffer per shard, full batches exchanged into the lane
+/// The pipeline dispatcher's sink: one lane per shard, each with its
+/// staging buffer, full batches exchanged into the lane
 /// for the buffer the shard left there — stamped when the block that
 /// made them is sampled.
 pub(crate) struct LaneSink<'a> {
@@ -462,9 +460,6 @@ impl LaneSink<'_> {
             end_at_ingest(fate, len, &self.counters[s].counts, local);
             fate.note(&self.flight, s as u64, len);
         }
-        // With R queues the gauge tracks this lane's depth (last writer
-        // wins across queues; the peak gauge is a max, so it stays a
-        // true high-water mark of any single lane).
         let depth = self.lanes[s].tx.len() as f64;
         self.counters[s].queue_depth.set(depth);
         self.counters[s].queue_depth_peak.set_max(depth);
@@ -472,7 +467,7 @@ impl LaneSink<'_> {
 }
 
 impl Sink for LaneSink<'_> {
-    /// The row, to be parked for the next segment.
+    /// The lanes' producer ends, to be parked for the next segment.
     type Out = Vec<LaneTx>;
     const SPAN: Stage = Stage::Dispatch;
 
@@ -503,7 +498,7 @@ impl Sink for LaneSink<'_> {
     }
 
     /// `Stop` down every lane, so a drained dispatcher quiesces the
-    /// mesh *exactly* like end-of-trace.
+    /// shards *exactly* like end-of-trace.
     fn close(mut self) -> Vec<LaneTx> {
         for s in 0..self.lanes.len() {
             self.exchange(s, true);
@@ -514,7 +509,7 @@ impl Sink for LaneSink<'_> {
 
 /// The fused core's sink: one staging buffer, run in place on the owned
 /// [`ShardWorker`] at every `batch`-packet boundary — exactly where the
-/// mesh dispatcher would have flushed a lane batch, so per-shard
+/// pipeline dispatcher would have flushed a lane batch, so per-shard
 /// decision streams are identical to the pipeline's. The pre-split
 /// guarantees every packet belongs to this core's partition: nothing to
 /// route, no lane to overrun (`ingest_dropped` stays 0 — a paced core

@@ -1,8 +1,8 @@
 //! The [`Engine`] and its one segment lifecycle: every `run*` call
 //! opens a segment (verdict log, host pool, counters and their
 //! baselines, un-parked lanes, frame pools, flow state and control
-//! plane, shard workers), runs the topology-specific middle — R
-//! dispatcher threads feeding N shard threads over the lane mesh, or N
+//! plane, shard workers), runs the topology-specific middle — one
+//! dispatcher thread feeding N shard threads over one lane each, or N
 //! fused cores — and closes it (host-pool shutdown, controller stop, re-park, report,
 //! flight-recorder close-out).
 
@@ -28,7 +28,7 @@ use smartwatch_control::{
     AdminCmd, ControlEvent, Controller, DecisionRecord, EpochInput, ModeCell, ShardSample,
     SnapshotCell, SnapshotReader, SteeringSnapshot,
 };
-use smartwatch_net::hash::{queue_for_digest, shard_for_digest, splitmix64};
+use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{FlowHasher, FrameStore, HashDigest, Packet};
 use smartwatch_telemetry::{
     mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, Registry, Tracer,
@@ -43,22 +43,23 @@ use std::time::{Duration, Instant};
 /// Engine-lifetime resources parked between `run*` calls so a
 /// long-running service allocates nothing per segment. Nothing here
 /// exists before the first segment that needs it builds it, and the
-/// mesh shape is fixed per engine, so whatever is parked always fits.
+/// topology is fixed per engine, so whatever is parked always fits.
 /// Each resource is addressed by the index of the thread that uses it,
-/// so every thread gets its *own* back by construction: dispatcher `q`
-/// its lanes, with the buffers they hold, and its frame pool; shard `i`
-/// its lanes and its flow state, made fresh by [`FlowState::reset`]
-/// (tables sized for shard `i`'s share of the traffic; with
+/// so every thread gets its *own* back by construction: the dispatcher
+/// the producer ends of the lanes, with the buffers they hold; ingest
+/// unit `q` its frame pool; shard `i` its lane and its flow state, made
+/// fresh by [`FlowState::reset`] (tables sized for shard `i`'s share of
+/// the traffic; with
 /// [`EngineConfig::carry_flow_state`] the cache inside is left warm,
 /// and RSS placement being a pure function of digest and shard count
 /// keeps it affine); the controller thread its [`ControlResident`].
 #[derive(Default)]
 struct Garage {
-    /// The lane mesh by producer: `rows[q][i]` is dispatcher `q`'s end
-    /// of lane (q, i). Empty until the first pipeline segment.
-    rows: Vec<Vec<LaneTx>>,
-    /// The same lanes by consumer: `cols[i][q]` is shard `i`'s end.
-    cols: Vec<Vec<LaneRx>>,
+    /// The dispatcher's end of every lane: `tx[i]` feeds shard `i`.
+    /// Empty until the first pipeline segment.
+    tx: Vec<LaneTx>,
+    /// The same lanes by consumer: `rx[i]` is shard `i`'s end.
+    rx: Vec<LaneRx>,
     /// `frames[q]`: ingest unit `q`'s frame pool (wire segments).
     frames: Vec<Option<FramePool>>,
     /// `flows[i]`: shard `i`'s flow state.
@@ -96,8 +97,8 @@ pub struct Engine {
     /// control thread so live readers (`/stats.json`) can see it while
     /// the thread owns the controller.
     decisions: Arc<Mutex<VecDeque<DecisionRecord>>>,
-    /// Graceful-drain request: dispatchers observe it at checkpoints,
-    /// stop offering and quiesce the mesh (see [`Engine::request_drain`]).
+    /// Graceful-drain request: ingest units observe it at checkpoints,
+    /// stop offering and quiesce the shards (see [`Engine::request_drain`]).
     drain: Arc<AtomicBool>,
     /// Admin command mailbox, drained by the controller each epoch.
     admin: Arc<AdminQueue>,
@@ -105,7 +106,7 @@ pub struct Engine {
     /// engine, across runs).
     admin_applied: Counter,
     /// Live pacing override: `f64::to_bits` of the inter-arrival gap in
-    /// ns, `0` = none. Paced dispatchers re-read it at checkpoints.
+    /// ns, `0` = none. Paced ingest units re-read it at checkpoints.
     pace_override: Arc<AtomicU64>,
     /// Resident-set gauge (`runtime.mem.rss_bytes`), sampled per epoch
     /// by the controller thread and at run boundaries.
@@ -126,7 +127,6 @@ impl Engine {
     /// Engine publishing into an existing registry (`runtime.*` metrics).
     pub fn with_registry(cfg: EngineConfig, registry: &Registry) -> Engine {
         assert!(cfg.shards >= 1, "engine needs at least one shard");
-        assert!(cfg.rx_queues >= 1, "engine needs at least one RX queue");
         assert!(cfg.batch >= 1, "batch size must be at least 1");
         assert!(cfg.queue_batches >= 1, "queue must hold at least 1 batch");
         Engine {
@@ -150,10 +150,10 @@ impl Engine {
         &self.cfg
     }
 
-    /// Ask the current run to drain gracefully: dispatchers observe the
+    /// Ask the current run to drain gracefully: ingest units observe the
     /// flag at their 256-packet checkpoints, stop offering, flush their
-    /// staged batches and send the normal `Stop` markers, so the mesh
-    /// quiesces exactly as at end-of-trace and the segment report stays
+    /// staged batches and send the normal `Stop` markers, so the lanes
+    /// quiesce exactly as at end-of-trace and the segment report stays
     /// conserved (`offered` reflects what was actually offered before
     /// the drain). The flag stays raised until [`Engine::clear_drain`] —
     /// a signal landing *between* segments still stops the next one.
@@ -191,7 +191,7 @@ impl Engine {
         self.admin_applied.get()
     }
 
-    /// Override the offered rate of *paced* runs live: dispatchers
+    /// Override the offered rate of *paced* runs live: ingest units
     /// re-read this at every 256-packet checkpoint and re-anchor their
     /// arrival schedule, so the change takes effect mid-segment without
     /// a restart. `None` returns pacing to the run's [`Pace`] plan.
@@ -218,7 +218,7 @@ impl Engine {
     /// Attach a chrome-trace sink. Spans are emitted only when
     /// [`EngineConfig::trace_sample`] is non-zero — which is then the
     /// period every thread's clock samples at; each engine thread opens
-    /// its own track (`sw-rxq-{q}`, `sw-core-{i}`, `sw-shard-{i}`,
+    /// its own track (`sw-rxq-0`, `sw-core-{i}`, `sw-shard-{i}`,
     /// `sw-host-{w}`, `sw-control`) named after the OS thread.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
@@ -262,7 +262,7 @@ impl Engine {
     /// The live `/stats.json` document: [`EngineReport`]-shaped counters
     /// read straight from the registry atomics, so it is safe to call
     /// from any thread at any time. Mid-run, values are at most one
-    /// checkpoint (dispatchers) or one batch (shards) stale; after
+    /// checkpoint (ingest units) or one batch (shards) stale; after
     /// `run()` returns, the conservation counters match the final
     /// report exactly.
     pub fn stats_json(&self) -> String {
@@ -274,8 +274,8 @@ impl Engine {
                 ..ShardStats::default()
             })
             .collect();
-        // One label set per dispatcher in pipeline mode, one per fused
-        // core in RTC mode.
+        // One label set for the dispatcher in pipeline mode, one per
+        // fused core in RTC mode.
         let queues: Vec<Ledger> = (0..cfg.ingest_units())
             .map(|q| Ledger::registered(reg, Axis::Queue, q).snapshot())
             .collect();
@@ -367,15 +367,15 @@ impl Engine {
     }
 
     /// Replay a packed wire-frame store through the full pipeline — the
-    /// zero-copy wire path. Each dispatcher owns a [`FramePool`] (the
+    /// zero-copy wire path. Each ingest unit owns a [`FramePool`] (the
     /// software RX ring): it loads 8-frame bursts into pooled slots,
     /// parses the Ethernet/IPv4/transport headers in place with
     /// [`FrameView`](smartwatch_net::FrameView), digests straight from
     /// the header bytes ([`FlowHasher::digest_batch8`]) and recycles the
     /// slots —
-    /// allocation-free in steady state. With the ordered merge the
-    /// resulting [`EngineReport::deterministic_summary`] is
-    /// byte-identical to the synthetic run of the same packets.
+    /// allocation-free in steady state. The resulting
+    /// [`EngineReport::deterministic_summary`] is byte-identical to the
+    /// synthetic run of the same packets.
     pub fn run_frames(&self, store: &FrameStore, pace: Pace) -> EngineReport {
         self.run_source(FrameSource::Wire(store), pace)
     }
@@ -385,7 +385,7 @@ impl Engine {
     /// [`Engine::run_frames`] are thin wrappers over this.
     pub fn run_source(&self, source: FrameSource<'_>, pace: Pace) -> EngineReport {
         let cfg = &self.cfg;
-        let (n, r) = (cfg.shards, cfg.rx_queues);
+        let n = cfg.shards;
         assert!(
             source.len() <= u32::MAX as usize,
             "sequence indices are u32 at split time"
@@ -403,8 +403,6 @@ impl Engine {
             host_processed: self.registry.counter("runtime.host.processed", &[]),
             enforce_verdicts: cfg.enforce_verdicts,
             hasher: FlowHasher::new(cfg.hash_seed),
-            merge: cfg.merge,
-            group: cfg.batch,
             burst: cfg.cache_burst,
             finish_line: Arc::new(Barrier::new(n)),
         };
@@ -498,61 +496,50 @@ impl Engine {
         };
         let (start, interrupted) = match cfg.datapath {
             DatapathMode::Pipeline => {
-                // The R×N lane mesh: one single-producer ring per
-                // (queue, shard) pair, so the SPSC discipline survives
-                // multi-queue ingest. Built once; a lane's buffers live
-                // in its ring and at its two ends, so parking the mesh
-                // parks them.
+                // One single-producer ring per shard, built once; a
+                // lane's buffers live in its ring and at its two ends, so
+                // parking the lanes parks them.
                 let books = LaneBooks::registered(&self.registry);
-                if garage.rows.is_empty() {
-                    garage.cols = (0..n).map(|_| Vec::with_capacity(r)).collect();
-                    for _ in 0..r {
-                        let mut row = Vec::with_capacity(n);
-                        for col in garage.cols.iter_mut() {
-                            let (tx, rx) = books.lane(cfg.queue_batches, cfg.batch);
-                            row.push(tx);
-                            col.push(rx);
-                        }
-                        garage.rows.push(row);
-                    }
+                if garage.tx.is_empty() {
+                    (garage.tx, garage.rx) = (0..n)
+                        .map(|_| books.lane(cfg.queue_batches, cfg.batch))
+                        .unzip();
                 }
-                // Shards: one thread each, consuming R lanes.
+                // Shards: one thread each, consuming one lane.
                 let mut shards = Vec::with_capacity(n);
-                for (i, mut lanes) in std::mem::take(&mut garage.cols).into_iter().enumerate() {
+                for (i, mut lane) in std::mem::take(&mut garage.rx).into_iter().enumerate() {
                     let name = format!("sw-shard-{i}");
                     let flight = self.flight.ring(name.as_str());
                     let worker = worker(i, flight, clocks.thread(&name));
                     shards.push(
                         std::thread::Builder::new()
                             .name(name)
-                            .spawn(move || (worker.run(&mut lanes), lanes))
+                            .spawn(move || (worker.run(&mut lane), lane))
                             .expect("spawn shard thread"),
                     );
                 }
-                // The salted queue remix: flow-affine and statistically
-                // independent of the shard mapping.
-                let salt = splitmix64(cfg.hash_seed);
-                let mut rows = std::mem::take(&mut garage.rows).into_iter();
+                let mut tx = Some(std::mem::take(&mut garage.tx));
                 let clock = self.run_units(
                     units,
                     "sw-rxq",
                     None,
-                    |digest| queue_for_digest(digest, salt, r),
+                    // One unit takes the whole trace: nothing to assign.
+                    |_| 0,
                     |_, flight, clock| LaneSink {
                         clock,
-                        lanes: rows.next().expect("one mesh row per queue"),
+                        lanes: tx.take().expect("one dispatcher"),
                         books: books.clone(),
                         counters: &counters,
                         batch: cfg.batch,
                         paced: pacer.is_some(),
                         flight,
                     },
-                    |row| garage.rows.push(row),
+                    |lanes| garage.tx = lanes,
                 );
                 for h in shards {
-                    let (done, lanes) = h.join().expect("shard thread panicked");
+                    let (done, lane) = h.join().expect("shard thread panicked");
                     shard_done(done);
-                    garage.cols.push(lanes);
+                    garage.rx.push(lane);
                 }
                 clock
             }
@@ -759,8 +746,8 @@ impl Engine {
 
     /// Wire up the optional control plane for one segment: per-shard
     /// hooks, one independent RCU steering reader per ingest unit
-    /// (dispatcher or fused core — refreshes stay per-unit so a lagging
-    /// unit never staleness-couples the others), and the controller
+    /// (the dispatcher or a fused core — refreshes stay per-unit so a
+    /// lagging core never staleness-couples the others), and the controller
     /// thread around the resident controller — `parked` from the last
     /// segment, or built here by the first.
     fn spawn_control(
@@ -965,18 +952,24 @@ impl ControlThread {
             // and evictions from the record's counts.
             let record = &decision.record;
             for event in &decision.events {
-                let (kind, a, b) = match *event {
-                    ControlEvent::ModeSwitch { shard, mode, .. } => {
-                        (FlightKind::ModeSwitch, shard as u64, u64::from(mode.code()))
-                    }
+                match *event {
+                    // The epoch word joins the switch to its decision
+                    // record in the audit.
+                    ControlEvent::ModeSwitch { epoch, shard, mode } => self.flight.record3(
+                        FlightKind::ModeSwitch,
+                        shard as u64,
+                        u64::from(mode.code()),
+                        epoch,
+                    ),
                     ControlEvent::ShedOn { epoch } => {
-                        (FlightKind::ShedOn, epoch, record.max_backlog)
+                        self.flight
+                            .record(FlightKind::ShedOn, epoch, record.max_backlog)
                     }
                     ControlEvent::ShedOff { epoch } => {
-                        (FlightKind::ShedOff, epoch, record.max_backlog)
+                        self.flight
+                            .record(FlightKind::ShedOff, epoch, record.max_backlog)
                     }
-                };
-                self.flight.record(kind, a, b);
+                }
             }
             if record.promotions > 0 {
                 self.flight

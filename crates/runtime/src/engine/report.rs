@@ -161,23 +161,22 @@ impl FlowCacheSummary {
 /// Everything `Engine::run` measured.
 #[derive(Clone, Debug)]
 pub struct EngineReport {
-    /// Packets offered to the dispatcher.
+    /// Packets offered to the ingest units.
     pub offered: u64,
     /// Wall-clock time from first dispatch to last shard joined (the
     /// drain included).
     pub elapsed: Duration,
     /// Per-shard statistics.
     pub shards: Vec<ShardStats>,
-    /// Per-ingest-unit books (an RX-queue dispatcher, or a fused core),
-    /// in unit order (canonical: queue 0 first — merge order never
-    /// depends on thread timing).
+    /// Per-ingest-unit books (the one dispatcher, or one per fused
+    /// core), in unit order.
     pub queues: Vec<Ledger>,
     /// Escalated packets processed by the host tier (pool or inline).
     pub host_processed: u64,
     /// Verdicts published to the control log.
     pub verdicts_published: u64,
     /// True when the run stopped on a graceful-drain request instead of
-    /// end-of-trace. `offered` then reflects what the dispatchers
+    /// end-of-trace. `offered` then reflects what the ingest units
     /// actually offered before stopping, so conservation still holds.
     pub interrupted: bool,
     /// Verdict-log entries still resident (slowest reader's lag) at
@@ -263,25 +262,19 @@ impl EngineReport {
         }
     }
 
-    /// RX dispatcher queues the run used.
-    pub fn rx_queues(&self) -> usize {
-        self.queues.len()
-    }
-
     /// The conservation invariant (see [`conserved`]).
     pub fn conserved(&self) -> bool {
         conserved(self.offered, &self.shards, &self.queues)
     }
 
     /// A byte-stable rendering of every *deterministic* quantity (exact
-    /// counters; no wall-clock values). With one shard, inline triage
-    /// (`host_workers = 0`) and the ordered lane merge, two same-seed
-    /// runs produce identical strings *at any `rx_queues`* — the
-    /// determinism tests diff exactly this. Per-shard lines merge the R
-    /// queues' contributions canonically (each counter is the order-free
-    /// sum over queues); per-queue breakdowns deliberately stay out of
-    /// this rendering — they live in [`EngineReport::queues`] — because
-    /// printing them would make the byte output depend on R.
+    /// counters; no wall-clock values). With one shard and inline triage
+    /// (`host_workers = 0`), two same-seed runs produce identical
+    /// strings — the determinism tests diff exactly this — and so do
+    /// the pipeline and RTC at any shard count. Per-queue breakdowns
+    /// deliberately stay out of this rendering — they live in
+    /// [`EngineReport::queues`] — because printing them would make the
+    /// byte output depend on the topology's ingest unit count.
     pub fn deterministic_summary(&self) -> String {
         let mut out = format!("offered={}\n", self.offered);
         for (i, s) in self.shards.iter().enumerate() {
@@ -329,7 +322,7 @@ pub(crate) fn unaccounted(offered: u64, shards: &[ShardStats]) -> u64 {
 /// [`EngineReport::conserved`] (a finished run's deltas) and the live
 /// `/stats.json` (the cumulative counters). Σ dispositions = offered:
 /// every offered packet met exactly one fate. And the books balance on
-/// *both* axes of the mesh: what an ingest unit was offered ended there
+/// *both* axes: what an ingest unit was offered ended there
 /// or was handed on, what a shard ingested ended on it, and the two
 /// axes agree on the totals.
 pub(crate) fn conserved(offered: u64, shards: &[ShardStats], queues: &[Ledger]) -> bool {

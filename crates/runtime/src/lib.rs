@@ -12,7 +12,7 @@
 //!   key + symmetric hash computed once at dispatch), the one-buffer
 //!   lane message, and the bounded idle backoff.
 //! * [`frame`] — fixed-capacity frame buffers ([`FramePool`]) for the
-//!   zero-copy wire ingest path: dispatchers load raw frames into pooled
+//!   zero-copy wire ingest path: ingest units load raw frames into pooled
 //!   slots (the software RX-ring), parse them in place with
 //!   [`smartwatch_net::FrameView`] and recycle the slots —
 //!   allocation-free in steady state.
@@ -33,34 +33,29 @@
 //!   [`TriageNf`] escalation triage.
 //! * [`shard`] — the per-thread worker: one FlowCache partition, one
 //!   detector suite, no cross-shard synchronisation on the packet path.
-//!   Ingest arrives over R lanes merged under a [`MergePolicy`]. The
-//!   worker lives for one segment; its per-flow memory (`FlowState`:
+//!   A pipeline shard's ingest arrives over one lane. The worker lives for one segment; its per-flow memory (`FlowState`:
 //!   cache, suite, verdict sets, triage tables) lives as long as the
 //!   engine.
-//! * [`engine`] — the [`Engine`]: R RX-queue dispatchers
-//!   ([`EngineConfig::rx_queues`], the multi-queue NIC model) feeding
-//!   the shards over an R×N mesh of SPSC lanes, pacing ([`Pace`]),
-//!   graceful drain, and the merged [`EngineReport`]. A second thread
-//!   topology, [`DatapathMode::Rtc`], fuses dispatcher and shard into
-//!   C run-to-completion `sw-core-{i}` threads (pre-split by
-//!   `shard_for_digest`, zero queue crossings on the fast path,
-//!   optional [`EngineConfig::pin_cores`] CPU affinity — RTC cores
-//!   only, the mesh never pins) with decisions and counters identical
-//!   to the mesh for the same seed. Both topologies run the same
+//! * [`engine`] — the [`Engine`]: one RX dispatcher feeding the shards
+//!   over one SPSC lane each, pacing ([`Pace`]), graceful drain, and
+//!   the merged [`EngineReport`]. A second thread topology,
+//!   [`DatapathMode::Rtc`] — the one with many ingest units — fuses
+//!   dispatcher and shard into C run-to-completion `sw-core-{i}`
+//!   threads (pre-split by `shard_for_digest`, zero queue crossings on
+//!   the fast path, optional [`EngineConfig::pin_cores`] CPU affinity —
+//!   RTC cores only, the pipeline never pins) with decisions and
+//!   counters identical to the pipeline for the same seed. Both topologies run the same
 //!   ingest loop (one feed × sink stage) under the same segment
 //!   lifecycle; the module splits into `config`, `lifecycle`, `ingest`
 //!   and `report`.
 //!
-//! Every RSS dispatcher uses the *symmetric* shard mapping
+//! Both topologies place flows by the *symmetric* shard mapping
 //! [`smartwatch_net::hash::shard_for_digest`] over the dispatch-time
 //! digest, so both directions of a flow always land on the same shard
-//! and per-shard state needs no locks. The trace splits across the R
-//! queues by [`smartwatch_net::hash::queue_for_digest`] — a salted
-//! splitmix64 remix, flow-affine and statistically independent of the
-//! shard mapping.
+//! and per-shard state needs no locks.
 //!
 //! Telemetry flows through [`smartwatch_telemetry`]: per-shard counters
-//! (`runtime.shard.*{shard=N}`) and per-queue dispatcher counters
+//! (`runtime.shard.*{shard=N}`) and per-ingest-unit counters
 //! (`runtime.queue.*{queue=Q}`), one per [`Count`] the axis keeps,
 //! queue-depth gauges, and aggregate per-stage latency histograms
 //! (`runtime.stage.*`). Those are sampled by one clock per engine thread
@@ -70,8 +65,8 @@
 //! In service mode the engine stays resident across segments:
 //! [`service`] carries the bounded admin mailbox ([`AdminCmd`]) drained
 //! by the controller at epoch boundaries, [`Engine::request_drain`]
-//! quiesces a running segment gracefully, and the lane mesh (with the
-//! batch buffers in it), frame pools and every shard's flow state are
+//! quiesces a running segment gracefully, and the lanes (with the
+//! batch buffers in them), frame pools and every shard's flow state are
 //! parked between runs, each under its thread's index, so steady
 //! state allocates nothing: the first segment builds each shard's
 //! FlowCache and detector tables, every later one gets them back
@@ -113,7 +108,7 @@ pub use engine::{
 };
 pub use escalate::{HostPool, TriageNf};
 pub use frame::{FramePool, FrameSlot};
-pub use shard::{MergePolicy, ShardCounters, ShardStats};
+pub use shard::{ShardCounters, ShardStats};
 pub use smartwatch_control::{
     AdminCmd, ControlConfig, ControlEvent, ControlReport, DecisionRecord,
 };

@@ -8,9 +8,8 @@
 //! while a tracer is attached — made once, where the work is made, and
 //! carried with it: an ingest unit ticks per 256-packet checkpoint block
 //! and stamps the lane batches and in-place batches that block makes; a
-//! fair shard and a host worker read the stamp the work arrived with;
-//! only the ordered merge (it re-forms groups) and the controller (an
-//! epoch) tick counters of their own. A sampled unit reads the clock
+//! pipeline shard and a host worker read the stamp the work arrived
+//! with; only the controller (an epoch) ticks a counter of its own. A sampled unit reads the clock
 //! once per boundary and nowhere else; an unsampled one never reads it.
 //! Inside a sampled batch the stamps are chained — the end of one
 //! packet's FlowCache stage is the start of its suite stage, whose end
@@ -19,16 +18,16 @@
 //!
 //! A reading closes a [`Stage`]: into its histogram when the name table
 //! gives it one, and, with a tracer attached, into a span on the
-//! thread's track (`sw-rxq-{q}`, `sw-core-{i}`, `sw-shard-{i}`,
+//! thread's track (`sw-rxq-0`, `sw-core-{i}`, `sw-shard-{i}`,
 //! `sw-host-{w}`, `sw-control`) — the same two readings, so the spans
 //! and the histograms cannot disagree. Every counter starts at the
 //! engine's segment index — a different phase each segment, so a replay
 //! repeated segment after segment is not sampled at the same packets
 //! every time — which is zero in the first segment: there the threads
-//! that tick one — ingest units (dispatchers and fused cores),
-//! ordered-merge shards and the controller — are guaranteed a first
-//! span at any period; fair shards and host workers get spans for the
-//! sampled work that reaches them.
+//! that tick one — ingest units (the dispatcher or the fused cores) and
+//! the controller — are guaranteed a first span at any period; pipeline
+//! shards and host workers get spans for the sampled work that reaches
+//! them.
 
 use smartwatch_net::Dur;
 use smartwatch_telemetry::{Histogram, Registry, TraceShard, Tracer, WallAnchor};

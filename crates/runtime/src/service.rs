@@ -23,9 +23,9 @@
 //!
 //! Graceful drain works the same way from the other side: callers
 //! raise a flag ([`Engine::request_drain`](crate::Engine::request_drain));
-//! dispatchers observe it at their 256-packet checkpoints, stop
+//! ingest units observe it at their 256-packet checkpoints, stop
 //! offering, flush staged batches, and send the normal `Stop` markers
-//! so the mesh quiesces exactly as at end-of-trace — every counter
+//! so the lanes quiesce exactly as at end-of-trace — every counter
 //! folded, every verdict published, the segment report conserved.
 //!
 //! [`SteeringSnapshot`]: smartwatch_control::SteeringSnapshot

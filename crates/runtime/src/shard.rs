@@ -1,16 +1,12 @@
 //! One worker shard: a pinned OS thread owning a FlowCache partition and
 //! a full per-shard detector suite.
 //!
-//! The RSS dispatchers guarantee that both directions of a flow land on
-//! the same shard (symmetric [`smartwatch_net::hash::shard_for_digest`]), so a
-//! shard's FlowCache and detectors see a complete, self-contained slice
-//! of the traffic and never need cross-shard synchronisation on the
-//! packet path. With `rx_queues = R` the shard ingests from R bounded
-//! SPSC lanes — one per dispatcher — and merges them under a
-//! [`MergePolicy`]: round-robin over whole batches (`Fair`, the
-//! throughput discipline) or a per-packet k-way merge by global sequence
-//! number (`Ordered`, which reconstructs the exact single-queue
-//! processing order for deterministic replay). The only shared state
+//! RSS guarantees that both directions of a flow land on the same shard
+//! (symmetric [`smartwatch_net::hash::shard_for_digest`]), so a shard's
+//! FlowCache and detectors see a complete, self-contained slice of the
+//! traffic and never need cross-shard synchronisation on the packet
+//! path. A pipeline shard ingests from one bounded SPSC lane, fed by the
+//! one dispatcher, in arrival order. The only shared state
 //! the packet path writes is the escalation channel (bounded MPSC to the
 //! host pool) and the epoch-stamped control log (inline-triage verdicts;
 //! polled at batch boundaries). Everything a packet counts — the shard's
@@ -45,80 +41,29 @@ use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::{AgingDigestSet, BuildDigestHasher, FlowDigest, FlowHasher};
 use smartwatch_snic::{CachePublisher, CacheStats, FlowCache, FlowCacheConfig, TableStats};
 use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Registry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-/// How a shard merges its R ingest lanes (one bounded SPSC ring per RX
-/// dispatcher) into a single processing stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergePolicy {
-    /// Round-robin over the lanes, one whole batch per open lane per
-    /// sweep, with the idle [`Backoff`] escalation only when *every*
-    /// lane came up empty. This is the throughput discipline: no lane
-    /// can starve the others, and no packet waits on an unrelated lane.
-    /// Cross-queue arrival order at the shard is scheduling-dependent.
-    Fair,
-    /// Per-packet k-way merge by [`DigestedPacket::seq`]: the shard
-    /// always processes the lowest-sequence packet available across all
-    /// lanes, reconstructing the exact order a single dispatcher would
-    /// have delivered — so per-shard state evolution (and therefore
-    /// [`crate::EngineReport::deterministic_summary`]) is byte-identical
-    /// for any `rx_queues`. While one open lane is empty the shard must
-    /// wait for it (the missing packet could sort first); other lanes
-    /// are drained into a local pending list meanwhile so their
-    /// producers never deadlock behind the stall. That local buffering
-    /// is unbounded by design — this is the deterministic-replay
-    /// discipline, not the perf one — and a lane drained into it is
-    /// popped without a spare, so with `rx_queues > 1` its producer
-    /// allocates past the `queue_batches + 2` buffers of a fair lane.
-    Ordered,
-}
-
-/// One ingest lane as seen from the shard: the consumer half of a
-/// dispatcher's SPSC ring, the buffer the shard drained last — left in
-/// the slot of the next pop, so it returns to that dispatcher on the
-/// ring's next lap — and whether this segment's `Stop` is still to come.
+/// The shard's ingest lane: the consumer half of the dispatcher's SPSC
+/// ring and the buffer the shard drained last — left in the slot of the
+/// next pop, so it returns to the dispatcher on the ring's next lap.
 /// Parked with the engine between segments, spare included.
 pub(crate) struct LaneRx {
     rx: crate::spsc::Consumer<Batch>,
     spare: Option<Batch>,
-    open: bool,
-}
-
-/// What one poll of an open lane produced.
-enum Polled {
-    /// A batch, not yet admitted.
-    Batch(Batch),
-    /// The lane's `Stop` marker: it is closed now.
-    Stop,
 }
 
 impl LaneRx {
     pub(crate) fn new(rx: crate::spsc::Consumer<Batch>) -> LaneRx {
-        LaneRx {
-            rx,
-            spare: None,
-            open: true,
-        }
+        LaneRx { rx, spare: None }
     }
 
-    /// Take the lane's oldest message, leaving the spare in its slot:
-    /// the `Stop` marker closes the lane and its (empty) buffer becomes
-    /// the spare the lane parks with. `None` when the lane is closed or
-    /// its ring empty.
-    fn poll(&mut self) -> Option<Polled> {
-        if !self.open {
-            return None;
-        }
-        let batch = self.rx.try_exchange(&mut self.spare)?;
-        if batch.stop {
-            self.open = false;
-            self.retire(batch);
-            return Some(Polled::Stop);
-        }
-        Some(Polled::Batch(batch))
+    /// Take the lane's oldest message, leaving the spare in its slot;
+    /// `None` when the ring is empty.
+    fn poll(&mut self) -> Option<Batch> {
+        self.rx.try_exchange(&mut self.spare)
     }
 
     /// Keep a drained batch's buffer as the lane's spare.
@@ -126,15 +71,6 @@ impl LaneRx {
         batch.pkts.clear();
         self.spare = Some(batch);
     }
-}
-
-/// Per-lane state for the ordered merge: the batch currently being
-/// consumed (with a cursor) and batches drained early while waiting on
-/// a different lane.
-struct OrderedLane<'a> {
-    lane: &'a mut LaneRx,
-    cur: Option<(Batch, usize)>,
-    pending: VecDeque<Batch>,
 }
 
 /// The shard side of an attached control plane: the live mode cell the
@@ -389,12 +325,6 @@ pub(crate) struct ShardSetup {
     /// Same seed as the dispatchers and the cache — verdict keys (the
     /// only un-digested keys a shard sees) digest through this.
     pub hasher: FlowHasher,
-    /// How the R ingest lanes interleave into one processing stream.
-    pub merge: MergePolicy,
-    /// Packets per control-tick group under the ordered merge (the
-    /// engine's batch size, so tick boundaries match the single-queue
-    /// dispatcher's batch boundaries exactly). At least 1.
-    pub group: usize,
     /// FlowCache software-pipeline depth: rows for up to this many
     /// packets are prefetched ahead of their probes. `<= 1` disables the
     /// prefetch stage (the per-packet reference path); either way the
@@ -464,174 +394,41 @@ impl ShardWorker {
         }
     }
 
-    /// Consume batches from the R ingest lanes until every lane's Stop
-    /// marker arrives, then final-sweep and exit. Returns the end state
-    /// plus the shard's [`FlowState`], which the engine parks for the
-    /// next segment.
-    pub(crate) fn run(mut self, lanes: &mut [LaneRx]) -> (ShardEndState, FlowState) {
-        for lane in lanes.iter_mut() {
-            lane.open = true;
-        }
-        match self.setup.merge {
-            MergePolicy::Fair => self.run_fair(lanes),
-            MergePolicy::Ordered => self.run_ordered(lanes),
-        }
-        self.finish()
-    }
-
-    /// Fair merge: sweep the open lanes round-robin (rotating the start
-    /// index so no lane gets structural priority), at most one batch per
-    /// lane per sweep. The idle backoff escalates only when a full sweep
-    /// found *every* lane empty — a shard with any lane delivering never
-    /// parks.
-    fn run_fair(&mut self, lanes: &mut [LaneRx]) {
-        let r = lanes.len();
-        let mut next = 0usize;
+    /// Consume batches from the shard's lane until its Stop marker
+    /// arrives, then final-sweep and exit: poll → process → retire, on
+    /// the idle [`Backoff`] while the lane is empty. Returns the end
+    /// state plus the shard's [`FlowState`], which the engine parks for
+    /// the next segment.
+    pub(crate) fn run(mut self, lane: &mut LaneRx) -> (ShardEndState, FlowState) {
         let mut backoff = Backoff::new();
-        while lanes.iter().any(|l| l.open) {
-            let mut progressed = false;
-            for k in 0..r {
-                let lane = &mut lanes[(next + k) % r];
-                match lane.poll() {
-                    // The batch carries its dispatcher's sampling
-                    // decision: its admit reading starts its chain.
-                    Some(Polled::Batch(batch)) => {
-                        progressed = true;
-                        self.control_tick();
-                        let start = self.admit(&batch);
-                        self.process_group(&batch.pkts, start);
-                        lane.retire(batch);
-                    }
-                    Some(Polled::Stop) => progressed = true,
-                    None => {}
+        loop {
+            match lane.poll() {
+                // The `Stop` marker: its (empty) buffer is the spare
+                // the lane parks with.
+                Some(batch) if batch.stop => {
+                    lane.retire(batch);
+                    break;
                 }
-            }
-            next = (next + 1) % r;
-            if progressed {
-                backoff.reset();
-            } else if backoff.idle() {
+                // The batch carries its dispatcher's sampling decision:
+                // its admit reading starts its chain.
+                Some(batch) => {
+                    backoff.reset();
+                    self.control_tick();
+                    let start = self.admit(&batch);
+                    self.process_group(&batch.pkts, start);
+                    lane.retire(batch);
+                }
                 // Bounded exponential backoff: spin → yield → short
                 // park, so idle shards (paced low-rate runs) stop
                 // burning a full core while staying quick to wake.
-                self.counters.counts[Count::IdleParks].inc();
-            }
-        }
-    }
-
-    /// Ordered merge: always process the lowest-sequence packet available
-    /// across the lanes, grouping control ticks / counter flushes every
-    /// `group` merged packets — exactly the batch boundaries a single
-    /// dispatcher would have produced. When an open lane is empty the
-    /// merge must stall on it (its next packet could sort first); the
-    /// other lanes are drained into local pending lists meanwhile so
-    /// their producers never block behind the stall (which could
-    /// otherwise deadlock the mesh).
-    fn run_ordered(&mut self, lanes: &mut [LaneRx]) {
-        let mut lanes: Vec<OrderedLane<'_>> = lanes
-            .iter_mut()
-            .map(|lane| OrderedLane {
-                lane,
-                cur: None,
-                pending: VecDeque::new(),
-            })
-            .collect();
-        let mut backoff = Backoff::new();
-        let mut in_group = 0usize;
-        // Merged packets of the current group, processed together at the
-        // group boundary so the batched FlowCache path (prefetch bursts)
-        // applies here exactly as on the Fair path. Deferring processing
-        // to the boundary changes nothing observable: merging only copies
-        // packets, and control ticks / flushes already sit at group
-        // boundaries.
-        let mut group_buf: Vec<DigestedPacket> = Vec::with_capacity(self.setup.group);
-        // The current group's first reading, when this thread's own
-        // counter sampled it: the merge re-forms groups, so no carried
-        // decision covers one.
-        let mut group_start = None;
-        loop {
-            // Refill: every lane that can have a head batch gets one,
-            // from its pending list first (arrival order), then its ring.
-            let mut progressed = false;
-            for l in lanes.iter_mut() {
-                if l.cur.is_some() {
-                    continue;
-                }
-                if l.pending.is_empty() {
-                    progressed |= self.pull(l);
-                }
-                l.cur = l.pending.pop_front().map(|batch| (batch, 0));
-            }
-            if lanes.iter().any(|l| l.lane.open && l.cur.is_none()) {
-                // A live lane has nothing to offer: its next packet may
-                // sort before everything in hand, so the merge waits —
-                // but keeps the other producers moving by draining their
-                // rings locally.
-                for l in lanes.iter_mut() {
-                    if l.cur.is_none() {
-                        continue;
-                    }
-                    while self.pull(l) {
-                        progressed = true;
+                None => {
+                    if backoff.idle() {
+                        self.counters.counts[Count::IdleParks].inc();
                     }
                 }
-                if progressed {
-                    backoff.reset();
-                } else if backoff.idle() {
-                    self.counters.counts[Count::IdleParks].inc();
-                }
-                continue;
-            }
-            // Every lane is either closed-and-drained or has a head
-            // batch: pick the lane whose head packet sorts first.
-            let Some(j) = lanes
-                .iter()
-                .enumerate()
-                .filter_map(|(j, l)| l.cur.as_ref().map(|(b, c)| (j, b.pkts[*c].seq)))
-                .min_by_key(|&(_, seq)| seq)
-                .map(|(j, _)| j)
-            else {
-                break; // all lanes closed and fully drained
-            };
-            backoff.reset();
-            if in_group == 0 {
-                self.control_tick();
-                let sampled = self.obs.clock.sample();
-                group_start = self.obs.clock.stamp(sampled);
-            }
-            let (batch, cursor) = lanes[j].cur.as_mut().expect("selected lane has a head");
-            let dp = batch.pkts[*cursor];
-            *cursor += 1;
-            let exhausted = *cursor == batch.pkts.len();
-            group_buf.push(dp);
-            in_group += 1;
-            if in_group == self.setup.group {
-                self.process_group(&group_buf, group_start);
-                group_buf.clear();
-                in_group = 0;
-            }
-            if exhausted {
-                let (batch, _) = lanes[j].cur.take().expect("head still present");
-                lanes[j].lane.retire(batch);
             }
         }
-        if in_group > 0 {
-            self.process_group(&group_buf, group_start);
-        }
-    }
-
-    /// Poll an ordered lane's ring once: a batch goes onto the lane's
-    /// pending list. `false` when nothing was popped (ring empty or lane
-    /// closed).
-    fn pull(&mut self, l: &mut OrderedLane<'_>) -> bool {
-        match l.lane.poll() {
-            Some(Polled::Batch(batch)) => {
-                self.admit(&batch);
-                l.pending.push_back(batch);
-                true
-            }
-            Some(Polled::Stop) => true,
-            None => false,
-        }
+        self.finish()
     }
 
     /// Admit one batch off a lane: record its size and, when its
@@ -775,8 +572,8 @@ impl ShardWorker {
         }
     }
 
-    /// Process one batch — a lane batch (Fair), a merged group
-    /// (Ordered) or a fused core's in-place batch — then flush its
+    /// Process one batch — a lane batch or a fused core's in-place
+    /// batch — then flush its
     /// books. `start` is the batch's first reading when its unit was
     /// sampled: the packets' stage stamps chain from it and the "shard
     /// process" span runs from it to the last of them; `None` reads no
@@ -920,8 +717,6 @@ mod tests {
             host_processed: Counter::detached(),
             enforce_verdicts: true,
             hasher: hasher(),
-            merge: MergePolicy::Fair,
-            group: 64,
             burst: 8,
             finish_line: Arc::new(Barrier::new(1)),
         };
@@ -948,12 +743,7 @@ mod tests {
         );
         let pkt = PacketBuilder::new(key, Ts::from_nanos(u64::from(i))).build();
         let (canon, digest) = hasher().digest_symmetric(&key);
-        DigestedPacket {
-            pkt,
-            canon,
-            digest,
-            seq: u64::from(i),
-        }
+        DigestedPacket { pkt, canon, digest }
     }
 
     /// The shard ring's events of one kind.

@@ -10,7 +10,8 @@
 
 use smartwatch_net::{Dur, Packet};
 use smartwatch_runtime::{
-    AdminCmd, ControlConfig, ControlEvent, ControlReport, Count, Engine, EngineConfig, Pace,
+    AdminCmd, ControlConfig, ControlEvent, ControlReport, Count, DatapathMode, Engine,
+    EngineConfig, Pace,
 };
 use smartwatch_snic::Mode;
 use smartwatch_telemetry::FlightKind;
@@ -104,42 +105,50 @@ fn controlled_spike_conserves_and_recovers() {
 }
 
 #[test]
-fn controlled_spike_is_safe_at_every_queue_count() {
-    // The same spike drive with the dispatcher fanned out over R RX
-    // queues: every queue paces its sub-stream against the *global*
-    // arrival schedule, so the controller sees the same offered-rate
-    // shape and the safety invariants must hold unchanged. (Whether
-    // shedding engages depends on wall-clock scheduling headroom, so —
-    // unlike the R=1 test above — this sweep asserts the invariants,
-    // not the overload response itself.)
-    for rx in [1usize, 2, 4] {
-        let mut cfg = EngineConfig::new(2).with_control(test_control());
-        cfg.rx_queues = rx;
+fn controlled_spike_is_safe_on_every_ingest_topology() {
+    // The same spike drive through the one dispatcher and through C
+    // fused cores that each ingest their own flows: every core paces
+    // its sub-stream against the *global* arrival schedule, so the
+    // controller sees the same offered-rate shape and the safety
+    // invariants must hold unchanged. (Whether shedding engages depends
+    // on wall-clock scheduling headroom, so — unlike the test above —
+    // this sweep asserts the invariants, not the overload response
+    // itself.)
+    let shapes = [
+        (DatapathMode::Pipeline, 2usize),
+        (DatapathMode::Rtc, 2),
+        (DatapathMode::Rtc, 4),
+    ];
+    for (datapath, shards) in shapes {
+        let mut cfg = EngineConfig::new(shards).with_control(test_control());
+        cfg.datapath = datapath;
+        let units = cfg.ingest_units();
+        let at = format!("{datapath:?} shards={shards}");
         let report = Engine::new(cfg).run(&workload(100_000), spike());
         assert!(
             report.conserved(),
-            "rx={rx}: conservation violated:\n{:?}\n{:?}",
+            "{at}: conservation violated:\n{:?}\n{:?}",
             report.shards,
             report.queues
         );
-        assert_eq!(report.rx_queues(), rx);
+        assert_eq!(report.queues.len(), units);
         let ctrl = report.control.as_ref().expect("controller ran");
-        assert!(ctrl.epochs > 10, "rx={rx}: 2 ms epochs over a ≥200 ms run");
+        assert!(ctrl.epochs > 10, "{at}: 2 ms epochs over a ≥200 ms run");
         assert!(
             ctrl.final_modes.iter().all(|&m| m == Mode::General),
-            "rx={rx}: calm tail must recover General, got {:?}",
+            "{at}: calm tail must recover General, got {:?}",
             ctrl.final_modes
         );
         assert!(
             !ctrl.shed_active,
-            "rx={rx}: shedding must release after the spike"
+            "{at}: shedding must release after the spike"
         );
         assert_eq!(
             ctrl.shed_packets,
             report.shed(),
-            "rx={rx}: controller's shed accounting must match the shards"
+            "{at}: controller's shed accounting must match the shards"
         );
-        // Steering + shedding drops are enforced per dispatcher; their
+        // Steering + shedding drops are enforced per ingest unit; their
         // per-queue tallies must sum to the report aggregates.
         let q_shed: u64 = report.queues.iter().map(|q| q[Count::Shed]).sum();
         let q_steer: u64 = report.queues.iter().map(|q| q[Count::SteerDropped]).sum();
@@ -167,6 +176,73 @@ fn live_mode_switches_touch_every_shard_cache_safely() {
         .map(|&(_, v)| v)
         .sum();
     assert!(applied > 0, "mode decisions must reach the live FlowCaches");
+}
+
+/// Every `mode_switch` the controller black-boxes names its epoch, and
+/// that epoch's record in the decision audit agrees with it: the shard
+/// runs the mode the event names, and ran the other one the epoch
+/// before. The flight ring and the audit join on the epoch word.
+#[test]
+fn every_mode_switch_joins_its_decision_record_by_epoch() {
+    let ctrl = ControlConfig {
+        decision_capacity: 1 << 14,
+        ..test_control()
+    };
+    let engine = Engine::new(EngineConfig::new(2).with_control(ctrl));
+    let report = engine.run(&workload(100_000), spike());
+    assert!(report.conserved());
+    assert_eq!(engine.flight().total_dropped(), 0, "no flight ring wrapped");
+    let ctrl = report.control.as_ref().expect("controller ran");
+    assert_eq!(ctrl.timeline_dropped, 0, "the timeline holds every event");
+    let decisions = engine.decisions();
+    assert_eq!(
+        decisions.len() as u64,
+        ctrl.epochs,
+        "the audit holds every epoch"
+    );
+
+    let switches: Vec<(u64, u64, u64)> = engine
+        .flight()
+        .snapshot()
+        .into_iter()
+        .filter(|(name, _)| name == "sw-control")
+        .flat_map(|(_, events)| events)
+        .filter(|e| e.kind == FlightKind::ModeSwitch)
+        .map(|e| (e.a, e.b, e.c))
+        .collect();
+    assert!(switches.len() >= 2, "the spike flips modes both ways");
+    for &(shard, mode, epoch) in &switches {
+        let record = decisions
+            .iter()
+            .find(|r| r.epoch == epoch)
+            .unwrap_or_else(|| panic!("mode_switch names epoch {epoch}, the audit has none"));
+        let decided = record.modes[shard as usize];
+        assert_eq!(
+            u64::from(decided.code()),
+            mode,
+            "epoch {epoch} shard {shard}"
+        );
+        if let Some(before) = decisions.iter().find(|r| r.epoch + 1 == epoch) {
+            assert_ne!(
+                before.modes[shard as usize], decided,
+                "epoch {epoch} shard {shard}: a switch changes the mode"
+            );
+        }
+    }
+    let timeline: Vec<(u64, u64, u64)> = ctrl
+        .timeline
+        .iter()
+        .filter_map(|e| match *e {
+            ControlEvent::ModeSwitch { epoch, shard, mode } => {
+                Some((shard as u64, u64::from(mode.code()), epoch))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        switches, timeline,
+        "flight and timeline list the same switches"
+    );
 }
 
 #[test]

@@ -1,9 +1,9 @@
-//! Engine invariants: conservation under every shard count, RX-queue
-//! count and pacing mode, and bit-exact determinism in single-shard
-//! inline mode — including byte-identical summaries across `rx_queues`.
+//! Engine invariants: conservation under every shard count, topology
+//! and pacing mode, and bit-exact determinism in single-shard inline
+//! mode — including byte-identical summaries across burst widths.
 
 use smartwatch_net::Dur;
-use smartwatch_runtime::{Count, Engine, EngineConfig, MergePolicy, Pace};
+use smartwatch_runtime::{Count, DatapathMode, Engine, EngineConfig, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
 
 fn workload(flows: usize, seed: u64) -> Vec<smartwatch_net::Packet> {
@@ -12,7 +12,7 @@ fn workload(flows: usize, seed: u64) -> Vec<smartwatch_net::Packet> {
 
 /// CAIDA background interleaved with an SSH brute-force sweep, so runs
 /// exercise escalation, triage verdicts and enforced blacklist drops —
-/// the paths that would expose a merge-order dependence.
+/// the paths that would expose a processing-order dependence.
 fn hostile_workload(total: usize) -> Vec<smartwatch_net::Packet> {
     use smartwatch_net::{FlowKey, PacketBuilder};
     use std::net::Ipv4Addr;
@@ -81,6 +81,8 @@ fn conservation_holds_under_forced_drops() {
         "this configuration is sized to overrun"
     );
     assert!(report.drop_rate() > 0.0 && report.drop_rate() < 1.0);
+    let per_queue_drops: u64 = report.queues.iter().map(|q| q[Count::IngestDropped]).sum();
+    assert_eq!(per_queue_drops, report.ingest_dropped());
 }
 
 #[test]
@@ -100,77 +102,33 @@ fn single_shard_inline_mode_is_deterministic() {
 }
 
 #[test]
-fn conservation_flatout_across_queue_counts() {
+fn conservation_flatout_on_every_ingest_unit() {
+    // The pipeline's one dispatcher and each of RTC's fused cores keep
+    // their own ingest books; the RSS split must feed every core.
     let packets = workload(400, 7);
-    for rx in [1usize, 2, 4] {
-        for shards in [1usize, 2] {
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
+        for shards in [1usize, 2, 4] {
             let mut cfg = EngineConfig::new(shards);
-            cfg.rx_queues = rx;
+            cfg.datapath = datapath;
             cfg.host_workers = 1;
+            let units = cfg.ingest_units();
             let report = Engine::new(cfg).run(&packets, Pace::Flatout);
             assert!(
                 report.conserved(),
-                "conservation violated at rx={rx} shards={shards}:\n{}",
+                "conservation violated at {datapath:?} shards={shards}:\n{}",
                 report.deterministic_summary()
             );
-            assert_eq!(report.rx_queues(), rx);
+            assert_eq!(report.queues.len(), units);
             assert_eq!(report.offered, packets.len() as u64);
             assert_eq!(report.processed(), report.offered);
             let per_queue_offered: u64 = report.queues.iter().map(|q| q[Count::Offered]).sum();
             assert_eq!(per_queue_offered, report.offered);
-            if rx > 1 {
-                assert!(
-                    report.queues.iter().all(|q| q[Count::Offered] > 0),
-                    "the salted RSS split must feed every queue"
-                );
-            }
+            assert!(
+                report.queues.iter().all(|q| q[Count::Offered] > 0),
+                "the RSS split must feed every ingest unit"
+            );
         }
     }
-}
-
-#[test]
-fn conservation_holds_under_forced_drops_multi_queue() {
-    let packets = workload(400, 11);
-    let mut cfg = EngineConfig::new(2);
-    cfg.rx_queues = 4;
-    cfg.queue_batches = 1;
-    cfg.batch = 32;
-    let report = Engine::new(cfg).run(&packets, Pace::RateMpps(10_000.0));
-    assert!(
-        report.conserved(),
-        "per-queue drops must still be accounted:\n{}",
-        report.deterministic_summary()
-    );
-    assert!(report.ingest_dropped() > 0, "sized to overrun");
-    let per_queue_drops: u64 = report.queues.iter().map(|q| q[Count::IngestDropped]).sum();
-    assert_eq!(per_queue_drops, report.ingest_dropped());
-}
-
-#[test]
-fn deterministic_summary_is_byte_identical_across_rx_queues() {
-    // Satellite regression: the canonical merge of per-queue counters
-    // must make R invisible in the summary. Ordered merge + one shard +
-    // inline triage reproduces the exact R=1 processing order, so every
-    // counter — including order-sensitive ones like verdict drops and
-    // sampled latencies — lands on the same value.
-    let packets = hostile_workload(6_000);
-    let run = |rx: usize| {
-        let mut cfg = EngineConfig::deterministic(rx);
-        cfg.triage_threshold = 8;
-        Engine::new(cfg)
-            .run(&packets, Pace::Flatout)
-            .deterministic_summary()
-    };
-    let base = run(1);
-    assert!(base.contains("verdicts="), "summary must be non-trivial");
-    for rx in [2usize, 4] {
-        assert_eq!(
-            base,
-            run(rx),
-            "summary for rx_queues={rx} diverged from single-queue"
-        );
-    }
-    assert_eq!(run(4), run(4), "multi-queue replay is run-to-run stable");
 }
 
 #[test]
@@ -179,36 +137,28 @@ fn batched_cache_path_is_byte_identical_to_per_packet() {
     // prefetch + staged probes) must change *nothing* about decisions.
     // The hostile workload drives escalation, pinning, triage verdicts
     // and enforced drops — the order-sensitive paths a batching bug
-    // would perturb. Matrix: both merge policies and a multi-queue
-    // ordered run, each at per-packet (1), default (8) and wide (16)
-    // burst settings.
+    // would perturb. Default (8) and wide (16) bursts against the
+    // per-packet reference (1).
     let packets = hostile_workload(6_000);
-    let run = |rx: usize, merge: MergePolicy, burst: usize| {
-        let mut cfg = EngineConfig::deterministic(rx);
-        cfg.merge = merge;
+    let run = |burst: usize| {
+        let mut cfg = EngineConfig::deterministic();
         cfg.triage_threshold = 8;
         cfg.cache_burst = burst;
         Engine::new(cfg)
             .run(&packets, Pace::Flatout)
             .deterministic_summary()
     };
-    for (rx, merge) in [
-        (1usize, MergePolicy::Fair),
-        (1, MergePolicy::Ordered),
-        (2, MergePolicy::Ordered),
-    ] {
-        let per_packet = run(rx, merge, 1);
-        assert!(
-            per_packet.contains("verdicts="),
-            "summary must be non-trivial"
+    let per_packet = run(1);
+    assert!(
+        per_packet.contains("verdicts="),
+        "summary must be non-trivial"
+    );
+    for burst in [8usize, 16] {
+        assert_eq!(
+            per_packet,
+            run(burst),
+            "burst={burst} diverged from per-packet"
         );
-        for burst in [8usize, 16] {
-            assert_eq!(
-                per_packet,
-                run(rx, merge, burst),
-                "burst={burst} diverged from per-packet at rx={rx} merge={merge:?}"
-            );
-        }
     }
 }
 

@@ -17,7 +17,7 @@
 use smartwatch_core::{DetectorSuite, HostNeed};
 use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::{Dur, FlowKey, Packet, PacketBuilder, Ts};
-use smartwatch_runtime::{Count, Engine, EngineConfig, EngineReport, MergePolicy, Pace, TriageNf};
+use smartwatch_runtime::{Count, DatapathMode, Engine, EngineConfig, EngineReport, Pace, TriageNf};
 use smartwatch_snic::{FlowCache, FlowCacheConfig};
 use smartwatch_telemetry::Registry;
 use smartwatch_trace::background::{preset_trace, Preset};
@@ -245,47 +245,10 @@ fn paced_mode_matches_ground_truth_when_drop_free() {
 }
 
 #[test]
-fn multi_queue_ordered_merge_matches_ground_truth() {
-    // The R×N mesh with MergePolicy::Ordered must be *invisible*: every
-    // counter equals the scalar reference, at every queue count, in
-    // every pacing mode (provided the paced runs are drop-free).
-    let packets = workload(12_000);
-    let cfg = deterministic_cfg(64);
-    let truth = reference_run(&packets, &cfg);
-    let paces = [
-        Pace::Flatout,
-        Pace::RateMpps(1.0),
-        Pace::Spike {
-            base_mpps: 1.0,
-            peak_mpps: 4.0,
-            spike_start: 0.25,
-            spike_end: 0.75,
-        },
-    ];
-    for rx in [2usize, 4] {
-        for pace in paces {
-            let mut cfg = deterministic_cfg(64);
-            cfg.rx_queues = rx;
-            cfg.merge = MergePolicy::Ordered;
-            let report = Engine::new(cfg).run(&packets, pace);
-            assert!(report.conserved());
-            assert_eq!(report.rx_queues(), rx);
-            assert_eq!(report.ingest_dropped(), 0, "sized to be drop-free");
-            assert_eq!(
-                observed(&report),
-                truth,
-                "rx={rx} {pace:?}: ordered merge diverged from ground truth\n{}",
-                report.deterministic_summary()
-            );
-        }
-    }
-}
-
-#[test]
-fn multi_queue_fair_merge_conserves_across_pacing_modes() {
-    // Fair merge reorders across queues (throughput mode), so exact
-    // counter equality is out of scope — but conservation and full
-    // processing must hold at every (rx, pace) point.
+fn multi_shard_runs_conserve_across_pacing_modes() {
+    // Several shards interleave their processing in wall-clock order, so
+    // exact counter equality is out of scope — but conservation and full
+    // processing must hold at every (topology, shards, pace) point.
     let packets = workload(12_000);
     let paces = [
         Pace::Flatout,
@@ -297,38 +260,40 @@ fn multi_queue_fair_merge_conserves_across_pacing_modes() {
             spike_end: 0.75,
         },
     ];
-    for rx in [1usize, 2, 4] {
-        for pace in paces {
-            let mut cfg = EngineConfig::new(2);
-            cfg.rx_queues = rx;
-            cfg.queue_batches = 1024; // drop-free by construction
-            let report = Engine::new(cfg).run(&packets, pace);
-            assert!(
-                report.conserved(),
-                "rx={rx} {pace:?}:\n{}",
-                report.deterministic_summary()
-            );
-            assert_eq!(report.rx_queues(), rx);
-            assert_eq!(report.processed(), report.offered);
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
+        for shards in [1usize, 2, 4] {
+            for pace in paces {
+                let mut cfg = EngineConfig::new(shards);
+                cfg.datapath = datapath;
+                cfg.queue_batches = 1024; // drop-free by construction
+                let units = cfg.ingest_units();
+                let report = Engine::new(cfg).run(&packets, pace);
+                assert!(
+                    report.conserved(),
+                    "{datapath:?} shards={shards} {pace:?}:\n{}",
+                    report.deterministic_summary()
+                );
+                assert_eq!(report.queues.len(), units);
+                assert_eq!(report.processed(), report.offered);
+            }
         }
     }
 }
 
 #[test]
 fn buffer_pool_allocations_are_bounded_and_packet_independent() {
-    // Runs 8× apart in offered packets, at one and two RX queues: every
-    // lane holds one buffer per ring slot plus one at each end, so the
-    // short runs stay under that bound and the long runs — every lane
-    // well past its first lap — sit exactly on it.
-    for (rx, packets) in [
-        (1usize, 25_000usize),
-        (1, 200_000),
-        (2, 25_000),
+    // Runs 8× apart in offered packets, at two and four shards (one
+    // lane each): every lane holds one buffer per ring slot plus one at
+    // each end, so the short runs stay under that bound and the long
+    // runs — every lane well past its first lap — sit exactly on it.
+    for (shards, packets) in [
+        (2usize, 25_000usize),
         (2, 200_000),
+        (4, 25_000),
+        (4, 200_000),
     ] {
         let reg = Registry::new();
-        let mut cfg = EngineConfig::new(2);
-        cfg.rx_queues = rx;
+        let cfg = EngineConfig::new(shards);
         let bound = cfg.lane_buffers() as u64;
         let report = Engine::with_registry(cfg, &reg).run(&workload(packets), Pace::Flatout);
         assert!(report.conserved());
@@ -336,16 +301,16 @@ fn buffer_pool_allocations_are_bounded_and_packet_independent() {
         let recycles = reg.counter("runtime.pool.recycled", &[]).get();
         assert!(
             allocs <= bound,
-            "rx={rx} {packets} pkts: {allocs} allocations exceed the lanes' {bound} buffers"
+            "shards={shards} {packets} pkts: {allocs} allocations exceed the lanes' {bound} buffers"
         );
         if packets > 100_000 {
             assert_eq!(
                 allocs, bound,
-                "rx={rx} {packets} pkts: past the first lap every lane holds all its buffers"
+                "shards={shards} {packets} pkts: past the first lap every lane holds all its buffers"
             );
             assert!(
                 recycles > allocs,
-                "rx={rx} {packets} pkts: steady state must be recycle-dominated \
+                "shards={shards} {packets} pkts: steady state must be recycle-dominated \
                  ({recycles} recycled vs {allocs} allocated)"
             );
         }

@@ -1,14 +1,14 @@
-//! Model-checking the SPSC lane discipline under R×N mesh wiring.
+//! Model-checking the SPSC lane discipline.
 //!
-//! The engine's mesh keeps each [`smartwatch_runtime::spsc`] ring
-//! strictly single-producer/single-consumer: producer = one RX-queue
-//! dispatcher, consumer = one shard fair-merging its R lanes. The ring
-//! is also the buffers' return path: the dispatcher *exchanges* its full
+//! The pipeline keeps each [`smartwatch_runtime::spsc`] ring strictly
+//! single-producer/single-consumer: producer = the dispatcher, consumer
+//! = the one shard the lane feeds. The ring is also the buffers' return
+//! path: the dispatcher *exchanges* its full
 //! staging buffer for whatever the slot held, the shard exchanges the
 //! buffer it drained last for the slot's message. `loom` is not
 //! available in this workspace, so this test does the next best thing:
-//! it *exhaustively enumerates interleavings* of the actors' productive
-//! steps with a DFS, replaying every schedule from scratch on real rings
+//! it *exhaustively enumerates interleavings* of the two actors'
+//! productive steps with a DFS, replaying every schedule from scratch on real rings
 //! of capacity 1 and 2 (the most adversarial legal sizes), over two
 //! back-to-back segments on the same rings — the engine parks its lanes
 //! between segments, buffers included.
@@ -25,7 +25,7 @@
 //!
 //! And on every complete schedule:
 //!
-//! * exactly-once delivery and per-lane FIFO — each batch pushed is
+//! * exactly-once delivery and FIFO — each batch pushed is
 //!   consumed exactly once, in push order, and the lane's `Stop` arrives
 //!   after all of them (the consumer never abandons queued work); a
 //!   paced batch that met a full ring is the one accounted exception:
@@ -35,9 +35,9 @@
 //! * no deadlock — from any reachable state, some actor can step until
 //!   all are done.
 //!
-//! Steps are *productive by construction*: a producer only steps when
+//! Steps are *productive by construction*: the producer only steps when
 //! its ring has room (or its next batch is paced, and is dropped), the
-//! consumer only steps when an open lane has a message. That keeps the
+//! consumer only steps when the open lane has a message. That keeps the
 //! schedule space finite (blocked actors busy waiting would otherwise
 //! spin forever) while still covering every ordering of the operations
 //! that change shared state.
@@ -64,10 +64,14 @@ struct Msg {
 /// One scripted batch: its payload, and whether the producer offers it
 /// open-loop (a full ring drops it) or with backpressure (it waits).
 type Item = (Vec<u32>, bool);
-/// Per segment, per lane, the batches its producer sends before `Stop`.
-type Scripts = Vec<Vec<Vec<Item>>>;
+/// Per segment, the batches the producer sends before `Stop`.
+type Scripts = Vec<Vec<Item>>;
 
-/// One lane of a replayed mesh column, both ends and the model's books.
+/// The producer's and the consumer's actor ids in a schedule.
+const PRODUCER: usize = 0;
+const CONSUMER: usize = 1;
+
+/// The replayed lane, both ends and the model's books.
 struct Lane {
     tx: Producer<Msg>,
     rx: Consumer<Msg>,
@@ -75,7 +79,7 @@ struct Lane {
     staging: Buf,
     /// Consumer end: the buffer drained last, left in the next slot.
     spare: Option<Msg>,
-    /// Fair-merge state: is this segment's `Stop` still to come?
+    /// Consumer state: is this segment's `Stop` still to come?
     open: bool,
     /// Ids of the buffers the model has put into slots and not taken
     /// out again — the ring must agree, buffer by buffer.
@@ -94,83 +98,69 @@ struct Lane {
     dropped: Vec<Vec<u32>>,
 }
 
-/// One replayed mesh instance: R producers × 1 consumer (a single
-/// shard column of the mesh — rings are per (queue, shard) pair, so
-/// one column exercises the full lane discipline).
+/// One replayed lane over the segments of its script.
 struct Model<'a> {
     capacity: usize,
     scripts: &'a Scripts,
     segment: usize,
-    lanes: Vec<Lane>,
-    /// Consumer fair-merge state: next lane to poll (rotates).
-    next_lane: usize,
+    lane: Lane,
 }
 
 impl<'a> Model<'a> {
     fn new(scripts: &'a Scripts, capacity: usize) -> Model<'a> {
-        let lanes = scripts[0]
-            .iter()
-            .map(|script| {
-                let (tx, rx) = spsc::<Msg>(capacity);
-                Lane {
-                    tx,
-                    rx,
-                    staging: Buf {
-                        id: 0,
-                        data: Vec::new(),
-                    },
-                    spare: None,
-                    open: true,
-                    in_slots: BTreeSet::new(),
-                    made: 1,
-                    pushes: 0,
-                    made_at_open: 1,
-                    pushes_at_open: 0,
-                    script: script.clone(),
-                    stopped: false,
-                    delivered: Vec::new(),
-                    dropped: Vec::new(),
-                }
-            })
-            .collect();
+        let (tx, rx) = spsc::<Msg>(capacity);
+        let lane = Lane {
+            tx,
+            rx,
+            staging: Buf {
+                id: 0,
+                data: Vec::new(),
+            },
+            spare: None,
+            open: true,
+            in_slots: BTreeSet::new(),
+            made: 1,
+            pushes: 0,
+            made_at_open: 1,
+            pushes_at_open: 0,
+            script: scripts[0].clone(),
+            stopped: false,
+            delivered: Vec::new(),
+            dropped: Vec::new(),
+        };
         Model {
             capacity,
             scripts,
             segment: 0,
-            lanes,
-            next_lane: 0,
+            lane,
         }
     }
 
-    fn r(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Can producer `p` make a productive step right now? Something is
+    /// Can the producer make a productive step right now? Something is
     /// left to send, and its ring is below capacity (`len()` is exact
     /// here because replay is single-threaded) — or the ring is full
     /// and the next batch is paced, which the step then drops.
-    fn producer_ready(&self, p: usize) -> bool {
-        let lane = &self.lanes[p];
+    fn producer_ready(&self) -> bool {
+        let lane = &self.lane;
         match lane.script.first() {
             Some((_, paced)) => *paced || lane.tx.len() < self.capacity,
             None => !lane.stopped && lane.tx.len() < self.capacity,
         }
     }
 
-    /// Can the consumer make a productive step (some open lane has a
+    /// Can the consumer make a productive step (the open lane has a
     /// message waiting)?
     fn consumer_ready(&self) -> bool {
-        self.lanes.iter().any(|l| l.open && !l.rx.is_empty())
+        self.lane.open && !self.lane.rx.is_empty()
     }
 
-    /// Producer `p` offers its next scripted message the way
+    /// The producer offers its next scripted message the way
     /// `LaneSink::exchange` does: publish the staging buffer, stage
     /// into what the slot held — or, on a full ring, keep the buffer
     /// and count the batch as dropped.
-    fn step_producer(&mut self, p: usize) {
+    fn step_producer(&mut self) {
         let capacity = self.capacity;
-        let lane = &mut self.lanes[p];
+        let lane = &mut self.lane;
         let stop = lane.script.is_empty();
         let paced = if stop {
             lane.stopped = true;
@@ -201,7 +191,7 @@ impl<'a> Model<'a> {
                     Some(spare) => {
                         assert!(
                             spare.buf.data.is_empty() && lane.in_slots.remove(&spare.buf.id),
-                            "lane {p}: slot gave back {spare:?}, not a drained buffer it held"
+                            "slot gave back {spare:?}, not a drained buffer it held"
                         );
                         spare.buf
                     }
@@ -225,50 +215,41 @@ impl<'a> Model<'a> {
         }
     }
 
-    /// Consumer performs one fair-merge sweep step: starting from the
-    /// rotating cursor, exchange the spare for the first available
-    /// message, deliver it, and keep its buffer as the new spare —
-    /// exactly what `ShardWorker::run_fair` does per lane visit. The
-    /// books are checked mid-step too, with the batch in hand.
+    /// The consumer exchanges the spare for the oldest message,
+    /// delivers it, and keeps its buffer as the new spare — exactly
+    /// what `ShardWorker::run` does per batch. The books are checked
+    /// mid-step too, with the batch in hand.
     fn step_consumer(&mut self) {
-        let r = self.r();
-        for off in 0..r {
-            let l = (self.next_lane + off) % r;
-            let lane = &mut self.lanes[l];
-            if !lane.open {
-                continue;
-            }
-            let left = lane.spare.as_ref().map(|m| m.buf.id);
-            if let Some(mut hand) = lane.rx.try_exchange(&mut lane.spare) {
-                assert!(lane.spare.is_none(), "the spare stays in the slot");
-                assert!(
-                    lane.in_slots.remove(&hand.buf.id),
-                    "popped an unknown buffer"
-                );
-                if let Some(id) = left {
-                    assert!(lane.in_slots.insert(id), "spare {id} was already in a slot");
-                }
-                self.check(l, Some(hand.buf.id));
-                let lane = &mut self.lanes[l];
-                if hand.stop {
-                    assert!(hand.buf.data.is_empty(), "Stop carries an empty buffer");
-                    lane.open = false;
-                } else {
-                    lane.delivered.push(std::mem::take(&mut hand.buf.data));
-                }
-                lane.spare = Some(hand);
-                self.next_lane = (l + 1) % r;
-                return;
-            }
+        let lane = &mut self.lane;
+        let left = lane.spare.as_ref().map(|m| m.buf.id);
+        let mut hand = lane
+            .rx
+            .try_exchange(&mut lane.spare)
+            .expect("consumer stepped without a message");
+        assert!(lane.spare.is_none(), "the spare stays in the slot");
+        assert!(
+            lane.in_slots.remove(&hand.buf.id),
+            "popped an unknown buffer"
+        );
+        if let Some(id) = left {
+            assert!(lane.in_slots.insert(id), "spare {id} was already in a slot");
         }
-        unreachable!("consumer stepped without a ready lane");
+        self.check(Some(hand.buf.id));
+        let lane = &mut self.lane;
+        if hand.stop {
+            assert!(hand.buf.data.is_empty(), "Stop carries an empty buffer");
+            lane.open = false;
+        } else {
+            lane.delivered.push(std::mem::take(&mut hand.buf.data));
+        }
+        lane.spare = Some(hand);
     }
 
-    /// The books of lane `l`: every buffer it ever allocated is in
-    /// exactly one place, and their number is the closed form of the
-    /// lane's successful exchanges — no schedule can move it.
-    fn check(&self, l: usize, hand: Option<u32>) {
-        let lane = &self.lanes[l];
+    /// The lane's books: every buffer it ever allocated is in exactly
+    /// one place, and their number is the closed form of the lane's
+    /// successful exchanges — no schedule can move it.
+    fn check(&self, hand: Option<u32>) {
+        let lane = &self.lane;
         let mut census: Vec<u32> = lane.in_slots.iter().copied().collect();
         census.push(lane.staging.id);
         census.extend(lane.spare.as_ref().map(|m| m.buf.id));
@@ -277,21 +258,20 @@ impl<'a> Model<'a> {
         let all: Vec<u32> = (0..lane.made).collect();
         assert_eq!(
             census, all,
-            "lane {l}: buffers (staging ∪ slots ∪ spare ∪ hand) vs allocated"
+            "buffers (staging ∪ slots ∪ spare ∪ hand) vs allocated"
         );
         let lap = self.capacity as u32 + 1;
         assert_eq!(
             lane.made,
             lane.pushes.min(lap) + 1,
-            "lane {l}: allocations must be min(pushes, capacity + 1) + 1"
+            "allocations must be min(pushes, capacity + 1) + 1"
         );
         assert!(lane.tx.len() <= self.capacity);
     }
 
     fn segment_done(&self) -> bool {
-        self.lanes
-            .iter()
-            .all(|l| l.script.is_empty() && l.stopped && !l.open)
+        let l = &self.lane;
+        l.script.is_empty() && l.stopped && !l.open
     }
 
     /// Segment boundary: every thread has been joined; the engine parks
@@ -299,70 +279,62 @@ impl<'a> Model<'a> {
     fn next_segment(&mut self) {
         self.verify_segment();
         self.segment += 1;
-        for (lane, script) in self.lanes.iter_mut().zip(&self.scripts[self.segment]) {
-            lane.script = script.clone();
-            lane.stopped = false;
-            lane.open = true;
-            lane.made_at_open = lane.made;
-            lane.pushes_at_open = lane.pushes;
-            lane.delivered.clear();
-            lane.dropped.clear();
-        }
+        let lane = &mut self.lane;
+        lane.script = self.scripts[self.segment].clone();
+        lane.stopped = false;
+        lane.open = true;
+        lane.made_at_open = lane.made;
+        lane.pushes_at_open = lane.pushes;
+        lane.delivered.clear();
+        lane.dropped.clear();
     }
 
     /// What a finished segment must satisfy.
     fn verify_segment(&self) {
         let lap = self.capacity as u32 + 1;
-        for (l, lane) in self.lanes.iter().enumerate() {
-            // Exactly-once + per-lane FIFO: the consumer saw this lane's
-            // batches in push order, each either delivered or — paced,
-            // on a full ring — dropped and accounted. Stop arrived last
-            // (the lane closed only after the final delivery), so
-            // shutdown drained rather than discarded.
-            let (mut got, mut lost) = (lane.delivered.iter(), lane.dropped.iter());
-            for (payload, paced) in &self.scripts[self.segment][l] {
-                let next = if *paced && lost.as_slice().first() == Some(payload) {
-                    lost.next()
-                } else {
-                    got.next()
-                };
-                assert_eq!(
-                    next,
-                    Some(payload),
-                    "lane {l}: delivery diverged from script"
-                );
-            }
-            assert!(got.next().is_none() && lost.next().is_none());
-            assert!(!lane.open, "lane {l}: Stop must close the lane");
-            assert!(
-                lane.rx.is_empty(),
-                "lane {l}: nothing may remain queued after shutdown"
+        let lane = &self.lane;
+        // Exactly-once + FIFO: the consumer saw the batches in push
+        // order, each either delivered or — paced, on a full ring —
+        // dropped and accounted. Stop arrived last (the lane closed only
+        // after the final delivery), so shutdown drained rather than
+        // discarded.
+        let (mut got, mut lost) = (lane.delivered.iter(), lane.dropped.iter());
+        for (payload, paced) in &self.scripts[self.segment] {
+            let next = if *paced && lost.as_slice().first() == Some(payload) {
+                lost.next()
+            } else {
+                got.next()
+            };
+            assert_eq!(next, Some(payload), "delivery diverged from script");
+        }
+        assert!(got.next().is_none() && lost.next().is_none());
+        assert!(!lane.open, "Stop must close the lane");
+        assert!(
+            lane.rx.is_empty(),
+            "nothing may remain queued after shutdown"
+        );
+        // Parked: one staging buffer, one spare, the rest in slots.
+        assert!(lane.spare.is_some() && lane.staging.data.is_empty());
+        if lane.pushes_at_open >= lap {
+            assert_eq!(
+                lane.made, lane.made_at_open,
+                "a segment on a lapped ring allocates nothing"
             );
-            // Parked: one staging buffer, one spare, the rest in slots.
-            assert!(lane.spare.is_some() && lane.staging.data.is_empty());
-            if lane.pushes_at_open >= lap {
-                assert_eq!(
-                    lane.made, lane.made_at_open,
-                    "lane {l}: a segment on a lapped ring allocates nothing"
-                );
-            }
         }
     }
 }
 
-/// Replay `schedule` (a sequence of actor ids; `r()` = consumer) from
-/// scratch and return the resulting model.
+/// Replay `schedule` (a sequence of actor ids) from scratch and return
+/// the resulting model.
 fn replay<'a>(scripts: &'a Scripts, capacity: usize, schedule: &[usize]) -> Model<'a> {
     let mut m = Model::new(scripts, capacity);
     for &actor in schedule {
-        if actor == m.r() {
+        if actor == CONSUMER {
             m.step_consumer();
         } else {
-            m.step_producer(actor);
+            m.step_producer();
         }
-        for l in 0..m.r() {
-            m.check(l, None);
-        }
+        m.check(None);
         if m.segment_done() && m.segment + 1 < scripts.len() {
             m.next_segment();
         }
@@ -382,13 +354,11 @@ fn explore(scripts: &Scripts, capacity: usize) -> usize {
 fn dfs(scripts: &Scripts, capacity: usize, schedule: &mut Vec<usize>, complete: &mut usize) {
     let m = replay(scripts, capacity, schedule);
     let mut candidates = Vec::new();
-    for p in 0..m.r() {
-        if m.producer_ready(p) {
-            candidates.push(p);
-        }
+    if m.producer_ready() {
+        candidates.push(PRODUCER);
     }
     if m.consumer_ready() {
-        candidates.push(m.r());
+        candidates.push(CONSUMER);
     }
     if candidates.is_empty() {
         assert!(
@@ -412,26 +382,23 @@ fn flatout(payloads: &[&[u32]]) -> Vec<Item> {
 }
 
 #[test]
-fn two_producer_mesh_column_is_exhaustively_correct() {
-    // Two RX queues feeding one shard, enough batches each (plus Stop)
-    // to take every lane once round its ring, then a second, shorter
-    // segment on the parked lanes: every interleaving of exchanges and
-    // the rotating fair-merge cursor is explored, at both capacities.
-    for (capacity, batches) in [(1, 2), (2, 2)] {
-        let first = [
-            flatout(&[&[10, 11], &[12], &[13]]),
-            flatout(&[&[20], &[21, 22], &[23]]),
-        ];
-        let scripts = vec![
-            first.iter().map(|s| s[..batches].to_vec()).collect(),
-            vec![flatout(&[&[14]]), flatout(&[&[24]])],
-        ];
-        let complete = explore(&scripts, capacity);
-        // A lower bound on the count guards against a silent pruning
-        // bug faking coverage.
-        assert!(
-            complete > 500,
-            "capacity {capacity}: expected a non-trivial schedule space, explored {complete}"
+fn a_lane_is_exhaustively_correct_over_two_segments() {
+    // Enough batches (plus Stop) to take the lane once round its ring,
+    // then a second, shorter segment on the parked lane: every
+    // interleaving of the two ends' exchanges is explored, at both
+    // capacities, and the second segment allocates nothing.
+    let scripts = vec![
+        flatout(&[&[1], &[2, 3], &[4], &[5]]),
+        flatout(&[&[6], &[7]]),
+    ];
+    // The schedule count is pinned: it guards against a silent pruning
+    // bug faking coverage. At capacity 1 the two ends strictly
+    // alternate, so there is exactly one schedule.
+    for (capacity, schedules) in [(1, 1), (2, 64)] {
+        assert_eq!(
+            explore(&scripts, capacity),
+            schedules,
+            "capacity {capacity}"
         );
     }
 }
@@ -445,41 +412,22 @@ fn paced_producer_keeps_its_buffer_on_a_full_ring() {
     let paced = |payloads: &[&[u32]]| -> Vec<Item> {
         payloads.iter().map(|p| (p.to_vec(), true)).collect()
     };
-    let scripts = vec![
-        vec![paced(&[&[1], &[2], &[3]]), flatout(&[&[7]])],
-        vec![paced(&[&[4], &[5]]), flatout(&[])],
-    ];
-    for capacity in [1, 2] {
-        let complete = explore(&scripts, capacity);
-        assert!(
-            complete > 500,
-            "capacity {capacity}: expected a non-trivial schedule space, explored {complete}"
+    let scripts = vec![paced(&[&[1], &[2], &[3]]), paced(&[&[4], &[5]])];
+    for (capacity, schedules) in [(1, 8), (2, 40)] {
+        assert_eq!(
+            explore(&scripts, capacity),
+            schedules,
+            "capacity {capacity}"
         );
     }
 }
 
 #[test]
-fn three_producer_mesh_column_drains_on_shutdown() {
-    // Three queues with asymmetric scripts — one queue stops having
-    // sent nothing, the adversarial shutdown case: the consumer must
-    // still drain the busy lanes and terminate, and the idle lane's
-    // lone Stop still brings a buffer for the shard to park.
-    let scripts = vec![vec![flatout(&[&[1], &[2]]), flatout(&[]), flatout(&[&[3]])]];
-    let complete = explore(&scripts, 1);
-    assert!(
-        complete > 100,
-        "expected a non-trivial schedule space, explored {complete}"
-    );
-}
-
-#[test]
-fn single_lane_degenerates_to_plain_spsc() {
-    // R=1 is the pre-mesh engine: the model must reduce to an ordinary
-    // SPSC stream with nothing reordered, over two segments.
-    let scripts = vec![
-        vec![flatout(&[&[1], &[2], &[3], &[4]])],
-        vec![flatout(&[&[5], &[6]])],
-    ];
+fn an_idle_lane_still_parks_a_spare() {
+    // The shutdown edge: a segment that sends nothing but its `Stop`.
+    // The lone Stop still brings a buffer for the shard to park, and
+    // the next segment runs on the parked lane.
+    let scripts = vec![flatout(&[]), flatout(&[&[1], &[2]])];
     for capacity in [1, 2] {
         assert!(explore(&scripts, capacity) > 0);
     }

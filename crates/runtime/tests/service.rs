@@ -7,7 +7,9 @@
 //! steering edits that land at epoch boundaries and drop at dispatch.
 
 use smartwatch_net::{Dur, FlowHasher, FlowKey, Packet, PacketBuilder};
-use smartwatch_runtime::{AdminCmd, ControlConfig, Count, Engine, EngineConfig, Pace};
+use smartwatch_runtime::{
+    AdminCmd, ControlConfig, Count, DatapathMode, Engine, EngineConfig, Pace,
+};
 use smartwatch_telemetry::Registry;
 use smartwatch_trace::background::{preset_trace, Preset};
 use smartwatch_trace::compile::compile_cycled;
@@ -16,8 +18,8 @@ fn workload(flows: usize, seed: u64) -> Vec<Packet> {
     preset_trace(Preset::Caida2018, flows, Dur::from_millis(500), seed).into_packets()
 }
 
-/// Packets per segment of the pool tests: enough that every lane of a
-/// 2 × 2 mesh goes round its 64-slot ring inside the first segment, so
+/// Packets per segment of the pool tests: enough that each of two
+/// shards' lanes goes round its 64-slot ring inside the first segment, so
 /// `runtime.pool.allocated` sits exactly on
 /// [`EngineConfig::lane_buffers`] after it — the lanes' structural
 /// count, the same under every thread schedule — and nothing may be
@@ -68,26 +70,46 @@ fn back_to_back_segments_conserve_with_flat_pool_counters() {
 fn wire_segments_keep_the_frame_pool_flat_across_restart() {
     let trace = preset_trace(Preset::Caida2018, 200, Dur::from_millis(500), 31);
     let store = compile_cycled(&trace, LAP_PACKETS);
-    let registry = Registry::new();
-    let mut cfg = EngineConfig::new(2);
-    cfg.rx_queues = 2;
-    let bound = cfg.lane_buffers() as u64;
-    let engine = Engine::with_registry(cfg, &registry);
-    let frames = registry.counter("runtime.frame_pool.allocated", &[]);
-    let bufs = registry.counter("runtime.pool.allocated", &[]);
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
+        let registry = Registry::new();
+        let mut cfg = EngineConfig::new(2);
+        cfg.datapath = datapath;
+        let bound = cfg.lane_buffers() as u64;
+        let engine = Engine::with_registry(cfg, &registry);
+        let frames = registry.counter("runtime.frame_pool.allocated", &[]);
+        let bufs = registry.counter("runtime.pool.allocated", &[]);
 
-    let first = engine.run_frames(&store, Pace::Flatout);
-    assert!(first.conserved(), "wire segment 1 violates conservation");
-    assert_eq!(first.offered, LAP_PACKETS as u64);
-    let frames_1 = frames.get();
-    assert!(frames_1 > 0, "the wire path must materialise frame slots");
-    assert_eq!(bufs.get(), bound, "every lane once round its ring");
+        let first = engine.run_frames(&store, Pace::Flatout);
+        assert!(
+            first.conserved(),
+            "{datapath:?}: wire segment 1 violates conservation"
+        );
+        assert_eq!(first.offered, LAP_PACKETS as u64);
+        let frames_1 = frames.get();
+        assert!(frames_1 > 0, "the wire path must materialise frame slots");
+        assert_eq!(
+            bufs.get(),
+            bound,
+            "{datapath:?}: every lane once round its ring"
+        );
 
-    let second = engine.run_frames(&store, Pace::Flatout);
-    assert!(second.conserved(), "wire segment 2 violates conservation");
-    assert_eq!(second.offered, first.offered);
-    assert_eq!(frames.get(), frames_1, "frame pool grew across the restart");
-    assert_eq!(bufs.get(), bound, "lane buffers grew across the restart");
+        let second = engine.run_frames(&store, Pace::Flatout);
+        assert!(
+            second.conserved(),
+            "{datapath:?}: wire segment 2 violates conservation"
+        );
+        assert_eq!(second.offered, first.offered);
+        assert_eq!(
+            frames.get(),
+            frames_1,
+            "{datapath:?}: frame pool grew across the restart"
+        );
+        assert_eq!(
+            bufs.get(),
+            bound,
+            "{datapath:?}: lane buffers grew across the restart"
+        );
+    }
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! Wire data-plane invariants: replaying a compiled [`FrameStore`]
 //! through the engine must be *indistinguishable* from replaying the
 //! packets it was compiled from — byte-identical deterministic
-//! summaries under the ordered merge at any RX-queue count — and the
+//! summaries on both datapaths and at several shard counts — and the
 //! pcap-sourced path must keep exact two-axis conservation. The frame
 //! pool telemetry pins the zero-copy claim: steady state never
-//! allocates past the per-dispatcher warm-up burst.
+//! allocates past the per-ingest-unit warm-up burst.
 
 use smartwatch_net::{pcap, Dur, FrameStore};
-use smartwatch_runtime::{Engine, EngineConfig, Pace};
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
 use smartwatch_trace::compile::{compile, compile_cycled};
 use smartwatch_trace::Trace;
@@ -16,12 +16,32 @@ fn workload(flows: usize, seed: u64) -> Trace {
     preset_trace(Preset::Caida2018, flows, Dur::from_millis(500), seed)
 }
 
+/// Both topologies at two shards: several lanes (pipeline) or several
+/// ingest units (RTC).
+const DATAPATHS: [DatapathMode; 2] = [DatapathMode::Pipeline, DatapathMode::Rtc];
+
+/// The deterministic recipe (inline triage) at `shards` shards on
+/// `datapath`.
+fn deterministic(datapath: DatapathMode, shards: usize) -> EngineConfig {
+    let mut cfg = EngineConfig::deterministic();
+    cfg.shards = shards;
+    cfg.datapath = datapath;
+    cfg
+}
+
+/// Two shards on `datapath`, a host worker pool.
+fn two_shards(datapath: DatapathMode) -> EngineConfig {
+    let mut cfg = EngineConfig::new(2);
+    cfg.datapath = datapath;
+    cfg
+}
+
 #[test]
 fn compiled_replay_summary_is_byte_identical_to_synthetic() {
     let trace = workload(300, 0xBEEF);
     let store = compile(&trace);
-    for r in [1usize, 2] {
-        let cfg = EngineConfig::deterministic(r);
+    for (datapath, shards) in DATAPATHS.iter().flat_map(|&d| [(d, 1), (d, 2)]) {
+        let cfg = deterministic(datapath, shards);
         let synthetic = Engine::new(cfg.clone())
             .run(trace.packets(), Pace::Flatout)
             .deterministic_summary();
@@ -30,7 +50,7 @@ fn compiled_replay_summary_is_byte_identical_to_synthetic() {
             .deterministic_summary();
         assert_eq!(
             synthetic, wire,
-            "compiled replay diverged from the synthetic run at rx_queues={r}"
+            "compiled replay diverged from the synthetic run at {datapath:?} shards={shards}"
         );
     }
 }
@@ -40,12 +60,12 @@ fn batched_cache_path_is_byte_identical_on_the_wire_path() {
     // The memory-level-parallel cache path must be decision-invisible on
     // compiled wire frames exactly as on synthetic packets: per-packet
     // (burst 1) and batched (burst 8) replays of the same store produce
-    // byte-identical summaries at 1 and 2 RX queues.
+    // byte-identical summaries at 1 and 2 shards on both datapaths.
     let trace = workload(300, 0xBEEF);
     let store = compile_cycled(&trace, trace.len() * 2);
-    for r in [1usize, 2] {
+    for (datapath, shards) in DATAPATHS.iter().flat_map(|&d| [(d, 1), (d, 2)]) {
         let run = |burst: usize| {
-            let mut cfg = EngineConfig::deterministic(r);
+            let mut cfg = deterministic(datapath, shards);
             cfg.cache_burst = burst;
             Engine::new(cfg)
                 .run_frames(&store, Pace::Flatout)
@@ -54,25 +74,25 @@ fn batched_cache_path_is_byte_identical_on_the_wire_path() {
         assert_eq!(
             run(1),
             run(8),
-            "batched wire replay diverged from per-packet at rx_queues={r}"
+            "batched wire replay diverged from per-packet at {datapath:?} shards={shards}"
         );
     }
 }
 
 #[test]
-fn cycled_compiled_replay_conserves_across_mesh_shapes() {
+fn cycled_compiled_replay_conserves_across_shapes() {
     let trace = workload(150, 7);
     let total = trace.len() * 3 + 11;
     let store = compile_cycled(&trace, total);
-    for (shards, rx_queues) in [(1, 1), (2, 2), (3, 2)] {
+    for (datapath, shards) in DATAPATHS.iter().flat_map(|&d| [(d, 1), (d, 2), (d, 3)]) {
         let mut cfg = EngineConfig::new(shards);
-        cfg.rx_queues = rx_queues;
+        cfg.datapath = datapath;
         let report = Engine::new(cfg).run_frames(&store, Pace::Flatout);
         assert_eq!(report.offered, total as u64);
         assert_eq!(report.processed(), total as u64, "flatout never drops");
         assert!(
             report.conserved(),
-            "conservation violated at shards={shards} rx_queues={rx_queues}"
+            "conservation violated at {datapath:?} shards={shards}"
         );
     }
 }
@@ -86,35 +106,39 @@ fn pcap_sourced_replay_matches_packet_replay_and_conserves() {
     let store = FrameStore::from_pcap(&bytes).expect("own pcap output parses");
     assert_eq!(store.len(), trace.len());
 
-    let mut cfg = EngineConfig::new(2);
-    cfg.rx_queues = 2;
-    let report = Engine::new(cfg).run_frames(&store, Pace::Flatout);
-    assert_eq!(report.offered, trace.len() as u64);
-    assert_eq!(report.processed(), trace.len() as u64);
-    assert!(report.conserved());
+    for datapath in DATAPATHS {
+        let report = Engine::new(two_shards(datapath)).run_frames(&store, Pace::Flatout);
+        assert_eq!(report.offered, trace.len() as u64);
+        assert_eq!(report.processed(), trace.len() as u64);
+        assert!(report.conserved(), "{datapath:?}");
 
-    // The pcap-built store must also replay deterministically against
-    // *itself* (pcap drops labels/digests, so it is not byte-identical
-    // to the synthetic run — but two same-seed wire runs must be).
-    let a = Engine::new(EngineConfig::deterministic(2))
-        .run_frames(&store, Pace::Flatout)
-        .deterministic_summary();
-    let b = Engine::new(EngineConfig::deterministic(2))
-        .run_frames(&store, Pace::Flatout)
-        .deterministic_summary();
-    assert_eq!(a, b);
+        // The pcap-built store must also replay deterministically
+        // against *itself* (pcap drops labels/digests, so it is not
+        // byte-identical to the synthetic run — but two same-seed wire
+        // runs must be).
+        let summary = || {
+            Engine::new(deterministic(datapath, 2))
+                .run_frames(&store, Pace::Flatout)
+                .deterministic_summary()
+        };
+        assert_eq!(summary(), summary(), "{datapath:?}");
+    }
 }
 
 #[test]
 fn paced_wire_replay_keeps_conservation_under_drops() {
     let trace = workload(150, 3);
     let store = compile_cycled(&trace, 60_000);
-    let mut cfg = EngineConfig::new(2);
-    cfg.rx_queues = 2;
-    cfg.queue_batches = 2; // tiny lanes force overruns at a hot rate
-    let report = Engine::new(cfg).run_frames(&store, Pace::RateMpps(20.0));
-    assert!(report.conserved(), "drops must stay exactly accounted");
-    assert_eq!(report.processed() + report.ingest_dropped(), report.offered);
+    for datapath in DATAPATHS {
+        let mut cfg = two_shards(datapath);
+        cfg.queue_batches = 2; // tiny lanes force overruns at a hot rate
+        let report = Engine::new(cfg).run_frames(&store, Pace::RateMpps(20.0));
+        assert!(
+            report.conserved(),
+            "{datapath:?}: drops must stay exactly accounted"
+        );
+        assert_eq!(report.processed() + report.ingest_dropped(), report.offered);
+    }
 }
 
 #[test]
@@ -122,29 +146,32 @@ fn frame_pool_stays_within_warmup_allocations() {
     let trace = workload(120, 5);
     let total = 40_000;
     let store = compile_cycled(&trace, total);
-    let mut cfg = EngineConfig::new(2);
-    cfg.rx_queues = 2;
-    let engine = Engine::new(cfg);
-    let report = engine.run_frames(&store, Pace::Flatout);
-    assert!(report.conserved());
+    for datapath in DATAPATHS {
+        let cfg = two_shards(datapath);
+        let units = cfg.ingest_units() as u64;
+        let engine = Engine::new(cfg);
+        let report = engine.run_frames(&store, Pace::Flatout);
+        assert!(report.conserved());
 
-    // Every frame load is either a fresh slot or a recycled one; after
-    // the 8-slot warm-up burst per dispatcher, loads must only recycle.
-    let allocated = engine
-        .registry()
-        .counter("runtime.frame_pool.allocated", &[])
-        .get();
-    let recycled = engine
-        .registry()
-        .counter("runtime.frame_pool.recycled", &[])
-        .get();
-    assert!(
-        allocated <= 8 * 2,
-        "wire path allocated {allocated} frame slots — steady state must reuse the warm-up burst"
-    );
-    assert_eq!(
-        allocated + recycled,
-        total as u64,
-        "every offered frame passes through the pool exactly once"
-    );
+        // Every frame load is either a fresh slot or a recycled one;
+        // after the 8-slot warm-up burst per ingest unit, loads must
+        // only recycle.
+        let allocated = engine
+            .registry()
+            .counter("runtime.frame_pool.allocated", &[])
+            .get();
+        let recycled = engine
+            .registry()
+            .counter("runtime.frame_pool.recycled", &[])
+            .get();
+        assert!(
+            allocated <= 8 * units,
+            "{datapath:?}: wire path allocated {allocated} frame slots — steady state must reuse the warm-up burst"
+        );
+        assert_eq!(
+            allocated + recycled,
+            total as u64,
+            "{datapath:?}: every offered frame passes through the pool exactly once"
+        );
+    }
 }

@@ -3,11 +3,11 @@
 //! Every hot thread in the wall-clock engine (dispatchers, shards, host
 //! workers, the controller) owns one [`FlightRing`]: a power-of-two ring
 //! of structured events — drops with reasons, mode switches, whitelist
-//! promotions and evictions, conservation deltas — recorded with two
-//! atomic stores per event and never a lock. When something goes wrong
-//! (a conservation failure, unexpected drops in flat-out mode) the
-//! recorder is dumped to JSON and the last `capacity` events per thread
-//! explain *why*, black-box style.
+//! promotions and evictions, conservation deltas — recorded with a
+//! handful of relaxed atomic stores per event and never a lock. When
+//! something goes wrong (a conservation failure, unexpected drops in
+//! flat-out mode) the recorder is dumped to JSON and the last
+//! `capacity` events per thread explain *why*, black-box style.
 //!
 //! The ring is a seqlock per slot, written without `unsafe`: every slot
 //! field is an `AtomicU64`, and a per-slot sequence word is taken odd
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// What happened. Each kind names its two payload words via
+/// What happened. Each kind names its payload words via
 /// [`FlightKind::arg_names`] so dumps are self-describing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u64)]
@@ -81,23 +81,24 @@ impl FlightKind {
         }
     }
 
-    /// JSON field names for the `(a, b)` payload words.
-    pub fn arg_names(self) -> (&'static str, &'static str) {
+    /// JSON field names for the payload words `a`, `b` and — for the
+    /// kinds that carry one — `c`.
+    pub fn arg_names(self) -> &'static [&'static str] {
         match self {
-            FlightKind::IngestDrop => ("shard", "count"),
-            FlightKind::SteerDrop => ("count", "block"),
-            FlightKind::ShedDrop => ("count", "block"),
-            FlightKind::EscalationDrop => ("count", "batch"),
-            FlightKind::ModeSwitch => ("shard", "mode"),
-            FlightKind::ShedOn => ("epoch", "backlog"),
-            FlightKind::ShedOff => ("epoch", "backlog"),
-            FlightKind::Promotion => ("count", "epoch"),
-            FlightKind::WhitelistEvict => ("count", "epoch"),
-            FlightKind::ConservationDelta => ("delta", "offered"),
-            FlightKind::RunEnd => ("conserved", "offered"),
-            FlightKind::AdminEdit => ("cmd", "arg"),
-            FlightKind::ConfigReload => ("ok", "seq"),
-            FlightKind::VerdictDrop => ("count", "batch"),
+            FlightKind::IngestDrop => &["shard", "count"],
+            FlightKind::SteerDrop => &["count", "block"],
+            FlightKind::ShedDrop => &["count", "block"],
+            FlightKind::EscalationDrop => &["count", "batch"],
+            FlightKind::ModeSwitch => &["shard", "mode", "epoch"],
+            FlightKind::ShedOn => &["epoch", "backlog"],
+            FlightKind::ShedOff => &["epoch", "backlog"],
+            FlightKind::Promotion => &["count", "epoch"],
+            FlightKind::WhitelistEvict => &["count", "epoch"],
+            FlightKind::ConservationDelta => &["delta", "offered"],
+            FlightKind::RunEnd => &["conserved", "offered"],
+            FlightKind::AdminEdit => &["cmd", "arg"],
+            FlightKind::ConfigReload => &["ok", "seq"],
+            FlightKind::VerdictDrop => &["count", "batch"],
         }
     }
 
@@ -135,6 +136,8 @@ pub struct FlightEvent {
     pub a: u64,
     /// Second payload word.
     pub b: u64,
+    /// Third payload word; `0` for a kind that names two.
+    pub c: u64,
 }
 
 #[derive(Default)]
@@ -146,6 +149,7 @@ struct Slot {
     kind: AtomicU64,
     a: AtomicU64,
     b: AtomicU64,
+    c: AtomicU64,
 }
 
 struct RingInner {
@@ -167,13 +171,18 @@ impl FlightRing {
     /// Record an event stamped "now" (nanoseconds since the recorder
     /// was created).
     pub fn record(&self, kind: FlightKind, a: u64, b: u64) {
-        let ts = self.inner.epoch.elapsed().as_nanos() as u64;
-        self.record_at(ts, kind, a, b);
+        self.record3(kind, a, b, 0);
     }
 
-    /// Record an event with an explicit timestamp — the deterministic
-    /// entry point used by tests and sim-time callers.
-    pub fn record_at(&self, ts_ns: u64, kind: FlightKind, a: u64, b: u64) {
+    /// [`FlightRing::record`] for a kind with a third payload word.
+    pub fn record3(&self, kind: FlightKind, a: u64, b: u64, c: u64) {
+        let ts = self.inner.epoch.elapsed().as_nanos() as u64;
+        self.record_at(ts, kind, [a, b, c]);
+    }
+
+    /// Record an event's payload words with an explicit timestamp — the
+    /// deterministic entry point used by tests and sim-time callers.
+    pub fn record_at(&self, ts_ns: u64, kind: FlightKind, [a, b, c]: [u64; 3]) {
         let seq = self.inner.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.inner.slots[(seq % self.inner.cap as u64) as usize];
         slot.seq.store(2 * seq + 1, Ordering::Release);
@@ -181,6 +190,7 @@ impl FlightRing {
         slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
+        slot.c.store(c, Ordering::Relaxed);
         slot.seq.store(2 * seq + 2, Ordering::Release);
     }
 
@@ -226,6 +236,7 @@ impl FlightRing {
                 let kind = slot.kind.load(Ordering::Relaxed);
                 let a = slot.a.load(Ordering::Relaxed);
                 let b = slot.b.load(Ordering::Relaxed);
+                let c = slot.c.load(Ordering::Relaxed);
                 let s2 = slot.seq.load(Ordering::Acquire);
                 if s1 == s2 {
                     if let Some(kind) = FlightKind::from_u64(kind) {
@@ -235,6 +246,7 @@ impl FlightRing {
                             kind,
                             a,
                             b,
+                            c,
                         });
                     }
                     break;
@@ -352,17 +364,19 @@ impl FlightRecorder {
                     .snapshot()
                     .into_iter()
                     .map(|ev| {
-                        let (an, bn) = ev.kind.arg_names();
-                        Value::Object(vec![
+                        let mut fields = vec![
                             ("seq".to_string(), Value::Number(Number::U(ev.seq))),
                             ("ts_ns".to_string(), Value::Number(Number::U(ev.ts_ns))),
                             (
                                 "kind".to_string(),
                                 Value::String(ev.kind.label().to_string()),
                             ),
-                            (an.to_string(), Value::Number(Number::U(ev.a))),
-                            (bn.to_string(), Value::Number(Number::U(ev.b))),
-                        ])
+                        ];
+                        let words = [ev.a, ev.b, ev.c];
+                        for (name, word) in ev.kind.arg_names().iter().zip(words) {
+                            fields.push((name.to_string(), Value::Number(Number::U(word))));
+                        }
+                        Value::Object(fields)
                     })
                     .collect();
                 Value::Object(vec![
@@ -402,8 +416,8 @@ mod tests {
     fn records_and_reads_back_in_order() {
         let rec = FlightRecorder::new(8);
         let ring = rec.ring("sw-shard-0");
-        ring.record_at(10, FlightKind::IngestDrop, 0, 64);
-        ring.record_at(20, FlightKind::ModeSwitch, 1, 1);
+        ring.record_at(10, FlightKind::IngestDrop, [0, 64, 0]);
+        ring.record_at(20, FlightKind::ModeSwitch, [1, 1, 0]);
         let evs = ring.snapshot();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].seq, 0);
@@ -418,7 +432,7 @@ mod tests {
         let rec = FlightRecorder::new(4);
         let ring = rec.ring("r");
         for i in 0..10u64 {
-            ring.record_at(i, FlightKind::ShedDrop, i, 0);
+            ring.record_at(i, FlightKind::ShedDrop, [i, 0, 0]);
         }
         assert_eq!(ring.recorded(), 10);
         assert_eq!(ring.dropped(), 6);
@@ -434,9 +448,9 @@ mod tests {
             let rec = FlightRecorder::new(8);
             let a = rec.ring("sw-rxq-0");
             let b = rec.ring("sw-control");
-            a.record_at(5, FlightKind::IngestDrop, 1, 32);
-            b.record_at(9, FlightKind::ShedOn, 3, 17);
-            b.record_at(12, FlightKind::ModeSwitch, 0, 1);
+            a.record_at(5, FlightKind::IngestDrop, [1, 32, 0]);
+            b.record_at(9, FlightKind::ShedOn, [3, 17, 0]);
+            b.record_at(12, FlightKind::ModeSwitch, [0, 1, 7]);
             rec.to_json()
         };
         let j = build();
@@ -447,6 +461,12 @@ mod tests {
         assert!(j.contains("\"count\": 32"));
         assert!(j.contains("\"backlog\": 17"));
         assert!(j.contains("\"mode\": 1"));
+        assert!(j.contains("\"epoch\": 7"), "a mode switch names its epoch");
+        assert_eq!(
+            j.matches("\"epoch\"").count(),
+            2,
+            "shed_on's and the switch's"
+        );
     }
 
     #[test]
@@ -457,7 +477,7 @@ mod tests {
             let ring = ring.clone();
             std::thread::spawn(move || {
                 for i in 0..50_000u64 {
-                    ring.record_at(i, FlightKind::EscalationDrop, i, i ^ 0xFF);
+                    ring.record_at(i, FlightKind::EscalationDrop, [i, i ^ 0xFF, !i]);
                 }
             })
         };
@@ -466,6 +486,7 @@ mod tests {
             for ev in ring.snapshot() {
                 assert_eq!(ev.ts_ns, ev.a, "torn read: ts/a mismatch");
                 assert_eq!(ev.b, ev.a ^ 0xFF, "torn read: a/b mismatch");
+                assert_eq!(ev.c, !ev.a, "torn read: a/c mismatch");
                 checked += 1;
             }
         }
@@ -478,11 +499,11 @@ mod tests {
     fn reopening_a_name_returns_the_same_bounded_ring() {
         let rec = FlightRecorder::new(8);
         let a = rec.ring("sw-shard-0");
-        a.record_at(1, FlightKind::RunEnd, 1, 100);
+        a.record_at(1, FlightKind::RunEnd, [1, 100, 0]);
         // A second "segment" reopens the ring by name: same storage,
         // events append, and the recorder still lists one ring.
         let b = rec.ring("sw-shard-0");
-        b.record_at(2, FlightKind::RunEnd, 1, 200);
+        b.record_at(2, FlightKind::RunEnd, [1, 200, 0]);
         assert_eq!(rec.snapshot().len(), 1);
         assert_eq!(a.recorded(), 2);
         let evs = a.snapshot();

@@ -177,7 +177,7 @@ fn check(label: &str, fate: Disposition, engine: &Engine, report: &EngineReport)
             .flat_map(|(_, events)| events)
             .filter(|e| e.kind == kind)
             .map(|e| {
-                if kind.arg_names().0 == "count" {
+                if kind.arg_names()[0] == "count" {
                     e.a
                 } else {
                     e.b
