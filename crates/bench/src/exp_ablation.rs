@@ -42,6 +42,7 @@ pub fn ablation_cuckoo(ctx: &ExpCtx) -> Table {
             writes: a.writes,
             ring_pushes: u32::from(a.overflow),
             cleaned_row: false,
+            packets: 0,
         };
         let (busy, wait) = service_time(&hw, &costs, &access);
         ck_lat.push((busy + wait) as u64);

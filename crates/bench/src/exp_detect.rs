@@ -205,6 +205,7 @@ pub fn table2(ctx: &ExpCtx) -> Table {
         writes: 1,
         ring_pushes: 0,
         cleaned_row: false,
+        packets: 0,
     };
     let miss = Access {
         outcome: Outcome::Miss,
@@ -212,6 +213,7 @@ pub fn table2(ctx: &ExpCtx) -> Table {
         writes: 3,
         ring_pushes: 1,
         cleaned_row: false,
+        packets: 0,
     };
     let cache_cycles = cache_stats.p_hits as f64 * costs.busy_cycles(&hit(3)) as f64
         + cache_stats.e_hits as f64 * costs.busy_cycles(&hit(8)) as f64

@@ -18,8 +18,8 @@
 //! 2. Applies host verdicts to the steering tables: `Whitelist` inserts
 //!    into the aging whitelist, `Blacklist` inserts into the aging
 //!    blacklist *and* revokes any whitelist entry (blacklist wins).
-//! 3. Promotes sustained heavy hitters: a digest whose sampled estimate
-//!    clears `promote_pkts_per_epoch` for `promote_epochs` consecutive
+//! 3. Promotes sustained heavy hitters: a digest whose reported packets
+//!    clear `promote_pkts_per_epoch` for `promote_epochs` consecutive
 //!    epochs joins the whitelist (the paper's benign-elephant
 //!    "hoverboard" steering rule).
 //! 4. Ages both tables (TTL sweep + capacity bound via
@@ -76,7 +76,7 @@ pub struct ControlConfig {
     /// Consecutive overload (resp. calm) epochs required to enter
     /// (resp. leave) shedding.
     pub shed_sustain_epochs: u32,
-    /// Sampled per-epoch packet estimate a digest must clear to count
+    /// Per-epoch packets a digest's reports must sum to, to count
     /// towards heavy-hitter promotion.
     pub promote_pkts_per_epoch: u64,
     /// Consecutive qualifying epochs before a heavy hitter is promoted
@@ -145,9 +145,9 @@ pub struct EpochInput {
     pub shards: Vec<ShardSample>,
     /// Host verdicts published since the previous epoch.
     pub verdicts: Vec<Verdict>,
-    /// Heavy-hitter candidates flushed by shards since the previous
-    /// epoch: `(flow digest, estimated packets this epoch)`. May repeat
-    /// a digest (one entry per reporting shard); the controller sums.
+    /// Heavy-hitter reports sent by shards since the previous epoch:
+    /// `(flow digest, packets)`. May repeat a digest; the controller
+    /// sums.
     pub heavy: Vec<(u64, u64)>,
 }
 

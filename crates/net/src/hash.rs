@@ -372,7 +372,8 @@ impl KeyedMix {
     }
 
     /// The family under a known key, for tests that need a known
-    /// layout: state 0 and multiplier 1 hash a single `u64` to itself.
+    /// layout: state 0 and multiplier 1 hash a single `u64` below 2^32
+    /// to itself (the finisher folds only the high half down).
     pub fn with_key(state: u64, mul: u64) -> KeyedMix {
         KeyedMix { state, mul }
     }
@@ -404,9 +405,12 @@ pub struct KeyedMixHasher {
 }
 
 impl Hasher for KeyedMixHasher {
+    /// The state with its top half and top quarter folded down, so every
+    /// high bit lands on one of the low 16 a table homes on.
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        let s = self.state;
+        s ^ (s >> 32) ^ (s >> 48)
     }
 
     #[inline]

@@ -165,7 +165,8 @@ pub enum Count {
     Escalated,
     /// Escalations lost to a full host ring (accounted, never silent).
     EscalationDropped,
-    /// Control-log verdicts applied.
+    /// Control-log verdicts applied: the shard's own flows' (and, on
+    /// shard 0, those with no flow), so the shards sum to the log.
     CtrlApplied,
     /// Detector alerts raised.
     Alerts,

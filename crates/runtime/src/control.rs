@@ -1,11 +1,12 @@
-//! Epoch-stamped verdict fan-out from the host tier back to the shards.
+//! Epoch-stamped verdicts from the host tier back to the shards.
 //!
 //! Host NFs (and inline triage) publish [`Verdict`]s into one shared
 //! log; each entry's index is its *epoch*. Consumers (every shard, plus
-//! the control plane when one is attached) register a [`LogReader`] up
-//! front and poll the tail at batch boundaries, so a verdict reaches all
-//! shards within one batch of being published — the wall-clock analogue
-//! of the simulator's per-interval control loop.
+//! the control plane when one is attached) register a [`LogReader`] and
+//! poll the tail at batch boundaries, so a verdict reaches the shard
+//! that owns its flow (a flow-less one: shard 0) within one batch of
+//! being published — the wall-clock analogue of the simulator's
+//! per-interval control loop.
 //!
 //! The log is **bounded**: entries that every registered reader has
 //! consumed are compacted away (the buffer retains only the suffix past
@@ -57,9 +58,9 @@ pub struct ControlLog {
     inner: Mutex<LogInner>,
 }
 
-/// A registered consumer's handle. Obtain via [`ControlLog::reader`]
-/// *before* publishing begins; pass to [`ControlLog::poll`] to consume
-/// and to [`ControlLog::release`] when done.
+/// A registered consumer's handle. Obtain via [`ControlLog::reader`];
+/// pass to [`ControlLog::poll`] to consume and to
+/// [`ControlLog::release`] when done.
 #[derive(Debug)]
 pub struct LogReader {
     idx: usize,
@@ -85,8 +86,9 @@ impl ControlLog {
     }
 
     /// Register a reader. Its cursor starts at the oldest retained entry
-    /// (epoch 0 on a fresh log), so register every reader before the run
-    /// starts publishing.
+    /// (epoch 0 on a fresh log). A shard registering after its siblings
+    /// began publishing can miss only their flows' verdicts: it skips
+    /// them anyway.
     pub fn reader(&self) -> LogReader {
         let mut inner = self.inner.lock().expect("control log poisoned");
         let start = inner.base;

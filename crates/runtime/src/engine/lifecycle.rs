@@ -36,7 +36,7 @@ use smartwatch_telemetry::{
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -392,19 +392,17 @@ impl Engine {
         );
 
         // ── Open ────────────────────────────────────────────────────
-        // What every worker shares; the one hasher of the hot path (each
-        // ingest unit digests every packet of its sub-stream exactly
-        // once with it; shards and their identically-seeded FlowCaches
-        // reuse the digest instead of re-hashing) and the finish line
-        // that makes the end-of-stream log apply deterministic (see
-        // `ShardWorker::finish`).
+        // What every worker shares, among it the one hasher of the hot
+        // path: each ingest unit digests every packet of its sub-stream
+        // exactly once with it; shards and their identically-seeded
+        // FlowCaches reuse the digest instead of re-hashing.
         let setup = ShardSetup {
             log: Arc::new(ControlLog::new()),
+            shards: n,
             host_processed: self.registry.counter("runtime.host.processed", &[]),
             enforce_verdicts: cfg.enforce_verdicts,
             hasher: FlowHasher::new(cfg.hash_seed),
             burst: cfg.cache_burst,
-            finish_line: Arc::new(Barrier::new(n)),
         };
         // Every thread's clock: the stage histograms, this segment's
         // sampling phase and — with a tracer attached and a non-zero
@@ -474,7 +472,7 @@ impl Engine {
             };
             let (counters, hooks) = (counters[i].clone(), plane.shard_hooks[i].take());
             let obs = ShardObs { flight, clock };
-            ShardWorker::new(&setup, flow, escalation, counters, hooks, obs)
+            ShardWorker::new(i, &setup, flow, escalation, counters, hooks, obs)
         };
         let pacer = Pacer::resolve(pace, source.len());
         let units = Units {
@@ -673,12 +671,7 @@ impl Engine {
         let streams = split_streams(source, u.queues.len(), &hasher, assign);
         let start = Instant::now();
         let ends: Vec<IngestEnd<S::Out>> = std::thread::scope(|scope| {
-            // Build every unit — so register every fused worker's log
-            // reader — *before* spawning any thread: a fused core starts
-            // publishing triage verdicts the moment it runs, and a
-            // reader registered after the log has compacted past the
-            // early publications would silently miss that prefix.
-            let mut built = Vec::with_capacity(streams.len());
+            let mut handles = Vec::with_capacity(streams.len());
             for (i, stream) in streams.into_iter().enumerate() {
                 // Wire mode: each unit owns a frame pool (the software
                 // RX ring) sized to the largest frame in the store; it
@@ -709,25 +702,19 @@ impl Engine {
                     sink: sink(i, flight.clone(), u.clocks.thread(&thread)),
                     flight,
                 };
-                built.push((thread, ingest, stream, frames));
-            }
-            let handles: Vec<_> = built
-                .into_iter()
-                .enumerate()
-                .map(|(i, (thread, ingest, stream, frames))| {
-                    std::thread::Builder::new()
-                        .name(thread)
-                        .spawn_scoped(scope, move || {
-                            if let Some(pinned) = pinned {
-                                if smartwatch_snic::pin_current_thread(i) {
-                                    pinned.inc();
-                                }
+                let handle = std::thread::Builder::new()
+                    .name(thread)
+                    .spawn_scoped(scope, move || {
+                        if let Some(pinned) = pinned {
+                            if smartwatch_snic::pin_current_thread(i) {
+                                pinned.inc();
                             }
-                            ingest.run(source, stream, hasher, frames)
-                        })
-                        .expect("spawn ingest thread")
-                })
-                .collect();
+                        }
+                        ingest.run(source, stream, hasher, frames)
+                    })
+                    .expect("spawn ingest thread");
+                handles.push(handle);
+            }
             handles
                 .into_iter()
                 .map(|h| h.join().expect("ingest thread panicked"))

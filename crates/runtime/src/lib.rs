@@ -21,8 +21,8 @@
 //!   Both halves move values through a slot by exchange, so the ring is
 //!   also the batch buffers' return path: a lane holds
 //!   `queue_batches + 2` of them and needs no pool beside it.
-//! * [`control`] — the epoch-stamped verdict log fanning host decisions
-//!   back to every shard at batch boundaries. Bounded: the applied
+//! * [`control`] — the epoch-stamped verdict log taking host decisions
+//!   to each flow's shard at batch boundaries. Bounded: the applied
 //!   prefix compacts away once every registered reader is past it.
 //! * [`books`] — where every offered packet's trip ended: the
 //!   [`Disposition`] enum, the [`Count`] name table and the one

@@ -38,12 +38,12 @@ use crate::obs::{Clock, Stage};
 use smartwatch_control::{ModeCell, SnapshotReader, SteeringSnapshot};
 use smartwatch_core::{DetectorSuite, HostNeed};
 use smartwatch_host::{HostNf, Verdict};
-use smartwatch_net::{AgingDigestSet, BuildDigestHasher, FlowDigest, FlowHasher};
+use smartwatch_net::hash::shard_for_digest;
+use smartwatch_net::{AgingDigestSet, FlowDigest, FlowHasher};
 use smartwatch_snic::{CachePublisher, CacheStats, FlowCache, FlowCacheConfig, TableStats};
 use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Registry};
-use std::collections::HashMap;
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The shard's ingest lane: the consumer half of the dispatcher's SPSC
@@ -75,7 +75,7 @@ impl LaneRx {
 
 /// The shard side of an attached control plane: the live mode cell the
 /// controller writes, the steering snapshot reader, and the channel
-/// heavy-hitter candidates flush through. Absent when the engine runs
+/// heavy-hitter candidates go through. Absent when the engine runs
 /// without a controller.
 pub(crate) struct ControlHooks {
     /// Controller's Algorithm 4 decision for this shard; applied to the
@@ -83,9 +83,9 @@ pub(crate) struct ControlHooks {
     pub mode: Arc<ModeCell>,
     /// RCU reader over the published steering table.
     pub steer: SnapshotReader<SteeringSnapshot>,
-    /// Sampled heavy-hitter candidates `(digest, estimated packets)`
-    /// flow controller-ward through here (bounded; drops are fine —
-    /// a real heavy hitter re-qualifies next flush).
+    /// Heavy-hitter candidates `(digest, packets)` go controller-ward
+    /// through here, one per [`HEAVY_QUANTUM`] crossing (bounded; a full
+    /// channel drops the report and that quantum goes uncounted).
     pub heavy_tx: SyncSender<(u64, u64)>,
 }
 
@@ -177,13 +177,10 @@ pub(crate) struct ShardEndState {
     pub burst_pkts: u64,
 }
 
-/// Count 1 packet in 16 toward the heavy-hitter candidates: dense
-/// enough for stable hitter estimates, sparse enough to stay off a
-/// 64-byte-packet pipeline's budget. It estimates counts; it times
-/// nothing.
-const HEAVY_SAMPLE_MASK: u64 = 0xF;
-/// Scale a 1-in-16 sampled count back to an estimated packet count.
-const HEAVY_SAMPLE_SCALE: u64 = 16;
+/// A shard with a controller reports `(digest, HEAVY_QUANTUM)` at each
+/// packet that brings the flow's FlowCache record count to a multiple
+/// of this (DESIGN.md "One copy per flow").
+const HEAVY_QUANTUM: u64 = 16;
 
 /// Verdict-set bounds: capacity plus a TTL in *batch* counts (the
 /// shard's own monotone clock). At 64-packet batches, 8192 batches is
@@ -193,11 +190,6 @@ const VERDICT_SET_CAPACITY: usize = 65_536;
 const VERDICT_TTL_BATCHES: u64 = 8192;
 /// Run the TTL sweep every this many batches.
 const SWEEP_EVERY_BATCHES: u64 = 256;
-/// Flush sampled heavy-hitter counts controller-ward every this many
-/// batches.
-const HEAVY_FLUSH_BATCHES: u64 = 64;
-/// Minimum sampled count for a digest to be worth reporting.
-const HEAVY_MIN_SAMPLES: u64 = 4;
 
 /// Plain-integer accumulator for one batch, flushed into the shared
 /// atomic [`ShardCounters`] exactly once per batch — collapsing what
@@ -223,15 +215,12 @@ pub(crate) struct FlowState {
     /// parked with the cache, whose cumulative tallies it tracks.
     cache_books: CachePublisher,
     pub suite: DetectorSuite,
-    /// Digest-keyed (identity-hashed) verdict sets: membership is one
-    /// u64 probe instead of a SipHash over the 13-byte 5-tuple. TTL'd
-    /// and capacity-bounded so a long-running shard never accumulates
-    /// every verdict it has ever seen.
+    /// Digest-keyed (identity-hashed) verdict sets of the shard's own
+    /// flows: membership is one u64 probe instead of a SipHash over the
+    /// 13-byte 5-tuple. TTL'd and capacity-bounded so a long-running
+    /// shard never accumulates every verdict it has ever seen.
     blacklist: AgingDigestSet,
     whitelist: AgingDigestSet,
-    /// Sampled per-digest packet counts since the last heavy flush
-    /// (bounded by the flush period, so it needs no shrink rule).
-    heavy_counts: HashMap<u64, u64, BuildDigestHasher>,
     local: LocalBatchStats,
     /// A fused core's staging buffer (unallocated on a pipeline shard):
     /// like `local`, here only so it is parked with the shard and a
@@ -273,7 +262,6 @@ impl FlowState {
             suite: DetectorSuite::with_hasher(FlowHasher::new(cfg.hash_seed)),
             blacklist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             whitelist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
-            heavy_counts: HashMap::default(),
             local: LocalBatchStats::default(),
             stage: Vec::new(),
             triage: TriageNf::new(cfg.triage_threshold),
@@ -291,7 +279,6 @@ impl FlowState {
         self.suite.reset();
         self.blacklist.reset();
         self.whitelist.reset();
-        self.heavy_counts.clear();
         self.local = LocalBatchStats::default();
         self.triage.reset();
     }
@@ -319,6 +306,9 @@ impl FlowState {
 #[derive(Clone)]
 pub(crate) struct ShardSetup {
     pub log: Arc<ControlLog>,
+    /// Shards in the engine: a flow's verdict applies on the one
+    /// `shard_for_digest` maps it to.
+    pub shards: usize,
     /// Escalations handled inline count into the same pool counter.
     pub host_processed: Counter,
     pub enforce_verdicts: bool,
@@ -331,17 +321,13 @@ pub(crate) struct ShardSetup {
     /// per-packet decision sequence is identical because the prefetch is
     /// architecturally inert.
     pub burst: usize,
-    /// End-of-stream finish line shared by all shard workers of a run.
-    /// With inline triage every verdict publisher *is* a shard, so
-    /// waiting here before polling the final log tail guarantees each
-    /// shard applies the complete log — `ctrl_applied` and the verdict
-    /// sets become deterministic regardless of which worker (pipeline
-    /// shard or fused RTC core) reaches end-of-stream first.
-    pub finish_line: Arc<Barrier>,
 }
 
 /// The per-thread shard state.
 pub(crate) struct ShardWorker {
+    /// This shard's index: the flows `shard_for_digest` maps here are
+    /// the ones it owns.
+    shard: usize,
     pub setup: ShardSetup,
     /// The shard's per-flow memory, on loan from the engine's garage
     /// for this segment; `finish` hands it back.
@@ -364,12 +350,12 @@ pub(crate) struct ShardWorker {
     reader: LogReader,
     /// Batches consumed — the monotone clock the aging sets tick on.
     batches: u64,
-    seen: u64,
     last_ts: smartwatch_net::Ts,
 }
 
 impl ShardWorker {
     pub(crate) fn new(
+        shard: usize,
         setup: &ShardSetup,
         flow: FlowState,
         escalation: Escalation,
@@ -378,6 +364,7 @@ impl ShardWorker {
         obs: ShardObs,
     ) -> ShardWorker {
         ShardWorker {
+            shard,
             reader: setup.log.reader(),
             setup: setup.clone(),
             cache_base: flow.cache.stats(),
@@ -389,7 +376,6 @@ impl ShardWorker {
             hooks,
             obs,
             batches: 0,
-            seen: 0,
             last_ts: smartwatch_net::Ts::ZERO,
         }
     }
@@ -443,19 +429,15 @@ impl ShardWorker {
         Some(now)
     }
 
-    /// Stop-marker tail: apply the last verdicts, flush heavy-hitter
-    /// samples, run the detectors' end-of-trace sweep, release the log
-    /// reader, and freeze the end state. `pub(crate)` because the
+    /// Stop-marker tail: apply the last verdicts, run the detectors'
+    /// end-of-trace sweep, release the log reader, and freeze the end
+    /// state. With inline triage the shard itself is the only publisher
+    /// of verdicts for its flows, so this last poll is complete without
+    /// waiting for any sibling. `pub(crate)` because the
     /// run-to-completion cores drive the worker directly (no lanes) and
     /// close it out themselves at end of stream.
     pub(crate) fn finish(mut self) -> (ShardEndState, FlowState) {
-        // Wait for every sibling worker to reach end-of-stream before
-        // polling the final tail: inline-triage publishers are all
-        // quiesced past this line, so the tail is the *complete* log
-        // and the apply below is deterministic.
-        self.setup.finish_line.wait();
         self.apply_control();
-        self.flush_heavy();
         let final_alerts = self.flow.suite.finish(self.last_ts);
         self.counters.counts[Count::Alerts].add(final_alerts.len() as u64);
         // Stop pinning the verdict log's buffer.
@@ -495,53 +477,39 @@ impl ShardWorker {
             self.flow.blacklist.sweep(now);
             self.flow.whitelist.sweep(now);
         }
-        if self.hooks.is_some() && self.batches.is_multiple_of(HEAVY_FLUSH_BATCHES) {
-            self.flush_heavy();
-        }
     }
 
-    /// Push sampled heavy-hitter candidates controller-ward. Lossy by
-    /// design: a full channel just means this flush's estimates are
-    /// stale — a real heavy hitter re-qualifies on the next one.
-    fn flush_heavy(&mut self) {
-        if self.flow.heavy_counts.is_empty() {
-            return;
-        }
-        if let Some(h) = &self.hooks {
-            for (&digest, &count) in self.flow.heavy_counts.iter() {
-                if count >= HEAVY_MIN_SAMPLES {
-                    let _ = h.heavy_tx.try_send((digest, count * HEAVY_SAMPLE_SCALE));
-                }
-            }
-        }
-        self.flow.heavy_counts.clear();
-    }
-
+    /// Apply the verdicts published since the last poll that are this
+    /// shard's: a flow's verdict on the shard that owns the flow, a
+    /// verdict with no flow on shard 0. Every other shard skips it.
     fn apply_control(&mut self) {
         let tail = self.setup.log.poll(&self.reader);
         if tail.is_empty() {
             return;
         }
-        self.counters.counts[Count::CtrlApplied].add(tail.len() as u64);
         let now = self.batches;
         for v in tail {
             match v {
-                Verdict::Blacklist(k) => {
+                Verdict::Blacklist(k) | Verdict::Whitelist(k) => {
                     let (canon, digest) = self.setup.hasher.digest_symmetric(&k);
+                    if shard_for_digest(digest, self.setup.shards) != self.shard {
+                        continue;
+                    }
                     // The host is done with this flow — release the pin
                     // so the record becomes evictable again.
                     self.flow.cache.unpin(&canon);
-                    self.flow.blacklist.insert(digest.0, now);
-                    self.flow.whitelist.remove(&digest.0);
+                    if matches!(v, Verdict::Blacklist(_)) {
+                        self.flow.blacklist.insert(digest.0, now);
+                        self.flow.whitelist.remove(&digest.0);
+                    } else {
+                        self.flow.whitelist.insert(digest.0, now);
+                    }
                 }
-                Verdict::Whitelist(k) => {
-                    let (canon, digest) = self.setup.hasher.digest_symmetric(&k);
-                    self.flow.cache.unpin(&canon);
-                    self.flow.whitelist.insert(digest.0, now);
-                }
+                _ if self.shard != 0 => continue,
                 Verdict::Alert(_) => self.counters.counts[Count::Alerts].inc(),
                 Verdict::Drop => {}
             }
+            self.counters.counts[Count::CtrlApplied].inc();
         }
     }
 
@@ -617,21 +585,20 @@ impl ShardWorker {
         self.last_ts = self.last_ts.max(pkt.ts);
         if self.setup.enforce_verdicts && self.flow.blacklist.contains(&dp.digest.0) {
             self.flow.local.tally.record(Disposition::VerdictDrop, 1);
-            self.seen += 1;
             return;
-        }
-        let heavy = self.seen & HEAVY_SAMPLE_MASK == 0;
-        self.seen += 1;
-        if heavy && self.hooks.is_some() {
-            // Sampled heavy-hitter estimate; flushed controller-ward
-            // every HEAVY_FLUSH_BATCHES batches.
-            *self.flow.heavy_counts.entry(dp.digest.0).or_insert(0) += 1;
         }
 
         // Stage 1: FlowCache update (digest reused — no re-hash).
         let access = self.flow.cache.process_digested(pkt, &dp.canon, dp.digest);
         self.obs.clock.lap(lap, Stage::Cache);
         self.end.probe_hist[(access.probes as usize).min(PROBE_HIST_SLOTS - 1)] += 1;
+        // The flow's record crossed a heavy-hitter quantum (a `ToHost`
+        // access touched no record: count 0).
+        if let Some(h) = &self.hooks {
+            if access.packets > 0 && access.packets.is_multiple_of(HEAVY_QUANTUM) {
+                let _ = h.heavy_tx.try_send((dp.digest.0, HEAVY_QUANTUM));
+            }
+        }
 
         // Whitelisted flows skip the detector suite — the wall-clock
         // analogue of the switch no longer steering them. Either the
@@ -699,6 +666,7 @@ impl ShardWorker {
 mod tests {
     use super::*;
     use crate::obs::{Clocks, PERIOD};
+    use smartwatch_control::SnapshotCell;
     use smartwatch_net::{FlowKey, PacketBuilder, Ts};
     use smartwatch_telemetry::{FlightRecorder, Registry};
     use std::net::Ipv4Addr;
@@ -714,13 +682,14 @@ mod tests {
         cache_cfg.cache_row_bits = 6;
         let setup = ShardSetup {
             log: Arc::new(ControlLog::new()),
+            shards: 1,
             host_processed: Counter::detached(),
             enforce_verdicts: true,
             hasher: hasher(),
             burst: 8,
-            finish_line: Arc::new(Barrier::new(1)),
         };
         ShardWorker::new(
+            0,
             &setup,
             FlowState::new(&cache_cfg, &reg, 0),
             escalation,
@@ -733,17 +702,73 @@ mod tests {
         )
     }
 
-    /// SSH from one source, client port `40_000 + i`.
-    fn ssh(i: u16) -> DigestedPacket {
+    /// TCP from 203.0.113.7 port `sport` to 10.0.0.1 port `dport`, at
+    /// `ns` nanoseconds.
+    fn tcp(sport: u16, dport: u16, ns: u64) -> DigestedPacket {
         let key = FlowKey::tcp(
             Ipv4Addr::new(203, 0, 113, 7),
-            40_000 + i,
+            sport,
             Ipv4Addr::new(10, 0, 0, 1),
-            22,
+            dport,
         );
-        let pkt = PacketBuilder::new(key, Ts::from_nanos(u64::from(i))).build();
+        let pkt = PacketBuilder::new(key, Ts::from_nanos(ns)).build();
         let (canon, digest) = hasher().digest_symmetric(&key);
         DigestedPacket { pkt, canon, digest }
+    }
+
+    /// SSH from one source, client port `40_000 + i`.
+    fn ssh(i: u16) -> DigestedPacket {
+        tcp(40_000 + i, 22, u64::from(i))
+    }
+
+    /// Feed `pkts` in 64-packet batches, as a lane would.
+    fn feed(w: &mut ShardWorker, pkts: &[DigestedPacket]) {
+        for batch in pkts.chunks(64) {
+            w.control_tick();
+            w.process_group(batch, None);
+        }
+    }
+
+    /// A flow's heavy-hitter reports are its FlowCache record crossing
+    /// multiples of the quantum: once hooked, every crossing sends one
+    /// `(digest, Q)` — none while the worker has no controller, and none
+    /// for a packet no record took (`ToHost`).
+    #[test]
+    fn a_flow_reports_one_quantum_per_crossing_of_its_record() {
+        let flight = FlightRecorder::new(64);
+        let mut w = worker(Escalation::Inline, &flight);
+        // HTTPS: flows the suite never escalates.
+        let web = |port| tcp(port, 443, 1_000);
+        let (flow, other) = (web(50_000), web(50_001));
+        feed(&mut w, &vec![flow; 20]);
+        let (heavy_tx, rx) = std::sync::mpsc::sync_channel(1 << 12);
+        w.hooks = Some(ControlHooks {
+            mode: Arc::default(),
+            steer: Arc::new(SnapshotCell::new(SteeringSnapshot::empty())).reader(),
+            heavy_tx,
+        });
+        feed(&mut w, &vec![flow; 1_000]);
+        let q = HEAVY_QUANTUM as usize;
+        let want = vec![(flow.digest.0, HEAVY_QUANTUM); 1_020 / q - 20 / q];
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), want);
+
+        // Fill `other`'s row with pinned records: its packets then go to
+        // the host, and no record counts them.
+        let bits = w.flow.cache.config().row_bits;
+        let rowmates: Vec<DigestedPacket> = (1..)
+            .map(web)
+            .filter(|dp| dp.digest.row(bits) == other.digest.row(bits) && dp.digest != other.digest)
+            .take(w.flow.cache.config().buckets_per_row)
+            .collect();
+        feed(&mut w, &rowmates);
+        for dp in &rowmates {
+            w.flow.cache.pin(&dp.canon);
+        }
+        let to_host = w.flow.cache.stats().to_host;
+        feed(&mut w, &vec![other; 64]);
+        assert_eq!(w.flow.cache.stats().to_host - to_host, 64);
+        assert_eq!(rx.try_iter().count(), 0, "a ToHost packet reports nothing");
+        assert_eq!(w.counters.counts[Count::Escalated].get(), 0);
     }
 
     /// The shard ring's events of one kind.
@@ -804,8 +829,7 @@ mod tests {
             .setup
             .log
             .publish(Verdict::Blacklist(batch[0].pkt.key));
-        worker.control_tick();
-        worker.process_group(&batch, None);
+        feed(&mut worker, &batch);
 
         let books = worker.counters.counts.snapshot();
         assert_eq!(books.fate(Disposition::VerdictDrop), 64);

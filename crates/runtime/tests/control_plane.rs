@@ -8,14 +8,15 @@
 //! machine dispatches well above the spike threshold and well below the
 //! recovery threshold.
 
-use smartwatch_net::{Dur, Packet};
+use smartwatch_net::{Dur, FlowKey, Packet, PacketBuilder, Ts};
 use smartwatch_runtime::{
     AdminCmd, ControlConfig, ControlEvent, ControlReport, Count, DatapathMode, Engine,
-    EngineConfig, Pace,
+    EngineConfig, EngineReport, Pace,
 };
 use smartwatch_snic::Mode;
 use smartwatch_telemetry::FlightKind;
 use smartwatch_trace::background::{preset_trace, Preset};
+use std::net::Ipv4Addr;
 
 fn workload(total: usize) -> Vec<Packet> {
     let base = preset_trace(Preset::Caida2018, 400, Dur::from_millis(500), 23).into_packets();
@@ -387,6 +388,66 @@ fn no_phantom_first_epoch() {
         );
         epochs = ctrl.epochs;
     }
+}
+
+/// A paced one-shard run where heavy-hitter promotion is all the
+/// controller can reach: 0.2 Mpps against 5 ms epochs (1 000 packets an
+/// epoch) and a threshold of 100 packets an epoch. With `elephant`,
+/// every fourth packet is one benign web flow — 250 an epoch — and the
+/// rest spread over 1 000 web mice, at most 40 packets each in the
+/// whole run.
+fn promotion_run(elephant: bool) -> EngineReport {
+    let packets: Vec<Packet> = (0..40_000u32)
+        .map(|i| {
+            let port = if elephant && i % 4 == 0 {
+                1
+            } else {
+                1_000 + (i % 1_000) as u16
+            };
+            let key = FlowKey::tcp(
+                Ipv4Addr::new(192, 0, 2, 1),
+                port,
+                Ipv4Addr::new(198, 51, 100, 1),
+                443,
+            );
+            PacketBuilder::new(key, Ts::from_micros(5 * u64::from(i))).build()
+        })
+        .collect();
+    let ctrl = ControlConfig {
+        epoch_ms: 5,
+        promote_pkts_per_epoch: 100,
+        ..inert_control()
+    };
+    let report =
+        Engine::new(EngineConfig::new(1).with_control(ctrl)).run(&packets, Pace::RateMpps(0.2));
+    assert!(report.conserved(), "{:?}", report.shards);
+    report
+}
+
+#[test]
+fn a_benign_elephant_is_promoted_and_mice_are_not() {
+    // Its FlowCache record crosses the heavy-hitter quantum ~15 times an
+    // epoch, so the controller sees ~250 packets in every epoch: two
+    // epochs in, the flow is whitelisted and its packets skip the
+    // detectors. Expected fast-path share ≈ 9 000 of its 10 000; a
+    // quarter is asserted.
+    let report = promotion_run(true);
+    let ctrl = report.control.as_ref().expect("controller ran");
+    assert!(
+        ctrl.whitelist_promotions >= 1,
+        "no promotion in {} epochs",
+        ctrl.epochs
+    );
+    let fast = report.total(Count::FastPath);
+    assert!(
+        (2_500..=10_000).contains(&fast),
+        "{fast} fast-path packets of the elephant's 10 000"
+    );
+
+    let mice = promotion_run(false);
+    let ctrl = mice.control.as_ref().expect("controller ran");
+    assert_eq!(ctrl.whitelist_promotions, 0, "mice were promoted");
+    assert_eq!(mice.total(Count::FastPath), 0);
 }
 
 /// What a controller rebuilt per segment got wrong, one row each. All

@@ -151,23 +151,28 @@ fn rtc_is_byte_identical_to_pipeline_on_pcap_replay() {
     }
 }
 
+/// The hostile replay's inline-triage shape at `shards` shards.
+fn hostile_cfg(shards: usize, datapath: DatapathMode) -> EngineConfig {
+    let mut cfg = EngineConfig::new(shards);
+    cfg.host_workers = 0;
+    cfg.triage_threshold = 8;
+    cfg.datapath = datapath;
+    cfg
+}
+
 #[test]
 fn rtc_matches_pipeline_under_hostile_traffic_and_verdicts() {
     // Escalations, inline triage verdicts, blacklist enforcement: the
     // full prevention loop must be decision-identical when fused.
     let packets = hostile_workload(30_000);
     for shards in [1usize, 2] {
-        let run = |e: &Engine| {
-            let r = e.run(&packets, Pace::Flatout);
+        let run = |datapath| {
+            let r = Engine::new(hostile_cfg(shards, datapath)).run(&packets, Pace::Flatout);
             assert!(r.conserved());
             r
         };
-        let mut cfg = EngineConfig::new(shards);
-        cfg.host_workers = 0;
-        cfg.triage_threshold = 8;
-        let pipeline = run(&Engine::new(cfg.clone()));
-        cfg.datapath = DatapathMode::Rtc;
-        let rtc = run(&Engine::new(cfg));
+        let pipeline = run(DatapathMode::Pipeline);
+        let rtc = run(DatapathMode::Rtc);
         assert_equivalent(&pipeline, &rtc, &format!("hostile shards={shards}"));
         assert!(
             rtc.verdicts_published > 0,
@@ -177,6 +182,44 @@ fn rtc_matches_pipeline_under_hostile_traffic_and_verdicts() {
             rtc.total(Count::VerdictDropped) > 0,
             "blacklist verdicts must drop packets in RTC mode too"
         );
+    }
+}
+
+#[test]
+fn a_verdict_applies_once_on_the_shard_that_owns_its_flow() {
+    // Each flow's verdicts apply on the one shard that owns the flow, so
+    // at four shards the shards' applied verdicts and blacklist entries
+    // add up to what was published — not four times it.
+    let packets = hostile_workload(30_000);
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
+        let r = Engine::new(hostile_cfg(4, datapath)).run(&packets, Pace::Flatout);
+        assert!(r.conserved(), "{datapath:?}");
+        let appliers = r.shards.iter().filter(|s| s.counts[Count::CtrlApplied] > 0);
+        assert!(appliers.count() >= 2, "{datapath:?}: one shard's verdicts");
+        let blacklisted: u64 = r.shards.iter().map(|s| s.blacklisted).sum();
+        assert!(r.verdicts_published > 0, "{datapath:?}");
+        assert_eq!(
+            (blacklisted, r.total(Count::CtrlApplied)),
+            (r.verdicts_published, r.verdicts_published),
+            "{datapath:?}"
+        );
+    }
+}
+
+#[test]
+fn repeated_four_core_runs_decide_alike_without_a_finish_line() {
+    // A shard's inline triage is the only publisher of its flows'
+    // verdicts, so its last log poll is complete the moment it reaches
+    // end of stream: no sibling needs waiting for. Twenty fused
+    // four-core runs are byte-identical, and equal to the pipeline.
+    let packets = hostile_workload(30_000);
+    let summary = |datapath| {
+        let r = Engine::new(hostile_cfg(4, datapath)).run(&packets, Pace::Flatout);
+        r.deterministic_summary()
+    };
+    let pipeline = summary(DatapathMode::Pipeline);
+    for run in 0..20 {
+        assert_eq!(summary(DatapathMode::Rtc), pipeline, "run {run}");
     }
 }
 

@@ -264,6 +264,7 @@ pub fn simulate_instrumented(
                 writes: 0,
                 ring_pushes: 0,
                 cleaned_row: false,
+                packets: 0,
             };
             let busy = f64::from(cfg.costs.pipeline) / (cfg.hw.clock_ghz * cfg.hw.perf_factor);
             (a, busy, 0.0)

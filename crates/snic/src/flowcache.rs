@@ -248,6 +248,9 @@ pub struct Access {
     /// True if this access had to clean a dirty row first (General→Lite
     /// transition work happening lazily on the data path).
     pub cleaned_row: bool,
+    /// The touched record's packet count after this access (0 for
+    /// [`Outcome::ToHost`]: no record was touched).
+    pub packets: u64,
 }
 
 /// The cache's books: one plain tally per event, bumped in place by the
@@ -552,7 +555,8 @@ impl FlowCache {
             }
             if let Some(rec) = self.slot(row, b) {
                 if rec.matches(&canon) {
-                    self.slot_mut(row, b)
+                    let packets = self
+                        .slot_mut(row, b)
                         .as_mut()
                         .expect("checked above")
                         .update(pkt.ts, pkt.wire_len);
@@ -563,6 +567,7 @@ impl FlowCache {
                         writes: 1,
                         ring_pushes: 0,
                         cleaned_row: cleaned,
+                        packets,
                     };
                 }
             }
@@ -576,7 +581,8 @@ impl FlowCache {
             }
             if let Some(rec) = self.slot(row, b) {
                 if rec.matches(&canon) {
-                    self.slot_mut(row, b)
+                    let packets = self
+                        .slot_mut(row, b)
                         .as_mut()
                         .expect("checked above")
                         .update(pkt.ts, pkt.wire_len);
@@ -597,6 +603,7 @@ impl FlowCache {
                         writes,
                         ring_pushes: 0,
                         cleaned_row: cleaned,
+                        packets,
                     };
                 }
             }
@@ -619,6 +626,7 @@ impl FlowCache {
                 writes: 1,
                 ring_pushes: 0,
                 cleaned_row: cleaned,
+                packets: 1,
             };
         }
 
@@ -632,6 +640,7 @@ impl FlowCache {
                 writes: 0,
                 ring_pushes: 0,
                 cleaned_row: cleaned,
+                packets: 0,
             };
         };
 
@@ -684,6 +693,7 @@ impl FlowCache {
             writes,
             ring_pushes,
             cleaned_row: cleaned,
+            packets: 1,
         }
     }
 

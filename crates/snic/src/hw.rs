@@ -226,6 +226,7 @@ mod tests {
             writes: 1,
             ring_pushes: 0,
             cleaned_row: false,
+            packets: 0,
         }
     }
 
@@ -236,6 +237,7 @@ mod tests {
             writes,
             ring_pushes: rings,
             cleaned_row: false,
+            packets: 0,
         }
     }
 

@@ -62,11 +62,12 @@ impl FlowRecord {
         self.key == *key
     }
 
-    /// Fold one more packet into the record.
-    pub fn update(&mut self, ts: Ts, wire_len: u16) {
+    /// Fold one more packet into the record; its packet count after.
+    pub fn update(&mut self, ts: Ts, wire_len: u16) -> u64 {
         self.packets += 1;
         self.bytes += u64::from(wire_len);
         self.last_ts = ts;
+        self.packets
     }
 
     /// Merge another record for the same flow (host-side aggregation of

@@ -1,11 +1,10 @@
-//! The wall-clock engine's decision stream against the committed goldens.
+//! The wall-clock engine's decision stream against the committed golden.
 //!
-//! `ci/golden_engine_summary.txt` (pipeline) and
-//! `ci/golden_engine_summary_rtc.txt` (run-to-completion) are what CI
-//! diffs `repro engine --shards 1 --host-workers 0 --packets 100000
-//! --workload stress64 --summary-out …` against. This test drives the
-//! same shape through both thread topologies from the tier-1 suite, so
-//! `cargo test -q` fails when a change moves one decision.
+//! `ci/golden_engine_summary.txt` is what CI diffs `repro engine
+//! --shards 1 --host-workers 0 --packets 100000 --workload stress64
+//! --summary-out …` against, on both datapaths: the thread topology
+//! moves no decision. This test drives the same shape through both from
+//! the tier-1 suite, so `cargo test -q` fails when a change moves one.
 
 use smartwatch::net::{Dur, Packet};
 use smartwatch::runtime::{DatapathMode, Engine, EngineConfig, Pace};
@@ -24,16 +23,8 @@ fn stress64(packets: usize) -> Vec<Packet> {
 #[test]
 fn pipeline_and_rtc_reproduce_the_committed_goldens() {
     let pkts = stress64(100_000);
-    for (datapath, golden) in [
-        (
-            DatapathMode::Pipeline,
-            include_str!("../ci/golden_engine_summary.txt"),
-        ),
-        (
-            DatapathMode::Rtc,
-            include_str!("../ci/golden_engine_summary_rtc.txt"),
-        ),
-    ] {
+    let golden = include_str!("../ci/golden_engine_summary.txt");
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
         // One shard with inline triage is bit-deterministic.
         let mut cfg = EngineConfig::new(1);
         cfg.datapath = datapath;

@@ -69,8 +69,8 @@ fn every_cell_of_the_ingest_matrix_holds() {
         };
 
         // Flat-out. Inline triage is bit-deterministic at any shard
-        // count: the shards meet at the finish line before the last
-        // verdicts apply.
+        // count: a shard's own triage publishes its flows' verdicts, so
+        // its last poll needs no sibling.
         let report = engine(EngineConfig::deterministic()).run_source(source, Pace::Flatout);
         assert_balanced(label, &report);
         assert_eq!(report.offered, PACKETS as u64, "{label}");

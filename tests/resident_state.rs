@@ -2,7 +2,7 @@
 //! detector tables once, on its first segment, and every later segment
 //! runs on that same memory after an in-place reset. The reset must be
 //! exact — segment N decides precisely what segment 1 decided, which is
-//! what the committed goldens say — in both thread topologies and both
+//! what the committed golden says — in both thread topologies and both
 //! packet representations, and what stays parked must neither exist
 //! before the first segment nor grow after the second.
 
@@ -12,7 +12,7 @@ use smartwatch::trace::background::{preset_trace, Preset};
 
 const SEGMENTS: usize = 5;
 
-/// The goldens' shape (see `tests/engine_golden.rs`).
+/// The golden's shape (see `tests/engine_golden.rs`).
 fn stress64(packets: usize) -> Vec<Packet> {
     let base = preset_trace(Preset::Caida2018, 25_000, Dur::from_secs(4), 0xE1)
         .truncated_64b()
@@ -24,16 +24,8 @@ fn stress64(packets: usize) -> Vec<Packet> {
 fn every_segment_of_a_resident_engine_repeats_the_first() {
     let packets = stress64(100_000);
     let store = FrameStore::from_packets(&packets);
-    for (datapath, golden) in [
-        (
-            DatapathMode::Pipeline,
-            include_str!("../ci/golden_engine_summary.txt"),
-        ),
-        (
-            DatapathMode::Rtc,
-            include_str!("../ci/golden_engine_summary_rtc.txt"),
-        ),
-    ] {
+    let golden = include_str!("../ci/golden_engine_summary.txt");
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
         for wire in [false, true] {
             let label = format!("{datapath:?}, wire {wire}");
             // One shard with inline triage is bit-deterministic.
