@@ -5,11 +5,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smartwatch_bench::workloads;
 use smartwatch_net::{FlowHasher, Packet};
-use smartwatch_snic::concurrent::ConcurrentCache;
 use smartwatch_snic::cuckoo::CuckooTable;
 use smartwatch_snic::{Access, CachePolicy, FlowCache, FlowCacheConfig, Mode, BURST};
 use smartwatch_trace::background::Preset;
-use std::sync::Arc;
 
 fn bench_flowcache(c: &mut Criterion) {
     let pkts = workloads::caida_64b(Preset::Caida2018, 1, 7).into_packets();
@@ -201,45 +199,10 @@ fn bench_cuckoo_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_concurrent_cache(c: &mut Criterion) {
-    // Multi-threaded wall-clock throughput of the Algorithm-2 cache: the
-    // real-atomics counterpart of the deterministic DES numbers.
-    let pkts = workloads::caida_64b(Preset::Caida2018, 1, 7).into_packets();
-    let hasher = FlowHasher::new(0x51CC);
-    let digests: Arc<Vec<u64>> = Arc::new(
-        pkts.iter()
-            .map(|p| hasher.hash_symmetric(&p.key).0.max(1))
-            .collect(),
-    );
-    let mut g = c.benchmark_group("concurrent_cache");
-    for threads in [1usize, 4, 8] {
-        g.throughput(Throughput::Elements(digests.len() as u64));
-        g.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| {
-                let cache = Arc::new(ConcurrentCache::new(12));
-                let chunk = digests.len() / threads + 1;
-                std::thread::scope(|s| {
-                    for t in 0..threads {
-                        let cache = Arc::clone(&cache);
-                        let digests = Arc::clone(&digests);
-                        s.spawn(move || {
-                            for d in digests.iter().skip(t * chunk).take(chunk) {
-                                std::hint::black_box(cache.process_digest(*d));
-                            }
-                        });
-                    }
-                });
-                cache
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_flowcache, bench_batch_vs_scalar, bench_miss_full_row, bench_reset_vs_new,
-        bench_cuckoo_ablation, bench_concurrent_cache
+        bench_cuckoo_ablation
 }
 criterion_main!(benches);

@@ -256,6 +256,9 @@ fn main() {
     if wants("serve") && wants("soak") {
         die("`serve` and `soak` are one service run each; pick one per invocation");
     }
+    if wants("control") {
+        control_spec.validate().unwrap_or_else(|e| die(&e));
+    }
     if runtime_drivers > 0 {
         shape.validate().unwrap_or_else(|e| die(&e));
         signal::install();
@@ -572,7 +575,9 @@ fn natural<T: std::str::FromStr>(v: &str, flag: &str) -> T {
 }
 
 fn mpps(v: &str, flag: &str) -> f64 {
-    parse(v, flag, "a positive Mpps value", |r| *r > 0.0)
+    parse(v, flag, "a positive, finite Mpps value", |r: &f64| {
+        r.is_finite() && *r > 0.0
+    })
 }
 
 fn fraction(v: &str, flag: &str) -> f64 {

@@ -59,6 +59,28 @@ impl Default for ControlRunSpec {
     }
 }
 
+impl ControlRunSpec {
+    /// The spike's own check: a peak above the base rate and a window
+    /// that does not end before it starts. `repro` exits 2 with this
+    /// message instead of reaching [`control_config`]'s or the pacer's
+    /// assert.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.base_mpps >= self.peak_mpps {
+            return Err(format!(
+                "--peak ({}) must exceed --base ({})",
+                self.peak_mpps, self.base_mpps
+            ));
+        }
+        if self.spike_start > self.spike_end {
+            return Err(format!(
+                "--spike-end ({}) must not precede --spike-start ({})",
+                self.spike_end, self.spike_start
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Derive a [`ControlConfig`] whose thresholds bracket the spec's
 /// base/peak rates, so the spike reliably drives Lite (and shedding)
 /// and the calm tail reliably recovers General — on any machine fast

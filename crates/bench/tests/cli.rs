@@ -154,6 +154,30 @@ fn repro_parses_every_flag_of_its_table() {
     assert!(flags >= 30, "the synopsis was found: {flags} flags");
 }
 
+/// Operator input that used to reach an assert (exit 101) exits 2 with
+/// a named error, before any engine is built.
+#[test]
+fn repro_refuses_an_impossible_spike_or_rate_by_name() {
+    for (args, named) in [
+        (
+            &["control", "--base", "3", "--peak", "2"][..],
+            "--peak (2) must exceed --base (3)",
+        ),
+        (
+            &["control", "--spike-start", "0.8", "--spike-end", "0.2"][..],
+            "--spike-end (0.2) must not precede --spike-start (0.8)",
+        ),
+        (
+            &["serve", "--rate", "inf"][..],
+            "--rate needs a positive, finite Mpps value, got \"inf\"",
+        ),
+    ] {
+        let (_, stderr, code) = run_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn repro_soak_with_rtc_soaks_fused_cores() {
     // `soak --datapath rtc` used to drop the flag and soak the pipeline

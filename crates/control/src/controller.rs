@@ -19,7 +19,7 @@
 //!    into the aging whitelist, `Blacklist` inserts into the aging
 //!    blacklist *and* revokes any whitelist entry (blacklist wins).
 //! 3. Promotes sustained heavy hitters: a digest whose reported packets
-//!    clear `promote_pkts_per_epoch` for `promote_epochs` consecutive
+//!    clear `promote_pkts_per_epoch` for `PROMOTE_EPOCHS` (2) consecutive
 //!    epochs joins the whitelist (the paper's benign-elephant
 //!    "hoverboard" steering rule).
 //! 4. Ages both tables (TTL sweep + capacity bound via
@@ -52,7 +52,9 @@ use std::sync::Arc;
 
 /// Tuning knobs for the control loop. The defaults target the software
 /// engine (per-shard Mpps, not the paper's 30 Mpps hardware ceiling) —
-/// construct, then override fields as needed.
+/// construct, then override fields as needed. Each field is a row of
+/// DESIGN.md's knob ledger, which names the test that needs it; the
+/// bounds no caller tuned are the constants below.
 #[derive(Clone, Debug)]
 pub struct ControlConfig {
     /// Wall-clock epoch period in milliseconds (used by the runtime's
@@ -71,27 +73,12 @@ pub struct ControlConfig {
     pub shed_on_mpps: f64,
     /// Aggregate offered rate below which an epoch counts as calm.
     pub shed_off_mpps: f64,
-    /// Escalation-ring backlog (any shard) that also counts as overload.
-    pub shed_backlog: u64,
     /// Consecutive overload (resp. calm) epochs required to enter
     /// (resp. leave) shedding.
     pub shed_sustain_epochs: u32,
     /// Per-epoch packets a digest's reports must sum to, to count
     /// towards heavy-hitter promotion.
     pub promote_pkts_per_epoch: u64,
-    /// Consecutive qualifying epochs before a heavy hitter is promoted
-    /// into the whitelist.
-    pub promote_epochs: u32,
-    /// Whitelist entries untouched for this many epochs expire.
-    pub whitelist_ttl_epochs: u64,
-    /// Blacklist entries untouched for this many epochs expire.
-    pub blacklist_ttl_epochs: u64,
-    /// Hard capacity bound on the whitelist (stalest evicted beyond).
-    pub whitelist_capacity: usize,
-    /// Hard capacity bound on the blacklist.
-    pub blacklist_capacity: usize,
-    /// Bound on the retained event timeline (oldest dropped beyond).
-    pub timeline_capacity: usize,
     /// Bound on the retained per-epoch decision audit ring (oldest
     /// [`DecisionRecord`]s dropped beyond).
     pub decision_capacity: usize,
@@ -106,19 +93,27 @@ impl Default for ControlConfig {
             eta_general_mpps: 1.8,
             shed_on_mpps: 6.0,
             shed_off_mpps: 2.0,
-            shed_backlog: 3072,
             shed_sustain_epochs: 3,
             promote_pkts_per_epoch: 2000,
-            promote_epochs: 2,
-            whitelist_ttl_epochs: 200,
-            blacklist_ttl_epochs: 1000,
-            whitelist_capacity: 65_536,
-            blacklist_capacity: 65_536,
-            timeline_capacity: 4096,
             decision_capacity: 512,
         }
     }
 }
+
+/// Escalation-ring backlog (any shard) that also counts as overload.
+const SHED_BACKLOG: u64 = 3072;
+/// Consecutive qualifying epochs before a heavy hitter is promoted into
+/// the whitelist.
+const PROMOTE_EPOCHS: u32 = 2;
+/// Whitelist entries untouched for this many epochs expire.
+const WHITELIST_TTL_EPOCHS: u64 = 200;
+/// Blacklist entries untouched for this many epochs expire.
+const BLACKLIST_TTL_EPOCHS: u64 = 1000;
+/// Hard capacity bound on either steering table (stalest evicted
+/// beyond).
+const TABLE_CAPACITY: usize = 65_536;
+/// Bound on the retained event timeline (oldest dropped beyond).
+const TIMELINE_CAPACITY: usize = 4096;
 
 /// One shard's telemetry as sampled at an epoch boundary. `offered`,
 /// `processed` and `shed` are *cumulative* counters (the controller
@@ -430,8 +425,8 @@ impl Controller {
         };
         Controller {
             hasher: FlowHasher::new(cfg.hash_seed),
-            whitelist: AgingDigestSet::new(cfg.whitelist_capacity, cfg.whitelist_ttl_epochs),
-            blacklist: AgingDigestSet::new(cfg.blacklist_capacity, cfg.blacklist_ttl_epochs),
+            whitelist: AgingDigestSet::new(TABLE_CAPACITY, WHITELIST_TTL_EPOCHS),
+            blacklist: AgingDigestSet::new(TABLE_CAPACITY, BLACKLIST_TTL_EPOCHS),
             cfg,
             registry,
             counters,
@@ -468,7 +463,7 @@ impl Controller {
 
     fn push_event(&mut self, ev: ControlEvent) {
         self.fresh.push(ev.clone());
-        if self.timeline.len() == self.cfg.timeline_capacity {
+        if self.timeline.len() == TIMELINE_CAPACITY {
             self.timeline.pop_front();
             self.timeline_dropped += 1;
         }
@@ -557,7 +552,7 @@ impl Controller {
                 _ => 1,
             };
             self.streaks.insert(digest, (self.epoch, streak));
-            if streak >= self.cfg.promote_epochs
+            if streak >= PROMOTE_EPOCHS
                 && !self.blacklist.contains(&digest)
                 && self.whitelist.insert(digest, self.epoch)
             {
@@ -587,9 +582,8 @@ impl Controller {
     }
 
     fn decide_shed(&mut self, offered_mpps: f64, max_backlog: u64) {
-        let overload =
-            offered_mpps >= self.cfg.shed_on_mpps || max_backlog >= self.cfg.shed_backlog;
-        let calm = offered_mpps <= self.cfg.shed_off_mpps && max_backlog < self.cfg.shed_backlog;
+        let overload = offered_mpps >= self.cfg.shed_on_mpps || max_backlog >= SHED_BACKLOG;
+        let calm = offered_mpps <= self.cfg.shed_off_mpps && max_backlog < SHED_BACKLOG;
         if overload {
             self.overload_streak += 1;
             self.calm_streak = 0;
@@ -1006,33 +1000,33 @@ mod tests {
     fn heavy_hitters_promote_after_streak_only() {
         let cfg = ControlConfig {
             promote_pkts_per_epoch: 100,
-            promote_epochs: 3,
             ..ControlConfig::default()
         };
         let mut c = Controller::new(cfg);
         let mut cum = Vec::new();
-        for round in 1..=3u64 {
+        for round in 1..=u64::from(PROMOTE_EPOCHS) {
             let mut inp = input(1.0, 1, 0.005, &mut cum);
             // Shard reports digest 0xAB split across two entries; sums
             // to 120 ≥ 100. Digest 0xCD stays below threshold.
             inp.heavy = vec![(0xAB, 70), (0xAB, 50), (0xCD, 30)];
             let d = c.epoch(&inp);
-            if round < 3 {
+            if round < u64::from(PROMOTE_EPOCHS) {
                 assert_eq!(c.whitelist_len(), 0, "no promotion before the streak");
                 assert!(d.snapshot.is_none());
             } else {
-                assert_eq!(c.whitelist_len(), 1, "promoted on the 3rd epoch");
+                assert_eq!(c.whitelist_len(), 1, "promoted on the streak's last epoch");
                 assert!(d.snapshot.unwrap().whitelist.contains(&0xAB));
             }
         }
         assert_eq!(c.report().whitelist_promotions, 1);
 
-        // A gap resets the streak.
+        // A gap resets the streak: qualifying runs one epoch short of
+        // it, each cut by a quiet epoch, never promote.
         let mut c2 = Controller::new(c.config().clone());
         let mut cum2 = Vec::new();
-        for round in 0..4u64 {
+        for round in 0..4 * PROMOTE_EPOCHS {
             let mut inp = input(1.0, 1, 0.005, &mut cum2);
-            if round != 1 {
+            if round % PROMOTE_EPOCHS != PROMOTE_EPOCHS - 1 {
                 inp.heavy = vec![(0xAB, 200)];
             }
             c2.epoch(&inp);
@@ -1042,25 +1036,24 @@ mod tests {
 
     #[test]
     fn ttl_expiry_republishes_without_the_entry() {
-        let cfg = ControlConfig {
-            whitelist_ttl_epochs: 3,
-            ..ControlConfig::default()
-        };
-        let mut c = Controller::new(cfg);
+        let mut c = Controller::new(ControlConfig::default());
         let mut cum = Vec::new();
         let mut inp = input(1.0, 1, 0.005, &mut cum);
         inp.verdicts = vec![Verdict::Whitelist(key(1))];
         c.epoch(&inp);
         assert_eq!(c.whitelist_len(), 1);
-        let mut last_snap = None;
-        for _ in 0..4 {
-            if let Some(s) = c.epoch(&input(1.0, 1, 0.005, &mut cum)).snapshot {
-                last_snap = Some(s);
-            }
+        // Untouched for its whole TTL, the entry still stands...
+        for _ in 0..WHITELIST_TTL_EPOCHS {
+            let d = c.epoch(&input(1.0, 1, 0.005, &mut cum));
+            assert!(d.snapshot.is_none(), "nothing changed, nothing published");
         }
+        assert_eq!(c.whitelist_len(), 1, "alive through its TTL");
+        // ...and the next epoch expires it and republishes.
+        let d = c.epoch(&input(1.0, 1, 0.005, &mut cum));
         assert_eq!(c.whitelist_len(), 0, "TTL expired the entry");
-        let snap = last_snap.expect("expiry republishes");
+        let snap = d.snapshot.expect("expiry republishes");
         assert!(snap.whitelist.is_empty());
+        assert_eq!(d.record.whitelist_evictions, 1);
         assert_eq!(c.report().whitelist_expired, 1);
     }
 
@@ -1069,7 +1062,6 @@ mod tests {
         // Shedding thresholds far out of reach so the timeline holds
         // mode switches only.
         let cfg = ControlConfig {
-            timeline_capacity: 8,
             eta_lite_mpps: 2.0,
             eta_general_mpps: 1.0,
             shed_on_mpps: 1e9,
@@ -1079,19 +1071,68 @@ mod tests {
         let mut c = Controller::new(cfg);
         let mut cum = Vec::new();
         // Alternate far above / far below the thresholds to force many
-        // switches. EWMA needs a couple of epochs per side.
-        for round in 0..200u64 {
-            let rate = if (round / 4) % 2 == 0 { 10.0 } else { 0.1 };
-            c.epoch(&input(rate, 1, 0.005, &mut cum));
+        // switches. EWMA needs a couple of epochs per side; every 8
+        // epochs each of the 4 shards switches twice.
+        let shards = 4;
+        let mut last_switch = 0;
+        for round in 0..8 * (TIMELINE_CAPACITY / (2 * shards) + 16) {
+            let rate = if (round / 4) % 2 == 0 { 40.0 } else { 0.4 };
+            let d = c.epoch(&input(rate, shards, 0.005, &mut cum));
+            if !d.events.is_empty() {
+                last_switch = d.epoch;
+            }
         }
         let r = c.report();
-        assert!(r.mode_switches > 8, "stress must overflow the bound");
-        assert_eq!(r.timeline.len(), 8, "timeline stays at its bound");
+        let bound = TIMELINE_CAPACITY as u64;
+        assert!(r.mode_switches > bound, "stress must overflow the bound");
+        assert_eq!(
+            r.timeline.len(),
+            TIMELINE_CAPACITY,
+            "timeline stays at its bound"
+        );
         assert_eq!(
             r.timeline_dropped,
-            r.mode_switches - 8,
+            r.mode_switches - bound,
             "drops are accounted"
         );
+        // The oldest events went; the newest stayed.
+        assert_eq!(
+            r.timeline.last().map(ControlEvent::epoch),
+            Some(last_switch)
+        );
+    }
+
+    /// The knob guard: every `ControlConfig` field by name, no `..`, so
+    /// a field added to the struct does not compile until it is placed
+    /// here — and in DESIGN.md's ledger, which `ci/fork_ledger.py`
+    /// checks against the struct.
+    #[test]
+    fn every_control_knob_is_named_and_its_default_pinned() {
+        let ControlConfig {
+            epoch_ms,
+            hash_seed,
+            eta_lite_mpps,
+            eta_general_mpps,
+            shed_on_mpps,
+            shed_off_mpps,
+            shed_sustain_epochs,
+            promote_pkts_per_epoch,
+            decision_capacity,
+        } = ControlConfig::default();
+        assert_eq!(
+            (
+                epoch_ms,
+                hash_seed,
+                shed_sustain_epochs,
+                promote_pkts_per_epoch
+            ),
+            (5, 0x51CC, 3, 2000)
+        );
+        assert_eq!(
+            (eta_lite_mpps, eta_general_mpps, shed_on_mpps, shed_off_mpps),
+            (2.5, 1.8, 6.0, 2.0)
+        );
+        assert_eq!(decision_capacity, 512);
     }
 
     #[test]
@@ -1257,17 +1298,21 @@ mod tests {
     fn new_segment_forgets_the_traffic_and_keeps_the_engine() {
         let cfg = ControlConfig {
             promote_pkts_per_epoch: 100,
-            promote_epochs: 2,
             ..ControlConfig::default()
         };
         let mut c = Controller::new(cfg);
         let mut cum = Vec::new();
         assert!(c.admin(AdminCmd::ForceShed(Some(true))));
         assert!(c.admin(AdminCmd::BlacklistAdd(0xBAD)));
-        let mut inp = input(1.0, 2, 0.005, &mut cum);
-        inp.verdicts = vec![Verdict::Whitelist(key(7))];
-        inp.heavy = vec![(0xAB, 500)];
-        c.epoch(&inp);
+        // A streak one epoch short of promotion.
+        for round in 1..PROMOTE_EPOCHS {
+            let mut inp = input(1.0, 2, 0.005, &mut cum);
+            if round == 1 {
+                inp.verdicts = vec![Verdict::Whitelist(key(7))];
+            }
+            inp.heavy = vec![(0xAB, 500)];
+            c.epoch(&inp);
+        }
         assert_eq!((c.whitelist_len(), c.blacklist_len()), (1, 1));
 
         let snap = c.new_segment();
@@ -1281,7 +1326,7 @@ mod tests {
         let mut inp = input(1.0, 2, 0.005, &mut cum);
         inp.heavy = vec![(0xAB, 500)];
         let d = c.epoch(&inp);
-        assert_eq!(d.epoch, 2, "epochs run on");
+        assert_eq!(d.epoch, u64::from(PROMOTE_EPOCHS), "epochs run on");
         assert_eq!(c.whitelist_len(), 0);
         assert!((d.record.offered_mpps - 1.0).abs() < 1e-9);
         assert!(d.shed, "the shed pin stands");

@@ -1,11 +1,11 @@
 //! RCU-style steering-state publication.
 //!
 //! The controller publishes immutable [`SteeringSnapshot`]s through a
-//! [`SnapshotCell`]; every RX-queue dispatcher and every shard hold
-//! their *own* [`SnapshotReader`] — readers are independent cursors, so
-//! a multi-queue engine hands one to each of its R dispatcher threads
-//! and they refresh (and lag) independently without coordination. The
-//! protocol:
+//! [`SnapshotCell`]; every ingest unit (the pipeline's one dispatcher,
+//! or each fused RTC core) and every shard hold their *own*
+//! [`SnapshotReader`] — readers are independent cursors, so an RTC
+//! engine hands one to each of its N cores and they refresh (and lag)
+//! independently without coordination. The protocol:
 //!
 //! 1. The publisher builds a fresh snapshot (a new `Arc`), stores it in
 //!    the cell's slot, then bumps the version counter (release order).
@@ -226,8 +226,8 @@ mod tests {
 
     #[test]
     fn per_dispatcher_readers_are_independent_cursors() {
-        // The multi-queue engine gives each RX dispatcher its own
-        // reader. One dispatcher refreshing must not advance (or
+        // Every ingest unit holds its own reader — on RTC, one per
+        // fused core. One unit refreshing must not advance (or
         // invalidate) another's cached snapshot: each converges on its
         // own schedule.
         let cell = Arc::new(SnapshotCell::new(SteeringSnapshot::empty()));

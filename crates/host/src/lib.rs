@@ -10,7 +10,7 @@
 //! | Hashed timing wheel for RST buffering (Varghese–Lauck) | [`wheel`] |
 //! | Zeek-style TCP connection state machine | [`conn`] |
 //! | Zeek session heuristics + certificate/ticket registry | [`zeek`] |
-//! | SR-IOV NF framework (trait, per-port dispatch) | [`nf`] |
+//! | SR-IOV NF contract (trait, verdicts) | [`nf`] |
 //! | PCIe / copy / NF cost model | [`cost`] |
 
 #![forbid(unsafe_code)]
@@ -28,6 +28,6 @@ pub use aggregate::SnapshotAggregator;
 pub use conn::{ConnEvent, ConnRecord, ConnState, ConnTable, Swept};
 pub use cost::HostCostModel;
 pub use flowlog::FlowLogStore;
-pub use nf::{HostNf, HostRuntime, Verdict};
+pub use nf::{HostNf, Verdict};
 pub use wheel::TimingWheel;
 pub use zeek::{ArtefactRegistry, AuthHeuristic, AuthOutcome};

@@ -16,7 +16,6 @@
 
 use smartwatch_net::resident::SLACK;
 use smartwatch_net::{Dur, Resident, Ts};
-use smartwatch_telemetry::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 
 /// One scheduled entry.
@@ -26,26 +25,9 @@ struct Entry<T> {
     item: T,
 }
 
-/// Registry handles for one wheel (present only after
-/// [`TimingWheel::attach_telemetry`]).
-#[derive(Debug)]
-struct WheelTelemetry {
-    scheduled: Counter,
-    expired: Counter,
-    occupancy: Gauge,
-    occupancy_peak: Gauge,
-}
-
-impl WheelTelemetry {
-    fn note(&self, len: usize) {
-        self.occupancy.set(len as f64);
-        self.occupancy_peak.set_max(len as f64);
-    }
-}
-
 /// Count of entries a wheel operation examined. Only test builds count;
 /// elsewhere `bump` compiles to nothing.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Visited(#[cfg(test)] std::cell::Cell<usize>);
 
 impl Visited {
@@ -57,7 +39,7 @@ impl Visited {
 }
 
 /// A hashed timing wheel holding items of type `T`.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct TimingWheel<T> {
     /// Each slot sorted by deadline, equal deadlines in arrival order.
     slots: Vec<VecDeque<Entry<T>>>,
@@ -69,23 +51,7 @@ pub struct TimingWheel<T> {
     /// Most items scheduled at once since the last
     /// [`TimingWheel::reset`].
     high_water: usize,
-    telemetry: Option<WheelTelemetry>,
     visited: Visited,
-}
-
-impl<T: Clone> Clone for TimingWheel<T> {
-    /// Clones keep the scheduled items but detach from any registry.
-    fn clone(&self) -> TimingWheel<T> {
-        TimingWheel {
-            slots: self.slots.clone(),
-            tick: self.tick,
-            now: self.now,
-            len: self.len,
-            high_water: self.high_water,
-            telemetry: None,
-            visited: Visited::default(),
-        }
-    }
 }
 
 impl<T> TimingWheel<T> {
@@ -99,23 +65,8 @@ impl<T> TimingWheel<T> {
             now: Ts::ZERO,
             len: 0,
             high_water: 0,
-            telemetry: None,
             visited: Visited::default(),
         }
-    }
-
-    /// Publish this wheel's activity into `registry` as
-    /// `host.wheel.{scheduled,expired,occupancy,occupancy_peak}{wheel=name}`.
-    pub fn attach_telemetry(&mut self, registry: &Registry, name: &str) {
-        let labels: &[(&str, &str)] = &[("wheel", name)];
-        let t = WheelTelemetry {
-            scheduled: registry.counter("host.wheel.scheduled", labels),
-            expired: registry.counter("host.wheel.expired", labels),
-            occupancy: registry.gauge("host.wheel.occupancy", labels),
-            occupancy_peak: registry.gauge("host.wheel.occupancy_peak", labels),
-        };
-        t.note(self.len);
-        self.telemetry = Some(t);
     }
 
     /// Back to the state [`TimingWheel::new`] built, in place: nothing
@@ -136,9 +87,6 @@ impl<T> TimingWheel<T> {
         self.now = Ts::ZERO;
         self.len = 0;
         self.high_water = 0;
-        if let Some(t) = &self.telemetry {
-            t.occupancy.set(0.0);
-        }
     }
 
     /// Heap bytes the slots hold.
@@ -197,10 +145,6 @@ impl<T> TimingWheel<T> {
         q.insert(at, Entry { deadline, item });
         self.len += 1;
         self.high_water = self.high_water.max(self.len);
-        if let Some(t) = &self.telemetry {
-            t.scheduled.inc();
-            t.note(self.len);
-        }
         deadline
     }
 
@@ -236,10 +180,6 @@ impl<T> TimingWheel<T> {
         }
         self.now = now;
         expired.sort_by_key(|(d, _)| *d);
-        if let Some(t) = &self.telemetry {
-            t.expired.add(expired.len() as u64);
-            t.note(self.len);
-        }
         expired
     }
 

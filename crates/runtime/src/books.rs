@@ -25,8 +25,8 @@
 use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Registry};
 use std::ops::{Index, IndexMut, Sub};
 
-/// The two axes the books are kept on: per ingest unit (an RX-queue
-/// dispatcher, or a fused core) and per shard.
+/// The two axes the books are kept on: per ingest unit (the pipeline's
+/// one dispatcher, or a fused RTC core) and per shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Axis {
     /// `runtime.queue.*{queue=Q}` and the `queues` rows of `/stats.json`.

@@ -3,9 +3,10 @@
 //! buffers, and the reconfigurable General/Lite operating modes with lazy
 //! row cleanup.
 //!
-//! This is the deterministic single-threaded reference implementation used
-//! by every experiment; [`crate::concurrent`] holds the lockless multi-PME
-//! update protocol (Algorithm 2) with real atomics.
+//! One owner drives each cache: every experiment, and in the wall-clock
+//! engine the shard RSS gives the flow to. That single writer per flow
+//! replaces the paper's lockless multi-PME update protocol (Algorithm
+//! 2), whose atomic add the DES still prices ([`crate::hw`]).
 //!
 //! ## Structure
 //!

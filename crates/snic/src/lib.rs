@@ -10,15 +10,17 @@
 //! | The cache's books → `snic.cache.*` / `snic.ring.*`, owner-published | [`publish`] |
 //! | One flow hash per packet, every per-flow structure indexed by it (Alg. 1, §3.2) | [`flowtable`] |
 //! | CME switch-over, Algorithm 4 (§9.4) | [`cme`] |
-//! | Lockless PME update protocol, Algorithm 2 (§9.1–9.2) | [`concurrent`] |
 //! | sNIC hardware profiles & cycle model (Table 3, §4.1) | [`hw`] |
 //! | Throughput / latency / loss simulation (Figs. 4–6, 11b) | [`des`] |
 //! | Microburst log `L` and queue trigger (§5.3.2) | [`burstlog`] |
 //! | Rejected Cuckoo-hash baseline ablation (§3.2) | [`cuckoo`] |
 //!
-//! The FlowCache here is the deterministic reference used by experiments;
-//! [`concurrent`] demonstrates the same row semantics under real atomics
-//! and multi-threaded contention.
+//! The paper's Algorithm 2 (per-bucket update counters and a
+//! test-and-set row lock, §9.1–9.2) exists because the Agilio sprays one
+//! flow's packets across many PMEs. Here RSS gives every flow one owning
+//! shard, the only writer of its FlowCache row, so single-writer
+//! ownership replaces Alg. 2's atomics; [`hw`] still prices the atomic
+//! add of an in-place update for the DES.
 
 // `deny` rather than `forbid`: the two scoped exceptions are the
 // software prefetch intrinsic in [`prefetch`] (unsafe by signature
@@ -30,7 +32,6 @@
 pub mod affinity;
 pub mod burstlog;
 pub mod cme;
-pub mod concurrent;
 pub mod cuckoo;
 pub mod des;
 pub mod flowcache;
