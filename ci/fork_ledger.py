@@ -1,15 +1,21 @@
 """Check DESIGN.md's fork ledger against the tree.
 
 The ledger is the table between the `fork-ledger:begin` / `fork-ledger:end`
-markers: one row per surviving fork and one per field of `EngineConfig` and
-`ControlConfig`, each citing what pays for it in backticks in its last
-column. This fails when
+markers, each row citing what pays for it in backticks in its last column:
+
+- one row per surviving fork;
+- one per field of `EngineConfig`, `ControlConfig` and `ServeSpec`;
+- one `flag` row per entry of `repro`'s `FLAGS` table;
+- one `route` row per `Route::get` / `Route::on` path of the HTTP plane.
+
+This fails when
 
 - a row cites no payer, or a payer that is neither `fn <name>` in a Rust
-  file of the tree nor a workload name in BENCHMARK.json (a renamed test
-  must take its ledger row along);
-- a field of either struct has no row, or a row names a field the struct
-  no longer has.
+  file of the tree, nor a workload name in BENCHMARK.json, nor the `name:`
+  of a step in the CI workflow (a renamed test or step must take its
+  ledger row along);
+- a field, flag or route has no row, or a row names one the tree no
+  longer has.
 
 usage: python3 ci/fork_ledger.py   (from the repository root)
 """
@@ -22,7 +28,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 STRUCTS = {
     "EngineConfig": "crates/runtime/src/engine/config.rs",
     "ControlConfig": "crates/control/src/controller.rs",
+    "ServeSpec": "crates/bench/src/exp_serve.rs",
 }
+FLAGS = "crates/bench/src/bin/repro.rs"
+ROUTES = "crates/bench/src/serve.rs"
+WORKFLOW = ".github/workflows/ci.yml"
 
 
 def ledger_rows():
@@ -43,6 +53,21 @@ def struct_fields(name, path):
     return re.findall(r"^    pub (\w+):", body, re.M)
 
 
+def flags():
+    src = (ROOT / FLAGS).read_text()
+    table = src.split("const FLAGS: &[Flag] = &[")[1].split("\n];")[0]
+    return re.findall(r'^\s*\("(--[\w-]+)",', table, re.M)
+
+
+def routes():
+    return re.findall(r'Route::(?:get|on)\(\s*"([^"]+)"', (ROOT / ROUTES).read_text())
+
+
+def ci_steps():
+    names = re.findall(r"^\s*- name: (.+)$", (ROOT / WORKFLOW).read_text(), re.M)
+    return {name.strip().strip("'\"") for name in names}
+
+
 def defined_fns():
     names = set()
     for path in ROOT.rglob("*.rs"):
@@ -52,28 +77,33 @@ def defined_fns():
     return names
 
 
+def check_rowed(kind, have, rows, where, errors):
+    rowed = [subject.strip("`") for k, subject, _, _ in rows if k == kind]
+    for item in have:
+        if item not in rowed:
+            errors.append(f"{kind} {item} has no ledger row")
+    for item in rowed:
+        if item not in have:
+            errors.append(f"ledger row {kind} {item} names nothing in {where}")
+    print(f"{kind}: {len(have)} in the tree, {len(rowed)} ledger rows")
+
+
 def main():
     rows = ledger_rows()
     workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
-    fns = defined_fns()
+    payers = workloads | defined_fns() | ci_steps()
     errors = []
     for kind, subject, _, paid_by in rows:
-        payers = re.findall(r"`([^`]+)`", paid_by)
-        if not payers:
+        cited = re.findall(r"`([^`]+)`", paid_by)
+        if not cited:
             errors.append(f"{kind} {subject}: no payer")
-        for payer in payers:
-            if payer not in workloads and payer not in fns:
-                errors.append(f"{kind} {subject}: payer `{payer}` is neither a fn nor a workload")
+        for payer in cited:
+            if payer not in payers:
+                errors.append(f"{kind} {subject}: payer `{payer}` is neither a fn, a workload nor a CI step")
     for name, path in STRUCTS.items():
-        fields = struct_fields(name, path)
-        rowed = [subject.strip("`") for kind, subject, _, _ in rows if kind == name]
-        for field in fields:
-            if field not in rowed:
-                errors.append(f"{name}::{field} has no ledger row")
-        for field in rowed:
-            if field not in fields:
-                errors.append(f"ledger row {name}::{field} names no field of {path}")
-        print(f"{name}: {len(fields)} fields, {len(rowed)} ledger rows")
+        check_rowed(name, struct_fields(name, path), rows, path, errors)
+    check_rowed("flag", flags(), rows, FLAGS, errors)
+    check_rowed("route", routes(), rows, ROUTES, errors)
     forks = sum(1 for row in rows if row[0] == "fork")
     print(f"{forks} fork rows, {len(rows)} rows in all")
     for e in errors:

@@ -39,7 +39,9 @@ fn run_cell(shape: &RunShape, pkts: &ReplayData) -> EngineReport {
 /// uses C fused cores (C threads) — the comparison the DESIGN datapath
 /// table quotes, deliberately biased *against* RTC on thread count.
 fn bench_engine_datapath(c: &mut Criterion) {
-    let pkts = cell(1, DatapathMode::Pipeline).replay(1);
+    let pkts = cell(1, DatapathMode::Pipeline)
+        .replay(1)
+        .expect("a generated workload");
     let mut g = c.benchmark_group("engine_datapath_64b");
     g.throughput(Throughput::Elements(pkts.source().len() as u64));
     g.sample_size(10);

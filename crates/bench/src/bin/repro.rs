@@ -71,7 +71,6 @@ const FLAGS: &[Flag] = &[
     ("--flight-dump", "<path>", RUNTIME),
     ("--summary-out", "<path>", ENGINE),
     ("--rate", "MPPS", ENGINE | SERVE),
-    ("--epoch-ms", "N", CONTROL | SERVE),
     ("--base", "MPPS", CONTROL),
     ("--peak", "MPPS", CONTROL),
     ("--spike-start", "F", CONTROL),
@@ -80,9 +79,11 @@ const FLAGS: &[Flag] = &[
     ("--segments", "N", SERVE),
     ("--segment-ms", "N", SERVE),
     ("--carry-flow-state", "", SERVE),
-    ("--serve-config", "<path>", SERVE),
-    ("--rss-slack-mb", "N", SERVE),
 ];
+
+/// RSS growth first→last segment that `soak` tolerates: allocator noise,
+/// not a leak.
+const RSS_SLACK_BYTES: u64 = 64 << 20;
 
 /// The readers of `mask`, by name: `engine/serve|soak`.
 fn readers_label(mask: u8) -> String {
@@ -128,11 +129,9 @@ fn main() {
     let mut packets: Option<usize> = None;
     let mut rate: Option<f64> = None;
     let mut flat_out = false;
-    let mut epoch_ms: Option<u64> = None;
     let mut engine_spec = EngineRunSpec::default();
     let mut control_spec = ControlRunSpec::default();
     let mut serve_spec = ServeSpec::default();
-    let mut rss_slack_mb: u64 = 64;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(flag) = FLAGS.iter().find(|(name, ..)| name == a) else {
@@ -184,16 +183,13 @@ fn main() {
                 flat_out = false;
             }
             "--flat-out" => flat_out = true,
-            "--epoch-ms" => epoch_ms = Some(positive(v, a) as u64),
             "--base" => control_spec.base_mpps = mpps(v, a),
             "--peak" => control_spec.peak_mpps = mpps(v, a),
             "--spike-start" => control_spec.spike_start = fraction(v, a),
             "--spike-end" => control_spec.spike_end = fraction(v, a),
             "--segments" => serve_spec.segments = positive(v, a),
             "--segment-ms" => serve_spec.segment_ms = natural(v, a),
-            "--serve-config" => serve_spec.config_path = Some(v.to_string()),
             "--carry-flow-state" => serve_spec.carry_flow_state = true,
-            "--rss-slack-mb" => rss_slack_mb = natural(v, a),
             "--bench-json" => bench_out = Some(v.to_string()),
             "--summary-out" => summary_out = Some(v.to_string()),
             "--flight-dump" => flight_out = Some(v.to_string()),
@@ -263,9 +259,9 @@ fn main() {
         shape.validate().unwrap_or_else(|e| die(&e));
         signal::install();
     }
-    // Every driver gets the one parsed shape; `--packets`, `--rate` and
-    // `--epoch-ms` are handed to each driver that reads them, which
-    // otherwise keeps its own default.
+    // Every driver gets the one parsed shape; `--packets` and `--rate`
+    // are handed to each driver that reads them, which otherwise keeps
+    // its own default.
     let shaped = |own: &RunShape| RunShape {
         packets: packets.unwrap_or(own.packets),
         ..shape.clone()
@@ -273,9 +269,7 @@ fn main() {
     engine_spec.shape = shaped(&engine_spec.shape);
     engine_spec.rate_mpps = rate;
     control_spec.shape = shaped(&control_spec.shape);
-    control_spec.epoch_ms = epoch_ms.unwrap_or(control_spec.epoch_ms);
     serve_spec.shape = shaped(&serve_spec.shape);
-    serve_spec.epoch_ms = epoch_ms.unwrap_or(serve_spec.epoch_ms);
     serve_spec.rate_mpps = if flat_out {
         None
     } else {
@@ -310,7 +304,8 @@ fn main() {
     };
 
     if wants("engine") {
-        let (table, report, engine) = engine_run_full(&ctx, &engine_spec);
+        let (table, report, engine) =
+            engine_run_full(&ctx, &engine_spec).unwrap_or_else(|e| die(&e));
         // Flat-out runs apply backpressure instead of dropping, so any
         // drop there is as anomalous as a conservation failure.
         let unexpected_drops = engine_spec.rate_mpps.is_none()
@@ -335,7 +330,8 @@ fn main() {
         ran += 1;
     }
     if wants("control") {
-        let (table, outcome, engine) = control_run_full(&ctx, &control_spec);
+        let (table, outcome, engine) =
+            control_run_full(&ctx, &control_spec).unwrap_or_else(|e| die(&e));
         let mut anomalies = Vec::new();
         if !outcome.controlled.conserved() || !outcome.baseline.conserved() {
             anomalies.push(conservation_line("controlled", &outcome.controlled));
@@ -346,13 +342,14 @@ fn main() {
         ran += 1;
     }
     if wants("serve") || wants("soak") {
-        let (table, outcome, engine) = serve_run_full(&ctx, &serve_spec);
+        let (table, outcome, engine) =
+            serve_run_full(&ctx, &serve_spec).unwrap_or_else(|e| die(&e));
         // The endurance gate: conservation every segment, lane buffers
         // within the mesh's count, RSS growth inside the slack budget. `soak`
         // fails the process on a violation; `serve` reports it (and
         // both leave the flight-recorder evidence behind).
         let violations: Vec<String> = outcome
-            .violations(rss_slack_mb << 20)
+            .violations(RSS_SLACK_BYTES)
             .iter()
             .map(|v| format!("soak violation: {v}"))
             .collect();
@@ -520,7 +517,6 @@ drivers reads is refused (`experiments` = everything `repro list` shows):
   --rate          (engine/serve|soak) open-loop offered rate in Mpps
                   (engine: flat-out unless given; serve|soak: 1.0
                   unless given, --flat-out for none)
-  --epoch-ms      (control/serve|soak) controller epoch length
 
 `repro engine` runs the sharded wall-clock runtime (OS threads,
 measured Mpps — machine-dependent, unlike every other experiment).
@@ -540,16 +536,15 @@ snapshots, load shedding) and without — and reports both
 `repro serve` keeps one engine resident and replays the
 workload in --segments drain/restart segments; --listen mounts
 the POST /admin/* control socket next to the read-only
-endpoints, --serve-config hot-reloads a watched JSON config at
-epoch boundaries, and --segment-ms drains any over-long
-segment gracefully. The controller is resident: a pin
-(/admin/mode, /admin/shed, a config file's force_shed) stands
+endpoints — the one way to edit the running engine — and
+--segment-ms drains any over-long segment gracefully. The
+controller is resident: a pin (/admin/mode, /admin/shed) stands
 across segments until released; a steering-table edit
-(/admin/steer, a config file's blacklist/whitelist) lasts for
-the segment that applied it. `repro soak` is the endurance gate: the
-same loop, but conservation / flat pool-allocation / bounded
-RSS (--rss-slack-mb, default 64) violations fail the process
-and auto-dump FLIGHT_anomaly.json. SIGINT/SIGTERM drain any
+(/admin/steer) lasts for the segment that applied it.
+`repro soak` is the endurance gate: the same loop, but
+conservation / flat pool-allocation / bounded RSS (64 MiB of
+growth) violations fail the process and auto-dump
+FLIGHT_anomaly.json. SIGINT/SIGTERM drain any
 runtime driver gracefully — the summary still conserves.
 
 Experiments map 1:1 to the paper's evaluation (see DESIGN.md §3

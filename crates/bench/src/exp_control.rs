@@ -130,17 +130,19 @@ pub struct ControlOutcome {
 /// Run the control experiment once and render the report; both raw
 /// reports feed machine-readable output ([`bench_json`], CI artifacts)
 /// and the controlled [`Engine`] is handed back so callers can dump its
-/// flight recorder (mode switches, shed edges) after the run.
+/// flight recorder (mode switches, shed edges) after the run. Fails,
+/// before any packet is offered, on a shape that cannot be replayed or
+/// opened.
 pub fn control_run_full(
     ctx: &ExpCtx,
     spec: &ControlRunSpec,
-) -> (Table, ControlOutcome, Arc<Engine>) {
-    let replay = spec.shape.replay(ctx.scale);
+) -> Result<(Table, ControlOutcome, Arc<Engine>), String> {
+    let replay = spec.shape.replay(ctx.scale)?;
     let pace = spike_pace(spec);
     let control = control_config(spec);
     let run = spec
         .shape
-        .open(ctx, |cfg| cfg.with_control(control), crate::serve::serve);
+        .open(ctx, |cfg| cfg.with_control(control), crate::serve::serve)?;
     let controlled = replay.run(&run.engine, pace);
     let engine = run.close();
 
@@ -152,7 +154,7 @@ pub fn control_run_full(
         controlled,
         baseline,
     };
-    (render(spec, &outcome), outcome, engine)
+    Ok((render(spec, &outcome), outcome, engine))
 }
 
 /// One engine run's headline numbers in the bench artifact.
@@ -413,7 +415,7 @@ mod tests {
     #[test]
     fn control_experiment_conserves_and_flips_lite() {
         let ctx = ExpCtx::new(1);
-        let (t, o, _) = control_run_full(&ctx, &small_spec());
+        let (t, o, _) = control_run_full(&ctx, &small_spec()).unwrap();
         assert_eq!(t.rows.len(), 2);
         assert!(t
             .notes
@@ -434,7 +436,7 @@ mod tests {
     fn bench_json_carries_timeline_and_both_runs() {
         let ctx = ExpCtx::new(1);
         let spec = small_spec();
-        let (_, o, _) = control_run_full(&ctx, &spec);
+        let (_, o, _) = control_run_full(&ctx, &spec).unwrap();
         let json = bench_json(&spec, &o);
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let field = |k: &str| v.get(k).unwrap_or_else(|| panic!("missing field {k}"));
@@ -480,7 +482,7 @@ mod tests {
             },
             ..ControlRunSpec::default()
         };
-        let (_, o, _) = control_run_full(&ctx, &spec);
+        let (_, o, _) = control_run_full(&ctx, &spec).unwrap();
         let json = bench_json(&spec, &o);
         let keys = crate::output::top_level_keys(&json);
         assert_eq!(
@@ -513,7 +515,7 @@ mod tests {
     fn nested_control_keys_and_their_order_are_pinned() {
         let ctx = ExpCtx::new(1);
         let spec = small_spec();
-        let (_, o, engine) = control_run_full(&ctx, &spec);
+        let (_, o, engine) = control_run_full(&ctx, &spec).unwrap();
         let doc: serde_json::Value = serde_json::from_str(&bench_json(&spec, &o)).expect("JSON");
         let keys = |v: &serde_json::Value| crate::output::top_level_keys(&v.to_string());
         let control = &doc["control"];

@@ -36,14 +36,18 @@ fn ns_cell(h: &HistSnapshot) -> String {
 /// [`EngineReport`] feeds machine-readable output ([`bench_json`], CI
 /// artifacts) and the [`Engine`] itself is handed back so callers can
 /// dump its flight recorder or decision audit after the run
-/// (`--flight-dump`, anomaly artifacts).
-pub fn engine_run_full(ctx: &ExpCtx, spec: &EngineRunSpec) -> (Table, EngineReport, Arc<Engine>) {
-    let replay = spec.shape.replay(ctx.scale);
+/// (`--flight-dump`, anomaly artifacts). Fails, before any packet is
+/// offered, on a shape that cannot be replayed or opened.
+pub fn engine_run_full(
+    ctx: &ExpCtx,
+    spec: &EngineRunSpec,
+) -> Result<(Table, EngineReport, Arc<Engine>), String> {
+    let replay = spec.shape.replay(ctx.scale)?;
     let pace = rate_pace(spec.rate_mpps);
-    let run = spec.shape.open(ctx, |cfg| cfg, crate::serve::serve);
+    let run = spec.shape.open(ctx, |cfg| cfg, crate::serve::serve)?;
     let report = replay.run(&run.engine, pace);
     let table = render(spec, pace, &report);
-    (table, report, run.close())
+    Ok((table, report, run.close()))
 }
 
 /// One stage's tail latencies in the bench artifact and how many
@@ -299,7 +303,7 @@ mod tests {
             },
             ..EngineRunSpec::default()
         };
-        let (t, _, _) = engine_run_full(&ctx, &spec);
+        let (t, _, _) = engine_run_full(&ctx, &spec).unwrap();
         assert_eq!(t.rows.len(), 1);
         assert!(t.notes.iter().any(|n| n.contains("conservation: OK")));
         // The run published runtime metrics into the shared registry.
@@ -317,7 +321,7 @@ mod tests {
             },
             ..EngineRunSpec::default()
         };
-        let (_, report, _) = engine_run_full(&ctx, &spec);
+        let (_, report, _) = engine_run_full(&ctx, &spec).unwrap();
         let json = bench_json(&spec, &report);
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let field = |k: &str| v.get(k).unwrap_or_else(|| panic!("missing field {k}"));
@@ -364,7 +368,7 @@ mod tests {
             },
             ..EngineRunSpec::default()
         };
-        let (_, report, _) = engine_run_full(&ctx, &spec);
+        let (_, report, _) = engine_run_full(&ctx, &spec).unwrap();
         let json = bench_json(&spec, &report);
         let keys = crate::output::top_level_keys(&json);
         assert_eq!(
@@ -410,7 +414,7 @@ mod tests {
             },
             ..EngineRunSpec::default()
         };
-        let (t, report, _) = engine_run_full(&ctx, &spec);
+        let (t, report, _) = engine_run_full(&ctx, &spec).unwrap();
         assert!(t.notes.iter().any(|n| n.contains("conservation: OK")));
         assert!(t.notes.iter().any(|n| n.contains("run-to-completion")));
         let v: serde_json::Value =
@@ -439,7 +443,7 @@ mod tests {
             },
             ..EngineRunSpec::default()
         };
-        let (t, report, _) = engine_run_full(&ctx, &spec);
+        let (t, report, _) = engine_run_full(&ctx, &spec).unwrap();
         assert!(t.notes.iter().any(|n| n.contains("conservation: OK")));
         assert_eq!(report.queues.len(), 2);
         let json = bench_json(&spec, &report);
@@ -456,7 +460,7 @@ mod tests {
             },
             ..EngineRunSpec::default()
         };
-        assert_eq!(spec.shape.replay(1).source().len(), 1234);
+        assert_eq!(spec.shape.replay(1).unwrap().source().len(), 1234);
     }
 
     #[test]
@@ -487,7 +491,7 @@ mod tests {
             },
             ..EngineRunSpec::default()
         };
-        let (t, report, _) = engine_run_full(&ctx, &spec);
+        let (t, report, _) = engine_run_full(&ctx, &spec).unwrap();
         assert!(t.notes.iter().any(|n| n.contains("conservation: OK")));
         assert_eq!(report.offered, 20_000);
         assert!(report.conserved());
@@ -520,7 +524,7 @@ mod tests {
             },
             ..EngineRunSpec::default()
         };
-        let (t, report, _) = engine_run_full(&ctx, &spec);
+        let (t, report, _) = engine_run_full(&ctx, &spec).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(t.notes.iter().any(|n| n.contains("conservation: OK")));
         assert_eq!(report.offered, 10_000, "pcap replay cycles to the spec");
@@ -548,7 +552,7 @@ mod tests {
             },
             ..EngineRunSpec::default()
         };
-        let (_, report, _) = engine_run_full(&ctx, &spec);
+        let (_, report, _) = engine_run_full(&ctx, &spec).unwrap();
         assert!(report.conserved());
         let doc: serde_json::Value =
             serde_json::from_str(&ctx.tracer.to_chrome_json()).expect("valid chrome-trace JSON");

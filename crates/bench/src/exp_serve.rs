@@ -9,18 +9,13 @@
 //! garage and are reissued to the next segment, so steady state
 //! allocates nothing and the soak harness can pin memory flat.
 //!
-//! Three control paths reach the resident engine while packets flow:
+//! Two control paths reach the resident engine while packets flow:
 //!
-//! * the **admin socket** (`--listen`, [`crate::serve::admin_routes`]):
-//!   POST endpoints queueing [`AdminCmd`]s applied by the controller at
-//!   epoch boundaries, plus the immediate pace/drain atomics;
-//! * the **config watcher** (`--serve-config <path>`): a JSON file
-//!   polled for mtime changes; a validated diff against the previously
-//!   applied config is translated into the same admin commands, so a
-//!   hot-reload rides the identical epoch-boundary publication path —
-//!   the hot loop never takes a lock. Each attempt is recorded on the
-//!   `sw-serve` flight ring ([`FlightKind::ConfigReload`] `ok`/`seq`);
-//!   a rejected file leaves the running config untouched;
+//! * the **admin socket** (`--listen`, [`crate::serve::admin_routes`]),
+//!   the one way to edit it live: POST endpoints queueing
+//!   [`AdminCmd`](smartwatch_runtime::AdminCmd)s applied by the
+//!   controller at epoch boundaries, plus the immediate pace/drain
+//!   atomics — the hot loop never takes a lock;
 //! * **signals**: the `repro` drivers translate SIGINT/SIGTERM into a
 //!   drain request ([`crate::signal`]), so the segment in flight still
 //!   quiesces through the end-of-trace path and the final summary is
@@ -40,9 +35,8 @@ use crate::output::Table;
 use crate::run_shape::{datapath_label, rate_pace, RunShape};
 use crate::ExpCtx;
 use serde::Serialize;
-use smartwatch_runtime::{AdminCmd, Engine};
-use smartwatch_telemetry::{FlightKind, FlightRing};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use smartwatch_runtime::Engine;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,7 +45,8 @@ use std::time::{Duration, Instant};
 /// socket carries the admin surface) plus the segment loop.
 #[derive(Clone, Debug)]
 pub struct ServeSpec {
-    /// Engine, per-segment replay input and watchers.
+    /// Engine, per-segment replay input and watchers (`listen` is the
+    /// admin socket).
     pub shape: RunShape,
     /// Offered rate in Mpps; `None` replays each segment flat-out.
     /// Paced segments honour live `/admin/pace` overrides.
@@ -65,11 +60,9 @@ pub struct ServeSpec {
     /// Park the per-shard FlowCaches between segments so flow state
     /// survives a drain/restart cycle.
     pub carry_flow_state: bool,
-    /// Controller epoch length in ms (admin commands and config
-    /// reloads publish at epoch boundaries).
+    /// Controller epoch length in ms (admin commands publish at epoch
+    /// boundaries).
     pub epoch_ms: u64,
-    /// Watch this JSON config file for hot-reloads.
-    pub config_path: Option<String>,
 }
 
 impl Default for ServeSpec {
@@ -83,7 +76,6 @@ impl Default for ServeSpec {
             segment_ms: 0,
             carry_flow_state: false,
             epoch_ms: 2,
-            config_path: None,
         }
     }
 }
@@ -101,286 +93,6 @@ fn serve_control_config(spec: &ServeSpec) -> smartwatch_runtime::ControlConfig {
         peak_mpps: 4.0 * rate,
         ..ControlRunSpec::default()
     })
-}
-
-/// The hot-reloadable service config — the validated shape of
-/// `--serve-config <file>`. Absent/`null` fields mean "release":
-///
-/// ```json
-/// {
-///   "rate_mpps": 1.5,
-///   "force_shed": null,
-///   "blacklist": [4242, 99],
-///   "whitelist": [7]
-/// }
-/// ```
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServeConfig {
-    /// Live pace override (paced runs only); `None` releases it.
-    pub rate_mpps: Option<f64>,
-    /// Pin load shedding on/off; `None` returns it to the controller.
-    pub force_shed: Option<bool>,
-    /// Flow digests the steering table must blacklist.
-    pub blacklist: Vec<u64>,
-    /// Flow digests pinned onto the whitelist.
-    pub whitelist: Vec<u64>,
-}
-
-impl ServeConfig {
-    /// Parse and validate a config document. Unknown fields are
-    /// rejected so a typo cannot silently no-op.
-    pub fn parse(text: &str) -> Result<ServeConfig, String> {
-        let doc: serde_json::Value =
-            serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let obj = match &doc {
-            serde_json::Value::Object(pairs) => pairs,
-            _ => return Err("config must be a JSON object".into()),
-        };
-        let mut cfg = ServeConfig::default();
-        for (key, value) in obj {
-            match key.as_str() {
-                "rate_mpps" => {
-                    cfg.rate_mpps = if value.is_null() {
-                        None
-                    } else {
-                        match value.as_f64() {
-                            Some(r) if r > 0.0 && r.is_finite() => Some(r),
-                            _ => return Err("rate_mpps must be a positive number or null".into()),
-                        }
-                    }
-                }
-                "force_shed" => {
-                    cfg.force_shed = if value.is_null() {
-                        None
-                    } else {
-                        match value.as_bool() {
-                            Some(b) => Some(b),
-                            None => return Err("force_shed must be true, false or null".into()),
-                        }
-                    }
-                }
-                "blacklist" => cfg.blacklist = digest_list(value, "blacklist")?,
-                "whitelist" => cfg.whitelist = digest_list(value, "whitelist")?,
-                other => return Err(format!("unknown config field '{other}'")),
-            }
-        }
-        Ok(cfg)
-    }
-
-    /// The admin commands that move a running engine from `self` to
-    /// `next` (steering/shed edits; the pace override is applied
-    /// directly by the caller since it is an immediate atomic).
-    pub fn diff(&self, next: &ServeConfig) -> Vec<AdminCmd> {
-        let mut cmds = Vec::new();
-        for &d in next
-            .blacklist
-            .iter()
-            .filter(|d| !self.blacklist.contains(d))
-        {
-            cmds.push(AdminCmd::BlacklistAdd(d));
-        }
-        for &d in self
-            .blacklist
-            .iter()
-            .filter(|d| !next.blacklist.contains(d))
-        {
-            cmds.push(AdminCmd::BlacklistRemove(d));
-        }
-        for &d in next
-            .whitelist
-            .iter()
-            .filter(|d| !self.whitelist.contains(d))
-        {
-            cmds.push(AdminCmd::WhitelistAdd(d));
-        }
-        for &d in self
-            .whitelist
-            .iter()
-            .filter(|d| !next.whitelist.contains(d))
-        {
-            cmds.push(AdminCmd::WhitelistRemove(d));
-        }
-        if self.force_shed != next.force_shed {
-            cmds.push(AdminCmd::ForceShed(next.force_shed));
-        }
-        cmds
-    }
-
-    /// Note that one command of a [`ServeConfig::diff`] reached the
-    /// engine: this record now says what that command made true.
-    fn record(&mut self, cmd: AdminCmd) {
-        match cmd {
-            AdminCmd::BlacklistAdd(d) => self.blacklist.push(d),
-            AdminCmd::BlacklistRemove(d) => self.blacklist.retain(|held| *held != d),
-            AdminCmd::WhitelistAdd(d) => self.whitelist.push(d),
-            AdminCmd::WhitelistRemove(d) => self.whitelist.retain(|held| *held != d),
-            AdminCmd::ForceShed(pin) => self.force_shed = pin,
-            // Not a config-file field; `diff` never emits it.
-            AdminCmd::ForceMode { .. } => {}
-        }
-    }
-}
-
-fn digest_list(value: &serde_json::Value, field: &str) -> Result<Vec<u64>, String> {
-    let arr = value
-        .as_array()
-        .ok_or_else(|| format!("{field} must be an array of unsigned integers"))?;
-    arr.iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("{field} entries must be unsigned integers"))
-        })
-        .collect()
-}
-
-/// Largest `--serve-config` file read: a watched path is outside
-/// input, and the whole document is held in memory to be parsed.
-const MAX_CONFIG_BYTES: u64 = 1 << 20;
-
-/// The watched file's text, refused past [`MAX_CONFIG_BYTES`] without
-/// reading further.
-fn read_config(path: &str) -> Result<String, String> {
-    use std::io::Read;
-    let mut text = String::new();
-    std::fs::File::open(path)
-        .and_then(|f| f.take(MAX_CONFIG_BYTES + 1).read_to_string(&mut text))
-        .map_err(|e| e.to_string())?;
-    if text.len() as u64 > MAX_CONFIG_BYTES {
-        return Err(format!("larger than {MAX_CONFIG_BYTES} bytes"));
-    }
-    Ok(text)
-}
-
-/// Move a running engine from the config `applied` records to `next`:
-/// queue the steering/shed diff through the admin mailbox (published at
-/// the next epoch boundary), one command at a time, then flip the pace
-/// atomic. `applied` is advanced by exactly what landed, so when the
-/// mailbox refuses a command (`false`), diffing `applied` against
-/// `next` again yields exactly the commands still owed.
-fn apply_config(engine: &Engine, applied: &mut ServeConfig, next: &ServeConfig) -> bool {
-    for cmd in applied.diff(next) {
-        if !engine.admin(cmd) {
-            return false;
-        }
-        applied.record(cmd);
-    }
-    if applied.rate_mpps != next.rate_mpps {
-        engine.set_rate_override(next.rate_mpps);
-    }
-    *applied = next.clone();
-    true
-}
-
-/// The config hot-reload watcher: polls the file's mtime from a helper
-/// thread, re-validates on change and publishes the diff. Dropping the
-/// watcher stops the thread.
-struct ConfigWatcher {
-    shared: Arc<ConfigShared>,
-    _poll: PollGuard,
-}
-
-#[derive(Default)]
-struct ConfigShared {
-    /// Successful reloads (the `seq` in `config_reload` flight events).
-    reloads: AtomicU64,
-    /// Rejected reload attempts (file failed to parse or validate, or the
-    /// admin mailbox refused part of its diff — counted once per reload).
-    errors: AtomicU64,
-}
-
-impl ConfigWatcher {
-    /// Load `path` once synchronously (so a config present at startup
-    /// is active for the first segment), then watch it for changes.
-    fn start(path: String, engine: Arc<Engine>, ring: FlightRing) -> ConfigWatcher {
-        let shared = Arc::new(ConfigShared::default());
-        let mut poller = ConfigPoller {
-            path,
-            engine,
-            ring,
-            shared: Arc::clone(&shared),
-            applied: ServeConfig::default(),
-            last_mtime: None,
-            owed: None,
-        };
-        poller.poll(true);
-        let poll = PollGuard::spawn("sw-config", Duration::from_millis(100), move || {
-            poller.poll(false);
-            true
-        });
-        ConfigWatcher {
-            shared,
-            _poll: poll,
-        }
-    }
-
-    fn reloads(&self) -> u64 {
-        self.shared.reloads.load(Ordering::Relaxed)
-    }
-
-    fn errors(&self) -> u64 {
-        self.shared.errors.load(Ordering::Relaxed)
-    }
-}
-
-/// The watcher thread's state: what of the watched file has reached
-/// the engine, the mtime it was last read at, and the last valid read
-/// while part of its diff is still owed to a full admin mailbox.
-struct ConfigPoller {
-    path: String,
-    engine: Arc<Engine>,
-    ring: FlightRing,
-    shared: Arc<ConfigShared>,
-    applied: ServeConfig,
-    last_mtime: Option<std::time::SystemTime>,
-    owed: Option<ServeConfig>,
-}
-
-impl ConfigPoller {
-    /// One poll round: skip unless the mtime moved, part of the last
-    /// reload is still owed, or `force`; then parse-validate-diff-apply
-    /// and record the attempt in flight. A reload the admin mailbox
-    /// refused part of counts as one error and is retried on every
-    /// tick, from what `applied` says landed, until the whole diff is
-    /// in — from the read that was refused, not from the file, so a
-    /// file that has gone bad since does not strand half a diff.
-    fn poll(&mut self, force: bool) {
-        let path = &self.path;
-        let mtime = match std::fs::metadata(path).and_then(|m| m.modified()) {
-            Ok(t) => t,
-            Err(_) => return, // absent file: nothing to apply yet
-        };
-        let changed = force || self.last_mtime != Some(mtime);
-        self.last_mtime = Some(mtime);
-        let read = match (&self.owed, changed) {
-            (None, false) => return,
-            (Some(next), false) => Ok(next.clone()),
-            (_, true) => read_config(path).and_then(|text| ServeConfig::parse(&text)),
-        };
-        let why = match read {
-            Ok(next) if next == self.applied => {
-                self.owed = None;
-                return; // touch without change
-            }
-            Ok(next) => {
-                if apply_config(&self.engine, &mut self.applied, &next) {
-                    self.owed = None;
-                    let seq = self.shared.reloads.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.ring.record(FlightKind::ConfigReload, 1, seq);
-                    return;
-                }
-                if self.owed.replace(next).is_some() {
-                    return; // said once per refused reload, not per retry
-                }
-                "the admin mailbox is full (retrying every tick)".to_string()
-            }
-            // What was owed of the last valid read stays owed.
-            Err(e) => format!("{e} (keeping previous config)"),
-        };
-        self.shared.errors.fetch_add(1, Ordering::Relaxed);
-        let seq = self.shared.reloads.load(Ordering::Relaxed);
-        self.ring.record(FlightKind::ConfigReload, 0, seq);
-        eprintln!("repro: serve-config {path} rejected: {why}");
-    }
 }
 
 /// A one-shot segment deadline: requests a graceful drain `ms` after
@@ -452,8 +164,6 @@ pub struct SegmentRecord {
     pub log_buffered: u64,
     /// Cumulative admin commands applied by the controller.
     pub admin_applied: u64,
-    /// Config reloads published by segment end.
-    pub config_seq: u64,
 }
 
 /// The whole service run, for rendering and machine-readable output.
@@ -463,10 +173,6 @@ pub struct ServeOutcome {
     /// The lane mesh's structural buffer count
     /// ([`EngineConfig::lane_buffers`]).
     pub pool_bound: u64,
-    /// Successful config hot-reloads.
-    pub config_reloads: u64,
-    /// Rejected config reload attempts.
-    pub config_errors: u64,
 }
 
 impl ServeOutcome {
@@ -596,10 +302,14 @@ fn last_delta(samples: impl Iterator<Item = u64>) -> u64 {
 
 /// Run service mode and render the per-segment report; the raw
 /// [`ServeOutcome`] and the resident [`Engine`] are handed back for
-/// flight dumps and soak gating.
-pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, Arc<Engine>) {
+/// flight dumps and soak gating. Fails, before any packet is offered,
+/// on a shape that cannot be replayed or opened.
+pub fn serve_run_full(
+    ctx: &ExpCtx,
+    spec: &ServeSpec,
+) -> Result<(Table, ServeOutcome, Arc<Engine>), String> {
     assert!(spec.segments > 0, "service mode needs at least one segment");
-    let replay = spec.shape.replay(ctx.scale);
+    let replay = spec.shape.replay(ctx.scale)?;
     let control = serve_control_config(spec);
     // SIGINT/SIGTERM mid-segment: the shape's signal watch drains the
     // running segment; the loop-top check below then stops the service.
@@ -610,11 +320,8 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
             cfg.with_control(control)
         },
         crate::serve::serve_admin,
-    );
+    )?;
     let engine = &run.engine;
-    let watcher = spec.config_path.clone().map(|path| {
-        ConfigWatcher::start(path, Arc::clone(engine), engine.flight().ring("sw-serve"))
-    });
 
     let pace = rate_pace(spec.rate_mpps);
     let registry = engine.registry().clone();
@@ -659,7 +366,6 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
             frame_pool_allocated: frame_allocated.get(),
             log_buffered: report.log_buffered,
             admin_applied: engine.admin_applied(),
-            config_seq: watcher.as_ref().map(|w| w.reloads()).unwrap_or(0),
         });
     }
     engine.clear_drain();
@@ -667,11 +373,8 @@ pub fn serve_run_full(ctx: &ExpCtx, spec: &ServeSpec) -> (Table, ServeOutcome, A
     let outcome = ServeOutcome {
         segments,
         pool_bound: engine.config().lane_buffers() as u64,
-        config_reloads: watcher.as_ref().map(|w| w.reloads()).unwrap_or(0),
-        config_errors: watcher.as_ref().map(|w| w.errors()).unwrap_or(0),
     };
-    drop(watcher);
-    (render(spec, &outcome), outcome, run.close())
+    Ok((render(spec, &outcome), outcome, run.close()))
 }
 
 /// The `BENCH_serve.json` schema (field order = emission order).
@@ -695,8 +398,6 @@ struct ServeBenchJson {
     rss_growth_bytes: i64,
     flowstate_bytes: u64,
     flowstate_growth_bytes: u64,
-    config_reloads: u64,
-    config_errors: u64,
     timeline: Vec<SegmentRecord>,
 }
 
@@ -722,8 +423,6 @@ pub fn serve_bench_json(spec: &ServeSpec, out: &ServeOutcome) -> String {
         rss_growth_bytes: out.rss_growth_bytes(),
         flowstate_bytes: out.segments.last().map(|s| s.flowstate_bytes).unwrap_or(0),
         flowstate_growth_bytes: out.flowstate_growth_bytes(),
-        config_reloads: out.config_reloads,
-        config_errors: out.config_errors,
         timeline: out.segments.clone(),
     };
     serde_json::to_string_pretty(&v).expect("serve report serializes")
@@ -744,7 +443,6 @@ fn render(spec: &ServeSpec, out: &ServeOutcome) -> Table {
             "rss MiB",
             "pools",
             "admin",
-            "cfg",
         ],
     );
     for s in &out.segments {
@@ -759,7 +457,6 @@ fn render(spec: &ServeSpec, out: &ServeOutcome) -> Table {
             format!("{:.1}", s.rss_bytes as f64 / (1 << 20) as f64),
             s.pool_allocated.to_string(),
             s.admin_applied.to_string(),
-            s.config_seq.to_string(),
         ]);
     }
     t.note(format!(
@@ -789,12 +486,6 @@ fn render(spec: &ServeSpec, out: &ServeOutcome) -> Table {
             "VIOLATED"
         }
     ));
-    if out.config_reloads + out.config_errors > 0 {
-        t.note(format!(
-            "config hot-reloads: {} applied, {} rejected",
-            out.config_reloads, out.config_errors
-        ));
-    }
     t
 }
 
@@ -817,7 +508,7 @@ mod tests {
     #[test]
     fn multi_segment_service_conserves_with_flat_pools() {
         let ctx = ExpCtx::new(1);
-        let (t, out, _) = serve_run_full(&ctx, &quick_spec());
+        let (t, out, _) = serve_run_full(&ctx, &quick_spec()).unwrap();
         assert_eq!(out.segments.len(), 3);
         assert!(out.all_conserved());
         // The garage reuses the lanes across segments: two 20k-packet
@@ -852,7 +543,7 @@ mod tests {
             segments: 1,
             ..quick_spec()
         };
-        let (_, out, _) = serve_run_full(&ctx, &spec);
+        let (_, out, _) = serve_run_full(&ctx, &spec).unwrap();
         let json = serve_bench_json(&spec, &out);
         let keys = crate::output::top_level_keys(&json);
         assert_eq!(
@@ -876,8 +567,6 @@ mod tests {
                 "rss_growth_bytes",
                 "flowstate_bytes",
                 "flowstate_growth_bytes",
-                "config_reloads",
-                "config_errors",
                 "timeline",
             ]
         );
@@ -905,12 +594,9 @@ mod tests {
                     frame_pool_allocated: 0,
                     log_buffered: 0,
                     admin_applied: 0,
-                    config_seq: 0,
                 })
                 .collect(),
             pool_bound: 0,
-            config_reloads: 0,
-            config_errors: 0,
         };
         // Building (segment 1) and the first reset's shrink (segment 2)
         // may move it; so may nothing at all.
@@ -928,241 +614,73 @@ mod tests {
         assert!(said.len() == 1 && said[0].contains("64 bytes"), "{said:?}");
     }
 
+    /// The admin socket is the one live edit path: a steer edit and a
+    /// shed pin POSTed while segment 0 runs are applied by the resident
+    /// controller within that segment, show in the flight ring and in
+    /// `/stats.json`, and the pin sheds every later segment whole.
     #[test]
-    fn admin_edit_and_config_reload_are_visible_in_the_service_run() {
-        let ctx = ExpCtx::new(1);
-        let dir = std::env::temp_dir();
-        let path = dir.join("sw_serve_config_test.json");
-        std::fs::write(&path, r#"{"blacklist": [12345], "force_shed": false}"#).unwrap();
+    fn admin_edits_posted_mid_segment_land_and_the_pin_outlives_it() {
+        use crate::serve::tests::{get, post};
+        use std::net::{SocketAddr, TcpListener, TcpStream};
+        let port = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("a free port")
+            .port();
+        let addr = SocketAddr::from(([127, 0, 0, 1], port));
         let spec = ServeSpec {
             shape: RunShape {
-                packets: 60_000,
-                listen: Some("127.0.0.1:0".to_string()),
+                // 0.8 s per segment at 0.5 Mpps: the POSTs land in segment 0.
+                packets: 400_000,
+                listen: Some(addr.to_string()),
                 ..RunShape::default()
             },
             rate_mpps: Some(0.5),
-            segments: 2,
-            config_path: Some(path.to_string_lossy().into_owned()),
+            segments: 3,
             ..ServeSpec::default()
         };
-        let (_, out, engine) = serve_run_full(&ctx, &spec);
-        std::fs::remove_file(&path).ok();
-        assert!(out.all_conserved());
-        assert_eq!(out.config_reloads, 1, "startup config counts as a reload");
-        assert_eq!(out.config_errors, 0);
-        // The blacklist edit and shed pin were applied by the
-        // controller (admin_applied counts them) and the reload is in
-        // the flight recorder.
-        assert!(engine.admin_applied() >= 2);
-        let flight = engine.flight().to_json();
-        assert!(flight.contains("config_reload"));
-        assert!(flight.contains("admin_edit"));
-        // And the service state shows up in stats_json.
-        let stats: serde_json::Value =
-            serde_json::from_str(&engine.stats_json()).expect("valid stats");
-        let service = stats.get("service").expect("service section");
-        assert!(
-            service
-                .get("admin_applied")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0)
-                >= 2
-        );
-    }
-
-    #[test]
-    fn bad_config_is_rejected_and_the_run_survives() {
         let ctx = ExpCtx::new(1);
-        let dir = std::env::temp_dir();
-        let path = dir.join("sw_serve_bad_config_test.json");
-        std::fs::write(&path, r#"{"rate_mpps": "fast"}"#).unwrap();
-        let spec = ServeSpec {
-            shape: RunShape {
-                packets: 20_000,
-                ..RunShape::default()
-            },
-            rate_mpps: None,
-            segments: 1,
-            config_path: Some(path.to_string_lossy().into_owned()),
-            ..ServeSpec::default()
-        };
-        let (_, out, engine) = serve_run_full(&ctx, &spec);
-        std::fs::remove_file(&path).ok();
+        let (out, engine, live_applied) = std::thread::scope(|s| {
+            let service = s.spawn(|| serve_run_full(&ctx, &spec));
+            // The socket is bound before segment 0 offers its first packet.
+            for _ in 0..1_000 {
+                if TcpStream::connect(addr).is_ok() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let steer = r#"{"table":"blacklist","op":"add","digest":12345}"#;
+            assert_eq!(post(addr, "/admin/steer", steer).0, 202);
+            assert_eq!(post(addr, "/admin/shed", r#"{"force":true}"#).0, 202);
+            // The controller applies both at its next epoch boundary.
+            let mut live_applied = 0;
+            for _ in 0..200 {
+                let (status, body) = get(addr, "/stats.json");
+                assert_eq!(status, 200);
+                let stats: serde_json::Value = serde_json::from_str(&body).expect("valid stats");
+                live_applied = stats["service"]["admin_applied"].as_u64().unwrap_or(0);
+                if live_applied >= 2 {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let (_, out, engine) = service.join().expect("service ran").unwrap();
+            (out, engine, live_applied)
+        });
+        assert!(live_applied >= 2, "/stats.json service.admin_applied");
         assert!(out.all_conserved());
-        assert_eq!(out.config_reloads, 0);
-        assert_eq!(out.config_errors, 1);
-        assert!(engine.rate_override().is_none());
-    }
-
-    /// A watched file that is half-written, oversized, wrong-typed, not
-    /// UTF-8 or absurdly nested is counted and refused: the config
-    /// applied before it stays the applied one, and the pin it set in
-    /// the resident controller still decides the next segment.
-    #[test]
-    fn a_bad_config_file_leaves_the_previous_config_and_pins_in_force() {
-        use smartwatch_runtime::Pace;
-        use smartwatch_trace::background::Preset;
-        let spec = ServeSpec::default();
-        let cfg = spec.shape.engine_config();
-        let engine = Arc::new(Engine::new(cfg.with_control(serve_control_config(&spec))));
-        let file = std::env::temp_dir().join("sw_serve_hostile_config_test.json");
-        let shared = Arc::new(ConfigShared::default());
-        let mut poller = ConfigPoller {
-            path: file.to_string_lossy().into_owned(),
-            engine: Arc::clone(&engine),
-            ring: engine.flight().ring("sw-serve"),
-            shared: Arc::clone(&shared),
-            applied: ServeConfig::default(),
-            last_mtime: None,
-            owed: None,
-        };
-        let packets = crate::workloads::caida_64b(Preset::Caida2018, 1, 0xC7).into_packets();
-        let packets: Vec<_> = packets.iter().cycle().take(20_000).copied().collect();
-        let shed_pinned = |label: &str| {
-            let report = engine.run(&packets, Pace::RateMpps(0.5));
-            let ctrl = report.control.as_ref().expect("controller ran");
-            assert!(report.conserved(), "{label}");
-            let last = ctrl.decisions.last().expect("an epoch ran");
-            assert!(last.shed && ctrl.shed_active, "{label}: the pin decides");
-            (report.shed(), report.offered)
-        };
-
-        std::fs::write(&file, r#"{"force_shed": true, "rate_mpps": 0.4}"#).unwrap();
-        poller.poll(true);
-        let good = poller.applied.clone();
-        assert_eq!(good.force_shed, Some(true));
-        shed_pinned("good config");
-
-        let oversized = format!(r#"{{"blacklist": [{}1]}}"#, "1, ".repeat(400_000));
-        let deep = format!(r#"{{"blacklist": {}"#, "[".repeat(10_000));
-        let hostile: [(&str, &[u8]); 6] = [
-            ("half-written", br#"{"force_shed": false, "rate_m"#),
-            ("oversized", oversized.as_bytes()),
-            ("wrong-typed pin", br#"{"force_shed": "no"}"#),
-            ("wrong-typed list", br#"{"blacklist": {"7": true}}"#),
-            ("not UTF-8", b"{\"force_shed\": \xff\xfe}"),
-            ("10 000 deep", deep.as_bytes()),
-        ];
-        for (i, (name, bytes)) in hostile.iter().enumerate() {
-            std::fs::write(&file, bytes).unwrap();
-            poller.poll(true);
+        assert_eq!(out.segments.len(), 3);
+        assert!(out.segments[0].admin_applied >= 2, "applied in segment 0");
+        assert!(out.segments[0].dropped > 0, "the pin sheds segment 0");
+        for s in &out.segments[1..] {
             assert_eq!(
-                shared.errors.load(Ordering::Relaxed),
-                i as u64 + 1,
-                "{name}"
+                (s.processed, s.dropped),
+                (0, s.offered),
+                "segment {}",
+                s.segment
             );
-            assert_eq!(poller.applied, good, "{name}: previous config kept");
-            assert_eq!(engine.admin_queued(), 0, "{name}: nothing queued");
-            assert!(engine.rate_override().is_some(), "{name}: pace kept");
         }
-        std::fs::remove_file(&file).ok();
-        assert_eq!(shared.reloads.load(Ordering::Relaxed), 1);
-
-        // The next segment opens under the pin the good config set.
-        let (shed, offered) = shed_pinned("after six bad files");
-        assert_eq!(shed, offered);
-    }
-
-    /// A reload that meets a full admin mailbox is an error, marks
-    /// nothing applied that did not land, and is retried on the next
-    /// tick — not on the next edit of the file — until the whole diff
-    /// is in, once.
-    #[test]
-    fn a_reload_the_mailbox_refused_is_retried_every_tick_until_it_lands() {
-        use smartwatch_runtime::Pace;
-        use smartwatch_trace::background::Preset;
-        let spec = ServeSpec::default();
-        let cfg = spec.shape.engine_config();
-        let engine = Arc::new(Engine::new(cfg.with_control(serve_control_config(&spec))));
-        let file = std::env::temp_dir().join("sw_serve_full_mailbox_test.json");
-        let shared = Arc::new(ConfigShared::default());
-        let mut poller = ConfigPoller {
-            path: file.to_string_lossy().into_owned(),
-            engine: Arc::clone(&engine),
-            ring: engine.flight().ring("sw-serve"),
-            shared: Arc::clone(&shared),
-            applied: ServeConfig::default(),
-            last_mtime: None,
-            owed: None,
-        };
-        let counts = |shared: &ConfigShared| {
-            (
-                shared.reloads.load(Ordering::Relaxed),
-                shared.errors.load(Ordering::Relaxed),
-            )
-        };
-
-        // An idle engine drains nothing: fill the mailbox to the brim.
-        let mut filler = 0;
-        while engine.admin(AdminCmd::WhitelistAdd(1_000_000 + filler)) {
-            filler += 1;
-        }
-        let brim = engine.admin_queued();
-        std::fs::write(
-            &file,
-            r#"{"force_shed": true, "blacklist": [7, 8], "rate_mpps": 0.4}"#,
-        )
-        .unwrap();
-        poller.poll(true);
-        assert_eq!(counts(&shared), (0, 1), "refused: an error, not a reload");
-        assert_eq!(poller.applied, ServeConfig::default(), "nothing landed");
-        assert!(
-            engine.rate_override().is_none(),
-            "the pace waits for the diff"
-        );
-        assert_eq!(engine.admin_queued(), brim);
-        // Still full: the retries are silent.
-        poller.poll(false);
-        poller.poll(false);
-        assert_eq!(counts(&shared), (0, 1));
-        // The file goes bad while the diff is owed: refused and counted,
-        // and the last valid read is still what the retries apply.
-        std::fs::write(&file, r#"{"force_shed": tr"#).unwrap();
-        poller.poll(true);
-        assert_eq!(counts(&shared), (0, 2));
-        assert_eq!(poller.applied, ServeConfig::default());
-
-        // A segment under the controller drains the mailbox.
-        let packets = crate::workloads::caida_64b(Preset::Caida2018, 1, 0xC7).into_packets();
-        let packets: Vec<_> = packets.iter().cycle().take(20_000).copied().collect();
-        assert!(engine.run(&packets, Pace::RateMpps(0.5)).conserved());
-        assert_eq!(engine.admin_queued(), 0);
-
-        // Same file, same mtime: the next tick applies the whole diff.
-        poller.poll(false);
-        assert_eq!(counts(&shared), (1, 2));
-        assert_eq!(engine.admin_queued(), 3, "two digests and the shed pin");
-        assert!(engine.rate_override().is_some());
-        let want = ServeConfig {
-            rate_mpps: Some(0.4),
-            force_shed: Some(true),
-            blacklist: vec![7, 8],
-            whitelist: vec![],
-        };
-        assert_eq!(poller.applied, want);
-        // … once.
-        poller.poll(false);
-        assert_eq!((counts(&shared), engine.admin_queued()), ((1, 2), 3));
-
-        // A mailbox with room for part of a diff: what landed is
-        // recorded, and only the rest is owed.
-        while engine.admin(AdminCmd::WhitelistAdd(2_000_000 + filler)) {
-            filler += 1;
-        }
-        assert!(engine.run(&packets, Pace::RateMpps(0.5)).conserved());
-        while engine.admin_queued() < brim - 1 {
-            assert!(engine.admin(AdminCmd::WhitelistAdd(3_000_000 + filler)));
-            filler += 1;
-        }
-        let next = ServeConfig {
-            blacklist: vec![7, 8, 9, 10],
-            ..want.clone()
-        };
-        let mut applied = want.clone();
-        assert!(!apply_config(&engine, &mut applied, &next));
-        assert_eq!(applied.blacklist, [7, 8, 9], "one command fitted");
-        assert_eq!(applied.diff(&next), [AdminCmd::BlacklistAdd(10)]);
-        std::fs::remove_file(&file).ok();
+        assert!(engine.admin_applied() >= 2);
+        assert!(engine.flight().to_json().contains("admin_edit"));
     }
 
     #[test]
@@ -1178,36 +696,12 @@ mod tests {
             segment_ms: 50,
             ..ServeSpec::default()
         };
-        let (_, out, _) = serve_run_full(&ctx, &spec);
+        let (_, out, _) = serve_run_full(&ctx, &spec).unwrap();
         assert_eq!(out.segments.len(), 2);
         for s in &out.segments {
             assert!(s.interrupted, "deadline must drain the segment");
             assert!(s.conserved, "drained segment must still conserve");
             assert!(s.offered < 4_000_000);
         }
-    }
-
-    #[test]
-    fn config_parses_validates_and_diffs() {
-        let cfg = ServeConfig::parse(
-            r#"{"rate_mpps": 1.5, "force_shed": true, "blacklist": [1, 2], "whitelist": [9]}"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.rate_mpps, Some(1.5));
-        assert_eq!(cfg.force_shed, Some(true));
-        assert_eq!(cfg.blacklist, vec![1, 2]);
-        assert!(ServeConfig::parse(r#"{"rate_mpps": -1}"#).is_err());
-        assert!(ServeConfig::parse(r#"{"surprise": 1}"#).is_err());
-        assert!(ServeConfig::parse("[]").is_err());
-
-        let next = ServeConfig::parse(r#"{"blacklist": [2, 3], "force_shed": null}"#).unwrap();
-        let cmds = cfg.diff(&next);
-        assert!(cmds.contains(&AdminCmd::BlacklistAdd(3)));
-        assert!(cmds.contains(&AdminCmd::BlacklistRemove(1)));
-        assert!(cmds.contains(&AdminCmd::WhitelistRemove(9)));
-        assert!(cmds.contains(&AdminCmd::ForceShed(None)));
-        assert_eq!(cmds.len(), 4);
-        // No-op diff queues nothing.
-        assert!(cfg.diff(&cfg.clone()).is_empty());
     }
 }

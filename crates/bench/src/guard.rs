@@ -1,8 +1,8 @@
 //! The one helper-thread guard of the bench drivers.
 //!
-//! The signal watch, the segment deadline and the config watcher are
-//! each "call this every so often until it says stop, or until the run
-//! that started it is over". [`PollGuard`] owns that once: the stop
+//! The signal watch and the segment deadline are each "call this every
+//! so often until it says stop, or until the run that started it is
+//! over". [`PollGuard`] owns that once: the stop
 //! flag, the named thread, the poll loop and the join on drop. What a
 //! poller *does* — and any state it shares with its owner — lives in
 //! the closure.

@@ -188,16 +188,10 @@ impl RunShape {
     /// Reject a shape no engine can honour, with the message `repro`
     /// prints before exiting 2.
     pub fn validate(&self) -> Result<(), String> {
-        let rtc = self.datapath == DatapathMode::Rtc;
-        if self.pin_cores && !rtc {
+        if self.pin_cores && self.datapath != DatapathMode::Rtc {
             return Err(
                 "--pin-cores requires `--datapath rtc` (the pipeline is not pinned)".into(),
             );
-        }
-        if let EngineSource::Pcap(path) = &self.source {
-            if let Err(e) = std::fs::metadata(path) {
-                return Err(format!("--source pcap: cannot read {path}: {e}"));
-            }
         }
         Ok(())
     }
@@ -243,9 +237,11 @@ impl RunShape {
 
     /// Materialise the replay input, exactly `packets` long:
     /// generate-and-cycle for the synthetic path, compile-once for the
-    /// wire path, read-validate-cycle for pcap files.
-    pub fn replay(&self, scale: usize) -> ReplayData {
-        match &self.source {
+    /// wire path, read-validate-cycle for pcap files. A capture that
+    /// cannot be read, does not parse or holds no frame is refused with
+    /// the message `repro` prints before exiting 2.
+    pub fn replay(&self, scale: usize) -> Result<ReplayData, String> {
+        Ok(match &self.source {
             EngineSource::Synthetic => {
                 let base = self.base_trace(scale).into_packets();
                 assert!(!base.is_empty(), "workload generator produced no packets");
@@ -255,14 +251,16 @@ impl RunShape {
                 ReplayData::Wire(compile_cycled(&self.base_trace(scale), self.packets))
             }
             EngineSource::Pcap(path) => {
-                let data =
-                    std::fs::read(path).unwrap_or_else(|e| panic!("repro: reading {path}: {e}"));
+                let data = std::fs::read(path)
+                    .map_err(|e| format!("--source pcap: cannot read {path}: {e}"))?;
                 let store = FrameStore::from_pcap(&data)
-                    .unwrap_or_else(|e| panic!("repro: parsing {path}: {e}"));
-                assert!(!store.is_empty(), "pcap {path} contains no frames");
+                    .map_err(|e| format!("--source pcap: cannot parse {path}: {e}"))?;
+                if store.is_empty() {
+                    return Err(format!("--source pcap: {path} holds no frames"));
+                }
                 ReplayData::Wire(store.cycled_to(self.packets))
             }
-        }
+        })
     }
 
     /// Build this shape's engine on the context's shared registry and
@@ -270,31 +268,32 @@ impl RunShape {
     /// and the `--listen` socket behind the driver's `listener`. `adds` is
     /// where a driver puts what it alone knows on top of
     /// [`RunShape::engine_config`] (a controller, `carry_flow_state`).
+    /// An invalid shape, or a `--listen` address that does not parse or
+    /// bind, is refused with the message `repro` prints before exiting 2.
     pub fn open(
         &self,
         ctx: &ExpCtx,
         adds: impl FnOnce(EngineConfig) -> EngineConfig,
         listener: Listener,
-    ) -> OpenRun {
-        if let Err(e) = self.validate() {
-            panic!("repro: {e}");
-        }
+    ) -> Result<OpenRun, String> {
+        self.validate()?;
         let mut engine = Engine::with_registry(adds(self.engine_config()), &ctx.registry);
         engine.attach_tracer(&ctx.tracer);
         let engine = Arc::new(engine);
         let signals = self
             .watch_signals
             .then(|| crate::signal::drain_watch(&engine));
-        let server = self.listen.as_deref().map(|addr| {
-            listener(addr, &engine)
-                .unwrap_or_else(|e| panic!("repro: binding --listen {addr}: {e}"))
-        });
-        OpenRun {
+        let server = self
+            .listen
+            .as_deref()
+            .map(|addr| listener(addr, &engine).map_err(|e| format!("--listen {addr}: {e}")))
+            .transpose()?;
+        Ok(OpenRun {
             engine,
             _signals: signals,
             server,
             hold_ms: self.serve_hold_ms,
-        }
+        })
     }
 }
 

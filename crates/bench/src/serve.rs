@@ -212,7 +212,7 @@ pub fn serve_admin(addr: &str, engine: &Arc<Engine>) -> std::io::Result<HttpServ
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use smartwatch_runtime::EngineConfig;
     use std::io::{Read, Write};
@@ -235,11 +235,11 @@ mod tests {
         (status, body)
     }
 
-    fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
+    pub(crate) fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
         request(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
     }
 
-    fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
+    pub(crate) fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
         request(
             addr,
             &format!(
@@ -323,6 +323,13 @@ mod tests {
 
         // Nothing leaked into the queue from the rejected requests.
         assert_eq!(engine.admin_queued(), 4);
+
+        // A full mailbox answers 409 and queues nothing.
+        while engine.admin(AdminCmd::WhitelistAdd(1_000)) {}
+        let brim = engine.admin_queued();
+        let (status, _) = post(addr, "/admin/shed", r#"{"force":false}"#);
+        assert_eq!(status, 409);
+        assert_eq!(engine.admin_queued(), brim);
         server.shutdown();
     }
     /// Nothing a client can send to the admin socket may panic it, hang

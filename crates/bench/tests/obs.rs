@@ -59,7 +59,7 @@ fn per_queue_prometheus_families_are_complete_and_deterministic() {
         };
         let run = || {
             let ctx = ExpCtx::new(1);
-            let (_, report, _) = engine_run_full(&ctx, &spec);
+            let (_, report, _) = engine_run_full(&ctx, &spec).unwrap();
             assert!(report.conserved());
             queue_section(&ctx)
         };
@@ -106,7 +106,7 @@ fn traced_run_covers_every_engine_thread() {
         },
         ..EngineRunSpec::default()
     };
-    let (_, report, _) = engine_run_full(&ctx, &spec);
+    let (_, report, _) = engine_run_full(&ctx, &spec).unwrap();
     assert!(report.escalated() > 0, "mix workload must escalate");
     assert!(report.host_processed > 0, "host workers must see traffic");
 
@@ -163,7 +163,7 @@ fn live_stats_match_the_final_report() {
             },
             ..EngineRunSpec::default()
         };
-        let (_, report, engine) = engine_run_full(&ctx, &spec);
+        let (_, report, engine) = engine_run_full(&ctx, &spec).unwrap();
         let stats: serde_json::Value =
             serde_json::from_str(&engine.stats_json()).expect("stats.json is valid JSON");
         let rows = |k: &str| -> Vec<serde_json::Value> {

@@ -72,7 +72,7 @@ fn every_shape_field_reaches_every_drivers_engine() {
             shape: shape.clone(),
             rate_mpps: None,
         };
-        let (_, report, engine) = engine_run_full(&ctx, &spec);
+        let (_, report, engine) = engine_run_full(&ctx, &spec).unwrap();
         assert_eq!(format!("{:?}", engine.config()), format!("{want:?}"));
         assert_eq!(report.offered, 20_000);
         assert!(
@@ -87,7 +87,7 @@ fn every_shape_field_reaches_every_drivers_engine() {
             shape: shape.clone(),
             ..ControlRunSpec::default()
         };
-        let (_, outcome, engine) = control_run_full(&ctx, &spec);
+        let (_, outcome, engine) = control_run_full(&ctx, &spec).unwrap();
         let with_control = want.clone().with_control(control_config(&spec));
         assert_eq!(
             format!("{:?}", engine.config()),
@@ -111,7 +111,7 @@ fn every_shape_field_reaches_every_drivers_engine() {
             epoch_ms: 3,
             ..ServeSpec::default()
         };
-        let (_, outcome, engine) = serve_run_full(&ctx, &spec);
+        let (_, outcome, engine) = serve_run_full(&ctx, &spec).unwrap();
         let mut carried = want.clone();
         carried.carry_flow_state = true;
         assert_eq!(knobs(engine.config()), knobs(&carried));
@@ -139,7 +139,7 @@ fn contradictory_shapes_are_rejected_whoever_built_them() {
         source: EngineSource::Pcap("/nonexistent/capture.pcap".to_string()),
         ..RunShape::default()
     };
-    let said = missing.validate().expect_err("unreadable capture");
+    let said = missing.replay(1).err().expect("unreadable capture");
     assert!(said.contains("cannot read /nonexistent/capture.pcap"));
 
     for ok in shapes_off_default() {

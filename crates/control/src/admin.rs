@@ -1,6 +1,6 @@
-//! The operator's vocabulary: one [`AdminCmd`] per edit an admin
-//! surface (HTTP endpoint, config hot-reload) can ask of the control
-//! plane. Applied by [`Controller::admin`](crate::Controller::admin).
+//! The operator's vocabulary: one [`AdminCmd`] per edit the admin
+//! surface (the `POST /admin/*` routes) can ask of the control plane.
+//! Applied by [`Controller::admin`](crate::Controller::admin).
 
 use smartwatch_snic::Mode;
 

@@ -2,8 +2,8 @@
 //! that turn a run-to-completion engine into a steerable long-running
 //! service.
 //!
-//! The admin surface (HTTP POST endpoints, config hot-reload, signal
-//! handlers) never touches engine state directly. Commands
+//! The admin surface (HTTP POST endpoints, signal handlers) never
+//! touches engine state directly. Commands
 //! ([`AdminCmd`], defined beside the controller that applies them) are
 //! queued through [`Engine::admin`](crate::Engine::admin) into a bounded
 //! mailbox and drained by the **controller thread** once per epoch, so

@@ -54,9 +54,8 @@ pub enum FlightKind {
     /// An admin command (steering edit, mode/shed/pace override) was
     /// applied by the controller at an epoch boundary.
     AdminEdit = 12,
-    /// A config hot-reload was validated and published (or rejected).
-    ConfigReload = 13,
-    /// An applied blacklist verdict dropped packets on a shard.
+    /// An applied blacklist verdict dropped packets on a shard. (13 is
+    /// retired, not reused.)
     VerdictDrop = 14,
 }
 
@@ -76,7 +75,6 @@ impl FlightKind {
             FlightKind::ConservationDelta => "conservation_delta",
             FlightKind::RunEnd => "run_end",
             FlightKind::AdminEdit => "admin_edit",
-            FlightKind::ConfigReload => "config_reload",
             FlightKind::VerdictDrop => "verdict_drop",
         }
     }
@@ -97,7 +95,6 @@ impl FlightKind {
             FlightKind::ConservationDelta => &["delta", "offered"],
             FlightKind::RunEnd => &["conserved", "offered"],
             FlightKind::AdminEdit => &["cmd", "arg"],
-            FlightKind::ConfigReload => &["ok", "seq"],
             FlightKind::VerdictDrop => &["count", "batch"],
         }
     }
@@ -116,7 +113,6 @@ impl FlightKind {
             10 => FlightKind::ConservationDelta,
             11 => FlightKind::RunEnd,
             12 => FlightKind::AdminEdit,
-            13 => FlightKind::ConfigReload,
             14 => FlightKind::VerdictDrop,
             _ => return None,
         })
