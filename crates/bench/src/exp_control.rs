@@ -23,8 +23,7 @@ use std::sync::Arc;
 
 /// One `repro control` invocation, fully specified: the shared
 /// [`RunShape`] (both the controlled run and the baseline are built
-/// from it and replay the same input) plus the spike and the
-/// controller epoch.
+/// from it and replay the same input) plus the spike.
 #[derive(Clone, Debug)]
 pub struct ControlRunSpec {
     /// Engine, replay input and watchers (the watchers follow the
@@ -38,9 +37,12 @@ pub struct ControlRunSpec {
     pub spike_start: f64,
     /// Spike end as a fraction of the sequence, `0.0..1.0`.
     pub spike_end: f64,
-    /// Controller epoch length in milliseconds.
-    pub epoch_ms: u64,
 }
+
+/// The controller epoch of every `repro` driver that runs one
+/// (`control`, `serve`, `soak`), in milliseconds: short enough that a
+/// spike spans many epochs and an admin command lands within a few ms.
+pub const EPOCH_MS: u64 = 2;
 
 impl Default for ControlRunSpec {
     fn default() -> ControlRunSpec {
@@ -54,7 +56,6 @@ impl Default for ControlRunSpec {
             peak_mpps: 2.0,
             spike_start: 0.2,
             spike_end: 0.8,
-            epoch_ms: 2,
         }
     }
 }
@@ -92,7 +93,7 @@ pub fn control_config(spec: &ControlRunSpec) -> ControlConfig {
     );
     let shards = spec.shape.shards as f64;
     let mut c = ControlConfig::default();
-    c.epoch_ms = spec.epoch_ms;
+    c.epoch_ms = EPOCH_MS;
     // Per-shard Algorithm 4 thresholds: Lite above half the per-shard
     // spike rate, General below 3/4 of the per-shard base rate.
     c.eta_lite_mpps = 0.5 * spec.peak_mpps / shards;
@@ -105,7 +106,7 @@ pub fn control_config(spec: &ControlRunSpec) -> ControlConfig {
     // A flow carrying ≥1/64 of the spike's per-epoch traffic is a heavy
     // hitter worth a whitelist slot (the default threshold is sized for
     // much longer epochs than bench time-scales).
-    let spike_epoch_pkts = spec.peak_mpps * 1e6 * spec.epoch_ms as f64 / 1000.0;
+    let spike_epoch_pkts = spec.peak_mpps * 1e6 * EPOCH_MS as f64 / 1000.0;
     c.promote_pkts_per_epoch = (spike_epoch_pkts / 64.0).max(1.0) as u64;
     c
 }
@@ -241,7 +242,7 @@ pub fn bench_json(spec: &ControlRunSpec, o: &ControlOutcome) -> String {
         peak_mpps: spec.peak_mpps,
         spike_start: spec.spike_start,
         spike_end: spec.spike_end,
-        epoch_ms: spec.epoch_ms,
+        epoch_ms: EPOCH_MS,
         controlled: RunJson::from(&o.controlled),
         control: ctrl.clone(),
         baseline: RunJson::from(&o.baseline),
@@ -297,7 +298,7 @@ fn render(spec: &ControlRunSpec, o: &ControlOutcome) -> Table {
         spec.spike_end * 100.0,
         spec.shape.packets,
         spec.shape.source.label(),
-        spec.epoch_ms,
+        EPOCH_MS,
         datapath_label(spec.shape.datapath),
     ));
     t.note(format!(

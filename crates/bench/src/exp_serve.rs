@@ -60,9 +60,6 @@ pub struct ServeSpec {
     /// Park the per-shard FlowCaches between segments so flow state
     /// survives a drain/restart cycle.
     pub carry_flow_state: bool,
-    /// Controller epoch length in ms (admin commands publish at epoch
-    /// boundaries).
-    pub epoch_ms: u64,
 }
 
 impl Default for ServeSpec {
@@ -75,7 +72,6 @@ impl Default for ServeSpec {
             segments: 3,
             segment_ms: 0,
             carry_flow_state: false,
-            epoch_ms: 2,
         }
     }
 }
@@ -88,7 +84,6 @@ fn serve_control_config(spec: &ServeSpec) -> smartwatch_runtime::ControlConfig {
     let rate = spec.rate_mpps.unwrap_or(2.0).max(0.05);
     control_config(&ControlRunSpec {
         shape: spec.shape.clone(),
-        epoch_ms: spec.epoch_ms,
         base_mpps: rate,
         peak_mpps: 4.0 * rate,
         ..ControlRunSpec::default()
@@ -642,11 +637,25 @@ mod tests {
         let (out, engine, live_applied) = std::thread::scope(|s| {
             let service = s.spawn(|| serve_run_full(&ctx, &spec));
             // The socket is bound before segment 0 offers its first packet.
+            // If it never answers (the port was taken between the probe
+            // bind and the service's), the service's own error says why.
+            let mut answered = false;
             for _ in 0..1_000 {
+                if service.is_finished() {
+                    break;
+                }
                 if TcpStream::connect(addr).is_ok() {
+                    answered = true;
                     break;
                 }
                 std::thread::sleep(Duration::from_millis(5));
+            }
+            if !answered {
+                let ran = service.join().expect("service thread");
+                panic!(
+                    "admin socket {addr} never answered; the service returned {:?}",
+                    ran.err()
+                );
             }
             let steer = r#"{"table":"blacklist","op":"add","digest":12345}"#;
             assert_eq!(post(addr, "/admin/steer", steer).0, 202);

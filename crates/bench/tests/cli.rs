@@ -151,7 +151,20 @@ fn repro_parses_every_flag_of_its_table() {
             flags += 1;
         }
     }
-    assert!(flags >= 25, "the synopsis was found: {flags} flags");
+    // The synopsis lists every row of `repro`'s FLAGS table, once.
+    let table = include_str!("../src/bin/repro.rs")
+        .split("const FLAGS: &[Flag] = &[")
+        .nth(1)
+        .and_then(|t| t.split("\n];").next())
+        .expect("the FLAGS table");
+    let rows = table
+        .lines()
+        .filter(|l| l.trim_start().starts_with("(\"--"))
+        .count();
+    assert!(
+        rows > 0 && flags == rows,
+        "{flags} synopsis flags, {rows} FLAGS rows"
+    );
 }
 
 /// Operator input that used to reach an assert (exit 101) exits 2 with

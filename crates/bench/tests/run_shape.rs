@@ -4,7 +4,7 @@
 //! only what the driver itself adds — and what the shape says to replay
 //! is what the run was offered.
 
-use smartwatch_bench::exp_control::{control_config, control_run_full, ControlRunSpec};
+use smartwatch_bench::exp_control::{control_config, control_run_full, ControlRunSpec, EPOCH_MS};
 use smartwatch_bench::exp_engine::{engine_run_full, EngineRunSpec};
 use smartwatch_bench::exp_serve::{serve_run_full, ServeSpec};
 use smartwatch_bench::run_shape::{EngineSource, EngineWorkload, RunShape};
@@ -108,7 +108,6 @@ fn every_shape_field_reaches_every_drivers_engine() {
             rate_mpps: None,
             segments: 1,
             carry_flow_state: true,
-            epoch_ms: 3,
             ..ServeSpec::default()
         };
         let (_, outcome, engine) = serve_run_full(&ctx, &spec).unwrap();
@@ -116,7 +115,7 @@ fn every_shape_field_reaches_every_drivers_engine() {
         carried.carry_flow_state = true;
         assert_eq!(knobs(engine.config()), knobs(&carried));
         let control = engine.config().control.as_ref().expect("controller");
-        assert_eq!(control.epoch_ms, 3);
+        assert_eq!(control.epoch_ms, EPOCH_MS);
         assert_eq!(outcome.segments[0].offered, 20_000);
         assert!(outcome.all_conserved());
         assert_eq!(outcome.pool_bound, carried.lane_buffers() as u64);
