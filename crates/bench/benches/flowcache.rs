@@ -47,15 +47,20 @@ fn bench_flowcache(c: &mut Criterion) {
 }
 
 /// The two-stage batched path as the engine's shards run it: per
-/// [`BURST`]-packet chunk, digest and `prefetch_row` every packet, then
-/// `process_digested` each in order. Appends one [`Access`] per packet.
-fn process_bursts(fc: &mut FlowCache, pkts: &[Packet], out: &mut Vec<Access>) {
+/// [`BURST`]-packet chunk, digest and `prefetch_row` every packet — and
+/// `prefetch_span` too when `span`, as a shard's stage A does after a
+/// miss-heavy batch — then `process_digested` each in order. Appends one
+/// [`Access`] per packet.
+fn process_bursts(fc: &mut FlowCache, pkts: &[Packet], out: &mut Vec<Access>, span: bool) {
     let hasher = FlowHasher::new(fc.config().hash_seed);
     let mut burst = [hasher.digest_symmetric(&pkts[0].key); BURST];
     for chunk in pkts.chunks(BURST) {
         for (d, p) in burst.iter_mut().zip(chunk) {
             *d = hasher.digest_symmetric(&p.key);
             fc.prefetch_row(d.1);
+            if span {
+                fc.prefetch_span(d.1);
+            }
         }
         for ((canon, digest), p) in burst.iter().zip(chunk) {
             out.push(fc.process_digested(p, canon, *digest));
@@ -104,7 +109,7 @@ fn bench_batch_vs_scalar(c: &mut Criterion) {
                 b.iter_batched(
                     fresh,
                     |mut fc| {
-                        process_bursts(&mut fc, &pkts, &mut out);
+                        process_bursts(&mut fc, &pkts, &mut out, false);
                         std::hint::black_box(out.len());
                         out.clear();
                         fc
@@ -123,7 +128,7 @@ fn full_table(row_bits: u32) -> FlowCache {
     let mut fc = FlowCache::new(FlowCacheConfig::general(row_bits));
     let fill = workloads::scattered_flows(46 << row_bits, 0xF111);
     let mut out = Vec::with_capacity(fill.len());
-    process_bursts(&mut fc, &fill, &mut out);
+    process_bursts(&mut fc, &fill, &mut out, false);
     assert_eq!(fc.occupied(), 12 << row_bits, "every row full");
     fc
 }
@@ -131,25 +136,32 @@ fn full_table(row_bits: u32) -> FlowCache {
 /// The victim path in isolation: new flows over a table whose rows are
 /// all full, so every access picks a P victim, evicts E's victim to a
 /// ring, demotes and inserts — the per-packet cost of `scattered_cold`
-/// once its table has filled, and the path `pick_victim` sits on.
+/// once its table has filled, and the path `pick_victim` sits on. The
+/// `_span` twin adds the P-span hint a shard's stage A issues after a
+/// miss-heavy batch, so the pair prices the cache half of that hint.
 fn bench_miss_full_row(c: &mut Criterion) {
     let full = full_table(16);
     let pkts = workloads::scattered_flows(200_000, 0x5EED_CAFE);
     let mut g = c.benchmark_group("flowcache_miss_full_row");
     g.throughput(Throughput::Elements(pkts.len() as u64));
-    g.bench_function("batch_general_rb16", |b| {
-        let mut out = Vec::with_capacity(pkts.len());
-        b.iter_batched(
-            || full.clone(),
-            |mut fc| {
-                process_bursts(&mut fc, &pkts, &mut out);
-                assert!(out.iter().all(|a| a.ring_pushes == 1));
-                out.clear();
-                fc
-            },
-            BatchSize::LargeInput,
-        );
-    });
+    for (name, span) in [
+        ("batch_general_rb16", false),
+        ("batch_general_rb16_span", true),
+    ] {
+        g.bench_function(name, |b| {
+            let mut out = Vec::with_capacity(pkts.len());
+            b.iter_batched(
+                || full.clone(),
+                |mut fc| {
+                    process_bursts(&mut fc, &pkts, &mut out, span);
+                    assert!(out.iter().all(|a| a.ring_pushes == 1));
+                    out.clear();
+                    fc
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
     g.finish();
 }
 

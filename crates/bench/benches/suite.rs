@@ -16,7 +16,10 @@
 //! has just emptied, which is the state `conntable_swept_refilled`
 //! starts from (fill → sweep → `reset` → timed refill) and the state
 //! `suite_refilled` has always started from (it runs `finish` before
-//! `reset`). `suite_digested` drives that swept-and-reset suite the way
+//! `reset`); `conntable_swept_refilled_prefetched` is that row with a
+//! shard's miss-gated stage A in front of each packet — the home slot
+//! word of the packet eight ahead fetched first — so the pair prices
+//! the table half of the hint. `suite_digested` drives that swept-and-reset suite the way
 //! a shard does: packets digested ahead of the clock (ingest's job),
 //! then `on_packet_digested`.
 
@@ -80,25 +83,49 @@ fn bench_input(c: &mut Criterion, input: &str, pkts: &[Packet]) {
         },
     );
     let end = pkts.last().map_or(Ts::ZERO, |p| p.ts);
+    let swept_table = || {
+        let mut table = ConnTable::new();
+        for p in pkts {
+            table.process(p);
+        }
+        // What `ScanPipeline::finish` does to its table.
+        let t = Dur::from_secs(2);
+        table.sweep(end + t, t, t, |_, _| {});
+        table.reset();
+        table
+    };
     row(
         &mut g,
         "conntable_swept_refilled",
         pkts,
-        || {
-            let mut table = ConnTable::new();
-            for p in pkts {
-                table.process(p);
-            }
-            // What `ScanPipeline::finish` does to its table.
-            let t = Dur::from_secs(2);
-            table.sweep(end + t, t, t, |_, _| {});
-            table.reset();
-            table
-        },
+        swept_table,
         |s, p| {
             black_box(s.process(p));
         },
     );
+    // Its twin with a shard's miss-gated stage A: the home slot word of
+    // the packet `AHEAD` places on is fetched before this one is filed
+    // (digests made off the clock, as ingest makes them).
+    const AHEAD: usize = smartwatch_snic::BURST;
+    let flows: Vec<FlowDigest> = pkts
+        .iter()
+        .map(|p| FlowHasher::default().flow_digest(&p.key))
+        .collect();
+    g.bench_function("conntable_swept_refilled_prefetched", |b| {
+        b.iter_batched(
+            swept_table,
+            |mut s| {
+                for (i, p) in pkts.iter().enumerate() {
+                    if let Some(f) = flows.get(i + AHEAD) {
+                        s.prefetch(&f.canon, f.digest);
+                    }
+                    black_box(s.process(black_box(p)));
+                }
+                s
+            },
+            BatchSize::LargeInput,
+        );
+    });
     row(
         &mut g,
         "rst",

@@ -14,7 +14,7 @@ use smartwatch_detect::slowloris::SlowlorisDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_detect::Alert;
 use smartwatch_host::{ArtefactRegistry, AuthHeuristic, AuthOutcome, ConnEvent, ConnTable};
-use smartwatch_net::{Dur, FlowDigest, FlowHasher, FlowKey, Packet, Ts};
+use smartwatch_net::{Dur, FlowDigest, FlowHasher, FlowKey, HashDigest, Packet, Ts};
 use smartwatch_snic::{FlowRecord, FlowTable, TableStats};
 
 /// Where a packet finished processing (for tier accounting).
@@ -195,6 +195,17 @@ impl DetectorSuite {
             + self.rst.table().slots()
             + self.conns.table().slots()
             + self.classified.slots()
+    }
+
+    /// Stage A's hint for `pkt`, whose carried canonical key and digest
+    /// are `canon` and `digest`: the scan pipeline's connection table is
+    /// the one every TCP packet probes, so its home slot word is fetched
+    /// toward L1 ([`FlowTable::prefetch`]; inert — no book moves).
+    #[inline]
+    pub fn prefetch(&self, pkt: &Packet, canon: &FlowKey, digest: HashDigest) {
+        if pkt.is_tcp() {
+            self.scan.conns.prefetch(canon, digest);
+        }
     }
 
     /// Feed one packet through every online detector.

@@ -6,7 +6,7 @@
 //! Zeek's `conn_state` vocabulary, which the paper's detectors are written
 //! against.
 
-use smartwatch_net::{Dur, FlowDigest, FlowHasher, FlowKey, Packet, Ts};
+use smartwatch_net::{Dur, FlowDigest, FlowHasher, FlowKey, HashDigest, Packet, Ts};
 use smartwatch_snic::{FlowTable, Keyed};
 
 /// Connection states, after Zeek's `conn_state`.
@@ -187,6 +187,13 @@ impl ConnTable {
     /// [`ConnTable::get`] for a flow whose digest was carried.
     pub fn get_digested(&self, flow: &FlowDigest) -> Option<&ConnRecord> {
         self.conns.get(&flow.canon, flow.digest)
+    }
+
+    /// Hint the slot word a lookup of `canon` reads first toward L1
+    /// ([`FlowTable::prefetch`]; inert). `digest` must be the carried one.
+    #[inline]
+    pub fn prefetch(&self, canon: &FlowKey, digest: HashDigest) {
+        self.conns.prefetch(canon, digest);
     }
 
     /// Iterate over tracked connections.

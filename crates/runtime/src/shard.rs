@@ -316,9 +316,11 @@ pub(crate) struct ShardSetup {
     /// only un-digested keys a shard sees) digest through this.
     pub hasher: FlowHasher,
     /// FlowCache software-pipeline depth: rows for up to this many
-    /// packets are prefetched ahead of their probes. `<= 1` disables the
-    /// prefetch stage (the per-packet reference path); either way the
-    /// per-packet decision sequence is identical because the prefetch is
+    /// packets are prefetched ahead of their probes — and, after a batch
+    /// that mostly missed, their P spans and scan-table slot words too
+    /// ([`ShardWorker::process_group`]). `<= 1` disables the prefetch
+    /// stage (the per-packet reference path); either way the per-packet
+    /// decision sequence is identical because the prefetch is
     /// architecturally inert.
     pub burst: usize,
 }
@@ -351,6 +353,10 @@ pub(crate) struct ShardWorker {
     /// Batches consumed — the monotone clock the aging sets tick on.
     batches: u64,
     last_ts: smartwatch_net::Ts,
+    /// More than half the packets of the last batch missed the
+    /// FlowCache: stage A also fetches what a miss reads. False at
+    /// the start of every segment.
+    cold: bool,
 }
 
 impl ShardWorker {
@@ -377,6 +383,7 @@ impl ShardWorker {
             obs,
             batches: 0,
             last_ts: smartwatch_net::Ts::ZERO,
+            cold: false,
         }
     }
 
@@ -556,25 +563,52 @@ impl ShardWorker {
     /// per-packet reference path (`burst <= 1`, no prefetch). `pub(crate)`
     /// for the run-to-completion cores, which feed it the same
     /// batch-sized groups the lane path would have delivered.
+    ///
+    /// The batch's FlowCache misses — a difference of the cache's own
+    /// plain-integer books — set the gate the next batch's stage A
+    /// reads: more than half missed, and the next stage A also fetches
+    /// what a miss reads after the row ([`ShardWorker::stage_a`]).
     pub(crate) fn process_group(&mut self, pkts: &[DigestedPacket], start: Option<Instant>) {
         let mut lap = start;
         let burst = self.setup.burst.max(1);
+        let misses = self.flow.cache.stats().misses;
         for chunk in pkts.chunks(burst) {
             if burst > 1 {
-                self.end.bursts += 1;
-                self.end.burst_pkts += chunk.len() as u64;
-                for dp in chunk {
-                    self.flow.cache.prefetch_row(dp.digest);
-                }
+                self.stage_a(chunk);
             }
             for dp in chunk {
                 self.process_packet(dp, &mut lap);
             }
         }
+        self.cold = 2 * (self.flow.cache.stats().misses - misses) > pkts.len() as u64;
         if let (Some(from), Some(to)) = (start, lap) {
             self.obs.clock.close(Stage::Process, from, to);
         }
         self.flush_local();
+    }
+
+    /// Stage A of one chunk: hints, no architectural effect. Each packet's
+    /// FlowCache row (tag line and first bucket); after a miss-heavy
+    /// batch also the rest of its P span, where a miss files its record,
+    /// and the scan table's home slot word, which a new flow is
+    /// filed through — the two dependent misses a cold packet pays in
+    /// stage B. A hit reads neither, so a hit-dominated batch is
+    /// followed by the row hints alone.
+    fn stage_a(&mut self, chunk: &[DigestedPacket]) {
+        self.end.bursts += 1;
+        self.end.burst_pkts += chunk.len() as u64;
+        let flow = &self.flow;
+        if self.cold {
+            for dp in chunk {
+                flow.cache.prefetch_row(dp.digest);
+                flow.cache.prefetch_span(dp.digest);
+                flow.suite.prefetch(&dp.pkt, &dp.canon, dp.digest);
+            }
+        } else {
+            for dp in chunk {
+                flow.cache.prefetch_row(dp.digest);
+            }
+        }
     }
 
     /// One packet. `lap` is the sampled batch's running stamp (`None`:
@@ -769,6 +803,42 @@ mod tests {
         assert_eq!(w.flow.cache.stats().to_host - to_host, 64);
         assert_eq!(rx.try_iter().count(), 0, "a ToHost packet reports nothing");
         assert_eq!(w.counters.counts[Count::Escalated].get(), 0);
+    }
+
+    /// Stage A's gate reads the shard's own input: false on a fresh
+    /// worker, set by a batch whose packets all missed the FlowCache,
+    /// cleared by one whose packets all hit, and left off by a batch of
+    /// which exactly half missed.
+    #[test]
+    fn the_stage_a_gate_follows_the_last_batchs_misses() {
+        let flight = FlightRecorder::new(64);
+        let mut w = worker(Escalation::Inline, &flight);
+        assert!(!w.cold, "a fresh worker starts with the gate off");
+        // HTTPS flows, which the suite never escalates.
+        let flows = |from: u16| -> Vec<DigestedPacket> {
+            (from..from + 64)
+                .map(|port| tcp(port, 443, 1_000))
+                .collect()
+        };
+        let (first, second) = (flows(50_000), flows(51_000));
+        let misses = |w: &ShardWorker| w.flow.cache.stats().misses;
+
+        feed(&mut w, &first);
+        assert_eq!(misses(&w), 64);
+        assert!(w.cold, "an all-miss batch sets the gate");
+        feed(&mut w, &first);
+        assert_eq!(misses(&w), 64, "the flows stayed resident");
+        assert!(!w.cold, "an all-hit batch clears it");
+        feed(&mut w, &second);
+        assert!(w.cold);
+        let half: Vec<DigestedPacket> = first[..32]
+            .iter()
+            .chain(&flows(52_000)[..32])
+            .copied()
+            .collect();
+        feed(&mut w, &half);
+        assert_eq!(misses(&w), 160);
+        assert!(!w.cold, "half is not more than half");
     }
 
     /// The shard ring's events of one kind.

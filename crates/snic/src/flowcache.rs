@@ -39,7 +39,9 @@
 //! 64-byte line in the common case — and that line is exactly what
 //! [`FlowCache::prefetch_row`] pulls in ahead of a burst of
 //! [`FlowCache::process_digested`] probes, overlapping up to 8
-//! independent DRAM misses instead of serialising them. The tag array is redundant
+//! independent DRAM misses instead of serialising them; where misses
+//! dominate, [`FlowCache::prefetch_span`] adds the P span a miss files
+//! its record into. The tag array is redundant
 //! metadata: `tags[row][b] != 0` iff the bucket is occupied, and the tag
 //! always equals the resident record's own digest tag.
 //!
@@ -78,6 +80,9 @@ pub const MAX_BUCKETS: usize = 64;
 /// and is comfortably within the miss-level parallelism of the memory
 /// subsystems this runs on.
 pub const BURST: usize = 8;
+
+/// Bytes per cache line: the unit [`FlowCache::prefetch_span`] hints in.
+const LINE: usize = 64;
 
 /// One row's probe-tag header: an 8-bit digest tag per bucket, 0 = empty.
 /// `#[repr(align(64))]` keeps every header on its own cache line so a
@@ -495,16 +500,50 @@ impl FlowCache {
         self.hasher.hash_symmetric(&rec.key).tag()
     }
 
+    /// The buckets a probe of `digest` scans first, as indices into
+    /// `slots`: the row's P buffer in General mode, the digest's sub-row
+    /// in Lite — what a hit is found in and what a miss files into. Lite
+    /// mode derives it from [`FlowCache::candidates`] and
+    /// [`FlowCache::p_range`], as the probe does; General mode's P does
+    /// not depend on the digest, and spelling it out keeps the row hint
+    /// free of calls where other crates inline it.
+    #[inline]
+    fn p_span(&self, digest: HashDigest) -> Range<usize> {
+        let base = digest.row(self.cfg.row_bits) * self.cfg.buckets_per_row;
+        let p = match self.mode {
+            Mode::General => 0..self.cfg.primary,
+            Mode::Lite => self.p_range(&self.candidates(digest.high(self.cfg.row_bits))),
+        };
+        base + p.start..base + p.end
+    }
+
     /// Hint the row addressed by `digest` toward L1: its tag header line
-    /// plus the first line of its bucket array. Semantically inert — this
-    /// is the stage-A half of the software pipeline; issue it for a whole
-    /// burst of digests before probing any of them and the row fetches
-    /// overlap instead of serialising.
+    /// plus the line of the first bucket its probe reads (bucket 0 in
+    /// General mode, the first of its sub-row in Lite). Semantically
+    /// inert — this is the stage-A half of the software pipeline; issue
+    /// it for a whole burst of digests before probing any of them and the
+    /// row fetches overlap instead of serialising.
     #[inline]
     pub fn prefetch_row(&self, digest: HashDigest) {
-        let row = digest.row(self.cfg.row_bits);
-        prefetch_read(&self.tags[row]);
-        prefetch_read(&self.slots[row * self.cfg.buckets_per_row]);
+        prefetch_read(&self.tags[digest.row(self.cfg.row_bits)]);
+        prefetch_read(&self.slots[self.p_span(digest).start]);
+    }
+
+    /// Hint every line of the P span addressed by `digest` (General) or
+    /// its sub-row (Lite) toward L1: where a miss files its record — into
+    /// a free bucket, or over the victim it reads the span to pick.
+    /// Semantically inert, like
+    /// [`FlowCache::prefetch_row`], which it extends; worth its lines
+    /// only where misses are — a hit reads one record, found by its tag.
+    #[inline]
+    pub fn prefetch_span(&self, digest: HashDigest) {
+        let span = &self.slots[self.p_span(digest)];
+        let start = span.as_ptr().cast::<u8>();
+        let skew = start as usize % LINE;
+        let lines = (skew + std::mem::size_of_val(span)).div_ceil(LINE);
+        for line in 0..lines {
+            prefetch_read(start.wrapping_sub(skew).wrapping_add(line * LINE));
+        }
     }
 
     /// Process one packet: update flow state, inserting/evicting as needed.
@@ -1401,19 +1440,23 @@ mod tests {
 
     /// The two-stage software pipeline the engine's shards run over
     /// [`BURST`]-packet chunks: stage A digests the chunk and issues a
-    /// [`FlowCache::prefetch_row`] per packet, stage B runs the
-    /// per-packet [`FlowCache::process_digested`] sequence with the rows
-    /// already in flight.
+    /// [`FlowCache::prefetch_row`] per packet (and, as a shard does after
+    /// a miss-heavy batch, a [`FlowCache::prefetch_span`]), stage B runs
+    /// the per-packet [`FlowCache::process_digested`] sequence with the
+    /// rows already in flight.
     fn process_bursts(fc: &mut FlowCache, pkts: &[Packet]) -> Vec<Access> {
         let hasher = smartwatch_net::FlowHasher::new(fc.config().hash_seed);
         let mut out = Vec::with_capacity(pkts.len());
-        for chunk in pkts.chunks(BURST) {
+        for (i, chunk) in pkts.chunks(BURST).enumerate() {
             let digested: Vec<_> = chunk
                 .iter()
                 .map(|p| hasher.digest_symmetric(&p.key))
                 .collect();
             for (_, digest) in &digested {
                 fc.prefetch_row(*digest);
+                if i % 2 == 1 {
+                    fc.prefetch_span(*digest);
+                }
             }
             for (p, (canon, digest)) in chunk.iter().zip(&digested) {
                 out.push(fc.process_digested(p, canon, *digest));
@@ -1486,6 +1529,66 @@ mod tests {
             let res_a: Vec<FlowRecord> = seq.drain_all();
             let res_b: Vec<FlowRecord> = bat.drain_all();
             assert_eq!(res_a, res_b, "slot-order residency must match");
+        }
+    }
+
+    /// Stage A points where stage B reads, in both modes: the bucket
+    /// [`FlowCache::prefetch_row`] fetches is the first of the probe's P
+    /// span, which is where a miss into an empty span files its record —
+    /// bucket 0 in General mode, the start of the digest's sub-row in
+    /// Lite (every one of the six is met).
+    #[test]
+    fn prefetch_row_fetches_the_bucket_the_probe_reads_first() {
+        let cfg = FlowCacheConfig::general(4);
+        let hasher = smartwatch_net::FlowHasher::new(cfg.hash_seed);
+        for (mode, starts) in [
+            (Mode::General, vec![0]),
+            (Mode::Lite, vec![0, 2, 4, 6, 8, 10]),
+        ] {
+            let mut fc = FlowCache::new(cfg.clone());
+            let mut seen = std::collections::BTreeSet::new();
+            for i in 0..200u32 {
+                fc.reset();
+                fc.set_mode(mode);
+                let p = pkt(i, u64::from(i));
+                let (canon, digest) = hasher.digest_symmetric(&p.key);
+                let span = fc.p_span(digest);
+                let row = digest.row(cfg.row_bits) * cfg.buckets_per_row;
+                assert_eq!(
+                    fc.process_digested(&p, &canon, digest).outcome,
+                    Outcome::Miss
+                );
+                assert_eq!(fc.slots[span.start].map(|r| r.key), Some(canon), "{mode:?}");
+                seen.insert(span.start - row);
+            }
+            assert_eq!(seen.into_iter().collect::<Vec<_>>(), starts, "{mode:?}");
+        }
+    }
+
+    /// Both stage-A hints are inert: after churn in each mode, a storm of
+    /// `prefetch_row` / `prefetch_span` over resident and absent flows
+    /// leaves the books, the occupancy and every bucket as they were.
+    #[test]
+    fn prefetch_span_changes_nothing_a_probe_could_see() {
+        let hasher = smartwatch_net::FlowHasher::new(0x51CC);
+        for mode in [Mode::General, Mode::Lite] {
+            let mut fc = FlowCache::new(FlowCacheConfig::general(4));
+            fc.set_mode(mode);
+            for p in &seeded_stream(0x5EAD, 3_000, 300) {
+                fc.process(p);
+            }
+            let before = (fc.stats(), fc.occupied(), fc.slots.clone(), fc.tags.clone());
+            for i in 0..20_000u32 {
+                let (_, digest) = hasher.digest_symmetric(&key(i));
+                fc.prefetch_row(digest);
+                fc.prefetch_span(digest);
+            }
+            let after = (fc.stats(), fc.occupied(), fc.slots.clone(), fc.tags.clone());
+            assert_eq!(
+                (after.0, after.1, &after.2),
+                (before.0, before.1, &before.2)
+            );
+            assert!(after.3.iter().zip(&before.3).all(|(a, b)| a.tags == b.tags));
         }
     }
 

@@ -55,6 +55,7 @@
 //! [`Resident`] shrink rule — leaves a table that probes exactly like a
 //! fresh one of its size.
 
+use crate::prefetch::prefetch_read;
 use smartwatch_net::resident::SLACK;
 use smartwatch_net::{FlowKey, HashDigest, KeyedMix, Resident};
 use std::cell::Cell;
@@ -256,6 +257,20 @@ impl<V: Keyed + Copy> FlowTable<V> {
         }
         let (slot, hit, _) = self.find(canon, self.tag_of(canon, digest));
         hit.then_some(slot)
+    }
+
+    /// Hint the home slot word of `canon` toward L1 — the one random
+    /// line an insert or a lookup reads first. Semantically inert: it
+    /// counts no lookup and probes nothing. Does nothing on an
+    /// unallocated table, and nothing on a table filing by key, whose
+    /// home would cost the key hash the lookup pays anyway.
+    #[inline]
+    pub fn prefetch(&self, canon: &FlowKey, digest: HashDigest) {
+        if self.words.is_empty() || self.by_key {
+            return;
+        }
+        let home = self.tag_of(canon, digest) as usize & (self.words.len() - 1);
+        prefetch_read(&self.words[home]);
     }
 
     /// Position in the entry array that live slot `slot` points at.
@@ -885,5 +900,40 @@ mod tests {
         t.sweep(|_| false);
         t.reset();
         assert_eq!(t.slots(), slots);
+    }
+
+    /// Stage A's hint is inert: on an unallocated table, a populated one
+    /// and one filing by key, `prefetch` moves no book, no entry, no
+    /// slot word and not the filing mode.
+    #[test]
+    fn prefetch_changes_nothing_a_lookup_could_see() {
+        let filled = |digest_of: fn(u64) -> u64| {
+            let mut t = FlowTable::new();
+            for i in 0..1_000 {
+                t.insert(
+                    HashDigest(digest_of(i)),
+                    Entry {
+                        key: key(i),
+                        val: i,
+                    },
+                );
+            }
+            t
+        };
+        let populated = filled(splitmix64);
+        let by_key = filled(|i| if i % 2 == 0 { 0xD16E57 } else { splitmix64(i) });
+        assert!(!populated.by_key && by_key.by_key);
+        for table in [FlowTable::new(), populated, by_key] {
+            let view = |t: &FlowTable<Entry>| {
+                let entries: Vec<Entry> = t.iter().copied().collect();
+                (t.stats(), t.len(), t.by_key, t.words.clone(), entries)
+            };
+            let before = view(&table);
+            for i in 0..2_000 {
+                table.prefetch(&key(i), HashDigest(splitmix64(i)));
+                table.prefetch(&key(i), HashDigest(0xD16E57));
+            }
+            assert_eq!(view(&table), before);
+        }
     }
 }

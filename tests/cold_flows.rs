@@ -1,0 +1,100 @@
+//! Cold flows through the miss-gated stage A.
+//!
+//! A shard whose last batch mostly missed the FlowCache prefetches more
+//! in its next stage A: each packet's P span and the scan table's slot
+//! word. Hints are all it adds, so a run that flips that gate on and off
+//! must decide exactly what the per-packet path (`cache_burst = 1`, no
+//! stage A at all) decides, on both datapaths: the same deterministic
+//! summary, the same FlowCache mix per shard and the same probe-length
+//! histogram.
+
+use smartwatch::net::hash::splitmix64;
+use smartwatch::net::{FlowKey, Packet, PacketBuilder, TcpFlags, Ts};
+use smartwatch::runtime::{DatapathMode, Engine, EngineConfig, EngineReport, Pace};
+use std::net::Ipv4Addr;
+
+/// Flow `i` of the `scattered_flows` shape: TCP to port 443 from a
+/// hash-scattered source.
+fn flow(i: u64) -> FlowKey {
+    let r = splitmix64(i ^ 0xC01D);
+    FlowKey::tcp(
+        Ipv4Addr::from(0x0A00_0000 | ((r >> 40) as u32 & 0x00FF_FFFF)),
+        ((r >> 24) as u16) | 1,
+        Ipv4Addr::new(192, 168, (r >> 8) as u8, r as u8),
+        443,
+    )
+}
+
+/// Rounds of 2 048 first packets of new flows (a SYN each: all miss)
+/// followed by 2 048 packets of 32 hot flows (all hit after their
+/// first): the gate turns on in every cold phase and off in every hot
+/// one. Over 2^6 rows the cold phases overflow every row, so misses
+/// evict and the hot flows are evicted and re-inserted in turn.
+fn cold_and_hot() -> Vec<Packet> {
+    let mut out = Vec::new();
+    let mut next = 1_000;
+    for _ in 0..6 {
+        for _ in 0..2_048 {
+            next += 1;
+            out.push((flow(next), TcpFlags::SYN));
+        }
+        for i in 0..2_048 {
+            out.push((flow(i % 32), TcpFlags::ACK));
+        }
+        // Revisit part of the last cold phase: evicted or not.
+        for i in 0..256 {
+            out.push((flow(next - 2 * i), TcpFlags::ACK));
+        }
+    }
+    out.iter()
+        .enumerate()
+        .map(|(t, &(key, flags))| {
+            PacketBuilder::new(key, Ts::from_micros(t as u64))
+                .flags(flags)
+                .build()
+        })
+        .collect()
+}
+
+/// What the gate could move if it were not inert: the decisions, each
+/// shard's FlowCache books, and the probe lengths.
+fn decisions(report: &EngineReport) -> (String, Vec<String>, String) {
+    let fc = &report.flowcache;
+    let mix = format!(
+        "p_hits={} e_hits={} misses={} to_host={} ring_pushes={} probes={:?}",
+        fc.p_hits, fc.e_hits, fc.misses, fc.to_host, fc.ring_pushes, fc.probe_hist
+    );
+    let shards = report
+        .shards
+        .iter()
+        .map(|s| format!("{:?}", s.cache))
+        .collect();
+    (report.deterministic_summary(), shards, mix)
+}
+
+#[test]
+fn cold_flows_decide_alike_with_and_without_the_gated_stage_a() {
+    let packets = cold_and_hot();
+    let mut runs = Vec::new();
+    for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
+        for burst in [8, 1] {
+            let mut cfg = EngineConfig::deterministic();
+            cfg.datapath = datapath;
+            cfg.shards = 2;
+            cfg.cache_row_bits = 6;
+            cfg.cache_burst = burst;
+            let report = Engine::new(cfg).run(&packets, Pace::Flatout);
+            assert!(report.conserved(), "{datapath:?} burst {burst}");
+            let fc = &report.flowcache;
+            let hits = fc.p_hits + fc.e_hits;
+            assert!(
+                fc.misses > 10_000 && hits > 10_000 && fc.ring_pushes > 5_000,
+                "{datapath:?} burst {burst}: both gate states and full rows: {fc:?}"
+            );
+            runs.push((format!("{datapath:?} burst {burst}"), decisions(&report)));
+        }
+    }
+    for (label, got) in &runs[1..] {
+        assert_eq!(got, &runs[0].1, "{label} against {}", runs[0].0);
+    }
+}
