@@ -7,7 +7,7 @@ use smartwatch_host::HostCostModel;
 use smartwatch_net::Packet;
 use smartwatch_snic::des::{simulate, simulate_instrumented, DesConfig};
 use smartwatch_snic::hw::ALL_PROFILES;
-use smartwatch_snic::{CachePolicy, CachePublisher, FlowCache, FlowCacheConfig, Mode};
+use smartwatch_snic::{cache_publisher, CachePolicy, FlowCache, FlowCacheConfig, Mode};
 use smartwatch_trace::background::Preset;
 
 fn stress_trace(scale: usize) -> Vec<Packet> {
@@ -33,7 +33,7 @@ pub fn fig4(ctx: &ExpCtx) -> Table {
         Some(&ctx.registry),
         Some(&shard),
     );
-    CachePublisher::new(&ctx.registry, &fc.config().policy).publish(&fc);
+    cache_publisher(&ctx.registry, &fc.config().policy).publish(&fc);
     let mut t = Table::new(
         "fig4b",
         "FlowCache packet latency distribution (43 Mpps, 64 B)",
@@ -111,7 +111,7 @@ pub fn fig5(ctx: &ExpCtx) -> Table {
             Some(&ctx.registry),
             Some(&shard),
         );
-        CachePublisher::new(&ctx.registry, &fc.config().policy).publish(&fc);
+        cache_publisher(&ctx.registry, &fc.config().policy).publish(&fc);
         let s = fc.stats();
         // Escalation: the fraction of processed packets this policy
         // punted to the host (per-policy gauge plus the run-wide one the

@@ -149,6 +149,15 @@ mod tests {
     }
 
     #[test]
+    fn fig2b_renders_alike_run_to_run() {
+        // Top-k whitelisting picks among flows with equal counts: the
+        // table is reproducible only if those ties rank the same way in
+        // every run (and in every process's hash order).
+        let once = fig2(&ExpCtx::new(1), true).render();
+        assert_eq!(once, fig2(&ExpCtx::new(1), true).render());
+    }
+
+    #[test]
     fn fig3_smartwatch_cheapest() {
         let t = fig3(&ExpCtx::new(1));
         let last = t.rows.last().unwrap();

@@ -45,7 +45,6 @@ use serde::Serialize;
 use smartwatch_host::Verdict;
 use smartwatch_net::{AgingDigestSet, BuildDigestHasher, DigestSet, FlowHasher};
 use smartwatch_snic::{Mode, SwitchOver};
-use smartwatch_telemetry::{Counter, Gauge, Registry};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -80,7 +79,8 @@ pub struct ControlConfig {
     /// towards heavy-hitter promotion.
     pub promote_pkts_per_epoch: u64,
     /// Bound on the retained per-epoch decision audit ring (oldest
-    /// [`DecisionRecord`]s dropped beyond).
+    /// [`DecisionRecord`]s dropped beyond; at least the latest is kept —
+    /// see [`push_decision`]).
     pub decision_capacity: usize,
 }
 
@@ -314,43 +314,51 @@ impl ControlReport {
     }
 }
 
-struct Counters {
-    epochs: Counter,
-    mode_switches: Counter,
-    whitelist_promotions: Counter,
-    shed_packets: Counter,
-    whitelist_expired: Counter,
-    blacklist_expired: Counter,
-    snapshot_publishes: Counter,
-    shed_active: Gauge,
-}
+/// Reads one metric's value out of the controller.
+type Reading<T> = fn(&Controller) -> T;
 
-impl Counters {
-    fn detached() -> Counters {
-        Counters {
-            epochs: Counter::detached(),
-            mode_switches: Counter::detached(),
-            whitelist_promotions: Counter::detached(),
-            shed_packets: Counter::detached(),
-            whitelist_expired: Counter::detached(),
-            blacklist_expired: Counter::detached(),
-            snapshot_publishes: Counter::detached(),
-            shed_active: Gauge::detached(),
-        }
-    }
+/// Reads one gauge out of a shard's `(smoothed Mpps, decided mode)`.
+type ShardReading = fn(&(f64, Mode)) -> f64;
 
-    fn registered(reg: &Registry) -> Counters {
-        Counters {
-            epochs: reg.counter("control.epochs", &[]),
-            mode_switches: reg.counter("control.mode_switches", &[]),
-            whitelist_promotions: reg.counter("control.whitelist_promotions", &[]),
-            shed_packets: reg.counter("control.shed_packets", &[]),
-            whitelist_expired: reg.counter("control.whitelist_expired", &[]),
-            blacklist_expired: reg.counter("control.blacklist_expired", &[]),
-            snapshot_publishes: reg.counter("control.snapshot_publishes", &[]),
-            shed_active: reg.gauge("control.shed_active", &[]),
-        }
+/// The controller's counter families: each `control.*` counter and the
+/// count it carries, for its owner's publisher.
+pub const COUNTERS: [(&str, Reading<u64>); 7] = [
+    ("control.epochs", |c| c.epoch),
+    ("control.mode_switches", |c| c.mode_switches),
+    ("control.whitelist_promotions", |c| c.whitelist_promotions),
+    ("control.shed_packets", |c| c.shed_packets),
+    ("control.whitelist_expired", |c| c.whitelist_expired),
+    ("control.blacklist_expired", |c| c.blacklist_expired),
+    ("control.snapshot_publishes", |c| c.snapshot_publishes),
+];
+
+/// The controller's gauge: 1 while shedding, else 0.
+pub const GAUGES: [(&str, Reading<f64>); 1] =
+    [("control.shed_active", |c| f64::from(u8::from(c.shed)))];
+
+/// One shard's gauges (labelled `shard=N`), over that shard's
+/// `(smoothed Mpps, decided mode)` as a [`DecisionRecord`] lists them.
+pub const SHARD_GAUGES: [(&str, ShardReading); 2] = [
+    ("control.smoothed_mpps", |&(mpps, _)| mpps),
+    ("control.mode", |&(_, mode)| f64::from(mode.code())),
+];
+
+/// Append `record` to a decision audit ring bounded at `capacity`
+/// records — but never below one, so the latest decision is always
+/// there to read — dropping the oldest beyond. Returns whether one was
+/// dropped. The one bound rule for the controller's own ring and every
+/// mirror of it (the engine's `/stats.json` audit).
+pub fn push_decision(
+    ring: &mut VecDeque<DecisionRecord>,
+    capacity: usize,
+    record: DecisionRecord,
+) -> bool {
+    let full = ring.len() >= capacity.max(1);
+    if full {
+        ring.pop_front();
     }
+    ring.push_back(record);
+    full
 }
 
 /// Per-shard EWMA state plus the counters the controller diffs against.
@@ -362,17 +370,19 @@ struct ShardState {
     forced: Option<Mode>,
     prev_offered: u64,
     prev_shed: u64,
-    smoothed_gauge: Option<Gauge>,
-    mode_gauge: Option<Gauge>,
 }
 
 /// The control-plane state machine (see module docs).
 pub struct Controller {
     cfg: ControlConfig,
     hasher: FlowHasher,
-    registry: Option<Registry>,
-    counters: Counters,
     epoch: u64,
+    mode_switches: u64,
+    whitelist_promotions: u64,
+    whitelist_expired: u64,
+    blacklist_expired: u64,
+    shed_packets: u64,
+    snapshot_publishes: u64,
     shards: Vec<ShardState>,
     whitelist: AgingDigestSet,
     blacklist: AgingDigestSet,
@@ -396,21 +406,12 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Controller with detached (unregistered) telemetry.
+    /// A controller that has run no epoch.
     ///
     /// # Panics
     /// Panics unless `eta_general_mpps < eta_lite_mpps` and
     /// `shed_off_mpps < shed_on_mpps` (both hystereses need a band).
     pub fn new(cfg: ControlConfig) -> Controller {
-        Controller::build(cfg, None)
-    }
-
-    /// Controller registering its `control.*` metrics in `reg`.
-    pub fn with_registry(cfg: ControlConfig, reg: &Registry) -> Controller {
-        Controller::build(cfg, Some(reg.clone()))
-    }
-
-    fn build(cfg: ControlConfig, registry: Option<Registry>) -> Controller {
         assert!(
             cfg.eta_general_mpps < cfg.eta_lite_mpps,
             "need eta_general_mpps < eta_lite_mpps for hysteresis"
@@ -419,18 +420,18 @@ impl Controller {
             cfg.shed_off_mpps < cfg.shed_on_mpps,
             "need shed_off_mpps < shed_on_mpps for hysteresis"
         );
-        let counters = match &registry {
-            Some(r) => Counters::registered(r),
-            None => Counters::detached(),
-        };
         Controller {
             hasher: FlowHasher::new(cfg.hash_seed),
             whitelist: AgingDigestSet::new(TABLE_CAPACITY, WHITELIST_TTL_EPOCHS),
             blacklist: AgingDigestSet::new(TABLE_CAPACITY, BLACKLIST_TTL_EPOCHS),
             cfg,
-            registry,
-            counters,
             epoch: 0,
+            mode_switches: 0,
+            whitelist_promotions: 0,
+            whitelist_expired: 0,
+            blacklist_expired: 0,
+            shed_packets: 0,
+            snapshot_publishes: 0,
             shards: Vec::new(),
             streaks: HashMap::default(),
             shed: false,
@@ -472,17 +473,6 @@ impl Controller {
 
     fn ensure_shards(&mut self, n: usize) {
         while self.shards.len() < n {
-            let shard = self.shards.len();
-            let (smoothed_gauge, mode_gauge) = match &self.registry {
-                Some(r) => {
-                    let label = shard.to_string();
-                    (
-                        Some(r.gauge("control.smoothed_mpps", &[("shard", &label)])),
-                        Some(r.gauge("control.mode", &[("shard", &label)])),
-                    )
-                }
-                None => (None, None),
-            };
             self.shards.push(ShardState {
                 switcher: SwitchOver::new(
                     self.cfg.eta_lite_mpps * 1e6,
@@ -492,8 +482,6 @@ impl Controller {
                 forced: None,
                 prev_offered: 0,
                 prev_shed: 0,
-                smoothed_gauge,
-                mode_gauge,
             });
         }
     }
@@ -556,7 +544,7 @@ impl Controller {
                 && !self.blacklist.contains(&digest)
                 && self.whitelist.insert(digest, self.epoch)
             {
-                self.counters.whitelist_promotions.inc();
+                self.whitelist_promotions += 1;
                 self.dirty = true;
             }
         }
@@ -572,11 +560,11 @@ impl Controller {
         let wl = self.whitelist.sweep(self.epoch);
         let bl = self.blacklist.sweep(self.epoch);
         if wl > 0 {
-            self.counters.whitelist_expired.add(wl);
+            self.whitelist_expired += wl;
             self.dirty = true;
         }
         if bl > 0 {
-            self.counters.blacklist_expired.add(bl);
+            self.blacklist_expired += bl;
             self.dirty = true;
         }
     }
@@ -598,12 +586,10 @@ impl Controller {
         if !self.shed && self.overload_streak >= self.cfg.shed_sustain_epochs {
             self.shed = true;
             self.dirty = true;
-            self.counters.shed_active.set(1.0);
             self.push_event(ControlEvent::ShedOn { epoch: self.epoch });
         } else if self.shed && self.calm_streak >= self.cfg.shed_sustain_epochs {
             self.shed = false;
             self.dirty = true;
-            self.counters.shed_active.set(0.0);
             self.push_event(ControlEvent::ShedOff { epoch: self.epoch });
         }
     }
@@ -619,18 +605,16 @@ impl Controller {
         }
         self.shed = force;
         self.dirty = true;
-        if force {
-            self.counters.shed_active.set(1.0);
-            self.push_event(ControlEvent::ShedOn { epoch: self.epoch });
+        self.push_event(if force {
+            ControlEvent::ShedOn { epoch: self.epoch }
         } else {
-            self.counters.shed_active.set(0.0);
-            self.push_event(ControlEvent::ShedOff { epoch: self.epoch });
-        }
+            ControlEvent::ShedOff { epoch: self.epoch }
+        });
     }
 
     fn build_snapshot(&mut self) -> Arc<SteeringSnapshot> {
         self.snapshot_version += 1;
-        self.counters.snapshot_publishes.inc();
+        self.snapshot_publishes += 1;
         let mut whitelist = DigestSet::default();
         whitelist.extend(self.whitelist.iter().copied());
         let mut blacklist = DigestSet::default();
@@ -646,7 +630,6 @@ impl Controller {
     /// Run one epoch (see module docs for the five stages).
     pub fn epoch(&mut self, input: &EpochInput) -> EpochDecision {
         self.epoch += 1;
-        self.counters.epochs.inc();
         self.ensure_shards(input.shards.len());
 
         let elapsed = input.elapsed_secs.max(1e-9);
@@ -663,21 +646,16 @@ impl Controller {
             max_backlog = max_backlog.max(sample.escalation_backlog);
             let rate_pps = offered_delta as f64 / elapsed;
             state.switcher.observe(rate_pps);
-            if let Some(g) = &state.smoothed_gauge {
-                g.set(state.switcher.smoothed_rate() / 1e6);
-            }
         }
-        if shed_delta_total > 0 {
-            self.counters.shed_packets.add(shed_delta_total);
-        }
+        self.shed_packets += shed_delta_total;
 
         self.apply_verdicts(&input.verdicts);
-        let promos_before = self.counters.whitelist_promotions.get();
+        let promos_before = self.whitelist_promotions;
         self.promote_heavy(&input.heavy);
-        let promotions = self.counters.whitelist_promotions.get() - promos_before;
-        let evict_before = self.counters.whitelist_expired.get();
+        let promotions = self.whitelist_promotions - promos_before;
+        let evict_before = self.whitelist_expired;
         self.age_tables();
-        let whitelist_evictions = self.counters.whitelist_expired.get() - evict_before;
+        let whitelist_evictions = self.whitelist_expired - evict_before;
 
         let offered_mpps = offered_delta_total as f64 / elapsed / 1e6;
         match self.force_shed {
@@ -705,13 +683,10 @@ impl Controller {
                 state.decided = decided;
                 switches.push((shard, decided));
             }
-            if let Some(g) = &state.mode_gauge {
-                g.set(f64::from(decided.code()));
-            }
             modes.push(decided);
         }
         for (shard, mode) in switches {
-            self.counters.mode_switches.inc();
+            self.mode_switches += 1;
             self.push_event(ControlEvent::ModeSwitch { epoch, shard, mode });
         }
 
@@ -739,11 +714,13 @@ impl Controller {
             blacklist_len: self.blacklist.len(),
             snapshot_published: snapshot.is_some(),
         };
-        if self.decisions.len() == self.cfg.decision_capacity {
-            self.decisions.pop_front();
+        if push_decision(
+            &mut self.decisions,
+            self.cfg.decision_capacity,
+            record.clone(),
+        ) {
             self.decisions_dropped += 1;
         }
-        self.decisions.push_back(record.clone());
 
         EpochDecision {
             epoch,
@@ -847,13 +824,13 @@ impl Controller {
     pub fn report(&self) -> ControlReport {
         ControlReport {
             epochs: self.epoch,
-            mode_switches: self.counters.mode_switches.get(),
-            whitelist_promotions: self.counters.whitelist_promotions.get(),
-            whitelist_expired: self.counters.whitelist_expired.get(),
-            blacklist_expired: self.counters.blacklist_expired.get(),
+            mode_switches: self.mode_switches,
+            whitelist_promotions: self.whitelist_promotions,
+            whitelist_expired: self.whitelist_expired,
+            blacklist_expired: self.blacklist_expired,
             shed_epochs: self.shed_epochs,
-            shed_packets: self.counters.shed_packets.get(),
-            snapshot_publishes: self.counters.snapshot_publishes.get(),
+            shed_packets: self.shed_packets,
+            snapshot_publishes: self.snapshot_publishes,
             shed_active: self.shed,
             final_modes: self.shards.iter().map(|s| s.decided).collect(),
             timeline: self.timeline.iter().cloned().collect(),
@@ -1167,24 +1144,53 @@ mod tests {
     }
 
     #[test]
-    fn registered_counters_surface_in_registry() {
-        let reg = Registry::new();
+    fn the_name_tables_read_the_live_books() {
         let cfg = ControlConfig {
             shed_on_mpps: 1.0,
             shed_off_mpps: 0.5,
             shed_sustain_epochs: 1,
             ..ControlConfig::default()
         };
-        let mut c = Controller::with_registry(cfg, &reg);
+        let mut c = Controller::new(cfg);
         let mut cum = Vec::new();
+        let mut last = None;
         for _ in 0..6 {
-            c.epoch(&input(8.0, 2, 0.005, &mut cum));
+            last = Some(c.epoch(&input(8.0, 2, 0.005, &mut cum)));
         }
-        let snap = reg.snapshot().with_prefix("control.");
-        assert_eq!(snap.counter("control.epochs"), Some(6));
-        assert!(snap.counter("control.mode_switches").unwrap_or(0) >= 2);
-        assert_eq!(snap.gauge("control.shed_active"), Some(1.0));
-        assert!(snap.gauge("control.smoothed_mpps{shard=0}").is_some());
+        let read = |name: &str| COUNTERS.iter().find(|(n, _)| *n == name).unwrap().1(&c);
+        let r = c.report();
+        assert_eq!(read("control.epochs"), 6);
+        assert_eq!(read("control.mode_switches"), r.mode_switches);
+        assert!(r.mode_switches >= 2);
+        assert_eq!(read("control.shed_packets"), r.shed_packets);
+        assert_eq!(read("control.snapshot_publishes"), r.snapshot_publishes);
+        assert_eq!(GAUGES[0].1(&c), 1.0, "shedding after sustained overload");
+        let record = last.unwrap().record;
+        let shard0 = (record.smoothed_mpps[0], record.modes[0]);
+        assert!(
+            SHARD_GAUGES[0].1(&shard0) > 2.5,
+            "the EWMA saw 4 Mpps a shard"
+        );
+        assert_eq!(SHARD_GAUGES[1].1(&shard0), f64::from(Mode::Lite.code()));
+    }
+
+    #[test]
+    fn a_zero_capacity_audit_keeps_the_latest_decision() {
+        let cfg = ControlConfig {
+            decision_capacity: 0,
+            ..ControlConfig::default()
+        };
+        let mut c = Controller::new(cfg);
+        let mut cum = Vec::new();
+        let mut mirror = VecDeque::new();
+        for _ in 0..10 {
+            let d = c.epoch(&input(1.0, 1, 0.005, &mut cum));
+            push_decision(&mut mirror, 0, d.record);
+        }
+        let r = c.report();
+        assert_eq!((r.decisions.len(), r.decisions_dropped), (1, 9));
+        assert_eq!(r.decisions[0].epoch, 10);
+        assert_eq!(Vec::from(mirror), r.decisions, "one bound rule for both");
     }
 
     #[test]

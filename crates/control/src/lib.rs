@@ -34,12 +34,15 @@
 //! polls the verdict log and publishes decisions — lives in
 //! `smartwatch-runtime`, which depends on this crate.
 //!
-//! Telemetry: the controller registers `control.epochs`,
-//! `control.mode_switches`, `control.whitelist_promotions`,
-//! `control.shed_packets`, `control.whitelist_expired`,
-//! `control.blacklist_expired`, `control.snapshot_publishes` counters
-//! plus per-shard `control.smoothed_mpps{shard=N}` /
-//! `control.mode{shard=N}` gauges.
+//! Telemetry: the controller keeps its counts in plain integers and
+//! holds no metric handle. Its name tables — [`controller::COUNTERS`]
+//! (`control.epochs`, `control.mode_switches`,
+//! `control.whitelist_promotions`, `control.shed_packets`,
+//! `control.whitelist_expired`, `control.blacklist_expired`,
+//! `control.snapshot_publishes`), [`controller::GAUGES`]
+//! (`control.shed_active`) and [`controller::SHARD_GAUGES`]
+//! (`control.smoothed_mpps{shard=N}`, `control.mode{shard=N}`) — are
+//! published by the runtime's controller thread once per epoch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,8 +54,8 @@ pub mod snapshot;
 
 pub use admin::AdminCmd;
 pub use controller::{
-    ControlConfig, ControlEvent, ControlReport, Controller, DecisionRecord, EpochDecision,
-    EpochInput, ShardSample,
+    push_decision, ControlConfig, ControlEvent, ControlReport, Controller, DecisionRecord,
+    EpochDecision, EpochInput, ShardSample,
 };
 pub use sim::{simulate, LoadProfile, SimOutcome};
 pub use snapshot::{ModeCell, SnapshotCell, SnapshotReader, SteeringSnapshot};

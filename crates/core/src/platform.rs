@@ -18,18 +18,28 @@
 //! the host (HostOnly), everything through sNIC+host (SnicHost), switch
 //! pre-filtering with sNIC fine-graining (SmartWatch), or switch-only
 //! aggregate detection (SwitchHost / Sonata).
+//!
+//! Every tier keeps its books in plain integers — the cache's
+//! `CacheStats`, the switch's `SwitchStats`, the refiners', aggregators'
+//! and flow log's counts, and the platform's own [`TierMetrics`] — and
+//! none holds a metric handle. Once [`SmartWatch::attach_telemetry`] is
+//! called, the platform publishes them all through one publisher per
+//! component at the boundary the control loop already has: attach,
+//! every interval end, and `finish`.
 
 use crate::deploy::DeployMode;
 use crate::suite::{DetectorSuite, HostNeed};
 use smartwatch_detect::{Alert, Subject};
-use smartwatch_host::{FlowLogStore, HostCostModel, SnapshotAggregator};
+use smartwatch_host::{aggregate, flowlog, FlowLogStore, HostCostModel, SnapshotAggregator};
 use smartwatch_net::{Dur, Packet, Ts};
-use smartwatch_p4sim::{Decision, P4Switch, RefineMode, RefineOutcome, Refiner, SwitchQuery};
+use smartwatch_p4sim::{
+    refine, switch, Decision, P4Switch, RefineMode, RefineOutcome, Refiner, SwitchQuery,
+};
 use smartwatch_snic::hw::service_time;
 use smartwatch_snic::{
-    CachePublisher, CycleCosts, FlowCache, FlowCacheConfig, HwProfile, NETRONOME_AGILIO_LX,
+    cache_publisher, CycleCosts, FlowCache, FlowCacheConfig, HwProfile, NETRONOME_AGILIO_LX,
 };
-use smartwatch_telemetry::{Counter, Gauge, Histogram, Registry, TraceShard, Tracer};
+use smartwatch_telemetry::{Histogram, Level, Publisher, Registry, Tally, TraceShard, Tracer};
 
 /// Platform configuration.
 #[derive(Clone, Debug)]
@@ -75,8 +85,8 @@ impl PlatformConfig {
     }
 }
 
-/// Where packets went and what they cost (the latency/tier ledger) — a
-/// point-in-time *view* over the platform's live telemetry counters.
+/// Where packets went and what they cost: the platform's tier ledger,
+/// kept in plain integers as the packets go by.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TierMetrics {
     /// Total packets offered.
@@ -89,7 +99,8 @@ pub struct TierMetrics {
     pub snic_processed: u64,
     /// Escalated to host NFs.
     pub host_processed: u64,
-    /// Sum of per-packet processing latency (ns) across monitored packets.
+    /// Sum of per-packet processing latency (ns) across monitored
+    /// packets; each packet adds whole nanoseconds.
     pub latency_sum_ns: f64,
     /// Monitored packets (denominator for mean latency).
     pub monitored: u64,
@@ -97,86 +108,51 @@ pub struct TierMetrics {
     pub unlogged: u64,
 }
 
-/// The ledger's live counters (`core.tier.*` once attached to a
-/// [`Registry`]); [`TierMetrics`] is the frozen view. Latency is carried
-/// in whole nanoseconds internally.
-#[derive(Debug)]
-struct TierCounters {
-    total: Counter,
-    dropped: Counter,
-    forwarded_direct: Counter,
-    snic_processed: Counter,
-    host_processed: Counter,
-    latency_ns: Counter,
-    monitored: Counter,
-    unlogged: Counter,
-}
+/// The platform's own counter families: the tier ledger (`core.tier.*`)
+/// and the control loop's installs and intervals (`core.*`).
+const CORE_COUNTERS: [(&str, Tally<SmartWatch>); 11] = [
+    ("core.tier.total", |s| s.metrics.total),
+    ("core.tier.dropped", |s| s.metrics.dropped),
+    ("core.tier.forwarded_direct", |s| s.metrics.forwarded_direct),
+    ("core.tier.snic_processed", |s| s.metrics.snic_processed),
+    ("core.tier.host_processed", |s| s.metrics.host_processed),
+    ("core.tier.latency_ns", |s| s.metrics.latency_sum_ns as u64),
+    ("core.tier.monitored", |s| s.metrics.monitored),
+    ("core.tier.unlogged", |s| s.metrics.unlogged),
+    ("core.whitelist_installs", |s| s.whitelist_installs),
+    ("core.blacklist_installs", |s| s.blacklist_installs),
+    ("core.intervals", |s| s.interval_idx),
+];
 
-impl TierCounters {
-    fn detached() -> TierCounters {
-        TierCounters {
-            total: Counter::detached(),
-            dropped: Counter::detached(),
-            forwarded_direct: Counter::detached(),
-            snic_processed: Counter::detached(),
-            host_processed: Counter::detached(),
-            latency_ns: Counter::detached(),
-            monitored: Counter::detached(),
-            unlogged: Counter::detached(),
+/// The platform's derived gauges: `host_processed / snic_processed`
+/// (the paper bounds it ≤ 16%) and the steered share of traffic.
+const CORE_GAUGES: [(&str, Level<SmartWatch>); 2] = [
+    ("core.escalation_rate", |s| s.metrics.host_fraction()),
+    ("core.steered_share", |s| {
+        let m = s.metrics;
+        if m.total == 0 {
+            0.0
+        } else {
+            m.snic_processed as f64 / m.total as f64
         }
-    }
+    }),
+];
 
-    fn registered(reg: &Registry, current: &TierCounters) -> TierCounters {
-        let c = TierCounters {
-            total: reg.counter("core.tier.total", &[]),
-            dropped: reg.counter("core.tier.dropped", &[]),
-            forwarded_direct: reg.counter("core.tier.forwarded_direct", &[]),
-            snic_processed: reg.counter("core.tier.snic_processed", &[]),
-            host_processed: reg.counter("core.tier.host_processed", &[]),
-            latency_ns: reg.counter("core.tier.latency_ns", &[]),
-            monitored: reg.counter("core.tier.monitored", &[]),
-            unlogged: reg.counter("core.tier.unlogged", &[]),
-        };
-        c.total.add(current.total.get());
-        c.dropped.add(current.dropped.get());
-        c.forwarded_direct.add(current.forwarded_direct.get());
-        c.snic_processed.add(current.snic_processed.get());
-        c.host_processed.add(current.host_processed.get());
-        c.latency_ns.add(current.latency_ns.get());
-        c.monitored.add(current.monitored.get());
-        c.unlogged.add(current.unlogged.get());
-        c
-    }
-
-    fn snapshot(&self) -> TierMetrics {
-        TierMetrics {
-            total: self.total.get(),
-            dropped: self.dropped.get(),
-            forwarded_direct: self.forwarded_direct.get(),
-            snic_processed: self.snic_processed.get(),
-            host_processed: self.host_processed.get(),
-            latency_sum_ns: self.latency_ns.get() as f64,
-            monitored: self.monitored.get(),
-            unlogged: self.unlogged.get(),
-        }
-    }
-}
-
-/// Platform-level derived metrics and control-loop instruments.
-#[derive(Debug)]
+/// Every tier's publisher, and the two histograms the platform records
+/// at the event: held once [`SmartWatch::attach_telemetry`] is called.
 struct PlatformTelemetry {
-    /// The FlowCache's books → `snic.cache.*` / `snic.ring.*`, published
-    /// with the derived gauges at each interval end.
-    cache: CachePublisher,
-    whitelist_installs: Counter,
-    blacklist_installs: Counter,
-    intervals: Counter,
-    /// `host_processed / snic_processed` — the paper bounds this ≤ 16%.
-    escalation_rate: Gauge,
-    /// `snic_processed / total` — the steered share of traffic.
-    steered_share: Gauge,
+    core: Publisher<SmartWatch>,
+    cache: Publisher<FlowCache>,
+    switch: Publisher<P4Switch>,
+    /// `refiners[i]` publishes the platform's `refiners[i]`.
+    refiners: Vec<Publisher<Refiner>>,
+    aggregator: Publisher<SnapshotAggregator>,
+    long_term: Publisher<SnapshotAggregator>,
+    flowlog: Publisher<FlowLogStore>,
     /// Virtual CPU time per snapshot-aggregation pass (cost model).
     snapshot_cpu_ns: Histogram,
+    /// Records per flush of the interval aggregator.
+    flush_records: Histogram,
 }
 
 impl TierMetrics {
@@ -254,7 +230,11 @@ pub struct SmartWatch {
     pub flowlog: FlowLogStore,
     refiners: Vec<Refiner>,
     costs: CycleCosts,
-    metrics: TierCounters,
+    metrics: TierMetrics,
+    /// Flows the detector suite's verdicts whitelisted on the switch.
+    whitelist_installs: u64,
+    /// Alert sources blacklisted on the switch.
+    blacklist_installs: u64,
     telemetry: Option<PlatformTelemetry>,
     trace: Option<TraceShard>,
     alerts: Vec<Alert>,
@@ -312,7 +292,9 @@ impl SmartWatch {
             flowlog: FlowLogStore::new(),
             refiners,
             costs: CycleCosts::default(),
-            metrics: TierCounters::detached(),
+            metrics: TierMetrics::default(),
+            whitelist_installs: 0,
+            blacklist_installs: 0,
             telemetry: None,
             trace: None,
             alerts: Vec::new(),
@@ -332,30 +314,49 @@ impl SmartWatch {
         self
     }
 
-    /// Wire every tier into `registry`: the FlowCache (`snic.cache.*`),
-    /// eviction rings, switch (`p4.switch.*`), refiners (`p4.refine.*`),
-    /// host aggregators and flow log (`host.*`), and the platform's own
-    /// ledger and control-loop instruments (`core.*`). Current values
-    /// carry over, so attaching mid-run loses nothing.
+    /// Publish every tier into `registry`: the FlowCache
+    /// (`snic.cache.*`), eviction rings (`snic.ring.*`), switch
+    /// (`p4.switch.*`), refiners (`p4.refine.*`), host aggregators and
+    /// flow log (`host.*`), and the platform's own ledger and
+    /// control-loop instruments (`core.*`). The counters and gauges are
+    /// published now and at every interval end and [`SmartWatch::finish`],
+    /// from books kept whether or not anything is attached, so attaching
+    /// mid-run loses nothing. The two histograms
+    /// (`host.aggregate.snapshot_cpu_ns`, `host.aggregate.flush_records`)
+    /// are recorded at the event, so they hold only events after the
+    /// attach.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.switch.attach_telemetry(registry);
-        for r in &mut self.refiners {
-            r.attach_telemetry(registry);
-        }
-        self.aggregator.attach_telemetry(registry, "interval");
-        self.long_term.attach_telemetry(registry, "long_term");
-        self.flowlog.attach_telemetry(registry);
-        self.metrics = TierCounters::registered(registry, &self.metrics);
+        let agg = |name| {
+            Publisher::new(registry, &[("agg", name)])
+                .counters(&aggregate::COUNTERS)
+                .gauges(&aggregate::GAUGES)
+        };
+        // The long-term aggregator is never flushed: its family is
+        // registered, and stays empty.
+        registry.histogram("host.aggregate.flush_records", &[("agg", "long_term")]);
         self.telemetry = Some(PlatformTelemetry {
-            cache: CachePublisher::new(registry, &self.cache.config().policy),
-            whitelist_installs: registry.counter("core.whitelist_installs", &[]),
-            blacklist_installs: registry.counter("core.blacklist_installs", &[]),
-            intervals: registry.counter("core.intervals", &[]),
-            escalation_rate: registry.gauge("core.escalation_rate", &[]),
-            steered_share: registry.gauge("core.steered_share", &[]),
+            core: Publisher::new(registry, &[])
+                .counters(&CORE_COUNTERS)
+                .gauges(&CORE_GAUGES),
+            cache: cache_publisher(registry, &self.cache.config().policy),
+            switch: Publisher::new(registry, &[])
+                .counters(&switch::COUNTERS)
+                .gauges(&switch::GAUGES),
+            refiners: self
+                .refiners
+                .iter()
+                .map(|r| Publisher::new(registry, &r.labels()).counters(&refine::COUNTERS))
+                .collect(),
+            aggregator: agg("interval"),
+            long_term: agg("long_term"),
+            flowlog: Publisher::new(registry, &[])
+                .counters(&flowlog::COUNTERS)
+                .gauges(&flowlog::GAUGES),
             snapshot_cpu_ns: registry.histogram("host.aggregate.snapshot_cpu_ns", &[]),
+            flush_records: registry
+                .histogram("host.aggregate.flush_records", &[("agg", "interval")]),
         });
-        self.refresh_telemetry();
+        self.publish();
     }
 
     /// Emit control-loop events (interval boundaries, refinement
@@ -365,22 +366,32 @@ impl SmartWatch {
         self.trace = Some(tracer.shard("control-loop"));
     }
 
-    /// Bring the registry's view of what the platform only counts
-    /// locally up to date — the cache's books and the two ratio gauges —
-    /// at the boundaries a virtual-time run has: attach, interval end,
-    /// finish.
-    fn refresh_telemetry(&mut self) {
-        if let Some(t) = &mut self.telemetry {
-            t.cache.publish(&self.cache);
-            let m = self.metrics.snapshot();
-            t.escalation_rate.set(m.host_fraction());
-            let share = if m.total == 0 {
-                0.0
-            } else {
-                m.snic_processed as f64 / m.total as f64
-            };
-            t.steered_share.set(share);
+    /// Bring every attached cell up to the tiers' books — at the
+    /// boundaries a virtual-time run has: attach, interval end, finish.
+    fn publish(&mut self) {
+        let Some(mut t) = self.telemetry.take() else {
+            return;
+        };
+        t.core.publish(self);
+        t.cache.publish(&self.cache);
+        t.switch.publish(&self.switch);
+        for (books, r) in t.refiners.iter_mut().zip(&self.refiners) {
+            books.publish(r);
         }
+        t.aggregator.publish(&self.aggregator);
+        t.long_term.publish(&self.long_term);
+        t.flowlog.publish(&self.flowlog);
+        self.telemetry = Some(t);
+    }
+
+    /// Flush the interval aggregator into the flow log under the current
+    /// interval.
+    fn log_interval(&mut self) {
+        let records = self.aggregator.flush();
+        if let Some(t) = &self.telemetry {
+            t.flush_records.record(records.len() as u64);
+        }
+        self.flowlog.store(self.interval_idx, records);
     }
 
     /// Deployment mode.
@@ -395,16 +406,16 @@ impl SmartWatch {
             self.end_interval(at);
             self.next_interval = at + self.cfg.interval;
         }
-        self.metrics.total.inc();
+        self.metrics.total += 1;
 
         let monitor = match self.cfg.mode {
             DeployMode::HostOnly => {
                 // Everything to host NFs. The host keeps its own flow
                 // table (the cache stands in for it) so flow-log driven
                 // detectors still run; latency is charged at host rates.
-                self.metrics.monitored.inc();
-                self.metrics.host_processed.inc();
-                self.metrics.latency_ns.add(
+                self.metrics.monitored += 1;
+                self.metrics.host_processed += 1;
+                self.charge(
                     self.cfg
                         .host_cost
                         .host_path_latency(pkt.wire_len)
@@ -418,11 +429,11 @@ impl SmartWatch {
             DeployMode::SnicHost => true,
             DeployMode::SmartWatch | DeployMode::SwitchHost => match self.switch.process(pkt) {
                 Decision::Drop => {
-                    self.metrics.dropped.inc();
+                    self.metrics.dropped += 1;
                     return;
                 }
                 Decision::Forward => {
-                    self.metrics.forwarded_direct.inc();
+                    self.metrics.forwarded_direct += 1;
                     false
                 }
                 Decision::Steer => true,
@@ -436,9 +447,9 @@ impl SmartWatch {
         if self.cfg.mode == DeployMode::SwitchHost {
             // Sonata: steered packets burn host CPU but there is no
             // flow-state tier; detection happens via query refinement.
-            self.metrics.monitored.inc();
-            self.metrics.host_processed.inc();
-            self.metrics.latency_ns.add(
+            self.metrics.monitored += 1;
+            self.metrics.host_processed += 1;
+            self.charge(
                 self.cfg
                     .host_cost
                     .host_path_latency(pkt.wire_len)
@@ -448,19 +459,19 @@ impl SmartWatch {
         }
 
         // sNIC tier: FlowCache + detector suite.
-        self.metrics.monitored.inc();
-        self.metrics.snic_processed.inc();
+        self.metrics.monitored += 1;
+        self.metrics.snic_processed += 1;
         let access = self.cache.process(pkt);
         if access.outcome == smartwatch_snic::Outcome::ToHost {
-            self.metrics.unlogged.inc();
+            self.metrics.unlogged += 1;
         }
         let (busy, wait) = service_time(&self.cfg.hw, &self.costs, &access);
-        self.metrics.latency_ns.add((busy + wait) as u64);
+        self.charge((busy + wait) as u64);
 
         let outcome = self.suite.on_packet(pkt);
         if outcome.host == HostNeed::Host {
-            self.metrics.host_processed.inc();
-            self.metrics.latency_ns.add(
+            self.metrics.host_processed += 1;
+            self.charge(
                 self.cfg
                     .host_cost
                     .host_path_latency(pkt.wire_len)
@@ -475,12 +486,15 @@ impl SmartWatch {
             if self.cfg.suite_whitelist && uses_switch(self.cfg.mode) {
                 self.switch.whitelist(*flow);
                 self.whitelist_entries += 1;
-                if let Some(t) = &self.telemetry {
-                    t.whitelist_installs.inc();
-                }
+                self.whitelist_installs += 1;
             }
         }
         self.ingest_alerts(outcome.alerts);
+    }
+
+    /// Add one packet's processing latency, in whole nanoseconds.
+    fn charge(&mut self, ns: u64) {
+        self.metrics.latency_sum_ns += ns as f64;
     }
 
     fn ingest_alerts(&mut self, alerts: Vec<Alert>) {
@@ -488,9 +502,7 @@ impl SmartWatch {
             if self.cfg.blacklist_sources && uses_switch(self.cfg.mode) {
                 if let Subject::Source(src) = a.subject {
                     self.switch.blacklist(src);
-                    if let Some(t) = &self.telemetry {
-                        t.blacklist_installs.inc();
-                    }
+                    self.blacklist_installs += 1;
                 }
             }
             self.alerts.push(a);
@@ -608,16 +620,12 @@ impl SmartWatch {
 
         // 4. Flush the interval view to the flow log, then run the
         // interval detectors over the *cumulative* records (durations).
-        let records = self.aggregator.flush();
-        self.flowlog.store(self.interval_idx, records);
+        self.log_interval();
         let cumulative: Vec<smartwatch_snic::FlowRecord> = self.long_term.iter().copied().collect();
         let interval_alerts = self.suite.end_interval(&cumulative, now);
         self.ingest_alerts(interval_alerts);
         self.interval_idx += 1;
-        if let Some(t) = &self.telemetry {
-            t.intervals.inc();
-        }
-        self.refresh_telemetry();
+        self.publish();
     }
 
     fn replace_refiner_query(&mut self, q: SwitchQuery) {
@@ -651,12 +659,11 @@ impl SmartWatch {
         self.cache.drain_all_into(&mut residue);
         self.aggregator.ingest_batch(residue.iter().copied());
         self.export_scratch = residue;
-        let records = self.aggregator.flush();
-        self.flowlog.store(self.interval_idx, records);
-        self.refresh_telemetry();
+        self.log_interval();
+        self.publish();
         RunReport {
             alerts: self.alerts,
-            metrics: self.metrics.snapshot(),
+            metrics: self.metrics,
             sonata_detections: self.sonata_detections,
             steered_bytes: self.switch.stats().steered_bytes,
             whitelist_entries: self.whitelist_entries,
@@ -823,6 +830,46 @@ mod tests {
         // After the alert fires, subsequent scanner packets are dropped at
         // the switch — prevention, not just detection.
         assert!(rep.metrics.dropped > 0, "post-alert packets should drop");
+    }
+
+    #[test]
+    fn attaching_mid_run_loses_no_count_and_no_gauge() {
+        let trace = mixed_trace();
+        let platform = || {
+            SmartWatch::new(
+                PlatformConfig::new(DeployMode::SmartWatch),
+                standard_queries(),
+            )
+        };
+        let (early, late) = (Registry::new(), Registry::new());
+        let mut a = platform();
+        a.attach_telemetry(&early);
+        let mut b = platform();
+        for p in trace.packets() {
+            a.on_packet(p);
+            b.on_packet(p);
+            if b.interval_idx == 1 && b.telemetry.is_none() {
+                b.attach_telemetry(&late);
+            }
+        }
+        assert!(b.telemetry.is_some() && b.interval_idx > 1);
+        let end = trace.packets().last().unwrap().ts + Dur::from_secs(1);
+        a.finish(end);
+        b.finish(end);
+        let (early, late) = (early.snapshot(), late.snapshot());
+        assert!(early.counter("core.intervals").unwrap() > 1);
+        assert!(early.counter("core.blacklist_installs").unwrap() > 0);
+        assert!(early.counter("host.flowlog.flushes").unwrap() > 1);
+        assert_eq!(early.counters, late.counters);
+        assert_eq!(early.gauges, late.gauges);
+        // The histograms are recorded at the event: the late registry
+        // never saw the first interval's flush.
+        let flushes = |s: &smartwatch_telemetry::Snapshot| {
+            s.histogram("host.aggregate.flush_records{agg=interval}")
+                .unwrap()
+                .count
+        };
+        assert_eq!(flushes(&early), flushes(&late) + 1);
     }
 
     #[test]

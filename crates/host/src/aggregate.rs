@@ -9,61 +9,44 @@
 
 use smartwatch_net::FlowKey;
 use smartwatch_snic::FlowRecord;
-use smartwatch_telemetry::{Counter, Gauge, Histogram, Registry};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
-/// Registry handles for the aggregator (present only after
-/// [`SnapshotAggregator::attach_telemetry`]).
-#[derive(Debug)]
-struct AggregatorTelemetry {
-    exports_in: Counter,
-    flushes: Counter,
-    flows: Gauge,
-    flush_size: Histogram,
+/// Reads one metric's value out of an aggregator.
+type Reading<T> = fn(&SnapshotAggregator) -> T;
+
+/// The aggregator's counter families: each `host.aggregate.*` counter
+/// and the count it carries, for its owner's publisher (which labels
+/// each aggregator `agg=…`).
+pub const COUNTERS: [(&str, Reading<u64>); 2] = [
+    ("host.aggregate.exports_in", |a| a.exports_in),
+    ("host.aggregate.flushes", |a| a.flushes),
+];
+
+/// The aggregator's gauge: the flows it holds now (0 right after a
+/// flush).
+pub const GAUGES: [(&str, Reading<f64>); 1] = [("host.aggregate.flows", |a| a.len() as f64)];
+
+/// Heaviest first, equal counts by flow key: a total order over
+/// distinct flows, so no ranking depends on the table's hash order.
+fn rank(r: &FlowRecord) -> (Reverse<u64>, FlowKey) {
+    (Reverse(r.packets), r.key)
 }
 
 /// Merges repeated sNIC exports into per-flow totals.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SnapshotAggregator {
     flows: HashMap<FlowKey, FlowRecord>,
     /// Exports consumed.
     pub exports_in: u64,
-    telemetry: Option<AggregatorTelemetry>,
-}
-
-impl Clone for SnapshotAggregator {
-    /// Clones keep the aggregated flows and counts but detach from any
-    /// registry.
-    fn clone(&self) -> SnapshotAggregator {
-        SnapshotAggregator {
-            flows: self.flows.clone(),
-            exports_in: self.exports_in,
-            telemetry: None,
-        }
-    }
+    /// Flushes to the flow log.
+    flushes: u64,
 }
 
 impl SnapshotAggregator {
     /// Empty aggregator.
     pub fn new() -> SnapshotAggregator {
         SnapshotAggregator::default()
-    }
-
-    /// Publish the aggregator's activity into `registry` as
-    /// `host.aggregate.{exports_in,flushes,flows,flush_records}{agg=name}`,
-    /// carrying the current export count over. `name` distinguishes
-    /// co-existing aggregators (e.g. per-interval vs long-term).
-    pub fn attach_telemetry(&mut self, registry: &Registry, name: &str) {
-        let labels: &[(&str, &str)] = &[("agg", name)];
-        let t = AggregatorTelemetry {
-            exports_in: registry.counter("host.aggregate.exports_in", labels),
-            flushes: registry.counter("host.aggregate.flushes", labels),
-            flows: registry.gauge("host.aggregate.flows", labels),
-            flush_size: registry.histogram("host.aggregate.flush_records", labels),
-        };
-        t.exports_in.add(self.exports_in);
-        t.flows.set(self.flows.len() as f64);
-        self.telemetry = Some(t);
     }
 
     /// Ingest one exported record.
@@ -73,10 +56,6 @@ impl SnapshotAggregator {
             .entry(rec.key)
             .and_modify(|e| e.merge(&rec))
             .or_insert(rec);
-        if let Some(t) = &self.telemetry {
-            t.exports_in.inc();
-            t.flows.set(self.flows.len() as f64);
-        }
     }
 
     /// Ingest a batch (one ring drain or snapshot).
@@ -113,7 +92,8 @@ impl SnapshotAggregator {
 
     /// Flows with at least `threshold` packets, heaviest first (the
     /// offline heavy-hitter query of Table 2, and the top-k heavy *benign*
-    /// flow selection the control loop whitelists).
+    /// flow selection the control loop whitelists), equal counts by flow
+    /// key.
     pub fn heavy_hitters(&self, threshold: u64) -> Vec<FlowRecord> {
         let mut out: Vec<FlowRecord> = self
             .flows
@@ -121,15 +101,18 @@ impl SnapshotAggregator {
             .filter(|r| r.packets >= threshold)
             .copied()
             .collect();
-        out.sort_by_key(|r| std::cmp::Reverse(r.packets));
+        out.sort_unstable_by_key(rank);
         out
     }
 
-    /// The `k` heaviest flows.
+    /// The `k` heaviest flows, ranked as [`Self::heavy_hitters`] ranks.
     pub fn top_k(&self, k: usize) -> Vec<FlowRecord> {
         let mut out: Vec<FlowRecord> = self.flows.values().copied().collect();
-        out.sort_by_key(|r| std::cmp::Reverse(r.packets));
-        out.truncate(k);
+        if k < out.len() {
+            out.select_nth_unstable_by_key(k, rank);
+            out.truncate(k);
+        }
+        out.sort_unstable_by_key(rank);
         out
     }
 
@@ -138,11 +121,7 @@ impl SnapshotAggregator {
     pub fn flush(&mut self) -> Vec<FlowRecord> {
         let mut out: Vec<FlowRecord> = self.flows.drain().map(|(_, r)| r).collect();
         out.sort_by_key(|r| r.key);
-        if let Some(t) = &self.telemetry {
-            t.flushes.inc();
-            t.flush_size.record(out.len() as u64);
-            t.flows.set(0.0);
-        }
+        self.flushes += 1;
         out
     }
 }
@@ -221,6 +200,28 @@ mod tests {
         let flushed = agg.flush();
         assert_eq!(flushed.len(), 2);
         assert!(agg.is_empty());
-        assert_eq!(agg.exports_in, 2);
+        assert_eq!((agg.exports_in, agg.flushes), (2, 1));
+    }
+
+    #[test]
+    fn tied_flows_rank_alike_whatever_the_ingest_order() {
+        // Twelve flows, every pair tied on packets: a ranking broken by
+        // the hash table's order would differ between the two tables.
+        let recs: Vec<FlowRecord> = (0..12)
+            .map(|i| rec(i, 10 + u64::from(i / 2), 0, 1))
+            .collect();
+        let mut forward = SnapshotAggregator::new();
+        forward.ingest_batch(recs.iter().copied());
+        let mut backward = SnapshotAggregator::new();
+        backward.ingest_batch(recs.iter().rev().copied());
+        let keys = |v: Vec<FlowRecord>| v.into_iter().map(|r| r.key).collect::<Vec<_>>();
+        assert_eq!(keys(forward.top_k(5)), keys(backward.top_k(5)));
+        assert_eq!(
+            keys(forward.heavy_hitters(11)),
+            keys(backward.heavy_hitters(11))
+        );
+        let top = forward.top_k(3);
+        assert_eq!((top[0].packets, top[1].packets), (15, 15));
+        assert!(top[0].key < top[1].key, "ties rank by key");
     }
 }

@@ -8,34 +8,31 @@
 
 use smartwatch_net::FlowKey;
 use smartwatch_snic::FlowRecord;
-use smartwatch_telemetry::{Counter, Gauge, Registry};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-/// Registry handles for the store (present only after
-/// [`FlowLogStore::attach_telemetry`]).
-#[derive(Debug)]
-struct FlowLogTelemetry {
-    flushes: Counter,
-    records_in: Counter,
-    records: Gauge,
-    intervals: Gauge,
-}
+/// Reads one metric's value out of the store.
+type Reading<T> = fn(&FlowLogStore) -> T;
+
+/// The store's counter families: each `host.flowlog.*` counter and the
+/// count it carries, for its owner's publisher.
+pub const COUNTERS: [(&str, Reading<u64>); 2] = [
+    ("host.flowlog.flushes", |s| s.flushes),
+    ("host.flowlog.records_in", |s| s.len() as u64),
+];
+
+/// The store's size gauges: records and intervals held.
+pub const GAUGES: [(&str, Reading<f64>); 2] = [
+    ("host.flowlog.records", |s| s.len() as f64),
+    ("host.flowlog.intervals", |s| s.n_intervals() as f64),
+];
 
 /// Interval-keyed flow-log store.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct FlowLogStore {
     intervals: BTreeMap<u64, Vec<FlowRecord>>,
-    telemetry: Option<FlowLogTelemetry>,
-}
-
-impl Clone for FlowLogStore {
-    /// Clones keep the stored records but detach from any registry.
-    fn clone(&self) -> FlowLogStore {
-        FlowLogStore {
-            intervals: self.intervals.clone(),
-            telemetry: None,
-        }
-    }
+    /// Batches stored.
+    flushes: u64,
 }
 
 impl FlowLogStore {
@@ -44,33 +41,11 @@ impl FlowLogStore {
         FlowLogStore::default()
     }
 
-    /// Publish the store's growth into `registry` as
-    /// `host.flowlog.{flushes,records_in,records,intervals}`, seeding
-    /// with current contents.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let t = FlowLogTelemetry {
-            flushes: registry.counter("host.flowlog.flushes", &[]),
-            records_in: registry.counter("host.flowlog.records_in", &[]),
-            records: registry.gauge("host.flowlog.records", &[]),
-            intervals: registry.gauge("host.flowlog.intervals", &[]),
-        };
-        t.records_in.add(self.len() as u64);
-        t.records.set(self.len() as f64);
-        t.intervals.set(self.intervals.len() as f64);
-        self.telemetry = Some(t);
-    }
-
     /// Append a flushed batch under measurement-interval `interval`.
     /// Repeated flushes into the same interval accumulate.
     pub fn store(&mut self, interval: u64, records: Vec<FlowRecord>) {
-        let n = records.len() as u64;
         self.intervals.entry(interval).or_default().extend(records);
-        if let Some(t) = &self.telemetry {
-            t.flushes.inc();
-            t.records_in.add(n);
-            t.records.set(self.len() as f64);
-            t.intervals.set(self.intervals.len() as f64);
-        }
+        self.flushes += 1;
     }
 
     /// Number of intervals recorded.
@@ -112,19 +87,20 @@ impl FlowLogStore {
     }
 
     /// Exact heavy hitters of one interval: flows with ≥ `threshold`
-    /// packets, heaviest first.
+    /// packets, heaviest first (equal counts by flow key).
     pub fn heavy_hitters(&self, interval: u64, threshold: u64) -> Vec<(FlowKey, u64)> {
         let mut v: Vec<(FlowKey, u64)> = self
             .flow_counts(interval)
             .into_iter()
             .filter(|(_, c)| *c >= threshold)
             .collect();
-        v.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+        v.sort_unstable_by_key(|&(k, c)| (Reverse(c), k));
         v
     }
 
     /// Exact heavy changes between two intervals: flows whose packet count
-    /// changed by at least `threshold`.
+    /// changed by at least `threshold`, largest change first (equal
+    /// changes by flow key).
     pub fn heavy_changes(&self, a: u64, b: u64, threshold: u64) -> Vec<(FlowKey, u64)> {
         let ca = self.flow_counts(a);
         let cb = self.flow_counts(b);
@@ -142,7 +118,7 @@ impl FlowLogStore {
                 (d >= threshold).then_some((k, d))
             })
             .collect();
-        out.sort_by_key(|(_, d)| std::cmp::Reverse(*d));
+        out.sort_unstable_by_key(|&(k, d)| (Reverse(d), k));
         out
     }
 
@@ -204,6 +180,23 @@ mod tests {
     }
 
     #[test]
+    fn tied_flows_rank_alike_whatever_the_store_order() {
+        let recs: Vec<FlowRecord> = (0..12).map(|i| rec(i, 10 + u64::from(i / 3))).collect();
+        let mut forward = FlowLogStore::new();
+        forward.store(0, recs.clone());
+        let mut backward = FlowLogStore::new();
+        backward.store(0, recs.into_iter().rev().collect());
+        assert_eq!(forward.heavy_hitters(0, 11), backward.heavy_hitters(0, 11));
+        assert_eq!(
+            forward.heavy_changes(0, 1, 11),
+            backward.heavy_changes(0, 1, 11)
+        );
+        let hh = forward.heavy_hitters(0, 13);
+        assert_eq!(hh.len(), 3);
+        assert!(hh.windows(2).all(|w| w[0].0 < w[1].0), "ties rank by key");
+    }
+
+    #[test]
     fn heavy_changes_between_intervals() {
         let mut s = FlowLogStore::new();
         s.store(0, vec![rec(1, 100), rec(2, 10)]);
@@ -242,7 +235,7 @@ impl FlowLogStore {
         let dump: Vec<(u64, Vec<FlowRecord>)> = serde_json::from_str(json)?;
         Ok(FlowLogStore {
             intervals: dump.into_iter().collect(),
-            telemetry: None,
+            ..FlowLogStore::default()
         })
     }
 

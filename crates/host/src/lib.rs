@@ -12,6 +12,14 @@
 //! | Zeek session heuristics + certificate/ticket registry | [`zeek`] |
 //! | SR-IOV NF contract (trait, verdicts) | [`nf`] |
 //! | PCIe / copy / NF cost model | [`cost`] |
+//!
+//! The aggregator and the flow log keep their counts in plain integers
+//! and hold no metric handle. Each names its metrics in one table —
+//! [`aggregate::COUNTERS`] / [`aggregate::GAUGES`] (`host.aggregate.*`)
+//! and [`flowlog::COUNTERS`] / [`flowlog::GAUGES`] (`host.flowlog.*`) —
+//! which their owner (the platform's control loop) publishes at its
+//! interval ends. The owner records `host.aggregate.flush_records`
+//! itself, at the flushes it makes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

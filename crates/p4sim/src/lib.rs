@@ -15,6 +15,12 @@
 //! line rate regardless of programs; what constrains monitoring is SRAM
 //! and the shapes of state a match-action pipeline can hold, which is
 //! exactly what this crate accounts for.
+//!
+//! The switch and each refiner keep their counts in plain integers and
+//! hold no metric handle. Their metric names live in one name table
+//! each — [`switch::COUNTERS`] and [`switch::GAUGES`] (`p4.switch.*`),
+//! [`refine::COUNTERS`] (`p4.refine.*{mode,query}`) — which the owner
+//! (the platform's control loop) publishes at its interval ends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

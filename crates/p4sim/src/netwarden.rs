@@ -61,7 +61,7 @@ impl MiniCms {
 /// NetWarden's switch structure for IPD collection.
 #[derive(Clone, Debug)]
 pub struct NetWarden {
-    /// Histogram bins (each backed by a CountMin over flow ids).
+    /// The histogram's bins (each backed by a CountMin over flow ids).
     bins: Vec<MiniCms>,
     /// Bin width in microseconds.
     pub bin_width_us: u32,

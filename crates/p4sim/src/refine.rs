@@ -17,7 +17,6 @@
 
 use crate::query::{decode_prefix_key, Filter, KeyExpr, SwitchQuery};
 use crate::switch::SteerRule;
-use smartwatch_telemetry::{Counter, Registry};
 
 /// Which refinement strategy to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,38 +52,18 @@ fn port_constraint(f: &Filter) -> Option<u16> {
     }
 }
 
-/// Per-decision counters (detached until
-/// [`Refiner::attach_telemetry`]).
-#[derive(Debug)]
-struct RefineCounters {
-    steps: Counter,
-    steers: Counter,
-    detections: Counter,
-    restarts: Counter,
-}
+/// Reads one decision count out of a refiner.
+type Tally = fn(&Refiner) -> u64;
 
-impl RefineCounters {
-    fn detached() -> RefineCounters {
-        RefineCounters {
-            steps: Counter::detached(),
-            steers: Counter::detached(),
-            detections: Counter::detached(),
-            restarts: Counter::detached(),
-        }
-    }
-}
-
-impl Clone for RefineCounters {
-    /// Clones carry values but detach from any registry.
-    fn clone(&self) -> RefineCounters {
-        let c = RefineCounters::detached();
-        c.steps.add(self.steps.get());
-        c.steers.add(self.steers.get());
-        c.detections.add(self.detections.get());
-        c.restarts.add(self.restarts.get());
-        c
-    }
-}
+/// A refiner's counter families: each `p4.refine.*` counter and the
+/// decision count it carries, for its owner's publisher (labelled
+/// [`Refiner::labels`]).
+pub const COUNTERS: [(&str, Tally); 4] = [
+    ("p4.refine.steps", |r| r.steps),
+    ("p4.refine.steers", |r| r.steers),
+    ("p4.refine.detections", |r| r.detections),
+    ("p4.refine.restarts", |r| r.restarts),
+];
 
 /// The refinement controller for one base query.
 #[derive(Clone, Debug)]
@@ -96,7 +75,14 @@ pub struct Refiner {
     base: SwitchQuery,
     level_idx: usize,
     focus: Vec<(u32, u8)>,
-    counters: RefineCounters,
+    /// Zoom-ins to a finer level (Sonata).
+    steps: u64,
+    /// Intervals whose matches were steered to the sNIC (SmartWatch).
+    steers: u64,
+    /// Finest-level detections (Sonata).
+    detections: u64,
+    /// Intervals with nothing over threshold.
+    restarts: u64,
 }
 
 impl Refiner {
@@ -118,30 +104,21 @@ impl Refiner {
             base,
             level_idx: 0,
             focus: Vec::new(),
-            counters: RefineCounters::detached(),
+            steps: 0,
+            steers: 0,
+            detections: 0,
+            restarts: 0,
         }
     }
 
-    /// Publish this controller's decision counters as
-    /// `p4.refine.{steps,steers,detections,restarts}{mode=...,query=...}`,
-    /// carrying current values over.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
+    /// The labels of this controller's [`COUNTERS`]: its mode and its
+    /// base query's name.
+    pub fn labels(&self) -> [(&'static str, &str); 2] {
         let mode = match self.mode {
             RefineMode::Sonata => "sonata",
             RefineMode::SmartWatch => "smartwatch",
         };
-        let labels: &[(&str, &str)] = &[("mode", mode), ("query", &self.base.name)];
-        let fresh = RefineCounters {
-            steps: registry.counter("p4.refine.steps", labels),
-            steers: registry.counter("p4.refine.steers", labels),
-            detections: registry.counter("p4.refine.detections", labels),
-            restarts: registry.counter("p4.refine.restarts", labels),
-        };
-        fresh.steps.add(self.counters.steps.get());
-        fresh.steers.add(self.counters.steers.get());
-        fresh.detections.add(self.counters.detections.get());
-        fresh.restarts.add(self.counters.restarts.get());
-        self.counters = fresh;
+        [("mode", mode), ("query", &self.base.name)]
     }
 
     /// The paper's ladder: /8 → /16 → /32.
@@ -181,7 +158,7 @@ impl Refiner {
             // Nothing suspicious: return to the widest view.
             self.level_idx = 0;
             self.focus.clear();
-            self.counters.restarts.inc();
+            self.restarts += 1;
             return RefineOutcome::Restart(self.initial_query());
         }
         let matched: Vec<(u32, u8)> = over.iter().map(|(k, _)| decode_prefix_key(*k)).collect();
@@ -204,7 +181,7 @@ impl Refiner {
                         r
                     })
                     .collect();
-                self.counters.steers.inc();
+                self.steers += 1;
                 RefineOutcome::SteerSubsets(rules)
             }
             RefineMode::Sonata => {
@@ -212,12 +189,12 @@ impl Refiner {
                     // Finest granularity reached: report and restart.
                     self.level_idx = 0;
                     self.focus.clear();
-                    self.counters.detections.inc();
+                    self.detections += 1;
                     RefineOutcome::Detected(matched)
                 } else {
                     self.level_idx += 1;
                     self.focus = matched;
-                    self.counters.steps.inc();
+                    self.steps += 1;
                     RefineOutcome::NextQuery(self.query_at(self.level_idx, &self.focus))
                 }
             }

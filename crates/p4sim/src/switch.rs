@@ -15,7 +15,6 @@
 use crate::query::{QueryState, SwitchQuery};
 use crate::table::{ExactTable, TERNARY_ENTRY_BYTES};
 use smartwatch_net::{key::prefix_of, FlowKey, Packet};
-use smartwatch_telemetry::{Counter, Gauge, Registry};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -134,8 +133,8 @@ pub fn query_stages(q: &SwitchQuery) -> u32 {
     }
 }
 
-/// Per-run switch statistics — a point-in-time *view* over the switch's
-/// live telemetry counters (see [`SwitchCounters`]).
+/// The switch's books: per-run packet counts, kept in plain integers
+/// as the packets go by.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SwitchStats {
     /// Packets forwarded directly.
@@ -150,85 +149,36 @@ pub struct SwitchStats {
     pub whitelist_hits: u64,
 }
 
-/// The switch's live counters; handles may be shared with a [`Registry`]
-/// (see [`P4Switch::attach_telemetry`]), otherwise they are private
-/// cells. [`SwitchStats`] is the frozen view.
-#[derive(Debug)]
-struct SwitchCounters {
-    forwarded: Counter,
-    steered: Counter,
-    dropped: Counter,
-    steered_bytes: Counter,
-    whitelist_hits: Counter,
-}
+/// Reads one metric's value out of the switch.
+type Reading<T> = fn(&P4Switch) -> T;
 
-impl SwitchCounters {
-    fn detached() -> SwitchCounters {
-        SwitchCounters {
-            forwarded: Counter::detached(),
-            steered: Counter::detached(),
-            dropped: Counter::detached(),
-            steered_bytes: Counter::detached(),
-            whitelist_hits: Counter::detached(),
-        }
-    }
+/// The switch's counter families: each `p4.switch.*` counter and the
+/// tally of [`SwitchStats`] it carries, for its owner's publisher.
+pub const COUNTERS: [(&str, Reading<u64>); 5] = [
+    ("p4.switch.forwarded", |s| s.stats.forwarded),
+    ("p4.switch.steered", |s| s.stats.steered),
+    ("p4.switch.dropped", |s| s.stats.dropped),
+    ("p4.switch.steered_bytes", |s| s.stats.steered_bytes),
+    ("p4.switch.whitelist_hits", |s| s.stats.whitelist_hits),
+];
 
-    fn registered(reg: &Registry, current: SwitchStats) -> SwitchCounters {
-        let c = SwitchCounters {
-            forwarded: reg.counter("p4.switch.forwarded", &[]),
-            steered: reg.counter("p4.switch.steered", &[]),
-            dropped: reg.counter("p4.switch.dropped", &[]),
-            steered_bytes: reg.counter("p4.switch.steered_bytes", &[]),
-            whitelist_hits: reg.counter("p4.switch.whitelist_hits", &[]),
-        };
-        c.forwarded.add(current.forwarded);
-        c.steered.add(current.steered);
-        c.dropped.add(current.dropped);
-        c.steered_bytes.add(current.steered_bytes);
-        c.whitelist_hits.add(current.whitelist_hits);
-        c
-    }
-
-    fn snapshot(&self) -> SwitchStats {
-        SwitchStats {
-            forwarded: self.forwarded.get(),
-            steered: self.steered.get(),
-            dropped: self.dropped.get(),
-            steered_bytes: self.steered_bytes.get(),
-            whitelist_hits: self.whitelist_hits.get(),
-        }
-    }
-}
-
-impl Clone for SwitchCounters {
-    /// Clones carry the values but never the registry cells: a cloned
-    /// switch must not feed the original's metrics.
-    fn clone(&self) -> SwitchCounters {
-        let c = SwitchCounters::detached();
-        c.forwarded.add(self.forwarded.get());
-        c.steered.add(self.steered.get());
-        c.dropped.add(self.dropped.get());
-        c.steered_bytes.add(self.steered_bytes.get());
-        c.whitelist_hits.add(self.whitelist_hits.get());
-        c
-    }
-}
-
-/// State-occupancy gauges, refreshed whenever installed state changes and
-/// at every interval end (not per packet — `sram_bytes` walks the
-/// tables).
-#[derive(Clone, Debug)]
-struct SwitchGauges {
-    sram_bytes: Gauge,
-    sram_occupancy: Gauge,
-    stages_used: Gauge,
-    whitelist_entries: Gauge,
-    blacklist_entries: Gauge,
-    steer_rules: Gauge,
-}
+/// The switch's occupancy gauges: SRAM bytes and fraction, stages used
+/// and table sizes, read from the installed state when published (an
+/// owner publishes after its interval end, when the query state has
+/// just been cleared).
+pub const GAUGES: [(&str, Reading<f64>); 6] = [
+    ("p4.switch.sram_bytes", |s| s.sram_bytes() as f64),
+    ("p4.switch.sram_occupancy", P4Switch::sram_occupancy),
+    ("p4.switch.stages_used", |s| f64::from(s.stages_used())),
+    ("p4.switch.whitelist_entries", |s| s.whitelist.len() as f64),
+    ("p4.switch.blacklist_entries", |s| {
+        s.blacklist_src.len() as f64
+    }),
+    ("p4.switch.steer_rules", |s| s.steer_rules.len() as f64),
+];
 
 /// The P4 switch.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct P4Switch {
     queries: Vec<(SwitchQuery, QueryState)>,
     /// Steering rules live in TCAM (ternary prefix + optional port).
@@ -238,24 +188,7 @@ pub struct P4Switch {
     /// Exact-match source blacklist.
     blacklist_src: ExactTable<Ipv4Addr, ()>,
     budget: SramBudget,
-    stats: SwitchCounters,
-    gauges: Option<SwitchGauges>,
-}
-
-impl Clone for P4Switch {
-    /// Clones keep all installed state and counts but detach from any
-    /// registry (see [`SwitchCounters::clone`]).
-    fn clone(&self) -> P4Switch {
-        P4Switch {
-            queries: self.queries.clone(),
-            steer_rules: self.steer_rules.clone(),
-            whitelist: self.whitelist.clone(),
-            blacklist_src: self.blacklist_src.clone(),
-            budget: self.budget,
-            stats: self.stats.clone(),
-            gauges: None,
-        }
-    }
+    stats: SwitchStats,
 }
 
 impl P4Switch {
@@ -272,36 +205,7 @@ impl P4Switch {
             whitelist: ExactTable::new(),
             blacklist_src: ExactTable::new(),
             budget,
-            stats: SwitchCounters::detached(),
-            gauges: None,
-        }
-    }
-
-    /// Re-home the switch's counters into `registry` (`p4.switch.*`),
-    /// carrying current values over, and start publishing occupancy
-    /// gauges (SRAM bytes/fraction, stages used, table sizes). Gauges
-    /// refresh whenever installed state changes and at interval ends.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.stats = SwitchCounters::registered(registry, self.stats.snapshot());
-        self.gauges = Some(SwitchGauges {
-            sram_bytes: registry.gauge("p4.switch.sram_bytes", &[]),
-            sram_occupancy: registry.gauge("p4.switch.sram_occupancy", &[]),
-            stages_used: registry.gauge("p4.switch.stages_used", &[]),
-            whitelist_entries: registry.gauge("p4.switch.whitelist_entries", &[]),
-            blacklist_entries: registry.gauge("p4.switch.blacklist_entries", &[]),
-            steer_rules: registry.gauge("p4.switch.steer_rules", &[]),
-        });
-        self.refresh_gauges();
-    }
-
-    fn refresh_gauges(&mut self) {
-        if let Some(g) = &self.gauges {
-            g.sram_bytes.set(self.sram_bytes() as f64);
-            g.sram_occupancy.set(self.sram_occupancy());
-            g.stages_used.set(f64::from(self.stages_used()));
-            g.whitelist_entries.set(self.whitelist.len() as f64);
-            g.blacklist_entries.set(self.blacklist_src.len() as f64);
-            g.steer_rules.set(self.steer_rules.len() as f64);
+            stats: SwitchStats::default(),
         }
     }
 
@@ -314,7 +218,6 @@ impl P4Switch {
             return false;
         }
         self.queries.push((q, QueryState::default()));
-        self.refresh_gauges();
         true
     }
 
@@ -327,7 +230,6 @@ impl P4Switch {
     pub fn remove_query(&mut self, name: &str) -> bool {
         let before = self.queries.len();
         self.queries.retain(|(q, _)| q.name != name);
-        self.refresh_gauges();
         self.queries.len() != before
     }
 
@@ -340,14 +242,12 @@ impl P4Switch {
     pub fn install_steer(&mut self, rule: SteerRule) {
         if !self.steer_rules.contains(&rule) {
             self.steer_rules.push(rule);
-            self.refresh_gauges();
         }
     }
 
     /// Remove every steering rule.
     pub fn clear_steer(&mut self) {
         self.steer_rules.clear();
-        self.refresh_gauges();
     }
 
     /// Currently installed steer rules.
@@ -358,7 +258,6 @@ impl P4Switch {
     /// Whitelist a benign flow (exact-match table entry).
     pub fn whitelist(&mut self, key: FlowKey) {
         self.whitelist.insert(key.canonical().0, ());
-        self.refresh_gauges();
     }
 
     /// Number of whitelist entries (Fig. 2's switch-state driver).
@@ -369,7 +268,6 @@ impl P4Switch {
     /// Blacklist a source address.
     pub fn blacklist(&mut self, src: Ipv4Addr) {
         self.blacklist_src.insert(src, ());
-        self.refresh_gauges();
     }
 
     /// True if a source is blacklisted.
@@ -380,7 +278,7 @@ impl P4Switch {
     /// Process one packet through the pipeline.
     pub fn process(&mut self, p: &Packet) -> Decision {
         if self.blacklist_src.lookup(&p.key.src_ip).is_some() {
-            self.stats.dropped.inc();
+            self.stats.dropped += 1;
             return Decision::Drop;
         }
         // Passive telemetry: queries observe every non-dropped packet.
@@ -390,16 +288,16 @@ impl P4Switch {
             }
         }
         if self.whitelist.lookup(&p.key.canonical().0).is_some() {
-            self.stats.whitelist_hits.inc();
-            self.stats.forwarded.inc();
+            self.stats.whitelist_hits += 1;
+            self.stats.forwarded += 1;
             return Decision::Forward;
         }
         if self.steer_rules.iter().any(|r| r.matches(p)) {
-            self.stats.steered.inc();
-            self.stats.steered_bytes.add(u64::from(p.wire_len));
+            self.stats.steered += 1;
+            self.stats.steered_bytes += u64::from(p.wire_len);
             return Decision::Steer;
         }
-        self.stats.forwarded.inc();
+        self.stats.forwarded += 1;
         Decision::Forward
     }
 
@@ -414,7 +312,6 @@ impl P4Switch {
             }
             st.clear();
         }
-        self.refresh_gauges();
         out
     }
 
@@ -434,9 +331,9 @@ impl P4Switch {
         self.sram_bytes() as f64 / self.budget.total() as f64
     }
 
-    /// Statistics so far (a frozen view of the live counters).
+    /// Statistics so far.
     pub fn stats(&self) -> SwitchStats {
-        self.stats.snapshot()
+        self.stats
     }
 }
 

@@ -24,14 +24,16 @@ use crate::shard::{
     ShardSetup, ShardStats, ShardWorker,
 };
 use serde::{Number, Serialize, Value};
+use smartwatch_control::controller::{COUNTERS, GAUGES, SHARD_GAUGES};
 use smartwatch_control::{
-    AdminCmd, ControlEvent, Controller, DecisionRecord, EpochInput, ModeCell, ShardSample,
-    SnapshotCell, SnapshotReader, SteeringSnapshot,
+    push_decision, AdminCmd, ControlEvent, Controller, DecisionRecord, EpochInput, ModeCell,
+    ShardSample, SnapshotCell, SnapshotReader, SteeringSnapshot,
 };
 use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{FlowHasher, FrameStore, HashDigest, Packet};
+use smartwatch_snic::Mode;
 use smartwatch_telemetry::{
-    mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, Registry, Tracer,
+    mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, Publisher, Registry, Tracer,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,10 +73,11 @@ struct Garage {
 /// The control plane between segments: the one [`Controller`] of the
 /// engine's life — epoch counter, per-shard EWMA and counter baselines,
 /// shed state, the operator's pins and the audit, all of which describe
-/// the engine rather than one segment's traffic — and the cells it
+/// the engine rather than one segment's traffic — the cells it
 /// publishes through, which keep saying what the shards and ingest
-/// units were last told. What the controller learned from a segment's
-/// flows is emptied when the next one opens
+/// units were last told, and the publishers of its books, whose cells
+/// stay cumulative across segments. What the controller learned from a
+/// segment's flows is emptied when the next one opens
 /// ([`Controller::new_segment`]), as [`FlowState::reset`] does on the
 /// shard side.
 struct ControlResident {
@@ -82,6 +85,10 @@ struct ControlResident {
     /// `modes[i]`: the mode shard `i` runs.
     modes: Vec<Arc<ModeCell>>,
     steer: Arc<SnapshotCell<SteeringSnapshot>>,
+    /// `control.*`, published once per epoch.
+    books: Publisher<Controller>,
+    /// `shard_books[i]`: `control.{smoothed_mpps,mode}{shard=i}`.
+    shard_books: Vec<Publisher<(f64, Mode)>>,
 }
 
 /// The sharded wall-clock engine.
@@ -765,9 +772,18 @@ impl Engine {
                 let mut ctrl_cfg = ctrl_cfg.clone();
                 ctrl_cfg.hash_seed = self.cfg.hash_seed;
                 ControlResident {
-                    ctrl: Controller::with_registry(ctrl_cfg, &self.registry).for_shards(n),
+                    ctrl: Controller::new(ctrl_cfg).for_shards(n),
                     modes: (0..n).map(|_| Arc::new(ModeCell::default())).collect(),
                     steer: Arc::new(SnapshotCell::new(SteeringSnapshot::empty())),
+                    books: Publisher::new(&self.registry, &[])
+                        .counters(&COUNTERS)
+                        .gauges(&GAUGES),
+                    shard_books: (0..n)
+                        .map(|i| {
+                            Publisher::new(&self.registry, &[("shard", &i.to_string())])
+                                .gauges(&SHARD_GAUGES)
+                        })
+                        .collect(),
                 }
             }
         };
@@ -869,7 +885,7 @@ impl ControlThread {
     fn run(mut self) -> ControlResident {
         let cfg = self.home.ctrl.config();
         let epoch = Duration::from_millis(cfg.epoch_ms.max(1));
-        let audit_cap = cfg.decision_capacity.max(1);
+        let audit_cap = cfg.decision_capacity;
         let mut last = Instant::now();
         loop {
             let done = self.stop.load(Ordering::Acquire);
@@ -931,13 +947,18 @@ impl ControlThread {
                 verdicts,
                 heavy,
             });
+            self.home.books.publish(&self.home.ctrl);
+            let record = &decision.record;
+            let shards = record.smoothed_mpps.iter().zip(&record.modes);
+            for (books, (&mpps, &mode)) in self.home.shard_books.iter_mut().zip(shards) {
+                books.publish(&(mpps, mode));
+            }
             for (cell, &m) in self.home.modes.iter().zip(&decision.modes) {
                 cell.set(m);
             }
             // Black-box the epoch's notable transitions before
             // publishing: the controller's own events, then promotions
             // and evictions from the record's counts.
-            let record = &decision.record;
             for event in &decision.events {
                 match *event {
                     // The epoch word joins the switch to its decision
@@ -971,13 +992,11 @@ impl ControlThread {
             }
             // Mirror the decision into the shared audit so live readers
             // see it without waiting for the segment's report.
-            {
-                let mut audit = self.audit.lock().expect("decision audit poisoned");
-                if audit.len() == audit_cap {
-                    audit.pop_front();
-                }
-                audit.push_back(record.clone());
-            }
+            push_decision(
+                &mut self.audit.lock().expect("decision audit poisoned"),
+                audit_cap,
+                record.clone(),
+            );
             if let Some(snap) = decision.snapshot {
                 self.home.steer.publish(snap);
             }

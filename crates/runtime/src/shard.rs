@@ -14,7 +14,7 @@
 //! cache as plain integers — stays on this thread until the batch
 //! boundary, where [`ShardWorker::flush_local`] folds it into the
 //! registry: `runtime.shard.*{shard}` and, through the
-//! [`CachePublisher`], `snic.cache.*` / `snic.ring.*` (cells every shard
+//! cache's [`Publisher`], `snic.cache.*` / `snic.ring.*` (cells every shard
 //! adds to — a handful of adds per batch, none for a tally that did not
 //! move). Live readers of all of them are at most one batch stale. A
 //! batch its unit sampled is timed in place, its stamps chained packet
@@ -40,8 +40,8 @@ use smartwatch_core::{DetectorSuite, HostNeed};
 use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{AgingDigestSet, FlowDigest, FlowHasher};
-use smartwatch_snic::{CachePublisher, CacheStats, FlowCache, FlowCacheConfig, TableStats};
-use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Registry};
+use smartwatch_snic::{cache_publisher, CacheStats, FlowCache, FlowCacheConfig, TableStats};
+use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Publisher, Registry};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Instant;
@@ -213,7 +213,7 @@ pub(crate) struct FlowState {
     pub cache: FlowCache,
     /// Carries the cache's books to `snic.cache.*` / `snic.ring.*`;
     /// parked with the cache, whose cumulative tallies it tracks.
-    cache_books: CachePublisher,
+    cache_books: Publisher<FlowCache>,
     pub suite: DetectorSuite,
     /// Digest-keyed (identity-hashed) verdict sets of the shard's own
     /// flows: membership is one u64 probe instead of a SipHash over the
@@ -257,7 +257,7 @@ impl FlowState {
                 table_slots: gauge("runtime.flowstate.table_slots"),
                 table_probe_mean: gauge("runtime.flowstate.table_probe_mean"),
             },
-            cache_books: CachePublisher::new(registry, &cache_cfg.policy),
+            cache_books: cache_publisher(registry, &cache_cfg.policy),
             cache: FlowCache::new(cache_cfg),
             suite: DetectorSuite::with_hasher(FlowHasher::new(cfg.hash_seed)),
             blacklist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),

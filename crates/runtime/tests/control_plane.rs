@@ -256,6 +256,27 @@ fn engine_without_control_reports_none_and_zero_shed() {
     assert!(report.conserved());
 }
 
+/// `decision_capacity = 0` bounds the controller's audit and the
+/// engine's live mirror of it by one rule: both keep the latest record.
+#[test]
+fn a_zero_capacity_audit_is_bounded_alike_in_report_and_engine() {
+    let cfg = ControlConfig {
+        decision_capacity: 0,
+        ..inert_control()
+    };
+    let engine = Engine::new(EngineConfig::new(1).with_control(cfg));
+    let report = engine.run(&workload(20_000), Pace::RateMpps(0.2));
+    let ctrl = report.control.expect("controller ran");
+    assert!(
+        ctrl.epochs >= 10,
+        "a 100 ms drive runs ≥ 10 epochs: {}",
+        ctrl.epochs
+    );
+    assert_eq!(ctrl.decisions.len(), 1);
+    assert_eq!(ctrl.decisions_dropped, ctrl.epochs - 1);
+    assert_eq!(engine.decisions(), ctrl.decisions);
+}
+
 /// A controller that only relays the operator: 2 ms epochs, every
 /// threshold parked far above any drive here, so nothing sheds or
 /// switches mode unless a row below pins it.

@@ -51,9 +51,10 @@
 //! integers of its own [`CacheStats`] — the packet path writes nothing
 //! that another thread writes. It holds no metric handle: the cache's
 //! *owner* (an engine shard, the platform simulator, an experiment)
-//! holds a [`crate::CachePublisher`] and publishes at a boundary it
-//! already has — once per batch, at an interval end — which adds what
-//! was counted since its last publish to `snic.cache.*` / `snic.ring.*`.
+//! holds the publisher [`crate::cache_publisher`] builds and publishes
+//! at a boundary it already has — once per batch, at an interval end —
+//! which adds what was counted since its last publish to `snic.cache.*`
+//! / `snic.ring.*`.
 //! One rule makes that sound: the books are **cumulative for the
 //! cache's life**. [`FlowCache::reset`] empties the table but rewinds
 //! no tally, so published cells never go backwards and any span's

@@ -50,6 +50,6 @@ pub use flowcache::{Access, CacheStats, FlowCache, FlowCacheConfig, Mode, Outcom
 pub use flowtable::{FlowTable, Keyed, TableStats};
 pub use hw::{CycleCosts, HwProfile, BLUEFIELD, LIQUIDIO_TX2, NETRONOME_AGILIO_LX};
 pub use policy::{CachePolicy, Policy};
-pub use publish::CachePublisher;
+pub use publish::cache_publisher;
 pub use record::FlowRecord;
 pub use ring::RingSet;

@@ -1,113 +1,79 @@
-//! The FlowCache's publisher: the one place the cache's and its rings'
-//! books meet a metric registry.
+//! The FlowCache's name table: the one place the cache's and its rings'
+//! books are given metric names.
 //!
 //! A [`FlowCache`] counts in plain integers and holds no metric handle
-//! (see its module doc); whoever owns the cache holds a
-//! [`CachePublisher`] beside it and calls [`CachePublisher::publish`]
-//! at a boundary it already has — an engine shard once per batch and at
-//! its finish, the platform simulator at each interval end, an
-//! experiment after its run. Live readers of `snic.cache.*` /
-//! `snic.ring.*` are therefore at most one such boundary stale, and the
-//! final values are exact.
+//! (see its module doc); whoever owns the cache holds the
+//! [`Publisher`] [`cache_publisher`] builds beside it and publishes at a
+//! boundary it already has — an engine shard once per batch and at its
+//! finish, the platform simulator at each interval end, an experiment
+//! after its run. Live readers of `snic.cache.*` / `snic.ring.*` are
+//! therefore at most one such boundary stale, and the final values are
+//! exact.
 //!
-//! The publisher remembers what it has already added, so each publish
-//! adds only what the cache counted since the last one; because the
-//! books are cumulative for the cache's life, that difference is never
-//! negative — not across [`FlowCache::reset`], not across segments —
-//! and several caches publishing to the same cells (every shard of an
-//! engine shares one policy label) simply sum. One publisher serves one
-//! cache for its whole life.
+//! The books are cumulative for the cache's life — not rewound by
+//! [`FlowCache::reset`], not by a new segment — so each publish adds
+//! what the cache counted since the last one, and several caches
+//! publishing to the same cells (every shard of an engine shares one
+//! policy label) simply sum. One publisher serves one cache for its
+//! whole life.
 
-use crate::flowcache::{CacheStats, FlowCache};
+use crate::flowcache::FlowCache;
 use crate::policy::CachePolicy;
-use smartwatch_telemetry::{Counter, Gauge, Registry};
+use smartwatch_telemetry::{Level, Publisher, Registry, Tally};
 
-/// Reads one tally out of the cache's books.
-type Tally = fn(&CacheStats) -> u64;
-
-/// The name table: every `snic.cache.*{policy=…}` counter, and the
-/// tally of the cache's books it carries.
-const CACHE_CELLS: [(&str, Tally); 10] = [
-    ("snic.cache.p_hits", |s| s.p_hits),
-    ("snic.cache.e_hits", |s| s.e_hits),
-    ("snic.cache.misses", |s| s.misses),
-    ("snic.cache.to_host", |s| s.to_host),
-    ("snic.cache.evictions", |s| s.evictions),
-    ("snic.cache.rows_cleaned", |s| s.rows_cleaned),
-    ("snic.cache.cleanup_evictions", |s| s.cleanup_evictions),
-    ("snic.cache.pins", |s| s.pins),
-    ("snic.cache.unpins", |s| s.unpins),
-    ("snic.cache.mode_switches", |s| s.mode_switches),
+/// Every `snic.cache.*{policy=…}` counter, and the tally of the cache's
+/// books it carries.
+const CACHE_COUNTERS: [(&str, Tally<FlowCache>); 10] = [
+    ("snic.cache.p_hits", |c| c.stats().p_hits),
+    ("snic.cache.e_hits", |c| c.stats().e_hits),
+    ("snic.cache.misses", |c| c.stats().misses),
+    ("snic.cache.to_host", |c| c.stats().to_host),
+    ("snic.cache.evictions", |c| c.stats().evictions),
+    ("snic.cache.rows_cleaned", |c| c.stats().rows_cleaned),
+    ("snic.cache.cleanup_evictions", |c| {
+        c.stats().cleanup_evictions
+    }),
+    ("snic.cache.pins", |c| c.stats().pins),
+    ("snic.cache.unpins", |c| c.stats().unpins),
+    ("snic.cache.mode_switches", |c| c.stats().mode_switches),
 ];
 
-/// Publishes one [`FlowCache`]'s books into a [`Registry`].
-#[derive(Debug)]
-pub struct CachePublisher {
-    /// The `snic.cache.*` cells, in [`CACHE_CELLS`] order.
-    cache: [Counter; CACHE_CELLS.len()],
-    ring_pushed: Counter,
-    ring_overflow: Counter,
-    ring_occupancy: Gauge,
-    ring_occupancy_peak: Gauge,
-    /// The cache's books as of the last publish: what the cells have
-    /// been given so far.
-    published: CacheStats,
-    /// Likewise for the rings: `(pushed, overflow_to_host)`.
-    published_ring: (u64, u64),
-}
+/// The eviction rings' counters (unlabelled: one family for every cache).
+const RING_COUNTERS: [(&str, Tally<FlowCache>); 2] = [
+    ("snic.ring.pushed", |c| c.ring_books().pushed),
+    ("snic.ring.overflow_to_host", |c| {
+        c.ring_books().overflow_to_host
+    }),
+];
 
-impl CachePublisher {
-    /// Cells for a cache running `policy`, registered in `registry`
-    /// (shared with every other cache of the same policy there).
-    /// Nothing is added until the first [`CachePublisher::publish`],
-    /// which carries over whatever the cache has counted so far.
-    pub fn new(registry: &Registry, policy: &CachePolicy) -> CachePublisher {
-        let policy = policy.label();
-        let labels = [("policy", policy.as_str())];
-        CachePublisher {
-            cache: CACHE_CELLS.map(|(name, _)| registry.counter(name, &labels)),
-            ring_pushed: registry.counter("snic.ring.pushed", &[]),
-            ring_overflow: registry.counter("snic.ring.overflow_to_host", &[]),
-            ring_occupancy: registry.gauge("snic.ring.occupancy", &[]),
-            ring_occupancy_peak: registry.gauge("snic.ring.occupancy_peak", &[]),
-            published: CacheStats::default(),
-            published_ring: (0, 0),
-        }
-    }
+/// Records the rings hold now.
+const RING_GAUGES: [(&str, Level<FlowCache>); 1] =
+    [("snic.ring.occupancy", |c| c.ring_books().len() as f64)];
 
-    /// Add what `cache` and its rings counted since the last publish,
-    /// and set the two ring gauges. A tally or gauge that did not move
-    /// costs no write to its (possibly shared) cell.
-    pub fn publish(&mut self, cache: &FlowCache) {
-        let add = |cell: &Counter, n: u64| {
-            if n > 0 {
-                cell.add(n);
-            }
-        };
-        let now = cache.stats();
-        let new = now - self.published;
-        for ((_, tally), cell) in CACHE_CELLS.iter().zip(&self.cache) {
-            add(cell, tally(&new));
-        }
-        self.published = now;
+/// The most the rings ever held — a peak every shard's publisher raises.
+const RING_PEAKS: [(&str, Level<FlowCache>); 1] =
+    [("snic.ring.occupancy_peak", |c| c.ring_books().peak() as f64)];
 
-        let rings = cache.ring_books();
-        let (pushed, overflow) = self.published_ring;
-        add(&self.ring_pushed, rings.pushed - pushed);
-        add(&self.ring_overflow, rings.overflow_to_host - overflow);
-        self.published_ring = (rings.pushed, rings.overflow_to_host);
-        let occupancy = rings.len() as f64;
-        if self.ring_occupancy.get() != occupancy {
-            self.ring_occupancy.set(occupancy);
-        }
-        self.ring_occupancy_peak.set_max(rings.peak() as f64);
-    }
+/// A publisher of one cache running `policy` into `registry` (its
+/// `snic.cache.*` cells shared with every other cache of the same
+/// policy there). The first publish carries over whatever the cache has
+/// counted so far.
+pub fn cache_publisher(registry: &Registry, policy: &CachePolicy) -> Publisher<FlowCache> {
+    let policy = policy.label();
+    Publisher::new(registry, &[("policy", policy.as_str())])
+        .counters(&CACHE_COUNTERS)
+        .join(
+            Publisher::new(registry, &[])
+                .counters(&RING_COUNTERS)
+                .gauges(&RING_GAUGES)
+                .peaks(&RING_PEAKS),
+        )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flowcache::{FlowCacheConfig, Mode};
+    use crate::flowcache::{CacheStats, FlowCacheConfig, Mode};
     use smartwatch_net::{FlowKey, Packet, PacketBuilder, Ts};
     use std::net::Ipv4Addr;
 
@@ -182,11 +148,11 @@ mod tests {
     fn publish_carries_every_tally_to_its_own_cell() {
         let reg = Registry::new();
         let mut fc = crowded();
-        let mut books = CachePublisher::new(&reg, &fc.config().policy);
+        let mut books = cache_publisher(&reg, &fc.config().policy);
         churn(&mut fc, 0);
         let s = fc.stats();
-        for (name, tally) in CACHE_CELLS {
-            assert!(tally(&s) > 0, "the stream never exercised {name}");
+        for (name, tally) in CACHE_COUNTERS {
+            assert!(tally(&fc) > 0, "the stream never exercised {name}");
         }
         assert!(fc.ring_overflow() > 0, "2-record rings must overflow");
         books.publish(&fc);
@@ -203,7 +169,7 @@ mod tests {
     fn a_second_publish_with_nothing_new_adds_nothing() {
         let reg = Registry::new();
         let mut fc = crowded();
-        let mut books = CachePublisher::new(&reg, &fc.config().policy);
+        let mut books = cache_publisher(&reg, &fc.config().policy);
         churn(&mut fc, 0);
         books.publish(&fc);
         let once = cells(&reg, "lru-lpc");
@@ -219,7 +185,7 @@ mod tests {
     fn a_cloned_cache_never_reaches_the_originals_cells() {
         let reg = Registry::new();
         let mut fc = crowded();
-        let mut books = CachePublisher::new(&reg, &fc.config().policy);
+        let mut books = cache_publisher(&reg, &fc.config().policy);
         churn(&mut fc, 0);
         books.publish(&fc);
         let published = cells(&reg, "lru-lpc");
@@ -236,7 +202,7 @@ mod tests {
     fn published_cells_never_go_backwards_across_reset() {
         let reg = Registry::new();
         let mut fc = crowded();
-        let mut books = CachePublisher::new(&reg, &fc.config().policy);
+        let mut books = cache_publisher(&reg, &fc.config().policy);
         churn(&mut fc, 0);
         books.publish(&fc);
         let first = cells(&reg, "lru-lpc");

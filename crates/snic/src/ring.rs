@@ -11,7 +11,7 @@
 //! A ring set counts its own events in plain integers — `pushed`,
 //! `overflow_to_host`, a running `len` and its `peak` — and holds no
 //! metric handle: whoever owns the cache publishes them, with the
-//! cache's own tallies, through a [`crate::CachePublisher`] at a
+//! cache's own tallies, through a [`crate::cache_publisher`] at a
 //! boundary of its choosing. The tallies are **cumulative for the
 //! object's life**: [`RingSet::reset`] empties the rings but does not
 //! rewind `pushed`, `overflow_to_host` or `peak`, so a publisher's

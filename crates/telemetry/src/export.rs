@@ -1,6 +1,6 @@
-//! Snapshot rendering: text tables, JSON, Prometheus exposition.
+//! Snapshot rendering: JSON and Prometheus exposition.
 //!
-//! All three exporters consume the same [`Snapshot`], which the registry
+//! Both exporters consume the same [`Snapshot`], which the registry
 //! emits in `(name, labels)`-sorted order — so every format is
 //! byte-deterministic for a deterministic simulation run.
 
@@ -71,59 +71,6 @@ impl Snapshot {
                 .cloned()
                 .collect(),
         }
-    }
-
-    /// Render as an aligned text table (the `--metrics` terminal view).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            let w = self
-                .counters
-                .iter()
-                .map(|(id, _)| id.render().len())
-                .max()
-                .unwrap_or(0);
-            for (id, v) in &self.counters {
-                let _ = writeln!(out, "  {:<w$}  {v}", id.render());
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            let w = self
-                .gauges
-                .iter()
-                .map(|(id, _)| id.render().len())
-                .max()
-                .unwrap_or(0);
-            for (id, v) in &self.gauges {
-                let _ = writeln!(out, "  {:<w$}  {v:.6}", id.render());
-            }
-        }
-        if !self.hists.is_empty() {
-            out.push_str("histograms:\n");
-            let w = self
-                .hists
-                .iter()
-                .map(|(id, _)| id.render().len())
-                .max()
-                .unwrap_or(0);
-            for (id, h) in &self.hists {
-                let _ = writeln!(
-                    out,
-                    "  {:<w$}  n={} mean={:.1} p50={} p90={} p99={} p99.9={} max={}",
-                    id.render(),
-                    h.count,
-                    h.mean,
-                    h.p50,
-                    h.p90,
-                    h.p99,
-                    h.p999,
-                    h.max
-                );
-            }
-        }
-        out
     }
 
     /// Render as a JSON value (see EXPERIMENTS.md for the schema).
@@ -284,14 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn text_lists_every_metric() {
-        let t = sample().snapshot().to_text();
-        assert!(t.contains("snic.cache.hits{policy=lru}  10"));
-        assert!(t.contains("core.escalation.rate"));
-        assert!(t.contains("p99="));
-    }
-
-    #[test]
     fn json_schema_and_lookup() {
         let snap = sample().snapshot();
         let v = snap.to_json_value();
@@ -362,7 +301,8 @@ mod tests {
         let host = snap.with_prefix("host.");
         assert_eq!(host.hists.len(), 1);
         assert!(host.counters.is_empty());
-        assert!(snap.with_prefix("absent.").to_text().is_empty());
+        let absent = snap.with_prefix("absent.");
+        assert!(absent.counters.is_empty() && absent.gauges.is_empty() && absent.hists.is_empty());
         // Scoped rendering stays deterministic.
         assert_eq!(snic.to_json(), snap.with_prefix("snic.").to_json());
     }

@@ -246,11 +246,6 @@ impl Histogram {
             p999: self.quantile(0.999),
         }
     }
-
-    /// True when no two `Histogram` handles share this distribution.
-    pub fn is_unshared(&self) -> bool {
-        Arc::strong_count(&self.core) == 1
-    }
 }
 
 /// Point-in-time histogram summary.

@@ -4,19 +4,22 @@
 //!
 //! 1. **Metrics** ([`Registry`], [`Counter`], [`Gauge`], [`Histogram`]):
 //!    a lock-free metric registry. Handles are `Arc`-shared atomics, so a
-//!    component records with a relaxed `fetch_add` while the registry can
+//!    writer records with a relaxed `fetch_add` while the registry can
 //!    snapshot at any time. Histograms are log-linear (HDR-style) with a
 //!    bounded relative error of 1/32 ≈ 3.2% per recorded value, mergeable
-//!    across shards, and queryable for p50/p90/p99/p99.9.
+//!    across shards, and queryable for p50/p90/p99/p99.9. The simulated
+//!    components keep plain-integer books and hold no handle: their
+//!    owner carries those books into the registry through a
+//!    [`Publisher`] over the component's name table.
 //! 2. **Tracing** ([`Tracer`], [`TraceShard`]): sim-time event traces
 //!    stamped with the virtual clock (`net::Ts`), never the wall clock —
 //!    two same-seed runs produce byte-identical traces. Each shard is a
 //!    fixed-capacity ring that counts what it drops, and the whole trace
 //!    exports as chrome-trace-viewer JSON (load in `chrome://tracing` or
 //!    Perfetto).
-//! 3. **Exporters** ([`export`]): text tables for the terminal, JSON for
-//!    machines, and Prometheus exposition format for scrapers. All three
-//!    render a [`Snapshot`] in deterministic (sorted) order.
+//! 3. **Exporters** ([`export`]): JSON for machines and Prometheus
+//!    exposition format for scrapers. Both render a [`Snapshot`] in
+//!    deterministic (sorted) order.
 //!
 //! The experiment harness threads one [`Registry`] + [`Tracer`] pair
 //! through the platform tiers; `repro <exp> --metrics-json out.json
@@ -38,6 +41,7 @@ mod hist;
 pub mod http;
 pub mod mem;
 mod metrics;
+mod publish;
 mod trace;
 mod wallclock;
 
@@ -45,5 +49,6 @@ pub use export::Snapshot;
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FlightRing};
 pub use hist::{HistSnapshot, Histogram, QUANTILE_ERROR_BOUND};
 pub use metrics::{Counter, Gauge, MetricId, Registry};
+pub use publish::{Level, Publisher, Tally};
 pub use trace::{TraceShard, Tracer};
 pub use wallclock::WallAnchor;

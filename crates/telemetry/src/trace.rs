@@ -159,19 +159,6 @@ impl Tracer {
             .sum()
     }
 
-    /// Per-shard `(name, dropped)` accounting, in registration order.
-    /// Lets callers report *which* track a truncated trace lost events
-    /// from, not just that some were lost.
-    pub fn dropped_by_shard(&self) -> Vec<(String, u64)> {
-        self.inner
-            .shards
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|s| (s.name.clone(), s.dropped.load(Ordering::Relaxed)))
-            .collect()
-    }
-
     /// Render the chrome-trace-viewer JSON document. Virtual-clock
     /// nanoseconds map to the viewer's microsecond axis with three
     /// decimals, so nothing is lost to rounding.
@@ -279,7 +266,6 @@ mod tests {
         assert!(!json.contains("\"e0\""), "oldest dropped");
         assert!(json.contains("\"droppedEvents\":6"));
         assert!(json.contains("\"droppedByShard\":{\"pme0\":6}"));
-        assert_eq!(tracer.dropped_by_shard(), vec![("pme0".to_string(), 6)]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! byte-deterministic across runs (wall time never is); determinism
 //! claims stay with the sim-time path.
 
-use smartwatch_net::{Dur, Ts};
+use smartwatch_net::Ts;
 use std::time::Instant;
 
 /// A fixed wall-clock origin; instants map to [`Ts`] offsets from it.
@@ -43,15 +43,6 @@ impl WallAnchor {
     pub fn ts_of(&self, t: Instant) -> Ts {
         Ts::from_nanos(t.saturating_duration_since(self.origin).as_nanos() as u64)
     }
-
-    /// Convenience for span emission: the trace timestamp of `start`
-    /// plus the duration from `start` to now.
-    pub fn span_since(&self, start: Instant) -> (Ts, Dur) {
-        (
-            self.ts_of(start),
-            Dur::from_nanos(start.elapsed().as_nanos() as u64),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -72,8 +63,5 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         let anchor = WallAnchor::new();
         assert_eq!(anchor.ts_of(before).as_nanos(), 0);
-        let (ts, dur) = anchor.span_since(before);
-        assert_eq!(ts.as_nanos(), 0);
-        assert!(dur.as_nanos() >= 1_000_000);
     }
 }
