@@ -92,7 +92,7 @@ fn bench_digest(c: &mut Criterion) {
         b.iter(|| {
             for f in &frames {
                 let v = FrameView::parse(black_box(f)).expect("bench frames are valid");
-                black_box(hasher.digest_raw(v.raw_tuple()));
+                black_box(hasher.flow_digest_raw(v.raw_tuple()));
             }
         })
     });
@@ -107,7 +107,7 @@ fn bench_digest(c: &mut Criterion) {
                         .expect("bench frames are valid")
                         .raw_tuple();
                 }
-                black_box(hasher.digest_batch8(&tuples));
+                black_box(hasher.flow_digest_batch8(&tuples));
             }
         })
     });

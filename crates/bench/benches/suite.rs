@@ -21,11 +21,13 @@
 //! word of the packet eight ahead fetched first — so the pair prices
 //! the table half of the hint. `suite_digested` drives that swept-and-reset suite the way
 //! a shard does: packets digested ahead of the clock (ingest's job),
-//! then `on_packet_digested`.
+//! then `on_packet_digested` into one outcome reused for every packet.
+//! The `scan` row likewise appends into one alert vector it clears per
+//! packet, as the suite does.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smartwatch_bench::workloads;
-use smartwatch_core::DetectorSuite;
+use smartwatch_core::{DetectorSuite, SuiteOutcome};
 use smartwatch_detect::dnsamp::DnsAmpDetector;
 use smartwatch_detect::portscan::ScanPipeline;
 use smartwatch_detect::rst::ForgedRstDetector;
@@ -60,9 +62,18 @@ fn row<S>(
 fn bench_input(c: &mut Criterion, input: &str, pkts: &[Packet]) {
     let mut g = c.benchmark_group(format!("suite_{input}"));
     g.throughput(Throughput::Elements(pkts.len() as u64));
-    row(&mut g, "scan", pkts, ScanPipeline::new, |s, p| {
-        black_box(s.on_packet(p));
-    });
+    row(
+        &mut g,
+        "scan",
+        pkts,
+        || (ScanPipeline::new(), Vec::new()),
+        |(s, alerts), p| {
+            let flow = s.conns.digest(&p.key);
+            alerts.clear();
+            s.on_packet_digested(p, &flow, alerts);
+            black_box(alerts);
+        },
+    );
     row(&mut g, "conntable", pkts, ConnTable::new, |s, p| {
         black_box(s.process(p));
     });
@@ -181,8 +192,10 @@ fn bench_input(c: &mut Criterion, input: &str, pkts: &[Packet]) {
         b.iter_batched(
             || swept(hasher),
             |mut s| {
+                let mut out = SuiteOutcome::default();
                 for (p, flow) in &digested {
-                    black_box(s.on_packet_digested(black_box(p), flow));
+                    s.on_packet_digested(black_box(p), flow, &mut out);
+                    black_box(&out);
                 }
                 s
             },

@@ -14,7 +14,7 @@
 //! timed-out attempts in — between two fresh detectors as well.
 
 use smartwatch_bench::workloads::{attack_mix, attack_mix_full, caida_64b};
-use smartwatch_core::DetectorSuite;
+use smartwatch_core::{DetectorSuite, HostNeed, SuiteOutcome};
 use smartwatch_detect::auth::{BruteforceDetector, CertExpiryMonitor, KerberosMonitor};
 use smartwatch_detect::dnsamp::DnsAmpDetector;
 use smartwatch_detect::portscan::ScanPipeline;
@@ -24,7 +24,8 @@ use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_host::{ArtefactRegistry, AuthOutcome};
 use smartwatch_net::{Dur, FlowDigest, FlowHasher, Packet, Ts};
 use smartwatch_snic::{FlowCache, FlowCacheConfig, FlowRecord};
-use smartwatch_trace::attacks::auth::ArtefactInfo;
+use smartwatch_trace::attacks::auth::{bruteforce, ArtefactInfo, BruteforceConfig};
+use smartwatch_trace::attacks::victim_ip;
 use smartwatch_trace::background::Preset;
 use smartwatch_trace::Trace;
 use std::fmt::Debug;
@@ -348,7 +349,11 @@ fn detectors_answer_digests_as_keys(trace: &Trace) {
         ),
         trace,
         &hasher,
-        |d, p, flow| said(d.on_packet_digested(p, flow)),
+        |d, p, flow| {
+            let mut alerts = Vec::new();
+            d.on_packet_digested(p, flow, &mut alerts);
+            said(alerts)
+        },
         |d, p| said(d.on_packet(p)),
         |d, now| {
             let mut out = said(d.finish(now));
@@ -373,7 +378,9 @@ fn detectors_answer_digests_as_keys(trace: &Trace) {
         &hasher,
         |d, p, flow| {
             if gate(p) {
-                events(d.on_packet_digested(p, flow))
+                let mut evs = Vec::new();
+                d.on_packet_digested(p, flow, &mut evs);
+                events(evs)
             } else {
                 Vec::new()
             }
@@ -409,9 +416,9 @@ fn the_suite_answers_a_carried_digest_as_it_answers_a_key_and_hashes_nothing() {
                 .with_cert_registry(registry(&certs), Dur::from_secs(30 * 86_400))
                 .with_krb_registry(registry(&tickets), Dur::from_secs(36_000))
         };
-        let answer = |o: smartwatch_core::SuiteOutcome| {
+        let answer = |o: SuiteOutcome| {
             let mut out = said(o.alerts);
-            if o.host == smartwatch_core::HostNeed::Host {
+            if o.host == HostNeed::Host {
                 out.push("host".into());
             }
             out.extend(said(o.whitelist));
@@ -425,7 +432,11 @@ fn the_suite_answers_a_carried_digest_as_it_answers_a_key_and_hashes_nothing() {
             ),
             trace,
             &hasher,
-            |s, p, flow| answer(s.on_packet_digested(p, flow)),
+            |s, p, flow| {
+                let mut out = SuiteOutcome::default();
+                s.on_packet_digested(p, flow, &mut out);
+                answer(out)
+            },
             |s, p| answer(s.on_packet(p)),
             |s, now| {
                 let mut out = said(s.finish(now));
@@ -436,4 +447,51 @@ fn the_suite_answers_a_carried_digest_as_it_answers_a_key_and_hashes_nothing() {
         let books = suite.table_stats();
         assert!(books.lookups > 0 && suite.table_slots() > 0, "{books:?}");
     }
+}
+
+/// The shard keeps one [`SuiteOutcome`] for every packet it inspects.
+/// Driven that way, the suite must answer each packet — alerts (kind,
+/// subject, ts and detail, order-free as above), host need, whitelist —
+/// as the keyed entry point answers its twin with a new outcome per
+/// packet: nothing the previous packet left in the sink may leak into
+/// the next. The walk must cross the hazards: a packet right after one
+/// that alerted, one right after one that whitelisted, RSTs buffered
+/// and RSTs released off the wheel.
+#[test]
+fn a_reused_outcome_answers_every_packet_as_a_fresh_one() {
+    let mut login = BruteforceConfig::ssh(victim_ip(3), Ts::from_millis(200), 7);
+    login.attackers = 2;
+    login.final_success = true;
+    let mix = Trace::merge([attack_mix(1, 1), bruteforce(&login)]);
+    let caida = caida_64b(Preset::Caida2018, 1, 1).take(60_000);
+    let hasher = FlowHasher::new(INGEST_SEED);
+    let (mut after_alert, mut after_whitelist) = (0, 0);
+    let (mut buffered, mut released) = (0, 0);
+    for trace in [&mix, &caida] {
+        let mut reused = DetectorSuite::with_hasher(hasher);
+        let mut fresh = DetectorSuite::with_hasher(hasher);
+        let mut sink = SuiteOutcome::default();
+        for (i, p) in trace.iter().enumerate() {
+            let (alerted, whitelisted) = (!sink.alerts.is_empty(), !sink.whitelist.is_empty());
+            let held = reused.rst.buffered();
+            reused.on_packet_digested(p, &hasher.flow_digest(&p.key), &mut sink);
+            let want = fresh.on_packet(p);
+            assert_eq!(said(&sink.alerts), said(&want.alerts), "alerts, packet {i}");
+            assert_eq!(sink.host, want.host, "host need, packet {i}");
+            assert_eq!(sink.whitelist, want.whitelist, "whitelist, packet {i}");
+            after_alert += usize::from(alerted);
+            after_whitelist += usize::from(whitelisted);
+            let raced = want.alerts.iter().any(|a| a.detail.contains("raced"));
+            match reused.rst.buffered().cmp(&held) {
+                std::cmp::Ordering::Greater => buffered += 1,
+                std::cmp::Ordering::Less if !raced => released += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(
+        after_alert > 0 && after_whitelist > 0 && buffered > 0 && released > 0,
+        "after alert {after_alert}, after whitelist {after_whitelist}, \
+         RSTs buffered {buffered}, released {released}"
+    );
 }

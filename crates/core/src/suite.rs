@@ -14,20 +14,25 @@ use smartwatch_detect::slowloris::SlowlorisDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_detect::Alert;
 use smartwatch_host::{ArtefactRegistry, AuthHeuristic, AuthOutcome, ConnEvent, ConnTable};
-use smartwatch_net::{Dur, FlowDigest, FlowHasher, FlowKey, HashDigest, Packet, Ts};
+use smartwatch_net::{Dur, FlowDigest, FlowHasher, FlowKey, Packet, Ts};
 use smartwatch_snic::{FlowRecord, FlowTable, TableStats};
 
 /// Where a packet finished processing (for tier accounting).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum HostNeed {
     /// Fully handled by the sNIC.
+    #[default]
     SnicOnly,
     /// Escalated to a host NF (Zeek analysis, timing wheel…).
     Host,
 }
 
 /// Per-packet outcome from the suite.
-#[derive(Clone, Debug)]
+///
+/// Also the sink [`DetectorSuite::on_packet_digested`] writes into: a
+/// caller that keeps one across packets (a shard does) pays for its
+/// vectors once, not per packet.
+#[derive(Clone, Debug, Default)]
 pub struct SuiteOutcome {
     /// Alerts raised by this packet.
     pub alerts: Vec<Alert>,
@@ -36,6 +41,16 @@ pub struct SuiteOutcome {
     /// Flows the platform may whitelist on the switch (benign verdicts,
     /// e.g. successful SSH authentication).
     pub whitelist: Vec<FlowKey>,
+}
+
+impl SuiteOutcome {
+    /// The outcome of a packet nothing reacted to, keeping the vectors'
+    /// allocations.
+    pub fn clear(&mut self) {
+        self.alerts.clear();
+        self.host = HostNeed::SnicOnly;
+        self.whitelist.clear();
+    }
 }
 
 /// Per-detector data-path operation counts, used to derive Table 2's
@@ -84,6 +99,9 @@ pub struct DetectorSuite {
     heuristic: AuthHeuristic,
     /// Auth sessions already classified (no further host escalation).
     classified: FlowTable<FlowKey>,
+    /// The RST detector's per-packet events, drained into the outcome
+    /// (reused: no vector per packet).
+    rst_events: Vec<RstEvent>,
     /// Digests bare packets for [`DetectorSuite::on_packet`]; every
     /// flow-keyed table of the suite is indexed by its digests.
     hasher: FlowHasher,
@@ -115,6 +133,7 @@ impl DetectorSuite {
             conns: ConnTable::with_hasher(hasher),
             heuristic: AuthHeuristic::default(),
             classified: FlowTable::new(),
+            rst_events: Vec::new(),
             hasher,
             ops: SuiteOps::default(),
         }
@@ -197,68 +216,74 @@ impl DetectorSuite {
             + self.classified.slots()
     }
 
-    /// Stage A's hint for `pkt`, whose carried canonical key and digest
-    /// are `canon` and `digest`: the scan pipeline's connection table is
-    /// the one every TCP packet probes, so its home slot word is fetched
-    /// toward L1 ([`FlowTable::prefetch`]; inert — no book moves).
+    /// Stage A's hint for `pkt`, whose flow identity ingest carried as
+    /// `flow`: the scan pipeline's connection table is the one every TCP
+    /// packet probes, so its home slot word is fetched toward L1
+    /// ([`FlowTable::prefetch`]; inert — no book moves).
     #[inline]
-    pub fn prefetch(&self, pkt: &Packet, canon: &FlowKey, digest: HashDigest) {
+    pub fn prefetch(&self, pkt: &Packet, flow: &FlowDigest) {
         if pkt.is_tcp() {
-            self.scan.conns.prefetch(canon, digest);
+            self.scan.conns.prefetch(&flow.canon, flow.digest);
         }
     }
 
     /// Feed one packet through every online detector.
     pub fn on_packet(&mut self, pkt: &Packet) -> SuiteOutcome {
         let flow = self.hasher.flow_digest(&pkt.key);
-        self.on_packet_digested(pkt, &flow)
+        let mut out = SuiteOutcome::default();
+        self.on_packet_digested(pkt, &flow, &mut out);
+        out
     }
 
     /// [`DetectorSuite::on_packet`] for a packet whose flow identity was
-    /// computed at ingest: `flow` must be the [`FlowDigest`] of
-    /// `pkt.key` under the suite's hasher (debug-asserted). Nothing on
-    /// this path canonicalises or hashes a 5-tuple again.
-    pub fn on_packet_digested(&mut self, pkt: &Packet, flow: &FlowDigest) -> SuiteOutcome {
+    /// computed at ingest, written into `out`: `flow` must be the
+    /// [`FlowDigest`] of `pkt.key` under the suite's hasher
+    /// (debug-asserted). `out` is cleared first, so whatever the previous
+    /// packet left there is gone; a caller that keeps one `out` across
+    /// packets allocates nothing per packet for it. Nothing on this path
+    /// canonicalises or hashes a 5-tuple again, and a detector runs only
+    /// for the packets its gate below admits.
+    pub fn on_packet_digested(&mut self, pkt: &Packet, flow: &FlowDigest, out: &mut SuiteOutcome) {
         debug_assert_eq!(
             *flow,
             self.hasher.flow_digest(&pkt.key),
             "flow digest from another key or a differently-seeded hasher"
         );
-        let mut alerts = Vec::new();
-        let mut whitelist = Vec::new();
-        let mut host = HostNeed::SnicOnly;
+        out.clear();
         self.ops.total += 1;
 
         // Port scan (conn tracking + TRW). The pipeline owns its own
-        // ConnTable, probed with the same carried digest as ours.
+        // ConnTable, probed with the same carried digest as ours; its
+        // timeout sweep runs on every packet's clock.
         if pkt.is_tcp() {
             self.ops.scan += 1;
         }
-        alerts.extend(self.scan.on_packet_digested(pkt, flow));
+        self.scan.on_packet_digested(pkt, flow, &mut out.alerts);
 
         // Forged RST: RST packets visit the host timing wheel.
         if pkt.is_tcp() && (pkt.flags.rst() || pkt.payload_len > 0) {
             self.ops.rst += 1;
-            for ev in self.rst.on_packet_digested(pkt, flow) {
+            self.rst.on_packet_digested(pkt, flow, &mut self.rst_events);
+            for ev in self.rst_events.drain(..) {
                 match ev {
-                    RstEvent::ForgedDetected(a) | RstEvent::DuplicateRst(a) => alerts.push(a),
-                    RstEvent::BufferedFast | RstEvent::BufferedSlow => host = HostNeed::Host,
+                    RstEvent::ForgedDetected(a) | RstEvent::DuplicateRst(a) => out.alerts.push(a),
+                    RstEvent::BufferedFast | RstEvent::BufferedSlow => out.host = HostNeed::Host,
                     RstEvent::Released(_) => {}
                 }
             }
         }
 
-        // DNS amplification.
+        // DNS amplification (the detector's own first test, too).
         if pkt.is_udp() && (pkt.key.dst_port == 53 || pkt.key.src_port == 53) {
             self.ops.dns += 1;
+            out.alerts.extend(self.dns.on_packet(pkt));
         }
-        alerts.extend(self.dns.on_packet(pkt));
 
-        // Worm signatures.
+        // Worm signatures (the detector's own first test, too).
         if pkt.payload_digest != 0 && pkt.payload_len > 0 {
             self.ops.worm += 1;
+            out.alerts.extend(self.worm.on_packet(pkt));
         }
-        alerts.extend(self.worm.on_packet(pkt));
 
         // TLS / Kerberos artefacts (server-side data segments).
         if pkt.payload_digest != 0 {
@@ -267,12 +292,12 @@ impl DetectorSuite {
             }
             if let Some(c) = self.cert.as_mut() {
                 if pkt.key.src_port == 443 {
-                    alerts.extend(c.observe(pkt.payload_digest, pkt.ts));
+                    out.alerts.extend(c.observe(pkt.payload_digest, pkt.ts));
                 }
             }
             if let Some(k) = self.krb.as_mut() {
                 if pkt.key.src_port == 88 {
-                    alerts.extend(k.observe(pkt.payload_digest, pkt.ts));
+                    out.alerts.extend(k.observe(pkt.payload_digest, pkt.ts));
                 }
             }
         }
@@ -286,7 +311,7 @@ impl DetectorSuite {
             let canon = flow.canon;
             let already = self.classified.contains(&canon, flow.digest);
             if !already {
-                host = HostNeed::Host;
+                out.host = HostNeed::Host;
             }
             let event = self.conns.process_digested(pkt, flow);
             // Classify on termination, or once the session has clearly
@@ -321,23 +346,17 @@ impl DetectorSuite {
                     if outcome == AuthOutcome::Success {
                         // Benign verdict: whitelist so the switch stops
                         // steering this flow (§3.1).
-                        whitelist.push(canon);
+                        out.whitelist.push(canon);
                     }
                     let det = if service == 21 {
                         &mut self.ftp
                     } else {
                         &mut self.ssh
                     };
-                    alerts.extend(det.observe(src, pkt.ts, outcome));
+                    out.alerts.extend(det.observe(src, pkt.ts, outcome));
                     self.conns.remove_digested(flow);
                 }
             }
-        }
-
-        SuiteOutcome {
-            alerts,
-            host,
-            whitelist,
         }
     }
 

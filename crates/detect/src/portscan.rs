@@ -171,40 +171,37 @@ impl ScanPipeline {
     /// Feed one packet; returns any new alert.
     pub fn on_packet(&mut self, pkt: &Packet) -> Vec<Alert> {
         let flow = self.conns.digest(&pkt.key);
-        self.on_packet_digested(pkt, &flow)
+        let mut alerts = Vec::new();
+        self.on_packet_digested(pkt, &flow, &mut alerts);
+        alerts
     }
 
     /// [`ScanPipeline::on_packet`] for a packet whose flow identity was
-    /// computed at ingest (see [`ConnTable::process_digested`]).
-    pub fn on_packet_digested(&mut self, pkt: &Packet, flow: &FlowDigest) -> Vec<Alert> {
-        let mut alerts = Vec::new();
+    /// computed at ingest (see [`ConnTable::process_digested`]), appending
+    /// any new alert to the caller's `alerts`.
+    pub fn on_packet_digested(&mut self, pkt: &Packet, flow: &FlowDigest, alerts: &mut Vec<Alert>) {
         // Periodic timeout sweep (every 500 ms of virtual time).
         // Established-but-dataless connections are incomplete too
         // (half-open probes answered by SYN/ACK), on a 4× longer fuse.
         if pkt.ts.since(self.last_sweep) >= Dur::from_millis(500) {
             self.last_sweep = pkt.ts;
-            self.sweep(pkt.ts, self.attempt_timeout.mul(4), pkt.ts, &mut alerts);
+            self.sweep(pkt.ts, self.attempt_timeout.mul(4), pkt.ts, alerts);
         }
         match self.conns.process_digested(pkt, flow) {
             Some(ConnEvent::Established) => {
                 if let Some(rec) = self.conns.get_digested(flow) {
                     let (src, dst, port) = originator_view(rec);
-                    if let Some(a) = self.detector.observe(src, dst, port, true, pkt.ts) {
-                        alerts.push(a);
-                    }
+                    alerts.extend(self.detector.observe(src, dst, port, true, pkt.ts));
                 }
             }
             Some(ConnEvent::Rejected) => {
                 if let Some(rec) = self.conns.remove_digested(flow) {
                     let (src, dst, port) = originator_view(&rec);
-                    if let Some(a) = self.detector.observe(src, dst, port, false, pkt.ts) {
-                        alerts.push(a);
-                    }
+                    alerts.extend(self.detector.observe(src, dst, port, false, pkt.ts));
                 }
             }
             _ => {}
         }
-        alerts
     }
 
     /// Final sweep at end of trace.

@@ -158,14 +158,13 @@ impl ForgedRstDetector {
         self.wheel.len()
     }
 
-    /// Expire RSTs due by `now`: each leaves the index and is released.
-    fn release_due(&mut self, now: Ts) -> Vec<RstEvent> {
-        let mut events = Vec::new();
+    /// Expire RSTs due by `now`: each leaves the index and is released
+    /// into `events`.
+    fn release_due(&mut self, now: Ts, events: &mut Vec<RstEvent>) {
         for (_, (digest, r)) in self.wheel.advance(now) {
             self.index.remove(&r.flow, digest);
             events.push(RstEvent::Released(r.flow));
         }
-        events
     }
 
     /// Process one packet at its timestamp. Expired RSTs are released as
@@ -173,22 +172,30 @@ impl ForgedRstDetector {
     /// race-detect.
     pub fn on_packet(&mut self, pkt: &Packet) -> Vec<RstEvent> {
         let flow = self.hasher.flow_digest(&pkt.key);
-        self.on_packet_digested(pkt, &flow)
+        let mut events = Vec::new();
+        self.on_packet_digested(pkt, &flow, &mut events);
+        events
     }
 
     /// [`ForgedRstDetector::on_packet`] for a packet whose flow identity
-    /// was computed at ingest: `flow` must be the [`FlowDigest`] of
-    /// `pkt.key` under this detector's hasher (debug-asserted).
-    pub fn on_packet_digested(&mut self, pkt: &Packet, flow: &FlowDigest) -> Vec<RstEvent> {
+    /// was computed at ingest, appending its events to the caller's
+    /// `events`: `flow` must be the [`FlowDigest`] of `pkt.key` under
+    /// this detector's hasher (debug-asserted).
+    pub fn on_packet_digested(
+        &mut self,
+        pkt: &Packet,
+        flow: &FlowDigest,
+        events: &mut Vec<RstEvent>,
+    ) {
         debug_assert_eq!(
             *flow,
             self.hasher.flow_digest(&pkt.key),
             "flow digest from another key or a differently-seeded hasher"
         );
-        let mut events = self.release_due(pkt.ts);
+        self.release_due(pkt.ts, events);
 
         if !pkt.is_tcp() {
-            return events;
+            return;
         }
         let FlowDigest {
             canon,
@@ -208,7 +215,7 @@ impl ForgedRstDetector {
                         pkt.ts,
                         "duplicate RST while one is buffered",
                     )));
-                    return events;
+                    return;
                 }
                 events.push(RstEvent::BufferedSlow);
             } else {
@@ -236,7 +243,7 @@ impl ForgedRstDetector {
                     forward,
                 },
             );
-            return events;
+            return;
         }
 
         // Data packet: does it race a buffered RST from the same sender?
@@ -269,12 +276,13 @@ impl ForgedRstDetector {
                 )));
             }
         }
-        events
     }
 
     /// Flush: release everything still buffered (end of trace).
     pub fn finish(&mut self, now: Ts) -> Vec<RstEvent> {
-        self.release_due(now + self.horizon + Dur::from_secs(1))
+        let mut events = Vec::new();
+        self.release_due(now + self.horizon + Dur::from_secs(1), &mut events);
+        events
     }
 }
 

@@ -17,11 +17,12 @@
 //! 13-byte 5-tuple. It is not cryptographic — neither is the hardware CRC
 //! the Netronome uses — but it passes avalanche sanity tests (see below).
 
-use crate::key::{FlowKey, RawTuple};
+use crate::key::{FlowKey, Proto, RawTuple};
 use crate::resident::Resident;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::net::Ipv4Addr;
 
 /// A 64-bit flow hash digest with the splitting accessors used by the
 /// FlowCache (Algorithm 1).
@@ -78,21 +79,6 @@ pub struct FlowDigest {
     pub forward: bool,
     /// [`FlowHasher::hash_directed`] of `canon`.
     pub digest: HashDigest,
-}
-
-impl FlowDigest {
-    /// The identity of a packet with directed key `key` whose canonical
-    /// key and digest were carried from ingest. A directed key equals
-    /// its canonical form exactly when it travels forward, so the
-    /// direction costs one key compare.
-    #[inline]
-    pub fn carried(key: &FlowKey, canon: FlowKey, digest: HashDigest) -> FlowDigest {
-        FlowDigest {
-            canon,
-            forward: *key == canon,
-            digest,
-        }
-    }
 }
 
 /// Seedable 64-bit hasher over flow keys and raw bytes.
@@ -178,15 +164,16 @@ impl FlowHasher {
     /// Digest a [`RawTuple`] extracted straight from frame bytes, without
     /// materialising the directed [`FlowKey`] first.
     ///
-    /// Bit-identical to [`FlowHasher::digest_symmetric`] over the
-    /// equivalent key: the tuple is canonicalised by the same
-    /// `(ip, port)` lexicographic comparison [`FlowKey::canonical`] uses,
-    /// then hashed with the same three-round mixer. The wire ingest path
+    /// Bit-identical to [`FlowHasher::flow_digest`] over the equivalent
+    /// key, direction included: the tuple is canonicalised by the same
+    /// `(ip, port)` lexicographic comparison [`FlowKey::canonical`] uses
+    /// — which also says which way the packet travelled — then hashed
+    /// with the same three-round mixer. The wire ingest path
     /// ([`crate::wire::FrameView`]) relies on this equivalence: a
     /// compiled replay makes the same decisions as the synthetic one.
     #[inline]
-    pub fn digest_raw(&self, t: RawTuple) -> (FlowKey, HashDigest) {
-        let (aip, ap, bip, bp) = canon_raw(&t);
+    pub fn flow_digest_raw(&self, t: RawTuple) -> FlowDigest {
+        let (aip, ap, bip, bp, forward) = canon_raw(&t);
         let a = (u64::from(aip) << 16) | u64::from(ap);
         let b = (u64::from(bip) << 16) | u64::from(bp);
         let p = u64::from(t.proto);
@@ -194,42 +181,33 @@ impl FlowHasher {
         h = mix(h ^ a.wrapping_mul(K0));
         h = mix(h ^ b.wrapping_mul(K1));
         h = mix(h ^ p.wrapping_mul(K2));
-        let canon = RawTuple {
-            src_ip: u128::from(aip),
-            dst_ip: u128::from(bip),
-            src_port: ap,
-            dst_port: bp,
-            proto: t.proto,
-        };
-        (canon.key(), HashDigest(h))
+        FlowDigest {
+            canon: canon_key(aip, ap, bip, bp, t.proto),
+            forward,
+            digest: HashDigest(h),
+        }
     }
 
     /// Digest eight raw tuples at once.
     ///
-    /// Structurally the same math as [`FlowHasher::digest_raw`] but laid
-    /// out as eight independent lanes per mixing round, so the compiler
-    /// can keep all eight hashes in flight (auto-vectorised or at least
-    /// ILP-scheduled) instead of serialising the three data-dependent
-    /// mix rounds per packet. `benches/digest.rs` prices this against the
-    /// scalar baseline.
+    /// Structurally the same math as [`FlowHasher::flow_digest_raw`] but
+    /// laid out as eight independent lanes per mixing round, so the
+    /// compiler can keep all eight hashes in flight (auto-vectorised or
+    /// at least ILP-scheduled) instead of serialising the three
+    /// data-dependent mix rounds per packet. `benches/digest.rs` prices
+    /// this against the scalar baseline.
     #[inline]
-    pub fn digest_batch8(&self, tuples: &[RawTuple; 8]) -> [(FlowKey, HashDigest); 8] {
+    pub fn flow_digest_batch8(&self, tuples: &[RawTuple; 8]) -> [FlowDigest; 8] {
         let mut a = [0u64; 8];
         let mut b = [0u64; 8];
         let mut p = [0u64; 8];
-        let mut canon = [RawTuple::default(); 8];
+        let mut canon = [(0u32, 0u16, 0u32, 0u16, false); 8];
         for i in 0..8 {
-            let (aip, ap, bip, bp) = canon_raw(&tuples[i]);
-            a[i] = (u64::from(aip) << 16) | u64::from(ap);
-            b[i] = (u64::from(bip) << 16) | u64::from(bp);
+            let c = canon_raw(&tuples[i]);
+            a[i] = (u64::from(c.0) << 16) | u64::from(c.1);
+            b[i] = (u64::from(c.2) << 16) | u64::from(c.3);
             p[i] = u64::from(tuples[i].proto);
-            canon[i] = RawTuple {
-                src_ip: u128::from(aip),
-                dst_ip: u128::from(bip),
-                src_port: ap,
-                dst_port: bp,
-                proto: tuples[i].proto,
-            };
+            canon[i] = c;
         }
         let mut h = [self.seed; 8];
         for i in 0..8 {
@@ -241,7 +219,28 @@ impl FlowHasher {
         for i in 0..8 {
             h[i] = mix(h[i] ^ p[i].wrapping_mul(K2));
         }
-        std::array::from_fn(|i| (canon[i].key(), HashDigest(h[i])))
+        std::array::from_fn(|i| {
+            let (aip, ap, bip, bp, forward) = canon[i];
+            FlowDigest {
+                canon: canon_key(aip, ap, bip, bp, tuples[i].proto),
+                forward,
+                digest: HashDigest(h[i]),
+            }
+        })
+    }
+
+    /// [`FlowHasher::flow_digest_raw`] without the direction: the
+    /// `(canon, digest)` pair of [`FlowHasher::digest_symmetric`].
+    #[inline]
+    pub fn digest_raw(&self, t: RawTuple) -> (FlowKey, HashDigest) {
+        let f = self.flow_digest_raw(t);
+        (f.canon, f.digest)
+    }
+
+    /// [`FlowHasher::flow_digest_batch8`] without the directions.
+    #[inline]
+    pub fn digest_batch8(&self, tuples: &[RawTuple; 8]) -> [(FlowKey, HashDigest); 8] {
+        self.flow_digest_batch8(tuples).map(|f| (f.canon, f.digest))
     }
 
     /// Hash a u64 key (used for prefix-aggregated switch queries).
@@ -252,24 +251,37 @@ impl FlowHasher {
 
 /// Canonical orientation of a raw tuple: the same lexicographic
 /// `(ip, port)` endpoint ordering as [`FlowKey::canonical`], over wire
-/// integers.
+/// integers, and whether the tuple already had it (the packet travelled
+/// forward).
 ///
 /// Addresses fold through [`crate::key::fold_ip`] *before* comparison, so
 /// the orientation — and therefore the digest — is a pure function of the
 /// folded 32-bit flow-model addresses. For IPv4 tuples the fold is the
-/// identity, keeping [`FlowHasher::digest_raw`] bit-identical to
-/// [`FlowHasher::digest_symmetric`]; for IPv6 tuples it makes the raw
-/// digest agree with `digest_symmetric` of the folded [`FlowKey`] that
+/// identity, keeping [`FlowHasher::flow_digest_raw`] bit-identical to
+/// [`FlowHasher::flow_digest`]; for IPv6 tuples it makes the raw
+/// digest agree with `flow_digest` of the folded [`FlowKey`] that
 /// every downstream consumer (verdict tables, FlowCache rows) sees.
 #[inline]
-fn canon_raw(t: &RawTuple) -> (u32, u16, u32, u16) {
+fn canon_raw(t: &RawTuple) -> (u32, u16, u32, u16, bool) {
     let src = crate::key::fold_ip(t.src_ip);
     let dst = crate::key::fold_ip(t.dst_ip);
     if (src, t.src_port) <= (dst, t.dst_port) {
-        (src, t.src_port, dst, t.dst_port)
+        (src, t.src_port, dst, t.dst_port, true)
     } else {
-        (dst, t.dst_port, src, t.src_port)
+        (dst, t.dst_port, src, t.src_port, false)
     }
+}
+
+/// The canonical [`FlowKey`] of an oriented, folded raw tuple.
+#[inline]
+fn canon_key(aip: u32, ap: u16, bip: u32, bp: u16, proto: u8) -> FlowKey {
+    FlowKey::new(
+        Ipv4Addr::from(aip),
+        Ipv4Addr::from(bip),
+        ap,
+        bp,
+        Proto::from_number(proto),
+    )
 }
 
 /// Map an already-computed *symmetric* digest to one of `n_shards` RSS
@@ -531,8 +543,12 @@ impl AgingDigestSet {
     }
 
     /// Membership probe (identity-hashed, no stamp refresh).
+    /// An empty set answers without hashing or touching the table: a
+    /// shard asks its verdict sets about every packet, and most runs
+    /// never whitelist anything.
+    #[inline]
     pub fn contains(&self, digest: &u64) -> bool {
-        self.map.contains_key(digest)
+        !self.map.is_empty() && self.map.contains_key(digest)
     }
 
     /// Remove a digest outright (e.g. a whitelist entry superseded by a
@@ -585,9 +601,7 @@ impl AgingDigestSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::Proto;
     use std::collections::HashSet;
-    use std::net::Ipv4Addr;
 
     fn key(a: u32, ap: u16, b: u32, bp: u16) -> FlowKey {
         FlowKey::new(Ipv4Addr::from(a), Ipv4Addr::from(b), ap, bp, Proto::Tcp)
@@ -692,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn a_carried_flow_digest_is_the_computed_one() {
+    fn a_flow_digest_is_the_symmetric_digest_plus_the_direction() {
         let h = FlowHasher::new(0x51CC);
         // Both directions, and a flow between one endpoint and itself
         // (canonical either way round: forward).
@@ -700,28 +714,48 @@ mod tests {
         for i in 0..500u32 {
             let k = key(0x0a00_0001 + i, 1000 + (i as u16), 0x0a00_ffff - i, 22);
             for dir in [k, k.reversed(), land] {
-                let (canon, digest) = h.digest_symmetric(&dir);
                 let flow = h.flow_digest(&dir);
-                assert_eq!(flow, FlowDigest::carried(&dir, canon, digest));
+                assert_eq!((flow.canon, flow.digest), h.digest_symmetric(&dir));
                 assert_eq!(flow.forward, dir.is_canonical());
+                assert_eq!(flow.forward, flow.canon == dir);
             }
         }
     }
 
+    /// `flow_digest_raw` and every lane of `flow_digest_batch8` over
+    /// `tuples` return exactly `flow_digest` of the folded key, and the
+    /// direction-free forms are their projections.
+    fn assert_raw_is_flow_digest(h: &FlowHasher, tuples: &[RawTuple; 8]) {
+        let batch = h.flow_digest_batch8(tuples);
+        let pairs = h.digest_batch8(tuples);
+        for (j, t) in tuples.iter().enumerate() {
+            let want = h.flow_digest(&t.key());
+            assert_eq!(h.flow_digest_raw(*t), want, "scalar lane for {t:?}");
+            assert_eq!(batch[j], want, "batch lane {j} for {t:?}");
+            assert_eq!(h.digest_raw(*t), (want.canon, want.digest));
+            assert_eq!(pairs[j], (want.canon, want.digest));
+        }
+    }
+
     #[test]
-    fn digest_raw_is_bit_identical_to_digest_symmetric() {
+    fn raw_digests_are_bit_identical_to_the_key_path_direction_included() {
         let h = FlowHasher::new(0x51CC);
         for proto in [Proto::Tcp, Proto::Udp, Proto::Icmp, Proto::Other(89)] {
             for i in 0..500u32 {
                 let mut k = key(0x0a00_0001 + i, 1000 + (i as u16), 0x0a00_ffff - i, 22);
                 k.proto = proto;
-                for dir in [k, k.reversed()] {
-                    assert_eq!(
-                        h.digest_raw(RawTuple::from_key(&dir)),
-                        h.digest_symmetric(&dir),
-                        "raw digest must match the FlowKey path for {dir:?}"
-                    );
-                }
+                // Same address, ports either way; one endpoint to itself.
+                let mut tie = key(0x0a00_0001 + i, 80, 0x0a00_0001 + i, 22);
+                tie.proto = proto;
+                let mut land = key(0x0a00_0001 + i, 80, 0x0a00_0001 + i, 80);
+                land.proto = proto;
+                let (rk, rtie) = (k.reversed(), tie.reversed());
+                let keys = [k, rk, tie, rtie, land, k, tie, rk];
+                let tuples = keys.map(|k| RawTuple::from_key(&k));
+                assert_raw_is_flow_digest(&h, &tuples);
+                assert!(h.flow_digest_raw(tuples[0]).forward);
+                assert!(!h.flow_digest_raw(tuples[1]).forward);
+                assert!(h.flow_digest_raw(tuples[4]).forward, "self-flow");
             }
         }
     }
@@ -729,7 +763,7 @@ mod tests {
     #[test]
     fn v6_raw_digest_agrees_with_the_folded_flow_key_path() {
         // IPv6 tuples enter the 32-bit flow model through fold_ip; the raw
-        // digest must agree with digest_symmetric of the folded FlowKey in
+        // digest must agree with flow_digest of the folded FlowKey in
         // both directions, so verdict tables keyed by the folded key still
         // match the wire-ingested digests.
         let h = FlowHasher::new(0xD1CE);
@@ -750,9 +784,11 @@ mod tests {
                 dst_port: t.src_port,
                 proto: 6,
             };
-            let folded = t.key();
-            assert_eq!(h.digest_raw(t), h.digest_symmetric(&folded));
-            assert_eq!(h.digest_raw(rev), h.digest_raw(t), "symmetric over v6");
+            let land = RawTuple { dst_ip: src, ..t };
+            assert_raw_is_flow_digest(&h, &[t, rev, land, t, rev, land, rev, t]);
+            let (fwd, back) = (h.flow_digest_raw(t), h.flow_digest_raw(rev));
+            assert_eq!((fwd.canon, fwd.digest), (back.canon, back.digest));
+            assert_ne!(fwd.forward, back.forward, "the fold keeps direction");
         }
     }
 

@@ -175,7 +175,7 @@ impl FlowKey {
 ///
 /// This is the form the zero-copy ingest path extracts straight from frame
 /// bytes ([`crate::wire::FrameView::raw_tuple`]) and feeds to
-/// [`crate::FlowHasher::digest_raw`] / `digest_batch8` without materialising
+/// [`crate::FlowHasher::flow_digest_raw`] / `flow_digest_batch8` without materialising
 /// a [`FlowKey`] first.
 ///
 /// Addresses are 128-bit so the same tuple covers IPv4 and IPv6 frames:
@@ -230,8 +230,8 @@ impl RawTuple {
 /// combined with distinct rotations so prefix-structured v6 addresses do
 /// not collapse, and the fold is the **identity for IPv4** (v4-compatible
 /// `::a.b.c.d` encodings and every tuple built from a `FlowKey`), which
-/// keeps [`crate::FlowHasher::digest_raw`] bit-identical to
-/// `digest_symmetric` on v4 traffic.
+/// keeps [`crate::FlowHasher::flow_digest_raw`] bit-identical to
+/// `flow_digest` on v4 traffic.
 #[inline]
 pub fn fold_ip(ip: u128) -> u32 {
     let w0 = (ip >> 96) as u32;

@@ -268,7 +268,7 @@ pub fn encode_v6(p: &Packet) -> Bytes {
 /// This is the zero-copy half of the wire data plane: [`FrameView::parse`]
 /// walks the headers in place over `&[u8]` — no allocation, no copy into a
 /// [`Packet`] — and exposes exactly the fields the ingest hot path needs
-/// (the [`RawTuple`] for [`crate::FlowHasher::digest_raw`], TCP
+/// (the [`RawTuple`] for [`crate::FlowHasher::flow_digest_raw`], TCP
 /// flags/seq/ack for the detectors, payload length for byte accounting).
 /// [`decode`] is now a thin wrapper — `parse` followed by
 /// [`FrameView::to_packet`] — so the owned and borrowed parse paths share
@@ -441,7 +441,7 @@ impl<'a> FrameView<'a> {
     }
 
     /// The directed 5-tuple as wire integers — the input to
-    /// [`crate::FlowHasher::digest_raw`] / `digest_batch8`.
+    /// [`crate::FlowHasher::flow_digest_raw`] / `flow_digest_batch8`.
     #[inline]
     pub fn raw_tuple(&self) -> RawTuple {
         self.tuple

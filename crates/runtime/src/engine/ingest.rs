@@ -3,7 +3,12 @@
 //! A [`Feed`] yields a unit's share of the offered trace as digested
 //! packets in arrival order — [`PacketFeed`] digests model packets,
 //! [`WireFeed`] receives wire frames in 8-wide bursts (load → parse in
-//! place → digest from the header bytes → release). A [`Sink`] takes
+//! place → digest from the header bytes → release). Either way the
+//! descriptor carries the packet's whole
+//! [`FlowDigest`](smartwatch_net::FlowDigest) — canonical key,
+//! direction and digest, the direction falling out of the same
+//! canonicalisation — so the shard takes it as is and never rebuilds
+//! any part of it. A [`Sink`] takes
 //! what survives steering — [`LaneSink`] stages per shard and flushes
 //! onto the shards' SPSC lanes (the pipeline's `sw-rxq-0` dispatcher),
 //! [`ShardSink`] stages one batch and runs it in place on the shard
@@ -39,7 +44,7 @@ use std::time::{Duration, Instant};
 const CHECKPOINT: usize = 256;
 
 /// Frames per wire-path burst. Must match the width of
-/// [`FlowHasher::digest_batch8`] and divide [`CHECKPOINT`] so
+/// [`FlowHasher::flow_digest_batch8`] and divide [`CHECKPOINT`] so
 /// checkpoints always land on burst boundaries.
 const BURST: usize = 8;
 
@@ -217,11 +222,9 @@ impl Feed for PacketFeed<'_> {
         let i = self.stream.get(self.pos)?;
         self.pos += 1;
         let pkt = &self.packets[i];
-        let (canon, digest) = self.hasher.digest_symmetric(&pkt.key);
         Some(DigestedPacket {
             pkt: *pkt,
-            canon,
-            digest,
+            flow: self.hasher.flow_digest(&pkt.key),
         })
     }
 
@@ -248,9 +251,10 @@ impl WireFeed<'_> {
     /// Receive the next burst (full except at the stream's tail). Load
     /// raw bytes into pooled slots (the DMA step of the RX-ring model),
     /// parse the headers in place, digest all eight flows straight from
-    /// the header bytes ([`FlowHasher::digest_batch8`] — bit-identical
-    /// to the key-based digest, so placement and FlowCache rows match
-    /// the synthetic path exactly), rebuild the model [`Packet`]s from
+    /// the header bytes ([`FlowHasher::flow_digest_batch8`] —
+    /// bit-identical to the key-based [`FlowHasher::flow_digest`],
+    /// direction included, so placement, FlowCache rows and detector
+    /// state match the synthetic path exactly), rebuild the model [`Packet`]s from
     /// view + sideband, and release the slots. Steady state touches no
     /// allocator: the pool's 8 slots recycle for the whole run.
     fn receive(&mut self) -> bool {
@@ -280,17 +284,16 @@ impl WireFeed<'_> {
                 tuples[j] = v.raw_tuple();
                 views[j] = Some(v);
             }
-            let wide = (m == BURST).then(|| self.hasher.digest_batch8(&tuples));
+            let wide = (m == BURST).then(|| self.hasher.flow_digest_batch8(&tuples));
             for j in 0..m {
                 let v = views[j].expect("view parsed");
-                let (canon, digest) = match &wide {
+                let flow = match &wide {
                     Some(digested) => digested[j],
-                    None => self.hasher.digest_raw(tuples[j]),
+                    None => self.hasher.flow_digest_raw(tuples[j]),
                 };
                 self.burst[j] = Some(DigestedPacket {
                     pkt: self.store.meta(idx[j]).packet(&v),
-                    canon,
-                    digest,
+                    flow,
                 });
             }
         }
@@ -481,7 +484,7 @@ impl Sink for LaneSink<'_> {
 
     #[inline]
     fn push(&mut self, dp: DigestedPacket, local: &mut Ledger) {
-        let s = shard_for_digest(dp.digest, self.lanes.len());
+        let s = shard_for_digest(dp.flow.digest, self.lanes.len());
         let buf = &mut self.lanes[s].buf;
         buf.push(dp);
         if buf.len() == self.batch {
@@ -737,14 +740,14 @@ impl<S: Sink> Ingest<'_, S> {
             return false;
         };
         let snap = sr.current();
-        let fate = if self.enforce_verdicts && snap.blacklist.contains(&dp.digest.0) {
+        let fate = if self.enforce_verdicts && snap.blacklist.contains(&dp.flow.digest.0) {
             Disposition::SteerDrop
-        } else if snap.shed && !snap.whitelist.contains(&dp.digest.0) {
+        } else if snap.shed && !snap.whitelist.contains(&dp.flow.digest.0) {
             Disposition::Shed
         } else {
             return false;
         };
-        end_at_ingest(fate, 1, self.sink.shard_books(dp.digest), local);
+        end_at_ingest(fate, 1, self.sink.shard_books(dp.flow.digest), local);
         true
     }
 }
@@ -837,5 +840,102 @@ mod tests {
             "block 1 offered {block_1:?} into a unit whose segment opened {:?} before it ran",
             run.duration_since(segment_opened)
         );
+    }
+
+    /// A sink that keeps every descriptor it is handed.
+    struct Descriptors {
+        clock: Clock,
+        books: Ledger<Counter>,
+        kept: Vec<DigestedPacket>,
+    }
+
+    impl Sink for Descriptors {
+        type Out = Vec<DigestedPacket>;
+        const SPAN: Stage = Stage::Dispatch;
+
+        fn clock(&mut self) -> &mut Clock {
+            &mut self.clock
+        }
+
+        fn shard_books(&self, _digest: HashDigest) -> &Ledger<Counter> {
+            &self.books
+        }
+
+        fn push(&mut self, dp: DigestedPacket, _local: &mut Ledger) {
+            self.kept.push(dp);
+        }
+
+        fn flush(&mut self, _local: &mut Ledger) {}
+
+        fn close(self) -> Vec<DigestedPacket> {
+            self.kept
+        }
+    }
+
+    /// Every descriptor either feed makes — model packets, and wire
+    /// frames over v4 and v6 framing, full 8-wide bursts and the scalar
+    /// tail — carries exactly `flow_digest` of its packet's key,
+    /// direction included. The suite debug-asserts this per packet;
+    /// here it holds in release too, where the shard takes the carried
+    /// direction on trust.
+    #[test]
+    fn every_descriptor_carries_the_flow_digest_of_its_packet() {
+        let hasher = FlowHasher::new(0x51CC);
+        let (a, b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(192, 168, 7, 9));
+        // Both directions of each flow, port ties on one address either
+        // way round and a self-flow — five shapes, so each lands on every
+        // lane of the 8-wide bursts; not a whole number of bursts.
+        let packets: Vec<Packet> = (0..CHECKPOINT as u16 + 13)
+            .map(|i| {
+                let key = match i % 5 {
+                    0 => FlowKey::tcp(a, 40_000 + i, b, 443),
+                    1 => FlowKey::tcp(b, 443, a, 40_000 + i),
+                    2 => FlowKey::udp(b, 53 + i, b, 53),
+                    3 => FlowKey::udp(b, 53, b, 53 + i),
+                    _ => FlowKey::udp(a, 53, a, 53),
+                };
+                PacketBuilder::new(key, Ts::from_nanos(u64::from(i))).build()
+            })
+            .collect();
+        let v4 = FrameStore::from_packets(&packets);
+        let v6 = FrameStore::from_packets_v6(&packets);
+        let sources = [
+            FrameSource::Packets(&packets),
+            FrameSource::Wire(&v4),
+            FrameSource::Wire(&v6),
+        ];
+        for source in sources {
+            let reg = Registry::new();
+            let (pace_override, drain) = (AtomicU64::new(0), AtomicBool::new(false));
+            let queue = Ledger::registered(&reg, Axis::Queue, 0);
+            let frames = match source {
+                FrameSource::Wire(store) => Some(FramePool::new(store.max_frame_len(), &reg)),
+                FrameSource::Packets(_) => None,
+            };
+            let unit = Ingest {
+                enforce_verdicts: true,
+                queue: &queue,
+                steer: None,
+                pacer: None,
+                pace_override: &pace_override,
+                drain: &drain,
+                flight: FlightRecorder::new(16).ring("sw-rxq-0"),
+                sink: Descriptors {
+                    clock: Clocks::new(&reg, 0, None, 0).thread("sw-rxq-0"),
+                    books: Ledger::registered(&reg, Axis::Shard, 0),
+                    kept: Vec::new(),
+                },
+            };
+            let kept = unit
+                .run(source, QueueStream::All(packets.len()), hasher, frames)
+                .out;
+            assert_eq!(kept.len(), packets.len());
+            let mut directions = [0usize; 2];
+            for (i, dp) in kept.iter().enumerate() {
+                assert_eq!(dp.flow, hasher.flow_digest(&dp.pkt.key), "descriptor {i}");
+                directions[usize::from(dp.flow.forward)] += 1;
+            }
+            assert!(directions.iter().all(|&n| n > 0), "{directions:?}");
+        }
     }
 }

@@ -378,7 +378,7 @@ impl Engine {
     /// software RX ring): it loads 8-frame bursts into pooled slots,
     /// parses the Ethernet/IPv4/transport headers in place with
     /// [`FrameView`](smartwatch_net::FrameView), digests straight from
-    /// the header bytes ([`FlowHasher::digest_batch8`]) and recycles the
+    /// the header bytes ([`FlowHasher::flow_digest_batch8`]) and recycles the
     /// slots —
     /// allocation-free in steady state. The resulting
     /// [`EngineReport::deterministic_summary`] is byte-identical to the
