@@ -360,11 +360,10 @@ fn main() {
                 std::process::exit(1);
             }
             eprintln!(
-                "repro: soak clean — {} segment(s) conserved, final-segment pool growth {}/{}, \
+                "repro: soak clean — {} segment(s) conserved, final-segment pool growth {}, \
                  RSS {:+} bytes",
                 outcome.segments.len(),
                 outcome.steady_pool_growth(),
-                outcome.steady_frame_pool_growth(),
                 outcome.rss_growth_bytes(),
             );
         }

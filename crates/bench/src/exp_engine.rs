@@ -292,6 +292,7 @@ fn render(spec: &EngineRunSpec, pace: Pace, r: &EngineReport) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_shape::ReplayData;
 
     #[test]
     fn engine_experiment_renders_and_conserves() {
@@ -499,13 +500,11 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(v["source"].as_str(), Some("compiled"));
         assert_eq!(v["conserved"].as_bool(), Some(true));
-        // The wire path ran through the frame pools.
-        assert!(
-            ctx.registry
-                .counter("runtime.frame_pool.recycled", &[])
-                .get()
-                > 0
-        );
+        // The run replayed wire frames.
+        assert!(matches!(
+            spec.shape.replay(ctx.scale),
+            Ok(ReplayData::Wire(_))
+        ));
     }
 
     #[test]

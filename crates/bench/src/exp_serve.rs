@@ -4,7 +4,7 @@
 //! single [`Engine`] resident and replays the workload in **segments**:
 //! bounded runs separated by graceful drain/restart cycles, exactly the
 //! lifecycle a SmartNIC IPS daemon would live through. Between
-//! segments nothing is torn down — batch/frame pools (and, under
+//! segments nothing is torn down — the lanes' batch buffers (and, under
 //! `--carry-flow-state`, the per-shard FlowCaches) park in the engine's
 //! garage and are reissued to the next segment, so steady state
 //! allocates nothing and the soak harness can pin memory flat.
@@ -152,8 +152,6 @@ pub struct SegmentRecord {
     /// buffers, which stop at [`ServeOutcome::pool_bound`] once every
     /// lane has been round its ring.
     pub pool_allocated: u64,
-    /// Cumulative `runtime.frame_pool.allocated` at segment end.
-    pub frame_pool_allocated: u64,
     /// ControlLog entries still buffered at segment end (bounded-log
     /// health: must not ratchet upward across segments).
     pub log_buffered: u64,
@@ -182,21 +180,11 @@ impl ServeOutcome {
         growth(self.segments.iter().map(|s| s.pool_allocated))
     }
 
-    /// Frame-pool allocations after the warm-up segment.
-    pub fn frame_pool_growth(&self) -> u64 {
-        growth(self.segments.iter().map(|s| s.frame_pool_allocated))
-    }
-
     /// Lane-buffer allocations during the *final* segment: exactly 0
     /// once every lane has been round its ring, which a lane does
     /// within its first `queue_batches + 2` batches.
     pub fn steady_pool_growth(&self) -> u64 {
         last_delta(self.segments.iter().map(|s| s.pool_allocated))
-    }
-
-    /// Frame-pool allocations during the final segment.
-    pub fn steady_frame_pool_growth(&self) -> u64 {
-        last_delta(self.segments.iter().map(|s| s.frame_pool_allocated))
     }
 
     /// RSS delta from the first segment's sample to the last (may be
@@ -250,12 +238,6 @@ impl ServeOutcome {
                 "lanes allocated {pools} batch buffers, {} more than the mesh holds \
                  (garage not reused)",
                 pools - self.pool_bound
-            ));
-        }
-        let frames = self.steady_frame_pool_growth();
-        if frames > 0 {
-            out.push(format!(
-                "frame pools allocated {frames} time(s) in the final segment (garage not reused)"
             ));
         }
         let flow = self.flowstate_growth_bytes();
@@ -321,7 +303,6 @@ pub fn serve_run_full(
     let pace = rate_pace(spec.rate_mpps);
     let registry = engine.registry().clone();
     let pool_allocated = registry.counter("runtime.pool.allocated", &[]);
-    let frame_allocated = registry.counter("runtime.frame_pool.allocated", &[]);
     let rss = registry.gauge("runtime.mem.rss_bytes", &[]);
 
     let mut segments = Vec::with_capacity(spec.segments);
@@ -358,7 +339,6 @@ pub fn serve_run_full(
             rss_bytes: rss.get() as u64,
             flowstate_bytes: engine.flowstate_resident_bytes(),
             pool_allocated: pool_allocated.get(),
-            frame_pool_allocated: frame_allocated.get(),
             log_buffered: report.log_buffered,
             admin_applied: engine.admin_applied(),
         });
@@ -385,9 +365,7 @@ struct ServeBenchJson {
     conserved: bool,
     pool_bound: u64,
     pool_growth: u64,
-    frame_pool_growth: u64,
     steady_pool_growth: u64,
-    steady_frame_pool_growth: u64,
     rss_first_bytes: u64,
     rss_last_bytes: u64,
     rss_growth_bytes: i64,
@@ -410,9 +388,7 @@ pub fn serve_bench_json(spec: &ServeSpec, out: &ServeOutcome) -> String {
         conserved: out.all_conserved(),
         pool_bound: out.pool_bound,
         pool_growth: out.pool_growth(),
-        frame_pool_growth: out.frame_pool_growth(),
         steady_pool_growth: out.steady_pool_growth(),
-        steady_frame_pool_growth: out.steady_frame_pool_growth(),
         rss_first_bytes: out.segments.first().map(|s| s.rss_bytes).unwrap_or(0),
         rss_last_bytes: out.segments.last().map(|s| s.rss_bytes).unwrap_or(0),
         rss_growth_bytes: out.rss_growth_bytes(),
@@ -462,13 +438,11 @@ fn render(spec: &ServeSpec, out: &ServeOutcome) -> Table {
         spec.carry_flow_state,
     ));
     t.note(format!(
-        "endurance: pool growth {} total / {} in the final segment \
-         (frame pools {} / {}), RSS {:+} bytes first→last segment, \
+        "endurance: pool growth {} total / {} in the final segment, \
+         RSS {:+} bytes first→last segment, \
          parked flow state {:.1} MiB ({:+} bytes after segment 2)",
         out.pool_growth(),
         out.steady_pool_growth(),
-        out.frame_pool_growth(),
-        out.steady_frame_pool_growth(),
         out.rss_growth_bytes(),
         out.segments.last().map_or(0, |s| s.flowstate_bytes) as f64 / (1 << 20) as f64,
         out.flowstate_growth_bytes(),
@@ -554,9 +528,7 @@ mod tests {
                 "conserved",
                 "pool_bound",
                 "pool_growth",
-                "frame_pool_growth",
                 "steady_pool_growth",
-                "steady_frame_pool_growth",
                 "rss_first_bytes",
                 "rss_last_bytes",
                 "rss_growth_bytes",
@@ -586,7 +558,6 @@ mod tests {
                     rss_bytes: 0,
                     flowstate_bytes,
                     pool_allocated: 0,
-                    frame_pool_allocated: 0,
                     log_buffered: 0,
                     admin_applied: 0,
                 })

@@ -230,14 +230,17 @@ impl FlowHasher {
     }
 
     /// [`FlowHasher::flow_digest_raw`] without the direction: the
-    /// `(canon, digest)` pair of [`FlowHasher::digest_symmetric`].
+    /// `(canon, digest)` pair of [`FlowHasher::digest_symmetric`]. The
+    /// engine calls `flow_digest_raw`; this projection stays for the
+    /// benchmark's layer walk, which destructures the pair.
     #[inline]
     pub fn digest_raw(&self, t: RawTuple) -> (FlowKey, HashDigest) {
         let f = self.flow_digest_raw(t);
         (f.canon, f.digest)
     }
 
-    /// [`FlowHasher::flow_digest_batch8`] without the directions.
+    /// [`FlowHasher::flow_digest_batch8`] without the directions; kept,
+    /// like [`FlowHasher::digest_raw`], for the benchmark's layer walk.
     #[inline]
     pub fn digest_batch8(&self, tuples: &[RawTuple; 8]) -> [(FlowKey, HashDigest); 8] {
         self.flow_digest_batch8(tuples).map(|f| (f.canon, f.digest))

@@ -99,10 +99,10 @@ pub struct EngineConfig {
     /// is a pure function of digest and shard count, both fixed per
     /// engine), so shard `i` always gets shard `i`'s cache back. The
     /// *memory* of the flow state — cache, detector tables, verdict
-    /// sets — is reused across runs either way, like the lanes and
-    /// frame pools (the zero-steady-state-allocation claim the soak
-    /// harness pins): unset, a segment gets its shard's state back
-    /// reset in place, observably fresh; set, the reset skips the
+    /// sets — is reused across runs either way, like the lanes (the
+    /// zero-steady-state-allocation claim the soak harness pins):
+    /// unset, a segment gets its shard's state back reset in place,
+    /// observably fresh; set, the reset skips the
     /// cache, so its records, pins and operating mode survive. The
     /// detector suite starts over in both cases.
     pub carry_flow_state: bool,
@@ -210,9 +210,10 @@ pub enum FrameSource<'a> {
     /// Generator output replayed as owned [`Packet`] values.
     Packets(&'a [Packet]),
     /// Compiled or captured wire frames ([`FrameStore`]): ingest units
-    /// load raw bytes into a [`FramePool`](crate::FramePool), parse
-    /// headers in place with [`FrameView`](smartwatch_net::FrameView)
-    /// and digest straight from the header bytes.
+    /// parse the headers where the store holds them with
+    /// [`FrameView`](smartwatch_net::FrameView) and digest straight
+    /// from the header bytes — no copy, as a NIC's PMEs read a frame
+    /// where its DMA put it.
     Wire(&'a FrameStore),
 }
 

@@ -2,8 +2,8 @@
 //!
 //! A [`Feed`] yields a unit's share of the offered trace as digested
 //! packets in arrival order — [`PacketFeed`] digests model packets,
-//! [`WireFeed`] receives wire frames in 8-wide bursts (load → parse in
-//! place → digest from the header bytes → release). Either way the
+//! [`WireFeed`] receives wire frames in 8-wide bursts (parse where the
+//! [`FrameStore`] holds them → digest from the header bytes). Either way the
 //! descriptor carries the packet's whole
 //! [`FlowDigest`](smartwatch_net::FlowDigest) — canonical key,
 //! direction and digest, the direction falling out of the same
@@ -29,7 +29,6 @@
 use super::config::{FrameSource, Pace};
 use crate::batch::{Backoff, Batch, DigestedPacket};
 use crate::books::{end_at_ingest, Count, Disposition, Ledger};
-use crate::frame::{FramePool, FrameSlot};
 use crate::obs::{Clock, Stage};
 use crate::shard::{FlowState, LaneRx, ShardCounters, ShardEndState, ShardWorker};
 use crate::spsc::{spsc, Producer};
@@ -165,9 +164,9 @@ impl QueueStream {
 /// [`shard_for_digest`] for fused cores (a core ingests exactly the
 /// packets whose FlowCache rows it owns); the one dispatcher takes the
 /// whole trace and never calls it.
-/// Wire sources digest from the raw header bytes
-/// ([`FlowHasher::digest_raw`], bit-identical to the key-based digest),
-/// so a flow lands on the same unit in either representation.
+/// Wire sources take the digest the wire feed carries
+/// ([`FlowHasher::flow_digest_raw`], bit-identical to the key-based
+/// digest), so a flow lands on the same unit in either representation.
 pub(crate) fn split_streams(
     source: FrameSource<'_>,
     units: usize,
@@ -184,7 +183,7 @@ pub(crate) fn split_streams(
     for i in 0..len {
         let digest = match source {
             FrameSource::Packets(packets) => hasher.hash_symmetric(&packets[i].key),
-            FrameSource::Wire(store) => hasher.digest_raw(store.view(i).raw_tuple()).1,
+            FrameSource::Wire(store) => hasher.flow_digest_raw(store.view(i).raw_tuple()).digest,
         };
         picked[assign(digest)].push(i as u32);
     }
@@ -198,8 +197,6 @@ pub(crate) trait Feed {
     /// is touched: pacing and drain decide on it first.
     fn head(&self) -> Option<usize>;
     fn next(&mut self) -> Option<DigestedPacket>;
-    /// The frame pool to re-park, if the feed owns one.
-    fn into_frames(self) -> Option<FramePool>;
 }
 
 /// The synthetic path: model packets, digested one by one.
@@ -227,20 +224,17 @@ impl Feed for PacketFeed<'_> {
             flow: self.hasher.flow_digest(&pkt.key),
         })
     }
-
-    fn into_frames(self) -> Option<FramePool> {
-        None
-    }
 }
 
 /// The zero-copy wire path: packed frames received in [`BURST`]-sized
-/// bursts into this unit's [`FramePool`] (the software RX ring).
+/// bursts and parsed where the [`FrameStore`] holds them — on the NIC
+/// the frame reaches memory by DMA and the PMEs read its headers there,
+/// so receiving costs no copy.
 struct WireFeed<'a> {
     store: &'a FrameStore,
     stream: QueueStream,
     pos: usize,
     hasher: FlowHasher,
-    frames: FramePool,
     /// The received burst and how much of it has been handed out.
     burst: [Option<DigestedPacket>; BURST],
     at: usize,
@@ -248,15 +242,13 @@ struct WireFeed<'a> {
 }
 
 impl WireFeed<'_> {
-    /// Receive the next burst (full except at the stream's tail). Load
-    /// raw bytes into pooled slots (the DMA step of the RX-ring model),
-    /// parse the headers in place, digest all eight flows straight from
-    /// the header bytes ([`FlowHasher::flow_digest_batch8`] —
+    /// Receive the next burst (full except at the stream's tail): parse
+    /// each frame's headers in the store, digest all eight flows straight
+    /// from the header bytes ([`FlowHasher::flow_digest_batch8`] —
     /// bit-identical to the key-based [`FlowHasher::flow_digest`],
     /// direction included, so placement, FlowCache rows and detector
-    /// state match the synthetic path exactly), rebuild the model [`Packet`]s from
-    /// view + sideband, and release the slots. Steady state touches no
-    /// allocator: the pool's 8 slots recycle for the whole run.
+    /// state match the synthetic path exactly) and rebuild the model
+    /// [`Packet`]s from view + sideband. Touches no allocator.
     fn receive(&mut self) -> bool {
         let mut idx = [0usize; BURST];
         let mut m = 0;
@@ -268,39 +260,25 @@ impl WireFeed<'_> {
             m += 1;
         }
         self.pos += m;
-        let mut slots: [Option<FrameSlot>; BURST] = Default::default();
-        for (slot, &i) in slots.iter_mut().zip(&idx[..m]) {
-            *slot = Some(self.frames.load(self.store.frame(i)));
+        let mut tuples = [RawTuple::default(); BURST];
+        let mut views: [Option<FrameView<'_>>; BURST] = Default::default();
+        for j in 0..m {
+            let v = FrameView::parse(self.store.frame(idx[j]))
+                .expect("frame validated at store construction");
+            tuples[j] = v.raw_tuple();
+            views[j] = Some(v);
         }
-        // The views borrow the pool, so this scope ends before the
-        // slots go back on the free list.
-        {
-            let mut tuples = [RawTuple::default(); BURST];
-            let mut views: [Option<FrameView<'_>>; BURST] = Default::default();
-            for j in 0..m {
-                let slot = slots[j].as_ref().expect("slot loaded");
-                let v = FrameView::parse(self.frames.frame(slot))
-                    .expect("frame validated at store construction");
-                tuples[j] = v.raw_tuple();
-                views[j] = Some(v);
-            }
-            let wide = (m == BURST).then(|| self.hasher.flow_digest_batch8(&tuples));
-            for j in 0..m {
-                let v = views[j].expect("view parsed");
-                let flow = match &wide {
-                    Some(digested) => digested[j],
-                    None => self.hasher.flow_digest_raw(tuples[j]),
-                };
-                self.burst[j] = Some(DigestedPacket {
-                    pkt: self.store.meta(idx[j]).packet(&v),
-                    flow,
-                });
-            }
-        }
-        for slot in slots.iter_mut() {
-            if let Some(s) = slot.take() {
-                self.frames.release(s);
-            }
+        let wide = (m == BURST).then(|| self.hasher.flow_digest_batch8(&tuples));
+        for j in 0..m {
+            let v = views[j].expect("view parsed");
+            let flow = match &wide {
+                Some(digested) => digested[j],
+                None => self.hasher.flow_digest_raw(tuples[j]),
+            };
+            self.burst[j] = Some(DigestedPacket {
+                pkt: self.store.meta(idx[j]).packet(&v),
+                flow,
+            });
         }
         self.at = 0;
         self.len = m;
@@ -321,10 +299,6 @@ impl Feed for WireFeed<'_> {
         }
         self.at += 1;
         self.burst[self.at - 1]
-    }
-
-    fn into_frames(self) -> Option<FramePool> {
-        Some(self.frames)
     }
 }
 
@@ -596,11 +570,10 @@ impl Sink for ShardSink {
     }
 }
 
-/// What an ingest thread hands back at end of stream: its frame pool
-/// (re-parked for the next segment), whether it stopped on a drain
-/// request rather than end-of-trace, and the sink's own result.
+/// What an ingest thread hands back at end of stream: whether it
+/// stopped on a drain request rather than end-of-trace, and the sink's
+/// own result.
 pub(crate) struct IngestEnd<T> {
-    pub frames: Option<FramePool>,
     pub interrupted: bool,
     pub out: T,
 }
@@ -630,7 +603,6 @@ impl<S: Sink> Ingest<'_, S> {
         source: FrameSource<'_>,
         stream: QueueStream,
         hasher: FlowHasher,
-        frames: Option<FramePool>,
     ) -> IngestEnd<S::Out> {
         match source {
             FrameSource::Packets(packets) => self.pump(PacketFeed {
@@ -644,7 +616,6 @@ impl<S: Sink> Ingest<'_, S> {
                 stream,
                 pos: 0,
                 hasher,
-                frames: frames.expect("wire ingest requires a frame pool"),
                 burst: [None; BURST],
                 at: 0,
                 len: 0,
@@ -678,7 +649,6 @@ impl<S: Sink> Ingest<'_, S> {
         self.sink.clock().finish(S::SPAN);
         self.settle(&mut local, k.div_ceil(CHECKPOINT) as u64);
         IngestEnd {
-            frames: feed.into_frames(),
             interrupted,
             out: self.sink.close(),
         }
@@ -830,7 +800,6 @@ mod tests {
             FrameSource::Packets(&packets),
             QueueStream::All(packets.len()),
             FlowHasher::new(1),
-            None,
         );
         let at = end.out;
         assert_eq!(at.len(), 2 * CHECKPOINT);
@@ -908,10 +877,6 @@ mod tests {
             let reg = Registry::new();
             let (pace_override, drain) = (AtomicU64::new(0), AtomicBool::new(false));
             let queue = Ledger::registered(&reg, Axis::Queue, 0);
-            let frames = match source {
-                FrameSource::Wire(store) => Some(FramePool::new(store.max_frame_len(), &reg)),
-                FrameSource::Packets(_) => None,
-            };
             let unit = Ingest {
                 enforce_verdicts: true,
                 queue: &queue,
@@ -927,7 +892,7 @@ mod tests {
                 },
             };
             let kept = unit
-                .run(source, QueueStream::All(packets.len()), hasher, frames)
+                .run(source, QueueStream::All(packets.len()), hasher)
                 .out;
             assert_eq!(kept.len(), packets.len());
             let mut directions = [0usize; 2];

@@ -1,6 +1,6 @@
 //! The [`Engine`] and its one segment lifecycle: every `run*` call
 //! opens a segment (verdict log, host pool, counters and their
-//! baselines, un-parked lanes, frame pools, flow state and control
+//! baselines, un-parked lanes, flow state and control
 //! plane, shard workers), runs the topology-specific middle — one
 //! dispatcher thread feeding N shard threads over one lane each, or N
 //! fused cores — and closes it (host-pool shutdown, controller stop, re-park, report,
@@ -16,7 +16,6 @@ use super::report::{
 use crate::books::{Axis, Count, Ledger};
 use crate::control::{ControlLog, LogReader};
 use crate::escalate::{HostPool, TriageNf};
-use crate::frame::FramePool;
 use crate::obs::{Clock, Clocks, Stage, StageHists};
 use crate::service::AdminQueue;
 use crate::shard::{
@@ -48,10 +47,9 @@ use std::time::{Duration, Instant};
 /// topology is fixed per engine, so whatever is parked always fits.
 /// Each resource is addressed by the index of the thread that uses it,
 /// so every thread gets its *own* back by construction: the dispatcher
-/// the producer ends of the lanes, with the buffers they hold; ingest
-/// unit `q` its frame pool; shard `i` its lane and its flow state, made
-/// fresh by [`FlowState::reset`] (tables sized for shard `i`'s share of
-/// the traffic; with
+/// the producer ends of the lanes, with the buffers they hold; shard
+/// `i` its lane and its flow state, made fresh by [`FlowState::reset`]
+/// (tables sized for shard `i`'s share of the traffic; with
 /// [`EngineConfig::carry_flow_state`] the cache inside is left warm,
 /// and RSS placement being a pure function of digest and shard count
 /// keeps it affine); the controller thread its [`ControlResident`].
@@ -62,8 +60,6 @@ struct Garage {
     tx: Vec<LaneTx>,
     /// The same lanes by consumer: `rx[i]` is shard `i`'s end.
     rx: Vec<LaneRx>,
-    /// `frames[q]`: ingest unit `q`'s frame pool (wire segments).
-    frames: Vec<Option<FramePool>>,
     /// `flows[i]`: shard `i`'s flow state.
     flows: Vec<Option<FlowState>>,
     /// The control plane, once a segment has run with one.
@@ -338,14 +334,6 @@ impl Engine {
                 Value::Object(vec![
                     ("allocated".into(), counter("runtime.pool.allocated")),
                     ("recycled".into(), counter("runtime.pool.recycled")),
-                    (
-                        "frame_allocated".into(),
-                        counter("runtime.frame_pool.allocated"),
-                    ),
-                    (
-                        "frame_recycled".into(),
-                        counter("runtime.frame_pool.recycled"),
-                    ),
                 ]),
             ),
             (
@@ -374,13 +362,12 @@ impl Engine {
     }
 
     /// Replay a packed wire-frame store through the full pipeline — the
-    /// zero-copy wire path. Each ingest unit owns a [`FramePool`] (the
-    /// software RX ring): it loads 8-frame bursts into pooled slots,
-    /// parses the Ethernet/IPv4/transport headers in place with
-    /// [`FrameView`](smartwatch_net::FrameView), digests straight from
-    /// the header bytes ([`FlowHasher::flow_digest_batch8`]) and recycles the
-    /// slots —
-    /// allocation-free in steady state. The resulting
+    /// zero-copy wire path. Each ingest unit receives 8-frame bursts,
+    /// parses the Ethernet/IP/transport headers where the store holds
+    /// them with [`FrameView`](smartwatch_net::FrameView) and digests
+    /// straight from the header bytes
+    /// ([`FlowHasher::flow_digest_batch8`]): nothing is copied and
+    /// nothing allocated per frame. The resulting
     /// [`EngineReport::deterministic_summary`] is byte-identical to the
     /// synthetic run of the same packets.
     pub fn run_frames(&self, store: &FrameStore, pace: Pace) -> EngineReport {
@@ -455,12 +442,11 @@ impl Engine {
         let host_base = setup.host_processed.get();
         self.mem_rss.set(mem::rss_bytes() as f64);
 
-        // Un-park whatever the previous run left in the garage — lanes,
-        // frame pools and every shard's flow state, reset in place —
-        // each built only by the first segment that needs it.
+        // Un-park whatever the previous run left in the garage — lanes
+        // and every shard's flow state, reset in place — each built only
+        // by the first segment that needs it.
         let mut garage = std::mem::take(&mut *self.garage.lock().expect("garage poisoned"));
         garage.flows.resize_with(n, || None);
-        garage.frames.resize_with(cfg.ingest_units(), || None);
         let flow_resets = self.registry.counter("runtime.flowstate.resets", &[]);
 
         let mut plane = self.spawn_control(&clocks, &setup, &counters, garage.control.take());
@@ -489,7 +475,6 @@ impl Engine {
             clocks: &clocks,
             queues: &qcounters,
             steer: std::mem::take(&mut plane.queue_steer),
-            frames: &mut garage.frames,
         };
 
         // ── The topology ────────────────────────────────────────────
@@ -659,7 +644,7 @@ impl Engine {
     /// `{name}-{i}` thread (pinned to CPU `i` when `pinned` is given)
     /// and join them all. Returns the clock origin and whether
     /// any unit stopped on a drain request; what each sink handed back
-    /// goes to `done`, the units' frame pools back to their slots.
+    /// goes to `done`.
     fn run_units<S: Sink + Send>(
         &self,
         mut u: Units<'_>,
@@ -680,23 +665,6 @@ impl Engine {
         let ends: Vec<IngestEnd<S::Out>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(streams.len());
             for (i, stream) in streams.into_iter().enumerate() {
-                // Wire mode: each unit owns a frame pool (the software
-                // RX ring) sized to the largest frame in the store; it
-                // warms up on the first burst and then recycles its 8
-                // slots for the rest of the run. A parked pool is reused
-                // when its slots still fit the store's largest frame
-                // (and stays parked through a packet-mode segment).
-                let frames = match source {
-                    FrameSource::Wire(store) => Some(
-                        u.frames[i]
-                            .take()
-                            .filter(|fp| fp.frame_cap() >= store.max_frame_len())
-                            .unwrap_or_else(|| {
-                                FramePool::new(store.max_frame_len(), &self.registry)
-                            }),
-                    ),
-                    FrameSource::Packets(_) => None,
-                };
                 let thread = format!("{name}-{i}");
                 let flight = self.flight.ring(thread.as_str());
                 let ingest = Ingest {
@@ -717,7 +685,7 @@ impl Engine {
                                 pinned.inc();
                             }
                         }
-                        ingest.run(source, stream, hasher, frames)
+                        ingest.run(source, stream, hasher)
                     })
                     .expect("spawn ingest thread");
                 handles.push(handle);
@@ -728,11 +696,8 @@ impl Engine {
                 .collect()
         });
         let mut interrupted = false;
-        for (i, e) in ends.into_iter().enumerate() {
+        for e in ends {
             interrupted |= e.interrupted;
-            if e.frames.is_some() {
-                u.frames[i] = e.frames;
-            }
             done(e.out);
         }
         (start, interrupted)
@@ -842,8 +807,6 @@ struct Units<'a> {
     /// One set of ingest books — and so one unit — per entry.
     queues: &'a [Ledger<Counter>],
     steer: Vec<Option<SnapshotReader<SteeringSnapshot>>>,
-    /// `frames[i]`: unit `i`'s parked frame pool, if any.
-    frames: &'a mut [Option<FramePool>],
 }
 
 /// The controller thread of one segment: the resident control plane it

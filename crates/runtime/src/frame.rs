@@ -1,17 +1,12 @@
-//! Fixed-capacity frame buffers for the wire ingest path — the RX-ring
-//! model of the zero-copy data plane.
+//! Fixed-capacity frame buffers — an RX-ring model that copies each
+//! received frame into a pooled slot before parsing it.
 //!
-//! When the engine replays packed wire frames
-//! ([`smartwatch_net::FrameStore`]), each dispatcher "receives" bursts
-//! of frames into a [`FramePool`]: an arena of fixed-capacity slots the
-//! dispatcher loads raw bytes into (the software stand-in for NIC DMA
-//! into pre-posted RX descriptors), parses in place with
-//! [`smartwatch_net::FrameView`], digests, and releases. Slots recycle
-//! through a free list, so after the first burst warms the pool up the
-//! steady state allocates nothing per frame — the same zero-growth
-//! discipline as the lanes' batch buffers ([`crate::spsc`]), pinned by
-//! the same style of telemetry test (`runtime.frame_pool.allocated` /
-//! `runtime.frame_pool.recycled`).
+//! The engine does not use it: its wire feed parses every frame where
+//! the [`smartwatch_net::FrameStore`] holds it, as a NIC's PMEs read a
+//! frame where its DMA put it. The benchmark's layer walk is this
+//! module's only user — its `runtime.frame.load` stage prices the copy
+//! with a [`FramePool`] — and ROADMAP item 10 deletes the module
+//! together with that stage.
 
 use smartwatch_telemetry::{Counter, Registry};
 

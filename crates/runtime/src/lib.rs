@@ -11,11 +11,10 @@
 //! * `batch` — the hot-path currency: pre-digested packets (canonical
 //!   key + symmetric hash computed once at dispatch), the one-buffer
 //!   lane message, and the bounded idle backoff.
-//! * [`frame`] — fixed-capacity frame buffers ([`FramePool`]) for the
-//!   zero-copy wire ingest path: ingest units load raw frames into pooled
-//!   slots (the software RX-ring), parse them in place with
-//!   [`smartwatch_net::FrameView`] and recycle the slots —
-//!   allocation-free in steady state.
+//! * [`frame`] — fixed-capacity frame buffers ([`FramePool`]), off the
+//!   engine's path: the wire ingest path parses each frame where its
+//!   [`smartwatch_net::FrameStore`] holds it. Kept for the benchmark's
+//!   layer walk, its one user.
 //! * [`spsc`] — bounded single-producer/single-consumer batch queues
 //!   with explicit backpressure or accounted drops (never silent loss).
 //!   Both halves move values through a slot by exchange, so the ring is
@@ -66,7 +65,7 @@
 //! [`service`] carries the bounded admin mailbox ([`AdminCmd`]) drained
 //! by the controller at epoch boundaries, [`Engine::request_drain`]
 //! quiesces a running segment gracefully, and the lanes (with the
-//! batch buffers in them), frame pools and every shard's flow state are
+//! batch buffers in them) and every shard's flow state are
 //! parked between runs, each under its thread's index, so steady
 //! state allocates nothing: the first segment builds each shard's
 //! FlowCache and detector tables, every later one gets them back

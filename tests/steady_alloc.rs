@@ -2,15 +2,17 @@
 //! first segments have built and sized the flow state, a whole segment
 //! of the FlowCache's worst case — every packet a new flow, every row
 //! full, so every access evicts — costs a fixed handful of allocator
-//! calls (threads, the verdict log, the report), none per packet.
+//! calls (threads, the verdict log, the report), none per packet, on
+//! either datapath and from either source: model packets, or wire
+//! frames parsed where their store holds them.
 //!
 //! The count comes from a `#[global_allocator]` of this test binary's
 //! own, which is why the file holds exactly one test: a second one
 //! running on another harness thread would be counted too.
 
 use smartwatch::net::hash::splitmix64;
-use smartwatch::net::{FlowKey, Packet, PacketBuilder, Ts};
-use smartwatch::runtime::{DatapathMode, Engine, EngineConfig, Pace};
+use smartwatch::net::{FlowKey, FrameStore, Packet, PacketBuilder, Ts};
+use smartwatch::runtime::{DatapathMode, Engine, EngineConfig, FrameSource, Pace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,26 +76,38 @@ fn scattered(n: usize) -> Vec<Packet> {
 fn a_steady_segment_of_pure_misses_stays_off_the_allocator() {
     // 4× the cache's 2^12 × 12 buckets: every row fills, then evicts.
     let packets = scattered(200_000);
+    // Compiled before any count starts.
+    let store = FrameStore::from_packets(&packets);
     for datapath in [DatapathMode::Rtc, DatapathMode::Pipeline] {
-        let mut cfg = EngineConfig::new(1);
-        cfg.datapath = datapath;
-        cfg.host_workers = 0;
-        let engine = Engine::new(cfg);
-        let mut calls = Vec::new();
-        for _ in 0..4 {
-            let before = CALLS.load(Ordering::Relaxed);
-            let report = engine.run(&packets, Pace::Flatout);
-            calls.push(CALLS.load(Ordering::Relaxed) - before);
-            assert!(report.conserved());
-            assert_eq!(report.flowcache.p_hits + report.flowcache.e_hits, 0);
-            assert!(report.flowcache.ring_pushes > 100_000, "rows overflow");
+        for source in [FrameSource::Packets(&packets), FrameSource::Wire(&store)] {
+            let wire = matches!(source, FrameSource::Wire(_));
+            let mut cfg = EngineConfig::new(1);
+            cfg.datapath = datapath;
+            cfg.host_workers = 0;
+            let engine = Engine::new(cfg);
+            let mut calls = Vec::new();
+            for _ in 0..4 {
+                let before = CALLS.load(Ordering::Relaxed);
+                let report = match source {
+                    FrameSource::Packets(packets) => engine.run(packets, Pace::Flatout),
+                    FrameSource::Wire(store) => engine.run_frames(store, Pace::Flatout),
+                };
+                calls.push(CALLS.load(Ordering::Relaxed) - before);
+                assert!(report.conserved());
+                assert_eq!(report.flowcache.p_hits + report.flowcache.e_hits, 0);
+                assert!(report.flowcache.ring_pushes > 100_000, "rows overflow");
+            }
+            // Segment 1 builds the state, segment 2 may still settle a
+            // pool; from segment 3 on the count is per segment, not per
+            // packet.
+            assert!(
+                calls[2] < 1_000 && calls[3] < 1_000,
+                "{datapath:?} (wire: {wire}): allocator calls per segment {calls:?}"
+            );
+            assert!(
+                calls[0] > calls[3],
+                "{datapath:?} (wire: {wire}): {calls:?}"
+            );
         }
-        // Segment 1 builds the state, segment 2 may still settle a pool;
-        // from segment 3 on the count is per segment, not per packet.
-        assert!(
-            calls[2] < 1_000 && calls[3] < 1_000,
-            "{datapath:?}: allocator calls per segment {calls:?}"
-        );
-        assert!(calls[0] > calls[3], "{datapath:?}: {calls:?}");
     }
 }
