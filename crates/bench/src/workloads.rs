@@ -204,6 +204,101 @@ mod tests {
         assert!(ssh.is_disjoint(ftp), "ssh/ftp sources overlap");
         assert!(ssh.is_disjoint(&scan), "ssh/scan sources overlap");
     }
+
+    /// 64-bit FNV-1a.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Fnv {
+            Fnv(0xCBF2_9CE4_8422_2325)
+        }
+
+        fn eat(&mut self, bytes: &[u8]) {
+            for b in bytes {
+                self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+    }
+
+    /// FNV-1a over every field of every packet, in sequence order.
+    fn sequence_digest(packets: &[smartwatch_net::Packet]) -> u64 {
+        let mut h = Fnv::new();
+        for p in packets {
+            h.eat(&p.key.src_ip.octets());
+            h.eat(&p.key.dst_ip.octets());
+            h.eat(&p.key.src_port.to_le_bytes());
+            h.eat(&p.key.dst_port.to_le_bytes());
+            h.eat(&[p.key.proto.number(), p.flags.0]);
+            h.eat(&p.ts.as_nanos().to_le_bytes());
+            h.eat(&p.wire_len.to_le_bytes());
+            h.eat(&p.payload_len.to_le_bytes());
+            h.eat(&p.seq.to_le_bytes());
+            h.eat(&p.ack.to_le_bytes());
+            h.eat(&p.payload_digest.to_le_bytes());
+            let (kind, instance) = match p.label {
+                smartwatch_net::Label::Benign => (0, 0),
+                smartwatch_net::Label::Attack { kind, instance } => (1 + kind as u8, instance),
+            };
+            h.eat(&[kind]);
+            h.eat(&instance.to_le_bytes());
+        }
+        h.0
+    }
+
+    /// FNV-1a over every frame of a store and the sideband wire length
+    /// (the one sideband field compiling derives rather than copies).
+    fn store_digest(store: &smartwatch_net::FrameStore) -> u64 {
+        let mut h = Fnv::new();
+        for i in 0..store.len() {
+            h.eat(store.frame(i));
+            h.eat(&store.meta(i).wire_len.to_le_bytes());
+        }
+        h.0
+    }
+
+    /// The two generators the benchmark builds from draw the packet
+    /// sequences pinned here: same RNG draws in the same order, same
+    /// timestamp sort with ties in generation order. A generator that
+    /// reorders or redraws changes these digests.
+    #[test]
+    fn the_generators_draw_the_pinned_sequences() {
+        let caida = caida_64b(Preset::Caida2018, 1, 1);
+        let mix = attack_mix(1, 1);
+        assert_eq!(
+            (caida.len(), sequence_digest(caida.packets())),
+            (461_002, 5_651_212_547_905_615_391),
+            "caida_64b(Caida2018, 1, 1)"
+        );
+        assert_eq!(
+            (mix.len(), sequence_digest(mix.packets())),
+            (25_286, 10_280_300_523_050_424_219),
+            "attack_mix(1, 1)"
+        );
+    }
+
+    /// Compiling those sequences writes the pinned frame bytes, in both
+    /// framings.
+    #[test]
+    fn the_compiler_writes_the_pinned_frames() {
+        use smartwatch_trace::compile::{compile, compile_v6};
+        let caida = caida_64b(Preset::Caida2018, 1, 1);
+        let mix = attack_mix(1, 1);
+        assert_eq!(
+            store_digest(&compile(&caida)),
+            300_188_017_721_299_234,
+            "caida v4"
+        );
+        assert_eq!(
+            store_digest(&compile(&mix)),
+            8_050_264_392_323_711_701,
+            "mix v4"
+        );
+        assert_eq!(
+            store_digest(&compile_v6(&mix)),
+            16_931_589_460_749_195_538,
+            "mix v6"
+        );
+    }
 }
 
 #[cfg(test)]

@@ -72,6 +72,15 @@ impl FrameMeta {
     }
 }
 
+/// The `(offset, len)` sideband pair of the frame at arena bytes
+/// `start..end`, or `None` when its end lies past `u32::MAX`: offsets and
+/// lengths are `u32` and [`FrameStore::frame`] adds them in `u32`.
+fn arena_span(start: usize, end: usize) -> Option<(u32, u32)> {
+    let start = u32::try_from(start).ok()?;
+    let end = u32::try_from(end).ok()?;
+    Some((start, end - start))
+}
+
 /// A packed, validated arena of wire frames plus per-frame metadata.
 ///
 /// Every frame is checksum-validated at construction time, so the replay
@@ -84,17 +93,23 @@ pub struct FrameStore {
 }
 
 impl FrameStore {
-    /// Compile packets into a packed frame buffer via [`wire::encode`].
+    /// Compile packets into a packed frame buffer: each one is appended
+    /// to the arena in place by [`wire::encode_into`].
     ///
     /// The sideband carries each packet's exact timestamp, wire length,
     /// payload length, payload digest and label, so
     /// [`FrameStore::packet`] round-trips the input losslessly.
+    ///
+    /// # Panics
+    ///
+    /// When the arena would pass `u32::MAX` bytes, the most a frame's
+    /// `u32` offset can address.
     pub fn from_packets(packets: &[Packet]) -> FrameStore {
-        Self::from_packets_with(packets, wire::encode)
+        Self::from_packets_with(packets, wire::encode_into)
     }
 
     /// [`FrameStore::from_packets`] with IPv6 framing
-    /// ([`wire::encode_v6`], v4-compatible addresses): the replay walks
+    /// ([`wire::encode_v6_into`], v4-compatible addresses): the replay walks
     /// the v6 parse path while [`FrameStore::packet`] reconstructs the
     /// same flow keys and header fields (the address fold is the identity
     /// on the embedded v4 range). As with the v4 store, the sideband
@@ -102,30 +117,35 @@ impl FrameStore {
     /// are 20 bytes longer, so byte counters can differ from the v4
     /// framing for sub-74-byte packets.
     pub fn from_packets_v6(packets: &[Packet]) -> FrameStore {
-        Self::from_packets_with(packets, wire::encode_v6)
+        Self::from_packets_with(packets, wire::encode_v6_into)
     }
 
-    fn from_packets_with(
-        packets: &[Packet],
-        encode: impl Fn(&Packet) -> bytes::Bytes,
-    ) -> FrameStore {
+    /// Append every frame to the arena with `encode_into`: two
+    /// allocations per store (arena and sideband), none per frame. The
+    /// arena is reserved at 96 bytes a frame, room for every frame of a
+    /// 64-byte stress trace in either framing; larger frames regrow it a
+    /// few times per store, not per frame.
+    fn from_packets_with(packets: &[Packet], encode_into: fn(&Packet, &mut Vec<u8>)) -> FrameStore {
         let mut store = FrameStore {
             bytes: Vec::with_capacity(packets.len() * 96),
             meta: Vec::with_capacity(packets.len()),
             max_frame: 0,
         };
         for p in packets {
-            let frame = encode(p);
-            let offset = store.bytes.len() as u32;
-            store.bytes.extend_from_slice(&frame);
-            store.max_frame = store.max_frame.max(frame.len());
+            let start = store.bytes.len();
+            encode_into(p, &mut store.bytes);
+            let (offset, len) = arena_span(start, store.bytes.len()).unwrap_or_else(|| {
+                panic!(
+                    "compiled frame arena would pass u32::MAX ({}) bytes",
+                    u32::MAX
+                )
+            });
+            store.max_frame = store.max_frame.max(len as usize);
             store.meta.push(FrameMeta {
                 offset,
-                len: frame.len() as u32,
+                len,
                 ts: p.ts,
-                wire_len: p
-                    .wire_len
-                    .max(frame.len().min(usize::from(u16::MAX)) as u16),
+                wire_len: p.wire_len.max(len.min(u32::from(u16::MAX)) as u16),
                 payload_len: p.payload_len,
                 payload_digest: p.payload_digest,
                 label: p.label,
@@ -140,7 +160,9 @@ impl FrameStore {
     /// Sideband fields the capture cannot carry (payload digest, label)
     /// come back defaulted and timestamps keep pcap's µs resolution —
     /// the same contract as [`pcap::read`], which
-    /// [`FrameStore::packet`] matches record-for-record.
+    /// [`FrameStore::packet`] matches record-for-record. A capture whose
+    /// frames would pass `u32::MAX` arena bytes is
+    /// [`PcapError::ArenaOverflow`].
     pub fn from_pcap(data: &[u8]) -> Result<FrameStore, PcapError> {
         let mut store = FrameStore {
             bytes: Vec::with_capacity(data.len().saturating_sub(24)),
@@ -150,12 +172,14 @@ impl FrameStore {
         for rec in pcap::records(data)? {
             let rec = rec?;
             let view = FrameView::parse(rec.frame).map_err(PcapError::BadFrame)?;
-            let offset = store.bytes.len() as u32;
+            let start = store.bytes.len();
+            let (offset, len) =
+                arena_span(start, start + rec.frame.len()).ok_or(PcapError::ArenaOverflow)?;
             store.bytes.extend_from_slice(rec.frame);
             store.max_frame = store.max_frame.max(rec.frame.len());
             store.meta.push(FrameMeta {
                 offset,
-                len: rec.frame.len() as u32,
+                len,
                 ts: rec.ts,
                 wire_len: rec.orig_len.min(u32::from(u16::MAX)) as u16,
                 payload_len: view.payload_len(),
@@ -362,6 +386,15 @@ mod tests {
             FrameStore::from_pcap(&bytes),
             Err(PcapError::BadFrame(_))
         ));
+    }
+
+    #[test]
+    fn arena_spans_are_checked_where_they_are_made() {
+        let max = u32::MAX as usize;
+        assert_eq!(arena_span(max - 60, max), Some((u32::MAX - 60, 60)));
+        assert_eq!(arena_span(max, max), Some((u32::MAX, 0)));
+        assert_eq!(arena_span(max - 60, max + 1), None, "one past u32::MAX");
+        assert_eq!(arena_span(max + 1, max + 61), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's methodology is pcap-centric (MoonGen replays pcaps built
 //! with editcap/mergecap/tcprewrite), so the workspace can speak the same
-//! format: [`write()`](fn@write) serialises packets (via [`wire::encode`]) into a
+//! format: [`write()`](fn@write) serialises packets (via [`wire::encode_into`]) into a
 //! classic `.pcap` byte stream, [`read`] parses one back. Microsecond
 //! timestamp resolution, LINKTYPE_ETHERNET, little-endian — the variant
 //! every tool accepts.
@@ -10,7 +10,7 @@
 use crate::packet::Packet;
 use crate::time::Ts;
 use crate::wire;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 /// Classic pcap magic (little-endian, microsecond timestamps).
 pub const MAGIC_USEC_LE: u32 = 0xA1B2_C3D4;
@@ -26,6 +26,9 @@ pub enum PcapError {
     Truncated,
     /// A contained frame failed to decode.
     BadFrame(wire::WireError),
+    /// The capture's frames do not fit one frame arena: its `u32`
+    /// offsets address at most `u32::MAX` bytes.
+    ArenaOverflow,
 }
 
 impl std::fmt::Display for PcapError {
@@ -34,6 +37,11 @@ impl std::fmt::Display for PcapError {
             PcapError::BadMagic => write!(f, "not a classic little-endian pcap"),
             PcapError::Truncated => write!(f, "pcap truncated"),
             PcapError::BadFrame(e) => write!(f, "bad frame in pcap: {e}"),
+            PcapError::ArenaOverflow => write!(
+                f,
+                "pcap frames pass the {} bytes one frame arena addresses",
+                u32::MAX
+            ),
         }
     }
 }
@@ -42,24 +50,25 @@ impl std::error::Error for PcapError {}
 
 /// Serialise packets into a classic pcap byte stream.
 ///
-/// Each packet is wire-encoded ([`wire::encode`]); `orig_len` records the
+/// Each packet is wire-encoded in place after its record header
+/// ([`wire::encode_into`]); `orig_len` records the
 /// original wire length so 64-byte-truncated stress traces round-trip
 /// their intended size. Labels and payload digests are generation-side
 /// metadata and are *not* representable in pcap (by design: a pcap is
 /// what the monitor would actually capture).
 pub fn write(packets: &[Packet]) -> Vec<u8> {
-    write_with(packets, wire::encode)
+    write_with(packets, wire::encode_into)
 }
 
 /// [`write`] with IPv6 framing: every packet is encoded via
-/// [`wire::encode_v6`] (v4-compatible addresses), so the capture replays
+/// [`wire::encode_v6_into`] (v4-compatible addresses), so the capture replays
 /// through the v6 parse path while reconstructing the same flow keys.
 pub fn write_v6(packets: &[Packet]) -> Vec<u8> {
-    write_with(packets, wire::encode_v6)
+    write_with(packets, wire::encode_v6_into)
 }
 
-fn write_with(packets: &[Packet], encode: impl Fn(&Packet) -> bytes::Bytes) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(24 + packets.len() * 96);
+fn write_with(packets: &[Packet], encode_into: fn(&Packet, &mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(24 + packets.len() * 96);
     // Global header.
     buf.put_u32_le(MAGIC_USEC_LE);
     buf.put_u16_le(2); // version major
@@ -70,15 +79,18 @@ fn write_with(packets: &[Packet], encode: impl Fn(&Packet) -> bytes::Bytes) -> V
     buf.put_u32_le(LINKTYPE_ETHERNET);
 
     for p in packets {
-        let frame = encode(p);
         let ts = p.ts.as_nanos();
         buf.put_u32_le((ts / 1_000_000_000) as u32);
         buf.put_u32_le(((ts % 1_000_000_000) / 1_000) as u32);
-        buf.put_u32_le(frame.len() as u32); // incl_len (captured)
-        buf.put_u32_le(u32::from(p.wire_len).max(frame.len() as u32)); // orig_len
-        buf.put_slice(&frame);
+        let lens = buf.len();
+        buf.put_bytes(0, 8); // incl_len, orig_len: known once the frame is written
+        encode_into(p, &mut buf);
+        let len = (buf.len() - lens - 8) as u32;
+        buf[lens..lens + 4].copy_from_slice(&len.to_le_bytes()); // incl_len (captured)
+        let orig_len = u32::from(p.wire_len).max(len);
+        buf[lens + 4..lens + 8].copy_from_slice(&orig_len.to_le_bytes());
     }
-    buf.to_vec()
+    buf
 }
 
 /// One record of a classic pcap stream, with the frame bytes still

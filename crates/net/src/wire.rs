@@ -16,7 +16,7 @@ use crate::key::{FlowKey, Proto, RawTuple};
 use crate::packet::Packet;
 use crate::tcp::TcpFlags;
 use crate::time::Ts;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -105,161 +105,146 @@ fn pseudo_header_sum_v6(src: u128, dst: u128, proto: u8, len: u16) -> u32 {
 /// rather than silently misparsed as transport payload.
 const V6_EXTENSION_HEADERS: [u8; 6] = [0, 43, 44, 50, 51, 60];
 
-/// Encode a [`Packet`] as an Ethernet II / IPv4 / {TCP,UDP} frame.
+/// Encode a [`Packet`] as an Ethernet II / IPv4 / {TCP,UDP} frame: the
+/// bytes [`encode_into`] appends, in a buffer of their own.
+pub fn encode(p: &Packet) -> Bytes {
+    let mut buf = Vec::new();
+    encode_into(p, &mut buf);
+    Bytes::from(buf)
+}
+
+/// Append a [`Packet`] to `out` as an Ethernet II / IPv4 / {TCP,UDP}
+/// frame.
 ///
 /// The payload is synthesised as `payload_len` zero bytes (SmartWatch never
 /// inspects payload contents; the digest field exists for that). MAC
-/// addresses are fixed documentation values. Checksums are valid.
-pub fn encode(p: &Packet) -> Bytes {
-    let transport_hdr = match p.key.proto {
-        Proto::Tcp => TCP_HDR_LEN,
-        Proto::Udp => UDP_HDR_LEN,
-        _ => 0,
-    };
-    let ip_total = IPV4_HDR_LEN + transport_hdr + usize::from(p.payload_len);
-    let mut buf = BytesMut::with_capacity(ETH_HDR_LEN + ip_total);
+/// addresses are fixed documentation values. Checksums are valid. Bytes
+/// already in `out` are left as they are, so a caller can pack many
+/// frames back to back into one buffer.
+pub fn encode_into(p: &Packet, out: &mut Vec<u8>) {
+    let ip_total = IPV4_HDR_LEN + segment_len(p);
+    let frame = append_zeroed(out, ETH_HDR_LEN + ip_total);
+    let (eth, rest) = frame.split_at_mut(ETH_HDR_LEN);
+    let (ip, segment) = rest.split_at_mut(IPV4_HDR_LEN);
+    put_ethernet(eth, ETHERTYPE_IPV4);
 
-    // Ethernet II.
-    buf.put_slice(&[0x02, 0x00, 0x00, 0x00, 0x00, 0x01]); // dst MAC
-    buf.put_slice(&[0x02, 0x00, 0x00, 0x00, 0x00, 0x02]); // src MAC
-    buf.put_u16(ETHERTYPE_IPV4);
+    // IPv4; identification, DSCP/ECN and the checksum start at zero.
+    ip[0] = 0x45; // version 4, IHL 5
+    ip[2..4].copy_from_slice(&(ip_total as u16).to_be_bytes());
+    ip[6] = 0x40; // don't fragment
+    ip[8] = 64; // TTL
+    ip[9] = p.key.proto.number();
+    ip[12..16].copy_from_slice(&p.key.src_ip.octets());
+    ip[16..20].copy_from_slice(&p.key.dst_ip.octets());
+    let ip_csum = checksum(ip, 0);
+    ip[10..12].copy_from_slice(&ip_csum.to_be_bytes());
 
-    // IPv4.
-    let ip_start = buf.len();
-    buf.put_u8(0x45); // version 4, IHL 5
-    buf.put_u8(0); // DSCP/ECN
-    buf.put_u16(ip_total as u16);
-    buf.put_u16(0); // identification
-    buf.put_u16(0x4000); // don't fragment
-    buf.put_u8(64); // TTL
-    buf.put_u8(p.key.proto.number());
-    buf.put_u16(0); // checksum placeholder
-    buf.put_slice(&p.key.src_ip.octets());
-    buf.put_slice(&p.key.dst_ip.octets());
-    let ip_csum = checksum(&buf[ip_start..ip_start + IPV4_HDR_LEN], 0);
-    buf[ip_start + 10..ip_start + 12].copy_from_slice(&ip_csum.to_be_bytes());
-
-    // Transport.
-    let t_start = buf.len();
-    match p.key.proto {
-        Proto::Tcp => {
-            buf.put_u16(p.key.src_port);
-            buf.put_u16(p.key.dst_port);
-            buf.put_u32(p.seq);
-            buf.put_u32(p.ack);
-            buf.put_u8(0x50); // data offset 5
-            buf.put_u8(p.flags.0);
-            buf.put_u16(0xFFFF); // window
-            buf.put_u16(0); // checksum placeholder
-            buf.put_u16(0); // urgent pointer
-        }
-        Proto::Udp => {
-            buf.put_u16(p.key.src_port);
-            buf.put_u16(p.key.dst_port);
-            buf.put_u16((UDP_HDR_LEN + usize::from(p.payload_len)) as u16);
-            buf.put_u16(0); // checksum placeholder
-        }
-        _ => {}
-    }
-    buf.put_bytes(0, usize::from(p.payload_len));
-
-    // Transport checksum over pseudo-header + segment.
-    let seg_len = (buf.len() - t_start) as u16;
-    match p.key.proto {
-        Proto::Tcp => {
-            let ph = pseudo_header_sum(p.key.src_ip, p.key.dst_ip, 6, seg_len);
-            let csum = checksum(&buf[t_start..], ph);
-            buf[t_start + 16..t_start + 18].copy_from_slice(&csum.to_be_bytes());
-        }
-        Proto::Udp => {
-            let ph = pseudo_header_sum(p.key.src_ip, p.key.dst_ip, 17, seg_len);
-            let csum = checksum(&buf[t_start..], ph);
-            // UDP transmits 0xFFFF when the computed checksum is zero.
-            let csum = if csum == 0 { 0xFFFF } else { csum };
-            buf[t_start + 6..t_start + 8].copy_from_slice(&csum.to_be_bytes());
-        }
-        _ => {}
-    }
-
-    buf.freeze()
+    // The pseudo-header's address words; `put_transport` adds the rest.
+    let addrs = pseudo_header_sum(p.key.src_ip, p.key.dst_ip, 0, 0);
+    put_transport(p, addrs, segment);
 }
 
-/// Encode a [`Packet`] as an Ethernet II / IPv6 / {TCP,UDP} frame.
+/// Encode a [`Packet`] as an Ethernet II / IPv6 / {TCP,UDP} frame: the
+/// bytes [`encode_v6_into`] appends, in a buffer of their own.
+pub fn encode_v6(p: &Packet) -> Bytes {
+    let mut buf = Vec::new();
+    encode_v6_into(p, &mut buf);
+    Bytes::from(buf)
+}
+
+/// Append a [`Packet`] to `out` as an Ethernet II / IPv6 / {TCP,UDP}
+/// frame.
 ///
 /// The flow model is 32-bit, so addresses are embedded in the
 /// v4-compatible form `::a.b.c.d` — the range on which
 /// [`crate::key::fold_ip`] is the identity. Parsing such a frame
 /// therefore reconstructs exactly the same [`FlowKey`] (and digests) as
-/// the [`encode`] encoding of the same packet, which is what makes a
+/// the [`encode_into`] encoding of the same packet, which is what makes a
 /// v6-compiled replay decision-identical to the v4/synthetic runs.
 /// Checksums are valid; a computed-zero UDP checksum transmits as 0xFFFF
 /// (mandatory checksum over IPv6).
-pub fn encode_v6(p: &Packet) -> Bytes {
-    let transport_hdr = match p.key.proto {
+pub fn encode_v6_into(p: &Packet, out: &mut Vec<u8>) {
+    let ip_payload = segment_len(p);
+    let src = u128::from(u32::from(p.key.src_ip));
+    let dst = u128::from(u32::from(p.key.dst_ip));
+    let frame = append_zeroed(out, ETH_HDR_LEN + IPV6_HDR_LEN + ip_payload);
+    let (eth, rest) = frame.split_at_mut(ETH_HDR_LEN);
+    let (ip, segment) = rest.split_at_mut(IPV6_HDR_LEN);
+    put_ethernet(eth, ETHERTYPE_IPV6);
+
+    // IPv6 fixed header (no extension chain); TC and flow label are zero.
+    ip[0] = 0x60; // version 6
+    ip[4..6].copy_from_slice(&(ip_payload as u16).to_be_bytes());
+    ip[6] = p.key.proto.number(); // next header
+    ip[7] = 64; // hop limit
+    ip[8..24].copy_from_slice(&src.to_be_bytes());
+    ip[24..40].copy_from_slice(&dst.to_be_bytes());
+
+    put_transport(p, pseudo_header_sum_v6(src, dst, 0, 0), segment);
+}
+
+/// Transport header plus payload length of `p`'s frame, the bytes after
+/// the IP header in either framing: TCP and UDP carry their header, any
+/// other protocol carries the payload alone.
+fn segment_len(p: &Packet) -> usize {
+    let header = match p.key.proto {
         Proto::Tcp => TCP_HDR_LEN,
         Proto::Udp => UDP_HDR_LEN,
         _ => 0,
     };
-    let ip_payload = transport_hdr + usize::from(p.payload_len);
-    let src = u128::from(u32::from(p.key.src_ip));
-    let dst = u128::from(u32::from(p.key.dst_ip));
-    let mut buf = BytesMut::with_capacity(ETH_HDR_LEN + IPV6_HDR_LEN + ip_payload);
+    header + usize::from(p.payload_len)
+}
 
-    // Ethernet II.
-    buf.put_slice(&[0x02, 0x00, 0x00, 0x00, 0x00, 0x01]); // dst MAC
-    buf.put_slice(&[0x02, 0x00, 0x00, 0x00, 0x00, 0x02]); // src MAC
-    buf.put_u16(ETHERTYPE_IPV6);
+/// Grow `out` by `len` zero bytes and return them: a frame is written
+/// in place, and every field, checksum and payload byte it leaves alone
+/// stays zero.
+fn append_zeroed(out: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    let start = out.len();
+    out.resize(start + len, 0);
+    &mut out[start..]
+}
 
-    // IPv6 fixed header (no extension chain).
-    buf.put_u32(0x6000_0000); // version 6, TC 0, flow label 0
-    buf.put_u16(ip_payload as u16);
-    buf.put_u8(p.key.proto.number()); // next header
-    buf.put_u8(64); // hop limit
-    buf.put_slice(&src.to_be_bytes());
-    buf.put_slice(&dst.to_be_bytes());
+/// Write the Ethernet II header: fixed documentation MACs, then
+/// `ethertype`.
+fn put_ethernet(eth: &mut [u8], ethertype: u16) {
+    eth[0..6].copy_from_slice(&[0x02, 0x00, 0x00, 0x00, 0x00, 0x01]); // dst MAC
+    eth[6..12].copy_from_slice(&[0x02, 0x00, 0x00, 0x00, 0x00, 0x02]); // src MAC
+    eth[12..14].copy_from_slice(&ethertype.to_be_bytes());
+}
 
-    // Transport.
-    let t_start = buf.len();
-    match p.key.proto {
+/// Write `p`'s transport header over `segment` (zeroed, header plus
+/// payload long) and checksum it over the pseudo-header whose address
+/// words sum to `addrs` (either framing).
+fn put_transport(p: &Packet, addrs: u32, segment: &mut [u8]) {
+    let seg_len = segment.len() as u16;
+    let (hdr_len, csum_at) = match p.key.proto {
         Proto::Tcp => {
-            buf.put_u16(p.key.src_port);
-            buf.put_u16(p.key.dst_port);
-            buf.put_u32(p.seq);
-            buf.put_u32(p.ack);
-            buf.put_u8(0x50); // data offset 5
-            buf.put_u8(p.flags.0);
-            buf.put_u16(0xFFFF); // window
-            buf.put_u16(0); // checksum placeholder
-            buf.put_u16(0); // urgent pointer
+            segment[0..2].copy_from_slice(&p.key.src_port.to_be_bytes());
+            segment[2..4].copy_from_slice(&p.key.dst_port.to_be_bytes());
+            segment[4..8].copy_from_slice(&p.seq.to_be_bytes());
+            segment[8..12].copy_from_slice(&p.ack.to_be_bytes());
+            segment[12] = 0x50; // data offset 5
+            segment[13] = p.flags.0;
+            segment[14..16].copy_from_slice(&[0xFF, 0xFF]); // window
+            (TCP_HDR_LEN, 16)
         }
         Proto::Udp => {
-            buf.put_u16(p.key.src_port);
-            buf.put_u16(p.key.dst_port);
-            buf.put_u16((UDP_HDR_LEN + usize::from(p.payload_len)) as u16);
-            buf.put_u16(0); // checksum placeholder
+            segment[0..2].copy_from_slice(&p.key.src_port.to_be_bytes());
+            segment[2..4].copy_from_slice(&p.key.dst_port.to_be_bytes());
+            segment[4..6].copy_from_slice(&seg_len.to_be_bytes());
+            (UDP_HDR_LEN, 6)
         }
-        _ => {}
-    }
-    buf.put_bytes(0, usize::from(p.payload_len));
-
-    // Transport checksum over the v6 pseudo-header + segment.
-    let seg_len = (buf.len() - t_start) as u16;
-    match p.key.proto {
-        Proto::Tcp => {
-            let ph = pseudo_header_sum_v6(src, dst, 6, seg_len);
-            let csum = checksum(&buf[t_start..], ph);
-            buf[t_start + 16..t_start + 18].copy_from_slice(&csum.to_be_bytes());
-        }
-        Proto::Udp => {
-            let ph = pseudo_header_sum_v6(src, dst, 17, seg_len);
-            let csum = checksum(&buf[t_start..], ph);
-            let csum = if csum == 0 { 0xFFFF } else { csum };
-            buf[t_start + 6..t_start + 8].copy_from_slice(&csum.to_be_bytes());
-        }
-        _ => {}
-    }
-
-    buf.freeze()
+        _ => return,
+    };
+    // The payload is zeros, which add nothing to a ones'-complement sum:
+    // the checksum over the (even-length) header is the segment's.
+    let ph = addrs + u32::from(p.key.proto.number()) + u32::from(seg_len);
+    let csum = match checksum(&segment[..hdr_len], ph) {
+        // UDP transmits 0xFFFF when the computed checksum is zero.
+        0 if p.key.proto == Proto::Udp => 0xFFFF,
+        csum => csum,
+    };
+    segment[csum_at..csum_at + 2].copy_from_slice(&csum.to_be_bytes());
 }
 
 /// A validated, borrowed view of an Ethernet II / {IPv4,IPv6} / {TCP,UDP}

@@ -10,6 +10,14 @@
 //! repeating sideband entries over the *same* arena bytes, mirroring how
 //! the bench harness cycles synthetic `Vec<Packet>` workloads.
 //!
+//! Compiling is one pass over the trace that allocates per store, not
+//! per frame: `wire::encode_into` (or `encode_v6_into`) writes each
+//! frame, checksums included, straight into the arena where the replay
+//! will parse it, and the sideband entry is pushed beside it. A trace
+//! is ordered when it is built, and [`Trace::from_packets`] returns
+//! input that is already in order untouched, so wrapping generated
+//! packets in a [`Trace`] to compile them neither sorts nor copies them.
+//!
 //! Because the [`FrameStore`] sideband carries the model-only fields the
 //! wire cannot (exact ns timestamps, truncated wire lengths, payload
 //! digests, labels), replaying a compiled trace through the engine is

@@ -102,6 +102,17 @@ impl BoundedPareto {
         BoundedPareto { lo, hi, alpha }
     }
 
+    /// The distribution's mean.
+    pub(crate) fn mean(&self) -> f64 {
+        let (lo, hi, a) = (self.lo, self.hi, self.alpha);
+        let scale = lo.powf(a) / (1.0 - (lo / hi).powf(a));
+        if (a - 1.0).abs() < 1e-9 {
+            scale * (hi / lo).ln()
+        } else {
+            scale * a / (a - 1.0) * (lo.powf(1.0 - a) - hi.powf(1.0 - a))
+        }
+    }
+
     /// Sample a value in `[lo, hi]`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen::<f64>().clamp(1e-12, 1.0 - 1e-12);
@@ -229,6 +240,22 @@ mod tests {
             below_200 > 6_000,
             "most samples should be small: {below_200}"
         );
+    }
+
+    #[test]
+    fn pareto_mean_matches_the_sample_mean() {
+        let mut r = rng();
+        for alpha in [1.0, 1.06, 1.2] {
+            let p = BoundedPareto::new(64.0, 1500.0, alpha);
+            let n = 50_000;
+            let mean = (0..n).map(|_| p.sample(&mut r)).sum::<f64>() / f64::from(n);
+            let rel = (mean - p.mean()).abs() / p.mean();
+            assert!(
+                rel < 0.02,
+                "alpha {alpha}: sample {mean}, closed form {}",
+                p.mean()
+            );
+        }
     }
 
     #[test]

@@ -46,11 +46,26 @@ impl Trace {
         Trace::default()
     }
 
-    /// Build from packets, sorting by timestamp (stable, so equal-timestamp
-    /// packets keep generation order).
-    pub fn from_packets(mut packets: Vec<Packet>) -> Trace {
-        packets.sort_by_key(|p| p.ts);
-        Trace { packets }
+    /// Build from packets in timestamp order; equal-timestamp packets
+    /// keep generation order. Input already in order is kept as it is
+    /// (same allocation). Otherwise the `(ts_ns, index)` keys are sorted —
+    /// the index breaks ties, so the order is exactly a stable sort's —
+    /// and the packets are gathered once.
+    pub fn from_packets(packets: Vec<Packet>) -> Trace {
+        if packets.windows(2).all(|w| w[0].ts <= w[1].ts) {
+            return Trace { packets };
+        }
+        // One u128 per packet, `ts_ns` high and the index low, so a key
+        // compares in one branch-free step.
+        let mut keys: Vec<u128> = packets
+            .iter()
+            .zip(0u128..)
+            .map(|(p, i)| u128::from(p.ts.as_nanos()) << 64 | i)
+            .collect();
+        keys.sort_unstable();
+        Trace {
+            packets: keys.iter().map(|&k| packets[k as u64 as usize]).collect(),
+        }
     }
 
     /// The packets, in non-decreasing timestamp order.
@@ -125,7 +140,8 @@ impl Trace {
     /// `mergecap`-equivalent: merge any number of traces into one
     /// timestamp-ordered trace.
     pub fn merge<I: IntoIterator<Item = Trace>>(traces: I) -> Trace {
-        let mut all: Vec<Packet> = Vec::new();
+        let traces: Vec<Trace> = traces.into_iter().collect();
+        let mut all = Vec::with_capacity(traces.iter().map(Trace::len).sum());
         for t in traces {
             all.extend(t.packets);
         }
@@ -133,11 +149,12 @@ impl Trace {
     }
 
     /// `tcprewrite`-equivalent: truncate every packet to a 64-byte frame
-    /// (the paper's worst-case stress-test transform).
-    pub fn truncated_64b(&self) -> Trace {
-        Trace {
-            packets: self.packets.iter().map(|p| p.truncated()).collect(),
+    /// (the paper's worst-case stress-test transform), in place.
+    pub fn truncated_64b(mut self) -> Trace {
+        for p in &mut self.packets {
+            *p = p.truncated();
         }
+        self
     }
 
     /// Replay speed-up: compress inter-arrival gaps by `factor` (the paper
@@ -224,6 +241,49 @@ mod tests {
         let t = Trace::from_packets(vec![pkt(30), pkt(10), pkt(20)]);
         let ts: Vec<u64> = t.iter().map(|p| p.ts.as_micros()).collect();
         assert_eq!(ts, vec![10, 20, 30]);
+    }
+
+    /// `pkt` at `ts_us`, told apart by its sequence number.
+    fn tagged(ts_us: u64, tag: u32) -> Packet {
+        Packet {
+            seq: tag,
+            ..pkt(ts_us)
+        }
+    }
+
+    fn tags(t: &Trace) -> Vec<u32> {
+        t.iter().map(|p| p.seq).collect()
+    }
+
+    #[test]
+    fn equal_timestamps_keep_input_order() {
+        // Out of order overall, with ties inside and across the runs.
+        let input: Vec<Packet> = [(5, 0), (3, 1), (5, 2), (1, 3), (3, 4), (5, 5), (1, 6)]
+            .iter()
+            .map(|&(ts, tag)| tagged(ts, tag))
+            .collect();
+        let mut stable = input.clone();
+        stable.sort_by_key(|p| p.ts);
+        let t = Trace::from_packets(input);
+        assert_eq!(tags(&t), vec![3, 6, 1, 4, 0, 2, 5]);
+        assert_eq!(t.packets(), &stable[..], "exactly a stable sort's order");
+
+        // Merging keeps each trace's ties in order, earlier traces first.
+        let a = Trace::from_packets(vec![tagged(1, 0), tagged(2, 1), tagged(2, 2)]);
+        let b = Trace::from_packets(vec![tagged(0, 3), tagged(2, 4), tagged(3, 5)]);
+        assert_eq!(tags(&Trace::merge([a, b])), vec![3, 0, 1, 2, 4, 5]);
+    }
+
+    #[test]
+    fn ordered_input_is_kept_in_its_allocation() {
+        let input = vec![tagged(1, 0), tagged(1, 1), tagged(2, 2), tagged(9, 3)];
+        let at = input.as_ptr();
+        let t = Trace::from_packets(input);
+        assert_eq!(t.packets().as_ptr(), at, "no reorder, no copy");
+        assert_eq!(tags(&t), vec![0, 1, 2, 3]);
+        // Truncating a trace rewrites it where it lies.
+        let t = t.truncated_64b();
+        assert_eq!(t.packets().as_ptr(), at);
     }
 
     #[test]

@@ -107,10 +107,21 @@ impl SessionSpec {
 /// exponentially around `mean_gap` using `rng`; all other timing is
 /// deterministic from the spec.
 pub fn tcp_session<R: Rng + ?Sized>(rng: &mut R, spec: &SessionSpec) -> Vec<Packet> {
+    let mut pkts = Vec::new();
+    tcp_session_into(rng, spec, &mut pkts);
+    pkts
+}
+
+/// [`tcp_session`] appending to `pkts`: a generator emitting many
+/// sessions packs them into its one output buffer.
+pub(crate) fn tcp_session_into<R: Rng + ?Sized>(
+    rng: &mut R,
+    spec: &SessionSpec,
+    pkts: &mut Vec<Packet>,
+) {
     let c2s = FlowKey::tcp(spec.client.0, spec.client.1, spec.server.0, spec.server.1);
     let s2c = c2s.reversed();
     let half_rtt = Dur::from_nanos(spec.rtt.as_nanos() / 2);
-    let mut pkts = Vec::new();
     let mut t = spec.start;
 
     // Client and server initial sequence numbers, deterministic per flow.
@@ -128,7 +139,7 @@ pub fn tcp_session<R: Rng + ?Sized>(rng: &mut R, spec: &SessionSpec) -> Vec<Pack
     c_seq = c_seq.wrapping_add(1);
 
     match spec.outcome {
-        HandshakeOutcome::NoResponse => return pkts,
+        HandshakeOutcome::NoResponse => return,
         HandshakeOutcome::Refused => {
             t += half_rtt;
             pkts.push(
@@ -139,7 +150,7 @@ pub fn tcp_session<R: Rng + ?Sized>(rng: &mut R, spec: &SessionSpec) -> Vec<Pack
                     .label(spec.label)
                     .build(),
             );
-            return pkts;
+            return;
         }
         HandshakeOutcome::Established => {}
     }
@@ -259,8 +270,6 @@ pub fn tcp_session<R: Rng + ?Sized>(rng: &mut R, spec: &SessionSpec) -> Vec<Pack
         }
         Teardown::None => {}
     }
-
-    pkts
 }
 
 #[cfg(test)]

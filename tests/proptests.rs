@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use smartwatch::host::{SnapshotAggregator, TimingWheel};
-use smartwatch::net::{pcap, wire, Dur, FlowHasher, FlowKey, PacketBuilder, Proto, TcpFlags, Ts};
+use smartwatch::net::{
+    pcap, wire, Dur, FlowHasher, FlowKey, FrameStore, Packet, PacketBuilder, Proto, TcpFlags, Ts,
+};
 use smartwatch::sketch::{CountMin, FlowCounter};
 use smartwatch::snic::{CachePolicy, FlowCache, FlowCacheConfig, FlowRecord, Mode, Outcome};
 use std::collections::HashMap;
@@ -186,32 +188,76 @@ proptest! {
         let _ = Dur::ZERO;
     }
 
-    /// Wire and pcap codecs round-trip arbitrary TCP/UDP packets.
+    /// Wire and pcap codecs round-trip arbitrary packets, and each
+    /// framing has one encoder: `encode_into` after any prefix appends
+    /// exactly `encode`'s bytes (v4 and v6), and a store compiled with
+    /// either framing gives every packet back.
     #[test]
     fn wire_and_pcap_round_trip(
         key in arb_key(),
+        proto in 0u8..4,
         ts_us in 0u64..1_000_000_000,
-        payload in 0u16..1400,
-        flags in 0u8..64,
-        seq in any::<u32>(),
+        payload in 0u16..1501,
+        fields in (0u8..64, any::<u32>(), any::<u32>(), any::<u64>()),
+        prefix in prop::collection::vec(any::<u8>(), 0..80),
     ) {
+        let (flags, seq, ack, digest) = fields;
+        // TCP, UDP, ICMP and an arbitrary IP protocol; only TCP and UDP
+        // carry ports (a portless frame parses with ports 0).
+        let key = match proto {
+            0 => key,
+            1 => FlowKey { proto: Proto::Udp, ..key },
+            2 => FlowKey { proto: Proto::Icmp, src_port: 0, dst_port: 0, ..key },
+            _ => FlowKey { proto: Proto::Other(47), src_port: 0, dst_port: 0, ..key },
+        };
         let p = PacketBuilder::new(key, Ts::from_micros(ts_us))
             .flags(TcpFlags(flags))
             .seq(seq)
+            .ack(ack)
             .payload(payload)
+            .payload_digest(digest)
             .build();
-        // Wire round trip.
-        let frame = wire::encode(&p);
-        let q = wire::decode(&frame, p.ts).unwrap();
-        prop_assert_eq!(q.key, p.key);
-        prop_assert_eq!(q.flags, p.flags);
-        prop_assert_eq!(q.seq, p.seq);
-        prop_assert_eq!(q.payload_len, p.payload_len);
-        // Pcap round trip (µs resolution preserved exactly here).
-        let parsed = pcap::read(&pcap::write(&[p])).unwrap();
-        prop_assert_eq!(parsed.len(), 1);
-        prop_assert_eq!(parsed[0].key, p.key);
-        prop_assert_eq!(parsed[0].ts, p.ts);
+        for (framing, encode_into, encode) in [
+            ("v4", wire::encode_into as fn(&Packet, &mut Vec<u8>), wire::encode as fn(&Packet) -> _),
+            ("v6", wire::encode_v6_into, wire::encode_v6),
+        ] {
+            let mut buf = prefix.clone();
+            encode_into(&p, &mut buf);
+            prop_assert_eq!(&buf[..prefix.len()], &prefix[..], "{} prefix", framing);
+            prop_assert_eq!(&buf[prefix.len()..], &encode(&p)[..], "{} frame", framing);
+        }
+        // What the parse recovers: header fields from the bytes, the rest
+        // from the sideband; non-TCP frames carry no flags or seq/ack.
+        let expect = if p.is_tcp() {
+            p
+        } else {
+            Packet { flags: TcpFlags::NONE, seq: 0, ack: 0, ..p }
+        };
+        let v4 = FrameStore::from_packets(&[p, p]);
+        let v6 = FrameStore::from_packets_v6(&[p, p]);
+        for i in 0..2 {
+            prop_assert_eq!(v4.packet(i), expect);
+            prop_assert_eq!(v4.frame(i), &wire::encode(&p)[..]);
+            prop_assert_eq!(v6.frame(i), &wire::encode_v6(&p)[..]);
+            // v6 frames are 20 bytes longer; the sideband wire length
+            // is clamped up to the frame.
+            let wire_len = p.wire_len.max(v6.frame(i).len() as u16);
+            prop_assert_eq!(v6.packet(i), Packet { wire_len, ..expect });
+        }
+        // Without a sideband, only a TCP or UDP frame carries the whole
+        // packet in its headers (a portless frame decodes with payload 0).
+        if p.is_tcp() || p.is_udp() {
+            let q = wire::decode(&wire::encode(&p), p.ts).unwrap();
+            prop_assert_eq!(q.key, p.key);
+            prop_assert_eq!(q.flags, expect.flags);
+            prop_assert_eq!(q.seq, expect.seq);
+            prop_assert_eq!(q.payload_len, p.payload_len);
+            // Pcap round trip (µs resolution preserved exactly here).
+            let parsed = pcap::read(&pcap::write(&[p])).unwrap();
+            prop_assert_eq!(parsed.len(), 1);
+            prop_assert_eq!(parsed[0].key, p.key);
+            prop_assert_eq!(parsed[0].ts, p.ts);
+        }
     }
 
     /// The timing wheel expires every item exactly once, in deadline
