@@ -9,7 +9,7 @@ use smartwatch_core::deploy::DeployMode;
 use smartwatch_core::eval::{detection_rate, GroundTruth};
 use smartwatch_core::platform::{standard_queries, PlatformConfig, SmartWatch};
 use smartwatch_detect::rst::{ForgedRstDetector, RstEvent};
-use smartwatch_net::{AttackKind, Dur, Ts};
+use smartwatch_net::{AttackKind, Dur, FlowHasher, Ts};
 use smartwatch_trace::attacks::auth::{benign_logins, bruteforce, BruteforceConfig};
 use smartwatch_trace::attacks::portscan::{portscan, ScanConfig};
 use smartwatch_trace::attacks::rst::{forged_rst, ForgedRstConfig};
@@ -177,7 +177,8 @@ pub fn table2(ctx: &ExpCtx) -> Table {
     use smartwatch_snic::{Access, Outcome};
 
     let (trace, certs, tickets) = workloads::attack_mix_full(scale, 0x72);
-    let suite = DetectorSuite::new()
+    let cfg = PlatformConfig::new(DeployMode::SnicHost);
+    let suite = DetectorSuite::with_hasher(FlowHasher::new(cfg.cache.hash_seed))
         .with_cert_registry(
             ArtefactRegistry::from_pairs(certs.iter().map(|a| (a.digest, a.expires_at))),
             Dur::from_secs(30 * 86_400),
@@ -186,13 +187,12 @@ pub fn table2(ctx: &ExpCtx) -> Table {
             ArtefactRegistry::from_pairs(tickets.iter().map(|a| (a.digest, a.expires_at))),
             Dur::from_secs(36_000),
         );
-    let mut sw =
-        SmartWatch::new(PlatformConfig::new(DeployMode::SnicHost), vec![]).with_suite(suite);
+    let mut sw = SmartWatch::new(cfg, vec![]).with_suite(suite);
     for p in trace.packets() {
         sw.on_packet(p);
     }
-    let ops = sw.suite.ops;
-    let cache_stats = sw.cache.stats();
+    let ops = sw.tier.suite.ops;
+    let cache_stats = sw.tier.cache.stats();
     let rep = sw.finish(trace.packets().last().unwrap().ts + Dur::from_secs(1));
     let m = rep.metrics;
 
@@ -286,8 +286,10 @@ pub fn table4(ctx: &ExpCtx) -> Table {
 
     let (trace, certs, tickets) = workloads::attack_mix_full(scale, 0x74);
     let truth = GroundTruth::from_packets(trace.packets());
+    // Every platform below runs the default cache, so one seed serves.
+    let seed = PlatformConfig::new(DeployMode::SmartWatch).cache.hash_seed;
     let suite = || {
-        DetectorSuite::new()
+        DetectorSuite::with_hasher(FlowHasher::new(seed))
             .with_cert_registry(
                 ArtefactRegistry::from_pairs(certs.iter().map(|a| (a.digest, a.expires_at))),
                 Dur::from_secs(30 * 86_400),

@@ -8,6 +8,8 @@
 //!   its switch↔sNIC control loop (steering, whitelisting, blacklisting).
 //! - [`suite`] — all online detectors bound to one packet stream, with
 //!   per-packet host-escalation decisions (Table 2's partitioning).
+//! - [`tier`] — the sNIC tier both clocks step per packet: FlowCache +
+//!   suite + §3.2's pinning rule ([`SnicTier`]).
 //! - [`deploy`] — the four deployment architectures of Fig. 3 and the
 //!   resource-scaling model.
 //! - [`eval`] — ground-truth extraction and detection-rate scoring for
@@ -32,8 +34,10 @@ pub mod deploy;
 pub mod eval;
 pub mod platform;
 pub mod suite;
+pub mod tier;
 
 pub use deploy::{DeployMode, Resources, ScalingModel};
 pub use eval::{detection_rate, relative_rate, GroundTruth};
 pub use platform::{standard_queries, PlatformConfig, RunReport, SmartWatch, TierMetrics};
 pub use suite::{DetectorSuite, HostNeed, SuiteOutcome};
+pub use tier::SnicTier;

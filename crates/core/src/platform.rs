@@ -29,6 +29,7 @@
 
 use crate::deploy::DeployMode;
 use crate::suite::{DetectorSuite, HostNeed};
+use crate::tier::SnicTier;
 use smartwatch_detect::{Alert, Subject};
 use smartwatch_host::{aggregate, flowlog, FlowLogStore, HostCostModel, SnapshotAggregator};
 use smartwatch_net::{Dur, Packet, Ts};
@@ -165,12 +166,6 @@ impl TierMetrics {
         }
     }
 
-    /// Packets that could not update any flow record (fully pinned rows)
-    /// and therefore are missing from the flow logs.
-    pub fn to_host_unlogged(&self) -> u64 {
-        self.unlogged
-    }
-
     /// Fraction of sNIC-tier packets that continued to the host.
     pub fn host_fraction(&self) -> f64 {
         if self.snic_processed == 0 {
@@ -216,10 +211,8 @@ pub struct SmartWatch {
     cfg: PlatformConfig,
     /// The programmable switch (present in SmartWatch / SwitchHost modes).
     pub switch: P4Switch,
-    /// The sNIC FlowCache.
-    pub cache: FlowCache,
-    /// The detector suite.
-    pub suite: DetectorSuite,
+    /// The sNIC tier: FlowCache, detector suite and pinning rule.
+    pub tier: SnicTier,
     /// Host aggregation of sNIC exports (per interval, flushed to logs).
     pub aggregator: SnapshotAggregator,
     /// Cumulative host view across all snapshots (paper §3.4: the host
@@ -284,9 +277,8 @@ impl SmartWatch {
             }
         }
         SmartWatch {
-            cache: FlowCache::new(cfg.cache.clone()),
+            tier: SnicTier::new(cfg.cache.clone()),
             switch,
-            suite: DetectorSuite::new(),
             aggregator: SnapshotAggregator::new(),
             long_term: SnapshotAggregator::new(),
             flowlog: FlowLogStore::new(),
@@ -309,8 +301,16 @@ impl SmartWatch {
     }
 
     /// Replace the default detector suite (e.g. to attach registries).
+    /// The suite must digest under the cache's seed — build it with
+    /// `DetectorSuite::with_hasher(FlowHasher::new(cfg.cache.hash_seed))`
+    /// — so one digest per packet serves both; any other seed panics.
     pub fn with_suite(mut self, suite: DetectorSuite) -> SmartWatch {
-        self.suite = suite;
+        let (theirs, ours) = (suite.hasher().seed(), self.cfg.cache.hash_seed);
+        assert!(
+            theirs == ours,
+            "with_suite: suite seed {theirs:#x}, FlowCache seed {ours:#x}"
+        );
+        self.tier.suite = suite;
         self
     }
 
@@ -338,7 +338,7 @@ impl SmartWatch {
             core: Publisher::new(registry, &[])
                 .counters(&CORE_COUNTERS)
                 .gauges(&CORE_GAUGES),
-            cache: cache_publisher(registry, &self.cache.config().policy),
+            cache: cache_publisher(registry, &self.tier.cache.config().policy),
             switch: Publisher::new(registry, &[])
                 .counters(&switch::COUNTERS)
                 .gauges(&switch::GAUGES),
@@ -373,7 +373,7 @@ impl SmartWatch {
             return;
         };
         t.core.publish(self);
-        t.cache.publish(&self.cache);
+        t.cache.publish(&self.tier.cache);
         t.switch.publish(&self.switch);
         for (books, r) in t.refiners.iter_mut().zip(&self.refiners) {
             books.publish(r);
@@ -394,11 +394,6 @@ impl SmartWatch {
         self.flowlog.store(self.interval_idx, records);
     }
 
-    /// Deployment mode.
-    pub fn mode(&self) -> DeployMode {
-        self.cfg.mode
-    }
-
     /// Process one packet.
     pub fn on_packet(&mut self, pkt: &Packet) {
         while pkt.ts >= self.next_interval {
@@ -407,89 +402,62 @@ impl SmartWatch {
             self.next_interval = at + self.cfg.interval;
         }
         self.metrics.total += 1;
-
-        let monitor = match self.cfg.mode {
-            DeployMode::HostOnly => {
-                // Everything to host NFs. The host keeps its own flow
-                // table (the cache stands in for it) so flow-log driven
-                // detectors still run; latency is charged at host rates.
-                self.metrics.monitored += 1;
-                self.metrics.host_processed += 1;
-                self.charge(
-                    self.cfg
-                        .host_cost
-                        .host_path_latency(pkt.wire_len)
-                        .as_nanos(),
-                );
-                self.cache.process(pkt);
-                let outcome = self.suite.on_packet(pkt);
-                self.ingest_alerts(outcome.alerts);
-                return;
-            }
-            DeployMode::SnicHost => true,
-            DeployMode::SmartWatch | DeployMode::SwitchHost => match self.switch.process(pkt) {
+        if uses_switch(self.cfg.mode) {
+            match self.switch.process(pkt) {
                 Decision::Drop => {
                     self.metrics.dropped += 1;
                     return;
                 }
                 Decision::Forward => {
                     self.metrics.forwarded_direct += 1;
-                    false
+                    return;
                 }
-                Decision::Steer => true,
-            },
-        };
-
-        if !monitor {
-            return;
+                Decision::Steer => {}
+            }
         }
-
+        self.metrics.monitored += 1;
+        let host_latency = self.cfg.host_cost.host_path_latency(pkt.wire_len);
         if self.cfg.mode == DeployMode::SwitchHost {
             // Sonata: steered packets burn host CPU but there is no
             // flow-state tier; detection happens via query refinement.
-            self.metrics.monitored += 1;
             self.metrics.host_processed += 1;
-            self.charge(
-                self.cfg
-                    .host_cost
-                    .host_path_latency(pkt.wire_len)
-                    .as_nanos(),
-            );
+            self.charge(host_latency.as_nanos());
             return;
         }
 
-        // sNIC tier: FlowCache + detector suite.
-        self.metrics.monitored += 1;
-        self.metrics.snic_processed += 1;
-        let access = self.cache.process(pkt);
-        if access.outcome == smartwatch_snic::Outcome::ToHost {
-            self.metrics.unlogged += 1;
+        // The sNIC tier, one digest for the FlowCache and the suite.
+        // HostOnly sends every packet to the host NFs, which keep their
+        // own flow table (the tier stands in for it) so flow-log driven
+        // detectors still run; it is charged at host rates only.
+        let host_only = self.cfg.mode == DeployMode::HostOnly;
+        let flow = self.tier.suite.hasher().flow_digest(&pkt.key);
+        let access = self
+            .tier
+            .cache
+            .process_digested(pkt, &flow.canon, flow.digest);
+        if !host_only {
+            self.metrics.snic_processed += 1;
+            if access.outcome == smartwatch_snic::Outcome::ToHost {
+                self.metrics.unlogged += 1;
+            }
+            let (busy, wait) = service_time(&self.cfg.hw, &self.costs, &access);
+            self.charge((busy + wait) as u64);
         }
-        let (busy, wait) = service_time(&self.cfg.hw, &self.costs, &access);
-        self.charge((busy + wait) as u64);
-
-        let outcome = self.suite.on_packet(pkt);
-        if outcome.host == HostNeed::Host {
-            self.metrics.host_processed += 1;
-            self.charge(
-                self.cfg
-                    .host_cost
-                    .host_path_latency(pkt.wire_len)
-                    .as_nanos(),
-            );
-            // Pin the flow: its state must stay sNIC-resident while the
-            // host works on it (§3.2 "Pinning Flow Records").
-            self.cache.pin(&pkt.key);
-        }
-        for flow in &outcome.whitelist {
-            self.cache.unpin(flow);
-            if self.cfg.suite_whitelist && uses_switch(self.cfg.mode) {
+        let outcome = self.tier.inspect(pkt, &flow);
+        let to_host = host_only || outcome.host == HostNeed::Host;
+        let alerts = outcome.alerts.clone();
+        if self.cfg.suite_whitelist && uses_switch(self.cfg.mode) {
+            for flow in &outcome.whitelist {
                 self.switch.whitelist(*flow);
                 self.whitelist_entries += 1;
                 self.whitelist_installs += 1;
             }
         }
-        self.ingest_alerts(outcome.alerts);
+        self.ingest_alerts(alerts);
+        if to_host {
+            self.metrics.host_processed += 1;
+            self.charge(host_latency.as_nanos());
+        }
     }
 
     /// Add one packet's processing latency, in whole nanoseconds.
@@ -518,13 +486,13 @@ impl SmartWatch {
             for r in &mut self.refiners {
                 // Collect this refiner's results under any of its level
                 // names (name@width).
-                let base = refiner_base(r);
+                let initial = r.initial_query();
+                let base = base_name(&initial.name);
                 let over: Vec<(u64, u64)> = results
                     .iter()
-                    .filter(|(name, _)| name.split('@').next().unwrap_or("") == base)
+                    .filter(|(name, _)| base_name(name) == base)
                     .flat_map(|(_, v)| v.iter().copied())
                     .collect();
-                let initial = r.initial_query();
                 outcomes.push((r.on_results(&over), initial));
             }
             for (outcome, initial) in outcomes {
@@ -581,12 +549,12 @@ impl SmartWatch {
         // snapshot lands in the reused scratch buffer, so steady-state
         // intervals allocate nothing for it.
         let mut snapshot = std::mem::take(&mut self.export_scratch);
-        self.cache.snapshot_delta_into(&mut snapshot);
+        self.tier.cache.snapshot_delta_into(&mut snapshot);
         let export_count = snapshot.len();
         self.long_term.ingest_batch(snapshot.iter().copied());
         self.aggregator.ingest_batch(snapshot.iter().copied());
         self.export_scratch = snapshot;
-        let evicted = self.cache.rings().drain();
+        let evicted = self.tier.cache.rings().drain();
         let export_count = (export_count + evicted.len()) as u64;
         self.long_term.ingest_batch(evicted.iter().copied());
         self.aggregator.ingest_batch(evicted);
@@ -622,7 +590,7 @@ impl SmartWatch {
         // interval detectors over the *cumulative* records (durations).
         self.log_interval();
         let cumulative: Vec<smartwatch_snic::FlowRecord> = self.long_term.iter().copied().collect();
-        let interval_alerts = self.suite.end_interval(&cumulative, now);
+        let interval_alerts = self.tier.suite.end_interval(&cumulative, now);
         self.ingest_alerts(interval_alerts);
         self.interval_idx += 1;
         self.publish();
@@ -630,12 +598,12 @@ impl SmartWatch {
 
     fn replace_refiner_query(&mut self, q: SwitchQuery) {
         // Remove any same-base query at another level, then install.
-        let base = q.name.split('@').next().unwrap_or("").to_string();
+        let base = base_name(&q.name);
         let stale: Vec<String> = self
             .switch
             .query_names()
             .into_iter()
-            .filter(|n| n.split('@').next().unwrap_or("") == base)
+            .filter(|n| base_name(n) == base)
             .map(String::from)
             .collect();
         for n in stale {
@@ -650,13 +618,13 @@ impl SmartWatch {
     /// Finish the run: close the last interval and final-sweep detectors.
     pub fn finish(mut self, now: Ts) -> RunReport {
         self.end_interval(now);
-        let final_alerts = self.suite.finish(now);
+        let final_alerts = self.tier.suite.finish(now);
         self.ingest_alerts(final_alerts);
         // Drain the residual cache so flow logs are complete (one last
         // pass through the reused scratch; finish() runs once, but the
         // discipline keeps the allocation profile flat to the end).
         let mut residue = std::mem::take(&mut self.export_scratch);
-        self.cache.drain_all_into(&mut residue);
+        self.tier.cache.drain_all_into(&mut residue);
         self.aggregator.ingest_batch(residue.iter().copied());
         self.export_scratch = residue;
         self.log_interval();
@@ -686,13 +654,9 @@ fn uses_switch(mode: DeployMode) -> bool {
     matches!(mode, DeployMode::SmartWatch | DeployMode::SwitchHost)
 }
 
-fn refiner_base(r: &Refiner) -> String {
-    r.initial_query()
-        .name
-        .split('@')
-        .next()
-        .unwrap_or("")
-        .to_string()
+/// A refined query's name without its `@width` level.
+fn base_name(name: &str) -> &str {
+    name.split('@').next().unwrap_or("")
 }
 
 /// The paper's standing coarse queries for the cooperative experiments.
@@ -895,7 +859,8 @@ mod tests {
             "trace must span several snapshot intervals, got {}",
             caps.len()
         );
-        let slots = sw.cache.config().rows() * sw.cache.config().buckets_per_row;
+        let cfg = sw.tier.cache.config();
+        let slots = cfg.rows() * cfg.buckets_per_row;
         assert!(caps.iter().all(|&c| c <= slots));
         assert!(*caps.last().unwrap() > 0, "snapshots are non-empty");
         let tail = &caps[caps.len() / 2..];
@@ -903,6 +868,48 @@ mod tests {
             tail.windows(2).all(|w| w[0] == w[1]),
             "scratch capacity must stop growing once warmed: {caps:?}"
         );
+    }
+
+    /// The platform's half of the shard's `an_authenticated_session_is_released`:
+    /// in `SnicHost` mode the successful login of a brute force ends
+    /// resident and unpinned.
+    #[test]
+    fn an_authenticated_session_is_released() {
+        use smartwatch_trace::attacks::auth::{bruteforce, BruteforceConfig};
+        let mut cfg = BruteforceConfig::ssh(std::net::Ipv4Addr::new(10, 0, 0, 1), Ts::ZERO, 5);
+        cfg.final_success = true;
+        let trace = bruteforce(&cfg);
+        let mut sw = SmartWatch::new(PlatformConfig::new(DeployMode::SnicHost), vec![]);
+        let mut sizes = std::collections::HashMap::new();
+        for p in trace.packets() {
+            sw.on_packet(p);
+            *sizes.entry(p.key.canonical().0).or_insert(0u32) += 1;
+        }
+        let (session, _) = sizes.iter().max_by_key(|(_, n)| **n).unwrap();
+        let rec = sw.tier.cache.get(session).expect("resident");
+        assert!(!rec.pinned, "the benign verdict released the session");
+    }
+
+    /// A suite seeded unlike the cache would need a second digest per
+    /// packet: `with_suite` refuses it, naming both seeds.
+    #[test]
+    fn a_suite_seeded_unlike_the_cache_is_refused() {
+        let refused = std::panic::catch_unwind(|| {
+            SmartWatch::new(PlatformConfig::new(DeployMode::SnicHost), vec![])
+                .with_suite(DetectorSuite::new())
+        });
+        let err = refused
+            .err()
+            .expect("with_suite(DetectorSuite::new()) panics");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            msg.contains("suite seed 0x0,") && msg.contains("FlowCache seed 0x51cc"),
+            "{msg}"
+        );
+        // The cache's seed is accepted.
+        let seed = PlatformConfig::new(DeployMode::SnicHost).cache.hash_seed;
+        let suite = DetectorSuite::with_hasher(smartwatch_net::FlowHasher::new(seed));
+        SmartWatch::new(PlatformConfig::new(DeployMode::SnicHost), vec![]).with_suite(suite);
     }
 
     #[test]
@@ -915,9 +922,6 @@ mod tests {
             .sum();
         // Lossless flow logging: every sNIC-processed packet is accounted
         // for in the flow logs (to-host escalations still update records).
-        assert_eq!(
-            logged,
-            rep.metrics.snic_processed - rep.metrics.to_host_unlogged()
-        );
+        assert_eq!(logged, rep.metrics.snic_processed - rep.metrics.unlogged);
     }
 }

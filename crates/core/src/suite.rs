@@ -43,16 +43,6 @@ pub struct SuiteOutcome {
     pub whitelist: Vec<FlowKey>,
 }
 
-impl SuiteOutcome {
-    /// The outcome of a packet nothing reacted to, keeping the vectors'
-    /// allocations.
-    pub fn clear(&mut self) {
-        self.alerts.clear();
-        self.host = HostNeed::SnicOnly;
-        self.whitelist.clear();
-    }
-}
-
 /// Per-detector data-path operation counts, used to derive Table 2's
 /// cycle-share column from the cost model instead of asserting it.
 #[derive(Clone, Copy, Debug, Default)]
@@ -227,7 +217,19 @@ impl DetectorSuite {
         }
     }
 
-    /// Feed one packet through every online detector.
+    /// The hasher every digest handed to
+    /// [`DetectorSuite::on_packet_digested`] must come from.
+    pub fn hasher(&self) -> FlowHasher {
+        self.hasher
+    }
+
+    /// Feed one packet through every online detector: digest it under
+    /// the suite's hasher, then [`DetectorSuite::on_packet_digested`]
+    /// into a fresh outcome. Both sNIC tiers — the platform's and the
+    /// engine shard's — step [`crate::SnicTier`] instead, which digests
+    /// once for the cache and the suite and reuses one outcome; this
+    /// entry's callers are tests, the suite benches and the benchmark's
+    /// layer walk.
     pub fn on_packet(&mut self, pkt: &Packet) -> SuiteOutcome {
         let flow = self.hasher.flow_digest(&pkt.key);
         let mut out = SuiteOutcome::default();
@@ -249,7 +251,9 @@ impl DetectorSuite {
             self.hasher.flow_digest(&pkt.key),
             "flow digest from another key or a differently-seeded hasher"
         );
-        out.clear();
+        out.alerts.clear();
+        out.host = HostNeed::SnicOnly;
+        out.whitelist.clear();
         self.ops.total += 1;
 
         // Port scan (conn tracking + TRW). The pipeline owns its own

@@ -1,0 +1,111 @@
+//! The sNIC tier, once: the FlowCache, the detector suite and §3.2's
+//! pinning rule, stepped per packet by both clocks — the virtual-time
+//! [`SmartWatch`](crate::SmartWatch) platform behind every paper figure
+//! and each wall-clock engine shard.
+//!
+//! A step is two calls on one [`FlowDigest`]:
+//! `tier.cache.process_digested(..)`, then [`SnicTier::inspect`]. The
+//! suite digests under the cache's seed by construction
+//! ([`SnicTier::new`]), so one digest serves both.
+//!
+//! The rule (§3.2 "Pinning Flow Records"): while the host works on a
+//! flow its record stays sNIC-resident, so a packet the suite sends
+//! hostward pins it; a verdict releases it. One packet can carry both:
+//! the packet that classifies an SSH/FTP login as successful still goes
+//! to the host *and* names its flow benign. `inspect` pins first and
+//! releases second, so the benign verdict is the last word. The other
+//! order leaves the session pinned until a second verdict arrives —
+//! and for a benign source none ever does.
+
+use crate::suite::{DetectorSuite, HostNeed, SuiteOutcome};
+use smartwatch_net::{FlowDigest, FlowHasher, Packet};
+use smartwatch_snic::{FlowCache, FlowCacheConfig};
+
+/// One sNIC tier: a FlowCache, the detector suite over the same digests,
+/// and the one suite outcome every packet is written into.
+pub struct SnicTier {
+    /// The FlowCache.
+    pub cache: FlowCache,
+    /// The detector suite, digesting under the cache's seed.
+    pub suite: DetectorSuite,
+    /// Cleared and refilled by every [`SnicTier::inspect`], so a packet
+    /// costs no outcome allocation of its own.
+    outcome: SuiteOutcome,
+}
+
+impl SnicTier {
+    /// A fresh tier whose suite digests under `cfg.hash_seed`.
+    pub fn new(cfg: FlowCacheConfig) -> SnicTier {
+        SnicTier {
+            suite: DetectorSuite::with_hasher(FlowHasher::new(cfg.hash_seed)),
+            cache: FlowCache::new(cfg),
+            outcome: SuiteOutcome::default(),
+        }
+    }
+
+    /// Run the suite on `pkt`, whose flow identity is `flow` (under the
+    /// suite's hasher), then apply the pin rule to the cache: pin the
+    /// flow if the packet needs the host, then release every flow the
+    /// suite cleared. Returns what the packet raised.
+    #[inline]
+    pub fn inspect(&mut self, pkt: &Packet, flow: &FlowDigest) -> &SuiteOutcome {
+        self.suite.on_packet_digested(pkt, flow, &mut self.outcome);
+        if self.outcome.host == HostNeed::Host {
+            self.cache.pin(&flow.canon);
+        }
+        for cleared in &self.outcome.whitelist {
+            self.cache.unpin(cleared);
+        }
+        &self.outcome
+    }
+
+    /// Fresh for the next segment, in place. `carry_cache` leaves the
+    /// FlowCache as the last segment left it; the suite always starts
+    /// over. (The outcome needs nothing: every `inspect` clears it
+    /// first.)
+    pub fn reset(&mut self, carry_cache: bool) {
+        if !carry_cache {
+            self.cache.reset();
+        }
+        self.suite.reset();
+    }
+
+    /// Heap bytes held by the FlowCache and the detector tables.
+    pub fn resident_bytes(&self) -> usize {
+        self.cache.resident_bytes() + self.suite.resident_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smartwatch_net::Ts;
+    use smartwatch_trace::attacks::auth::{bruteforce, BruteforceConfig};
+    use std::net::Ipv4Addr;
+
+    /// A successful login's last escalated packet is also its benign
+    /// verdict: the tier leaves that session resident and unpinned.
+    #[test]
+    fn the_verdict_is_the_last_word_on_a_successful_login() {
+        let mut cfg = BruteforceConfig::ssh(Ipv4Addr::new(10, 0, 0, 1), Ts::ZERO, 5);
+        cfg.final_success = true;
+        let trace = bruteforce(&cfg);
+        let mut tier = SnicTier::new(FlowCacheConfig::general(10));
+        let hasher = tier.suite.hasher();
+        let mut both = None;
+        for pkt in trace.packets() {
+            let flow = hasher.flow_digest(&pkt.key);
+            tier.cache.process_digested(pkt, &flow.canon, flow.digest);
+            let out = tier.inspect(pkt, &flow);
+            if out.host == HostNeed::Host && out.whitelist.contains(&flow.canon) {
+                both = Some(flow.canon);
+            }
+        }
+        let session = both.expect("one packet both escalates and clears its flow");
+        let rec = tier
+            .cache
+            .get(&session)
+            .expect("the session stays resident");
+        assert!(!rec.pinned, "the verdict released the pin taken with it");
+    }
+}

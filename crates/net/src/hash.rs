@@ -93,6 +93,9 @@ pub struct FlowHasher {
 const K0: u64 = 0x9e37_79b9_7f4a_7c15;
 const K1: u64 = 0xbf58_476d_1ce4_e5b9;
 const K2: u64 = 0x94d0_49bb_1331_11eb;
+/// `K0`'s inverse mod 2^64 (`K0` is odd), which [`FlowHasher::seed`]
+/// undoes [`FlowHasher::new`]'s multiply with.
+const K0_INV: u64 = 0xf1de_83e1_9937_733d;
 
 #[inline]
 fn mix(mut h: u64) -> u64 {
@@ -117,6 +120,12 @@ impl FlowHasher {
         FlowHasher {
             seed: seed.wrapping_mul(K0).wrapping_add(K1),
         }
+    }
+
+    /// The seed this hasher was built with: two hashers digest alike
+    /// exactly when their seeds are equal.
+    pub fn seed(&self) -> u64 {
+        self.seed.wrapping_sub(K1).wrapping_mul(K0_INV)
     }
 
     /// Hash a directed flow key exactly as given (no canonicalisation).
@@ -633,6 +642,15 @@ mod tests {
             .map(|s| FlowHasher::new(s).hash_directed(&k).0)
             .collect();
         assert_eq!(d.len(), 64, "64 seeds should give 64 distinct digests");
+    }
+
+    #[test]
+    fn a_hasher_names_the_seed_it_was_built_with() {
+        assert_eq!(K0.wrapping_mul(K0_INV), 1);
+        for seed in [0, 1, 0x51CC, u64::MAX, 0xDEAD_BEEF_0BAD_F00D] {
+            assert_eq!(FlowHasher::new(seed).seed(), seed);
+        }
+        assert_eq!(FlowHasher::default().seed(), 0);
     }
 
     #[test]

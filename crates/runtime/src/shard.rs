@@ -26,14 +26,15 @@
 //! symmetric hash; see [`crate::batch`]), and the FlowCache and the
 //! detector suite's flow tables take it as is. Black/whitelist
 //! membership is an identity-hashed digest probe, and an empty set
-//! answers without one. The suite writes each packet's alerts, host
-//! need and whitelist into the one [`SuiteOutcome`] the shard's
-//! `FlowState` owns, cleared per packet instead of built and dropped.
-//! In a `stress64_rtc` profile the dropped temporaries were 3.5 % of
-//! the samples and the two verdict probes 4.2 %, one of them into a
-//! whitelist that never filled. A drained batch buffer goes back to the
-//! dispatcher through the lane's own ring (the spare a [`LaneRx`]
-//! leaves in the next slot it pops) instead of being freed.
+//! answers without one. The FlowCache, the suite and §3.2's pinning
+//! rule are the one [`SnicTier`] the platform steps too; the suite
+//! writes each packet's alerts, host need and whitelist into the
+//! outcome the tier owns, cleared per packet instead of built and
+//! dropped. In a `stress64_rtc` profile the dropped temporaries were
+//! 3.5 % of the samples and the two verdict probes 4.2 %, one of them
+//! into a whitelist that never filled. A drained batch buffer goes
+//! back to the dispatcher through the lane's own ring (the spare a
+//! [`LaneRx`] leaves in the next slot it pops) instead of being freed.
 
 use crate::batch::{Backoff, Batch, DigestedPacket};
 use crate::books::{Axis, Count, Disposition, Ledger};
@@ -42,7 +43,7 @@ use crate::engine::EngineConfig;
 use crate::escalate::{Escalated, TriageNf};
 use crate::obs::{Clock, Stage};
 use smartwatch_control::{ModeCell, SnapshotReader, SteeringSnapshot};
-use smartwatch_core::{DetectorSuite, HostNeed, SuiteOutcome};
+use smartwatch_core::{HostNeed, SnicTier};
 use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{AgingDigestSet, FlowHasher};
@@ -216,15 +217,11 @@ struct LocalBatchStats {
 /// contract) — so from the second segment on a shard neither builds nor
 /// regrows any per-flow table.
 pub(crate) struct FlowState {
-    pub cache: FlowCache,
+    /// The shard's sNIC tier: FlowCache, detector suite, pinning rule.
+    pub tier: SnicTier,
     /// Carries the cache's books to `snic.cache.*` / `snic.ring.*`;
     /// parked with the cache, whose cumulative tallies it tracks.
     cache_books: Publisher<FlowCache>,
-    pub suite: DetectorSuite,
-    /// The suite's per-packet sink: cleared and refilled by every
-    /// [`DetectorSuite::on_packet_digested`], so a packet costs no
-    /// outcome allocation of its own.
-    outcome: SuiteOutcome,
     /// Digest-keyed (identity-hashed) verdict sets of the shard's own
     /// flows: membership is one u64 probe instead of a SipHash over the
     /// 13-byte 5-tuple. TTL'd and capacity-bounded so a long-running
@@ -268,9 +265,7 @@ impl FlowState {
                 table_probe_mean: gauge("runtime.flowstate.table_probe_mean"),
             },
             cache_books: cache_publisher(registry, &cache_cfg.policy),
-            cache: FlowCache::new(cache_cfg),
-            suite: DetectorSuite::with_hasher(FlowHasher::new(cfg.hash_seed)),
-            outcome: SuiteOutcome::default(),
+            tier: SnicTier::new(cache_cfg),
             blacklist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             whitelist: AgingDigestSet::new(VERDICT_SET_CAPACITY, VERDICT_TTL_BATCHES),
             local: LocalBatchStats::default(),
@@ -284,30 +279,22 @@ impl FlowState {
     /// ([`EngineConfig::carry_flow_state`]);
     /// everything else always starts over.
     pub(crate) fn reset(&mut self, carry_cache: bool) {
-        if !carry_cache {
-            self.cache.reset();
-        }
-        self.suite.reset();
-        self.outcome.clear();
+        self.tier.reset(carry_cache);
         self.blacklist.reset();
         self.whitelist.reset();
         self.local = LocalBatchStats::default();
         self.triage.reset();
     }
 
-    /// Heap bytes held by the FlowCache and the detector tables — the
-    /// part sized by the traffic (the verdict sets are capacity-bounded
-    /// and the triage tables hold one entry per escalated source).
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.cache.resident_bytes() + self.suite.resident_bytes()
-    }
-
     /// Describe the state as it is about to be parked; `tables` is the
-    /// segment's share of the detector tables' books.
+    /// segment's share of the detector tables' books. Resident bytes are
+    /// the tier's — the part sized by the traffic (the verdict sets are
+    /// capacity-bounded and the triage tables hold one entry per
+    /// escalated source).
     fn publish(&self, tables: TableStats) {
         let g = &self.parked;
-        g.resident_bytes.set(self.resident_bytes() as f64);
-        g.table_slots.set(self.suite.table_slots() as f64);
+        g.resident_bytes.set(self.tier.resident_bytes() as f64);
+        g.table_slots.set(self.tier.suite.table_slots() as f64);
         g.table_probe_mean
             .set(tables.probes as f64 / tables.lookups.max(1) as f64);
     }
@@ -385,8 +372,8 @@ impl ShardWorker {
             shard,
             reader: setup.log.reader(),
             setup: setup.clone(),
-            cache_base: flow.cache.stats(),
-            table_base: flow.suite.table_stats(),
+            cache_base: flow.tier.cache.stats(),
+            table_base: flow.tier.suite.table_stats(),
             flow,
             escalation,
             counters,
@@ -457,19 +444,19 @@ impl ShardWorker {
     /// close it out themselves at end of stream.
     pub(crate) fn finish(mut self) -> (ShardEndState, FlowState) {
         self.apply_control();
-        let final_alerts = self.flow.suite.finish(self.last_ts);
+        let final_alerts = self.flow.tier.suite.finish(self.last_ts);
         self.counters.counts[Count::Alerts].add(final_alerts.len() as u64);
         // Stop pinning the verdict log's buffer.
         self.setup.log.release(self.reader);
         self.end.blacklisted = self.flow.blacklist.len() as u64;
         self.end.whitelisted = self.flow.whitelist.len() as u64;
-        self.end.cache_resident = self.flow.cache.occupied() as u64;
+        self.end.cache_resident = self.flow.tier.cache.occupied() as u64;
         // The tail above may have unpinned: publish once more, then the
         // segment's share is one subtraction.
-        self.flow.cache_books.publish(&self.flow.cache);
-        self.end.cache = self.flow.cache.stats() - self.cache_base;
+        self.flow.cache_books.publish(&self.flow.tier.cache);
+        self.end.cache = self.flow.tier.cache.stats() - self.cache_base;
         self.flow
-            .publish(self.flow.suite.table_stats() - self.table_base);
+            .publish(self.flow.tier.suite.table_stats() - self.table_base);
         (self.end, self.flow)
     }
 
@@ -486,8 +473,8 @@ impl ShardWorker {
             // The controller's Algorithm 4 decision, applied to the live
             // cache at this batch boundary (safe: lazy Alg. 3 cleanup).
             let decided = h.mode.get();
-            if decided != self.flow.cache.mode() {
-                self.flow.cache.set_mode(decided);
+            if decided != self.flow.tier.cache.mode() {
+                self.flow.tier.cache.set_mode(decided);
             }
             h.steer.refresh();
         }
@@ -516,7 +503,7 @@ impl ShardWorker {
                     }
                     // The host is done with this flow — release the pin
                     // so the record becomes evictable again.
-                    self.flow.cache.unpin(&canon);
+                    self.flow.tier.cache.unpin(&canon);
                     if matches!(v, Verdict::Blacklist(_)) {
                         self.flow.blacklist.insert(digest.0, now);
                         self.flow.whitelist.remove(&digest.0);
@@ -536,7 +523,7 @@ impl ShardWorker {
     /// cache's — into the shared atomics: the only place the hot path
     /// touches contended cache lines.
     fn flush_local(&mut self) {
-        self.flow.cache_books.publish(&self.flow.cache);
+        self.flow.cache_books.publish(&self.flow.tier.cache);
         let l = &mut self.flow.local;
         // Coalesced per batch: one black-box event per batch that lost
         // packets to a verdict, one per batch that lost escalations,
@@ -583,7 +570,7 @@ impl ShardWorker {
     pub(crate) fn process_group(&mut self, pkts: &[DigestedPacket], start: Option<Instant>) {
         let mut lap = start;
         let burst = self.setup.burst.max(1);
-        let misses = self.flow.cache.stats().misses;
+        let misses = self.flow.tier.cache.stats().misses;
         for chunk in pkts.chunks(burst) {
             if burst > 1 {
                 self.stage_a(chunk);
@@ -592,7 +579,7 @@ impl ShardWorker {
                 self.process_packet(dp, &mut lap);
             }
         }
-        self.cold = 2 * (self.flow.cache.stats().misses - misses) > pkts.len() as u64;
+        self.cold = 2 * (self.flow.tier.cache.stats().misses - misses) > pkts.len() as u64;
         if let (Some(from), Some(to)) = (start, lap) {
             self.obs.clock.close(Stage::Process, from, to);
         }
@@ -609,16 +596,16 @@ impl ShardWorker {
     fn stage_a(&mut self, chunk: &[DigestedPacket]) {
         self.end.bursts += 1;
         self.end.burst_pkts += chunk.len() as u64;
-        let flow = &self.flow;
+        let tier = &self.flow.tier;
         if self.cold {
             for dp in chunk {
-                flow.cache.prefetch_row(dp.flow.digest);
-                flow.cache.prefetch_span(dp.flow.digest);
-                flow.suite.prefetch(&dp.pkt, &dp.flow);
+                tier.cache.prefetch_row(dp.flow.digest);
+                tier.cache.prefetch_span(dp.flow.digest);
+                tier.suite.prefetch(&dp.pkt, &dp.flow);
             }
         } else {
             for dp in chunk {
-                flow.cache.prefetch_row(dp.flow.digest);
+                tier.cache.prefetch_row(dp.flow.digest);
             }
         }
     }
@@ -637,6 +624,7 @@ impl ShardWorker {
         // Stage 1: FlowCache update (digest reused — no re-hash).
         let access = self
             .flow
+            .tier
             .cache
             .process_digested(pkt, &flow.canon, flow.digest);
         self.obs.clock.lap(lap, Stage::Cache);
@@ -664,24 +652,20 @@ impl ShardWorker {
             return;
         }
 
-        // Stage 2: detector suite (flow identity as carried, outcome
-        // into the parked sink).
-        let outcome = &mut self.flow.outcome;
-        self.flow.suite.on_packet_digested(pkt, flow, outcome);
+        // Stage 2: the tier's suite and pin rule (flow identity as
+        // carried, outcome into the tier's sink).
+        let outcome = self.flow.tier.inspect(pkt, flow);
         self.obs.clock.lap(lap, Stage::Detect);
 
         self.flow.local.tally[Count::Alerts] += outcome.alerts.len() as u64;
         for cleared in &outcome.whitelist {
-            self.flow.cache.unpin(cleared);
             let (_, digest) = self.setup.hasher.digest_symmetric(cleared);
             self.flow.whitelist.insert(digest.0, self.batches);
         }
 
-        // Stage 3: host escalation for suspects.
+        // Stage 3: host escalation for suspects, pinned by the tier.
         if outcome.host == HostNeed::Host {
             self.flow.local.tally[Count::Escalated] += 1;
-            // Pin the flow while the host works on it (§3.2).
-            self.flow.cache.pin(&flow.canon);
             match &mut self.escalation {
                 Escalation::Pool(tx) => {
                     // The hand-off reading is the suite stage's end.
@@ -694,7 +678,7 @@ impl ShardWorker {
                         // The host will never see this packet, so no
                         // verdict will ever unpin the flow — release
                         // it now instead of pinning it forever.
-                        self.flow.cache.unpin(&flow.canon);
+                        self.flow.tier.cache.unpin(&flow.canon);
                     }
                 }
                 Escalation::Inline => {
@@ -804,22 +788,22 @@ mod tests {
 
         // Fill `other`'s row with pinned records: its packets then go to
         // the host, and no record counts them.
-        let bits = w.flow.cache.config().row_bits;
+        let bits = w.flow.tier.cache.config().row_bits;
         let rowmates: Vec<DigestedPacket> = (1..)
             .map(web)
             .filter(|dp| {
                 dp.flow.digest.row(bits) == other.flow.digest.row(bits)
                     && dp.flow.digest != other.flow.digest
             })
-            .take(w.flow.cache.config().buckets_per_row)
+            .take(w.flow.tier.cache.config().buckets_per_row)
             .collect();
         feed(&mut w, &rowmates);
         for dp in &rowmates {
-            w.flow.cache.pin(&dp.flow.canon);
+            w.flow.tier.cache.pin(&dp.flow.canon);
         }
-        let to_host = w.flow.cache.stats().to_host;
+        let to_host = w.flow.tier.cache.stats().to_host;
         feed(&mut w, &vec![other; 64]);
-        assert_eq!(w.flow.cache.stats().to_host - to_host, 64);
+        assert_eq!(w.flow.tier.cache.stats().to_host - to_host, 64);
         assert_eq!(rx.try_iter().count(), 0, "a ToHost packet reports nothing");
         assert_eq!(w.counters.counts[Count::Escalated].get(), 0);
     }
@@ -840,7 +824,7 @@ mod tests {
                 .collect()
         };
         let (first, second) = (flows(50_000), flows(51_000));
-        let misses = |w: &ShardWorker| w.flow.cache.stats().misses;
+        let misses = |w: &ShardWorker| w.flow.tier.cache.stats().misses;
 
         feed(&mut w, &first);
         assert_eq!(misses(&w), 64);
@@ -858,6 +842,43 @@ mod tests {
         feed(&mut w, &half);
         assert_eq!(misses(&w), 160);
         assert!(!w.cold, "half is not more than half");
+    }
+
+    /// An SSH login that succeeds after a brute force: the packet that
+    /// classifies it both goes to the host and clears the flow. Inline
+    /// triage that never blacklists sends no verdict, so only the
+    /// tier's pin rule can release the session — and it must: the
+    /// record ends unpinned, and the flow is on the shard's whitelist.
+    #[test]
+    fn an_authenticated_session_is_released() {
+        use smartwatch_trace::attacks::auth::{bruteforce, BruteforceConfig};
+        let flight = FlightRecorder::new(64);
+        let mut w = worker(Escalation::Inline, &flight);
+        w.flow.triage = TriageNf::new(u64::MAX);
+        let mut cfg = BruteforceConfig::ssh(Ipv4Addr::new(10, 0, 0, 1), Ts::ZERO, 5);
+        cfg.final_success = true;
+        let trace = bruteforce(&cfg);
+        let pkts: Vec<DigestedPacket> = trace
+            .packets()
+            .iter()
+            .map(|&pkt| DigestedPacket {
+                pkt,
+                flow: hasher().flow_digest(&pkt.key),
+            })
+            .collect();
+        feed(&mut w, &pkts);
+
+        // The successful session is the long one.
+        let mut sizes = std::collections::HashMap::new();
+        for dp in &pkts {
+            *sizes.entry(dp.flow.canon).or_insert(0u32) += 1;
+        }
+        let (session, _) = sizes.iter().max_by_key(|(_, n)| **n).unwrap();
+        let rec = w.flow.tier.cache.get(session).expect("resident");
+        assert!(!rec.pinned, "the benign verdict released the session");
+        let digest = hasher().flow_digest(session).digest.0;
+        assert!(w.flow.whitelist.contains(&digest));
+        assert_eq!(w.counters.counts[Count::CtrlApplied].get(), 0, "no verdict");
     }
 
     /// The shard ring's events of one kind.
@@ -889,14 +910,14 @@ mod tests {
 
         // Every dropped escalation released its pin: the only pins still
         // held are for escalations actually in flight to the host.
-        let stats = worker.flow.cache.stats();
+        let stats = worker.flow.tier.cache.stats();
         let in_flight = escalated - dropped;
         assert_eq!(
             stats.pins - stats.unpins,
             in_flight,
             "dropped escalations must not leave flows pinned"
         );
-        let pinned_resident = worker.flow.cache.iter().filter(|r| r.pinned).count() as u64;
+        let pinned_resident = worker.flow.tier.cache.iter().filter(|r| r.pinned).count() as u64;
         assert_eq!(pinned_resident, in_flight, "cache holds only live pins");
 
         // The flight recorder black-boxed the loss: one coalesced

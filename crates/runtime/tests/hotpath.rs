@@ -142,13 +142,17 @@ fn reference_run(packets: &[Packet], cfg: &EngineConfig) -> GroundTruth {
             }
             let outcome = suite.on_packet(pkt);
             gt.alerts += outcome.alerts.len() as u64;
+            // §3.2: pin while the host works on the flow, then let a
+            // benign verdict on the same packet release it.
+            if outcome.host == HostNeed::Host {
+                cache.pin(&canon);
+            }
             for flow in &outcome.whitelist {
                 cache.unpin(flow);
                 whitelist.insert(flow.canonical().0);
             }
             if outcome.host == HostNeed::Host {
                 gt.escalated += 1;
-                cache.pin(&canon);
                 gt.host_processed += 1;
                 log.extend(triage.on_packet(pkt));
             }

@@ -429,11 +429,6 @@ impl FlowCache {
         &self.rings
     }
 
-    /// Ring overflow count (evictions that bypassed rings to the host).
-    pub fn ring_overflow(&self) -> u64 {
-        self.rings.overflow_to_host
-    }
-
     #[inline]
     fn row_of(&self, key: &FlowKey) -> (usize, u64) {
         let digest = self.hasher.hash_symmetric(key);
@@ -1378,7 +1373,10 @@ mod tests {
         }
         assert!(flips >= 100, "schedule must actually hammer set_mode");
         assert_eq!(fc.stats().mode_switches, flips);
-        assert_eq!(fc.ring_overflow(), 0, "accounting requires no overflow");
+        assert_eq!(
+            fc.rings.overflow_to_host, 0,
+            "accounting requires no overflow"
+        );
 
         // No duplicate flow entries after all that reshuffling.
         let mut seen: HashMap<FlowKey, usize> = HashMap::new();
@@ -1681,9 +1679,9 @@ mod tests {
             assert_eq!(reused.mode(), Mode::Lite);
             assert!(reused.dirty.iter().any(|&d| d), "rows still dirty");
             assert!(reused.iter().any(|r| r.pinned), "records still pinned");
-            assert!(!reused.rings.is_empty() && reused.ring_overflow() > 0);
+            assert!(!reused.rings.is_empty() && reused.rings.overflow_to_host > 0);
             let before = reused.stats();
-            let ring_before = (reused.ring_overflow(), reused.rings.pushed);
+            let ring_before = (reused.rings.overflow_to_host, reused.rings.pushed);
 
             reused.reset();
             reused.assert_tag_invariant();
@@ -1692,7 +1690,10 @@ mod tests {
             assert!(reused.dirty.iter().all(|&d| !d));
             assert!(reused.rings.is_empty());
             // One rule: the tallies are cumulative, a reset rewinds none.
-            assert_eq!((reused.ring_overflow(), reused.rings.pushed), ring_before);
+            assert_eq!(
+                (reused.rings.overflow_to_host, reused.rings.pushed),
+                ring_before
+            );
             reused.rings = RingSet::new(8, cfg.ring_capacity);
 
             // Second life, beside a cache that never had a first.

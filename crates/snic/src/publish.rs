@@ -154,11 +154,14 @@ mod tests {
         for (name, tally) in CACHE_COUNTERS {
             assert!(tally(&fc) > 0, "the stream never exercised {name}");
         }
-        assert!(fc.ring_overflow() > 0, "2-record rings must overflow");
+        assert!(
+            fc.ring_books().overflow_to_host > 0,
+            "2-record rings must overflow"
+        );
         books.publish(&fc);
         assert_eq!(
             cells(&reg, "lru-lpc"),
-            (s, (s.evictions, fc.ring_overflow()))
+            (s, (s.evictions, fc.ring_books().overflow_to_host))
         );
         let snap = reg.snapshot();
         assert_eq!(snap.gauge("snic.ring.occupancy"), Some(8.0), "8 rings × 2");

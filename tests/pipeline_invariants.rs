@@ -35,12 +35,12 @@ fn flow_logs_are_lossless_end_to_end() {
     let logged_total: u64 = logged.values().sum();
     let truth_total: u64 = truth.values().sum();
     assert_eq!(
-        logged_total + rep.metrics.to_host_unlogged(),
+        logged_total + rep.metrics.unlogged,
         truth_total,
         "packet conservation violated"
     );
     // Per-flow exactness for every flow that never hit a pinned-row edge.
-    if rep.metrics.to_host_unlogged() == 0 {
+    if rep.metrics.unlogged == 0 {
         assert_eq!(logged, truth, "per-flow counts must be exact");
     }
 }
