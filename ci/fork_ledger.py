@@ -1,4 +1,5 @@
-"""Check DESIGN.md's fork ledger against the tree.
+"""Check DESIGN.md's fork ledger against the tree, and the tree for code
+nothing calls.
 
 The ledger is the table between the `fork-ledger:begin` / `fork-ledger:end`
 markers, each row citing what pays for it in backticks in its last column:
@@ -15,10 +16,19 @@ This fails when
   of a step in the CI workflow (a renamed test or step must take its
   ledger row along);
 - a field, flag or route has no row, or a row names one the tree no
-  longer has.
+  longer has;
+- a `pub` fn, struct, enum, trait, const or type in `crates/*/src` has no
+  caller outside tests. The scan reads each file of `crates/*/src`,
+  `crates/*/benches`, `examples/`, `benchmark/src` and `src/` above its
+  first top-level `#[cfg(test)]`, strips comments, and counts references
+  by name, not counting definitions. The one exception is `ORACLES`: an
+  item a test in another file uses as its oracle, kept while that test
+  fn exists. An item below that `#[cfg(test)]` and not gated by one of
+  its own would escape the scan, so it fails too.
 
 usage: python3 ci/fork_ledger.py   (from the repository root)
 """
+import collections
 import json
 import pathlib
 import re
@@ -33,6 +43,16 @@ STRUCTS = {
 FLAGS = "crates/bench/src/bin/repro.rs"
 ROUTES = "crates/bench/src/serve.rs"
 WORKFLOW = ".github/workflows/ci.yml"
+CODE = ("crates/*/src/**/*.rs", "crates/*/benches/*.rs", "examples/*.rs", "benchmark/src/*.rs", "src/**/*.rs")
+# (item, the test fn in another file that uses it as its oracle, why)
+ORACLES = [
+    ("with_key", "a_minted_population_probes_like_a_random_one", "the flood sweeps fixed slot secrets"),
+    ("signatures", "packet_fed_detectors_reset_to_fresh", "reset ≡ fresh compares the worm signature set"),
+    ("from_packets_v6", "rtc_is_byte_identical_to_pipeline_on_v6_wire_replay", "the v6 ingest path's input"),
+]
+LITERAL = re.compile(r'r(#*)".*?"\1|"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'|//[^\n]*|/\*.*?\*/', re.S)
+PUB_ITEM = re.compile(r"\bpub\s+(?:const\s+|unsafe\s+)*(?:fn|struct|enum|trait|const|type)\s+(\w+)")
+DEFINITION = re.compile(r"\b(?:fn|struct|enum|trait|const|type|static|mod)\s+(\w+)")
 
 
 def ledger_rows():
@@ -69,12 +89,45 @@ def ci_steps():
 
 
 def defined_fns():
-    names = set()
+    """Each fn name in a Rust file of the tree, with the files defining it."""
+    names = collections.defaultdict(set)
     for path in ROOT.rglob("*.rs"):
         if "target" in path.relative_to(ROOT).parts:
             continue
-        names.update(re.findall(r"\bfn\s+(\w+)", path.read_text()))
+        for name in re.findall(r"\bfn\s+(\w+)", path.read_text()):
+            names[name].add(path)
     return names
+
+
+def split_tests(path):
+    """The file above its first top-level `#[cfg(test)]`, comments
+    stripped, and the rest of it."""
+    text = path.read_text()
+    cut = re.search(r"^#\[cfg\(test\)\]", text, re.M)
+    code, tests = (text[: cut.start()], text[cut.start() :]) if cut else (text, "")
+    return LITERAL.sub(lambda m: "" if m.group(0).startswith("/") else m.group(0), code), tests
+
+
+def check_callers(fns, errors):
+    refs, defs, items = collections.Counter(), collections.Counter(), []
+    for path in sorted({p for pattern in CODE for p in ROOT.glob(pattern)}):
+        code, tests = split_tests(path)
+        refs.update(re.findall(r"\b[A-Za-z_]\w*", code))
+        defs.update(DEFINITION.findall(code))
+        if re.match(r"crates/[^/]+/src/", path.relative_to(ROOT).as_posix()):
+            items += [(path, name) for name in PUB_ITEM.findall(code)]
+            if re.search(r"(?<!#\[cfg\(test\)\]\n)^(pub\s|impl\b)", tests, re.M):
+                errors.append(f"{path.relative_to(ROOT)}: an item below the first #[cfg(test)] escapes the scan")
+    oracles = {item: test for item, test, _ in ORACLES}
+    uncalled = [(path, name) for path, name in items if refs[name] <= defs[name]]
+    for path, name in uncalled:
+        test = oracles.pop(name, None)
+        if test is None:
+            errors.append(f"pub {name} in {path.relative_to(ROOT)} has no caller outside tests")
+        elif not fns.get(test, set()) - {path}:
+            errors.append(f"oracle {name}: test fn `{test}` is not in another file of the tree")
+    errors += [f"oracle {name} has a caller or is gone: drop its ORACLES entry" for name in oracles]
+    print(f"public items: {len(items)}, {len(uncalled)} without a caller outside tests, {len(ORACLES)} oracles")
 
 
 def check_rowed(kind, have, rows, where, errors):
@@ -91,7 +144,8 @@ def check_rowed(kind, have, rows, where, errors):
 def main():
     rows = ledger_rows()
     workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
-    payers = workloads | defined_fns() | ci_steps()
+    fns = defined_fns()
+    payers = workloads | set(fns) | ci_steps()
     errors = []
     for kind, subject, _, paid_by in rows:
         cited = re.findall(r"`([^`]+)`", paid_by)
@@ -104,6 +158,7 @@ def main():
         check_rowed(name, struct_fields(name, path), rows, path, errors)
     check_rowed("flag", flags(), rows, FLAGS, errors)
     check_rowed("route", routes(), rows, ROUTES, errors)
+    check_callers(fns, errors)
     forks = sum(1 for row in rows if row[0] == "fork")
     print(f"{forks} fork rows, {len(rows)} rows in all")
     for e in errors:

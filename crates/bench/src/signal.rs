@@ -60,7 +60,7 @@ pub fn install() {
     }
 }
 
-/// Whether a SIGINT/SIGTERM has been observed (or [`trigger`] called).
+/// Whether a SIGINT/SIGTERM has been observed.
 pub fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::SeqCst)
 }
@@ -68,11 +68,6 @@ pub fn interrupted() -> bool {
 /// Clear the flag (tests; drivers treat the flag as latched).
 pub fn reset() {
     INTERRUPTED.store(false, Ordering::SeqCst);
-}
-
-/// Raise the flag as if a signal had arrived (tests, internal wiring).
-pub fn trigger() {
-    INTERRUPTED.store(true, Ordering::SeqCst);
 }
 
 /// Watch the interrupt flag from a helper thread for the duration of a
@@ -94,6 +89,11 @@ pub fn drain_watch(engine: &Arc<Engine>) -> PollGuard {
 mod tests {
     use super::*;
     use smartwatch_runtime::EngineConfig;
+
+    /// Raise the flag as if a signal had arrived.
+    fn trigger() {
+        INTERRUPTED.store(true, Ordering::SeqCst);
+    }
 
     #[test]
     fn flag_latches_and_resets() {

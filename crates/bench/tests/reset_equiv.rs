@@ -351,7 +351,7 @@ fn detectors_answer_digests_as_keys(trace: &Trace) {
         &hasher,
         |d, p, flow| {
             let mut alerts = Vec::new();
-            d.on_packet_digested(p, flow, &mut alerts);
+            d.on_packet_digested(p, flow, &mut alerts, &mut None);
             said(alerts)
         },
         |d, p| said(d.on_packet(p)),

@@ -38,7 +38,7 @@ use smartwatch_p4sim::{
 };
 use smartwatch_snic::hw::service_time;
 use smartwatch_snic::{
-    cache_publisher, CycleCosts, FlowCache, FlowCacheConfig, HwProfile, NETRONOME_AGILIO_LX,
+    cache_publisher, CycleCosts, FlowCache, FlowCacheConfig, NETRONOME_AGILIO_LX,
 };
 use smartwatch_telemetry::{Histogram, Level, Publisher, Registry, Tally, TraceShard, Tracer};
 
@@ -56,10 +56,6 @@ pub struct PlatformConfig {
     pub whitelist_min_packets: u64,
     /// FlowCache geometry.
     pub cache: FlowCacheConfig,
-    /// sNIC hardware profile for latency accounting.
-    pub hw: HwProfile,
-    /// Host path cost model.
-    pub host_cost: HostCostModel,
     /// Blacklist alert sources on the switch (intrusion *prevention*).
     pub blacklist_sources: bool,
     /// Let detector verdicts (e.g. successful SSH authentication)
@@ -78,8 +74,6 @@ impl PlatformConfig {
             whitelist_top_k: 64,
             whitelist_min_packets: 200,
             cache: FlowCacheConfig::general(14),
-            hw: NETRONOME_AGILIO_LX,
-            host_cost: HostCostModel::default(),
             blacklist_sources: true,
             suite_whitelist: true,
         }
@@ -416,7 +410,7 @@ impl SmartWatch {
             }
         }
         self.metrics.monitored += 1;
-        let host_latency = self.cfg.host_cost.host_path_latency(pkt.wire_len);
+        let host_latency = HostCostModel::default().host_path_latency(pkt.wire_len);
         if self.cfg.mode == DeployMode::SwitchHost {
             // Sonata: steered packets burn host CPU but there is no
             // flow-state tier; detection happens via query refinement.
@@ -440,7 +434,7 @@ impl SmartWatch {
             if access.outcome == smartwatch_snic::Outcome::ToHost {
                 self.metrics.unlogged += 1;
             }
-            let (busy, wait) = service_time(&self.cfg.hw, &self.costs, &access);
+            let (busy, wait) = service_time(&NETRONOME_AGILIO_LX, &self.costs, &access);
             self.charge((busy + wait) as u64);
         }
         let outcome = self.tier.inspect(pkt, &flow);
@@ -560,7 +554,7 @@ impl SmartWatch {
         self.aggregator.ingest_batch(evicted);
         // Virtual CPU cost of this aggregation pass (the paper's
         // snapshot-thread budget).
-        let snapshot_cpu = self.cfg.host_cost.snapshot_cpu(export_count);
+        let snapshot_cpu = HostCostModel::default().snapshot_cpu(export_count);
         if let Some(t) = &self.telemetry {
             t.snapshot_cpu_ns.record_dur(snapshot_cpu);
         }
@@ -860,7 +854,7 @@ mod tests {
             caps.len()
         );
         let cfg = sw.tier.cache.config();
-        let slots = cfg.rows() * cfg.buckets_per_row;
+        let slots = cfg.rows() * cfg.buckets_per_row();
         assert!(caps.iter().all(|&c| c <= slots));
         assert!(*caps.last().unwrap() > 0, "snapshots are non-empty");
         let tail = &caps[caps.len() / 2..];

@@ -13,7 +13,7 @@ use smartwatch_detect::rst::{ForgedRstDetector, RstEvent};
 use smartwatch_detect::slowloris::SlowlorisDetector;
 use smartwatch_detect::worm::EarlyBirdDetector;
 use smartwatch_detect::Alert;
-use smartwatch_host::{ArtefactRegistry, AuthHeuristic, AuthOutcome, ConnEvent, ConnTable};
+use smartwatch_host::{ArtefactRegistry, AuthHeuristic, AuthOutcome, ConnEvent};
 use smartwatch_net::{Dur, FlowDigest, FlowHasher, FlowKey, Packet, Ts};
 use smartwatch_snic::{FlowRecord, FlowTable, TableStats};
 
@@ -84,8 +84,6 @@ pub struct DetectorSuite {
     pub cert: Option<CertExpiryMonitor>,
     /// Kerberos ticket monitoring (None disables).
     pub krb: Option<KerberosMonitor>,
-    /// Session tracker feeding the auth-outcome heuristic.
-    conns: ConnTable,
     heuristic: AuthHeuristic,
     /// Auth sessions already classified (no further host escalation).
     classified: FlowTable<FlowKey>,
@@ -120,7 +118,6 @@ impl DetectorSuite {
             slowloris: SlowlorisDetector::new(),
             cert: None,
             krb: None,
-            conns: ConnTable::with_hasher(hasher),
             heuristic: AuthHeuristic::default(),
             classified: FlowTable::new(),
             rst_events: Vec::new(),
@@ -150,7 +147,6 @@ impl DetectorSuite {
         if let Some(k) = self.krb.as_mut() {
             k.reset();
         }
-        self.conns.reset();
         self.classified.reset();
         self.ops = SuiteOps::default();
     }
@@ -169,7 +165,6 @@ impl DetectorSuite {
                 .as_ref()
                 .map_or(0, CertExpiryMonitor::resident_bytes)
             + self.krb.as_ref().map_or(0, KerberosMonitor::resident_bytes)
-            + self.conns.resident_bytes()
             + self.classified.resident_bytes()
     }
 
@@ -189,21 +184,15 @@ impl DetectorSuite {
         port == 22 || port == 21
     }
 
-    /// The books of the suite's flow-keyed tables — both connection
-    /// tables, the buffered-RST index, the classified set — summed.
+    /// The books of the suite's flow-keyed tables — the connection
+    /// table, the buffered-RST index, the classified set — summed.
     pub fn table_stats(&self) -> TableStats {
-        self.scan.conns.table().stats()
-            + self.rst.table().stats()
-            + self.conns.table().stats()
-            + self.classified.stats()
+        self.scan.conns.table().stats() + self.rst.table().stats() + self.classified.stats()
     }
 
     /// Slots those tables have allocated, summed.
     pub fn table_slots(&self) -> usize {
-        self.scan.conns.table().slots()
-            + self.rst.table().slots()
-            + self.conns.table().slots()
-            + self.classified.slots()
+        self.scan.conns.table().slots() + self.rst.table().slots() + self.classified.slots()
     }
 
     /// Stage A's hint for `pkt`, whose flow identity ingest carried as
@@ -256,13 +245,15 @@ impl DetectorSuite {
         out.whitelist.clear();
         self.ops.total += 1;
 
-        // Port scan (conn tracking + TRW). The pipeline owns its own
-        // ConnTable, probed with the same carried digest as ours; its
-        // timeout sweep runs on every packet's clock.
+        // Port scan (conn tracking + TRW). The pipeline owns the suite's
+        // one ConnTable, probed with the carried digest; its timeout
+        // sweep runs on every packet's clock.
         if pkt.is_tcp() {
             self.ops.scan += 1;
         }
-        self.scan.on_packet_digested(pkt, flow, &mut out.alerts);
+        let mut event = None;
+        self.scan
+            .on_packet_digested(pkt, flow, &mut out.alerts, &mut event);
 
         // Forged RST: RST packets visit the host timing wheel.
         if pkt.is_tcp() && (pkt.flags.rst() || pkt.payload_len > 0) {
@@ -317,15 +308,15 @@ impl DetectorSuite {
             if !already {
                 out.host = HostNeed::Host;
             }
-            let event = self.conns.process_digested(pkt, flow);
+            // The scan pipeline tracked this packet's session above.
             // Classify on termination, or once the session has clearly
             // succeeded (long/heavy), whichever comes first.
+            let conns = &self.scan.conns;
             let outcome = match event {
-                Some(ConnEvent::Finished) | Some(ConnEvent::Reset(_)) => self
-                    .conns
-                    .get_digested(flow)
-                    .map(|r| self.heuristic.classify(r)),
-                _ => self.conns.get_digested(flow).and_then(|r| {
+                Some(ConnEvent::Finished) | Some(ConnEvent::Reset(_)) => {
+                    conns.get_digested(flow).map(|r| self.heuristic.classify(r))
+                }
+                _ => conns.get_digested(flow).and_then(|r| {
                     let o = self.heuristic.classify(r);
                     (o == AuthOutcome::Success).then_some(o)
                 }),
@@ -333,10 +324,7 @@ impl DetectorSuite {
             if let Some(outcome) = outcome {
                 if !already && outcome != AuthOutcome::Unknown {
                     self.classified.insert(flow.digest, canon);
-                    let rec = self
-                        .conns
-                        .get_digested(flow)
-                        .expect("classified conn exists");
+                    let rec = conns.get_digested(flow).expect("classified conn exists");
                     let src = if rec.orig_is_forward {
                         rec.key.src_ip
                     } else {
@@ -358,7 +346,6 @@ impl DetectorSuite {
                         &mut self.ssh
                     };
                     out.alerts.extend(det.observe(src, pkt.ts, outcome));
-                    self.conns.remove_digested(flow);
                 }
             }
         }

@@ -172,14 +172,23 @@ impl ScanPipeline {
     pub fn on_packet(&mut self, pkt: &Packet) -> Vec<Alert> {
         let flow = self.conns.digest(&pkt.key);
         let mut alerts = Vec::new();
-        self.on_packet_digested(pkt, &flow, &mut alerts);
+        self.on_packet_digested(pkt, &flow, &mut alerts, &mut None);
         alerts
     }
 
     /// [`ScanPipeline::on_packet`] for a packet whose flow identity was
     /// computed at ingest (see [`ConnTable::process_digested`]), appending
-    /// any new alert to the caller's `alerts`.
-    pub fn on_packet_digested(&mut self, pkt: &Packet, flow: &FlowDigest, alerts: &mut Vec<Alert>) {
+    /// any new alert to the caller's `alerts` and writing the connection
+    /// event the packet raised into `event`: the suite's SSH/FTP analyzer
+    /// reads the same connection record instead of tracking the session
+    /// a second time.
+    pub fn on_packet_digested(
+        &mut self,
+        pkt: &Packet,
+        flow: &FlowDigest,
+        alerts: &mut Vec<Alert>,
+        event: &mut Option<ConnEvent>,
+    ) {
         // Periodic timeout sweep (every 500 ms of virtual time).
         // Established-but-dataless connections are incomplete too
         // (half-open probes answered by SYN/ACK), on a 4× longer fuse.
@@ -187,7 +196,8 @@ impl ScanPipeline {
             self.last_sweep = pkt.ts;
             self.sweep(pkt.ts, self.attempt_timeout.mul(4), pkt.ts, alerts);
         }
-        match self.conns.process_digested(pkt, flow) {
+        *event = self.conns.process_digested(pkt, flow);
+        match *event {
             Some(ConnEvent::Established) => {
                 if let Some(rec) = self.conns.get_digested(flow) {
                     let (src, dst, port) = originator_view(rec);

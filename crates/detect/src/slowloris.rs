@@ -1,43 +1,14 @@
-//! Slowloris detection (paper §2.1.2's coarse/fine case study).
-//!
-//! Two detectors, mirroring the paper's motivating contrast:
-//!
-//! - [`coarse_indicator`] — the switch-style aggregate: per destination
-//!   prefix, `#connections / #bytes` above a threshold. Cheap, prefix
-//!   granularity, can only say "something is off around this server".
-//! - [`SlowlorisDetector`] — the Zeek-style fine detector over flow
-//!   records: *stalling* connections (duration beyond 10 s with almost no
-//!   payload), counted per destination; many stalling connections to one
-//!   server identifies the attack, the victim, and the attacker set.
+//! Slowloris detection (paper §2.1.2's coarse/fine case study): the
+//! Zeek-style fine detector over flow records. It counts *stalling*
+//! connections (duration beyond 10 s with almost no payload) per
+//! destination; many stalling connections to one server identify the
+//! attack, the victim, and the attacker set.
 
 use crate::{Alert, Subject};
 use smartwatch_net::{AttackKind, Dur, Resident, Ts};
 use smartwatch_snic::FlowRecord;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-
-/// Coarse switch-style indicator: destinations whose connection count per
-/// byte is anomalously high. Returns `(destination /24 prefix, ratio)`.
-pub fn coarse_indicator(records: &[FlowRecord], min_conns: usize, ratio: f64) -> Vec<(u32, f64)> {
-    let mut per_dst: HashMap<u32, (usize, u64)> = HashMap::new();
-    for r in records {
-        // The record key is canonical; aggregate on the *server* side.
-        let e = per_dst
-            .entry(smartwatch_net::key::prefix_of(server_of(r), 24))
-            .or_insert((0, 0));
-        e.0 += 1;
-        e.1 += r.bytes;
-    }
-    let mut out: Vec<(u32, f64)> = per_dst
-        .into_iter()
-        .filter_map(|(prefix, (conns, bytes))| {
-            let rr = conns as f64 / (bytes.max(1)) as f64;
-            (conns >= min_conns && rr >= ratio).then_some((prefix, rr))
-        })
-        .collect();
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-    out
-}
 
 /// Fine-grained stalling-connection detector.
 #[derive(Clone, Debug)]
@@ -185,21 +156,5 @@ mod tests {
             .map(|i| stalling_record(i, server, 500, 30))
             .collect();
         assert!(d.analyze(&records, Ts::from_secs(31)).is_empty());
-    }
-
-    #[test]
-    fn coarse_indicator_ranks_conn_heavy_prefixes() {
-        let victim = Ipv4Addr::new(172, 16, 0, 3);
-        let normal = Ipv4Addr::new(172, 16, 99, 3);
-        let mut records: Vec<FlowRecord> = (0..100)
-            .map(|i| stalling_record(i, victim, 300, 30))
-            .collect();
-        // Normal server: few connections, lots of bytes.
-        for i in 0..5 {
-            records.push(stalling_record(1000 + i, normal, 5_000_000, 30));
-        }
-        let hits = coarse_indicator(&records, 20, 1e-4);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, smartwatch_net::key::prefix_of(victim, 24));
     }
 }

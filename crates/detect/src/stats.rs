@@ -1,48 +1,14 @@
 //! Statistics toolkit backing the detectors.
 //!
-//! - [`ks_test`] — two-sample Kolmogorov–Smirnov test (covert-channel
-//!   detection compares observed IPD distributions against a known-good
-//!   reference, §5.2.1).
+//! - [`ks_from_histograms`] — two-sample Kolmogorov–Smirnov statistic
+//!   over binned IPDs (covert-channel detection compares observed IPD
+//!   distributions against a known-good reference, §5.2.1).
 //! - [`Trw`] — Threshold Random Walk sequential hypothesis testing (Jung
 //!   et al.), the port-scan detector's core (§5.1.3).
 //! - [`NaiveBayes`] — multinomial Naive-Bayes over histogram features
 //!   (website fingerprinting, §5.2.2).
 //! - [`Ewma`] — exponentially weighted moving average (Algorithm 4 and
 //!   assorted rate trackers).
-
-/// Two-sample Kolmogorov–Smirnov statistic over raw samples.
-///
-/// Returns `(d, crit)`: the KS statistic and the critical value at the
-/// given significance `alpha` (reject "same distribution" when
-/// `d > crit`). Both sample sets must be non-empty.
-pub fn ks_test(a: &[f64], b: &[f64], alpha: f64) -> (f64, f64) {
-    assert!(!a.is_empty() && !b.is_empty(), "KS test needs samples");
-    let mut xs: Vec<f64> = a.to_vec();
-    let mut ys: Vec<f64> = b.to_vec();
-    xs.sort_by(|p, q| p.partial_cmp(q).expect("finite"));
-    ys.sort_by(|p, q| p.partial_cmp(q).expect("finite"));
-    let (n, m) = (xs.len(), ys.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d: f64 = 0.0;
-    while i < n && j < m {
-        let x = xs[i];
-        let y = ys[j];
-        let v = x.min(y);
-        while i < n && xs[i] <= v {
-            i += 1;
-        }
-        while j < m && ys[j] <= v {
-            j += 1;
-        }
-        let f1 = i as f64 / n as f64;
-        let f2 = j as f64 / m as f64;
-        d = d.max((f1 - f2).abs());
-    }
-    // c(α) = sqrt(-ln(α/2)/2); critical D = c(α)·sqrt((n+m)/(n·m)).
-    let c = (-(alpha / 2.0).ln() / 2.0).sqrt();
-    let crit = c * (((n + m) as f64) / ((n * m) as f64)).sqrt();
-    (d, crit)
-}
 
 /// KS statistic between two *histograms* over the same bins (the sNIC CME
 /// operates on binned IPDs, not raw samples).
@@ -268,22 +234,6 @@ impl Ewma {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ks_same_distribution_accepts() {
-        let a: Vec<f64> = (0..500).map(|i| f64::from(i % 100)).collect();
-        let b: Vec<f64> = (0..500).map(|i| f64::from((i * 7) % 100)).collect();
-        let (d, crit) = ks_test(&a, &b, 0.05);
-        assert!(d <= crit, "d={d} crit={crit}");
-    }
-
-    #[test]
-    fn ks_different_distribution_rejects() {
-        let a: Vec<f64> = (0..500).map(|i| f64::from(i % 100)).collect();
-        let b: Vec<f64> = (0..500).map(|i| f64::from(i % 100) + 50.0).collect();
-        let (d, crit) = ks_test(&a, &b, 0.05);
-        assert!(d > crit, "d={d} crit={crit}");
-    }
 
     #[test]
     fn ks_histogram_bimodal_vs_unimodal() {

@@ -9,7 +9,6 @@
 //! the paper plots.
 
 use smartwatch_net::{FlowKey, Packet};
-use smartwatch_sketch::FlowCounter;
 use std::collections::HashMap;
 
 /// Exact per-flow packet counts of an interval (the ground truth).
@@ -108,29 +107,10 @@ fn decade(count: u64, decades: usize) -> usize {
     ((count.max(1) as f64).log10().floor() as usize).min(decades - 1)
 }
 
-/// Run one sketch over an interval's packets and report (HH MRE, #missed
-/// heavy hitters): the Fig. 10a primitive.
-pub fn evaluate_heavy_hitters<C: FlowCounter>(
-    sketch: &mut C,
-    packets: &[Packet],
-    hh_fraction: f64,
-) -> (f64, usize) {
-    let truth = ground_truth(packets);
-    for p in packets {
-        sketch.update(&p.key, 1);
-    }
-    let threshold = ((packets.len() as f64) * hh_fraction).max(1.0) as u64;
-    let hh = true_heavy_hitters(&truth, threshold);
-    let mre = mean_relative_error(&truth, &hh, |k| sketch.estimate(k));
-    let missed = hh.iter().filter(|k| sketch.estimate(k) < threshold).count();
-    (mre, missed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use smartwatch_net::{PacketBuilder, Ts};
-    use smartwatch_sketch::{CountMin, ElasticSketch};
     use std::net::Ipv4Addr;
 
     fn packets(flows: &[(u32, u64)]) -> Vec<Packet> {
@@ -170,26 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn tight_sketch_has_positive_mre() {
-        let pkts = packets(&(0..300u32).map(|i| (i, 20u64)).collect::<Vec<_>>());
-        let mut cm = CountMin::new(2, 32, 1); // absurdly tight
-        let (mre, _) = evaluate_heavy_hitters(&mut cm, &pkts, 0.001);
-        assert!(mre > 0.0, "tight CountMin must overcount");
-    }
-
-    #[test]
-    fn elastic_beats_tight_countmin_on_heavy_hitters() {
-        let mut flows: Vec<(u32, u64)> = (0..200u32).map(|i| (i, 3u64)).collect();
-        flows.push((999, 2_000));
-        let pkts = packets(&flows);
-        let mut cm = CountMin::new(2, 64, 1);
-        let mut es = ElasticSketch::new(256, 1024, 1);
-        let (cm_mre, _) = evaluate_heavy_hitters(&mut cm, &pkts, 0.01);
-        let (es_mre, _) = evaluate_heavy_hitters(&mut es, &pkts, 0.01);
-        assert!(es_mre <= cm_mre, "elastic {es_mre} vs countmin {cm_mre}");
-    }
-
-    #[test]
     fn heavy_changes_ground_truth() {
         let a = ground_truth(&packets(&[(1, 100), (2, 10)]));
         let b = ground_truth(&packets(&[(1, 100), (2, 500), (3, 60)]));
@@ -213,62 +173,5 @@ mod tests {
         // the wrong decade.
         let errs = fsd_mre(&truth, |_| 100, 6);
         assert!(errs[0] > 0.9, "decade-0 error {}", errs[0]);
-    }
-}
-
-/// Cardinality estimation over a flow stream (Table 2's "Cardinality"
-/// row): a HyperLogLog fed with canonical flow identities, compared
-/// against the flow log's exact count.
-pub fn estimate_cardinality<'a, I: IntoIterator<Item = &'a FlowKey>>(
-    flows: I,
-    precision: u32,
-) -> smartwatch_sketch::HyperLogLog {
-    let hasher = smartwatch_net::FlowHasher::new(0xCA2D);
-    let mut hll = smartwatch_sketch::HyperLogLog::new(precision, 0xCA2D);
-    for k in flows {
-        hll.insert(hasher.hash_symmetric(k).0);
-    }
-    hll
-}
-
-#[cfg(test)]
-mod cardinality_tests {
-    use super::*;
-    use smartwatch_net::{PacketBuilder, Ts};
-    use std::net::Ipv4Addr;
-
-    #[test]
-    fn hll_matches_exact_cardinality_within_error() {
-        let mut pkts = Vec::new();
-        for i in 0..5_000u32 {
-            let key = FlowKey::tcp(
-                Ipv4Addr::from(0x0A00_0000 + i),
-                1,
-                Ipv4Addr::from(0xAC10_0001u32),
-                80,
-            );
-            // Several packets per flow: cardinality counts flows, not pkts.
-            for t in 0..3 {
-                pkts.push(PacketBuilder::new(key, Ts::from_micros(u64::from(i) * 10 + t)).build());
-            }
-        }
-        let truth = ground_truth(&pkts);
-        let hll = estimate_cardinality(truth.keys(), 12);
-        let est = hll.estimate();
-        let err = (est - truth.len() as f64).abs() / truth.len() as f64;
-        assert!(err < 0.05, "cardinality err {err}");
-    }
-
-    #[test]
-    fn direction_does_not_double_count() {
-        let key = FlowKey::tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            5,
-            Ipv4Addr::new(172, 16, 0, 1),
-            80,
-        );
-        let flows = [key, key.reversed()];
-        let hll = estimate_cardinality(flows.iter(), 10);
-        assert!(hll.estimate() < 1.5, "both directions are one flow");
     }
 }

@@ -85,11 +85,6 @@ impl SnapshotAggregator {
         self.flows.values()
     }
 
-    /// Total packets across all aggregated flows.
-    pub fn total_packets(&self) -> u64 {
-        self.flows.values().map(|r| r.packets).sum()
-    }
-
     /// Flows with at least `threshold` packets, heaviest first (the
     /// offline heavy-hitter query of Table 2, and the top-k heavy *benign*
     /// flow selection the control loop whitelists), equal counts by flow
@@ -157,7 +152,6 @@ mod tests {
         assert_eq!(r.packets, 17);
         assert_eq!(r.first_ts, Ts::ZERO);
         assert_eq!(r.last_ts, Ts::from_secs(9));
-        assert_eq!(agg.total_packets(), 20);
     }
 
     #[test]

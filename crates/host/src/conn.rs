@@ -28,14 +28,6 @@ pub enum ConnState {
     Oth,
 }
 
-impl ConnState {
-    /// True for states that represent a *failed* connection attempt —
-    /// the signal the TRW port-scan detector consumes.
-    pub fn is_failed_attempt(self) -> bool {
-        matches!(self, ConnState::S0 | ConnState::Rej)
-    }
-}
-
 /// An event emitted when a connection's classification changes in a way
 /// detectors care about.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -372,7 +364,7 @@ mod tests {
         t.process(&p(key(), 1, TcpFlags::SYN, 0));
         let ev = t.process(&p(key().reversed(), 2, TcpFlags::RST_ACK, 0));
         assert_eq!(ev, Some(ConnEvent::Rejected));
-        assert!(t.get(&key()).unwrap().state.is_failed_attempt());
+        assert_eq!(t.get(&key()).unwrap().state, ConnState::Rej);
     }
 
     #[test]

@@ -24,9 +24,6 @@ pub struct HostCostModel {
     pub dpdk_rxtx: Dur,
     /// Mean NF compute per packet (Zeek-style analysis).
     pub nf_compute: Dur,
-    /// Per-core host packet processing capacity, packets/sec (bounds the
-    /// #CPU-cores-required curves of Fig. 3a).
-    pub core_capacity_pps: f64,
 }
 
 impl Default for HostCostModel {
@@ -36,7 +33,6 @@ impl Default for HostCostModel {
             copy_ns_per_byte: 0.18,
             dpdk_rxtx: Dur::from_nanos(650),
             nf_compute: Dur::from_micros(8),
-            core_capacity_pps: 10.0e6,
         }
     }
 }
@@ -52,11 +48,6 @@ impl HostCostModel {
                 + self.nf_compute.as_nanos()
                 + copies,
         )
-    }
-
-    /// CPU cores needed to process `pps` packets/sec on the host.
-    pub fn cores_required(&self, pps: f64) -> u32 {
-        (pps / self.core_capacity_pps).ceil() as u32
     }
 
     /// CPU time the host snapshot thread spends consuming `records`
@@ -85,15 +76,6 @@ mod tests {
     fn bigger_packets_cost_more() {
         let m = HostCostModel::default();
         assert!(m.host_path_latency(1500) > m.host_path_latency(64));
-    }
-
-    #[test]
-    fn core_scaling_is_ceil() {
-        let m = HostCostModel::default();
-        assert_eq!(m.cores_required(1.0e6), 1);
-        assert_eq!(m.cores_required(10.0e6), 1);
-        assert_eq!(m.cores_required(10.1e6), 2);
-        assert_eq!(m.cores_required(95.0e6), 10);
     }
 
     #[test]

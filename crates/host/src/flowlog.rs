@@ -3,8 +3,7 @@
 //! Per measurement interval, the host cache flushes aggregated flow
 //! records into a keyed store for offline analysis ("comprehensive
 //! inspection of all flows offline"). The store is interval-indexed; the
-//! offline detectors (heavy hitter, heavy change, cardinality, flow size
-//! distribution, Slowloris) all read from here.
+//! offline analyses (heavy hitters, Slowloris) read from here.
 
 use smartwatch_net::FlowKey;
 use smartwatch_snic::FlowRecord;
@@ -97,45 +96,37 @@ impl FlowLogStore {
         v.sort_unstable_by_key(|&(k, c)| (Reverse(c), k));
         v
     }
+}
 
-    /// Exact heavy changes between two intervals: flows whose packet count
-    /// changed by at least `threshold`, largest change first (equal
-    /// changes by flow key).
-    pub fn heavy_changes(&self, a: u64, b: u64, threshold: u64) -> Vec<(FlowKey, u64)> {
-        let ca = self.flow_counts(a);
-        let cb = self.flow_counts(b);
-        let mut keys: Vec<FlowKey> = ca.keys().chain(cb.keys()).copied().collect();
-        keys.sort();
-        keys.dedup();
-        let mut out: Vec<(FlowKey, u64)> = keys
-            .into_iter()
-            .filter_map(|k| {
-                let d = ca
-                    .get(&k)
-                    .copied()
-                    .unwrap_or(0)
-                    .abs_diff(cb.get(&k).copied().unwrap_or(0));
-                (d >= threshold).then_some((k, d))
-            })
-            .collect();
-        out.sort_unstable_by_key(|&(k, d)| (Reverse(d), k));
-        out
+/// Persistence: the Redis stand-in's dump/restore cycle for offline
+/// forensics ("comprehensive inspection of all flows offline", §1).
+impl FlowLogStore {
+    /// Serialise the whole store as JSON.
+    pub fn to_json(&self) -> String {
+        let dump: Vec<(u64, &Vec<FlowRecord>)> =
+            self.intervals.iter().map(|(k, v)| (*k, v)).collect();
+        serde_json::to_string(&dump).expect("flow records serialise")
     }
 
-    /// Exact flow-size distribution of one interval: counts of flows per
-    /// decade bucket [10^i, 10^(i+1)).
-    pub fn flow_size_distribution(&self, interval: u64, decades: usize) -> Vec<u64> {
-        let mut hist = vec![0u64; decades];
-        for (_, c) in self.flow_counts(interval) {
-            let d = (c.max(1) as f64).log10().floor() as usize;
-            hist[d.min(decades - 1)] += 1;
-        }
-        hist
+    /// Restore a store from [`FlowLogStore::to_json`] output.
+    pub fn from_json(json: &str) -> Result<FlowLogStore, serde_json::Error> {
+        let dump: Vec<(u64, Vec<FlowRecord>)> = serde_json::from_str(json)?;
+        Ok(FlowLogStore {
+            intervals: dump.into_iter().collect(),
+            ..FlowLogStore::default()
+        })
     }
 
-    /// Exact distinct-flow cardinality of one interval.
-    pub fn cardinality(&self, interval: u64) -> usize {
-        self.flow_counts(interval).len()
+    /// Write the store to a file.
+    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_json())
+    }
+
+    /// Load a store from a file written by [`FlowLogStore::save`].
+    pub fn load(path: &std::path::Path) -> std::io::Result<FlowLogStore> {
+        let json = std::fs::read_to_string(path)?;
+        FlowLogStore::from_json(&json)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -187,68 +178,9 @@ mod tests {
         let mut backward = FlowLogStore::new();
         backward.store(0, recs.into_iter().rev().collect());
         assert_eq!(forward.heavy_hitters(0, 11), backward.heavy_hitters(0, 11));
-        assert_eq!(
-            forward.heavy_changes(0, 1, 11),
-            backward.heavy_changes(0, 1, 11)
-        );
         let hh = forward.heavy_hitters(0, 13);
         assert_eq!(hh.len(), 3);
         assert!(hh.windows(2).all(|w| w[0].0 < w[1].0), "ties rank by key");
-    }
-
-    #[test]
-    fn heavy_changes_between_intervals() {
-        let mut s = FlowLogStore::new();
-        s.store(0, vec![rec(1, 100), rec(2, 10)]);
-        s.store(1, vec![rec(1, 105), rec(2, 500), rec(3, 40)]);
-        let hc = s.heavy_changes(0, 1, 50);
-        // Flow 2 changed by 490, flow 3 appeared with 40 (below), flow 1 by 5.
-        assert_eq!(hc.len(), 1);
-        assert_eq!(hc[0].1, 490);
-    }
-
-    #[test]
-    fn fsd_and_cardinality() {
-        let mut s = FlowLogStore::new();
-        s.store(0, vec![rec(1, 1), rec(2, 5), rec(3, 50), rec(4, 5_000)]);
-        let fsd = s.flow_size_distribution(0, 6);
-        assert_eq!(fsd[0], 2); // 1 and 5
-        assert_eq!(fsd[1], 1); // 50
-        assert_eq!(fsd[3], 1); // 5000
-        assert_eq!(s.cardinality(0), 4);
-        assert_eq!(s.cardinality(9), 0);
-    }
-}
-
-/// Persistence: the Redis stand-in's dump/restore cycle for offline
-/// forensics ("comprehensive inspection of all flows offline", §1).
-impl FlowLogStore {
-    /// Serialise the whole store as JSON.
-    pub fn to_json(&self) -> String {
-        let dump: Vec<(u64, &Vec<FlowRecord>)> =
-            self.intervals.iter().map(|(k, v)| (*k, v)).collect();
-        serde_json::to_string(&dump).expect("flow records serialise")
-    }
-
-    /// Restore a store from [`FlowLogStore::to_json`] output.
-    pub fn from_json(json: &str) -> Result<FlowLogStore, serde_json::Error> {
-        let dump: Vec<(u64, Vec<FlowRecord>)> = serde_json::from_str(json)?;
-        Ok(FlowLogStore {
-            intervals: dump.into_iter().collect(),
-            ..FlowLogStore::default()
-        })
-    }
-
-    /// Write the store to a file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Load a store from a file written by [`FlowLogStore::save`].
-    pub fn load(path: &std::path::Path) -> std::io::Result<FlowLogStore> {
-        let json = std::fs::read_to_string(path)?;
-        FlowLogStore::from_json(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 

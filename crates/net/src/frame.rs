@@ -215,11 +215,6 @@ impl FrameStore {
         self.meta.is_empty()
     }
 
-    /// Total arena size in bytes (shared across cycled replays).
-    pub fn bytes_len(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// Length of the largest frame — the capacity a frame pool slot
     /// needs to hold any frame from this store.
     pub fn max_frame_len(&self) -> usize {
@@ -345,8 +340,8 @@ mod tests {
         let cycled = store.cycled_to(pkts.len() * 3 + 7);
         assert_eq!(cycled.len(), pkts.len() * 3 + 7);
         assert_eq!(
-            cycled.bytes_len(),
-            store.bytes_len(),
+            cycled.bytes.len(),
+            store.bytes.len(),
             "arena is shared, not repeated"
         );
         for i in 0..cycled.len() {

@@ -619,6 +619,17 @@ mod tests {
         FlowKey::new(Ipv4Addr::from(a), Ipv4Addr::from(b), ap, bp, Proto::Tcp)
     }
 
+    /// The raw tuple a v4 frame of `k` carries.
+    fn raw(k: &FlowKey) -> RawTuple {
+        RawTuple {
+            src_ip: u128::from(u32::from(k.src_ip)),
+            dst_ip: u128::from(u32::from(k.dst_ip)),
+            src_port: k.src_port,
+            dst_port: k.dst_port,
+            proto: k.proto.number(),
+        }
+    }
+
     #[test]
     fn symmetric_hash_matches_reverse() {
         let h = FlowHasher::new(7);
@@ -737,7 +748,6 @@ mod tests {
             for dir in [k, k.reversed(), land] {
                 let flow = h.flow_digest(&dir);
                 assert_eq!((flow.canon, flow.digest), h.digest_symmetric(&dir));
-                assert_eq!(flow.forward, dir.is_canonical());
                 assert_eq!(flow.forward, flow.canon == dir);
             }
         }
@@ -772,7 +782,7 @@ mod tests {
                 land.proto = proto;
                 let (rk, rtie) = (k.reversed(), tie.reversed());
                 let keys = [k, rk, tie, rtie, land, k, tie, rk];
-                let tuples = keys.map(|k| RawTuple::from_key(&k));
+                let tuples = keys.map(|k| raw(&k));
                 assert_raw_is_flow_digest(&h, &tuples);
                 assert!(h.flow_digest_raw(tuples[0]).forward);
                 assert!(!h.flow_digest_raw(tuples[1]).forward);

@@ -69,16 +69,6 @@ pub enum Direction {
     Reverse,
 }
 
-impl Direction {
-    /// The opposite direction.
-    pub fn flip(self) -> Direction {
-        match self {
-            Direction::Forward => Direction::Reverse,
-            Direction::Reverse => Direction::Forward,
-        }
-    }
-}
-
 /// A directed 5-tuple: (src ip, dst ip, src port, dst port, protocol).
 ///
 /// `FlowKey` is directed as constructed; call [`FlowKey::canonical`] to get
@@ -152,22 +142,6 @@ impl FlowKey {
             (self.reversed(), Direction::Reverse)
         }
     }
-
-    /// True if this key is already in canonical orientation.
-    pub fn is_canonical(&self) -> bool {
-        self.canonical().1 == Direction::Forward
-    }
-
-    /// The destination IP truncated to a prefix of `bits` bits, as used by
-    /// the switch's iterative refinement (dIP/8 → dIP/16 → dIP/32).
-    pub fn dst_prefix(&self, bits: u8) -> u32 {
-        prefix_of(self.dst_ip, bits)
-    }
-
-    /// The source IP truncated to a prefix of `bits` bits.
-    pub fn src_prefix(&self, bits: u8) -> u32 {
-        prefix_of(self.src_ip, bits)
-    }
 }
 
 /// The raw directed 5-tuple as it appears on the wire: host-order integers,
@@ -199,17 +173,6 @@ pub struct RawTuple {
 }
 
 impl RawTuple {
-    /// Extract the raw tuple from a [`FlowKey`].
-    pub fn from_key(key: &FlowKey) -> RawTuple {
-        RawTuple {
-            src_ip: u128::from(u32::from(key.src_ip)),
-            dst_ip: u128::from(u32::from(key.dst_ip)),
-            src_port: key.src_port,
-            dst_port: key.dst_port,
-            proto: key.proto.number(),
-        }
-    }
-
     /// Materialise the equivalent [`FlowKey`], folding each address via
     /// [`fold_ip`] (the identity for tuples extracted from IPv4 frames).
     pub fn key(&self) -> FlowKey {
@@ -291,7 +254,7 @@ mod tests {
         let (c2, d2) = k.reversed().canonical();
         assert_eq!(c1, c2);
         assert_ne!(d1, d2);
-        assert!(c1.is_canonical());
+        assert_eq!(c1.canonical(), (c1, Direction::Forward));
     }
 
     #[test]
@@ -303,12 +266,12 @@ mod tests {
 
     #[test]
     fn prefix_truncation() {
-        let k = FlowKey::tcp(ip("1.2.3.4"), 1, ip("192.168.37.41"), 2);
-        assert_eq!(k.dst_prefix(16), u32::from(ip("192.168.0.0")));
-        assert_eq!(k.dst_prefix(8), u32::from(ip("192.0.0.0")));
-        assert_eq!(k.dst_prefix(32), u32::from(ip("192.168.37.41")));
-        assert_eq!(k.dst_prefix(0), 0);
-        assert_eq!(k.src_prefix(24), u32::from(ip("1.2.3.0")));
+        let dst = ip("192.168.37.41");
+        assert_eq!(prefix_of(dst, 16), u32::from(ip("192.168.0.0")));
+        assert_eq!(prefix_of(dst, 8), u32::from(ip("192.0.0.0")));
+        assert_eq!(prefix_of(dst, 32), u32::from(dst));
+        assert_eq!(prefix_of(dst, 0), 0);
+        assert_eq!(prefix_of(ip("1.2.3.4"), 24), u32::from(ip("1.2.3.0")));
     }
 
     #[test]
@@ -322,9 +285,14 @@ mod tests {
     fn raw_tuple_round_trips_through_flow_key() {
         for proto in [Proto::Tcp, Proto::Udp, Proto::Icmp, Proto::Other(89)] {
             let k = FlowKey::new(ip("10.0.0.9"), ip("172.16.1.2"), 40000, 22, proto);
-            let t = RawTuple::from_key(&k);
+            let t = RawTuple {
+                src_ip: 0x0A00_0009,
+                dst_ip: 0xAC10_0102,
+                src_port: 40000,
+                dst_port: 22,
+                proto: proto.number(),
+            };
             assert_eq!(t.key(), k);
-            assert_eq!(t.proto, proto.number());
         }
     }
 
@@ -348,11 +316,5 @@ mod tests {
         // Word position matters: the same 32-bit value in different words
         // folds differently.
         assert_ne!(fold_ip(1u128 << 64), fold_ip(1u128 << 32));
-    }
-
-    #[test]
-    fn direction_flip() {
-        assert_eq!(Direction::Forward.flip(), Direction::Reverse);
-        assert_eq!(Direction::Reverse.flip().flip(), Direction::Reverse);
     }
 }

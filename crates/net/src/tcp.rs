@@ -39,11 +39,6 @@ impl TcpFlags {
         self.0 & other.0 == other.0
     }
 
-    /// True if any flag in `other` is set in `self`.
-    pub fn intersects(self, other: TcpFlags) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// True if the SYN flag is set (with or without ACK).
     pub fn syn(self) -> bool {
         self.contains(TcpFlags::SYN)
@@ -145,8 +140,6 @@ mod tests {
     fn set_operations() {
         let f = TcpFlags::SYN | TcpFlags::ACK;
         assert_eq!(f, TcpFlags::SYN_ACK);
-        assert!(f.intersects(TcpFlags::SYN));
-        assert!(!f.intersects(TcpFlags::RST));
         assert_eq!(f & TcpFlags::SYN, TcpFlags::SYN);
         let mut g = TcpFlags::NONE;
         g |= TcpFlags::RST;

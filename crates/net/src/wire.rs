@@ -16,7 +16,6 @@ use crate::key::{FlowKey, Proto, RawTuple};
 use crate::packet::Packet;
 use crate::tcp::TcpFlags;
 use crate::time::Ts;
-use bytes::Bytes;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -107,10 +106,10 @@ const V6_EXTENSION_HEADERS: [u8; 6] = [0, 43, 44, 50, 51, 60];
 
 /// Encode a [`Packet`] as an Ethernet II / IPv4 / {TCP,UDP} frame: the
 /// bytes [`encode_into`] appends, in a buffer of their own.
-pub fn encode(p: &Packet) -> Bytes {
+pub fn encode(p: &Packet) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_into(p, &mut buf);
-    Bytes::from(buf)
+    buf
 }
 
 /// Append a [`Packet`] to `out` as an Ethernet II / IPv4 / {TCP,UDP}
@@ -142,14 +141,6 @@ pub fn encode_into(p: &Packet, out: &mut Vec<u8>) {
     // The pseudo-header's address words; `put_transport` adds the rest.
     let addrs = pseudo_header_sum(p.key.src_ip, p.key.dst_ip, 0, 0);
     put_transport(p, addrs, segment);
-}
-
-/// Encode a [`Packet`] as an Ethernet II / IPv6 / {TCP,UDP} frame: the
-/// bytes [`encode_v6_into`] appends, in a buffer of their own.
-pub fn encode_v6(p: &Packet) -> Bytes {
-    let mut buf = Vec::new();
-    encode_v6_into(p, &mut buf);
-    Bytes::from(buf)
 }
 
 /// Append a [`Packet`] to `out` as an Ethernet II / IPv6 / {TCP,UDP}
@@ -438,12 +429,6 @@ impl<'a> FrameView<'a> {
         self.tuple.key()
     }
 
-    /// Raw IP protocol number.
-    #[inline]
-    pub fn proto_number(&self) -> u8 {
-        self.tuple.proto
-    }
-
     /// Transport protocol.
     pub fn proto(&self) -> Proto {
         Proto::from_number(self.tuple.proto)
@@ -505,6 +490,13 @@ mod tests {
     use super::*;
     use crate::packet::PacketBuilder;
 
+    /// `p` as one Ethernet II / IPv6 frame.
+    fn v6_frame(p: &Packet) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_v6_into(p, &mut frame);
+        frame
+    }
+
     fn tcp_packet() -> Packet {
         let key = FlowKey::tcp(
             Ipv4Addr::new(10, 1, 2, 3),
@@ -550,16 +542,14 @@ mod tests {
 
     #[test]
     fn corrupted_ip_checksum_rejected() {
-        let frame = encode(&tcp_packet());
-        let mut bad = frame.to_vec();
+        let mut bad = encode(&tcp_packet());
         bad[ETH_HDR_LEN + 12] ^= 0xFF; // flip a src-ip byte
         assert_eq!(decode(&bad, Ts::ZERO), Err(WireError::BadIpChecksum));
     }
 
     #[test]
     fn corrupted_tcp_payload_rejected() {
-        let frame = encode(&tcp_packet());
-        let mut bad = frame.to_vec();
+        let mut bad = encode(&tcp_packet());
         let last = bad.len() - 1;
         bad[last] ^= 0x01; // flip a payload bit
         assert_eq!(decode(&bad, Ts::ZERO), Err(WireError::BadTransportChecksum));
@@ -575,7 +565,7 @@ mod tests {
     #[test]
     fn mislabelled_ethertype_rejected() {
         // A v4 header behind the v6 EtherType fails the version check …
-        let mut frame = encode(&tcp_packet()).to_vec();
+        let mut frame = encode(&tcp_packet());
         frame[12] = 0x86;
         frame[13] = 0xDD;
         assert_eq!(decode(&frame, Ts::ZERO), Err(WireError::Unsupported));
@@ -608,7 +598,7 @@ mod tests {
                 .payload(33)
                 .build();
             let f4 = encode(&p);
-            let f6 = encode_v6(&p);
+            let f6 = v6_frame(&p);
             let v4 = FrameView::parse(&f4).unwrap();
             let v6 = FrameView::parse(&f6).unwrap();
             assert_eq!(v6.flow_key(), v4.flow_key(), "{proto}");
@@ -721,7 +711,7 @@ mod tests {
             5353,
         );
         let p = PacketBuilder::new(key, Ts::ZERO).payload(64).build();
-        let mut frame = encode_v6(&p).to_vec();
+        let mut frame = v6_frame(&p);
         let q = decode(&frame, Ts::ZERO).expect("valid v6 UDP parses");
         assert_eq!(q.key, key);
         let csum_at = ETH_HDR_LEN + IPV6_HDR_LEN + 6;
@@ -793,7 +783,7 @@ mod tests {
             5353,
         );
         let p = PacketBuilder::new(key, Ts::ZERO).payload(64).build();
-        let mut frame = encode(&p).to_vec();
+        let mut frame = encode(&p);
         let csum_at = ETH_HDR_LEN + IPV4_HDR_LEN + 6;
         frame[csum_at] = 0;
         frame[csum_at + 1] = 0;

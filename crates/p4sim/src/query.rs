@@ -178,17 +178,6 @@ impl SwitchQuery {
         }
     }
 
-    /// "Number of RST packets per destination prefix".
-    pub fn rst_count(width: u8, threshold: u64) -> SwitchQuery {
-        SwitchQuery {
-            name: format!("rst-d{width}"),
-            filter: Filter::Rst,
-            key: KeyExpr::DstPrefix(width),
-            distinct: None,
-            threshold,
-        }
-    }
-
     /// "DNS responses per destination prefix" — amplification indicator.
     pub fn dns_responses(width: u8, threshold: u64) -> SwitchQuery {
         SwitchQuery {
@@ -342,7 +331,13 @@ mod tests {
 
     #[test]
     fn clear_resets_interval_state() {
-        let q = SwitchQuery::rst_count(16, 1);
+        let q = SwitchQuery {
+            name: "rst-d16".into(),
+            filter: Filter::Rst,
+            key: KeyExpr::DstPrefix(16),
+            distinct: None,
+            threshold: 1,
+        };
         let mut st = QueryState::default();
         let p = PacketBuilder::new(
             FlowKey::tcp(Ipv4Addr::new(1, 1, 1, 1), 1, Ipv4Addr::new(2, 2, 2, 2), 2),

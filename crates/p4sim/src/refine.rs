@@ -200,12 +200,6 @@ impl Refiner {
             }
         }
     }
-
-    /// Intervals Sonata needs to reach its finest level from a cold start
-    /// (the detection-delay disadvantage).
-    pub fn sonata_zoom_latency(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 #[cfg(test)]
@@ -336,12 +330,5 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(r.level(), 8);
-    }
-
-    #[test]
-    fn zoom_latency_counts_levels() {
-        let base = SwitchQuery::ssh_attempts(8, 10);
-        let r = Refiner::new(RefineMode::Sonata, base, Refiner::paper_levels());
-        assert_eq!(r.sonata_zoom_latency(), 3);
     }
 }

@@ -245,11 +245,6 @@ impl P4Switch {
         }
     }
 
-    /// Remove every steering rule.
-    pub fn clear_steer(&mut self) {
-        self.steer_rules.clear();
-    }
-
     /// Currently installed steer rules.
     pub fn steer_rules(&self) -> &[SteerRule] {
         &self.steer_rules
@@ -268,11 +263,6 @@ impl P4Switch {
     /// Blacklist a source address.
     pub fn blacklist(&mut self, src: Ipv4Addr) {
         self.blacklist_src.insert(src, ());
-    }
-
-    /// True if a source is blacklisted.
-    pub fn is_blacklisted(&self, src: Ipv4Addr) -> bool {
-        self.blacklist_src.lookup(&src).is_some()
     }
 
     /// Process one packet through the pipeline.
@@ -407,7 +397,6 @@ mod tests {
         sw.blacklist(Ipv4Addr::new(198, 18, 0, 1));
         let p = pkt([198, 18, 0, 1], [172, 16, 0, 1], 22, TcpFlags::SYN);
         assert_eq!(sw.process(&p), Decision::Drop);
-        assert!(sw.is_blacklisted(Ipv4Addr::new(198, 18, 0, 1)));
     }
 
     #[test]
@@ -420,12 +409,12 @@ mod tests {
         assert!(sw.install_query(SwitchQuery::scan_probes(8, 1))); // 2 stages
         assert_eq!(sw.stages_used(), 3);
         assert!(
-            !sw.install_query(SwitchQuery::rst_count(8, 1)),
+            !sw.install_query(SwitchQuery::dns_responses(8, 1)),
             "budget full"
         );
         assert!(sw.remove_query("ssh-attempts-d8"));
         assert!(
-            sw.install_query(SwitchQuery::rst_count(8, 1)),
+            sw.install_query(SwitchQuery::dns_responses(8, 1)),
             "freed a stage"
         );
     }
@@ -470,13 +459,11 @@ mod tests {
     #[test]
     fn remove_query_and_steer_management() {
         let mut sw = P4Switch::new();
-        sw.install_query(SwitchQuery::rst_count(16, 5));
-        assert!(sw.remove_query("rst-d16"));
-        assert!(!sw.remove_query("rst-d16"));
+        sw.install_query(SwitchQuery::dns_responses(16, 5));
+        assert!(sw.remove_query("dnsamp-d16"));
+        assert!(!sw.remove_query("dnsamp-d16"));
         sw.install_steer(SteerRule::dst(0, 8));
         sw.install_steer(SteerRule::dst(0, 8)); // idempotent
         assert_eq!(sw.steer_rules().len(), 1);
-        sw.clear_steer();
-        assert!(sw.steer_rules().is_empty());
     }
 }

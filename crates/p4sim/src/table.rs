@@ -233,73 +233,6 @@ impl<A> TernaryTable<A> {
     }
 }
 
-/// A register array: per-index stateful cells with the P4 constraint of
-/// one read-modify-write per packet per register (enforced in debug via
-/// an access epoch).
-#[derive(Clone, Debug)]
-pub struct RegisterArray {
-    cells: Vec<u64>,
-    epoch: u64,
-    last_access_epoch: Vec<u64>,
-}
-
-impl RegisterArray {
-    /// `n` zero-initialised 64-bit registers.
-    pub fn new(n: usize) -> RegisterArray {
-        RegisterArray {
-            cells: vec![0; n],
-            epoch: 1,
-            last_access_epoch: vec![0; n],
-        }
-    }
-
-    /// Number of registers.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Begin a new packet (advances the access epoch).
-    pub fn next_packet(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Read-modify-write one register. Panics in debug builds if the same
-    /// register is touched twice within one packet — the hardware
-    /// constraint the paper cites ("registers in one stage cannot be
-    /// accessed at a different stage… only a small constant number of
-    /// memory accesses per packet").
-    pub fn rmw(&mut self, index: usize, f: impl FnOnce(u64) -> u64) -> u64 {
-        debug_assert_ne!(
-            self.last_access_epoch[index], self.epoch,
-            "register {index} accessed twice in one packet"
-        );
-        self.last_access_epoch[index] = self.epoch;
-        let v = f(self.cells[index]);
-        self.cells[index] = v;
-        v
-    }
-
-    /// Read a register without the per-packet constraint (control plane).
-    pub fn read(&self, index: usize) -> u64 {
-        self.cells[index]
-    }
-
-    /// Control-plane reset.
-    pub fn clear(&mut self) {
-        self.cells.fill(0);
-    }
-
-    /// SRAM bytes occupied.
-    pub fn sram_bytes(&self) -> usize {
-        self.cells.len() * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,28 +305,5 @@ mod tests {
         };
         assert!(e.matches(0xABCD));
         assert!(!e.matches(0xACCD));
-    }
-
-    #[test]
-    fn register_rmw_and_reset() {
-        let mut r = RegisterArray::new(4);
-        r.next_packet();
-        assert_eq!(r.rmw(0, |v| v + 5), 5);
-        r.next_packet();
-        assert_eq!(r.rmw(0, |v| v + 5), 10);
-        assert_eq!(r.read(0), 10);
-        r.clear();
-        assert_eq!(r.read(0), 0);
-        assert_eq!(r.sram_bytes(), 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "accessed twice")]
-    #[cfg(debug_assertions)]
-    fn register_double_access_panics() {
-        let mut r = RegisterArray::new(1);
-        r.next_packet();
-        r.rmw(0, |v| v + 1);
-        r.rmw(0, |v| v + 1);
     }
 }

@@ -29,7 +29,7 @@ use smartwatch_control::{
     ShardSample, SnapshotCell, SnapshotReader, SteeringSnapshot,
 };
 use smartwatch_net::hash::shard_for_digest;
-use smartwatch_net::{FlowHasher, FrameStore, HashDigest, Packet};
+use smartwatch_net::{FlowHasher, HashDigest, Packet};
 use smartwatch_snic::Mode;
 use smartwatch_telemetry::{
     mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, Publisher, Registry, Tracer,
@@ -361,22 +361,18 @@ impl Engine {
         self.run_source(FrameSource::Packets(packets), pace)
     }
 
-    /// Replay a packed wire-frame store through the full pipeline — the
-    /// zero-copy wire path. Each ingest unit receives 8-frame bursts,
-    /// parses the Ethernet/IP/transport headers where the store holds
-    /// them with [`FrameView`](smartwatch_net::FrameView) and digests
-    /// straight from the header bytes
-    /// ([`FlowHasher::flow_digest_batch8`]): nothing is copied and
-    /// nothing allocated per frame. The resulting
+    /// Replay any [`FrameSource`] and block until every queue is
+    /// drained and every thread joined. [`Engine::run`] is a thin
+    /// wrapper over this.
+    ///
+    /// [`FrameSource::Wire`] is the zero-copy wire path: each ingest
+    /// unit receives 8-frame bursts, parses the Ethernet/IP/transport
+    /// headers where the store holds them with
+    /// [`FrameView`](smartwatch_net::FrameView) and digests straight
+    /// from the header bytes ([`FlowHasher::flow_digest_batch8`]):
+    /// nothing is copied and nothing allocated per frame. The resulting
     /// [`EngineReport::deterministic_summary`] is byte-identical to the
     /// synthetic run of the same packets.
-    pub fn run_frames(&self, store: &FrameStore, pace: Pace) -> EngineReport {
-        self.run_source(FrameSource::Wire(store), pace)
-    }
-
-    /// Replay any [`FrameSource`] and block until every queue is
-    /// drained and every thread joined. [`Engine::run`] and
-    /// [`Engine::run_frames`] are thin wrappers over this.
     pub fn run_source(&self, source: FrameSource<'_>, pace: Pace) -> EngineReport {
         let cfg = &self.cfg;
         let n = cfg.shards;

@@ -795,7 +795,7 @@ mod tests {
                 dp.flow.digest.row(bits) == other.flow.digest.row(bits)
                     && dp.flow.digest != other.flow.digest
             })
-            .take(w.flow.tier.cache.config().buckets_per_row)
+            .take(w.flow.tier.cache.config().buckets_per_row())
             .collect();
         feed(&mut w, &rowmates);
         for dp in &rowmates {

@@ -10,9 +10,9 @@
 //! ingest (no lane to overrun: the core self-backpressures).
 
 use smartwatch_net::{pcap, Dur, FlowKey, FrameStore, PacketBuilder, Ts};
-use smartwatch_runtime::{Count, DatapathMode, Engine, EngineConfig, Pace};
+use smartwatch_runtime::{Count, DatapathMode, Engine, EngineConfig, FrameSource, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
-use smartwatch_trace::compile::{compile, compile_v6};
+use smartwatch_trace::compile::compile;
 use smartwatch_trace::Trace;
 use std::net::Ipv4Addr;
 
@@ -112,13 +112,17 @@ fn rtc_is_byte_identical_to_pipeline_on_compiled_wire_replay() {
     let trace = workload(300, 0xBEEF);
     let store = compile(&trace);
     for shards in [1usize, 2] {
-        let (pipeline, rtc) = run_both(shards, 8, |e| e.run_frames(&store, Pace::Flatout));
+        let (pipeline, rtc) = run_both(shards, 8, |e| {
+            e.run_source(FrameSource::Wire(&store), Pace::Flatout)
+        });
         assert_equivalent(&pipeline, &rtc, &format!("compiled-v4 shards={shards}"));
     }
     // The synthetic replay of the same trace agrees too — the fused
     // wire front end digests bit-identically to the packet path.
     let (synthetic, _) = run_both(2, 8, |e| e.run(trace.packets(), Pace::Flatout));
-    let (_, wire_rtc) = run_both(2, 8, |e| e.run_frames(&store, Pace::Flatout));
+    let (_, wire_rtc) = run_both(2, 8, |e| {
+        e.run_source(FrameSource::Wire(&store), Pace::Flatout)
+    });
     assert_eq!(
         synthetic.deterministic_summary(),
         wire_rtc.deterministic_summary(),
@@ -133,9 +137,11 @@ fn rtc_is_byte_identical_to_pipeline_on_v6_wire_replay() {
     // on the same v6 store (v6 is not compared against synthetic —
     // sideband wire lengths clamp to the 20-byte-longer v6 frames).
     let trace = workload(250, 0x6666);
-    let store = compile_v6(&trace);
+    let store = FrameStore::from_packets_v6(trace.packets());
     for shards in [1usize, 2] {
-        let (pipeline, rtc) = run_both(shards, 8, |e| e.run_frames(&store, Pace::Flatout));
+        let (pipeline, rtc) = run_both(shards, 8, |e| {
+            e.run_source(FrameSource::Wire(&store), Pace::Flatout)
+        });
         assert_equivalent(&pipeline, &rtc, &format!("compiled-v6 shards={shards}"));
     }
 }
@@ -146,7 +152,9 @@ fn rtc_is_byte_identical_to_pipeline_on_pcap_replay() {
     let bytes = pcap::write(trace.packets());
     let store = FrameStore::from_pcap(&bytes).expect("own pcap output parses");
     for shards in [1usize, 2] {
-        let (pipeline, rtc) = run_both(shards, 8, |e| e.run_frames(&store, Pace::Flatout));
+        let (pipeline, rtc) = run_both(shards, 8, |e| {
+            e.run_source(FrameSource::Wire(&store), Pace::Flatout)
+        });
         assert_equivalent(&pipeline, &rtc, &format!("pcap shards={shards}"));
     }
 }
@@ -259,9 +267,9 @@ fn rtc_serve_segments_reuse_parked_pools_and_carry_flow_state() {
     cfg.datapath = DatapathMode::Rtc;
     cfg.carry_flow_state = true;
     let engine = Engine::new(cfg);
-    let first = engine.run_frames(&store, Pace::Flatout);
+    let first = engine.run_source(FrameSource::Wire(&store), Pace::Flatout);
     assert!(first.conserved());
-    let second = engine.run_frames(&store, Pace::Flatout);
+    let second = engine.run_source(FrameSource::Wire(&store), Pace::Flatout);
     assert!(second.conserved());
     assert_eq!(
         engine

@@ -8,7 +8,7 @@
 
 use smartwatch_net::{Dur, FlowHasher, FlowKey, Packet, PacketBuilder};
 use smartwatch_runtime::{
-    AdminCmd, ControlConfig, Count, DatapathMode, Engine, EngineConfig, Pace,
+    AdminCmd, ControlConfig, Count, DatapathMode, Engine, EngineConfig, FrameSource, Pace,
 };
 use smartwatch_telemetry::Registry;
 use smartwatch_trace::background::{preset_trace, Preset};
@@ -78,7 +78,7 @@ fn wire_segments_keep_the_lane_buffers_flat_across_restart() {
         let engine = Engine::with_registry(cfg, &registry);
         let bufs = registry.counter("runtime.pool.allocated", &[]);
 
-        let first = engine.run_frames(&store, Pace::Flatout);
+        let first = engine.run_source(FrameSource::Wire(&store), Pace::Flatout);
         assert!(
             first.conserved(),
             "{datapath:?}: wire segment 1 violates conservation"
@@ -90,7 +90,7 @@ fn wire_segments_keep_the_lane_buffers_flat_across_restart() {
             "{datapath:?}: every lane once round its ring"
         );
 
-        let second = engine.run_frames(&store, Pace::Flatout);
+        let second = engine.run_source(FrameSource::Wire(&store), Pace::Flatout);
         assert!(
             second.conserved(),
             "{datapath:?}: wire segment 2 violates conservation"

@@ -7,7 +7,7 @@
 //! allocates past the per-ingest-unit warm-up burst.
 
 use smartwatch_net::{pcap, Dur, FrameStore};
-use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, Pace};
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, FrameSource, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
 use smartwatch_trace::compile::{compile, compile_cycled};
 use smartwatch_trace::Trace;
@@ -46,7 +46,7 @@ fn compiled_replay_summary_is_byte_identical_to_synthetic() {
             .run(trace.packets(), Pace::Flatout)
             .deterministic_summary();
         let wire = Engine::new(cfg)
-            .run_frames(&store, Pace::Flatout)
+            .run_source(FrameSource::Wire(&store), Pace::Flatout)
             .deterministic_summary();
         assert_eq!(
             synthetic, wire,
@@ -68,7 +68,7 @@ fn batched_cache_path_is_byte_identical_on_the_wire_path() {
             let mut cfg = deterministic(datapath, shards);
             cfg.cache_burst = burst;
             Engine::new(cfg)
-                .run_frames(&store, Pace::Flatout)
+                .run_source(FrameSource::Wire(&store), Pace::Flatout)
                 .deterministic_summary()
         };
         assert_eq!(
@@ -87,7 +87,7 @@ fn cycled_compiled_replay_conserves_across_shapes() {
     for (datapath, shards) in DATAPATHS.iter().flat_map(|&d| [(d, 1), (d, 2), (d, 3)]) {
         let mut cfg = EngineConfig::new(shards);
         cfg.datapath = datapath;
-        let report = Engine::new(cfg).run_frames(&store, Pace::Flatout);
+        let report = Engine::new(cfg).run_source(FrameSource::Wire(&store), Pace::Flatout);
         assert_eq!(report.offered, total as u64);
         assert_eq!(report.processed(), total as u64, "flatout never drops");
         assert!(
@@ -107,7 +107,8 @@ fn pcap_sourced_replay_matches_packet_replay_and_conserves() {
     assert_eq!(store.len(), trace.len());
 
     for datapath in DATAPATHS {
-        let report = Engine::new(two_shards(datapath)).run_frames(&store, Pace::Flatout);
+        let report =
+            Engine::new(two_shards(datapath)).run_source(FrameSource::Wire(&store), Pace::Flatout);
         assert_eq!(report.offered, trace.len() as u64);
         assert_eq!(report.processed(), trace.len() as u64);
         assert!(report.conserved(), "{datapath:?}");
@@ -118,7 +119,7 @@ fn pcap_sourced_replay_matches_packet_replay_and_conserves() {
         // runs must be).
         let summary = || {
             Engine::new(deterministic(datapath, 2))
-                .run_frames(&store, Pace::Flatout)
+                .run_source(FrameSource::Wire(&store), Pace::Flatout)
                 .deterministic_summary()
         };
         assert_eq!(summary(), summary(), "{datapath:?}");
@@ -132,7 +133,7 @@ fn paced_wire_replay_keeps_conservation_under_drops() {
     for datapath in DATAPATHS {
         let mut cfg = two_shards(datapath);
         cfg.queue_batches = 2; // tiny lanes force overruns at a hot rate
-        let report = Engine::new(cfg).run_frames(&store, Pace::RateMpps(20.0));
+        let report = Engine::new(cfg).run_source(FrameSource::Wire(&store), Pace::RateMpps(20.0));
         assert!(
             report.conserved(),
             "{datapath:?}: drops must stay exactly accounted"

@@ -46,25 +46,6 @@ impl CountMin {
     pub fn width(&self) -> usize {
         self.width
     }
-
-    /// Update with an arbitrary u64-keyed item (used by detectors that
-    /// sketch non-5-tuple keys such as IPD bins).
-    pub fn update_u64(&mut self, key: u64, count: u64) {
-        for (row, h) in self.rows.iter_mut().zip(&self.hashers) {
-            let idx = h.hash_u64(key).bucket(self.width);
-            row[idx] = row[idx].saturating_add(count);
-        }
-    }
-
-    /// Estimate for an arbitrary u64-keyed item.
-    pub fn estimate_u64(&self, key: u64) -> u64 {
-        self.rows
-            .iter()
-            .zip(&self.hashers)
-            .map(|(row, h)| row[h.hash_u64(key).bucket(self.width)])
-            .min()
-            .unwrap_or(0)
-    }
 }
 
 impl FlowCounter for CountMin {
@@ -159,13 +140,5 @@ mod tests {
         let cm = CountMin::with_memory(64 * 1024, 4, 0);
         assert!(cm.memory_bytes() <= 64 * 1024);
         assert!(cm.memory_bytes() > 60 * 1024);
-    }
-
-    #[test]
-    fn u64_interface_independent_of_flow_interface() {
-        let mut cm = CountMin::new(4, 4096, 9);
-        cm.update_u64(42, 5);
-        assert_eq!(cm.estimate_u64(42), 5);
-        assert_eq!(cm.estimate_u64(43), 0);
     }
 }

@@ -61,59 +61,3 @@ pub trait FlowCounter {
     /// Reset all state (start of a new monitoring interval).
     fn clear(&mut self);
 }
-
-/// Heavy-change detection between two interval snapshots of the same
-/// (cleared-between-intervals) structure: flows whose |count_a - count_b|
-/// is at least `threshold`. `candidates` supplies the key universe for
-/// non-invertible structures; invertible structures are still probed via
-/// `candidates` so both paths measure the same task.
-pub fn heavy_change<C: FlowCounter>(
-    a: &C,
-    b: &C,
-    candidates: &[FlowKey],
-    threshold: u64,
-) -> Vec<(FlowKey, u64)> {
-    let mut out = Vec::new();
-    for k in candidates {
-        let ca = a.estimate(k);
-        let cb = b.estimate(k);
-        let delta = ca.abs_diff(cb);
-        if delta >= threshold {
-            out.push((*k, delta));
-        }
-    }
-    out.sort_by_key(|(_, d)| std::cmp::Reverse(*d));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::net::Ipv4Addr;
-
-    fn key(i: u32) -> FlowKey {
-        FlowKey::tcp(
-            Ipv4Addr::from(0x0A000000 + i),
-            1000,
-            Ipv4Addr::from(0xAC100001),
-            80,
-        )
-    }
-
-    #[test]
-    fn heavy_change_finds_changed_flows() {
-        let mut a = CountMin::new(4, 4096, 1);
-        let mut b = CountMin::new(4, 4096, 1);
-        let keys: Vec<FlowKey> = (0..100).map(key).collect();
-        for k in &keys {
-            a.update(k, 10);
-            b.update(k, 10);
-        }
-        // Flow 0 surges in interval b.
-        b.update(&keys[0], 1000);
-        let changes = heavy_change(&a, &b, &keys, 500);
-        assert_eq!(changes.len(), 1);
-        assert_eq!(changes[0].0, keys[0]);
-        assert!(changes[0].1 >= 1000);
-    }
-}

@@ -20,6 +20,10 @@ use smartwatch_net::{Dur, Packet};
 use smartwatch_telemetry::{Histogram, Registry, TraceShard};
 use std::collections::BinaryHeap;
 
+/// Ingress buffering horizon: a packet that would wait longer than this
+/// is dropped.
+const MAX_QUEUE_DELAY: Dur = Dur::from_micros(12);
+
 /// DES configuration.
 #[derive(Clone, Debug)]
 pub struct DesConfig {
@@ -34,9 +38,6 @@ pub struct DesConfig {
     /// are re-spaced uniformly at this rate (MoonGen-style replay);
     /// otherwise trace timestamps are used as-is.
     pub offered_pps: Option<f64>,
-    /// Ingress buffering horizon: a packet that would wait longer than
-    /// this is dropped.
-    pub max_queue_delay: Dur,
     /// Optional Algorithm 4 controller that reconfigures the cache while
     /// the simulation runs (sampled every `rate_sample_every` packets).
     pub switchover: Option<SwitchOver>,
@@ -57,7 +58,6 @@ impl DesConfig {
             costs: CycleCosts::default(),
             pmes: 80,
             offered_pps: Some(offered_pps),
-            max_queue_delay: Dur::from_micros(12),
             switchover: None,
             rate_sample_every: 4096,
             sampling: 1.0,
@@ -243,7 +243,7 @@ pub fn simulate_instrumented(
         let Reverse((free_at, pme)) = servers.pop().expect("non-empty pool");
         let start = free_at.max(arrival);
         let queue_wait = start - arrival;
-        if queue_wait > cfg.max_queue_delay.as_nanos() {
+        if queue_wait > MAX_QUEUE_DELAY.as_nanos() {
             // Drop at ingress; the server's schedule is unchanged.
             servers.push(Reverse((free_at, pme)));
             report.dropped += 1;
@@ -329,35 +329,6 @@ pub fn simulate_instrumented(
         }
     }
     report
-}
-
-/// Sweep offered rate until loss exceeds `loss_budget`, returning the
-/// highest loss-free rate found (the paper's "loss-free mode for arrival
-/// rates up to X Mpps" statements). Binary-searches between `lo` and `hi`
-/// Mpps with fresh clones of `cache` per probe.
-pub fn max_lossfree_mpps(
-    cache: &FlowCache,
-    packets: &[Packet],
-    cfg: &DesConfig,
-    lo: f64,
-    hi: f64,
-    loss_budget: f64,
-) -> f64 {
-    let mut lo = lo;
-    let mut hi = hi;
-    for _ in 0..8 {
-        let mid = (lo + hi) / 2.0;
-        let mut c = cache.clone();
-        let mut probe_cfg = cfg.clone();
-        probe_cfg.offered_pps = Some(mid * 1e6);
-        let rep = simulate(&mut c, packets, &probe_cfg);
-        if rep.loss_rate() <= loss_budget {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
@@ -449,15 +420,6 @@ mod tests {
         let rep = simulate(&mut fc, &packets(100_000, 2_000), &cfg);
         assert!(rep.mode_switches >= 1, "should have switched to Lite");
         assert_eq!(fc.mode(), crate::flowcache::Mode::Lite);
-    }
-
-    #[test]
-    fn lossfree_search_is_monotone_sane() {
-        let fc = cache();
-        let cfg = DesConfig::netronome(1.0);
-        let pkts = packets(30_000, 1_000);
-        let max = max_lossfree_mpps(&fc, &pkts, &cfg, 1.0, 100.0, 0.001);
-        assert!(max > 5.0 && max < 100.0, "max loss-free {max}");
     }
 
     #[test]

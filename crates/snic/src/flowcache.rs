@@ -75,6 +75,9 @@ use std::ops::{Range, Sub};
 /// configuration in the workspace is far below this).
 pub const MAX_BUCKETS: usize = 64;
 
+/// Number of eviction rings (paper: 8).
+const RINGS: usize = 8;
+
 /// Lookups per software-pipeline stage — callers issue this many
 /// [`FlowCache::prefetch_row`]s, then probe them in order: the prefetch
 /// distance. Matches the dispatcher's 8-frame digest bursts
@@ -142,8 +145,6 @@ pub struct FlowCacheConfig {
     /// `x` in Algorithm 1: the table has `2^row_bits` rows. The paper uses
     /// 21; tests use smaller tables.
     pub row_bits: u32,
-    /// Total buckets per row (`B` in Algorithm 1; paper: 12).
-    pub buckets_per_row: usize,
     /// Primary-buffer buckets per row in General mode (`x` of "(x, y)").
     pub primary: usize,
     /// Eviction-buffer buckets per row in General mode (`y` of "(x, y)").
@@ -152,8 +153,6 @@ pub struct FlowCacheConfig {
     pub lite_buckets: usize,
     /// Eviction policies for P and E.
     pub policy: CachePolicy,
-    /// Number of eviction rings (paper: 8).
-    pub rings: usize,
     /// Capacity of each ring (paper: 65 536).
     pub ring_capacity: usize,
     /// Hash seed.
@@ -166,12 +165,10 @@ impl FlowCacheConfig {
     pub fn general(row_bits: u32) -> FlowCacheConfig {
         FlowCacheConfig {
             row_bits,
-            buckets_per_row: 12,
             primary: 4,
             eviction: 8,
             lite_buckets: 2,
             policy: CachePolicy::LRU_LPC,
-            rings: 8,
             ring_capacity: 64 * 1024,
             hash_seed: 0x51CC,
         }
@@ -182,12 +179,10 @@ impl FlowCacheConfig {
     pub fn flat(row_bits: u32, buckets: usize, policy: CachePolicy) -> FlowCacheConfig {
         FlowCacheConfig {
             row_bits,
-            buckets_per_row: buckets,
             primary: buckets,
             eviction: 0,
             lite_buckets: 2,
             policy,
-            rings: 8,
             ring_capacity: 64 * 1024,
             hash_seed: 0x51CC,
         }
@@ -202,12 +197,10 @@ impl FlowCacheConfig {
     ) -> FlowCacheConfig {
         FlowCacheConfig {
             row_bits,
-            buckets_per_row: primary + eviction,
             primary,
             eviction,
             lite_buckets: 2,
             policy,
-            rings: 8,
             ring_capacity: 64 * 1024,
             hash_seed: 0x51CC,
         }
@@ -218,12 +211,18 @@ impl FlowCacheConfig {
         1usize << self.row_bits
     }
 
+    /// Total buckets per row (`B` in Algorithm 1; paper: 12): the
+    /// primary buffer then the eviction buffer.
+    #[inline]
+    pub fn buckets_per_row(&self) -> usize {
+        self.primary + self.eviction
+    }
+
     fn validate(&self) {
         assert!(self.row_bits >= 1 && self.row_bits <= 30);
-        assert!(self.buckets_per_row >= 1 && self.buckets_per_row <= MAX_BUCKETS);
-        assert_eq!(self.primary + self.eviction, self.buckets_per_row);
+        assert!(self.buckets_per_row() <= MAX_BUCKETS);
         assert!(self.primary >= 1);
-        assert!(self.lite_buckets >= 1 && self.lite_buckets <= self.buckets_per_row);
+        assert!(self.lite_buckets >= 1 && self.lite_buckets <= self.buckets_per_row());
     }
 }
 
@@ -351,12 +350,12 @@ impl FlowCache {
         let rows = cfg.rows();
         FlowCache {
             hasher: FlowHasher::new(cfg.hash_seed),
-            slots: vec![None; rows * cfg.buckets_per_row],
+            slots: vec![None; rows * cfg.buckets_per_row()],
             tags: vec![RowTags::EMPTY; rows],
             resident: 0,
             dirty: vec![false; rows],
             mode: Mode::General,
-            rings: RingSet::new(cfg.rings, cfg.ring_capacity),
+            rings: RingSet::new(RINGS, cfg.ring_capacity),
             stats: CacheStats::default(),
             cfg,
         }
@@ -370,7 +369,7 @@ impl FlowCache {
     /// names them); the rings keep their buffers under the [`Resident`]
     /// shrink rule.
     pub fn reset(&mut self) {
-        let b = self.cfg.buckets_per_row;
+        let b = self.cfg.buckets_per_row();
         for (row, t) in self.tags.iter_mut().enumerate() {
             if t.tags != RowTags::EMPTY.tags {
                 self.slots[row * b..(row + 1) * b].fill(None);
@@ -441,11 +440,11 @@ impl FlowCache {
     /// Algorithm 1: candidate bucket range within the row.
     fn candidates(&self, high: u64) -> Range<usize> {
         match self.mode {
-            Mode::General => 0..self.cfg.buckets_per_row,
+            Mode::General => 0..self.cfg.buckets_per_row(),
             Mode::Lite => {
-                let groups = self.cfg.buckets_per_row.div_ceil(self.cfg.lite_buckets);
+                let groups = self.cfg.buckets_per_row().div_ceil(self.cfg.lite_buckets);
                 let offset = (high as usize % groups) * self.cfg.lite_buckets;
-                let end = (offset + self.cfg.lite_buckets).min(self.cfg.buckets_per_row);
+                let end = (offset + self.cfg.lite_buckets).min(self.cfg.buckets_per_row());
                 offset..end
             }
         }
@@ -463,19 +462,19 @@ impl FlowCache {
     /// The E sub-range (empty in Lite mode or when `eviction == 0`).
     fn e_range(&self, _cands: &Range<usize>) -> Range<usize> {
         match self.mode {
-            Mode::General => self.cfg.primary..self.cfg.buckets_per_row,
+            Mode::General => self.cfg.primary..self.cfg.buckets_per_row(),
             Mode::Lite => 0..0,
         }
     }
 
     #[inline]
     fn slot(&self, row: usize, bucket: usize) -> &Option<FlowRecord> {
-        &self.slots[row * self.cfg.buckets_per_row + bucket]
+        &self.slots[row * self.cfg.buckets_per_row() + bucket]
     }
 
     #[inline]
     fn slot_mut(&mut self, row: usize, bucket: usize) -> &mut Option<FlowRecord> {
-        &mut self.slots[row * self.cfg.buckets_per_row + bucket]
+        &mut self.slots[row * self.cfg.buckets_per_row() + bucket]
     }
 
     #[inline]
@@ -505,7 +504,7 @@ impl FlowCache {
     /// free of calls where other crates inline it.
     #[inline]
     fn p_span(&self, digest: HashDigest) -> Range<usize> {
-        let base = digest.row(self.cfg.row_bits) * self.cfg.buckets_per_row;
+        let base = digest.row(self.cfg.row_bits) * self.cfg.buckets_per_row();
         let p = match self.mode {
             Mode::General => 0..self.cfg.primary,
             Mode::Lite => self.p_range(&self.candidates(digest.high(self.cfg.row_bits))),
@@ -626,8 +625,8 @@ impl FlowCache {
                     // to the Primary buffer.
                     let mut writes = 1;
                     if let Some(victim_b) = self.pick_victim(row, p.clone()) {
-                        let pb = row * self.cfg.buckets_per_row + victim_b;
-                        let eb = row * self.cfg.buckets_per_row + b;
+                        let pb = row * self.cfg.buckets_per_row() + victim_b;
+                        let eb = row * self.cfg.buckets_per_row() + b;
                         self.slots.swap(pb, eb);
                         self.tags[row].tags.swap(victim_b, b);
                         writes += 2;
@@ -744,7 +743,7 @@ impl FlowCache {
         } else {
             self.cfg.policy.eviction
         };
-        let base = row * self.cfg.buckets_per_row;
+        let base = row * self.cfg.buckets_per_row();
         let start = range.start;
         policy.victim(
             self.slots[base + start..base + range.end]
@@ -768,7 +767,7 @@ impl FlowCache {
     /// when a sub-row overflows, the most recently active records stay and
     /// the rest are evicted to the rings.
     fn clean_row(&mut self, row: usize) {
-        let b = self.cfg.buckets_per_row;
+        let b = self.cfg.buckets_per_row();
         let lite = self.cfg.lite_buckets;
         let groups = b.div_ceil(lite);
         // Take all records out of the row.
@@ -852,7 +851,7 @@ impl FlowCache {
         let range = if self.mode == Mode::Lite && !self.dirty[row] {
             self.candidates(high)
         } else {
-            0..self.cfg.buckets_per_row
+            0..self.cfg.buckets_per_row()
         };
         range
             .filter_map(|b| self.slot(row, b).as_ref())
@@ -866,9 +865,9 @@ impl FlowCache {
         let range = if self.mode == Mode::Lite && !self.dirty[row] {
             self.candidates(high)
         } else {
-            0..self.cfg.buckets_per_row
+            0..self.cfg.buckets_per_row()
         };
-        let base = row * self.cfg.buckets_per_row;
+        let base = row * self.cfg.buckets_per_row();
         for b in range {
             if matches!(&self.slots[base + b], Some(r) if r.key == canon) {
                 return self.slots[base + b].as_mut();
@@ -904,18 +903,9 @@ impl FlowCache {
     /// host's aggregation of {evictions ∪ snapshots ∪ final drain} is
     /// exactly the per-flow ground truth.
     ///
-    /// Convenience wrapper over [`FlowCache::snapshot_delta_into`];
-    /// epoch-periodic callers should pass a reused scratch buffer to the
-    /// `_into` form so steady-state snapshots allocate nothing.
-    pub fn snapshot_delta(&mut self) -> Vec<FlowRecord> {
-        let mut out = Vec::new();
-        self.snapshot_delta_into(&mut out);
-        out
-    }
-
-    /// [`FlowCache::snapshot_delta`] into a caller-owned buffer (cleared
-    /// first). After the first few epochs the buffer's capacity covers
-    /// the active-flow high-water mark and snapshotting stops allocating.
+    /// The records go into a caller-owned buffer (cleared first). After
+    /// the first few epochs the buffer's capacity covers the active-flow
+    /// high-water mark and snapshotting stops allocating.
     pub fn snapshot_delta_into(&mut self, out: &mut Vec<FlowRecord>) {
         out.clear();
         for s in self.slots.iter_mut().flatten() {
@@ -970,7 +960,7 @@ impl FlowCache {
             "live occupancy counter drifted"
         );
         for row in 0..self.cfg.rows() {
-            for b in 0..self.cfg.buckets_per_row {
+            for b in 0..self.cfg.buckets_per_row() {
                 match self.slot(row, b) {
                     Some(rec) => assert_eq!(
                         self.tag_at(row, b),
@@ -1209,7 +1199,9 @@ mod tests {
                 *truth.entry(p.key.canonical().0).or_default() += 1;
             }
             if i % 500 == 499 {
-                for r in fc.snapshot_delta() {
+                let mut snap = Vec::new();
+                fc.snapshot_delta_into(&mut snap);
+                for r in snap {
                     *exported.entry(r.key).or_default() += r.packets;
                 }
             }
@@ -1552,7 +1544,7 @@ mod tests {
                 let p = pkt(i, u64::from(i));
                 let (canon, digest) = hasher.digest_symmetric(&p.key);
                 let span = fc.p_span(digest);
-                let row = digest.row(cfg.row_bits) * cfg.buckets_per_row;
+                let row = digest.row(cfg.row_bits) * cfg.buckets_per_row();
                 assert_eq!(
                     fc.process_digested(&p, &canon, digest).outcome,
                     Outcome::Miss
@@ -1644,7 +1636,7 @@ mod tests {
                 fc.unpin(&key((i as u32 + 60) % 120));
             }
             if i % 997 == 0 {
-                fc.snapshot_delta();
+                fc.snapshot_delta_into(&mut Vec::new());
                 fc.assert_tag_invariant();
             }
         }
@@ -1729,9 +1721,9 @@ mod tests {
         }
     }
 
-    /// The `_into` export variants: identical streams to the allocating
-    /// forms, and steady-state snapshot epochs stop growing the scratch
-    /// buffer's capacity.
+    /// The `_into` export variants: a reused buffer gets the same stream
+    /// as a fresh one (and the allocating drain), and steady-state
+    /// snapshot epochs stop growing the scratch buffer's capacity.
     #[test]
     fn snapshot_and_drain_into_match_allocating_forms() {
         let cfg = FlowCacheConfig::split(3, 2, 2, CachePolicy::LRU_LPC);
@@ -1744,7 +1736,8 @@ mod tests {
             a.process(p);
             b.process(p);
             if i % 500 == 499 {
-                let alloc = a.snapshot_delta();
+                let mut alloc = Vec::new();
+                a.snapshot_delta_into(&mut alloc);
                 b.snapshot_delta_into(&mut scratch);
                 assert_eq!(alloc, scratch, "snapshot streams must match");
                 let epoch = i / 500;

@@ -11,10 +11,11 @@
 //!   envelope (≈43 Mpps in Lite mode, ≈30 Mpps loss-free in General mode,
 //!   64 B packets).
 //! - [`service_time`] converts a [`crate::flowcache::Access`] into
-//!   (busy, memory-wait) nanoseconds; [`pme_rate_pps`] folds in the
-//!   threads-hide-reads property of the micro-engine ("for a read the
+//!   (busy, memory-wait) nanoseconds; the DES ([`crate::des`]) folds in
+//!   the threads-hide-reads property of the micro-engine ("for a read the
 //!   calling thread yields so that another thread can continue its work",
-//!   §3.2) to get a per-PME service rate.
+//!   §3.2): a PME is held `max(busy, (busy + wait) / overlap_contexts)`
+//!   per packet.
 
 use crate::flowcache::Access;
 use serde::{Deserialize, Serialize};
@@ -198,26 +199,18 @@ pub fn service_time(hw: &HwProfile, costs: &CycleCosts, a: &Access) -> (f64, f64
     (busy_ns, wait_ns)
 }
 
-/// Sustainable packets/second for one core given a mean (busy, wait)
-/// profile: threads overlap waits, but a core can never beat `1/busy`.
-pub fn pme_rate_pps(hw: &HwProfile, busy_ns: f64, wait_ns: f64) -> f64 {
-    if busy_ns <= 0.0 {
-        return f64::INFINITY;
-    }
-    let latency_bound = f64::from(hw.overlap_contexts) * 1e9 / (busy_ns + wait_ns);
-    let cpu_bound = 1e9 / busy_ns;
-    latency_bound.min(cpu_bound)
-}
-
-/// Aggregate capacity across `cores` cores.
-pub fn nic_rate_pps(hw: &HwProfile, busy_ns: f64, wait_ns: f64, cores: u32) -> f64 {
-    pme_rate_pps(hw, busy_ns, wait_ns) * f64::from(cores)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flowcache::{Access, Outcome};
+
+    /// Sustainable packets/second for one core given a mean (busy, wait)
+    /// profile: threads overlap waits, but a core can never beat `1/busy`.
+    fn pme_rate_pps(hw: &HwProfile, busy_ns: f64, wait_ns: f64) -> f64 {
+        let latency_bound = f64::from(hw.overlap_contexts) * 1e9 / (busy_ns + wait_ns);
+        let cpu_bound = 1e9 / busy_ns;
+        latency_bound.min(cpu_bound)
+    }
 
     fn hit(probes: u32) -> Access {
         Access {
@@ -253,7 +246,7 @@ mod tests {
         let hw = NETRONOME_AGILIO_LX;
         let c = CycleCosts::default();
         let (busy, wait) = service_time(&hw, &c, &hit(2));
-        let total = nic_rate_pps(&hw, busy, wait, 80) / 1e6;
+        let total = pme_rate_pps(&hw, busy, wait) * 80.0 / 1e6;
         assert!(
             (38.0..50.0).contains(&total),
             "Lite-mode hit envelope should be ≈43 Mpps, got {total:.1}"
@@ -269,7 +262,7 @@ mod tests {
         let (mb, mw) = service_time(&hw, &c, &miss(12, 3, 1));
         let busy = 0.8 * hb + 0.2 * mb;
         let wait = 0.8 * hw_wait + 0.2 * mw;
-        let total = nic_rate_pps(&hw, busy, wait, 80) / 1e6;
+        let total = pme_rate_pps(&hw, busy, wait) * 80.0 / 1e6;
         assert!(
             (24.0..36.0).contains(&total),
             "General-mode envelope should be ≈30 Mpps, got {total:.1}"
@@ -284,7 +277,7 @@ mod tests {
         let rate = |hw: &HwProfile| {
             let (hb, hwt) = service_time(hw, &c, &hit(2));
             let (mb, mw) = service_time(hw, &c, &miss(2, 2, 1));
-            nic_rate_pps(hw, 0.85 * hb + 0.15 * mb, 0.85 * hwt + 0.15 * mw, hw.cores)
+            pme_rate_pps(hw, 0.85 * hb + 0.15 * mb, 0.85 * hwt + 0.15 * mw) * f64::from(hw.cores)
         };
         let n = rate(&NETRONOME_AGILIO_LX);
         let l = rate(&LIQUIDIO_TX2);

@@ -46,33 +46,6 @@ impl Snapshot {
             .map(|&(_, v)| v)
     }
 
-    /// Restrict the snapshot to metrics whose name starts with `prefix`,
-    /// preserving sort order (and therefore byte-determinism of every
-    /// rendering). Used for namespace-scoped exports — e.g. the control
-    /// plane's counters-only summary renders `with_prefix("control.")`.
-    pub fn with_prefix(&self, prefix: &str) -> Snapshot {
-        Snapshot {
-            counters: self
-                .counters
-                .iter()
-                .filter(|(id, _)| id.name.starts_with(prefix))
-                .cloned()
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .filter(|(id, _)| id.name.starts_with(prefix))
-                .cloned()
-                .collect(),
-            hists: self
-                .hists
-                .iter()
-                .filter(|(id, _)| id.name.starts_with(prefix))
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Render as a JSON value (see EXPERIMENTS.md for the schema).
     pub fn to_json_value(&self) -> Value {
         let counters = self
@@ -289,21 +262,5 @@ mod tests {
         let a = sample().snapshot().to_json();
         let b = sample().snapshot().to_json();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn with_prefix_scopes_every_metric_kind() {
-        let snap = sample().snapshot();
-        let snic = snap.with_prefix("snic.");
-        assert_eq!(snic.counters.len(), 2);
-        assert!(snic.gauges.is_empty());
-        assert!(snic.hists.is_empty());
-        let host = snap.with_prefix("host.");
-        assert_eq!(host.hists.len(), 1);
-        assert!(host.counters.is_empty());
-        let absent = snap.with_prefix("absent.");
-        assert!(absent.counters.is_empty() && absent.gauges.is_empty() && absent.hists.is_empty());
-        // Scoped rendering stays deterministic.
-        assert_eq!(snic.to_json(), snap.with_prefix("snic.").to_json());
     }
 }

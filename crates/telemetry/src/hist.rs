@@ -116,18 +116,6 @@ impl Histogram {
         c.extremes(v, v);
     }
 
-    /// Record `n` occurrences of the same value.
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let c = &self.core;
-        c.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        c.count.fetch_add(n, Ordering::Relaxed);
-        c.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
-        c.extremes(v, v);
-    }
-
     /// Record a slice of values in one pass, amortizing the aggregate
     /// cells: count/sum/min/max are folded locally and touched with one
     /// atomic each, so `n` samples cost `n + 4` atomic adds instead of
@@ -318,7 +306,7 @@ mod tests {
     #[test]
     fn degenerate_distribution_is_exact() {
         let h = Histogram::new();
-        h.record_n(123_456_789, 1000);
+        h.record_all(&[123_456_789; 1000]);
         assert_eq!(h.quantile(0.5), 123_456_789);
         assert_eq!(h.quantile(0.999), 123_456_789);
         assert_eq!(h.count(), 1000);

@@ -79,15 +79,4 @@ proptest! {
         all.extend_from_slice(&right);
         prop_assert_eq!(a.snapshot(), snapshot_of(&all));
     }
-
-    #[test]
-    fn record_n_equals_n_records(v in 0u64..1_000_000_000, n in 1u64..64) {
-        let bulk = Histogram::new();
-        bulk.record_n(v, n);
-        let single = Histogram::new();
-        for _ in 0..n {
-            single.record(v);
-        }
-        prop_assert_eq!(bulk.snapshot(), single.snapshot());
-    }
 }

@@ -115,24 +115,20 @@ pub fn covert_timing(cfg: &CovertConfig) -> Trace {
     Trace::from_packets(packets)
 }
 
-/// Extract the inter-packet delays of one flow from a trace (evaluation
-/// helper shared with the detector tests).
-pub fn flow_ipds(trace: &Trace, key: FlowKey) -> Vec<Dur> {
-    let canon = key.canonical().0;
-    let mut last: Option<Ts> = None;
-    let mut out = Vec::new();
-    for p in trace.iter().filter(|p| p.key.canonical().0 == canon) {
-        if let Some(prev) = last {
-            out.push(p.ts - prev);
-        }
-        last = Some(p.ts);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The inter-packet delays of one flow.
+    fn flow_ipds(trace: &Trace, key: FlowKey) -> Vec<Dur> {
+        let canon = key.canonical().0;
+        let ipds = trace.iter().filter(|p| p.key.canonical().0 == canon);
+        ipds.map(|p| p.ts)
+            .collect::<Vec<_>>()
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect()
+    }
 
     fn cfg() -> CovertConfig {
         CovertConfig::with_depth(Dur::from_micros(60), 40, 17)

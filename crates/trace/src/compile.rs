@@ -43,22 +43,6 @@ pub fn compile_cycled(trace: &Trace, total: usize) -> FrameStore {
     compile(trace).cycled_to(total)
 }
 
-/// [`compile`] with IPv6 framing: every packet is wire-encoded as an
-/// Ethernet II / IPv6 frame with v4-compatible addresses
-/// (`smartwatch_net::wire::encode_v6`), so the replay exercises the v6
-/// parse-and-fold ingest path while reconstructing the same flow keys —
-/// and therefore the same digests, shard placement and decisions — as
-/// the v4 compilation of the same trace.
-pub fn compile_v6(trace: &Trace) -> FrameStore {
-    FrameStore::from_packets_v6(trace.packets())
-}
-
-/// [`compile_v6`] cycled to exactly `total` packets over a shared arena.
-pub fn compile_v6_cycled(trace: &Trace, total: usize) -> FrameStore {
-    assert!(!trace.is_empty(), "cannot compile an empty trace");
-    compile_v6(trace).cycled_to(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +76,7 @@ mod tests {
         // (wire_len may grow to the 20-byte-larger v6 frame).
         let t = preset_trace(Preset::Caida2018, 200, Dur::from_millis(50), 0xC0DE);
         let v4 = compile(&t);
-        let v6 = compile_v6(&t);
+        let v6 = FrameStore::from_packets_v6(t.packets());
         assert_eq!(v6.len(), v4.len());
         for i in 0..v6.len() {
             let a = v4.packet(i);
@@ -106,9 +90,6 @@ mod tests {
             assert_eq!(b.label, a.label);
             assert!(b.wire_len >= a.wire_len, "v6 frames are never shorter");
         }
-        let cycled = compile_v6_cycled(&t, t.len() * 2 + 5);
-        assert_eq!(cycled.len(), t.len() * 2 + 5);
-        assert_eq!(cycled.bytes_len(), v6.bytes_len(), "arena shared");
     }
 
     #[test]

@@ -53,16 +53,6 @@ impl Zipf {
             Err(i) => (i + 1).min(self.cdf.len()),
         }
     }
-
-    /// Probability mass of rank `k` (1-based).
-    pub fn pmf(&self, k: usize) -> f64 {
-        assert!(k >= 1 && k <= self.cdf.len());
-        if k == 1 {
-            self.cdf[0]
-        } else {
-            self.cdf[k - 1] - self.cdf[k - 2]
-        }
-    }
 }
 
 /// Exponential distribution with the given mean, sampled by inversion.
@@ -123,32 +113,6 @@ impl BoundedPareto {
     }
 }
 
-/// Poisson-distributed count with the given rate `lambda`.
-///
-/// Knuth's method for small lambda, normal approximation above 30 —
-/// generation-side code only ever needs modest rates.
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    assert!(lambda >= 0.0);
-    if lambda == 0.0 {
-        return 0;
-    }
-    if lambda > 30.0 {
-        // Normal approximation with continuity correction.
-        let g = normal(rng, lambda, lambda.sqrt());
-        return g.round().max(0.0) as u64;
-    }
-    let l = (-lambda).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
-}
-
 /// Normal sample via Box–Muller.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(1e-12);
@@ -191,16 +155,9 @@ mod tests {
                 rank1 += 1;
             }
         }
-        // pmf(1) for s=1.2, n=1000 is ~0.23; allow wide slack.
-        let expected = z.pmf(1);
+        // P(rank 1) = 1 / Σ k^-s, ~0.23 for s=1.2, n=1000; allow wide slack.
+        let expected = 1.0 / (1..=1000).map(|k| f64::from(k).powf(-1.2)).sum::<f64>();
         assert!((rank1 as f64 / 10_000.0 - expected).abs() < 0.03);
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = Zipf::new(50, 0.9);
-        let total: f64 = (1..=50).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -256,20 +213,6 @@ mod tests {
                 p.mean()
             );
         }
-    }
-
-    #[test]
-    fn poisson_mean_small_and_large_lambda() {
-        let mut r = rng();
-        for lambda in [0.5, 4.0, 100.0] {
-            let n = 20_000;
-            let mean: f64 = (0..n).map(|_| poisson(&mut r, lambda) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (mean - lambda).abs() < lambda.max(1.0) * 0.1,
-                "λ={lambda} mean={mean}"
-            );
-        }
-        assert_eq!(poisson(&mut r, 0.0), 0);
     }
 
     #[test]

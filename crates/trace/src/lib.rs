@@ -32,7 +32,7 @@ pub mod compile;
 pub mod dist;
 pub mod session;
 
-use smartwatch_net::{Dur, Label, Packet, Ts};
+use smartwatch_net::{Dur, Packet};
 
 /// An ordered sequence of packets with generation metadata.
 #[derive(Clone, Debug, Default)]
@@ -157,27 +157,6 @@ impl Trace {
         self
     }
 
-    /// Replay speed-up: compress inter-arrival gaps by `factor` (the paper
-    /// replays the Wisconsin trace at 10× and sweeps CAIDA arrival rates by
-    /// speeding the trace up). Timestamps scale around the first packet.
-    pub fn speed_up(&self, factor: f64) -> Trace {
-        assert!(factor > 0.0);
-        let origin = self.packets.first().map(|p| p.ts).unwrap_or(Ts::ZERO);
-        Trace {
-            packets: self
-                .packets
-                .iter()
-                .map(|p| {
-                    let rel = (p.ts - origin).as_nanos() as f64 / factor;
-                    Packet {
-                        ts: origin + Dur::from_nanos(rel as u64),
-                        ..*p
-                    }
-                })
-                .collect(),
-        }
-    }
-
     /// Keep only the first `n` packets (cheap way to size experiments).
     pub fn take(&self, n: usize) -> Trace {
         Trace {
@@ -198,17 +177,6 @@ impl Trace {
         keys.dedup();
         keys
     }
-
-    /// All labels present in the trace with packet counts, most common first.
-    pub fn label_histogram(&self) -> Vec<(Label, usize)> {
-        let mut map = std::collections::HashMap::new();
-        for p in &self.packets {
-            *map.entry(p.label).or_insert(0usize) += 1;
-        }
-        let mut v: Vec<_> = map.into_iter().collect();
-        v.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
-        v
-    }
 }
 
 impl FromIterator<Packet> for Trace {
@@ -228,7 +196,7 @@ impl<'a> IntoIterator for &'a Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartwatch_net::{FlowKey, PacketBuilder};
+    use smartwatch_net::{FlowKey, PacketBuilder, Ts};
     use std::net::Ipv4Addr;
 
     fn pkt(ts_us: u64) -> Packet {
@@ -301,14 +269,6 @@ mod tests {
         assert_eq!(t.duration(), Dur::from_secs(1));
         assert!((t.mean_pps() - 2.0).abs() < 1e-9);
         assert_eq!(Trace::new().duration(), Dur::ZERO);
-    }
-
-    #[test]
-    fn speed_up_compresses_gaps() {
-        let t = Trace::from_packets(vec![pkt(100), pkt(300)]);
-        let f = t.speed_up(2.0);
-        assert_eq!(f.packets()[0].ts.as_micros(), 100); // origin preserved
-        assert_eq!(f.packets()[1].ts.as_micros(), 200); // gap halved
     }
 
     #[test]

@@ -69,32 +69,6 @@ pub struct SessionSpec {
 }
 
 impl SessionSpec {
-    /// A minimal established session template: handshake + `n` data packets
-    /// each way + FIN teardown. Tune the rest via struct update syntax.
-    pub fn established(
-        client: (Ipv4Addr, u16),
-        server: (Ipv4Addr, u16),
-        start: Ts,
-        n: u32,
-    ) -> SessionSpec {
-        SessionSpec {
-            client,
-            server,
-            start,
-            rtt: Dur::from_micros(200),
-            outcome: HandshakeOutcome::Established,
-            c2s_data_pkts: n,
-            s2c_data_pkts: n,
-            c2s_payload: 512,
-            s2c_payload: 1200,
-            mean_gap: Dur::from_millis(1),
-            teardown: Teardown::Fin,
-            label: Label::Benign,
-            s2c_digest: 0,
-            c2s_digest: 0,
-        }
-    }
-
     /// The canonical flow key of this session.
     pub fn flow(&self) -> FlowKey {
         FlowKey::tcp(self.client.0, self.client.1, self.server.0, self.server.1)
@@ -278,13 +252,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Handshake, three data packets each way, FIN teardown.
     fn spec() -> SessionSpec {
-        SessionSpec::established(
-            (Ipv4Addr::new(10, 0, 0, 5), 40000),
-            (Ipv4Addr::new(10, 9, 9, 9), 443),
-            Ts::from_secs(1),
-            3,
-        )
+        SessionSpec {
+            client: (Ipv4Addr::new(10, 0, 0, 5), 40000),
+            server: (Ipv4Addr::new(10, 9, 9, 9), 443),
+            start: Ts::from_secs(1),
+            rtt: Dur::from_micros(200),
+            outcome: HandshakeOutcome::Established,
+            c2s_data_pkts: 3,
+            s2c_data_pkts: 3,
+            c2s_payload: 512,
+            s2c_payload: 1200,
+            mean_gap: Dur::from_millis(1),
+            teardown: Teardown::Fin,
+            label: Label::Benign,
+            s2c_digest: 0,
+            c2s_digest: 0,
+        }
     }
 
     fn gen(spec: &SessionSpec) -> Vec<Packet> {

@@ -118,13 +118,15 @@ fn flowcache_conservation_across_configs() {
             fc.set_mode(mode);
             let mut processed = 0u64;
             let mut exported = 0u64;
+            let mut snap = Vec::new();
             for (i, p) in trace.iter().enumerate() {
                 let a = fc.process(p);
                 if a.outcome != smartwatch::snic::Outcome::ToHost {
                     processed += 1;
                 }
                 if i % 1000 == 999 {
-                    exported += fc.snapshot_delta().iter().map(|r| r.packets).sum::<u64>();
+                    fc.snapshot_delta_into(&mut snap);
+                    exported += snap.iter().map(|r| r.packets).sum::<u64>();
                     exported += fc.rings().drain().iter().map(|r| r.packets).sum::<u64>();
                 }
             }

@@ -159,10 +159,10 @@ proptest! {
         prop_assert!(fc.get(&vip).is_some(), "pinned flow evicted");
     }
 
-    /// Trace merge + speed-up preserves packet counts and ordering.
+    /// Trace merge preserves packet counts and ordering.
     #[test]
     fn trace_transforms_preserve_counts(
-        n1 in 1usize..50, n2 in 1usize..50, factor in 1u32..20
+        n1 in 1usize..50, n2 in 1usize..50
     ) {
         use smartwatch::trace::Trace;
         let mk = |n: usize, base: u64| {
@@ -179,18 +179,14 @@ proptest! {
         };
         let merged = Trace::merge([mk(n1, 0), mk(n2, 3)]);
         prop_assert_eq!(merged.len(), n1 + n2);
-        let fast = merged.speed_up(f64::from(factor));
-        prop_assert_eq!(fast.len(), merged.len());
-        for w in fast.packets().windows(2) {
+        for w in merged.packets().windows(2) {
             prop_assert!(w[0].ts <= w[1].ts);
         }
-        prop_assert!(fast.duration() <= merged.duration());
-        let _ = Dur::ZERO;
     }
 
     /// Wire and pcap codecs round-trip arbitrary packets, and each
     /// framing has one encoder: `encode_into` after any prefix appends
-    /// exactly `encode`'s bytes (v4 and v6), and a store compiled with
+    /// exactly the bytes it writes into an empty buffer (v4 and v6), and a store compiled with
     /// either framing gives every packet back.
     #[test]
     fn wire_and_pcap_round_trip(
@@ -217,14 +213,16 @@ proptest! {
             .payload(payload)
             .payload_digest(digest)
             .build();
-        for (framing, encode_into, encode) in [
-            ("v4", wire::encode_into as fn(&Packet, &mut Vec<u8>), wire::encode as fn(&Packet) -> _),
-            ("v6", wire::encode_v6_into, wire::encode_v6),
+        let mut v6_frame = Vec::new();
+        wire::encode_v6_into(&p, &mut v6_frame);
+        for (framing, encode_into, frame) in [
+            ("v4", wire::encode_into as fn(&Packet, &mut Vec<u8>), wire::encode(&p)),
+            ("v6", wire::encode_v6_into, v6_frame.clone()),
         ] {
             let mut buf = prefix.clone();
             encode_into(&p, &mut buf);
             prop_assert_eq!(&buf[..prefix.len()], &prefix[..], "{} prefix", framing);
-            prop_assert_eq!(&buf[prefix.len()..], &encode(&p)[..], "{} frame", framing);
+            prop_assert_eq!(&buf[prefix.len()..], &frame[..], "{} frame", framing);
         }
         // What the parse recovers: header fields from the bytes, the rest
         // from the sideband; non-TCP frames carry no flags or seq/ack.
@@ -238,7 +236,7 @@ proptest! {
         for i in 0..2 {
             prop_assert_eq!(v4.packet(i), expect);
             prop_assert_eq!(v4.frame(i), &wire::encode(&p)[..]);
-            prop_assert_eq!(v6.frame(i), &wire::encode_v6(&p)[..]);
+            prop_assert_eq!(v6.frame(i), &v6_frame[..]);
             // v6 frames are 20 bytes longer; the sideband wire length
             // is clamped up to the frame.
             let wire_len = p.wire_len.max(v6.frame(i).len() as u16);

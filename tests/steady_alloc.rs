@@ -88,10 +88,7 @@ fn a_steady_segment_of_pure_misses_stays_off_the_allocator() {
             let mut calls = Vec::new();
             for _ in 0..4 {
                 let before = CALLS.load(Ordering::Relaxed);
-                let report = match source {
-                    FrameSource::Packets(packets) => engine.run(packets, Pace::Flatout),
-                    FrameSource::Wire(store) => engine.run_frames(store, Pace::Flatout),
-                };
+                let report = engine.run_source(source, Pace::Flatout);
                 calls.push(CALLS.load(Ordering::Relaxed) - before);
                 assert!(report.conserved());
                 assert_eq!(report.flowcache.p_hits + report.flowcache.e_hits, 0);
