@@ -24,7 +24,11 @@ This fails when
   by name, not counting definitions. The one exception is `ORACLES`: an
   item a test in another file uses as its oracle, kept while that test
   fn exists. An item below that `#[cfg(test)]` and not gated by one of
-  its own would escape the scan, so it fails too.
+  its own would escape the scan, so it fails too;
+- a `[dependencies]` / `[dev-dependencies]` entry of the root or a
+  `crates/*` manifest is named (`-` read as `_`) in none of that
+  package's `src/`, `tests/`, `benches/` or `examples/` files, comments
+  stripped.
 
 usage: python3 ci/fork_ledger.py   (from the repository root)
 """
@@ -99,13 +103,17 @@ def defined_fns():
     return names
 
 
+def strip_comments(code):
+    return LITERAL.sub(lambda m: "" if m.group(0).startswith("/") else m.group(0), code)
+
+
 def split_tests(path):
     """The file above its first top-level `#[cfg(test)]`, comments
     stripped, and the rest of it."""
     text = path.read_text()
     cut = re.search(r"^#\[cfg\(test\)\]", text, re.M)
     code, tests = (text[: cut.start()], text[cut.start() :]) if cut else (text, "")
-    return LITERAL.sub(lambda m: "" if m.group(0).startswith("/") else m.group(0), code), tests
+    return strip_comments(code), tests
 
 
 def check_callers(fns, errors):
@@ -128,6 +136,28 @@ def check_callers(fns, errors):
             errors.append(f"oracle {name}: test fn `{test}` is not in another file of the tree")
     errors += [f"oracle {name} has a caller or is gone: drop its ORACLES entry" for name in oracles]
     print(f"public items: {len(items)}, {len(uncalled)} without a caller outside tests, {len(ORACLES)} oracles")
+
+
+def check_dependencies(errors):
+    edges = 0
+    for manifest in [ROOT / "Cargo.toml", *sorted(ROOT.glob("crates/*/Cargo.toml"))]:
+        package = manifest.parent
+        names = set()
+        for d in ("src", "tests", "benches", "examples"):
+            for path in (package / d).rglob("*.rs"):
+                names.update(re.findall(r"\b[A-Za-z_]\w*", strip_comments(path.read_text())))
+        section = None
+        for line in manifest.read_text().splitlines():
+            if line.startswith("["):
+                section = line.strip()
+                continue
+            dep = re.match(r"([\w-]+)(?:\.workspace)?\s*=", line)
+            if section in ("[dependencies]", "[dev-dependencies]") and dep:
+                edges += 1
+                if dep.group(1).replace("-", "_") not in names:
+                    where = manifest.relative_to(ROOT)
+                    errors.append(f"{where}: {section} {dep.group(1)} is named in no file of the package")
+    print(f"dependency edges: {edges}")
 
 
 def check_rowed(kind, have, rows, where, errors):
@@ -159,6 +189,7 @@ def main():
     check_rowed("flag", flags(), rows, FLAGS, errors)
     check_rowed("route", routes(), rows, ROUTES, errors)
     check_callers(fns, errors)
+    check_dependencies(errors)
     forks = sum(1 for row in rows if row[0] == "fork")
     print(f"{forks} fork rows, {len(rows)} rows in all")
     for e in errors:

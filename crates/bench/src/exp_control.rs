@@ -13,12 +13,12 @@
 //! virtual time ([`smartwatch_control::simulate`]), whose counters-only
 //! summary is byte-stable for a seed.
 
-use crate::output::Table;
+use crate::output::{object, Table};
 use crate::run_shape::{datapath_label, RunShape};
 use crate::ExpCtx;
-use serde::Serialize;
+use serde::Value;
 use smartwatch_control::{simulate, ControlConfig, LoadProfile};
-use smartwatch_runtime::{ControlReport, Engine, EngineReport, Pace};
+use smartwatch_runtime::{Engine, EngineReport, Pace};
 use std::sync::Arc;
 
 /// One `repro control` invocation, fully specified: the shared
@@ -158,20 +158,6 @@ pub fn control_run_full(
     Ok((render(spec, &outcome), outcome, engine))
 }
 
-/// One engine run's headline numbers in the bench artifact.
-#[derive(Debug, Serialize)]
-struct RunJson {
-    offered: u64,
-    processed: u64,
-    ingest_dropped: u64,
-    shed: u64,
-    steer_dropped: u64,
-    drop_pct: f64,
-    mpps: f64,
-    handled_mpps: f64,
-    conserved: bool,
-}
-
 /// Disposal rate: packets per second the pipeline *kept up with* —
 /// processed plus deliberately dropped with accounting (shed, steering
 /// blacklist). Uncontrolled ingest overruns are excluded: those are the
@@ -185,40 +171,19 @@ fn handled_mpps(r: &EngineReport) -> f64 {
     }
 }
 
-impl RunJson {
-    fn from(r: &EngineReport) -> RunJson {
-        RunJson {
-            offered: r.offered,
-            processed: r.processed(),
-            ingest_dropped: r.ingest_dropped(),
-            shed: r.shed(),
-            steer_dropped: r.steer_dropped(),
-            drop_pct: r.drop_rate() * 100.0,
-            mpps: r.mpps(),
-            handled_mpps: handled_mpps(r),
-            conserved: r.conserved(),
-        }
-    }
-}
-
-/// The `BENCH_control.json` schema (field order = emission order).
-#[derive(Debug, Serialize)]
-struct ControlBenchJson {
-    bench: String,
-    shards: usize,
-    datapath: String,
-    packets: usize,
-    batch: usize,
-    source: String,
-    base_mpps: f64,
-    peak_mpps: f64,
-    spike_start: f64,
-    spike_end: f64,
-    epoch_ms: u64,
-    controlled: RunJson,
-    control: ControlReport,
-    baseline: RunJson,
-    handled_ratio: f64,
+/// One engine run's headline numbers in the bench artifact.
+fn run_json(r: &EngineReport) -> Value {
+    object([
+        ("offered", &r.offered),
+        ("processed", &r.processed()),
+        ("ingest_dropped", &r.ingest_dropped()),
+        ("shed", &r.shed()),
+        ("steer_dropped", &r.steer_dropped()),
+        ("drop_pct", &(r.drop_rate() * 100.0)),
+        ("mpps", &r.mpps()),
+        ("handled_mpps", &handled_mpps(r)),
+        ("conserved", &r.conserved()),
+    ])
 }
 
 /// The CI benchmark artifact (`BENCH_control.json`): both runs'
@@ -231,24 +196,26 @@ pub fn bench_json(spec: &ControlRunSpec, o: &ControlOutcome) -> String {
         .control
         .as_ref()
         .expect("controlled run carries a ControlReport");
-    let v = ControlBenchJson {
-        bench: "control".to_string(),
-        shards: spec.shape.shards,
-        datapath: datapath_label(spec.shape.datapath).to_string(),
-        packets: spec.shape.packets,
-        batch: spec.shape.batch,
-        source: spec.shape.source.label().to_string(),
-        base_mpps: spec.base_mpps,
-        peak_mpps: spec.peak_mpps,
-        spike_start: spec.spike_start,
-        spike_end: spec.spike_end,
-        epoch_ms: EPOCH_MS,
-        controlled: RunJson::from(&o.controlled),
-        control: ctrl.clone(),
-        baseline: RunJson::from(&o.baseline),
-        handled_ratio: handled_mpps(&o.controlled)
-            / handled_mpps(&o.baseline).max(f64::MIN_POSITIVE),
-    };
+    let v = object([
+        ("bench", &"control"),
+        ("shards", &spec.shape.shards),
+        ("datapath", &datapath_label(spec.shape.datapath)),
+        ("packets", &spec.shape.packets),
+        ("batch", &spec.shape.batch),
+        ("source", &spec.shape.source.label()),
+        ("base_mpps", &spec.base_mpps),
+        ("peak_mpps", &spec.peak_mpps),
+        ("spike_start", &spec.spike_start),
+        ("spike_end", &spec.spike_end),
+        ("epoch_ms", &EPOCH_MS),
+        ("controlled", &run_json(&o.controlled)),
+        ("control", ctrl),
+        ("baseline", &run_json(&o.baseline)),
+        (
+            "handled_ratio",
+            &(handled_mpps(&o.controlled) / handled_mpps(&o.baseline).max(f64::MIN_POSITIVE)),
+        ),
+    ]);
     serde_json::to_string_pretty(&v).expect("bench report serializes")
 }
 

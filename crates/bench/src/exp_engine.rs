@@ -6,10 +6,10 @@
 //! throughput. Numbers are machine-dependent by design; the exact
 //! counters (conservation, escalations, verdicts) are still checkable.
 
-use crate::output::Table;
+use crate::output::{object, Table};
 use crate::run_shape::{datapath_label, rate_pace, EngineSource, RunShape};
 use crate::ExpCtx;
-use serde::Serialize;
+use serde::Value;
 use smartwatch_runtime::{DatapathMode, Engine, EngineReport, Pace};
 use smartwatch_telemetry::HistSnapshot;
 use std::sync::Arc;
@@ -53,21 +53,8 @@ pub fn engine_run_full(
 /// One stage's tail latencies in the bench artifact and how many
 /// sampled readings they rest on. RTC runs have no queue crossings, so
 /// their queue wait has no readings at all.
-#[derive(Debug, Serialize)]
-struct StageJson {
-    p50_ns: u64,
-    p99_ns: u64,
-    count: u64,
-}
-
-impl StageJson {
-    fn from(h: &HistSnapshot) -> StageJson {
-        StageJson {
-            p50_ns: h.p50,
-            p99_ns: h.p99,
-            count: h.count,
-        }
-    }
+fn stage_json(h: &HistSnapshot) -> Value {
+    object([("p50_ns", &h.p50), ("p99_ns", &h.p99), ("count", &h.count)])
 }
 
 /// Mean wall-clock budget per processed packet, derived from the
@@ -83,69 +70,21 @@ fn ns_per_packet(r: &EngineReport) -> f64 {
 
 /// The FlowCache section of the bench artifact: hit mix, tag-filtered
 /// probe lengths, and the batch pipeline's achieved depth.
-#[derive(Debug, Serialize)]
-struct FlowCacheJson {
-    burst: usize,
-    hit_rate: f64,
-    p_hits: u64,
-    e_hits: u64,
-    misses: u64,
-    to_host: u64,
-    ring_pushes: u64,
-    probe_hist: Vec<u64>,
-    mean_probe_len: f64,
-    bursts: u64,
-    burst_pkts: u64,
-    mean_burst_depth: f64,
-}
-
-impl FlowCacheJson {
-    fn from(f: &smartwatch_runtime::FlowCacheSummary) -> FlowCacheJson {
-        FlowCacheJson {
-            burst: f.burst,
-            hit_rate: f.hit_rate(),
-            p_hits: f.p_hits,
-            e_hits: f.e_hits,
-            misses: f.misses,
-            to_host: f.to_host,
-            ring_pushes: f.ring_pushes,
-            probe_hist: f.probe_hist.to_vec(),
-            mean_probe_len: f.mean_probe_len(),
-            bursts: f.bursts,
-            burst_pkts: f.burst_pkts,
-            mean_burst_depth: f.mean_burst_depth(),
-        }
-    }
-}
-
-/// The `BENCH_engine.json` schema (field order = emission order).
-#[derive(Debug, Serialize)]
-struct EngineBenchJson {
-    bench: String,
-    shards: usize,
-    datapath: String,
-    pin_cores: bool,
-    batch: usize,
-    workload: String,
-    source: String,
-    rate_mpps: Option<f64>,
-    offered: u64,
-    processed: u64,
-    dropped: u64,
-    drop_pct: f64,
-    mpps: f64,
-    ns_per_packet: f64,
-    escalated: u64,
-    escalation_dropped: u64,
-    host_processed: u64,
-    verdicts: u64,
-    idle_parks: u64,
-    conserved: bool,
-    queue_ns: StageJson,
-    cache_ns: StageJson,
-    detect_ns: StageJson,
-    escalate_ns: StageJson,
-    flowcache: FlowCacheJson,
+fn flowcache_json(f: &smartwatch_runtime::FlowCacheSummary) -> Value {
+    object([
+        ("burst", &f.burst),
+        ("hit_rate", &f.hit_rate()),
+        ("p_hits", &f.p_hits),
+        ("e_hits", &f.e_hits),
+        ("misses", &f.misses),
+        ("to_host", &f.to_host),
+        ("ring_pushes", &f.ring_pushes),
+        ("probe_hist", &f.probe_hist),
+        ("mean_probe_len", &f.mean_probe_len()),
+        ("bursts", &f.bursts),
+        ("burst_pkts", &f.burst_pkts),
+        ("mean_burst_depth", &f.mean_burst_depth()),
+    ])
 }
 
 /// The CI benchmark artifact (`BENCH_engine.json`): one flat JSON object
@@ -153,33 +92,33 @@ struct EngineBenchJson {
 /// runs are diffable across commits without parsing the rendered table.
 pub fn bench_json(spec: &EngineRunSpec, r: &EngineReport) -> String {
     let shape = &spec.shape;
-    let v = EngineBenchJson {
-        bench: "engine".to_string(),
-        shards: shape.shards,
-        datapath: datapath_label(shape.datapath).to_string(),
-        pin_cores: shape.pin_cores,
-        batch: shape.batch,
-        workload: format!("{:?}", shape.workload).to_lowercase(),
-        source: shape.source.label().to_string(),
-        rate_mpps: spec.rate_mpps,
-        offered: r.offered,
-        processed: r.processed(),
-        dropped: r.ingest_dropped(),
-        drop_pct: r.drop_rate() * 100.0,
-        mpps: r.mpps(),
-        ns_per_packet: ns_per_packet(r),
-        escalated: r.escalated(),
-        escalation_dropped: r.escalation_dropped(),
-        host_processed: r.host_processed,
-        verdicts: r.verdicts_published,
-        idle_parks: r.idle_parks(),
-        conserved: r.conserved(),
-        queue_ns: StageJson::from(&r.stage.queue_ns),
-        cache_ns: StageJson::from(&r.stage.cache_ns),
-        detect_ns: StageJson::from(&r.stage.detect_ns),
-        escalate_ns: StageJson::from(&r.stage.escalate_ns),
-        flowcache: FlowCacheJson::from(&r.flowcache),
-    };
+    let v = object([
+        ("bench", &"engine"),
+        ("shards", &shape.shards),
+        ("datapath", &datapath_label(shape.datapath)),
+        ("pin_cores", &shape.pin_cores),
+        ("batch", &shape.batch),
+        ("workload", &format!("{:?}", shape.workload).to_lowercase()),
+        ("source", &shape.source.label()),
+        ("rate_mpps", &spec.rate_mpps),
+        ("offered", &r.offered),
+        ("processed", &r.processed()),
+        ("dropped", &r.ingest_dropped()),
+        ("drop_pct", &(r.drop_rate() * 100.0)),
+        ("mpps", &r.mpps()),
+        ("ns_per_packet", &ns_per_packet(r)),
+        ("escalated", &r.escalated()),
+        ("escalation_dropped", &r.escalation_dropped()),
+        ("host_processed", &r.host_processed),
+        ("verdicts", &r.verdicts_published),
+        ("idle_parks", &r.idle_parks()),
+        ("conserved", &r.conserved()),
+        ("queue_ns", &stage_json(&r.stage.queue_ns)),
+        ("cache_ns", &stage_json(&r.stage.cache_ns)),
+        ("detect_ns", &stage_json(&r.stage.detect_ns)),
+        ("escalate_ns", &stage_json(&r.stage.escalate_ns)),
+        ("flowcache", &flowcache_json(&r.flowcache)),
+    ]);
     serde_json::to_string_pretty(&v).expect("bench report serializes")
 }
 

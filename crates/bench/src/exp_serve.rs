@@ -31,10 +31,10 @@
 
 use crate::exp_control::{control_config, ControlRunSpec};
 use crate::guard::PollGuard;
-use crate::output::Table;
+use crate::output::{object, Table};
 use crate::run_shape::{datapath_label, rate_pace, RunShape};
 use crate::ExpCtx;
-use serde::Serialize;
+use serde::{Serialize, Value};
 use smartwatch_runtime::Engine;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -123,7 +123,7 @@ impl SegmentTimer {
 }
 
 /// One segment of the service timeline (the `BENCH_serve.json` rows).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SegmentRecord {
     /// Segment index, from 0.
     pub segment: usize,
@@ -157,6 +157,27 @@ pub struct SegmentRecord {
     pub log_buffered: u64,
     /// Cumulative admin commands applied by the controller.
     pub admin_applied: u64,
+}
+
+/// A `BENCH_serve.json` `timeline` row: the fields, in their order.
+impl Serialize for SegmentRecord {
+    fn to_value(&self) -> Value {
+        object([
+            ("segment", &self.segment),
+            ("offered", &self.offered),
+            ("processed", &self.processed),
+            ("dropped", &self.dropped),
+            ("mpps", &self.mpps),
+            ("elapsed_ms", &self.elapsed_ms),
+            ("interrupted", &self.interrupted),
+            ("conserved", &self.conserved),
+            ("rss_bytes", &self.rss_bytes),
+            ("flowstate_bytes", &self.flowstate_bytes),
+            ("pool_allocated", &self.pool_allocated),
+            ("log_buffered", &self.log_buffered),
+            ("admin_applied", &self.admin_applied),
+        ])
+    }
 }
 
 /// The whole service run, for rendering and machine-readable output.
@@ -352,50 +373,30 @@ pub fn serve_run_full(
     Ok((render(spec, &outcome), outcome, run.close()))
 }
 
-/// The `BENCH_serve.json` schema (field order = emission order).
-#[derive(Debug, Serialize)]
-struct ServeBenchJson {
-    bench: String,
-    shards: usize,
-    datapath: String,
-    segments: usize,
-    segment_packets: usize,
-    rate_mpps: Option<f64>,
-    carry_flow_state: bool,
-    conserved: bool,
-    pool_bound: u64,
-    pool_growth: u64,
-    steady_pool_growth: u64,
-    rss_first_bytes: u64,
-    rss_last_bytes: u64,
-    rss_growth_bytes: i64,
-    flowstate_bytes: u64,
-    flowstate_growth_bytes: u64,
-    timeline: Vec<SegmentRecord>,
-}
-
 /// The soak/service CI artifact (`BENCH_serve.json`): headline
 /// endurance verdicts plus the full per-segment timeline.
 pub fn serve_bench_json(spec: &ServeSpec, out: &ServeOutcome) -> String {
-    let v = ServeBenchJson {
-        bench: "serve".to_string(),
-        shards: spec.shape.shards,
-        datapath: datapath_label(spec.shape.datapath).to_string(),
-        segments: out.segments.len(),
-        segment_packets: spec.shape.packets,
-        rate_mpps: spec.rate_mpps,
-        carry_flow_state: spec.carry_flow_state,
-        conserved: out.all_conserved(),
-        pool_bound: out.pool_bound,
-        pool_growth: out.pool_growth(),
-        steady_pool_growth: out.steady_pool_growth(),
-        rss_first_bytes: out.segments.first().map(|s| s.rss_bytes).unwrap_or(0),
-        rss_last_bytes: out.segments.last().map(|s| s.rss_bytes).unwrap_or(0),
-        rss_growth_bytes: out.rss_growth_bytes(),
-        flowstate_bytes: out.segments.last().map(|s| s.flowstate_bytes).unwrap_or(0),
-        flowstate_growth_bytes: out.flowstate_growth_bytes(),
-        timeline: out.segments.clone(),
-    };
+    let first = out.segments.first();
+    let last = out.segments.last();
+    let v = object([
+        ("bench", &"serve"),
+        ("shards", &spec.shape.shards),
+        ("datapath", &datapath_label(spec.shape.datapath)),
+        ("segments", &out.segments.len()),
+        ("segment_packets", &spec.shape.packets),
+        ("rate_mpps", &spec.rate_mpps),
+        ("carry_flow_state", &spec.carry_flow_state),
+        ("conserved", &out.all_conserved()),
+        ("pool_bound", &out.pool_bound),
+        ("pool_growth", &out.pool_growth()),
+        ("steady_pool_growth", &out.steady_pool_growth()),
+        ("rss_first_bytes", &first.map_or(0, |s| s.rss_bytes)),
+        ("rss_last_bytes", &last.map_or(0, |s| s.rss_bytes)),
+        ("rss_growth_bytes", &out.rss_growth_bytes()),
+        ("flowstate_bytes", &last.map_or(0, |s| s.flowstate_bytes)),
+        ("flowstate_growth_bytes", &out.flowstate_growth_bytes()),
+        ("timeline", &out.segments),
+    ]);
     serde_json::to_string_pretty(&v).expect("serve report serializes")
 }
 

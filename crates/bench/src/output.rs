@@ -1,10 +1,10 @@
 //! Output helpers for the reproduction harness: aligned text tables plus
 //! optional JSON dumps for downstream plotting.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// A printable experiment result: a title, column headers, and rows.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     /// Experiment id, e.g. "fig5a".
     pub id: String,
@@ -83,6 +83,30 @@ impl Table {
     }
 }
 
+/// The `repro --json` document: these keys, in this order.
+impl Serialize for Table {
+    fn to_value(&self) -> Value {
+        object([
+            ("id", &self.id),
+            ("title", &self.title),
+            ("columns", &self.columns),
+            ("rows", &self.rows),
+            ("notes", &self.notes),
+        ])
+    }
+}
+
+/// A JSON object holding these fields, in this order — how every bench
+/// document is built.
+pub(crate) fn object<const N: usize>(fields: [(&str, &dyn Serialize); N]) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(key, v)| (key.to_string(), v.to_value()))
+            .collect(),
+    )
+}
+
 /// Format a float with fixed precision.
 pub fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
@@ -97,7 +121,7 @@ pub fn pct(v: f64) -> String {
 /// `BENCH_*.json` contract tests pin.
 #[cfg(test)]
 pub(crate) fn top_level_keys(json: &str) -> Vec<String> {
-    let doc: serde_json::Value = serde_json::from_str(json).expect("valid JSON");
+    let doc = serde_json::from_str(json).expect("valid JSON");
     let pairs = doc.as_object().expect("a JSON object");
     pairs.iter().map(|(key, _)| key.clone()).collect()
 }
@@ -116,6 +140,21 @@ mod tests {
         assert!(s.contains("fig0"));
         assert!(s.contains("  1 |  10.0"));
         assert!(s.contains("note: shape holds"));
+    }
+
+    #[test]
+    fn json_table_keys_and_their_order_are_pinned() {
+        let mut t = Table::new("fig0", "demo", &["x"]);
+        t.row(vec!["1".into()]);
+        t.note("n");
+        let json = t.to_json();
+        assert_eq!(
+            top_level_keys(&json),
+            ["id", "title", "columns", "rows", "notes"]
+        );
+        let doc = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(doc["rows"][0][0], "1");
+        assert_eq!(doc["notes"][0], "n");
     }
 
     #[test]

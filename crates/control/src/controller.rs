@@ -41,7 +41,7 @@
 
 use crate::admin::AdminCmd;
 use crate::snapshot::SteeringSnapshot;
-use serde::Serialize;
+use serde::{Serialize, Value};
 use smartwatch_host::Verdict;
 use smartwatch_net::{AgingDigestSet, BuildDigestHasher, DigestSet, FlowHasher};
 use smartwatch_snic::{Mode, SwitchOver};
@@ -171,7 +171,7 @@ pub struct EpochDecision {
 /// Bounded copies live in the controller ([`ControlReport::decisions`])
 /// and, via the runtime, in `/stats.json` and `BENCH_control.json` —
 /// the answer to "why did the control plane do *that*?".
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DecisionRecord {
     /// Epoch number (1-based).
     pub epoch: u64,
@@ -195,6 +195,31 @@ pub struct DecisionRecord {
     pub blacklist_len: usize,
     /// Whether a steering snapshot was published this epoch.
     pub snapshot_published: bool,
+}
+
+/// A record serialises as its fields, in declaration order.
+impl Serialize for DecisionRecord {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("epoch".into(), self.epoch.to_value()),
+            ("offered_mpps".into(), self.offered_mpps.to_value()),
+            ("smoothed_mpps".into(), self.smoothed_mpps.to_value()),
+            ("max_backlog".into(), self.max_backlog.to_value()),
+            ("modes".into(), self.modes.to_value()),
+            ("shed".into(), self.shed.to_value()),
+            ("promotions".into(), self.promotions.to_value()),
+            (
+                "whitelist_evictions".into(),
+                self.whitelist_evictions.to_value(),
+            ),
+            ("whitelist_len".into(), self.whitelist_len.to_value()),
+            ("blacklist_len".into(), self.blacklist_len.to_value()),
+            (
+                "snapshot_published".into(),
+                self.snapshot_published.to_value(),
+            ),
+        ])
+    }
 }
 
 /// A notable control-plane transition, kept in a bounded timeline for
@@ -246,8 +271,8 @@ impl ControlEvent {
 
 /// An event serialises as the epoch it happened in plus its rendering.
 impl Serialize for ControlEvent {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
             ("epoch".into(), self.epoch().to_value()),
             ("event".into(), self.render().to_value()),
         ])
@@ -258,7 +283,7 @@ impl Serialize for ControlEvent {
 /// a controller resident in an engine, over every segment so far. Field
 /// order is the key order of the `control` object in
 /// `BENCH_control.json`.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ControlReport {
     /// Epochs executed.
     pub epochs: u64,
@@ -288,6 +313,44 @@ pub struct ControlReport {
     pub decisions: Vec<DecisionRecord>,
     /// Decision records dropped because of the bound.
     pub decisions_dropped: u64,
+}
+
+/// The `control` object of `BENCH_control.json`: the fields, in
+/// declaration order.
+impl Serialize for ControlReport {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("epochs".into(), self.epochs.to_value()),
+            ("mode_switches".into(), self.mode_switches.to_value()),
+            (
+                "whitelist_promotions".into(),
+                self.whitelist_promotions.to_value(),
+            ),
+            (
+                "whitelist_expired".into(),
+                self.whitelist_expired.to_value(),
+            ),
+            (
+                "blacklist_expired".into(),
+                self.blacklist_expired.to_value(),
+            ),
+            ("shed_epochs".into(), self.shed_epochs.to_value()),
+            ("shed_packets".into(), self.shed_packets.to_value()),
+            (
+                "snapshot_publishes".into(),
+                self.snapshot_publishes.to_value(),
+            ),
+            ("shed_active".into(), self.shed_active.to_value()),
+            ("final_modes".into(), self.final_modes.to_value()),
+            ("timeline".into(), self.timeline.to_value()),
+            ("timeline_dropped".into(), self.timeline_dropped.to_value()),
+            ("decisions".into(), self.decisions.to_value()),
+            (
+                "decisions_dropped".into(),
+                self.decisions_dropped.to_value(),
+            ),
+        ])
+    }
 }
 
 impl ControlReport {

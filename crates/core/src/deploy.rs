@@ -8,10 +8,8 @@
 //! sNIC tier; and of sNIC-processed packets, under 16% continue to the
 //! host.
 
-use serde::{Deserialize, Serialize};
-
 /// Which system architecture processes the traffic.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DeployMode {
     /// Everything on host CPUs (DPDK + Zeek-style NFs).
     HostOnly,
@@ -73,7 +71,7 @@ impl Default for ScalingModel {
 }
 
 /// Resources one deployment needs at a given offered rate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Resources {
     /// Host CPU cores.
     pub cores: u32,

@@ -98,38 +98,6 @@ impl FlowLogStore {
     }
 }
 
-/// Persistence: the Redis stand-in's dump/restore cycle for offline
-/// forensics ("comprehensive inspection of all flows offline", §1).
-impl FlowLogStore {
-    /// Serialise the whole store as JSON.
-    pub fn to_json(&self) -> String {
-        let dump: Vec<(u64, &Vec<FlowRecord>)> =
-            self.intervals.iter().map(|(k, v)| (*k, v)).collect();
-        serde_json::to_string(&dump).expect("flow records serialise")
-    }
-
-    /// Restore a store from [`FlowLogStore::to_json`] output.
-    pub fn from_json(json: &str) -> Result<FlowLogStore, serde_json::Error> {
-        let dump: Vec<(u64, Vec<FlowRecord>)> = serde_json::from_str(json)?;
-        Ok(FlowLogStore {
-            intervals: dump.into_iter().collect(),
-            ..FlowLogStore::default()
-        })
-    }
-
-    /// Write the store to a file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Load a store from a file written by [`FlowLogStore::save`].
-    pub fn load(path: &std::path::Path) -> std::io::Result<FlowLogStore> {
-        let json = std::fs::read_to_string(path)?;
-        FlowLogStore::from_json(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,58 +149,5 @@ mod tests {
         let hh = forward.heavy_hitters(0, 13);
         assert_eq!(hh.len(), 3);
         assert!(hh.windows(2).all(|w| w[0].0 < w[1].0), "ties rank by key");
-    }
-}
-
-#[cfg(test)]
-mod persist_tests {
-    use super::*;
-    use smartwatch_net::{FlowKey, Ts};
-    use std::net::Ipv4Addr;
-
-    fn store() -> FlowLogStore {
-        let mut s = FlowLogStore::new();
-        let key = FlowKey::tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            5,
-            Ipv4Addr::new(172, 16, 0, 1),
-            80,
-        )
-        .canonical()
-        .0;
-        let mut r = FlowRecord::new(key, Ts::from_secs(3), 64);
-        r.packets = 41;
-        r.state_a = 7;
-        s.store(0, vec![r]);
-        s.store(2, vec![r, r]);
-        s
-    }
-
-    #[test]
-    fn json_round_trip_is_lossless() {
-        let s = store();
-        let restored = FlowLogStore::from_json(&s.to_json()).unwrap();
-        assert_eq!(restored.n_intervals(), s.n_intervals());
-        assert_eq!(restored.len(), s.len());
-        assert_eq!(restored.interval(0), s.interval(0));
-        assert_eq!(restored.interval(2), s.interval(2));
-        assert_eq!(restored.flow_counts(2), s.flow_counts(2));
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let s = store();
-        let dir = std::env::temp_dir().join("smartwatch-flowlog-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dump.json");
-        s.save(&path).unwrap();
-        let restored = FlowLogStore::load(&path).unwrap();
-        assert_eq!(restored.len(), s.len());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_json_rejected() {
-        assert!(FlowLogStore::from_json("not json").is_err());
     }
 }

@@ -8,12 +8,11 @@
 //! orientation of the 5-tuple, so symmetric hashing falls out for free and
 //! flow state can also record which direction a given packet travelled.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Transport protocol of a flow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[repr(u8)]
 pub enum Proto {
     /// Transmission Control Protocol (IP proto 6).
@@ -61,7 +60,7 @@ impl fmt::Display for Proto {
 
 /// The direction a packet travels relative to the canonical orientation of
 /// its flow (see [`FlowKey::canonical`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Direction {
     /// Packet's (src, dst) matches the canonical (a, b) orientation.
     Forward,
@@ -74,7 +73,7 @@ pub enum Direction {
 /// `FlowKey` is directed as constructed; call [`FlowKey::canonical`] to get
 /// the session-level identity shared by both directions, plus the
 /// [`Direction`] this particular key had.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src_ip: Ipv4Addr,

@@ -7,12 +7,11 @@
 //! FlowCache and the detectors only ever see headers. Only the evaluation
 //! harness reads labels.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which attack (if any) a packet belongs to. Mirrors the rows of the
 /// paper's Tables 2 and 4.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AttackKind {
     /// Slowloris: many long-lived, low-volume HTTP connections.
     Slowloris,
@@ -91,7 +90,7 @@ impl fmt::Display for AttackKind {
 }
 
 /// Ground-truth label attached to a generated packet.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Label {
     /// Ordinary background traffic.
     #[default]

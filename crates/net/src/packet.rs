@@ -10,11 +10,10 @@ use crate::key::{FlowKey, Proto};
 use crate::label::Label;
 use crate::tcp::TcpFlags;
 use crate::time::Ts;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Metadata for one packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Packet {
     /// Directed 5-tuple.
     pub key: FlowKey,

@@ -4,12 +4,11 @@
 //! sequences (SYN → SYN/ACK → ACK handshakes, RST injection, FIN teardown),
 //! so flags get a small dedicated type rather than a raw `u8`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign};
 
 /// A set of TCP control flags.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {

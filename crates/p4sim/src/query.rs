@@ -10,12 +10,11 @@
 //! it the way the paper's SRAM-occupancy arguments do (count registers
 //! plus the distinct-filter state).
 
-use serde::{Deserialize, Serialize};
 use smartwatch_net::{key::prefix_of, Packet, Proto, TcpFlags};
 use std::collections::{HashMap, HashSet};
 
 /// Packet predicate (the `filter` operator).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Filter {
     /// All packets.
     Any,
@@ -65,7 +64,7 @@ impl Filter {
 }
 
 /// Key extraction (the `map` operator): what the query aggregates by.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeyExpr {
     /// Destination prefix of the given width (refinement granularity).
     DstPrefix(u8),
@@ -116,7 +115,7 @@ impl KeyExpr {
 
 /// Optional `distinct` sub-key: count each (key, subkey) pair once per
 /// interval (e.g. "number of *distinct sources* contacting each prefix").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DistinctExpr {
     /// Distinct source addresses.
     SrcAddr,
@@ -140,7 +139,7 @@ impl DistinctExpr {
 }
 
 /// A compiled switch query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SwitchQuery {
     /// Query name (e.g. "ssh-bruteforce-coarse").
     pub name: String,

@@ -18,10 +18,9 @@
 //!   per packet.
 
 use crate::flowcache::Access;
-use serde::{Deserialize, Serialize};
 
 /// Datasheet description of one SmartNIC (paper Table 3).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HwProfile {
     /// Marketing name.
     pub name: &'static str,
@@ -120,7 +119,7 @@ pub const NETRONOME_100G: HwProfile = HwProfile {
 /// load-balance, P4 match-action tables, TX) is everything that is not
 /// FlowCache, and FlowCache's own operations dominate the remainder
 /// (80.32% of cycles, Table 2).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CycleCosts {
     /// Fixed per-packet pipeline cost outside the FlowCache.
     pub pipeline: u32,

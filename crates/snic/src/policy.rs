@@ -7,10 +7,9 @@
 //! expressed; the four paper configurations are provided as constants.
 
 use crate::record::FlowRecord;
-use serde::{Deserialize, Serialize};
 
 /// Victim-selection policy within one buffer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Policy {
     /// Evict the least recently used record (oldest `last_ts`).
     Lru,
@@ -40,7 +39,7 @@ impl Policy {
 
 /// A named FlowCache configuration from Fig. 5: (P buckets, E buckets) plus
 /// the per-buffer policies.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CachePolicy {
     /// Policy applied in the Primary buffer.
     pub primary: Policy,

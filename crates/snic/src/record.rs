@@ -1,6 +1,5 @@
 //! Flow records: the unit the FlowCache caches and the sNIC exports.
 
-use serde::{Deserialize, Serialize};
 use smartwatch_net::{FlowKey, Ts};
 
 /// One cached flow's state.
@@ -11,7 +10,7 @@ use smartwatch_net::{FlowKey, Ts};
 /// Two generic `u32` scratch slots plus a flags byte keep the record at a
 /// fixed 64-ish bytes so 25 M entries fit the sNIC's DRAM budget the paper
 /// quotes (768 MB).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowRecord {
     /// Canonical (direction-free) 5-tuple.
     pub key: FlowKey,

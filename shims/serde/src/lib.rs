@@ -1,26 +1,19 @@
 //! Offline stand-in for `serde`.
 //!
 //! The build environment has no crates.io access, so this workspace-local
-//! crate supplies the subset of serde the SmartWatch workspace uses:
-//! [`Serialize`]/[`Deserialize`] traits, `#[derive(Serialize, Deserialize)]`
-//! (via the sibling `serde_derive` shim, enabled by the `derive` feature),
-//! and a self-describing [`Value`] model that the `serde_json` shim renders
-//! to and parses from JSON text.
+//! crate supplies what the SmartWatch workspace needs to write JSON: a
+//! self-describing [`Value`] model, which the `serde_json` shim renders to
+//! and parses from JSON text, and a [`Serialize`] trait that converts
+//! primitives, strings, options, sequences and hand-written impls into it.
 //!
-//! Unlike real serde there is no generic `Serializer`/`Deserializer`
-//! plumbing: serialization always goes through [`Value`]. Struct fields
-//! keep declaration order (objects are ordered key/value vectors), enums
-//! use serde's default externally-tagged representation, and newtype
-//! structs are transparent — so the JSON this produces matches what real
-//! serde+serde_json would for the types in this repository.
+//! Unlike real serde there is no generic `Serializer` plumbing, no derive
+//! and no typed deserialization: every document is built as a [`Value`]
+//! tree, and objects are ordered key/value vectors, so a tree's key order
+//! is the order its builder wrote them in.
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
 
 /// A JSON-shaped self-describing value.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,8 +28,8 @@ pub enum Value {
     String(String),
     /// JSON array.
     Array(Vec<Value>),
-    /// JSON object; insertion-ordered (struct fields keep declaration
-    /// order, matching serde_json's struct serialization).
+    /// JSON object; insertion-ordered (keys keep the order their
+    /// builder wrote them in).
     Object(Vec<(String, Value)>),
 }
 
@@ -190,136 +183,41 @@ impl fmt::Display for Value {
     }
 }
 
-/// Deserialization error.
-#[derive(Clone, Debug)]
-pub struct DeError {
-    msg: String,
-}
-
-impl DeError {
-    /// New error with the given message.
-    pub fn msg(msg: impl Into<String>) -> DeError {
-        DeError { msg: msg.into() }
-    }
-}
-
-impl fmt::Display for DeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for DeError {}
-
 /// Serialize into the [`Value`] model.
 pub trait Serialize {
     /// Convert to a self-describing value.
     fn to_value(&self) -> Value;
 }
 
-/// Deserialize from the [`Value`] model.
-pub trait Deserialize: Sized {
-    /// Reconstruct from a self-describing value.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
-}
-
-// ---------------------------------------------------------------------------
-// Derive support helpers (referenced by serde_derive-generated code).
-// ---------------------------------------------------------------------------
-
-/// Fetch a named object field (derive helper).
-pub fn __get_field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, DeError> {
-    v.get(key)
-        .ok_or_else(|| DeError::msg(format!("missing field `{key}`")))
-}
-
-/// Require an array of exactly `n` elements (derive helper).
-pub fn __get_array(v: &Value, n: usize) -> Result<&Vec<Value>, DeError> {
-    match v.as_array() {
-        Some(a) if a.len() == n => Ok(a),
-        Some(a) => Err(DeError::msg(format!(
-            "expected {n}-tuple, got {} elements",
-            a.len()
-        ))),
-        None => Err(DeError::msg("expected array")),
-    }
-}
-
-/// Split an externally-tagged enum value into (variant name, payload)
-/// (derive helper).
-pub fn __variant(v: &Value) -> Result<(&str, Option<&Value>), DeError> {
-    match v {
-        Value::String(s) => Ok((s, None)),
-        Value::Object(o) if o.len() == 1 => Ok((&o[0].0, Some(&o[0].1))),
-        _ => Err(DeError::msg("expected enum (string or single-key object)")),
-    }
-}
-
-/// Require a tagged variant to carry a payload (derive helper).
-pub fn __need_inner<'a>(inner: Option<&'a Value>, variant: &str) -> Result<&'a Value, DeError> {
-    inner.ok_or_else(|| DeError::msg(format!("variant `{variant}` expects a payload")))
-}
-
 // ---------------------------------------------------------------------------
 // Primitive / std impls.
 // ---------------------------------------------------------------------------
 
-macro_rules! ser_de_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Number(Number::U(*self as u64)) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let u = v.as_u64().ok_or_else(|| DeError::msg("expected unsigned integer"))?;
-                <$t>::try_from(u).map_err(|_| DeError::msg("integer out of range"))
-            }
-        }
-    )*};
+impl Serialize for u64 {
+    fn to_value(&self) -> Value {
+        Value::Number(Number::U(*self))
+    }
 }
-ser_de_uint!(u8, u16, u32, u64, usize);
 
-macro_rules! ser_de_sint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let i = *self as i64;
-                if i >= 0 { Value::Number(Number::U(i as u64)) } else { Value::Number(Number::I(i)) }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let i = v.as_i64().ok_or_else(|| DeError::msg("expected integer"))?;
-                <$t>::try_from(i).map_err(|_| DeError::msg("integer out of range"))
-            }
-        }
-    )*};
+impl Serialize for usize {
+    fn to_value(&self) -> Value {
+        Value::Number(Number::U(*self as u64))
+    }
 }
-ser_de_sint!(i8, i16, i32, i64, isize);
+
+impl Serialize for i64 {
+    fn to_value(&self) -> Value {
+        Value::Number(if *self >= 0 {
+            Number::U(*self as u64)
+        } else {
+            Number::I(*self)
+        })
+    }
+}
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Number(Number::F(*self))
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64().ok_or_else(|| DeError::msg("expected number"))
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::F(f64::from(*self)))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64()
-            .map(|f| f as f32)
-            .ok_or_else(|| DeError::msg("expected number"))
     }
 }
 
@@ -329,23 +227,9 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_bool().ok_or_else(|| DeError::msg("expected bool"))
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| DeError::msg("expected string"))
     }
 }
 
@@ -355,52 +239,13 @@ impl Serialize for str {
     }
 }
 
-impl Deserialize for &'static str {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        // Static-lifetime strings can only be produced by leaking; this
-        // path exists solely for config-like structs (`HwProfile.name`)
-        // restored from JSON in tests and tooling.
-        v.as_str()
-            .map(|s| &*Box::leak(s.to_string().into_boxed_str()))
-            .ok_or_else(|| DeError::msg("expected string"))
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
 }
 
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::msg("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
@@ -421,107 +266,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-macro_rules! ser_de_tuple {
-    ($(($($n:tt $t:ident),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
-            }
-        }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let a = __get_array(v, [$($n),+].len())?;
-                Ok(($($t::from_value(&a[$n])?,)+))
-            }
-        }
-    )*};
-}
-ser_de_tuple! {
-    (0 A)
-    (0 A, 1 B)
-    (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-    (0 A, 1 B, 2 C, 3 D, 4 E)
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_object()
-            .ok_or_else(|| DeError::msg("expected object"))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
-    }
-}
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        // Deterministic output: sort keys (matches serde_json's BTreeMap-
-        // backed Value maps).
-        let mut entries: Vec<(&String, &V)> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        Value::Object(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_object()
-            .ok_or_else(|| DeError::msg("expected object"))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-            .collect()
-    }
-}
-
-impl Serialize for std::net::Ipv4Addr {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for std::net::Ipv4Addr {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str()
-            .ok_or_else(|| DeError::msg("expected IPv4 string"))?
-            .parse()
-            .map_err(|_| DeError::msg("invalid IPv4 address"))
-    }
-}
-
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
     }
 }
 
@@ -647,23 +394,20 @@ mod tests {
     }
 
     #[test]
-    fn primitives_round_trip() {
-        let v = (3u64, -4i32, true, String::from("hi"), 2.5f64).to_value();
-        let back: (u64, i32, bool, String, f64) = Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, (3, -4, true, "hi".to_string(), 2.5));
-    }
-
-    #[test]
-    fn option_and_ipv4() {
-        let some: Option<u32> = Some(7);
-        let none: Option<u32> = None;
+    fn primitives_and_options_serialize() {
+        assert_eq!(3u64.to_value(), Value::Number(Number::U(3)));
+        assert_eq!((-4i64).to_value(), Value::Number(Number::I(-4)));
+        assert_eq!(true.to_value(), Value::Bool(true));
+        assert_eq!("hi".to_value(), "hi");
+        assert_eq!(Some(2.5f64).to_value(), Value::Number(Number::F(2.5)));
+        assert_eq!(None::<usize>.to_value(), Value::Null);
         assert_eq!(
-            Option::<u32>::from_value(&some.to_value()).unwrap(),
-            Some(7)
+            vec![1usize, 2].to_value(),
+            Value::Array(vec![
+                Value::Number(Number::U(1)),
+                Value::Number(Number::U(2))
+            ])
         );
-        assert_eq!(Option::<u32>::from_value(&none.to_value()).unwrap(), None);
-        let ip: std::net::Ipv4Addr = "10.0.0.1".parse().unwrap();
-        assert_eq!(std::net::Ipv4Addr::from_value(&ip.to_value()).unwrap(), ip);
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Offline stand-in for `serde_json`, backed by the serde shim's
-//! [`Value`] model: `to_string` / `to_string_pretty` / `to_value` render
-//! through `Value`, and [`from_str`] is a strict recursive-descent JSON
-//! parser. Output formatting matches serde_json's conventions (compact and
-//! two-space pretty printing, floats always carrying a decimal point).
+//! [`Value`] model: `to_string` / `to_string_pretty` render through
+//! `Value`, and [`from_str`] is a strict recursive-descent JSON parser
+//! into a `Value` tree. Output formatting matches serde_json's
+//! conventions (compact and two-space pretty printing, floats always
+//! carrying a decimal point).
 
 #![forbid(unsafe_code)]
 
 pub use serde::{Number, Value};
 use std::fmt;
 
-/// Serialization / deserialization error.
+/// Parse error (rendering cannot fail; its `Result` is serde_json's
+/// signature).
 #[derive(Clone, Debug)]
 pub struct Error {
     msg: String,
@@ -29,12 +31,6 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Error {
-        Error::new(e.to_string())
-    }
-}
-
 /// Serialize to compact JSON text.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(serde::json::write(&value.to_value(), false))
@@ -45,50 +41,42 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
     Ok(serde::json::write(&value.to_value(), true))
 }
 
-/// Convert any serializable value into a [`Value`] tree.
-pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.to_value())
-}
-
-/// Reconstruct a typed value from a [`Value`] tree.
-pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T, Error> {
-    Ok(T::from_value(&value)?)
-}
-
-/// Parse JSON text into any deserializable type.
-pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
+/// Parse JSON text into a [`Value`] tree.
+pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
-        bytes: s.as_bytes(),
+        src: s,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(Error::new(format!(
             "trailing characters at offset {}",
             p.pos
         )));
     }
-    Ok(T::from_value(&v)?)
+    Ok(v)
 }
 
 /// Deepest nesting of arrays and objects accepted (serde_json's own
 /// limit): the parser — and dropping the `Value` it builds — recurses
-/// once per level, and input from a socket or a watched file must not
-/// be able to choose the stack depth.
+/// once per level, and input from a socket must not be able to choose
+/// the stack depth.
 const MAX_DEPTH: usize = 128;
 
+/// `pos` is a byte offset into `src` and always on a char boundary:
+/// everything but a string's contents is ASCII.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.src.as_bytes().get(self.pos) {
             match b {
                 b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
                 _ => break,
@@ -97,7 +85,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), Error> {
@@ -113,7 +101,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_keyword(&mut self, kw: &str) -> Result<(), Error> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.src[self.pos..].starts_with(kw) {
             self.pos += kw.len();
             Ok(())
         } else {
@@ -228,57 +216,45 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            // Copy the run up to the next quote or escape whole: both are
+            // ASCII, so the run ends on a char boundary.
+            let rest = &self.src[self.pos..];
+            let run = rest
+                .find(['"', '\\'])
+                .ok_or_else(|| Error::new("unterminated string"))?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
+            }
+            let esc = self
+                .peek()
+                .ok_or_else(|| Error::new("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'u' => {
+                    // `get` refuses a range that is short or splits a
+                    // multibyte char, so neither can panic here.
+                    let code = self
+                        .src
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| Error::new("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by our writer;
+                    // map lone surrogates to U+FFFD like serde_json's
+                    // lossy path.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to U+FFFD like serde_json's
-                            // lossy path.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => {
-                            return Err(Error::new(format!("unknown escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(Error::new(format!("unknown escape `\\{}`", other as char))),
             }
         }
     }
@@ -309,8 +285,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
+        let text = &self.src[start..self.pos];
         if text.is_empty() || text == "-" {
             return Err(Error::new(format!("invalid number at offset {start}")));
         }
@@ -335,44 +310,66 @@ mod tests {
     #[test]
     fn round_trip_value() {
         let src = r#"{"id":"fig3","rows":[[1,2.5],[3,-4]],"ok":true,"none":null}"#;
-        let v: Value = from_str(src).unwrap();
+        let v = from_str(src).unwrap();
         assert_eq!(v["id"], "fig3");
         assert_eq!(v["rows"].as_array().unwrap().len(), 2);
         assert_eq!(to_string(&v).unwrap(), src);
     }
 
     #[test]
-    fn typed_round_trip() {
-        let data: Vec<(u64, Vec<String>)> =
-            vec![(1, vec!["a".into()]), (2, vec!["b".into(), "c".into()])];
-        let s = to_string(&data).unwrap();
-        let back: Vec<(u64, Vec<String>)> = from_str(&s).unwrap();
-        assert_eq!(back, data);
-    }
-
-    #[test]
     fn nesting_is_bounded() {
         let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
-        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
-        let deep = from_str::<Value>(&nest(MAX_DEPTH + 1));
+        assert!(from_str(&nest(MAX_DEPTH)).is_ok());
+        let deep = from_str(&nest(MAX_DEPTH + 1));
         assert!(deep.unwrap_err().to_string().contains("nesting deeper"));
         // Unclosed, mixed, and far past any stack: an error, not a crash.
-        assert!(from_str::<Value>(&"[{\"a\":".repeat(100_000)).is_err());
+        assert!(from_str(&"[{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_str::<Value>("{\"a\":}").is_err());
-        assert!(from_str::<Value>("[1,2").is_err());
-        assert!(from_str::<Value>("12 34").is_err());
-        assert!(from_str::<Value>("").is_err());
+        assert!(from_str("{\"a\":}").is_err());
+        assert!(from_str("[1,2").is_err());
+        assert!(from_str("12 34").is_err());
+        assert!(from_str("").is_err());
     }
 
     #[test]
     fn string_escapes() {
         let v = Value::String("line\n\"q\"\\".into());
         let s = to_string(&v).unwrap();
-        let back: Value = from_str(&s).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(from_str(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_strings() {
+        let text = "é, 漢字, 🦀 and \u{7f}";
+        let v = Value::String(text.into());
+        assert_eq!(from_str(&to_string(&v).unwrap()).unwrap(), v);
+        assert_eq!(from_str(r#""\u00e9🦀\n漢""#).unwrap(), "é🦀\n漢");
+        assert_eq!(
+            from_str(r#"{"ключ":["значение"]}"#).unwrap()["ключ"][0],
+            "значение"
+        );
+    }
+
+    #[test]
+    fn a_short_or_split_unicode_escape_is_an_error() {
+        // The four bytes after `\u` end inside a multibyte char, hold
+        // one, or run past the input: each is an error, not a panic.
+        for src in [
+            r#""\u000é""#,
+            r#""\u00é""#,
+            r#""\u0é1""#,
+            r#""\u12"#,
+            r#""\u"#,
+        ] {
+            let err = from_str(src).unwrap_err().to_string();
+            assert!(
+                err.contains("escape") || err.contains("unterminated"),
+                "{src}: {err}"
+            );
+        }
+        assert!(from_str("\"é").is_err());
     }
 }
