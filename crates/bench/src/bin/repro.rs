@@ -61,7 +61,6 @@ const FLAGS: &[Flag] = &[
     ("--packets", "N", RUNTIME),
     ("--batch", "N", RUNTIME),
     ("--host-workers", "N", RUNTIME),
-    ("--cache-burst", "N", RUNTIME),
     ("--trace-sample", "N", RUNTIME),
     ("--workload", "stress|stress64|mix", RUNTIME),
     ("--source", "synthetic|compiled|pcap:<path>", RUNTIME),
@@ -164,7 +163,6 @@ fn main() {
             "--packets" => packets = Some(positive(v, a)),
             "--batch" => shape.batch = positive(v, a),
             "--host-workers" => shape.host_workers = natural(v, a),
-            "--cache-burst" => shape.cache_burst = natural(v, a),
             "--trace-sample" => shape.trace_sample = natural(v, a),
             "--workload" => {
                 shape.workload = match v {
@@ -487,10 +485,6 @@ drivers reads is refused (`experiments` = everything `repro list` shows):
   --summary-out   (engine) write the byte-stable deterministic
                   summary (exact counters, no wall-clock values)
                   — what CI diffs against its committed golden
-  --cache-burst   (engine/control/serve|soak) FlowCache lookup burst
-                  width: shards prefetch N rows ahead before probing
-                  (default 8; 0/1 = per-packet reference path, same
-                  decisions)
   --datapath      (engine/control/serve|soak) thread topology:
                   `pipeline` (default) runs one dispatcher feeding N
                   shards over SPSC lanes; `rtc` fuses dispatcher and

@@ -134,10 +134,6 @@ pub struct RunShape {
     pub batch: usize,
     /// Host escalation workers (0 = inline deterministic triage).
     pub host_workers: usize,
-    /// FlowCache lookup burst width (`--cache-burst`; `<= 1` selects
-    /// the per-packet reference path). Decisions are identical at every
-    /// width — only memory-level parallelism changes.
-    pub cache_burst: usize,
     /// Wall-clock tracing: with the context's tracer attached, every
     /// engine thread's clock samples 1 unit of work in N and its
     /// readings become spans (0 = no spans; see
@@ -172,7 +168,6 @@ impl Default for RunShape {
             pin_cores: false,
             batch: 64,
             host_workers: 1,
-            cache_burst: smartwatch_snic::BURST,
             trace_sample: 0,
             packets: 200_000,
             workload: EngineWorkload::Stress,
@@ -206,7 +201,6 @@ impl RunShape {
             pin_cores,
             batch,
             host_workers,
-            cache_burst,
             trace_sample,
             // What is replayed and how the run is watched — not engine
             // knobs ([`RunShape::replay`], [`RunShape::open`]).
@@ -222,7 +216,6 @@ impl RunShape {
         cfg.pin_cores = *pin_cores;
         cfg.batch = *batch;
         cfg.host_workers = *host_workers;
-        cfg.cache_burst = *cache_burst;
         cfg.trace_sample = *trace_sample;
         cfg
     }

@@ -20,7 +20,6 @@ fn shapes_off_default() -> [RunShape; 2] {
         pin_cores: false,
         batch: 32,
         host_workers: 2,
-        cache_burst: 4,
         trace_sample: 7,
         packets: 20_000,
         workload: EngineWorkload::Mix,
@@ -58,7 +57,6 @@ fn every_shape_field_reaches_every_drivers_engine() {
         let stock = EngineConfig::new(want.shards);
         assert_ne!(want.batch, stock.batch);
         assert_ne!(want.host_workers, stock.host_workers);
-        assert_ne!(want.cache_burst, stock.cache_burst);
         assert_ne!(want.trace_sample, stock.trace_sample);
         assert_eq!(want.pin_cores, shape.pin_cores);
 

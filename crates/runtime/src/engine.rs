@@ -38,4 +38,5 @@ mod report;
 
 pub use config::{DatapathMode, EngineConfig, FrameSource, Pace};
 pub use lifecycle::Engine;
+pub(crate) use report::summary;
 pub use report::{hist_value, EngineReport, FlowCacheSummary, StageSnapshot};

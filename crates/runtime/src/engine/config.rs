@@ -67,11 +67,12 @@ pub struct EngineConfig {
     /// comes from RSS, not from distinct hash functions).
     pub hash_seed: u64,
     /// FlowCache lookup burst width: shards prefetch this many rows
-    /// ahead before probing (the memory-level-parallel batched path).
-    /// `0` or `1` selects the per-packet reference path. Packet
-    /// *decisions* are identical at every width — prefetching is
-    /// architecturally inert — so this knob trades nothing but cache
-    /// warmth and is safe to change under the determinism tests.
+    /// ahead before probing (the memory-level-parallel batched path;
+    /// `0` reads as `1`, one row at a time). Packet *decisions* are
+    /// identical at every width — prefetching is architecturally inert,
+    /// and every width equals the per-packet
+    /// [`reference`](crate::reference) oracle — so this knob trades
+    /// nothing but cache warmth.
     pub cache_burst: usize,
     /// Attach the adaptive control plane: an epoch thread that runs
     /// Algorithm 4 mode switching per shard, promotes heavy hitters,

@@ -192,11 +192,11 @@ const HEAVY_QUANTUM: u64 = 16;
 /// Verdict-set bounds: capacity plus a TTL in *batch* counts (the
 /// shard's own monotone clock). At 64-packet batches, 8192 batches is
 /// roughly half a million packets of inactivity before an entry ages
-/// out.
-const VERDICT_SET_CAPACITY: usize = 65_536;
-const VERDICT_TTL_BATCHES: u64 = 8192;
+/// out. Shared with the [`reference`](crate::reference) oracle.
+pub(crate) const VERDICT_SET_CAPACITY: usize = 65_536;
+pub(crate) const VERDICT_TTL_BATCHES: u64 = 8192;
 /// Run the TTL sweep every this many batches.
-const SWEEP_EVERY_BATCHES: u64 = 256;
+pub(crate) const SWEEP_EVERY_BATCHES: u64 = 256;
 
 /// Plain-integer accumulator for one batch, flushed into the shared
 /// atomic [`ShardCounters`] exactly once per batch — collapsing what
@@ -317,10 +317,9 @@ pub(crate) struct ShardSetup {
     /// FlowCache software-pipeline depth: rows for up to this many
     /// packets are prefetched ahead of their probes — and, after a batch
     /// that mostly missed, their P spans and scan-table slot words too
-    /// ([`ShardWorker::process_group`]). `<= 1` disables the prefetch
-    /// stage (the per-packet reference path); either way the per-packet
-    /// decision sequence is identical because the prefetch is
-    /// architecturally inert.
+    /// ([`ShardWorker::process_group`]); `0` reads as `1`. The prefetch
+    /// is architecturally inert, so every width decides what the
+    /// per-packet [`reference`](crate::reference) oracle decides.
     pub burst: usize,
 }
 
@@ -559,9 +558,9 @@ impl ShardWorker {
     /// with the rows already in flight. Verdicts, pinning, escalation and
     /// detector effects all happen in stage B in exact arrival order, so
     /// the engine's `deterministic_summary` is byte-identical to the
-    /// per-packet reference path (`burst <= 1`, no prefetch). `pub(crate)`
-    /// for the run-to-completion cores, which feed it the same
-    /// batch-sized groups the lane path would have delivered.
+    /// per-packet [`reference`](crate::reference) oracle's at every
+    /// width. `pub(crate)` for the run-to-completion cores, which feed it
+    /// the same batch-sized groups the lane path would have delivered.
     ///
     /// The batch's FlowCache misses — a difference of the cache's own
     /// plain-integer books — set the gate the next batch's stage A
@@ -572,9 +571,7 @@ impl ShardWorker {
         let burst = self.setup.burst.max(1);
         let misses = self.flow.tier.cache.stats().misses;
         for chunk in pkts.chunks(burst) {
-            if burst > 1 {
-                self.stage_a(chunk);
-            }
+            self.stage_a(chunk);
             for dp in chunk {
                 self.process_packet(dp, &mut lap);
             }

@@ -56,30 +56,6 @@ fn compiled_replay_summary_is_byte_identical_to_synthetic() {
 }
 
 #[test]
-fn batched_cache_path_is_byte_identical_on_the_wire_path() {
-    // The memory-level-parallel cache path must be decision-invisible on
-    // compiled wire frames exactly as on synthetic packets: per-packet
-    // (burst 1) and batched (burst 8) replays of the same store produce
-    // byte-identical summaries at 1 and 2 shards on both datapaths.
-    let trace = workload(300, 0xBEEF);
-    let store = compile_cycled(&trace, trace.len() * 2);
-    for (datapath, shards) in DATAPATHS.iter().flat_map(|&d| [(d, 1), (d, 2)]) {
-        let run = |burst: usize| {
-            let mut cfg = deterministic(datapath, shards);
-            cfg.cache_burst = burst;
-            Engine::new(cfg)
-                .run_source(FrameSource::Wire(&store), Pace::Flatout)
-                .deterministic_summary()
-        };
-        assert_eq!(
-            run(1),
-            run(8),
-            "batched wire replay diverged from per-packet at {datapath:?} shards={shards}"
-        );
-    }
-}
-
-#[test]
 fn cycled_compiled_replay_conserves_across_shapes() {
     let trace = workload(150, 7);
     let total = trace.len() * 3 + 11;

@@ -240,7 +240,7 @@ fn read_until(
     stream: &mut TcpStream,
     deadline: Instant,
     buf: &mut Vec<u8>,
-    done: impl Fn(&[u8]) -> bool,
+    mut done: impl FnMut(&[u8]) -> bool,
 ) -> Result<(), Short> {
     let mut chunk = [0u8; 512];
     while !done(buf) {
@@ -266,18 +266,28 @@ fn read_until(
 /// [`MAX_HEAD_BYTES`], `400`/`408` when it never ends.
 fn read_head(stream: &mut TcpStream, deadline: Instant) -> Result<(Vec<u8>, usize), HttpResponse> {
     let mut buf = Vec::with_capacity(512);
-    let ended = |b: &[u8]| find_head_end(b).is_some() || b.len() > MAX_HEAD_BYTES;
+    let (mut scanned, mut end) = (0, None);
+    let ended = |b: &[u8]| {
+        end = find_head_end(b, &mut scanned);
+        end.is_some() || b.len() > MAX_HEAD_BYTES
+    };
     read_until(stream, deadline, &mut buf, ended).map_err(Short::response)?;
     // The cap applies to the head itself, terminator or not.
-    match find_head_end(&buf) {
+    match end {
         Some(pos) if pos <= MAX_HEAD_BYTES => Ok((buf, pos)),
         _ => Err(HttpResponse::text(431, "request head exceeds 8 KiB\n")),
     }
 }
 
-/// Byte offset just past the `\r\n\r\n` head terminator, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+/// Byte offset just past the `\r\n\r\n` head terminator, if `buf`
+/// holds one. `buf` only grows between calls, and each scan resumes 3
+/// bytes before where the last one ended (`scanned`; a terminator may
+/// straddle two reads), so reading a head scans it once.
+fn find_head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    let from = scanned.saturating_sub(3);
+    *scanned = buf.len();
+    let at = buf[from..].windows(4).position(|w| w == b"\r\n\r\n");
+    at.map(|p| from + p + 4)
 }
 
 /// `Content-Length` parsed out of the head, 0 when absent.
@@ -367,6 +377,20 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two reads, split anywhere — inside the terminator too: the second
+    /// scan resumes where the first ended and still finds it.
+    #[test]
+    fn the_head_end_is_found_at_every_split_across_two_reads() {
+        let req = b"POST /admin/steer HTTP/1.1\r\nHost: x\r\n\r\n{\"add\": 1}";
+        let want = req.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
+        for split in 0..=req.len() {
+            let mut scanned = 0;
+            let first = find_head_end(&req[..split], &mut scanned);
+            let second = || find_head_end(req, &mut scanned);
+            assert_eq!(first.or_else(second), want, "split at {split}");
+        }
+    }
 
     fn get(addr: SocketAddr, path: &str) -> (u16, String) {
         raw(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))

@@ -216,16 +216,23 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or escape whole: both are
-            // ASCII, so the run ends on a char boundary.
+            // Copy the run up to the next quote, escape or control
+            // character whole: all are ASCII, so the run ends on a char
+            // boundary.
             let rest = &self.src[self.pos..];
             let run = rest
-                .find(['"', '\\'])
+                .find(|c: char| c == '"' || c == '\\' || c < ' ')
                 .ok_or_else(|| Error::new("unterminated string"))?;
             out.push_str(&rest[..run]);
             self.pos += run + 1;
-            if rest.as_bytes()[run] == b'"' {
-                return Ok(out);
+            match rest.as_bytes()[run] {
+                b'"' => return Ok(out),
+                b'\\' => {}
+                c => {
+                    return Err(Error::new(format!(
+                        "raw control character {c:#04x} in a string"
+                    )))
+                }
             }
             let esc = self
                 .peek()
@@ -241,22 +248,36 @@ impl<'a> Parser<'a> {
                 b'b' => out.push('\u{0008}'),
                 b'f' => out.push('\u{000C}'),
                 b'u' => {
-                    // `get` refuses a range that is short or splits a
-                    // multibyte char, so neither can panic here.
-                    let code = self
-                        .src
-                        .get(self.pos..self.pos + 4)
-                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                        .ok_or_else(|| Error::new("bad \\u escape"))?;
-                    self.pos += 4;
-                    // Surrogate pairs are not produced by our writer;
-                    // map lone surrogates to U+FFFD like serde_json's
-                    // lossy path.
-                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                    // A high surrogate and the low one escaped after it
+                    // are one char; a surrogate alone is no char at all.
+                    let mut code = self.hex4()?;
+                    if (0xD800..0xDC00).contains(&code) && self.src[self.pos..].starts_with("\\u") {
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        if (0xDC00..0xE000).contains(&low) {
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        }
+                    }
+                    let c = char::from_u32(code)
+                        .ok_or_else(|| Error::new("lone surrogate in a \\u escape"))?;
+                    out.push(c);
                 }
                 other => return Err(Error::new(format!("unknown escape `\\{}`", other as char))),
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape. `get` refuses a range that
+    /// is short or splits a multibyte char, so neither can panic here.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let code = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| Error::new("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value, Error> {
@@ -371,5 +392,34 @@ mod tests {
             );
         }
         assert!(from_str("\"é").is_err());
+    }
+
+    #[test]
+    fn a_surrogate_pair_is_one_char() {
+        assert_eq!(from_str(r#""\ud83e\udd80""#).unwrap(), "🦀");
+        assert_eq!(from_str(r#""a\uD83D\uDE00b""#).unwrap(), "a😀b");
+    }
+
+    #[test]
+    fn a_lone_surrogate_is_an_error() {
+        for src in [
+            r#""\ud83e""#,
+            r#""\udd80""#,
+            r#""\ud83ex""#,
+            r#""\ud83e\u0041""#,
+            r#""\ud83e\ud83e""#,
+        ] {
+            let err = from_str(src).unwrap_err().to_string();
+            assert!(err.contains("surrogate"), "{src}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_raw_control_character_is_an_error() {
+        for src in ["\"a\u{1}b\"", "\"\n\"", "\"\u{1f}\""] {
+            let err = from_str(src).unwrap_err().to_string();
+            assert!(err.contains("control character"), "{src:?}: {err}");
+        }
+        assert_eq!(from_str(r#""\u0001""#).unwrap(), "\u{1}");
     }
 }

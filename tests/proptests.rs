@@ -31,6 +31,19 @@ fn arb_packets(max: usize) -> impl Strategy<Value = Vec<(FlowKey, u64)>> {
     prop::collection::vec((arb_key(), 0u64..10_000_000), 1..max)
 }
 
+/// Strings of ASCII (control characters included), BMP and non-BMP
+/// chars — the last written as surrogate pairs by other encoders.
+fn arb_string() -> impl Strategy<Value = String> {
+    prop::collection::vec((0usize..3, any::<u32>()), 0..12).prop_map(|chars| {
+        let pick =
+            |(class, x): (usize, u32)| [x % 0x80, x % 0x1_0000, 0x1_0000 + x % 0x10_0000][class];
+        chars
+            .into_iter()
+            .map(|c| char::from_u32(pick(c)).unwrap_or('\u{FFFD}'))
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -311,5 +324,16 @@ proptest! {
         let p = PacketBuilder::new(key, Ts::ZERO).build();
         let r = PacketBuilder::new(key.reversed(), Ts::ZERO).build();
         prop_assert_eq!(rule.matches(&p), rule.matches(&r));
+    }
+
+    /// Any JSON document survives `to_string` → `from_str`: keys,
+    /// elements and values of [`arb_string`] included.
+    #[test]
+    fn json_values_survive_a_round_trip(entries in prop::collection::vec((arb_string(), arb_string(), any::<u64>()), 0..8)) {
+        use serde_json::{Number, Value};
+        let row = |(s, n): (String, u64)| Value::Array(vec![Value::String(s), Value::Number(Number::U(n)), Value::Null]);
+        let doc = Value::Object(entries.into_iter().map(|(k, s, n)| (k, row((s, n)))).collect());
+        let text = serde_json::to_string(&doc).unwrap();
+        prop_assert_eq!(serde_json::from_str(&text).unwrap(), doc);
     }
 }
