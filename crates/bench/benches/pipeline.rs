@@ -32,10 +32,13 @@ fn bench_platform(c: &mut Criterion) {
 
 /// The shard-integrated pair of `flowcache/batch_vs_scalar`: one full
 /// engine (1 shard, inline triage, 2^18-row partition) replaying the
-/// hash-scattered cold-row workload with the cache burst pipeline off
-/// (`1`, the per-packet reference) and on (`8`). Decisions are
-/// identical — the delta is pure memory-level parallelism threaded
-/// through the whole ingest → merge → cache → triage hot path.
+/// hash-scattered cold-row workload at cache burst width `1` and `8`.
+/// Width 1 still runs stage A, one packet per chunk: each row's hint is
+/// issued right before its own probe, so nothing is in flight ahead of
+/// it; width 8 hints eight rows before the first of eight probes.
+/// Decisions are identical — the delta is the memory-level parallelism
+/// of hinting ahead, threaded through the whole ingest → merge → cache
+/// → triage hot path.
 fn bench_engine_cache_burst(c: &mut Criterion) {
     let pkts = workloads::scattered_flows(200_000, 0x5EED_CAFE);
     let mut g = c.benchmark_group("engine_cache_burst");

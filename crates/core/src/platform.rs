@@ -912,7 +912,8 @@ mod tests {
         let rep =
             SmartWatch::new(PlatformConfig::new(DeployMode::SnicHost), vec![]).run(trace.packets());
         let logged: u64 = (0..rep.flow_log.n_intervals() as u64)
-            .map(|i| rep.flow_log.flow_counts(i).values().sum::<u64>())
+            .flat_map(|i| rep.flow_log.interval(i))
+            .map(|r| r.packets)
             .sum();
         // Lossless flow logging: every sNIC-processed packet is accounted
         // for in the flow logs (to-host escalations still update records).
