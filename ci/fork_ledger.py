@@ -21,14 +21,15 @@ This fails when
   caller outside tests. The scan reads each file of `crates/*/src`,
   `crates/*/benches`, `examples/`, `benchmark/src` and `src/` above its
   first top-level `#[cfg(test)]`, strips comments, and counts references
-  by name, not counting definitions. The one exception is `ORACLES`: an
+  by name, not counting definitions or `pub use` re-exports. The one
+  exception is `ORACLES`: an
   item a test in another file uses as its oracle, kept while that test
   fn exists. An item below that `#[cfg(test)]` and not gated by one of
   its own would escape the scan, so it fails too;
 - a `[dependencies]` / `[dev-dependencies]` entry of the root or a
   `crates/*` manifest is named (`-` read as `_`) in none of that
   package's `src/`, `tests/`, `benches/` or `examples/` files, comments
-  stripped.
+  stripped, or is an edge `FORBIDDEN` rules out.
 
 usage: python3 ci/fork_ledger.py   (from the repository root)
 """
@@ -54,7 +55,11 @@ ORACLES = [
     ("signatures", "packet_fed_detectors_reset_to_fresh", "reset ≡ fresh compares the worm signature set"),
     ("from_packets_v6", "rtc_is_byte_identical_to_pipeline_on_v6_wire_replay", "the v6 ingest path's input"),
     ("walk_shards", "every_burst_width_decides_what_the_oracle_decides", "the engine's per-packet oracle"),
+    ("QUANTILE_ERROR_BOUND", "quantiles_within_relative_error", "the histogram's documented error bound"),
 ]
+# package -> a dependency it must not have: a simulated component keeps
+# plain books, and its owner publishes them
+FORBIDDEN = {"p4sim": "smartwatch-telemetry", "host": "smartwatch-telemetry", "control": "smartwatch-telemetry"}
 LITERAL = re.compile(r'r(#*)".*?"\1|"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'|//[^\n]*|/\*.*?\*/', re.S)
 PUB_ITEM = re.compile(r"\bpub\s+(?:const\s+|unsafe\s+)*(?:fn|struct|enum|trait|const|type)\s+(\w+)")
 DEFINITION = re.compile(r"\b(?:fn|struct|enum|trait|const|type|static|mod)\s+(\w+)")
@@ -121,7 +126,7 @@ def check_callers(fns, errors):
     refs, defs, items = collections.Counter(), collections.Counter(), []
     for path in sorted({p for pattern in CODE for p in ROOT.glob(pattern)}):
         code, tests = split_tests(path)
-        refs.update(re.findall(r"\b[A-Za-z_]\w*", code))
+        refs.update(re.findall(r"\b[A-Za-z_]\w*", re.sub(r"\bpub use [^;]*;", "", code)))
         defs.update(DEFINITION.findall(code))
         if re.match(r"crates/[^/]+/src/", path.relative_to(ROOT).as_posix()):
             items += [(path, name) for name in PUB_ITEM.findall(code)]
@@ -155,9 +160,11 @@ def check_dependencies(errors):
             dep = re.match(r"([\w-]+)(?:\.workspace)?\s*=", line)
             if section in ("[dependencies]", "[dev-dependencies]") and dep:
                 edges += 1
+                where = manifest.relative_to(ROOT)
                 if dep.group(1).replace("-", "_") not in names:
-                    where = manifest.relative_to(ROOT)
                     errors.append(f"{where}: {section} {dep.group(1)} is named in no file of the package")
+                if FORBIDDEN.get(package.name) == dep.group(1):
+                    errors.append(f"{where}: {section} {dep.group(1)} is forbidden (FORBIDDEN)")
     print(f"dependency edges: {edges}")
 
 

@@ -70,7 +70,7 @@ fn bench_input(c: &mut Criterion, input: &str, pkts: &[Packet]) {
         |(s, alerts), p| {
             let flow = s.conns.digest(&p.key);
             alerts.clear();
-            s.on_packet_digested(p, &flow, alerts, &mut None);
+            s.on_packet_digested(p, &flow, alerts);
             black_box(alerts);
         },
     );

@@ -192,7 +192,7 @@ pub fn table2(ctx: &ExpCtx) -> Table {
         sw.on_packet(p);
     }
     let ops = sw.tier.suite.ops;
-    let cache_stats = sw.tier.cache.stats();
+    let cache_stats = sw.tier.cache().stats();
     let rep = sw.finish(trace.packets().last().unwrap().ts + Dur::from_secs(1));
     let m = rep.metrics;
 

@@ -109,22 +109,6 @@ pub fn detection_rate(report: &RunReport, truth: &GroundTruth, kind: AttackKind)
     Some(detected as f64 / instances.len() as f64)
 }
 
-/// Detection rate relative to a reference (host) run, as Table 4 reports.
-pub fn relative_rate(
-    report: &RunReport,
-    reference: &RunReport,
-    truth: &GroundTruth,
-    kind: AttackKind,
-) -> Option<f64> {
-    let r = detection_rate(report, truth, kind)?;
-    let h = detection_rate(reference, truth, kind)?;
-    if h == 0.0 {
-        None
-    } else {
-        Some(r / h)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,9 +161,11 @@ mod tests {
             standard_queries(),
         )
         .run(t.packets());
-        let k = AttackKind::StealthyPortScan;
-        let r_sw = relative_rate(&sw, &host, &gt, k).unwrap();
-        let r_sonata = relative_rate(&sonata, &host, &gt, k).unwrap_or(0.0);
+        // Relative to the host run, as Table 4 reports.
+        let rate = |rep| detection_rate(rep, &gt, AttackKind::StealthyPortScan);
+        let h = rate(&host).unwrap();
+        let r_sw = rate(&sw).unwrap() / h;
+        let r_sonata = rate(&sonata).map_or(0.0, |r| r / h);
         assert!(
             r_sw >= r_sonata,
             "SmartWatch ({r_sw}) should be at least Sonata ({r_sonata})"

@@ -37,7 +37,7 @@ pub mod suite;
 pub mod tier;
 
 pub use deploy::{DeployMode, Resources, ScalingModel};
-pub use eval::{detection_rate, relative_rate, GroundTruth};
+pub use eval::{detection_rate, GroundTruth};
 pub use platform::{standard_queries, PlatformConfig, RunReport, SmartWatch, TierMetrics};
 pub use suite::{DetectorSuite, HostNeed, SuiteOutcome};
 pub use tier::SnicTier;

@@ -332,7 +332,7 @@ impl SmartWatch {
             core: Publisher::new(registry, &[])
                 .counters(&CORE_COUNTERS)
                 .gauges(&CORE_GAUGES),
-            cache: cache_publisher(registry, &self.tier.cache.config().policy),
+            cache: cache_publisher(registry, &self.tier.cache().config().policy),
             switch: Publisher::new(registry, &[])
                 .counters(&switch::COUNTERS)
                 .gauges(&switch::GAUGES),
@@ -367,7 +367,7 @@ impl SmartWatch {
             return;
         };
         t.core.publish(self);
-        t.cache.publish(&self.tier.cache);
+        t.cache.publish(self.tier.cache());
         t.switch.publish(&self.switch);
         for (books, r) in t.refiners.iter_mut().zip(&self.refiners) {
             books.publish(r);
@@ -425,10 +425,7 @@ impl SmartWatch {
         // detectors still run; it is charged at host rates only.
         let host_only = self.cfg.mode == DeployMode::HostOnly;
         let flow = self.tier.suite.hasher().flow_digest(&pkt.key);
-        let access = self
-            .tier
-            .cache
-            .process_digested(pkt, &flow.canon, flow.digest);
+        let access = self.tier.process(pkt, &flow);
         if !host_only {
             self.metrics.snic_processed += 1;
             if access.outcome == smartwatch_snic::Outcome::ToHost {
@@ -543,12 +540,12 @@ impl SmartWatch {
         // snapshot lands in the reused scratch buffer, so steady-state
         // intervals allocate nothing for it.
         let mut snapshot = std::mem::take(&mut self.export_scratch);
-        self.tier.cache.snapshot_delta_into(&mut snapshot);
+        self.tier.snapshot_delta_into(&mut snapshot);
         let export_count = snapshot.len();
         self.long_term.ingest_batch(snapshot.iter().copied());
         self.aggregator.ingest_batch(snapshot.iter().copied());
         self.export_scratch = snapshot;
-        let evicted = self.tier.cache.rings().drain();
+        let evicted = self.tier.drain_evicted();
         let export_count = (export_count + evicted.len()) as u64;
         self.long_term.ingest_batch(evicted.iter().copied());
         self.aggregator.ingest_batch(evicted);
@@ -618,7 +615,7 @@ impl SmartWatch {
         // pass through the reused scratch; finish() runs once, but the
         // discipline keeps the allocation profile flat to the end).
         let mut residue = std::mem::take(&mut self.export_scratch);
-        self.tier.cache.drain_all_into(&mut residue);
+        self.tier.drain_all_into(&mut residue);
         self.aggregator.ingest_batch(residue.iter().copied());
         self.export_scratch = residue;
         self.log_interval();
@@ -853,7 +850,7 @@ mod tests {
             "trace must span several snapshot intervals, got {}",
             caps.len()
         );
-        let cfg = sw.tier.cache.config();
+        let cfg = sw.tier.cache().config();
         let slots = cfg.rows() * cfg.buckets_per_row();
         assert!(caps.iter().all(|&c| c <= slots));
         assert!(*caps.last().unwrap() > 0, "snapshots are non-empty");
@@ -880,7 +877,7 @@ mod tests {
             *sizes.entry(p.key.canonical().0).or_insert(0u32) += 1;
         }
         let (session, _) = sizes.iter().max_by_key(|(_, n)| **n).unwrap();
-        let rec = sw.tier.cache.get(session).expect("resident");
+        let rec = sw.tier.cache().get(session).expect("resident");
         assert!(!rec.pinned, "the benign verdict released the session");
     }
 

@@ -251,9 +251,7 @@ impl DetectorSuite {
         if pkt.is_tcp() {
             self.ops.scan += 1;
         }
-        let mut event = None;
-        self.scan
-            .on_packet_digested(pkt, flow, &mut out.alerts, &mut event);
+        let event = self.scan.on_packet_digested(pkt, flow, &mut out.alerts);
 
         // Forged RST: RST packets visit the host timing wheel.
         if pkt.is_tcp() && (pkt.flags.rst() || pkt.payload_len > 0) {

@@ -3,9 +3,9 @@
 //! [`SmartWatch`](crate::SmartWatch) platform behind every paper figure
 //! and each wall-clock engine shard.
 //!
-//! A step is two calls on one [`FlowDigest`]:
-//! `tier.cache.process_digested(..)`, then [`SnicTier::inspect`]. The
-//! suite digests under the cache's seed by construction
+//! A step is two calls on one [`FlowDigest`]: [`SnicTier::process`]
+//! (the FlowCache), then [`SnicTier::inspect`] (the suite and the pin
+//! rule). The suite digests under the cache's seed by construction
 //! ([`SnicTier::new`]), so one digest serves both.
 //!
 //! The rule (§3.2 "Pinning Flow Records"): while the host works on a
@@ -16,16 +16,21 @@
 //! releases second, so the benign verdict is the last word. The other
 //! order leaves the session pinned until a second verdict arrives —
 //! and for a benign source none ever does.
+//!
+//! The tier owns its FlowCache: every call that changes it — the step,
+//! [`SnicTier::release`], the mode switch, the platform's exports — is
+//! a method here, and [`SnicTier::cache`] lends it out read-only. So
+//! the pin is taken in one place, `inspect`, and a `.pin(` anywhere
+//! else does not compile.
 
 use crate::suite::{DetectorSuite, HostNeed, SuiteOutcome};
-use smartwatch_net::{FlowDigest, FlowHasher, Packet};
-use smartwatch_snic::{FlowCache, FlowCacheConfig};
+use smartwatch_net::{FlowDigest, FlowHasher, FlowKey, Packet};
+use smartwatch_snic::{Access, FlowCache, FlowCacheConfig, FlowRecord, Mode};
 
 /// One sNIC tier: a FlowCache, the detector suite over the same digests,
 /// and the one suite outcome every packet is written into.
 pub struct SnicTier {
-    /// The FlowCache.
-    pub cache: FlowCache,
+    cache: FlowCache,
     /// The detector suite, digesting under the cache's seed.
     pub suite: DetectorSuite,
     /// Cleared and refilled by every [`SnicTier::inspect`], so a packet
@@ -43,6 +48,17 @@ impl SnicTier {
         }
     }
 
+    /// The FlowCache, read-only.
+    pub fn cache(&self) -> &FlowCache {
+        &self.cache
+    }
+
+    /// The FlowCache step for `pkt`, whose flow identity is `flow`.
+    #[inline]
+    pub fn process(&mut self, pkt: &Packet, flow: &FlowDigest) -> Access {
+        self.cache.process_digested(pkt, &flow.canon, flow.digest)
+    }
+
     /// Run the suite on `pkt`, whose flow identity is `flow` (under the
     /// suite's hasher), then apply the pin rule to the cache: pin the
     /// flow if the packet needs the host, then release every flow the
@@ -57,6 +73,35 @@ impl SnicTier {
             self.cache.unpin(cleared);
         }
         &self.outcome
+    }
+
+    /// The host is done with `canon` (a verdict, or an escalation that
+    /// never left): its record becomes evictable again. False when
+    /// nothing was pinned.
+    pub fn release(&mut self, canon: &FlowKey) -> bool {
+        self.cache.unpin(canon)
+    }
+
+    /// Switch the FlowCache to `mode` (Algorithm 4's decision); a no-op
+    /// in the mode it is in.
+    pub fn set_mode(&mut self, mode: Mode) {
+        self.cache.set_mode(mode);
+    }
+
+    /// §3.4's snapshot: the records that changed since the last one,
+    /// appended to `out`.
+    pub fn snapshot_delta_into(&mut self, out: &mut Vec<FlowRecord>) {
+        self.cache.snapshot_delta_into(out);
+    }
+
+    /// The evicted records the rings hold, taken.
+    pub fn drain_evicted(&mut self) -> Vec<FlowRecord> {
+        self.cache.rings().drain()
+    }
+
+    /// Every resident record, appended to `out`; the cache is left empty.
+    pub fn drain_all_into(&mut self, out: &mut Vec<FlowRecord>) {
+        self.cache.drain_all_into(out);
     }
 
     /// Fresh for the next segment, in place. `carry_cache` leaves the
@@ -95,7 +140,7 @@ mod tests {
         let mut both = None;
         for pkt in trace.packets() {
             let flow = hasher.flow_digest(&pkt.key);
-            tier.cache.process_digested(pkt, &flow.canon, flow.digest);
+            tier.process(pkt, &flow);
             let out = tier.inspect(pkt, &flow);
             if out.host == HostNeed::Host && out.whitelist.contains(&flow.canon) {
                 both = Some(flow.canon);

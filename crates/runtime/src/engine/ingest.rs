@@ -557,8 +557,9 @@ impl Sink for ShardSink {
         local[Count::Ingested] += len;
         self.worker.obs.clock.hists[Stage::BatchPkts].record(len);
         self.worker.control_tick();
-        let start = self.worker.obs.clock.mark();
-        self.worker.process_group(&self.buf, start);
+        let clock = &mut self.worker.obs.clock;
+        let lap = clock.chain(clock.sampled());
+        self.worker.process_group(&self.buf, lap);
         self.buf.clear();
     }
 

@@ -90,6 +90,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Scoped to `shard.rs`, which denies it (`clippy.toml`).
+#![allow(clippy::disallowed_methods)]
 
 pub(crate) mod batch;
 pub mod books;

@@ -29,6 +29,7 @@
 //! shards and host workers get spans for the sampled work that reaches
 //! them.
 
+use crate::batch::Batch;
 use smartwatch_net::Dur;
 use smartwatch_telemetry::{Histogram, Registry, TraceShard, Tracer, WallAnchor};
 use std::ops::Index;
@@ -179,6 +180,23 @@ impl Clocks {
     }
 }
 
+/// A batch's chain of stage readings, handed from packet to packet:
+/// the reading that opened it and the latest one. Only a [`Clock`]
+/// builds one, and an unsampled batch's holds no reading, so
+/// [`Clock::lap`] on it reads nothing.
+pub(crate) struct Lap {
+    from: Option<Instant>,
+    at: Option<Instant>,
+}
+
+impl Lap {
+    /// The latest reading of a sampled chain: what an escalation hands
+    /// off.
+    pub fn at(&self) -> Option<Instant> {
+        self.at
+    }
+}
+
 /// One thread's clock: its one sampling counter, the reading that opened
 /// its unit in flight (when that unit is sampled), and where readings
 /// go. Not shared — each thread owns its own.
@@ -212,14 +230,38 @@ impl Clock {
     }
 
     /// A reading if `sampled`, no read otherwise.
-    pub fn stamp(&mut self, sampled: bool) -> Option<Instant> {
+    fn stamp(&mut self, sampled: bool) -> Option<Instant> {
         sampled.then(|| self.now())
+    }
+
+    /// Whether the unit in flight is sampled.
+    pub fn sampled(&self) -> bool {
+        self.unit.is_some()
     }
 
     /// A reading if the unit in flight is sampled: what the work it makes
     /// carries.
     pub fn mark(&mut self) -> Option<Instant> {
-        self.stamp(self.unit.is_some())
+        self.stamp(self.sampled())
+    }
+
+    /// A batch's chain, opened at a reading if `sampled`.
+    pub fn chain(&mut self, sampled: bool) -> Lap {
+        let at = self.stamp(sampled);
+        Lap { from: at, at }
+    }
+
+    /// Admit a lane batch: record its size and, when its dispatcher
+    /// sampled it, close its lane wait at one reading, which opens its
+    /// chain.
+    pub fn admit(&mut self, batch: &Batch) -> Lap {
+        self.hists[Stage::BatchPkts].record(batch.pkts.len() as u64);
+        let at = batch.sent.map(|sent| {
+            let now = self.now();
+            self.close(Stage::Queue, sent, now);
+            now
+        });
+        Lap { from: at, at }
     }
 
     /// Cross a boundary of this thread's own units: close the one in
@@ -228,20 +270,35 @@ impl Clock {
     pub fn turn(&mut self, stage: Stage) {
         let next = self.sample();
         let mut at = self.unit.take();
-        self.lap(&mut at, stage);
+        self.read_on(&mut at, stage);
         self.unit = next.then(|| at.unwrap_or_else(|| self.now()));
     }
 
     /// Close the unit in flight as `stage`, opening none.
     pub fn finish(&mut self, stage: Stage) {
         let mut at = self.unit.take();
-        self.lap(&mut at, stage);
+        self.read_on(&mut at, stage);
     }
 
-    /// A stage of a sampled chain ends: close it at one reading, which
-    /// starts the next stage. An unsampled chain (`None`) reads nothing.
+    /// A stage of a batch's chain ends: close it at one reading, which
+    /// starts the next stage. An unsampled chain reads nothing.
     #[inline]
-    pub fn lap(&mut self, at: &mut Option<Instant>, stage: Stage) {
+    pub fn lap(&mut self, lap: &mut Lap, stage: Stage) {
+        self.read_on(&mut lap.at, stage);
+    }
+
+    /// Close a chain as `stage`, first reading → last; nothing for an
+    /// unsampled one.
+    pub fn end(&self, lap: Lap, stage: Stage) {
+        if let (Some(from), Some(to)) = (lap.from, lap.at) {
+            self.close(stage, from, to);
+        }
+    }
+
+    /// Close `stage` at one reading, which `at` then holds — only when
+    /// `at` holds one already.
+    #[inline]
+    fn read_on(&mut self, at: &mut Option<Instant>, stage: Stage) {
         if let Some(from) = *at {
             let now = self.now();
             self.close(stage, from, now);
@@ -319,7 +376,7 @@ mod tests {
         assert_eq!((c.reads, c.mark()), (3, None));
         for _ in 2..PERIOD {
             c.turn(Stage::Dispatch);
-            let mut chain = c.mark();
+            let mut chain = c.chain(c.sampled());
             c.lap(&mut chain, Stage::Cache);
         }
         assert_eq!(c.reads, 3, "unsampled units read no clock");
@@ -333,7 +390,7 @@ mod tests {
         let tracer = Tracer::new(16);
         let clocks = clocks(Some(&tracer), 1);
         let mut c = clocks.thread("sw-test-0");
-        let mut chain = c.stamp(true);
+        let mut chain = c.chain(true);
         c.lap(&mut chain, Stage::Cache);
         c.lap(&mut chain, Stage::Queue);
         c.hists[Stage::BatchPkts].record(64);

@@ -72,10 +72,10 @@ pub fn walk_shards(source: FrameSource<'_>, cfg: &EngineConfig) -> Option<Refere
             host_processed += shard.books[Count::Escalated];
             ShardStats {
                 counts: shard.books,
-                cache: shard.tier.cache.stats(),
+                cache: shard.tier.cache().stats(),
                 blacklisted: shard.blacklist.len() as u64,
                 whitelisted: shard.whitelist.len() as u64,
-                cache_resident: shard.tier.cache.occupied() as u64,
+                cache_resident: shard.tier.cache().occupied() as u64,
             }
         })
         .collect();
@@ -146,7 +146,7 @@ impl Shard {
                     if shard_for_digest(digest, self.shards) != self.index {
                         continue;
                     }
-                    self.tier.cache.unpin(&canon);
+                    self.tier.release(&canon);
                     if matches!(v, Verdict::Blacklist(_)) {
                         self.blacklist.insert(digest.0, self.batches);
                         self.whitelist.remove(&digest.0);
@@ -170,9 +170,7 @@ impl Shard {
             self.books.record(Disposition::VerdictDrop, 1);
             return;
         }
-        self.tier
-            .cache
-            .process_digested(pkt, &flow.canon, flow.digest);
+        self.tier.process(pkt, flow);
         if self.whitelist.contains(&flow.digest.0) {
             self.books.record(Disposition::FastPath, 1);
             return;

@@ -36,12 +36,15 @@
 //! back to the dispatcher through the lane's own ring (the spare a
 //! [`LaneRx`] leaves in the next slot it pops) instead of being freed.
 
+// No wall-clock read of its own (`clippy.toml`): see `process_packet`.
+#![deny(clippy::disallowed_methods)]
+
 use crate::batch::{Backoff, Batch, DigestedPacket};
 use crate::books::{Axis, Count, Disposition, Ledger};
 use crate::control::{ControlLog, LogReader};
 use crate::engine::EngineConfig;
 use crate::escalate::{Escalated, TriageNf};
-use crate::obs::{Clock, Stage};
+use crate::obs::{Clock, Lap, Stage};
 use smartwatch_control::{ModeCell, SnapshotReader, SteeringSnapshot};
 use smartwatch_core::{HostNeed, SnicTier};
 use smartwatch_host::{HostNf, Verdict};
@@ -51,7 +54,6 @@ use smartwatch_snic::{cache_publisher, CacheStats, FlowCache, FlowCacheConfig, T
 use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Publisher, Registry};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The shard's ingest lane: the consumer half of the dispatcher's SPSC
 /// ring and the buffer the shard drained last — left in the slot of the
@@ -371,7 +373,7 @@ impl ShardWorker {
             shard,
             reader: setup.log.reader(),
             setup: setup.clone(),
-            cache_base: flow.tier.cache.stats(),
+            cache_base: flow.tier.cache().stats(),
             table_base: flow.tier.suite.table_stats(),
             flow,
             escalation,
@@ -405,8 +407,8 @@ impl ShardWorker {
                 Some(batch) => {
                     backoff.reset();
                     self.control_tick();
-                    let start = self.admit(&batch);
-                    self.process_group(&batch.pkts, start);
+                    let lap = self.obs.clock.admit(&batch);
+                    self.process_group(&batch.pkts, lap);
                     lane.retire(batch);
                 }
                 // Bounded exponential backoff: spin → yield → short
@@ -420,18 +422,6 @@ impl ShardWorker {
             }
         }
         self.finish()
-    }
-
-    /// Admit one batch off a lane: record its size and, when its
-    /// dispatcher sampled it, its lane wait, closed at one reading —
-    /// which it returns.
-    fn admit(&mut self, batch: &Batch) -> Option<Instant> {
-        let clock = &mut self.obs.clock;
-        clock.hists[Stage::BatchPkts].record(batch.pkts.len() as u64);
-        let sent = batch.sent?;
-        let now = clock.now();
-        clock.close(Stage::Queue, sent, now);
-        Some(now)
     }
 
     /// Stop-marker tail: apply the last verdicts, run the detectors'
@@ -449,11 +439,11 @@ impl ShardWorker {
         self.setup.log.release(self.reader);
         self.end.blacklisted = self.flow.blacklist.len() as u64;
         self.end.whitelisted = self.flow.whitelist.len() as u64;
-        self.end.cache_resident = self.flow.tier.cache.occupied() as u64;
+        self.end.cache_resident = self.flow.tier.cache().occupied() as u64;
         // The tail above may have unpinned: publish once more, then the
         // segment's share is one subtraction.
-        self.flow.cache_books.publish(&self.flow.tier.cache);
-        self.end.cache = self.flow.tier.cache.stats() - self.cache_base;
+        self.flow.cache_books.publish(self.flow.tier.cache());
+        self.end.cache = self.flow.tier.cache().stats() - self.cache_base;
         self.flow
             .publish(self.flow.tier.suite.table_stats() - self.table_base);
         (self.end, self.flow)
@@ -471,10 +461,7 @@ impl ShardWorker {
         if let Some(h) = &mut self.hooks {
             // The controller's Algorithm 4 decision, applied to the live
             // cache at this batch boundary (safe: lazy Alg. 3 cleanup).
-            let decided = h.mode.get();
-            if decided != self.flow.tier.cache.mode() {
-                self.flow.tier.cache.set_mode(decided);
-            }
+            self.flow.tier.set_mode(h.mode.get());
             h.steer.refresh();
         }
         if self.batches.is_multiple_of(SWEEP_EVERY_BATCHES) {
@@ -502,7 +489,7 @@ impl ShardWorker {
                     }
                     // The host is done with this flow — release the pin
                     // so the record becomes evictable again.
-                    self.flow.tier.cache.unpin(&canon);
+                    self.flow.tier.release(&canon);
                     if matches!(v, Verdict::Blacklist(_)) {
                         self.flow.blacklist.insert(digest.0, now);
                         self.flow.whitelist.remove(&digest.0);
@@ -522,7 +509,7 @@ impl ShardWorker {
     /// cache's — into the shared atomics: the only place the hot path
     /// touches contended cache lines.
     fn flush_local(&mut self) {
-        self.flow.cache_books.publish(&self.flow.tier.cache);
+        self.flow.cache_books.publish(self.flow.tier.cache());
         let l = &mut self.flow.local;
         // Coalesced per batch: one black-box event per batch that lost
         // packets to a verdict, one per batch that lost escalations,
@@ -547,10 +534,10 @@ impl ShardWorker {
 
     /// Process one batch — a lane batch or a fused core's in-place
     /// batch — then flush its
-    /// books. `start` is the batch's first reading when its unit was
-    /// sampled: the packets' stage stamps chain from it and the "shard
-    /// process" span runs from it to the last of them; `None` reads no
-    /// clock.
+    /// books. `lap` is the batch's chain: when its unit was sampled,
+    /// the packets' stage readings chain from its first one and the
+    /// "shard process" span runs from there to the last of them; an
+    /// unsampled chain reads no clock.
     ///
     /// The FlowCache pipeline: for each burst-sized chunk, stage A
     /// issues a row prefetch per packet (independent DRAM fetches
@@ -566,20 +553,17 @@ impl ShardWorker {
     /// plain-integer books — set the gate the next batch's stage A
     /// reads: more than half missed, and the next stage A also fetches
     /// what a miss reads after the row ([`ShardWorker::stage_a`]).
-    pub(crate) fn process_group(&mut self, pkts: &[DigestedPacket], start: Option<Instant>) {
-        let mut lap = start;
+    pub(crate) fn process_group(&mut self, pkts: &[DigestedPacket], mut lap: Lap) {
         let burst = self.setup.burst.max(1);
-        let misses = self.flow.tier.cache.stats().misses;
+        let misses = self.flow.tier.cache().stats().misses;
         for chunk in pkts.chunks(burst) {
             self.stage_a(chunk);
             for dp in chunk {
                 self.process_packet(dp, &mut lap);
             }
         }
-        self.cold = 2 * (self.flow.tier.cache.stats().misses - misses) > pkts.len() as u64;
-        if let (Some(from), Some(to)) = (start, lap) {
-            self.obs.clock.close(Stage::Process, from, to);
-        }
+        self.cold = 2 * (self.flow.tier.cache().stats().misses - misses) > pkts.len() as u64;
+        self.obs.clock.end(lap, Stage::Process);
         self.flush_local();
     }
 
@@ -593,24 +577,26 @@ impl ShardWorker {
     fn stage_a(&mut self, chunk: &[DigestedPacket]) {
         self.end.bursts += 1;
         self.end.burst_pkts += chunk.len() as u64;
-        let tier = &self.flow.tier;
+        let (cache, suite) = (self.flow.tier.cache(), &self.flow.tier.suite);
         if self.cold {
             for dp in chunk {
-                tier.cache.prefetch_row(dp.flow.digest);
-                tier.cache.prefetch_span(dp.flow.digest);
-                tier.suite.prefetch(&dp.pkt, &dp.flow);
+                cache.prefetch_row(dp.flow.digest);
+                cache.prefetch_span(dp.flow.digest);
+                suite.prefetch(&dp.pkt, &dp.flow);
             }
         } else {
             for dp in chunk {
-                tier.cache.prefetch_row(dp.flow.digest);
+                cache.prefetch_row(dp.flow.digest);
             }
         }
     }
 
-    /// One packet. `lap` is the sampled batch's running stamp (`None`:
-    /// unsampled): each stage the packet runs is closed on it by
-    /// [`Clock::lap`] — the only clock read here.
-    fn process_packet(&mut self, dp: &DigestedPacket, lap: &mut Option<Instant>) {
+    /// One packet. `lap` is the batch's chain: each stage the packet
+    /// runs is closed on it by [`Clock::lap`], which reads the clock
+    /// only on a sampled batch's chain — the one clock call here. This
+    /// file reads no clock of its own: `Instant::now`, `Instant::elapsed`
+    /// and `Clock::now` are disallowed in it (`clippy.toml`).
+    fn process_packet(&mut self, dp: &DigestedPacket, lap: &mut Lap) {
         let (pkt, flow) = (&dp.pkt, &dp.flow);
         self.last_ts = self.last_ts.max(pkt.ts);
         if self.setup.enforce_verdicts && self.flow.blacklist.contains(&flow.digest.0) {
@@ -619,11 +605,7 @@ impl ShardWorker {
         }
 
         // Stage 1: FlowCache update (digest reused — no re-hash).
-        let access = self
-            .flow
-            .tier
-            .cache
-            .process_digested(pkt, &flow.canon, flow.digest);
+        let access = self.flow.tier.process(pkt, flow);
         self.obs.clock.lap(lap, Stage::Cache);
         self.end.probe_hist[(access.probes as usize).min(PROBE_HIST_SLOTS - 1)] += 1;
         // The flow's record crossed a heavy-hitter quantum (a `ToHost`
@@ -668,14 +650,14 @@ impl ShardWorker {
                     // The hand-off reading is the suite stage's end.
                     let esc = Escalated {
                         pkt: *pkt,
-                        sent: *lap,
+                        sent: lap.at(),
                     };
                     if tx.try_send(esc).is_err() {
                         self.flow.local.tally[Count::EscalationDropped] += 1;
                         // The host will never see this packet, so no
                         // verdict will ever unpin the flow — release
                         // it now instead of pinning it forever.
-                        self.flow.tier.cache.unpin(&flow.canon);
+                        self.flow.tier.release(&flow.canon);
                     }
                 }
                 Escalation::Inline => {
@@ -756,7 +738,8 @@ mod tests {
     fn feed(w: &mut ShardWorker, pkts: &[DigestedPacket]) {
         for batch in pkts.chunks(64) {
             w.control_tick();
-            w.process_group(batch, None);
+            let lap = w.obs.clock.chain(false);
+            w.process_group(batch, lap);
         }
     }
 
@@ -783,26 +766,31 @@ mod tests {
         let want = vec![(heavy.flow.digest.0, HEAVY_QUANTUM); 1_020 / q - 20 / q];
         assert_eq!(rx.try_iter().collect::<Vec<_>>(), want);
 
-        // Fill `other`'s row with pinned records: its packets then go to
-        // the host, and no record counts them.
-        let bits = w.flow.tier.cache.config().row_bits;
+        // Pin `other`'s P buffer full, where a miss would file it: its
+        // packets then go to the host, and no record counts them. The
+        // tier pins an SSH flow's first packet (it goes to the host),
+        // and triage that never blacklists sends no verdict to release
+        // it.
+        w.flow.triage = TriageNf::new(u64::MAX);
+        let cache = w.flow.tier.cache().config();
+        let (bits, primary) = (cache.row_bits, cache.primary);
         let rowmates: Vec<DigestedPacket> = (1..)
-            .map(web)
+            .map(|port| tcp(port, 22, 1_000))
             .filter(|dp| {
                 dp.flow.digest.row(bits) == other.flow.digest.row(bits)
                     && dp.flow.digest != other.flow.digest
             })
-            .take(w.flow.tier.cache.config().buckets_per_row())
+            .take(primary)
             .collect();
         feed(&mut w, &rowmates);
-        for dp in &rowmates {
-            w.flow.tier.cache.pin(&dp.flow.canon);
-        }
-        let to_host = w.flow.tier.cache.stats().to_host;
+        let pinned = w.flow.tier.cache().iter().filter(|r| r.pinned).count();
+        assert_eq!(pinned, primary, "the tier pinned every rowmate");
+        let escalated = w.counters.counts[Count::Escalated].get();
+        let to_host = w.flow.tier.cache().stats().to_host;
         feed(&mut w, &vec![other; 64]);
-        assert_eq!(w.flow.tier.cache.stats().to_host - to_host, 64);
+        assert_eq!(w.flow.tier.cache().stats().to_host - to_host, 64);
         assert_eq!(rx.try_iter().count(), 0, "a ToHost packet reports nothing");
-        assert_eq!(w.counters.counts[Count::Escalated].get(), 0);
+        assert_eq!(w.counters.counts[Count::Escalated].get(), escalated);
     }
 
     /// Stage A's gate reads the shard's own input: false on a fresh
@@ -821,7 +809,7 @@ mod tests {
                 .collect()
         };
         let (first, second) = (flows(50_000), flows(51_000));
-        let misses = |w: &ShardWorker| w.flow.tier.cache.stats().misses;
+        let misses = |w: &ShardWorker| w.flow.tier.cache().stats().misses;
 
         feed(&mut w, &first);
         assert_eq!(misses(&w), 64);
@@ -871,7 +859,7 @@ mod tests {
             *sizes.entry(dp.flow.canon).or_insert(0u32) += 1;
         }
         let (session, _) = sizes.iter().max_by_key(|(_, n)| **n).unwrap();
-        let rec = w.flow.tier.cache.get(session).expect("resident");
+        let rec = w.flow.tier.cache().get(session).expect("resident");
         assert!(!rec.pinned, "the benign verdict released the session");
         let digest = hasher().flow_digest(session).digest.0;
         assert!(w.flow.whitelist.contains(&digest));
@@ -898,7 +886,8 @@ mod tests {
         // Distinct SSH flows: auth-port TCP traffic escalates until the
         // session is classified, so each first packet goes hostward.
         let batch: Vec<DigestedPacket> = (0..64).map(ssh).collect();
-        worker.process_group(&batch, None);
+        let lap = worker.obs.clock.chain(false);
+        worker.process_group(&batch, lap);
 
         let escalated = worker.counters.counts[Count::Escalated].get();
         let dropped = worker.counters.counts[Count::EscalationDropped].get();
@@ -907,14 +896,14 @@ mod tests {
 
         // Every dropped escalation released its pin: the only pins still
         // held are for escalations actually in flight to the host.
-        let stats = worker.flow.tier.cache.stats();
+        let stats = worker.flow.tier.cache().stats();
         let in_flight = escalated - dropped;
         assert_eq!(
             stats.pins - stats.unpins,
             in_flight,
             "dropped escalations must not leave flows pinned"
         );
-        let pinned_resident = worker.flow.tier.cache.iter().filter(|r| r.pinned).count() as u64;
+        let pinned_resident = worker.flow.tier.cache().iter().filter(|r| r.pinned).count() as u64;
         assert_eq!(pinned_resident, in_flight, "cache holds only live pins");
 
         // The flight recorder black-boxed the loss: one coalesced
@@ -968,8 +957,8 @@ mod tests {
                 samples(&w, Stage::Detect),
             );
             let sampled = w.obs.clock.sample();
-            let start = w.obs.clock.stamp(sampled);
-            w.process_group(&batch, start);
+            let lap = w.obs.clock.chain(sampled);
+            w.process_group(&batch, lap);
             let after = (
                 w.obs.clock.reads,
                 samples(&w, Stage::Cache),

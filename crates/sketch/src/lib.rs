@@ -14,7 +14,6 @@
 //!
 //! Platform helpers:
 //! - [`BloomFilter`] — used on the RST fast path (§5.1.2).
-//! - [`HyperLogLog`] — cardinality estimation over flow logs.
 //!
 //! All sketches implement [`FlowCounter`], the estimation interface the
 //! volumetric-analysis harness (heavy hitter / heavy change / flow size
@@ -26,14 +25,12 @@
 pub mod bloom;
 pub mod countmin;
 pub mod elastic;
-pub mod hll;
 pub mod mv;
 pub mod nitro;
 
 pub use bloom::BloomFilter;
 pub use countmin::CountMin;
 pub use elastic::ElasticSketch;
-pub use hll::HyperLogLog;
 pub use mv::MvSketch;
 pub use nitro::NitroSketch;
 

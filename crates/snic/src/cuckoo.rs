@@ -96,13 +96,13 @@ impl CuckooTable {
 
         // Insert with displacement.
         let mut writes = 0;
-        let mut carried = FlowRecord::new(canon, pkt.ts, pkt.wire_len);
+        let mut homeless = FlowRecord::new(canon, pkt.ts, pkt.wire_len);
         let mut pos = if self.slots[p1].is_none() { p1 } else { p2 };
         for _ in 0..=self.max_relocations {
             probes += 1;
             match self.slots[pos].take() {
                 None => {
-                    self.slots[pos] = Some(carried);
+                    self.slots[pos] = Some(homeless);
                     writes += 1;
                     return CuckooAccess {
                         hit: false,
@@ -112,16 +112,16 @@ impl CuckooTable {
                     };
                 }
                 Some(displaced) => {
-                    self.slots[pos] = Some(carried);
+                    self.slots[pos] = Some(homeless);
                     writes += 1;
-                    carried = displaced;
+                    homeless = displaced;
                     // Move the displaced record to its alternate position.
-                    let (a1, a2) = self.positions(&carried.key);
+                    let (a1, a2) = self.positions(&homeless.key);
                     pos = if pos == a1 { a2 } else { a1 };
                 }
             }
         }
-        // Relocation budget exhausted: the carried record overflows.
+        // Relocation budget exhausted: the homeless record overflows.
         self.overflowed += 1;
         CuckooAccess {
             hit: false,

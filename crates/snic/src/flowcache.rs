@@ -364,16 +364,21 @@ impl FlowCache {
     /// Back to the state [`FlowCache::new`] built, in place: every
     /// bucket empty, every row clean, General mode, rings empty — the
     /// same configuration and hash seed, the books carried on (they are
-    /// cumulative for the cache's life), and no allocation. Only rows
-    /// that hold a record are touched (tag 0 ⇔ empty, so the tag line
-    /// names them); the rings keep their buffers under the [`Resident`]
-    /// shrink rule.
+    /// cumulative for the cache's life), and no allocation. Only the
+    /// buckets that hold a record are written (tag 0 ⇔ empty, so the
+    /// tag line names them); the rings keep their buffers under the
+    /// [`Resident`] shrink rule.
     pub fn reset(&mut self) {
         let b = self.cfg.buckets_per_row();
         for (row, t) in self.tags.iter_mut().enumerate() {
-            if t.tags != RowTags::EMPTY.tags {
-                self.slots[row * b..(row + 1) * b].fill(None);
-                *t = RowTags::EMPTY;
+            if t.tags == RowTags::EMPTY.tags {
+                continue;
+            }
+            for (bucket, tag) in t.tags[..b].iter_mut().enumerate() {
+                if *tag != 0 {
+                    self.slots[row * b + bucket] = None;
+                    *tag = 0;
+                }
             }
         }
         self.resident = 0;
@@ -1670,6 +1675,16 @@ mod tests {
             }
             assert_eq!(reused.mode(), Mode::Lite);
             assert!(reused.dirty.iter().any(|&d| d), "rows still dirty");
+            assert!(
+                2 * reused.occupied() > reused.slots.len(),
+                "filled past half"
+            );
+            let b = cfg.buckets_per_row();
+            let partial = reused.tags.iter().any(|t| {
+                let row = &t.tags[..b];
+                row.contains(&0) && row.iter().any(|&tag| tag != 0)
+            });
+            assert!(partial, "a row holds both records and empty buckets");
             assert!(reused.iter().any(|r| r.pinned), "records still pinned");
             assert!(!reused.rings.is_empty() && reused.rings.overflow_to_host > 0);
             let before = reused.stats();

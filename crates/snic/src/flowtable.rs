@@ -119,6 +119,41 @@ impl std::ops::Sub for TableStats {
     }
 }
 
+/// The part of a table a hint may read: its slot words and what files
+/// a key into them. It holds no entry and no book, so nothing reached
+/// through it walks a probe sequence or counts a lookup.
+#[derive(Clone, Copy)]
+struct Slots<'t> {
+    words: &'t [u64],
+    secret: &'t KeyedMix,
+    by_key: bool,
+}
+
+impl Slots<'_> {
+    /// The tag `canon` is filed under: the secret hash of its digest —
+    /// one keyed multiply round — or, once digests are no longer
+    /// trusted, of the key itself. See the module doc.
+    #[inline]
+    fn tag_of(self, canon: &FlowKey, digest: HashDigest) -> u32 {
+        let h = if self.by_key {
+            self.secret.hash_one(canon)
+        } else {
+            self.secret.hash_one(digest.0)
+        };
+        h as u32 | LIVE
+    }
+
+    /// See [`FlowTable::prefetch`].
+    #[inline]
+    fn prefetch(self, canon: &FlowKey, digest: HashDigest) {
+        if self.words.is_empty() || self.by_key {
+            return;
+        }
+        let home = self.tag_of(canon, digest) as usize & (self.words.len() - 1);
+        prefetch_read(&self.words[home]);
+    }
+}
+
 /// The slot word of the entry at position `at`, tagged `tag`.
 #[inline]
 fn word(tag: u32, at: usize) -> u64 {
@@ -207,17 +242,20 @@ impl<V: Keyed + Copy> FlowTable<V> {
         self.words.resident_bytes() + self.entries.resident_bytes() + self.tags.resident_bytes()
     }
 
-    /// The tag `canon` is filed under: the secret hash of its digest —
-    /// one keyed multiply round — or, once digests are no longer
-    /// trusted, of the key itself. See the module doc.
+    /// The slot words, for [`Slots`]' readers.
+    #[inline]
+    fn slots_view(&self) -> Slots<'_> {
+        Slots {
+            words: &self.words,
+            secret: &self.secret,
+            by_key: self.by_key,
+        }
+    }
+
+    /// The tag `canon` is filed under ([`Slots::tag_of`]).
     #[inline]
     fn tag_of(&self, canon: &FlowKey, digest: HashDigest) -> u32 {
-        let h = if self.by_key {
-            self.secret.hash_one(canon)
-        } else {
-            self.secret.hash_one(digest.0)
-        };
-        h as u32 | LIVE
+        self.slots_view().tag_of(canon, digest)
     }
 
     /// Walk the probe sequence of `tag` on an allocated table to the
@@ -260,17 +298,14 @@ impl<V: Keyed + Copy> FlowTable<V> {
     }
 
     /// Hint the home slot word of `canon` toward L1 — the one random
-    /// line an insert or a lookup reads first. Semantically inert: it
-    /// counts no lookup and probes nothing. Does nothing on an
-    /// unallocated table, and nothing on a table filing by key, whose
-    /// home would cost the key hash the lookup pays anyway.
+    /// line an insert or a lookup reads first. Semantically inert: the
+    /// hint runs on the slot words alone ([`Slots`]), which reach no
+    /// book and no probe walk. Does nothing on an unallocated table,
+    /// and nothing on a table filing by key, whose home would cost the
+    /// key hash the lookup pays anyway.
     #[inline]
     pub fn prefetch(&self, canon: &FlowKey, digest: HashDigest) {
-        if self.words.is_empty() || self.by_key {
-            return;
-        }
-        let home = self.tag_of(canon, digest) as usize & (self.words.len() - 1);
-        prefetch_read(&self.words[home]);
+        self.slots_view().prefetch(canon, digest);
     }
 
     /// Position in the entry array that live slot `slot` points at.

@@ -28,7 +28,7 @@
 //! pokes the listener with a loopback connection so `accept` returns.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -317,7 +317,11 @@ fn handle_connection(mut stream: TcpStream, routes: &[Route]) -> std::io::Result
     );
     stream.write_all(head.as_bytes())?;
     stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    stream.flush()?;
+    // End the response with a FIN before the drop: the socket may still
+    // hold request bytes nobody read (a refused request), and closing
+    // such a socket outright can answer with a reset in its place.
+    stream.shutdown(Shutdown::Write)
 }
 
 fn respond(

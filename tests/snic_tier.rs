@@ -42,7 +42,7 @@ fn platform(packets: &[Packet], bits: u32) -> (TierBooks, u64) {
     for p in packets {
         sw.on_packet(p);
     }
-    let cache = sw.tier.cache.stats();
+    let cache = sw.tier.cache().stats();
     let inspected = sw.tier.suite.ops.total;
     let last = packets.last().map_or(Ts::ZERO, |p| p.ts);
     let report = sw.finish(last);
