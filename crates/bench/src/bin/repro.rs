@@ -57,7 +57,6 @@ const FLAGS: &[Flag] = &[
     ("--trace-out", "<path>", ALL),
     ("--shards", "N", RUNTIME),
     ("--datapath", "pipeline|rtc", RUNTIME),
-    ("--pin-cores", "", RUNTIME),
     ("--packets", "N", RUNTIME),
     ("--batch", "N", RUNTIME),
     ("--host-workers", "N", RUNTIME),
@@ -159,7 +158,6 @@ fn main() {
                     _ => die("--datapath must be `pipeline` or `rtc`"),
                 };
             }
-            "--pin-cores" => shape.pin_cores = true,
             "--packets" => packets = Some(positive(v, a)),
             "--batch" => shape.batch = positive(v, a),
             "--host-workers" => shape.host_workers = natural(v, a),
@@ -254,7 +252,6 @@ fn main() {
         control_spec.validate().unwrap_or_else(|e| die(&e));
     }
     if runtime_drivers > 0 {
-        shape.validate().unwrap_or_else(|e| die(&e));
         signal::install();
     }
     // Every driver gets the one parsed shape; `--packets` and `--rate`
@@ -491,8 +488,6 @@ drivers reads is refused (`experiments` = everything `repro list` shows):
                   shard into N run-to-completion cores, each with its
                   own ingest (zero queue crossings, identical
                   decisions)
-  --pin-cores     (engine/control/serve|soak) rtc only: pin core i to
-                  CPU i via sched_setaffinity — best-effort, Linux only
   --trace-sample  (engine/control/serve|soak) with --trace-out, time 1
                   unit of work in N per engine thread (an ingest block
                   and the batches it makes, an epoch)

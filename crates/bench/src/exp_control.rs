@@ -187,9 +187,10 @@ fn run_json(r: &EngineReport) -> Value {
 }
 
 /// The CI benchmark artifact (`BENCH_control.json`): both runs'
-/// headline numbers plus the full mode/shed timeline, so CI can assert
-/// the spike actually flipped shards Lite and back without parsing the
-/// rendered table.
+/// headline numbers plus the controller's decision records and the
+/// mode/shed timeline read from them, so CI can assert the spike
+/// actually flipped shards Lite and back without parsing the rendered
+/// table.
 pub fn bench_json(spec: &ControlRunSpec, o: &ControlOutcome) -> String {
     let ctrl = o
         .controlled
@@ -282,10 +283,11 @@ fn render(spec: &ControlRunSpec, o: &ControlOutcome) -> Table {
             .collect::<Vec<_>>()
             .join(","),
     ));
-    let shown = ctrl.timeline.len().min(12);
-    let mut timeline: Vec<String> = ctrl.timeline[..shown].iter().map(|e| e.render()).collect();
-    if ctrl.timeline.len() > shown {
-        timeline.push(format!("… +{} more", ctrl.timeline.len() - shown));
+    let events = ctrl.timeline();
+    let shown = events.len().min(12);
+    let mut timeline: Vec<String> = events[..shown].iter().map(|e| e.render()).collect();
+    if events.len() > shown {
+        timeline.push(format!("… +{} more", events.len() - shown));
     }
     t.note(format!("mode timeline: {}", timeline.join(" ; ")));
     t.note(format!(
@@ -501,7 +503,6 @@ mod tests {
                 "shed_active",
                 "final_modes",
                 "timeline",
-                "timeline_dropped",
                 "decisions",
                 "decisions_dropped",
             ]

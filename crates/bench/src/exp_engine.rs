@@ -96,7 +96,6 @@ pub fn bench_json(spec: &EngineRunSpec, r: &EngineReport) -> String {
         ("bench", &"engine"),
         ("shards", &shape.shards),
         ("datapath", &datapath_label(shape.datapath)),
-        ("pin_cores", &shape.pin_cores),
         ("batch", &shape.batch),
         ("workload", &format!("{:?}", shape.workload).to_lowercase()),
         ("source", &shape.source.label()),
@@ -183,13 +182,8 @@ fn render(spec: &EngineRunSpec, pace: Pace, r: &EngineReport) -> Table {
     if shape.datapath == DatapathMode::Rtc {
         t.note(format!(
             "run-to-completion datapath: {} fused core(s), zero queue crossings \
-             (no queue wait is ever recorded){}",
+             (no queue wait is ever recorded)",
             shape.shards,
-            if shape.pin_cores {
-                " — cores pinned"
-            } else {
-                ""
-            }
         ));
     }
     let fc = &r.flowcache;
@@ -317,7 +311,6 @@ mod tests {
                 "bench",
                 "shards",
                 "datapath",
-                "pin_cores",
                 "batch",
                 "workload",
                 "source",
@@ -360,7 +353,6 @@ mod tests {
         let v: serde_json::Value =
             serde_json::from_str(&bench_json(&spec, &report)).expect("valid JSON");
         assert_eq!(v["datapath"].as_str(), Some("rtc"));
-        assert_eq!(v["pin_cores"].as_bool(), Some(false));
         let nspp = v["ns_per_packet"].as_f64().expect("ns_per_packet");
         let mpps = v["mpps"].as_f64().expect("mpps");
         assert!(

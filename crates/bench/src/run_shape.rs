@@ -127,9 +127,6 @@ pub struct RunShape {
     /// Thread topology: one dispatcher feeding the shards over lanes
     /// (`pipeline`, the default) or fused run-to-completion cores (`rtc`).
     pub datapath: DatapathMode,
-    /// Pin each fused RTC core to CPU *i* (`--pin-cores`; best-effort,
-    /// Linux `sched_setaffinity`, no-op elsewhere).
-    pub pin_cores: bool,
     /// Packets per dispatch batch.
     pub batch: usize,
     /// Host escalation workers (0 = inline deterministic triage).
@@ -165,7 +162,6 @@ impl Default for RunShape {
         RunShape {
             shards: 2,
             datapath: DatapathMode::Pipeline,
-            pin_cores: false,
             batch: 64,
             host_workers: 1,
             trace_sample: 0,
@@ -180,17 +176,6 @@ impl Default for RunShape {
 }
 
 impl RunShape {
-    /// Reject a shape no engine can honour, with the message `repro`
-    /// prints before exiting 2.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.pin_cores && self.datapath != DatapathMode::Rtc {
-            return Err(
-                "--pin-cores requires `--datapath rtc` (the pipeline is not pinned)".into(),
-            );
-        }
-        Ok(())
-    }
-
     /// The one flags → [`EngineConfig`] mapping. The destructuring is
     /// exhaustive on purpose: a field added to the shape does not
     /// compile until it is placed here, as an engine knob or as not one.
@@ -198,7 +183,6 @@ impl RunShape {
         let RunShape {
             shards,
             datapath,
-            pin_cores,
             batch,
             host_workers,
             trace_sample,
@@ -213,7 +197,6 @@ impl RunShape {
         } = self;
         let mut cfg = EngineConfig::new(*shards);
         cfg.datapath = *datapath;
-        cfg.pin_cores = *pin_cores;
         cfg.batch = *batch;
         cfg.host_workers = *host_workers;
         cfg.trace_sample = *trace_sample;
@@ -261,15 +244,14 @@ impl RunShape {
     /// and the `--listen` socket behind the driver's `listener`. `adds` is
     /// where a driver puts what it alone knows on top of
     /// [`RunShape::engine_config`] (a controller, `carry_flow_state`).
-    /// An invalid shape, or a `--listen` address that does not parse or
-    /// bind, is refused with the message `repro` prints before exiting 2.
+    /// A `--listen` address that does not parse or bind is refused with
+    /// the message `repro` prints before exiting 2.
     pub fn open(
         &self,
         ctx: &ExpCtx,
         adds: impl FnOnce(EngineConfig) -> EngineConfig,
         listener: Listener,
     ) -> Result<OpenRun, String> {
-        self.validate()?;
         let mut engine = Engine::with_registry(adds(self.engine_config()), &ctx.registry);
         engine.attach_tracer(&ctx.tracer);
         let engine = Arc::new(engine);

@@ -67,18 +67,6 @@ fn repro_refuses_a_dispatcher_count_as_an_unknown_flag() {
     }
 }
 
-#[test]
-fn repro_rejects_pin_cores_without_rtc() {
-    for driver in ["engine", "control", "soak"] {
-        let (_, stderr, code) = run_code(&[driver, "--pin-cores"]);
-        assert_eq!(code, Some(2), "{driver}");
-        assert!(
-            stderr.contains("--pin-cores requires `--datapath rtc`"),
-            "{driver}: {stderr}"
-        );
-    }
-}
-
 /// A flag none of the selected drivers reads exits 2, naming the flag
 /// and who does read it.
 fn assert_refused(args: &[&str], flag: &str, readers: &str) {

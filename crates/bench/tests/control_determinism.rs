@@ -23,7 +23,7 @@ fn control_sim_summary_is_byte_identical_across_runs() {
     );
     // The timeline (excluded from the summary on purpose) is still
     // deterministic: same events in the same epochs.
-    assert_eq!(a.report.timeline, b.report.timeline);
+    assert_eq!(a.report.timeline(), b.report.timeline());
     assert_eq!(a.lite_epochs, b.lite_epochs);
 }
 

@@ -274,7 +274,7 @@ fn flight_recorder_mirrors_the_control_timeline() {
 
     let mut want_switches: Vec<(u64, u64)> = Vec::new();
     let mut want_shed: Vec<(bool, u64)> = Vec::new();
-    for e in &ctrl.timeline {
+    for e in &ctrl.timeline() {
         match e {
             smartwatch_runtime::ControlEvent::ModeSwitch { shard, mode, .. } => {
                 want_switches.push((*shard as u64, u64::from(mode.code())));

@@ -2,12 +2,12 @@
 //!
 //! [`Controller`] is a *pure* state machine: the runtime feeds it one
 //! [`EpochInput`] per epoch (cumulative shard counters, host verdicts,
-//! heavy-hitter candidates) and it returns one [`EpochDecision`]
-//! (per-shard Algorithm 4 mode, the shed flag, and a fresh
-//! [`SteeringSnapshot`] when the steering tables changed). It owns no
-//! threads and reads no clocks, so identical input streams produce
-//! byte-identical decisions — the property the `control-sim`
-//! determinism experiment pins down.
+//! heavy-hitter candidates) and it returns one [`EpochDecision`]: the
+//! epoch's [`DecisionRecord`] (per-shard Algorithm 4 mode, the shed
+//! flag, what was seen) and a fresh [`SteeringSnapshot`] when the
+//! steering tables changed. It owns no threads and reads no clocks, so
+//! identical input streams produce byte-identical decisions — the
+//! property the `control-sim` determinism experiment pins down.
 //!
 //! Per epoch the controller:
 //!
@@ -34,6 +34,11 @@
 //! and report says what the data path runs. Precedence per shard:
 //! operator's mode pin > shedding (Lite) > Algorithm 4; the shed pin
 //! replaces the hysteresis while it stands.
+//!
+//! The bounded ring of [`DecisionRecord`]s is the one account of the
+//! epochs: a transition ([`ControlEvent`]) is what changed between two
+//! consecutive records, and the timeline is those changes
+//! ([`ControlReport::timeline`]).
 //!
 //! A controller outlives the traffic it steers: between two segments of
 //! one engine [`Controller::new_segment`] empties what was learned from
@@ -78,10 +83,6 @@ pub struct ControlConfig {
     /// Per-epoch packets a digest's reports must sum to, to count
     /// towards heavy-hitter promotion.
     pub promote_pkts_per_epoch: u64,
-    /// Bound on the retained per-epoch decision audit ring (oldest
-    /// [`DecisionRecord`]s dropped beyond; at least the latest is kept —
-    /// see [`push_decision`]).
-    pub decision_capacity: usize,
 }
 
 impl Default for ControlConfig {
@@ -95,7 +96,6 @@ impl Default for ControlConfig {
             shed_off_mpps: 2.0,
             shed_sustain_epochs: 3,
             promote_pkts_per_epoch: 2000,
-            decision_capacity: 512,
         }
     }
 }
@@ -112,8 +112,9 @@ const BLACKLIST_TTL_EPOCHS: u64 = 1000;
 /// Hard capacity bound on either steering table (stalest evicted
 /// beyond).
 const TABLE_CAPACITY: usize = 65_536;
-/// Bound on the retained event timeline (oldest dropped beyond).
-const TIMELINE_CAPACITY: usize = 4096;
+/// Bound on the retained decision audit (oldest records dropped
+/// beyond).
+const DECISION_CAPACITY: usize = 512;
 
 /// One shard's telemetry as sampled at an epoch boundary. `offered`,
 /// `processed` and `shed` are *cumulative* counters (the controller
@@ -149,31 +150,22 @@ pub struct EpochInput {
 /// The controller's output for one epoch.
 #[derive(Clone, Debug)]
 pub struct EpochDecision {
-    /// Epoch number (1-based; increments per [`Controller::epoch`]).
-    pub epoch: u64,
-    /// The mode each shard runs: the operator's pin, else Lite while
-    /// shedding, else Algorithm 4's decision.
-    pub modes: Vec<Mode>,
-    /// Whether load shedding is active after this epoch.
-    pub shed: bool,
+    /// What this epoch saw and decided — the record the controller's
+    /// ring now ends with.
+    pub record: DecisionRecord,
     /// Freshly built steering snapshot, present only when the steering
     /// state (tables or shed flag) changed this epoch.
     pub snapshot: Option<Arc<SteeringSnapshot>>,
-    /// The transitions of this epoch, in timeline order — the same
-    /// events [`ControlReport::timeline`] retains.
-    pub events: Vec<ControlEvent>,
-    /// Full audit record of the inputs and outputs of this epoch (also
-    /// retained in the controller's bounded decision ring).
-    pub record: DecisionRecord,
 }
 
 /// One epoch's decision audit: what the controller saw and what it did.
-/// Bounded copies live in the controller ([`ControlReport::decisions`])
-/// and, via the runtime, in `/stats.json` and `BENCH_control.json` —
-/// the answer to "why did the control plane do *that*?".
+/// The controller keeps the newest of them in one bounded ring
+/// ([`Controller::decisions`]), which `/stats.json`, the flight ring's
+/// transitions and `BENCH_control.json` all read — the answer to "why
+/// did the control plane do *that*?".
 #[derive(Clone, Debug, PartialEq)]
 pub struct DecisionRecord {
-    /// Epoch number (1-based).
+    /// Epoch number (1-based; increments per [`Controller::epoch`]).
     pub epoch: u64,
     /// Aggregate offered rate observed this epoch, Mpps.
     pub offered_mpps: f64,
@@ -181,7 +173,8 @@ pub struct DecisionRecord {
     pub smoothed_mpps: Vec<f64>,
     /// Largest instantaneous escalation backlog across shards.
     pub max_backlog: u64,
-    /// Decided per-shard mode.
+    /// The mode each shard runs: the operator's pin, else Lite while
+    /// shedding, else Algorithm 4's decision.
     pub modes: Vec<Mode>,
     /// Shed state after this epoch.
     pub shed: bool,
@@ -222,8 +215,8 @@ impl Serialize for DecisionRecord {
     }
 }
 
-/// A notable control-plane transition, kept in a bounded timeline for
-/// the bench report's mode timeline.
+/// A notable control-plane transition: what changed between two
+/// consecutive [`DecisionRecord`]s ([`ControlEvent::between`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ControlEvent {
     /// One shard's decided mode changed.
@@ -248,6 +241,34 @@ pub enum ControlEvent {
 }
 
 impl ControlEvent {
+    /// The transitions from `before` to `after`, the record of the
+    /// epoch that follows it: the shed edge first, then each shard whose
+    /// mode changed, in ascending order. `None` is the state
+    /// [`Controller::new`] starts in — every shard General, no shed.
+    pub fn between<'a>(
+        before: Option<&'a DecisionRecord>,
+        after: &'a DecisionRecord,
+    ) -> impl Iterator<Item = ControlEvent> + 'a {
+        let epoch = after.epoch;
+        let shed = (after.shed != before.is_some_and(|b| b.shed)).then_some(if after.shed {
+            ControlEvent::ShedOn { epoch }
+        } else {
+            ControlEvent::ShedOff { epoch }
+        });
+        let was = move |shard: usize| {
+            before
+                .and_then(|b| b.modes.get(shard).copied())
+                .unwrap_or(Mode::General)
+        };
+        let switches = after
+            .modes
+            .iter()
+            .enumerate()
+            .filter(move |&(shard, &mode)| mode != was(shard))
+            .map(move |(shard, &mode)| ControlEvent::ModeSwitch { epoch, shard, mode });
+        shed.into_iter().chain(switches)
+    }
+
     /// Compact human-readable rendering (`e12 shard3->lite`).
     pub fn render(&self) -> String {
         match self {
@@ -305,10 +326,6 @@ pub struct ControlReport {
     pub shed_active: bool,
     /// Final decided mode per shard.
     pub final_modes: Vec<Mode>,
-    /// Bounded event timeline (oldest events dropped past the bound).
-    pub timeline: Vec<ControlEvent>,
-    /// Events dropped from the timeline because of the bound.
-    pub timeline_dropped: u64,
     /// Bounded per-epoch decision audit (oldest dropped past the bound).
     pub decisions: Vec<DecisionRecord>,
     /// Decision records dropped because of the bound.
@@ -316,7 +333,8 @@ pub struct ControlReport {
 }
 
 /// The `control` object of `BENCH_control.json`: the fields, in
-/// declaration order.
+/// declaration order, with the [`ControlReport::timeline`] read from
+/// the decisions ahead of them.
 impl Serialize for ControlReport {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -342,8 +360,7 @@ impl Serialize for ControlReport {
             ),
             ("shed_active".into(), self.shed_active.to_value()),
             ("final_modes".into(), self.final_modes.to_value()),
-            ("timeline".into(), self.timeline.to_value()),
-            ("timeline_dropped".into(), self.timeline_dropped.to_value()),
+            ("timeline".into(), self.timeline().to_value()),
             ("decisions".into(), self.decisions.to_value()),
             (
                 "decisions_dropped".into(),
@@ -354,6 +371,20 @@ impl Serialize for ControlReport {
 }
 
 impl ControlReport {
+    /// The transitions between consecutive retained records
+    /// ([`ControlEvent::between`]), oldest first: the whole run's while
+    /// the ring holds it, else from the first retained record on, which
+    /// is then the baseline.
+    pub fn timeline(&self) -> Vec<ControlEvent> {
+        let first = usize::from(self.decisions_dropped > 0);
+        (first..self.decisions.len())
+            .flat_map(|i| {
+                let before = i.checked_sub(1).map(|b| &self.decisions[b]);
+                ControlEvent::between(before, &self.decisions[i])
+            })
+            .collect()
+    }
+
     /// Counters-only summary: every line is an integer or a mode label,
     /// so two identical seeded drives render byte-identical strings.
     /// (Deliberately excludes floats and the timeline tail.)
@@ -406,24 +437,6 @@ pub const SHARD_GAUGES: [(&str, ShardReading); 2] = [
     ("control.mode", |&(_, mode)| f64::from(mode.code())),
 ];
 
-/// Append `record` to a decision audit ring bounded at `capacity`
-/// records — but never below one, so the latest decision is always
-/// there to read — dropping the oldest beyond. Returns whether one was
-/// dropped. The one bound rule for the controller's own ring and every
-/// mirror of it (the engine's `/stats.json` audit).
-pub fn push_decision(
-    ring: &mut VecDeque<DecisionRecord>,
-    capacity: usize,
-    record: DecisionRecord,
-) -> bool {
-    let full = ring.len() >= capacity.max(1);
-    if full {
-        ring.pop_front();
-    }
-    ring.push_back(record);
-    full
-}
-
 /// Per-shard EWMA state plus the counters the controller diffs against.
 struct ShardState {
     switcher: SwitchOver,
@@ -460,10 +473,6 @@ pub struct Controller {
     shed_epochs: u64,
     snapshot_version: u64,
     dirty: bool,
-    timeline: VecDeque<ControlEvent>,
-    timeline_dropped: u64,
-    /// This epoch's events, handed out with its [`EpochDecision`].
-    fresh: Vec<ControlEvent>,
     decisions: VecDeque<DecisionRecord>,
     decisions_dropped: u64,
 }
@@ -504,9 +513,6 @@ impl Controller {
             shed_epochs: 0,
             snapshot_version: 0,
             dirty: false,
-            timeline: VecDeque::new(),
-            timeline_dropped: 0,
-            fresh: Vec::new(),
             decisions: VecDeque::new(),
             decisions_dropped: 0,
         }
@@ -523,15 +529,6 @@ impl Controller {
     /// The configuration this controller runs with.
     pub fn config(&self) -> &ControlConfig {
         &self.cfg
-    }
-
-    fn push_event(&mut self, ev: ControlEvent) {
-        self.fresh.push(ev.clone());
-        if self.timeline.len() == TIMELINE_CAPACITY {
-            self.timeline.pop_front();
-            self.timeline_dropped += 1;
-        }
-        self.timeline.push_back(ev);
     }
 
     fn ensure_shards(&mut self, n: usize) {
@@ -649,11 +646,9 @@ impl Controller {
         if !self.shed && self.overload_streak >= self.cfg.shed_sustain_epochs {
             self.shed = true;
             self.dirty = true;
-            self.push_event(ControlEvent::ShedOn { epoch: self.epoch });
         } else if self.shed && self.calm_streak >= self.cfg.shed_sustain_epochs {
             self.shed = false;
             self.dirty = true;
-            self.push_event(ControlEvent::ShedOff { epoch: self.epoch });
         }
     }
 
@@ -663,16 +658,10 @@ impl Controller {
     fn apply_forced_shed(&mut self, force: bool) {
         self.overload_streak = 0;
         self.calm_streak = 0;
-        if force == self.shed {
-            return;
+        if force != self.shed {
+            self.shed = force;
+            self.dirty = true;
         }
-        self.shed = force;
-        self.dirty = true;
-        self.push_event(if force {
-            ControlEvent::ShedOn { epoch: self.epoch }
-        } else {
-            ControlEvent::ShedOff { epoch: self.epoch }
-        });
     }
 
     fn build_snapshot(&mut self) -> Arc<SteeringSnapshot> {
@@ -732,11 +721,9 @@ impl Controller {
         // Decide per-shard modes; shedding forces Lite everywhere (the
         // whole point is to survive, not to model individual shards)
         // except where the operator pinned a shard.
-        let epoch = self.epoch;
         let shed = self.shed;
         let mut modes = Vec::with_capacity(self.shards.len());
-        let mut switches = Vec::new();
-        for (shard, state) in self.shards.iter_mut().enumerate() {
+        for state in &mut self.shards {
             let decided = state.forced.unwrap_or(if shed {
                 Mode::Lite
             } else {
@@ -744,13 +731,9 @@ impl Controller {
             });
             if decided != state.decided {
                 state.decided = decided;
-                switches.push((shard, decided));
+                self.mode_switches += 1;
             }
             modes.push(decided);
-        }
-        for (shard, mode) in switches {
-            self.mode_switches += 1;
-            self.push_event(ControlEvent::ModeSwitch { epoch, shard, mode });
         }
 
         let snapshot = if self.dirty {
@@ -761,7 +744,7 @@ impl Controller {
         };
 
         let record = DecisionRecord {
-            epoch,
+            epoch: self.epoch,
             offered_mpps,
             smoothed_mpps: self
                 .shards
@@ -769,7 +752,7 @@ impl Controller {
                 .map(|s| s.switcher.smoothed_rate() / 1e6)
                 .collect(),
             max_backlog,
-            modes: modes.clone(),
+            modes,
             shed,
             promotions,
             whitelist_evictions,
@@ -777,22 +760,12 @@ impl Controller {
             blacklist_len: self.blacklist.len(),
             snapshot_published: snapshot.is_some(),
         };
-        if push_decision(
-            &mut self.decisions,
-            self.cfg.decision_capacity,
-            record.clone(),
-        ) {
+        if self.decisions.len() == DECISION_CAPACITY {
+            self.decisions.pop_front();
             self.decisions_dropped += 1;
         }
-
-        EpochDecision {
-            epoch,
-            modes,
-            shed,
-            snapshot,
-            events: std::mem::take(&mut self.fresh),
-            record,
-        }
+        self.decisions.push_back(record.clone());
+        EpochDecision { record, snapshot }
     }
 
     /// Open a new segment on a controller that has run one: forget what
@@ -809,6 +782,12 @@ impl Controller {
         self.blacklist.reset();
         self.streaks.clear();
         self.build_snapshot()
+    }
+
+    /// The retained decision audit, oldest first: the newest 512
+    /// epochs, or every epoch of a shorter life.
+    pub fn decisions(&self) -> &VecDeque<DecisionRecord> {
+        &self.decisions
     }
 
     /// Current whitelist size (tests/diagnostics).
@@ -896,8 +875,6 @@ impl Controller {
             snapshot_publishes: self.snapshot_publishes,
             shed_active: self.shed,
             final_modes: self.shards.iter().map(|s| s.decided).collect(),
-            timeline: self.timeline.iter().cloned().collect(),
-            timeline_dropped: self.timeline_dropped,
             decisions: self.decisions.iter().cloned().collect(),
             decisions_dropped: self.decisions_dropped,
         }
@@ -948,27 +925,27 @@ mod tests {
         // Calm: everyone stays General.
         for _ in 0..10 {
             let d = c.epoch(&input(1.0, 2, 0.005, &mut cum));
-            assert!(d.modes.iter().all(|&m| m == Mode::General));
+            assert!(d.record.modes.iter().all(|&m| m == Mode::General));
         }
         // Per-shard 4 Mpps > eta_lite 2.5 → Lite within a few epochs.
         let mut saw_lite = false;
         for _ in 0..10 {
             let d = c.epoch(&input(8.0, 2, 0.005, &mut cum));
-            saw_lite |= d.modes.iter().all(|&m| m == Mode::Lite);
+            saw_lite |= d.record.modes.iter().all(|&m| m == Mode::Lite);
         }
         assert!(saw_lite, "sustained overload must reach Lite");
         // Recovery below eta_general.
         let mut back = false;
         for _ in 0..20 {
             let d = c.epoch(&input(1.0, 2, 0.005, &mut cum));
-            back |= d.modes.iter().all(|&m| m == Mode::General);
+            back |= d.record.modes.iter().all(|&m| m == Mode::General);
         }
         assert!(back, "calm must return to General");
         let r = c.report();
         // 2 shards x (General->Lite, Lite->General) = 4 switches.
         assert_eq!(r.mode_switches, 4);
         assert_eq!(
-            r.timeline
+            r.timeline()
                 .iter()
                 .filter(|e| matches!(e, ControlEvent::ModeSwitch { .. }))
                 .count(),
@@ -988,25 +965,35 @@ mod tests {
         let mut cum = Vec::new();
         // One hot epoch is not enough.
         let d = c.epoch(&input(10.0, 2, 0.005, &mut cum));
-        assert!(!d.shed);
+        assert!(!d.record.shed);
         let d = c.epoch(&input(10.0, 2, 0.005, &mut cum));
-        assert!(d.shed, "second sustained overload epoch engages shed");
-        assert!(d.modes.iter().all(|&m| m == Mode::Lite), "shed forces Lite");
+        assert!(
+            d.record.shed,
+            "second sustained overload epoch engages shed"
+        );
+        assert!(
+            d.record.modes.iter().all(|&m| m == Mode::Lite),
+            "shed forces Lite"
+        );
         assert!(
             d.snapshot.as_ref().is_some_and(|s| s.shed),
             "shed flip publishes a snapshot carrying the flag"
         );
         // Band (between off and on) holds the state.
         let d = c.epoch(&input(2.0, 2, 0.005, &mut cum));
-        assert!(d.shed);
+        assert!(d.record.shed);
         // Calm epochs release it.
         let d1 = c.epoch(&input(0.5, 2, 0.005, &mut cum));
         let d2 = c.epoch(&input(0.5, 2, 0.005, &mut cum));
-        assert!(d1.shed && !d2.shed, "sustained calm releases shed");
+        assert!(
+            d1.record.shed && !d2.record.shed,
+            "sustained calm releases shed"
+        );
         let r = c.report();
         assert_eq!(r.shed_epochs, 3);
-        assert!(r.timeline.contains(&ControlEvent::ShedOn { epoch: 2 }));
-        assert!(r.timeline.contains(&ControlEvent::ShedOff { epoch: 5 }));
+        let timeline = r.timeline();
+        assert!(timeline.contains(&ControlEvent::ShedOn { epoch: 2 }));
+        assert!(timeline.contains(&ControlEvent::ShedOff { epoch: 5 }));
     }
 
     #[test]
@@ -1097,51 +1084,6 @@ mod tests {
         assert_eq!(c.report().whitelist_expired, 1);
     }
 
-    #[test]
-    fn timeline_is_bounded() {
-        // Shedding thresholds far out of reach so the timeline holds
-        // mode switches only.
-        let cfg = ControlConfig {
-            eta_lite_mpps: 2.0,
-            eta_general_mpps: 1.0,
-            shed_on_mpps: 1e9,
-            shed_off_mpps: 1e8,
-            ..ControlConfig::default()
-        };
-        let mut c = Controller::new(cfg);
-        let mut cum = Vec::new();
-        // Alternate far above / far below the thresholds to force many
-        // switches. EWMA needs a couple of epochs per side; every 8
-        // epochs each of the 4 shards switches twice.
-        let shards = 4;
-        let mut last_switch = 0;
-        for round in 0..8 * (TIMELINE_CAPACITY / (2 * shards) + 16) {
-            let rate = if (round / 4) % 2 == 0 { 40.0 } else { 0.4 };
-            let d = c.epoch(&input(rate, shards, 0.005, &mut cum));
-            if !d.events.is_empty() {
-                last_switch = d.epoch;
-            }
-        }
-        let r = c.report();
-        let bound = TIMELINE_CAPACITY as u64;
-        assert!(r.mode_switches > bound, "stress must overflow the bound");
-        assert_eq!(
-            r.timeline.len(),
-            TIMELINE_CAPACITY,
-            "timeline stays at its bound"
-        );
-        assert_eq!(
-            r.timeline_dropped,
-            r.mode_switches - bound,
-            "drops are accounted"
-        );
-        // The oldest events went; the newest stayed.
-        assert_eq!(
-            r.timeline.last().map(ControlEvent::epoch),
-            Some(last_switch)
-        );
-    }
-
     /// The knob guard: every `ControlConfig` field by name, no `..`, so
     /// a field added to the struct does not compile until it is placed
     /// here — and in DESIGN.md's ledger, which `ci/fork_ledger.py`
@@ -1157,7 +1099,6 @@ mod tests {
             shed_off_mpps,
             shed_sustain_epochs,
             promote_pkts_per_epoch,
-            decision_capacity,
         } = ControlConfig::default();
         assert_eq!(
             (
@@ -1172,7 +1113,6 @@ mod tests {
             (eta_lite_mpps, eta_general_mpps, shed_on_mpps, shed_off_mpps),
             (2.5, 1.8, 6.0, 2.0)
         );
-        assert_eq!(decision_capacity, 512);
     }
 
     #[test]
@@ -1181,7 +1121,6 @@ mod tests {
             shed_on_mpps: 4.0,
             shed_off_mpps: 1.5,
             shed_sustain_epochs: 2,
-            decision_capacity: 4,
             ..ControlConfig::default()
         };
         let mut c = Controller::new(cfg);
@@ -1190,20 +1129,20 @@ mod tests {
         assert_eq!(d.record.epoch, 1);
         assert!(d.record.offered_mpps > 4.0, "audit carries the input rate");
         assert_eq!(d.record.smoothed_mpps.len(), 2);
-        assert_eq!(d.record.modes, d.modes);
         assert!(!d.record.shed);
         for _ in 0..6 {
             c.epoch(&input(10.0, 2, 0.005, &mut cum));
         }
         let r = c.report();
-        assert_eq!(r.decisions.len(), 4, "ring holds its bound");
-        assert_eq!(r.decisions_dropped, 3, "overflow is accounted");
+        assert_eq!((r.decisions.len(), r.decisions_dropped), (7, 0));
+        assert_eq!(
+            r.decisions[0], d.record,
+            "the ring holds what epoch returned"
+        );
         let last = r.decisions.last().unwrap();
         assert_eq!(last.epoch, 7, "newest record retained");
         assert!(last.shed, "sustained overload shows up in the audit");
         assert!(last.modes.iter().all(|&m| m == Mode::Lite));
-        // The ring and the per-epoch decision carry identical records.
-        assert_eq!(r.decisions[0].epoch, 4);
     }
 
     #[test]
@@ -1235,25 +1174,6 @@ mod tests {
             "the EWMA saw 4 Mpps a shard"
         );
         assert_eq!(SHARD_GAUGES[1].1(&shard0), f64::from(Mode::Lite.code()));
-    }
-
-    #[test]
-    fn a_zero_capacity_audit_keeps_the_latest_decision() {
-        let cfg = ControlConfig {
-            decision_capacity: 0,
-            ..ControlConfig::default()
-        };
-        let mut c = Controller::new(cfg);
-        let mut cum = Vec::new();
-        let mut mirror = VecDeque::new();
-        for _ in 0..10 {
-            let d = c.epoch(&input(1.0, 1, 0.005, &mut cum));
-            push_decision(&mut mirror, 0, d.record);
-        }
-        let r = c.report();
-        assert_eq!((r.decisions.len(), r.decisions_dropped), (1, 9));
-        assert_eq!(r.decisions[0].epoch, 10);
-        assert_eq!(Vec::from(mirror), r.decisions, "one bound rule for both");
     }
 
     #[test]
@@ -1297,22 +1217,22 @@ mod tests {
         // streak needed, and every shard goes Lite.
         c.admin_force_shed(Some(true));
         let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
-        assert!(d.shed, "forced shed ignores calm load");
-        assert!(d.modes.iter().all(|&m| m == Mode::Lite));
+        assert!(d.record.shed, "forced shed ignores calm load");
+        assert!(d.record.modes.iter().all(|&m| m == Mode::Lite));
         assert!(d.snapshot.expect("shed flip publishes").shed);
 
         // Overloaded traffic, forced off: shedding never engages.
         c.admin_force_shed(Some(false));
         for _ in 0..8 {
             let d = c.epoch(&input(50.0, 2, 0.005, &mut cum));
-            assert!(!d.shed, "forced-off pins shedding under overload");
+            assert!(!d.record.shed, "forced-off pins shedding under overload");
         }
 
         // Released: hysteresis resumes and overload re-engages it.
         c.admin_force_shed(None);
         let mut shed_again = false;
         for _ in 0..8 {
-            shed_again |= c.epoch(&input(50.0, 2, 0.005, &mut cum)).shed;
+            shed_again |= c.epoch(&input(50.0, 2, 0.005, &mut cum)).record.shed;
         }
         assert!(shed_again, "hysteresis resumes after release");
     }
@@ -1331,13 +1251,11 @@ mod tests {
         }));
         assert!(c.admin(AdminCmd::ForceShed(Some(true))));
         let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
-        assert!(d.shed);
-        assert_eq!(d.modes, [Mode::General, Mode::Lite], "pin > shed");
-        assert_eq!(d.record.modes, d.modes, "the audit says what runs");
-        // The epoch's events are the timeline's.
-        assert_eq!(c.report().timeline, d.events);
+        assert!(d.record.shed);
+        assert_eq!(d.record.modes, [Mode::General, Mode::Lite], "pin > shed");
+        // The timeline is what changed from the all-General start.
         assert_eq!(
-            d.events,
+            c.report().timeline(),
             [
                 ControlEvent::ShedOn { epoch: 1 },
                 ControlEvent::ModeSwitch {
@@ -1351,16 +1269,21 @@ mod tests {
         // Pinned Lite under calm, unshed load: pin > Algorithm 4.
         assert!(c.admin(AdminCmd::ForceShed(Some(false))));
         assert!(c.admin(pin(Some(Mode::Lite))));
+        let before = d.record;
         let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
-        assert_eq!(d.modes, [Mode::Lite, Mode::General]);
-        assert_eq!(d.events.len(), 3, "shed-off and one switch per shard");
+        assert_eq!(d.record.modes, [Mode::Lite, Mode::General]);
+        assert_eq!(
+            ControlEvent::between(Some(&before), &d.record).count(),
+            3,
+            "shed-off and one switch per shard"
+        );
         // Released: straight back to Algorithm 4's standing decision.
         assert!(c.admin(pin(None)));
         let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
-        assert_eq!(d.modes, [Mode::General, Mode::General]);
+        assert_eq!(d.record.modes, [Mode::General, Mode::General]);
         let r = c.report();
         assert_eq!(r.mode_switches, 4);
-        assert_eq!(r.final_modes, d.modes);
+        assert_eq!(r.final_modes, d.record.modes);
     }
 
     #[test]
@@ -1395,9 +1318,98 @@ mod tests {
         let mut inp = input(1.0, 2, 0.005, &mut cum);
         inp.heavy = vec![(0xAB, 500)];
         let d = c.epoch(&inp);
-        assert_eq!(d.epoch, u64::from(PROMOTE_EPOCHS), "epochs run on");
+        assert_eq!(d.record.epoch, u64::from(PROMOTE_EPOCHS), "epochs run on");
         assert_eq!(c.whitelist_len(), 0);
         assert!((d.record.offered_mpps - 1.0).abs() < 1e-9);
-        assert!(d.shed, "the shed pin stands");
+        assert!(d.record.shed, "the shed pin stands");
+    }
+
+    /// A seeded drive of `epochs` epochs over four shards: a load that
+    /// holds one of four levels for a few epochs at a time, crossing
+    /// both Algorithm 4's band and the shed band, with the operator's
+    /// mode and shed pins set and released at random in between.
+    fn seeded_drive(epochs: u64) -> Controller {
+        let cfg = ControlConfig {
+            shed_sustain_epochs: 2,
+            ..ControlConfig::default()
+        };
+        let mut c = Controller::new(cfg).for_shards(4);
+        let mut cum = Vec::new();
+        let mut rng = 0x5EED;
+        let mut draw = |n: u64| {
+            rng = smartwatch_net::hash::splitmix64(rng);
+            rng % n
+        };
+        let mut rate = 1.0;
+        for _ in 0..epochs {
+            if draw(6) == 0 {
+                rate = [0.5, 4.0, 12.0, 24.0][draw(4) as usize];
+            }
+            let pin = [None, Some(Mode::General), Some(Mode::Lite)][draw(3) as usize];
+            let shed = [None, Some(false), Some(true)][draw(3) as usize];
+            match draw(24) {
+                0 => {
+                    _ = c.admin(AdminCmd::ForceMode {
+                        shard: draw(4) as usize,
+                        mode: pin,
+                    })
+                }
+                1 => _ = c.admin(AdminCmd::ForceShed(shed)),
+                _ => {}
+            }
+            c.epoch(&input(rate, 4, 0.005, &mut cum));
+        }
+        c
+    }
+
+    /// The timeline read from the records is the controller's own
+    /// account: one `ModeSwitch` per counted switch, shed edges that
+    /// alternate from on, and a last record that is the final state.
+    #[test]
+    fn the_timeline_read_from_the_records_agrees_with_the_counts() {
+        let r = seeded_drive(400).report();
+        assert_eq!(r.decisions_dropped, 0, "the ring holds the whole drive");
+        let timeline = r.timeline();
+        let switches = timeline
+            .iter()
+            .filter(|e| matches!(e, ControlEvent::ModeSwitch { .. }))
+            .count();
+        assert!(switches > 20, "the drive must switch modes: {switches}");
+        assert_eq!(switches as u64, r.mode_switches);
+        let edges: Vec<bool> = timeline
+            .iter()
+            .filter_map(|e| match e {
+                ControlEvent::ShedOn { .. } => Some(true),
+                ControlEvent::ShedOff { .. } => Some(false),
+                ControlEvent::ModeSwitch { .. } => None,
+            })
+            .collect();
+        assert!(
+            edges.len() >= 4,
+            "the drive must shed and release: {edges:?}"
+        );
+        for (i, &on) in edges.iter().enumerate() {
+            assert_eq!(on, i % 2 == 0, "shed edge {i} of {edges:?}");
+        }
+        assert_eq!(r.shed_active, edges.len() % 2 == 1);
+        let last = r.decisions.last().expect("a record per epoch");
+        assert_eq!(last.modes, r.final_modes);
+        assert_eq!(last.shed, r.shed_active);
+    }
+
+    /// Past its bound the ring keeps the newest records and counts the
+    /// rest; its first record is then the timeline's baseline.
+    #[test]
+    fn the_decision_ring_keeps_the_newest_records() {
+        let epochs = DECISION_CAPACITY as u64 + 88;
+        let c = seeded_drive(epochs);
+        let r = c.report();
+        assert_eq!(r.decisions.len(), DECISION_CAPACITY);
+        assert_eq!(r.decisions_dropped, 88);
+        let kept: Vec<u64> = r.decisions.iter().map(|d| d.epoch).collect();
+        assert_eq!(kept, (89..=epochs).collect::<Vec<_>>());
+        assert_eq!(r.decisions.last().map(|d| &d.modes), Some(&r.final_modes));
+        let first = r.timeline().first().map(ControlEvent::epoch);
+        assert!(first > Some(89), "no edge is read into the baseline");
     }
 }

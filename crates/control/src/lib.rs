@@ -9,8 +9,11 @@
 //! * [`Controller`] — the epoch brain. Each epoch it consumes one
 //!   [`EpochInput`] (per-shard offered/processed deltas, escalation
 //!   backlog, host verdicts, heavy-hitter candidates) and emits one
-//!   [`EpochDecision`] (per-shard [`Mode`], the shed flag, and — when
-//!   the steering tables changed — a freshly built snapshot). The
+//!   [`EpochDecision`]: the epoch's [`DecisionRecord`] (per-shard
+//!   [`Mode`], the shed flag, what it saw) and — when the steering
+//!   tables changed — a freshly built snapshot. Its bounded ring of
+//!   records is the one account of the epochs: the mode/shed timeline
+//!   is what changed from one record to the next. The
 //!   controller is pure state: no threads, no clocks, so the same input
 //!   stream always yields byte-identical decisions (see [`sim`]). It is
 //!   also the one owner of the operator's overrides ([`AdminCmd`],
@@ -54,8 +57,8 @@ pub mod snapshot;
 
 pub use admin::AdminCmd;
 pub use controller::{
-    push_decision, ControlConfig, ControlEvent, ControlReport, Controller, DecisionRecord,
-    EpochDecision, EpochInput, ShardSample,
+    ControlConfig, ControlEvent, ControlReport, Controller, DecisionRecord, EpochDecision,
+    EpochInput, ShardSample,
 };
 pub use sim::{simulate, LoadProfile, SimOutcome};
 pub use snapshot::{ModeCell, SnapshotCell, SnapshotReader, SteeringSnapshot};

@@ -59,7 +59,7 @@ impl Default for LoadProfile {
 /// What a simulated drive produced.
 #[derive(Clone, Debug)]
 pub struct SimOutcome {
-    /// The controller's end-of-run report (timeline included).
+    /// The controller's end-of-run report.
     pub report: ControlReport,
     /// Epochs during which every shard's decided mode was Lite.
     pub lite_epochs: u64,
@@ -150,7 +150,7 @@ pub fn simulate(ctrl_cfg: ControlConfig, profile: &LoadProfile) -> SimOutcome {
             verdicts,
             heavy,
         });
-        if decision.modes.iter().all(|&m| m == Mode::Lite) {
+        if decision.record.modes.iter().all(|&m| m == Mode::Lite) {
             lite_epochs += 1;
         }
     }
@@ -191,14 +191,14 @@ mod tests {
         );
         // Lite flips happen during the spike, recovery after it.
         let first_lite = r
-            .timeline
-            .iter()
+            .timeline()
+            .into_iter()
             .find_map(|e| match e {
                 ControlEvent::ModeSwitch {
                     epoch,
                     mode: Mode::Lite,
                     ..
-                } => Some(*epoch),
+                } => Some(epoch),
                 _ => None,
             })
             .expect("a Lite switch is recorded");

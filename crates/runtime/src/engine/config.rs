@@ -41,14 +41,6 @@ pub struct EngineConfig {
     /// run-to-completion cores ([`DatapathMode::Rtc`]), where the
     /// ingest unit count *is* the shard count.
     pub datapath: DatapathMode,
-    /// Pin the fused RTC cores to CPUs (core index = CPU index): each
-    /// `sw-core-{i}` thread calls `sched_setaffinity` at startup. RTC
-    /// cores only — the pipeline never pins. Opt-in and
-    /// best-effort — a rejected mask (cpuset container, non-Linux
-    /// build) leaves the thread unpinned and the run proceeds.
-    /// Decisions and counters are identical either way; only scheduler
-    /// placement changes.
-    pub pin_cores: bool,
     /// Packets per dispatch batch.
     pub batch: usize,
     /// Per-shard ingest queue capacity, in batches.
@@ -116,7 +108,6 @@ impl EngineConfig {
         EngineConfig {
             shards,
             datapath: DatapathMode::Pipeline,
-            pin_cores: false,
             batch: 64,
             queue_batches: 64,
             cache_row_bits: 12,

@@ -25,8 +25,8 @@ use crate::shard::{
 use serde::{Number, Serialize, Value};
 use smartwatch_control::controller::{COUNTERS, GAUGES, SHARD_GAUGES};
 use smartwatch_control::{
-    push_decision, AdminCmd, ControlEvent, Controller, DecisionRecord, EpochInput, ModeCell,
-    ShardSample, SnapshotCell, SnapshotReader, SteeringSnapshot,
+    AdminCmd, ControlEvent, Controller, DecisionRecord, EpochInput, ModeCell, ShardSample,
+    SnapshotCell, SnapshotReader, SteeringSnapshot,
 };
 use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{FlowHasher, HashDigest, Packet};
@@ -34,7 +34,6 @@ use smartwatch_snic::Mode;
 use smartwatch_telemetry::{
     mem, Counter, FlightKind, FlightRecorder, FlightRing, Gauge, Publisher, Registry, Tracer,
 };
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
@@ -52,7 +51,9 @@ use std::time::{Duration, Instant};
 /// (tables sized for shard `i`'s share of the traffic; with
 /// [`EngineConfig::carry_flow_state`] the cache inside is left warm,
 /// and RSS placement being a pure function of digest and shard count
-/// keeps it affine); the controller thread its [`ControlResident`].
+/// keeps it affine). The controller thread's [`ControlResident`] is not
+/// parked here: live readers see its audit between segments and during
+/// them alike.
 #[derive(Default)]
 struct Garage {
     /// The dispatcher's end of every lane: `tx[i]` feeds shard `i`.
@@ -62,17 +63,15 @@ struct Garage {
     rx: Vec<LaneRx>,
     /// `flows[i]`: shard `i`'s flow state.
     flows: Vec<Option<FlowState>>,
-    /// The control plane, once a segment has run with one.
-    control: Option<ControlResident>,
 }
 
-/// The control plane between segments: the one [`Controller`] of the
-/// engine's life — epoch counter, per-shard EWMA and counter baselines,
-/// shed state, the operator's pins and the audit, all of which describe
-/// the engine rather than one segment's traffic — the cells it
-/// publishes through, which keep saying what the shards and ingest
-/// units were last told, and the publishers of its books, whose cells
-/// stay cumulative across segments. What the controller learned from a
+/// The control plane of the engine's life: the one [`Controller`] —
+/// epoch counter, per-shard EWMA and counter baselines, shed state, the
+/// operator's pins and the decision audit, all of which describe the
+/// engine rather than one segment's traffic — the cells it publishes
+/// through, which keep saying what the shards and ingest units were
+/// last told, and the publishers of its books, whose cells stay
+/// cumulative across segments. What the controller learned from a
 /// segment's flows is emptied when the next one opens
 /// ([`Controller::new_segment`]), as [`FlowState::reset`] does on the
 /// shard side.
@@ -96,10 +95,10 @@ pub struct Engine {
     tracer: Option<Tracer>,
     /// Always-on black box: bounded lock-free per-thread event rings.
     flight: FlightRecorder,
-    /// The resident controller's decision audit, mirrored out of the
-    /// control thread so live readers (`/stats.json`) can see it while
-    /// the thread owns the controller.
-    decisions: Arc<Mutex<VecDeque<DecisionRecord>>>,
+    /// The control plane, once a segment has run with one. The
+    /// controller thread takes this lock once per epoch, and live
+    /// readers (`/stats.json`) read the audit under it.
+    control: Arc<Mutex<Option<ControlResident>>>,
     /// Graceful-drain request: ingest units observe it at checkpoints,
     /// stop offering and quiesce the shards (see [`Engine::request_drain`]).
     drain: Arc<AtomicBool>,
@@ -137,7 +136,7 @@ impl Engine {
             registry: registry.clone(),
             tracer: None,
             flight: FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY),
-            decisions: Arc::new(Mutex::new(VecDeque::new())),
+            control: Arc::default(),
             drain: Arc::new(AtomicBool::new(false)),
             admin: Arc::new(AdminQueue::new(1024)),
             admin_applied: registry.counter("runtime.admin.applied", &[]),
@@ -232,17 +231,15 @@ impl Engine {
         &self.flight
     }
 
-    /// The controller's per-epoch decision audit: the newest
-    /// `decision_capacity` epochs of the engine's life, whichever
-    /// segments they fell in (empty without a control plane). Safe to
-    /// call mid-run — this is what `/stats.json` serves.
+    /// The resident controller's per-epoch decision audit: the newest
+    /// 512 epochs of the engine's life, whichever segments they fell in
+    /// (empty without a control plane). Safe to call mid-run — this is
+    /// what `/stats.json` serves.
     pub fn decisions(&self) -> Vec<DecisionRecord> {
-        self.decisions
-            .lock()
-            .expect("decision audit poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        let home = self.control.lock().expect("control plane poisoned");
+        home.as_ref()
+            .map(|home| home.ctrl.decisions().iter().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Heap bytes of per-flow state parked in the garage (FlowCaches
@@ -445,7 +442,7 @@ impl Engine {
         garage.flows.resize_with(n, || None);
         let flow_resets = self.registry.counter("runtime.flowstate.resets", &[]);
 
-        let mut plane = self.spawn_control(&clocks, &setup, &counters, garage.control.take());
+        let mut plane = self.spawn_control(&clocks, &setup, &counters);
         let mut worker = |i: usize, flight: FlightRing, clock: Clock| {
             let flow = match garage.flows[i].take() {
                 Some(mut flow) => {
@@ -508,7 +505,6 @@ impl Engine {
                 let clock = self.run_units(
                     units,
                     "sw-rxq",
-                    None,
                     // One unit takes the whole trace: nothing to assign.
                     |_| 0,
                     |_, flight, clock| LaneSink {
@@ -529,23 +525,15 @@ impl Engine {
                 }
                 clock
             }
-            DatapathMode::Rtc => {
-                // Best-effort pin bookkeeping (`--pin-cores`): counts
-                // kernel-accepted masks, so an operator can see when a
-                // cpuset container silently refused the pinning they
-                // asked for.
-                let pinned = self.registry.counter("runtime.core.pinned", &[]);
-                self.run_units(
-                    units,
-                    "sw-core",
-                    cfg.pin_cores.then_some(&pinned),
-                    |digest| shard_for_digest(digest, n),
-                    // The core's one clock: its ingest samples blocks,
-                    // its worker times their batches in place.
-                    |i, flight, clock| ShardSink::new(cfg.batch, worker(i, flight, clock)),
-                    shard_done,
-                )
-            }
+            DatapathMode::Rtc => self.run_units(
+                units,
+                "sw-core",
+                |digest| shard_for_digest(digest, n),
+                // The core's one clock: its ingest samples blocks, its
+                // worker times their batches in place.
+                |i, flight, clock| ShardSink::new(cfg.batch, worker(i, flight, clock)),
+                shard_done,
+            ),
         };
         let elapsed = start.elapsed();
 
@@ -559,14 +547,14 @@ impl Engine {
             p.shutdown();
         }
         // Stop the controller last: it runs one final epoch (capturing
-        // the post-drain counter tails and any late verdicts) and comes
-        // home to be parked.
-        garage.control = plane.controller.map(|(handle, stop)| {
+        // the post-drain counter tails and any late verdicts).
+        let control = plane.controller.map(|(handle, stop)| {
             stop.store(true, Ordering::Release);
             handle.thread().unpark();
-            handle.join().expect("controller thread panicked")
+            handle.join().expect("controller thread panicked");
+            let home = self.control.lock().expect("control plane poisoned");
+            home.as_ref().expect("the thread ran it").ctrl.report()
         });
-        let control = garage.control.as_ref().map(|home| home.ctrl.report());
 
         // Re-park for the next segment, and settle this one's books.
         garage.flows = flows;
@@ -637,15 +625,13 @@ impl Engine {
     /// units by `assign`, start the segment clock, build one [`Ingest`]
     /// per unit around the sink `sink` makes for it (with the unit's
     /// flight ring and the clock of its thread), run each on its own
-    /// `{name}-{i}` thread (pinned to CPU `i` when `pinned` is given)
-    /// and join them all. Returns the clock origin and whether
-    /// any unit stopped on a drain request; what each sink handed back
-    /// goes to `done`.
+    /// `{name}-{i}` thread and join them all. Returns the clock origin
+    /// and whether any unit stopped on a drain request; what each sink
+    /// handed back goes to `done`.
     fn run_units<S: Sink + Send>(
         &self,
         mut u: Units<'_>,
         name: &str,
-        pinned: Option<&Counter>,
         assign: impl Fn(HashDigest) -> usize,
         mut sink: impl FnMut(usize, FlightRing, Clock) -> S,
         mut done: impl FnMut(S::Out),
@@ -675,14 +661,7 @@ impl Engine {
                 };
                 let handle = std::thread::Builder::new()
                     .name(thread)
-                    .spawn_scoped(scope, move || {
-                        if let Some(pinned) = pinned {
-                            if smartwatch_snic::pin_current_thread(i) {
-                                pinned.inc();
-                            }
-                        }
-                        ingest.run(source, stream, hasher)
-                    })
+                    .spawn_scoped(scope, move || ingest.run(source, stream, hasher))
                     .expect("spawn ingest thread");
                 handles.push(handle);
             }
@@ -703,14 +682,13 @@ impl Engine {
     /// hooks, one independent RCU steering reader per ingest unit
     /// (the dispatcher or a fused core — refreshes stay per-unit so a
     /// lagging core never staleness-couples the others), and the controller
-    /// thread around the resident controller — `parked` from the last
-    /// segment, or built here by the first.
+    /// thread around the resident control plane — the last segment's, or
+    /// built here by the first.
     fn spawn_control(
         &self,
         clocks: &Clocks,
         setup: &ShardSetup,
         counters: &[ShardCounters],
-        parked: Option<ControlResident>,
     ) -> ControlPlane {
         let n = counters.len();
         let mut plane = ControlPlane {
@@ -721,18 +699,19 @@ impl Engine {
         let Some(ctrl_cfg) = &self.cfg.control else {
             return plane;
         };
-        let home = match parked {
+        let mut resident = self.control.lock().expect("control plane poisoned");
+        let home = match &mut *resident {
             // Published before any reader below exists, so the segment
             // opens under it: a standing shed pin holds from the first
             // packet, not from the first epoch.
-            Some(mut home) => {
+            Some(home) => {
                 home.steer.publish(home.ctrl.new_segment());
                 home
             }
             None => {
                 let mut ctrl_cfg = ctrl_cfg.clone();
                 ctrl_cfg.hash_seed = self.cfg.hash_seed;
-                ControlResident {
+                resident.insert(ControlResident {
                     ctrl: Controller::new(ctrl_cfg).for_shards(n),
                     modes: (0..n).map(|_| Arc::new(ModeCell::default())).collect(),
                     steer: Arc::new(SnapshotCell::new(SteeringSnapshot::empty())),
@@ -745,7 +724,7 @@ impl Engine {
                                 .gauges(&SHARD_GAUGES)
                         })
                         .collect(),
-                }
+                })
             }
         };
         let (heavy_tx, heavy_rx) = std::sync::mpsc::sync_channel::<(u64, u64)>(8192);
@@ -760,9 +739,12 @@ impl Engine {
         for slot in plane.queue_steer.iter_mut() {
             *slot = Some(home.steer.reader());
         }
+        let epoch = Duration::from_millis(home.ctrl.config().epoch_ms.max(1));
+        drop(resident);
         let stop = Arc::new(AtomicBool::new(false));
         let thread = ControlThread {
-            home,
+            home: Arc::clone(&self.control),
+            epoch,
             reader: setup.log.reader(),
             log: Arc::clone(&setup.log),
             heavy_rx,
@@ -771,7 +753,6 @@ impl Engine {
             stop: Arc::clone(&stop),
             flight: self.flight.ring("sw-control"),
             clock: clocks.thread("sw-control"),
-            audit: Arc::clone(&self.decisions),
             admin: Arc::clone(&self.admin),
             admin_applied: self.admin_applied.clone(),
             mem_rss: self.mem_rss.clone(),
@@ -789,9 +770,8 @@ impl Engine {
 struct ControlPlane {
     shard_hooks: Vec<Option<ControlHooks>>,
     queue_steer: Vec<Option<SnapshotReader<SteeringSnapshot>>>,
-    /// The controller thread — it hands the resident control plane
-    /// back when joined — and its stop flag.
-    controller: Option<(JoinHandle<ControlResident>, Arc<AtomicBool>)>,
+    /// The controller thread and its stop flag.
+    controller: Option<(JoinHandle<()>, Arc<AtomicBool>)>,
 }
 
 /// What the ingest units of one open segment share.
@@ -809,7 +789,10 @@ struct Units<'a> {
 /// drives, what it samples (shard counters, the verdict log, the
 /// heavy-hitter channel), and its observability wiring.
 struct ControlThread {
-    home: ControlResident,
+    /// The engine's control plane, locked once per epoch.
+    home: Arc<Mutex<Option<ControlResident>>>,
+    /// The controller's epoch period.
+    epoch: Duration,
     log: Arc<ControlLog>,
     reader: LogReader,
     heavy_rx: Receiver<(u64, u64)>,
@@ -820,9 +803,6 @@ struct ControlThread {
     /// Ticks once per epoch; a sampled epoch's span runs from the
     /// reading that measured it to the end of its apply.
     clock: Clock,
-    /// The shared decision-audit mirror that live readers
-    /// (`Engine::decisions`, `/stats.json`) poll mid-run.
-    audit: Arc<Mutex<VecDeque<DecisionRecord>>>,
     /// The engine's admin mailbox, drained once per epoch.
     admin: Arc<AdminQueue>,
     /// `runtime.admin.applied` — commands the controller acted on.
@@ -837,14 +817,12 @@ impl ControlThread {
     /// Each epoch applies queued admin edits, samples cumulative shard
     /// counters, drains the verdict log and the heavy-hitter channel,
     /// feeds the pure [`Controller`] state machine, applies its
-    /// per-shard modes to the [`ModeCell`]s, black-boxes its events and
-    /// publishes any new steering snapshot. When `stop` is observed it
-    /// runs one final epoch (counter tails + late verdicts) and hands
-    /// the control plane back for parking.
-    fn run(mut self) -> ControlResident {
-        let cfg = self.home.ctrl.config();
-        let epoch = Duration::from_millis(cfg.epoch_ms.max(1));
-        let audit_cap = cfg.decision_capacity;
+    /// per-shard modes to the [`ModeCell`]s, black-boxes what changed
+    /// since the last record and publishes any new steering snapshot.
+    /// When `stop` is observed it runs one final epoch (counter tails +
+    /// late verdicts) and returns.
+    fn run(mut self) {
+        let epoch = self.epoch;
         let mut last = Instant::now();
         loop {
             let done = self.stop.load(Ordering::Acquire);
@@ -861,13 +839,15 @@ impl ControlThread {
             let elapsed_secs = now.duration_since(last).max(epoch).as_secs_f64();
             last = now;
             self.mem_rss.set(mem::rss_bytes() as f64);
+            let mut home = self.home.lock().expect("control plane poisoned");
+            let home = home.as_mut().expect("built before its thread");
 
             // Apply queued admin edits before the epoch decision: they
             // mutate the controller's private state (marking it dirty),
             // so this epoch's decision and snapshot carry them — the hot
             // loop only ever sees them through the RCU path.
             for cmd in self.admin.drain() {
-                if self.home.ctrl.admin(cmd) {
+                if home.ctrl.admin(cmd) {
                     self.admin_applied.inc();
                     self.flight
                         .record(FlightKind::AdminEdit, cmd.code(), cmd.arg());
@@ -900,26 +880,31 @@ impl ControlThread {
                 }
             }
 
-            let decision = self.home.ctrl.epoch(&EpochInput {
-                elapsed_secs,
-                shards,
-                verdicts,
-                heavy,
-            });
-            self.home.books.publish(&self.home.ctrl);
-            let record = &decision.record;
+            let snapshot = home
+                .ctrl
+                .epoch(&EpochInput {
+                    elapsed_secs,
+                    shards,
+                    verdicts,
+                    heavy,
+                })
+                .snapshot;
+            home.books.publish(&home.ctrl);
+            let ring = home.ctrl.decisions();
+            let record = ring.back().expect("the epoch's own record");
             let shards = record.smoothed_mpps.iter().zip(&record.modes);
-            for (books, (&mpps, &mode)) in self.home.shard_books.iter_mut().zip(shards) {
+            for (books, (&mpps, &mode)) in home.shard_books.iter_mut().zip(shards) {
                 books.publish(&(mpps, mode));
             }
-            for (cell, &m) in self.home.modes.iter().zip(&decision.modes) {
+            for (cell, &m) in home.modes.iter().zip(&record.modes) {
                 cell.set(m);
             }
             // Black-box the epoch's notable transitions before
-            // publishing: the controller's own events, then promotions
-            // and evictions from the record's counts.
-            for event in &decision.events {
-                match *event {
+            // publishing: what changed since the last record, then
+            // promotions and evictions from the record's counts.
+            let before = ring.len().checked_sub(2).map(|i| &ring[i]);
+            for event in ControlEvent::between(before, record) {
+                match event {
                     // The epoch word joins the switch to its decision
                     // record in the audit.
                     ControlEvent::ModeSwitch { epoch, shard, mode } => self.flight.record3(
@@ -949,15 +934,8 @@ impl ControlThread {
                     record.epoch,
                 );
             }
-            // Mirror the decision into the shared audit so live readers
-            // see it without waiting for the segment's report.
-            push_decision(
-                &mut self.audit.lock().expect("decision audit poisoned"),
-                audit_cap,
-                record.clone(),
-            );
-            if let Some(snap) = decision.snapshot {
-                self.home.steer.publish(snap);
+            if let Some(snap) = snapshot {
+                home.steer.publish(snap);
             }
             if self.clock.sample() {
                 let end = self.clock.now();
@@ -965,7 +943,7 @@ impl ControlThread {
             }
             if done {
                 self.log.release(self.reader);
-                return self.home;
+                return;
             }
         }
     }

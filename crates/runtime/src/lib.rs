@@ -44,9 +44,8 @@
 //!   [`DatapathMode::Rtc`] — the one with many ingest units — fuses
 //!   dispatcher and shard into C run-to-completion `sw-core-{i}`
 //!   threads (pre-split by `shard_for_digest`, zero queue crossings on
-//!   the fast path, optional [`EngineConfig::pin_cores`] CPU affinity —
-//!   RTC cores only, the pipeline never pins) with decisions and
-//!   counters identical to the pipeline for the same seed. Both topologies run the same
+//!   the fast path) with decisions and counters identical to the
+//!   pipeline for the same seed. Both topologies run the same
 //!   ingest loop (one feed × sink stage) under the same segment
 //!   lifecycle; the module splits into `config`, `lifecycle`, `ingest`
 //!   and `report`.

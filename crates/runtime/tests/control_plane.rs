@@ -66,7 +66,7 @@ fn controlled_spike_conserves_and_recovers() {
     // The spike must drive Algorithm 4 into Lite on at least one shard,
     // and the calm tail must bring every shard back to General.
     let lite_switches = ctrl
-        .timeline
+        .timeline()
         .iter()
         .filter(|e| {
             matches!(
@@ -185,16 +185,11 @@ fn live_mode_switches_touch_every_shard_cache_safely() {
 /// before. The flight ring and the audit join on the epoch word.
 #[test]
 fn every_mode_switch_joins_its_decision_record_by_epoch() {
-    let ctrl = ControlConfig {
-        decision_capacity: 1 << 14,
-        ..test_control()
-    };
-    let engine = Engine::new(EngineConfig::new(2).with_control(ctrl));
+    let engine = Engine::new(EngineConfig::new(2).with_control(test_control()));
     let report = engine.run(&workload(100_000), spike());
     assert!(report.conserved());
     assert_eq!(engine.flight().total_dropped(), 0, "no flight ring wrapped");
     let ctrl = report.control.as_ref().expect("controller ran");
-    assert_eq!(ctrl.timeline_dropped, 0, "the timeline holds every event");
     let decisions = engine.decisions();
     assert_eq!(
         decisions.len() as u64,
@@ -231,9 +226,9 @@ fn every_mode_switch_joins_its_decision_record_by_epoch() {
         }
     }
     let timeline: Vec<(u64, u64, u64)> = ctrl
-        .timeline
-        .iter()
-        .filter_map(|e| match *e {
+        .timeline()
+        .into_iter()
+        .filter_map(|e| match e {
             ControlEvent::ModeSwitch { epoch, shard, mode } => {
                 Some((shard as u64, u64::from(mode.code()), epoch))
             }
@@ -254,27 +249,6 @@ fn engine_without_control_reports_none_and_zero_shed() {
     assert_eq!(report.shed(), 0);
     assert_eq!(report.steer_dropped(), 0);
     assert!(report.conserved());
-}
-
-/// `decision_capacity = 0` bounds the controller's audit and the
-/// engine's live mirror of it by one rule: both keep the latest record.
-#[test]
-fn a_zero_capacity_audit_is_bounded_alike_in_report_and_engine() {
-    let cfg = ControlConfig {
-        decision_capacity: 0,
-        ..inert_control()
-    };
-    let engine = Engine::new(EngineConfig::new(1).with_control(cfg));
-    let report = engine.run(&workload(20_000), Pace::RateMpps(0.2));
-    let ctrl = report.control.expect("controller ran");
-    assert!(
-        ctrl.epochs >= 10,
-        "a 100 ms drive runs ≥ 10 epochs: {}",
-        ctrl.epochs
-    );
-    assert_eq!(ctrl.decisions.len(), 1);
-    assert_eq!(ctrl.decisions_dropped, ctrl.epochs - 1);
-    assert_eq!(engine.decisions(), ctrl.decisions);
 }
 
 /// A controller that only relays the operator: 2 ms epochs, every
@@ -337,7 +311,7 @@ fn mode_pin_is_what_every_view_reports() {
     let timeline = |c: &ControlReport| -> Vec<String> {
         // `e12 shard0->lite` without the wall-clock-dependent epoch.
         let tail = |e: &ControlEvent| e.render().split(' ').nth(1).map(String::from);
-        c.timeline.iter().filter_map(tail).collect()
+        c.timeline().iter().filter_map(tail).collect()
     };
 
     assert!(engine.admin(AdminCmd::ForceMode {

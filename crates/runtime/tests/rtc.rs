@@ -287,26 +287,3 @@ fn rtc_serve_segments_reuse_parked_pools_and_carry_flow_state() {
         "carried flow state must persist across RTC segments"
     );
 }
-
-#[test]
-fn pinned_rtc_run_is_identical_to_unpinned() {
-    // --pin-cores is strictly a placement knob: kernel-accepted or
-    // refused, decisions and counters cannot change.
-    let trace = workload(200, 0x9191);
-    let mut cfg = EngineConfig::new(2);
-    cfg.host_workers = 0;
-    cfg.datapath = DatapathMode::Rtc;
-    let unpinned = Engine::new(cfg.clone()).run(trace.packets(), Pace::Flatout);
-    cfg.pin_cores = true;
-    let engine = Engine::new(cfg);
-    let pinned = engine.run(trace.packets(), Pace::Flatout);
-    assert_eq!(
-        unpinned.deterministic_summary(),
-        pinned.deterministic_summary(),
-        "pinning must be architecturally inert"
-    );
-    // Best-effort accounting: on Linux the mask is normally accepted;
-    // either way the counter never exceeds the core count.
-    let accepted = engine.registry().counter("runtime.core.pinned", &[]).get();
-    assert!(accepted <= 2, "at most one pin per fused core");
-}

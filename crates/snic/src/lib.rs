@@ -22,14 +22,12 @@
 //! ownership replaces Alg. 2's atomics; [`hw`] still prices the atomic
 //! add of an in-place update for the DES.
 
-// `deny` rather than `forbid`: the two scoped exceptions are the
+// `deny` rather than `forbid`: the one scoped exception is the
 // software prefetch intrinsic in [`prefetch`] (unsafe by signature
-// only; see the safety note there) and the `sched_setaffinity` FFI
-// declaration in [`affinity`]. Everything else stays safe Rust.
+// only; see the safety note there). Everything else stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod burstlog;
 pub mod cme;
 pub mod cuckoo;
@@ -43,7 +41,6 @@ pub mod publish;
 pub mod record;
 pub mod ring;
 
-pub use affinity::pin_current_thread;
 pub use cme::SwitchOver;
 pub use des::{simulate, simulate_instrumented, DesConfig, DesReport, LatencyDist};
 pub use flowcache::{Access, CacheStats, FlowCache, FlowCacheConfig, Mode, Outcome, BURST};

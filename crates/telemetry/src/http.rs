@@ -21,6 +21,8 @@
 //! * a connection closed before its head ends or its body reaches
 //!   `Content-Length` is `400`: a handler never sees half a request;
 //! * malformed request lines are `400`;
+//! * any method but `GET` — anything that can change state — is `403`
+//!   unless the peer is a loopback address ([`admitted`]);
 //! * a known path hit with an unsupported method is `405` with an
 //!   `Allow:` header listing what the route accepts.
 //!
@@ -28,7 +30,7 @@
 //! pokes the listener with a loopback connection so `accept` returns.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -77,6 +79,7 @@ impl HttpResponse {
             200 => "OK",
             202 => "Accepted",
             400 => "Bad Request",
+            403 => "Forbidden",
             404 => "Not Found",
             405 => "Method Not Allowed",
             408 => "Request Timeout",
@@ -324,6 +327,13 @@ fn handle_connection(mut stream: TcpStream, routes: &[Route]) -> std::io::Result
     stream.shutdown(Shutdown::Write)
 }
 
+/// Whether a `method` request from `peer` may reach the routes: a read
+/// (`GET`) from anywhere, anything else — every admin mutation — from a
+/// loopback address only (an IPv4-mapped one included).
+fn admitted(peer: IpAddr, method: &str) -> bool {
+    method == "GET" || peer.to_canonical().is_loopback()
+}
+
 fn respond(
     stream: &mut TcpStream,
     deadline: Instant,
@@ -338,6 +348,12 @@ fn respond(
     };
     if method.is_empty() || !raw_path.starts_with('/') {
         return HttpResponse::text(400, "malformed request line\n");
+    }
+    if !stream
+        .peer_addr()
+        .is_ok_and(|peer| admitted(peer.ip(), method))
+    {
+        return HttpResponse::text(403, format!("{method} is served to loopback peers only\n"));
     }
     let path = raw_path.split('?').next().unwrap_or("/").to_string();
 
@@ -393,6 +409,20 @@ mod tests {
             let first = find_head_end(&req[..split], &mut scanned);
             let second = || find_head_end(req, &mut scanned);
             assert_eq!(first.or_else(second), want, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn only_loopback_peers_may_mutate() {
+        let ip = |s: &str| s.parse::<IpAddr>().unwrap();
+        for peer in ["127.0.0.1", "127.3.2.1", "::1", "::ffff:127.0.0.1"] {
+            assert!(admitted(ip(peer), "POST"), "{peer}");
+        }
+        for peer in ["10.0.0.7", "192.0.2.1", "2001:db8::1", "::ffff:10.0.0.7"] {
+            assert!(admitted(ip(peer), "GET"), "{peer} may read");
+            for method in ["POST", "PUT", "DELETE", "get"] {
+                assert!(!admitted(ip(peer), method), "{peer} {method}");
+            }
         }
     }
 
