@@ -10,8 +10,6 @@ non-test code of a file: the part above its first top-level
   platform is the one component with an `attach_telemetry`.
 - rides-digest: the four users of `snic::FlowTable` name no std table
   keyed by `FlowKey` and re-canonicalise or re-hash no key.
-- shard-digest: the engine shard builds no `FlowDigest`; it takes the
-  one ingest carried.
 - ops-gates: the suite runs its DNS and worm detectors only inside the
   gate that counts their `ops`.
 
@@ -57,11 +55,6 @@ def rides_digest(root):
     return [f"{f}: {m.group(0)}" for f in DIGEST_USERS for m in re.finditer(bad, code(root, f))]
 
 
-def shard_digest(root):
-    return [f"{SHARD} builds a FlowDigest: {m.group(0)}"
-            for m in re.finditer(r"FlowDigest *\{|FlowDigest::|flow_digest\w*\(", code(root, SHARD))]
-
-
 def ops_gates(root):
     src = code(root, "crates/core/src/suite.rs")
     gated = r"\n( *)if [^\n]*\{{\n\1    self\.ops\.{0} \+= 1;\n\1    [^\n]*self\.{0}\.on_packet\("
@@ -88,10 +81,6 @@ RULES = {
          "        let flow = self.hasher.flow_digest(&pkt.key);\n        let _ = self.hasher.hash_symmetric(&pkt.key);"),
         ("crates/core/src/suite.rs", "        self.ops.total += 1;",
          "        self.ops.total += 1;\n        let _ = self.hasher.digest_symmetric(&pkt.key);"),
-    ],
-    shard_digest: [
-        (SHARD, "let (pkt, flow) = (&dp.pkt, &dp.flow);",
-         "let (pkt, flow) = (&dp.pkt, &self.setup.hasher.flow_digest(&dp.pkt.key));"),
     ],
     ops_gates: [
         ("crates/core/src/suite.rs", f"            self.ops.{d} += 1;\n            out.alerts.extend(self.{d}.on_packet(pkt));\n        }}",

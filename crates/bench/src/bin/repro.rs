@@ -13,7 +13,7 @@
 //! repro engine --flight-dump flight.json      # black-box event rings
 //! repro control --peak 4.0 --bench-json BENCH_control.json  # control plane
 //! repro serve --listen 127.0.0.1:9184 --segments 10   # service mode
-//! repro soak --segments 5 --segment-ms 2000 --bench-json BENCH_serve.json
+//! repro soak --segments 5 --bench-json BENCH_serve.json
 //! repro list               # experiment index
 //! ```
 
@@ -75,8 +75,6 @@ const FLAGS: &[Flag] = &[
     ("--spike-end", "F", CONTROL),
     ("--flat-out", "", SERVE),
     ("--segments", "N", SERVE),
-    ("--segment-ms", "N", SERVE),
-    ("--carry-flow-state", "", SERVE),
 ];
 
 /// RSS growth first→last segment that `soak` tolerates: allocator noise,
@@ -184,8 +182,6 @@ fn main() {
             "--spike-start" => control_spec.spike_start = fraction(v, a),
             "--spike-end" => control_spec.spike_end = fraction(v, a),
             "--segments" => serve_spec.segments = positive(v, a),
-            "--segment-ms" => serve_spec.segment_ms = natural(v, a),
-            "--carry-flow-state" => serve_spec.carry_flow_state = true,
             "--bench-json" => bench_out = Some(v.to_string()),
             "--summary-out" => summary_out = Some(v.to_string()),
             "--flight-dump" => flight_out = Some(v.to_string()),
@@ -524,8 +520,8 @@ snapshots, load shedding) and without — and reports both
 `repro serve` keeps one engine resident and replays the
 workload in --segments drain/restart segments; --listen mounts
 the POST /admin/* control socket next to the read-only
-endpoints — the one way to edit the running engine — and
---segment-ms drains any over-long segment gracefully. The
+endpoints — the one way to edit the running engine; a
+segment's packets and pace are fixed when it opens. The
 controller is resident: a pin (/admin/mode, /admin/shed) stands
 across segments until released; a steering-table edit
 (/admin/steer) lasts for the segment that applied it.

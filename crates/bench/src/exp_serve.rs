@@ -3,19 +3,20 @@
 //! Unlike `repro engine` (one run, one report), service mode keeps a
 //! single [`Engine`] resident and replays the workload in **segments**:
 //! bounded runs separated by graceful drain/restart cycles, exactly the
-//! lifecycle a SmartNIC IPS daemon would live through. Between
-//! segments nothing is torn down — the lanes' batch buffers (and, under
-//! `--carry-flow-state`, the per-shard FlowCaches) park in the engine's
-//! garage and are reissued to the next segment, so steady state
-//! allocates nothing and the soak harness can pin memory flat.
+//! lifecycle a SmartNIC IPS daemon would live through. A segment is
+//! fixed when it opens: its packets, its `Pace`, flow state reset in
+//! place and the resident controller. Between segments nothing is torn
+//! down — the lanes' batch buffers and every shard's flow state park in
+//! the engine's garage and are reissued to the next segment, so steady
+//! state allocates nothing and the soak harness can pin memory flat.
 //!
 //! Two control paths reach the resident engine while packets flow:
 //!
 //! * the **admin socket** (`--listen`, [`crate::serve::admin_routes`]),
 //!   the one way to edit it live: POST endpoints queueing
 //!   [`AdminCmd`](smartwatch_runtime::AdminCmd)s applied by the
-//!   controller at epoch boundaries, plus the immediate pace/drain
-//!   atomics — the hot loop never takes a lock;
+//!   controller at epoch boundaries, plus the immediate drain flag —
+//!   the hot loop never takes a lock;
 //! * **signals**: the `repro` drivers translate SIGINT/SIGTERM into a
 //!   drain request ([`crate::signal`]), so the segment in flight still
 //!   quiesces through the end-of-trace path and the final summary is
@@ -30,15 +31,12 @@
 //! `BENCH_serve.json` (see EXPERIMENTS.md for the schema).
 
 use crate::exp_control::{control_config, ControlRunSpec};
-use crate::guard::PollGuard;
 use crate::output::{object, Table};
 use crate::run_shape::{datapath_label, rate_pace, RunShape};
 use crate::ExpCtx;
 use serde::{Serialize, Value};
 use smartwatch_runtime::Engine;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One `repro serve` / `repro soak` invocation, fully specified: the
 /// shared [`RunShape`] (its `packets` is per segment, its `--listen`
@@ -49,17 +47,9 @@ pub struct ServeSpec {
     /// admin socket).
     pub shape: RunShape,
     /// Offered rate in Mpps; `None` replays each segment flat-out.
-    /// Paced segments honour live `/admin/pace` overrides.
     pub rate_mpps: Option<f64>,
     /// Segments to run (drain/restart cycles = segments − 1).
     pub segments: usize,
-    /// Wall-clock budget per segment in ms; when a segment is still
-    /// running at the deadline it is drained gracefully (0 = run each
-    /// segment to completion).
-    pub segment_ms: u64,
-    /// Park the per-shard FlowCaches between segments so flow state
-    /// survives a drain/restart cycle.
-    pub carry_flow_state: bool,
 }
 
 impl Default for ServeSpec {
@@ -70,8 +60,6 @@ impl Default for ServeSpec {
             // thresholds are derived from.
             rate_mpps: Some(1.0),
             segments: 3,
-            segment_ms: 0,
-            carry_flow_state: false,
         }
     }
 }
@@ -90,38 +78,6 @@ fn serve_control_config(spec: &ServeSpec) -> smartwatch_runtime::ControlConfig {
     })
 }
 
-/// A one-shot segment deadline: requests a graceful drain `ms` after
-/// creation unless the guard is dropped first (segment finished on its
-/// own).
-struct SegmentTimer {
-    fired: Arc<AtomicBool>,
-    _poll: PollGuard,
-}
-
-impl SegmentTimer {
-    fn arm(engine: &Arc<Engine>, ms: u64) -> SegmentTimer {
-        let fired = Arc::new(AtomicBool::new(false));
-        let thread_fired = Arc::clone(&fired);
-        let engine = Arc::clone(engine);
-        let deadline = Instant::now() + Duration::from_millis(ms);
-        let poll = PollGuard::spawn("sw-segment", Duration::from_millis(5), move || {
-            let early = Instant::now() < deadline;
-            if !early {
-                thread_fired.store(true, Ordering::Release);
-                engine.request_drain();
-            }
-            early
-        });
-        SegmentTimer { fired, _poll: poll }
-    }
-
-    /// True when the deadline elapsed and this timer requested the
-    /// drain (as opposed to an operator or signal).
-    fn fired(&self) -> bool {
-        self.fired.load(Ordering::Acquire)
-    }
-}
-
 /// One segment of the service timeline (the `BENCH_serve.json` rows).
 #[derive(Clone, Debug)]
 pub struct SegmentRecord {
@@ -138,7 +94,7 @@ pub struct SegmentRecord {
     /// Segment wall-clock, milliseconds.
     pub elapsed_ms: u64,
     /// True when the segment ended by graceful drain rather than
-    /// end-of-trace (deadline, admin request or signal).
+    /// end-of-trace (admin request or signal).
     pub interrupted: bool,
     /// Two-axis conservation held for this segment.
     pub conserved: bool,
@@ -313,10 +269,7 @@ pub fn serve_run_full(
     // running segment; the loop-top check below then stops the service.
     let run = spec.shape.open(
         ctx,
-        |mut cfg| {
-            cfg.carry_flow_state = spec.carry_flow_state;
-            cfg.with_control(control)
-        },
+        |cfg| cfg.with_control(control),
         crate::serve::serve_admin,
     )?;
     let engine = &run.engine;
@@ -332,22 +285,14 @@ pub fn serve_run_full(
         if spec.shape.watch_signals && crate::signal::interrupted() {
             break;
         }
-        // A drain latched between segments (POST /admin/drain racing
-        // the boundary) stops the service rather than burning a segment
-        // on an immediately-drained run.
+        // A drain ends the service: one latched mid-segment (operator
+        // or signal) stays set, and so does one latched between
+        // segments (POST /admin/drain racing the boundary), which would
+        // otherwise burn a segment on an immediately-drained run.
         if engine.drain_requested() {
             break;
         }
-        let timer = (spec.segment_ms > 0).then(|| SegmentTimer::arm(engine, spec.segment_ms));
         let report = replay.run(engine, pace);
-        // A deadline drain only ends the segment: consume the latch and
-        // keep serving. An operator/signal drain ends the service (the
-        // latch stays set and the loop-top check breaks).
-        let deadline_drain = timer.as_ref().is_some_and(SegmentTimer::fired);
-        drop(timer);
-        if deadline_drain {
-            engine.clear_drain();
-        }
         segments.push(SegmentRecord {
             segment,
             offered: report.offered,
@@ -385,7 +330,6 @@ pub fn serve_bench_json(spec: &ServeSpec, out: &ServeOutcome) -> String {
         ("segments", &out.segments.len()),
         ("segment_packets", &spec.shape.packets),
         ("rate_mpps", &spec.rate_mpps),
-        ("carry_flow_state", &spec.carry_flow_state),
         ("conserved", &out.all_conserved()),
         ("pool_bound", &out.pool_bound),
         ("pool_growth", &out.pool_growth()),
@@ -432,11 +376,10 @@ fn render(spec: &ServeSpec, out: &ServeOutcome) -> Table {
         ]);
     }
     t.note(format!(
-        "segments: {} requested, {} run; {} datapath; carry_flow_state={}",
+        "segments: {} requested, {} run; {} datapath",
         spec.segments,
         out.segments.len(),
         datapath_label(spec.shape.datapath),
-        spec.carry_flow_state,
     ));
     t.note(format!(
         "endurance: pool growth {} total / {} in the final segment, \
@@ -471,7 +414,6 @@ mod tests {
             },
             rate_mpps: None,
             segments: 3,
-            ..ServeSpec::default()
         }
     }
 
@@ -525,7 +467,6 @@ mod tests {
                 "segments",
                 "segment_packets",
                 "rate_mpps",
-                "carry_flow_state",
                 "conserved",
                 "pool_bound",
                 "pool_growth",
@@ -589,6 +530,7 @@ mod tests {
     fn admin_edits_posted_mid_segment_land_and_the_pin_outlives_it() {
         use crate::serve::tests::{get, post};
         use std::net::{SocketAddr, TcpListener, TcpStream};
+        use std::time::Duration;
         let port = TcpListener::bind("127.0.0.1:0")
             .and_then(|l| l.local_addr())
             .expect("a free port")
@@ -603,7 +545,6 @@ mod tests {
             },
             rate_mpps: Some(0.5),
             segments: 3,
-            ..ServeSpec::default()
         };
         let ctx = ExpCtx::new(1);
         let (out, engine, live_applied) = std::thread::scope(|s| {
@@ -662,27 +603,5 @@ mod tests {
         }
         assert!(engine.admin_applied() >= 2);
         assert!(engine.flight().to_json().contains("admin_edit"));
-    }
-
-    #[test]
-    fn segment_deadline_drains_gracefully_and_still_conserves() {
-        let ctx = ExpCtx::new(1);
-        let spec = ServeSpec {
-            shape: RunShape {
-                packets: 4_000_000, // far more than 50 ms of paced replay
-                ..RunShape::default()
-            },
-            rate_mpps: Some(0.5),
-            segments: 2,
-            segment_ms: 50,
-            ..ServeSpec::default()
-        };
-        let (_, out, _) = serve_run_full(&ctx, &spec).unwrap();
-        assert_eq!(out.segments.len(), 2);
-        for s in &out.segments {
-            assert!(s.interrupted, "deadline must drain the segment");
-            assert!(s.conserved, "drained segment must still conserve");
-            assert!(s.offered < 4_000_000);
-        }
     }
 }

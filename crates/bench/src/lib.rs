@@ -20,7 +20,6 @@ pub mod exp_engine;
 pub mod exp_scale;
 pub mod exp_serve;
 pub mod exp_traffic;
-pub mod guard;
 pub mod output;
 pub mod run_shape;
 pub mod serve;

@@ -12,7 +12,6 @@
 //! driver's engine or is refused by `repro`'s flag table — no driver
 //! holds a private copy that can forget a field.
 
-use crate::guard::PollGuard;
 use crate::{workloads, ExpCtx};
 use smartwatch_net::{FrameStore, Packet};
 use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, EngineReport, FrameSource, Pace};
@@ -243,7 +242,7 @@ impl RunShape {
     /// tracer and start what watches it: the signal → drain translation
     /// and the `--listen` socket behind the driver's `listener`. `adds` is
     /// where a driver puts what it alone knows on top of
-    /// [`RunShape::engine_config`] (a controller, `carry_flow_state`).
+    /// [`RunShape::engine_config`] (a controller).
     /// A `--listen` address that does not parse or bind is refused with
     /// the message `repro` prints before exiting 2.
     pub fn open(
@@ -277,7 +276,7 @@ impl RunShape {
 pub struct OpenRun {
     /// The engine, shared with the watchers.
     pub engine: Arc<Engine>,
-    _signals: Option<PollGuard>,
+    _signals: Option<crate::signal::DrainWatch>,
     server: Option<HttpServer>,
     hold_ms: u64,
 }

@@ -19,21 +19,20 @@
 //! live. Every admin edit rides the engine's lock-free publication
 //! machinery — steering/mode/shed commands queue into the bounded
 //! [`AdminCmd`] mailbox and are applied by the controller thread at the
-//! next epoch boundary; pacing changes flip one atomic the dispatchers
-//! re-read at checkpoints; drain raises the graceful-quiesce flag. The
-//! packet hot loop never takes a lock on behalf of an operator.
+//! next epoch boundary; drain raises the graceful-quiesce flag the
+//! ingest units re-read at checkpoints. A segment's pace is fixed when
+//! it opens. The packet hot loop never takes a lock on behalf of an operator.
 //!
 //! | route | body | effect |
 //! |---|---|---|
 //! | `POST /admin/steer` | `{"table":"blacklist","op":"add","digest":N}` | queue a steering-table edit |
 //! | `POST /admin/mode`  | `{"shard":N,"mode":"lite"\|"general"\|"auto"}` | pin / release one shard's mode |
 //! | `POST /admin/shed`  | `{"force":true\|false\|null}` | pin / release load shedding |
-//! | `POST /admin/pace`  | `{"rate_mpps":2.5\|null}` | live rate override (paced runs) |
 //! | `POST /admin/drain` | — | gracefully drain the current segment |
 //!
-//! Queued commands answer `202 Accepted` (applied at the next epoch);
-//! immediate atomics answer `200`; a full mailbox answers `409`;
-//! malformed bodies answer `400`/`422`.
+//! Queued commands and the drain answer `202 Accepted` (applied at the
+//! next epoch or checkpoint); a full mailbox answers `409`; malformed
+//! bodies answer `400`/`422`.
 
 use smartwatch_runtime::{AdminCmd, Engine};
 use smartwatch_snic::Mode;
@@ -72,7 +71,6 @@ pub fn admin_routes(engine: &Arc<Engine>) -> Vec<Route> {
     let steer = Arc::clone(engine);
     let mode = Arc::clone(engine);
     let shed = Arc::clone(engine);
-    let pace = Arc::clone(engine);
     let drain = Arc::clone(engine);
     vec![
         Route::on("/admin/steer", &["POST"], move |req| {
@@ -80,7 +78,6 @@ pub fn admin_routes(engine: &Arc<Engine>) -> Vec<Route> {
         }),
         Route::on("/admin/mode", &["POST"], move |req| admin_mode(&mode, req)),
         Route::on("/admin/shed", &["POST"], move |req| admin_shed(&shed, req)),
-        Route::on("/admin/pace", &["POST"], move |req| admin_pace(&pace, req)),
         Route::on("/admin/drain", &["POST"], move |_req| {
             drain.request_drain();
             HttpResponse::text(202, "draining\n")
@@ -161,27 +158,6 @@ fn admin_shed(engine: &Engine, req: &HttpRequest) -> HttpResponse {
         None => return HttpResponse::text(422, "force must be true, false or null\n"),
     };
     queue(engine, AdminCmd::ForceShed(force))
-}
-
-fn admin_pace(engine: &Engine, req: &HttpRequest) -> HttpResponse {
-    let doc = match body_json(req) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    match doc.get("rate_mpps") {
-        Some(v) if v.is_null() => {
-            engine.set_rate_override(None);
-            HttpResponse::text(200, "rate override released\n")
-        }
-        Some(v) => match v.as_f64() {
-            Some(r) if r > 0.0 && r.is_finite() => {
-                engine.set_rate_override(Some(r));
-                HttpResponse::text(200, "rate override set\n")
-            }
-            _ => HttpResponse::text(422, "rate_mpps must be a positive number or null\n"),
-        },
-        None => HttpResponse::text(422, "rate_mpps must be a positive number or null\n"),
-    }
 }
 
 /// Bind `addr` and serve the read-only [`routes`] over `engine` until
@@ -296,14 +272,6 @@ pub(crate) mod tests {
         assert_eq!(status, 202);
         assert_eq!(engine.admin_queued(), 4);
 
-        // Pace override applies immediately via the atomic.
-        let (status, _) = post(addr, "/admin/pace", r#"{"rate_mpps":2.5}"#);
-        assert_eq!(status, 200);
-        assert!(engine.rate_override().is_some());
-        let (status, _) = post(addr, "/admin/pace", r#"{"rate_mpps":null}"#);
-        assert_eq!(status, 200);
-        assert!(engine.rate_override().is_none());
-
         // Drain raises the graceful-quiesce flag.
         let (status, _) = post(addr, "/admin/drain", "");
         assert_eq!(status, 202);
@@ -378,7 +346,7 @@ pub(crate) mod tests {
             raw(&[head.as_bytes(), body, extra].concat())
         };
         let deep = "[".repeat(10_000);
-        for path in ["/admin/steer", "/admin/mode", "/admin/shed", "/admin/pace"] {
+        for path in ["/admin/steer", "/admin/mode", "/admin/shed"] {
             // Slow-loris: the head promises a body that never completes.
             let slow = format!("POST {path} HTTP/1.1\r\nContent-Length: 64\r\n\r\n{{\"force\":");
             assert_eq!(raw(slow.as_bytes()), 408, "{path}: slow-loris");
@@ -397,7 +365,6 @@ pub(crate) mod tests {
         assert_eq!(raw(b"POST /admin/drain HTTP/1.1\r\nHost: x\r\n"), 408);
         assert!(!engine.drain_requested());
         assert_eq!(engine.admin_queued(), 0, "nothing leaked into the mailbox");
-        assert!(engine.rate_override().is_none());
 
         // The resident controller's next decisions: both pins hold, from
         // the segment's first packet.

@@ -15,7 +15,6 @@
 //! restored after the first delivery), so a wedged run can still be
 //! killed with a second Ctrl-C.
 
-use crate::guard::PollGuard;
 use smartwatch_runtime::Engine;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -70,19 +69,49 @@ pub fn reset() {
     INTERRUPTED.store(false, Ordering::SeqCst);
 }
 
+/// The `sw-signal` helper thread of one run ([`drain_watch`]).
+/// Dropping it wakes the thread, so it joins without waiting out its
+/// poll period.
+pub struct DrainWatch {
+    stop: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for DrainWatch {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(h) = self.handle.take() {
+            h.thread().unpark();
+            h.join().ok();
+        }
+    }
+}
+
 /// Watch the interrupt flag from a helper thread for the duration of a
 /// run: the first observation calls `engine.request_drain()`, so the
 /// running segment quiesces gracefully and its report stays conserved.
 /// Dropping the guard stops the watcher.
-pub fn drain_watch(engine: &Arc<Engine>) -> PollGuard {
+pub fn drain_watch(engine: &Arc<Engine>) -> DrainWatch {
     let engine = Arc::clone(engine);
-    PollGuard::spawn("sw-signal", Duration::from_millis(25), move || {
-        let hit = interrupted();
-        if hit {
-            engine.request_drain();
-        }
-        !hit
-    })
+    let stop = Arc::new(AtomicBool::new(false));
+    let thread_stop = Arc::clone(&stop);
+    let handle = std::thread::Builder::new()
+        .name("sw-signal".into())
+        .spawn(move || {
+            while !thread_stop.load(Ordering::Acquire) {
+                if interrupted() {
+                    engine.request_drain();
+                    return;
+                }
+                // A spurious wake only makes the next poll early.
+                std::thread::park_timeout(Duration::from_millis(25));
+            }
+        })
+        .expect("spawn sw-signal");
+    DrainWatch {
+        stop,
+        handle: Some(handle),
+    }
 }
 
 #[cfg(test)]

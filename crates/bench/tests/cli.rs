@@ -234,37 +234,6 @@ fn repro_batch_caps_every_dispatch_batch() {
     assert_eq!(batches["sum"].as_u64(), Some(20_000), "{batches}");
 }
 
-/// `--segment-ms` drains every segment still running at its deadline,
-/// and the drained segments conserve.
-#[test]
-fn repro_segment_ms_drains_each_segment_at_its_deadline() {
-    let out = temp_path("segment-ms.json");
-    let (_, stderr, code) = run_code(&[
-        "serve",
-        "--segments",
-        "2",
-        "--packets",
-        "400000",
-        "--rate",
-        "0.5",
-        "--segment-ms",
-        "30",
-        "--bench-json",
-        out.to_str().unwrap(),
-    ]);
-    assert_eq!(code, Some(0), "{stderr}");
-    let v: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).expect("valid JSON");
-    std::fs::remove_file(&out).ok();
-    let timeline = v["timeline"].as_array().expect("timeline");
-    assert_eq!(timeline.len(), 2);
-    for seg in timeline {
-        assert_eq!(seg["interrupted"].as_bool(), Some(true), "{seg}");
-        assert_eq!(seg["conserved"].as_bool(), Some(true), "{seg}");
-        assert!(seg["offered"].as_u64().unwrap() < 400_000, "{seg}");
-    }
-}
-
 /// `--scale` picks the workload: the same packet budget replays a
 /// different, larger generator trace.
 #[test]

@@ -89,24 +89,20 @@ fn every_shape_field_reaches_every_drivers_engine() {
         }
         assert!(outcome.controlled.escalated() > 0, "mix escalates");
 
-        // serve: plus the controller and `carry_flow_state`.
+        // serve: plus the controller.
         let ctx = ExpCtx::new(1);
         let spec = ServeSpec {
             shape: shape.clone(),
             rate_mpps: None,
             segments: 1,
-            carry_flow_state: true,
-            ..ServeSpec::default()
         };
         let (_, outcome, engine) = serve_run_full(&ctx, &spec).unwrap();
-        let mut carried = want.clone();
-        carried.carry_flow_state = true;
-        assert_eq!(knobs(engine.config()), knobs(&carried));
+        assert_eq!(knobs(engine.config()), knobs(&want));
         let control = engine.config().control.as_ref().expect("controller");
         assert_eq!(control.epoch_ms, EPOCH_MS);
         assert_eq!(outcome.segments[0].offered, 20_000);
         assert!(outcome.all_conserved());
-        assert_eq!(outcome.pool_bound, carried.lane_buffers() as u64);
+        assert_eq!(outcome.pool_bound, want.lane_buffers() as u64);
     }
 }
 

@@ -104,14 +104,11 @@ impl SnicTier {
         self.cache.drain_all_into(out);
     }
 
-    /// Fresh for the next segment, in place. `carry_cache` leaves the
-    /// FlowCache as the last segment left it; the suite always starts
-    /// over. (The outcome needs nothing: every `inspect` clears it
-    /// first.)
-    pub fn reset(&mut self, carry_cache: bool) {
-        if !carry_cache {
-            self.cache.reset();
-        }
+    /// Fresh for the next segment, in place: the FlowCache and the
+    /// suite start over. (The outcome needs nothing: every `inspect`
+    /// clears it first.)
+    pub fn reset(&mut self) {
+        self.cache.reset();
         self.suite.reset();
     }
 

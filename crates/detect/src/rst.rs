@@ -201,6 +201,7 @@ impl ForgedRstDetector {
             canon,
             forward,
             digest,
+            ..
         } = *flow;
 
         if pkt.flags.rst() {

@@ -71,7 +71,11 @@ impl HashDigest {
 /// digest of the canonical key. Everything flow-keyed downstream — RSS
 /// sharding, the verdict sets, the FlowCache row, the detector tables —
 /// takes this instead of canonicalising and hashing the 5-tuple again.
+/// Only [`FlowHasher`]'s digest functions build one (outside this crate
+/// `non_exhaustive` forbids the struct literal), so a digest anyone
+/// holds is one a hasher computed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[non_exhaustive]
 pub struct FlowDigest {
     /// `key.canonical().0`.
     pub canon: FlowKey,

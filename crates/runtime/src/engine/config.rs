@@ -86,19 +86,6 @@ pub struct EngineConfig {
     /// their first unit and own a span at any period; pipeline shards
     /// and host workers trace the sampled work that reaches them.
     pub trace_sample: u64,
-    /// Serve mode: carry each shard's FlowCache *contents* across
-    /// back-to-back `run*` calls on the same engine instead of starting
-    /// every segment cold. Flow affinity is preserved (the RSS mapping
-    /// is a pure function of digest and shard count, both fixed per
-    /// engine), so shard `i` always gets shard `i`'s cache back. The
-    /// *memory* of the flow state — cache, detector tables, verdict
-    /// sets — is reused across runs either way, like the lanes (the
-    /// zero-steady-state-allocation claim the soak harness pins):
-    /// unset, a segment gets its shard's state back reset in place,
-    /// observably fresh; set, the reset skips the
-    /// cache, so its records, pins and operating mode survive. The
-    /// detector suite starts over in both cases.
-    pub carry_flow_state: bool,
 }
 
 impl EngineConfig {
@@ -118,7 +105,6 @@ impl EngineConfig {
             cache_burst: smartwatch_snic::BURST,
             control: None,
             trace_sample: 0,
-            carry_flow_state: false,
         }
     }
 

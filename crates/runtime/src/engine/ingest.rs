@@ -36,7 +36,7 @@ use smartwatch_control::{SnapshotReader, SteeringSnapshot};
 use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{FlowHasher, FrameStore, FrameView, HashDigest, Packet, RawTuple};
 use smartwatch_telemetry::{Counter, FlightRing, Registry};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Packets between checkpoints.
@@ -52,9 +52,7 @@ const BURST: usize = 8;
 /// every ingest unit computes its packets' due times from their global
 /// sequence numbers, so C fused cores replay the same wall-clock arrival
 /// process the single dispatcher would and a spike hits every core in
-/// the same window — plus the live override (see
-/// `Engine::set_rate_override`) from the packet it was first observed at.
-/// Due times count from the unit's own first checkpoint, not from when
+/// the same window. Due times count from the unit's own first checkpoint, not from when
 /// the segment opened: a unit that starts late (threads spawning, a
 /// fused core resetting its flow state) starts its schedule late rather
 /// than catching up in a burst the controller would read as overload.
@@ -66,19 +64,12 @@ pub(crate) struct Pacer {
     peak_gap_ns: f64,
     lo: usize,
     hi: usize,
-    /// `f64::to_bits` of the overriding gap (ns); `0` = no override.
-    bits: u64,
-    /// Due time (ns) and global index of the packet the override
-    /// anchored at.
-    anchor_due: f64,
-    anchor_i: usize,
     /// When the unit reached its first checkpoint; `None` before.
     origin: Option<Instant>,
 }
 
 impl Pacer {
-    /// `None` for flat-out: no arrival schedule, nothing to wait for,
-    /// and the live override is ignored.
+    /// `None` for flat-out: no arrival schedule, nothing to wait for.
     pub(crate) fn resolve(pace: Pace, total: usize) -> Option<Pacer> {
         let (base_mpps, peak_mpps, spike_start, spike_end) = match pace {
             Pace::Flatout => return None,
@@ -104,36 +95,17 @@ impl Pacer {
             peak_gap_ns: 1000.0 / peak_mpps,
             lo: (spike_start.clamp(0.0, 1.0) * total) as usize,
             hi: (spike_end.clamp(0.0, 1.0) * total) as usize,
-            bits: 0,
-            anchor_due: 0.0,
-            anchor_i: 0,
             origin: None,
         })
     }
 
-    /// Arrival deadline of global packet `i`. Under the plan: the sum of
-    /// inter-arrival gaps of packets `0..=i`, in closed form so
-    /// per-queue replay needs no shared accumulator. Under an override:
-    /// its gap, forward from the anchor.
+    /// Arrival deadline of global packet `i`: the sum of inter-arrival
+    /// gaps of packets `0..=i`, in closed form so per-queue replay needs
+    /// no shared accumulator.
     fn due_ns(&self, i: usize) -> f64 {
-        if self.bits != 0 {
-            return self.anchor_due + (i - self.anchor_i) as f64 * f64::from_bits(self.bits);
-        }
         let arrived = i + 1;
         let in_spike = arrived.clamp(self.lo, self.hi) - self.lo;
         (arrived - in_spike) as f64 * self.base_gap_ns + in_spike as f64 * self.peak_gap_ns
-    }
-
-    /// Pick up a changed override at packet `i`: re-anchor at its due
-    /// time under the *old* schedule, so the new gap applies strictly
-    /// forward — no retroactive burst, no stall. Releasing the override
-    /// (`bits = 0`) returns to the plan's absolute schedule.
-    fn observe(&mut self, bits: u64, i: usize) {
-        if bits != self.bits {
-            self.anchor_due = self.due_ns(i);
-            self.anchor_i = i;
-            self.bits = bits;
-        }
     }
 }
 
@@ -588,9 +560,7 @@ pub(crate) struct Ingest<'a, S: Sink> {
     pub queue: &'a Ledger<Counter>,
     pub steer: Option<SnapshotReader<SteeringSnapshot>>,
     pub pacer: Option<Pacer>,
-    /// Engine-shared live rate override and graceful-drain flag, both
-    /// observed at checkpoints.
-    pub pace_override: &'a AtomicU64,
+    /// The engine's graceful-drain flag, observed at checkpoints.
     pub drain: &'a AtomicBool,
     /// This thread's flight-recorder ring (always on; drop events only).
     pub flight: FlightRing,
@@ -656,8 +626,8 @@ impl<S: Sink> Ingest<'_, S> {
     }
 
     /// The 256-packet checkpoint: observe a pending drain request
-    /// (returns `true`: stop offering, quiesce), pick up the live pace
-    /// override and pace to the block's first global arrival time,
+    /// (returns `true`: stop offering, quiesce), pace to the block's
+    /// first global arrival time,
     /// refresh the steering snapshot, settle the finished block's books
     /// and cross the block boundary on the clock — the finished block's
     /// span closes, the new block's sampling decision is made.
@@ -668,7 +638,6 @@ impl<S: Sink> Ingest<'_, S> {
             return true;
         }
         if let Some(pacer) = self.pacer.as_mut() {
-            pacer.observe(self.pace_override.load(Ordering::Acquire), head);
             let origin = *pacer.origin.get_or_insert_with(Instant::now);
             let due = Duration::from_nanos(pacer.due_ns(head) as u64);
             self.sink.wait_until(origin, due);
@@ -777,7 +746,7 @@ mod tests {
         let key = FlowKey::tcp(Ipv4Addr::new(10, 0, 0, 1), 1, Ipv4Addr::new(10, 0, 0, 2), 2);
         let packets = vec![PacketBuilder::new(key, Ts::ZERO).build(); 2 * CHECKPOINT];
         let reg = Registry::new();
-        let (pace_override, drain) = (AtomicU64::new(0), AtomicBool::new(false));
+        let drain = AtomicBool::new(false);
         let queue = Ledger::registered(&reg, Axis::Queue, 0);
         let clocks = Clocks::new(&reg, 0, None, 0);
         let segment_opened = Instant::now();
@@ -787,7 +756,6 @@ mod tests {
             queue: &queue,
             steer: None,
             pacer: Pacer::resolve(Pace::RateMpps(0.1), packets.len()),
-            pace_override: &pace_override,
             drain: &drain,
             flight: FlightRecorder::new(16).ring("sw-rxq-0"),
             sink: Arrivals {
@@ -810,6 +778,45 @@ mod tests {
             "block 1 offered {block_1:?} into a unit whose segment opened {:?} before it ran",
             run.duration_since(segment_opened)
         );
+    }
+
+    /// The arrival schedule is its closed form, read without a clock:
+    /// packet `i` is due after the gaps of packets `0..=i`, the spike's
+    /// `[lo, hi)` at the peak gap and the rest at the base gap. Checked
+    /// at the first packet, the spike's first and last, one past it and
+    /// the last, for a constant rate and a spike; flat-out has no
+    /// schedule.
+    #[test]
+    fn the_pace_schedule_is_its_closed_form() {
+        let total = 1_000;
+        let at = [0, 250, 499, 500, 999];
+        let due = |pace| {
+            let pacer = Pacer::resolve(pace, total).expect("a paced run has a schedule");
+            at.map(|i| pacer.due_ns(i))
+        };
+        // 0.5 Mpps: a 2 000 ns gap, packet i due at (i + 1) × 2 000.
+        assert_eq!(
+            due(Pace::RateMpps(0.5)),
+            [2_000.0, 502_000.0, 1_000_000.0, 1_002_000.0, 2_000_000.0]
+        );
+        // 1 Mpps, then 4 Mpps over [250, 500): 1 000 ns and 250 ns gaps.
+        let spike = Pace::Spike {
+            base_mpps: 1.0,
+            peak_mpps: 4.0,
+            spike_start: 0.25,
+            spike_end: 0.5,
+        };
+        assert_eq!(
+            due(spike),
+            [
+                1_000.0,                 // 1 base gap
+                250.0 * 1_000.0 + 250.0, // 250 base, the spike's first
+                250.0 * 1_000.0 + 250.0 * 250.0,
+                251.0 * 1_000.0 + 250.0 * 250.0,
+                750.0 * 1_000.0 + 250.0 * 250.0,
+            ]
+        );
+        assert!(Pacer::resolve(Pace::Flatout, total).is_none());
     }
 
     /// A sink that keeps every descriptor it is handed.
@@ -876,14 +883,13 @@ mod tests {
         ];
         for source in sources {
             let reg = Registry::new();
-            let (pace_override, drain) = (AtomicU64::new(0), AtomicBool::new(false));
+            let drain = AtomicBool::new(false);
             let queue = Ledger::registered(&reg, Axis::Queue, 0);
             let unit = Ingest {
                 enforce_verdicts: true,
                 queue: &queue,
                 steer: None,
                 pacer: None,
-                pace_override: &pace_override,
                 drain: &drain,
                 flight: FlightRecorder::new(16).ring("sw-rxq-0"),
                 sink: Descriptors {

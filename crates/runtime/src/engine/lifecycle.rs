@@ -48,10 +48,7 @@ use std::time::{Duration, Instant};
 /// so every thread gets its *own* back by construction: the dispatcher
 /// the producer ends of the lanes, with the buffers they hold; shard
 /// `i` its lane and its flow state, made fresh by [`FlowState::reset`]
-/// (tables sized for shard `i`'s share of the traffic; with
-/// [`EngineConfig::carry_flow_state`] the cache inside is left warm,
-/// and RSS placement being a pure function of digest and shard count
-/// keeps it affine). The controller thread's [`ControlResident`] is not
+/// (tables sized for shard `i`'s share of the traffic). The controller thread's [`ControlResident`] is not
 /// parked here: live readers see its audit between segments and during
 /// them alike.
 #[derive(Default)]
@@ -107,9 +104,6 @@ pub struct Engine {
     /// Admin commands the controller has applied (lifetime of the
     /// engine, across runs).
     admin_applied: Counter,
-    /// Live pacing override: `f64::to_bits` of the inter-arrival gap in
-    /// ns, `0` = none. Paced ingest units re-read it at checkpoints.
-    pace_override: Arc<AtomicU64>,
     /// Resident-set gauge (`runtime.mem.rss_bytes`), sampled per epoch
     /// by the controller thread and at run boundaries.
     mem_rss: Gauge,
@@ -140,7 +134,6 @@ impl Engine {
             drain: Arc::new(AtomicBool::new(false)),
             admin: Arc::new(AdminQueue::new(1024)),
             admin_applied: registry.counter("runtime.admin.applied", &[]),
-            pace_override: Arc::new(AtomicU64::new(0)),
             mem_rss: registry.gauge("runtime.mem.rss_bytes", &[]),
             segments: AtomicU64::new(0),
             garage: Mutex::new(Garage::default()),
@@ -168,8 +161,8 @@ impl Engine {
         self.drain.load(Ordering::Acquire)
     }
 
-    /// Re-arm after a drained segment; the serve driver calls this at
-    /// the top of each segment it decides to run.
+    /// Re-arm after a drain; the serve driver calls this when its
+    /// service starts and again when a drain has ended it.
     pub fn clear_drain(&self) {
         self.drain.store(false, Ordering::Release);
     }
@@ -191,25 +184,6 @@ impl Engine {
     /// Admin commands the controller has applied so far.
     pub fn admin_applied(&self) -> u64 {
         self.admin_applied.get()
-    }
-
-    /// Override the offered rate of *paced* runs live: ingest units
-    /// re-read this at every 256-packet checkpoint and re-anchor their
-    /// arrival schedule, so the change takes effect mid-segment without
-    /// a restart. `None` returns pacing to the run's [`Pace`] plan.
-    /// Flat-out runs (no arrival schedule) ignore the override.
-    pub fn set_rate_override(&self, mpps: Option<f64>) {
-        let bits = match mpps {
-            Some(r) if r > 0.0 && r.is_finite() => (1000.0 / r).to_bits(),
-            _ => 0,
-        };
-        self.pace_override.store(bits, Ordering::Release);
-    }
-
-    /// The live rate override, if any, in Mpps.
-    pub fn rate_override(&self) -> Option<f64> {
-        let bits = self.pace_override.load(Ordering::Acquire);
-        (bits != 0).then(|| 1000.0 / f64::from_bits(bits))
     }
 
     /// The metric registry the engine publishes into.
@@ -339,13 +313,6 @@ impl Engine {
                     ("draining".into(), Value::Bool(self.drain_requested())),
                     ("admin_queued".into(), uint(self.admin.len() as u64)),
                     ("admin_applied".into(), uint(self.admin_applied.get())),
-                    (
-                        "rate_override_mpps".into(),
-                        match self.rate_override() {
-                            Some(r) => Value::Number(Number::F(r)),
-                            None => Value::Null,
-                        },
-                    ),
                 ]),
             ),
         ]);
@@ -446,7 +413,7 @@ impl Engine {
         let mut worker = |i: usize, flight: FlightRing, clock: Clock| {
             let flow = match garage.flows[i].take() {
                 Some(mut flow) => {
-                    flow.reset(cfg.carry_flow_state);
+                    flow.reset();
                     flow_resets.inc();
                     flow
                 }
@@ -654,7 +621,6 @@ impl Engine {
                     queue: &u.queues[i],
                     steer: u.steer[i].take(),
                     pacer: u.pacer,
-                    pace_override: self.pace_override.as_ref(),
                     drain: self.drain.as_ref(),
                     sink: sink(i, flight.clone(), u.clocks.thread(&thread)),
                     flight,

@@ -73,9 +73,7 @@
 //! FlowCache and detector tables, every later one gets them back
 //! through an exact in-place reset
 //! (`runtime.flowstate.{resets, resident_bytes, table_slots,
-//! table_probe_mean}`); under
-//! [`EngineConfig::carry_flow_state`] the cache is handed back warm
-//! instead. The controller is parked the same way — one for the life
+//! table_probe_mean}`). The controller is parked the same way — one for the life
 //! of the engine, with its epoch counter, rate baselines and the
 //! operator's pins — so [`EngineReport::control`] is a lifetime view
 //! and a pin holds from the first packet of every later segment.

@@ -36,7 +36,8 @@
 //! back to the dispatcher through the lane's own ring (the spare a
 //! [`LaneRx`] leaves in the next slot it pops) instead of being freed.
 
-// No wall-clock read of its own (`clippy.toml`): see `process_packet`.
+// No wall-clock read and no flow digest of its own (`clippy.toml`): see
+// `process_packet`.
 #![deny(clippy::disallowed_methods)]
 
 use crate::batch::{Backoff, Batch, DigestedPacket};
@@ -277,11 +278,8 @@ impl FlowState {
     }
 
     /// Make parked state fresh for the next segment, in place.
-    /// `carry_cache` leaves the FlowCache as the last segment left it
-    /// ([`EngineConfig::carry_flow_state`]);
-    /// everything else always starts over.
-    pub(crate) fn reset(&mut self, carry_cache: bool) {
-        self.tier.reset(carry_cache);
+    pub(crate) fn reset(&mut self) {
+        self.tier.reset();
         self.blacklist.reset();
         self.whitelist.reset();
         self.local = LocalBatchStats::default();
@@ -676,6 +674,7 @@ impl ShardWorker {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests build descriptors themselves
 mod tests {
     use super::*;
     use crate::obs::{Clocks, PERIOD};

@@ -355,9 +355,12 @@ fn mode_pin_is_what_every_view_reports() {
     assert_eq!(gauge.get(), 0.0);
 }
 
-/// The controller keeps its counter baselines across segments, so the
-/// first epoch of a segment measures that epoch — not the registry's
-/// engine-lifetime counters over 5 ms — and its report is one lifetime.
+/// One controller serves every segment, so its report is one lifetime:
+/// epochs run on across segments and match the engine's
+/// `control.epochs` counter. That the first epoch of a segment measures
+/// that epoch — not the registry's engine-lifetime counters — is pinned
+/// without a clock by the controller's
+/// `new_segment_forgets_the_traffic_and_keeps_the_engine`.
 fn no_phantom_first_epoch() {
     let engine = Engine::new(EngineConfig::new(2).with_control(ControlConfig::default()));
     let packets = workload(100_000);
@@ -365,16 +368,6 @@ fn no_phantom_first_epoch() {
     for segment in 0..4 {
         let report = engine.run(&packets, Pace::RateMpps(0.25));
         let ctrl = report.control.expect("controller ran");
-        // Four segments of ~80 epochs fit the 512-record audit, so this
-        // covers every segment's first epoch.
-        for d in &ctrl.decisions {
-            assert!(
-                d.offered_mpps < 1.0,
-                "segment {segment}: epoch {} saw {} Mpps of a 0.25 Mpps drive",
-                d.epoch,
-                d.offered_mpps
-            );
-        }
         assert!(ctrl.epochs > epochs, "segment {segment}: epochs run on");
         assert_eq!(
             ctrl.epochs,

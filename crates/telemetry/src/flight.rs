@@ -51,7 +51,7 @@ pub enum FlightKind {
     ConservationDelta = 10,
     /// End-of-run marker with the conservation verdict.
     RunEnd = 11,
-    /// An admin command (steering edit, mode/shed/pace override) was
+    /// An admin command (steering edit, mode or shed pin) was
     /// applied by the controller at an epoch boundary.
     AdminEdit = 12,
     /// An applied blacklist verdict dropped packets on a shard. (13 is

@@ -1,14 +1,15 @@
 //! Minimal std-only HTTP/1.1 server for live observability and admin
 //! endpoints.
 //!
-//! No dependency beyond `std::net`: a single accept-loop thread parses
-//! request heads, reads bounded bodies, and answers from registered
-//! [`Route`] handlers, each a closure over snapshot reads
-//! (`Registry::snapshot`, `FlightRecorder::to_json`, …) or — for the
-//! serve-mode admin surface — over a command queue drained at epoch
-//! boundaries. Good enough for `curl`, a Prometheus scraper, or a
-//! browser pointed at a running engine — and nothing more: one
-//! connection at a time, short timeouts, `Connection: close`.
+//! No dependency beyond `std::net`: an accept-loop thread hands each
+//! connection to a handler thread of its own, which parses the request
+//! head, reads a bounded body and answers from registered [`Route`]
+//! handlers, each a closure over snapshot reads (`Registry::snapshot`,
+//! `FlightRecorder::to_json`, …) or — for the serve-mode admin surface —
+//! over a command queue drained at epoch boundaries. Good enough for
+//! `curl`, a Prometheus scraper, or a browser pointed at a running
+//! engine — and nothing more: at most [`SLOTS`] connections at a time,
+//! short timeouts, `Connection: close`.
 //!
 //! Hardening (all enforced before a handler runs):
 //!
@@ -17,7 +18,10 @@
 //! * bodies capped at [`MAX_BODY_BYTES`] — `413` beyond that;
 //! * the whole request must arrive within [`REQUEST_DEADLINE`] of the
 //!   connection being accepted, however slowly its bytes drip — `408`
-//!   after that, so no client can hold the one server thread;
+//!   after that, so no client can hold a handler slot for longer;
+//! * a connection accepted while all [`SLOTS`] handler slots are busy
+//!   is answered `503` at once, so idle sockets hold slots, never the
+//!   listener;
 //! * a connection closed before its head ends or its body reaches
 //!   `Content-Length` is `400`: a handler never sees half a request;
 //! * malformed request lines are `400`;
@@ -44,6 +48,9 @@ pub const MAX_BODY_BYTES: usize = 65536;
 
 /// Time a client has to deliver its whole request (head and body).
 pub const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Connections served at once, each on its own handler thread.
+const SLOTS: usize = 4;
 
 /// What a route handler returns.
 pub struct HttpResponse {
@@ -87,6 +94,7 @@ impl HttpResponse {
             413 => "Payload Too Large",
             422 => "Unprocessable Entity",
             431 => "Request Header Fields Too Large",
+            503 => "Service Unavailable",
             _ => "Error",
         }
     }
@@ -182,7 +190,8 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stop accepting and join the server thread.
+    /// Stop accepting, and join the server thread once the connections
+    /// in flight are answered.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -203,13 +212,37 @@ impl Drop for HttpServer {
     }
 }
 
+/// Accept connections and hand each to a handler thread of its own
+/// while fewer than [`SLOTS`] are running. A handler ends within
+/// [`REQUEST_DEADLINE`] plus one bounded write, so stopping joins the
+/// ones in flight without waiting on a client.
 fn accept_loop(listener: TcpListener, routes: Vec<Route>, shared: Arc<ServerShared>) {
+    let routes: Arc<[Route]> = routes.into();
+    let mut handlers: Vec<thread::JoinHandle<()>> = Vec::with_capacity(SLOTS);
     for conn in listener.incoming() {
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        let _ = handle_connection(stream, &routes);
+        handlers.retain(|h| !h.is_finished());
+        if handlers.len() >= SLOTS {
+            let full = HttpResponse::text(503, "every handler slot is busy; retry\n");
+            let _ = write_response(stream, &full);
+            continue;
+        }
+        let routes = Arc::clone(&routes);
+        let spawned = thread::Builder::new()
+            .name("sw-http-conn".into())
+            .spawn(move || {
+                let _ = handle_connection(stream, &routes);
+            });
+        // A failed spawn drops the connection unanswered.
+        if let Ok(handler) = spawned {
+            handlers.push(handler);
+        }
+    }
+    for handler in handlers {
+        let _ = handler.join();
     }
 }
 
@@ -304,13 +337,15 @@ fn content_length(head: &str) -> usize {
 
 fn handle_connection(mut stream: TcpStream, routes: &[Route]) -> std::io::Result<()> {
     let deadline = Instant::now() + REQUEST_DEADLINE;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-
     let response = match read_head(&mut stream, deadline) {
         Err(refusal) => refusal,
         Ok((buf, head_len)) => respond(&mut stream, deadline, buf, head_len, routes),
     };
+    write_response(stream, &response)
+}
 
+fn write_response(mut stream: TcpStream, response: &HttpResponse) -> std::io::Result<()> {
+    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
@@ -556,9 +591,9 @@ mod tests {
         assert_eq!(status, 400, "path must start with /");
         server.shutdown();
     }
-    /// One server thread, one connection at a time: a client must not
-    /// be able to keep it, whether by dripping bytes (each drip used to
-    /// re-arm a per-read timeout) or by announcing more than it sends.
+    /// A client must not be able to keep a handler slot, whether by
+    /// dripping bytes (each drip used to re-arm a per-read timeout) or
+    /// by announcing more than it sends.
     #[test]
     fn slow_and_short_requests_are_refused_by_name() {
         let server = HttpServer::serve("127.0.0.1:0", demo_routes()).unwrap();
@@ -595,6 +630,46 @@ mod tests {
 
         // The listener survived all three.
         assert_eq!(get(addr, "/metrics").0, 200);
+        server.shutdown();
+    }
+
+    /// Whether the server has sent `stream` anything (or closed it)
+    /// yet, asked without waiting.
+    fn answered(stream: &TcpStream) -> bool {
+        stream.set_nonblocking(true).unwrap();
+        let read = (&*stream).read(&mut [0u8; 1]);
+        stream.set_nonblocking(false).unwrap();
+        !matches!(read, Err(e) if e.kind() == ErrorKind::WouldBlock)
+    }
+
+    /// An idle connection holds one handler slot, not the listener: a
+    /// request that arrives after it is answered while the idle one is
+    /// still waiting out its deadline.
+    #[test]
+    fn an_idle_connection_does_not_hold_the_other_routes() {
+        let server = HttpServer::serve("127.0.0.1:0", demo_routes()).unwrap();
+        let addr = server.local_addr();
+        let idle = TcpStream::connect(addr).unwrap();
+        assert_eq!(get(addr, "/metrics").0, 200);
+        assert!(!answered(&idle), "the idle connection was answered first");
+        server.shutdown();
+    }
+
+    /// With every slot held by an idle connection, the next one is
+    /// refused with `503` at once rather than queued behind them.
+    #[test]
+    fn with_every_slot_held_idle_a_request_is_refused_with_503() {
+        let server = HttpServer::serve("127.0.0.1:0", demo_routes()).unwrap();
+        let addr = server.local_addr();
+        let idle: Vec<TcpStream> = (0..SLOTS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let (status, body) = get(addr, "/metrics");
+        assert_eq!(status, 503, "{body}");
+        assert!(
+            idle.iter().all(|s| !answered(s)),
+            "an idle connection was answered first"
+        );
         server.shutdown();
     }
 }

@@ -3,8 +3,8 @@
 //! every view must tell the same story — the registry's `snic.cache.*`
 //! / `snic.ring.*` cells, each shard's own `CacheStats` in the report,
 //! the report's `flowcache` summary and the shard ledgers — per shard
-//! and per segment, on both datapaths, with the cache carried across
-//! segments or reset in place.
+//! and per segment, on both datapaths, with the cache reset in place
+//! between segments.
 
 use smartwatch::net::{Dur, FlowKey, Packet, PacketBuilder, Ts};
 use smartwatch::runtime::{
@@ -47,13 +47,12 @@ fn trace() -> Vec<Packet> {
 
 /// Two shards over small partitions, inline triage, and a controller
 /// that does nothing but relay the admin edit each segment queues.
-fn engine(datapath: DatapathMode, carry: bool) -> Engine {
+fn engine(datapath: DatapathMode) -> Engine {
     let mut cfg = EngineConfig::new(2);
     cfg.datapath = datapath;
     cfg.cache_row_bits = 4;
     cfg.host_workers = 0;
     cfg.triage_threshold = 8;
-    cfg.carry_flow_state = carry;
     Engine::new(cfg.with_control(ControlConfig {
         epoch_ms: 2,
         shed_on_mpps: 1_000.0,
@@ -155,68 +154,66 @@ fn check(label: &str, report: &EngineReport, published: CacheStats, ring_pushed:
 fn every_view_of_the_caches_books_agrees_per_shard_and_per_segment() {
     let packets = trace();
     for datapath in [DatapathMode::Pipeline, DatapathMode::Rtc] {
-        for carry in [false, true] {
-            let label = format!("{datapath:?}, carry {carry}");
-            let engine = engine(datapath, carry);
+        let label = format!("{datapath:?}");
+        let engine = engine(datapath);
 
-            let first = segment(&engine, &packets);
-            let after_first = registry_books(&engine);
-            let pushed_first = ring_cell(&engine, "snic.ring.pushed");
-            check(
-                &format!("{label}, segment 1"),
-                &first,
-                after_first,
-                pushed_first,
-            );
+        let first = segment(&engine, &packets);
+        let after_first = registry_books(&engine);
+        let pushed_first = ring_cell(&engine, "snic.ring.pushed");
+        check(
+            &format!("{label}, segment 1"),
+            &first,
+            after_first,
+            pushed_first,
+        );
 
-            // The trace did what it was built to do.
-            let s = after_first;
-            assert!(
-                s.p_hits > 0 && s.misses > 0 && s.evictions > 0,
-                "{label}: {s:?}"
-            );
-            assert!(
-                s.pins > 0 && s.unpins > 0,
-                "{label}: escalations pin: {s:?}"
-            );
-            assert!(first.total(Count::VerdictDropped) > 0, "{label}");
-            assert!(
-                s.mode_switches > 0 && s.rows_cleaned > 0 && s.cleanup_evictions > 0,
-                "{label}: the forced Lite flip must reach shard 0's cache: {s:?}"
-            );
-            assert_eq!(
-                first.shards[1].cache.rows_cleaned, 0,
-                "{label}: shard 1 stayed General"
-            );
+        // The trace did what it was built to do.
+        let s = after_first;
+        assert!(
+            s.p_hits > 0 && s.misses > 0 && s.evictions > 0,
+            "{label}: {s:?}"
+        );
+        assert!(
+            s.pins > 0 && s.unpins > 0,
+            "{label}: escalations pin: {s:?}"
+        );
+        assert!(first.total(Count::VerdictDropped) > 0, "{label}");
+        assert!(
+            s.mode_switches > 0 && s.rows_cleaned > 0 && s.cleanup_evictions > 0,
+            "{label}: the forced Lite flip must reach shard 0's cache: {s:?}"
+        );
+        assert_eq!(
+            first.shards[1].cache.rows_cleaned, 0,
+            "{label}: shard 1 stayed General"
+        );
 
-            // `stats()` of shard i counts shard i only: the two shards
-            // saw different flows, and neither holds the total.
-            let [a, b] = [first.shards[0].cache, first.shards[1].cache];
-            assert!(
-                a.misses > 0 && b.misses > 0 && a != b,
-                "{label}: {a:?} {b:?}"
-            );
+        // `stats()` of shard i counts shard i only: the two shards
+        // saw different flows, and neither holds the total.
+        let [a, b] = [first.shards[0].cache, first.shards[1].cache];
+        assert!(
+            a.misses > 0 && b.misses > 0 && a != b,
+            "{label}: {a:?} {b:?}"
+        );
 
-            // A second segment reports only its own share, while the
-            // registry — and the caches — hold both.
-            let second = segment(&engine, &packets);
-            let after_second = registry_books(&engine);
-            let pushed_second = ring_cell(&engine, "snic.ring.pushed");
-            check(
-                &format!("{label}, segment 2"),
-                &second,
-                after_second - after_first,
-                pushed_second - pushed_first,
-            );
-            assert!(after_second.misses > after_first.misses, "{label}");
-            // Fewer evictions per partition than one ring holds: none
-            // can have overflowed.
-            assert!(pushed_second < 65_536, "{label}");
-            assert_eq!(
-                ring_cell(&engine, "snic.ring.overflow_to_host"),
-                0,
-                "{label}"
-            );
-        }
+        // A second segment reports only its own share, while the
+        // registry — and the caches — hold both.
+        let second = segment(&engine, &packets);
+        let after_second = registry_books(&engine);
+        let pushed_second = ring_cell(&engine, "snic.ring.pushed");
+        check(
+            &format!("{label}, segment 2"),
+            &second,
+            after_second - after_first,
+            pushed_second - pushed_first,
+        );
+        assert!(after_second.misses > after_first.misses, "{label}");
+        // Fewer evictions per partition than one ring holds: none
+        // can have overflowed.
+        assert!(pushed_second < 65_536, "{label}");
+        assert_eq!(
+            ring_cell(&engine, "snic.ring.overflow_to_host"),
+            0,
+            "{label}"
+        );
     }
 }
