@@ -64,9 +64,6 @@ pub struct ControlConfig {
     /// Wall-clock epoch period in milliseconds (used by the runtime's
     /// controller thread; the state machine itself is time-free).
     pub epoch_ms: u64,
-    /// Flow-hash seed — must match the engine's dispatch seed so
-    /// verdict digests line up with dispatch digests.
-    pub hash_seed: u64,
     /// Per-shard rate above which Algorithm 4 flips to Lite, in Mpps.
     pub eta_lite_mpps: f64,
     /// Per-shard rate below which Algorithm 4 returns to General, in
@@ -89,7 +86,6 @@ impl Default for ControlConfig {
     fn default() -> ControlConfig {
         ControlConfig {
             epoch_ms: 5,
-            hash_seed: 0x51CC,
             eta_lite_mpps: 2.5,
             eta_general_mpps: 1.8,
             shed_on_mpps: 6.0,
@@ -478,12 +474,23 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// A controller that has run no epoch.
+    /// A controller that has run no epoch, digesting verdict keys under
+    /// the engine's default flow-hash seed `0x51CC`.
+    ///
+    /// # Panics
+    /// As [`Controller::with_seed`].
+    pub fn new(cfg: ControlConfig) -> Controller {
+        Controller::with_seed(cfg, 0x51CC)
+    }
+
+    /// A controller that has run no epoch, digesting verdict keys under
+    /// `hash_seed` — the seed of the engine it steers, so its verdict
+    /// digests line up with the engine's dispatch digests.
     ///
     /// # Panics
     /// Panics unless `eta_general_mpps < eta_lite_mpps` and
     /// `shed_off_mpps < shed_on_mpps` (both hystereses need a band).
-    pub fn new(cfg: ControlConfig) -> Controller {
+    pub fn with_seed(cfg: ControlConfig, hash_seed: u64) -> Controller {
         assert!(
             cfg.eta_general_mpps < cfg.eta_lite_mpps,
             "need eta_general_mpps < eta_lite_mpps for hysteresis"
@@ -493,7 +500,7 @@ impl Controller {
             "need shed_off_mpps < shed_on_mpps for hysteresis"
         );
         Controller {
-            hasher: FlowHasher::new(cfg.hash_seed),
+            hasher: FlowHasher::new(hash_seed),
             whitelist: AgingDigestSet::new(TABLE_CAPACITY, WHITELIST_TTL_EPOCHS),
             blacklist: AgingDigestSet::new(TABLE_CAPACITY, BLACKLIST_TTL_EPOCHS),
             cfg,
@@ -1092,7 +1099,6 @@ mod tests {
     fn every_control_knob_is_named_and_its_default_pinned() {
         let ControlConfig {
             epoch_ms,
-            hash_seed,
             eta_lite_mpps,
             eta_general_mpps,
             shed_on_mpps,
@@ -1101,13 +1107,8 @@ mod tests {
             promote_pkts_per_epoch,
         } = ControlConfig::default();
         assert_eq!(
-            (
-                epoch_ms,
-                hash_seed,
-                shed_sustain_epochs,
-                promote_pkts_per_epoch
-            ),
-            (5, 0x51CC, 3, 2000)
+            (epoch_ms, shed_sustain_epochs, promote_pkts_per_epoch),
+            (5, 3, 2000)
         );
         assert_eq!(
             (eta_lite_mpps, eta_general_mpps, shed_on_mpps, shed_off_mpps),

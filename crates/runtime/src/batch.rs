@@ -64,15 +64,20 @@ pub(crate) struct Batch {
     pub stop: bool,
 }
 
-/// Poll-loop pacing: spin briefly, then yield, then park with doubling
+/// Lane-wait pacing: spin briefly, then yield, then park with doubling
 /// timeouts — bounded exponential backoff.
 ///
-/// The first [`Backoff::SPIN_LIMIT`] idle polls spin (latency-optimal
-/// when work is about to arrive), the next stretch yields the CPU (the
-/// producer may need this very core), and from then on the thread parks,
-/// doubling the timeout from [`Backoff::PARK_MIN`] up to
-/// [`Backoff::PARK_MAX`] — so a paced low-rate run stops burning a full
-/// core per idle shard while the wake-up latency stays bounded.
+/// Its two users are the two lane waits a bench cell crosses: a shard
+/// polling an empty lane (`ShardWorker::run`) and a dispatcher blocked
+/// on a full one (`spsc::exchange_blocking`). Neither knows when the
+/// other end moves, so the first [`Backoff::SPIN_LIMIT`] idle polls spin
+/// (latency-optimal when work is about to arrive), the next stretch
+/// yields the CPU (the other end may need this very core), and from then
+/// on the thread parks, doubling the timeout from [`Backoff::PARK_MIN`]
+/// up to [`Backoff::PARK_MAX`] — so a paced low-rate run stops burning a
+/// full core per idle shard while the wake-up latency stays bounded. A
+/// wait for a known deadline parks straight away instead
+/// (`engine::ingest::wait_until`).
 pub(crate) struct Backoff {
     polls: u32,
 }

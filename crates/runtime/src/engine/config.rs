@@ -108,10 +108,10 @@ impl EngineConfig {
         }
     }
 
-    /// Attach a control plane (its hash seed is forced to the engine's
-    /// so verdict/steering digests line up with dispatch digests).
-    pub fn with_control(mut self, mut ctrl: ControlConfig) -> EngineConfig {
-        ctrl.hash_seed = self.hash_seed;
+    /// Attach a control plane. The engine builds its controller under
+    /// the engine's own hash seed, so verdict/steering digests line up
+    /// with dispatch digests.
+    pub fn with_control(mut self, ctrl: ControlConfig) -> EngineConfig {
         self.control = Some(ctrl);
         self
     }

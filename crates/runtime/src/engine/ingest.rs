@@ -18,8 +18,9 @@
 //! coalescing, counter fold, the block's sampling decision), the
 //! steering filter and the end-of-stream tail. The two topologies differ
 //! only in the [`Sink`] hooks: whose shard counters a steering drop
-//! lands on, how a paced unit waits, what its block span is called,
-//! where the thread's clock lives and what it hands back.
+//! lands on, whether a paced unit's parks are counted, what its block
+//! span is called, where the thread's clock lives and what it hands
+//! back.
 //!
 //! The lanes need no buffer pool beside them: a [`LaneTx`] publishes
 //! its full staging buffer into a ring slot and stages into whatever the
@@ -27,7 +28,7 @@
 //! are allocated on its first lap and circulate from then on.
 
 use super::config::{FrameSource, Pace};
-use crate::batch::{Backoff, Batch, DigestedPacket};
+use crate::batch::{Batch, DigestedPacket};
 use crate::books::{end_at_ingest, Count, Disposition, Ledger};
 use crate::obs::{Clock, Stage};
 use crate::shard::{FlowState, LaneRx, ShardCounters, ShardEndState, ShardWorker};
@@ -286,25 +287,32 @@ pub(crate) trait Sink {
     fn clock(&mut self) -> &mut Clock;
     /// The shard books a steering drop of `digest` lands on.
     fn shard_books(&self, digest: HashDigest) -> &Ledger<Counter>;
-    /// Wait out a paced arrival gap, until `due` after `origin`. The
-    /// open-loop default parks for the bulk of a long gap (an idle
-    /// dispatcher must not burn the core at low offered rates), then
-    /// yield-spins the final stretch for timing accuracy.
-    fn wait_until(&mut self, origin: Instant, due: Duration) {
-        while let Some(remaining) = due.checked_sub(origin.elapsed()) {
-            if remaining > Duration::from_micros(500) {
-                std::thread::park_timeout(remaining - Duration::from_micros(200));
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
+    /// A paced wait ([`wait_until`]) parked `parks` times. A dispatcher
+    /// is no shard and counts nothing.
+    fn parked(&mut self, _parks: u64) {}
     /// Stage one packet; a full batch moves on.
     fn push(&mut self, dp: DigestedPacket, local: &mut Ledger);
     /// End of stream (or drain): move every staged packet on.
     fn flush(&mut self, local: &mut Ledger);
     /// Quiesce downstream.
     fn close(self) -> Self::Out;
+}
+
+/// Wait out a paced arrival gap, until `due` after `origin`: park for
+/// the bulk of a long gap (an idle unit must not burn the core at low
+/// offered rates), then yield-spin the final stretch for timing
+/// accuracy. Returns how many times it parked.
+pub(crate) fn wait_until(origin: Instant, due: Duration) -> u64 {
+    let mut parks = 0;
+    while let Some(remaining) = due.checked_sub(origin.elapsed()) {
+        if remaining > Duration::from_micros(500) {
+            std::thread::park_timeout(remaining - Duration::from_micros(200));
+            parks += 1;
+        } else {
+            std::thread::yield_now();
+        }
+    }
+    parks
 }
 
 /// The dispatcher's end of one lane: the producer half of its SPSC
@@ -471,7 +479,6 @@ pub(crate) struct ShardSink {
     /// lane — on loan from the worker's [`FlowState`], which parks it.
     buf: Vec<DigestedPacket>,
     batch: usize,
-    backoff: Backoff,
     worker: ShardWorker,
 }
 
@@ -479,12 +486,7 @@ impl ShardSink {
     pub(crate) fn new(batch: usize, mut worker: ShardWorker) -> ShardSink {
         let mut buf = std::mem::take(&mut worker.flow.stage);
         buf.reserve(batch);
-        ShardSink {
-            buf,
-            batch,
-            backoff: Backoff::new(),
-            worker,
-        }
+        ShardSink { buf, batch, worker }
     }
 }
 
@@ -500,16 +502,10 @@ impl Sink for ShardSink {
         &self.worker.counters.counts
     }
 
-    /// The shard [`Backoff`] ladder (spin → yield → park, parks counted
-    /// as `idle_parks`): the core is also the shard, so at low offered
-    /// rates it must not busy-spin the CPU its own processing runs on.
-    fn wait_until(&mut self, origin: Instant, due: Duration) {
-        while origin.elapsed() < due {
-            if self.backoff.idle() {
-                self.worker.counters.counts[Count::IdleParks].inc();
-            }
-        }
-        self.backoff.reset();
+    /// The core is also the shard: its paced parks are the shard's
+    /// `idle_parks`.
+    fn parked(&mut self, parks: u64) {
+        self.worker.counters.counts[Count::IdleParks].add(parks);
     }
 
     #[inline]
@@ -640,7 +636,8 @@ impl<S: Sink> Ingest<'_, S> {
         if let Some(pacer) = self.pacer.as_mut() {
             let origin = *pacer.origin.get_or_insert_with(Instant::now);
             let due = Duration::from_nanos(pacer.due_ns(head) as u64);
-            self.sink.wait_until(origin, due);
+            let parks = wait_until(origin, due);
+            self.sink.parked(parks);
         }
         // One atomic load; re-clones the snapshot Arc only when the
         // controller published since the last check.
@@ -778,6 +775,19 @@ mod tests {
             "block 1 offered {block_1:?} into a unit whose segment opened {:?} before it ran",
             run.duration_since(segment_opened)
         );
+    }
+
+    /// The one paced wait, pinned without a clock threshold: a deadline
+    /// 2 ms ahead parks at least once and is never left early, and a
+    /// deadline already past returns at once without parking.
+    #[test]
+    fn the_paced_wait_parks_on_a_long_gap_and_never_leaves_early() {
+        let origin = Instant::now();
+        let due = Duration::from_millis(2);
+        let parks = wait_until(origin, due);
+        assert!(origin.elapsed() > due, "the wait left before its deadline");
+        assert!(parks >= 1, "a 2 ms gap parks (parks={parks})");
+        assert_eq!(wait_until(origin, due), 0, "a past deadline parks nothing");
     }
 
     /// The arrival schedule is its closed form, read without a clock:

@@ -90,7 +90,7 @@ pub struct Engine {
     /// Chrome-trace sink for sampled wall-clock spans; set by
     /// [`Engine::attach_tracer`], inert without one.
     tracer: Option<Tracer>,
-    /// Always-on black box: bounded lock-free per-thread event rings.
+    /// Always-on black box: bounded per-thread event rings.
     flight: FlightRecorder,
     /// The control plane, once a segment has run with one. The
     /// controller thread takes this lock once per epoch, and live
@@ -377,7 +377,7 @@ impl Engine {
                 Arc::clone(&setup.log),
                 setup.host_processed.clone(),
                 &clocks,
-                move |_| Box::new(TriageNf::new(threshold)),
+                move || Box::new(TriageNf::new(threshold)),
             )
         });
 
@@ -674,24 +674,20 @@ impl Engine {
                 home.steer.publish(home.ctrl.new_segment());
                 home
             }
-            None => {
-                let mut ctrl_cfg = ctrl_cfg.clone();
-                ctrl_cfg.hash_seed = self.cfg.hash_seed;
-                resident.insert(ControlResident {
-                    ctrl: Controller::new(ctrl_cfg).for_shards(n),
-                    modes: (0..n).map(|_| Arc::new(ModeCell::default())).collect(),
-                    steer: Arc::new(SnapshotCell::new(SteeringSnapshot::empty())),
-                    books: Publisher::new(&self.registry, &[])
-                        .counters(&COUNTERS)
-                        .gauges(&GAUGES),
-                    shard_books: (0..n)
-                        .map(|i| {
-                            Publisher::new(&self.registry, &[("shard", &i.to_string())])
-                                .gauges(&SHARD_GAUGES)
-                        })
-                        .collect(),
-                })
-            }
+            None => resident.insert(ControlResident {
+                ctrl: Controller::with_seed(ctrl_cfg.clone(), self.cfg.hash_seed).for_shards(n),
+                modes: (0..n).map(|_| Arc::new(ModeCell::default())).collect(),
+                steer: Arc::new(SnapshotCell::new(SteeringSnapshot::empty())),
+                books: Publisher::new(&self.registry, &[])
+                    .counters(&COUNTERS)
+                    .gauges(&GAUGES),
+                shard_books: (0..n)
+                    .map(|i| {
+                        Publisher::new(&self.registry, &[("shard", &i.to_string())])
+                            .gauges(&SHARD_GAUGES)
+                    })
+                    .collect(),
+            }),
         };
         let (heavy_tx, heavy_rx) = std::sync::mpsc::sync_channel::<(u64, u64)>(8192);
         for (slot, mode) in plane.shard_hooks.iter_mut().zip(&home.modes) {

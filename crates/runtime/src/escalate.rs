@@ -16,7 +16,7 @@ use smartwatch_net::{FlowKey, Packet, Resident};
 use smartwatch_telemetry::Counter;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-use std::sync::mpsc::{sync_channel, SyncSender, TryRecvError};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -95,9 +95,9 @@ impl HostPool {
     pub const QUEUE: usize = 4096;
 
     /// Spawn `workers` threads, each owning its own NF built by
-    /// `make_nf(worker_idx)` and its clock (`sw-host-{w}`). `queue`
-    /// bounds in-flight escalations across the whole pool (the SR-IOV RX
-    /// ring stand-in). Verdicts go straight to `log`.
+    /// `make_nf` and its clock (`sw-host-{w}`). `queue` bounds in-flight
+    /// escalations across the whole pool (the SR-IOV RX ring stand-in).
+    /// Verdicts go straight to `log`.
     pub(crate) fn spawn<F>(
         workers: usize,
         queue: usize,
@@ -107,7 +107,7 @@ impl HostPool {
         make_nf: F,
     ) -> HostPool
     where
-        F: Fn(usize) -> Box<dyn HostNf>,
+        F: Fn() -> Box<dyn HostNf>,
     {
         assert!(workers >= 1, "pool needs at least one worker");
         let (tx, rx) = sync_channel::<Escalated>(queue.max(1));
@@ -116,38 +116,30 @@ impl HostPool {
             .map(|w| {
                 let rx = Arc::clone(&rx);
                 let log = Arc::clone(&log);
-                let mut nf = make_nf(w);
+                let mut nf = make_nf();
                 let processed = processed.clone();
                 let name = format!("sw-host-{w}");
                 let mut clock = clocks.thread(&name);
                 std::thread::Builder::new()
                     .name(name)
                     .spawn(move || {
-                        let mut backoff = crate::batch::Backoff::new();
                         loop {
-                            // Hold the receiver lock only for the non-blocking
-                            // poll, so workers interleave rather than convoy.
-                            let next = rx.lock().expect("pool receiver poisoned").try_recv();
-                            match next {
-                                Ok(esc) => {
-                                    backoff.reset();
-                                    processed.inc();
-                                    for v in nf.on_packet(&esc.pkt) {
-                                        log.publish(v);
-                                    }
-                                    // The full shard→verdict round trip,
-                                    // queueing included.
-                                    if let Some(sent) = esc.sent {
-                                        let now = clock.now();
-                                        clock.close(Stage::Escalate, sent, now);
-                                    }
-                                }
-                                // Same spin→yield→park backoff as the shards:
-                                // an idle host worker must not burn a core.
-                                Err(TryRecvError::Empty) => {
-                                    backoff.idle();
-                                }
-                                Err(TryRecvError::Disconnected) => return,
+                            // The receiver lock is held for one blocking
+                            // `recv` and released before the NF runs, so
+                            // workers take turns waiting and process side
+                            // by side. Once every sender is gone the queue
+                            // drains before `recv` fails.
+                            let next = rx.lock().expect("pool receiver poisoned").recv();
+                            let Ok(esc) = next else { return };
+                            processed.inc();
+                            for v in nf.on_packet(&esc.pkt) {
+                                log.publish(v);
+                            }
+                            // The full shard→verdict round trip, queueing
+                            // included.
+                            if let Some(sent) = esc.sent {
+                                let now = clock.now();
+                                clock.close(Stage::Escalate, sent, now);
                             }
                         }
                     })
@@ -234,7 +226,7 @@ mod tests {
             Arc::clone(&log),
             Counter::detached(),
             &clocks,
-            |_| Box::new(TriageNf::new(1)),
+            || Box::new(TriageNf::new(1)),
         );
         let mut sent = 0u64;
         for i in 0..100u8 {
@@ -268,7 +260,7 @@ mod tests {
         }
         let log = Arc::new(ControlLog::new());
         let clocks = Clocks::new(&Registry::new(), 0, None, 0);
-        let pool = HostPool::spawn(1, 2, log, Counter::detached(), &clocks, |_| Box::new(Stuck));
+        let pool = HostPool::spawn(1, 2, log, Counter::detached(), &clocks, || Box::new(Stuck));
         let mut rejected = false;
         for i in 0..64u8 {
             if !send(&pool, pkt(i, 22), None) {

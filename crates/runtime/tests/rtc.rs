@@ -4,9 +4,9 @@
 //! FlowCache access mix, probe histograms and the two-axis conservation
 //! identity are pinned byte-identical to the pipeline datapath for the
 //! same seed across synthetic, compiled (v4 and v6) and pcap-sourced
-//! replays. Paced RTC cores must idle on the spin→yield→park backoff
-//! ladder (counted as `idle_parks`), never busy-spin, and never drop at
-//! ingest (no lane to overrun: the core self-backpressures).
+//! replays. A paced RTC core must park until its next arrival is due
+//! (counted as `idle_parks`), never busy-spin, and never drop at ingest
+//! (no lane to overrun: the core self-backpressures).
 
 use smartwatch_net::{pcap, Dur, FlowKey, FrameStore, PacketBuilder, Ts};
 use smartwatch_runtime::{Count, DatapathMode, Engine, EngineConfig, FrameSource, Pace};
@@ -231,12 +231,12 @@ fn repeated_four_core_runs_decide_alike_without_a_finish_line() {
 }
 
 #[test]
-fn paced_rtc_core_idles_on_the_backoff_ladder_without_drops() {
+fn paced_rtc_core_parks_until_its_deadline_without_drops() {
     // At a low offered rate the fused core spends most of its time
-    // waiting out arrival gaps. That wait must escalate down the
-    // spin→yield→park ladder (observable as idle_parks — no busy-spin
-    // at zero load) and must never drop at ingest: with no lane to
-    // overrun, the core self-backpressures.
+    // waiting out arrival gaps. A gap that long parks until the next
+    // block is due (observable as idle_parks — no busy-spin at zero
+    // load), and the core must never drop at ingest: with no lane to
+    // overrun, it self-backpressures.
     let packets = workload(100, 42).into_packets();
     let mut cfg = EngineConfig::new(1);
     cfg.host_workers = 0;
@@ -247,7 +247,7 @@ fn paced_rtc_core_idles_on_the_backoff_ladder_without_drops() {
     assert_eq!(report.processed(), packets.len() as u64);
     assert!(
         report.idle_parks() > 0,
-        "paced RTC waits must park via the Backoff ladder, not busy-spin \
+        "paced RTC waits must park until their deadline, not busy-spin \
          (idle_parks={})",
         report.idle_parks()
     );

@@ -1,62 +1,58 @@
-//! Flight recorder: fixed-capacity, lock-free per-thread event rings.
+//! Flight recorder: fixed-capacity per-thread event rings.
 //!
 //! Every hot thread in the wall-clock engine (dispatchers, shards, host
-//! workers, the controller) owns one [`FlightRing`]: a power-of-two ring
-//! of structured events — drops with reasons, mode switches, whitelist
-//! promotions and evictions, conservation deltas — recorded with a
-//! handful of relaxed atomic stores per event and never a lock. When
-//! something goes wrong (a conservation failure, unexpected drops in
-//! flat-out mode) the recorder is dumped to JSON and the last
-//! `capacity` events per thread explain *why*, black-box style.
+//! workers, the controller) owns one [`FlightRing`]: a ring of
+//! structured events — drops with reasons, mode switches, whitelist
+//! promotions and evictions, conservation deltas — written only on drop
+//! and control paths, never per packet. When something goes wrong (a
+//! conservation failure, unexpected drops in flat-out mode) the recorder
+//! is dumped to JSON and the last `capacity` events per thread explain
+//! *why*, black-box style.
 //!
-//! The ring is a seqlock per slot, written without `unsafe`: every slot
-//! field is an `AtomicU64`, and a per-slot sequence word is taken odd
-//! before the fields are written and even (encoding the event's global
-//! sequence number) after. A concurrent reader ([`FlightRing::snapshot`],
-//! used by the live `/flight.json` endpoint) retries slots whose
-//! sequence is odd or changed mid-read, so it only ever observes fully
-//! committed events. Each ring has a single writing thread by
-//! convention; overwrites of the oldest events are counted, never
-//! blocked on.
+//! A ring is a `VecDeque` behind one `Mutex`, as a
+//! [`TraceShard`](crate::TraceShard) is: a write takes the lock once,
+//! and a concurrent reader ([`FlightRing::snapshot`], used by the live
+//! `/flight.json` endpoint) copies the resident events under it, so it
+//! only ever observes whole events. Each ring has a single writing
+//! thread by convention; overwrites of the oldest events are counted,
+//! never blocked on.
 
 use serde::{Number, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// What happened. Each kind names its payload words via
 /// [`FlightKind::arg_names`] so dumps are self-describing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u64)]
 pub enum FlightKind {
     /// A full SPSC lane forced the dispatcher to drop a batch.
-    IngestDrop = 1,
+    IngestDrop,
     /// The steering table blacklisted packets at ingest.
-    SteerDrop = 2,
+    SteerDrop,
     /// The load shedder turned packets away at ingest.
-    ShedDrop = 3,
+    ShedDrop,
     /// The host escalation queue was full; packet handled inline.
-    EscalationDrop = 4,
+    EscalationDrop,
     /// The controller switched a shard between General and Lite.
-    ModeSwitch = 5,
+    ModeSwitch,
     /// Load shedding engaged.
-    ShedOn = 6,
+    ShedOn,
     /// Load shedding released.
-    ShedOff = 7,
+    ShedOff,
     /// Heavy-hitter flows promoted to the whitelist this epoch.
-    Promotion = 8,
+    Promotion,
     /// Whitelist entries aged out this epoch.
-    WhitelistEvict = 9,
+    WhitelistEvict,
     /// End-of-run conservation check found a non-zero delta.
-    ConservationDelta = 10,
+    ConservationDelta,
     /// End-of-run marker with the conservation verdict.
-    RunEnd = 11,
+    RunEnd,
     /// An admin command (steering edit, mode or shed pin) was
     /// applied by the controller at an epoch boundary.
-    AdminEdit = 12,
-    /// An applied blacklist verdict dropped packets on a shard. (13 is
-    /// retired, not reused.)
-    VerdictDrop = 14,
+    AdminEdit,
+    /// An applied blacklist verdict dropped packets on a shard.
+    VerdictDrop,
 }
 
 impl FlightKind {
@@ -98,28 +94,9 @@ impl FlightKind {
             FlightKind::VerdictDrop => &["count", "batch"],
         }
     }
-
-    fn from_u64(v: u64) -> Option<FlightKind> {
-        Some(match v {
-            1 => FlightKind::IngestDrop,
-            2 => FlightKind::SteerDrop,
-            3 => FlightKind::ShedDrop,
-            4 => FlightKind::EscalationDrop,
-            5 => FlightKind::ModeSwitch,
-            6 => FlightKind::ShedOn,
-            7 => FlightKind::ShedOff,
-            8 => FlightKind::Promotion,
-            9 => FlightKind::WhitelistEvict,
-            10 => FlightKind::ConservationDelta,
-            11 => FlightKind::RunEnd,
-            12 => FlightKind::AdminEdit,
-            14 => FlightKind::VerdictDrop,
-            _ => return None,
-        })
-    }
 }
 
-/// A fully committed event read back out of a ring.
+/// An event read back out of a ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Global per-ring sequence number (0-based, never reused).
@@ -136,28 +113,21 @@ pub struct FlightEvent {
     pub c: u64,
 }
 
-#[derive(Default)]
-struct Slot {
-    /// 0 = never written; odd = write in progress; even `2s + 2` =
-    /// event with sequence number `s` committed.
-    seq: AtomicU64,
-    ts_ns: AtomicU64,
-    kind: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-    c: AtomicU64,
+/// A ring's resident events, oldest first, and how many it ever took.
+struct Log {
+    events: VecDeque<FlightEvent>,
+    /// Total events ever recorded (next sequence number).
+    recorded: u64,
 }
 
 struct RingInner {
     name: String,
     cap: usize,
     epoch: Instant,
-    slots: Vec<Slot>,
-    /// Total events ever recorded (next sequence number).
-    head: AtomicU64,
+    log: Mutex<Log>,
 }
 
-/// One thread's event ring; cheap to clone, lock-free to write.
+/// One thread's event ring; cheap to clone.
 #[derive(Clone)]
 pub struct FlightRing {
     inner: Arc<RingInner>,
@@ -179,15 +149,30 @@ impl FlightRing {
     /// Record an event's payload words with an explicit timestamp — the
     /// deterministic entry point used by tests and sim-time callers.
     pub fn record_at(&self, ts_ns: u64, kind: FlightKind, [a, b, c]: [u64; 3]) {
-        let seq = self.inner.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.inner.slots[(seq % self.inner.cap as u64) as usize];
-        slot.seq.store(2 * seq + 1, Ordering::Release);
-        slot.ts_ns.store(ts_ns, Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.c.store(c, Ordering::Relaxed);
-        slot.seq.store(2 * seq + 2, Ordering::Release);
+        let mut log = self.log();
+        if log.events.len() == self.inner.cap {
+            log.events.pop_front();
+        }
+        let seq = log.recorded;
+        log.recorded += 1;
+        log.events.push_back(FlightEvent {
+            seq,
+            ts_ns,
+            kind,
+            a,
+            b,
+            c,
+        });
+    }
+
+    /// The ring's log. No write can leave it half-updated, so a lock
+    /// poisoned by a panicking writer is taken as it stands: recording
+    /// a drop never panics.
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.inner
+            .log
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Ring (thread) name.
@@ -197,7 +182,7 @@ impl FlightRing {
 
     /// Total events ever recorded into this ring.
     pub fn recorded(&self) -> u64 {
-        self.inner.head.load(Ordering::Acquire)
+        self.log().recorded
     }
 
     /// Events overwritten because the ring wrapped.
@@ -205,51 +190,11 @@ impl FlightRing {
         self.recorded().saturating_sub(self.inner.cap as u64)
     }
 
-    /// Read every committed event still resident, oldest first. Safe to
-    /// call while the owning thread keeps writing: slots caught
-    /// mid-write (or already overwritten by a newer event) are skipped,
-    /// so the result only contains consistent events, sorted by
-    /// sequence number.
+    /// Every event still resident, oldest first. Safe to call while the
+    /// owning thread keeps writing: the copy is taken under the ring's
+    /// lock.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
-        let head = self.inner.head.load(Ordering::Acquire);
-        let cap = self.inner.cap as u64;
-        let lo = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - lo) as usize);
-        for seq in lo..head {
-            let slot = &self.inner.slots[(seq % cap) as usize];
-            // Two-phase consistent read with a small retry budget: the
-            // writer may lap this slot, in which case the event is gone
-            // and we move on.
-            for _ in 0..4 {
-                let s1 = slot.seq.load(Ordering::Acquire);
-                if s1 != 2 * seq + 2 {
-                    if s1 > 2 * seq + 2 {
-                        break; // overwritten by a newer event
-                    }
-                    continue; // write in progress; retry
-                }
-                let ts_ns = slot.ts_ns.load(Ordering::Relaxed);
-                let kind = slot.kind.load(Ordering::Relaxed);
-                let a = slot.a.load(Ordering::Relaxed);
-                let b = slot.b.load(Ordering::Relaxed);
-                let c = slot.c.load(Ordering::Relaxed);
-                let s2 = slot.seq.load(Ordering::Acquire);
-                if s1 == s2 {
-                    if let Some(kind) = FlightKind::from_u64(kind) {
-                        out.push(FlightEvent {
-                            seq,
-                            ts_ns,
-                            kind,
-                            a,
-                            b,
-                            c,
-                        });
-                    }
-                    break;
-                }
-            }
-        }
-        out
+        self.log().events.iter().copied().collect()
     }
 }
 
@@ -307,8 +252,10 @@ impl FlightRecorder {
                 name,
                 cap,
                 epoch: self.inner.epoch,
-                slots: (0..cap).map(|_| Slot::default()).collect(),
-                head: AtomicU64::new(0),
+                log: Mutex::new(Log {
+                    events: VecDeque::with_capacity(cap),
+                    recorded: 0,
+                }),
             }),
         };
         rings.push(ring.clone());

@@ -28,10 +28,10 @@
 //! The wall-clock engine adds three more pieces on the same
 //! foundations: [`WallAnchor`] maps real `Instant`s onto the trace
 //! axis so OS threads get chrome-trace tracks, [`FlightRecorder`]
-//! keeps a lock-free black-box ring of drop/mode-switch events per
-//! thread, and [`http::HttpServer`] serves `/metrics`, `/stats.json`
-//! and `/flight.json` live from snapshot reads using nothing beyond
-//! `std::net`.
+//! keeps a black-box ring of drop/mode-switch events per thread,
+//! written only on drop and control paths, and [`http::HttpServer`]
+//! serves `/metrics`, `/stats.json` and `/flight.json` live from
+//! snapshot reads using nothing beyond `std::net`.
 
 #![forbid(unsafe_code)]
 
