@@ -21,23 +21,30 @@ This fails when
   caller outside tests. The scan reads each file of `crates/*/src`,
   `crates/*/benches`, `examples/`, `benchmark/src` and `src/` above its
   first top-level `#[cfg(test)]`, strips comments, and counts references
-  by name, not counting definitions or `pub use` re-exports. The one
-  exception is `ORACLES`: an
+  by name, not counting definitions, `pub use` re-exports, or a type's
+  name inside its own `impl` blocks. The one exception is `ORACLES`: an
   item a test in another file uses as its oracle, kept while that test
   fn exists. An item below that `#[cfg(test)]` and not gated by one of
-  its own would escape the scan, so it fails too;
+  its own would escape the scan, so it fails too. This rule holds `pub`
+  items only: rustc's `dead_code` lint (denied by CI's clippy step)
+  holds every `pub(crate)` one, exactly;
 - a `[dependencies]` / `[dev-dependencies]` entry of the root or a
   `crates/*` manifest is named (`-` read as `_`) in none of that
   package's `src/`, `tests/`, `benches/` or `examples/` files, comments
   stripped, or is an edge `FORBIDDEN` rules out.
 
-usage: python3 ci/fork_ledger.py   (from the repository root)
+`--self-test` applies each of `MUTANTS` to a copy of the tree and fails
+unless the check rejects every one of them with the error it names.
+
+usage: python3 ci/fork_ledger.py [--self-test]   (from the repository root)
 """
 import collections
 import json
 import pathlib
 import re
+import shutil
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 STRUCTS = {
@@ -63,10 +70,37 @@ FORBIDDEN = {"p4sim": "smartwatch-telemetry", "host": "smartwatch-telemetry", "c
 LITERAL = re.compile(r'r(#*)".*?"\1|"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'|//[^\n]*|/\*.*?\*/', re.S)
 PUB_ITEM = re.compile(r"\bpub\s+(?:const\s+|unsafe\s+)*(?:fn|struct|enum|trait|const|type)\s+(\w+)")
 DEFINITION = re.compile(r"\b(?:fn|struct|enum|trait|const|type|static|mod)\s+(\w+)")
+IMPL = re.compile(r"^[ \t]*(?:unsafe\s+)?impl\b", re.M)
+# name -> [(file, text in it, what the mutant puts in its place)], and a
+# text the check's errors must then contain
+MUTANTS = {
+    "an uncalled pub fn": (
+        [("crates/sketch/src/bloom.rs", "impl BloomFilter {",
+          "pub fn never_called_anywhere() {}\n\nimpl BloomFilter {")],
+        "pub never_called_anywhere in crates/sketch/src/bloom.rs has no caller",
+    ),
+    "a pub struct named only by its own impl": (
+        [("crates/sketch/src/bloom.rs", "impl BloomFilter {",
+          "pub struct Lonely;\n\nimpl Lonely {\n    pub fn new() -> Self {\n        Self\n    }\n}\n\n"
+          "impl BloomFilter {")],
+        "pub Lonely in crates/sketch/src/bloom.rs has no caller",
+    ),
+    "an EngineConfig field with no ledger row": (
+        [("crates/runtime/src/engine/config.rs", "    pub shards: usize,",
+          "    pub shards: usize,\n    /// A knob.\n    pub unrowed_knob: u32,")],
+        "EngineConfig unrowed_knob has no ledger row",
+    ),
+    "a FORBIDDEN dependency edge": (
+        [("crates/host/Cargo.toml", "[dependencies]\n",
+          "[dependencies]\nsmartwatch-telemetry.workspace = true\n"),
+         ("crates/host/src/lib.rs", "pub mod aggregate;", "use smartwatch_telemetry as _;\npub mod aggregate;")],
+        "smartwatch-telemetry is forbidden",
+    ),
+}
 
 
-def ledger_rows():
-    text = (ROOT / "DESIGN.md").read_text()
+def ledger_rows(root):
+    text = (root / "DESIGN.md").read_text()
     block = text.split("<!-- fork-ledger:begin -->")[1].split("<!-- fork-ledger:end -->")[0]
     rows = []
     for line in block.splitlines():
@@ -77,32 +111,32 @@ def ledger_rows():
     return rows
 
 
-def struct_fields(name, path):
-    src = (ROOT / path).read_text()
+def struct_fields(root, name, path):
+    src = (root / path).read_text()
     body = src.split(f"pub struct {name} {{")[1].split("\n}")[0]
     return re.findall(r"^    pub (\w+):", body, re.M)
 
 
-def flags():
-    src = (ROOT / FLAGS).read_text()
+def flags(root):
+    src = (root / FLAGS).read_text()
     table = src.split("const FLAGS: &[Flag] = &[")[1].split("\n];")[0]
     return re.findall(r'^\s*\("(--[\w-]+)",', table, re.M)
 
 
-def routes():
-    return re.findall(r'Route::(?:get|on)\(\s*"([^"]+)"', (ROOT / ROUTES).read_text())
+def routes(root):
+    return re.findall(r'Route::(?:get|on)\(\s*"([^"]+)"', (root / ROUTES).read_text())
 
 
-def ci_steps():
-    names = re.findall(r"^\s*- name: (.+)$", (ROOT / WORKFLOW).read_text(), re.M)
+def ci_steps(root):
+    names = re.findall(r"^\s*- name: (.+)$", (root / WORKFLOW).read_text(), re.M)
     return {name.strip().strip("'\"") for name in names}
 
 
-def defined_fns():
+def defined_fns(root):
     """Each fn name in a Rust file of the tree, with the files defining it."""
     names = collections.defaultdict(set)
-    for path in ROOT.rglob("*.rs"):
-        if "target" in path.relative_to(ROOT).parts:
+    for path in root.rglob("*.rs"):
+        if "target" in path.relative_to(root).parts:
             continue
         for name in re.findall(r"\bfn\s+(\w+)", path.read_text()):
             names[name].add(path)
@@ -122,31 +156,54 @@ def split_tests(path):
     return strip_comments(code), tests
 
 
-def check_callers(fns, errors):
+def own_impls(code):
+    """(name, text) of each `impl` item of `code`, header and body: the
+    implemented type's name, and the trait's for a trait impl. Literals
+    are blanked to find the braces."""
+    bare = LITERAL.sub(lambda m: " " * len(m.group(0)), code)
+    out = []
+    for m in IMPL.finditer(bare):
+        i = bare.index("{", m.end())
+        header = re.split(r"\bwhere\b", bare[m.end() : i])[0]
+        header = re.sub(r"^\s*<.*?>(?=\s*[\w(&])", "", header, flags=re.S)
+        depth = 0
+        while True:
+            depth += {"{": 1, "}": -1}.get(bare[i], 0)
+            i += 1
+            if depth == 0:
+                break
+        for part in header.split(" for "):
+            out += [(name, code[m.start() : i]) for name in re.findall(r"\w+", part.split("<")[0])[-1:]]
+    return out
+
+
+def check_callers(root, fns, errors):
     refs, defs, items = collections.Counter(), collections.Counter(), []
-    for path in sorted({p for pattern in CODE for p in ROOT.glob(pattern)}):
+    for path in sorted({p for pattern in CODE for p in root.glob(pattern)}):
         code, tests = split_tests(path)
         refs.update(re.findall(r"\b[A-Za-z_]\w*", re.sub(r"\bpub use [^;]*;", "", code)))
         defs.update(DEFINITION.findall(code))
-        if re.match(r"crates/[^/]+/src/", path.relative_to(ROOT).as_posix()):
+        for name, text in own_impls(code):
+            refs[name] -= len(re.findall(rf"\b{name}\b", text))
+        if re.match(r"crates/[^/]+/src/", path.relative_to(root).as_posix()):
             items += [(path, name) for name in PUB_ITEM.findall(code)]
             if re.search(r"(?<!#\[cfg\(test\)\]\n)^(pub\s|impl\b)", tests, re.M):
-                errors.append(f"{path.relative_to(ROOT)}: an item below the first #[cfg(test)] escapes the scan")
+                errors.append(f"{path.relative_to(root)}: an item below the first #[cfg(test)] escapes the scan")
     oracles = {item: test for item, test, _ in ORACLES}
     uncalled = [(path, name) for path, name in items if refs[name] <= defs[name]]
     for path, name in uncalled:
         test = oracles.pop(name, None)
         if test is None:
-            errors.append(f"pub {name} in {path.relative_to(ROOT)} has no caller outside tests")
+            errors.append(f"pub {name} in {path.relative_to(root)} has no caller outside tests")
         elif not fns.get(test, set()) - {path}:
             errors.append(f"oracle {name}: test fn `{test}` is not in another file of the tree")
     errors += [f"oracle {name} has a caller or is gone: drop its ORACLES entry" for name in oracles]
     print(f"public items: {len(items)}, {len(uncalled)} without a caller outside tests, {len(ORACLES)} oracles")
 
 
-def check_dependencies(errors):
+def check_dependencies(root, errors):
     edges = 0
-    for manifest in [ROOT / "Cargo.toml", *sorted(ROOT.glob("crates/*/Cargo.toml"))]:
+    for manifest in [root / "Cargo.toml", *sorted(root.glob("crates/*/Cargo.toml"))]:
         package = manifest.parent
         names = set()
         for d in ("src", "tests", "benches", "examples"):
@@ -160,7 +217,7 @@ def check_dependencies(errors):
             dep = re.match(r"([\w-]+)(?:\.workspace)?\s*=", line)
             if section in ("[dependencies]", "[dev-dependencies]") and dep:
                 edges += 1
-                where = manifest.relative_to(ROOT)
+                where = manifest.relative_to(root)
                 if dep.group(1).replace("-", "_") not in names:
                     errors.append(f"{where}: {section} {dep.group(1)} is named in no file of the package")
                 if FORBIDDEN.get(package.name) == dep.group(1):
@@ -179,11 +236,12 @@ def check_rowed(kind, have, rows, where, errors):
     print(f"{kind}: {len(have)} in the tree, {len(rowed)} ledger rows")
 
 
-def main():
-    rows = ledger_rows()
-    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
-    fns = defined_fns()
-    payers = workloads | set(fns) | ci_steps()
+def check(root):
+    """Every error the tree at `root` has."""
+    rows = ledger_rows(root)
+    workloads = {w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]}
+    fns = defined_fns(root)
+    payers = workloads | set(fns) | ci_steps(root)
     errors = []
     for kind, subject, _, paid_by in rows:
         cited = re.findall(r"`([^`]+)`", paid_by)
@@ -193,13 +251,47 @@ def main():
             if payer not in payers:
                 errors.append(f"{kind} {subject}: payer `{payer}` is neither a fn, a workload nor a CI step")
     for name, path in STRUCTS.items():
-        check_rowed(name, struct_fields(name, path), rows, path, errors)
-    check_rowed("flag", flags(), rows, FLAGS, errors)
-    check_rowed("route", routes(), rows, ROUTES, errors)
-    check_callers(fns, errors)
-    check_dependencies(errors)
+        check_rowed(name, struct_fields(root, name, path), rows, path, errors)
+    check_rowed("flag", flags(root), rows, FLAGS, errors)
+    check_rowed("route", routes(root), rows, ROUTES, errors)
+    check_callers(root, fns, errors)
+    check_dependencies(root, errors)
     forks = sum(1 for row in rows if row[0] == "fork")
     print(f"{forks} fork rows, {len(rows)} rows in all")
+    return errors
+
+
+def self_test():
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp) / "tree"
+        skip = shutil.ignore_patterns("target", ".git", ".bench_build", "out")
+        shutil.copytree(ROOT, root, ignore=skip)
+        if check(root):
+            failures.append("the tree itself fails")
+        for name, (edits, expect) in MUTANTS.items():
+            originals = {}
+            for path, old, new in edits:
+                file = root / path
+                originals.setdefault(file, file.read_text())
+                text = file.read_text()
+                if text.count(old) != 1:
+                    failures.append(f"{name}: anchor not found once in {path}: {old!r}")
+                file.write_text(text.replace(old, new))
+            if not any(expect in e for e in check(root)):
+                failures.append(f"{name}: not rejected with `{expect}`")
+            for file, text in originals.items():
+                file.write_text(text)
+    for f in failures:
+        print(f"fork ledger self-test: {f}", file=sys.stderr)
+    print(f"fork ledger self-test: {len(MUTANTS)} mutants, {len(failures)} not rejected")
+    return not failures
+
+
+def main():
+    if sys.argv[1:] == ["--self-test"]:
+        sys.exit(0 if self_test() else 1)
+    errors = check(ROOT)
     for e in errors:
         print(f"fork ledger: {e}", file=sys.stderr)
     sys.exit(1 if errors else 0)

@@ -16,7 +16,7 @@ use smartwatch_trace::background::Preset;
 /// 99.9th-percentile latency 2.43× lower than a Cuckoo table with a
 /// 12-relocation budget, because sNIC writes are expensive and Cuckoo
 /// inserts write repeatedly while FlowCache inserts write once.
-pub fn ablation_cuckoo(ctx: &ExpCtx) -> Table {
+pub(crate) fn ablation_cuckoo(ctx: &ExpCtx) -> Table {
     let pkts = workloads::caida_64b(Preset::Caida2018, ctx.scale, 2018).into_packets();
     let hw = NETRONOME_AGILIO_LX;
     let costs = CycleCosts::default();
@@ -82,7 +82,7 @@ pub fn ablation_cuckoo(ctx: &ExpCtx) -> Table {
 /// pressure, pinned suspect flows keep exact in-sNIC state while unpinned
 /// ones are exported piecemeal (state fragmentation ⇒ inaccurate
 /// per-packet tracking).
-pub fn ablation_pinning(ctx: &ExpCtx) -> Table {
+pub(crate) fn ablation_pinning(ctx: &ExpCtx) -> Table {
     let trace = workloads::caida_64b(Preset::Caida2018, ctx.scale, 77);
     // Suspect flows: the 32 first flows seen (stand-ins for flows a
     // detector wants tracked per-packet).
@@ -133,7 +133,7 @@ pub fn ablation_pinning(ctx: &ExpCtx) -> Table {
 /// subsets at /8, /16, /24 or /32 — coarser steering diverts more
 /// traffic but tolerates attacker movement; finer steering is cheap but
 /// brittle. (Paper §3.1's Sonata-comparison discussion.)
-pub fn ablation_steer_width(ctx: &ExpCtx) -> Table {
+pub(crate) fn ablation_steer_width(ctx: &ExpCtx) -> Table {
     let scale = ctx.scale;
     use smartwatch_core::deploy::DeployMode;
     use smartwatch_core::eval::{detection_rate, GroundTruth};
@@ -184,7 +184,7 @@ pub fn ablation_steer_width(ctx: &ExpCtx) -> Table {
 /// at ≤14 µs per row with <5 µs packet wait. Measure the modeled extra
 /// latency of packets that performed cleanup during a General→Lite
 /// transition under load.
-pub fn ablation_cleanup(ctx: &ExpCtx) -> Table {
+pub(crate) fn ablation_cleanup(ctx: &ExpCtx) -> Table {
     let pkts = workloads::caida_64b(Preset::Caida2018, ctx.scale, 2018).into_packets();
     let hw = NETRONOME_AGILIO_LX;
     let costs = CycleCosts::default();
@@ -237,7 +237,7 @@ pub fn ablation_cleanup(ctx: &ExpCtx) -> Table {
 /// Sampling ablation (paper §2.3.2): sampling as NitroSketch does buys
 /// throughput but "would not be able to support flow-state tracking" —
 /// measure both sides of that trade plus the projected 100 G part.
-pub fn ablation_sampling(ctx: &ExpCtx) -> Table {
+pub(crate) fn ablation_sampling(ctx: &ExpCtx) -> Table {
     use smartwatch_snic::des::{simulate, DesConfig};
     use smartwatch_snic::hw::NETRONOME_100G;
 

@@ -150,7 +150,7 @@ pub fn fig5(ctx: &ExpCtx) -> Table {
 }
 
 /// Fig. 6a: throughput vs FlowCache memory, General vs Lite geometries.
-pub fn fig6a(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig6a(ctx: &ExpCtx) -> Table {
     let pkts = stress_trace(ctx.scale);
     let mut t = Table::new(
         "fig6a",
@@ -215,7 +215,7 @@ fn lite_cfg(row_bits: u32, lite_buckets: usize) -> FlowCacheConfig {
 }
 
 /// Fig. 6b: throughput vs number of PMEs (71–80).
-pub fn fig6b(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig6b(ctx: &ExpCtx) -> Table {
     let pkts = stress_trace(ctx.scale);
     let mut t = Table::new(
         "fig6b",
@@ -255,7 +255,7 @@ pub fn fig6b(ctx: &ExpCtx) -> Table {
 
 /// Fig. 7b: host snapshotting CPU time, General vs Lite (driven by the
 /// eviction-rate difference).
-pub fn fig7(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig7(ctx: &ExpCtx) -> Table {
     let pkts = stress_trace(ctx.scale);
     let host = HostCostModel::default();
     let mut t = Table::new(
@@ -308,7 +308,7 @@ pub fn fig7(ctx: &ExpCtx) -> Table {
 }
 
 /// Table 3: cross-sNIC throughput projection.
-pub fn table3(ctx: &ExpCtx) -> Table {
+pub(crate) fn table3(ctx: &ExpCtx) -> Table {
     let pkts = stress_trace(ctx.scale);
     let mut t = Table::new(
         "table3",

@@ -13,9 +13,9 @@ use std::collections::{HashMap, HashSet};
 
 /// Fig. 9a: covert timing-channel detection across platform variants,
 /// memory configurations and modulation depths. The paper's ROC family
-/// collapses here to TPR/FPR at a fixed KS threshold per depth, plus the
+/// collapses here to TPR/FPR at a fixed bimodality threshold per depth, plus the
 /// switch-SRAM cost of each variant.
-pub fn fig9a(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig9a(ctx: &ExpCtx) -> Table {
     let scale = ctx.scale;
     let mut t = Table::new(
         "fig9a",
@@ -41,13 +41,7 @@ pub fn fig9a(ctx: &ExpCtx) -> Table {
             .collect();
         let n_benign = cfg.flows as usize - modulated.len();
 
-        // Benign KS reference, trained offline on known-good flows.
-        let mut trainer = IpdCollector::paper_default();
-        for p in trace.iter().filter(|p| p.label.is_benign()).take(120_000) {
-            trainer.on_packet(p);
-        }
-        let benign_hists: Vec<Vec<u64>> = trainer.readout().into_iter().map(|(_, h)| h).collect();
-        let detector = CovertChannelDetector::train(&benign_hists, 0.25);
+        let detector = CovertChannelDetector::new(0.25);
 
         let mut score = |name: &str, sram: usize, tp: usize, fp: usize| {
             let tpr = tp as f64 / modulated.len().max(1) as f64;
@@ -86,7 +80,7 @@ pub fn fig9a(ctx: &ExpCtx) -> Table {
 
         // SmartWatch_NetWarden: small switch sketches run a range
         // pre-check on the "ones" delay band; flagged flows get sNIC
-        // fine bins + the CME KS test. Standalone NetWarden stops at the
+        // fine bins + the CME bimodality test. Standalone NetWarden stops at the
         // pre-check.
         for standalone in [false, true] {
             let name = if standalone {
@@ -168,7 +162,7 @@ pub fn fig9a(ctx: &ExpCtx) -> Table {
 }
 
 /// Fig. 9b: website fingerprinting accuracy vs P4Switch SRAM occupancy.
-pub fn fig9b(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig9b(ctx: &ExpCtx) -> Table {
     let scale = ctx.scale;
     let sites = 12u32;
     let train_cfg = WfpConfig::new(sites, (10 * scale) as u32, 0x9B1);

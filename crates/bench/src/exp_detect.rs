@@ -17,7 +17,7 @@ use smartwatch_trace::background::{preset_trace, Preset};
 use smartwatch_trace::Trace;
 
 /// Fig. 8a: SSH packet processing latency, SmartWatch vs baseline Zeek.
-pub fn fig8a(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig8a(ctx: &ExpCtx) -> Table {
     let scale = ctx.scale;
     let server = smartwatch_trace::attacks::victim_ip(0);
     let bg = preset_trace(Preset::Caida2018, 400 * scale, Dur::from_secs(6), 0x8A);
@@ -68,7 +68,7 @@ pub fn fig8a(ctx: &ExpCtx) -> Table {
 
 /// Fig. 8b: forged-RST buffering — Bloom fast-path share and wheel cost
 /// as the horizon T grows.
-pub fn fig8b(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig8b(ctx: &ExpCtx) -> Table {
     let scale = ctx.scale;
     let mut t = Table::new(
         "fig8b",
@@ -114,7 +114,7 @@ pub fn fig8b(ctx: &ExpCtx) -> Table {
 
 /// Fig. 8c: port-scan detection rate vs scan delay, SmartWatch vs
 /// standalone P4Switch.
-pub fn fig8c(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig8c(ctx: &ExpCtx) -> Table {
     let scale = ctx.scale;
     let mut t = Table::new(
         "fig8c",
@@ -169,7 +169,7 @@ pub fn fig8c(ctx: &ExpCtx) -> Table {
 /// FlowCache cycles come from the calibrated per-access cost model over
 /// the run's actual hit/miss mix; each detector's cycles come from its
 /// measured data-path operation count at a fixed per-operation cost.
-pub fn table2(ctx: &ExpCtx) -> Table {
+pub(crate) fn table2(ctx: &ExpCtx) -> Table {
     let scale = ctx.scale;
     use smartwatch_core::suite::DetectorSuite;
     use smartwatch_host::ArtefactRegistry;
@@ -279,7 +279,7 @@ pub fn table2(ctx: &ExpCtx) -> Table {
 }
 
 /// Table 4: detection rate relative to host, Sonata vs SmartWatch.
-pub fn table4(ctx: &ExpCtx) -> Table {
+pub(crate) fn table4(ctx: &ExpCtx) -> Table {
     let scale = ctx.scale;
     use smartwatch_core::suite::DetectorSuite;
     use smartwatch_host::ArtefactRegistry;

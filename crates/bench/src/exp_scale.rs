@@ -16,7 +16,7 @@ use smartwatch_trace::Trace;
 /// sNIC, per CAIDA year, for the SSH-bruteforce (2a) and port-scan (2b)
 /// queries. Sweeping the whitelist budget trades switch state for
 /// steered volume; the knee appears when all elephants are whitelisted.
-pub fn fig2(ctx: &ExpCtx, portscan_variant: bool) -> Table {
+pub(crate) fn fig2(ctx: &ExpCtx, portscan_variant: bool) -> Table {
     let scale = ctx.scale;
     let id = if portscan_variant { "fig2b" } else { "fig2a" };
     let attack_name = if portscan_variant {
@@ -86,7 +86,7 @@ pub fn fig2(ctx: &ExpCtx, portscan_variant: bool) -> Table {
 
 /// Fig. 3: CPU cores (3a) and sNICs (3b) required vs packet arrival rate
 /// for the four deployments.
-pub fn fig3(_ctx: &ExpCtx) -> Table {
+pub(crate) fn fig3(_ctx: &ExpCtx) -> Table {
     let model = ScalingModel::default();
     let mut t = Table::new(
         "fig3",

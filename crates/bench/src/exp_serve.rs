@@ -153,7 +153,7 @@ impl ServeOutcome {
 
     /// Lane-buffer allocations after the first segment (0 when it took
     /// every lane round its ring and the garage reissues the lanes).
-    pub fn pool_growth(&self) -> u64 {
+    pub(crate) fn pool_growth(&self) -> u64 {
         growth(self.segments.iter().map(|s| s.pool_allocated))
     }
 
@@ -184,7 +184,7 @@ impl ServeOutcome {
     /// largest later sample minus the settled size (0 with fewer than
     /// three segments). From the second segment on a steady workload
     /// refills the memory it already holds.
-    pub fn flowstate_growth_bytes(&self) -> u64 {
+    pub(crate) fn flowstate_growth_bytes(&self) -> u64 {
         let later = self.segments.iter().skip(2).map(|s| s.flowstate_bytes);
         later
             .max()

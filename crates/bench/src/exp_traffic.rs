@@ -43,7 +43,7 @@ fn smartwatch_counts(packets: &[Packet], mode: Mode) -> HashMap<smartwatch_net::
 
 /// Fig. 10a/b/c: mean relative error for heavy hitters, heavy changes and
 /// flow-size distribution vs monitoring-interval size.
-pub fn fig10(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig10(ctx: &ExpCtx) -> Table {
     let trace = workloads::caida_64b(Preset::Caida2018, 2 * ctx.scale, 2018);
     let pkts = trace.packets();
     let mut t = Table::new(
@@ -181,7 +181,7 @@ pub fn fig10(ctx: &ExpCtx) -> Table {
 
 /// Fig. 11a: fraction of ground-truth burst flows captured vs the burst
 /// classification threshold.
-pub fn fig11a(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig11a(ctx: &ExpCtx) -> Table {
     let cfg = MicroburstConfig {
         flows_per_burst: 48,
         pkts_per_flow: 16,
@@ -238,7 +238,7 @@ pub fn fig11a(ctx: &ExpCtx) -> Table {
 /// from the paper's measured ordering (NitroSketch > SmartWatch-Lite >
 /// Elastic > CountMin); sketch lines are flat in PME count because they
 /// run on the host.
-pub fn fig11b(ctx: &ExpCtx) -> Table {
+pub(crate) fn fig11b(ctx: &ExpCtx) -> Table {
     let pkts = workloads::caida_64b(Preset::Caida2018, ctx.scale, 2018).into_packets();
     let host_cores = 16.0;
     // ns per packet per core: hash+update cost of each sketch on a DPDK

@@ -55,7 +55,7 @@ impl ExpCtx {
 }
 
 /// One experiment entry point: context in, rendered table out.
-pub type Experiment = fn(&ExpCtx) -> Table;
+pub(crate) type Experiment = fn(&ExpCtx) -> Table;
 
 /// Every reproducible experiment, in paper order.
 pub fn all_experiments() -> Vec<(&'static str, Experiment)> {

@@ -20,7 +20,7 @@ pub struct Table {
 
 impl Table {
     /// New empty table.
-    pub fn new(id: &str, title: &str, columns: &[&str]) -> Table {
+    pub(crate) fn new(id: &str, title: &str, columns: &[&str]) -> Table {
         Table {
             id: id.to_string(),
             title: title.to_string(),
@@ -31,13 +31,13 @@ impl Table {
     }
 
     /// Append a row.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.columns.len(), "row arity mismatch");
         self.rows.push(cells);
     }
 
     /// Append a note.
-    pub fn note(&mut self, s: impl Into<String>) {
+    pub(crate) fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
     }
 
@@ -108,12 +108,12 @@ pub(crate) fn object<const N: usize>(fields: [(&str, &dyn Serialize); N]) -> Val
 }
 
 /// Format a float with fixed precision.
-pub fn f(v: f64, prec: usize) -> String {
+pub(crate) fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
 }
 
 /// Format a percentage.
-pub fn pct(v: f64) -> String {
+pub(crate) fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 

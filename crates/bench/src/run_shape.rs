@@ -64,7 +64,7 @@ impl EngineSource {
     }
 
     /// Stable one-word label for tables and JSON artifacts.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             EngineSource::Synthetic => "synthetic",
             EngineSource::Compiled => "compiled",
@@ -107,14 +107,14 @@ pub fn datapath_label(d: DatapathMode) -> &'static str {
 
 /// The pace of a `--rate` / flat-out driver: open loop at the given
 /// Mpps, or flat-out with backpressure when none was given.
-pub fn rate_pace(rate_mpps: Option<f64>) -> Pace {
+pub(crate) fn rate_pace(rate_mpps: Option<f64>) -> Pace {
     rate_mpps.map_or(Pace::Flatout, Pace::RateMpps)
 }
 
 /// What a driver mounts on `--listen`: [`crate::serve::serve`] (the
 /// read-only observability routes) or [`crate::serve::serve_admin`]
 /// (those plus `POST /admin/*` — service mode).
-pub type Listener = fn(&str, &Arc<Engine>) -> std::io::Result<HttpServer>;
+pub(crate) type Listener = fn(&str, &Arc<Engine>) -> std::io::Result<HttpServer>;
 
 /// The engine-facing part of one `repro engine|control|serve|soak`
 /// command line: what engine to build, what to replay through it, and
@@ -203,7 +203,7 @@ impl RunShape {
     }
 
     /// The workload's base generator trace (before cycling).
-    pub fn base_trace(&self, scale: usize) -> Trace {
+    pub(crate) fn base_trace(&self, scale: usize) -> Trace {
         match self.workload {
             EngineWorkload::Stress => workloads::caida_64b(Preset::Caida2018, scale, 0xE1),
             EngineWorkload::Mix => workloads::attack_mix(scale, 0xE2),
@@ -245,7 +245,7 @@ impl RunShape {
     /// [`RunShape::engine_config`] (a controller).
     /// A `--listen` address that does not parse or bind is refused with
     /// the message `repro` prints before exiting 2.
-    pub fn open(
+    pub(crate) fn open(
         &self,
         ctx: &ExpCtx,
         adds: impl FnOnce(EngineConfig) -> EngineConfig,
@@ -273,7 +273,7 @@ impl RunShape {
 
 /// An engine with its watchers up ([`RunShape::open`]). Dropping it
 /// stops them; [`OpenRun::close`] does so in order.
-pub struct OpenRun {
+pub(crate) struct OpenRun {
     /// The engine, shared with the watchers.
     pub engine: Arc<Engine>,
     _signals: Option<crate::signal::DrainWatch>,
@@ -286,7 +286,7 @@ impl OpenRun {
     /// `--serve-hold-ms` so scrapers can read the settled counters,
     /// shut them down, stop the signal watch and hand the engine back
     /// (flight dumps, decision audit).
-    pub fn close(self) -> Arc<Engine> {
+    pub(crate) fn close(self) -> Arc<Engine> {
         if let Some(server) = self.server {
             if self.hold_ms > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(self.hold_ms));

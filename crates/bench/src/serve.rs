@@ -40,10 +40,10 @@ use smartwatch_telemetry::http::{HttpRequest, HttpResponse, HttpServer, Route};
 use std::sync::Arc;
 
 /// Prometheus text exposition content type.
-pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+pub(crate) const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// The standard read-only observability route set over one engine.
-pub fn routes(engine: &Arc<Engine>) -> Vec<Route> {
+pub(crate) fn routes(engine: &Arc<Engine>) -> Vec<Route> {
     let metrics = Arc::clone(engine);
     let stats = Arc::clone(engine);
     let flight = Arc::clone(engine);
@@ -67,7 +67,7 @@ pub fn routes(engine: &Arc<Engine>) -> Vec<Route> {
 /// the endpoint table). Mounted *in addition to* [`routes`] by the
 /// service-mode drivers; the plain `--listen` observability plane stays
 /// read-only.
-pub fn admin_routes(engine: &Arc<Engine>) -> Vec<Route> {
+pub(crate) fn admin_routes(engine: &Arc<Engine>) -> Vec<Route> {
     let steer = Arc::clone(engine);
     let mode = Arc::clone(engine);
     let shed = Arc::clone(engine);
@@ -175,7 +175,7 @@ pub fn serve(addr: &str, engine: &Arc<Engine>) -> std::io::Result<HttpServer> {
 
 /// Bind `addr` and serve [`routes`] *plus* [`admin_routes`] — the
 /// service-mode control socket.
-pub fn serve_admin(addr: &str, engine: &Arc<Engine>) -> std::io::Result<HttpServer> {
+pub(crate) fn serve_admin(addr: &str, engine: &Arc<Engine>) -> std::io::Result<HttpServer> {
     let mut all = routes(engine);
     all.extend(admin_routes(engine));
     let server = HttpServer::serve(addr, all)?;
@@ -247,6 +247,19 @@ pub(crate) mod tests {
         server.shutdown();
     }
 
+    /// Admin commands waiting in the mailbox, as `/stats.json` reports
+    /// them (`service.admin_queued`).
+    fn admin_queued(addr: std::net::SocketAddr) -> u64 {
+        let (status, body) = get(addr, "/stats.json");
+        assert_eq!(status, 200);
+        let doc: serde_json::Value = serde_json::from_str(&body).expect("valid JSON");
+        let service = doc.get("service").expect("a service section");
+        service
+            .get("admin_queued")
+            .and_then(|v| v.as_u64())
+            .expect("admin_queued")
+    }
+
     #[test]
     fn admin_routes_queue_commands_and_validate_bodies() {
         let engine = Arc::new(Engine::new(EngineConfig::new(2)));
@@ -270,7 +283,7 @@ pub(crate) mod tests {
         assert_eq!(status, 202);
         let (status, _) = post(addr, "/admin/shed", r#"{"force":true}"#);
         assert_eq!(status, 202);
-        assert_eq!(engine.admin_queued(), 4);
+        assert_eq!(admin_queued(addr), 4);
 
         // Drain raises the graceful-quiesce flag.
         let (status, _) = post(addr, "/admin/drain", "");
@@ -290,14 +303,14 @@ pub(crate) mod tests {
         assert_eq!(status, 405);
 
         // Nothing leaked into the queue from the rejected requests.
-        assert_eq!(engine.admin_queued(), 4);
+        assert_eq!(admin_queued(addr), 4);
 
         // A full mailbox answers 409 and queues nothing.
         while engine.admin(AdminCmd::WhitelistAdd(1_000)) {}
-        let brim = engine.admin_queued();
+        let brim = admin_queued(addr);
         let (status, _) = post(addr, "/admin/shed", r#"{"force":false}"#);
         assert_eq!(status, 409);
-        assert_eq!(engine.admin_queued(), brim);
+        assert_eq!(admin_queued(addr), brim);
         server.shutdown();
     }
     /// Nothing a client can send to the admin socket may panic it, hang
@@ -364,7 +377,7 @@ pub(crate) mod tests {
         // The bodiless command: only a whole request may drain.
         assert_eq!(raw(b"POST /admin/drain HTTP/1.1\r\nHost: x\r\n"), 408);
         assert!(!engine.drain_requested());
-        assert_eq!(engine.admin_queued(), 0, "nothing leaked into the mailbox");
+        assert_eq!(admin_queued(addr), 0, "nothing leaked into the mailbox");
 
         // The resident controller's next decisions: both pins hold, from
         // the segment's first packet.

@@ -35,13 +35,13 @@ const SIGTERM: i32 = 15;
 #[allow(unsafe_code)]
 mod ffi {
     extern "C" {
-        pub fn signal(signum: i32, handler: usize) -> usize;
+        pub(crate) fn signal(signum: i32, handler: usize) -> usize;
     }
 
     /// The installed handler: restore the default disposition (so a
     /// second signal kills a wedged process) and raise the flag. Both
     /// operations are async-signal-safe.
-    pub extern "C" fn on_signal(signum: i32) {
+    pub(crate) extern "C" fn on_signal(signum: i32) {
         unsafe {
             signal(signum, super::SIG_DFL);
         }
@@ -60,19 +60,14 @@ pub fn install() {
 }
 
 /// Whether a SIGINT/SIGTERM has been observed.
-pub fn interrupted() -> bool {
+pub(crate) fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::SeqCst)
-}
-
-/// Clear the flag (tests; drivers treat the flag as latched).
-pub fn reset() {
-    INTERRUPTED.store(false, Ordering::SeqCst);
 }
 
 /// The `sw-signal` helper thread of one run ([`drain_watch`]).
 /// Dropping it wakes the thread, so it joins without waiting out its
 /// poll period.
-pub struct DrainWatch {
+pub(crate) struct DrainWatch {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -91,7 +86,7 @@ impl Drop for DrainWatch {
 /// run: the first observation calls `engine.request_drain()`, so the
 /// running segment quiesces gracefully and its report stays conserved.
 /// Dropping the guard stops the watcher.
-pub fn drain_watch(engine: &Arc<Engine>) -> DrainWatch {
+pub(crate) fn drain_watch(engine: &Arc<Engine>) -> DrainWatch {
     let engine = Arc::clone(engine);
     let stop = Arc::new(AtomicBool::new(false));
     let thread_stop = Arc::clone(&stop);
@@ -117,6 +112,11 @@ pub fn drain_watch(engine: &Arc<Engine>) -> DrainWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Clear the flag (drivers treat it as latched).
+    fn reset() {
+        INTERRUPTED.store(false, Ordering::SeqCst);
+    }
     use smartwatch_runtime::EngineConfig;
 
     /// Raise the flag as if a signal had arrived.

@@ -18,7 +18,7 @@ use smartwatch_trace::background::{preset_trace, Preset};
 use smartwatch_trace::Trace;
 
 /// A CAIDA-year stand-in sized for FlowCache experiments.
-pub fn caida(preset: Preset, scale: usize, seed: u64) -> Trace {
+pub(crate) fn caida(preset: Preset, scale: usize, seed: u64) -> Trace {
     preset_trace(preset, 25_000 * scale, Dur::from_secs(4), seed)
 }
 

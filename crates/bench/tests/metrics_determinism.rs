@@ -5,7 +5,7 @@
 //! accounting, latency histograms, the escalation-rate gauge).
 
 use smartwatch_bench::{exp_cache, ExpCtx};
-use smartwatch_telemetry::Snapshot;
+use smartwatch_telemetry::export::Snapshot;
 
 fn fig5_run() -> (String, String, Snapshot) {
     let ctx = ExpCtx::new(1);

@@ -7,7 +7,8 @@ use smartwatch_bench::exp_control::{control_config, ControlRunSpec};
 use smartwatch_bench::exp_engine::{engine_run_full, EngineRunSpec};
 use smartwatch_bench::run_shape::{EngineWorkload, RunShape};
 use smartwatch_bench::{serve, workloads, ExpCtx};
-use smartwatch_runtime::{Axis, DatapathMode, Engine, EngineConfig, Pace};
+use smartwatch_runtime::books::Axis;
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, Pace};
 use smartwatch_telemetry::FlightKind;
 use smartwatch_trace::background::Preset;
 use std::io::{Read, Write};

@@ -9,9 +9,10 @@
 
 use smartwatch_bench::workloads::{attack_mix, caida_64b, scattered_flows};
 use smartwatch_net::Packet;
+use smartwatch_runtime::shard::ShardStats;
 use smartwatch_runtime::DatapathMode::{Pipeline, Rtc};
 use smartwatch_runtime::FrameSource::{Packets, Wire};
-use smartwatch_runtime::{reference, Engine, EngineConfig, Pace, ShardStats};
+use smartwatch_runtime::{reference, Engine, EngineConfig, Pace};
 use smartwatch_trace::background::Preset;
 use smartwatch_trace::compile::compile;
 use smartwatch_trace::Trace;
@@ -32,7 +33,10 @@ fn the_four_benchmark_shapes_decide_what_the_oracle_decides() {
     ];
     let caches = |s: &[ShardStats]| s.iter().map(|s| s.cache).collect::<Vec<_>>();
     for (name, source, datapath, row_bits) in shapes {
-        let mut cfg = EngineConfig::deterministic();
+        let mut cfg = EngineConfig {
+            host_workers: 0,
+            ..EngineConfig::new(1)
+        };
         (cfg.datapath, cfg.cache_row_bits) = (datapath, row_bits);
         let report = Engine::new(cfg.clone()).run_source(source, Pace::Flatout);
         assert!(report.conserved(), "{name}");

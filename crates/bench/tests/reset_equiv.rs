@@ -32,6 +32,14 @@ use std::fmt::Debug;
 use std::net::Ipv4Addr;
 
 /// Everything one call reported, order-free.
+/// One packet into a scan pipeline, digested under its own hasher.
+fn scan_packet(d: &mut ScanPipeline, p: &Packet) -> Vec<String> {
+    let flow = d.conns.digest(&p.key);
+    let mut alerts = Vec::new();
+    d.on_packet_digested(p, &flow, &mut alerts);
+    said(alerts)
+}
+
 fn said<T: Debug>(out: impl IntoIterator<Item = T>) -> Vec<String> {
     let mut v: Vec<String> = out
         .into_iter()
@@ -103,11 +111,10 @@ fn packet_fed_detectors_reset_to_fresh(traces: (&Trace, &Trace)) {
         "scan",
         (ScanPipeline::new(), ScanPipeline::new()),
         traces,
-        |d, p| said(d.on_packet(p)),
+        scan_packet,
         |d, now| {
             let mut out = said(d.finish(now));
-            out.push(format!("conns {}", d.conns.len()));
-            out.push(format!("scanners {:?}", d.detector.scanners()));
+            out.push(format!("conns {}", d.conns.table().len()));
             out
         },
         ScanPipeline::reset,
@@ -354,11 +361,10 @@ fn detectors_answer_digests_as_keys(trace: &Trace) {
             d.on_packet_digested(p, flow, &mut alerts);
             said(alerts)
         },
-        |d, p| said(d.on_packet(p)),
+        scan_packet,
         |d, now| {
             let mut out = said(d.finish(now));
-            out.push(format!("conns {}", d.conns.len()));
-            out.push(format!("scanners {:?}", d.detector.scanners()));
+            out.push(format!("conns {}", d.conns.table().len()));
             out
         },
     );
@@ -463,7 +469,8 @@ fn a_reused_outcome_answers_every_packet_as_a_fresh_one() {
     login.attackers = 2;
     login.final_success = true;
     let mix = Trace::merge([attack_mix(1, 1), bruteforce(&login)]);
-    let caida = caida_64b(Preset::Caida2018, 1, 1).take(60_000);
+    let caida = caida_64b(Preset::Caida2018, 1, 1);
+    let caida = Trace::from_packets(caida.iter().take(60_000).copied().collect());
     let hasher = FlowHasher::new(INGEST_SEED);
     let (mut after_alert, mut after_whitelist) = (0, 0);
     let (mut buffered, mut released) = (0, 0);

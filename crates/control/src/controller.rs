@@ -277,7 +277,7 @@ impl ControlEvent {
     }
 
     /// The epoch the event occurred in.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         match self {
             ControlEvent::ModeSwitch { epoch, .. }
             | ControlEvent::ShedOn { epoch }
@@ -384,7 +384,7 @@ impl ControlReport {
     /// Counters-only summary: every line is an integer or a mode label,
     /// so two identical seeded drives render byte-identical strings.
     /// (Deliberately excludes floats and the timeline tail.)
-    pub fn summary(&self) -> String {
+    pub(crate) fn summary(&self) -> String {
         let modes: Vec<&str> = self.final_modes.iter().map(|m| m.label()).collect();
         format!(
             "control-summary v1\nepochs={}\nmode_switches={}\nwhitelist_promotions={}\n\
@@ -797,22 +797,12 @@ impl Controller {
         &self.decisions
     }
 
-    /// Current whitelist size (tests/diagnostics).
-    pub fn whitelist_len(&self) -> usize {
-        self.whitelist.len()
-    }
-
-    /// Current blacklist size (tests/diagnostics).
-    pub fn blacklist_len(&self) -> usize {
-        self.blacklist.len()
-    }
-
     /// Admin edit: blacklist `digest` directly (no Verdict round-trip).
     /// Revokes any standing whitelist entry (blacklist wins) and marks
     /// the controller dirty so the next epoch republishes the steering
     /// snapshot through the normal lock-free path. Returns whether the
     /// tables changed.
-    pub fn admin_blacklist_insert(&mut self, digest: u64) -> bool {
+    pub(crate) fn admin_blacklist_insert(&mut self, digest: u64) -> bool {
         let mut changed = self.blacklist.insert(digest, self.epoch);
         changed |= self.whitelist.remove(&digest);
         self.dirty |= changed;
@@ -820,7 +810,7 @@ impl Controller {
     }
 
     /// Admin edit: drop `digest` from the blacklist.
-    pub fn admin_blacklist_remove(&mut self, digest: u64) -> bool {
+    pub(crate) fn admin_blacklist_remove(&mut self, digest: u64) -> bool {
         let changed = self.blacklist.remove(&digest);
         self.dirty |= changed;
         changed
@@ -829,7 +819,7 @@ impl Controller {
     /// Admin edit: whitelist `digest`. The operator is authoritative,
     /// so a standing blacklist entry is revoked (unlike host verdicts,
     /// where blacklist wins).
-    pub fn admin_whitelist_insert(&mut self, digest: u64) -> bool {
+    pub(crate) fn admin_whitelist_insert(&mut self, digest: u64) -> bool {
         let mut changed = self.blacklist.remove(&digest);
         changed |= self.whitelist.insert(digest, self.epoch);
         self.dirty |= changed;
@@ -837,7 +827,7 @@ impl Controller {
     }
 
     /// Admin edit: drop `digest` from the whitelist.
-    pub fn admin_whitelist_remove(&mut self, digest: u64) -> bool {
+    pub(crate) fn admin_whitelist_remove(&mut self, digest: u64) -> bool {
         let changed = self.whitelist.remove(&digest);
         self.dirty |= changed;
         changed
@@ -845,7 +835,7 @@ impl Controller {
 
     /// Admin edit: `Some(v)` pins shedding to `v` from the next epoch
     /// (pausing the hysteresis); `None` hands control back to it.
-    pub fn admin_force_shed(&mut self, force: Option<bool>) {
+    pub(crate) fn admin_force_shed(&mut self, force: Option<bool>) {
         self.force_shed = force;
     }
 
@@ -1027,7 +1017,7 @@ mod tests {
         inp.verdicts = vec![Verdict::Whitelist(key(7))];
         let d = c.epoch(&inp);
         assert!(d.snapshot.is_none(), "no state change, no publication");
-        assert_eq!(c.whitelist_len(), 1);
+        assert_eq!(c.whitelist.len(), 1);
     }
 
     #[test]
@@ -1045,10 +1035,10 @@ mod tests {
             inp.heavy = vec![(0xAB, 70), (0xAB, 50), (0xCD, 30)];
             let d = c.epoch(&inp);
             if round < u64::from(PROMOTE_EPOCHS) {
-                assert_eq!(c.whitelist_len(), 0, "no promotion before the streak");
+                assert_eq!(c.whitelist.len(), 0, "no promotion before the streak");
                 assert!(d.snapshot.is_none());
             } else {
-                assert_eq!(c.whitelist_len(), 1, "promoted on the streak's last epoch");
+                assert_eq!(c.whitelist.len(), 1, "promoted on the streak's last epoch");
                 assert!(d.snapshot.unwrap().whitelist.contains(&0xAB));
             }
         }
@@ -1065,7 +1055,7 @@ mod tests {
             }
             c2.epoch(&inp);
         }
-        assert_eq!(c2.whitelist_len(), 0, "interrupted streak never promotes");
+        assert_eq!(c2.whitelist.len(), 0, "interrupted streak never promotes");
     }
 
     #[test]
@@ -1075,16 +1065,16 @@ mod tests {
         let mut inp = input(1.0, 1, 0.005, &mut cum);
         inp.verdicts = vec![Verdict::Whitelist(key(1))];
         c.epoch(&inp);
-        assert_eq!(c.whitelist_len(), 1);
+        assert_eq!(c.whitelist.len(), 1);
         // Untouched for its whole TTL, the entry still stands...
         for _ in 0..WHITELIST_TTL_EPOCHS {
             let d = c.epoch(&input(1.0, 1, 0.005, &mut cum));
             assert!(d.snapshot.is_none(), "nothing changed, nothing published");
         }
-        assert_eq!(c.whitelist_len(), 1, "alive through its TTL");
+        assert_eq!(c.whitelist.len(), 1, "alive through its TTL");
         // ...and the next epoch expires it and republishes.
         let d = c.epoch(&input(1.0, 1, 0.005, &mut cum));
-        assert_eq!(c.whitelist_len(), 0, "TTL expired the entry");
+        assert_eq!(c.whitelist.len(), 0, "TTL expired the entry");
         let snap = d.snapshot.expect("expiry republishes");
         assert!(snap.whitelist.is_empty());
         assert_eq!(d.record.whitelist_evictions, 1);
@@ -1306,7 +1296,7 @@ mod tests {
             inp.heavy = vec![(0xAB, 500)];
             c.epoch(&inp);
         }
-        assert_eq!((c.whitelist_len(), c.blacklist_len()), (1, 1));
+        assert_eq!((c.whitelist.len(), c.blacklist.len()), (1, 1));
 
         let snap = c.new_segment();
         assert!(snap.whitelist.is_empty() && snap.blacklist.is_empty());
@@ -1320,7 +1310,7 @@ mod tests {
         inp.heavy = vec![(0xAB, 500)];
         let d = c.epoch(&inp);
         assert_eq!(d.record.epoch, u64::from(PROMOTE_EPOCHS), "epochs run on");
-        assert_eq!(c.whitelist_len(), 0);
+        assert_eq!(c.whitelist.len(), 0);
         assert!((d.record.offered_mpps - 1.0).abs() < 1e-9);
         assert!(d.record.shed, "the shed pin stands");
     }

@@ -78,7 +78,7 @@ impl<T> SnapshotCell<T> {
     }
 
     /// Publications so far.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
 
@@ -133,7 +133,7 @@ pub struct ModeCell(AtomicU8);
 
 impl ModeCell {
     /// Cell starting in `mode`.
-    pub fn new(mode: Mode) -> ModeCell {
+    pub(crate) fn new(mode: Mode) -> ModeCell {
         ModeCell(AtomicU8::new(mode.code()))
     }
 

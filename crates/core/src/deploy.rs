@@ -24,14 +24,6 @@ pub enum DeployMode {
 }
 
 impl DeployMode {
-    /// All four modes in Fig. 3's legend order.
-    pub const ALL: [DeployMode; 4] = [
-        DeployMode::HostOnly,
-        DeployMode::SnicHost,
-        DeployMode::SmartWatch,
-        DeployMode::SwitchHost,
-    ];
-
     /// Display name matching the figure legend.
     pub fn name(self) -> &'static str {
         match self {
@@ -119,6 +111,16 @@ impl ScalingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DeployMode {
+        /// All four modes in Fig. 3's legend order.
+        const ALL: [DeployMode; 4] = [
+            DeployMode::HostOnly,
+            DeployMode::SnicHost,
+            DeployMode::SmartWatch,
+            DeployMode::SwitchHost,
+        ];
+    }
 
     #[test]
     fn smartwatch_endpoint_matches_paper() {

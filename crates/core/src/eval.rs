@@ -15,7 +15,7 @@ use std::net::Ipv4Addr;
 
 /// Ground truth for one attack instance.
 #[derive(Clone, Debug, Default)]
-pub struct InstanceTruth {
+pub(crate) struct InstanceTruth {
     /// Canonical flows of the instance.
     pub flows: HashSet<FlowKey>,
     /// Source addresses of labelled packets.
@@ -51,7 +51,7 @@ impl GroundTruth {
     }
 
     /// Instances of one kind.
-    pub fn instances_of(&self, kind: AttackKind) -> Vec<(u32, &InstanceTruth)> {
+    pub(crate) fn instances_of(&self, kind: AttackKind) -> Vec<(u32, &InstanceTruth)> {
         let mut v: Vec<(u32, &InstanceTruth)> = self
             .instances
             .iter()

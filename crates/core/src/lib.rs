@@ -38,6 +38,5 @@ pub mod tier;
 
 pub use deploy::{DeployMode, Resources, ScalingModel};
 pub use eval::{detection_rate, GroundTruth};
-pub use platform::{standard_queries, PlatformConfig, RunReport, SmartWatch, TierMetrics};
 pub use suite::{DetectorSuite, HostNeed, SuiteOutcome};
 pub use tier::SnicTier;

@@ -819,7 +819,7 @@ mod tests {
         assert_eq!(early.gauges, late.gauges);
         // The histograms are recorded at the event: the late registry
         // never saw the first interval's flush.
-        let flushes = |s: &smartwatch_telemetry::Snapshot| {
+        let flushes = |s: &smartwatch_telemetry::export::Snapshot| {
             s.histogram("host.aggregate.flush_records{agg=interval}")
                 .unwrap()
                 .count

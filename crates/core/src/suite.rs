@@ -152,7 +152,7 @@ impl DetectorSuite {
     }
 
     /// Heap bytes the suite's detector tables hold.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.scan.resident_bytes()
             + self.rst.resident_bytes()
             + self.dns.resident_bytes()
@@ -208,7 +208,7 @@ impl DetectorSuite {
 
     /// The hasher every digest handed to
     /// [`DetectorSuite::on_packet_digested`] must come from.
-    pub fn hasher(&self) -> FlowHasher {
+    pub(crate) fn hasher(&self) -> FlowHasher {
         self.hasher
     }
 

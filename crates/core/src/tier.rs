@@ -90,17 +90,17 @@ impl SnicTier {
 
     /// §3.4's snapshot: the records that changed since the last one,
     /// appended to `out`.
-    pub fn snapshot_delta_into(&mut self, out: &mut Vec<FlowRecord>) {
+    pub(crate) fn snapshot_delta_into(&mut self, out: &mut Vec<FlowRecord>) {
         self.cache.snapshot_delta_into(out);
     }
 
     /// The evicted records the rings hold, taken.
-    pub fn drain_evicted(&mut self) -> Vec<FlowRecord> {
+    pub(crate) fn drain_evicted(&mut self) -> Vec<FlowRecord> {
         self.cache.rings().drain()
     }
 
     /// Every resident record, appended to `out`; the cache is left empty.
-    pub fn drain_all_into(&mut self, out: &mut Vec<FlowRecord>) {
+    pub(crate) fn drain_all_into(&mut self, out: &mut Vec<FlowRecord>) {
         self.cache.drain_all_into(out);
     }
 

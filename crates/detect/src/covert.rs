@@ -1,13 +1,12 @@
 //! Covert timing-channel detection (paper §5.2.1).
 //!
 //! The sNIC keeps fine-grained IPD bins (1 µs) for flows the switch
-//! pre-checked as suspicious; when the collection timer fires, a CME runs
-//! a Kolmogorov–Smirnov test between each flow's IPD histogram and a
-//! known-good reference distribution learned from benign traffic. Flows
-//! whose KS statistic exceeds the decision threshold are classified as
-//! modulated channels.
+//! pre-checked as suspicious; when the collection timer fires, a CME
+//! scores each flow's IPD histogram. The paper compares it against a
+//! known-good reference distribution (a Kolmogorov–Smirnov test); here
+//! the score is the flow's own [`bimodality`], and flows whose score
+//! exceeds the decision threshold are classified as modulated channels.
 
-use crate::stats::ks_from_histograms;
 use crate::{Alert, Subject};
 
 /// Bimodality statistic of an IPD histogram: the fraction of probability
@@ -84,33 +83,16 @@ impl IpdCollector {
         entry.0 = p.ts;
     }
 
-    /// Histogram of one flow.
-    pub fn histogram(&self, key: &FlowKey) -> Option<&Vec<u64>> {
-        self.flows.get(&key.canonical().0).map(|(_, h)| h)
-    }
-
     /// Drain all (flow, histogram) pairs — the CME timer readout.
     pub fn readout(&mut self) -> Vec<(FlowKey, Vec<u64>)> {
         self.flows.drain().map(|(k, (_, h))| (k, h)).collect()
     }
-
-    /// Tracked flow count.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True if no flows are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
 }
 
 /// The CME-side classifier: a bimodality test against the flow's own
-/// median (primary), with the trained benign reference retained for
-/// KS-based diagnostics ([`CovertChannelDetector::score`]).
+/// median.
 #[derive(Clone, Debug)]
 pub struct CovertChannelDetector {
-    reference: Vec<u64>,
     /// Bimodality score above which a flow is declared modulated.
     pub threshold: f64,
     /// Minimum IPD samples before a verdict is meaningful.
@@ -121,34 +103,14 @@ pub struct CovertChannelDetector {
 }
 
 impl CovertChannelDetector {
-    /// Detector with a benign reference histogram and decision threshold.
-    pub fn new(reference: Vec<u64>, threshold: f64) -> CovertChannelDetector {
-        assert!(!reference.is_empty());
+    /// Detector with decision threshold `threshold`. It needs no benign
+    /// training set: each flow is its own reference.
+    pub fn new(threshold: f64) -> CovertChannelDetector {
         CovertChannelDetector {
-            reference,
             threshold,
             min_samples: 50,
             window: 8,
         }
-    }
-
-    /// Train the reference from benign flow histograms (summed).
-    pub fn train(benign: &[Vec<u64>], threshold: f64) -> CovertChannelDetector {
-        assert!(!benign.is_empty());
-        let n = benign[0].len();
-        let mut reference = vec![0u64; n];
-        for h in benign {
-            assert_eq!(h.len(), n);
-            for (r, v) in reference.iter_mut().zip(h) {
-                *r += v;
-            }
-        }
-        CovertChannelDetector::new(reference, threshold)
-    }
-
-    /// KS statistic of a flow histogram against the reference.
-    pub fn score(&self, hist: &[u64]) -> f64 {
-        ks_from_histograms(&self.reference, hist)
     }
 
     /// Classify one flow via the bimodality statistic; `Some(alert)` when
@@ -176,6 +138,13 @@ mod tests {
     use smartwatch_net::PacketBuilder;
     use std::net::Ipv4Addr;
 
+    impl IpdCollector {
+        /// Histogram of one flow.
+        fn histogram(&self, key: &FlowKey) -> Option<&Vec<u64>> {
+            self.flows.get(&key.canonical().0).map(|(_, h)| h)
+        }
+    }
+
     fn flow(i: u32) -> FlowKey {
         FlowKey::tcp(
             Ipv4Addr::from(0x0A000000 + i),
@@ -194,13 +163,6 @@ mod tests {
         }
     }
 
-    fn benign_hist() -> Vec<u64> {
-        let mut c = IpdCollector::paper_default();
-        let gaps: Vec<u64> = (0..500).map(|i| 43 + (i % 5)).collect(); // ~45 µs unimodal
-        feed_gaps(&mut c, flow(0), &gaps);
-        c.histogram(&flow(0)).unwrap().clone()
-    }
-
     #[test]
     fn collector_bins_gaps() {
         let mut c = IpdCollector::paper_default();
@@ -208,18 +170,19 @@ mod tests {
         let h = c.histogram(&flow(1)).unwrap();
         assert_eq!(h[30], 2);
         assert_eq!(h[80], 1);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.flows.len(), 1);
     }
 
     #[test]
     fn modulated_flow_scores_high_benign_low() {
-        let det = CovertChannelDetector::train(&[benign_hist()], 0.3);
+        let det = CovertChannelDetector::new(0.3);
         // Modulated: bimodal 30/80.
         let mut c = IpdCollector::paper_default();
         let gaps: Vec<u64> = (0..200).map(|i| if i % 2 == 0 { 30 } else { 80 }).collect();
         feed_gaps(&mut c, flow(2), &gaps);
         let mod_hist = c.histogram(&flow(2)).unwrap();
-        assert!(det.score(mod_hist) > 0.3, "score {}", det.score(mod_hist));
+        let score = bimodality(mod_hist, det.window);
+        assert!(score > 0.3, "score {score}");
         assert!(det.classify(flow(2), mod_hist, Ts::ZERO).is_some());
         // Benign-like flow: low score.
         let mut c2 = IpdCollector::paper_default();
@@ -231,7 +194,7 @@ mod tests {
 
     #[test]
     fn small_samples_withhold_verdict() {
-        let det = CovertChannelDetector::train(&[benign_hist()], 0.3);
+        let det = CovertChannelDetector::new(0.3);
         let mut c = IpdCollector::paper_default();
         feed_gaps(&mut c, flow(4), &[30, 80, 30]);
         let h = c.histogram(&flow(4)).unwrap();
@@ -242,12 +205,12 @@ mod tests {
     fn subtle_modulation_depth_lowers_score() {
         // Fig. 9a's underlying gradient: 2 µs modulation around the benign
         // mode is harder than 60 µs.
-        let det = CovertChannelDetector::train(&[benign_hist()], 0.3);
+        let det = CovertChannelDetector::new(0.3);
         let score_for = |lo: u64, hi: u64| {
             let mut c = IpdCollector::paper_default();
             let gaps: Vec<u64> = (0..400).map(|i| if i % 2 == 0 { lo } else { hi }).collect();
             feed_gaps(&mut c, flow(9), &gaps);
-            det.score(c.histogram(&flow(9)).unwrap())
+            bimodality(c.histogram(&flow(9)).unwrap(), det.window)
         };
         assert!(score_for(30, 90) > score_for(44, 46));
     }
@@ -259,6 +222,6 @@ mod tests {
         feed_gaps(&mut c, flow(6), &[20, 20]);
         let batch = c.readout();
         assert_eq!(batch.len(), 2);
-        assert!(c.is_empty());
+        assert!(c.flows.is_empty());
     }
 }

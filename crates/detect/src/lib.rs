@@ -90,7 +90,12 @@ pub struct Alert {
 
 impl Alert {
     /// Construct an alert.
-    pub fn new(kind: AttackKind, subject: Subject, ts: Ts, detail: impl Into<String>) -> Alert {
+    pub(crate) fn new(
+        kind: AttackKind,
+        subject: Subject,
+        ts: Ts,
+        detail: impl Into<String>,
+    ) -> Alert {
         Alert {
             kind,
             subject,

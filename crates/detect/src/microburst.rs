@@ -1,8 +1,7 @@
 //! Microburst detection (paper §5.3.2): composition of the egress-queue
 //! model and the sNIC burst log into a packet-in, report-out detector.
 
-use crate::{Alert, Subject};
-use smartwatch_net::{AttackKind, Dur, Packet, Ts};
+use smartwatch_net::{Dur, Packet, Ts};
 use smartwatch_snic::burstlog::{BurstLog, BurstReport, EgressQueue};
 
 /// End-to-end microburst detector.
@@ -32,27 +31,6 @@ impl MicroburstDetector {
     pub fn finish(&mut self, now: Ts) -> &[BurstReport] {
         self.log.finish(now);
         self.log.reports()
-    }
-
-    /// Reports so far.
-    pub fn reports(&self) -> &[BurstReport] {
-        self.log.reports()
-    }
-
-    /// Reports converted to alerts.
-    pub fn alerts(&self) -> Vec<Alert> {
-        self.log
-            .reports()
-            .iter()
-            .map(|r| {
-                Alert::new(
-                    AttackKind::Microburst,
-                    Subject::Burst(r.id),
-                    r.end,
-                    format!("{} flows over {}", r.flows.len(), r.duration()),
-                )
-            })
-            .collect()
     }
 }
 

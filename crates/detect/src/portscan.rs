@@ -41,26 +41,26 @@ pub struct PortscanDetector {
 
 impl PortscanDetector {
     /// Fresh detector with classic TRW parameters.
-    pub fn new() -> PortscanDetector {
+    pub(crate) fn new() -> PortscanDetector {
         PortscanDetector::default()
     }
 
     /// Back to the state [`PortscanDetector::new`] built, in place (see
     /// [`Resident`]).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.remotes.reset();
         self.alerted.reset();
         self.probed.reset();
     }
 
     /// Heap bytes the detector's tables hold.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.remotes.resident_bytes() + self.alerted.resident_bytes() + self.probed.resident_bytes()
     }
 
     /// Feed one resolved connection-attempt outcome (`success` = the
     /// handshake completed) from remote `src` towards `(dst, port)`.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         src: Ipv4Addr,
         dst: Ipv4Addr,
@@ -85,13 +85,6 @@ impl PortscanDetector {
             ));
         }
         None
-    }
-
-    /// Sources flagged as scanners.
-    pub fn scanners(&self) -> Vec<Ipv4Addr> {
-        let mut v: Vec<Ipv4Addr> = self.alerted.iter().copied().collect();
-        v.sort();
-        v
     }
 }
 
@@ -168,17 +161,8 @@ impl ScanPipeline {
             + self.incomplete.resident_bytes()
     }
 
-    /// Feed one packet; returns any new alert.
-    pub fn on_packet(&mut self, pkt: &Packet) -> Vec<Alert> {
-        let flow = self.conns.digest(&pkt.key);
-        let mut alerts = Vec::new();
-        self.on_packet_digested(pkt, &flow, &mut alerts);
-        alerts
-    }
-
-    /// [`ScanPipeline::on_packet`] for a packet whose flow identity was
-    /// computed at ingest (see [`ConnTable::process_digested`]), appending
-    /// any new alert to the caller's `alerts` and returning the connection
+    /// Feed one packet whose flow identity was computed at ingest (see
+    /// [`ConnTable::process_digested`]), appending any new alert to the caller's `alerts` and returning the connection
     /// event the packet raised: the suite's SSH/FTP analyzer reads the
     /// same connection record instead of tracking the session a second
     /// time.
@@ -248,7 +232,7 @@ pub struct IncompleteFlowDetector {
 
 impl IncompleteFlowDetector {
     /// Detector alerting after `threshold` incomplete flows per source.
-    pub fn new(threshold: u32) -> IncompleteFlowDetector {
+    pub(crate) fn new(threshold: u32) -> IncompleteFlowDetector {
         IncompleteFlowDetector {
             threshold,
             counts: HashMap::default(),
@@ -258,19 +242,19 @@ impl IncompleteFlowDetector {
 
     /// Back to the state [`IncompleteFlowDetector::new`] built, in
     /// place, keeping the threshold (see [`Resident`]).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.counts.reset();
         self.alerted.reset();
     }
 
     /// Heap bytes the detector's tables hold.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.counts.resident_bytes() + self.alerted.resident_bytes()
     }
 
     /// Report a connection that ended (timed out / was swept) with no
     /// payload in either direction.
-    pub fn observe_incomplete(
+    pub(crate) fn observe_incomplete(
         &mut self,
         rec: &smartwatch_host::ConnRecord,
         now: Ts,
@@ -297,6 +281,16 @@ impl IncompleteFlowDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ScanPipeline {
+        /// Feed one packet under the table's own hasher.
+        fn on_packet(&mut self, pkt: &Packet) -> Vec<Alert> {
+            let flow = self.conns.digest(&pkt.key);
+            let mut alerts = Vec::new();
+            self.on_packet_digested(pkt, &flow, &mut alerts);
+            alerts
+        }
+    }
     use smartwatch_host::ConnRecord;
     use smartwatch_net::{FlowKey, PacketBuilder, TcpFlags};
 
@@ -339,11 +333,15 @@ mod tests {
         fn take(&mut self, expired: impl Fn(&ConnRecord) -> bool) -> Vec<ConnRecord> {
             let keys: Vec<FlowKey> = self
                 .conns
+                .table()
                 .iter()
                 .filter(|r| expired(r))
                 .map(|r| r.key)
                 .collect();
-            keys.iter().filter_map(|k| self.conns.remove(k)).collect()
+            let conns = &mut self.conns;
+            keys.iter()
+                .filter_map(|k| conns.remove_digested(&conns.digest(k)))
+                .collect()
         }
 
         fn sweeps(&mut self, now: Ts, dataless_timeout: Dur, stamp: Ts) -> Vec<Alert> {
@@ -369,11 +367,13 @@ mod tests {
             }
             match self.conns.process(pkt) {
                 Some(ConnEvent::Established) => {
-                    let (src, dst, port) = originator_view(self.conns.get(&pkt.key).unwrap());
+                    let rec = self.conns.get_digested(&self.conns.digest(&pkt.key));
+                    let (src, dst, port) = originator_view(rec.unwrap());
                     alerts.extend(self.detector.observe(src, dst, port, true, pkt.ts));
                 }
                 Some(ConnEvent::Rejected) => {
-                    let rec = self.conns.remove(&pkt.key).unwrap();
+                    let flow = self.conns.digest(&pkt.key);
+                    let rec = self.conns.remove_digested(&flow).unwrap();
                     let (src, dst, port) = originator_view(&rec);
                     alerts.extend(self.detector.observe(src, dst, port, false, pkt.ts));
                 }
@@ -463,7 +463,11 @@ mod tests {
                 }
             }
             if swept {
-                assert_eq!(fused.conns.len(), oracle.conns.len(), "packet {i}");
+                assert_eq!(
+                    fused.conns.table().len(),
+                    oracle.conns.table().len(),
+                    "packet {i}"
+                );
                 assert_eq!(
                     detector_state(&fused.detector, &fused.incomplete),
                     detector_state(&oracle.detector, &oracle.incomplete),
@@ -478,7 +482,7 @@ mod tests {
             by_text(fused.finish(end)),
             by_text(oracle.sweeps(end + T, T, end))
         );
-        assert_eq!(fused.conns.len(), oracle.conns.len());
+        assert_eq!(fused.conns.table().len(), oracle.conns.table().len());
         assert_eq!(
             detector_state(&fused.detector, &fused.incomplete),
             detector_state(&oracle.detector, &oracle.incomplete)
@@ -569,7 +573,7 @@ mod tests {
             );
             assert!(a.is_none());
         }
-        assert!(d.scanners().is_empty());
+        assert!(d.alerted.is_empty());
     }
 
     #[test]

@@ -31,12 +31,9 @@ use smartwatch_snic::{FlowTable, Keyed};
 
 /// A buffered suspect RST.
 #[derive(Clone, Copy, Debug)]
-pub struct BufferedRst {
+pub(crate) struct BufferedRst {
     /// Canonical flow the RST belongs to.
     pub flow: FlowKey,
-    /// Direction marker: true if the RST travelled in canonical-forward
-    /// direction.
-    pub forward: bool,
     /// Sequence number carried by the RST.
     pub seq: u32,
     /// Arrival time.
@@ -230,7 +227,6 @@ impl ForgedRstDetector {
                     digest,
                     BufferedRst {
                         flow: canon,
-                        forward,
                         seq: pkt.seq,
                         arrived: pkt.ts,
                     },
@@ -323,7 +319,7 @@ mod tests {
     struct ScanningDetector {
         horizon: Dur,
         now: Ts,
-        buffered: Vec<(Ts, BufferedRst)>,
+        buffered: Vec<(Ts, BufferedRst, bool)>,
         bloom: BloomFilter,
         hasher: smartwatch_net::FlowHasher,
     }
@@ -345,11 +341,11 @@ mod tests {
             }
             self.now = now;
             let (mut due, keep): (Vec<_>, Vec<_>) =
-                self.buffered.drain(..).partition(|(d, _)| *d <= now);
+                self.buffered.drain(..).partition(|(d, _, _)| *d <= now);
             self.buffered = keep;
-            due.sort_by_key(|(d, _)| *d);
+            due.sort_by_key(|(d, _, _)| *d);
             due.iter()
-                .map(|(_, r)| RstEvent::Released(r.flow))
+                .map(|(_, r, _)| RstEvent::Released(r.flow))
                 .collect()
         }
 
@@ -363,7 +359,7 @@ mod tests {
             if pkt.flags.rst() {
                 let fid = self.hasher.hash_symmetric(&flow).0;
                 if self.bloom.contains(fid) {
-                    if self.buffered.iter().any(|(_, r)| r.flow == flow) {
+                    if self.buffered.iter().any(|(_, r, _)| r.flow == flow) {
                         events.push(RstEvent::DuplicateRst(Alert::new(
                             AttackKind::ForgedTcpRst,
                             Subject::Flow(flow),
@@ -379,19 +375,18 @@ mod tests {
                 self.bloom.insert(fid);
                 let rst = BufferedRst {
                     flow,
-                    forward,
                     seq: pkt.seq,
                     arrived: pkt.ts,
                 };
                 self.buffered
-                    .push(((pkt.ts + self.horizon).max(self.now), rst));
+                    .push(((pkt.ts + self.horizon).max(self.now), rst, forward));
             } else if pkt.payload_len > 0 {
                 let hit = self
                     .buffered
                     .iter()
-                    .position(|(_, r)| r.flow == flow && r.forward == forward);
+                    .position(|(_, r, fwd)| r.flow == flow && *fwd == forward);
                 if let Some(pos) = hit {
-                    let (_, rst) = self.buffered.remove(pos);
+                    let (_, rst, _) = self.buffered.remove(pos);
                     events.push(RstEvent::ForgedDetected(Alert::new(
                         AttackKind::ForgedTcpRst,
                         Subject::Flow(flow),
@@ -418,12 +413,8 @@ mod tests {
         fn assert_index_is_the_wheel(&self) {
             assert_eq!(self.index.len(), self.wheel.len());
             for (deadline, (digest, r)) in self.wheel.iter() {
-                let want = Indexed {
-                    flow: r.flow,
-                    deadline,
-                    forward: r.forward,
-                };
-                assert_eq!(self.index.get(&r.flow, *digest), Some(&want));
+                let got = self.index.get(&r.flow, *digest).expect("indexed");
+                assert_eq!((got.flow, got.deadline), (r.flow, deadline));
             }
         }
     }

@@ -12,7 +12,7 @@ use smartwatch_net::{FlowKey, Packet};
 use std::collections::HashMap;
 
 /// Bins per direction (50-byte bins over 0–1500).
-pub const WFP_BINS: usize = 30;
+pub(crate) const WFP_BINS: usize = 30;
 
 /// Per-load PLD collector keyed by connection.
 #[derive(Clone, Debug, Default)]
@@ -46,24 +46,9 @@ impl PldCollector {
         hist[if inbound { WFP_BINS + bin } else { bin }] += 1;
     }
 
-    /// Feature vector of one connection.
-    pub fn features(&self, key: &FlowKey) -> Option<&Vec<u64>> {
-        self.flows.get(&key.canonical().0)
-    }
-
     /// Drain all (connection, features).
     pub fn readout(&mut self) -> Vec<(FlowKey, Vec<u64>)> {
         self.flows.drain().collect()
-    }
-
-    /// Number of tracked loads.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
     }
 }
 
@@ -159,7 +144,7 @@ mod tests {
             .build();
         c.on_packet(&out);
         c.on_packet(&inb);
-        let f = c.features(&key).unwrap();
+        let f = &c.flows[&key.canonical().0];
         assert_eq!(f[120 / 50], 1, "outbound bin");
         assert_eq!(f[WFP_BINS + 1200 / 50], 1, "inbound bin");
     }
@@ -174,6 +159,6 @@ mod tests {
             22,
         );
         c.on_packet(&smartwatch_net::PacketBuilder::new(key, smartwatch_net::Ts::ZERO).build());
-        assert!(c.is_empty());
+        assert!(c.flows.is_empty());
     }
 }

@@ -39,7 +39,11 @@ pub struct EarlyBirdDetector {
 impl EarlyBirdDetector {
     /// EarlyBird's canonical thresholds: prevalence 3+, dispersion 30
     /// sources / 30 destinations (scaled-down defaults here).
-    pub fn new(prevalence: u64, src_dispersion: usize, dst_dispersion: usize) -> EarlyBirdDetector {
+    pub(crate) fn new(
+        prevalence: u64,
+        src_dispersion: usize,
+        dst_dispersion: usize,
+    ) -> EarlyBirdDetector {
         EarlyBirdDetector {
             prevalence,
             src_dispersion,

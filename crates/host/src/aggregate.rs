@@ -50,7 +50,7 @@ impl SnapshotAggregator {
     }
 
     /// Ingest one exported record.
-    pub fn ingest(&mut self, rec: FlowRecord) {
+    pub(crate) fn ingest(&mut self, rec: FlowRecord) {
         self.exports_in += 1;
         self.flows
             .entry(rec.key)
@@ -66,18 +66,8 @@ impl SnapshotAggregator {
     }
 
     /// Distinct flows aggregated so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.flows.len()
-    }
-
-    /// True if nothing was ingested.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
-    /// Aggregated record for a flow.
-    pub fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
-        self.flows.get(&key.canonical().0)
     }
 
     /// Iterate over aggregated flows.
@@ -85,22 +75,9 @@ impl SnapshotAggregator {
         self.flows.values()
     }
 
-    /// Flows with at least `threshold` packets, heaviest first (the
-    /// offline heavy-hitter query of Table 2, and the top-k heavy *benign*
+    /// The `k` heaviest flows, heaviest first (the top-k heavy *benign*
     /// flow selection the control loop whitelists), equal counts by flow
     /// key.
-    pub fn heavy_hitters(&self, threshold: u64) -> Vec<FlowRecord> {
-        let mut out: Vec<FlowRecord> = self
-            .flows
-            .values()
-            .filter(|r| r.packets >= threshold)
-            .copied()
-            .collect();
-        out.sort_unstable_by_key(rank);
-        out
-    }
-
-    /// The `k` heaviest flows, ranked as [`Self::heavy_hitters`] ranks.
     pub fn top_k(&self, k: usize) -> Vec<FlowRecord> {
         let mut out: Vec<FlowRecord> = self.flows.values().copied().collect();
         if k < out.len() {
@@ -148,7 +125,7 @@ mod tests {
         agg.ingest(rec(1, 7, 6, 9));
         agg.ingest(rec(2, 3, 1, 2));
         assert_eq!(agg.len(), 2);
-        let r = agg.get(&rec(1, 0, 0, 0).key).unwrap();
+        let r = agg.flows[&rec(1, 0, 0, 0).key.canonical().0];
         assert_eq!(r.packets, 17);
         assert_eq!(r.first_ts, Ts::ZERO);
         assert_eq!(r.last_ts, Ts::from_secs(9));
@@ -160,13 +137,13 @@ mod tests {
             let mut agg = SnapshotAggregator::new();
             agg.ingest(rec(1, 10, 0, 5));
             agg.ingest(rec(1, 7, 6, 9));
-            *agg.get(&rec(1, 0, 0, 0).key).unwrap()
+            agg.flows[&rec(1, 0, 0, 0).key.canonical().0]
         };
         let b = {
             let mut agg = SnapshotAggregator::new();
             agg.ingest(rec(1, 7, 6, 9));
             agg.ingest(rec(1, 10, 0, 5));
-            *agg.get(&rec(1, 0, 0, 0).key).unwrap()
+            agg.flows[&rec(1, 0, 0, 0).key.canonical().0]
         };
         assert_eq!(a.packets, b.packets);
         assert_eq!(a.first_ts, b.first_ts);
@@ -179,7 +156,11 @@ mod tests {
         for i in 0..10 {
             agg.ingest(rec(i, u64::from(i) * 10, 0, 1));
         }
-        let hh = agg.heavy_hitters(50);
+        let hh: Vec<FlowRecord> = agg
+            .top_k(10)
+            .into_iter()
+            .filter(|r| r.packets >= 50)
+            .collect();
         assert_eq!(hh.len(), 5);
         assert!(hh.windows(2).all(|w| w[0].packets >= w[1].packets));
         assert_eq!(agg.top_k(3).len(), 3);
@@ -193,7 +174,7 @@ mod tests {
         agg.ingest(rec(2, 2, 0, 0));
         let flushed = agg.flush();
         assert_eq!(flushed.len(), 2);
-        assert!(agg.is_empty());
+        assert!(agg.flows.is_empty());
         assert_eq!((agg.exports_in, agg.flushes), (2, 1));
     }
 
@@ -210,10 +191,7 @@ mod tests {
         backward.ingest_batch(recs.iter().rev().copied());
         let keys = |v: Vec<FlowRecord>| v.into_iter().map(|r| r.key).collect::<Vec<_>>();
         assert_eq!(keys(forward.top_k(5)), keys(backward.top_k(5)));
-        assert_eq!(
-            keys(forward.heavy_hitters(11)),
-            keys(backward.heavy_hitters(11))
-        );
+        assert_eq!(keys(forward.top_k(12)), keys(backward.top_k(12)));
         let top = forward.top_k(3);
         assert_eq!((top[0].packets, top[1].packets), (15, 15));
         assert!(top[0].key < top[1].key, "ties rank by key");

@@ -78,7 +78,7 @@ impl ConnRecord {
     }
 
     /// Connection duration so far.
-    pub fn duration(&self) -> Dur {
+    pub(crate) fn duration(&self) -> Dur {
         self.last - self.start
     }
 }
@@ -156,27 +156,12 @@ impl ConnTable {
         &self.conns
     }
 
-    /// Active connection count.
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// True if no connections are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
-    }
-
     /// Canonicalise and hash a bare key under the table's hasher.
     pub fn digest(&self, key: &FlowKey) -> FlowDigest {
         self.hasher.flow_digest(key)
     }
 
-    /// Look up a connection.
-    pub fn get(&self, key: &FlowKey) -> Option<&ConnRecord> {
-        self.get_digested(&self.digest(key))
-    }
-
-    /// [`ConnTable::get`] for a flow whose digest was carried.
+    /// Look up a connection by the digest of its flow.
     pub fn get_digested(&self, flow: &FlowDigest) -> Option<&ConnRecord> {
         self.conns.get(&flow.canon, flow.digest)
     }
@@ -188,18 +173,8 @@ impl ConnTable {
         self.conns.prefetch(canon, digest);
     }
 
-    /// Iterate over tracked connections.
-    pub fn iter(&self) -> impl Iterator<Item = &ConnRecord> {
-        self.conns.iter()
-    }
-
-    /// Remove a connection (after its analyzer is done with it).
-    pub fn remove(&mut self, key: &FlowKey) -> Option<ConnRecord> {
-        let flow = self.digest(key);
-        self.remove_digested(&flow)
-    }
-
-    /// [`ConnTable::remove`] for a flow whose digest was carried.
+    /// Remove a connection (after its analyzer is done with it), by the
+    /// digest of its flow.
     pub fn remove_digested(&mut self, flow: &FlowDigest) -> Option<ConnRecord> {
         self.conns.remove(&flow.canon, flow.digest)
     }
@@ -330,6 +305,30 @@ mod tests {
     use super::*;
     use smartwatch_net::{PacketBuilder, TcpFlags};
     use std::net::Ipv4Addr;
+
+    /// Bare-key reads the tests take the table through.
+    impl ConnTable {
+        fn len(&self) -> usize {
+            self.conns.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.conns.is_empty()
+        }
+
+        fn get(&self, key: &FlowKey) -> Option<&ConnRecord> {
+            self.get_digested(&self.digest(key))
+        }
+
+        fn iter(&self) -> impl Iterator<Item = &ConnRecord> {
+            self.conns.iter()
+        }
+
+        fn remove(&mut self, key: &FlowKey) -> Option<ConnRecord> {
+            let flow = self.digest(key);
+            self.remove_digested(&flow)
+        }
+    }
 
     fn key() -> FlowKey {
         FlowKey::tcp(

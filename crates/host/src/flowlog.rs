@@ -59,13 +59,8 @@ impl FlowLogStore {
     }
 
     /// Total records stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.intervals.values().map(Vec::len).sum()
-    }
-
-    /// True if the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

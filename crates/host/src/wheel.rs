@@ -95,7 +95,7 @@ impl<T> TimingWheel<T> {
     }
 
     /// Scheduling horizon.
-    pub fn horizon(&self) -> Dur {
+    pub(crate) fn horizon(&self) -> Dur {
         Dur::from_nanos(self.tick.as_nanos() * self.slots.len() as u64)
     }
 
@@ -107,11 +107,6 @@ impl<T> TimingWheel<T> {
     /// True if nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Current wheel time.
-    pub fn now(&self) -> Ts {
-        self.now
     }
 
     fn slot_of(&self, deadline: Ts) -> usize {
@@ -232,7 +227,7 @@ mod tests {
         // Everything expired before the reset: the peak sizes the wheel.
         assert_eq!(w.advance(Ts::from_secs(10)).len(), 4_000);
         w.reset();
-        assert_eq!((w.len(), w.now()), (0, Ts::ZERO));
+        assert_eq!((w.len(), w.now), (0, Ts::ZERO));
         assert_eq!(
             w.resident_bytes(),
             bytes,
@@ -318,7 +313,7 @@ mod tests {
         // horizon from `now`: a stale `now` would reject this deadline.
         let mut w = wheel();
         assert!(w.advance(Ts::from_secs(100)).is_empty());
-        assert_eq!(w.now(), Ts::from_secs(100));
+        assert_eq!(w.now, Ts::from_secs(100));
         w.schedule(Ts::from_secs(105), 1);
     }
 

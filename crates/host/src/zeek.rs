@@ -81,18 +81,8 @@ impl ArtefactRegistry {
         }
     }
 
-    /// Number of registered artefacts.
-    pub fn len(&self) -> usize {
-        self.expiry.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.expiry.is_empty()
-    }
-
     /// Expiry of a digest, if registered.
-    pub fn expires_at(&self, digest: u64) -> Option<Ts> {
+    pub(crate) fn expires_at(&self, digest: u64) -> Option<Ts> {
         self.expiry.get(&digest).copied()
     }
 

@@ -541,7 +541,7 @@ impl AgingDigestSet {
 
     /// Insert (or refresh) `digest` at epoch `now`. Returns `true` if the
     /// digest was not already present. At capacity, the stalest entry is
-    /// evicted first (accounted in [`AgingDigestSet::evicted`]).
+    /// evicted first (counted in `evicted`).
     pub fn insert(&mut self, digest: u64, now: u64) -> bool {
         if let Some(stamp) = self.map.get_mut(&digest) {
             *stamp = now;
@@ -576,7 +576,7 @@ impl AgingDigestSet {
 
     /// Expire every entry untouched for more than the TTL as of epoch
     /// `now`; returns how many were removed (also accumulated in
-    /// [`AgingDigestSet::expired`]).
+    /// `expired`).
     pub fn sweep(&mut self, now: u64) -> u64 {
         let ttl = self.ttl;
         let before = self.map.len();
@@ -596,16 +596,6 @@ impl AgingDigestSet {
     /// True when no digests are resident.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Entries removed by TTL sweeps so far.
-    pub fn expired(&self) -> u64 {
-        self.expired
-    }
-
-    /// Entries evicted by the capacity bound so far.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
     }
 
     /// Iterate over resident digests (arbitrary order).
@@ -933,7 +923,7 @@ mod tests {
         }
         assert_eq!(set.sweep(11), 50, "untouched half expires past TTL");
         assert_eq!(set.len(), 50);
-        assert_eq!(set.expired(), 50);
+        assert_eq!(set.expired, 50);
         for d in 0..50u64 {
             assert!(set.contains(&d), "touched digest {d} must survive");
         }
@@ -956,7 +946,7 @@ mod tests {
         set.insert(100, 10);
         set.insert(999, 11);
         assert_eq!(set.len(), 4, "capacity bound holds");
-        assert_eq!(set.evicted(), 1);
+        assert_eq!(set.evicted, 1);
         assert!(set.contains(&100), "refreshed entry survives");
         assert!(!set.contains(&101), "stalest entry evicted");
         assert!(set.contains(&999));

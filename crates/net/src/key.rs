@@ -174,7 +174,7 @@ pub struct RawTuple {
 impl RawTuple {
     /// Materialise the equivalent [`FlowKey`], folding each address via
     /// [`fold_ip`] (the identity for tuples extracted from IPv4 frames).
-    pub fn key(&self) -> FlowKey {
+    pub(crate) fn key(&self) -> FlowKey {
         FlowKey::new(
             Ipv4Addr::from(fold_ip(self.src_ip)),
             Ipv4Addr::from(fold_ip(self.dst_ip)),

@@ -44,24 +44,6 @@ pub enum AttackKind {
 }
 
 impl AttackKind {
-    /// All attack kinds, in Table 2 / Table 4 order.
-    pub const ALL: [AttackKind; 14] = [
-        AttackKind::Slowloris,
-        AttackKind::SshBruteforce,
-        AttackKind::ExpiringSslCert,
-        AttackKind::FtpBruteforce,
-        AttackKind::KerberosTicket,
-        AttackKind::ForgedTcpRst,
-        AttackKind::TcpIncompleteFlows,
-        AttackKind::StealthyPortScan,
-        AttackKind::DnsAmplification,
-        AttackKind::Microburst,
-        AttackKind::Worm,
-        AttackKind::CovertTimingChannel,
-        AttackKind::WebsiteFingerprint,
-        AttackKind::HeavyHitter,
-    ];
-
     /// Human-readable name matching the paper's table rows.
     pub fn name(self) -> &'static str {
         match self {
@@ -128,6 +110,26 @@ impl Label {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AttackKind {
+        /// All attack kinds, in Table 2 / Table 4 order.
+        const ALL: [AttackKind; 14] = [
+            AttackKind::Slowloris,
+            AttackKind::SshBruteforce,
+            AttackKind::ExpiringSslCert,
+            AttackKind::FtpBruteforce,
+            AttackKind::KerberosTicket,
+            AttackKind::ForgedTcpRst,
+            AttackKind::TcpIncompleteFlows,
+            AttackKind::StealthyPortScan,
+            AttackKind::DnsAmplification,
+            AttackKind::Microburst,
+            AttackKind::Worm,
+            AttackKind::CovertTimingChannel,
+            AttackKind::WebsiteFingerprint,
+            AttackKind::HeavyHitter,
+        ];
+    }
 
     #[test]
     fn label_accessors() {

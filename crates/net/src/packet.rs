@@ -38,7 +38,7 @@ pub struct Packet {
 
 impl Packet {
     /// Minimum Ethernet frame size, used by the 64-byte stress rewrites.
-    pub const MIN_WIRE_LEN: u16 = 64;
+    pub(crate) const MIN_WIRE_LEN: u16 = 64;
 
     /// Start building a packet for the given flow at the given time.
     pub fn builder(key: FlowKey, ts: Ts) -> PacketBuilder {
@@ -117,13 +117,6 @@ impl PacketBuilder {
         }
     }
 
-    /// Set the wire length (clamped up to at least the payload + 54-byte
-    /// Ethernet/IP/TCP header overhead).
-    pub fn wire_len(mut self, len: u16) -> Self {
-        self.p.wire_len = len;
-        self
-    }
-
     /// Set the payload length and grow wire length to fit if needed.
     pub fn payload(mut self, len: u16) -> Self {
         self.p.payload_len = len;
@@ -170,14 +163,6 @@ impl PacketBuilder {
     }
 }
 
-/// Convenience: a TCP SYN packet opening `key`.
-pub fn syn(key: FlowKey, ts: Ts, seq: u32) -> Packet {
-    Packet::builder(key, ts)
-        .flags(TcpFlags::SYN)
-        .seq(seq)
-        .build()
-}
-
 /// Convenience: a UDP datagram.
 pub fn udp(src: Ipv4Addr, sport: u16, dst: Ipv4Addr, dport: u16, ts: Ts, payload: u16) -> Packet {
     Packet::builder(FlowKey::udp(src, sport, dst, dport), ts)
@@ -188,6 +173,14 @@ pub fn udp(src: Ipv4Addr, sport: u16, dst: Ipv4Addr, dport: u16, ts: Ts, payload
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Convenience: a TCP SYN packet opening `key`.
+    fn syn(key: FlowKey, ts: Ts, seq: u32) -> Packet {
+        Packet::builder(key, ts)
+            .flags(TcpFlags::SYN)
+            .seq(seq)
+            .build()
+    }
     use std::net::Ipv4Addr;
 
     fn key() -> FlowKey {

@@ -12,9 +12,9 @@ use crate::time::Ts;
 use crate::wire;
 
 /// Classic pcap magic (little-endian, microsecond timestamps).
-pub const MAGIC_USEC_LE: u32 = 0xA1B2_C3D4;
+pub(crate) const MAGIC_USEC_LE: u32 = 0xA1B2_C3D4;
 /// LINKTYPE_ETHERNET.
-pub const LINKTYPE_ETHERNET: u32 = 1;
+pub(crate) const LINKTYPE_ETHERNET: u32 = 1;
 
 /// Errors from pcap parsing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

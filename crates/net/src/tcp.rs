@@ -15,7 +15,7 @@ impl TcpFlags {
     /// No flags set.
     pub const NONE: TcpFlags = TcpFlags(0);
     /// FIN: sender has finished sending.
-    pub const FIN: TcpFlags = TcpFlags(0x01);
+    pub(crate) const FIN: TcpFlags = TcpFlags(0x01);
     /// SYN: synchronise sequence numbers.
     pub const SYN: TcpFlags = TcpFlags(0x02);
     /// RST: reset the connection.
@@ -25,7 +25,7 @@ impl TcpFlags {
     /// ACK: acknowledgment field is significant.
     pub const ACK: TcpFlags = TcpFlags(0x10);
     /// URG: urgent pointer is significant.
-    pub const URG: TcpFlags = TcpFlags(0x20);
+    pub(crate) const URG: TcpFlags = TcpFlags(0x20);
     /// SYN|ACK: the second step of the three-way handshake.
     pub const SYN_ACK: TcpFlags = TcpFlags(0x12);
     /// FIN|ACK: common teardown segment.
@@ -61,11 +61,6 @@ impl TcpFlags {
     /// True if the FIN flag is set.
     pub fn fin(self) -> bool {
         self.contains(TcpFlags::FIN)
-    }
-
-    /// True if the ACK flag is set.
-    pub fn ack(self) -> bool {
-        self.contains(TcpFlags::ACK)
     }
 }
 
@@ -131,7 +126,7 @@ mod tests {
         assert!(TcpFlags::SYN_ACK.syn());
         assert!(TcpFlags::RST_ACK.rst());
         assert!(TcpFlags::FIN_ACK.fin());
-        assert!(TcpFlags::FIN_ACK.ack());
+        assert!(TcpFlags::FIN_ACK.contains(TcpFlags::ACK));
         assert!(!TcpFlags::NONE.syn());
     }
 

@@ -56,20 +56,10 @@ impl Ts {
         self.0 / 1_000_000_000
     }
 
-    /// Seconds since the trace origin as a float.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Duration elapsed since `earlier`, saturating at zero if `earlier` is
     /// in the future.
     pub fn since(self, earlier: Ts) -> Dur {
         Dur(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked time advance.
-    pub fn checked_add(self, d: Dur) -> Option<Ts> {
-        self.0.checked_add(d.0).map(Ts)
     }
 }
 
@@ -112,11 +102,6 @@ impl Dur {
         self.0 / 1_000
     }
 
-    /// Milliseconds (truncated).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Whole seconds (truncated).
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000_000
@@ -127,19 +112,9 @@ impl Dur {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating duration subtraction.
-    pub fn saturating_sub(self, other: Dur) -> Dur {
-        Dur(self.0.saturating_sub(other.0))
-    }
-
     /// Multiply by an integer factor.
     pub const fn mul(self, k: u64) -> Dur {
         Dur(self.0 * k)
-    }
-
-    /// Divide by an integer factor.
-    pub const fn div(self, k: u64) -> Dur {
-        Dur(self.0 / k)
     }
 }
 
@@ -242,14 +217,14 @@ mod tests {
         assert_eq!(Ts::from_secs(3).as_nanos(), 3_000_000_000);
         assert_eq!(Ts::from_millis(5).as_micros(), 5_000);
         assert_eq!(Ts::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(Dur::from_secs(2).as_millis(), 2_000);
+        assert_eq!(Dur::from_secs(2).as_micros(), 2_000_000);
     }
 
     #[test]
     fn arithmetic() {
         let t = Ts::from_secs(1) + Dur::from_millis(500);
         assert_eq!(t.as_nanos(), 1_500_000_000);
-        assert_eq!((t - Ts::from_secs(1)).as_millis(), 500);
+        assert_eq!(t - Ts::from_secs(1), Dur::from_millis(500));
         // Saturating: earlier - later yields zero rather than wrapping.
         assert_eq!((Ts::from_secs(1) - Ts::from_secs(2)).as_nanos(), 0);
     }

@@ -20,19 +20,19 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Ethernet II header length.
-pub const ETH_HDR_LEN: usize = 14;
+pub(crate) const ETH_HDR_LEN: usize = 14;
 /// IPv4 header length (no options).
-pub const IPV4_HDR_LEN: usize = 20;
+pub(crate) const IPV4_HDR_LEN: usize = 20;
 /// IPv6 fixed header length (no extension headers).
-pub const IPV6_HDR_LEN: usize = 40;
+pub(crate) const IPV6_HDR_LEN: usize = 40;
 /// TCP header length (no options).
-pub const TCP_HDR_LEN: usize = 20;
+pub(crate) const TCP_HDR_LEN: usize = 20;
 /// UDP header length.
-pub const UDP_HDR_LEN: usize = 8;
+pub(crate) const UDP_HDR_LEN: usize = 8;
 /// EtherType for IPv4.
-pub const ETHERTYPE_IPV4: u16 = 0x0800;
+pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 /// EtherType for IPv6.
-pub const ETHERTYPE_IPV6: u16 = 0x86DD;
+pub(crate) const ETHERTYPE_IPV6: u16 = 0x86DD;
 
 /// Errors from wire parsing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,7 +62,7 @@ impl std::error::Error for WireError {}
 
 /// RFC 1071 internet checksum over `data`, starting from `initial`
 /// (used to fold in the pseudo-header).
-pub fn checksum(data: &[u8], initial: u32) -> u16 {
+pub(crate) fn checksum(data: &[u8], initial: u32) -> u16 {
     let mut sum = initial;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {
@@ -411,11 +411,6 @@ impl<'a> FrameView<'a> {
         })
     }
 
-    /// The raw frame bytes this view borrows.
-    pub fn frame(&self) -> &'a [u8] {
-        self.frame
-    }
-
     /// The directed 5-tuple as wire integers — the input to
     /// [`crate::FlowHasher::flow_digest_raw`] / `flow_digest_batch8`.
     #[inline]
@@ -425,42 +420,37 @@ impl<'a> FrameView<'a> {
 
     /// The directed [`FlowKey`] (materialised on demand; the hot path
     /// uses [`FrameView::raw_tuple`] instead).
-    pub fn flow_key(&self) -> FlowKey {
+    pub(crate) fn flow_key(&self) -> FlowKey {
         self.tuple.key()
-    }
-
-    /// Transport protocol.
-    pub fn proto(&self) -> Proto {
-        Proto::from_number(self.tuple.proto)
     }
 
     /// TCP flags ([`TcpFlags::NONE`] for non-TCP).
     #[inline]
-    pub fn flags(&self) -> TcpFlags {
+    pub(crate) fn flags(&self) -> TcpFlags {
         self.flags
     }
 
     /// TCP sequence number (0 for non-TCP).
     #[inline]
-    pub fn seq(&self) -> u32 {
+    pub(crate) fn seq(&self) -> u32 {
         self.seq
     }
 
     /// TCP acknowledgement number (0 for non-TCP).
     #[inline]
-    pub fn ack(&self) -> u32 {
+    pub(crate) fn ack(&self) -> u32 {
         self.ack
     }
 
     /// Transport payload length in bytes (options excluded for TCP).
     #[inline]
-    pub fn payload_len(&self) -> u16 {
+    pub(crate) fn payload_len(&self) -> u16 {
         self.payload_len
     }
 
     /// Materialise an owned [`Packet`] metadata record. `ts` is supplied
     /// by the capture layer (frames do not carry timestamps).
-    pub fn to_packet(&self, ts: Ts) -> Packet {
+    pub(crate) fn to_packet(self, ts: Ts) -> Packet {
         Packet {
             key: self.flow_key(),
             ts,
@@ -607,7 +597,7 @@ mod tests {
             assert_eq!(v6.seq(), v4.seq());
             assert_eq!(v6.ack(), v4.ack());
             assert_eq!(v6.payload_len(), v4.payload_len());
-            assert_eq!(v6.proto(), v4.proto());
+            assert_eq!(v6.flow_key().proto, v4.flow_key().proto);
         }
     }
 
@@ -767,8 +757,8 @@ mod tests {
             assert_eq!(v.flags(), q.flags);
             assert_eq!(v.seq(), q.seq);
             assert_eq!(v.ack(), q.ack);
-            assert_eq!(v.proto(), q.key.proto);
-            assert_eq!(v.frame(), &frame[..]);
+            assert_eq!(v.flow_key().proto, q.key.proto);
+            assert_eq!(v.frame, &frame[..]);
         }
     }
 

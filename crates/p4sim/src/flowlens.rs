@@ -67,14 +67,8 @@ impl FlowLens {
         }
     }
 
-    /// FlowLens sized to an SRAM budget in bytes.
-    pub fn with_memory(feature: Feature, ql: u8, sram_bytes: usize) -> FlowLens {
-        let per_flow = Self::marker_bytes_for(feature, ql) + 16; // + flowid entry
-        FlowLens::new(feature, ql, (sram_bytes / per_flow).max(1))
-    }
-
     /// Bins per marker at this quantization.
-    pub fn n_bins(&self) -> usize {
+    pub(crate) fn n_bins(&self) -> usize {
         Self::n_bins_for(self.feature, self.ql)
     }
 
@@ -83,7 +77,7 @@ impl FlowLens {
     }
 
     /// Marker size in bytes at a given (feature, QL).
-    pub fn marker_bytes_for(feature: Feature, ql: u8) -> usize {
+    pub(crate) fn marker_bytes_for(feature: Feature, ql: u8) -> usize {
         Self::n_bins_for(feature, ql) * 2
     }
 
@@ -119,25 +113,10 @@ impl FlowLens {
         true
     }
 
-    /// Marker of a flow.
-    pub fn marker(&self, key: &FlowKey) -> Option<&FlowMarker> {
-        self.flows.get(&key.canonical().0)
-    }
-
     /// Control-plane readout: drain all markers (the timer-driven batch
     /// read of the paper).
     pub fn readout(&mut self) -> Vec<(FlowKey, FlowMarker)> {
         self.flows.drain().collect()
-    }
-
-    /// Number of tracked flows.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True if no flows are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
     }
 
     /// SRAM occupied: markers plus the flow lookup table.
@@ -149,6 +128,19 @@ impl FlowLens {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FlowLens {
+        /// FlowLens sized to an SRAM budget in bytes.
+        fn with_memory(feature: Feature, ql: u8, sram_bytes: usize) -> FlowLens {
+            let per_flow = Self::marker_bytes_for(feature, ql) + 16; // + flowid entry
+            FlowLens::new(feature, ql, (sram_bytes / per_flow).max(1))
+        }
+
+        /// Marker of a flow.
+        fn marker(&self, key: &FlowKey) -> Option<&FlowMarker> {
+            self.flows.get(&key.canonical().0)
+        }
+    }
     use smartwatch_net::{Dur, PacketBuilder};
     use std::net::Ipv4Addr;
 
@@ -232,6 +224,6 @@ mod tests {
         fl.on_packet(&pld_pkt(2, 64, 1));
         let batch = fl.readout();
         assert_eq!(batch.len(), 2);
-        assert!(fl.is_empty());
+        assert!(fl.flows.is_empty());
     }
 }

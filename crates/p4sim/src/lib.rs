@@ -37,4 +37,3 @@ pub use netwarden::NetWarden;
 pub use query::{decode_prefix_key, DistinctExpr, Filter, KeyExpr, QueryState, SwitchQuery};
 pub use refine::{RefineMode, RefineOutcome, Refiner};
 pub use switch::{Decision, P4Switch, SramBudget, SteerRule, SwitchStats};
-pub use table::{ExactTable, LpmTable, TernaryEntry, TernaryTable};

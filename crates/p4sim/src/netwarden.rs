@@ -38,23 +38,8 @@ impl MiniCms {
         }
     }
 
-    fn estimate(&self, key: u64) -> u64 {
-        self.rows
-            .iter()
-            .zip(&self.hashers)
-            .map(|(row, h)| u64::from(row[h.hash_u64(key).bucket(self.width)]))
-            .min()
-            .unwrap_or(0)
-    }
-
     fn bytes(&self) -> usize {
         self.rows.len() * self.width * 4
-    }
-
-    fn clear(&mut self) {
-        for r in &mut self.rows {
-            r.fill(0);
-        }
     }
 }
 
@@ -79,7 +64,7 @@ pub struct NetWarden {
 
 impl NetWarden {
     /// `n_bins` bins of `bin_width_us`, each a `depth × width` CountMin.
-    pub fn new(n_bins: usize, bin_width_us: u32, depth: usize, width: usize) -> NetWarden {
+    pub(crate) fn new(n_bins: usize, bin_width_us: u32, depth: usize, width: usize) -> NetWarden {
         assert!(n_bins > 0 && bin_width_us > 0);
         NetWarden {
             bins: (0..n_bins)
@@ -136,29 +121,48 @@ impl NetWarden {
         total >= 16 && f64::from(in_range) / f64::from(total) >= self.precheck_ratio
     }
 
-    /// Estimated IPD histogram of a flow (sketch queries, one per bin).
-    pub fn histogram(&self, key: &FlowKey) -> Vec<u64> {
-        let fid = self.flow_id(&key.canonical().0);
-        self.bins.iter().map(|b| b.estimate(fid)).collect()
-    }
-
     /// Sketch memory in bytes (the Fig. 9 x-axis driver).
     pub fn sram_bytes(&self) -> usize {
         self.bins.iter().map(MiniCms::bytes).sum::<usize>() + self.flow_regs.len() * 16
-    }
-
-    /// Reset per-interval state.
-    pub fn clear(&mut self) {
-        for b in &mut self.bins {
-            b.clear();
-        }
-        self.flow_regs.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MiniCms {
+        fn estimate(&self, key: u64) -> u64 {
+            self.rows
+                .iter()
+                .zip(&self.hashers)
+                .map(|(row, h)| u64::from(row[h.hash_u64(key).bucket(self.width)]))
+                .min()
+                .unwrap_or(0)
+        }
+
+        fn clear(&mut self) {
+            for r in &mut self.rows {
+                r.fill(0);
+            }
+        }
+    }
+
+    impl NetWarden {
+        /// Estimated IPD histogram of a flow (sketch queries, one per bin).
+        fn histogram(&self, key: &FlowKey) -> Vec<u64> {
+            let fid = self.flow_id(&key.canonical().0);
+            self.bins.iter().map(|b| b.estimate(fid)).collect()
+        }
+
+        /// Reset per-interval state.
+        fn clear(&mut self) {
+            for b in &mut self.bins {
+                b.clear();
+            }
+            self.flow_regs.clear();
+        }
+    }
     use smartwatch_net::{PacketBuilder, TcpFlags};
     use std::net::Ipv4Addr;
 

@@ -41,7 +41,7 @@ pub enum Filter {
 
 impl Filter {
     /// Evaluate against a packet.
-    pub fn matches(&self, p: &Packet) -> bool {
+    pub(crate) fn matches(&self, p: &Packet) -> bool {
         match self {
             Filter::Any => true,
             Filter::DstPort(port) => p.key.dst_port == *port,
@@ -84,7 +84,7 @@ pub fn decode_prefix_key(key: u64) -> (u32, u8) {
 
 impl KeyExpr {
     /// Extract the aggregation key from a packet.
-    pub fn eval(&self, p: &Packet) -> u64 {
+    pub(crate) fn eval(&self, p: &Packet) -> u64 {
         match self {
             KeyExpr::DstPrefix(w) => u64::from(prefix_of(p.key.dst_ip, *w)) | (u64::from(*w) << 56),
             KeyExpr::SrcPrefix(w) => u64::from(prefix_of(p.key.src_ip, *w)) | (u64::from(*w) << 56),
@@ -104,7 +104,7 @@ impl KeyExpr {
     }
 
     /// Same key shape at a finer granularity (the refinement step).
-    pub fn refined(&self, new_width: u8) -> KeyExpr {
+    pub(crate) fn refined(&self, new_width: u8) -> KeyExpr {
         match self {
             KeyExpr::DstPrefix(_) => KeyExpr::DstPrefix(new_width),
             KeyExpr::SrcPrefix(_) => KeyExpr::SrcPrefix(new_width),
@@ -211,7 +211,7 @@ pub struct QueryState {
 
 impl QueryState {
     /// Fold one packet in (must already pass the filter).
-    pub fn update(&mut self, q: &SwitchQuery, p: &Packet) {
+    pub(crate) fn update(&mut self, q: &SwitchQuery, p: &Packet) {
         let key = q.key.eval(p);
         if let Some(d) = &q.distinct {
             let sub = d.eval(p);
@@ -223,7 +223,7 @@ impl QueryState {
     }
 
     /// Keys meeting the threshold, highest count first.
-    pub fn over_threshold(&self, q: &SwitchQuery) -> Vec<(u64, u64)> {
+    pub(crate) fn over_threshold(&self, q: &SwitchQuery) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = self
             .counts
             .iter()
@@ -234,19 +234,14 @@ impl QueryState {
         out
     }
 
-    /// Count for a specific key.
-    pub fn count(&self, key: u64) -> u64 {
-        self.counts.get(&key).copied().unwrap_or(0)
-    }
-
     /// SRAM the state occupies: 16 B per count register entry (key +
     /// counter) plus 8 B per distinct-filter entry.
-    pub fn sram_bytes(&self) -> usize {
+    pub(crate) fn sram_bytes(&self) -> usize {
         self.counts.len() * 16 + self.distinct_seen.len() * 8
     }
 
     /// Reset for a new interval.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.counts.clear();
         self.distinct_seen.clear();
     }

@@ -126,11 +126,6 @@ impl Refiner {
         vec![8, 16, 32]
     }
 
-    /// Current refinement level (prefix width).
-    pub fn level(&self) -> u8 {
-        self.levels[self.level_idx]
-    }
-
     /// Query to install for the first interval.
     pub fn initial_query(&self) -> SwitchQuery {
         self.query_at(0, &[])
@@ -257,7 +252,7 @@ mod tests {
             other => panic!("expected steering, got {other:?}"),
         }
         // Level never advances in SmartWatch mode.
-        assert_eq!(r.level(), 8);
+        assert_eq!(r.levels[r.level_idx], 8);
     }
 
     #[test]
@@ -272,7 +267,7 @@ mod tests {
             RefineOutcome::NextQuery(q) => q,
             other => panic!("expected zoom, got {other:?}"),
         };
-        assert_eq!(r.level(), 16);
+        assert_eq!(r.levels[r.level_idx], 16);
 
         // Interval 2 at /16: focus window excludes the background /8s.
         let over = run_query(&q16, &pkts);
@@ -292,7 +287,10 @@ mod tests {
             }
             other => panic!("expected detection, got {other:?}"),
         }
-        assert_eq!(r.level(), 8, "restarts after terminal detection");
+        assert_eq!(
+            r.levels[r.level_idx], 8,
+            "restarts after terminal detection"
+        );
     }
 
     #[test]
@@ -324,11 +322,11 @@ mod tests {
         let mut r = Refiner::new(RefineMode::Sonata, base, Refiner::paper_levels());
         let over = run_query(&r.initial_query(), &attack_packets());
         let _ = r.on_results(&over);
-        assert_eq!(r.level(), 16);
+        assert_eq!(r.levels[r.level_idx], 16);
         match r.on_results(&[]) {
             RefineOutcome::Restart(q) => assert!(q.name.ends_with("@8")),
             other => panic!("{other:?}"),
         }
-        assert_eq!(r.level(), 8);
+        assert_eq!(r.levels[r.level_idx], 8);
     }
 }

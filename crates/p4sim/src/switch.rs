@@ -65,7 +65,7 @@ impl SteerRule {
     }
 
     /// Add a destination-port constraint.
-    pub fn with_port(mut self, port: u16) -> SteerRule {
+    pub(crate) fn with_port(mut self, port: u16) -> SteerRule {
         self.dst_port = Some(port);
         self
     }
@@ -125,7 +125,7 @@ impl SramBudget {
 /// Pipeline stages one query occupies: one for its filter/reduce pair,
 /// one more if it carries a distinct-filter (two sequential memory
 /// operations cannot share a stage — the constraint §2.2.1 describes).
-pub fn query_stages(q: &SwitchQuery) -> u32 {
+pub(crate) fn query_stages(q: &SwitchQuery) -> u32 {
     if q.distinct.is_some() {
         2
     } else {
@@ -198,7 +198,7 @@ impl P4Switch {
     }
 
     /// Switch with an explicit SRAM budget.
-    pub fn with_budget(budget: SramBudget) -> P4Switch {
+    pub(crate) fn with_budget(budget: SramBudget) -> P4Switch {
         P4Switch {
             queries: Vec::new(),
             steer_rules: Vec::new(),
@@ -222,7 +222,7 @@ impl P4Switch {
     }
 
     /// Pipeline stages consumed by installed queries.
-    pub fn stages_used(&self) -> u32 {
+    pub(crate) fn stages_used(&self) -> u32 {
         self.queries.iter().map(|(q, _)| query_stages(q)).sum()
     }
 
@@ -243,11 +243,6 @@ impl P4Switch {
         if !self.steer_rules.contains(&rule) {
             self.steer_rules.push(rule);
         }
-    }
-
-    /// Currently installed steer rules.
-    pub fn steer_rules(&self) -> &[SteerRule] {
-        &self.steer_rules
     }
 
     /// Whitelist a benign flow (exact-match table entry).
@@ -317,7 +312,7 @@ impl P4Switch {
     }
 
     /// Occupancy as a fraction of the budget.
-    pub fn sram_occupancy(&self) -> f64 {
+    pub(crate) fn sram_occupancy(&self) -> f64 {
         self.sram_bytes() as f64 / self.budget.total() as f64
     }
 
@@ -464,6 +459,6 @@ mod tests {
         assert!(!sw.remove_query("dnsamp-d16"));
         sw.install_steer(SteerRule::dst(0, 8));
         sw.install_steer(SteerRule::dst(0, 8)); // idempotent
-        assert_eq!(sw.steer_rules().len(), 1);
+        assert_eq!(sw.steer_rules.len(), 1);
     }
 }

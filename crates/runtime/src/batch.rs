@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 /// A packet plus its dispatch-time flow identity.
 #[derive(Clone, Copy, Debug)]
-pub struct DigestedPacket {
+pub(crate) struct DigestedPacket {
     /// The packet, as offered.
     pub pkt: Packet,
     /// `FlowHasher::flow_digest(&pkt.key)` under the engine's hash
@@ -93,18 +93,18 @@ impl Backoff {
     const PARK_MAX: Duration = Duration::from_micros(256);
 
     /// Fresh (hot) backoff state.
-    pub fn new() -> Backoff {
+    pub(crate) fn new() -> Backoff {
         Backoff { polls: 0 }
     }
 
     /// Work arrived: return to the spin phase.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.polls = 0;
     }
 
     /// One idle poll. Returns `true` when the thread parked (the caller
     /// counts these as `idle_parks`).
-    pub fn idle(&mut self) -> bool {
+    pub(crate) fn idle(&mut self) -> bool {
         self.polls = self.polls.saturating_add(1);
         if self.polls <= Self::SPIN_LIMIT {
             std::hint::spin_loop();

@@ -48,7 +48,7 @@ impl Axis {
     /// Whether this axis keeps `c`: an ingest unit keeps what it was
     /// offered and where that went, a shard everything that happened to
     /// the packets bound for it.
-    pub fn keeps(self, c: Count) -> bool {
+    pub(crate) fn keeps(self, c: Count) -> bool {
         let (_, _, queue, shard) = TABLE[c as usize];
         match self {
             Axis::Queue => queue,
@@ -245,7 +245,7 @@ impl Sub for Ledger {
 impl Ledger {
     /// End `n` packets' trips as `d`.
     #[inline]
-    pub fn record(&mut self, d: Disposition, n: u64) {
+    pub(crate) fn record(&mut self, d: Disposition, n: u64) {
         for &c in d.columns() {
             self[c] += n;
         }
@@ -276,7 +276,7 @@ impl Ledger {
     /// law counts what the shard finished (`processed`). An ingest
     /// unit's `offered`, and a shard's share of it — mid-run too, while
     /// lanes hold packets no fate has claimed yet.
-    pub fn arrived(&self) -> u64 {
+    pub(crate) fn arrived(&self) -> u64 {
         self.accounted() - self[Count::Processed] + self[Count::Ingested]
     }
 }

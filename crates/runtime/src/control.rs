@@ -133,7 +133,7 @@ impl ControlLog {
 
     /// Entries currently resident in memory (the slowest reader's lag).
     /// The boundedness regression test watches exactly this.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.inner
             .lock()
             .expect("control log poisoned")

@@ -116,17 +116,6 @@ impl EngineConfig {
         self
     }
 
-    /// The byte-deterministic replay recipe: one shard and inline
-    /// triage (`host_workers = 0`, no thread-timing races on the verdict
-    /// log). Two same-seed runs produce byte-identical
-    /// [`deterministic_summary`](crate::EngineReport::deterministic_summary)
-    /// output.
-    pub fn deterministic() -> EngineConfig {
-        let mut cfg = EngineConfig::new(1);
-        cfg.host_workers = 0;
-        cfg
-    }
-
     /// Ingest units the engine actually runs: the one dispatcher in
     /// pipeline mode, the fused core (= shard) count in RTC mode. This
     /// is how many `runtime.queue.*{queue=Q}` label sets the run

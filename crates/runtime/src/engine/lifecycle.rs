@@ -176,11 +176,6 @@ impl Engine {
         self.admin.push(cmd)
     }
 
-    /// Admin commands waiting in the mailbox (not yet applied).
-    pub fn admin_queued(&self) -> usize {
-        self.admin.len()
-    }
-
     /// Admin commands the controller has applied so far.
     pub fn admin_applied(&self) -> u64 {
         self.admin_applied.get()

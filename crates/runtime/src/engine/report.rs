@@ -115,11 +115,6 @@ impl FlowCacheSummary {
         out
     }
 
-    /// Total packet-path cache accesses.
-    pub fn accesses(&self) -> u64 {
-        self.p_hits + self.e_hits + self.misses + self.to_host
-    }
-
     /// Hit rate over cache-processed packets (to-host escalations
     /// excluded, matching `CacheStats::hit_rate`).
     pub fn hit_rate(&self) -> f64 {

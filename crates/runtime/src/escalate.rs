@@ -1,9 +1,11 @@
 //! The host-side escalation tier: a pool of N worker threads, each
-//! running a [`smartwatch_host::HostNf`], fed by a bounded MPSC channel
-//! that every shard shares.
+//! running a [`smartwatch_host::HostNf`] and fed by its own bounded MPSC
+//! channel that every shard sends into. A source's escalations all go to
+//! one worker (`hash(src) % N`), so the NF that judges a source sees
+//! every escalation of it.
 //!
 //! The paper bounds host escalation at ≤ 16% of packets (§3.4); the
-//! engine enforces the same shape with a bounded channel — when host
+//! engine enforces the same shape with bounded channels — when host
 //! workers fall behind, shards count `escalation_dropped` instead of
 //! blocking the data path. Worker verdicts are published into the
 //! [`ControlLog`](crate::control::ControlLog) with an epoch stamp, from
@@ -17,7 +19,7 @@ use smartwatch_telemetry::Counter;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -47,7 +49,7 @@ impl TriageNf {
 
     /// Back to the state [`TriageNf::new`] built, in place, keeping the
     /// threshold (see [`Resident`]).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.seen.reset();
         self.issued.reset();
     }
@@ -81,9 +83,24 @@ pub(crate) struct Escalated {
     pub sent: Option<Instant>,
 }
 
-/// A pool of host NF workers draining one bounded escalation channel.
+/// A shard's sending end into the pool: one bounded channel per worker.
+#[derive(Clone)]
+pub(crate) struct PoolSender(pub Vec<SyncSender<Escalated>>);
+
+impl PoolSender {
+    /// Hand `esc` to the worker that owns its source; `false` when that
+    /// worker's queue is full.
+    pub(crate) fn try_send(&self, esc: Escalated) -> bool {
+        let src = u64::from(u32::from(esc.pkt.key.src_ip));
+        let worker = (src.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.0.len();
+        self.0[worker].try_send(esc).is_ok()
+    }
+}
+
+/// A pool of host NF workers, each draining its own bounded escalation
+/// channel.
 pub struct HostPool {
-    tx: Option<SyncSender<Escalated>>,
+    tx: Option<PoolSender>,
     handles: Vec<JoinHandle<()>>,
     /// Escalated packets actually processed by a host worker.
     pub processed: Counter,
@@ -91,12 +108,13 @@ pub struct HostPool {
 
 impl HostPool {
     /// Escalation ring capacity the engine spawns its pool with, in
-    /// packets (shared by the pool's workers).
-    pub const QUEUE: usize = 4096;
+    /// packets (split evenly over the pool's workers).
+    pub(crate) const QUEUE: usize = 4096;
 
     /// Spawn `workers` threads, each owning its own NF built by
-    /// `make_nf` and its clock (`sw-host-{w}`). `queue` bounds in-flight
-    /// escalations across the whole pool (the SR-IOV RX ring stand-in).
+    /// `make_nf`, its channel and its clock (`sw-host-{w}`). `queue`
+    /// bounds in-flight escalations across the whole pool (the SR-IOV RX
+    /// ring stand-in), `queue / workers` (at least 1) per worker.
     /// Verdicts go straight to `log`.
     pub(crate) fn spawn<F>(
         workers: usize,
@@ -110,11 +128,11 @@ impl HostPool {
         F: Fn() -> Box<dyn HostNf>,
     {
         assert!(workers >= 1, "pool needs at least one worker");
-        let (tx, rx) = sync_channel::<Escalated>(queue.max(1));
-        let rx = Arc::new(Mutex::new(rx));
+        let mut txs = Vec::with_capacity(workers);
         let handles = (0..workers)
             .map(|w| {
-                let rx = Arc::clone(&rx);
+                let (tx, rx) = sync_channel::<Escalated>((queue / workers).max(1));
+                txs.push(tx);
                 let log = Arc::clone(&log);
                 let mut nf = make_nf();
                 let processed = processed.clone();
@@ -123,14 +141,9 @@ impl HostPool {
                 std::thread::Builder::new()
                     .name(name)
                     .spawn(move || {
-                        loop {
-                            // The receiver lock is held for one blocking
-                            // `recv` and released before the NF runs, so
-                            // workers take turns waiting and process side
-                            // by side. Once every sender is gone the queue
-                            // drains before `recv` fails.
-                            let next = rx.lock().expect("pool receiver poisoned").recv();
-                            let Ok(esc) = next else { return };
+                        // Once every sender is gone the queue drains
+                        // before the iterator ends.
+                        for esc in rx {
                             processed.inc();
                             for v in nf.on_packet(&esc.pkt) {
                                 log.publish(v);
@@ -147,7 +160,7 @@ impl HostPool {
             })
             .collect();
         HostPool {
-            tx: Some(tx),
+            tx: Some(PoolSender(txs)),
             handles,
             processed,
         }
@@ -156,13 +169,13 @@ impl HostPool {
     /// A sender clone for a shard thread to own. The pool still shuts
     /// down cleanly only once every clone is dropped, so shards must be
     /// joined before `shutdown()` — the engine does exactly that.
-    pub(crate) fn sender(&self) -> SyncSender<Escalated> {
+    pub(crate) fn sender(&self) -> PoolSender {
         self.tx.as_ref().expect("pool already shut down").clone()
     }
 
-    /// Close the channel, let workers drain every queued escalation, and
+    /// Close the channels, let workers drain every queued escalation, and
     /// join them. Verdicts published during the drain land in the log.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         self.tx.take();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -197,7 +210,7 @@ mod tests {
 
     /// Hand one packet to the pool as a shard does; `false` = ring full.
     fn send(pool: &HostPool, pkt: Packet, sent: Option<Instant>) -> bool {
-        pool.sender().try_send(Escalated { pkt, sent }).is_ok()
+        pool.sender().try_send(Escalated { pkt, sent })
     }
 
     #[test]
@@ -244,6 +257,58 @@ mod tests {
         let hist = &clocks.hists[Stage::Escalate];
         assert_eq!(hist.count(), 50, "a round trip per stamped escalation");
         assert!(hist.max() > 0, "round-trip latency is a real duration");
+    }
+
+    /// Every escalation of a source reaches the one worker that owns
+    /// the source, so that worker's NF judges the source on all of them
+    /// (a queue the workers share hands a source to each worker in turn
+    /// while the NF is slow).
+    #[test]
+    fn every_escalation_of_a_source_reaches_one_worker() {
+        struct Recorder {
+            worker: usize,
+            seen: Arc<std::sync::Mutex<Vec<(usize, Ipv4Addr)>>>,
+        }
+        impl HostNf for Recorder {
+            fn on_packet(&mut self, pkt: &Packet) -> Vec<Verdict> {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                self.seen
+                    .lock()
+                    .unwrap()
+                    .push((self.worker, pkt.key.src_ip));
+                Vec::new()
+            }
+            fn name(&self) -> &str {
+                "recorder"
+            }
+        }
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let next = std::cell::Cell::new(0);
+        let log = Arc::new(ControlLog::new());
+        let clocks = Clocks::new(&Registry::new(), 0, None, 0);
+        let pool = HostPool::spawn(2, 256, log, Counter::detached(), &clocks, || {
+            let worker = next.replace(next.get() + 1);
+            let seen = Arc::clone(&seen);
+            Box::new(Recorder { worker, seen })
+        });
+        for _ in 0..10 {
+            for src in 1..=8u8 {
+                assert!(send(&pool, pkt(src, 22), None), "queues never fill here");
+            }
+        }
+        pool.shutdown();
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 80, "shutdown drains every queue");
+        for src in 1..=8u8 {
+            let workers: HashSet<usize> = seen
+                .iter()
+                .filter(|(_, ip)| ip.octets()[3] == src)
+                .map(|&(w, _)| w)
+                .collect();
+            assert_eq!(workers.len(), 1, "source {src} reached workers {workers:?}");
+        }
+        let busy: HashSet<usize> = seen.iter().map(|&(w, _)| w).collect();
+        assert_eq!(busy.len(), 2, "the sources spread over both workers");
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl FramePool {
         }
     }
 
-    /// Slot capacity in bytes.
-    pub fn frame_cap(&self) -> usize {
-        self.frame_cap
-    }
-
     /// Load (copy) `frame` into a slot — the DMA step of the RX model.
     /// Recycles a free slot when one exists, grows the arena otherwise.
     pub fn load(&mut self, frame: &[u8]) -> FrameSlot {
@@ -94,17 +89,19 @@ impl FramePool {
     pub fn release(&mut self, slot: FrameSlot) {
         self.free.push(slot.0);
     }
-
-    /// Slots currently materialised in the arena (allocated − never
-    /// freed; the high-water mark of concurrently loaded frames).
-    pub fn slots(&self) -> usize {
-        self.lens.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FramePool {
+        /// Slots currently materialised in the arena (allocated − never
+        /// freed; the high-water mark of concurrently loaded frames).
+        fn slots(&self) -> usize {
+            self.lens.len()
+        }
+    }
 
     #[test]
     fn frame_pool_recycles_without_growth_after_warmup() {

@@ -102,7 +102,6 @@ pub mod service;
 pub mod shard;
 pub mod spsc;
 
-pub use books::{Axis, Count, Disposition, Ledger};
 pub use control::{ControlLog, LogReader};
 pub use engine::{
     hist_value, DatapathMode, Engine, EngineConfig, EngineReport, FlowCacheSummary, FrameSource,
@@ -110,7 +109,6 @@ pub use engine::{
 };
 pub use escalate::{HostPool, TriageNf};
 pub use frame::{FramePool, FrameSlot};
-pub use shard::{ShardCounters, ShardStats};
 pub use smartwatch_control::{
     AdminCmd, ControlConfig, ControlEvent, ControlReport, DecisionRecord,
 };

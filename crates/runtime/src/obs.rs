@@ -192,7 +192,7 @@ pub(crate) struct Lap {
 impl Lap {
     /// The latest reading of a sampled chain: what an escalation hands
     /// off.
-    pub fn at(&self) -> Option<Instant> {
+    pub(crate) fn at(&self) -> Option<Instant> {
         self.at
     }
 }
@@ -214,14 +214,14 @@ pub(crate) struct Clock {
 impl Clock {
     /// Advance this thread's counter: whether the unit about to start is
     /// sampled. In an engine's first segment the first unit always is.
-    pub fn sample(&mut self) -> bool {
+    pub(crate) fn sample(&mut self) -> bool {
         let hit = self.count.is_multiple_of(self.every);
         self.count += 1;
         hit
     }
 
     /// The one clock read.
-    pub fn now(&mut self) -> Instant {
+    pub(crate) fn now(&mut self) -> Instant {
         #[cfg(test)]
         {
             self.reads += 1;
@@ -235,18 +235,18 @@ impl Clock {
     }
 
     /// Whether the unit in flight is sampled.
-    pub fn sampled(&self) -> bool {
+    pub(crate) fn sampled(&self) -> bool {
         self.unit.is_some()
     }
 
     /// A reading if the unit in flight is sampled: what the work it makes
     /// carries.
-    pub fn mark(&mut self) -> Option<Instant> {
+    pub(crate) fn mark(&mut self) -> Option<Instant> {
         self.stamp(self.sampled())
     }
 
     /// A batch's chain, opened at a reading if `sampled`.
-    pub fn chain(&mut self, sampled: bool) -> Lap {
+    pub(crate) fn chain(&mut self, sampled: bool) -> Lap {
         let at = self.stamp(sampled);
         Lap { from: at, at }
     }
@@ -254,7 +254,7 @@ impl Clock {
     /// Admit a lane batch: record its size and, when its dispatcher
     /// sampled it, close its lane wait at one reading, which opens its
     /// chain.
-    pub fn admit(&mut self, batch: &Batch) -> Lap {
+    pub(crate) fn admit(&mut self, batch: &Batch) -> Lap {
         self.hists[Stage::BatchPkts].record(batch.pkts.len() as u64);
         let at = batch.sent.map(|sent| {
             let now = self.now();
@@ -267,7 +267,7 @@ impl Clock {
     /// Cross a boundary of this thread's own units: close the one in
     /// flight as `stage` and open the next one. One read serves both
     /// ends, and only when either unit is sampled.
-    pub fn turn(&mut self, stage: Stage) {
+    pub(crate) fn turn(&mut self, stage: Stage) {
         let next = self.sample();
         let mut at = self.unit.take();
         self.read_on(&mut at, stage);
@@ -275,7 +275,7 @@ impl Clock {
     }
 
     /// Close the unit in flight as `stage`, opening none.
-    pub fn finish(&mut self, stage: Stage) {
+    pub(crate) fn finish(&mut self, stage: Stage) {
         let mut at = self.unit.take();
         self.read_on(&mut at, stage);
     }
@@ -283,13 +283,13 @@ impl Clock {
     /// A stage of a batch's chain ends: close it at one reading, which
     /// starts the next stage. An unsampled chain reads nothing.
     #[inline]
-    pub fn lap(&mut self, lap: &mut Lap, stage: Stage) {
+    pub(crate) fn lap(&mut self, lap: &mut Lap, stage: Stage) {
         self.read_on(&mut lap.at, stage);
     }
 
     /// Close a chain as `stage`, first reading → last; nothing for an
     /// unsampled one.
-    pub fn end(&self, lap: Lap, stage: Stage) {
+    pub(crate) fn end(&self, lap: Lap, stage: Stage) {
         if let (Some(from), Some(to)) = (lap.from, lap.at) {
             self.close(stage, from, to);
         }
@@ -309,7 +309,7 @@ impl Clock {
     /// Record `from → to` as `stage`: into its histogram, and as a span
     /// on this thread's track when traced.
     #[inline]
-    pub fn close(&self, stage: Stage, from: Instant, to: Instant) {
+    pub(crate) fn close(&self, stage: Stage, from: Instant, to: Instant) {
         let ns = to.saturating_duration_since(from).as_nanos() as u64;
         let (_, hist, name, cat) = TABLE[stage as usize];
         if !hist.is_empty() {

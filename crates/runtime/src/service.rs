@@ -46,7 +46,7 @@ pub(crate) struct AdminQueue {
 }
 
 impl AdminQueue {
-    pub fn new(cap: usize) -> AdminQueue {
+    pub(crate) fn new(cap: usize) -> AdminQueue {
         AdminQueue {
             cmds: Mutex::new(VecDeque::new()),
             cap: cap.max(1),
@@ -54,7 +54,7 @@ impl AdminQueue {
     }
 
     /// Enqueue a command; `false` when the mailbox is full.
-    pub fn push(&self, cmd: AdminCmd) -> bool {
+    pub(crate) fn push(&self, cmd: AdminCmd) -> bool {
         let mut q = self.cmds.lock().expect("admin queue poisoned");
         if q.len() >= self.cap {
             return false;
@@ -64,13 +64,13 @@ impl AdminQueue {
     }
 
     /// Take everything queued, in arrival order.
-    pub fn drain(&self) -> Vec<AdminCmd> {
+    pub(crate) fn drain(&self) -> Vec<AdminCmd> {
         let mut q = self.cmds.lock().expect("admin queue poisoned");
         q.drain(..).collect()
     }
 
     /// Commands currently waiting.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cmds.lock().expect("admin queue poisoned").len()
     }
 }

@@ -44,7 +44,7 @@ use crate::batch::{Backoff, Batch, DigestedPacket};
 use crate::books::{Axis, Count, Disposition, Ledger};
 use crate::control::{ControlLog, LogReader};
 use crate::engine::EngineConfig;
-use crate::escalate::{Escalated, TriageNf};
+use crate::escalate::{Escalated, PoolSender, TriageNf};
 use crate::obs::{Clock, Lap, Stage};
 use smartwatch_control::{ModeCell, SnapshotReader, SteeringSnapshot};
 use smartwatch_core::{HostNeed, SnicTier};
@@ -101,10 +101,10 @@ pub(crate) struct ControlHooks {
 
 /// Where a shard sends suspects (the ≤16% escalation path).
 pub(crate) enum Escalation {
-    /// Bounded channel into the shared host worker pool. An escalation
-    /// from a sampled batch carries its hand-off reading, so the host
-    /// side can time the round trip.
-    Pool(SyncSender<Escalated>),
+    /// Bounded channels into the host worker pool, one per worker. An
+    /// escalation from a sampled batch carries its hand-off reading, so
+    /// the host side can time the round trip.
+    Pool(PoolSender),
     /// Synchronous per-shard triage on the shard's own [`TriageNf`]
     /// (deterministic mode, `host_workers = 0`).
     Inline,
@@ -121,7 +121,7 @@ pub(crate) struct ShardObs {
 /// Per-shard live books: the `runtime.shard.*{shard=N}` counters plus
 /// the ingest queue-depth gauges.
 #[derive(Clone)]
-pub struct ShardCounters {
+pub(crate) struct ShardCounters {
     /// The shard axis of the books.
     pub counts: Ledger<Counter>,
     /// Current ingest queue depth, in batches (dispatcher side).
@@ -650,7 +650,7 @@ impl ShardWorker {
                         pkt: *pkt,
                         sent: lap.at(),
                     };
-                    if tx.try_send(esc).is_err() {
+                    if !tx.try_send(esc) {
                         self.flow.local.tally[Count::EscalationDropped] += 1;
                         // The host will never see this packet, so no
                         // verdict will ever unpin the flow — release
@@ -880,7 +880,7 @@ mod tests {
     fn dropped_escalation_unpins_the_flow() {
         let (tx, _rx_keepalive) = std::sync::mpsc::sync_channel::<Escalated>(1);
         let flight = FlightRecorder::new(64);
-        let mut worker = worker(Escalation::Pool(tx), &flight);
+        let mut worker = worker(Escalation::Pool(PoolSender(vec![tx])), &flight);
 
         // Distinct SSH flows: auth-port TCP traffic escalates until the
         // session is classified, so each first packet goes hostward.
@@ -943,7 +943,7 @@ mod tests {
     fn an_unsampled_batch_reads_no_clock_and_a_sampled_one_times_each_packet_once() {
         let (tx, rx) = std::sync::mpsc::sync_channel::<Escalated>(1 << 16);
         let flight = FlightRecorder::new(64);
-        let mut w = worker(Escalation::Pool(tx), &flight);
+        let mut w = worker(Escalation::Pool(PoolSender(vec![tx])), &flight);
         let samples = |w: &ShardWorker, stage| w.obs.clock.hists[stage].count();
         let mut sampled_batches = 0;
         for b in 0..64u16 {

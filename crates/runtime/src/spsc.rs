@@ -103,7 +103,7 @@ impl<T> Producer<T> {
     /// loaded (or single-core) machine the consumer needs this CPU to
     /// make room, and a parked producer donates a full scheduler
     /// quantum instead of thrashing through `yield_now`.
-    pub fn exchange_blocking(&self, mut v: T) -> Option<T> {
+    pub(crate) fn exchange_blocking(&self, mut v: T) -> Option<T> {
         let mut backoff = crate::batch::Backoff::new();
         loop {
             match self.try_exchange(v) {
@@ -151,16 +151,6 @@ impl<T> Consumer<T> {
     pub fn try_pop(&self) -> Option<T> {
         self.try_exchange(&mut None)
     }
-
-    /// Messages currently buffered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no messages are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +169,7 @@ mod tests {
             assert_eq!(rx.try_pop(), Some(i));
         }
         assert_eq!(rx.try_pop(), None);
-        assert!(rx.is_empty());
+        assert!(tx.is_empty());
     }
 
     #[test]
@@ -212,6 +202,6 @@ mod tests {
             }
         }
         producer.join().expect("producer finishes");
-        assert!(rx.is_empty());
+        assert_eq!(rx.ring.len(), 0);
     }
 }

@@ -9,9 +9,10 @@
 //! recovery threshold.
 
 use smartwatch_net::{Dur, FlowKey, Packet, PacketBuilder, Ts};
+use smartwatch_runtime::books::Count;
 use smartwatch_runtime::{
-    AdminCmd, ControlConfig, ControlEvent, ControlReport, Count, DatapathMode, Engine,
-    EngineConfig, EngineReport, Pace,
+    AdminCmd, ControlConfig, ControlEvent, ControlReport, DatapathMode, Engine, EngineConfig,
+    EngineReport, Pace,
 };
 use smartwatch_snic::Mode;
 use smartwatch_telemetry::FlightKind;

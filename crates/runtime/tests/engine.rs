@@ -4,7 +4,8 @@
 //! inline-triage run equals the per-packet oracle is `hotpath.rs`'s.
 
 use smartwatch_net::Dur;
-use smartwatch_runtime::{Count, DatapathMode, Engine, EngineConfig, Pace};
+use smartwatch_runtime::books::Count;
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
 
 fn workload(flows: usize, seed: u64) -> Vec<smartwatch_net::Packet> {

@@ -151,7 +151,7 @@ impl<'a> Model<'a> {
     /// Can the consumer make a productive step (the open lane has a
     /// message waiting)?
     fn consumer_ready(&self) -> bool {
-        self.lane.open && !self.lane.rx.is_empty()
+        self.lane.open && !self.lane.tx.is_empty()
     }
 
     /// The producer offers its next scripted message the way
@@ -310,7 +310,7 @@ impl<'a> Model<'a> {
         assert!(got.next().is_none() && lost.next().is_none());
         assert!(!lane.open, "Stop must close the lane");
         assert!(
-            lane.rx.is_empty(),
+            lane.tx.is_empty(),
             "nothing may remain queued after shutdown"
         );
         // Parked: one staging buffer, one spare, the rest in slots.

@@ -9,7 +9,8 @@
 //! (no lane to overrun: the core self-backpressures).
 
 use smartwatch_net::{pcap, Dur, FlowKey, FrameStore, PacketBuilder, Ts};
-use smartwatch_runtime::{Count, DatapathMode, Engine, EngineConfig, FrameSource, Pace};
+use smartwatch_runtime::books::Count;
+use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, FrameSource, Pace};
 use smartwatch_trace::background::{preset_trace, Preset};
 use smartwatch_trace::compile::compile;
 use smartwatch_trace::Trace;

@@ -7,8 +7,9 @@
 //! steering edits that land at epoch boundaries and drop at dispatch.
 
 use smartwatch_net::{Dur, FlowHasher, FlowKey, Packet, PacketBuilder};
+use smartwatch_runtime::books::Count;
 use smartwatch_runtime::{
-    AdminCmd, ControlConfig, Count, DatapathMode, Engine, EngineConfig, FrameSource, Pace,
+    AdminCmd, ControlConfig, DatapathMode, Engine, EngineConfig, FrameSource, Pace,
 };
 use smartwatch_telemetry::Registry;
 use smartwatch_trace::background::{preset_trace, Preset};

@@ -23,7 +23,10 @@ const DATAPATHS: [DatapathMode; 2] = [DatapathMode::Pipeline, DatapathMode::Rtc]
 /// The deterministic recipe (inline triage) at `shards` shards on
 /// `datapath`.
 fn deterministic(datapath: DatapathMode, shards: usize) -> EngineConfig {
-    let mut cfg = EngineConfig::deterministic();
+    let mut cfg = EngineConfig {
+        host_workers: 0,
+        ..EngineConfig::new(1)
+    };
     cfg.shards = shards;
     cfg.datapath = datapath;
     cfg

@@ -13,12 +13,11 @@ pub struct BloomFilter {
     bits: Vec<u64>,
     n_bits: usize,
     hashers: Vec<FlowHasher>,
-    inserted: usize,
 }
 
 impl BloomFilter {
     /// Filter with `n_bits` bits and `k` hash functions.
-    pub fn new(n_bits: usize, k: usize, seed: u64) -> BloomFilter {
+    pub(crate) fn new(n_bits: usize, k: usize, seed: u64) -> BloomFilter {
         assert!(n_bits > 0 && k > 0);
         BloomFilter {
             bits: vec![0; n_bits.div_ceil(64)],
@@ -26,7 +25,6 @@ impl BloomFilter {
             hashers: (0..k)
                 .map(|i| FlowHasher::new(seed.wrapping_mul(6_364_136).wrapping_add(i as u64)))
                 .collect(),
-            inserted: 0,
         }
     }
 
@@ -46,7 +44,6 @@ impl BloomFilter {
             let bit = h.hash_u64(key).bucket(self.n_bits);
             self.bits[bit / 64] |= 1u64 << (bit % 64);
         }
-        self.inserted += 1;
     }
 
     /// True if `key` *may* have been inserted; false means definitely not.
@@ -57,16 +54,6 @@ impl BloomFilter {
         })
     }
 
-    /// Number of keys inserted so far.
-    pub fn len(&self) -> usize {
-        self.inserted
-    }
-
-    /// True if nothing was inserted.
-    pub fn is_empty(&self) -> bool {
-        self.inserted == 0
-    }
-
     /// Memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.bits.len() * 8
@@ -75,7 +62,6 @@ impl BloomFilter {
     /// Clear all bits.
     pub fn clear(&mut self) {
         self.bits.fill(0);
-        self.inserted = 0;
     }
 }
 
@@ -109,7 +95,7 @@ mod tests {
     fn empty_filter_contains_nothing() {
         let b = BloomFilter::new(1024, 4, 0);
         assert!(!b.contains(42));
-        assert!(b.is_empty());
+        assert!(b.bits.iter().all(|&w| w == 0));
     }
 
     #[test]
@@ -119,7 +105,7 @@ mod tests {
         assert!(b.contains(42));
         b.clear();
         assert!(!b.contains(42));
-        assert_eq!(b.len(), 0);
+        assert!(b.bits.iter().all(|&w| w == 0));
     }
 
     #[test]

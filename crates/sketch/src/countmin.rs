@@ -36,16 +36,6 @@ impl CountMin {
         let width = (bytes / (8 * depth)).max(1);
         CountMin::new(depth, width, seed)
     }
-
-    /// Number of rows.
-    pub fn depth(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Counters per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
 }
 
 impl FlowCounter for CountMin {

@@ -40,7 +40,7 @@ pub struct ElasticSketch {
 impl ElasticSketch {
     /// `heavy_buckets` heavy-part entries plus `light_counters` 32-bit
     /// light-part counters.
-    pub fn new(heavy_buckets: usize, light_counters: usize, seed: u64) -> ElasticSketch {
+    pub(crate) fn new(heavy_buckets: usize, light_counters: usize, seed: u64) -> ElasticSketch {
         assert!(heavy_buckets > 0 && light_counters > 0);
         ElasticSketch {
             heavy: vec![HeavyBucket::default(); heavy_buckets],

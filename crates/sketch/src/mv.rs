@@ -31,7 +31,7 @@ pub struct MvSketch {
 
 impl MvSketch {
     /// `depth` rows × `width` buckets.
-    pub fn new(depth: usize, width: usize, seed: u64) -> MvSketch {
+    pub(crate) fn new(depth: usize, width: usize, seed: u64) -> MvSketch {
         assert!(depth > 0 && width > 0);
         MvSketch {
             rows: vec![vec![Bucket::default(); width]; depth],

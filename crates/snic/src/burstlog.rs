@@ -45,11 +45,6 @@ impl EgressQueue {
         self.backlog_bytes += f64::from(pkt.wire_len);
         Dur::from_secs_f64(delay_s)
     }
-
-    /// Current backlog in bytes.
-    pub fn backlog_bytes(&self) -> f64 {
-        self.backlog_bytes
-    }
 }
 
 /// One reported microburst.
@@ -64,13 +59,6 @@ pub struct BurstReport {
     /// Contributing flows with their in-burst packet counts — exact, no
     /// approximation (the paper's contrast with ConQuest's overestimation).
     pub flows: Vec<(FlowKey, u64)>,
-}
-
-impl BurstReport {
-    /// Burst duration.
-    pub fn duration(&self) -> Dur {
-        self.end - self.start
-    }
 }
 
 /// The linear flow array `L` plus the burst state machine.
@@ -182,9 +170,9 @@ mod tests {
             Ipv4Addr::from(0xAC100001u32),
             80,
         );
-        PacketBuilder::new(key, Ts::from_micros(ts_us))
-            .wire_len(len)
-            .build()
+        let mut p = PacketBuilder::new(key, Ts::from_micros(ts_us)).build();
+        p.wire_len = len;
+        p
     }
 
     #[test]
@@ -241,7 +229,8 @@ mod tests {
         log.on_packet(&pkt(1, 0, 64), Dur::from_micros(10));
         log.finish(Ts::from_micros(50));
         assert_eq!(log.reports().len(), 1);
-        assert_eq!(log.reports()[0].duration(), Dur::from_micros(50));
+        let r = &log.reports()[0];
+        assert_eq!(r.end - r.start, Dur::from_micros(50));
     }
 
     #[test]

@@ -130,30 +130,32 @@ impl CuckooTable {
             overflow: true,
         }
     }
-
-    /// Look up a flow.
-    pub fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
-        let canon = key.canonical().0;
-        let (p1, p2) = self.positions(&canon);
-        for p in [p1, p2] {
-            if let Some(r) = &self.slots[p] {
-                if r.key == canon {
-                    return Some(r);
-                }
-            }
-        }
-        None
-    }
-
-    /// Occupied slot count.
-    pub fn occupied(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CuckooTable {
+        /// Look up a flow.
+        fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
+            let canon = key.canonical().0;
+            let (p1, p2) = self.positions(&canon);
+            for p in [p1, p2] {
+                if let Some(r) = &self.slots[p] {
+                    if r.key == canon {
+                        return Some(r);
+                    }
+                }
+            }
+            None
+        }
+
+        /// Occupied slot count.
+        fn occupied(&self) -> usize {
+            self.slots.iter().filter(|s| s.is_some()).count()
+        }
+    }
     use smartwatch_net::{PacketBuilder, Ts};
     use std::net::Ipv4Addr;
 

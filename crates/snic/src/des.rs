@@ -34,10 +34,9 @@ pub struct DesConfig {
     /// PMEs dedicated to packet processing (paper: 80 total MEs, 3 kept as
     /// CMEs ⇒ 77–80 swept in Fig. 6b).
     pub pmes: u32,
-    /// Offered rate override in packets/sec. When set, packet timestamps
-    /// are re-spaced uniformly at this rate (MoonGen-style replay);
-    /// otherwise trace timestamps are used as-is.
-    pub offered_pps: Option<f64>,
+    /// Offered rate in packets/sec: packet timestamps are re-spaced
+    /// uniformly at this rate (MoonGen-style replay).
+    pub offered_pps: f64,
     /// Optional Algorithm 4 controller that reconfigures the cache while
     /// the simulation runs (sampled every `rate_sample_every` packets).
     pub switchover: Option<SwitchOver>,
@@ -57,7 +56,7 @@ impl DesConfig {
             hw: crate::hw::NETRONOME_AGILIO_LX,
             costs: CycleCosts::default(),
             pmes: 80,
-            offered_pps: Some(offered_pps),
+            offered_pps,
             switchover: None,
             rate_sample_every: 4096,
             sampling: 1.0,
@@ -87,7 +86,7 @@ impl LatencyDist {
     /// histogram's bounded relative error
     /// ([`smartwatch_telemetry::QUANTILE_ERROR_BOUND`]); mean and max are
     /// exact.
-    pub fn from_histogram(h: &Histogram) -> LatencyDist {
+    pub(crate) fn from_histogram(h: &Histogram) -> LatencyDist {
         LatencyDist {
             mean_ns: h.mean(),
             p50_ns: h.quantile(0.50),
@@ -196,15 +195,12 @@ pub fn simulate_instrumented(
     let mut window_count = 0u64;
 
     let t0 = packets[0].ts.as_nanos();
-    let respace = cfg.offered_pps.map(|r| 1e9 / r);
+    let gap_ns = 1e9 / cfg.offered_pps;
     let mut first_arrival = u64::MAX;
     let mut last_arrival = 0u64;
 
     for (i, pkt) in packets.iter().enumerate() {
-        let arrival = match respace {
-            Some(gap_ns) => t0 + (i as f64 * gap_ns) as u64,
-            None => pkt.ts.as_nanos(),
-        };
+        let arrival = t0 + (i as f64 * gap_ns) as u64;
         first_arrival = first_arrival.min(arrival);
         last_arrival = last_arrival.max(arrival);
 

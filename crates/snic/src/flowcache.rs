@@ -63,6 +63,9 @@
 //! derived: a cloned cache (a throughput-search probe) carries a copy
 //! of the books and cannot reach the cells its original is published to.
 
+// No metric handle and no shared cell (`clippy.toml`).
+#![deny(clippy::disallowed_types)]
+
 use crate::policy::CachePolicy;
 use crate::prefetch::prefetch_read;
 use crate::record::FlowRecord;
@@ -73,7 +76,7 @@ use std::ops::{Range, Sub};
 /// Hard ceiling on `buckets_per_row`, sized so one row's tag header is
 /// exactly one 64-byte cache line (the paper uses 12 buckets; every
 /// configuration in the workspace is far below this).
-pub const MAX_BUCKETS: usize = 64;
+pub(crate) const MAX_BUCKETS: usize = 64;
 
 /// Number of eviction rings (paper: 8).
 const RINGS: usize = 8;
@@ -864,7 +867,7 @@ impl FlowCache {
     }
 
     /// Mutable lookup for detector state updates (no stats impact).
-    pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut FlowRecord> {
+    pub(crate) fn get_mut(&mut self, key: &FlowKey) -> Option<&mut FlowRecord> {
         let canon = key.canonical().0;
         let (row, high) = self.row_of(&canon);
         let range = if self.mode == Mode::Lite && !self.dirty[row] {
@@ -1686,7 +1689,7 @@ mod tests {
             });
             assert!(partial, "a row holds both records and empty buckets");
             assert!(reused.iter().any(|r| r.pinned), "records still pinned");
-            assert!(!reused.rings.is_empty() && reused.rings.overflow_to_host > 0);
+            assert!(reused.rings.len() > 0 && reused.rings.overflow_to_host > 0);
             let before = reused.stats();
             let ring_before = (reused.rings.overflow_to_host, reused.rings.pushed);
 
@@ -1695,7 +1698,7 @@ mod tests {
             assert_eq!(reused.occupied(), 0);
             assert_eq!(reused.mode(), Mode::General);
             assert!(reused.dirty.iter().all(|&d| !d));
-            assert!(reused.rings.is_empty());
+            assert_eq!(reused.rings.len(), 0);
             // One rule: the tallies are cumulative, a reset rewinds none.
             assert_eq!(
                 (reused.rings.overflow_to_host, reused.rings.pushed),

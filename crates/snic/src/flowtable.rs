@@ -75,14 +75,14 @@ impl Keyed for FlowKey {
 }
 
 /// Smallest slot array: two cache lines of words.
-pub const MIN_SLOTS: usize = 16;
+pub(crate) const MIN_SLOTS: usize = 16;
 /// The slot array doubles before an insert would take it past
 /// `MAX_LOAD.0 / MAX_LOAD.1` full (DESIGN.md §2 has the measurement).
-pub const MAX_LOAD: (usize, usize) = (1, 2);
+pub(crate) const MAX_LOAD: (usize, usize) = (1, 2);
 /// Entries carrying the probed tag under other keys that an insert may
 /// pass before the table stops deriving tags from digests (module doc,
 /// "Equal digests").
-pub const MAX_TWINS: usize = 8;
+pub(crate) const MAX_TWINS: usize = 8;
 /// Set in every tag, so no live slot word is the empty sentinel.
 const LIVE: u32 = 1 << 31;
 

@@ -178,7 +178,7 @@ impl CycleCosts {
     }
 
     /// Memory operations (reads, writes) implied by one access.
-    pub fn memory_ops(&self, a: &Access) -> (u32, u32) {
+    pub(crate) fn memory_ops(&self, a: &Access) -> (u32, u32) {
         (a.probes, a.writes + a.ring_pushes)
     }
 }

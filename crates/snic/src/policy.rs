@@ -23,7 +23,7 @@ impl Policy {
     /// Bucket of the victim among the `(bucket, record)` occupants of
     /// one buffer (non-pinned entries only; the first of equals goes).
     /// Returns `None` if every occupant is pinned or there is none.
-    pub fn victim<'a>(
+    pub(crate) fn victim<'a>(
         self,
         occupants: impl Iterator<Item = (usize, &'a FlowRecord)>,
     ) -> Option<usize> {
@@ -49,7 +49,7 @@ pub struct CachePolicy {
 
 impl Policy {
     /// Lowercase metric-label form.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Policy::Lru => "lru",
             Policy::Lpc => "lpc",

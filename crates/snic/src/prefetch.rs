@@ -21,7 +21,7 @@
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 #[inline(always)]
-pub fn prefetch_read<T>(p: *const T) {
+pub(crate) fn prefetch_read<T>(p: *const T) {
     // SAFETY: `_mm_prefetch` is `unsafe` by intrinsic convention only.
     // It performs no load, no store, and raises no exception for any
     // address (the manual specifies the hint is dropped for invalid
@@ -37,7 +37,7 @@ pub fn prefetch_read<T>(p: *const T) {
 /// architectures.
 #[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
-pub fn prefetch_read<T>(p: *const T) {
+pub(crate) fn prefetch_read<T>(p: *const T) {
     core::hint::black_box(p);
 }
 

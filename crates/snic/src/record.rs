@@ -57,12 +57,12 @@ impl FlowRecord {
     /// hit — i.e. almost always on the true match, ~1/255 of the time on
     /// a same-row tag collision.
     #[inline]
-    pub fn matches(&self, key: &FlowKey) -> bool {
+    pub(crate) fn matches(&self, key: &FlowKey) -> bool {
         self.key == *key
     }
 
     /// Fold one more packet into the record; its packet count after.
-    pub fn update(&mut self, ts: Ts, wire_len: u16) -> u64 {
+    pub(crate) fn update(&mut self, ts: Ts, wire_len: u16) -> u64 {
         self.packets += 1;
         self.bytes += u64::from(wire_len);
         self.last_ts = ts;

@@ -19,6 +19,9 @@
 //! two reads. Nothing here is shared, which is why `Clone` is derived:
 //! a clone is a second, independent set of books.
 
+// No metric handle and no shared cell (`clippy.toml`).
+#![deny(clippy::disallowed_types)]
+
 use crate::record::FlowRecord;
 use smartwatch_net::Resident;
 use std::collections::VecDeque;
@@ -51,7 +54,7 @@ impl RingSet {
     /// would be shrunk away by the first reset of a quiet segment and
     /// outgrown within the first of a busy one, so it would only make
     /// the first segment's rings unlike every later segment's.
-    pub fn new(n_rings: usize, capacity: usize) -> RingSet {
+    pub(crate) fn new(n_rings: usize, capacity: usize) -> RingSet {
         assert!(n_rings > 0 && capacity > 0);
         RingSet {
             rings: vec![VecDeque::new(); n_rings],
@@ -66,7 +69,7 @@ impl RingSet {
 
     /// Empty the rings in place, buffers kept under the [`Resident`]
     /// shrink rule. The tallies are cumulative and stay.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.note_high_water();
         for (ring, high) in self.rings.iter_mut().zip(&mut self.high_water) {
             ring.reset_to(std::mem::take(high));
@@ -75,7 +78,7 @@ impl RingSet {
     }
 
     /// Heap bytes the ring buffers hold.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.rings.iter().map(Resident::resident_bytes).sum()
     }
 
@@ -87,7 +90,7 @@ impl RingSet {
 
     /// Push an evicted record; `row` selects the ring. Returns `false` if
     /// the ring was full (record counted as overflow-to-host).
-    pub fn push(&mut self, row: usize, rec: FlowRecord) -> bool {
+    pub(crate) fn push(&mut self, row: usize, rec: FlowRecord) -> bool {
         self.pushed += 1;
         let n = self.rings.len();
         let ring = &mut self.rings[row % n];
@@ -102,18 +105,13 @@ impl RingSet {
     }
 
     /// Records currently buffered across all rings.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// The most records ever buffered at once.
-    pub fn peak(&self) -> usize {
+    pub(crate) fn peak(&self) -> usize {
         self.peak
-    }
-
-    /// True if no records are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Drain everything (the host snapshot thread's read).
@@ -153,7 +151,7 @@ mod tests {
         assert_eq!(rs.len(), 50);
         let drained = rs.drain();
         assert_eq!(drained.len(), 50);
-        assert!(rs.is_empty());
+        assert_eq!(rs.len, 0);
     }
 
     #[test]
@@ -216,7 +214,7 @@ mod tests {
         // Drained before the reset: the peak, not the length, sizes it.
         rs.drain();
         rs.reset();
-        assert!(rs.is_empty());
+        assert_eq!(rs.len, 0);
         // One rule: the tallies are cumulative, a reset rewinds none.
         assert_eq!((rs.pushed, rs.overflow_to_host), (40_000, 0));
         let kept: Vec<usize> = rs.rings.iter().map(VecDeque::capacity).collect();

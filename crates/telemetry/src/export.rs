@@ -47,7 +47,7 @@ impl Snapshot {
     }
 
     /// Render as a JSON value (see EXPERIMENTS.md for the schema).
-    pub fn to_json_value(&self) -> Value {
+    pub(crate) fn to_json_value(&self) -> Value {
         let counters = self
             .counters
             .iter()

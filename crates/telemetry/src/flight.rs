@@ -148,7 +148,7 @@ impl FlightRing {
 
     /// Record an event's payload words with an explicit timestamp — the
     /// deterministic entry point used by tests and sim-time callers.
-    pub fn record_at(&self, ts_ns: u64, kind: FlightKind, [a, b, c]: [u64; 3]) {
+    pub(crate) fn record_at(&self, ts_ns: u64, kind: FlightKind, [a, b, c]: [u64; 3]) {
         let mut log = self.log();
         if log.events.len() == self.inner.cap {
             log.events.pop_front();
@@ -176,24 +176,24 @@ impl FlightRing {
     }
 
     /// Ring (thread) name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.inner.name
     }
 
     /// Total events ever recorded into this ring.
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.log().recorded
     }
 
     /// Events overwritten because the ring wrapped.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.recorded().saturating_sub(self.inner.cap as u64)
     }
 
     /// Every event still resident, oldest first. Safe to call while the
     /// owning thread keeps writing: the copy is taken under the ring's
     /// lock.
-    pub fn snapshot(&self) -> Vec<FlightEvent> {
+    pub(crate) fn snapshot(&self) -> Vec<FlightEvent> {
         self.log().events.iter().copied().collect()
     }
 }
@@ -298,7 +298,7 @@ impl FlightRecorder {
     /// JSON dump: one object per ring with its recorded/dropped
     /// accounting and the resident events, each self-describing via
     /// [`FlightKind::arg_names`].
-    pub fn to_json_value(&self) -> Value {
+    pub(crate) fn to_json_value(&self) -> Value {
         let rings = self.inner.rings.lock().unwrap();
         let ring_values: Vec<Value> = rings
             .iter()

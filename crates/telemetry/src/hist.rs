@@ -170,12 +170,12 @@ impl Histogram {
     }
 
     /// Sum of recorded values (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.core.sum.load(Ordering::Relaxed)
     }
 
     /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         let m = self.core.min.load(Ordering::Relaxed);
         if m == u64::MAX {
             0

@@ -41,13 +41,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// Maximum bytes of request line + headers accepted before `431`.
-pub const MAX_HEAD_BYTES: usize = 8192;
+pub(crate) const MAX_HEAD_BYTES: usize = 8192;
 
 /// Maximum request-body bytes accepted before `413`.
-pub const MAX_BODY_BYTES: usize = 65536;
+pub(crate) const MAX_BODY_BYTES: usize = 65536;
 
 /// Time a client has to deliver its whole request (head and body).
-pub const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Connections served at once, each on its own handler thread.
 const SLOTS: usize = 4;
@@ -144,11 +144,6 @@ impl Route {
             methods,
             handler: Box::new(handler),
         }
-    }
-
-    /// The exact path this route answers.
-    pub fn path(&self) -> &str {
-        &self.path
     }
 }
 

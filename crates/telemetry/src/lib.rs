@@ -45,7 +45,6 @@ mod publish;
 mod trace;
 mod wallclock;
 
-pub use export::Snapshot;
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FlightRing};
 pub use hist::{HistSnapshot, Histogram, QUANTILE_ERROR_BOUND};
 pub use metrics::{Counter, Gauge, MetricId, Registry};

@@ -94,11 +94,6 @@ impl std::fmt::Debug for Gauge {
 }
 
 impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn detached() -> Gauge {
-        Gauge(Arc::new(AtomicU64::new(0)))
-    }
-
     /// Set the gauge.
     pub fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);

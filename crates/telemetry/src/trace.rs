@@ -69,21 +69,6 @@ impl TraceShard {
             cat,
         });
     }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.shard.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.shard.ring.lock().unwrap().len()
-    }
-
-    /// True when nothing has been recorded (or everything was dropped).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 struct TracerInner {
@@ -105,7 +90,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// Default per-shard ring capacity.
-    pub const DEFAULT_CAPACITY: usize = 65_536;
+    pub(crate) const DEFAULT_CAPACITY: usize = 65_536;
 
     /// New tracer whose shards each hold at most `cap_per_shard` events.
     pub fn new(cap_per_shard: usize) -> Tracer {
@@ -259,8 +244,8 @@ mod tests {
         for i in 0..10u64 {
             shard.instant(Ts::from_nanos(i), format!("e{i}"), "test");
         }
-        assert_eq!(shard.len(), 4);
-        assert_eq!(shard.dropped(), 6);
+        assert_eq!(tracer.len(), 4);
+        assert_eq!(shard.shard.dropped.load(Ordering::Relaxed), 6);
         let json = tracer.to_chrome_json();
         assert!(json.contains("\"e9\""), "newest retained");
         assert!(!json.contains("\"e0\""), "oldest dropped");

@@ -22,7 +22,7 @@ pub mod worm;
 use std::net::Ipv4Addr;
 
 /// Attacker address for index `i`, drawn from 198.18.0.0/15.
-pub fn attacker_ip(i: u32) -> Ipv4Addr {
+pub(crate) fn attacker_ip(i: u32) -> Ipv4Addr {
     Ipv4Addr::from(0xC612_0000u32 | (i & 0x0001_FFFF))
 }
 

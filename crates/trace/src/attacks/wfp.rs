@@ -20,7 +20,7 @@ use smartwatch_net::{AttackKind, Dur, FlowKey, Label, Packet, PacketBuilder, Tcp
 use std::net::Ipv4Addr;
 
 /// Number of packet-length bins in a site profile (MTU 1500 / 50-byte bins).
-pub const PLD_BINS: usize = 30;
+pub(crate) const PLD_BINS: usize = 30;
 
 /// A website's traffic signature: multinomials over packet-length bins for
 /// each direction, plus a typical page size in packets.

@@ -56,7 +56,7 @@ impl Preset {
 
 /// Full parameter set for background generation.
 #[derive(Clone, Debug)]
-pub struct BackgroundConfig {
+pub(crate) struct BackgroundConfig {
     /// RNG seed; same seed ⇒ identical trace.
     pub seed: u64,
     /// Number of flows to generate.
@@ -90,7 +90,12 @@ pub struct BackgroundConfig {
 
 impl BackgroundConfig {
     /// Configuration for a preset at a given scale.
-    pub fn preset(preset: Preset, flows: usize, duration: Dur, seed: u64) -> BackgroundConfig {
+    pub(crate) fn preset(
+        preset: Preset,
+        flows: usize,
+        duration: Dur,
+        seed: u64,
+    ) -> BackgroundConfig {
         // Internet mix: web dominates, plus ssh/dns/ftp/kerberos long tail
         // so the protocol detectors always have some traffic to look at.
         let inet_ports = vec![
@@ -198,12 +203,12 @@ pub fn client_ip(i: u32) -> Ipv4Addr {
 }
 
 /// Server address for index `i`: spread across 172.16.0.0/12.
-pub fn server_ip(i: u32) -> Ipv4Addr {
+pub(crate) fn server_ip(i: u32) -> Ipv4Addr {
     Ipv4Addr::from(0xAC10_0000u32 | (i & 0x000F_FFFF))
 }
 
 /// Generate a background trace from the configuration.
-pub fn generate(cfg: &BackgroundConfig) -> Trace {
+pub(crate) fn generate(cfg: &BackgroundConfig) -> Trace {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let size_dist = BoundedPareto::new(2.0, f64::from(cfg.max_flow_pkts.max(3)), cfg.zipf_exponent);
     let server_zipf = Zipf::new(cfg.server_space.max(1) as usize, 1.0);

@@ -17,7 +17,7 @@ use rand::Rng;
 /// With `s ≈ 1.0–1.3` this reproduces the "few large flows account for a
 /// majority of the packets" property of DC traces.
 #[derive(Clone, Debug)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -26,7 +26,7 @@ impl Zipf {
     ///
     /// # Panics
     /// Panics if `n == 0` or `s` is not finite and positive.
-    pub fn new(n: usize, s: f64) -> Zipf {
+    pub(crate) fn new(n: usize, s: f64) -> Zipf {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s.is_finite() && s > 0.0, "Zipf exponent must be positive");
         let mut cdf = Vec::with_capacity(n);
@@ -43,7 +43,7 @@ impl Zipf {
     }
 
     /// Sample a rank in `1..=n` (rank 1 is the most probable).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         match self
             .cdf
@@ -57,19 +57,19 @@ impl Zipf {
 
 /// Exponential distribution with the given mean, sampled by inversion.
 #[derive(Clone, Copy, Debug)]
-pub struct Exp {
+pub(crate) struct Exp {
     mean: f64,
 }
 
 impl Exp {
     /// Exponential with mean `mean` (> 0).
-    pub fn new(mean: f64) -> Exp {
+    pub(crate) fn new(mean: f64) -> Exp {
         assert!(mean.is_finite() && mean > 0.0);
         Exp { mean }
     }
 
     /// Sample a non-negative value.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Clamp away u == 0 to avoid ln(0).
         let u: f64 = rng.gen::<f64>().max(1e-12);
         -self.mean * u.ln()
@@ -79,7 +79,7 @@ impl Exp {
 /// Bounded Pareto on `[lo, hi]` with shape `alpha`, sampled by inversion.
 /// Used for transfer sizes: mostly small, occasional huge.
 #[derive(Clone, Copy, Debug)]
-pub struct BoundedPareto {
+pub(crate) struct BoundedPareto {
     lo: f64,
     hi: f64,
     alpha: f64,
@@ -87,7 +87,7 @@ pub struct BoundedPareto {
 
 impl BoundedPareto {
     /// Bounded Pareto with `0 < lo < hi` and shape `alpha > 0`.
-    pub fn new(lo: f64, hi: f64, alpha: f64) -> BoundedPareto {
+    pub(crate) fn new(lo: f64, hi: f64, alpha: f64) -> BoundedPareto {
         assert!(lo > 0.0 && hi > lo && alpha > 0.0);
         BoundedPareto { lo, hi, alpha }
     }
@@ -104,7 +104,7 @@ impl BoundedPareto {
     }
 
     /// Sample a value in `[lo, hi]`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen::<f64>().clamp(1e-12, 1.0 - 1e-12);
         let la = self.lo.powf(self.alpha);
         let ha = self.hi.powf(self.alpha);
@@ -114,7 +114,7 @@ impl BoundedPareto {
 }
 
 /// Normal sample via Box–Muller.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
+pub(crate) fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(1e-12);
     let u2: f64 = rng.gen();
     mean + std_dev * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
@@ -122,7 +122,7 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
 
 /// Weighted choice: returns an index into `weights` with probability
 /// proportional to the weight.
-pub fn weighted_choice<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
+pub(crate) fn weighted_choice<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weights must not all be zero");
     let mut u = rng.gen::<f64>() * total;

@@ -41,11 +41,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// An empty trace.
-    pub fn new() -> Trace {
-        Trace::default()
-    }
-
     /// Build from packets in timestamp order; equal-timestamp packets
     /// keep generation order. Input already in order is kept as it is
     /// (same allocation). Otherwise the `(ts_ns, index)` keys are sorted —
@@ -157,13 +152,6 @@ impl Trace {
         self
     }
 
-    /// Keep only the first `n` packets (cheap way to size experiments).
-    pub fn take(&self, n: usize) -> Trace {
-        Trace {
-            packets: self.packets.iter().take(n).copied().collect(),
-        }
-    }
-
     /// Ground-truth attack flows: the set of canonical flow keys whose
     /// packets carry the given label kind.
     pub fn labelled_flows(&self, kind: smartwatch_net::AttackKind) -> Vec<smartwatch_net::FlowKey> {
@@ -268,7 +256,7 @@ mod tests {
         let t = Trace::from_packets(vec![pkt(0), pkt(1_000_000)]);
         assert_eq!(t.duration(), Dur::from_secs(1));
         assert!((t.mean_pps() - 2.0).abs() < 1e-9);
-        assert_eq!(Trace::new().duration(), Dur::ZERO);
+        assert_eq!(Trace::default().duration(), Dur::ZERO);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::net::Ipv4Addr;
 
 /// How a TCP session ends.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Teardown {
+pub(crate) enum Teardown {
     /// Orderly FIN/ACK exchange.
     Fin,
     /// Abortive RST from the client.
@@ -25,7 +25,7 @@ pub enum Teardown {
 
 /// How far a connection attempt progresses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum HandshakeOutcome {
+pub(crate) enum HandshakeOutcome {
     /// Full SYN → SYN/ACK → ACK establishment.
     Established,
     /// Server answers RST (closed port / refused service).
@@ -36,7 +36,7 @@ pub enum HandshakeOutcome {
 
 /// Declarative description of one TCP session.
 #[derive(Clone, Copy, Debug)]
-pub struct SessionSpec {
+pub(crate) struct SessionSpec {
     /// Client address and ephemeral port.
     pub client: (Ipv4Addr, u16),
     /// Server address and service port.
@@ -68,19 +68,10 @@ pub struct SessionSpec {
     pub c2s_digest: u64,
 }
 
-impl SessionSpec {
-    /// The canonical flow key of this session.
-    pub fn flow(&self) -> FlowKey {
-        FlowKey::tcp(self.client.0, self.client.1, self.server.0, self.server.1)
-            .canonical()
-            .0
-    }
-}
-
 /// Synthesise the packets of one session. Data-segment gaps are jittered
 /// exponentially around `mean_gap` using `rng`; all other timing is
 /// deterministic from the spec.
-pub fn tcp_session<R: Rng + ?Sized>(rng: &mut R, spec: &SessionSpec) -> Vec<Packet> {
+pub(crate) fn tcp_session<R: Rng + ?Sized>(rng: &mut R, spec: &SessionSpec) -> Vec<Packet> {
     let mut pkts = Vec::new();
     tcp_session_into(rng, spec, &mut pkts);
     pkts
@@ -283,7 +274,7 @@ mod tests {
         assert_eq!(pkts.len(), 3 + 6 + 3);
         assert!(pkts[0].flags.is_syn_only());
         assert!(pkts[1].flags.is_syn_ack());
-        assert!(pkts[2].flags.ack() && !pkts[2].flags.syn());
+        assert!(pkts[2].flags.contains(TcpFlags::ACK) && !pkts[2].flags.syn());
         assert!(pkts[pkts.len() - 3].flags.fin());
     }
 
@@ -354,7 +345,9 @@ mod tests {
     #[test]
     fn all_packets_share_session_flow() {
         let s = spec();
-        let flow = s.flow();
+        let flow = FlowKey::tcp(s.client.0, s.client.1, s.server.0, s.server.1)
+            .canonical()
+            .0;
         for p in gen(&s) {
             assert_eq!(p.key.canonical().0, flow);
         }

@@ -1,10 +1,10 @@
 //! Covert timing-channel detection (paper §5.2.1): switch pre-check +
-//! sNIC fine-grained bins + CME KS-test.
+//! sNIC fine-grained bins + CME bimodality test.
 //!
 //! 90% of flows are benign; 10% modulate inter-packet delays to leak
 //! data. The NetWarden-style switch structure runs a cheap range
-//! pre-check; flagged flows get fine (1 µs) IPD bins on the sNIC, and the
-//! KS test against a benign reference makes the call.
+//! pre-check; flagged flows get fine (1 µs) IPD bins on the sNIC, and a
+//! bimodality test of each flow against its own median makes the call.
 //!
 //! ```sh
 //! cargo run --release --example covert_channel
@@ -31,13 +31,7 @@ fn main() {
             .into_iter()
             .collect();
 
-        // Train the benign IPD reference from flows known-good offline.
-        let mut trainer = IpdCollector::new(D::from_micros(1), 192);
-        for p in trace.iter().filter(|p| p.label.is_benign()).take(20_000) {
-            trainer.on_packet(p);
-        }
-        let benign_hists: Vec<Vec<u64>> = trainer.readout().into_iter().map(|(_, h)| h).collect();
-        let detector = CovertChannelDetector::train(&benign_hists, 0.25);
+        let detector = CovertChannelDetector::new(0.25);
 
         // Switch stage: NetWarden pre-check steers suspicious flows. The
         // range check targets the band where modulated "one" bits live.
@@ -58,7 +52,7 @@ fn main() {
             }
         }
 
-        // CME stage: KS test on the fine bins.
+        // CME stage: bimodality test on the fine bins.
         let mut tp = 0usize;
         let mut fp = 0usize;
         for (flow, hist) in snic_bins.readout() {

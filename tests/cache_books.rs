@@ -7,8 +7,9 @@
 //! between segments.
 
 use smartwatch::net::{Dur, FlowKey, Packet, PacketBuilder, Ts};
+use smartwatch::runtime::books::Count;
 use smartwatch::runtime::{
-    AdminCmd, ControlConfig, Count, DatapathMode, Engine, EngineConfig, EngineReport, Pace,
+    AdminCmd, ControlConfig, DatapathMode, Engine, EngineConfig, EngineReport, Pace,
 };
 use smartwatch::snic::{CacheStats, Mode};
 use smartwatch::trace::background::{preset_trace, Preset};
@@ -126,6 +127,7 @@ fn check(label: &str, report: &EngineReport, published: CacheStats, ring_pushed:
     assert_eq!(ring_pushed, a.evictions + b.evictions, "{label}: ring");
 
     let fc = &report.flowcache;
+    let accesses = fc.p_hits + fc.e_hits + fc.misses + fc.to_host;
     assert_eq!(
         [fc.p_hits, fc.e_hits, fc.misses, fc.to_host],
         [
@@ -141,10 +143,10 @@ fn check(label: &str, report: &EngineReport, published: CacheStats, ring_pushed:
         published.evictions - published.cleanup_evictions,
         "{label}: ring_pushes"
     );
-    assert_eq!(fc.probe_hist.iter().sum::<u64>(), fc.accesses(), "{label}");
+    assert_eq!(fc.probe_hist.iter().sum::<u64>(), accesses, "{label}");
     // A packet reaches the cache unless a verdict dropped it first.
     assert_eq!(
-        fc.accesses(),
+        accesses,
         report.processed() - report.total(Count::VerdictDropped),
         "{label}: cache accesses vs the shard ledgers"
     );

@@ -59,7 +59,10 @@ fn cold_and_hot() -> Vec<Packet> {
 #[test]
 fn cold_flows_decide_alike_with_and_without_the_gated_stage_a() {
     let packets = cold_and_hot();
-    let mut cfg = EngineConfig::deterministic();
+    let mut cfg = EngineConfig {
+        host_workers: 0,
+        ..EngineConfig::new(1)
+    };
     (cfg.shards, cfg.cache_row_bits) = (2, 6);
     let oracle =
         reference::walk_shards(FrameSource::Packets(&packets), &cfg).expect("a modelled config");

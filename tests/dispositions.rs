@@ -12,9 +12,9 @@
 )]
 
 use smartwatch::net::{Dur, FlowHasher, FlowKey, Packet, PacketBuilder, Ts};
+use smartwatch::runtime::books::{Axis, Disposition, Ledger};
 use smartwatch::runtime::{
-    AdminCmd, Axis, ControlConfig, DatapathMode, Disposition, Engine, EngineConfig, EngineReport,
-    Ledger, Pace,
+    AdminCmd, ControlConfig, DatapathMode, Engine, EngineConfig, EngineReport, Pace,
 };
 use smartwatch::trace::attacks::auth::benign_logins;
 use smartwatch::trace::background::{preset_trace, Preset};

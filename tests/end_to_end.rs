@@ -13,7 +13,7 @@ use smartwatch::trace::attacks::worm::{worm_outbreak, WormConfig};
 use smartwatch::trace::background::{preset_trace, Preset};
 use smartwatch::trace::Trace;
 
-fn run_smartwatch(trace: &Trace) -> (smartwatch::core::RunReport, GroundTruth) {
+fn run_smartwatch(trace: &Trace) -> (smartwatch::core::platform::RunReport, GroundTruth) {
     let truth = GroundTruth::from_packets(trace.packets());
     let rep = SmartWatch::new(
         PlatformConfig::new(DeployMode::SmartWatch),

@@ -26,8 +26,13 @@ fn stress64(packets: usize) -> Vec<Packet> {
 fn pipeline_and_rtc_reproduce_the_committed_goldens() {
     let pkts = stress64(100_000);
     let golden = include_str!("../ci/golden_engine_summary.txt");
-    let oracle =
-        reference::walk_shards(FrameSource::Packets(&pkts), &EngineConfig::deterministic());
+    let oracle = reference::walk_shards(
+        FrameSource::Packets(&pkts),
+        &EngineConfig {
+            host_workers: 0,
+            ..EngineConfig::new(1)
+        },
+    );
     assert_eq!(
         oracle.expect("a modelled config").summary,
         golden,

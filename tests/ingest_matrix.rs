@@ -12,9 +12,10 @@
 //! what the ingest units say they offered.
 
 use smartwatch::net::{Dur, FrameStore, Packet};
+use smartwatch::runtime::books::Count;
+use smartwatch::runtime::shard::ShardStats;
 use smartwatch::runtime::{
-    reference, ControlConfig, Count, DatapathMode, Engine, EngineConfig, EngineReport, FrameSource,
-    Pace, ShardStats,
+    reference, ControlConfig, DatapathMode, Engine, EngineConfig, EngineReport, FrameSource, Pace,
 };
 use smartwatch::trace::background::{preset_trace, Preset};
 
@@ -65,7 +66,10 @@ fn every_cell_of_the_ingest_matrix_holds() {
         // count: a shard's own triage publishes its flows' verdicts, so
         // its last poll needs no sibling.
         for shards in [1, 2, 4] {
-            let mut cfg = EngineConfig::deterministic();
+            let mut cfg = EngineConfig {
+                host_workers: 0,
+                ..EngineConfig::new(1)
+            };
             (cfg.datapath, cfg.shards) = (datapath, shards);
             let label = format!("{label}, {shards} shards");
             let report = Engine::new(cfg.clone()).run_source(source, Pace::Flatout);

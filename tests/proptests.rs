@@ -148,9 +148,9 @@ proptest! {
         a.ingest_batch(recs);
         let mut b = SnapshotAggregator::new();
         b.ingest_batch(shuffled);
-        prop_assert_eq!(a.len(), b.len());
+        prop_assert_eq!(a.iter().count(), b.iter().count());
         for r in a.iter() {
-            let other = b.get(&r.key).expect("same flows");
+            let other = b.iter().find(|o| o.key == r.key).expect("same flows");
             prop_assert_eq!(r.packets, other.packets);
             prop_assert_eq!(r.first_ts, other.first_ts);
             prop_assert_eq!(r.last_ts, other.last_ts);

@@ -13,9 +13,11 @@
 //! path: a flow the suite cleared skips the engine's suite from then on,
 //! and only the engine's.
 
-use smartwatch::core::{DeployMode, PlatformConfig, SmartWatch};
+use smartwatch::core::platform::{PlatformConfig, SmartWatch};
+use smartwatch::core::DeployMode;
 use smartwatch::net::{AttackKind, Dur, Packet, Ts};
-use smartwatch::runtime::{Count, Disposition, Engine, EngineConfig, Pace};
+use smartwatch::runtime::books::{Count, Disposition};
+use smartwatch::runtime::{Engine, EngineConfig, Pace};
 use smartwatch::snic::{CacheStats, FlowCacheConfig};
 use smartwatch::trace::attacks::auth::{bruteforce, BruteforceConfig};
 use smartwatch::trace::attacks::portscan::{portscan, ScanConfig};
