@@ -69,7 +69,8 @@ fn ns_per_packet(r: &EngineReport) -> f64 {
 }
 
 /// The FlowCache section of the bench artifact: hit mix, tag-filtered
-/// probe lengths, and the batch pipeline's achieved depth.
+/// probe lengths, the batch pipeline's achieved depth and the lines its
+/// stage A hinted.
 fn flowcache_json(f: &smartwatch_runtime::FlowCacheSummary) -> Value {
     object([
         ("burst", &f.burst),
@@ -83,6 +84,7 @@ fn flowcache_json(f: &smartwatch_runtime::FlowCacheSummary) -> Value {
         ("mean_probe_len", &f.mean_probe_len()),
         ("bursts", &f.bursts),
         ("burst_pkts", &f.burst_pkts),
+        ("hinted_lines", &f.hinted_lines),
         ("mean_burst_depth", &f.mean_burst_depth()),
     ])
 }

@@ -493,10 +493,9 @@ impl Hasher for KeyedMixHasher {
 /// epoch it was last inserted/touched:
 ///
 /// * [`AgingDigestSet::sweep`] expires entries untouched for more than
-///   `ttl` epochs (counted in `expired`);
-/// * inserts past `capacity` evict the stalest entry (counted in
-///   `evicted`) — the set never exceeds its bound, even if the caller
-///   forgets to sweep.
+///   `ttl` epochs;
+/// * inserts past `capacity` evict the stalest entry — the set never
+///   exceeds its bound, even if the caller forgets to sweep.
 ///
 /// "Epoch" is whatever monotone counter the caller advances — the
 /// control plane uses controller epochs, the runtime shards use batch
@@ -506,8 +505,6 @@ pub struct AgingDigestSet {
     map: std::collections::HashMap<u64, u64, BuildDigestHasher>,
     capacity: usize,
     ttl: u64,
-    expired: u64,
-    evicted: u64,
     /// Most entries held since the last [`AgingDigestSet::reset`], as of
     /// the last removal (the length only falls there).
     high_water: usize,
@@ -522,26 +519,22 @@ impl AgingDigestSet {
             map: std::collections::HashMap::default(),
             capacity,
             ttl,
-            expired: 0,
-            evicted: 0,
             high_water: 0,
         }
     }
 
     /// Back to the state [`AgingDigestSet::new`] built, in place: no
-    /// members, zeroed tallies, same bounds; the map keeps its
+    /// members, same bounds; the map keeps its
     /// allocation under the [`Resident`] shrink rule.
     pub fn reset(&mut self) {
         let high_water = self.high_water.max(self.map.len());
         self.map.reset_to(high_water);
-        self.expired = 0;
-        self.evicted = 0;
         self.high_water = 0;
     }
 
     /// Insert (or refresh) `digest` at epoch `now`. Returns `true` if the
     /// digest was not already present. At capacity, the stalest entry is
-    /// evicted first (counted in `evicted`).
+    /// evicted first.
     pub fn insert(&mut self, digest: u64, now: u64) -> bool {
         if let Some(stamp) = self.map.get_mut(&digest) {
             *stamp = now;
@@ -551,7 +544,6 @@ impl AgingDigestSet {
             // Rare path (only at the bound): O(n) scan for the stalest.
             if let Some(oldest) = self.map.iter().min_by_key(|(_, s)| **s).map(|(d, _)| *d) {
                 self.map.remove(&oldest);
-                self.evicted += 1;
             }
         }
         self.map.insert(digest, now);
@@ -575,17 +567,14 @@ impl AgingDigestSet {
     }
 
     /// Expire every entry untouched for more than the TTL as of epoch
-    /// `now`; returns how many were removed (also accumulated in
-    /// `expired`).
+    /// `now`; returns how many were removed.
     pub fn sweep(&mut self, now: u64) -> u64 {
         let ttl = self.ttl;
         let before = self.map.len();
         self.high_water = self.high_water.max(before);
         self.map
             .retain(|_, stamp| now.saturating_sub(*stamp) <= ttl);
-        let removed = (before - self.map.len()) as u64;
-        self.expired += removed;
-        removed
+        (before - self.map.len()) as u64
     }
 
     /// Resident entries.
@@ -923,7 +912,6 @@ mod tests {
         }
         assert_eq!(set.sweep(11), 50, "untouched half expires past TTL");
         assert_eq!(set.len(), 50);
-        assert_eq!(set.expired, 50);
         for d in 0..50u64 {
             assert!(set.contains(&d), "touched digest {d} must survive");
         }
@@ -946,7 +934,6 @@ mod tests {
         set.insert(100, 10);
         set.insert(999, 11);
         assert_eq!(set.len(), 4, "capacity bound holds");
-        assert_eq!(set.evicted, 1);
         assert!(set.contains(&100), "refreshed entry survives");
         assert!(!set.contains(&101), "stalest entry evicted");
         assert!(set.contains(&999));

@@ -7,7 +7,8 @@
 //! The table is generic over the action type `A`. Memory accounting
 //! mirrors how the paper argues about SRAM pressure: every entry has a
 //! fixed byte cost, and [`P4Switch`](crate::P4Switch) sums its tables
-//! against the stage budget.
+//! against the stage budget. The budget prices the tables; it does not
+//! bound them — an insert never fails.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -21,32 +22,19 @@ pub(crate) const TERNARY_ENTRY_BYTES: usize = 64;
 #[derive(Clone, Debug)]
 pub(crate) struct ExactTable<K: Eq + Hash, A> {
     entries: HashMap<K, A>,
-    /// Maximum entries (hardware table size); `usize::MAX` = unbounded.
-    pub capacity: usize,
-}
-
-impl<K: Eq + Hash, A> Default for ExactTable<K, A> {
-    fn default() -> Self {
-        ExactTable {
-            entries: HashMap::new(),
-            capacity: usize::MAX,
-        }
-    }
 }
 
 impl<K: Eq + Hash, A> ExactTable<K, A> {
-    /// Unbounded table.
+    /// Empty table.
     pub(crate) fn new() -> Self {
-        Self::default()
+        ExactTable {
+            entries: HashMap::new(),
+        }
     }
 
-    /// Insert an entry; returns false (and does nothing) if full.
-    pub(crate) fn insert(&mut self, key: K, action: A) -> bool {
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            return false;
-        }
+    /// Insert an entry, or replace the action of a present key.
+    pub(crate) fn insert(&mut self, key: K, action: A) {
         self.entries.insert(key, action);
-        true
     }
 
     /// Look up a key.
@@ -70,18 +58,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_table_capacity_enforced() {
-        let mut t: ExactTable<u32, &str> = ExactTable {
-            capacity: 2,
-            ..ExactTable::default()
-        };
-        assert!(t.insert(1, "a"));
-        assert!(t.insert(2, "b"));
-        assert!(!t.insert(3, "c"), "full table must refuse");
-        assert!(t.insert(1, "a2"), "updates to existing keys allowed");
-        assert_eq!(t.lookup(&1), Some(&"a2"));
+    fn exact_table_prices_each_key_once() {
+        let mut t: ExactTable<u32, &str> = ExactTable::new();
+        t.insert(1, "a");
+        t.insert(2, "b");
+        t.insert(1, "a2");
+        assert_eq!(t.lookup(&1), Some(&"a2"), "an insert updates in place");
+        assert_eq!(t.len(), 2);
         assert_eq!(t.sram_bytes(), 2 * EXACT_ENTRY_BYTES);
-        t.entries.remove(&1);
-        assert!(t.insert(3, "c"));
     }
 }

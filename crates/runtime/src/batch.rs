@@ -27,10 +27,11 @@
 //! chunks: the carried digest lets the shard prefetch every FlowCache
 //! row a chunk will touch *before* the first probe (stage A), then
 //! process the chunk strictly in sequence (stage B). When more than half
-//! of the shard's previous batch missed the FlowCache, stage A also
-//! prefetches what a miss touches next: the row's P span (or Lite
-//! sub-row), where the new record is filed, and the scan table's home
-//! slot word, where the new connection is filed. The prefetch stage is
+//! of the shard's previous batch missed the FlowCache, stage A instead
+//! prefetches the next chunk's tag lines and scan-table home slot words
+//! (where a new connection is filed), and, read off this chunk's tags,
+//! exactly the slots each probe will touch (where a new record is
+//! filed, and the P span a victim is picked from). The prefetch stage is
 //! architecturally inert, gate on or off, so decisions, counters and the
 //! deterministic summary are byte-identical at any burst width.
 

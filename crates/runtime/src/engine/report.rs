@@ -92,6 +92,8 @@ pub struct FlowCacheSummary {
     pub bursts: u64,
     /// Packets covered by those bursts.
     pub burst_pkts: u64,
+    /// FlowCache lines those bursts hinted: tag lines and slots.
+    pub hinted_lines: u64,
 }
 
 impl FlowCacheSummary {
@@ -111,6 +113,7 @@ impl FlowCacheSummary {
             }
             out.bursts += e.bursts;
             out.burst_pkts += e.burst_pkts;
+            out.hinted_lines += e.hinted_lines;
         }
         out
     }

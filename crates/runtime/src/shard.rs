@@ -51,6 +51,7 @@ use smartwatch_core::{HostNeed, SnicTier};
 use smartwatch_host::{HostNf, Verdict};
 use smartwatch_net::hash::shard_for_digest;
 use smartwatch_net::{AgingDigestSet, FlowHasher};
+use smartwatch_snic::flowcache::ROW_HINT_LINES;
 use smartwatch_snic::{cache_publisher, CacheStats, FlowCache, FlowCacheConfig, TableStats};
 use smartwatch_telemetry::{Counter, FlightKind, FlightRing, Gauge, Publisher, Registry};
 use std::sync::mpsc::SyncSender;
@@ -185,6 +186,9 @@ pub(crate) struct ShardEndState {
     /// Packets covered by those bursts (`burst_pkts / bursts` = mean
     /// pipeline depth actually achieved).
     pub burst_pkts: u64,
+    /// FlowCache lines those bursts hinted (`hinted_lines / burst_pkts`
+    /// = lines per packet: the work stage A asks of memory).
+    pub hinted_lines: u64,
 }
 
 /// A shard with a controller reports `(digest, HEAVY_QUANTUM)` at each
@@ -315,11 +319,12 @@ pub(crate) struct ShardSetup {
     /// only un-digested keys a shard sees) digest through this.
     pub hasher: FlowHasher,
     /// FlowCache software-pipeline depth: rows for up to this many
-    /// packets are prefetched ahead of their probes — and, after a batch
-    /// that mostly missed, their P spans and scan-table slot words too
-    /// ([`ShardWorker::process_group`]); `0` reads as `1`. The prefetch
-    /// is architecturally inert, so every width decides what the
-    /// per-packet [`reference`](crate::reference) oracle decides.
+    /// packets are prefetched ahead of their probes — after a batch that
+    /// mostly missed, the lines each probe will touch and the scan-table
+    /// slot words instead ([`ShardWorker::process_group`]); `0` reads as
+    /// `1`. The prefetch is architecturally inert, so every width
+    /// decides what the per-packet [`reference`](crate::reference)
+    /// oracle decides.
     pub burst: usize,
 }
 
@@ -549,13 +554,17 @@ impl ShardWorker {
     ///
     /// The batch's FlowCache misses — a difference of the cache's own
     /// plain-integer books — set the gate the next batch's stage A
-    /// reads: more than half missed, and the next stage A also fetches
-    /// what a miss reads after the row ([`ShardWorker::stage_a`]).
+    /// reads: more than half missed, and the next stage A hints what
+    /// each probe will touch ([`ShardWorker::stage_a`]).
     pub(crate) fn process_group(&mut self, pkts: &[DigestedPacket], mut lap: Lap) {
         let burst = self.setup.burst.max(1);
         let misses = self.flow.tier.cache().stats().misses;
-        for chunk in pkts.chunks(burst) {
-            self.stage_a(chunk);
+        if self.cold {
+            self.stage_ahead(&pkts[..burst.min(pkts.len())]);
+        }
+        for (i, chunk) in pkts.chunks(burst).enumerate() {
+            let next = pkts.get((i + 1) * burst..).unwrap_or_default();
+            self.stage_a(chunk, &next[..burst.min(next.len())]);
             for dp in chunk {
                 self.process_packet(dp, &mut lap);
             }
@@ -565,28 +574,43 @@ impl ShardWorker {
         self.flush_local();
     }
 
-    /// Stage A of one chunk: hints, no architectural effect. Each packet's
-    /// FlowCache row (tag line and first bucket); after a miss-heavy
-    /// batch also the rest of its P span, where a miss files its record,
-    /// and the scan table's home slot word, which a new flow is
-    /// filed through — the two dependent misses a cold packet pays in
-    /// stage B. A hit reads neither, so a hit-dominated batch is
-    /// followed by the row hints alone.
-    fn stage_a(&mut self, chunk: &[DigestedPacket]) {
+    /// Stage A of one chunk: hints, no architectural effect. After a
+    /// hit-dominated batch, each packet's FlowCache row (tag line and
+    /// first bucket): a hit reads one record, found by its tag. After a
+    /// miss-heavy batch, two distances: the `next` chunk's tag lines and
+    /// scan-table home slot words ([`ShardWorker::stage_ahead`]), then,
+    /// read off this chunk's tags (hinted a chunk ago), exactly the slot
+    /// lines each probe will touch ([`FlowCache::prefetch_probe`]) —
+    /// one for a hit or a miss into a free P bucket, the P span and an
+    /// E bucket for a miss that demotes.
+    fn stage_a(&mut self, chunk: &[DigestedPacket], next: &[DigestedPacket]) {
         self.end.bursts += 1;
         self.end.burst_pkts += chunk.len() as u64;
-        let (cache, suite) = (self.flow.tier.cache(), &self.flow.tier.suite);
         if self.cold {
+            self.stage_ahead(next);
+            let cache = self.flow.tier.cache();
             for dp in chunk {
-                cache.prefetch_row(dp.flow.digest);
-                cache.prefetch_span(dp.flow.digest);
-                suite.prefetch(&dp.pkt, &dp.flow);
+                self.end.hinted_lines += u64::from(cache.prefetch_probe(dp.flow.digest));
             }
         } else {
+            let cache = self.flow.tier.cache();
             for dp in chunk {
                 cache.prefetch_row(dp.flow.digest);
             }
+            self.end.hinted_lines += ROW_HINT_LINES * chunk.len() as u64;
         }
+    }
+
+    /// The far half of a cold stage A: each packet's FlowCache tag line
+    /// and the scan table's home slot word, which a new flow is filed
+    /// through.
+    fn stage_ahead(&mut self, chunk: &[DigestedPacket]) {
+        let (cache, suite) = (self.flow.tier.cache(), &self.flow.tier.suite);
+        for dp in chunk {
+            cache.prefetch_tags(dp.flow.digest);
+            suite.prefetch(&dp.pkt, &dp.flow);
+        }
+        self.end.hinted_lines += chunk.len() as u64;
     }
 
     /// One packet. `lap` is the batch's chain: each stage the packet

@@ -479,11 +479,13 @@ impl<V: Keyed + Copy> FlowTable<V> {
     /// Back to the state [`FlowTable::new`] built, in place: no entries,
     /// same slot secret, digests trusted again, the books carried on.
     /// The allocation is kept — zeroing the slot words is the whole
-    /// reset — unless it could hold more than [`SLACK`] times the most
-    /// entries held since the last reset, in which case it shrinks to
-    /// fit `SLACK / 2` times that (a table never used gives everything
-    /// back).
+    /// reset, and a table already emptied by removals has no word to
+    /// zero (module doc, "No tombstones") — unless it could hold more
+    /// than [`SLACK`] times the most entries held since the last reset,
+    /// in which case it shrinks to fit `SLACK / 2` times that (a table
+    /// never used gives everything back).
     pub fn reset(&mut self) {
+        let held = !self.entries.is_empty();
         let high_water = self.high_water.max(self.entries.len());
         self.high_water = 0;
         self.by_key = false;
@@ -495,8 +497,13 @@ impl<V: Keyed + Copy> FlowTable<V> {
             self.words = Vec::new();
         } else if capacity > SLACK * high_water && fit < self.words.len() {
             self.words = vec![0; fit];
-        } else {
+        } else if held {
             self.words.fill(0);
+        } else {
+            debug_assert!(
+                self.words.iter().all(|&w| w == 0),
+                "an empty table holds a word"
+            );
         }
     }
 

@@ -4,12 +4,12 @@ use smartwatch_net::{FlowKey, Ts};
 
 /// One cached flow's state.
 ///
-/// The layout mirrors the paper's description (§2.1.2): 5-tuple, packet
-/// count, timestamps, and a small amount of attack-specific state
-/// ("required-state depending on the specific attack being monitored").
-/// Two generic `u32` scratch slots plus a flags byte keep the record at a
-/// fixed 64-ish bytes so 25 M entries fit the sNIC's DRAM budget the paper
-/// quotes (768 MB).
+/// The layout follows the paper's description (§2.1.2): 5-tuple, packet
+/// and byte counts, timestamps and the pin flag — 56 bytes, which the
+/// FlowCache pads to one 64-byte line per bucket, so 25 M entries fit
+/// the sNIC's DRAM budget the paper quotes (768 MB). The
+/// attack-specific state the paper also files here lives in the
+/// detectors' own flow tables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowRecord {
     /// Canonical (direction-free) 5-tuple.
@@ -24,11 +24,6 @@ pub struct FlowRecord {
     pub last_ts: Ts,
     /// Insertion timestamp (FIFO metadata).
     pub inserted_ts: Ts,
-    /// Detector scratch slot A (e.g. SYN/FIN/RST observation bits,
-    /// failed-attempt counters).
-    pub state_a: u32,
-    /// Detector scratch slot B.
-    pub state_b: u32,
     /// Pinned records are never evicted (per-packet state tracking for
     /// suspect flows, §3.2 "Pinning Flow Records").
     pub pinned: bool,
@@ -44,8 +39,6 @@ impl FlowRecord {
             first_ts: ts,
             last_ts: ts,
             inserted_ts: ts,
-            state_a: 0,
-            state_b: 0,
             pinned: false,
         }
     }
@@ -77,10 +70,6 @@ impl FlowRecord {
         self.bytes += other.bytes;
         self.first_ts = self.first_ts.min(other.first_ts);
         self.last_ts = self.last_ts.max(other.last_ts);
-        // Detector scratch: bitwise OR is the safe merge for flag-style
-        // state; counter-style users re-derive from packets/bytes.
-        self.state_a |= other.state_a;
-        self.state_b |= other.state_b;
     }
 
     /// Flow duration so far.
@@ -129,15 +118,5 @@ mod tests {
         assert_eq!(ab.first_ts, ba.first_ts);
         assert_eq!(ab.last_ts, ba.last_ts);
         b.update(Ts::from_secs(6), 1);
-    }
-
-    #[test]
-    fn merge_ors_state_flags() {
-        let mut a = FlowRecord::new(key(), Ts::ZERO, 64);
-        a.state_a = 0b0011;
-        let mut b = FlowRecord::new(key(), Ts::ZERO, 64);
-        b.state_a = 0b0101;
-        a.merge(&b);
-        assert_eq!(a.state_a, 0b0111);
     }
 }

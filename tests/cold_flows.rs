@@ -1,8 +1,9 @@
 //! Cold flows through the miss-gated stage A.
 //!
-//! A shard whose last batch mostly missed the FlowCache prefetches more
-//! in its next stage A: each packet's P span and the scan table's slot
-//! word. Hints are all it adds, so a run that flips that gate on and off
+//! A shard whose last batch mostly missed the FlowCache prefetches
+//! differently in its next stage A: the next chunk's tag lines and scan
+//! table slot words, then the slot lines each probe of this chunk will
+//! touch. Hints are all it adds, so a run that flips that gate on and off
 //! must decide exactly what the per-packet oracle ([`reference::walk_shards`],
 //! no stage A at all) decides, on both datapaths and at widths 8 and 1:
 //! the same deterministic summary and the same FlowCache books per
