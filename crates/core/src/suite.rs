@@ -349,9 +349,13 @@ impl DetectorSuite {
         }
     }
 
-    /// Interval boundary: run the flow-log detectors (Slowloris) over the
-    /// interval's exported records.
-    pub fn end_interval(&mut self, records: &[FlowRecord], now: Ts) -> Vec<Alert> {
+    /// Interval boundary: run the duration-based detectors (Slowloris)
+    /// over the host's cumulative flow records, borrowed where they live.
+    pub fn end_interval<'r>(
+        &mut self,
+        records: impl IntoIterator<Item = &'r FlowRecord>,
+        now: Ts,
+    ) -> Vec<Alert> {
         self.slowloris.analyze(records, now)
     }
 

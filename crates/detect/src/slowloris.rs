@@ -45,9 +45,13 @@ impl SlowlorisDetector {
         self.alerted.resident_bytes()
     }
 
-    /// Analyze one interval's flow records at time `now`. Emits at most
-    /// one alert per victim server.
-    pub fn analyze(&mut self, records: &[FlowRecord], now: Ts) -> Vec<Alert> {
+    /// Analyze the flow records at time `now`, read in place and in any
+    /// order. Emits at most one alert per victim server, sorted.
+    pub fn analyze<'r>(
+        &mut self,
+        records: impl IntoIterator<Item = &'r FlowRecord>,
+        now: Ts,
+    ) -> Vec<Alert> {
         let mut stalling: HashMap<Ipv4Addr, Vec<&FlowRecord>> = HashMap::new();
         for r in records {
             let dst = server_of(r);

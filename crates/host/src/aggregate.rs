@@ -3,9 +3,10 @@
 //! The sNIC exports a flow's record several times — ring-buffer evictions,
 //! periodic snapshots, ageing — and "the host is responsible to correctly
 //! aggregate each flow's information". The aggregator is a large host hash
-//! table (the paper sizes it 2³⁰ × 1; here the capacity is configurable)
-//! that merges every export into one record per flow, then flushes to the
-//! flow-log store each measurement interval.
+//! table (the paper sizes it 2³⁰ × 1; here it grows with the flows it
+//! holds) that merges every export into one record per flow. The platform
+//! keeps one for the whole run: the cumulative store that flow durations
+//! exist in, which the interval detectors read in place.
 
 use smartwatch_net::FlowKey;
 use smartwatch_snic::FlowRecord;
@@ -15,16 +16,11 @@ use std::collections::HashMap;
 /// Reads one metric's value out of an aggregator.
 type Reading<T> = fn(&SnapshotAggregator) -> T;
 
-/// The aggregator's counter families: each `host.aggregate.*` counter
-/// and the count it carries, for its owner's publisher (which labels
-/// each aggregator `agg=…`).
-pub const COUNTERS: [(&str, Reading<u64>); 2] = [
-    ("host.aggregate.exports_in", |a| a.exports_in),
-    ("host.aggregate.flushes", |a| a.flushes),
-];
+/// The aggregator's counter family: the exports it consumed, for its
+/// owner's publisher (which labels the aggregator `agg=…`).
+pub const COUNTERS: [(&str, Reading<u64>); 1] = [("host.aggregate.exports_in", |a| a.exports_in)];
 
-/// The aggregator's gauge: the flows it holds now (0 right after a
-/// flush).
+/// The aggregator's gauge: the flows it holds now.
 pub const GAUGES: [(&str, Reading<f64>); 1] = [("host.aggregate.flows", |a| a.len() as f64)];
 
 /// Heaviest first, equal counts by flow key: a total order over
@@ -38,9 +34,7 @@ fn rank(r: &FlowRecord) -> (Reverse<u64>, FlowKey) {
 pub struct SnapshotAggregator {
     flows: HashMap<FlowKey, FlowRecord>,
     /// Exports consumed.
-    pub exports_in: u64,
-    /// Flushes to the flow log.
-    flushes: u64,
+    exports_in: u64,
 }
 
 impl SnapshotAggregator {
@@ -85,15 +79,6 @@ impl SnapshotAggregator {
             out.truncate(k);
         }
         out.sort_unstable_by_key(rank);
-        out
-    }
-
-    /// Flush everything (the per-measurement-interval move into the
-    /// flow-log datastore), leaving the aggregator empty.
-    pub fn flush(&mut self) -> Vec<FlowRecord> {
-        let mut out: Vec<FlowRecord> = self.flows.drain().map(|(_, r)| r).collect();
-        out.sort_by_key(|r| r.key);
-        self.flushes += 1;
         out
     }
 }
@@ -165,17 +150,6 @@ mod tests {
         assert!(hh.windows(2).all(|w| w[0].packets >= w[1].packets));
         assert_eq!(agg.top_k(3).len(), 3);
         assert_eq!(agg.top_k(3)[0].packets, 90);
-    }
-
-    #[test]
-    fn flush_empties() {
-        let mut agg = SnapshotAggregator::new();
-        agg.ingest(rec(1, 1, 0, 0));
-        agg.ingest(rec(2, 2, 0, 0));
-        let flushed = agg.flush();
-        assert_eq!(flushed.len(), 2);
-        assert!(agg.flows.is_empty());
-        assert_eq!((agg.exports_in, agg.flushes), (2, 1));
     }
 
     #[test]

@@ -5,21 +5,21 @@
 //!
 //! | Paper artefact | Module |
 //! |---|---|
-//! | Host flow cache + aggregation of repeated sNIC exports | [`aggregate`] |
-//! | Redis-backed flow logging per measurement interval | [`flowlog`] |
+//! | Host flow store: one record per flow across every sNIC export | [`aggregate`] |
 //! | Hashed timing wheel for RST buffering (Varghese–Lauck) | [`wheel`] |
 //! | Zeek-style TCP connection state machine | [`conn`] |
 //! | Zeek session heuristics + certificate/ticket registry | [`zeek`] |
 //! | SR-IOV NF contract (trait, verdicts) | [`nf`] |
 //! | PCIe / copy / NF cost model | [`cost`] |
 //!
-//! The aggregator and the flow log keep their counts in plain integers
-//! and hold no metric handle. Each names its metrics in one table —
+//! The paper's Redis flow log is not modelled as a second store: the
+//! host keeps one cumulative aggregator for the run, and what an
+//! offline analysis would read from the log is that store's records.
+//! The aggregator keeps its counts in plain integers and holds no
+//! metric handle. It names its metrics in one table —
 //! [`aggregate::COUNTERS`] / [`aggregate::GAUGES`] (`host.aggregate.*`)
-//! and [`flowlog::COUNTERS`] / [`flowlog::GAUGES`] (`host.flowlog.*`) —
-//! which their owner (the platform's control loop) publishes at its
-//! interval ends. The owner records `host.aggregate.flush_records`
-//! itself, at the flushes it makes.
+//! — which its owner (the platform's control loop) publishes at its
+//! interval ends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +27,6 @@
 pub mod aggregate;
 pub mod conn;
 pub mod cost;
-pub mod flowlog;
 pub mod nf;
 pub mod wheel;
 pub mod zeek;
@@ -35,7 +34,6 @@ pub mod zeek;
 pub use aggregate::SnapshotAggregator;
 pub use conn::{ConnEvent, ConnRecord, ConnState, ConnTable, Swept};
 pub use cost::HostCostModel;
-pub use flowlog::FlowLogStore;
 pub use nf::{HostNf, Verdict};
 pub use wheel::TimingWheel;
 pub use zeek::{ArtefactRegistry, AuthHeuristic, AuthOutcome};

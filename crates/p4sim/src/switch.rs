@@ -138,15 +138,15 @@ pub(crate) fn query_stages(q: &SwitchQuery) -> u32 {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SwitchStats {
     /// Packets forwarded directly.
-    pub forwarded: u64,
+    pub(crate) forwarded: u64,
     /// Packets steered to the sNIC.
-    pub steered: u64,
+    pub(crate) steered: u64,
     /// Packets dropped by the blacklist.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Bytes steered to the sNIC (Fig. 2's x-axis).
     pub steered_bytes: u64,
     /// Packets that bypassed steering due to the whitelist.
-    pub whitelist_hits: u64,
+    pub(crate) whitelist_hits: u64,
 }
 
 /// Reads one metric's value out of the switch.
@@ -303,7 +303,7 @@ impl P4Switch {
     /// Current SRAM occupancy in bytes: query state + exact-match
     /// whitelist/blacklist entries + steering TCAM (charged at the TCAM
     /// premium).
-    pub fn sram_bytes(&self) -> usize {
+    pub(crate) fn sram_bytes(&self) -> usize {
         let queries: usize = self.queries.iter().map(|(_, st)| st.sram_bytes()).sum();
         queries
             + self.whitelist.sram_bytes()
