@@ -13,7 +13,7 @@
 //!   queries, iterative refinement, FlowLens/NetWarden baselines.
 //! - [`snic`] — SmartNIC simulator: the FlowCache, eviction policies,
 //!   General/Lite reconfiguration, micro-engine cycle model.
-//! - [`host`] — host subsystem: snapshot aggregation, flow logging, timing
+//! - [`host`] — host subsystem: snapshot aggregation, the flow store, timing
 //!   wheel, Zeek-style protocol analysis.
 //! - [`detect`] — all 17 attack detectors plus the statistics toolkit.
 //! - [`core`] — the SmartWatch platform itself: the cooperative two-stage
