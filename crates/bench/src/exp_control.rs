@@ -2,11 +2,11 @@
 //!
 //! Two runs of the same rectangular overload spike ([`Pace::Spike`]):
 //! one with the [`smartwatch_control`] feedback loop attached (Alg. 4
-//! mode switching, steering snapshots, hysteretic load shedding) and a
-//! baseline without it. The controlled run must conserve every packet
-//! (shed and steer drops are named counters, never silent loss), record
-//! a General→Lite flip during the spike in its timeline, recover
-//! General afterwards, and sustain at least the baseline's throughput.
+//! mode switching, steering snapshots) and a baseline without it. The
+//! controlled run must conserve every packet (shed and steer drops are
+//! named counters, never silent loss), record a General→Lite flip
+//! during the spike in its timeline, recover General afterwards, and
+//! sustain at least the baseline's throughput.
 //!
 //! `repro control-sim` is the deterministic sibling: the same
 //! controller state machine driven through a synthetic load profile in
@@ -83,9 +83,9 @@ impl ControlRunSpec {
 }
 
 /// Derive a [`ControlConfig`] whose thresholds bracket the spec's
-/// base/peak rates, so the spike reliably drives Lite (and shedding)
-/// and the calm tail reliably recovers General — on any machine fast
-/// enough to dispatch at `peak_mpps`.
+/// base/peak rates, so the spike reliably drives Lite and the calm tail
+/// reliably recovers General — on any machine fast enough to dispatch
+/// at `peak_mpps`.
 pub fn control_config(spec: &ControlRunSpec) -> ControlConfig {
     assert!(
         spec.base_mpps < spec.peak_mpps,
@@ -98,11 +98,6 @@ pub fn control_config(spec: &ControlRunSpec) -> ControlConfig {
     // spike rate, General below 3/4 of the per-shard base rate.
     c.eta_lite_mpps = 0.5 * spec.peak_mpps / shards;
     c.eta_general_mpps = (0.75 * spec.base_mpps / shards).min(0.5 * c.eta_lite_mpps);
-    // Aggregate shed hysteresis: engage at 3/4 of peak, release at 2×
-    // base (clamped below the engage threshold).
-    c.shed_on_mpps = 0.75 * spec.peak_mpps;
-    c.shed_off_mpps = (2.0 * spec.base_mpps).min(0.25 * c.shed_on_mpps);
-    c.shed_sustain_epochs = 2;
     // A flow carrying ≥1/64 of the spike's per-epoch traffic is a heavy
     // hitter worth a whitelist slot (the default threshold is sized for
     // much longer epochs than bench time-scales).

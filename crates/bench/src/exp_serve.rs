@@ -65,9 +65,9 @@ impl Default for ServeSpec {
 }
 
 /// Control-plane thresholds for service mode: the configured steady
-/// rate is treated as the calm baseline (no mode flapping, no shedding
-/// at the offered rate), with headroom so a genuine 4× overload still
-/// trips Lite mode and the shed hysteresis.
+/// rate is treated as the calm baseline (no mode flapping at the
+/// offered rate), with headroom so a genuine 4× overload still trips
+/// Lite mode.
 fn serve_control_config(spec: &ServeSpec) -> smartwatch_runtime::ControlConfig {
     let rate = spec.rate_mpps.unwrap_or(2.0).max(0.05);
     control_config(&ControlRunSpec {

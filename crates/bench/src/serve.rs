@@ -326,8 +326,6 @@ pub(crate) mod tests {
             epoch_ms: 2,
             eta_lite_mpps: 1_000.0,
             eta_general_mpps: 100.0,
-            shed_on_mpps: 1_000.0,
-            shed_off_mpps: 100.0,
             ..ControlConfig::default()
         };
         let engine = Arc::new(Engine::new(EngineConfig::new(2).with_control(control)));

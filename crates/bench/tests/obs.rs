@@ -8,7 +8,7 @@ use smartwatch_bench::exp_engine::{engine_run_full, EngineRunSpec};
 use smartwatch_bench::run_shape::{EngineWorkload, RunShape};
 use smartwatch_bench::{serve, workloads, ExpCtx};
 use smartwatch_runtime::books::Axis;
-use smartwatch_runtime::{DatapathMode, Engine, EngineConfig, Pace};
+use smartwatch_runtime::{AdminCmd, DatapathMode, Engine, EngineConfig, Pace};
 use smartwatch_telemetry::FlightKind;
 use smartwatch_trace::background::Preset;
 use std::io::{Read, Write};
@@ -260,15 +260,31 @@ fn flight_recorder_mirrors_the_control_timeline() {
         .collect();
     let cfg = EngineConfig::new(spec.shape.shards);
     let engine = Engine::new(cfg.with_control(control_config(&spec)));
-    let report = engine.run(
-        &packets,
-        Pace::Spike {
-            base_mpps: spec.base_mpps,
-            peak_mpps: spec.peak_mpps,
-            spike_start: spec.spike_start,
-            spike_end: spec.spike_end,
-        },
-    );
+    // Shedding is the operator's: pinned before the run (applied at the
+    // first epoch) and released once that edit has landed — the epoch
+    // that applied it had already taken the mailbox, so the release
+    // lands in a later one and the run holds a shed edge each way.
+    assert!(engine.admin(AdminCmd::ForceShed(Some(true))));
+    let report = std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..5_000 {
+                if engine.admin_applied() > 0 {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert!(engine.admin(AdminCmd::ForceShed(Some(false))));
+        });
+        engine.run(
+            &packets,
+            Pace::Spike {
+                base_mpps: spec.base_mpps,
+                peak_mpps: spec.peak_mpps,
+                spike_start: spec.spike_start,
+                spike_end: spec.spike_end,
+            },
+        )
+    });
     assert!(report.conserved());
     let ctrl = report.control.as_ref().expect("controller ran");
     assert!(ctrl.mode_switches >= 2, "spike must flip modes both ways");
@@ -305,6 +321,7 @@ fn flight_recorder_mirrors_the_control_timeline() {
         got_switches, want_switches,
         "flight ModeSwitch sequence must match the control timeline"
     );
+    assert!(!want_shed.is_empty(), "the pin shows as a shed edge");
     assert_eq!(
         got_shed, want_shed,
         "flight shed edges must match the control timeline"

@@ -18,8 +18,8 @@ pub enum AdminCmd {
     WhitelistAdd(u64),
     /// Remove a digest from the whitelist.
     WhitelistRemove(u64),
-    /// `Some(v)`: pin load shedding to `v`, pausing the hysteresis.
-    /// `None`: hand shedding back to the controller.
+    /// `Some(true)`: shed load — every shard Lite, whitelisted flows
+    /// only — until released. `Some(false)` or `None`: release it.
     ForceShed(Option<bool>),
     /// `Some(mode)`: pin one shard's FlowCache mode, overriding
     /// Algorithm 4 for that shard. `None`: release the override.

@@ -24,16 +24,16 @@
 //!    "hoverboard" steering rule).
 //! 4. Ages both tables (TTL sweep + capacity bound via
 //!    [`smartwatch_net::AgingDigestSet`]).
-//! 5. Runs the shed hysteresis: sustained aggregate overload (offered
-//!    rate or escalation backlog) turns load shedding on — every shard
-//!    is forced to Lite and the dispatcher passes whitelisted flows
-//!    only — and sustained calm turns it back off.
+//!
+//! Overload has one automatic answer, the paper's: Algorithm 4's flip
+//! to Lite. Load shedding — every shard forced to Lite and the
+//! dispatcher passing whitelisted flows only — is the operator's pin
+//! ([`AdminCmd::ForceShed`]) and nothing else turns it on.
 //!
 //! The operator's standing overrides ([`Controller::admin`]) live here
 //! too, beside the state they override, so every decision, gauge, event
 //! and report says what the data path runs. Precedence per shard:
-//! operator's mode pin > shedding (Lite) > Algorithm 4; the shed pin
-//! replaces the hysteresis while it stands.
+//! operator's mode pin > shedding (Lite) > Algorithm 4.
 //!
 //! The bounded ring of [`DecisionRecord`]s is the one account of the
 //! epochs: a transition ([`ControlEvent`]) is what changed between two
@@ -69,14 +69,6 @@ pub struct ControlConfig {
     /// Per-shard rate below which Algorithm 4 returns to General, in
     /// Mpps. Must be `< eta_lite_mpps` (hysteresis).
     pub eta_general_mpps: f64,
-    /// Aggregate offered rate (all shards, Mpps) that counts as
-    /// overload for the shed decision.
-    pub shed_on_mpps: f64,
-    /// Aggregate offered rate below which an epoch counts as calm.
-    pub shed_off_mpps: f64,
-    /// Consecutive overload (resp. calm) epochs required to enter
-    /// (resp. leave) shedding.
-    pub shed_sustain_epochs: u32,
     /// Per-epoch packets a digest's reports must sum to, to count
     /// towards heavy-hitter promotion.
     pub promote_pkts_per_epoch: u64,
@@ -88,16 +80,11 @@ impl Default for ControlConfig {
             epoch_ms: 5,
             eta_lite_mpps: 2.5,
             eta_general_mpps: 1.8,
-            shed_on_mpps: 6.0,
-            shed_off_mpps: 2.0,
-            shed_sustain_epochs: 3,
             promote_pkts_per_epoch: 2000,
         }
     }
 }
 
-/// Escalation-ring backlog (any shard) that also counts as overload.
-const SHED_BACKLOG: u64 = 3072;
 /// Consecutive qualifying epochs before a heavy hitter is promoted into
 /// the whitelist.
 const PROMOTE_EPOCHS: u32 = 2;
@@ -172,7 +159,7 @@ pub struct DecisionRecord {
     /// The mode each shard runs: the operator's pin, else Lite while
     /// shedding, else Algorithm 4's decision.
     pub modes: Vec<Mode>,
-    /// Shed state after this epoch.
+    /// Whether the operator's shed pin stood this epoch.
     pub shed: bool,
     /// Heavy hitters promoted into the whitelist this epoch.
     pub promotions: u64,
@@ -438,7 +425,7 @@ struct ShardState {
     switcher: SwitchOver,
     decided: Mode,
     /// Admin override: `Some(m)` pins the shard to `m` whatever
-    /// Algorithm 4 and the shed state say, until released.
+    /// Algorithm 4 and the shed pin say, until released.
     forced: Option<Mode>,
     prev_offered: u64,
     prev_shed: u64,
@@ -460,12 +447,9 @@ pub struct Controller {
     blacklist: AgingDigestSet,
     /// digest -> (last qualifying epoch, consecutive-epoch streak).
     streaks: HashMap<u64, (u64, u32), BuildDigestHasher>,
+    /// The operator's shed pin: set and cleared only by
+    /// [`AdminCmd::ForceShed`].
     shed: bool,
-    /// Admin override: `Some(v)` pins shedding to `v` and pauses the
-    /// hysteresis until cleared.
-    force_shed: Option<bool>,
-    overload_streak: u32,
-    calm_streak: u32,
     shed_epochs: u64,
     snapshot_version: u64,
     dirty: bool,
@@ -488,16 +472,12 @@ impl Controller {
     /// digests line up with the engine's dispatch digests.
     ///
     /// # Panics
-    /// Panics unless `eta_general_mpps < eta_lite_mpps` and
-    /// `shed_off_mpps < shed_on_mpps` (both hystereses need a band).
+    /// Panics unless `eta_general_mpps < eta_lite_mpps` (Algorithm 4's
+    /// hysteresis needs a band).
     pub fn with_seed(cfg: ControlConfig, hash_seed: u64) -> Controller {
         assert!(
             cfg.eta_general_mpps < cfg.eta_lite_mpps,
             "need eta_general_mpps < eta_lite_mpps for hysteresis"
-        );
-        assert!(
-            cfg.shed_off_mpps < cfg.shed_on_mpps,
-            "need shed_off_mpps < shed_on_mpps for hysteresis"
         );
         Controller {
             hasher: FlowHasher::new(hash_seed),
@@ -514,9 +494,6 @@ impl Controller {
             shards: Vec::new(),
             streaks: HashMap::default(),
             shed: false,
-            force_shed: None,
-            overload_streak: 0,
-            calm_streak: 0,
             shed_epochs: 0,
             snapshot_version: 0,
             dirty: false,
@@ -636,41 +613,6 @@ impl Controller {
         }
     }
 
-    fn decide_shed(&mut self, offered_mpps: f64, max_backlog: u64) {
-        let overload = offered_mpps >= self.cfg.shed_on_mpps || max_backlog >= SHED_BACKLOG;
-        let calm = offered_mpps <= self.cfg.shed_off_mpps && max_backlog < SHED_BACKLOG;
-        if overload {
-            self.overload_streak += 1;
-            self.calm_streak = 0;
-        } else if calm {
-            self.calm_streak += 1;
-            self.overload_streak = 0;
-        } else {
-            // Inside the hysteresis band: hold state, reset streaks.
-            self.overload_streak = 0;
-            self.calm_streak = 0;
-        }
-        if !self.shed && self.overload_streak >= self.cfg.shed_sustain_epochs {
-            self.shed = true;
-            self.dirty = true;
-        } else if self.shed && self.calm_streak >= self.cfg.shed_sustain_epochs {
-            self.shed = false;
-            self.dirty = true;
-        }
-    }
-
-    /// Pin shedding to the admin-forced value; the hysteresis streaks
-    /// are cleared so releasing the override decides afresh from the
-    /// next epoch's load, not a stale streak.
-    fn apply_forced_shed(&mut self, force: bool) {
-        self.overload_streak = 0;
-        self.calm_streak = 0;
-        if force != self.shed {
-            self.shed = force;
-            self.dirty = true;
-        }
-    }
-
     fn build_snapshot(&mut self) -> Arc<SteeringSnapshot> {
         self.snapshot_version += 1;
         self.snapshot_publishes += 1;
@@ -686,7 +628,7 @@ impl Controller {
         })
     }
 
-    /// Run one epoch (see module docs for the five stages).
+    /// Run one epoch (see module docs for the four stages).
     pub fn epoch(&mut self, input: &EpochInput) -> EpochDecision {
         self.epoch += 1;
         self.ensure_shards(input.shards.len());
@@ -717,17 +659,12 @@ impl Controller {
         let whitelist_evictions = self.whitelist_expired - evict_before;
 
         let offered_mpps = offered_delta_total as f64 / elapsed / 1e6;
-        match self.force_shed {
-            Some(force) => self.apply_forced_shed(force),
-            None => self.decide_shed(offered_mpps, max_backlog),
-        }
         if self.shed {
             self.shed_epochs += 1;
         }
 
-        // Decide per-shard modes; shedding forces Lite everywhere (the
-        // whole point is to survive, not to model individual shards)
-        // except where the operator pinned a shard.
+        // Decide per-shard modes; the shed pin forces Lite everywhere
+        // except where the operator pinned a shard's mode.
         let shed = self.shed;
         let mut modes = Vec::with_capacity(self.shards.len());
         for state in &mut self.shards {
@@ -783,7 +720,7 @@ impl Controller {
     /// describes the engine rather than the traffic stays: the epoch
     /// counter, each shard's EWMA and counter baselines (so the first
     /// epoch of the segment measures that epoch, not the engine's
-    /// lifetime), the shed state and the operator's pins.
+    /// lifetime) and the operator's pins.
     pub fn new_segment(&mut self) -> Arc<SteeringSnapshot> {
         self.whitelist.reset();
         self.blacklist.reset();
@@ -833,12 +770,6 @@ impl Controller {
         changed
     }
 
-    /// Admin edit: `Some(v)` pins shedding to `v` from the next epoch
-    /// (pausing the hysteresis); `None` hands control back to it.
-    pub(crate) fn admin_force_shed(&mut self, force: Option<bool>) {
-        self.force_shed = force;
-    }
-
     /// Apply one operator command; its effect shows in the next epoch's
     /// decision. Table edits are entries like any learned one (TTL'd,
     /// gone at [`Controller::new_segment`]); the two pins stand until
@@ -850,7 +781,11 @@ impl Controller {
             AdminCmd::BlacklistRemove(d) => _ = self.admin_blacklist_remove(d),
             AdminCmd::WhitelistAdd(d) => _ = self.admin_whitelist_insert(d),
             AdminCmd::WhitelistRemove(d) => _ = self.admin_whitelist_remove(d),
-            AdminCmd::ForceShed(force) => self.admin_force_shed(force),
+            AdminCmd::ForceShed(force) => {
+                let shed = force == Some(true);
+                self.dirty |= shed != self.shed;
+                self.shed = shed;
+            }
             AdminCmd::ForceMode { shard, mode } => match self.shards.get_mut(shard) {
                 Some(state) => state.forced = mode,
                 None => return false,
@@ -904,7 +839,6 @@ mod tests {
         let per_shard = (rate_mpps * 1e6 * epoch_secs / shards as f64) as u64;
         for s in prev.iter_mut() {
             s.offered += per_shard;
-            s.processed += per_shard;
         }
         EpochInput {
             elapsed_secs: epoch_secs,
@@ -950,47 +884,39 @@ mod tests {
         );
     }
 
+    /// Overload has one answer, Algorithm 4's: 20 Mpps over two shards
+    /// with the escalation path 4 096 deep, for 50 epochs, flips both
+    /// shards Lite and sheds nothing; calm brings both back to General.
     #[test]
-    fn shed_engages_on_sustained_overload_and_forces_lite() {
-        let cfg = ControlConfig {
-            shed_on_mpps: 4.0,
-            shed_off_mpps: 1.5,
-            shed_sustain_epochs: 2,
-            ..ControlConfig::default()
-        };
-        let mut c = Controller::new(cfg);
+    fn overload_flips_lite_and_never_sheds() {
+        let mut c = Controller::new(ControlConfig::default());
         let mut cum = Vec::new();
-        // One hot epoch is not enough.
-        let d = c.epoch(&input(10.0, 2, 0.005, &mut cum));
-        assert!(!d.record.shed);
-        let d = c.epoch(&input(10.0, 2, 0.005, &mut cum));
-        assert!(
-            d.record.shed,
-            "second sustained overload epoch engages shed"
+        let mut records = Vec::new();
+        for _ in 0..50 {
+            let mut inp = input(20.0, 2, 0.005, &mut cum);
+            for s in &mut inp.shards {
+                s.escalation_backlog = 4096;
+            }
+            records.push(c.epoch(&inp).record);
+        }
+        let lite = records.last().unwrap();
+        assert_eq!(lite.modes, [Mode::Lite, Mode::Lite], "Algorithm 4 flips");
+        assert_eq!(
+            lite.max_backlog, 4096,
+            "the audit still records the backlog"
         );
-        assert!(
-            d.record.modes.iter().all(|&m| m == Mode::Lite),
-            "shed forces Lite"
+        for _ in 0..20 {
+            records.push(c.epoch(&input(0.5, 2, 0.005, &mut cum)).record);
+        }
+        assert_eq!(
+            records.last().unwrap().modes,
+            [Mode::General, Mode::General],
+            "calm returns General"
         );
-        assert!(
-            d.snapshot.as_ref().is_some_and(|s| s.shed),
-            "shed flip publishes a snapshot carrying the flag"
-        );
-        // Band (between off and on) holds the state.
-        let d = c.epoch(&input(2.0, 2, 0.005, &mut cum));
-        assert!(d.record.shed);
-        // Calm epochs release it.
-        let d1 = c.epoch(&input(0.5, 2, 0.005, &mut cum));
-        let d2 = c.epoch(&input(0.5, 2, 0.005, &mut cum));
-        assert!(
-            d1.record.shed && !d2.record.shed,
-            "sustained calm releases shed"
-        );
+        assert!(records.iter().all(|r| !r.shed), "nothing sheds unpinned");
         let r = c.report();
-        assert_eq!(r.shed_epochs, 3);
-        let timeline = r.timeline();
-        assert!(timeline.contains(&ControlEvent::ShedOn { epoch: 2 }));
-        assert!(timeline.contains(&ControlEvent::ShedOff { epoch: 5 }));
+        assert_eq!((r.shed_epochs, r.shed_active), (0, false));
+        assert_eq!(r.mode_switches, 4);
     }
 
     #[test]
@@ -1091,36 +1017,22 @@ mod tests {
             epoch_ms,
             eta_lite_mpps,
             eta_general_mpps,
-            shed_on_mpps,
-            shed_off_mpps,
-            shed_sustain_epochs,
             promote_pkts_per_epoch,
         } = ControlConfig::default();
-        assert_eq!(
-            (epoch_ms, shed_sustain_epochs, promote_pkts_per_epoch),
-            (5, 3, 2000)
-        );
-        assert_eq!(
-            (eta_lite_mpps, eta_general_mpps, shed_on_mpps, shed_off_mpps),
-            (2.5, 1.8, 6.0, 2.0)
-        );
+        assert_eq!((epoch_ms, promote_pkts_per_epoch), (5, 2000));
+        assert_eq!((eta_lite_mpps, eta_general_mpps), (2.5, 1.8));
     }
 
     #[test]
     fn decision_audit_records_inputs_and_outputs() {
-        let cfg = ControlConfig {
-            shed_on_mpps: 4.0,
-            shed_off_mpps: 1.5,
-            shed_sustain_epochs: 2,
-            ..ControlConfig::default()
-        };
-        let mut c = Controller::new(cfg);
+        let mut c = Controller::new(ControlConfig::default());
         let mut cum = Vec::new();
         let d = c.epoch(&input(10.0, 2, 0.005, &mut cum));
         assert_eq!(d.record.epoch, 1);
         assert!(d.record.offered_mpps > 4.0, "audit carries the input rate");
         assert_eq!(d.record.smoothed_mpps.len(), 2);
         assert!(!d.record.shed);
+        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
         for _ in 0..6 {
             c.epoch(&input(10.0, 2, 0.005, &mut cum));
         }
@@ -1132,20 +1044,15 @@ mod tests {
         );
         let last = r.decisions.last().unwrap();
         assert_eq!(last.epoch, 7, "newest record retained");
-        assert!(last.shed, "sustained overload shows up in the audit");
+        assert!(last.shed, "the shed pin shows up in the audit");
         assert!(last.modes.iter().all(|&m| m == Mode::Lite));
     }
 
     #[test]
     fn the_name_tables_read_the_live_books() {
-        let cfg = ControlConfig {
-            shed_on_mpps: 1.0,
-            shed_off_mpps: 0.5,
-            shed_sustain_epochs: 1,
-            ..ControlConfig::default()
-        };
-        let mut c = Controller::new(cfg);
+        let mut c = Controller::new(ControlConfig::default());
         let mut cum = Vec::new();
+        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
         let mut last = None;
         for _ in 0..6 {
             last = Some(c.epoch(&input(8.0, 2, 0.005, &mut cum)));
@@ -1157,7 +1064,7 @@ mod tests {
         assert!(r.mode_switches >= 2);
         assert_eq!(read("control.shed_packets"), r.shed_packets);
         assert_eq!(read("control.snapshot_publishes"), r.snapshot_publishes);
-        assert_eq!(GAUGES[0].1(&c), 1.0, "shedding after sustained overload");
+        assert_eq!(GAUGES[0].1(&c), 1.0, "shedding under the pin");
         let record = last.unwrap().record;
         let shard0 = (record.smoothed_mpps[0], record.modes[0]);
         assert!(
@@ -1201,31 +1108,26 @@ mod tests {
     }
 
     #[test]
-    fn forced_shed_overrides_hysteresis_both_ways() {
+    fn the_shed_pin_sheds_until_released() {
         let mut c = Controller::new(ControlConfig::default());
         let mut cum = Vec::new();
-        // Calm traffic, forced shed: engages in one epoch, no sustain
-        // streak needed, and every shard goes Lite.
-        c.admin_force_shed(Some(true));
+        // Pinned on under calm traffic: sheds from the next epoch and
+        // every shard goes Lite.
+        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
         let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
-        assert!(d.record.shed, "forced shed ignores calm load");
+        assert!(d.record.shed, "the pin sheds calm load");
         assert!(d.record.modes.iter().all(|&m| m == Mode::Lite));
         assert!(d.snapshot.expect("shed flip publishes").shed);
 
-        // Overloaded traffic, forced off: shedding never engages.
-        c.admin_force_shed(Some(false));
-        for _ in 0..8 {
+        // Off and released both end it, at once, under any load.
+        for release in [Some(false), None] {
+            assert!(c.admin(AdminCmd::ForceShed(Some(true))));
+            c.epoch(&input(50.0, 2, 0.005, &mut cum));
+            assert!(c.admin(AdminCmd::ForceShed(release)));
             let d = c.epoch(&input(50.0, 2, 0.005, &mut cum));
-            assert!(!d.record.shed, "forced-off pins shedding under overload");
+            assert!(!d.record.shed, "{release:?} ends the shed");
+            assert!(!d.snapshot.expect("shed flip publishes").shed);
         }
-
-        // Released: hysteresis resumes and overload re-engages it.
-        c.admin_force_shed(None);
-        let mut shed_again = false;
-        for _ in 0..8 {
-            shed_again |= c.epoch(&input(50.0, 2, 0.005, &mut cum)).record.shed;
-        }
-        assert!(shed_again, "hysteresis resumes after release");
     }
 
     #[test]
@@ -1317,14 +1219,10 @@ mod tests {
 
     /// A seeded drive of `epochs` epochs over four shards: a load that
     /// holds one of four levels for a few epochs at a time, crossing
-    /// both Algorithm 4's band and the shed band, with the operator's
-    /// mode and shed pins set and released at random in between.
+    /// Algorithm 4's band, with the operator's mode and shed pins set
+    /// and released at random in between.
     fn seeded_drive(epochs: u64) -> Controller {
-        let cfg = ControlConfig {
-            shed_sustain_epochs: 2,
-            ..ControlConfig::default()
-        };
-        let mut c = Controller::new(cfg).for_shards(4);
+        let mut c = Controller::new(ControlConfig::default()).for_shards(4);
         let mut cum = Vec::new();
         let mut rng = 0x5EED;
         let mut draw = |n: u64| {

@@ -7,11 +7,11 @@
 //! that loop as a reusable state machine for the runtime engine:
 //!
 //! * [`Controller`] — the epoch brain. Each epoch it consumes one
-//!   [`EpochInput`] (per-shard offered/processed deltas, escalation
+//!   [`EpochInput`] (per-shard offered and shed counts, escalation
 //!   backlog, host verdicts, heavy-hitter candidates) and emits one
 //!   [`EpochDecision`]: the epoch's [`DecisionRecord`] (per-shard
-//!   [`Mode`], the shed flag, what it saw) and — when the steering
-//!   tables changed — a freshly built snapshot. Its bounded ring of
+//!   [`Mode`], the operator's shed pin, what it saw) and — when the
+//!   steering tables changed — a freshly built snapshot. Its bounded ring of
 //!   records is the one account of the epochs: the mode/shed timeline
 //!   is what changed from one record to the next. The
 //!   controller is pure state: no threads, no clocks, so the same input

@@ -8,10 +8,11 @@
 //! [`LoadProfile`] → byte-identical [`SimOutcome::summary`] — that is
 //! the `control-sim` experiment and its determinism test.
 //!
-//! The synthetic drive exercises every controller path: ramp →
-//! overload spike (Algorithm 4 flips to Lite, shedding engages) →
-//! recovery (General returns, shedding releases), with a seeded stream
-//! of heavy-hitter candidates and periodic host verdicts.
+//! The synthetic drive exercises every automatic controller path: ramp
+//! → overload spike (Algorithm 4 flips to Lite) → recovery (General
+//! returns), with a seeded stream of heavy-hitter candidates and
+//! periodic host verdicts. Nothing sheds: only the operator's pin
+//! does, and the drive sets none.
 
 use crate::controller::{ControlConfig, ControlReport, Controller, EpochInput, ShardSample};
 use smartwatch_host::Verdict;
@@ -111,17 +112,8 @@ pub fn simulate(ctrl_cfg: ControlConfig, profile: &LoadProfile) -> SimOutcome {
             profile.base_mpps
         };
         let per_shard = (rate_mpps * 1e6 * profile.epoch_secs / profile.shards as f64) as u64;
-        let backlog = if in_spike { 4096 } else { 0 };
         for s in cumulative.iter_mut() {
             s.offered += per_shard;
-            // Under overload the shards fall behind; modelled as a flat
-            // 70% service rate during the spike.
-            s.processed += if in_spike {
-                per_shard * 7 / 10
-            } else {
-                per_shard
-            };
-            s.escalation_backlog = backlog;
         }
 
         // Heavy hitters: the same pool digests recur every epoch with a
@@ -179,12 +171,11 @@ mod tests {
     use crate::controller::ControlEvent;
 
     #[test]
-    fn spike_drives_lite_and_shed_then_recovers() {
+    fn spike_drives_lite_then_recovers_and_never_sheds() {
         let outcome = simulate(ControlConfig::default(), &LoadProfile::default());
         let r = &outcome.report;
         assert!(outcome.lite_epochs > 0, "spike must reach Lite");
-        assert!(r.shed_epochs > 0, "12 Mpps > shed_on 6 Mpps must shed");
-        assert!(!r.shed_active, "recovery must release shedding");
+        assert_eq!(r.shed_epochs, 0, "no shed pin, no shed");
         assert!(
             r.final_modes.iter().all(|&m| m == Mode::General),
             "recovery must return every shard to General"
@@ -229,9 +220,8 @@ mod tests {
             },
         );
         assert_ne!(base.summary, other.summary, "seed is part of the summary");
-        // The macro behaviour (spike → Lite+shed → recover) is seed-free.
+        // The macro behaviour (spike → Lite → recover) is seed-free.
         assert!(other.lite_epochs > 0);
-        assert!(other.report.shed_epochs > 0);
-        assert!(!other.report.shed_active);
+        assert!(other.report.final_modes.iter().all(|&m| m == Mode::General));
     }
 }

@@ -226,6 +226,9 @@ pub struct SmartWatch {
     /// first few intervals grow it to the working-set high-water mark,
     /// the per-interval export pass allocates nothing.
     export_scratch: Vec<smartwatch_snic::FlowRecord>,
+    /// The cache's `processed` count at the last snapshot: while it has
+    /// not moved no record's delta has, and the snapshot is skipped.
+    snapshot_processed: u64,
 }
 
 impl SmartWatch {
@@ -279,6 +282,7 @@ impl SmartWatch {
             next_interval: Ts::ZERO + cfg.interval,
             whitelist_entries: 0,
             export_scratch: Vec::new(),
+            snapshot_processed: 0,
             cfg,
         }
     }
@@ -500,8 +504,16 @@ impl SmartWatch {
 
         // 2. sNIC exports: snapshot deltas + ring drains → the host's
         // cumulative store. The snapshot lands in the reused scratch
-        // buffer, so steady-state intervals allocate nothing for it.
-        self.tier.snapshot_delta_into(&mut self.export_scratch);
+        // buffer, so steady-state intervals allocate nothing for it. An
+        // interval the cache processed no packet in has no delta to
+        // export, so its row scan is skipped.
+        let processed = self.tier.cache().stats().processed();
+        if processed == self.snapshot_processed {
+            self.export_scratch.clear();
+        } else {
+            self.tier.snapshot_delta_into(&mut self.export_scratch);
+            self.snapshot_processed = processed;
+        }
         let export_count = self.export_scratch.len();
         self.long_term
             .ingest_batch(self.export_scratch.iter().copied());
@@ -526,11 +538,14 @@ impl SmartWatch {
         // 3. Whitelist top-k heavy benign flows (hoverboard): elephants
         // by cumulative count, never mice — whitelisting a low-and-slow
         // flow would blind the fine-grained tier to exactly the traffic
-        // it exists for.
+        // it exists for. An interval that exported nothing left the
+        // store, and so its top k, as the last one whitelisted them.
         if uses_switch(self.cfg.mode) && self.cfg.whitelist_top_k > 0 {
-            for rec in self.long_term.top_k(self.cfg.whitelist_top_k) {
-                if rec.packets >= self.cfg.whitelist_min_packets {
-                    self.switch.whitelist(rec.key);
+            if export_count > 0 {
+                for rec in self.long_term.top_k(self.cfg.whitelist_top_k) {
+                    if rec.packets >= self.cfg.whitelist_min_packets {
+                        self.switch.whitelist(rec.key);
+                    }
                 }
             }
             self.whitelist_entries = self.switch.whitelist_len();

@@ -99,6 +99,12 @@ impl SnicTier {
         self.cache.rings().drain()
     }
 
+    /// Discard the evicted records the rings hold, for an owner with no
+    /// host flow store to take them; the rings' books stay.
+    pub fn clear_evicted(&mut self) {
+        self.cache.rings().clear();
+    }
+
     /// Every resident record, appended to `out`; the cache is left empty.
     pub(crate) fn drain_all_into(&mut self, out: &mut Vec<FlowRecord>) {
         self.cache.drain_all_into(out);

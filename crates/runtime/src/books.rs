@@ -76,7 +76,7 @@ impl Axis {
 pub enum Disposition {
     /// Dropped at a full lane by a paced (open-loop) dispatcher.
     IngestDrop,
-    /// Turned away at ingest under controller load shedding.
+    /// Turned away at ingest under the operator's shed pin.
     Shed,
     /// Dropped at ingest on the published steering blacklist.
     SteerDrop,

@@ -68,7 +68,8 @@ pub struct EngineConfig {
     pub cache_burst: usize,
     /// Attach the adaptive control plane: an epoch thread that runs
     /// Algorithm 4 mode switching per shard, promotes heavy hitters,
-    /// publishes steering snapshots and decides load shedding. `None`
+    /// publishes steering snapshots and applies the operator's pins
+    /// (load shedding among them). `None`
     /// runs the engine open-loop (the pre-control behaviour, and the
     /// deterministic-test configuration).
     pub control: Option<ControlConfig>,
@@ -155,8 +156,8 @@ pub enum Pace {
     /// `peak_mpps` while the replay position is inside
     /// `[spike_start, spike_end)` (fractions of the packet sequence).
     /// This is the control plane's repro workload: the spike drives
-    /// Algorithm 4 into Lite and (if sustained) engages shedding; the
-    /// return to base rate must recover General.
+    /// Algorithm 4 into Lite; the return to base rate must recover
+    /// General.
     Spike {
         /// Offered rate outside the spike, Mpps.
         base_mpps: f64,

@@ -63,7 +63,7 @@ struct Garage {
 }
 
 /// The control plane of the engine's life: the one [`Controller`] —
-/// epoch counter, per-shard EWMA and counter baselines, shed state, the
+/// epoch counter, per-shard EWMA and counter baselines, the
 /// operator's pins and the decision audit, all of which describe the
 /// engine rather than one segment's traffic — the cells it publishes
 /// through, which keep saying what the shards and ingest units were

@@ -83,7 +83,7 @@
 //! closes the paper's feedback loop each epoch — Algorithm 4 mode
 //! switching applied to the live per-shard FlowCaches, heavy-hitter
 //! whitelist promotion, RCU-published steering snapshots enforced at
-//! dispatch, and hysteretic load shedding with accounted drops.
+//! dispatch, and the operator's shed pin with accounted drops.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -510,9 +510,13 @@ impl ShardWorker {
 
     /// Fold the batch's plain-integer tallies — the shard's and its
     /// cache's — into the shared atomics: the only place the hot path
-    /// touches contended cache lines.
+    /// touches contended cache lines. The batch's evicted records go
+    /// too: the engine keeps no host flow store to read them, and rings
+    /// left to fill for a whole segment sized the parked state by how
+    /// many records that segment happened to evict.
     fn flush_local(&mut self) {
         self.flow.cache_books.publish(self.flow.tier.cache());
+        self.flow.tier.clear_evicted();
         let l = &mut self.flow.local;
         // Coalesced per batch: one black-box event per batch that lost
         // packets to a verdict, one per batch that lost escalations,

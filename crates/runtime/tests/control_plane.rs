@@ -1,6 +1,7 @@
 //! Control-plane integration: the engine with a controller attached
 //! must keep exact accounting while the feedback loop flips live cache
-//! modes, publishes steering snapshots and sheds load.
+//! modes and publishes steering snapshots, and while the operator's
+//! pins shed load.
 //!
 //! These tests run on the wall clock, so they assert *invariants*
 //! (conservation, timeline ordering, recovery) rather than exact
@@ -32,9 +33,6 @@ fn test_control() -> ControlConfig {
         epoch_ms: 2,
         eta_lite_mpps: 0.5,     // per-shard; spike offers ~1.0 per shard
         eta_general_mpps: 0.15, // base offers ~0.1 per shard
-        shed_on_mpps: 1.5,      // aggregate; spike offers 2.0
-        shed_off_mpps: 0.4,     // base offers 0.2
-        shed_sustain_epochs: 2,
         ..ControlConfig::default()
     }
 }
@@ -53,8 +51,8 @@ fn controlled_spike_conserves_and_recovers() {
     let cfg = EngineConfig::new(2).with_control(test_control());
     let report = Engine::new(cfg).run(&workload(100_000), spike());
 
-    // Exact accounting survives shedding and steering: every offered
-    // packet is processed or in a named drop counter.
+    // Exact accounting survives steering: every offered packet is
+    // processed or in a named drop counter.
     assert!(
         report.conserved(),
         "conservation violated:\n{:?}",
@@ -93,17 +91,14 @@ fn controlled_spike_conserves_and_recovers() {
         "calm tail must recover General, got {:?}",
         ctrl.final_modes
     );
-    assert!(!ctrl.shed_active, "shedding must release after the spike");
-
-    // Load shedding engaged during the sustained overload and its drops
-    // are accounted in the shard counters the report sums.
-    assert!(ctrl.shed_epochs > 0, "2.0 Mpps > shed_on 1.5 must shed");
-    assert!(report.shed() > 0, "shed epochs imply shed packets");
+    // Algorithm 4's flip is the one answer to the spike: nothing is
+    // shed without the operator's pin.
     assert_eq!(
-        ctrl.shed_packets,
-        report.shed(),
-        "controller's shed accounting must match the shard counters"
+        (ctrl.shed_epochs, ctrl.shed_active, report.shed()),
+        (0, false, 0),
+        "an unpinned spike sheds nothing"
     );
+    assert_eq!(ctrl.shed_packets, report.shed());
 }
 
 #[test]
@@ -112,10 +107,10 @@ fn controlled_spike_is_safe_on_every_ingest_topology() {
     // fused cores that each ingest their own flows: every core paces
     // its sub-stream against the *global* arrival schedule, so the
     // controller sees the same offered-rate shape and the safety
-    // invariants must hold unchanged. (Whether shedding engages depends
-    // on wall-clock scheduling headroom, so — unlike the test above —
-    // this sweep asserts the invariants, not the overload response
-    // itself.)
+    // invariants must hold unchanged. (Whether a shard reaches Lite
+    // depends on wall-clock scheduling headroom, so — unlike the test
+    // above — this sweep asserts the invariants, not the overload
+    // response itself.)
     let shapes = [
         (DatapathMode::Pipeline, 2usize),
         (DatapathMode::Rtc, 2),
@@ -141,10 +136,7 @@ fn controlled_spike_is_safe_on_every_ingest_topology() {
             "{at}: calm tail must recover General, got {:?}",
             ctrl.final_modes
         );
-        assert!(
-            !ctrl.shed_active,
-            "{at}: shedding must release after the spike"
-        );
+        assert!(!ctrl.shed_active, "{at}: an unpinned spike sheds nothing");
         assert_eq!(
             ctrl.shed_packets,
             report.shed(),
@@ -252,16 +244,14 @@ fn engine_without_control_reports_none_and_zero_shed() {
     assert!(report.conserved());
 }
 
-/// A controller that only relays the operator: 2 ms epochs, every
-/// threshold parked far above any drive here, so nothing sheds or
+/// A controller that only relays the operator: 2 ms epochs, Algorithm
+/// 4's thresholds parked far above any drive here, so nothing sheds or
 /// switches mode unless a row below pins it.
 fn inert_control() -> ControlConfig {
     ControlConfig {
         epoch_ms: 2,
         eta_lite_mpps: 1_000.0,
         eta_general_mpps: 100.0,
-        shed_on_mpps: 1_000.0,
-        shed_off_mpps: 100.0,
         ..ControlConfig::default()
     }
 }

@@ -191,13 +191,11 @@ fn admin_blacklist_lands_at_an_epoch_boundary_and_drops_at_dispatch() {
         stream.push(PacketBuilder::new(key, pkt.ts).build());
     }
 
-    // Controller attached (steering snapshots need the epoch thread) but
-    // with thresholds parked far above the drive: no shedding or mode
+    // Controller attached (steering snapshots need the epoch thread);
+    // the default Lite threshold is far above the drive, so no mode
     // churn muddies the steering assertion.
     let ctrl = ControlConfig {
         epoch_ms: 2,
-        shed_on_mpps: 1_000.0,
-        shed_off_mpps: 100.0,
         ..ControlConfig::default()
     };
     let cfg = EngineConfig::new(2).with_control(ctrl);

@@ -114,6 +114,14 @@ impl RingSet {
         self.peak
     }
 
+    /// Empty the rings for a reader that keeps no record, without
+    /// allocating: the buffers and the cumulative tallies stay.
+    pub fn clear(&mut self) {
+        self.note_high_water();
+        self.rings.iter_mut().for_each(VecDeque::clear);
+        self.len = 0;
+    }
+
     /// Drain everything (the host snapshot thread's read).
     pub fn drain(&mut self) -> Vec<FlowRecord> {
         self.note_high_water();
@@ -152,6 +160,20 @@ mod tests {
         let drained = rs.drain();
         assert_eq!(drained.len(), 50);
         assert_eq!(rs.len, 0);
+    }
+
+    #[test]
+    fn clear_keeps_the_buffers_and_the_books() {
+        let mut rs = RingSet::new(2, 100);
+        for i in 0..40 {
+            rs.push(i, rec(i as u32));
+        }
+        let caps: Vec<usize> = rs.rings.iter().map(VecDeque::capacity).collect();
+        rs.clear();
+        assert_eq!((rs.len(), rs.pushed, rs.peak()), (0, 40, 40));
+        let kept: Vec<usize> = rs.rings.iter().map(VecDeque::capacity).collect();
+        assert_eq!(kept, caps, "no buffer is given back or grown");
+        assert!(rs.drain().is_empty());
     }
 
     #[test]

@@ -56,8 +56,6 @@ fn engine(datapath: DatapathMode) -> Engine {
     cfg.triage_threshold = 8;
     Engine::new(cfg.with_control(ControlConfig {
         epoch_ms: 2,
-        shed_on_mpps: 1_000.0,
-        shed_off_mpps: 100.0,
         ..ControlConfig::default()
     }))
 }

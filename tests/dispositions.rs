@@ -36,14 +36,12 @@ fn target() -> FlowKey {
     )
 }
 
-/// A controller that only relays admin edits: 2 ms epochs, thresholds
-/// parked far above any drive here, so nothing sheds or switches mode
-/// unless a scenario forces it.
+/// A controller that only relays admin edits: 2 ms epochs and the
+/// default Lite threshold, far above any drive here, so nothing sheds
+/// or switches mode unless a scenario forces it.
 fn inert_control(cfg: EngineConfig) -> EngineConfig {
     cfg.with_control(ControlConfig {
         epoch_ms: 2,
-        shed_on_mpps: 1_000.0,
-        shed_off_mpps: 100.0,
         ..ControlConfig::default()
     })
 }

@@ -4,16 +4,12 @@
 //! table of the evaluation, in `all_experiments()` order, each one
 //! pretty-printed JSON object closed by a `}` line. This test renders
 //! each table in-process and compares it byte for byte with its entry,
-//! so a moved paper cell fails `cargo test`.
-//!
-//! Fig. 8c is left out: its slowest row replays a scan over ≈17 500
-//! one-second intervals and takes longer than every other table
-//! together. The release-build CI step (`repro all --json | diff`)
-//! checks it with the rest.
+//! so a moved paper cell fails `cargo test`. Every table is in, Fig. 8c
+//! too: its slowest row replays a scan over ≈17 500 one-second
+//! intervals, nearly all of them idle, and an idle interval skips the
+//! FlowCache row scan and the top-k pass that cannot change.
 
 use smartwatch_bench::{all_experiments, ExpCtx};
-
-const SKIPPED: &str = "fig8c";
 
 #[test]
 fn every_fast_paper_table_matches_the_committed_golden() {
@@ -28,9 +24,6 @@ fn every_fast_paper_table_matches_the_committed_golden() {
     let ctx = ExpCtx::new(1);
     let mut moved = Vec::new();
     for ((id, run), want) in experiments.into_iter().zip(entries) {
-        if id == SKIPPED {
-            continue;
-        }
         let got = run(&ctx).to_json() + "\n";
         if got != want {
             moved.push(id);
