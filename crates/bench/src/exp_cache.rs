@@ -25,13 +25,11 @@ pub fn fig4(ctx: &ExpCtx) -> Table {
     let mut fc = FlowCache::new(FlowCacheConfig::general(CONTENDED_ROW_BITS));
     // Measured below the saturation point so queueing does not swamp the
     // hit/miss service-time structure.
-    let shard = ctx.tracer.shard("fig4");
     let rep = simulate_instrumented(
         &mut fc,
         &pkts,
         &DesConfig::netronome(25.0e6),
         Some(&ctx.registry),
-        Some(&shard),
     );
     cache_publisher(&ctx.registry, &fc.config().policy).publish(&fc);
     let mut t = Table::new(
@@ -98,7 +96,6 @@ pub fn fig5(ctx: &ExpCtx) -> Table {
         ],
     );
     let mut best_hit = ("", 0.0f64);
-    let shard = ctx.tracer.shard("fig5");
     let mut escalated = 0u64;
     let mut offered = 0u64;
     for (name, cfg) in configs {
@@ -109,7 +106,6 @@ pub fn fig5(ctx: &ExpCtx) -> Table {
             &pkts,
             &DesConfig::netronome(43.0e6),
             Some(&ctx.registry),
-            Some(&shard),
         );
         cache_publisher(&ctx.registry, &fc.config().policy).publish(&fc);
         let s = fc.stats();

@@ -9,15 +9,15 @@
 //! sustain at least the baseline's throughput.
 //!
 //! `repro control-sim` is the deterministic sibling: the same
-//! controller state machine driven through a synthetic load profile in
-//! virtual time ([`smartwatch_control::simulate`]), whose counters-only
-//! summary is byte-stable for a seed.
+//! controller state machine driven through a fixed synthetic spike in
+//! virtual time ([`smartwatch_control::simulate`]), its table pinned by
+//! the paper golden.
 
 use crate::output::{object, Table};
 use crate::run_shape::{datapath_label, RunShape};
 use crate::ExpCtx;
 use serde::Value;
-use smartwatch_control::{simulate, ControlConfig, LoadProfile};
+use smartwatch_control::{sim, simulate, ControlConfig};
 use smartwatch_runtime::{Engine, EngineReport, Pace};
 use std::sync::Arc;
 
@@ -310,13 +310,12 @@ fn render(spec: &ControlRunSpec, o: &ControlOutcome) -> Table {
     t
 }
 
-/// `repro control-sim` — the deterministic controller drive: default
-/// [`LoadProfile`] (4 shards, 120 × 5 ms epochs, 1 → 12 Mpps spike)
-/// through the default [`ControlConfig`] in virtual time. Byte-stable
-/// for a seed; the determinism tests pin the summary.
+/// `repro control-sim` — the deterministic controller drive: the
+/// [`sim`] spike (4 shards, 120 × 5 ms epochs, 1 → 12 Mpps) through the
+/// default controller in virtual time, seeded with [`sim::SEED`].
+/// Byte-stable; the paper golden pins the table.
 pub fn control_sim(_ctx: &ExpCtx) -> Table {
-    let profile = LoadProfile::default();
-    let out = simulate(ControlConfig::default(), &profile);
+    let out = simulate(sim::SEED);
     let r = &out.report;
     let mut t = Table::new(
         "control-sim",
@@ -347,17 +346,17 @@ pub fn control_sim(_ctx: &ExpCtx) -> Table {
     }
     t.note(format!(
         "profile: {} shards, {} epochs × {} s, {} → {} Mpps spike over epochs [{}, {})",
-        profile.shards,
-        profile.epochs,
-        profile.epoch_secs,
-        profile.base_mpps,
-        profile.peak_mpps,
-        profile.spike_start,
-        profile.spike_end,
+        sim::SHARDS,
+        sim::EPOCHS,
+        sim::EPOCH_SECS,
+        sim::BASE_MPPS,
+        sim::PEAK_MPPS,
+        sim::SPIKE.start,
+        sim::SPIKE.end,
     ));
     t.note(
         "deterministic for the profile seed: two identical runs render \
-         byte-identical tables and counters-only summaries",
+         byte-identical tables",
     );
     t
 }
@@ -524,14 +523,5 @@ mod tests {
         assert_eq!(control["final_modes"][0], "general");
         let event = control["timeline"][0]["event"].as_str().expect("string");
         assert!(event.starts_with('e') && event.contains(' '), "{event}");
-    }
-
-    #[test]
-    fn control_sim_table_is_deterministic() {
-        let ctx = ExpCtx::new(1);
-        let a = control_sim(&ctx).render();
-        let b = control_sim(&ctx).render();
-        assert_eq!(a, b, "virtual-time drive must be reproducible");
-        assert!(a.contains("mode_switches"));
     }
 }

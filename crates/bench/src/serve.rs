@@ -149,15 +149,21 @@ fn admin_shed(engine: &Engine, req: &HttpRequest) -> HttpResponse {
         Ok(d) => d,
         Err(resp) => return resp,
     };
-    let force = match doc.get("force") {
-        Some(v) => match v.as_bool() {
-            Some(b) => Some(b),
-            None if v.is_null() => None,
-            None => return HttpResponse::text(422, "force must be true, false or null\n"),
-        },
-        None => return HttpResponse::text(422, "force must be true, false or null\n"),
-    };
-    queue(engine, AdminCmd::ForceShed(force))
+    match shed_pin(&doc) {
+        Some(on) => queue(engine, AdminCmd::ForceShed(on)),
+        None => HttpResponse::text(422, "force must be true, false or null\n"),
+    }
+}
+
+/// The shed pin a `POST /admin/shed` body asks for: `{"force":true}`
+/// pins it on; `false` and `null` both release it.
+fn shed_pin(doc: &serde_json::Value) -> Option<bool> {
+    let force = doc.get("force")?;
+    if force.is_null() {
+        Some(false)
+    } else {
+        force.as_bool()
+    }
 }
 
 /// Bind `addr` and serve the read-only [`routes`] over `engine` until
@@ -283,7 +289,16 @@ pub(crate) mod tests {
         assert_eq!(status, 202);
         let (status, _) = post(addr, "/admin/shed", r#"{"force":true}"#);
         assert_eq!(status, 202);
-        assert_eq!(admin_queued(addr), 4);
+        // `null` is the release, as `false` is.
+        let (status, _) = post(addr, "/admin/shed", r#"{"force":null}"#);
+        assert_eq!(status, 202);
+        assert_eq!(admin_queued(addr), 5);
+        let pin = |body: &str| shed_pin(&serde_json::from_str(body).expect("JSON"));
+        assert_eq!(pin(r#"{"force":null}"#), Some(false));
+        assert_eq!(pin(r#"{"force":false}"#), Some(false));
+        assert_eq!(pin(r#"{"force":true}"#), Some(true));
+        assert_eq!(pin(r#"{"force":1}"#), None);
+        assert_eq!(pin("{}"), None);
 
         // Drain raises the graceful-quiesce flag.
         let (status, _) = post(addr, "/admin/drain", "");
@@ -303,7 +318,7 @@ pub(crate) mod tests {
         assert_eq!(status, 405);
 
         // Nothing leaked into the queue from the rejected requests.
-        assert_eq!(admin_queued(addr), 4);
+        assert_eq!(admin_queued(addr), 5);
 
         // A full mailbox answers 409 and queues nothing.
         while engine.admin(AdminCmd::WhitelistAdd(1_000)) {}

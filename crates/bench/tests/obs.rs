@@ -264,7 +264,7 @@ fn flight_recorder_mirrors_the_control_timeline() {
     // first epoch) and released once that edit has landed — the epoch
     // that applied it had already taken the mailbox, so the release
     // lands in a later one and the run holds a shed edge each way.
-    assert!(engine.admin(AdminCmd::ForceShed(Some(true))));
+    assert!(engine.admin(AdminCmd::ForceShed(true)));
     let report = std::thread::scope(|s| {
         s.spawn(|| {
             for _ in 0..5_000 {
@@ -273,7 +273,7 @@ fn flight_recorder_mirrors_the_control_timeline() {
                 }
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            assert!(engine.admin(AdminCmd::ForceShed(Some(false))));
+            assert!(engine.admin(AdminCmd::ForceShed(false)));
         });
         engine.run(
             &packets,

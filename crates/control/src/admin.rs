@@ -18,9 +18,9 @@ pub enum AdminCmd {
     WhitelistAdd(u64),
     /// Remove a digest from the whitelist.
     WhitelistRemove(u64),
-    /// `Some(true)`: shed load — every shard Lite, whitelisted flows
-    /// only — until released. `Some(false)` or `None`: release it.
-    ForceShed(Option<bool>),
+    /// `true`: shed load — every shard Lite, whitelisted flows only —
+    /// until released. `false`: release it.
+    ForceShed(bool),
     /// `Some(mode)`: pin one shard's FlowCache mode, overriding
     /// Algorithm 4 for that shard. `None`: release the override.
     ForceMode {
@@ -46,17 +46,14 @@ impl AdminCmd {
     }
 
     /// Payload word for flight-recorder events (`admin_edit.arg`): the
-    /// digest, the forced-shed encoding (0 = release, 1 = off, 2 = on),
-    /// or the target shard.
+    /// digest, the shed pin (1 = on, 0 = released), or the target shard.
     pub fn arg(&self) -> u64 {
         match *self {
             AdminCmd::BlacklistAdd(d)
             | AdminCmd::BlacklistRemove(d)
             | AdminCmd::WhitelistAdd(d)
             | AdminCmd::WhitelistRemove(d) => d,
-            AdminCmd::ForceShed(None) => 0,
-            AdminCmd::ForceShed(Some(false)) => 1,
-            AdminCmd::ForceShed(Some(true)) => 2,
+            AdminCmd::ForceShed(on) => u64::from(on),
             AdminCmd::ForceMode { shard, .. } => shard as u64,
         }
     }
@@ -73,7 +70,7 @@ mod tests {
             AdminCmd::BlacklistRemove(7),
             AdminCmd::WhitelistAdd(7),
             AdminCmd::WhitelistRemove(7),
-            AdminCmd::ForceShed(Some(true)),
+            AdminCmd::ForceShed(true),
             AdminCmd::ForceMode {
                 shard: 3,
                 mode: Some(Mode::Lite),
@@ -85,8 +82,7 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), cmds.len());
         assert_eq!(AdminCmd::BlacklistAdd(7).arg(), 7);
-        assert_eq!(AdminCmd::ForceShed(None).arg(), 0);
-        assert_eq!(AdminCmd::ForceShed(Some(false)).arg(), 1);
-        assert_eq!(AdminCmd::ForceShed(Some(true)).arg(), 2);
+        assert_eq!(AdminCmd::ForceShed(false).arg(), 0);
+        assert_eq!(AdminCmd::ForceShed(true).arg(), 1);
     }
 }

@@ -6,8 +6,9 @@
 //! epoch's [`DecisionRecord`] (per-shard Algorithm 4 mode, the shed
 //! flag, what was seen) and a fresh [`SteeringSnapshot`] when the
 //! steering tables changed. It owns no threads and reads no clocks, so
-//! identical input streams produce byte-identical decisions — the
-//! property the `control-sim` determinism experiment pins down.
+//! identical input streams produce byte-identical decisions — what
+//! lets the `control-sim` table ([`crate::sim`]) sit in the paper
+//! golden.
 //!
 //! Per epoch the controller:
 //!
@@ -48,6 +49,7 @@ use crate::admin::AdminCmd;
 use crate::snapshot::SteeringSnapshot;
 use serde::{Serialize, Value};
 use smartwatch_host::Verdict;
+use smartwatch_net::hash::DEFAULT_HASH_SEED;
 use smartwatch_net::{AgingDigestSet, BuildDigestHasher, DigestSet, FlowHasher};
 use smartwatch_snic::{Mode, SwitchOver};
 use std::collections::HashMap;
@@ -101,12 +103,16 @@ const DECISION_CAPACITY: usize = 512;
 
 /// One shard's telemetry as sampled at an epoch boundary. `offered`,
 /// `processed` and `shed` are *cumulative* counters (the controller
-/// takes deltas); `escalation_backlog` is instantaneous.
+/// takes deltas of `offered` and `shed`); `escalation_backlog` is
+/// instantaneous.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardSample {
     /// Packets the dispatcher has offered this shard so far.
     pub offered: u64,
-    /// Packets the shard has ingested and processed so far.
+    /// Packets the shard has ingested and processed so far. No controller
+    /// path reads it (the rate is offered packets, the shed count is
+    /// `shed`); it stays because `benchmark/src/probe.rs` builds samples
+    /// field by field, and goes with the next change to `benchmark/`.
     pub processed: u64,
     /// Packets shed at dispatch for this shard so far.
     pub shed: u64,
@@ -367,28 +373,6 @@ impl ControlReport {
             })
             .collect()
     }
-
-    /// Counters-only summary: every line is an integer or a mode label,
-    /// so two identical seeded drives render byte-identical strings.
-    /// (Deliberately excludes floats and the timeline tail.)
-    pub(crate) fn summary(&self) -> String {
-        let modes: Vec<&str> = self.final_modes.iter().map(|m| m.label()).collect();
-        format!(
-            "control-summary v1\nepochs={}\nmode_switches={}\nwhitelist_promotions={}\n\
-             whitelist_expired={}\nblacklist_expired={}\nshed_epochs={}\nshed_packets={}\n\
-             snapshot_publishes={}\nshed_active={}\nfinal_modes={}\n",
-            self.epochs,
-            self.mode_switches,
-            self.whitelist_promotions,
-            self.whitelist_expired,
-            self.blacklist_expired,
-            self.shed_epochs,
-            self.shed_packets,
-            self.snapshot_publishes,
-            self.shed_active,
-            modes.join(",")
-        )
-    }
 }
 
 /// Reads one metric's value out of the controller.
@@ -459,12 +443,12 @@ pub struct Controller {
 
 impl Controller {
     /// A controller that has run no epoch, digesting verdict keys under
-    /// the engine's default flow-hash seed `0x51CC`.
+    /// the engine's default flow-hash seed ([`DEFAULT_HASH_SEED`]).
     ///
     /// # Panics
     /// As [`Controller::with_seed`].
     pub fn new(cfg: ControlConfig) -> Controller {
-        Controller::with_seed(cfg, 0x51CC)
+        Controller::with_seed(cfg, DEFAULT_HASH_SEED)
     }
 
     /// A controller that has run no epoch, digesting verdict keys under
@@ -781,8 +765,7 @@ impl Controller {
             AdminCmd::BlacklistRemove(d) => _ = self.admin_blacklist_remove(d),
             AdminCmd::WhitelistAdd(d) => _ = self.admin_whitelist_insert(d),
             AdminCmd::WhitelistRemove(d) => _ = self.admin_whitelist_remove(d),
-            AdminCmd::ForceShed(force) => {
-                let shed = force == Some(true);
+            AdminCmd::ForceShed(shed) => {
                 self.dirty |= shed != self.shed;
                 self.shed = shed;
             }
@@ -1032,7 +1015,7 @@ mod tests {
         assert!(d.record.offered_mpps > 4.0, "audit carries the input rate");
         assert_eq!(d.record.smoothed_mpps.len(), 2);
         assert!(!d.record.shed);
-        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
+        assert!(c.admin(AdminCmd::ForceShed(true)));
         for _ in 0..6 {
             c.epoch(&input(10.0, 2, 0.005, &mut cum));
         }
@@ -1052,7 +1035,7 @@ mod tests {
     fn the_name_tables_read_the_live_books() {
         let mut c = Controller::new(ControlConfig::default());
         let mut cum = Vec::new();
-        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
+        assert!(c.admin(AdminCmd::ForceShed(true)));
         let mut last = None;
         for _ in 0..6 {
             last = Some(c.epoch(&input(8.0, 2, 0.005, &mut cum)));
@@ -1113,21 +1096,18 @@ mod tests {
         let mut cum = Vec::new();
         // Pinned on under calm traffic: sheds from the next epoch and
         // every shard goes Lite.
-        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
+        assert!(c.admin(AdminCmd::ForceShed(true)));
         let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
         assert!(d.record.shed, "the pin sheds calm load");
         assert!(d.record.modes.iter().all(|&m| m == Mode::Lite));
         assert!(d.snapshot.expect("shed flip publishes").shed);
 
-        // Off and released both end it, at once, under any load.
-        for release in [Some(false), None] {
-            assert!(c.admin(AdminCmd::ForceShed(Some(true))));
-            c.epoch(&input(50.0, 2, 0.005, &mut cum));
-            assert!(c.admin(AdminCmd::ForceShed(release)));
-            let d = c.epoch(&input(50.0, 2, 0.005, &mut cum));
-            assert!(!d.record.shed, "{release:?} ends the shed");
-            assert!(!d.snapshot.expect("shed flip publishes").shed);
-        }
+        // Released, it ends at once, under any load.
+        c.epoch(&input(50.0, 2, 0.005, &mut cum));
+        assert!(c.admin(AdminCmd::ForceShed(false)));
+        let d = c.epoch(&input(50.0, 2, 0.005, &mut cum));
+        assert!(!d.record.shed, "the release ends the shed");
+        assert!(!d.snapshot.expect("shed flip publishes").shed);
     }
 
     #[test]
@@ -1142,7 +1122,7 @@ mod tests {
             shard: 2,
             mode: Some(Mode::Lite),
         }));
-        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
+        assert!(c.admin(AdminCmd::ForceShed(true)));
         let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
         assert!(d.record.shed);
         assert_eq!(d.record.modes, [Mode::General, Mode::Lite], "pin > shed");
@@ -1160,7 +1140,7 @@ mod tests {
         );
 
         // Pinned Lite under calm, unshed load: pin > Algorithm 4.
-        assert!(c.admin(AdminCmd::ForceShed(Some(false))));
+        assert!(c.admin(AdminCmd::ForceShed(false)));
         assert!(c.admin(pin(Some(Mode::Lite))));
         let before = d.record;
         let d = c.epoch(&input(0.5, 2, 0.005, &mut cum));
@@ -1187,7 +1167,7 @@ mod tests {
         };
         let mut c = Controller::new(cfg);
         let mut cum = Vec::new();
-        assert!(c.admin(AdminCmd::ForceShed(Some(true))));
+        assert!(c.admin(AdminCmd::ForceShed(true)));
         assert!(c.admin(AdminCmd::BlacklistAdd(0xBAD)));
         // A streak one epoch short of promotion.
         for round in 1..PROMOTE_EPOCHS {
@@ -1235,7 +1215,7 @@ mod tests {
                 rate = [0.5, 4.0, 12.0, 24.0][draw(4) as usize];
             }
             let pin = [None, Some(Mode::General), Some(Mode::Lite)][draw(3) as usize];
-            let shed = [None, Some(false), Some(true)][draw(3) as usize];
+            let shed = draw(3) == 2;
             match draw(24) {
                 0 => {
                     _ = c.admin(AdminCmd::ForceMode {

@@ -6,7 +6,8 @@
 //! as whitelist/blacklist ("hoverboard") steering rules. This crate is
 //! that loop as a reusable state machine for the runtime engine:
 //!
-//! * [`Controller`] — the epoch brain. Each epoch it consumes one
+//! * [`Controller`] — the epoch brain and Algorithm 4's one driver (a
+//!   `smartwatch_snic::SwitchOver` per shard). Each epoch it consumes one
 //!   [`EpochInput`] (per-shard offered and shed counts, escalation
 //!   backlog, host verdicts, heavy-hitter candidates) and emits one
 //!   [`EpochDecision`]: the epoch's [`DecisionRecord`] (per-shard
@@ -30,8 +31,8 @@
 //!   batch boundaries via `FlowCache::set_mode` (lazy Algorithm 3
 //!   cleanup, never a stop-the-world rebuild).
 //! * [`sim`] — a deterministic virtual-time drive of the controller
-//!   over a synthetic load spike, used by the determinism tests and the
-//!   `control-sim` experiment.
+//!   over one fixed synthetic load spike, varied only by a seed: the
+//!   `control-sim` experiment, which the paper golden pins.
 //!
 //! The wall-clock wiring — the thread that samples shard telemetry,
 //! polls the verdict log and publishes decisions — lives in
@@ -60,5 +61,5 @@ pub use controller::{
     ControlConfig, ControlEvent, ControlReport, Controller, DecisionRecord, EpochDecision,
     EpochInput, ShardSample,
 };
-pub use sim::{simulate, LoadProfile, SimOutcome};
+pub use sim::{simulate, SimOutcome};
 pub use snapshot::{ModeCell, SnapshotCell, SnapshotReader, SteeringSnapshot};

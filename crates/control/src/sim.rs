@@ -2,11 +2,11 @@
 //!
 //! The wall-clock engine run is inherently nondeterministic (thread
 //! scheduling decides exactly when each epoch samples each counter), so
-//! the determinism contract for the control plane is pinned here
-//! instead: [`simulate`] replays a synthetic load spike through the
-//! pure controller state machine under virtual time. Same
-//! [`LoadProfile`] → byte-identical [`SimOutcome::summary`] — that is
-//! the `control-sim` experiment and its determinism test.
+//! the control plane is also driven here, under virtual time: [`simulate`]
+//! replays one fixed synthetic load spike through the pure controller
+//! state machine, and only the seed of its heavy-hitter and verdict
+//! stream varies. That is the `control-sim` experiment; the paper
+//! golden (`ci/golden_repro_all.json`) pins its table byte for byte.
 //!
 //! The synthetic drive exercises every automatic controller path: ramp
 //! → overload spike (Algorithm 4 flips to Lite) → recovery (General
@@ -16,46 +16,26 @@
 
 use crate::controller::{ControlConfig, ControlReport, Controller, EpochInput, ShardSample};
 use smartwatch_host::Verdict;
+use smartwatch_net::hash::splitmix64;
 use smartwatch_net::FlowKey;
 use smartwatch_snic::Mode;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
-/// A synthetic offered-load trajectory: flat base rate with one
-/// rectangular spike, plus background verdict and heavy-hitter traffic.
-#[derive(Clone, Debug)]
-pub struct LoadProfile {
-    /// Shard count.
-    pub shards: usize,
-    /// Total epochs to simulate.
-    pub epochs: u64,
-    /// Virtual epoch length in seconds.
-    pub epoch_secs: f64,
-    /// Aggregate offered rate outside the spike, in Mpps.
-    pub base_mpps: f64,
-    /// Aggregate offered rate during the spike, in Mpps.
-    pub peak_mpps: f64,
-    /// First epoch of the spike (0-based, inclusive).
-    pub spike_start: u64,
-    /// First epoch after the spike (exclusive).
-    pub spike_end: u64,
-    /// PRNG seed for the heavy-hitter / verdict stream.
-    pub seed: u64,
-}
-
-impl Default for LoadProfile {
-    fn default() -> LoadProfile {
-        LoadProfile {
-            shards: 4,
-            epochs: 120,
-            epoch_secs: 0.005,
-            base_mpps: 1.0,
-            peak_mpps: 12.0,
-            spike_start: 40,
-            spike_end: 80,
-            seed: 0x5117_c0de,
-        }
-    }
-}
+/// Shards the drive samples.
+pub const SHARDS: usize = 4;
+/// Epochs the drive runs.
+pub const EPOCHS: u64 = 120;
+/// Virtual epoch length in seconds.
+pub const EPOCH_SECS: f64 = 0.005;
+/// Aggregate offered rate outside the spike, in Mpps.
+pub const BASE_MPPS: f64 = 1.0;
+/// Aggregate offered rate during the spike, in Mpps.
+pub const PEAK_MPPS: f64 = 12.0;
+/// The spike's epochs (0-based, end exclusive).
+pub const SPIKE: Range<u64> = 40..80;
+/// The seed `repro control-sim` drives with.
+pub const SEED: u64 = 0x5117_c0de;
 
 /// What a simulated drive produced.
 #[derive(Clone, Debug)]
@@ -64,22 +44,18 @@ pub struct SimOutcome {
     pub report: ControlReport,
     /// Epochs during which every shard's decided mode was Lite.
     pub lite_epochs: u64,
-    /// The byte-stable counters-only summary (see
-    /// [`ControlReport::summary`], prefixed with the drive's shape).
-    pub summary: String,
 }
 
-/// Splitmix64 — tiny, deterministic, good enough for synthetic streams.
-fn splitmix(state: &mut u64) -> u64 {
+/// One draw of the seeded stream: the n-th is `splitmix64(seed + (n−1)·γ)`,
+/// γ the SplitMix64 increment.
+fn draw(state: &mut u64) -> u64 {
+    let r = splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    r
 }
 
 fn synth_key(rng: &mut u64) -> FlowKey {
-    let r = splitmix(rng);
+    let r = draw(rng);
     FlowKey::tcp(
         Ipv4Addr::from(0x0A00_0000 | (r as u32 & 0xFFFF)),
         1024 + ((r >> 32) as u16 % 50_000),
@@ -88,30 +64,25 @@ fn synth_key(rng: &mut u64) -> FlowKey {
     )
 }
 
-/// Drive `ctrl_cfg` through `profile` under virtual time and return the
-/// outcome. Pure function of its arguments.
-pub fn simulate(ctrl_cfg: ControlConfig, profile: &LoadProfile) -> SimOutcome {
-    assert!(profile.shards > 0, "need at least one shard");
-    assert!(
-        profile.spike_start <= profile.spike_end,
-        "spike must not end before it starts"
-    );
-    let mut ctrl = Controller::new(ctrl_cfg);
-    let mut rng = profile.seed;
-    let mut cumulative: Vec<ShardSample> = vec![ShardSample::default(); profile.shards];
+/// Drive the default [`ControlConfig`] through the fixed spike under
+/// virtual time, heavy hitters and verdicts drawn from `seed`. Pure
+/// function of the seed.
+pub fn simulate(seed: u64) -> SimOutcome {
+    let mut ctrl = Controller::new(ControlConfig::default());
+    let mut rng = seed;
+    let mut cumulative = vec![ShardSample::default(); SHARDS];
     // A fixed pool of recurring heavy-hitter digests so streaks can
     // actually build across consecutive epochs.
-    let heavy_pool: Vec<u64> = (0..8).map(|_| splitmix(&mut rng)).collect();
+    let heavy_pool: Vec<u64> = (0..8).map(|_| draw(&mut rng)).collect();
     let mut lite_epochs = 0u64;
 
-    for epoch in 0..profile.epochs {
-        let in_spike = (profile.spike_start..profile.spike_end).contains(&epoch);
-        let rate_mpps = if in_spike {
-            profile.peak_mpps
+    for epoch in 0..EPOCHS {
+        let rate_mpps = if SPIKE.contains(&epoch) {
+            PEAK_MPPS
         } else {
-            profile.base_mpps
+            BASE_MPPS
         };
-        let per_shard = (rate_mpps * 1e6 * profile.epoch_secs / profile.shards as f64) as u64;
+        let per_shard = (rate_mpps * 1e6 * EPOCH_SECS / SHARDS as f64) as u64;
         for s in cumulative.iter_mut() {
             s.offered += per_shard;
         }
@@ -121,10 +92,10 @@ pub fn simulate(ctrl_cfg: ControlConfig, profile: &LoadProfile) -> SimOutcome {
         // builds a streak.
         let mut heavy = Vec::new();
         for &d in &heavy_pool {
-            let est = 1500 + (splitmix(&mut rng) % 2000);
+            let est = 1500 + (draw(&mut rng) % 2000);
             heavy.push((d, est));
         }
-        heavy.push((splitmix(&mut rng), 5000));
+        heavy.push((draw(&mut rng), 5000));
 
         // Verdicts: a whitelist verdict most epochs, a blacklist verdict
         // every 16th.
@@ -137,7 +108,7 @@ pub fn simulate(ctrl_cfg: ControlConfig, profile: &LoadProfile) -> SimOutcome {
         }
 
         let decision = ctrl.epoch(&EpochInput {
-            elapsed_secs: profile.epoch_secs,
+            elapsed_secs: EPOCH_SECS,
             shards: cumulative.clone(),
             verdicts,
             heavy,
@@ -147,21 +118,9 @@ pub fn simulate(ctrl_cfg: ControlConfig, profile: &LoadProfile) -> SimOutcome {
         }
     }
 
-    let report = ctrl.report();
-    let summary = format!(
-        "control-sim v1\nshards={}\nepochs={}\nspike={}..{}\nseed={:#x}\nlite_epochs={}\n{}",
-        profile.shards,
-        profile.epochs,
-        profile.spike_start,
-        profile.spike_end,
-        profile.seed,
-        lite_epochs,
-        report.summary()
-    );
     SimOutcome {
-        report,
+        report: ctrl.report(),
         lite_epochs,
-        summary,
     }
 }
 
@@ -172,7 +131,7 @@ mod tests {
 
     #[test]
     fn spike_drives_lite_then_recovers_and_never_sheds() {
-        let outcome = simulate(ControlConfig::default(), &LoadProfile::default());
+        let outcome = simulate(SEED);
         let r = &outcome.report;
         assert!(outcome.lite_epochs > 0, "spike must reach Lite");
         assert_eq!(r.shed_epochs, 0, "no shed pin, no shed");
@@ -193,8 +152,8 @@ mod tests {
                 _ => None,
             })
             .expect("a Lite switch is recorded");
-        // Controller epochs are 1-based; profile epochs 0-based.
-        assert!(first_lite > LoadProfile::default().spike_start);
+        // Controller epochs are 1-based; the spike's 0-based.
+        assert!(first_lite > SPIKE.start);
         assert!(
             r.whitelist_promotions > 0,
             "recurring heavy hitters promote"
@@ -202,25 +161,24 @@ mod tests {
     }
 
     #[test]
-    fn identical_profiles_summarise_identically() {
-        let a = simulate(ControlConfig::default(), &LoadProfile::default());
-        let b = simulate(ControlConfig::default(), &LoadProfile::default());
-        assert_eq!(a.summary, b.summary);
-        assert_eq!(a.report.mode_switches, b.report.mode_switches);
+    fn identical_seeds_decide_identically() {
+        let a = simulate(SEED);
+        let b = simulate(SEED);
+        assert_eq!(a.report.decisions, b.report.decisions);
+        assert_eq!(a.lite_epochs, b.lite_epochs);
     }
 
     #[test]
     fn different_seeds_change_the_stream_not_the_shape() {
-        let base = simulate(ControlConfig::default(), &LoadProfile::default());
-        let other = simulate(
-            ControlConfig::default(),
-            &LoadProfile {
-                seed: 1,
-                ..LoadProfile::default()
-            },
+        let base = simulate(SEED);
+        let other = simulate(1);
+        assert_ne!(
+            base.report.decisions, other.report.decisions,
+            "the seed moves the heavy-hitter and verdict stream"
         );
-        assert_ne!(base.summary, other.summary, "seed is part of the summary");
         // The macro behaviour (spike → Lite → recover) is seed-free.
+        assert_eq!(base.report.epochs, other.report.epochs);
+        assert_eq!(other.report.shed_epochs, 0);
         assert!(other.lite_epochs > 0);
         assert!(other.report.final_modes.iter().all(|&m| m == Mode::General));
     }

@@ -85,6 +85,12 @@ pub struct FlowDigest {
     pub digest: HashDigest,
 }
 
+/// The flow-hash seed an engine, its FlowCaches and its controller
+/// digest under unless told otherwise (`EngineConfig::hash_seed`,
+/// `FlowCacheConfig::hash_seed`). Not [`FlowHasher::default`]'s seed,
+/// which is 0: that hasher digests differently.
+pub const DEFAULT_HASH_SEED: u64 = 0x51CC;
+
 /// Seedable 64-bit hasher over flow keys and raw bytes.
 ///
 /// Distinct seeds give (empirically) independent functions, which is what

@@ -3,6 +3,7 @@
 //! representation it replays ([`FrameSource`]).
 
 use smartwatch_control::ControlConfig;
+use smartwatch_net::hash::DEFAULT_HASH_SEED;
 use smartwatch_net::{FrameStore, Packet};
 
 /// How the engine maps the pipeline onto threads.
@@ -102,7 +103,7 @@ impl EngineConfig {
             host_workers: 1,
             triage_threshold: 64,
             enforce_verdicts: true,
-            hash_seed: 0x51CC,
+            hash_seed: DEFAULT_HASH_SEED,
             cache_burst: smartwatch_snic::BURST,
             control: None,
             trace_sample: 0,

@@ -92,7 +92,7 @@ mod tests {
         );
         assert_eq!(q.len(), 0);
         assert!(
-            q.push(AdminCmd::ForceShed(Some(true))),
+            q.push(AdminCmd::ForceShed(true)),
             "drained queue accepts again"
         );
     }

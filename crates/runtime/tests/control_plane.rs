@@ -272,7 +272,7 @@ fn admin_edits(engine: &Engine) -> usize {
 fn shed_pin_outlives_the_segment() {
     let engine = Engine::new(EngineConfig::new(2).with_control(inert_control()));
     let packets = workload(30_000);
-    assert!(engine.admin(AdminCmd::ForceShed(Some(true))));
+    assert!(engine.admin(AdminCmd::ForceShed(true)));
     for segment in 0..3 {
         let report = engine.run(&packets, Pace::RateMpps(0.3));
         assert!(report.conserved(), "segment {segment}: {:?}", report.shards);

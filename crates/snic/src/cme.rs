@@ -6,6 +6,10 @@
 //! rate crosses the thresholds: above η₁ → Lite (survive the burst), below
 //! η₂ → General (recover the low-eviction regime). η₂ < η₁ provides
 //! hysteresis so the cache does not flap at the boundary.
+//!
+//! `smartwatch-control`'s `Controller` is the one driver: it keeps one
+//! [`SwitchOver`] per shard, feeds it each epoch's arrival rate and
+//! hands the shard its [`mode`](SwitchOver::mode).
 
 use crate::flowcache::Mode;
 
@@ -13,11 +17,11 @@ use crate::flowcache::Mode;
 #[derive(Clone, Debug)]
 pub struct SwitchOver {
     /// EWMA weight on the newest sample (paper: 0.75).
-    pub alpha: f64,
+    alpha: f64,
     /// Rate above which to switch to Lite mode, in packets/sec.
-    pub eta_lite: f64,
+    eta_lite: f64,
     /// Rate below which to return to General mode, in packets/sec.
-    pub eta_general: f64,
+    eta_general: f64,
     /// Smoothed rate estimate F_t.
     smoothed: f64,
     /// Samples consumed (the paper warms up over a 100-sample window).
@@ -46,34 +50,20 @@ impl SwitchOver {
         }
     }
 
-    /// Paper-flavoured thresholds: Lite above 30 Mpps (General mode's
-    /// loss-free ceiling), back to General below 24 Mpps.
-    pub fn paper_default() -> SwitchOver {
-        SwitchOver::new(30.0e6, 24.0e6)
-    }
-
-    /// Feed one arrival-rate sample (packets/sec); returns `Some(mode)`
-    /// when the controller decides to switch.
-    pub fn observe(&mut self, rate_pps: f64) -> Option<Mode> {
+    /// Feed one arrival-rate sample (packets/sec); [`mode`](Self::mode)
+    /// then reads the decision.
+    pub fn observe(&mut self, rate_pps: f64) {
         // F_{t+1} = α·A_t + (1-α)·F_t
         self.smoothed = self.alpha * rate_pps + (1.0 - self.alpha) * self.smoothed;
         self.samples += 1;
         // Warm-up: don't flap before the estimate has any history.
         if self.samples < 4 {
-            return None;
+            return;
         }
-        let next = if self.smoothed > self.eta_lite {
-            Mode::Lite
+        if self.smoothed > self.eta_lite {
+            self.mode = Mode::Lite;
         } else if self.smoothed < self.eta_general {
-            Mode::General
-        } else {
-            self.mode
-        };
-        if next != self.mode {
-            self.mode = next;
-            Some(next)
-        } else {
-            None
+            self.mode = Mode::General;
         }
     }
 
@@ -92,50 +82,50 @@ impl SwitchOver {
 mod tests {
     use super::*;
 
-    #[test]
-    fn switches_to_lite_on_sustained_high_rate() {
-        let mut c = SwitchOver::paper_default();
-        let mut switched = None;
-        for _ in 0..20 {
-            if let Some(m) = c.observe(43.0e6) {
-                switched = Some(m);
-            }
-        }
-        assert_eq!(switched, Some(Mode::Lite));
+    /// Paper-flavoured thresholds: Lite above 30 Mpps (General mode's
+    /// loss-free ceiling), back to General below 24 Mpps.
+    fn paper() -> SwitchOver {
+        SwitchOver::new(30.0e6, 24.0e6)
     }
 
     #[test]
-    fn returns_to_general_when_rate_drops() {
-        let mut c = SwitchOver::paper_default();
+    fn switches_to_lite_on_sustained_high_rate() {
+        let mut c = paper();
         for _ in 0..20 {
             c.observe(43.0e6);
         }
         assert_eq!(c.mode(), Mode::Lite);
-        let mut last = None;
-        for _ in 0..40 {
-            if let Some(m) = c.observe(10.0e6) {
-                last = Some(m);
-            }
+    }
+
+    #[test]
+    fn returns_to_general_when_rate_drops() {
+        let mut c = paper();
+        for _ in 0..20 {
+            c.observe(43.0e6);
         }
-        assert_eq!(last, Some(Mode::General));
+        assert_eq!(c.mode(), Mode::Lite);
+        for _ in 0..40 {
+            c.observe(10.0e6);
+        }
+        assert_eq!(c.mode(), Mode::General);
     }
 
     #[test]
     fn hysteresis_band_does_not_flap() {
-        let mut c = SwitchOver::paper_default();
+        let mut c = paper();
         for _ in 0..20 {
             c.observe(43.0e6); // → Lite
         }
         // Rate inside the (24, 30) Mpps band: stay Lite.
         for _ in 0..50 {
-            assert_eq!(c.observe(27.0e6), None);
+            c.observe(27.0e6);
+            assert_eq!(c.mode(), Mode::Lite);
         }
-        assert_eq!(c.mode(), Mode::Lite);
     }
 
     #[test]
     fn single_spike_is_smoothed_away() {
-        let mut c = SwitchOver::paper_default();
+        let mut c = paper();
         for _ in 0..10 {
             c.observe(5.0e6);
         }
@@ -151,10 +141,13 @@ mod tests {
 
     #[test]
     fn warmup_suppresses_early_decisions() {
-        let mut c = SwitchOver::paper_default();
-        assert_eq!(c.observe(100.0e6), None);
-        assert_eq!(c.observe(100.0e6), None);
-        assert_eq!(c.observe(100.0e6), None);
+        let mut c = paper();
+        for _ in 0..3 {
+            c.observe(100.0e6);
+            assert_eq!(c.mode(), Mode::General);
+        }
+        c.observe(100.0e6);
+        assert_eq!(c.mode(), Mode::Lite, "the fourth sample decides");
     }
 
     #[test]

@@ -12,12 +12,15 @@
 //! wait longer than the ingress buffer horizon are dropped, which is how
 //! "violating the cycle budget leads to dropping of packets at higher
 //! arrival rates" (§2.3.2) manifests.
+//!
+//! The cache runs the whole stream in the mode its caller set: Algorithm
+//! 4's switch-over is driven by `smartwatch-control`'s `Controller`, not
+//! here.
 
-use crate::cme::SwitchOver;
 use crate::flowcache::{FlowCache, Outcome};
 use crate::hw::{service_time, CycleCosts, HwProfile};
 use smartwatch_net::{Dur, Packet};
-use smartwatch_telemetry::{Histogram, Registry, TraceShard};
+use smartwatch_telemetry::{Histogram, Registry};
 use std::collections::BinaryHeap;
 
 /// Ingress buffering horizon: a packet that would wait longer than this
@@ -37,11 +40,6 @@ pub struct DesConfig {
     /// Offered rate in packets/sec: packet timestamps are re-spaced
     /// uniformly at this rate (MoonGen-style replay).
     pub offered_pps: f64,
-    /// Optional Algorithm 4 controller that reconfigures the cache while
-    /// the simulation runs (sampled every `rate_sample_every` packets).
-    pub switchover: Option<SwitchOver>,
-    /// Arrival-rate sampling stride for the controller.
-    pub rate_sample_every: usize,
     /// Packet-sampling fraction for the FlowCache (1.0 = every packet).
     /// Sampling buys throughput the way NitroSketch does — and exactly as
     /// the paper notes (§2.3.2), it forfeits flow-state tracking: sampled-
@@ -57,8 +55,6 @@ impl DesConfig {
             costs: CycleCosts::default(),
             pmes: 80,
             offered_pps,
-            switchover: None,
-            rate_sample_every: 4096,
             sampling: 1.0,
         }
     }
@@ -128,8 +124,6 @@ pub struct DesReport {
     pub hit_latency: LatencyDist,
     /// Latency distribution of misses only (Fig. 4b).
     pub miss_latency: LatencyDist,
-    /// Mode switches performed by the controller during the run.
-    pub mode_switches: u32,
 }
 
 impl DesReport {
@@ -151,22 +145,20 @@ impl DesReport {
 /// Run the simulation: feed `packets` through `cache` on the configured
 /// hardware.
 pub fn simulate(cache: &mut FlowCache, packets: &[Packet], cfg: &DesConfig) -> DesReport {
-    simulate_instrumented(cache, packets, cfg, None, None)
+    simulate_instrumented(cache, packets, cfg, None)
 }
 
 /// [`simulate`] with observability: when `registry` is given, the run's
-/// latency/queue-wait distributions, outcome counters, per-PME busy and
-/// stall nanoseconds, and the controller's mode switches are published
-/// under `snic.des.*` / `snic.pme.*`; when `trace` is given, mode
-/// switches become virtual-clock instants on that shard. Metrics
-/// accumulate across calls sharing a registry, so back-to-back runs
-/// aggregate — use a fresh registry per run for per-run dumps.
+/// latency/queue-wait distributions, outcome counters and per-PME busy
+/// and stall nanoseconds are published under `snic.des.*` /
+/// `snic.pme.*`. Metrics accumulate across calls sharing a registry, so
+/// back-to-back runs aggregate — use a fresh registry per run for
+/// per-run dumps.
 pub fn simulate_instrumented(
     cache: &mut FlowCache,
     packets: &[Packet],
     cfg: &DesConfig,
     registry: Option<&Registry>,
-    trace: Option<&TraceShard>,
 ) -> DesReport {
     let mut report = DesReport {
         offered: packets.len() as u64,
@@ -190,9 +182,6 @@ pub fn simulate_instrumented(
     let lat_miss = Histogram::new();
     let queue_wait_hist = Histogram::new();
     let mut busy_peak = 0usize;
-    let mut switchover = cfg.switchover.clone();
-    let mut window_start_ns = 0u64;
-    let mut window_count = 0u64;
 
     let t0 = packets[0].ts.as_nanos();
     let gap_ns = 1e9 / cfg.offered_pps;
@@ -203,28 +192,6 @@ pub fn simulate_instrumented(
         let arrival = t0 + (i as f64 * gap_ns) as u64;
         first_arrival = first_arrival.min(arrival);
         last_arrival = last_arrival.max(arrival);
-
-        // Algorithm 4 controller: sample the arrival rate periodically.
-        if let Some(ctrl) = switchover.as_mut() {
-            window_count += 1;
-            if window_count as usize >= cfg.rate_sample_every {
-                let span = arrival.saturating_sub(window_start_ns).max(1);
-                let rate = window_count as f64 * 1e9 / span as f64;
-                if let Some(mode) = ctrl.observe(rate) {
-                    cache.set_mode(mode);
-                    report.mode_switches += 1;
-                    if let Some(shard) = trace {
-                        let name = match mode {
-                            crate::flowcache::Mode::General => "mode->general",
-                            crate::flowcache::Mode::Lite => "mode->lite",
-                        };
-                        shard.instant(smartwatch_net::Ts::from_nanos(arrival), name, "cme");
-                    }
-                }
-                window_start_ns = arrival;
-                window_count = 0;
-            }
-        }
 
         // Run-queue depth proxy, sampled on a fixed stride: how many PMEs
         // are still busy when this packet arrives.
@@ -312,8 +279,6 @@ pub fn simulate_instrumented(
         reg.counter("snic.des.dropped", &[]).add(report.dropped);
         reg.counter("snic.des.sampled_out", &[])
             .add(report.sampled_out);
-        reg.counter("snic.des.mode_switches", &[])
-            .add(u64::from(report.mode_switches));
         reg.gauge("snic.des.busy_pmes_peak", &[])
             .set_max(busy_peak as f64);
         for (id, (&busy, &stall)) in pme_busy_ns.iter().zip(&pme_stall_ns).enumerate() {
@@ -405,17 +370,6 @@ mod tests {
             simulate(&mut fc, &packets(100_000, 2_000), &cfg).achieved_mpps()
         };
         assert!(run(20) < run(80) * 0.6);
-    }
-
-    #[test]
-    fn controller_switches_modes_under_overload() {
-        let mut fc = cache();
-        let mut cfg = DesConfig::netronome(43.0e6);
-        cfg.switchover = Some(SwitchOver::paper_default());
-        cfg.rate_sample_every = 2_000;
-        let rep = simulate(&mut fc, &packets(100_000, 2_000), &cfg);
-        assert!(rep.mode_switches >= 1, "should have switched to Lite");
-        assert_eq!(fc.mode(), crate::flowcache::Mode::Lite);
     }
 
     #[test]

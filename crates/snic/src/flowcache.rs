@@ -87,6 +87,7 @@ use crate::policy::CachePolicy;
 use crate::prefetch::prefetch_read;
 use crate::record::FlowRecord;
 use crate::ring::RingSet;
+use smartwatch_net::hash::DEFAULT_HASH_SEED;
 use smartwatch_net::{FlowHasher, FlowKey, HashDigest, Packet, Resident};
 use std::ops::{Range, Sub};
 
@@ -206,7 +207,7 @@ impl FlowCacheConfig {
             lite_buckets: 2,
             policy: CachePolicy::LRU_LPC,
             ring_capacity: 64 * 1024,
-            hash_seed: 0x51CC,
+            hash_seed: DEFAULT_HASH_SEED,
         }
     }
 
@@ -220,7 +221,7 @@ impl FlowCacheConfig {
             lite_buckets: 2,
             policy,
             ring_capacity: 64 * 1024,
-            hash_seed: 0x51CC,
+            hash_seed: DEFAULT_HASH_SEED,
         }
     }
 
@@ -238,7 +239,7 @@ impl FlowCacheConfig {
             lite_buckets: 2,
             policy,
             ring_capacity: 64 * 1024,
-            hash_seed: 0x51CC,
+            hash_seed: DEFAULT_HASH_SEED,
         }
     }
 

@@ -49,7 +49,10 @@ pub enum FlightKind {
     /// End-of-run marker with the conservation verdict.
     RunEnd,
     /// An admin command (steering edit, mode or shed pin) was
-    /// applied by the controller at an epoch boundary.
+    /// applied by the controller at an epoch boundary. `cmd` is the
+    /// command's code (1–4 the steering edits, 5 the shed pin, 6 the
+    /// mode pin); `arg` the edited digest, the shed pin (1 on, 0
+    /// released) or the pinned shard.
     AdminEdit,
     /// An applied blacklist verdict dropped packets on a shard.
     VerdictDrop,

@@ -7,8 +7,9 @@
 
 use smartwatch::net::Dur;
 use smartwatch::snic::des::{simulate, DesConfig};
-use smartwatch::snic::{CachePolicy, FlowCache, FlowCacheConfig, Mode, SwitchOver};
+use smartwatch::snic::{CachePolicy, FlowCache, FlowCacheConfig, Mode};
 use smartwatch::trace::background::{preset_trace, Preset};
+use smartwatch_control::{ControlConfig, Controller, EpochInput, ShardSample};
 
 fn main() {
     let trace = preset_trace(Preset::Caida2018, 3_000, Dur::from_secs(2), 99).truncated_64b();
@@ -68,20 +69,41 @@ fn main() {
     }
 
     // --- Adaptive switch-over (Algorithm 4) ---------------------------
-    println!("\nadaptive reconfiguration under a rate swing:");
+    // The controller samples each epoch's arrival rate and hands the
+    // cache its mode for the next epoch; the DES runs each epoch at the
+    // mode it was handed. Thresholds are the hardware's: Lite above
+    // 30 Mpps, General again below 24 Mpps.
+    println!("\nadaptive reconfiguration under a rate swing (10 → 43 → 10 Mpps):");
+    let mut ctrl = Controller::new(ControlConfig {
+        eta_lite_mpps: 30.0,
+        eta_general_mpps: 24.0,
+        ..ControlConfig::default()
+    });
     let mut fc = FlowCache::new(FlowCacheConfig::general(12));
-    let mut cfg = DesConfig::netronome(43.0e6);
-    cfg.switchover = Some(SwitchOver::paper_default());
-    cfg.rate_sample_every = 2_000;
-    let rep = simulate(&mut fc, trace.packets(), &cfg);
+    let mut offered = 0;
+    for (epoch, chunk) in trace.packets().chunks(trace.len() / 12 + 1).enumerate() {
+        let mpps = if (3..8).contains(&epoch) { 43.0 } else { 10.0 };
+        let mode = fc.mode();
+        let rep = simulate(&mut fc, chunk, &DesConfig::netronome(mpps * 1e6));
+        offered += rep.offered;
+        let decision = ctrl.epoch(&EpochInput {
+            elapsed_secs: chunk.len() as f64 / (mpps * 1e6),
+            shards: vec![ShardSample {
+                offered,
+                ..ShardSample::default()
+            }],
+            ..EpochInput::default()
+        });
+        fc.set_mode(decision.record.modes[0]);
+        println!(
+            "  epoch {epoch:>2}: {mpps:>4.1} Mpps offered, {:>4.1} achieved in {mode:?}",
+            rep.achieved_mpps()
+        );
+    }
     println!(
-        "  offered 43 Mpps: {} mode switch(es), final mode {:?}, achieved {:.1} Mpps",
-        rep.mode_switches,
+        "  {} mode switch(es), final mode {:?}, rows lazily cleaned: {}",
+        ctrl.report().mode_switches,
         fc.mode(),
-        rep.achieved_mpps()
-    );
-    println!(
-        "  rows lazily cleaned during transition: {}",
         fc.stats().rows_cleaned
     );
 }

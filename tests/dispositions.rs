@@ -76,9 +76,7 @@ fn scenario(fate: Disposition) -> (&'static [DatapathMode], Run) {
             let report = engine.run(&caida(11), Pace::RateMpps(10_000.0));
             (engine, report)
         }),
-        Disposition::Shed => (BOTH, |cfg| {
-            paced_with_admin(cfg, AdminCmd::ForceShed(Some(true)))
-        }),
+        Disposition::Shed => (BOTH, |cfg| paced_with_admin(cfg, AdminCmd::ForceShed(true))),
         Disposition::SteerDrop => (BOTH, |cfg| {
             let digest = FlowHasher::new(cfg.hash_seed).digest_symmetric(&target()).1;
             paced_with_admin(cfg, AdminCmd::BlacklistAdd(digest.0))
